@@ -20,6 +20,11 @@ echo "==> chaos profile (scripted faults + pinned fingerprints)"
 cargo test -q --test chaos
 cargo test -q --test determinism_golden
 cargo test -q -p carlos-sim --test transport
+# Direct baton hand-off: limits, stalls, panics, crashes and fresh-proc
+# rendezvous tripping while a proc thread drives the event loop, plus the
+# lost-wake-up soak under a host-time watchdog.
+cargo test -q -p carlos-sim --test handoff
+cargo test -q --test handoff
 
 echo "==> checker profile (consistency oracle over schedule sweeps)"
 cargo test -q -p carlos-check
@@ -88,6 +93,9 @@ cores=$(nproc)
 ratio() {
     grep -o "\"$1\": [0-9.]*" BENCH_hotpath.json | awk '{print $2}'
 }
+echo "==> serial scheduler (raw 2-node ping-pong, unpinned, ${cores} core(s)):" \
+    "$(ratio serial_ns_per_event) ns/event" \
+    "$(ratio serial_ns_per_handoff) ns/hand-off"
 tsp4=$(ratio parallel_speedup_tsp_4node)
 tsp8=$(ratio parallel_speedup_tsp_8node)
 if [ -z "$tsp4" ] || [ -z "$tsp8" ]; then

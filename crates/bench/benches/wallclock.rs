@@ -4,7 +4,9 @@
 //! 4-node TSP/SOR runs (host seconds, not virtual time). Each end-to-end
 //! run also executes under the conservative parallel scheduler; the
 //! serial/parallel host-second ratio lands in the JSON's `derived`
-//! section as `parallel_speedup_*`, alongside `host_cores`.
+//! section as `parallel_speedup_*`, alongside `host_cores`. A raw 2-node
+//! ping-pong prices the serial scheduler itself: `serial_ns_per_event`
+//! and `serial_ns_per_handoff`.
 //!
 //! Run with `cargo bench -p carlos-bench --bench wallclock`. Results are
 //! written to `BENCH_hotpath.json` at the repository root (override the
@@ -439,6 +441,45 @@ fn bench_oplog(quick: bool) -> Vec<(&'static str, f64)> {
     ]
 }
 
+/// Serial-scheduler micro-benchmark: a raw 2-node ping-pong — no
+/// transport, no DSM, no charged compute — so host time is the baton
+/// protocol and the event queue and nothing else.
+///
+/// Every round trip is four kernel events (two `Deliver`s, two `Wake`s)
+/// and exactly two OS-thread hand-offs: each `wait_recv` parks, and the
+/// next live wake always belongs to the peer. Returns `(key, ns)` pairs
+/// for the JSON `derived` section.
+fn bench_handoff(quick: bool) -> Vec<(&'static str, f64)> {
+    let rounds: u64 = if quick { 20_000 } else { 100_000 };
+    let (secs, events) = time_e2e(if quick { 1 } else { 3 }, || {
+        let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
+        cluster.spawn_node(0, move |ctx| {
+            for _ in 0..rounds {
+                ctx.send_datagram(1, vec![1]);
+                black_box(ctx.wait_recv(None));
+            }
+        });
+        cluster.spawn_node(1, move |ctx| {
+            for _ in 0..rounds {
+                black_box(ctx.wait_recv(None));
+                ctx.send_datagram(0, vec![2]);
+            }
+        });
+        cluster.run().events_processed
+    });
+    let per_event = secs * 1e9 / events as f64;
+    let per_handoff = secs * 1e9 / (2.0 * rounds as f64);
+    eprintln!(
+        "serial ping-pong: {per_event:.0} ns/event, {per_handoff:.0} ns/hand-off \
+         ({events} events, {} hand-offs)",
+        2 * rounds
+    );
+    vec![
+        ("serial_ns_per_event", per_event),
+        ("serial_ns_per_handoff", per_handoff),
+    ]
+}
+
 fn median_of(c: &Criterion, group: &str, id: &str) -> Option<f64> {
     c.results()
         .iter()
@@ -446,7 +487,7 @@ fn median_of(c: &Criterion, group: &str, id: &str) -> Option<f64> {
         .map(|r| r.median_ns)
 }
 
-fn write_json(c: &Criterion, e2e: &[E2eResult], oplog: &[(&'static str, f64)], quick: bool) {
+fn write_json(c: &Criterion, e2e: &[E2eResult], micro: &[(&'static str, f64)], quick: bool) {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"generated_by\": \"cargo bench -p carlos-bench --bench wallclock\",\n");
@@ -517,8 +558,9 @@ fn write_json(c: &Criterion, e2e: &[E2eResult], oplog: &[(&'static str, f64)], q
             }
         }
     }
-    // Amortized per-op cost of the op-log machinery itself (microbench).
-    for (key, ns) in oplog {
+    // Amortized per-op cost of the scheduler machinery itself: the
+    // parallel op log and the serial baton hand-off (microbenches).
+    for (key, ns) in micro {
         lines.push(format!("    \"{key}\": {ns:.0}"));
     }
     lines.push(format!(
@@ -547,7 +589,8 @@ fn main() {
     bench_diff_apply(&mut c);
     bench_codec(&mut c);
     let e2e = bench_e2e(quick);
-    let oplog = bench_oplog(quick);
-    write_json(&c, &e2e, &oplog, quick);
+    let mut micro = bench_oplog(quick);
+    micro.extend(bench_handoff(quick));
+    write_json(&c, &e2e, &micro, quick);
     c.final_summary();
 }

@@ -1,13 +1,14 @@
 //! Public simulator API: [`Cluster`], [`NodeCtx`], and [`SimReport`].
 
 use std::{
+    cmp::Reverse,
     panic::{catch_unwind, resume_unwind, AssertUnwindSafe},
-    sync::Arc,
-    thread::JoinHandle,
+    sync::{Arc, OnceLock},
+    thread::{self, JoinHandle, Thread},
 };
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::{
     config::SimConfig,
@@ -20,8 +21,9 @@ use crate::{
 
 /// Passive observer of wire-level deliveries (checker instrumentation).
 ///
-/// The event loop invokes [`WireObserver::frame_delivered`] on the runner
-/// thread, under the kernel lock, at the instant a datagram is appended to
+/// The event loop invokes [`WireObserver::frame_delivered`] on whichever
+/// thread holds the baton (the runner's or a parking proc's — never two at
+/// once), under the kernel lock, at the instant a datagram is appended to
 /// a destination mailbox. Implementations must only record: they must not
 /// call back into the simulator, block on simulated state, or panic —
 /// escalation belongs in node-side hooks. Loopback datagrams (src == dst)
@@ -82,10 +84,19 @@ pub struct Datagram {
 
 pub(crate) struct Shared {
     pub(crate) kernel: Mutex<Kernel>,
-    pub(crate) runner_cv: Condvar,
+    /// The runner's OS thread, set when the event loop starts — before the
+    /// mode gate lets any proc through, so serial procs always find it.
+    runner: OnceLock<Thread>,
     /// Parallel-mode control block (mode gate, op channels, lane state).
     /// Inert in serial mode beyond publishing the mode decision.
     pub(crate) par: parallel::ParCtrl,
+}
+
+impl Shared {
+    /// The runner's thread, for handing the baton back in serial mode.
+    fn runner(&self) -> &Thread {
+        self.runner.get().expect("serial mode has a runner")
+    }
 }
 
 /// Why the event loop stopped without a report.
@@ -125,7 +136,7 @@ impl Cluster {
         Self {
             shared: Arc::new(Shared {
                 kernel: Mutex::new(Kernel::new(config, n_nodes)),
-                runner_cv: Condvar::new(),
+                runner: OnceLock::new(),
                 par,
             }),
             threads: Vec::new(),
@@ -159,15 +170,7 @@ impl Cluster {
     fn register_proc(&self, node: NodeId, start_at: Ns) -> ProcId {
         let mut k = self.shared.kernel.lock();
         let pid = k.procs.len();
-        k.procs.push(ProcState {
-            cv: Arc::new(Condvar::new()),
-            node,
-            parked: false,
-            runnable: false,
-            finished: false,
-            park_seq: 0,
-            waiting_for_msg: false,
-        });
+        k.procs.push(ProcState::new(node));
         k.live_procs += 1;
         // The proc's initial park will use ticket 1.
         k.push_event(start_at, EvKind::Wake { pid, seq: 1 });
@@ -236,10 +239,11 @@ impl Cluster {
         {
             let mut k = self.shared.kernel.lock();
             k.poisoned = true;
-            for p in &k.procs {
-                if p.parked {
-                    p.cv.notify_one();
-                }
+            // Serial-mode procs parked in `await_baton` see the poison flag.
+            // (A proc yet to register its thread checks the flag before it
+            // ever blocks; parallel-mode procs never register one.)
+            for t in k.procs.iter().filter_map(|p| p.thread.as_ref()) {
+                t.unpark();
             }
         }
         for t in self.threads.drain(..) {
@@ -256,11 +260,25 @@ impl Cluster {
         // need the serialized single-baton wire view, so their presence
         // forces serial mode regardless of the config.
         let parallel = k.config.parallel && k.observer.is_none();
+        // Before the mode gate opens: serial procs look the runner up as
+        // soon as they are through it.
+        let _ = shared.runner.set(thread::current());
         shared.par.publish_mode(parallel, &mut k);
         if parallel {
             return parallel::event_loop(&shared, k);
         }
         loop {
+            // Plain events: run them here until a wake names a proc, then
+            // lend that proc the baton. Procs pass it among themselves and
+            // it comes back only for what `drive` leaves to this thread.
+            if let Some(pid) = k.drive() {
+                let to = proc_thread(&k, pid);
+                pass_baton(&mut k, &to);
+                while k.running.is_some() {
+                    MutexGuard::unlocked(&mut k, thread::park);
+                }
+                continue;
+            }
             if let Some(p) = k.panic.take() {
                 let node = k.panic_node.take();
                 return Err(RunFailure::Panic { payload: p, node });
@@ -268,13 +286,24 @@ impl Cluster {
             if k.live_procs == 0 {
                 return Ok(build_report(&k));
             }
-            let Some(std::cmp::Reverse(ev)) = k.queue.pop() else {
+            let Some(Reverse(head)) = k.queue.peek() else {
                 return Err(RunFailure::Error(SimError::Stalled {
                     at: k.now,
                     blocked: blocked_procs(&k),
                     crashed: k.fault.crashed_nodes(),
                 }));
             };
+            if let EvKind::Wake { pid, seq } = head.kind {
+                if k.procs[pid].before_first_park(seq) {
+                    // Wait for the freshly spawned proc to reach its first
+                    // park (it unparks us there); `drive` then takes the wake.
+                    while k.procs[pid].before_first_park(seq) {
+                        MutexGuard::unlocked(&mut k, thread::park);
+                    }
+                    continue;
+                }
+            }
+            let Reverse(ev) = k.queue.pop().expect("peeked above");
             k.events_processed += 1;
             if let Some(max) = k.config.max_events {
                 if k.events_processed > max {
@@ -295,111 +324,89 @@ impl Cluster {
                     }));
                 }
             }
-            match ev.kind {
-                EvKind::Wake { pid, seq } => {
-                    // Wait for a freshly spawned proc to reach its first park.
-                    while !k.procs[pid].parked && !k.procs[pid].finished && k.procs[pid].park_seq < seq
-                    {
-                        shared.runner_cv.wait(&mut k);
+            let EvKind::Crash { node } = ev.kind else {
+                unreachable!("drive() leaves no plain in-limits event behind");
+            };
+            if k.fault.is_crashed(node) {
+                continue;
+            }
+            k.fault.mark_crashed(node);
+            let pending = k.nodes[node as usize].mailbox.len() as u64;
+            k.nodes[node as usize].net.dropped_crash += pending;
+            // Conservation bookkeeping: purged frames were already
+            // counted as delivered (when non-loopback), so record
+            // them to keep `messages` balanceable.
+            k.nodes[node as usize].net.purged_crash += k.nodes[node as usize]
+                .mailbox
+                .iter()
+                .filter(|d| d.src != node)
+                .count() as u64;
+            k.nodes[node as usize].mailbox.clear();
+            k.nodes[node as usize].counters.add("node.crashed", 1);
+            // Terminate the node's procs: each wakes inside `await_baton`,
+            // observes the crash flag, and unwinds with a CrashUnwind
+            // payload (not captured as a panic). Wait for each to finish
+            // its bookkeeping so live_procs and the queue are consistent
+            // before the next event. A proc that has no thread registered
+            // yet unparks us from its first park, where it sees the flag.
+            for pid in 0..k.procs.len() {
+                while k.procs[pid].node == node && !k.procs[pid].finished {
+                    if let Some(t) = &k.procs[pid].thread {
+                        t.unpark();
                     }
-                    let p = &mut k.procs[pid];
-                    if p.finished || !p.parked || p.park_seq != seq {
-                        continue; // Stale wake.
-                    }
-                    p.parked = false;
-                    p.runnable = true;
-                    p.waiting_for_msg = false;
-                    k.running = Some(pid);
-                    let cv = Arc::clone(&k.procs[pid].cv);
-                    cv.notify_one();
-                    while k.running.is_some() {
-                        shared.runner_cv.wait(&mut k);
-                    }
-                }
-                EvKind::Deliver { dst, dgram } => {
-                    if k.fault.is_crashed(dst) {
-                        // The frame crossed the wire but nobody is home.
-                        k.nodes[dst as usize].net.dropped_crash += 1;
-                        continue;
-                    }
-                    if let Some(until) = k.fault.pause_until(dst, k.now) {
-                        // The node is in a scripted pause: it drains nothing
-                        // until the pause ends. Re-deliver at that instant.
-                        k.nodes[dst as usize].net.deferred_pause += 1;
-                        k.push_event(until, EvKind::Deliver { dst, dgram });
-                        continue;
-                    }
-                    if dgram.src != dst {
-                        k.nodes[dst as usize].net.delivered += 1;
-                        if let Some(obs) = &k.observer {
-                            obs.frame_delivered(
-                                dgram.src,
-                                dst,
-                                dgram.sent_at,
-                                k.now,
-                                dgram.payload.len(),
-                            );
-                            obs.frame_delivered_payload(
-                                dgram.src,
-                                dst,
-                                dgram.sent_at,
-                                k.now,
-                                &dgram.payload,
-                            );
-                        }
-                    }
-                    k.nodes[dst as usize].mailbox.push_back(dgram);
-                    let now = k.now;
-                    let waiters: Vec<(ProcId, u64)> = k
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.node == dst && p.parked && p.waiting_for_msg)
-                        .map(|(pid, p)| (pid, p.park_seq))
-                        .collect();
-                    for (pid, seq) in waiters {
-                        k.push_event(now, EvKind::Wake { pid, seq });
-                    }
-                }
-                EvKind::Crash { node } => {
-                    if k.fault.is_crashed(node) {
-                        continue;
-                    }
-                    k.fault.mark_crashed(node);
-                    let pending = k.nodes[node as usize].mailbox.len() as u64;
-                    k.nodes[node as usize].net.dropped_crash += pending;
-                    // Conservation bookkeeping: purged frames were already
-                    // counted as delivered (when non-loopback), so record
-                    // them to keep `messages` balanceable.
-                    k.nodes[node as usize].net.purged_crash += k.nodes[node as usize]
-                        .mailbox
-                        .iter()
-                        .filter(|d| d.src != node)
-                        .count() as u64;
-                    k.nodes[node as usize].mailbox.clear();
-                    k.nodes[node as usize].counters.add("node.crashed", 1);
-                    // Terminate the node's procs: each wakes inside park(),
-                    // observes the crash flag, and unwinds with a
-                    // CrashUnwind payload (not captured as a panic). Wait
-                    // for each to finish its bookkeeping so live_procs and
-                    // the queue are consistent before the next event.
-                    let pids: Vec<ProcId> = k
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.node == node && !p.finished)
-                        .map(|(pid, _)| pid)
-                        .collect();
-                    for pid in pids {
-                        while !k.procs[pid].finished {
-                            k.procs[pid].cv.notify_one();
-                            shared.runner_cv.wait(&mut k);
-                        }
-                    }
+                    MutexGuard::unlocked(&mut k, thread::park);
                 }
             }
         }
     }
+}
+
+/// Why a proc waiting for the baton must unwind instead of resuming.
+enum Halt {
+    /// The run is being torn down.
+    Poisoned,
+    /// The proc's node was fail-stopped by the fault plan.
+    Crashed,
+}
+
+/// Hands the baton on, *unlock then wake*: releases the kernel mutex, wakes
+/// `to`, and sleeps until this thread is unparked in turn. Waking with the
+/// mutex held would make the woken thread's first act blocking on it. The
+/// caller has already recorded the new holder under the lock, and re-checks
+/// what it is itself waiting for once this returns; an unpark that lands
+/// before the `park` leaves its token behind, so none is lost.
+fn pass_baton(k: &mut MutexGuard<'_, Kernel>, to: &Thread) {
+    MutexGuard::unlocked(k, || {
+        to.unpark();
+        thread::park();
+    });
+}
+
+/// Blocks, kernel lock released, until proc `pid` is handed the baton.
+fn await_baton(k: &mut MutexGuard<'_, Kernel>, pid: ProcId) -> Result<(), Halt> {
+    loop {
+        let p = &mut k.procs[pid];
+        if p.runnable {
+            p.runnable = false;
+            return Ok(());
+        }
+        let node = p.node;
+        if k.poisoned {
+            return Err(Halt::Poisoned);
+        }
+        if k.fault.is_crashed(node) {
+            return Err(Halt::Crashed);
+        }
+        MutexGuard::unlocked(k, thread::park);
+    }
+}
+
+/// The OS thread of a proc that `drive` just made runnable.
+fn proc_thread(k: &Kernel, pid: ProcId) -> Thread {
+    k.procs[pid]
+        .thread
+        .clone()
+        .expect("a parked proc has registered its thread")
 }
 
 fn blocked_procs(k: &Kernel) -> Vec<BlockedProc> {
@@ -483,26 +490,24 @@ pub(crate) fn spawn_proc_thread(
                 parallel::lane_finish(&shared.par, &chan, payload);
                 return;
             }
-            // Initial park: wait for the time-0 wake without owning the baton.
+            let runner = shared.runner();
+            // Initial park: register this thread and wait for the time-0
+            // wake without owning the baton. The runner may be waiting for
+            // exactly this (a wake or a crash aimed at a fresh proc).
             {
                 let mut k = shared.kernel.lock();
                 let p = &mut k.procs[pid];
                 p.parked = true;
                 p.park_seq += 1;
-                shared.runner_cv.notify_one();
-                let cv = Arc::clone(&k.procs[pid].cv);
-                while !k.procs[pid].runnable {
-                    let node = k.procs[pid].node;
-                    if k.poisoned || k.fault.is_crashed(node) {
-                        // Teardown or fail-stop before we ever ran; exit.
-                        k.procs[pid].finished = true;
-                        k.live_procs -= 1;
-                        shared.runner_cv.notify_one();
-                        return;
-                    }
-                    cv.wait(&mut k);
+                p.thread = Some(thread::current());
+                runner.unpark();
+                if await_baton(&mut k, pid).is_err() {
+                    // Teardown or fail-stop before we ever ran; exit.
+                    k.procs[pid].finished = true;
+                    k.live_procs -= 1;
+                    runner.unpark();
+                    return;
                 }
-                k.procs[pid].runnable = false;
             }
             let result = catch_unwind(AssertUnwindSafe(|| main(ctx)));
             let mut k = shared.kernel.lock();
@@ -518,10 +523,13 @@ pub(crate) fn spawn_proc_thread(
                     k.panic_node = Some(node);
                 }
             }
+            // A finished proc gives the baton back to the runner (which
+            // also counts finishes during a crash or teardown).
             if k.running == Some(pid) {
                 k.running = None;
             }
-            shared.runner_cv.notify_one();
+            drop(k);
+            runner.unpark();
         })
         .expect("failed to spawn proc thread")
 }
@@ -882,15 +890,7 @@ impl NodeCtx {
         let pid = {
             let mut k = self.shared.kernel.lock();
             let pid = k.procs.len();
-            k.procs.push(ProcState {
-                cv: Arc::new(Condvar::new()),
-                node: self.node,
-                parked: false,
-                runnable: false,
-                finished: false,
-                park_seq: 0,
-                waiting_for_msg: false,
-            });
+            k.procs.push(ProcState::new(self.node));
             k.live_procs += 1;
             let now = k.now;
             k.push_event(now, EvKind::Wake { pid, seq: 1 });
@@ -931,28 +931,40 @@ impl NodeCtx {
         self.park(k);
     }
 
-    /// Parks this proc: releases the baton and blocks until a wake event
-    /// hands it back.
+    /// Parks this proc until a wake event resumes it. The proc keeps the
+    /// baton and drives the event loop itself: its own wake resumes it in
+    /// place, a wake for another proc hands the baton straight to that
+    /// proc, and whatever `drive` refuses goes back to the runner thread.
     fn park(&self, k: &mut MutexGuard<'_, Kernel>) {
         let p = &mut k.procs[self.pid];
         p.parked = true;
         p.park_seq += 1;
-        k.running = None;
-        self.shared.runner_cv.notify_one();
-        let cv = Arc::clone(&k.procs[self.pid].cv);
-        while !k.procs[self.pid].runnable {
-            if k.poisoned {
-                panic!("{POISON_MSG}");
-            }
-            if k.fault.is_crashed(self.node) {
-                // Fail-stop: unwind out of the proc without being treated
-                // as an application panic.
-                std::panic::panic_any(CrashUnwind);
-            }
-            cv.wait(k);
+        let next = k.drive();
+        if next == Some(self.pid) {
+            // Own wake: resume in place, no context switch.
+            k.procs[self.pid].runnable = false;
+            return;
         }
-        k.procs[self.pid].runnable = false;
-        k.procs[self.pid].waiting_for_msg = false;
+        // The new holder is woken *before* this proc can take either early
+        // exit below: a proc marked runnable (or a runner that sees
+        // `running == None`) that nobody unparks hangs the run.
+        match next {
+            Some(pid) => {
+                let to = proc_thread(k, pid);
+                pass_baton(k, &to);
+            }
+            None => {
+                k.running = None;
+                pass_baton(k, self.shared.runner());
+            }
+        }
+        match await_baton(k, self.pid) {
+            Ok(()) => {}
+            Err(Halt::Poisoned) => panic!("{POISON_MSG}"),
+            // Fail-stop: unwind out of the proc without being treated as an
+            // application panic.
+            Err(Halt::Crashed) => std::panic::panic_any(CrashUnwind),
+        }
     }
 }
 

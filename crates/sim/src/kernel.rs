@@ -1,20 +1,49 @@
 //! Scheduler internals: the event queue, proc states, and the wire model.
 //!
-//! One global [`Kernel`] sits behind a mutex. Simulated procs (OS threads)
-//! and the runner thread hand a *baton* back and forth: the runner pops the
-//! earliest event, wakes the corresponding proc, and blocks until that proc
-//! parks again. At most one proc executes at any real-time instant, and all
-//! virtual-time ordering comes from the event queue, so runs are
-//! deterministic.
+//! One global [`Kernel`] sits behind a mutex. At most one thread — the
+//! holder of the *baton* — executes simulation code at any real-time
+//! instant, and all virtual-time ordering comes from the event queue, so
+//! runs are deterministic.
+//!
+//! # The baton protocol (serial mode)
+//!
+//! Whoever holds the baton drives the event loop, [`Kernel::drive`]. The
+//! runner thread (the caller of `Cluster::run`) starts with it. A proc
+//! that parks *keeps* it: still under the kernel lock it already holds,
+//! it pops events itself — `Deliver`s are handled inline, stale wakes are
+//! skipped, its own wake resumes it in place with no context switch — and
+//! when the next live wake belongs to another proc it passes the baton
+//! straight to that proc's OS thread: one thread hand-off per wake, none
+//! through the runner.
+//!
+//! `drive` only ever pops a plain, in-limits `Wake` or `Deliver`. Anything
+//! else — a captured panic, no live procs, an empty queue, the event that
+//! would trip `max_events` / `max_virtual_time`, a `Crash`, a wake for a
+//! freshly spawned proc that has not reached its first park — is left
+//! un-popped and `drive` returns `None`: the baton goes back to the runner
+//! thread, the only place that builds a `SimError` or a report, waits for
+//! a fresh proc, or executes a crash.
+//!
+//! A hand-off is *unlock, then wake*: the holder marks the target
+//! `runnable` under the lock, releases the kernel mutex, `unpark()`s the
+//! target's thread and `park()`s its own, re-locking to re-check
+//! `runnable` / `poisoned` / crashed whenever it wakes. Waking with the
+//! mutex still held would make the woken thread's first act blocking on
+//! that mutex — a second context switch per hand-off. The park token makes
+//! an `unpark` that lands between the unlock and the `park` safe, and
+//! every other park is preceded by a check under the lock.
+//!
+//! Determinism is untouched by all of this: event order, `ord` numbering,
+//! RNG draws and every kernel mutation are a function of the queue alone.
+//! The protocol only changes *which OS thread* executes them.
 
 use std::{
     any::Any,
     cmp::Reverse,
     collections::{BTreeMap, BinaryHeap, VecDeque},
     sync::Arc,
+    thread::Thread,
 };
-
-use parking_lot::Condvar;
 
 use carlos_util::rng::{SplitMix64, Xoshiro256};
 
@@ -70,13 +99,14 @@ impl Ord for Event {
 
 /// Scheduler-visible state of one proc.
 pub(crate) struct ProcState {
-    /// Condvar the proc's OS thread blocks on while parked.
-    pub cv: Arc<Condvar>,
+    /// The proc's OS thread, registered at its first park so that baton
+    /// holders can `unpark()` it (never set in parallel mode).
+    pub thread: Option<Thread>,
     /// Node this proc belongs to.
     pub node: NodeId,
     /// True between park and the wake that hands the baton back.
     pub parked: bool,
-    /// Set by the runner to hand the proc the baton.
+    /// Set by the baton holder to hand the proc the baton.
     pub runnable: bool,
     /// The proc's main function returned (or panicked).
     pub finished: bool,
@@ -102,6 +132,27 @@ pub(crate) struct NodeState {
     pub net: NetStats,
 }
 
+impl ProcState {
+    /// A proc of `node` that has not reached its first park.
+    pub fn new(node: NodeId) -> Self {
+        Self {
+            thread: None,
+            node,
+            parked: false,
+            runnable: false,
+            finished: false,
+            park_seq: 0,
+            waiting_for_msg: false,
+        }
+    }
+
+    /// True while a freshly spawned proc has yet to reach its first park, so
+    /// a wake with ticket `seq` can neither be delivered nor called stale.
+    pub fn before_first_park(&self, seq: u64) -> bool {
+        !self.parked && !self.finished && self.park_seq < seq
+    }
+}
+
 impl NodeState {
     fn new() -> Self {
         Self {
@@ -122,7 +173,7 @@ pub(crate) struct Kernel {
     pub next_ord: u64,
     pub procs: Vec<ProcState>,
     pub nodes: Vec<NodeState>,
-    /// Which proc currently holds the baton (None while the runner decides).
+    /// Which proc currently holds the baton (None: the runner thread does).
     pub running: Option<ProcId>,
     /// Number of spawned procs whose main has not finished.
     pub live_procs: usize,
@@ -203,6 +254,99 @@ impl Kernel {
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Ns> {
         self.queue.peek().map(|Reverse(e)| e.time)
+    }
+
+    /// The serial event loop, run by whichever thread holds the baton.
+    ///
+    /// Pops and executes plain events until a live `Wake` names the next
+    /// baton holder: that proc is marked runnable and returned (the caller
+    /// resumes in place if it is the proc itself, otherwise hands the baton
+    /// over). Returns `None`, with the offending event still at the head of
+    /// the queue, for everything only the runner thread may handle — see
+    /// the module doc for the list.
+    pub fn drive(&mut self) -> Option<ProcId> {
+        loop {
+            if self.panic.is_some() || self.live_procs == 0 {
+                return None;
+            }
+            let Reverse(head) = self.queue.peek()?;
+            let over_events = self
+                .config
+                .max_events
+                .is_some_and(|max| self.events_processed >= max);
+            let over_time = self
+                .config
+                .max_virtual_time
+                .is_some_and(|max| self.now.max(head.time) > max);
+            let runner_only = match head.kind {
+                EvKind::Wake { pid, seq } => self.procs[pid].before_first_park(seq),
+                EvKind::Deliver { .. } => false,
+                EvKind::Crash { .. } => true,
+            };
+            if over_events || over_time || runner_only {
+                return None;
+            }
+            let Reverse(ev) = self.queue.pop().expect("peeked above");
+            self.events_processed += 1;
+            debug_assert!(ev.time >= self.now, "event queue went backwards in time");
+            self.now = self.now.max(ev.time);
+            match ev.kind {
+                EvKind::Wake { pid, seq } => {
+                    let p = &mut self.procs[pid];
+                    if p.finished || !p.parked || p.park_seq != seq {
+                        continue; // Stale wake.
+                    }
+                    p.parked = false;
+                    p.runnable = true;
+                    p.waiting_for_msg = false;
+                    self.running = Some(pid);
+                    return Some(pid);
+                }
+                EvKind::Deliver { dst, dgram } => self.deliver(dst, dgram),
+                EvKind::Crash { .. } => unreachable!("crashes are left to the runner"),
+            }
+        }
+    }
+
+    /// Lands `dgram` in `dst`'s mailbox (or drops / defers it per the fault
+    /// state) and schedules a wake for each of the node's mailbox waiters.
+    fn deliver(&mut self, dst: NodeId, dgram: Datagram) {
+        let node = dst as usize;
+        if self.fault.is_crashed(dst) {
+            // The frame crossed the wire but nobody is home.
+            self.nodes[node].net.dropped_crash += 1;
+            return;
+        }
+        if let Some(until) = self.fault.pause_until(dst, self.now) {
+            // The node is in a scripted pause: it drains nothing until the
+            // pause ends. Re-deliver at that instant.
+            self.nodes[node].net.deferred_pause += 1;
+            self.push_event(until, EvKind::Deliver { dst, dgram });
+            return;
+        }
+        if dgram.src != dst {
+            self.nodes[node].net.delivered += 1;
+            if let Some(obs) = &self.observer {
+                obs.frame_delivered(dgram.src, dst, dgram.sent_at, self.now, dgram.payload.len());
+                obs.frame_delivered_payload(
+                    dgram.src,
+                    dst,
+                    dgram.sent_at,
+                    self.now,
+                    &dgram.payload,
+                );
+            }
+        }
+        self.nodes[node].mailbox.push_back(dgram);
+        // Ascending pid order fixes the wakes' `ord` numbers, and with
+        // them every fingerprint.
+        for pid in 0..self.procs.len() {
+            let p = &self.procs[pid];
+            if p.node == dst && p.parked && p.waiting_for_msg {
+                let seq = p.park_seq;
+                self.push_event(self.now, EvKind::Wake { pid, seq });
+            }
+        }
     }
 
     /// Models the shared wire carrying `bytes` of payload from `src` to

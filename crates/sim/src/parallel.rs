@@ -1448,13 +1448,9 @@ impl Runner {
                 let node = k.procs[pid].node;
                 let new_pid = k.procs.len();
                 k.procs.push(ProcState {
-                    cv: Arc::new(Condvar::new()),
-                    node,
                     parked: true,
-                    runnable: false,
-                    finished: false,
                     park_seq: 1,
-                    waiting_for_msg: false,
+                    ..ProcState::new(node)
                 });
                 k.live_procs += 1;
                 let now = k.now;
