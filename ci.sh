@@ -79,7 +79,29 @@ CARLOS_REPORT_QUICK=1 CARLOS_REPORT_OUT=target/BENCH_paper_parallel.json \
 grep -q 'Lock/par' target/report_parallel.md
 
 echo "==> wallclock bench (quick mode) -> BENCH_hotpath.json"
+ratio() {
+    grep -o "\"$1\": [0-9.]*" "${2:-BENCH_hotpath.json}" | awk '{print $2}'
+}
+# The bench overwrites the committed numbers the footprint gate compares to.
+committed=target/BENCH_hotpath.committed.json
+cp BENCH_hotpath.json "$committed"
 CARLOS_BENCH_QUICK=1 cargo bench -p carlos-bench --bench wallclock
+
+# Sparse page-table gate (serving layout, n = 8 and n = 32): an untouched
+# granule costs at most 16 heap bytes per node, and building the engines
+# stays within 3x of the committed ns per granule, both sides divided by
+# their own calibration loop so a slower host does not trip it.
+for n in 8 32; do
+    bytes=$(ratio "engine_bytes_per_untouched_granule_n$n")
+    ns=$(ratio "engine_new_ns_per_granule_n$n")
+    base=$(ratio "engine_new_ns_per_granule_n$n" "$committed")
+    echo "==> page-table footprint n=$n: ${bytes} B/untouched granule," \
+        "${ns} ns/granule at calib $(ratio calib_ms) ms" \
+        "(committed ${base} at $(ratio calib_ms "$committed") ms)"
+    awk -v b="$bytes" -v ns="$ns" -v c="$(ratio calib_ms)" \
+        -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
+        'BEGIN { exit !(b > 0 && b <= 16 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
+done
 
 # Parallel-scheduler speedup gate. Every measured serial/parallel ratio
 # is always recorded in BENCH_hotpath.json (and echoed here, with the
@@ -90,9 +112,6 @@ CARLOS_BENCH_QUICK=1 cargo bench -p carlos-bench --bench wallclock
 # to serial at 4 nodes (>= 1.0x) and must show genuine scaling at 8
 # nodes (>= 1.8x), where more lanes expose more concurrency.
 cores=$(nproc)
-ratio() {
-    grep -o "\"$1\": [0-9.]*" BENCH_hotpath.json | awk '{print $2}'
-}
 echo "==> serial scheduler (raw 2-node ping-pong, unpinned, ${cores} core(s)):" \
     "$(ratio serial_ns_per_event) ns/event" \
     "$(ratio serial_ns_per_handoff) ns/hand-off"

@@ -6,7 +6,11 @@
 //! serial/parallel host-second ratio lands in the JSON's `derived`
 //! section as `parallel_speedup_*`, alongside `host_cores`. A raw 2-node
 //! ping-pong prices the serial scheduler itself: `serial_ns_per_event`
-//! and `serial_ns_per_handoff`.
+//! and `serial_ns_per_handoff`. Constructing the serving layout's engines
+//! prices the sparse page table: `engine_new_ns_per_granule_*` and
+//! `engine_bytes_per_untouched_granule_*`, with `calib_ms` (a fixed
+//! integer loop) recorded beside them so `ci.sh` can gate the timing
+//! across hosts.
 //!
 //! Run with `cargo bench -p carlos-bench --bench wallclock`. Results are
 //! written to `BENCH_hotpath.json` at the repository root (override the
@@ -18,15 +22,57 @@
 //! executable specification, and `encode_finish_copy` reproduces the old
 //! `finish_vec` full-buffer copy.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use carlos_apps::sor::{run_sor, SorConfig};
 use carlos_apps::tsp::{run_tsp, TspConfig, TspVariant};
 use carlos_core::{Annotation, Consistency, Message};
-use carlos_lrc::{Diff, IntervalRecord, Vc};
+use carlos_lrc::{Diff, IntervalRecord, LrcEngine, Vc};
+use carlos_serve::run::{lrc_config, ServeConfig};
 use carlos_sim::{Bucket, Cluster, SimConfig};
 use carlos_util::rng::Xoshiro256;
 use criterion::{black_box, BatchSize, Criterion};
+
+/// Sums the bytes requested while a footprint measurement has it armed;
+/// otherwise every allocation in this binary pays one relaxed load.
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static REQUESTED: AtomicUsize = AtomicUsize::new(0);
+
+fn count(layout: Layout) {
+    if COUNTING.load(Ordering::Relaxed) {
+        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
+    }
+}
+
+// SAFETY: defers every operation to `System` unchanged; the counters are
+// plain atomics (statistics only, so `Relaxed`).
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // Not the default (`alloc` + memset): lazily zeroed memory is part of
+    // what construction costs.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The acceptance page size: diffing a mostly-clean 4 KiB page is the
 /// common case the word-level scanner must win on.
@@ -480,6 +526,45 @@ fn bench_handoff(quick: bool) -> Vec<(&'static str, f64)> {
     ]
 }
 
+/// What the sparse page table costs before anything is touched, on the
+/// serving layout (163 840 granules: 64 B slot headers + 128 B values) at
+/// 8 and 32 nodes: host ns and heap bytes per granule per node to build
+/// every node's engine. A dense table paid ~140 ns and ~210–400 B here.
+fn bench_engine_footprint(quick: bool) -> Vec<(String, f64)> {
+    let reps = if quick { 21 } else { 201 };
+    let mut out = Vec::new();
+    for n in [8usize, 32] {
+        let cfg = lrc_config(&ServeConfig::paper(n));
+        let build = || -> Vec<LrcEngine> {
+            (0..n as u32).map(|node| LrcEngine::new(node, cfg.clone())).collect()
+        };
+        REQUESTED.store(0, Ordering::Relaxed);
+        COUNTING.store(true, Ordering::Relaxed);
+        let engines = build();
+        COUNTING.store(false, Ordering::Relaxed);
+        let bytes = REQUESTED.load(Ordering::Relaxed) as f64;
+        assert!(engines.iter().all(|e| e.resident_pages() == 0));
+        let granules = (engines[0].granules().n_granules() * n) as f64;
+        drop(engines);
+        let (secs, _) = time_e2e(reps, || {
+            black_box(build());
+            0
+        });
+        let (ns, bytes) = (secs * 1e9 / granules, bytes / granules);
+        eprintln!("engine footprint n={n}: {ns:.3} ns/granule, {bytes:.2} B/untouched granule");
+        out.push((format!("engine_new_ns_per_granule_n{n}"), ns));
+        out.push((format!("engine_bytes_per_untouched_granule_n{n}"), bytes));
+    }
+    // The benchmark package's calibration loop (`bench.calib_ms`): the
+    // unit that makes a host-time gate portable across hosts.
+    let (secs, _) = time_e2e(if quick { 3 } else { 9 }, || {
+        let mut rng = Xoshiro256::new(0xCA11_B8A7);
+        black_box((0..10_000_000u64).fold(0, |acc, _| acc ^ rng.next_u64()))
+    });
+    out.push(("calib_ms".to_string(), secs * 1e3));
+    out
+}
+
 fn median_of(c: &Criterion, group: &str, id: &str) -> Option<f64> {
     c.results()
         .iter()
@@ -487,7 +572,13 @@ fn median_of(c: &Criterion, group: &str, id: &str) -> Option<f64> {
         .map(|r| r.median_ns)
 }
 
-fn write_json(c: &Criterion, e2e: &[E2eResult], micro: &[(&'static str, f64)], quick: bool) {
+fn write_json(
+    c: &Criterion,
+    e2e: &[E2eResult],
+    micro: &[(&'static str, f64)],
+    footprint: &[(String, f64)],
+    quick: bool,
+) {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str("  \"generated_by\": \"cargo bench -p carlos-bench --bench wallclock\",\n");
@@ -563,6 +654,9 @@ fn write_json(c: &Criterion, e2e: &[E2eResult], micro: &[(&'static str, f64)], q
     for (key, ns) in micro {
         lines.push(format!("    \"{key}\": {ns:.0}"));
     }
+    for (key, v) in footprint {
+        lines.push(format!("    \"{key}\": {v:.3}"));
+    }
     lines.push(format!(
         "    \"host_cores\": {}",
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
@@ -591,6 +685,7 @@ fn main() {
     let e2e = bench_e2e(quick);
     let mut micro = bench_oplog(quick);
     micro.extend(bench_handoff(quick));
-    write_json(&c, &e2e, &micro, quick);
+    let footprint = bench_engine_footprint(quick);
+    write_json(&c, &e2e, &micro, &footprint, quick);
     c.final_summary();
 }

@@ -343,17 +343,26 @@ pub trait BufMut {
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
+
+    /// Appends `cnt` copies of `val`.
+    fn put_bytes(&mut self, val: u8, cnt: usize);
 }
 
 impl BufMut for BytesMut {
     fn put_slice(&mut self, src: &[u8]) {
         self.buf.extend_from_slice(src);
     }
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.buf.put_bytes(val, cnt);
+    }
 }
 
 impl BufMut for Vec<u8> {
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
+    }
+    fn put_bytes(&mut self, val: u8, cnt: usize) {
+        self.resize(self.len() + cnt, val);
     }
 }
 

@@ -26,7 +26,7 @@ use carlos_util::codec::{Decoder, Encoder, Wire};
 use crate::{
     annotation::Annotation,
     config::CoreConfig,
-    message::{AcceptedMsg, Consistency, Message},
+    message::{diff_record_len, AcceptedMsg, Consistency, Message},
     probe::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass},
 };
 
@@ -74,10 +74,9 @@ struct BatchEntry {
 /// full granule copy (first touch, or the TreadMarks page-instead-of-diffs
 /// substitution).
 enum SubReply {
-    Diffs {
-        page: u32,
-        records: Vec<carlos_lrc::DiffRecord>,
-    },
+    /// The server's own diffs for `page` over `(after, through]`; encoded
+    /// straight from the engine's store, never cloned.
+    Diffs { page: u32, after: u32, through: u32 },
     Page {
         page: u32,
         data: Vec<u8>,
@@ -85,22 +84,35 @@ enum SubReply {
     },
 }
 
+/// Appends `page` and the server's diff records for it over
+/// `(after, through]` — the body of a SYS_DIFF_REPLY.
+fn encode_own_diffs(enc: &mut Encoder, engine: &LrcEngine, page: u32, after: u32, through: u32) {
+    let records: Vec<&carlos_lrc::DiffRecord> = engine.own_diffs(page, after, through).collect();
+    enc.reserve(8 + records.iter().map(|r| diff_record_len(r)).sum::<usize>());
+    enc.put_u32(page);
+    enc.put_seq(&records, |e, r| r.encode(e));
+}
+
 impl SubReply {
     /// Appends this sub-reply to a SYS_BATCH_REPLY body.
-    fn encode_into(&self, enc: &mut Encoder) {
-        match self {
-            SubReply::Diffs { page, records } => {
+    fn encode_into(&self, enc: &mut Encoder, engine: &LrcEngine) {
+        match *self {
+            SubReply::Diffs {
+                page,
+                after,
+                through,
+            } => {
                 enc.put_u8(0);
-                enc.put_u32(*page);
-                enc.put_seq(records, |e, r| r.encode(e));
+                encode_own_diffs(enc, engine, page, after, through);
             }
             SubReply::Page {
                 page,
-                data,
-                applied,
+                ref data,
+                ref applied,
             } => {
+                enc.reserve(16 + data.len() + 2 * applied.len());
                 enc.put_u8(1);
-                enc.put_u32(*page);
+                enc.put_u32(page);
                 enc.put_bytes(data);
                 applied.encode(enc);
             }
@@ -445,16 +457,6 @@ impl Core {
 
     /// Handles an incoming system message.
     fn handle_sys(&mut self, msg: Message) {
-        if std::env::var("CARLOS_TRACE_DEMANDS").is_ok() {
-            eprintln!(
-                "CORE[{}] sys 0x{:x} from {} ({} bytes) t={}us",
-                self.node(),
-                msg.handler - SYS_HANDLER_BASE,
-                msg.src,
-                msg.body.len(),
-                self.ctx.now() / 1000
-            );
-        }
         match msg.handler {
             SYS_DIFF_REQ => {
                 let mut dec = Decoder::new(&msg.body);
@@ -474,10 +476,13 @@ impl Core {
                         applied.encode(&mut body);
                         self.send_sys(msg.src, SYS_PAGE_REPLY, body.finish_vec());
                     }
-                    SubReply::Diffs { page, records } => {
+                    SubReply::Diffs {
+                        page,
+                        after,
+                        through,
+                    } => {
                         let mut body = Encoder::new();
-                        body.put_u32(page);
-                        body.put_seq(&records, |e, r| r.encode(e));
+                        encode_own_diffs(&mut body, &self.engine, page, after, through);
                         self.send_sys(msg.src, SYS_DIFF_REPLY, body.finish_vec());
                     }
                 }
@@ -548,7 +553,7 @@ impl Core {
                         1 => self.serve_page_demand(page),
                         other => panic!("unknown batch entry kind {other}"),
                     };
-                    reply.encode_into(&mut body);
+                    reply.encode_into(&mut body, &self.engine);
                 }
                 self.send_sys(msg.src, SYS_BATCH_REPLY, body.finish_vec());
             }
@@ -609,21 +614,20 @@ impl Core {
         }
     }
 
-    /// Serves one diff demand: creates the diff chain for `page` after
-    /// interval `after` through `through`, charging per-granule diff
-    /// creation costs, and applies the TreadMarks heuristic — when the
-    /// chain outweighs the granule itself, ship the whole granule instead
-    /// (unless the requester demanded plain diffs).
+    /// Serves one diff demand: the stored diff chain for `page` after
+    /// interval `after` through `through` (captured when each interval
+    /// closed, so nothing is created or charged for here), subject to the
+    /// TreadMarks heuristic — when the chain outweighs the granule itself,
+    /// ship the whole granule instead (unless the requester demanded plain
+    /// diffs).
     fn serve_diff_demand(&mut self, page: u32, after: u32, through: u32, force_diffs: bool) -> SubReply {
-        let before = self.engine.stats().diffs_created;
-        let records = self.engine.serve_diffs(page, after, through);
-        let created = self.engine.stats().diffs_created - before;
         let page_bytes = self.engine.granule_len(page);
-        let create_cost = self.cfg.diff_create_cost(page_bytes) * created;
-        self.probe_cost(MsgClass::System, CostPhase::DiffCreate, create_cost);
-        self.charge(create_cost);
         self.ctx.count("carlos.diff_requests_served", 1);
-        let total: usize = records.iter().map(|r| r.diff.modified_bytes()).sum();
+        let total: usize = self
+            .engine
+            .own_diffs(page, after, through)
+            .map(|r| r.diff.modified_bytes())
+            .sum();
         if total > page_bytes && !force_diffs {
             let (data, applied) = self.engine.serve_page(page);
             let copy_cost = self.cfg.page_copy_cost(data.len());
@@ -636,7 +640,11 @@ impl Core {
                 applied,
             };
         }
-        SubReply::Diffs { page, records }
+        SubReply::Diffs {
+            page,
+            after,
+            through,
+        }
     }
 
     /// Serves one whole-granule demand (first touch), charging copy costs.
@@ -767,16 +775,6 @@ impl Core {
                 self.complete_accept(msg);
             } else {
                 p.rounds += 1;
-                if std::env::var("CARLOS_TRACE_DEMANDS").is_ok() {
-                    eprintln!(
-                        "CORE[{}] repair round {} handler={} required={:?} have={:?}",
-                        self.node(),
-                        p.rounds,
-                        p.msg.handler,
-                        p.required,
-                        self.engine.vt()
-                    );
-                }
                 assert!(
                     p.rounds < MAX_REPAIR_ROUNDS,
                     "consistency repair not converging (node {}, required {:?}, have {:?})",
@@ -1227,13 +1225,6 @@ impl Runtime {
     /// Blocks until a message for `handler` has been accepted, processing
     /// all other traffic (including serving remote requests) meanwhile.
     pub fn wait_accepted(&mut self, handler: u32) -> AcceptedMsg {
-        if std::env::var("CARLOS_TRACE_DEMANDS").is_ok() {
-            eprintln!(
-                "CORE[{}] wait_accepted({handler}) t={}us",
-                self.node_id(),
-                self.core.ctx.now() / 1000
-            );
-        }
         loop {
             if let Some(m) = self.try_take_accepted(handler) {
                 return m;
@@ -1430,14 +1421,6 @@ impl Runtime {
     /// requests already in flight) and returns the `(page, server)` keys
     /// whose replies the caller may wait on.
     fn issue_demands(&mut self, demands: Vec<Demand>) -> Vec<(u32, NodeId)> {
-        if std::env::var("CARLOS_TRACE_DEMANDS").is_ok() {
-            eprintln!(
-                "CORE[{}] resolve {:?} t={}ms",
-                self.core.ctx.node_id(),
-                demands,
-                self.core.ctx.now() / 1_000_000
-            );
-        }
         let coalesce = self.core.cfg.coalesce_fetches;
         // With coalescing, demands not yet in flight are grouped by serving
         // node and same-destination groups of two or more share one batched

@@ -37,12 +37,20 @@ fn load_word(s: &[u8], i: usize) -> u64 {
     u64::from_ne_bytes(s[i..i + 8].try_into().expect("8-byte chunk"))
 }
 
+/// Equal stretches are skipped this many bytes at a time first: a slice
+/// comparison of this size compiles to a vectorised `memcmp`, and most of a
+/// page being diffed is unchanged.
+const BLOCK: usize = 128;
+
 /// First index `>= i` where the slices disagree (or `len` if none): whole
-/// equal words are skipped 8 bytes at a time; bytes are only examined
-/// inside the first differing word.
+/// equal blocks, then whole equal words, are skipped; bytes are only
+/// examined inside the first differing word.
 #[inline]
 fn first_mismatch(a: &[u8], b: &[u8], mut i: usize) -> usize {
     let n = a.len();
+    while i + BLOCK <= n && a[i..i + BLOCK] == b[i..i + BLOCK] {
+        i += BLOCK;
+    }
     while i + 8 <= n && load_word(a, i) == load_word(b, i) {
         i += 8;
     }

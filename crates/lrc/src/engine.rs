@@ -30,7 +30,7 @@ use crate::{
     diff::{sort_causally, Diff, DiffRecord},
     interval::{IntervalRecord, IntervalStore},
     observer::{EngineObserver, ObserverSlot},
-    page::{PageId, PageMeta, PageState},
+    page::{PageId, PageState, PageTable},
     region::GranuleMap,
     vc::Vc,
 };
@@ -88,7 +88,8 @@ pub struct LrcEngine {
     /// `vt[self]` = number of locally closed intervals; `vt[q]` = highest
     /// interval of node `q` whose record has been applied here.
     vt: Vc,
-    pages: Vec<PageMeta>,
+    /// Sparse: only granules this node has mutated hold an entry.
+    pages: PageTable,
     /// Pages currently write-enabled (twin present).
     dirty: BTreeSet<PageId>,
     intervals: IntervalStore,
@@ -113,46 +114,12 @@ pub struct LrcEngine {
     stats: EngineStats,
 }
 
-/// The pinning owner of granule `page` (out of `n_units`) under `cfg`'s
-/// ownership policy. Granules are numbered in address order, so banding
-/// over granule ids still bands the address space.
-fn owner_for(cfg: &LrcConfig, n_units: usize, page: PageId) -> u32 {
-    match cfg.ownership {
-        crate::config::PageOwnership::SingleOwner(n) => n,
-        crate::config::PageOwnership::Banded => {
-            let n_units = n_units.max(1) as u64;
-            let band = u64::from(page) * cfg.n_nodes as u64 / n_units;
-            band.min(cfg.n_nodes as u64 - 1) as u32
-        }
-    }
-}
-
-/// Page id selected for diagnostic tracing via `LRC_TRACE_PAGE`, if any.
-fn trace_page() -> Option<PageId> {
-    static TRACE: std::sync::OnceLock<Option<PageId>> = std::sync::OnceLock::new();
-    *TRACE.get_or_init(|| {
-        std::env::var("LRC_TRACE_PAGE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-}
-
-/// Byte offset within the traced page to dump as a little-endian `u32`
-/// after every mutation, via `LRC_TRACE_OFF`.
-fn trace_off() -> usize {
-    static TRACE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *TRACE.get_or_init(|| {
-        std::env::var("LRC_TRACE_OFF")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    })
-}
-
 impl LrcEngine {
     /// Creates the engine for `node`. Pages start zero-filled and valid on
     /// their owner (node 0 by convention: applications initialize shared
-    /// data there) and absent everywhere else.
+    /// data there) and absent everywhere else. No per-page state exists
+    /// until a page is first mutated, so construction costs one 4-byte slot
+    /// per granule and no allocation per granule.
     ///
     /// # Panics
     ///
@@ -161,20 +128,10 @@ impl LrcEngine {
     pub fn new(node: u32, cfg: LrcConfig) -> Self {
         assert!((node as usize) < cfg.n_nodes, "node id out of range");
         let granules = GranuleMap::new(cfg.region_bytes, cfg.page_size, &cfg.regions);
-        let n_units = granules.n_granules();
-        let pages = (0..n_units)
-            .map(|p| {
-                if owner_for(&cfg, n_units, p as PageId) == node {
-                    PageMeta::zeroed(cfg.n_nodes, granules.granule_len(p as PageId))
-                } else {
-                    PageMeta::missing(cfg.n_nodes)
-                }
-            })
-            .collect();
         Self {
             node,
             vt: Vc::new(cfg.n_nodes),
-            pages,
+            pages: PageTable::new(node, &cfg, granules.n_granules()),
             dirty: BTreeSet::new(),
             intervals: IntervalStore::new(),
             diffs: BTreeMap::new(),
@@ -198,7 +155,7 @@ impl LrcEngine {
     /// The node that pins a copy of `page` and answers full-page requests.
     #[must_use]
     pub fn owner_of(&self, page: PageId) -> u32 {
-        owner_for(&self.cfg, self.granules.n_granules(), page)
+        self.pages.owner_of(page)
     }
 
     /// This engine's node id.
@@ -228,7 +185,14 @@ impl LrcEngine {
     /// Read-only view of a page's state (diagnostics and tests).
     #[must_use]
     pub fn page_state(&self, page: PageId) -> PageState {
-        self.pages[page as usize].state
+        self.pages.state(page)
+    }
+
+    /// Number of pages holding materialised state (data, twin, clocks) on
+    /// this node; every other page is in its derived untouched form.
+    #[must_use]
+    pub fn resident_pages(&self) -> usize {
+        self.pages.resident_len()
     }
 
     /// Granule (coherence unit) containing byte address `addr`. With no
@@ -276,10 +240,9 @@ impl LrcEngine {
             let end = addr + buf.len();
             let page = addr >> shift;
             if !buf.is_empty() && end <= self.cfg.region_bytes && (end - 1) >> shift == page {
-                let meta = &self.pages[page];
-                if matches!(meta.state, PageState::ReadOnly | PageState::ReadWrite) {
+                if let Some(data) = self.pages.readable(page) {
                     let off = addr & ((1usize << shift) - 1);
-                    buf.copy_from_slice(&meta.data[off..off + buf.len()]);
+                    buf.copy_from_slice(&data[off..off + buf.len()]);
                     self.observer.mem_read(self.node, addr, buf, &self.vt);
                     return Ok(());
                 }
@@ -303,8 +266,11 @@ impl LrcEngine {
                 return Err(self.batched_demands(demands, a + (glen - off), addr + buf.len()));
             }
             let n = (glen - off).min(buf.len() - done);
-            let data = &self.pages[page as usize].data;
-            buf[done..done + n].copy_from_slice(&data[off..off + n]);
+            match self.pages.get(page) {
+                Some(meta) => buf[done..done + n].copy_from_slice(&meta.data[off..off + n]),
+                // Untouched and readable: an owner's never-written zeros.
+                None => buf[done..done + n].fill(0),
+            }
             done += n;
         }
         self.observer.mem_read(self.node, addr, buf, &self.vt);
@@ -336,10 +302,9 @@ impl LrcEngine {
     ///
     /// The common case — a non-empty access hitting one already
     /// write-enabled page — is a single state-table load plus one slice
-    /// copy. Write faults, page straddles, and diagnostic tracing live in
-    /// the cold slow path. (A `ReadWrite` page always has its twin and its
-    /// dirty-set entry from the faulting transition, so the fast path has
-    /// no bookkeeping to do.)
+    /// copy. Write faults and page straddles live in the cold slow path.
+    /// (A `ReadWrite` page always has its twin and its dirty-set entry from
+    /// the faulting transition, so the fast path has no bookkeeping to do.)
     ///
     /// # Errors
     ///
@@ -353,15 +318,10 @@ impl LrcEngine {
         if let Some(shift) = self.page_shift {
             let end = addr + data.len();
             let page = addr >> shift;
-            if !data.is_empty()
-                && end <= self.cfg.region_bytes
-                && (end - 1) >> shift == page
-                && trace_page().is_none()
-            {
-                let meta = &mut self.pages[page];
-                if meta.state == PageState::ReadWrite {
+            if !data.is_empty() && end <= self.cfg.region_bytes && (end - 1) >> shift == page {
+                if let Some(dst) = self.pages.writable(page) {
                     let off = addr & ((1usize << shift) - 1);
-                    meta.data[off..off + data.len()].copy_from_slice(data);
+                    dst[off..off + data.len()].copy_from_slice(data);
                     self.observer.mem_write(self.node, addr, data, &self.vt);
                     return Ok(());
                 }
@@ -372,16 +332,6 @@ impl LrcEngine {
 
     #[cold]
     fn write_slow(&mut self, addr: usize, data: &[u8]) -> Result<(), Vec<Demand>> {
-        if let Some(tp) = trace_page() {
-            let lo = self.granules.granule_base(tp) + trace_off();
-            if addr <= lo && addr + data.len() >= lo + 4 {
-                let v = u32::from_le_bytes(data[lo - addr..lo - addr + 4].try_into().expect("len"));
-                eprintln!(
-                    "LRC[{}] write covering trace offset: val={v} state={:?}",
-                    self.node, self.pages[tp as usize].state
-                );
-            }
-        }
         assert!(
             addr + data.len() <= self.cfg.region_bytes,
             "write beyond coherent region: {addr}+{}",
@@ -395,8 +345,8 @@ impl LrcEngine {
                 return Err(self.batched_demands(demands, a + (glen - off), addr + data.len()));
             }
             let n = (glen - off).min(data.len() - done);
-            let dst = &mut self.pages[page as usize].data;
-            dst[off..off + n].copy_from_slice(&data[done..done + n]);
+            let meta = self.pages.get_mut(page).expect("writable page is resident");
+            meta.data[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
         self.observer.mem_write(self.node, addr, data, &self.vt);
@@ -409,13 +359,13 @@ impl LrcEngine {
     ///
     /// Returns outstanding [`Demand`]s if remote data is required.
     pub fn ensure_readable(&mut self, page: PageId) -> Result<(), Vec<Demand>> {
-        match self.pages[page as usize].state {
+        match self.pages.state(page) {
             PageState::ReadOnly | PageState::ReadWrite => Ok(()),
             PageState::Missing | PageState::Invalid => {
                 let demands = self.fault_demands(page);
                 if demands.is_empty() {
                     // Every known notice is covered after all; revalidate.
-                    let meta = &mut self.pages[page as usize];
+                    let meta = self.pages.get_mut(page).expect("invalid page is resident");
                     meta.state = if meta.twin.is_some() {
                         PageState::ReadWrite
                     } else {
@@ -438,9 +388,9 @@ impl LrcEngine {
     /// Returns outstanding [`Demand`]s if remote data is required.
     pub fn ensure_writable(&mut self, page: PageId) -> Result<(), Vec<Demand>> {
         self.ensure_readable(page)?;
-        let meta = &mut self.pages[page as usize];
-        if meta.state == PageState::ReadOnly {
+        if self.pages.state(page) == PageState::ReadOnly {
             // Software write fault: make the twin, write-enable the page.
+            let meta = self.pages.entry(page, &self.granules);
             meta.twin = Some(meta.data.clone());
             meta.state = PageState::ReadWrite;
             self.dirty.insert(page);
@@ -469,7 +419,7 @@ impl LrcEngine {
         let idx = self.vt.bump(self.node);
         let pages: Vec<PageId> = std::mem::take(&mut self.dirty).into_iter().collect();
         for &p in &pages {
-            let meta = &mut self.pages[p as usize];
+            let meta = self.pages.get_mut(p).expect("dirty page is resident");
             meta.max_notice.set(self.node, idx);
             // Our own data always reflects our own writes.
             meta.applied.set(self.node, idx);
@@ -549,19 +499,12 @@ impl LrcEngine {
         self.vt.set(rec.node, rec.index);
         for &p in &rec.pages {
             self.stats.notices_applied += 1;
-            if rec.index <= self.pages[p as usize].applied.get(rec.node) {
+            let meta = self.pages.entry(p, &self.granules);
+            if rec.index <= meta.applied.get(rec.node) {
                 // Already covered (e.g. by a merged diff or page install).
-                let meta = &mut self.pages[p as usize];
                 let cur = meta.max_notice.get(rec.node);
                 meta.max_notice.set(rec.node, cur.max(rec.index));
                 continue;
-            }
-            if trace_page() == Some(p) {
-                eprintln!(
-                    "LRC[{}] notice page {p} from ({},{}) state={:?} applied={:?}",
-                    self.node, rec.node, rec.index, self.pages[p as usize].state,
-                    self.pages[p as usize].applied
-                );
             }
             // A notice hitting a locally write-enabled page means concurrent
             // writers (data-race-free programs touch disjoint bytes). The
@@ -570,7 +513,6 @@ impl LrcEngine {
             // captured at the next close; fetched diffs are applied to both
             // the data and the twin, keeping the twin a faithful pre-local-
             // writes base.
-            let meta = &mut self.pages[p as usize];
             let cur = meta.max_notice.get(rec.node);
             meta.max_notice.set(rec.node, cur.max(rec.index));
             match meta.state {
@@ -602,7 +544,7 @@ impl LrcEngine {
         let mut pages = std::mem::take(&mut self.eager_invalid);
         pages.sort_unstable();
         pages.dedup();
-        pages.retain(|&p| matches!(self.pages[p as usize].state, PageState::Invalid));
+        pages.retain(|&p| self.pages.state(p) == PageState::Invalid);
         pages
     }
 
@@ -620,21 +562,9 @@ impl LrcEngine {
     ///
     /// Panics if the page has no twin (an internal invariant).
     fn capture_own_diff(&mut self, page: PageId) {
-        if trace_page() == Some(page) {
-            let o = trace_off();
-            let v = u32::from_le_bytes(
-                self.pages[page as usize].data[o..o + 4]
-                    .try_into()
-                    .expect("trace offset"),
-            );
-            eprintln!(
-                "LRC[{}] capture page {page} own_covered={} vt={:?} val@{o}={v}",
-                self.node, self.pages[page as usize].own_covered, self.vt
-            );
-        }
         let idx = self.vt.get(self.node);
         let scratch = &mut self.diff_scratch;
-        let meta = &mut self.pages[page as usize];
+        let meta = self.pages.get_mut(page).expect("announced page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
         let diff = Diff::create_with_scratch(&twin, &meta.data, scratch);
         meta.own_covered = idx;
@@ -674,28 +604,36 @@ impl LrcEngine {
     /// arriving in a later round.
     #[must_use]
     pub fn covers_with_claims(&self, page: PageId, claims: &[DiffRecord]) -> bool {
-        let meta = &self.pages[page as usize];
+        // An untouched page has no outstanding notice.
+        let Some(meta) = self.pages.get(page) else {
+            return true;
+        };
         for (q, have) in meta.applied.iter() {
             if q == self.node {
                 continue;
             }
             let want = meta.max_notice.get(q);
-            for i in have + 1..=want {
-                let names_page = match self.intervals.get(q, i) {
-                    Some(rec) => rec.pages.contains(&page),
-                    // No record for a known notice index: only possible for
-                    // coverage learned wholesale from a page install, whose
-                    // applied/max_notice components move together — treat
-                    // conservatively as incomplete.
-                    None => return false,
-                };
-                if names_page
-                    && !claims
-                        .iter()
-                        .any(|r| r.node == q && r.first <= i && i <= r.last)
+            // A page named once in a while trails its creator by hundreds
+            // of intervals: walk the span, do not look each index up.
+            let mut next = have + 1;
+            for rec in self.intervals.range(q, next, want) {
+                let i = rec.index;
+                if i != next
+                    || (rec.pages.contains(&page)
+                        && !claims
+                            .iter()
+                            .any(|r| r.node == q && r.first <= i && i <= r.last))
                 {
                     return false;
                 }
+                next += 1;
+            }
+            // No record for a known notice index (checked above inside the
+            // span, here at its end): only possible for coverage learned
+            // wholesale from a page install, whose applied/max_notice
+            // components move together — treat conservatively as incomplete.
+            if next <= want {
+                return false;
             }
         }
         true
@@ -704,13 +642,13 @@ impl LrcEngine {
     /// The demands needed to make a faulted page accessible.
     #[must_use]
     pub fn fault_demands(&self, page: PageId) -> Vec<Demand> {
-        let meta = &self.pages[page as usize];
-        match meta.state {
+        match self.pages.state(page) {
             PageState::Missing => vec![Demand::Page {
                 to: self.owner_of(page),
                 page,
             }],
             PageState::Invalid => {
+                let meta = self.pages.get(page).expect("invalid page is resident");
                 let mut demands = Vec::new();
                 for (q, have) in meta.applied.iter() {
                     if q == self.node {
@@ -732,23 +670,33 @@ impl LrcEngine {
         }
     }
 
-    /// Serves a diff request: returns this node's diff records for `page`
-    /// covering its intervals in `(after, through]`. With eager per-
-    /// interval capture, every announced interval's diff already exists.
-    pub fn serve_diffs(&mut self, page: PageId, after: u32, through: u32) -> Vec<DiffRecord> {
+    /// This node's stored diff records for `page` covering its intervals in
+    /// `(after, through]`, oldest first — what a diff request is answered
+    /// from. A server that only encodes them borrows here instead of
+    /// cloning every run through [`LrcEngine::serve_diffs`].
+    pub fn own_diffs(
+        &self,
+        page: PageId,
+        after: u32,
+        through: u32,
+    ) -> impl Iterator<Item = &DiffRecord> {
         debug_assert!(
-            self.pages[page as usize].own_covered >= through.min(self.vt.get(self.node)),
+            self.pages.get(page).map_or(self.pages.base().get(self.node), |m| m.own_covered)
+                >= through.min(self.vt.get(self.node)),
             "diff request beyond materialized coverage"
         );
         self.diffs
             .get(&(self.node, page))
-            .map(|recs| {
-                recs.iter()
-                    .filter(|r| r.last > after && r.first <= through)
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .filter(move |r| r.last > after && r.first <= through)
+    }
+
+    /// Serves a diff request: returns this node's diff records for `page`
+    /// covering its intervals in `(after, through]`. With eager per-
+    /// interval capture, every announced interval's diff already exists.
+    pub fn serve_diffs(&mut self, page: PageId, after: u32, through: u32) -> Vec<DiffRecord> {
+        self.own_diffs(page, after, through).cloned().collect()
     }
 
     /// Applies fetched diff records to `page` in causal order.
@@ -759,25 +707,13 @@ impl LrcEngine {
     /// its creator's interval coverage (a protocol violation upstream).
     pub fn apply_diff_records(&mut self, page: PageId, mut records: Vec<DiffRecord>) {
         assert!(
-            self.pages[page as usize].state != PageState::Missing,
+            self.pages.state(page) != PageState::Missing,
             "applying diffs to a missing page"
         );
         sort_causally(&mut records);
+        let meta = self.pages.entry(page, &self.granules);
         for rec in records {
             assert_eq!(rec.page, page, "diff record for a different page");
-            if trace_page() == Some(page) {
-                eprintln!(
-                    "LRC[{}] apply page {page} rec({}, {}..={}, vc={:?}, {} runs) have={}",
-                    self.node,
-                    rec.node,
-                    rec.first,
-                    rec.last,
-                    rec.vc,
-                    rec.diff.runs.len(),
-                    self.pages[page as usize].applied.get(rec.node)
-                );
-            }
-            let meta = &mut self.pages[page as usize];
             let have = meta.applied.get(rec.node);
             if rec.last <= have {
                 continue; // Duplicate coverage.
@@ -789,19 +725,6 @@ impl LrcEngine {
             // `(applied, max_notice]`, and the serving node returns every
             // record in that range.
             rec.diff.apply(&mut meta.data);
-            if trace_page() == Some(page) {
-                let o = trace_off();
-                let v = u32::from_le_bytes(meta.data[o..o + 4].try_into().expect("trace offset"));
-                let touched = rec
-                    .diff
-                    .runs
-                    .iter()
-                    .any(|r| (r.offset as usize) <= o && r.offset as usize + r.data.len() > o);
-                eprintln!(
-                    "LRC[{}]   after rec({},{}..={}): val@{o}={v} touched={touched}",
-                    self.node, rec.node, rec.first, rec.last
-                );
-            }
             // A surviving twin holds only the still-open local interval's
             // writes; fetched diffs are from concurrent writers (disjoint
             // bytes in a data-race-free program) or causal predecessors.
@@ -818,7 +741,6 @@ impl LrcEngine {
             // Keep the fetched record (GC pressure, as in TreadMarks).
             self.diffs.entry((rec.node, page)).or_default().push(rec);
         }
-        let meta = &mut self.pages[page as usize];
         if meta.state == PageState::Invalid && meta.up_to_date() {
             meta.state = if meta.twin.is_some() {
                 PageState::ReadWrite
@@ -853,31 +775,26 @@ impl LrcEngine {
     #[must_use]
     pub fn serve_page(&mut self, page: PageId) -> (Vec<u8>, Vc) {
         assert!(
-            self.pages[page as usize].state != PageState::Missing,
+            self.pages.state(page) != PageState::Missing,
             "page request hit a node without a copy"
         );
-        let meta = &self.pages[page as usize];
-        (meta.data.clone(), meta.applied.clone())
+        match self.pages.get(page) {
+            Some(meta) => (meta.data.clone(), meta.applied.clone()),
+            // Untouched on its owner: never-written zeros.
+            None => (vec![0; self.granules.granule_len(page)], self.pages.base().clone()),
+        }
     }
 
     /// Installs a fetched page copy. The page becomes valid if the carried
     /// applied-vector covers every write notice known locally; otherwise it
     /// is invalid and diff demands follow.
     pub fn install_page(&mut self, page: PageId, data: Vec<u8>, applied: Vc) -> bool {
-        if trace_page() == Some(page) {
-            let o = trace_off();
-            let v = u32::from_le_bytes(data[o..o + 4].try_into().expect("trace offset"));
-            eprintln!(
-                "LRC[{}] install page {page} applied={applied:?} val@{o}={v}",
-                self.node
-            );
-        }
         assert_eq!(
             data.len(),
             self.granules.granule_len(page),
             "bad granule size in install"
         );
-        let meta = &mut self.pages[page as usize];
+        let meta = self.pages.entry(page, &self.granules);
         // Replacement must not roll the copy backwards: only accept data
         // covering at least what is already applied locally. (A copy may
         // replace an existing one — the TreadMarks heuristic ships a whole
@@ -913,8 +830,7 @@ impl LrcEngine {
             PageState::Invalid
         };
         self.stats.pages_installed += 1;
-        self.observer
-            .page_installed(self.node, page, &self.pages[page as usize].applied);
+        self.observer.page_installed(self.node, page, &meta.applied);
         true
     }
 
@@ -940,13 +856,11 @@ impl LrcEngine {
     /// global GC (after the cluster has equalized vector timestamps).
     #[must_use]
     pub fn gc_validate_demands(&self) -> Vec<Demand> {
-        let mut out = Vec::new();
-        for p in 0..self.pages.len() as PageId {
-            if self.pages[p as usize].state == PageState::Invalid {
-                out.extend(self.fault_demands(p));
-            }
-        }
-        out
+        self.pages
+            .invalid_pages()
+            .into_iter()
+            .flat_map(|p| self.fault_demands(p))
+            .collect()
     }
 
     /// Discards all interval and diff records — the final phase of a global
@@ -957,25 +871,7 @@ impl LrcEngine {
     ///
     /// Panics if an invalid page remains (the caller skipped validation).
     pub fn gc_discard(&mut self) {
-        for (p, meta) in self.pages.iter_mut().enumerate() {
-            match meta.state {
-                PageState::Invalid => {
-                    panic!("gc_discard with invalid page {p}; validate first")
-                }
-                PageState::Missing => {
-                    meta.applied = Vc::new(self.cfg.n_nodes);
-                    meta.max_notice = Vc::new(self.cfg.n_nodes);
-                    meta.own_covered = 0;
-                }
-                PageState::ReadOnly | PageState::ReadWrite => {
-                    // Everything announced is covered everywhere; intervals
-                    // without notices for this page vacuously count.
-                    meta.applied = self.vt.clone();
-                    meta.max_notice = self.vt.clone();
-                    meta.own_covered = self.vt.get(self.node);
-                }
-            }
-        }
+        self.pages.collect(&self.vt);
         self.intervals.clear();
         self.diffs.clear();
         self.stats.gcs += 1;

@@ -70,6 +70,17 @@ impl IntervalStore {
         self.records.get(&(node, index))
     }
 
+    /// The stored records of creator `node` with index in `lo..=hi`,
+    /// ascending — one tree walk instead of a lookup per index.
+    pub fn range(&self, node: u32, lo: u32, hi: u32) -> impl Iterator<Item = &IntervalRecord> {
+        // `BTreeMap::range` panics on a reversed span; treat it as empty.
+        (lo <= hi)
+            .then(|| self.records.range((node, lo)..=(node, hi)))
+            .into_iter()
+            .flatten()
+            .map(|(_, rec)| rec)
+    }
+
     /// Number of stored records (GC pressure metric).
     #[must_use]
     pub fn len(&self) -> usize {
@@ -177,6 +188,19 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(0, 1).unwrap().pages, vec![3]);
         assert!(s.get(0, 2).is_none());
+    }
+
+    #[test]
+    fn range_walks_one_creator_in_index_order() {
+        let mut s = IntervalStore::new();
+        for (node, index) in [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)] {
+            s.insert(rec(node, index, vec![], 2));
+        }
+        let indices = |node, lo, hi| s.range(node, lo, hi).map(|r| r.index).collect::<Vec<_>>();
+        assert_eq!(indices(0, 2, 9), vec![2, 4]);
+        assert_eq!(indices(1, 0, 2), vec![2]);
+        assert_eq!(indices(0, 3, 2), Vec::<u32>::new());
+        assert_eq!(indices(2, 0, u32::MAX), Vec::<u32>::new());
     }
 
     #[test]

@@ -6,8 +6,17 @@
 //! identical fault paths (twin creation on write faults; diff/page fetches
 //! on access to invalid pages). See `DESIGN.md` §1 for the substitution
 //! rationale.
+//!
+//! The table is *sparse*: consistency state exists per granule a node has
+//! touched, not per granule of the address space. An untouched granule is
+//! one 4-byte slot whose meaning is derived (see [`PageTable`]); a full
+//! [`PageMeta`] is materialised by the first mutation only.
 
-use crate::vc::Vc;
+use crate::{
+    config::{LrcConfig, PageOwnership},
+    region::GranuleMap,
+    vc::Vc,
+};
 
 /// Page identifier within the coherent region (0-based, dense).
 pub type PageId = u32;
@@ -63,19 +72,6 @@ impl PageMeta {
         }
     }
 
-    /// A valid zero-filled page (the initial state on the page's owner).
-    #[must_use]
-    pub fn zeroed(n_nodes: usize, page_size: usize) -> Self {
-        Self {
-            state: PageState::ReadOnly,
-            data: vec![0; page_size],
-            twin: None,
-            applied: Vc::new(n_nodes),
-            max_notice: Vc::new(n_nodes),
-            own_covered: 0,
-        }
-    }
-
     /// True when every known write notice has been applied to `data`.
     #[must_use]
     pub fn up_to_date(&self) -> bool {
@@ -90,9 +86,197 @@ impl PageMeta {
     }
 }
 
+/// One node's sparse page table.
+///
+/// `slots[g]` is 0 for a granule this node never mutated, otherwise the
+/// index of its entry in `resident`. An untouched granule has no entry and
+/// no heap allocation; its meaning is derived:
+///
+/// - on a non-owner: `Missing`, no data, zero clocks;
+/// - on its owner: `ReadOnly`, all-zero data, and clocks equal to `base` —
+///   the vector time of the last garbage collection (zero before the
+///   first), which is what a collection assigns every valid page.
+///
+/// `resident[0]` is a shared `Missing` template that untouched slots point
+/// at, so the access fast paths are one state check whether or not the
+/// granule is resident; it is never handed out mutably.
+#[derive(Debug, Clone)]
+pub(crate) struct PageTable {
+    node: u32,
+    ownership: PageOwnership,
+    slots: Vec<u32>,
+    resident: Vec<(PageId, PageMeta)>,
+    base: Vc,
+}
+
+impl PageTable {
+    /// An all-untouched table of `n_granules` granules for `node`.
+    #[must_use]
+    pub(crate) fn new(node: u32, cfg: &LrcConfig, n_granules: usize) -> Self {
+        Self {
+            node,
+            ownership: cfg.ownership,
+            slots: vec![0; n_granules],
+            resident: vec![(PageId::MAX, PageMeta::missing(cfg.n_nodes))],
+            base: Vc::new(cfg.n_nodes),
+        }
+    }
+
+    /// The pinning owner of granule `page`. Granules are numbered in
+    /// address order, so banding over granule ids still bands the address
+    /// space.
+    #[must_use]
+    pub(crate) fn owner_of(&self, page: PageId) -> u32 {
+        match self.ownership {
+            PageOwnership::SingleOwner(n) => n,
+            PageOwnership::Banded => {
+                let (n_nodes, n_units) = (self.base.len() as u64, self.slots.len().max(1) as u64);
+                (u64::from(page) * n_nodes / n_units).min(n_nodes - 1) as u32
+            }
+        }
+    }
+
+    /// Number of materialised entries.
+    #[must_use]
+    pub(crate) fn resident_len(&self) -> usize {
+        self.resident.len() - 1
+    }
+
+    /// The materialised entry for `page`, if any.
+    #[must_use]
+    pub(crate) fn get(&self, page: PageId) -> Option<&PageMeta> {
+        match self.slots[page as usize] {
+            0 => None,
+            i => Some(&self.resident[i as usize].1),
+        }
+    }
+
+    /// The materialised entry for `page`, if any.
+    pub(crate) fn get_mut(&mut self, page: PageId) -> Option<&mut PageMeta> {
+        match self.slots[page as usize] {
+            0 => None,
+            i => Some(&mut self.resident[i as usize].1),
+        }
+    }
+
+    /// Access state of `page`, derived for an untouched granule.
+    #[must_use]
+    pub(crate) fn state(&self, page: PageId) -> PageState {
+        match self.get(page) {
+            Some(meta) => meta.state,
+            None if self.owner_of(page) == self.node => PageState::ReadOnly,
+            None => PageState::Missing,
+        }
+    }
+
+    /// Contents of granule `page` if it is resident and readable — the
+    /// read-hit fast path (`page` is an index: no id conversion).
+    #[inline]
+    #[must_use]
+    pub(crate) fn readable(&self, page: usize) -> Option<&[u8]> {
+        let meta = &self.resident[self.slots[page] as usize].1;
+        matches!(meta.state, PageState::ReadOnly | PageState::ReadWrite).then_some(&meta.data[..])
+    }
+
+    /// Contents of granule `page` if it is write-enabled — the write-hit
+    /// fast path.
+    #[inline]
+    pub(crate) fn writable(&mut self, page: usize) -> Option<&mut [u8]> {
+        let meta = &mut self.resident[self.slots[page] as usize].1;
+        (meta.state == PageState::ReadWrite).then_some(&mut meta.data[..])
+    }
+
+    /// The clocks an untouched granule owned by this node reflects.
+    #[must_use]
+    pub(crate) fn base(&self) -> &Vc {
+        &self.base
+    }
+
+    /// The entry for `page`, materialising the derived untouched state on
+    /// first use.
+    pub(crate) fn entry(&mut self, page: PageId, granules: &GranuleMap) -> &mut PageMeta {
+        if self.slots[page as usize] == 0 {
+            let meta = if self.owner_of(page) == self.node {
+                PageMeta {
+                    state: PageState::ReadOnly,
+                    data: vec![0; granules.granule_len(page)],
+                    twin: None,
+                    applied: self.base.clone(),
+                    max_notice: self.base.clone(),
+                    own_covered: self.base.get(self.node),
+                }
+            } else {
+                PageMeta::missing(self.base.len())
+            };
+            self.slots[page as usize] =
+                u32::try_from(self.resident.len()).expect("resident entries fit the slot width");
+            self.resident.push((page, meta));
+        }
+        &mut self.resident[self.slots[page as usize] as usize].1
+    }
+
+    /// The `Invalid` pages, ascending (only a resident page can be invalid).
+    #[must_use]
+    pub(crate) fn invalid_pages(&self) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = self.resident[1..]
+            .iter()
+            .filter(|(_, meta)| meta.state == PageState::Invalid)
+            .map(|&(page, _)| page)
+            .collect();
+        pages.sort_unstable();
+        pages
+    }
+
+    /// The table side of a global garbage collection at vector time `vt`:
+    /// every valid page — resident or untouched — now reflects exactly
+    /// `vt`, and `Missing` entries return to the untouched form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an invalid page remains (the caller skipped validation).
+    pub(crate) fn collect(&mut self, vt: &Vc) {
+        self.base.clone_from(vt);
+        let mut i = 1;
+        while i < self.resident.len() {
+            let (page, meta) = &mut self.resident[i];
+            match meta.state {
+                PageState::Invalid => {
+                    panic!("gc_discard with invalid page {page}; validate first")
+                }
+                PageState::Missing => {
+                    debug_assert!(
+                        meta.data.is_empty() && meta.twin.is_none(),
+                        "missing page {page} holds data"
+                    );
+                    self.slots[*page as usize] = 0;
+                    self.resident.swap_remove(i);
+                    if let Some(&(moved, _)) = self.resident.get(i) {
+                        self.slots[moved as usize] = i as u32;
+                    }
+                }
+                PageState::ReadOnly | PageState::ReadWrite => {
+                    // Everything announced is covered everywhere; intervals
+                    // without notices for this page vacuously count.
+                    meta.applied.clone_from(vt);
+                    meta.max_notice.clone_from(vt);
+                    meta.own_covered = vt.get(self.node);
+                    i += 1;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn table(node: u32, n_granules: usize) -> (PageTable, GranuleMap) {
+        let mut cfg = LrcConfig::small_test(2);
+        cfg.region_bytes = n_granules * cfg.page_size;
+        let granules = GranuleMap::new(cfg.region_bytes, cfg.page_size, &cfg.regions);
+        (PageTable::new(node, &cfg, n_granules), granules)
+    }
 
     #[test]
     fn missing_page_has_no_data() {
@@ -104,20 +288,66 @@ mod tests {
     }
 
     #[test]
-    fn zeroed_page_is_readonly() {
-        let p = PageMeta::zeroed(2, 128);
-        assert_eq!(p.state, PageState::ReadOnly);
-        assert_eq!(p.data.len(), 128);
-        assert!(p.data.iter().all(|&b| b == 0));
+    fn untouched_state_is_derived_from_ownership() {
+        let (owner, _) = table(0, 4);
+        let (other, _) = table(1, 4);
+        assert_eq!(owner.state(2), PageState::ReadOnly);
+        assert_eq!(other.state(2), PageState::Missing);
+        assert_eq!(owner.resident_len() + other.resident_len(), 0);
+        assert!(
+            owner.readable(2).is_none(),
+            "untouched reads take the slow path"
+        );
     }
 
     #[test]
-    fn up_to_date_tracks_notices() {
-        let mut p = PageMeta::zeroed(2, 16);
-        assert!(p.up_to_date());
-        p.max_notice.set(1, 3);
-        assert!(!p.up_to_date());
-        p.applied.set(1, 3);
-        assert!(p.up_to_date());
+    fn entry_materialises_the_derived_state_once() {
+        let (mut t, g) = table(0, 4);
+        let meta = t.entry(2, &g);
+        assert_eq!(meta.state, PageState::ReadOnly);
+        assert_eq!(meta.data, vec![0; 64]);
+        meta.max_notice.set(1, 3);
+        assert!(!meta.up_to_date());
+        meta.applied.set(1, 3);
+        assert!(t.entry(2, &g).up_to_date());
+        assert_eq!(t.resident_len(), 1);
+    }
+
+    #[test]
+    fn collect_returns_missing_entries_to_the_untouched_form() {
+        let (mut t, g) = table(1, 6);
+        for p in [1, 3, 4] {
+            t.entry(p, &g).max_notice.set(0, 1); // noticed, never fetched
+        }
+        let fetched = t.entry(3, &g);
+        fetched.state = PageState::ReadOnly;
+        fetched.data = vec![7; 64];
+        let mut vt = Vc::new(2);
+        vt.set(0, 1);
+        t.collect(&vt);
+        assert_eq!(t.resident_len(), 1);
+        assert_eq!(t.state(1), PageState::Missing);
+        assert_eq!(t.get(3).expect("valid copy stays").applied, vt);
+        assert_eq!(t.readable(3), Some(&[7u8; 64][..]));
+        assert!(
+            t.entry(4, &g).up_to_date(),
+            "reset entries restart from zero clocks"
+        );
+    }
+
+    #[test]
+    fn collect_rebases_untouched_owner_pages() {
+        let (mut t, g) = table(0, 4);
+        let mut vt = Vc::new(2);
+        vt.set(0, 2);
+        vt.set(1, 5);
+        t.collect(&vt);
+        assert_eq!(t.resident_len(), 0);
+        assert_eq!(t.base(), &vt);
+        let meta = t.entry(2, &g);
+        assert_eq!(
+            (&meta.applied, &meta.max_notice, meta.own_covered),
+            (&vt, &vt, 2)
+        );
     }
 }

@@ -6,30 +6,96 @@
 
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
+/// Clusters up to this size keep their timestamps inline: a timestamp is
+/// built, cloned or decoded for every message, interval and diff record,
+/// and for the two clocks of every resident page, so at the benchmarked
+/// sizes (4 and 8 nodes) none of those costs a heap allocation.
+const INLINE: usize = 8;
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, vals: [u32; INLINE] },
+    Heap(Vec<u32>),
+}
+
 /// A vector timestamp over a fixed-size cluster.
 ///
 /// Element `i` is the index of the most recent interval of node `i` that
 /// this timestamp covers. Interval indices start at 1; 0 means "none seen".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Vc(Vec<u32>);
+pub struct Vc(Repr);
+
+impl Clone for Vc {
+    fn clone(&self) -> Self {
+        Self(self.0.clone())
+    }
+
+    /// Reuses `self`'s allocation, if it has one (the derive would
+    /// reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut self.0, &source.0) {
+            (Repr::Heap(dst), Repr::Heap(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
+}
+
+impl PartialEq for Vc {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Vc {}
+
+impl std::hash::Hash for Vc {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl std::fmt::Debug for Vc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Vc").field(&self.as_slice()).finish()
+    }
+}
 
 impl Vc {
     /// The zero timestamp for an `n`-node cluster.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self(vec![0; n])
+        if n > INLINE {
+            return Self(Repr::Heap(vec![0; n]));
+        }
+        Self(Repr::Inline {
+            len: n as u8,
+            vals: [0; INLINE],
+        })
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match &self.0 {
+            Repr::Inline { len, vals } => &vals[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [u32] {
+        match &mut self.0 {
+            Repr::Inline { len, vals } => &mut vals[..usize::from(*len)],
+            Repr::Heap(v) => v,
+        }
     }
 
     /// Number of nodes this timestamp covers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_slice().len()
     }
 
     /// True when the cluster size is zero (degenerate).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// The component for `node`.
@@ -39,7 +105,7 @@ impl Vc {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn get(&self, node: u32) -> u32 {
-        self.0[node as usize]
+        self.as_slice()[node as usize]
     }
 
     /// Sets the component for `node`.
@@ -48,13 +114,14 @@ impl Vc {
     ///
     /// Panics if `node` is out of range.
     pub fn set(&mut self, node: u32, v: u32) {
-        self.0[node as usize] = v;
+        self.as_mut_slice()[node as usize] = v;
     }
 
     /// Increments the component for `node` and returns the new value.
     pub fn bump(&mut self, node: u32) -> u32 {
-        self.0[node as usize] += 1;
-        self.0[node as usize]
+        let c = &mut self.as_mut_slice()[node as usize];
+        *c += 1;
+        *c
     }
 
     /// True if `self` is pointwise `>= other` (i.e. `self` covers `other`).
@@ -65,7 +132,10 @@ impl Vc {
     #[must_use]
     pub fn dominates(&self, other: &Vc) -> bool {
         assert_eq!(self.len(), other.len(), "vector timestamp size mismatch");
-        self.0.iter().zip(&other.0).all(|(a, b)| a >= b)
+        self.as_slice()
+            .iter()
+            .zip(other.as_slice())
+            .all(|(a, b)| a >= b)
     }
 
     /// True if `self` and `other` are ordered neither way (concurrent).
@@ -81,7 +151,7 @@ impl Vc {
     /// Panics if the lengths differ.
     pub fn join(&mut self, other: &Vc) {
         assert_eq!(self.len(), other.len(), "vector timestamp size mismatch");
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
+        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *a = (*a).max(*b);
         }
     }
@@ -91,12 +161,15 @@ impl Vc {
     /// diffs from multiple writers are ordered before application.
     #[must_use]
     pub fn sum(&self) -> u64 {
-        self.0.iter().map(|&v| u64::from(v)).sum()
+        self.as_slice().iter().map(|&v| u64::from(v)).sum()
     }
 
     /// Iterates `(node, component)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.0.iter().enumerate().map(|(n, &v)| (n as u32, v))
+        self.as_slice()
+            .iter()
+            .enumerate()
+            .map(|(n, &v)| (n as u32, v))
     }
 }
 
@@ -105,19 +178,18 @@ impl Wire for Vc {
         // The paper notes the timestamp costs "two bytes per node" on the
         // wire (§5.4); we use u16 components in the encoding to match, with
         // a saturation guard for pathological runs.
-        enc.put_u16(self.0.len() as u16);
-        for &v in &self.0 {
+        enc.put_u16(self.len() as u16);
+        for &v in self.as_slice() {
             enc.put_u16(u16::try_from(v).unwrap_or(u16::MAX));
         }
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let n = dec.get_u16()? as usize;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(u32::from(dec.get_u16()?));
+        let mut vc = Self::new(dec.get_u16()? as usize);
+        for c in vc.as_mut_slice() {
+            *c = u32::from(dec.get_u16()?);
         }
-        Ok(Self(v))
+        Ok(vc)
     }
 }
 
@@ -198,6 +270,27 @@ mod tests {
     }
 
     #[test]
+    fn wide_clusters_behave_like_narrow_ones() {
+        // One past the inline width: same algebra, same encoding, same
+        // `Debug` shape (failure messages print timestamps).
+        for n in [INLINE, INLINE + 1] {
+            let mut a = Vc::new(n);
+            a.set(n as u32 - 1, 4);
+            assert_eq!((a.len(), a.bump(0), a.sum()), (n, 1, 5));
+            let mut b = Vc::new(n);
+            b.clone_from(&a);
+            assert_eq!(b, a);
+            b.set(1, 2);
+            assert!(b.dominates(&a) && !a.dominates(&b));
+            a.join(&b);
+            assert_eq!(Vc::from_wire(&a.to_wire()).unwrap(), b);
+            assert_eq!(a.wire_size(), 2 + 2 * n);
+            let comps: Vec<u32> = a.iter().map(|(_, v)| v).collect();
+            assert_eq!(format!("{a:?}"), format!("Vc({comps:?})"));
+        }
+    }
+
+    #[test]
     fn iter_yields_components() {
         let mut vc = Vc::new(2);
         vc.set(1, 9);
@@ -219,7 +312,11 @@ mod algebra_props {
     /// Small components over a small cluster keep the order relation dense
     /// enough that dominated, dominating, and concurrent pairs all appear.
     fn vc3() -> impl Strategy<Value = Vc> {
-        proptest::collection::vec(0u32..5, 4).prop_map(Vc)
+        proptest::collection::vec(0u32..5, 4).prop_map(|comps| {
+            let mut vc = Vc::new(comps.len());
+            vc.as_mut_slice().copy_from_slice(&comps);
+            vc
+        })
     }
 
     fn joined(a: &Vc, b: &Vc) -> Vc {

@@ -415,3 +415,40 @@ fn install_then_own_write_not_clobbered_by_merged_diff() {
     resolve_read(&mut e, 1, 5, &mut b);
     assert_eq!(b[0], 77, "merged diff clobbered a causally-later write");
 }
+
+#[test]
+fn claims_must_cover_every_notice_naming_the_page() {
+    // Node 1 writes page 0 in its intervals 1 and 4, and page 1 in the
+    // intervals between; node 0 holds a copy of page 0 and learns all four.
+    let mut e = cluster(2);
+    let page_size = e[0].config().page_size;
+    resolve_write(&mut e, 1, 0, &[1]);
+    sync_release(&mut e, 1, 0);
+    let mut buf = [0u8; 1];
+    resolve_read(&mut e, 0, 0, &mut buf);
+    for (i, addr) in [page_size, page_size, 0].into_iter().enumerate() {
+        resolve_write(&mut e, 1, addr, &[2 + i as u8]);
+        sync_release(&mut e, 1, 0);
+    }
+    assert_eq!(e[0].page_state(0), PageState::Invalid);
+    assert_eq!(
+        e[0].fault_demands(0),
+        vec![Demand::Diffs {
+            to: 1,
+            page: 0,
+            after: 1,
+            through: 4
+        }]
+    );
+    // Intervals 2 and 3 do not name page 0, so the one diff of interval 4
+    // completes the coverage; nothing, or a diff of another interval, does
+    // not.
+    let all = e[1].own_diffs(0, 0, 4).cloned().collect::<Vec<_>>();
+    assert_eq!(all.iter().map(|r| r.last).collect::<Vec<_>>(), vec![1, 4]);
+    assert!(!e[0].covers_with_claims(0, &[]));
+    assert!(!e[0].covers_with_claims(0, &all[..1]));
+    assert!(e[0].covers_with_claims(0, &all[1..]));
+    assert!(!e[0].covers_with_claims(1, &[]), "page 1 has notices 2 and 3");
+    assert!(e[0].covers_with_claims(2, &[]), "never named: nothing outstanding");
+    assert_eq!(e[1].serve_diffs(0, 1, 4), all[1..]);
+}

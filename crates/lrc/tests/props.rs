@@ -328,3 +328,488 @@ mod interval_scan_equivalence {
         }
     }
 }
+
+/// The sparse page table against a dense reference: the engine as it was
+/// when every granule of every node held a full entry from construction.
+/// Random operation sequences must leave every observable — page states,
+/// bytes read, demands, interval and diff records, served pages, stats —
+/// identical. The model lives here only; `src/` has no dense path.
+mod sparse_table_equivalence {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use super::*;
+    use carlos_lrc::diff::sort_causally;
+    use carlos_lrc::engine::EngineStats;
+    use carlos_lrc::interval::IntervalStore;
+    use carlos_lrc::{DiffRecord, GranuleMap, IntervalRecord, PageOwnership, PageState, RegionSpec};
+
+    struct DenseMeta {
+        state: PageState,
+        data: Vec<u8>,
+        twin: Option<Vec<u8>>,
+        applied: Vc,
+        max_notice: Vc,
+    }
+
+    impl DenseMeta {
+        fn up_to_date(&self) -> bool {
+            self.applied.dominates(&self.max_notice)
+        }
+
+        fn valid_state(&self) -> PageState {
+            if self.twin.is_some() {
+                PageState::ReadWrite
+            } else {
+                PageState::ReadOnly
+            }
+        }
+    }
+
+    struct DenseEngine {
+        node: u32,
+        cfg: LrcConfig,
+        vt: Vc,
+        pages: Vec<DenseMeta>,
+        dirty: BTreeSet<u32>,
+        intervals: IntervalStore,
+        diffs: BTreeMap<(u32, u32), Vec<DiffRecord>>,
+        granules: GranuleMap,
+        eager_invalid: Vec<u32>,
+        stats: EngineStats,
+    }
+
+    impl DenseEngine {
+        fn new(node: u32, cfg: LrcConfig) -> Self {
+            let granules = GranuleMap::new(cfg.region_bytes, cfg.page_size, &cfg.regions);
+            let mut e = Self {
+                node,
+                vt: Vc::new(cfg.n_nodes),
+                pages: Vec::new(),
+                dirty: BTreeSet::new(),
+                intervals: IntervalStore::new(),
+                diffs: BTreeMap::new(),
+                granules,
+                eager_invalid: Vec::new(),
+                stats: EngineStats::default(),
+                cfg,
+            };
+            for p in 0..e.granules.n_granules() as u32 {
+                let owned = e.owner_of(p) == node;
+                e.pages.push(DenseMeta {
+                    state: if owned { PageState::ReadOnly } else { PageState::Missing },
+                    data: if owned { vec![0; e.granules.granule_len(p)] } else { Vec::new() },
+                    twin: None,
+                    applied: Vc::new(e.cfg.n_nodes),
+                    max_notice: Vc::new(e.cfg.n_nodes),
+                });
+            }
+            e
+        }
+
+        fn owner_of(&self, page: u32) -> u32 {
+            match self.cfg.ownership {
+                PageOwnership::SingleOwner(n) => n,
+                PageOwnership::Banded => {
+                    let n = self.cfg.n_nodes as u64;
+                    (u64::from(page) * n / self.granules.n_granules() as u64).min(n - 1) as u32
+                }
+            }
+        }
+
+        fn read(&mut self, addr: usize, buf: &mut [u8]) -> Result<(), Vec<Demand>> {
+            let mut done = 0;
+            while done < buf.len() {
+                let (page, off, glen) = self.granules.locate(addr + done);
+                if let Err(d) = self.ensure_readable(page) {
+                    return Err(self.batched(d, addr + done + glen - off, addr + buf.len()));
+                }
+                let n = (glen - off).min(buf.len() - done);
+                buf[done..done + n].copy_from_slice(&self.pages[page as usize].data[off..off + n]);
+                done += n;
+            }
+            Ok(())
+        }
+
+        fn write(&mut self, addr: usize, data: &[u8]) -> Result<(), Vec<Demand>> {
+            let mut done = 0;
+            while done < data.len() {
+                let (page, off, glen) = self.granules.locate(addr + done);
+                if let Err(d) = self.ensure_readable(page) {
+                    return Err(self.batched(d, addr + done + glen - off, addr + data.len()));
+                }
+                let meta = &mut self.pages[page as usize];
+                if meta.state == PageState::ReadOnly {
+                    meta.twin = Some(meta.data.clone());
+                    meta.state = PageState::ReadWrite;
+                    self.dirty.insert(page);
+                    self.stats.write_faults += 1;
+                }
+                let n = (glen - off).min(data.len() - done);
+                meta.data[off..off + n].copy_from_slice(&data[done..done + n]);
+                done += n;
+            }
+            Ok(())
+        }
+
+        fn batched(&self, mut demands: Vec<Demand>, from: usize, end: usize) -> Vec<Demand> {
+            let mut a = from;
+            while self.granules.hinted() && a < end {
+                let (page, _, glen) = self.granules.locate(a);
+                demands.extend(self.fault_demands(page));
+                a += glen;
+            }
+            demands
+        }
+
+        fn ensure_readable(&mut self, page: u32) -> Result<(), Vec<Demand>> {
+            if matches!(self.pages[page as usize].state, PageState::ReadOnly | PageState::ReadWrite) {
+                return Ok(());
+            }
+            let demands = self.fault_demands(page);
+            if demands.is_empty() {
+                let meta = &mut self.pages[page as usize];
+                meta.state = meta.valid_state();
+                Ok(())
+            } else {
+                self.stats.remote_faults += 1;
+                Err(demands)
+            }
+        }
+
+        fn fault_demands(&self, page: u32) -> Vec<Demand> {
+            let meta = &self.pages[page as usize];
+            match meta.state {
+                PageState::Missing => vec![Demand::Page { to: self.owner_of(page), page }],
+                PageState::Invalid => meta
+                    .applied
+                    .iter()
+                    .filter(|&(q, have)| q != self.node && meta.max_notice.get(q) > have)
+                    .map(|(q, have)| Demand::Diffs {
+                        to: q,
+                        page,
+                        after: have,
+                        through: meta.max_notice.get(q),
+                    })
+                    .collect(),
+                PageState::ReadOnly | PageState::ReadWrite => Vec::new(),
+            }
+        }
+
+        fn close_interval(&mut self) -> Option<IntervalRecord> {
+            if self.dirty.is_empty() {
+                return None;
+            }
+            let idx = self.vt.bump(self.node);
+            let pages: Vec<u32> = std::mem::take(&mut self.dirty).into_iter().collect();
+            for &p in &pages {
+                let meta = &mut self.pages[p as usize];
+                meta.max_notice.set(self.node, idx);
+                meta.applied.set(self.node, idx);
+                let twin = meta.twin.take().expect("dirty page has a twin");
+                let diff = Diff::create(&twin, &meta.data);
+                meta.state = if meta.up_to_date() { PageState::ReadOnly } else { PageState::Invalid };
+                self.diffs.entry((self.node, p)).or_default().push(DiffRecord {
+                    node: self.node,
+                    page: p,
+                    first: idx,
+                    last: idx,
+                    vc: self.vt.clone(),
+                    diff,
+                });
+                self.stats.diffs_created += 1;
+            }
+            let rec = IntervalRecord { node: self.node, index: idx, vc: self.vt.clone(), pages };
+            self.intervals.insert(rec.clone());
+            self.stats.intervals_created += 1;
+            Some(rec)
+        }
+
+        fn apply_records(&mut self, records: &[IntervalRecord]) -> usize {
+            let mut order: Vec<&IntervalRecord> = records.iter().collect();
+            order.sort_by_key(|r| (r.node, r.index));
+            let mut applied = 0;
+            for rec in order {
+                if rec.node == self.node || rec.index != self.vt.get(rec.node) + 1 {
+                    continue;
+                }
+                self.vt.set(rec.node, rec.index);
+                for &p in &rec.pages {
+                    self.stats.notices_applied += 1;
+                    let meta = &mut self.pages[p as usize];
+                    let covered = rec.index <= meta.applied.get(rec.node);
+                    let cur = meta.max_notice.get(rec.node);
+                    meta.max_notice.set(rec.node, cur.max(rec.index));
+                    if !covered && meta.state != PageState::Missing {
+                        meta.state = PageState::Invalid;
+                        if self.granules.eager_granule(p) {
+                            self.eager_invalid.push(p);
+                        }
+                    }
+                }
+                self.intervals.insert(rec.clone());
+                applied += 1;
+            }
+            applied
+        }
+
+        fn take_eager_invalid(&mut self) -> Vec<u32> {
+            let mut pages = std::mem::take(&mut self.eager_invalid);
+            pages.sort_unstable();
+            pages.dedup();
+            pages.retain(|&p| self.pages[p as usize].state == PageState::Invalid);
+            pages
+        }
+
+        fn covers_with_claims(&self, page: u32) -> bool {
+            let meta = &self.pages[page as usize];
+            meta.applied.iter().filter(|&(q, _)| q != self.node).all(|(q, have)| {
+                (have + 1..=meta.max_notice.get(q))
+                    .all(|i| self.intervals.get(q, i).is_some_and(|r| !r.pages.contains(&page)))
+            })
+        }
+
+        fn serve_diffs(&self, page: u32, after: u32, through: u32) -> Vec<DiffRecord> {
+            self.diffs.get(&(self.node, page)).map_or_else(Vec::new, |recs| {
+                recs.iter().filter(|r| r.last > after && r.first <= through).cloned().collect()
+            })
+        }
+
+        fn apply_diff_records(&mut self, page: u32, mut records: Vec<DiffRecord>) {
+            sort_causally(&mut records);
+            let meta = &mut self.pages[page as usize];
+            assert!(meta.state != PageState::Missing);
+            for rec in records {
+                if rec.last <= meta.applied.get(rec.node) {
+                    continue;
+                }
+                rec.diff.apply(&mut meta.data);
+                if let Some(twin) = &mut meta.twin {
+                    rec.diff.apply(twin);
+                }
+                meta.applied.set(rec.node, rec.last);
+                let cur = meta.max_notice.get(rec.node);
+                meta.max_notice.set(rec.node, cur.max(rec.last));
+                self.stats.diffs_applied += 1;
+                self.diffs.entry((rec.node, page)).or_default().push(rec);
+            }
+            if meta.state == PageState::Invalid && meta.up_to_date() {
+                meta.state = meta.valid_state();
+            }
+        }
+
+        fn serve_page(&self, page: u32) -> (Vec<u8>, Vc) {
+            let meta = &self.pages[page as usize];
+            assert!(meta.state != PageState::Missing);
+            (meta.data.clone(), meta.applied.clone())
+        }
+
+        fn install_page(&mut self, page: u32, data: Vec<u8>, applied: Vc) -> bool {
+            let meta = &mut self.pages[page as usize];
+            if meta.state != PageState::Missing && !applied.dominates(&meta.applied) {
+                return false;
+            }
+            if let Some(twin) = meta.twin.take() {
+                let own = Diff::create(&twin, &meta.data);
+                meta.data = data.clone();
+                own.apply(&mut meta.data);
+                meta.twin = Some(data);
+            } else {
+                meta.data = data;
+            }
+            meta.applied.join(&applied);
+            meta.max_notice.join(&applied);
+            meta.state = if meta.up_to_date() { meta.valid_state() } else { PageState::Invalid };
+            self.stats.pages_installed += 1;
+            true
+        }
+
+        fn gc_validate_demands(&self) -> Vec<Demand> {
+            (0..self.pages.len() as u32)
+                .filter(|&p| self.pages[p as usize].state == PageState::Invalid)
+                .flat_map(|p| self.fault_demands(p))
+                .collect()
+        }
+
+        fn gc_discard(&mut self) {
+            for meta in &mut self.pages {
+                let clocks = match meta.state {
+                    PageState::Invalid => panic!("gc_discard with an invalid page"),
+                    PageState::Missing => Vc::new(self.cfg.n_nodes),
+                    PageState::ReadOnly | PageState::ReadWrite => self.vt.clone(),
+                };
+                meta.applied = clocks.clone();
+                meta.max_notice = clocks;
+            }
+            self.intervals.clear();
+            self.diffs.clear();
+            self.stats.gcs += 1;
+        }
+    }
+
+    /// The engines under test beside their dense models, driven in lockstep.
+    struct Pair {
+        real: Vec<LrcEngine>,
+        dense: Vec<DenseEngine>,
+    }
+
+    impl Pair {
+        fn new(cfg: &LrcConfig) -> Self {
+            let nodes = 0..cfg.n_nodes as u32;
+            Self {
+                real: nodes.clone().map(|i| LrcEngine::new(i, cfg.clone())).collect(),
+                dense: nodes.map(|i| DenseEngine::new(i, cfg.clone())).collect(),
+            }
+        }
+
+        fn check(&self) {
+            for (r, d) in self.real.iter().zip(&self.dense) {
+                prop_assert_eq!(r.vt(), &d.vt);
+                prop_assert_eq!(r.stats(), d.stats);
+                for p in 0..d.pages.len() as u32 {
+                    let m = &d.pages[p as usize];
+                    prop_assert_eq!(r.page_state(p), m.state, "node {} page {}", d.node, p);
+                    prop_assert_eq!(r.fault_demands(p), d.fault_demands(p));
+                    prop_assert_eq!(r.covers_with_claims(p, &[]), d.covers_with_claims(p));
+                }
+            }
+        }
+
+        /// Fetches what `demands` name into `node`, comparing every reply.
+        fn satisfy(&mut self, node: usize, demands: &[Demand]) {
+            let mut diffs: BTreeMap<u32, Vec<DiffRecord>> = BTreeMap::new();
+            for d in demands {
+                match *d {
+                    Demand::Page { to, page } => {
+                        let (data, applied) = self.real[to as usize].serve_page(page);
+                        let served = self.dense[to as usize].serve_page(page);
+                        prop_assert_eq!((&data, &applied), (&served.0, &served.1));
+                        let ok = self.real[node].install_page(page, data.clone(), applied.clone());
+                        prop_assert_eq!(ok, self.dense[node].install_page(page, data, applied));
+                    }
+                    Demand::Diffs { to, page, after, through } => {
+                        let recs = self.real[to as usize].serve_diffs(page, after, through);
+                        prop_assert_eq!(&recs, &self.dense[to as usize].serve_diffs(page, after, through));
+                        diffs.entry(page).or_default().extend(recs);
+                    }
+                }
+            }
+            for (page, recs) in diffs {
+                self.real[node].apply_diff_records(page, recs.clone());
+                self.dense[node].apply_diff_records(page, recs);
+            }
+        }
+
+        /// One access on both sides; on a fault, optionally fetch and retry
+        /// (a page then its diffs, one granule per round without hints).
+        fn access(&mut self, node: usize, addr: usize, len: usize, write: Option<u8>, resolve: bool) {
+            for _ in 0..64 {
+                let (mut rb, mut db) = (vec![0xEE; len], vec![0xEE; len]);
+                let (r, d) = match write {
+                    Some(v) => (
+                        self.real[node].write(addr, &vec![v; len]),
+                        self.dense[node].write(addr, &vec![v; len]),
+                    ),
+                    None => (self.real[node].read(addr, &mut rb), self.dense[node].read(addr, &mut db)),
+                };
+                prop_assert_eq!(&r, &d, "node {} access at {}+{}", node, addr, len);
+                prop_assert_eq!(rb, db);
+                match r {
+                    Err(demands) if resolve => self.satisfy(node, &demands),
+                    _ => return,
+                }
+            }
+            panic!("access never became satisfiable");
+        }
+
+        fn close(&mut self, node: usize) {
+            prop_assert_eq!(self.real[node].close_interval(), self.dense[node].close_interval());
+        }
+
+        fn sync(&mut self, from: usize, to: usize) {
+            let have = self.real[to].vt().clone();
+            let recs = self.real[from].records_newer_than(&have);
+            prop_assert_eq!(&recs, &self.dense[from].intervals.newer_than(&have));
+            prop_assert_eq!(self.real[to].apply_records(&recs), self.dense[to].apply_records(&recs));
+            prop_assert_eq!(self.real[to].take_eager_invalid(), self.dense[to].take_eager_invalid());
+        }
+
+        /// A whole-cluster collection: close, equalise clocks, validate,
+        /// discard — the runtime's three phases.
+        fn gc(&mut self) {
+            let n = self.real.len();
+            (0..n).for_each(|i| self.close(i));
+            for _round in 0..2 {
+                for a in 0..n {
+                    (0..n).filter(|&b| b != a).for_each(|b| self.sync(a, b));
+                }
+            }
+            for i in 0..n {
+                let demands = self.real[i].gc_validate_demands();
+                prop_assert_eq!(&demands, &self.dense[i].gc_validate_demands());
+                self.satisfy(i, &demands);
+            }
+            for i in 0..n {
+                self.real[i].gc_discard();
+                self.dense[i].gc_discard();
+            }
+        }
+    }
+
+    /// 1 KiB region: uniform 64 B pages (the single-shift access fast paths)
+    /// or a mix of eager 16 B granules, 64 B pages and 128 B granules.
+    fn config(n_nodes: usize, mixed: bool, banded: bool) -> LrcConfig {
+        LrcConfig {
+            region_bytes: 1024,
+            ownership: if banded { PageOwnership::Banded } else { PageOwnership::SingleOwner(0) },
+            regions: if mixed {
+                vec![RegionSpec::new(0, 128, 16).eager(), RegionSpec::new(512, 256, 128)]
+            } else {
+                Vec::new()
+            },
+            ..LrcConfig::small_test(n_nodes)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn sparse_table_matches_dense_model(
+            shape in (2usize..4, any::<bool>(), any::<bool>()),
+            ops in proptest::collection::vec(
+                (0usize..12, 0usize..3, 0usize..1024, 1usize..200, any::<u8>(), 0usize..3),
+                1..80,
+            ),
+        ) {
+            let (n, mixed, banded) = shape;
+            let cfg = config(n, mixed, banded);
+            let mut pair = Pair::new(&cfg);
+            for (kind, node, addr, len, val, peer) in ops {
+                let (node, peer) = (node % n, peer % n);
+                let len = len.min(cfg.region_bytes - addr);
+                match kind {
+                    0..=2 => pair.access(node, addr, len, None, kind != 0),
+                    3..=5 => pair.access(node, addr, len, Some(val), kind != 3),
+                    6 | 7 => pair.close(node),
+                    8 | 9 if peer != node => pair.sync(node, peer),
+                    10 => {
+                        // Unsolicited copy from the owner: the replacement
+                        // (and stale-copy refusal) side of `install_page`.
+                        let page = pair.real[node].page_of(addr);
+                        let to = pair.real[node].owner_of(page);
+                        if to as usize != node {
+                            pair.satisfy(node, &[Demand::Page { to, page }]);
+                        }
+                    }
+                    11 => pair.gc(),
+                    _ => {}
+                }
+                pair.check();
+            }
+            // Every node can still read the whole region, identically.
+            for node in 0..n {
+                pair.access(node, 0, cfg.region_bytes, None, true);
+            }
+            pair.check();
+        }
+    }
+}

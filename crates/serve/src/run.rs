@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use carlos_apps::{AppReport, Collector};
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
-use carlos_lrc::{LrcConfig, PageOwnership, RegionSpec};
+use carlos_lrc::{LrcConfig, PageOwnership};
 use carlos_sim::{
     time::{ms, us, Ns},
     AckMode, Cluster, FaultPlan, GeParams, NodeCtx, SimConfig, SimReport,
@@ -359,8 +359,15 @@ impl ServeResult {
     }
 }
 
+/// The coherent-region geometry every node of a `cfg` serving run builds
+/// its engine from (what the footprint benches construct engines over).
+#[must_use]
+pub fn lrc_config(cfg: &ServeConfig) -> LrcConfig {
+    layout(cfg).1
+}
+
 /// SPMD store layout: identical on every node, no communication.
-fn layout(cfg: &ServeConfig) -> (StoreLayout, usize, Vec<RegionSpec>) {
+fn layout(cfg: &ServeConfig) -> (StoreLayout, LrcConfig) {
     let n_shards = cfg.n_servers() * cfg.shards_per_server;
     let need = n_shards * cfg.slots_per_shard * (META_BYTES + cfg.val_len);
     let mut heap = CoherentHeap::new((need * 2).next_power_of_two().max(1 << 22));
@@ -372,8 +379,15 @@ fn layout(cfg: &ServeConfig) -> (StoreLayout, usize, Vec<RegionSpec>) {
         cfg.val_len,
         cfg.granularity_hints,
     );
-    let region = heap.used().next_multiple_of(cfg.page_size);
-    (lay, region, heap.regions())
+    let lrc = LrcConfig {
+        n_nodes: cfg.n_nodes,
+        page_size: cfg.page_size,
+        region_bytes: heap.used().next_multiple_of(cfg.page_size),
+        gc_threshold_records: cfg.gc_threshold_records,
+        ownership: PageOwnership::Banded,
+        regions: heap.regions(),
+    };
+    (lay, lrc)
 }
 
 /// The server program: execute requests until every client said DONE,
@@ -601,15 +615,7 @@ fn client_node(cfg: &ServeConfig, rt: &mut Runtime, lay: &StoreLayout) -> Client
 
 /// One node of the serving cluster (role decided by node id).
 fn serve_node(cfg: &ServeConfig, ctx: NodeCtx) -> (NodeStats, Option<Vec<u64>>) {
-    let (lay, region, regions) = layout(cfg);
-    let lrc = LrcConfig {
-        n_nodes: cfg.n_nodes,
-        page_size: cfg.page_size,
-        region_bytes: region,
-        gc_threshold_records: cfg.gc_threshold_records,
-        ownership: PageOwnership::Banded,
-        regions,
-    };
+    let (lay, lrc) = layout(cfg);
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
     if let Some(check) = &cfg.check {
         check.install(&mut rt);

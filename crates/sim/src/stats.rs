@@ -6,8 +6,6 @@
 //! remote operations). The simulator charges every nanosecond of each node's
 //! existence to exactly one of those buckets.
 
-use std::collections::BTreeMap;
-
 use crate::time::Ns;
 
 /// The four execution-time buckets of the paper's Figure 2.
@@ -82,26 +80,46 @@ impl TimeBuckets {
 
 /// Named event counters, used by the protocol layers for statistics the
 /// paper reports (diffs created, write notices sent, messages per category).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A few dozen names, bumped several times per message: kept sorted by name
+/// in one vector rather than in a tree of string comparisons.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Counters {
-    map: BTreeMap<&'static str, u64>,
+    entries: Vec<(&'static str, u64)>,
+}
+
+impl std::fmt::Debug for Counters {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Counters {
     /// Adds `v` to the counter `name`.
     pub fn add(&mut self, name: &'static str, v: u64) {
-        *self.map.entry(name).or_insert(0) += v;
+        // Callers pass literals, so a counter seen before nearly always
+        // arrives as the same pointer: look for that before comparing text.
+        if let Some(e) = self.entries.iter_mut().find(|e| std::ptr::eq(e.0, name)) {
+            e.1 += v;
+            return;
+        }
+        match self.entries.binary_search_by(|e| e.0.cmp(name)) {
+            Ok(i) => self.entries[i].1 += v,
+            Err(i) => self.entries.insert(i, (name, v)),
+        }
     }
 
     /// Current value of `name` (0 if never touched).
     #[must_use]
     pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
+        self.entries
+            .binary_search_by(|e| e.0.cmp(name))
+            .map_or(0, |i| self.entries[i].1)
     }
 
     /// Iterates `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
+        self.entries.iter().copied()
     }
 
     /// Merges another counter set into this one.
@@ -340,6 +358,19 @@ mod tests {
         c.add("diffs", 2);
         assert_eq!(c.get("diffs"), 5);
         assert_eq!(c.get("absent"), 0);
+    }
+
+    #[test]
+    fn counters_key_on_the_text_not_the_pointer() {
+        // The same name from two places need not be the same pointer.
+        let other: &'static str = String::from("b").leak();
+        let mut c = Counters::default();
+        for name in ["b", "c", "a", other] {
+            c.add(name, 1);
+        }
+        let all: Vec<_> = c.iter().collect();
+        assert_eq!(all, vec![("a", 1), ("b", 2), ("c", 1)]);
+        assert_eq!(format!("{c:?}"), r#"{"a": 1, "b": 2, "c": 1}"#);
     }
 
     #[test]

@@ -61,10 +61,12 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// Creates an empty encoder.
+    /// Creates an empty encoder with room for a small message: most
+    /// encodings are a few words, and growing from nothing reallocates at
+    /// 8, 16 and 32 bytes on the way there.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::with_capacity(64)
     }
 
     /// Creates an encoder with `cap` bytes preallocated.
@@ -73,6 +75,12 @@ impl Encoder {
         Self {
             buf: BytesMut::with_capacity(cap),
         }
+    }
+
+    /// Ensures room for `additional` more bytes, so a caller that knows
+    /// what it is about to append grows the buffer once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Appends a `u8`.
@@ -104,6 +112,13 @@ impl Encoder {
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.put_slice(v);
+    }
+
+    /// Appends what [`Encoder::put_bytes`] appends for `n` zero bytes,
+    /// without building them first.
+    pub fn put_zeros(&mut self, n: usize) {
+        self.put_u32(n as u32);
+        self.buf.put_bytes(0, n);
     }
 
     /// Appends raw bytes with no length prefix (for fixed-size payloads).
@@ -210,8 +225,8 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.get_u64()?))
     }
 
-    /// Reads a `u32`-length-prefixed byte string.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+    /// Reads a `u32`-length-prefixed byte string without copying it.
+    pub fn get_byte_slice(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.get_u32()? as usize;
         if self.buf.remaining() < len {
             return Err(DecodeError::BadLength {
@@ -219,9 +234,14 @@ impl<'a> Decoder<'a> {
                 remaining: self.buf.remaining(),
             });
         }
-        let mut out = vec![0u8; len];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
+        let (bytes, rest) = self.buf.split_at(len);
+        self.buf = rest;
+        Ok(bytes)
+    }
+
+    /// Reads a `u32`-length-prefixed byte string.
+    pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
+        self.get_byte_slice().map(<[u8]>::to_vec)
     }
 
     /// Reads `n` raw bytes (no length prefix).
@@ -324,6 +344,37 @@ mod tests {
         assert_eq!(d.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
         assert_eq!(d.get_f64().unwrap(), -1.25e10);
         d.expect_end().unwrap();
+    }
+
+    #[test]
+    fn zeros_are_a_byte_string_of_zeros() {
+        for n in [0, 1, 90] {
+            let (mut zeros, mut bytes) = (Encoder::new(), Encoder::new());
+            zeros.put_u8(7);
+            bytes.put_u8(7);
+            zeros.put_zeros(n);
+            bytes.put_bytes(&vec![0; n]);
+            assert_eq!(zeros.finish_vec(), bytes.finish_vec());
+        }
+    }
+
+    #[test]
+    fn byte_slices_borrow_from_the_input() {
+        let mut e = Encoder::new();
+        e.put_bytes(b"abc");
+        e.put_u8(9);
+        let buf = e.finish_vec();
+        let mut d = Decoder::new(&buf);
+        assert_eq!(d.get_byte_slice().unwrap(), &buf[4..7]);
+        assert_eq!(d.get_u8().unwrap(), 9);
+        d.expect_end().unwrap();
+        assert!(matches!(
+            Decoder::new(&buf[..6]).get_byte_slice(),
+            Err(DecodeError::BadLength {
+                claimed: 3,
+                remaining: 2
+            })
+        ));
     }
 
     #[test]

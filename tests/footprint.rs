@@ -1,0 +1,165 @@
+//! The page table's footprint follows the granules a node touches, not
+//! the address space: constructing an engine is O(1) allocations and a
+//! few bytes per granule, reads of never-written owner memory materialise
+//! nothing, and each first mutation materialises exactly one entry.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use carlos::lrc::{LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec};
+
+/// Counts this thread's allocations (the test harness runs tests on
+/// parallel threads, so process-wide counters would see each other).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(layout: Layout) {
+    ALLOCS.set(ALLOCS.get() + 1);
+    BYTES.set(BYTES.get() + layout.size());
+}
+
+// SAFETY: defers every operation to `System` unchanged; the counters are
+// const-initialised thread-locals without destructors, so touching them
+// inside the allocator neither allocates nor outlives the thread.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this `layout` (above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes requested)` by this thread while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let (a0, b0) = (ALLOCS.get(), BYTES.get());
+    let out = f();
+    (out, ALLOCS.get() - a0, BYTES.get() - b0)
+}
+
+const FINE: usize = 64;
+const FINE_GRANULES: usize = 1 << 20;
+const PAGE: usize = 8192;
+
+/// 32 nodes over 2^20 hinted 64 B granules plus a few default pages, all
+/// owned by node 0.
+fn big_config() -> LrcConfig {
+    LrcConfig {
+        region_bytes: FINE_GRANULES * FINE + 4 * PAGE,
+        regions: vec![RegionSpec::new(0, FINE_GRANULES * FINE, FINE)],
+        ownership: PageOwnership::SingleOwner(0),
+        ..LrcConfig::osdi94(32, 0)
+    }
+}
+
+#[test]
+fn construction_is_constant_allocations_and_bytes_per_granule() {
+    let cfg = big_config();
+    for node in [0, 7] {
+        let (engine, allocs, bytes) = counted(|| LrcEngine::new(node, cfg.clone()));
+        let granules = engine.granules().n_granules();
+        assert!(granules > FINE_GRANULES);
+        assert!(
+            allocs <= 16,
+            "node {node}: {allocs} allocations for {granules} granules"
+        );
+        assert!(
+            bytes <= 16 * granules,
+            "node {node}: {} bytes per granule",
+            bytes as f64 / granules as f64
+        );
+        assert_eq!(engine.resident_pages(), 0);
+    }
+}
+
+#[test]
+fn reading_untouched_owner_memory_materialises_nothing() {
+    let cfg = big_config();
+    let mut owner = LrcEngine::new(0, cfg.clone());
+    let mut buf = vec![0xEEu8; 1 << 16];
+    let (all_zero, allocs, _) = counted(|| {
+        let mut all_zero = true;
+        for addr in (0..cfg.region_bytes).step_by(buf.len()) {
+            let chunk = &mut buf[..(cfg.region_bytes - addr).min(1 << 16)];
+            chunk.fill(0xEE);
+            owner
+                .read(addr, chunk)
+                .expect("an owner reads its own pages");
+            all_zero &= chunk.iter().all(|&b| b == 0);
+        }
+        all_zero
+    });
+    assert!(all_zero, "never-written memory must read as zeros");
+    assert_eq!(allocs, 0, "reads of untouched pages must not allocate");
+    assert_eq!(owner.resident_pages(), 0);
+    // Serving an untouched page ships zeros without materialising it.
+    let (data, applied) = owner.serve_page(5);
+    assert_eq!((data, applied.sum()), (vec![0; FINE], 0));
+    assert_eq!(owner.resident_pages(), 0);
+}
+
+#[test]
+fn each_first_mutation_materialises_exactly_one_entry() {
+    let cfg = big_config();
+    let mut owner = LrcEngine::new(0, cfg.clone());
+    let mut other = LrcEngine::new(9, cfg);
+
+    // A write fault.
+    owner.write(3 * FINE + 8, &[1, 2, 3]).expect("owner write");
+    assert_eq!(owner.resident_pages(), 1);
+    owner
+        .write(3 * FINE + 40, &[4])
+        .expect("same granule, already resident");
+    assert_eq!(owner.resident_pages(), 1);
+
+    // Closing the interval touches only the page it announces.
+    let rec = owner.close_interval().expect("one dirty page");
+    assert_eq!(rec.pages, vec![3]);
+    assert_eq!(owner.resident_pages(), 1);
+
+    // A foreign write notice.
+    assert_eq!(other.apply_records(std::slice::from_ref(&rec)), 1);
+    assert_eq!(other.resident_pages(), 1);
+    assert_eq!(other.page_state(3), PageState::Missing);
+
+    // An installed copy (of a page no notice named).
+    assert!(
+        other.read(100 * FINE, &mut [0u8; 4]).is_err(),
+        "no copy yet"
+    );
+    assert_eq!(
+        other.resident_pages(),
+        1,
+        "a fault alone materialises nothing"
+    );
+    let (data, applied) = owner.serve_page(100);
+    assert!(other.install_page(100, data, applied));
+    assert_eq!(other.resident_pages(), 2);
+    assert_eq!(
+        owner.resident_pages(),
+        1,
+        "serving materialised nothing on the owner"
+    );
+    let mut word = [0xEEu8; 4];
+    other
+        .read(100 * FINE, &mut word)
+        .expect("installed copy is readable");
+    assert_eq!(word, [0; 4]);
+}
