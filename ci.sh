@@ -82,6 +82,11 @@ echo "==> wallclock bench (quick mode) -> BENCH_hotpath.json"
 ratio() {
     grep -o "\"$1\": [0-9.]*" "${2:-BENCH_hotpath.json}" | awk '{print $2}'
 }
+# median_ns of one bench row: median_ns GROUP ID [FILE]
+median_ns() {
+    grep -o "\"group\": \"$1\", \"id\": \"$2\", \"median_ns\": [0-9.]*" \
+        "${3:-BENCH_hotpath.json}" | awk '{print $NF}'
+}
 # The bench overwrites the committed numbers the footprint gate compares to.
 committed=target/BENCH_hotpath.committed.json
 cp BENCH_hotpath.json "$committed"
@@ -102,6 +107,20 @@ for n in 8 32; do
         -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
         'BEGIN { exit !(b > 0 && b <= 16 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 done
+
+# Flat-diff gate (4 KiB page, one byte in 8 changed, 512 runs): a diff is
+# one buffer whatever its run count -- at most 2 allocations and 12 heap
+# bytes per run (8 of header, 1 of data here) -- and creating it stays
+# within 3x of the committed time, normalised like the gate above.
+allocs=$(ratio diff_allocs_dense_1_in_8)
+per_run=$(ratio diff_heap_bytes_per_run_dense_1_in_8)
+ns=$(median_ns diff_create word_dense_1_in_8)
+base=$(median_ns diff_create word_dense_1_in_8 "$committed")
+echo "==> flat diff dense_1_in_8: ${allocs} allocation(s), ${per_run} B/run," \
+    "create ${ns} ns (committed ${base})"
+awk -v a="$allocs" -v b="$per_run" -v ns="$ns" -v c="$(ratio calib_ms)" \
+    -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
+    'BEGIN { exit !(a > 0 && a <= 2 && b > 0 && b <= 12 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 
 # Parallel-scheduler speedup gate. Every measured serial/parallel ratio
 # is always recorded in BENCH_hotpath.json (and echoed here, with the

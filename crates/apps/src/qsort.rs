@@ -306,21 +306,6 @@ fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
         let sorted = vals.windows(2).all(|w| w[0] <= w[1]);
         // The input was a permutation of 0..n, so sorted output is 0..n.
         let permutation = vals.iter().enumerate().all(|(i, &v)| v == i as u32);
-        if std::env::var("QS_DEBUG").is_ok() {
-            let bad: Vec<(usize, u32)> = vals
-                .iter()
-                .enumerate()
-                .filter(|(i, &v)| v != *i as u32)
-                .map(|(i, &v)| (i, v))
-                .take(8)
-                .collect();
-            eprintln!(
-                "[{}] final total_bad={} first_bad={:?}",
-                rt.node_id(),
-                vals.iter().enumerate().filter(|(i, &v)| v != *i as u32).count(),
-                bad
-            );
-        }
         (sorted, permutation)
     } else {
         (true, true)
@@ -453,20 +438,10 @@ fn lock_variant(cfg: &QsortConfig, rt: &mut Runtime, sys: &carlos_sync::SyncSyst
             if done >= n {
                 break;
             }
-            if std::env::var("QS_DEBUG").is_ok() {
-                eprintln!(
-                    "[{}] idle: done={done}/{n} top=0 t={}ms",
-                    rt.node_id(),
-                    rt.ctx().now() / 1_000_000
-                );
-            }
             rt.sleep(us(300));
             continue;
         };
 
-        if std::env::var("QS_DEBUG").is_ok() {
-            eprintln!("[{}] desc ({lo},{hi}) t={}us", rt.node_id(), rt.ctx().now() / 1000);
-        }
         let sorted_here = sort_descriptor(cfg, rt, lay, lo, hi, |rt, slo, shi| {
             sys.acquire(rt, slock);
             let top = rt.read_u32(lay.stack_top);

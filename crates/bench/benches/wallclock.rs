@@ -1,7 +1,9 @@
 //! Host wall-clock benchmarks of the hot paths touched by the
-//! performance overhaul: word-level diff creation vs the retained naive
-//! byte scanner, diff application, the wire codec, and end-to-end
-//! 4-node TSP/SOR runs (host seconds, not virtual time). Each end-to-end
+//! performance overhaul: diff creation, application and the whole life of
+//! a fetched diff (create, encode, decode, apply, drop), the wire codec,
+//! and end-to-end 4-node TSP/SOR runs (host seconds, not virtual time).
+//! A counting allocator prices one dense diff: `diff_allocs_*` and
+//! `diff_heap_bytes_per_run_*`, both deterministic. Each end-to-end
 //! run also executes under the conservative parallel scheduler; the
 //! serial/parallel host-second ratio lands in the JSON's `derived`
 //! section as `parallel_speedup_*`, alongside `host_cores`. A raw 2-node
@@ -17,10 +19,7 @@
 //! path with `CARLOS_BENCH_OUT`); `CARLOS_BENCH_QUICK=1` shrinks warmup,
 //! sample counts, and end-to-end repetitions for CI.
 //!
-//! The "before" numbers come from the retained reference implementations:
-//! `Diff::create_naive` is the pre-overhaul byte scanner kept as the
-//! executable specification, and `encode_finish_copy` reproduces the old
-//! `finish_vec` full-buffer copy.
+//! `encode_finish_copy` reproduces the old `finish_vec` full-buffer copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -32,20 +31,33 @@ use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{Diff, IntervalRecord, LrcEngine, Vc};
 use carlos_serve::run::{lrc_config, ServeConfig};
 use carlos_sim::{Bucket, Cluster, SimConfig};
-use carlos_util::rng::Xoshiro256;
+use carlos_util::{codec::Wire, rng::Xoshiro256};
 use criterion::{black_box, BatchSize, Criterion};
 
-/// Sums the bytes requested while a footprint measurement has it armed;
-/// otherwise every allocation in this binary pays one relaxed load.
+/// Counts allocations and sums the bytes requested while a footprint
+/// measurement has it armed; otherwise every allocation in this binary
+/// pays one relaxed load.
 struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
 fn count(layout: Layout) {
     if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
     }
+}
+
+/// `f`'s result with the allocations it made and the bytes they asked for.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    ALLOCS.store(0, Ordering::Relaxed);
+    REQUESTED.store(0, Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = f();
+    COUNTING.store(false, Ordering::Relaxed);
+    (out, ALLOCS.load(Ordering::Relaxed), REQUESTED.load(Ordering::Relaxed))
 }
 
 // SAFETY: defers every operation to `System` unchanged; the counters are
@@ -74,8 +86,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The acceptance page size: diffing a mostly-clean 4 KiB page is the
-/// common case the word-level scanner must win on.
+/// The page size of the diff rows.
 const PAGE: usize = 4096;
 
 /// A (twin, current) pair where roughly one byte in `change_every` moved.
@@ -114,9 +125,6 @@ fn bench_diff_create(c: &mut Criterion) {
         let (twin, cur) = page_pair(every);
         g.bench_function(format!("word_{label}"), |b| {
             b.iter(|| Diff::create(black_box(&twin), black_box(&cur)));
-        });
-        g.bench_function(format!("naive_{label}"), |b| {
-            b.iter(|| Diff::create_naive(black_box(&twin), black_box(&cur)));
         });
     }
     g.finish();
@@ -177,6 +185,42 @@ fn bench_diff_apply(c: &mut Criterion) {
         });
     }
     g.finish();
+}
+
+/// What one fetched diff costs from end to end, which `diff_create` alone
+/// hides: the writer creates and encodes it, the reader decodes, applies
+/// and finally drops it.
+fn bench_diff_lifecycle(c: &mut Criterion) {
+    let mut g = c.benchmark_group("diff_lifecycle");
+    for (label, every) in [("dense_1_in_8", 8), ("sparse_1_in_64", 64)] {
+        let (twin, cur) = page_pair(every);
+        let mut page = twin.clone();
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let wire = Diff::create(black_box(&twin), black_box(&cur)).to_wire();
+                let fetched = Diff::from_wire(black_box(&wire)).expect("roundtrip");
+                fetched.apply(black_box(&mut page));
+            });
+        });
+    }
+    g.finish();
+}
+
+/// Allocations and heap bytes per run of one dense diff (a 4 KiB page,
+/// one byte in 8 changed): the flat layout makes both independent of the
+/// run count — one buffer of `8 * runs + modified` bytes.
+fn bench_diff_footprint() -> Vec<(String, f64)> {
+    let (twin, cur) = page_pair(8);
+    let (diff, allocs, bytes) = counted(|| Diff::create(&twin, &cur));
+    let runs = diff.runs().count();
+    eprintln!("diff footprint dense_1_in_8: {allocs} allocation(s), {bytes} B for {runs} runs");
+    vec![
+        ("diff_allocs_dense_1_in_8".to_string(), allocs as f64),
+        (
+            "diff_heap_bytes_per_run_dense_1_in_8".to_string(),
+            bytes as f64 / runs as f64,
+        ),
+    ]
 }
 
 /// A RELEASE message shaped like real lock-transfer traffic: a required
@@ -538,11 +582,8 @@ fn bench_engine_footprint(quick: bool) -> Vec<(String, f64)> {
         let build = || -> Vec<LrcEngine> {
             (0..n as u32).map(|node| LrcEngine::new(node, cfg.clone())).collect()
         };
-        REQUESTED.store(0, Ordering::Relaxed);
-        COUNTING.store(true, Ordering::Relaxed);
-        let engines = build();
-        COUNTING.store(false, Ordering::Relaxed);
-        let bytes = REQUESTED.load(Ordering::Relaxed) as f64;
+        let (engines, _, bytes) = counted(build);
+        let bytes = bytes as f64;
         assert!(engines.iter().all(|e| e.resident_pages() == 0));
         let granules = (engines[0].granules().n_granules() * n) as f64;
         drop(engines);
@@ -563,13 +604,6 @@ fn bench_engine_footprint(quick: bool) -> Vec<(String, f64)> {
     });
     out.push(("calib_ms".to_string(), secs * 1e3));
     out
-}
-
-fn median_of(c: &Criterion, group: &str, id: &str) -> Option<f64> {
-    c.results()
-        .iter()
-        .find(|r| r.group == group && r.id == id)
-        .map(|r| r.median_ns)
 }
 
 fn write_json(
@@ -603,22 +637,8 @@ fn write_json(
     }
     s.push_str("  ],\n");
 
-    // Derived before/after ratios (word-level scanner vs the naive
-    // reference): the acceptance bar is >= 3x on a mostly-clean 4 KiB page.
-    let speedup = |label: &str| -> Option<f64> {
-        let word = median_of(c, "diff_create", &format!("word_{label}"))?;
-        let naive = median_of(c, "diff_create", &format!("naive_{label}"))?;
-        (word > 0.0).then(|| naive / word)
-    };
     s.push_str("  \"derived\": {\n");
     let mut lines = Vec::new();
-    for &(label, _) in DIRTINESS {
-        if let Some(x) = speedup(label) {
-            lines.push(format!(
-                "    \"diff_create_speedup_{label}\": {x:.2}"
-            ));
-        }
-    }
     // Tracer host-time overhead relative to the untraced TSP run.
     let e2e_secs = |id: &str| e2e.iter().find(|r| r.id == id).map(|r| r.host_seconds);
     if let Some(base) = e2e_secs("tsp_lock_4node_12c").filter(|s| *s > 0.0) {
@@ -669,9 +689,6 @@ fn write_json(
     });
     std::fs::write(&path, s).expect("write BENCH_hotpath.json");
     eprintln!("wrote {path}");
-    if let Some(x) = speedup("mostly_clean_1_in_512") {
-        eprintln!("diff_create speedup on mostly-clean 4 KiB page: {x:.2}x (target >= 3x)");
-    }
 }
 
 fn main() {
@@ -681,11 +698,13 @@ fn main() {
     bench_diff_create(&mut c);
     bench_diff_granules(&mut c);
     bench_diff_apply(&mut c);
+    bench_diff_lifecycle(&mut c);
     bench_codec(&mut c);
     let e2e = bench_e2e(quick);
     let mut micro = bench_oplog(quick);
     micro.extend(bench_handoff(quick));
-    let footprint = bench_engine_footprint(quick);
+    let mut footprint = bench_diff_footprint();
+    footprint.extend(bench_engine_footprint(quick));
     write_json(&c, &e2e, &micro, &footprint, quick);
     c.final_summary();
 }

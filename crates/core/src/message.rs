@@ -66,11 +66,6 @@ pub struct Message {
     pub consistency: Consistency,
 }
 
-/// Encoded size of one diff record.
-pub(crate) fn diff_record_len(d: &DiffRecord) -> usize {
-    16 + 2 + 2 * d.vc.len() + 4 + 8 * d.diff.runs.len() + d.diff.modified_bytes()
-}
-
 impl Message {
     /// Encodes everything except `src` (which the transport supplies).
     ///
@@ -116,7 +111,7 @@ impl Message {
     /// few bytes per creator), so that the encoder's buffer is allocated
     /// once instead of doubling its way up from nothing.
     fn size_hint(&self, pad: usize) -> usize {
-        let vc = |vc: &Vc| 2 + 2 * vc.len();
+        let vc = Vc::wire_len;
         let head = 1 + 4 + 4 + 4 + pad + 4 + self.body.len();
         head + match &self.consistency {
             Consistency::None => 0,
@@ -130,7 +125,7 @@ impl Message {
                     .iter()
                     .map(|r| 8 + vc(&r.vc) + 4 + 4 * r.pages.len())
                     .sum();
-                let diffs: usize = diffs.iter().map(diff_record_len).sum();
+                let diffs: usize = diffs.iter().map(DiffRecord::wire_len).sum();
                 vc(required) + 4 + records + 4 + diffs
             }
         }

@@ -26,7 +26,7 @@ use carlos_util::codec::{Decoder, Encoder, Wire};
 use crate::{
     annotation::Annotation,
     config::CoreConfig,
-    message::{diff_record_len, AcceptedMsg, Consistency, Message},
+    message::{AcceptedMsg, Consistency, Message},
     probe::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass},
 };
 
@@ -84,39 +84,47 @@ enum SubReply {
     },
 }
 
-/// Appends `page` and the server's diff records for it over
-/// `(after, through]` — the body of a SYS_DIFF_REPLY.
-fn encode_own_diffs(enc: &mut Encoder, engine: &LrcEngine, page: u32, after: u32, through: u32) {
-    let records: Vec<&carlos_lrc::DiffRecord> = engine.own_diffs(page, after, through).collect();
-    enc.reserve(8 + records.iter().map(|r| diff_record_len(r)).sum::<usize>());
-    enc.put_u32(page);
-    enc.put_seq(&records, |e, r| r.encode(e));
-}
-
 impl SubReply {
-    /// Appends this sub-reply to a SYS_BATCH_REPLY body.
-    fn encode_into(&self, enc: &mut Encoder, engine: &LrcEngine) {
+    /// Appends the reply proper — the whole body of a SYS_DIFF_REPLY or
+    /// SYS_PAGE_REPLY, and what follows the kind tag in a batch — after
+    /// reserving its exact size, so the buffer grows at most once.
+    fn encode_body(&self, enc: &mut Encoder, engine: &LrcEngine) {
         match *self {
             SubReply::Diffs {
                 page,
                 after,
                 through,
             } => {
-                enc.put_u8(0);
-                encode_own_diffs(enc, engine, page, after, through);
+                let (count, len) = engine
+                    .own_diffs(page, after, through)
+                    .fold((0, 0), |(count, len), r| (count + 1, len + r.wire_len()));
+                enc.reserve(8 + len);
+                enc.put_u32(page);
+                enc.put_u32(count);
+                for r in engine.own_diffs(page, after, through) {
+                    r.encode(enc);
+                }
             }
             SubReply::Page {
                 page,
                 ref data,
                 ref applied,
             } => {
-                enc.reserve(16 + data.len() + 2 * applied.len());
-                enc.put_u8(1);
+                enc.reserve(8 + data.len() + applied.wire_len());
                 enc.put_u32(page);
                 enc.put_bytes(data);
                 applied.encode(enc);
             }
         }
+    }
+
+    /// Appends this sub-reply to a SYS_BATCH_REPLY body.
+    fn encode_into(&self, enc: &mut Encoder, engine: &LrcEngine) {
+        enc.put_u8(match self {
+            SubReply::Diffs { .. } => 0,
+            SubReply::Page { .. } => 1,
+        });
+        self.encode_body(enc, engine);
     }
 }
 
@@ -322,6 +330,17 @@ impl Core {
         self.transport.send(dst, msg.to_framed(pad));
     }
 
+    /// Sends `reply` as a message of its own (the unbatched fetch protocol).
+    fn send_sub_reply(&mut self, dst: NodeId, reply: &SubReply) {
+        let handler = match reply {
+            SubReply::Diffs { .. } => SYS_DIFF_REPLY,
+            SubReply::Page { .. } => SYS_PAGE_REPLY,
+        };
+        let mut body = Encoder::with_capacity(0);
+        reply.encode_body(&mut body, &self.engine);
+        self.send_sys(dst, handler, body.finish_vec());
+    }
+
     /// Performs the acquire side for an accepted message. Returns `true`
     /// when acceptance completed (the message may be queued to user level),
     /// `false` when it is pending on missing consistency information.
@@ -464,28 +483,8 @@ impl Core {
                 let after = dec.get_u32().expect("diff request after");
                 let through = dec.get_u32().expect("diff request through");
                 let force_diffs = dec.get_u8().unwrap_or(0) != 0;
-                match self.serve_diff_demand(page, after, through, force_diffs) {
-                    SubReply::Page {
-                        page,
-                        data,
-                        applied,
-                    } => {
-                        let mut body = Encoder::new();
-                        body.put_u32(page);
-                        body.put_bytes(&data);
-                        applied.encode(&mut body);
-                        self.send_sys(msg.src, SYS_PAGE_REPLY, body.finish_vec());
-                    }
-                    SubReply::Diffs {
-                        page,
-                        after,
-                        through,
-                    } => {
-                        let mut body = Encoder::new();
-                        encode_own_diffs(&mut body, &self.engine, page, after, through);
-                        self.send_sys(msg.src, SYS_DIFF_REPLY, body.finish_vec());
-                    }
-                }
+                let reply = self.serve_diff_demand(page, after, through, force_diffs);
+                self.send_sub_reply(msg.src, &reply);
             }
             SYS_DIFF_REPLY => {
                 let mut dec = Decoder::new(&msg.body);
@@ -497,19 +496,8 @@ impl Core {
             SYS_PAGE_REQ => {
                 let mut dec = Decoder::new(&msg.body);
                 let page = dec.get_u32().expect("page request id");
-                let SubReply::Page {
-                    page,
-                    data,
-                    applied,
-                } = self.serve_page_demand(page)
-                else {
-                    unreachable!("page demand serves a page")
-                };
-                let mut body = Encoder::new();
-                body.put_u32(page);
-                body.put_bytes(&data);
-                applied.encode(&mut body);
-                self.send_sys(msg.src, SYS_PAGE_REPLY, body.finish_vec());
+                let reply = self.serve_page_demand(page);
+                self.send_sub_reply(msg.src, &reply);
             }
             SYS_PAGE_REPLY => {
                 let mut dec = Decoder::new(&msg.body);

@@ -10,21 +10,24 @@ use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
 use crate::vc::Vc;
 
-/// One modified byte run within a page.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Run {
-    /// Byte offset within the page.
-    pub offset: u32,
-    /// The new bytes starting at `offset`.
-    pub data: Vec<u8>,
-}
+/// Bytes of run header in a diff buffer: `offset` and `len`, `u32` LE each.
+const RUN_HEADER: usize = 8;
 
 /// A run-length-encoded description of the difference between a page and
 /// its twin.
+///
+/// A diff is stored the way it travels: one exact-size buffer holding
+/// `([offset u32 LE][len u32 LE][len bytes])*`, the body of the wire
+/// encoding, with runs in increasing, non-overlapping offset order when
+/// [`Diff::create`] built it. Creating, cloning and decoding a diff each
+/// allocate once, encoding is one copy, and a retained diff costs
+/// `8 * runs + modified_bytes` heap bytes however many runs it has.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Diff {
-    /// Modified runs in increasing, non-overlapping offset order.
-    pub runs: Vec<Run>,
+    /// Exactly `runs` well-formed records, back to back, and nothing else:
+    /// both constructors guarantee it and [`Diff::runs`] relies on it.
+    buf: Box<[u8]>,
+    runs: u32,
 }
 
 /// SWAR constants for the has-zero-byte test: `x` contains a zero byte iff
@@ -79,84 +82,74 @@ fn first_match(a: &[u8], b: &[u8], mut i: usize) -> usize {
     i
 }
 
+/// Calls `run(start, end)` for each maximal stretch `start..end` where
+/// `twin` and `current` disagree, in increasing order. The scan compares a
+/// block or a word at a time and touches individual bytes only inside
+/// boundary words.
+#[inline]
+fn scan_runs(twin: &[u8], current: &[u8], mut run: impl FnMut(usize, usize)) {
+    let n = twin.len();
+    let mut i = first_mismatch(twin, current, 0);
+    while i < n {
+        let start = i;
+        i = first_match(twin, current, i + 1);
+        run(start, i);
+        i = first_mismatch(twin, current, i);
+    }
+}
+
 impl Diff {
     /// Computes the diff that rewrites `twin` into `current`.
     ///
     /// # Panics
     ///
-    /// Panics if the slices have different lengths.
+    /// Panics if the slices have different lengths, or are too long for
+    /// `u32` offsets.
     #[must_use]
     pub fn create(twin: &[u8], current: &[u8]) -> Self {
-        let mut scratch = Vec::new();
-        Self::create_with_scratch(twin, current, &mut scratch)
-    }
-
-    /// [`Diff::create`] with a caller-owned scratch vector for run-boundary
-    /// assembly, so a hot caller (the LRC engine diffing on every release)
-    /// amortizes the boundary allocation across captures. The result is
-    /// identical to [`Diff::create_naive`]; the scan compares a word at a
-    /// time and touches individual bytes only inside boundary words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[must_use]
-    pub fn create_with_scratch(
-        twin: &[u8],
-        current: &[u8],
-        scratch: &mut Vec<(u32, u32)>,
-    ) -> Self {
         assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
-        scratch.clear();
-        let n = twin.len();
-        let mut i = 0;
-        while i < n {
-            i = first_mismatch(twin, current, i);
-            if i >= n {
-                break;
+        assert!(u32::try_from(twin.len()).is_ok(), "page too large to diff");
+        // The first scan sizes the buffer, so it is allocated once and
+        // exactly; the second, over the dirty span alone, writes the runs
+        // straight into it. A lone run is its span: nothing to find again.
+        let (mut runs, mut modified, mut lo, mut hi) = (0, 0, 0, 0);
+        scan_runs(twin, current, |start, end| {
+            if runs == 0 {
+                lo = start;
             }
-            let start = i;
-            i = first_match(twin, current, i + 1);
-            scratch.push((start as u32, i as u32));
-        }
-        let runs = scratch
-            .iter()
-            .map(|&(start, end)| Run {
-                offset: start,
-                data: current[start as usize..end as usize].to_vec(),
-            })
-            .collect();
-        Self { runs }
-    }
-
-    /// The straightforward byte-at-a-time diff. Kept as the executable
-    /// specification for the word-level scan (property tests assert the two
-    /// agree) and as the "before" side of the hot-path benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    #[must_use]
-    pub fn create_naive(twin: &[u8], current: &[u8]) -> Self {
-        assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
-        let mut runs = Vec::new();
-        let mut i = 0;
-        let n = twin.len();
-        while i < n {
-            if twin[i] == current[i] {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < n && twin[i] != current[i] {
-                i += 1;
-            }
-            runs.push(Run {
-                offset: start as u32,
-                data: current[start..i].to_vec(),
+            hi = end;
+            runs += 1;
+            modified += end - start;
+        });
+        let mut buf = Vec::with_capacity(RUN_HEADER * runs + modified);
+        let mut push = |start: usize, end: usize| {
+            buf.extend_from_slice(&(start as u32).to_le_bytes());
+            buf.extend_from_slice(&((end - start) as u32).to_le_bytes());
+            buf.extend_from_slice(&current[start..end]);
+        };
+        if runs == 1 {
+            push(lo, hi);
+        } else {
+            scan_runs(&twin[lo..hi], &current[lo..hi], |start, end| {
+                push(lo + start, lo + end);
             });
         }
-        Self { runs }
+        Self {
+            buf: buf.into_boxed_slice(),
+            runs: runs as u32,
+        }
+    }
+
+    /// The modified runs as `(offset, new bytes)`, in stored order.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
+        let mut rest = &*self.buf;
+        std::iter::from_fn(move || {
+            let (offset, tail) = rest.split_first_chunk::<4>()?;
+            let (len, tail) = tail.split_first_chunk::<4>()?;
+            let (data, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = tail;
+            Some((u32::from_le_bytes(*offset), data))
+        })
     }
 
     /// Applies the diff to `page` in place.
@@ -165,43 +158,61 @@ impl Diff {
     ///
     /// Panics if a run extends past the end of the page (a malformed diff).
     pub fn apply(&self, page: &mut [u8]) {
-        for run in &self.runs {
-            let start = run.offset as usize;
-            let end = start + run.data.len();
+        for (offset, data) in self.runs() {
+            let start = offset as usize;
+            let end = start + data.len();
             assert!(end <= page.len(), "diff run out of page bounds");
-            page[start..end].copy_from_slice(&run.data);
+            page[start..end].copy_from_slice(data);
         }
     }
 
     /// True if the diff changes nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.runs == 0
     }
 
     /// Total number of modified bytes described.
     #[must_use]
     pub fn modified_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.data.len()).sum()
+        self.buf.len() - RUN_HEADER * self.runs as usize
+    }
+
+    /// Size in bytes of the wire encoding.
+    #[must_use]
+    pub fn wire_len(&self) -> usize {
+        4 + self.buf.len()
     }
 }
 
 impl Wire for Diff {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_seq(&self.runs, |enc, run| {
-            enc.put_u32(run.offset);
-            enc.put_bytes(&run.data);
-        });
+        enc.put_u32(self.runs);
+        enc.put_raw(&self.buf);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let runs = dec.get_seq(|dec| {
-            Ok(Run {
-                offset: dec.get_u32()?,
-                data: dec.get_bytes()?,
-            })
-        })?;
-        Ok(Self { runs })
+        let runs = dec.get_u32()?;
+        // A count the remaining bytes cannot hold is rejected before any
+        // run is looked at (the check `Decoder::get_seq` makes).
+        if runs as usize > dec.remaining() {
+            return Err(DecodeError::BadLength {
+                claimed: runs as usize,
+                remaining: dec.remaining(),
+            });
+        }
+        // Walk the runs on a look-ahead to validate them and find where
+        // they end, then copy them out in one piece.
+        let mut walk = dec.clone();
+        for _ in 0..runs {
+            walk.get_u32()?;
+            walk.get_byte_slice()?;
+        }
+        let buf = dec.get_raw_slice(dec.remaining() - walk.remaining())?;
+        Ok(Self {
+            buf: buf.into(),
+            runs,
+        })
     }
 }
 
@@ -226,6 +237,14 @@ pub struct DiffRecord {
     pub vc: Vc,
     /// The encoded modifications.
     pub diff: Diff,
+}
+
+impl DiffRecord {
+    /// Size in bytes of the wire encoding, without encoding it.
+    #[must_use]
+    pub fn wire_len(&self) -> usize {
+        16 + self.vc.wire_len() + self.diff.wire_len()
+    }
 }
 
 impl Wire for DiffRecord {
@@ -272,6 +291,31 @@ mod tests {
         v
     }
 
+    /// The byte-at-a-time scanner: the executable specification of which
+    /// runs a diff holds.
+    fn reference_runs(twin: &[u8], current: &[u8]) -> Vec<(u32, Vec<u8>)> {
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < twin.len() {
+            if twin[i] == current[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < twin.len() && twin[i] != current[i] {
+                i += 1;
+            }
+            runs.push((start as u32, current[start..i].to_vec()));
+        }
+        runs
+    }
+
+    fn runs_of(d: &Diff) -> Vec<(u32, Vec<u8>)> {
+        d.runs()
+            .map(|(offset, data)| (offset, data.to_vec()))
+            .collect()
+    }
+
     #[test]
     fn create_empty_for_identical() {
         let a = vec![7u8; 64];
@@ -287,9 +331,8 @@ mod tests {
         cur[5] = 1;
         cur[6] = 2;
         let d = Diff::create(&twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 5);
-        assert_eq!(d.runs[0].data, vec![1, 2]);
+        assert_eq!(runs_of(&d), vec![(5, vec![1, 2])]);
+        assert_eq!(d.modified_bytes(), 2);
     }
 
     #[test]
@@ -301,7 +344,8 @@ mod tests {
         cur[51] = 0xDD;
         cur[127] = 0xCC;
         let d = Diff::create(&twin, &cur);
-        assert_eq!(d.runs.len(), 3);
+        assert_eq!(d.runs().count(), 3);
+        assert_eq!(d.modified_bytes(), 4);
         let mut rebuilt = twin.clone();
         d.apply(&mut rebuilt);
         assert_eq!(rebuilt, cur);
@@ -326,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn word_scan_matches_naive_on_random_pages() {
+    fn create_matches_reference_scanner_on_random_pages() {
         let mut rng = carlos_util::rng::Xoshiro256::new(99);
         // Unaligned lengths on purpose: the word loop must hand off to the
         // byte tail correctly.
@@ -341,34 +385,24 @@ mod tests {
                     let i = rng.next_below(n as u64) as usize;
                     cur[i] = rng.next_u64() as u8;
                 }
-                assert_eq!(Diff::create(&twin, &cur), Diff::create_naive(&twin, &cur));
+                assert_eq!(
+                    runs_of(&Diff::create(&twin, &cur)),
+                    reference_runs(&twin, &cur)
+                );
             }
         }
     }
 
     #[test]
-    fn word_scan_matches_naive_all_dirty_and_all_clean() {
+    fn create_matches_reference_scanner_all_dirty_and_all_clean() {
         for n in [8usize, 13, 64, 4096] {
             let twin = vec![0xAAu8; n];
             let dirty = vec![0x55u8; n];
             assert_eq!(
-                Diff::create(&twin, &dirty),
-                Diff::create_naive(&twin, &dirty)
+                runs_of(&Diff::create(&twin, &dirty)),
+                vec![(0, dirty.clone())]
             );
-            assert_eq!(Diff::create(&twin, &dirty).runs.len(), 1);
-            assert!(Diff::create(&twin, &twin).is_empty());
-        }
-    }
-
-    #[test]
-    fn scratch_is_reusable_across_captures() {
-        let mut scratch = Vec::new();
-        let twin = vec![0u8; 128];
-        for round in 0..4u8 {
-            let mut cur = twin.clone();
-            cur[round as usize * 20] = round + 1;
-            let d = Diff::create_with_scratch(&twin, &cur, &mut scratch);
-            assert_eq!(d, Diff::create_naive(&twin, &cur));
+            assert_eq!(Diff::create(&twin, &twin), Diff::default());
         }
     }
 
@@ -378,8 +412,7 @@ mod tests {
         let mut cur = twin.clone();
         cur[15] = 9;
         let d = Diff::create(&twin, &cur);
-        assert_eq!(d.runs.len(), 1);
-        assert_eq!(d.runs[0].offset, 15);
+        assert_eq!(runs_of(&d), vec![(15, vec![9])]);
         let mut rebuilt = twin;
         d.apply(&mut rebuilt);
         assert_eq!(rebuilt, cur);
@@ -388,14 +421,77 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of page bounds")]
     fn apply_rejects_overflowing_run() {
-        let d = Diff {
-            runs: vec![Run {
-                offset: 14,
-                data: vec![1, 2, 3, 4],
-            }],
-        };
+        // One run, bytes 14..18 of a 16-byte page: well formed on the
+        // wire, so it decodes; only the page it meets can refuse it.
+        let d = Diff::from_wire(&[1, 0, 0, 0, 14, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3, 4]).unwrap();
         let mut page = vec![0u8; 16];
         d.apply(&mut page);
+    }
+
+    /// The encoding of a three-run record as the commit before the flat
+    /// layout produced it (a vector of runs, `put_seq` + `put_bytes`): the
+    /// stored form is the wire form, so neither may drift.
+    #[test]
+    fn wire_format_is_pinned() {
+        #[rustfmt::skip]
+        const LEGACY: [u8; 55] = [
+            1, 0, 0, 0, 42, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, // node, page, first, last
+            2, 0, 5, 0, 2, 0, // vc [5, 2]
+            3, 0, 0, 0, // three runs
+            3, 0, 0, 0, 1, 0, 0, 0, 1,
+            20, 0, 0, 0, 3, 0, 0, 0, 7, 8, 9,
+            63, 0, 0, 0, 1, 0, 0, 0, 2,
+        ];
+        let twin = vec![0u8; 64];
+        let mut cur = twin.clone();
+        cur[3] = 1;
+        cur[20..23].copy_from_slice(&[7, 8, 9]);
+        cur[63] = 2;
+        let rec = DiffRecord {
+            node: 1,
+            page: 42,
+            first: 3,
+            last: 5,
+            vc: vc2(5, 2),
+            diff: Diff::create(&twin, &cur),
+        };
+        assert_eq!(rec.to_wire(), LEGACY);
+        assert_eq!(rec.wire_len(), LEGACY.len());
+        assert_eq!(DiffRecord::from_wire(&LEGACY).unwrap(), rec);
+        // The stored buffer is the encoding's tail, byte for byte.
+        assert_eq!(*rec.diff.buf, LEGACY[26..]);
+    }
+
+    #[test]
+    fn decode_rejects_what_the_sequence_decoder_rejected() {
+        // A run count the remaining bytes cannot hold.
+        assert_eq!(
+            Diff::from_wire(&[9, 0, 0, 0, 1, 2, 3]),
+            Err(DecodeError::BadLength {
+                claimed: 9,
+                remaining: 3
+            })
+        );
+        // A run header cut short.
+        assert_eq!(
+            Diff::from_wire(&[1, 0, 0, 0, 5, 0, 0, 0, 1, 0]),
+            Err(DecodeError::Truncated {
+                needed: 4,
+                remaining: 2
+            })
+        );
+        // A run longer than what is left.
+        assert_eq!(
+            Diff::from_wire(&[1, 0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 7, 7]),
+            Err(DecodeError::BadLength {
+                claimed: 3,
+                remaining: 2
+            })
+        );
+        // Bytes after the last run belong to whoever decodes next.
+        let mut dec = Decoder::new(&[1, 0, 0, 0, 5, 0, 0, 0, 1, 0, 0, 0, 7, 0xEE]);
+        let d = Diff::decode(&mut dec).unwrap();
+        assert_eq!((runs_of(&d), dec.remaining()), (vec![(5, vec![7])], 1));
     }
 
     #[test]

@@ -103,8 +103,6 @@ pub struct LrcEngine {
     /// `log2(granule)` when the whole region uses one power-of-two granule
     /// (every standard config); enables the single-page access fast path.
     page_shift: Option<u32>,
-    /// Reusable run-boundary buffer for [`Diff::create_with_scratch`].
-    diff_scratch: Vec<(u32, u32)>,
     /// Passive checker hooks; empty (one-branch cost) unless installed.
     observer: ObserverSlot,
     /// Granules of eager regions invalidated by applied write notices since
@@ -137,7 +135,6 @@ impl LrcEngine {
             diffs: BTreeMap::new(),
             page_shift: granules.uniform_shift(),
             granules,
-            diff_scratch: Vec::new(),
             observer: ObserverSlot::default(),
             eager_invalid: Vec::new(),
             stats: EngineStats::default(),
@@ -563,10 +560,9 @@ impl LrcEngine {
     /// Panics if the page has no twin (an internal invariant).
     fn capture_own_diff(&mut self, page: PageId) {
         let idx = self.vt.get(self.node);
-        let scratch = &mut self.diff_scratch;
         let meta = self.pages.get_mut(page).expect("announced page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
-        let diff = Diff::create_with_scratch(&twin, &meta.data, scratch);
+        let diff = Diff::create(&twin, &meta.data);
         meta.own_covered = idx;
         meta.state = if meta.up_to_date() {
             PageState::ReadOnly

@@ -171,6 +171,13 @@ impl Vc {
             .enumerate()
             .map(|(n, &v)| (n as u32, v))
     }
+
+    /// Size in bytes of the wire encoding: a `u16` count and "two bytes
+    /// per node" (§5.4).
+    #[must_use]
+    pub fn wire_len(&self) -> usize {
+        2 + 2 * self.len()
+    }
 }
 
 impl Wire for Vc {

@@ -1,8 +1,65 @@
 //! Property-based tests for the LRC substrate.
 
-use carlos_lrc::{Demand, Diff, LrcConfig, LrcEngine, Vc};
-use carlos_util::codec::Wire;
+use carlos_lrc::{Demand, Diff, DiffRecord, LrcConfig, LrcEngine, Vc};
+use carlos_util::codec::{DecodeError, Decoder, Wire};
 use proptest::prelude::*;
+
+type Runs = Vec<(u32, Vec<u8>)>;
+
+/// The byte-at-a-time scanner: the executable specification of which runs
+/// a diff holds.
+fn reference_runs(twin: &[u8], current: &[u8]) -> Runs {
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < twin.len() {
+        if twin[i] == current[i] {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < twin.len() && twin[i] != current[i] {
+            i += 1;
+        }
+        runs.push((start as u32, current[start..i].to_vec()));
+    }
+    runs
+}
+
+fn runs_of(d: &Diff) -> Runs {
+    d.runs()
+        .map(|(offset, data)| (offset, data.to_vec()))
+        .collect()
+}
+
+/// How a diff was decoded while it was a vector of runs: the reference for
+/// what `Diff::decode` accepts, yields and rejects.
+fn reference_decode(dec: &mut Decoder<'_>) -> Result<Runs, DecodeError> {
+    dec.get_seq(|dec| Ok((dec.get_u32()?, dec.get_bytes()?)))
+}
+
+/// `Diff::decode` and `DiffRecord::decode` on bytes from anywhere: no
+/// panic, the reference decoder's verdict, and a diff that is exactly the
+/// bytes it consumed.
+fn check_decoders(input: &[u8]) {
+    let (mut dec, mut reference) = (Decoder::new(input), Decoder::new(input));
+    let got = Diff::decode(&mut dec);
+    assert_eq!(
+        got.clone().map(|d| runs_of(&d)),
+        reference_decode(&mut reference)
+    );
+    if let Ok(d) = got {
+        assert_eq!(dec.remaining(), reference.remaining());
+        assert_eq!(d.to_wire(), input[..input.len() - dec.remaining()]);
+        assert_eq!(
+            d.runs().map(|(_, data)| data.len()).sum::<usize>(),
+            d.modified_bytes()
+        );
+    }
+    let mut dec = Decoder::new(input);
+    if let Ok(rec) = DiffRecord::decode(&mut dec) {
+        assert_eq!(rec.to_wire(), input[..input.len() - dec.remaining()]);
+    }
+}
 
 fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
     for d in demands {
@@ -66,11 +123,11 @@ proptest! {
         prop_assert!(d.modified_bytes() <= 128);
     }
 
-    /// The word-level scanner is an exact drop-in for the retained naive
-    /// byte scanner: identical runs on random pages of *unaligned* lengths
-    /// (the SWAR loop's boundary-word handling is the risky part).
+    /// `Diff::create` holds exactly the reference scanner's runs on random
+    /// pages of *unaligned* lengths (the SWAR loop's boundary-word handling
+    /// is the risky part).
     #[test]
-    fn word_diff_equals_naive_reference(
+    fn create_equals_reference_scanner(
         len in 0usize..200,
         edits in proptest::collection::vec((0usize..200, any::<u8>()), 0..64),
     ) {
@@ -81,31 +138,29 @@ proptest! {
                 cur[i % len] = v;
             }
         }
-        let word = Diff::create(&twin, &cur);
-        let naive = Diff::create_naive(&twin, &cur);
-        prop_assert_eq!(word, naive);
+        prop_assert_eq!(runs_of(&Diff::create(&twin, &cur)), reference_runs(&twin, &cur));
     }
 
     /// Degenerate dirtiness extremes at word-multiple and odd sizes.
     #[test]
-    fn word_diff_equals_naive_at_extremes(len in 1usize..96, flip in any::<bool>()) {
+    fn create_equals_reference_at_extremes(len in 1usize..96, flip in any::<bool>()) {
         let twin = vec![0xA5u8; len];
         let cur = if flip { vec![0x5Au8; len] } else { twin.clone() };
-        let word = Diff::create(&twin, &cur);
-        let naive = Diff::create_naive(&twin, &cur);
-        prop_assert_eq!(&word, &naive);
-        prop_assert_eq!(word.modified_bytes(), if flip { len } else { 0 });
+        let d = Diff::create(&twin, &cur);
+        prop_assert_eq!(runs_of(&d), reference_runs(&twin, &cur));
+        prop_assert_eq!(d.modified_bytes(), if flip { len } else { 0 });
+        prop_assert_eq!(d.is_empty(), !flip);
     }
 
     /// Diffing at the variable-coherence granule sizes (sub-page 64 B and
     /// 256 B fine granules, 1 MiB bulk granules): create/apply roundtrips
-    /// and the word scanner still matches the naive reference exactly.
-    /// Granules are always powers of two, so unlike
-    /// `word_diff_equals_naive_reference` these lengths never exercise the
-    /// odd-tail path — what they add is coverage of whole-buffer scans far
-    /// from the 8 KiB page the rest of the suite uses.
+    /// and the scanner still matches the reference exactly. Granules are
+    /// always powers of two, so unlike `create_equals_reference_scanner`
+    /// these lengths never exercise the odd-tail path — what they add is
+    /// coverage of whole-buffer scans far from the 8 KiB page the rest of
+    /// the suite uses.
     #[test]
-    fn granule_sized_diffs_match_naive(
+    fn granule_sized_diffs_match_reference(
         size_sel in 0usize..3,
         edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..48),
         seed in any::<u64>(),
@@ -117,24 +172,84 @@ proptest! {
         for (i, v) in edits {
             cur[i % len] = v;
         }
-        let word = Diff::create(&twin, &cur);
-        let naive = Diff::create_naive(&twin, &cur);
-        prop_assert_eq!(&word, &naive, "scanners diverged at {} B granule", len);
+        let d = Diff::create(&twin, &cur);
+        prop_assert_eq!(runs_of(&d), reference_runs(&twin, &cur), "scanners diverged at {} B granule", len);
         let mut rebuilt = twin.clone();
-        word.apply(&mut rebuilt);
+        d.apply(&mut rebuilt);
         prop_assert_eq!(rebuilt, cur);
     }
 
+    /// `decode(encode(d)) == d` for a whole record, whose `wire_len` is its
+    /// encoding's length.
     #[test]
-    fn diff_wire_roundtrip(twin in proptest::collection::vec(any::<u8>(), 64),
-                           edits in proptest::collection::vec((0usize..64, any::<u8>()), 0..20)) {
+    fn record_wire_roundtrip(twin in proptest::collection::vec(any::<u8>(), 64),
+                             edits in proptest::collection::vec((0usize..64, any::<u8>()), 0..20),
+                             ids in proptest::collection::vec(any::<u32>(), 4),
+                             // The wire saturates clock components at 16 bits.
+                             clock in proptest::collection::vec(0u32..=65_535, 0..12)) {
         let mut cur = twin.clone();
         for (i, v) in edits {
             cur[i] = v;
         }
-        let d = Diff::create(&twin, &cur);
-        let back = Diff::from_wire(&d.to_wire()).unwrap();
-        prop_assert_eq!(back, d);
+        let mut vc = Vc::new(clock.len());
+        for (i, &v) in clock.iter().enumerate() {
+            vc.set(i as u32, v);
+        }
+        let rec = DiffRecord {
+            node: ids[0],
+            page: ids[1],
+            first: ids[2],
+            last: ids[3],
+            vc,
+            diff: Diff::create(&twin, &cur),
+        };
+        let wire = rec.to_wire();
+        prop_assert_eq!(rec.wire_len(), wire.len());
+        prop_assert_eq!(rec.diff.wire_len(), rec.diff.to_wire().len());
+        prop_assert_eq!(Diff::from_wire(&rec.diff.to_wire()).unwrap(), rec.diff.clone());
+        prop_assert_eq!(DiffRecord::from_wire(&wire).unwrap(), rec);
+    }
+
+    /// Decoding never trusts its input: arbitrary bytes, run lengths that
+    /// lie, and valid encodings cut short or with one bit flipped.
+    #[test]
+    fn decoders_survive_any_bytes(
+        noise in proptest::collection::vec(any::<u8>(), 0..96),
+        claims in proptest::collection::vec((any::<u32>(), 0u32..12, proptest::collection::vec(any::<u8>(), 0..12)), 0..6),
+        count_skew in 0u32..3,
+        edits in proptest::collection::vec((0usize..64, any::<u8>()), 0..20),
+        cut in any::<usize>(),
+        flip in any::<usize>(),
+    ) {
+        check_decoders(&noise);
+
+        let mut lying = (claims.len() as u32 + count_skew).saturating_sub(1).to_le_bytes().to_vec();
+        for (offset, len, data) in &claims {
+            lying.extend_from_slice(&offset.to_le_bytes());
+            lying.extend_from_slice(&len.to_le_bytes());
+            lying.extend_from_slice(data);
+        }
+        check_decoders(&lying);
+
+        let mut cur = vec![0u8; 64];
+        for (i, v) in edits {
+            cur[i] = v;
+        }
+        let valid = DiffRecord {
+            node: 1,
+            page: 2,
+            first: 3,
+            last: 3,
+            vc: Vc::new(4),
+            diff: Diff::create(&[0; 64], &cur),
+        };
+        for wire in [valid.to_wire(), valid.diff.to_wire()] {
+            check_decoders(&wire);
+            check_decoders(&wire[..cut % wire.len()]);
+            let mut flipped = wire.clone();
+            flipped[flip / 8 % wire.len()] ^= 1 << (flip % 8);
+            check_decoders(&flipped);
+        }
     }
 
     #[test]

@@ -172,8 +172,9 @@ impl Encoder {
     }
 }
 
-/// Decoder over a borrowed byte slice.
-#[derive(Debug)]
+/// Decoder over a borrowed byte slice. Cloning it is a cheap look-ahead:
+/// the clone advances on its own.
+#[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
 }
@@ -244,12 +245,17 @@ impl<'a> Decoder<'a> {
         self.get_byte_slice().map(<[u8]>::to_vec)
     }
 
+    /// Reads `n` raw bytes (no length prefix) without copying them.
+    pub fn get_raw_slice(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        self.need(n)?;
+        let (bytes, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(bytes)
+    }
+
     /// Reads `n` raw bytes (no length prefix).
     pub fn get_raw(&mut self, n: usize) -> Result<Vec<u8>, DecodeError> {
-        self.need(n)?;
-        let mut out = vec![0u8; n];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
+        self.get_raw_slice(n).map(<[u8]>::to_vec)
     }
 
     /// Reads a `u32`-count-prefixed sequence, decoding each element via `f`.

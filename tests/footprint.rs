@@ -1,12 +1,14 @@
 //! The page table's footprint follows the granules a node touches, not
 //! the address space: constructing an engine is O(1) allocations and a
 //! few bytes per granule, reads of never-written owner memory materialise
-//! nothing, and each first mutation materialises exactly one entry.
+//! nothing, and each first mutation materialises exactly one entry. A
+//! diff's footprint follows its bytes, not its run count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use carlos::lrc::{LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec};
+use carlos::lrc::{Diff, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec};
+use carlos::util::codec::Wire;
 
 /// Counts this thread's allocations (the test harness runs tests on
 /// parallel threads, so process-wide counters would see each other).
@@ -162,4 +164,37 @@ fn each_first_mutation_materialises_exactly_one_entry() {
         .read(100 * FINE, &mut word)
         .expect("installed copy is readable");
     assert_eq!(word, [0; 4]);
+}
+
+#[test]
+fn a_diff_is_one_buffer_however_many_runs_it_has() {
+    // Every eighth byte of an 8 KiB page changed: 1 024 one-byte runs.
+    let twin = vec![0u8; PAGE];
+    let mut cur = twin.clone();
+    for b in cur.iter_mut().step_by(8) {
+        *b = 1;
+    }
+    let (diff, created_allocs, created_bytes) = counted(|| Diff::create(&twin, &cur));
+    let runs = diff.runs().count();
+    assert_eq!((runs, diff.modified_bytes()), (1024, 1024));
+    let budget = 8 * runs + diff.modified_bytes() + 64;
+
+    let (copy, cloned_allocs, cloned_bytes) = counted(|| diff.clone());
+    let wire = diff.to_wire();
+    let (fetched, decoded_allocs, decoded_bytes) =
+        counted(|| Diff::from_wire(&wire).expect("own encoding"));
+    assert_eq!((&copy, &fetched), (&diff, &diff));
+
+    for (what, allocs, bytes) in [
+        ("create", created_allocs, created_bytes),
+        ("clone", cloned_allocs, cloned_bytes),
+        ("decode", decoded_allocs, decoded_bytes),
+    ] {
+        assert!(allocs <= 2, "{what}: {allocs} allocations for {runs} runs");
+        assert!(
+            bytes <= budget,
+            "{what}: {bytes} heap bytes, budget {budget}"
+        );
+    }
+    assert!(std::mem::size_of::<Diff>() <= 24);
 }
