@@ -9,9 +9,10 @@ use carlos_sim::{Bucket, SimReport};
 
 /// Collects one value per node out of the node closures.
 ///
-/// Node closures run on separate OS threads inside the simulator; this is
-/// the channel through which verification data (best tour, sorted flags,
-/// final positions) reaches the test or bench after `Cluster::run`.
+/// Node closures are `'static` and (for the parallel scheduler, which runs
+/// them on OS threads) `Send`; this is the channel through which
+/// verification data (best tour, sorted flags, final positions) reaches the
+/// test or bench after `Cluster::run`.
 #[derive(Debug)]
 pub struct Collector<T> {
     inner: Arc<Mutex<BTreeMap<u32, T>>>,

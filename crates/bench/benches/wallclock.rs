@@ -532,13 +532,14 @@ fn bench_oplog(quick: bool) -> Vec<(&'static str, f64)> {
 }
 
 /// Serial-scheduler micro-benchmark: a raw 2-node ping-pong — no
-/// transport, no DSM, no charged compute — so host time is the baton
-/// protocol and the event queue and nothing else.
+/// transport, no DSM, no charged compute — so host time is the switch
+/// between procs and the event queue and nothing else.
 ///
 /// Every round trip is four kernel events (two `Deliver`s, two `Wake`s)
-/// and exactly two OS-thread hand-offs: each `wait_recv` parks, and the
-/// next live wake always belongs to the peer. Returns `(key, ns)` pairs
-/// for the JSON `derived` section.
+/// and exactly two hand-offs (each a coroutine switch to the runner and one
+/// on to the peer): each `wait_recv` parks, and the next live wake always
+/// belongs to the peer. Returns `(key, ns)` pairs for the JSON `derived`
+/// section.
 fn bench_handoff(quick: bool) -> Vec<(&'static str, f64)> {
     let rounds: u64 = if quick { 20_000 } else { 100_000 };
     let (secs, events) = time_e2e(if quick { 1 } else { 3 }, || {
@@ -670,7 +671,7 @@ fn write_json(
         }
     }
     // Amortized per-op cost of the scheduler machinery itself: the
-    // parallel op log and the serial baton hand-off (microbenches).
+    // parallel op log and the serial proc hand-off (microbenches).
     for (key, ns) in micro {
         lines.push(format!("    \"{key}\": {ns:.0}"));
     }

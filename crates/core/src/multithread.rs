@@ -143,9 +143,9 @@ impl Worker {
     ///
     /// The lock is acquired with try-lock plus *virtual* backoff: a worker
     /// that finds the runtime busy yields simulated time rather than
-    /// blocking its OS thread. Blocking in real time would deadlock the
-    /// simulator whenever the lock holder is parked in virtual time (the
-    /// baton holder would wait on the mutex and never yield the baton).
+    /// blocking in real time. That would deadlock the simulator whenever
+    /// the lock holder is parked in virtual time: the holder is another
+    /// proc on the same OS thread, and runs again only if this one parks.
     fn with_rt<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
         loop {
             match self.shared.rt.try_lock() {
@@ -154,7 +154,7 @@ impl Worker {
                     return f(&mut rt);
                 }
                 Err(std::sync::TryLockError::WouldBlock) => {
-                    // Yield the baton; the holder's virtual work proceeds.
+                    // Park; the holder's virtual work proceeds.
                     self.ctx.sleep(carlos_sim::time::us(20));
                 }
                 Err(std::sync::TryLockError::Poisoned(_)) => {

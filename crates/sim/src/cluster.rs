@@ -3,8 +3,7 @@
 use std::{
     cmp::Reverse,
     panic::{catch_unwind, resume_unwind, AssertUnwindSafe},
-    sync::{Arc, OnceLock},
-    thread::{self, JoinHandle, Thread},
+    sync::Arc,
 };
 
 use bytes::Bytes;
@@ -12,8 +11,9 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::{
     config::SimConfig,
+    coro::{self, Coroutine},
     error::{AbortInfo, BlockedProc, SimError},
-    kernel::{EvKind, Kernel, ProcId, ProcState},
+    kernel::{EvKind, Kernel, ProcId, ProcMain},
     parallel,
     stats::{Bucket, Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
@@ -21,9 +21,9 @@ use crate::{
 
 /// Passive observer of wire-level deliveries (checker instrumentation).
 ///
-/// The event loop invokes [`WireObserver::frame_delivered`] on whichever
-/// thread holds the baton (the runner's or a parking proc's — never two at
-/// once), under the kernel lock, at the instant a datagram is appended to
+/// The event loop invokes [`WireObserver::frame_delivered`] on the thread
+/// that called [`Cluster::run`] (from the runner or from a parking proc's
+/// stack), under the kernel lock, at the instant a datagram is appended to
 /// a destination mailbox. Implementations must only record: they must not
 /// call back into the simulator, block on simulated state, or panic —
 /// escalation belongs in node-side hooks. Loopback datagrams (src == dst)
@@ -84,19 +84,9 @@ pub struct Datagram {
 
 pub(crate) struct Shared {
     pub(crate) kernel: Mutex<Kernel>,
-    /// The runner's OS thread, set when the event loop starts — before the
-    /// mode gate lets any proc through, so serial procs always find it.
-    runner: OnceLock<Thread>,
-    /// Parallel-mode control block (mode gate, op channels, lane state).
-    /// Inert in serial mode beyond publishing the mode decision.
+    /// Parallel-mode control block (op channels, lane state). Inert in
+    /// serial mode.
     pub(crate) par: parallel::ParCtrl,
-}
-
-impl Shared {
-    /// The runner's thread, for handing the baton back in serial mode.
-    fn runner(&self) -> &Thread {
-        self.runner.get().expect("serial mode has a runner")
-    }
 }
 
 /// Why the event loop stopped without a report.
@@ -114,11 +104,11 @@ pub(crate) enum RunFailure {
 /// A deterministic simulated cluster.
 ///
 /// Create one, spawn a main proc per node with [`Cluster::spawn_node`], then
-/// call [`Cluster::run`], which drives the event loop to completion on the
-/// calling thread and returns a [`SimReport`].
+/// call [`Cluster::run`], which runs the event loop and every proc to
+/// completion on the calling thread and returns a [`SimReport`]. Nothing
+/// executes, and no thread or stack exists, before that call.
 pub struct Cluster {
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
     n_nodes: usize,
 }
 
@@ -136,10 +126,8 @@ impl Cluster {
         Self {
             shared: Arc::new(Shared {
                 kernel: Mutex::new(Kernel::new(config, n_nodes)),
-                runner: OnceLock::new(),
                 par,
             }),
-            threads: Vec::new(),
             n_nodes,
         }
     }
@@ -155,9 +143,10 @@ impl Cluster {
             "node {node} out of range (cluster has {} nodes)",
             self.n_nodes
         );
-        let pid = self.register_proc(node, 0);
-        let ctx = NodeCtx::new_internal(Arc::clone(&self.shared), pid, node, self.n_nodes);
-        self.threads.push(spawn_proc_thread(ctx, main));
+        self.shared
+            .kernel
+            .lock()
+            .spawn_proc(node, 0, Box::new(main));
     }
 
     /// Installs a passive [`WireObserver`] notified at each non-loopback
@@ -165,16 +154,6 @@ impl Cluster {
     /// zero virtual-time cost.
     pub fn set_observer(&mut self, obs: Arc<dyn WireObserver>) {
         self.shared.kernel.lock().observer = Some(obs);
-    }
-
-    fn register_proc(&self, node: NodeId, start_at: Ns) -> ProcId {
-        let mut k = self.shared.kernel.lock();
-        let pid = k.procs.len();
-        k.procs.push(ProcState::new(node));
-        k.live_procs += 1;
-        // The proc's initial park will use ticket 1.
-        k.push_event(start_at, EvKind::Wake { pid, seq: 1 });
-        pid
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -186,10 +165,8 @@ impl Cluster {
     /// pending events) or when a configured safety valve trips. Use
     /// [`Cluster::try_run`] to receive those failures as a [`SimError`]
     /// value instead.
-    pub fn run(mut self) -> SimReport {
-        let outcome = self.event_loop();
-        self.teardown();
-        match outcome {
+    pub fn run(self) -> SimReport {
+        match self.execute() {
             Ok(report) => report,
             // Runner-synthesized failures re-panic with panic! so the
             // message actually prints; proc panics already printed.
@@ -211,9 +188,8 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns the [`SimError`] describing how the run failed.
-    pub fn try_run(mut self) -> Result<SimReport, SimError> {
-        let outcome = self.event_loop();
-        self.teardown();
+    pub fn try_run(self) -> Result<SimReport, SimError> {
+        let outcome = self.execute();
         let crashed = self.shared.kernel.lock().fault.crashed_nodes();
         match outcome {
             Ok(report) => Ok(report),
@@ -233,50 +209,69 @@ impl Cluster {
         }
     }
 
-    /// Poisons the kernel, wakes every parked proc, and joins all threads.
-    fn teardown(&mut self) {
-        self.shared.par.poison();
-        {
-            let mut k = self.shared.kernel.lock();
-            k.poisoned = true;
-            // Serial-mode procs parked in `await_baton` see the poison flag.
-            // (A proc yet to register its thread checks the flag before it
-            // ever blocks; parallel-mode procs never register one.)
-            for t in k.procs.iter().filter_map(|p| p.thread.as_ref()) {
-                t.unpark();
+    /// Runs the event loop in the configured mode, then ends every proc the
+    /// run left unfinished.
+    fn execute(&self) -> Result<SimReport, RunFailure> {
+        let mut k = self.shared.kernel.lock();
+        // Observers need the serialized wire view, so their presence forces
+        // serial mode regardless of the config.
+        if k.config.parallel && k.observer.is_none() {
+            return parallel::run(&self.shared, k);
+        }
+        let mut procs = Procs {
+            shared: &self.shared,
+            coros: Vec::new(),
+        };
+        let outcome = procs.event_loop(&mut k);
+        // Teardown: every proc that is still suspended (or never ran) is
+        // resumed unselected, sees the flag and unwinds, so each destructor
+        // on a proc stack runs before the stack is unmapped.
+        debug_assert!(k.running.is_none(), "the loop returns from the runner's own turn");
+        k.poisoned = true;
+        for pid in 0..k.procs.len() {
+            while !k.procs[pid].finished {
+                procs.resume(&mut k, pid);
             }
         }
-        for t in self.threads.drain(..) {
-            // A proc that panicked already had its payload captured; the
-            // join error here is its secondary "poisoned" unwind at worst.
-            let _ = t.join();
+        outcome
+    }
+}
+
+/// The procs of one serial run: a coroutine each, indexed by pid, on the
+/// runner's thread.
+struct Procs<'a> {
+    shared: &'a Arc<Shared>,
+    coros: Vec<Coroutine>,
+}
+
+impl Procs<'_> {
+    /// Switches to proc `pid` with the kernel unlocked (the proc locks it on
+    /// this same thread) and returns when it suspends or finishes. Procs
+    /// registered since the last call get their coroutine here.
+    fn resume(&mut self, k: &mut MutexGuard<'_, Kernel>, pid: ProcId) {
+        while self.coros.len() <= pid {
+            let p = &mut k.procs[self.coros.len()];
+            let main = p.main.take().expect("a registered proc has a body");
+            let ctx = NodeCtx {
+                shared: Arc::clone(self.shared),
+                pid: self.coros.len(),
+                node: p.node,
+                n_nodes: k.nodes.len(),
+                par: None,
+            };
+            self.coros
+                .push(Coroutine::new(move || proc_body(ctx, main)));
         }
+        MutexGuard::unlocked(k, || self.coros[pid].resume());
     }
 
-    fn event_loop(&mut self) -> Result<SimReport, RunFailure> {
-        let shared = Arc::clone(&self.shared);
-        let mut k = shared.kernel.lock();
-        // Decide the run mode once, before any proc executes. Observers
-        // need the serialized single-baton wire view, so their presence
-        // forces serial mode regardless of the config.
-        let parallel = k.config.parallel && k.observer.is_none();
-        // Before the mode gate opens: serial procs look the runner up as
-        // soon as they are through it.
-        let _ = shared.runner.set(thread::current());
-        shared.par.publish_mode(parallel, &mut k);
-        if parallel {
-            return parallel::event_loop(&shared, k);
-        }
+    fn event_loop(&mut self, k: &mut MutexGuard<'_, Kernel>) -> Result<SimReport, RunFailure> {
         loop {
-            // Plain events: run them here until a wake names a proc, then
-            // lend that proc the baton. Procs pass it among themselves and
-            // it comes back only for what `drive` leaves to this thread.
-            if let Some(pid) = k.drive() {
-                let to = proc_thread(&k, pid);
-                pass_baton(&mut k, &to);
-                while k.running.is_some() {
-                    MutexGuard::unlocked(&mut k, thread::park);
-                }
+            // A parking proc leaves its successor in `running`; otherwise
+            // run plain events here until a wake names a proc. Control comes
+            // back when that proc parks or finishes.
+            if let Some(pid) = k.running.or_else(|| k.drive()) {
+                self.resume(k, pid);
                 continue;
             }
             if let Some(p) = k.panic.take() {
@@ -284,26 +279,15 @@ impl Cluster {
                 return Err(RunFailure::Panic { payload: p, node });
             }
             if k.live_procs == 0 {
-                return Ok(build_report(&k));
+                return Ok(build_report(k));
             }
-            let Some(Reverse(head)) = k.queue.peek() else {
+            let Some(Reverse(ev)) = k.queue.pop() else {
                 return Err(RunFailure::Error(SimError::Stalled {
                     at: k.now,
-                    blocked: blocked_procs(&k),
+                    blocked: blocked_procs(k),
                     crashed: k.fault.crashed_nodes(),
                 }));
             };
-            if let EvKind::Wake { pid, seq } = head.kind {
-                if k.procs[pid].before_first_park(seq) {
-                    // Wait for the freshly spawned proc to reach its first
-                    // park (it unparks us there); `drive` then takes the wake.
-                    while k.procs[pid].before_first_park(seq) {
-                        MutexGuard::unlocked(&mut k, thread::park);
-                    }
-                    continue;
-                }
-            }
-            let Reverse(ev) = k.queue.pop().expect("peeked above");
             k.events_processed += 1;
             if let Some(max) = k.config.max_events {
                 if k.events_processed > max {
@@ -343,70 +327,18 @@ impl Cluster {
                 .count() as u64;
             k.nodes[node as usize].mailbox.clear();
             k.nodes[node as usize].counters.add("node.crashed", 1);
-            // Terminate the node's procs: each wakes inside `await_baton`,
+            // Terminate the node's procs: each is resumed unselected,
             // observes the crash flag, and unwinds with a CrashUnwind
-            // payload (not captured as a panic). Wait for each to finish
-            // its bookkeeping so live_procs and the queue are consistent
-            // before the next event. A proc that has no thread registered
-            // yet unparks us from its first park, where it sees the flag.
+            // payload (not captured as a panic), finishing its bookkeeping
+            // so live_procs and the queue are consistent before the next
+            // event.
             for pid in 0..k.procs.len() {
                 while k.procs[pid].node == node && !k.procs[pid].finished {
-                    if let Some(t) = &k.procs[pid].thread {
-                        t.unpark();
-                    }
-                    MutexGuard::unlocked(&mut k, thread::park);
+                    self.resume(k, pid);
                 }
             }
         }
     }
-}
-
-/// Why a proc waiting for the baton must unwind instead of resuming.
-enum Halt {
-    /// The run is being torn down.
-    Poisoned,
-    /// The proc's node was fail-stopped by the fault plan.
-    Crashed,
-}
-
-/// Hands the baton on, *unlock then wake*: releases the kernel mutex, wakes
-/// `to`, and sleeps until this thread is unparked in turn. Waking with the
-/// mutex held would make the woken thread's first act blocking on it. The
-/// caller has already recorded the new holder under the lock, and re-checks
-/// what it is itself waiting for once this returns; an unpark that lands
-/// before the `park` leaves its token behind, so none is lost.
-fn pass_baton(k: &mut MutexGuard<'_, Kernel>, to: &Thread) {
-    MutexGuard::unlocked(k, || {
-        to.unpark();
-        thread::park();
-    });
-}
-
-/// Blocks, kernel lock released, until proc `pid` is handed the baton.
-fn await_baton(k: &mut MutexGuard<'_, Kernel>, pid: ProcId) -> Result<(), Halt> {
-    loop {
-        let p = &mut k.procs[pid];
-        if p.runnable {
-            p.runnable = false;
-            return Ok(());
-        }
-        let node = p.node;
-        if k.poisoned {
-            return Err(Halt::Poisoned);
-        }
-        if k.fault.is_crashed(node) {
-            return Err(Halt::Crashed);
-        }
-        MutexGuard::unlocked(k, thread::park);
-    }
-}
-
-/// The OS thread of a proc that `drive` just made runnable.
-fn proc_thread(k: &Kernel, pid: ProcId) -> Thread {
-    k.procs[pid]
-        .thread
-        .clone()
-        .expect("a parked proc has registered its thread")
 }
 
 fn blocked_procs(k: &Kernel) -> Vec<BlockedProc> {
@@ -460,78 +392,33 @@ pub(crate) fn build_report(k: &Kernel) -> SimReport {
     }
 }
 
-pub(crate) fn spawn_proc_thread(
-    ctx: NodeCtx,
-    main: impl FnOnce(NodeCtx) + Send + 'static,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("sim-node-{}-proc-{}", ctx.node, ctx.pid))
-        .spawn(move || {
-            let shared = Arc::clone(&ctx.shared);
-            let pid = ctx.pid;
-            // Block until the runner decides serial vs. parallel (None:
-            // the cluster was torn down before it ever ran).
-            let Some(is_parallel) = shared.par.wait_mode() else {
-                return;
-            };
-            if is_parallel {
-                // Parallel mode: never touch the kernel. Bind the lane
-                // handle, run the app, and report termination through the
-                // op channel. Poison/crash unwinds need no report — the
-                // runner initiated them and already did the bookkeeping.
-                let chan = shared.par.chan(pid);
-                let _ = ctx.par.set(Arc::clone(&chan));
-                let result = catch_unwind(AssertUnwindSafe(|| main(ctx)));
-                let payload = match result {
-                    Ok(()) => None,
-                    Err(p) if is_poison_unwind(&p) || p.is::<CrashUnwind>() => return,
-                    Err(p) => Some(p),
-                };
-                parallel::lane_finish(&shared.par, &chan, payload);
-                return;
-            }
-            let runner = shared.runner();
-            // Initial park: register this thread and wait for the time-0
-            // wake without owning the baton. The runner may be waiting for
-            // exactly this (a wake or a crash aimed at a fresh proc).
-            {
-                let mut k = shared.kernel.lock();
-                let p = &mut k.procs[pid];
-                p.parked = true;
-                p.park_seq += 1;
-                p.thread = Some(thread::current());
-                runner.unpark();
-                if await_baton(&mut k, pid).is_err() {
-                    // Teardown or fail-stop before we ever ran; exit.
-                    k.procs[pid].finished = true;
-                    k.live_procs -= 1;
-                    runner.unpark();
-                    return;
-                }
-            }
-            let result = catch_unwind(AssertUnwindSafe(|| main(ctx)));
-            let mut k = shared.kernel.lock();
-            let node = k.procs[pid].node;
-            k.procs[pid].finished = true;
-            k.procs[pid].parked = false;
-            k.live_procs -= 1;
-            k.end_time = k.end_time.max(k.now);
-            if let Err(payload) = result {
-                if !is_poison_unwind(&payload) && !payload.is::<CrashUnwind>() && k.panic.is_none()
-                {
-                    k.panic = Some(payload);
-                    k.panic_node = Some(node);
-                }
-            }
-            // A finished proc gives the baton back to the runner (which
-            // also counts finishes during a crash or teardown).
-            if k.running == Some(pid) {
-                k.running = None;
-            }
-            drop(k);
-            runner.unpark();
-        })
-        .expect("failed to spawn proc thread")
+/// Body of a serial proc's coroutine: `main`, then the bookkeeping of its
+/// end. Returns (no panic leaves it) to the coroutine's base frame.
+fn proc_body(ctx: NodeCtx, main: ProcMain) {
+    let shared = Arc::clone(&ctx.shared);
+    let pid = ctx.pid;
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        // The first resumption is like any other: the time-0 wake, or a
+        // fail-stop or teardown before the proc ever ran.
+        ctx.check_selected(&shared.kernel.lock());
+        main(ctx);
+    }));
+    let mut k = shared.kernel.lock();
+    let node = k.procs[pid].node;
+    k.procs[pid].finished = true;
+    k.procs[pid].parked = false;
+    k.live_procs -= 1;
+    k.end_time = k.end_time.max(k.now);
+    if let Err(payload) = result {
+        if !is_poison_unwind(&payload) && !payload.is::<CrashUnwind>() && k.panic.is_none() {
+            k.panic = Some(payload);
+            k.panic_node = Some(node);
+        }
+    }
+    // A proc resumed only to be terminated was never `running`.
+    if k.running == Some(pid) {
+        k.running = None;
+    }
 }
 
 pub(crate) fn is_poison_unwind(payload: &Box<dyn std::any::Any + Send>) -> bool {
@@ -571,8 +458,8 @@ fn install_quiet_unwind_hook() {
 }
 
 /// Zero-sized panic payload used to unwind the procs of a fail-stopped
-/// node. Recognized (and discarded) by the proc-thread epilogue so a
-/// scripted crash is never mistaken for an application panic.
+/// node. Recognized (and discarded) by the proc epilogue so a scripted
+/// crash is never mistaken for an application panic.
 pub(crate) struct CrashUnwind;
 
 /// Handle through which simulated node code interacts with the cluster.
@@ -586,28 +473,12 @@ pub struct NodeCtx {
     pub(crate) pid: ProcId,
     pub(crate) node: NodeId,
     pub(crate) n_nodes: usize,
-    /// Lane handle, set by the proc-thread preamble in parallel mode.
-    /// Empty in serial mode, so every method falls through to the
-    /// historical kernel-locking paths untouched.
-    pub(crate) par: Arc<parallel::LaneHandle>,
+    /// This proc's op channel in parallel mode. `None` in serial mode,
+    /// where every method takes the kernel-locking path.
+    pub(crate) par: Option<Arc<parallel::ProcChan>>,
 }
 
 impl NodeCtx {
-    pub(crate) fn new_internal(
-        shared: Arc<Shared>,
-        pid: ProcId,
-        node: NodeId,
-        n_nodes: usize,
-    ) -> Self {
-        Self {
-            shared,
-            pid,
-            node,
-            n_nodes,
-            par: Arc::new(parallel::LaneHandle::new()),
-        }
-    }
-
     /// This proc's node id.
     #[must_use]
     pub fn node_id(&self) -> NodeId {
@@ -625,7 +496,7 @@ impl NodeCtx {
     /// the proc's execution).
     #[must_use]
     pub fn now(&self) -> Ns {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_now(ch);
         }
         self.shared.kernel.lock().now
@@ -643,7 +514,7 @@ impl NodeCtx {
     /// charge starts when the node CPU is free, and any wait for the CPU is
     /// charged to `Idle`.
     pub fn charge(&self, bucket: Bucket, dt: Ns) {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             parallel::lane_charge(&self.shared.par, ch, bucket, dt);
             return;
         }
@@ -660,7 +531,7 @@ impl NodeCtx {
     /// `dt` elapsed. Callers loop: handle the message, then continue with
     /// the remainder.
     pub fn compute_interruptible(&self, bucket: Bucket, dt: Ns) -> Option<Ns> {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_compute_interruptible(&self.shared.par, ch, bucket, dt);
         }
         let mut k = self.shared.kernel.lock();
@@ -687,20 +558,14 @@ impl NodeCtx {
         let ran = k.now.saturating_sub(start).min(dt);
         k.nodes[node].buckets.charge(bucket, ran);
         k.nodes[node].cpu_free = k.now.max(k.nodes[node].cpu_free);
-        if ran < dt && !k.nodes[node].mailbox.is_empty() {
-            Some(dt - ran)
-        } else if ran < dt {
-            // Spurious wake (e.g. stale timer): treat the gap as idle and
-            // report the remainder so the caller continues.
-            Some(dt - ran)
-        } else {
-            None
-        }
+        // A datagram arrived, or the wake was spurious (e.g. a stale
+        // timer): either way report the remainder so the caller continues.
+        (ran < dt).then(|| dt - ran)
     }
 
     /// Sleeps for `dt` without using the CPU; the time is charged to `Idle`.
     pub fn sleep(&self, dt: Ns) {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             parallel::lane_sleep(&self.shared.par, ch, dt);
             return;
         }
@@ -712,7 +577,7 @@ impl NodeCtx {
 
     /// Adds `v` to this node's counter `name`.
     pub fn count(&self, name: &'static str, v: u64) {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             parallel::lane_count(&self.shared.par, ch, name, v);
             return;
         }
@@ -723,7 +588,7 @@ impl NodeCtx {
     /// Reads this node's counter `name`.
     #[must_use]
     pub fn counter(&self, name: &'static str) -> u64 {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_counter_read(&self.shared.par, ch, name);
         }
         self.shared.kernel.lock().nodes[self.node as usize]
@@ -744,7 +609,7 @@ impl NodeCtx {
             (dst as usize) < self.n_nodes,
             "datagram to unknown node {dst}"
         );
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             parallel::lane_send(&self.shared.par, ch, dst, payload);
             return;
         }
@@ -784,7 +649,7 @@ impl NodeCtx {
     /// Charges the per-datagram receive overhead (`Unix`) when a datagram is
     /// returned.
     pub fn try_recv(&self) -> Option<Datagram> {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_try_recv(&self.shared.par, ch);
         }
         let mut k = self.shared.kernel.lock();
@@ -799,7 +664,7 @@ impl NodeCtx {
     ///
     /// Returns `None` on timeout. `deadline` is an absolute virtual time.
     pub fn wait_recv(&self, deadline: Option<Ns>) -> Option<Datagram> {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_wait_recv(&self.shared.par, ch, deadline);
         }
         let mut k = self.shared.kernel.lock();
@@ -837,7 +702,7 @@ impl NodeCtx {
     /// delivery wakes every such thread so one of them can take the
     /// runtime lock and process the message.
     pub fn wait_mailbox(&self, deadline: Option<Ns>) -> bool {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_wait_mailbox(&self.shared.par, ch, deadline);
         }
         let mut k = self.shared.kernel.lock();
@@ -864,11 +729,12 @@ impl NodeCtx {
         }
     }
 
-    /// Virtual time of the next pending mailbox datagram's arrival, if the
-    /// mailbox is non-empty (used by transports to decide whether to poll).
+    /// Whether a datagram is waiting in this node's mailbox (used by
+    /// transports to decide whether to poll). Consumes nothing and charges
+    /// no time.
     #[must_use]
     pub fn mailbox_nonempty(&self) -> bool {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             return parallel::lane_mailbox_nonempty(&self.shared.par, ch);
         }
         !self.shared.kernel.lock().nodes[self.node as usize]
@@ -883,24 +749,14 @@ impl NodeCtx {
     /// thread blocks on a remote operation, another can run (their CPU
     /// charges serialize through the node's single simulated CPU).
     pub fn spawn_thread(&self, f: impl FnOnce(NodeCtx) + Send + 'static) {
-        if let Some(ch) = self.par.get() {
+        if let Some(ch) = &self.par {
             parallel::lane_spawn(&self.shared.par, ch, Box::new(f));
             return;
         }
-        let pid = {
-            let mut k = self.shared.kernel.lock();
-            let pid = k.procs.len();
-            k.procs.push(ProcState::new(self.node));
-            k.live_procs += 1;
-            let now = k.now;
-            k.push_event(now, EvKind::Wake { pid, seq: 1 });
-            pid
-        };
-        let ctx = NodeCtx::new_internal(Arc::clone(&self.shared), pid, self.node, self.n_nodes);
-        // The thread handle is detached; `run` joins only registered
-        // threads, but teardown poisons all procs, so the thread always
-        // exits. Detaching keeps `spawn_thread` usable from inside procs.
-        let _ = spawn_proc_thread(ctx, f);
+        // The runner builds the coroutine when the wake selects the proc.
+        let mut k = self.shared.kernel.lock();
+        let now = k.now;
+        k.spawn_proc(self.node, now, Box::new(f));
     }
 
     /// Advances time by `dt` charged to `bucket`, serializing on the node
@@ -931,40 +787,38 @@ impl NodeCtx {
         self.park(k);
     }
 
-    /// Parks this proc until a wake event resumes it. The proc keeps the
-    /// baton and drives the event loop itself: its own wake resumes it in
-    /// place, a wake for another proc hands the baton straight to that
-    /// proc, and whatever `drive` refuses goes back to the runner thread.
+    /// Parks this proc until a wake event selects it. The proc drives the
+    /// event loop itself: its own wake resumes it in place; on a wake for
+    /// another proc, or on anything `drive` leaves to the runner, it
+    /// suspends to the runner with the kernel unlocked.
     fn park(&self, k: &mut MutexGuard<'_, Kernel>) {
         let p = &mut k.procs[self.pid];
         p.parked = true;
         p.park_seq += 1;
-        let next = k.drive();
-        if next == Some(self.pid) {
-            // Own wake: resume in place, no context switch.
-            k.procs[self.pid].runnable = false;
+        k.running = None;
+        if k.drive() == Some(self.pid) {
             return;
         }
-        // The new holder is woken *before* this proc can take either early
-        // exit below: a proc marked runnable (or a runner that sees
-        // `running == None`) that nobody unparks hangs the run.
-        match next {
-            Some(pid) => {
-                let to = proc_thread(k, pid);
-                pass_baton(k, &to);
-            }
-            None => {
-                k.running = None;
-                pass_baton(k, self.shared.runner());
-            }
+        MutexGuard::unlocked(k, coro::suspend);
+        self.check_selected(k);
+    }
+
+    /// After a resumption: returns if a wake selected this proc. The runner
+    /// resumes an unselected proc only to end it, so otherwise this unwinds
+    /// — out of a torn-down run, or out of a fail-stopped node without being
+    /// treated as an application panic.
+    fn check_selected(&self, k: &Kernel) {
+        if k.running == Some(self.pid) {
+            return;
         }
-        match await_baton(k, self.pid) {
-            Ok(()) => {}
-            Err(Halt::Poisoned) => panic!("{POISON_MSG}"),
-            // Fail-stop: unwind out of the proc without being treated as an
-            // application panic.
-            Err(Halt::Crashed) => std::panic::panic_any(CrashUnwind),
+        if k.poisoned {
+            panic!("{POISON_MSG}");
         }
+        assert!(
+            k.fault.is_crashed(self.node),
+            "proc resumed without a wake, a crash or a teardown"
+        );
+        std::panic::panic_any(CrashUnwind)
     }
 }
 

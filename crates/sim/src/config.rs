@@ -55,7 +55,7 @@ pub struct SimConfig {
     /// concurrently on real host threads, while a serial replay of their
     /// operation logs keeps every kernel transition — event order, wire
     /// serialization, RNG draws, statistics — bit-identical to the
-    /// single-baton runner. Off by default. Automatically falls back to
+    /// serial runner. Off by default. Automatically falls back to
     /// serial whenever a [`crate::WireObserver`] (checker, tracer) is
     /// attached, since observers require a single serialized wire view.
     pub parallel: bool,

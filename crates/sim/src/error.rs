@@ -18,7 +18,7 @@ pub struct BlockedProc {
     pub pid: usize,
     /// Node the proc belongs to.
     pub node: NodeId,
-    /// Parked waiting for a mailbox delivery (vs. a timer or the baton).
+    /// Parked waiting for a mailbox delivery (vs. a timer).
     pub waiting_for_msg: bool,
     /// The proc's virtual time when the run failed. In serial mode this is
     /// the global clock; in parallel mode it is the proc's lane clock,

@@ -1,54 +1,40 @@
 //! Scheduler internals: the event queue, proc states, and the wire model.
 //!
-//! One global [`Kernel`] sits behind a mutex. At most one thread — the
-//! holder of the *baton* — executes simulation code at any real-time
-//! instant, and all virtual-time ordering comes from the event queue, so
-//! runs are deterministic.
+//! One global [`Kernel`] sits behind a mutex. In serial mode every proc is
+//! a coroutine on the thread that called `Cluster::run` (the *runner*), so
+//! exactly one piece of simulation code executes at any instant, and all
+//! virtual-time ordering comes from the event queue: runs are
+//! deterministic.
 //!
-//! # The baton protocol (serial mode)
+//! # Who drives the event loop (serial mode)
 //!
-//! Whoever holds the baton drives the event loop, [`Kernel::drive`]. The
-//! runner thread (the caller of `Cluster::run`) starts with it. A proc
-//! that parks *keeps* it: still under the kernel lock it already holds,
-//! it pops events itself — `Deliver`s are handled inline, stale wakes are
-//! skipped, its own wake resumes it in place with no context switch — and
-//! when the next live wake belongs to another proc it passes the baton
-//! straight to that proc's OS thread: one thread hand-off per wake, none
-//! through the runner.
+//! Whoever gives up the CPU drives [`Kernel::drive`]. The runner starts. A
+//! proc that parks pops events itself, under the kernel lock it already
+//! holds — `Deliver`s are handled inline, stale wakes are skipped, its own
+//! wake resumes it in place without a switch — and when the next live wake
+//! names another proc it leaves that proc in `running`, releases the lock
+//! and suspends to the runner, which resumes the named coroutine.
 //!
 //! `drive` only ever pops a plain, in-limits `Wake` or `Deliver`. Anything
 //! else — a captured panic, no live procs, an empty queue, the event that
-//! would trip `max_events` / `max_virtual_time`, a `Crash`, a wake for a
-//! freshly spawned proc that has not reached its first park — is left
-//! un-popped and `drive` returns `None`: the baton goes back to the runner
-//! thread, the only place that builds a `SimError` or a report, waits for
-//! a fresh proc, or executes a crash.
+//! would trip `max_events` / `max_virtual_time`, a `Crash` — is left
+//! un-popped and `drive` returns `None`: the runner is the only place that
+//! builds a `SimError` or a report, or executes a crash.
 //!
-//! A hand-off is *unlock, then wake*: the holder marks the target
-//! `runnable` under the lock, releases the kernel mutex, `unpark()`s the
-//! target's thread and `park()`s its own, re-locking to re-check
-//! `runnable` / `poisoned` / crashed whenever it wakes. Waking with the
-//! mutex still held would make the woken thread's first act blocking on
-//! that mutex — a second context switch per hand-off. The park token makes
-//! an `unpark` that lands between the unlock and the `park` safe, and
-//! every other park is preceded by a check under the lock.
-//!
-//! Determinism is untouched by all of this: event order, `ord` numbering,
-//! RNG draws and every kernel mutation are a function of the queue alone.
-//! The protocol only changes *which OS thread* executes them.
+//! Event order, `ord` numbering, RNG draws and every kernel mutation are a
+//! function of the queue alone; which stack executes them never shows.
 
 use std::{
     any::Any,
     cmp::Reverse,
     collections::{BTreeMap, BinaryHeap, VecDeque},
     sync::Arc,
-    thread::Thread,
 };
 
 use carlos_util::rng::{SplitMix64, Xoshiro256};
 
 use crate::{
-    cluster::{Datagram, WireObserver},
+    cluster::{Datagram, NodeCtx, WireObserver},
     config::SimConfig,
     fault::{DropCause, FaultState},
     stats::{Counters, NetStats, TimeBuckets},
@@ -58,11 +44,14 @@ use crate::{
 /// Dense identifier of a simulated proc (thread of control).
 pub(crate) type ProcId = usize;
 
+/// The body of a proc, queued until the run starts it.
+pub(crate) type ProcMain = Box<dyn FnOnce(NodeCtx) + Send>;
+
 /// What a scheduled event does when it fires.
 #[derive(Debug)]
 pub(crate) enum EvKind {
-    /// Transfer the baton to proc `pid`, provided it is still parked with
-    /// park ticket `seq` (stale wakes are ignored).
+    /// Run proc `pid` next, provided it is still parked with park ticket
+    /// `seq` (stale wakes are ignored).
     Wake { pid: ProcId, seq: u64 },
     /// Append a datagram to `dst`'s mailbox and wake its mailbox waiters.
     Deliver { dst: NodeId, dgram: Datagram },
@@ -99,15 +88,13 @@ impl Ord for Event {
 
 /// Scheduler-visible state of one proc.
 pub(crate) struct ProcState {
-    /// The proc's OS thread, registered at its first park so that baton
-    /// holders can `unpark()` it (never set in parallel mode).
-    pub thread: Option<Thread>,
+    /// The proc's body, from registration until the run mode that executes
+    /// it (a coroutine or, in parallel mode, a thread) takes it.
+    pub main: Option<ProcMain>,
     /// Node this proc belongs to.
     pub node: NodeId,
-    /// True between park and the wake that hands the baton back.
+    /// True between park and the wake that selects the proc.
     pub parked: bool,
-    /// Set by the baton holder to hand the proc the baton.
-    pub runnable: bool,
     /// The proc's main function returned (or panicked).
     pub finished: bool,
     /// Ticket incremented on every park; wake events must match it.
@@ -132,27 +119,6 @@ pub(crate) struct NodeState {
     pub net: NetStats,
 }
 
-impl ProcState {
-    /// A proc of `node` that has not reached its first park.
-    pub fn new(node: NodeId) -> Self {
-        Self {
-            thread: None,
-            node,
-            parked: false,
-            runnable: false,
-            finished: false,
-            park_seq: 0,
-            waiting_for_msg: false,
-        }
-    }
-
-    /// True while a freshly spawned proc has yet to reach its first park, so
-    /// a wake with ticket `seq` can neither be delivered nor called stale.
-    pub fn before_first_park(&self, seq: u64) -> bool {
-        !self.parked && !self.finished && self.park_seq < seq
-    }
-}
-
 impl NodeState {
     fn new() -> Self {
         Self {
@@ -173,7 +139,8 @@ pub(crate) struct Kernel {
     pub next_ord: u64,
     pub procs: Vec<ProcState>,
     pub nodes: Vec<NodeState>,
-    /// Which proc currently holds the baton (None: the runner thread does).
+    /// The proc that is executing, or that the last `drive` selected to
+    /// execute next (None: the runner itself).
     pub running: Option<ProcId>,
     /// Number of spawned procs whose main has not finished.
     pub live_procs: usize,
@@ -251,18 +218,35 @@ impl Kernel {
         self.queue.push(Reverse(Event { time, ord, kind }));
     }
 
+    /// Registers a proc of `node` that first runs at `start_at`. It is born
+    /// parked with ticket 1, the ticket of the wake queued for it here.
+    pub fn spawn_proc(&mut self, node: NodeId, start_at: Ns, main: ProcMain) -> ProcId {
+        let pid = self.procs.len();
+        self.procs.push(ProcState {
+            main: Some(main),
+            node,
+            parked: true,
+            finished: false,
+            park_seq: 1,
+            waiting_for_msg: false,
+        });
+        self.live_procs += 1;
+        self.push_event(start_at, EvKind::Wake { pid, seq: 1 });
+        pid
+    }
+
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Ns> {
         self.queue.peek().map(|Reverse(e)| e.time)
     }
 
-    /// The serial event loop, run by whichever thread holds the baton.
+    /// The serial event loop, run by the runner or by a parking proc.
     ///
-    /// Pops and executes plain events until a live `Wake` names the next
-    /// baton holder: that proc is marked runnable and returned (the caller
-    /// resumes in place if it is the proc itself, otherwise hands the baton
-    /// over). Returns `None`, with the offending event still at the head of
-    /// the queue, for everything only the runner thread may handle — see
+    /// Pops and executes plain events until a live `Wake` names the proc to
+    /// execute next: that proc is recorded in `running` and returned (a
+    /// parking proc resumes in place if it is the one, otherwise suspends to
+    /// the runner). Returns `None`, with the offending event still at the
+    /// head of the queue, for everything only the runner may handle — see
     /// the module doc for the list.
     pub fn drive(&mut self) -> Option<ProcId> {
         loop {
@@ -278,12 +262,7 @@ impl Kernel {
                 .config
                 .max_virtual_time
                 .is_some_and(|max| self.now.max(head.time) > max);
-            let runner_only = match head.kind {
-                EvKind::Wake { pid, seq } => self.procs[pid].before_first_park(seq),
-                EvKind::Deliver { .. } => false,
-                EvKind::Crash { .. } => true,
-            };
-            if over_events || over_time || runner_only {
+            if over_events || over_time || matches!(head.kind, EvKind::Crash { .. }) {
                 return None;
             }
             let Reverse(ev) = self.queue.pop().expect("peeked above");
@@ -297,7 +276,6 @@ impl Kernel {
                         continue; // Stale wake.
                     }
                     p.parked = false;
-                    p.runnable = true;
                     p.waiting_for_msg = false;
                     self.running = Some(pid);
                     return Some(pid);

@@ -4,10 +4,11 @@
 //! 10 Mbit/s Ethernet under DEC OSF/1. This crate substitutes that testbed
 //! with a virtual cluster:
 //!
-//! - Each simulated process ("proc") runs application and protocol code on
-//!   its own OS thread, but a **baton-passing scheduler** ensures exactly one
-//!   proc executes at a time, in virtual-time order, so every run is
-//!   bit-for-bit deterministic.
+//! - Each simulated process ("proc") runs application and protocol code as a
+//!   **coroutine** with its own stack on the thread that called
+//!   [`Cluster::run`]: exactly one proc executes at a time, in virtual-time
+//!   order, and a simulated context switch is a function call, so every run
+//!   is bit-for-bit deterministic and creates no OS thread.
 //! - A **shared-medium Ethernet model** serializes frames at a configurable
 //!   bandwidth, adds latency, charges per-message software overhead (the
 //!   "Unix" cost of syscalls and the UDP/IP stack), and can drop datagrams
@@ -41,10 +42,14 @@
 //! assert_eq!(report.net.messages, 1);
 //! ```
 
-#![forbid(unsafe_code)]
+// `coro` — the stack switch and the stacks — is the one place that needs
+// `unsafe`; everywhere else in the crate it stays an error.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;
+#[allow(unsafe_code)]
+mod coro;
 mod kernel;
 mod parallel;
 

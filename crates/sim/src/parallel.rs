@@ -1,8 +1,8 @@
 //! Conservative parallel runner with bit-identical virtual time.
 //!
-//! The serial scheduler in [`crate::cluster`] hands a single baton between
-//! the runner and one proc at a time; all host-CPU work (the applications'
-//! real computation between simulator calls) therefore serializes too. This
+//! The serial scheduler in [`crate::cluster`] runs every proc as a coroutine
+//! on one OS thread; all host-CPU work (the applications' real computation
+//! between simulator calls) therefore serializes too. This
 //! module keeps *every kernel transition* — event order, `ord` assignment,
 //! RNG draws, statistics, `events_processed` — byte-for-byte identical to
 //! the serial runner while letting procs on different nodes burn host CPU
@@ -15,7 +15,7 @@
 //! keeps running whenever the operation's outcome is provable locally
 //! ("fire-and-forget"). The runner thread holds the kernel for the whole
 //! run and executes the ordinary serial event loop, except that where the
-//! serial loop would hand the baton to a proc, the parallel loop *replays*
+//! serial loop would resume a proc, the parallel loop *replays*
 //! that proc's logged operations against the kernel — same pushes, same
 //! park-ticket arithmetic, same fast-path decisions. Determinism is by
 //! construction: there is exactly one kernel mutator, and it performs the
@@ -108,10 +108,12 @@
 use std::{
     any::Any,
     collections::{BTreeMap, VecDeque},
+    panic::{catch_unwind, AssertUnwindSafe},
     sync::{
         atomic::{AtomicBool, AtomicU64, Ordering},
-        Arc, OnceLock,
+        Arc,
     },
+    thread::JoinHandle,
 };
 
 use bytes::Bytes;
@@ -119,12 +121,12 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::{
     cluster::{
-        build_report, spawn_proc_thread, CrashUnwind, Datagram, NodeCtx, RunFailure, Shared,
+        build_report, is_poison_unwind, CrashUnwind, Datagram, NodeCtx, RunFailure, Shared,
         POISON_MSG,
     },
     config::SimConfig,
     error::{BlockedProc, SimError},
-    kernel::{EvKind, Kernel, ProcId, ProcState},
+    kernel::{EvKind, Kernel, ProcId, ProcMain},
     stats::Bucket,
     time::{NodeId, Ns},
 };
@@ -337,9 +339,6 @@ impl LaneShared {
 
 /// Control block for one parallel run, owned by [`Shared`].
 pub(crate) struct ParCtrl {
-    /// `None` until the runner decides serial vs. parallel at run start.
-    mode: Mutex<Option<bool>>,
-    mode_cv: Condvar,
     chans: RwLock<Vec<Arc<ProcChan>>>,
     lanes: Vec<LaneShared>,
     poisoned: AtomicBool,
@@ -363,8 +362,6 @@ impl ParCtrl {
     pub(crate) fn new(config: &SimConfig, n_nodes: usize) -> Self {
         assert!(config.op_log_cap > 0, "op_log_cap must be nonzero");
         Self {
-            mode: Mutex::new(None),
-            mode_cv: Condvar::new(),
             chans: RwLock::new(Vec::new()),
             lanes: (0..n_nodes).map(|_| LaneShared::new()).collect(),
             poisoned: AtomicBool::new(false),
@@ -376,53 +373,11 @@ impl ParCtrl {
         }
     }
 
-    /// Publishes the run mode; in parallel mode also fixes up the
-    /// registered procs to look replay-managed (parked with ticket 1,
-    /// matching the queued time-0 `Wake { seq: 1 }`) and creates their
-    /// channels.
-    pub(crate) fn publish_mode(&self, parallel: bool, k: &mut Kernel) {
-        if parallel {
-            let n_nodes = k.nodes.len();
-            let mut chans = self.chans.write();
-            debug_assert!(chans.is_empty(), "mode published twice");
-            for p in k.procs.iter_mut() {
-                p.parked = true;
-                p.park_seq = 1;
-                chans.push(Arc::new(ProcChan::new(p.node, n_nodes)));
-            }
-        }
-        *self.mode.lock() = Some(parallel);
-        self.mode_cv.notify_all();
-    }
-
-    /// Blocks a fresh proc thread until the run mode is known. `None`
-    /// means the cluster was torn down before running.
-    pub(crate) fn wait_mode(&self) -> Option<bool> {
-        let mut m = self.mode.lock();
-        loop {
-            if let Some(v) = *m {
-                return Some(v);
-            }
-            if self.poisoned.load(Ordering::Acquire) {
-                return None;
-            }
-            self.mode_cv.wait(&mut m);
-        }
-    }
-
-    pub(crate) fn chan(&self, pid: ProcId) -> Arc<ProcChan> {
-        Arc::clone(&self.chans.read()[pid])
-    }
-
-    /// Tears down: every lane blocked on the mode gate, log space, or an
-    /// outcome unwinds with the poison panic (filtered by the proc-thread
-    /// epilogue, exactly like the serial poison path).
-    pub(crate) fn poison(&self) {
+    /// Tears down: every lane blocked on log space or an outcome unwinds
+    /// with the poison panic (filtered by the proc-thread epilogue, exactly
+    /// like the serial poison path).
+    fn poison(&self) {
         self.poisoned.store(true, Ordering::Release);
-        {
-            let _gate = self.mode.lock();
-        }
-        self.mode_cv.notify_all();
         for ch in self.chans.read().iter() {
             let _q = ch.q.lock();
             ch.ops_cv.notify_all();
@@ -787,7 +742,7 @@ pub(crate) fn lane_spawn(
 
 /// Proc-thread epilogue in parallel mode: report termination (or an
 /// application panic) to the replay. Best-effort during teardown.
-pub(crate) fn lane_finish(ctrl: &ParCtrl, ch: &ProcChan, panic: Option<Box<dyn Any + Send>>) {
+fn lane_finish(ctrl: &ParCtrl, ch: &ProcChan, panic: Option<Box<dyn Any + Send>>) {
     let mut q = ch.q.lock();
     loop {
         if ctrl.poisoned.load(Ordering::Acquire) || ch.dead.load(Ordering::Acquire) {
@@ -852,10 +807,73 @@ struct Rep {
     buf: VecDeque<OpMsg>,
 }
 
-/// The parallel twin of `Cluster::event_loop`. Event handling is
-/// byte-for-byte the serial algorithm; only the baton handoff is replaced
-/// by op-log replay.
-pub(crate) fn event_loop(
+/// A parallel run, start to teardown: a channel and an OS thread for each
+/// registered proc, the replay loop, then poison and join.
+pub(crate) fn run(
+    shared: &Arc<Shared>,
+    mut k: parking_lot::MutexGuard<'_, Kernel>,
+) -> Result<crate::cluster::SimReport, RunFailure> {
+    // Every channel exists before the first lane runs: a lane's quiet bound
+    // ranges over all of them.
+    let chans: Vec<Arc<ProcChan>> = k
+        .procs
+        .iter()
+        .map(|p| Arc::new(ProcChan::new(p.node, k.nodes.len())))
+        .collect();
+    shared.par.chans.write().clone_from(&chans);
+    let threads: Vec<JoinHandle<()>> = chans
+        .into_iter()
+        .enumerate()
+        .map(|(pid, chan)| spawn_proc_thread(shared, &mut k, pid, chan))
+        .collect();
+    let outcome = event_loop(shared, k);
+    shared.par.poison();
+    for t in threads {
+        // A lane that panicked already reported its payload; the join
+        // error here is its secondary poison unwind at worst.
+        let _ = t.join();
+    }
+    outcome
+}
+
+/// Starts the OS thread of proc `pid`, taking its queued body. The lane
+/// never touches the kernel: it runs the app against `chan` and reports
+/// termination through it. Poison/crash unwinds need no report — the
+/// runner initiated them and already did the bookkeeping.
+fn spawn_proc_thread(
+    shared: &Arc<Shared>,
+    k: &mut Kernel,
+    pid: ProcId,
+    chan: Arc<ProcChan>,
+) -> JoinHandle<()> {
+    let node = k.procs[pid].node;
+    let main: ProcMain = k.procs[pid].main.take().expect("a registered proc has a body");
+    let shared = Arc::clone(shared);
+    let n_nodes = k.nodes.len();
+    std::thread::Builder::new()
+        .name(format!("sim-node-{node}-proc-{pid}"))
+        .spawn(move || {
+            let ctx = NodeCtx {
+                shared: Arc::clone(&shared),
+                pid,
+                node,
+                n_nodes,
+                par: Some(Arc::clone(&chan)),
+            };
+            let payload = match catch_unwind(AssertUnwindSafe(|| main(ctx))) {
+                Ok(()) => None,
+                Err(p) if is_poison_unwind(&p) || p.is::<CrashUnwind>() => return,
+                Err(p) => Some(p),
+            };
+            lane_finish(&shared.par, &chan, payload);
+        })
+        .expect("failed to spawn proc thread")
+}
+
+/// The parallel twin of the serial event loop. Event handling is
+/// byte-for-byte the serial algorithm; only resuming the selected proc is
+/// replaced by op-log replay.
+fn event_loop(
     shared: &Arc<Shared>,
     mut k: parking_lot::MutexGuard<'_, Kernel>,
 ) -> Result<crate::cluster::SimReport, RunFailure> {
@@ -1446,15 +1464,8 @@ impl Runner {
             }
             Op::Spawn { main } => {
                 let node = k.procs[pid].node;
-                let new_pid = k.procs.len();
-                k.procs.push(ProcState {
-                    parked: true,
-                    park_seq: 1,
-                    ..ProcState::new(node)
-                });
-                k.live_procs += 1;
                 let now = k.now;
-                k.push_event(now, EvKind::Wake { pid: new_pid, seq: 1 });
+                let new_pid = k.spawn_proc(node, now, main);
                 let chan = Arc::new(ProcChan::new(node, k.nodes.len()));
                 chan.clock.store(now, Ordering::Release);
                 // The node now shares its CPU between procs: disable the
@@ -1473,17 +1484,13 @@ impl Runner {
                 // the new proc can send (its sends start at `now` too).
                 self.shared.par.chans.write().push(Arc::clone(&chan));
                 self.reps.push(Rep {
-                    chan,
+                    chan: Arc::clone(&chan),
                     cont: None,
                     buf: VecDeque::new(),
                 });
-                let ctx = NodeCtx::new_internal(
-                    Arc::clone(&self.shared),
-                    new_pid,
-                    node,
-                    k.nodes.len(),
-                );
-                let _ = spawn_proc_thread(ctx, main);
+                // Detached: teardown poisons every lane, so the thread
+                // always exits.
+                let _ = spawn_proc_thread(&self.shared, k, new_pid, chan);
                 self.publish(pid, Outcome::Clock(k.now));
                 StepRes::Done
             }
@@ -1642,7 +1649,3 @@ fn replay_park(k: &mut Kernel, pid: ProcId) {
     p.parked = true;
     p.park_seq += 1;
 }
-
-/// The per-proc lane handle stored on a [`NodeCtx`]: empty in serial mode,
-/// set once by the proc-thread preamble in parallel mode.
-pub(crate) type LaneHandle = OnceLock<Arc<ProcChan>>;

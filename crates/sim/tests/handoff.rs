@@ -1,14 +1,23 @@
-//! The serial scheduler's direct baton hand-off: a parking proc drives the
-//! event loop itself and hands the baton straight to its successor, so
-//! limits, stalls, panics, aborts, crashes and fresh-proc rendezvous all
-//! trip while a *proc* thread is driving and must reach the runner intact.
+//! The serial scheduler: every proc is a coroutine on the thread that
+//! called `run`. A parking proc drives the event loop itself and suspends
+//! to the runner when another proc is due, so limits, stalls, panics,
+//! aborts and crashes all trip while a *proc* is driving and must reach the
+//! runner intact — and a run that ends early must still unwind and free
+//! every proc stack.
 //!
-//! Every pinned value below was recorded on the runner-in-the-middle
-//! scheduler this protocol replaced: which thread pops an event must not
-//! show in any `SimError` field or fingerprint.
+//! Every pinned value below was recorded on the thread-per-proc,
+//! runner-in-the-middle scheduler two designs ago: what executes an event
+//! must not show in any `SimError` field or fingerprint.
 
 use std::{
-    sync::mpsc,
+    hint::black_box,
+    panic::{catch_unwind, AssertUnwindSafe},
+    process::Command,
+    sync::{
+        atomic::{AtomicUsize, Ordering},
+        mpsc, Arc,
+    },
+    thread,
     time::{Duration, Instant},
 };
 
@@ -21,16 +30,24 @@ use carlos_sim::{
 /// After the time-0 wakes every event is popped by a parking proc.
 fn endless_ping_pong(cfg: SimConfig) -> Result<SimReport, SimError> {
     let mut c = Cluster::new(cfg, 2);
-    c.spawn_node(0, |ctx| loop {
+    c.spawn_node(0, |ctx| ping_for_ever(&ctx));
+    c.spawn_node(1, |ctx| pong_for_ever(&ctx));
+    c.try_run()
+}
+
+fn ping_for_ever(ctx: &NodeCtx) -> ! {
+    loop {
         ctx.send_datagram(1, vec![7u8; 32]);
         ctx.wait_recv(None).expect("pong");
         ctx.compute(us(3));
-    });
-    c.spawn_node(1, |ctx| loop {
+    }
+}
+
+fn pong_for_ever(ctx: &NodeCtx) -> ! {
+    loop {
         ctx.wait_recv(None).expect("ping");
         ctx.send_datagram(0, vec![9u8; 32]);
-    });
-    c.try_run()
+    }
 }
 
 fn fingerprint(r: &SimReport) -> String {
@@ -171,10 +188,10 @@ fn abort_on_a_handed_off_proc_is_attributed() {
 
 #[test]
 fn spawned_threads_rendezvous_through_the_runner() {
-    // Node 0 runs three procs. A fresh proc's first wake is the one event
-    // a driving proc may not take (its thread may not have parked yet), so
-    // it goes back to the runner — whichever way that race falls, the
-    // fingerprint must not move.
+    // Node 0 runs three procs. A fresh proc has no stack until the runner
+    // resumes it for the first time, so its first wake, popped by whichever
+    // proc is driving, sends that proc back to the runner like any other
+    // hand-off — and the fingerprint must not move.
     let run = || {
         let mut c = Cluster::new(SimConfig::fast_test(), 2);
         c.spawn_node(0, |ctx| {
@@ -212,8 +229,8 @@ fn spawned_threads_rendezvous_through_the_runner() {
 fn crash_and_pause_fire_while_procs_drive() {
     // Node 2 is paused, then fail-stopped, in the middle of a ring
     // exchange. The Crash event is popped by the runner only; the node's
-    // proc — marked for termination while parked — must be unparked, or
-    // this test hangs instead of failing.
+    // proc — marked for termination while parked — must be resumed and
+    // unwound there, or the survivors' run never balances.
     let plan = FaultPlan::new(1)
         .pause(2, us(150), us(400))
         .crash(2, us(900));
@@ -265,9 +282,10 @@ fn deadline_wake_that_goes_stale_is_skipped() {
 
 #[test]
 fn no_wake_up_is_lost_in_300_back_to_back_clusters() {
-    // Every hand-off is unlock, unpark, park: a wake-up lost in that
-    // window parks the whole cluster for ever. Run many short clusters
-    // under a host-time watchdog so a regression fails instead of hanging.
+    // A proc that suspends without its successor recorded, or a runner
+    // that resumes nobody, stops the whole cluster for ever. Run many short
+    // clusters under a host-time watchdog so a regression fails instead of
+    // hanging.
     let (done_tx, done_rx) = mpsc::channel();
     let soak = std::thread::spawn(move || {
         let mut events = 0;
@@ -298,10 +316,316 @@ fn no_wake_up_is_lost_in_300_back_to_back_clusters() {
             soak.join().expect("soak thread");
             assert!(events > 300 * 4 * 25, "soak did no work: {events} events");
         }
-        // Leaves the stuck threads behind: the process exits with the failure.
+        // Leaves the stuck thread behind: the process exits with the failure.
         Err(_) => panic!(
             "hand-off soak stuck for {:?}: lost wake-up",
             started.elapsed()
         ),
     }
+}
+
+/// OS threads of this process (`Threads:` in `/proc/self/status`).
+fn os_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .expect("Threads: line");
+    line.trim().parse().expect("thread count")
+}
+
+/// Mappings of this process (lines of `/proc/self/maps`).
+fn mappings() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("procfs")
+        .lines()
+        .count()
+}
+
+/// The harness runs another test of this file beside each of these (one
+/// more thread, plus the soak's), so process-wide counts are compared with
+/// this much slack — against dozens to thousands when the property fails.
+const SLACK: usize = 8;
+
+#[test]
+fn no_os_thread_per_proc() {
+    const NODES: u32 = 24;
+    let runner = thread::current().id();
+    let before = os_threads();
+    let most = Arc::new(AtomicUsize::new(0));
+    let mut c = Cluster::new(SimConfig::fast_test(), NODES as usize);
+    for n in 0..NODES {
+        let most = Arc::clone(&most);
+        c.spawn_node(n, move |ctx| {
+            assert_eq!(thread::current().id(), runner);
+            let (done_tx, done_rx) = mpsc::channel();
+            ctx.spawn_thread(move |tctx| {
+                assert_eq!(thread::current().id(), runner);
+                tctx.compute(us(2));
+                done_tx.send(tctx.node_id()).expect("parent is alive");
+            });
+            // One lap of a token ring: by the time the token is back every
+            // proc and every child has run, and none has finished.
+            if n == 0 {
+                ctx.send_datagram(1, vec![0]);
+            }
+            ctx.wait_recv(None).expect("token");
+            if n != 0 {
+                ctx.send_datagram((n + 1) % NODES, vec![0]);
+            }
+            most.fetch_max(os_threads(), Ordering::Relaxed);
+            ctx.sleep(ms(1));
+            assert_eq!(done_rx.try_recv(), Ok(n));
+        });
+    }
+    c.run();
+    let most = most.load(Ordering::Relaxed);
+    assert!(
+        most <= before + SLACK,
+        "{before} OS threads before the run, {most} with {} procs live",
+        2 * NODES
+    );
+}
+
+/// Counts its drops.
+struct Guard(Arc<AtomicUsize>);
+
+impl Drop for Guard {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn cluster_dropped_without_run_leaves_nothing_behind() {
+    let before = os_threads();
+    let drops = Arc::new(AtomicUsize::new(0));
+    for _ in 0..50 {
+        let mut c = Cluster::new(SimConfig::fast_test(), 4);
+        for n in 0..4 {
+            let guard = Guard(Arc::clone(&drops));
+            c.spawn_node(n, move |ctx| {
+                let _guard = guard;
+                ctx.compute(us(1));
+            });
+        }
+    }
+    assert_eq!(drops.load(Ordering::SeqCst), 200, "queued mains dropped");
+    let after = os_threads();
+    assert!(
+        after <= before + SLACK,
+        "{before} OS threads before, {after} after dropping 50 unrun clusters"
+    );
+}
+
+/// Runs `body` on `n` nodes, each proc holding a [`Guard`] on its stack, and
+/// returns the outcome with the number of guards dropped by the time
+/// `try_run` returned.
+fn run_guarded(
+    cfg: SimConfig,
+    n: u32,
+    body: fn(&NodeCtx, &Arc<AtomicUsize>),
+) -> (Result<SimReport, SimError>, usize) {
+    let drops = Arc::new(AtomicUsize::new(0));
+    let mut c = Cluster::new(cfg, n as usize);
+    for node in 0..n {
+        let drops = Arc::clone(&drops);
+        c.spawn_node(node, move |ctx| {
+            let _on_the_stack = Guard(Arc::clone(&drops));
+            body(&ctx, &drops);
+        });
+    }
+    let outcome = c.try_run();
+    (outcome, drops.load(Ordering::SeqCst))
+}
+
+#[test]
+fn teardown_unwinds_every_proc_stack() {
+    // Stalled: everybody waits for mail that never comes.
+    let (r, drops) = run_guarded(SimConfig::fast_test(), 3, |ctx, _| {
+        ctx.compute(us(u64::from(ctx.node_id())));
+        let _ = ctx.wait_recv(None);
+    });
+    assert!(matches!(r, Err(SimError::Stalled { .. })), "{r:?}");
+    assert_eq!(drops, 3);
+
+    // MaxEvents, tripping while a proc drives.
+    let cfg = SimConfig {
+        max_events: Some(500),
+        ..SimConfig::fast_test()
+    };
+    let (r, drops) = run_guarded(cfg, 2, |ctx, _| match ctx.node_id() {
+        0 => ping_for_ever(ctx),
+        _ => pong_for_ever(ctx),
+    });
+    assert!(matches!(r, Err(SimError::MaxEvents { .. })), "{r:?}");
+    assert_eq!(drops, 2);
+
+    // An application panic on node 1 while node 0 is parked mid-exchange;
+    // node 1 has just spawned a thread that therefore never starts, and
+    // whose queued body owns a third guard.
+    let (r, drops) = run_guarded(SimConfig::fast_test(), 2, |ctx, drops| {
+        match ctx.node_id() {
+            0 => ping_for_ever(ctx),
+            _ => {
+                ctx.wait_recv(None).expect("ping");
+                let never_runs = Guard(Arc::clone(drops));
+                ctx.spawn_thread(move |_| {
+                    let _never_runs = never_runs;
+                    unreachable!("the run ends before this thread's first wake");
+                });
+                panic!("boom");
+            }
+        }
+    });
+    assert!(
+        matches!(r, Err(SimError::NodePanic { node: Some(1), .. })),
+        "{r:?}"
+    );
+    assert_eq!(drops, 3);
+
+    // An attributed abort.
+    let (r, drops) = run_guarded(SimConfig::fast_test(), 2, |ctx, _| match ctx.node_id() {
+        0 => ping_for_ever(ctx),
+        _ => {
+            ctx.wait_recv(None).expect("ping");
+            carlos_sim::abort(1, "giving up")
+        }
+    });
+    assert!(matches!(r, Err(SimError::Aborted { node: 1, .. })), "{r:?}");
+    assert_eq!(drops, 2);
+
+    // A scripted crash of node 2, whose mail the survivors wait for: its
+    // proc unwinds at the crash, theirs at teardown.
+    let plan = FaultPlan::new(1).crash(2, us(100));
+    let cfg = SimConfig::fast_test().with_fault_plan(plan);
+    let (r, drops) = run_guarded(cfg, 3, |ctx, _| {
+        if ctx.node_id() == 2 {
+            ctx.sleep(ms(1));
+            ctx.send_datagram(0, vec![1]);
+            ctx.send_datagram(1, vec![1]);
+        } else {
+            ctx.wait_recv(None).expect("never: node 2 is dead");
+        }
+    });
+    match r {
+        Err(SimError::Stalled { crashed, .. }) => assert_eq!(crashed, [2]),
+        other => panic!("expected Stalled, got {other:?}"),
+    }
+    assert_eq!(drops, 3);
+}
+
+/// Recurses until `floor` bytes of stack lie between `base` and this frame,
+/// parks there, and returns the depth reached in bytes.
+#[inline(never)]
+fn dive(ctx: &NodeCtx, base: usize, floor: usize) -> usize {
+    let frame = [0u8; 256];
+    let here = black_box(&frame).as_ptr() as usize;
+    let used = base - here;
+    if used >= floor {
+        // Switch away and back with the whole stack live.
+        ctx.sleep(us(10));
+        return used;
+    }
+    let deeper = dive(ctx, base, floor);
+    black_box(&frame);
+    deeper
+}
+
+#[test]
+fn a_proc_can_use_a_mebibyte_of_stack() {
+    let mut c = Cluster::new(SimConfig::fast_test(), 2);
+    for n in 0..2 {
+        c.spawn_node(n, |ctx| {
+            let base = [0u8; 8];
+            let used = dive(&ctx, black_box(&base).as_ptr() as usize, 1 << 20);
+            assert!(used >= 1 << 20);
+            ctx.compute(us(1));
+        });
+    }
+    c.run();
+}
+
+#[test]
+fn proc_stacks_are_unmapped_after_every_kind_of_run() {
+    let before = mappings();
+    for round in 0..2_000u32 {
+        let mut c = Cluster::new(SimConfig::fast_test(), 8);
+        for n in 0..8u32 {
+            c.spawn_node(n, move |ctx| {
+                ctx.send_datagram((n + 1) % 8, vec![n as u8]);
+                ctx.wait_recv(None).expect("neighbour's datagram");
+                if round % 2 == 1 {
+                    let _ = ctx.wait_recv(None);
+                }
+            });
+        }
+        match c.try_run() {
+            Ok(_) => assert_eq!(round % 2, 0),
+            Err(SimError::Stalled { blocked, .. }) => {
+                assert_eq!((round % 2, blocked.len()), (1, 8))
+            }
+            Err(other) => panic!("round {round}: {other:?}"),
+        }
+    }
+    let after = mappings();
+    assert!(
+        after <= before + 4 * SLACK,
+        "/proc/self/maps grew from {before} to {after} lines over 16 000 proc stacks"
+    );
+}
+
+#[derive(Debug, PartialEq)]
+struct Verdict {
+    code: u32,
+    why: &'static str,
+}
+
+#[test]
+fn run_reraises_a_typed_panic_payload() {
+    let mut c = Cluster::new(SimConfig::fast_test(), 2);
+    c.spawn_node(0, |ctx| {
+        let _ = ctx.wait_recv(None);
+    });
+    c.spawn_node(1, |ctx| {
+        ctx.compute(us(5));
+        std::panic::panic_any(Verdict {
+            code: 7,
+            why: "typed",
+        });
+    });
+    let payload = catch_unwind(AssertUnwindSafe(|| c.run())).expect_err("run re-raises");
+    let verdict = payload
+        .downcast::<Verdict>()
+        .expect("payload keeps its type");
+    assert_eq!(
+        *verdict,
+        Verdict {
+            code: 7,
+            why: "typed"
+        }
+    );
+}
+
+#[test]
+fn typed_panic_survives_backtrace_printing() {
+    // With RUST_BACKTRACE=1 the panic hook walks the panicking proc's stack
+    // down to the coroutine's base frame before the unwinder does. The
+    // variable is read once per process, so it gets a process of its own:
+    // this binary again, running the test above and nothing else.
+    let out = Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "--exact",
+            "run_reraises_a_typed_panic_payload",
+            "--nocapture",
+        ])
+        .env("RUST_BACKTRACE", "1")
+        .output()
+        .expect("re-run this test binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "child failed:\n{stderr}");
+    assert!(
+        stderr.contains("stack backtrace:") && stderr.contains("coro::entry"),
+        "no backtrace down to the base frame:\n{stderr}"
+    );
 }

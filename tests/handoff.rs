@@ -1,9 +1,10 @@
-//! Tier-1 cover for the serial scheduler's direct baton hand-off (the
+//! Full-stack cover for the serial scheduler's hand-off between procs (the
 //! detailed suite is `crates/sim/tests/handoff.rs`): the whole stack —
 //! ARQ transport, message-driven runtime, distributed locks and barriers —
 //! runs with parking procs driving the event loop, and what the runner
-//! reports must not depend on which thread popped the deciding event.
-//! The pinned values were recorded on the runner-in-the-middle scheduler.
+//! reports must not depend on whose stack popped the deciding event.
+//! The pinned values were recorded on the thread-per-proc,
+//! runner-in-the-middle scheduler two designs ago.
 
 use carlos::core::{CoreConfig, Runtime};
 use carlos::lrc::LrcConfig;
