@@ -23,7 +23,7 @@
 //!   in causal order ([`LrcEngine::apply_diff_records`]). A node with no
 //!   copy demands the whole page.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
 use crate::{
     config::LrcConfig,
@@ -80,6 +80,13 @@ pub struct EngineStats {
     pub gcs: u64,
 }
 
+/// True when one of `claims` covers interval `index` of `creator`.
+fn claimed(claims: &[DiffRecord], creator: u32, index: u32) -> bool {
+    claims
+        .iter()
+        .any(|r| r.node == creator && r.first <= index && index <= r.last)
+}
+
 /// One node's lazy-release-consistency engine.
 #[derive(Debug, Clone)]
 pub struct LrcEngine {
@@ -109,6 +116,14 @@ pub struct LrcEngine {
     /// the last [`LrcEngine::take_eager_invalid`]; always empty without
     /// eager region hints.
     eager_invalid: Vec<PageId>,
+    /// Per page with a local copy, the write notices `(creator, index)`
+    /// naming it that the copy does not reflect yet: exactly the stored
+    /// interval records above the page's `applied` that list it. A fetch is
+    /// complete when each one is covered
+    /// ([`LrcEngine::covers_with_claims`]), so that test costs what is
+    /// outstanding, not what has happened since the page was last brought
+    /// up to date. Up-to-date pages and pages without a copy have no entry.
+    outstanding: BTreeMap<PageId, Vec<(u32, u32)>>,
     stats: EngineStats,
 }
 
@@ -137,6 +152,7 @@ impl LrcEngine {
             granules,
             observer: ObserverSlot::default(),
             eager_invalid: Vec::new(),
+            outstanding: BTreeMap::new(),
             stats: EngineStats::default(),
             cfg,
         }
@@ -513,8 +529,11 @@ impl LrcEngine {
             let cur = meta.max_notice.get(rec.node);
             meta.max_notice.set(rec.node, cur.max(rec.index));
             match meta.state {
+                // Nothing to bring up to date yet: `install_page` finds
+                // this notice in the store if the first copy predates it.
                 PageState::Missing => {}
                 _ => {
+                    self.outstanding.entry(p).or_default().push((rec.node, rec.index));
                     meta.state = PageState::Invalid;
                     if self.granules.eager_granule(p) {
                         self.eager_invalid.push(p);
@@ -590,9 +609,9 @@ impl LrcEngine {
     /// so a buffer can hold a creator's interval 41 without its interval
     /// 40 — a max-based check would pass, the batch would apply, the
     /// scalar `applied` would jump past 40, and interval 40's diff would
-    /// be duplicate-skipped forever. The interval store knows exactly
-    /// which of the creator's intervals named this page, so each one is
-    /// verified individually.
+    /// be duplicate-skipped forever. The page's entry lists exactly which
+    /// of each creator's intervals named it and are not applied yet, so
+    /// each one is verified individually.
     ///
     /// The messaging layer uses this to hold buffered diffs until a
     /// complete, causally sortable batch is present — applying partial
@@ -600,39 +619,50 @@ impl LrcEngine {
     /// arriving in a later round.
     #[must_use]
     pub fn covers_with_claims(&self, page: PageId, claims: &[DiffRecord]) -> bool {
-        // An untouched page has no outstanding notice.
+        match self.pages.get(page) {
+            // An untouched page has no outstanding notice.
+            None => true,
+            // Without a copy there is nothing a diff could complete.
+            Some(meta) if meta.state == PageState::Missing => meta.up_to_date(),
+            Some(_) => self
+                .outstanding
+                .get(&page)
+                .is_none_or(|notices| notices.iter().all(|&(q, i)| claimed(claims, q, i))),
+        }
+    }
+
+    /// Drops `page`'s outstanding notices that `applied` has caught up
+    /// with; called wherever a page's `applied` rises.
+    fn prune_outstanding(
+        outstanding: &mut BTreeMap<PageId, Vec<(u32, u32)>>,
+        page: PageId,
+        applied: &Vc,
+    ) {
+        if let Entry::Occupied(mut notices) = outstanding.entry(page) {
+            notices.get_mut().retain(|&(q, i)| i > applied.get(q));
+            if notices.get().is_empty() {
+                notices.remove();
+            }
+        }
+    }
+
+    /// [`LrcEngine::covers_with_claims`] answered from the interval store,
+    /// one lookup per index in each creator's `(applied, max_notice]`: the
+    /// reference the equivalence proptest below holds the per-page list to.
+    #[cfg(test)]
+    fn covers_by_store_walk(&self, page: PageId, claims: &[DiffRecord]) -> bool {
         let Some(meta) = self.pages.get(page) else {
             return true;
         };
-        for (q, have) in meta.applied.iter() {
-            if q == self.node {
-                continue;
-            }
-            let want = meta.max_notice.get(q);
-            // A page named once in a while trails its creator by hundreds
-            // of intervals: walk the span, do not look each index up.
-            let mut next = have + 1;
-            for rec in self.intervals.range(q, next, want) {
-                let i = rec.index;
-                if i != next
-                    || (rec.pages.contains(&page)
-                        && !claims
-                            .iter()
-                            .any(|r| r.node == q && r.first <= i && i <= r.last))
-                {
-                    return false;
-                }
-                next += 1;
-            }
-            // No record for a known notice index (checked above inside the
-            // span, here at its end): only possible for coverage learned
-            // wholesale from a page install, whose applied/max_notice
-            // components move together — treat conservatively as incomplete.
-            if next <= want {
-                return false;
-            }
-        }
-        true
+        meta.applied.iter().filter(|&(q, _)| q != self.node).all(|(q, have)| {
+            (have + 1..=meta.max_notice.get(q)).all(|i| {
+                // No record for a known notice index (only below the base
+                // of the last collection) counts as incomplete.
+                self.intervals
+                    .get(q, i)
+                    .is_some_and(|rec| !rec.pages.contains(&page) || claimed(claims, q, i))
+            })
+        })
     }
 
     /// The demands needed to make a faulted page accessible.
@@ -737,6 +767,7 @@ impl LrcEngine {
             // Keep the fetched record (GC pressure, as in TreadMarks).
             self.diffs.entry((rec.node, page)).or_default().push(rec);
         }
+        Self::prune_outstanding(&mut self.outstanding, page, &meta.applied);
         if meta.state == PageState::Invalid && meta.up_to_date() {
             meta.state = if meta.twin.is_some() {
                 PageState::ReadWrite
@@ -812,7 +843,28 @@ impl LrcEngine {
         } else {
             meta.data = data;
         }
+        let first_copy = meta.state == PageState::Missing;
         meta.applied.join(&applied);
+        if first_copy {
+            // Notices that arrived while there was no copy were not listed;
+            // those the copy does not cover are, from the store, now. This
+            // is the one walk of a creator's `(applied, max_notice]` left,
+            // once per first touch instead of once per coverage test.
+            let store = &self.intervals;
+            let notices: Vec<(u32, u32)> = meta
+                .applied
+                .iter()
+                .filter(|&(q, _)| q != self.node)
+                .flat_map(|(q, have)| store.range(q, have + 1, meta.max_notice.get(q)))
+                .filter(|rec| rec.pages.contains(&page))
+                .map(|rec| (rec.node, rec.index))
+                .collect();
+            if !notices.is_empty() {
+                self.outstanding.insert(page, notices);
+            }
+        } else {
+            Self::prune_outstanding(&mut self.outstanding, page, &meta.applied);
+        }
         // The copy reflects at least those modifications; record them as
         // known notices so bookkeeping stays monotone.
         meta.max_notice.join(&applied);
@@ -870,6 +922,156 @@ impl LrcEngine {
         self.pages.collect(&self.vt);
         self.intervals.clear();
         self.diffs.clear();
+        // Every page is valid, so nothing was outstanding.
+        self.outstanding.clear();
         self.stats.gcs += 1;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::config::PageOwnership;
+
+    const PAGES: u32 = 6;
+
+    /// A small cluster driven by hand, every fetch answered at once.
+    struct Cluster(Vec<LrcEngine>);
+
+    impl Cluster {
+        fn new(n: usize, banded: bool) -> Self {
+            let cfg = LrcConfig {
+                region_bytes: PAGES as usize * 64,
+                ownership: if banded {
+                    PageOwnership::Banded
+                } else {
+                    PageOwnership::SingleOwner(0)
+                },
+                ..LrcConfig::small_test(n)
+            };
+            Self((0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect())
+        }
+
+        /// The diff records `node`'s outstanding demands for `page` name,
+        /// as their writers would serve them.
+        fn demanded_diffs(&mut self, node: usize, page: PageId) -> Vec<DiffRecord> {
+            let mut recs = Vec::new();
+            for d in self.0[node].fault_demands(page) {
+                if let Demand::Diffs { to, after, through, .. } = d {
+                    recs.extend(self.0[to as usize].serve_diffs(page, after, through));
+                }
+            }
+            recs
+        }
+
+        /// Brings `page` up to date on `node`: its copy first, then diffs.
+        fn fetch(&mut self, node: usize, page: PageId) {
+            if self.0[node].page_state(page) == PageState::Missing {
+                self.install(node, page);
+            }
+            let recs = self.demanded_diffs(node, page);
+            if !recs.is_empty() {
+                self.0[node].apply_diff_records(page, recs);
+            }
+        }
+
+        fn install(&mut self, node: usize, page: PageId) {
+            let owner = self.0[node].owner_of(page) as usize;
+            if owner != node {
+                let (data, applied) = self.0[owner].serve_page(page);
+                let _ = self.0[node].install_page(page, data, applied);
+            }
+        }
+
+        fn sync(&mut self, from: usize, to: usize) {
+            let recs = self.0[from].records_newer_than(&self.0[to].vt().clone());
+            self.0[to].apply_records(&recs);
+        }
+
+        /// The runtime's collection: close, equalise clocks, validate, discard.
+        fn gc(&mut self) {
+            let n = self.0.len();
+            for e in &mut self.0 {
+                e.close_interval();
+            }
+            for _round in 0..2 {
+                for a in 0..n {
+                    (0..n).filter(|&b| b != a).for_each(|b| self.sync(a, b));
+                }
+            }
+            for i in 0..n {
+                for p in self.0[i].pages.invalid_pages() {
+                    self.fetch(i, p);
+                }
+            }
+            self.0.iter_mut().for_each(LrcEngine::gc_discard);
+        }
+
+        /// The list and the store walk agree on every page of every node,
+        /// with no claims, every demanded diff, and the subset `mask` picks.
+        fn check(&mut self, mask: u32) {
+            for node in 0..self.0.len() {
+                for page in 0..PAGES {
+                    let all = self.demanded_diffs(node, page);
+                    let some: Vec<DiffRecord> = all
+                        .iter()
+                        .enumerate()
+                        .filter(|(k, _)| mask >> (k % 32) & 1 == 1)
+                        .map(|(_, r)| r.clone())
+                        .collect();
+                    let e = &self.0[node];
+                    for claims in [&[][..], &all, &some] {
+                        let (list, walk) = (
+                            e.covers_with_claims(page, claims),
+                            e.covers_by_store_walk(page, claims),
+                        );
+                        // (A page without a copy demands no diffs, so its
+                        // claims are empty and both say "nothing known".)
+                        prop_assert_eq!(list, walk, "node {} page {}", node, page);
+                    }
+                    if let Some(meta) = e.pages.get(page) {
+                        let listed = e.outstanding.contains_key(&page);
+                        let behind = meta.state != PageState::Missing && !meta.up_to_date();
+                        prop_assert_eq!(listed, behind, "node {} page {}", node, page);
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn outstanding_notices_match_the_store_walk(
+            shape in (2usize..5, any::<bool>()),
+            ops in proptest::collection::vec(
+                (0usize..10, 0usize..4, 0usize..4, 0u32..PAGES, any::<u32>()),
+                1..100,
+            ),
+        ) {
+            let (n, banded) = shape;
+            let mut c = Cluster::new(n, banded);
+            for (kind, node, peer, page, mask) in ops {
+                let (node, peer) = (node % n, peer % n);
+                match kind {
+                    0..=2 => {
+                        c.fetch(node, page);
+                        let addr = page as usize * 64 + 4 * (node + (mask as usize % 3));
+                        c.0[node].write(addr, &mask.to_le_bytes()).expect("fetched page");
+                    }
+                    3 | 4 => {
+                        c.0[node].close_interval();
+                    }
+                    5 | 6 if peer != node => c.sync(node, peer),
+                    7 => c.fetch(node, page),
+                    8 => c.install(node, page),
+                    9 if mask % 4 == 0 => c.gc(),
+                    _ => {}
+                }
+                c.check(mask);
+            }
+        }
     }
 }
