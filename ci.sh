@@ -111,10 +111,11 @@ for n in 8 32; do
         'BEGIN { exit !(b > 0 && b <= 16 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 done
 
-# Flat-diff gate (4 KiB page, one byte in 8 changed, 512 runs): a diff is
-# one buffer whatever its run count -- at most 2 allocations and 12 heap
-# bytes per run (8 of header, 1 of data here) -- and creating it stays
-# within 3x of the committed time, normalised like the gate above.
+# Flat-diff gate (4 KiB page, one byte in 8 changed, which leaves every
+# second word clean: 512 runs that must not merge): a diff is one buffer
+# whatever its run count -- at most 2 allocations and 12 heap bytes per
+# run (8 of header, 1 of data here) -- and creating it stays within 3x of
+# the committed time, normalised like the gate above.
 allocs=$(ratio diff_allocs_dense_1_in_8)
 per_run=$(ratio diff_heap_bytes_per_run_dense_1_in_8)
 ns=$(median_ns diff_create word_dense_1_in_8)
@@ -124,6 +125,17 @@ echo "==> flat diff dense_1_in_8: ${allocs} allocation(s), ${per_run} B/run," \
 awk -v a="$allocs" -v b="$per_run" -v ns="$ns" -v c="$(ratio calib_ms)" \
     -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
     'BEGIN { exit !(a > 0 && a <= 2 && b > 0 && b <= 12 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
+
+# Typed-diff gate (8 KiB page of u32s below 2^18, every element replaced):
+# runs are stretches of dirty 4-byte words, so the agreeing top bytes do
+# not split it -- exactly one run and 8 203 wire bytes (a byte-granular
+# scanner made 2 055 runs and 22 067 bytes of the same page).
+wire=$(ratio diff_wire_len_typed_u32_8k)
+runs=$(ratio diff_runs_typed_u32_8k)
+echo "==> typed diff u32_8k: ${wire} B in ${runs} run(s)," \
+    "create $(median_ns diff_create typed_u32_rewritten_8k) ns," \
+    "f64 $(median_ns diff_create typed_f64_perturbed_8k) ns"
+awk -v w="$wire" -v r="$runs" 'BEGIN { exit !(w == 8203 && r == 1) }'
 
 # Hand-off gate (raw 2-node ping-pong, two hand-offs per round trip): a
 # simulated context switch is two coroutine switches through the runner,

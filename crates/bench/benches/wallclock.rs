@@ -3,7 +3,9 @@
 //! a fetched diff (create, encode, decode, apply, drop), the wire codec,
 //! and end-to-end 4-node TSP/SOR runs (host seconds, not virtual time).
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
-//! `diff_heap_bytes_per_run_*`, both deterministic. Each end-to-end
+//! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
+//! size and run count of a rewritten page of typed data
+//! (`diff_wire_len_typed_*`, `diff_runs_typed_*`). Each end-to-end
 //! run also executes under the conservative parallel scheduler; the
 //! serial/parallel host-second ratio lands in the JSON's `derived`
 //! section as `parallel_speedup_*`, alongside `host_cores`. A raw 2-node
@@ -119,11 +121,40 @@ const DIRTINESS: &[(&str, usize)] = &[
     ("all_dirty", 1),
 ];
 
+/// An 8 KiB page of `u32`s below 2^18 and the same page with every element
+/// replaced by another such value — what a sorter leaves of a page of
+/// keys. Every word differs and every top byte agrees: the input the
+/// "one byte in N" ladder above never offers.
+fn typed_u32_pages() -> (Vec<u8>, Vec<u8>) {
+    let mut rng = Xoshiro256::new(0x5150_1994);
+    let mut page = || -> Vec<u8> {
+        (0..2048).flat_map(|_| (rng.next_below(1 << 18) as u32).to_le_bytes()).collect()
+    };
+    (page(), page())
+}
+
+/// An 8 KiB page of `f64`s `1.0 + 0.37 i` and the same page with every
+/// element moved by `1e-3 sin i` — one step of a particle code: sign,
+/// exponent and the top of the mantissa agree.
+fn typed_f64_pages() -> (Vec<u8>, Vec<u8>) {
+    let at = |i: usize| 1.0 + 0.37 * i as f64;
+    let page = |f: &dyn Fn(usize) -> f64| (0..1024).flat_map(|i| f(i).to_le_bytes()).collect();
+    (page(&at), page(&|i| at(i) + 1e-3 * (i as f64).sin()))
+}
+
 fn bench_diff_create(c: &mut Criterion) {
     let mut g = c.benchmark_group("diff_create");
     for &(label, every) in DIRTINESS {
         let (twin, cur) = page_pair(every);
         g.bench_function(format!("word_{label}"), |b| {
+            b.iter(|| Diff::create(black_box(&twin), black_box(&cur)));
+        });
+    }
+    for (label, (twin, cur)) in [
+        ("typed_u32_rewritten_8k", typed_u32_pages()),
+        ("typed_f64_perturbed_8k", typed_f64_pages()),
+    ] {
+        g.bench_function(label, |b| {
             b.iter(|| Diff::create(black_box(&twin), black_box(&cur)));
         });
     }
@@ -207,19 +238,31 @@ fn bench_diff_lifecycle(c: &mut Criterion) {
 }
 
 /// Allocations and heap bytes per run of one dense diff (a 4 KiB page,
-/// one byte in 8 changed): the flat layout makes both independent of the
-/// run count — one buffer of `8 * runs + modified` bytes.
+/// one byte in 8 changed, so every second word is clean and the 512 runs
+/// stay apart): the flat layout makes both independent of the run count —
+/// one buffer of `8 * runs + modified` bytes. And what a rewritten page of
+/// small `u32`s encodes to: one run, the page less its last (agreeing)
+/// byte, 12 bytes of framing.
 fn bench_diff_footprint() -> Vec<(String, f64)> {
     let (twin, cur) = page_pair(8);
     let (diff, allocs, bytes) = counted(|| Diff::create(&twin, &cur));
     let runs = diff.runs().count();
     eprintln!("diff footprint dense_1_in_8: {allocs} allocation(s), {bytes} B for {runs} runs");
+    let (twin, cur) = typed_u32_pages();
+    let typed = Diff::create(&twin, &cur);
+    eprintln!(
+        "diff typed_u32_8k: {} B on the wire in {} run(s)",
+        typed.wire_len(),
+        typed.runs().count()
+    );
     vec![
         ("diff_allocs_dense_1_in_8".to_string(), allocs as f64),
         (
             "diff_heap_bytes_per_run_dense_1_in_8".to_string(),
             bytes as f64 / runs as f64,
         ),
+        ("diff_wire_len_typed_u32_8k".to_string(), typed.wire_len() as f64),
+        ("diff_runs_typed_u32_8k".to_string(), typed.runs().count() as f64),
     ]
 }
 

@@ -1,6 +1,8 @@
 //! Shadow-memory consistency oracle.
 //!
-//! The oracle keeps a per-word (4-byte) history of writes, each tagged with
+//! The oracle keeps a per-word history of writes (the word is the model's
+//! sharing unit, [`carlos_lrc::WORD`] bytes: the diffs it checks carry whole
+//! words, so this is also the finest sharing they support), each tagged with
 //! the writer's node, the interval the write belongs to, and the vector
 //! timestamp of that interval. From this history it decides, for every
 //! observed read, which write the reader is *entitled* to see under lazy
@@ -30,7 +32,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use carlos_lrc::Vc;
+use carlos_lrc::{Vc, WORD};
 
 use crate::{Violation, ViolationKind};
 
@@ -39,9 +41,9 @@ struct WriteRec {
     node: u32,
     interval: u32,
     vc: Vc,
-    /// The 4 bytes the word held after this write, if the write covered the
+    /// The bytes the word held after this write, if the write covered the
     /// word entirely; `None` for partial (sub-word) writes.
-    value: Option<[u8; 4]>,
+    value: Option<[u8; WORD]>,
 }
 
 /// Per-word write history plus the racy-by-design allowlist.
@@ -67,7 +69,7 @@ impl Oracle {
         if len == 0 {
             return;
         }
-        for w in addr / 4..=(addr + len - 1) / 4 {
+        for w in addr / WORD..=(addr + len - 1) / WORD {
             self.allow.insert(w);
         }
     }
@@ -95,10 +97,10 @@ impl Oracle {
             .map(|q| node_vt[q].get(node))
             .min()
             .unwrap_or(0);
-        for w in addr / 4..=(addr + data.len() - 1) / 4 {
-            let ws = w * 4;
-            let value: Option<[u8; 4]> = if addr <= ws && ws + 4 <= addr + data.len() {
-                Some(data[ws - addr..ws - addr + 4].try_into().unwrap())
+        for w in addr / WORD..=(addr + data.len() - 1) / WORD {
+            let ws = w * WORD;
+            let value: Option<[u8; WORD]> = if addr <= ws && ws + WORD <= addr + data.len() {
+                Some(data[ws - addr..ws - addr + WORD].try_into().unwrap())
             } else {
                 None
             };
@@ -163,20 +165,20 @@ impl Oracle {
         }
         let mut out = Vec::new();
         let interval = vt.get(node) + 1;
-        for w in addr / 4..=(addr + data.len() - 1) / 4 {
+        for w in addr / WORD..=(addr + data.len() - 1) / WORD {
             if self.allow.contains(&w) {
                 continue;
             }
-            let ws = w * 4;
+            let ws = w * WORD;
             // Value checks apply only to words the read covers entirely.
-            let got: Option<&[u8]> = if addr <= ws && ws + 4 <= addr + data.len() {
-                Some(&data[ws - addr..ws - addr + 4])
+            let got: Option<&[u8]> = if addr <= ws && ws + WORD <= addr + data.len() {
+                Some(&data[ws - addr..ws - addr + WORD])
             } else {
                 None
             };
             let Some(entries) = self.words.get(&w) else {
                 if let Some(g) = got {
-                    if g != [0u8; 4] {
+                    if g != [0u8; WORD] {
                         out.push((
                             format!("unk:{w}:{node}"),
                             Violation {

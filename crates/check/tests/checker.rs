@@ -291,3 +291,61 @@ fn transitive_chain_is_clean_and_converges() {
     assert_eq!(u32::from_le_bytes(buf), 22);
     check.assert_clean();
 }
+
+/// Two nodes rewrite *adjacent* words of one granule in concurrent
+/// intervals; each changes two bytes of its word with an unchanged byte
+/// between them, so each diff run carries that byte along. Node 0 acquires
+/// from both and fetches their diffs in the given order.
+fn adjacent_word_writers(order: [u32; 2]) {
+    let check = Checker::new(3);
+    let mut e = engines(3, &check);
+    resolve_write(&mut e, 0, 8, &0x0001_1111u32.to_le_bytes());
+    resolve_write(&mut e, 0, 12, &0x0002_2222u32.to_le_bytes());
+    sync_release(&mut e, 0, 1);
+    sync_release(&mut e, 0, 2);
+    resolve_write(&mut e, 1, 8, &0x0005_1133u32.to_le_bytes());
+    resolve_write(&mut e, 2, 12, &0x0006_2244u32.to_le_bytes());
+    sync_release(&mut e, 1, 0);
+    sync_release(&mut e, 2, 0);
+    let page = e[0].page_of(8);
+    let mut demands = e[0].fault_demands(page);
+    demands.sort_by_key(|d| match d {
+        Demand::Diffs { to, .. } => order.iter().position(|n| n == to),
+        Demand::Page { .. } => None,
+    });
+    assert_eq!(demands.len(), 2, "one diff demand per writer");
+    satisfy(&mut e, 0, demands);
+    let mut buf = [0u8; 8];
+    resolve_read(&mut e, 0, 8, &mut buf);
+    assert_eq!(buf[..4], 0x0005_1133u32.to_le_bytes());
+    assert_eq!(buf[4..], 0x0006_2244u32.to_le_bytes());
+    check.assert_clean();
+}
+
+#[test]
+fn concurrent_writers_of_adjacent_words_merge_in_either_order() {
+    adjacent_word_writers([1, 2]);
+    adjacent_word_writers([2, 1]);
+}
+
+/// The word is the sharing unit: a diff run may carry any byte of a word
+/// its writer touched, so two concurrent writers of *different bytes* of
+/// one word are a race the model never allowed, and are reported as one.
+#[test]
+fn concurrent_writers_of_one_word_race_even_on_different_bytes() {
+    let check = Checker::new(3);
+    let mut e = engines(3, &check);
+    resolve_write(&mut e, 0, 8, &0x0001_1111u32.to_le_bytes());
+    sync_release(&mut e, 0, 1);
+    sync_release(&mut e, 0, 2);
+    resolve_write(&mut e, 1, 8, &[0x33]);
+    resolve_write(&mut e, 2, 11, &[0x44]);
+    let vs = check.violations();
+    assert!(
+        vs.iter().any(|v| v.kind == ViolationKind::WriteWriteRace
+            && v.node == 2
+            && v.addr == 8
+            && v.detail.contains("node 1")),
+        "missing write/write race on the shared word, got: {vs:?}"
+    );
+}

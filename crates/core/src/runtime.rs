@@ -521,7 +521,7 @@ impl Core {
                 #[cfg(any(test, feature = "seeded-bugs"))]
                 let n = if self.cfg.seeded_bug
                     == Some(crate::config::SeededBug::SkipBatchGranule)
-                    && n >= 15
+                    && n >= 14
                 {
                     self.ctx.count("carlos.seeded_bug_fired", 1);
                     n - 1

@@ -5,6 +5,16 @@
 //! with its twin and the modifications are recorded in a run-length encoded
 //! diff structure" (§4.2). Applying an appropriate sequence of diffs,
 //! perhaps from multiple writers, brings an invalid page up to date.
+//!
+//! The comparison is made in the consistency model's own unit, the aligned
+//! [`WORD`]: a run is a maximal stretch of words that each hold a modified
+//! byte, trimmed to its first and last modified byte. An unmodified byte
+//! therefore travels only when it shares a word with a modified one —
+//! two concurrent writers of one word are a data race the model never
+//! allowed (`carlos-check` reports it), so no other writer's byte can be
+//! overwritten — and two stretches of modified bytes are joined only
+//! across a gap of at most 6 bytes, less than the run header a split
+//! would cost.
 
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
@@ -30,14 +40,21 @@ pub struct Diff {
     runs: u32,
 }
 
-/// SWAR constants for the has-zero-byte test: `x` contains a zero byte iff
-/// `(x - LOW_BITS) & !x & HIGH_BITS != 0`.
-const LOW_BITS: u64 = 0x0101_0101_0101_0101;
-const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+/// Bytes in the sharing unit of the consistency model: concurrent writes
+/// by two nodes into one aligned word are a data race, writes to different
+/// words never are. The diff scanner and the checker's race detector both
+/// take the unit from here.
+pub const WORD: usize = 4;
+
+/// The two words at `i`, the first in the low half.
+#[inline]
+fn load_pair(s: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(s[i..i + 2 * WORD].try_into().expect("two words"))
+}
 
 #[inline]
-fn load_word(s: &[u8], i: usize) -> u64 {
-    u64::from_ne_bytes(s[i..i + 8].try_into().expect("8-byte chunk"))
+fn load_word(s: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(s[i..i + WORD].try_into().expect("one word"))
 }
 
 /// Equal stretches are skipped this many bytes at a time first: a slice
@@ -45,17 +62,23 @@ fn load_word(s: &[u8], i: usize) -> u64 {
 /// page being diffed is unchanged.
 const BLOCK: usize = 128;
 
-/// First index `>= i` where the slices disagree (or `len` if none): whole
-/// equal blocks, then whole equal words, are skipped; bytes are only
-/// examined inside the first differing word.
-#[inline]
+/// First index `>= i` where the slices disagree (at least `len` if none):
+/// whole equal blocks, then equal word pairs, are skipped, and the first
+/// differing pair's XOR says which byte it is. Always inlined: left to the
+/// compiler it becomes a call in both of `create`'s scans, and sparse
+/// pages diff 10–40 % slower.
+#[inline(always)]
 fn first_mismatch(a: &[u8], b: &[u8], mut i: usize) -> usize {
     let n = a.len();
     while i + BLOCK <= n && a[i..i + BLOCK] == b[i..i + BLOCK] {
         i += BLOCK;
     }
-    while i + 8 <= n && load_word(a, i) == load_word(b, i) {
-        i += 8;
+    while i + 2 * WORD <= n {
+        let x = load_pair(a, i) ^ load_pair(b, i);
+        if x != 0 {
+            return i + (x.trailing_zeros() / 8) as usize;
+        }
+        i += 2 * WORD;
     }
     while i < n && a[i] == b[i] {
         i += 1;
@@ -63,38 +86,56 @@ fn first_mismatch(a: &[u8], b: &[u8], mut i: usize) -> usize {
     i
 }
 
-/// First index `>= i` where the slices agree (or `len` if none): words in
-/// which all 8 bytes differ (their XOR has no zero byte) are skipped whole;
-/// bytes are only examined inside the first word holding an equal byte.
-#[inline]
-fn first_match(a: &[u8], b: &[u8], mut i: usize) -> usize {
-    let n = a.len();
-    while i + 8 <= n {
-        let x = load_word(a, i) ^ load_word(b, i);
-        if x.wrapping_sub(LOW_BITS) & !x & HIGH_BITS != 0 {
-            break;
-        }
-        i += 8;
+/// Where a stretch of dirty words that has come within two words of the
+/// page's end at `i` stops: the last words are taken one at a time, and
+/// the very last may be short.
+#[cold]
+fn stretch_end_near_page_end(twin: &[u8], current: &[u8], mut i: usize) -> usize {
+    let n = twin.len();
+    while i < n && twin[i..n.min(i + WORD)] != current[i..n.min(i + WORD)] {
+        i += WORD;
     }
-    while i < n && a[i] != b[i] {
-        i += 1;
-    }
-    i
+    i.min(n)
 }
 
-/// Calls `run(start, end)` for each maximal stretch `start..end` where
-/// `twin` and `current` disagree, in increasing order. The scan compares a
-/// block or a word at a time and touches individual bytes only inside
-/// boundary words.
+/// Calls `run(start, end)` for each run `start..end`, in increasing order:
+/// from a first modified byte, over every following word that holds one
+/// (two at a time through one XOR), back to the last modified byte. `twin`
+/// must start on a word boundary of the page.
 #[inline]
 fn scan_runs(twin: &[u8], current: &[u8], mut run: impl FnMut(usize, usize)) {
     let n = twin.len();
-    let mut i = first_mismatch(twin, current, 0);
-    while i < n {
-        let start = i;
-        i = first_match(twin, current, i + 1);
-        run(start, i);
+    let mut i = 0;
+    loop {
         i = first_mismatch(twin, current, i);
+        if i >= n {
+            return;
+        }
+        let start = i;
+        i = i / WORD * WORD + WORD;
+        while i + 2 * WORD <= n {
+            let x = load_pair(twin, i) ^ load_pair(current, i);
+            if x as u32 == 0 || x >> 32 == 0 {
+                i += if x as u32 == 0 { 0 } else { WORD };
+                break;
+            }
+            i += 2 * WORD;
+        }
+        if i + 2 * WORD > n {
+            i = stretch_end_near_page_end(twin, current, i);
+        }
+        // `i` ends the stretch's last word, whose XOR says where its last
+        // modified byte is; a short last word is walked.
+        let mut end = i;
+        if i % WORD == 0 {
+            let x = load_word(twin, i - WORD) ^ load_word(current, i - WORD);
+            end -= x.leading_zeros() as usize / 8;
+        } else {
+            while twin[end - 1] == current[end - 1] {
+                end -= 1;
+            }
+        }
+        run(start, end);
     }
 }
 
@@ -110,7 +151,8 @@ impl Diff {
         assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
         assert!(u32::try_from(twin.len()).is_ok(), "page too large to diff");
         // The first scan sizes the buffer, so it is allocated once and
-        // exactly; the second, over the dirty span alone, writes the runs
+        // exactly; the second, over the dirty span alone (from the word its
+        // first byte is in, so both see the same words), writes the runs
         // straight into it. A lone run is its span: nothing to find again.
         let (mut runs, mut modified, mut lo, mut hi) = (0, 0, 0, 0);
         scan_runs(twin, current, |start, end| {
@@ -130,8 +172,9 @@ impl Diff {
         if runs == 1 {
             push(lo, hi);
         } else {
-            scan_runs(&twin[lo..hi], &current[lo..hi], |start, end| {
-                push(lo + start, lo + end);
+            let base = lo / WORD * WORD;
+            scan_runs(&twin[base..hi], &current[base..hi], |start, end| {
+                push(base + start, base + end);
             });
         }
         Self {
@@ -291,23 +334,24 @@ mod tests {
         v
     }
 
-    /// The byte-at-a-time scanner: the executable specification of which
-    /// runs a diff holds.
+    /// The executable specification of which runs a diff holds: mark the
+    /// dirty words, take maximal stretches of them, trim each to its first
+    /// and last differing byte.
     fn reference_runs(twin: &[u8], current: &[u8]) -> Vec<(u32, Vec<u8>)> {
-        let mut runs = Vec::new();
-        let mut i = 0;
-        while i < twin.len() {
-            if twin[i] == current[i] {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < twin.len() && twin[i] != current[i] {
-                i += 1;
-            }
-            runs.push((start as u32, current[start..i].to_vec()));
-        }
-        runs
+        let differs = |i: &usize| twin[*i] != current[*i];
+        let dirty: Vec<usize> = (0..twin.len().div_ceil(WORD))
+            .filter(|w| (w * WORD..twin.len().min(w * WORD + WORD)).any(|i| differs(&i)))
+            .collect();
+        dirty
+            .chunk_by(|a, b| a + 1 == *b)
+            .map(|stretch| {
+                let mut bytes =
+                    stretch[0] * WORD..twin.len().min(stretch[stretch.len() - 1] * WORD + WORD);
+                let start = bytes.find(differs).expect("dirty first word");
+                let end = bytes.rfind(differs).unwrap_or(start) + 1;
+                (start as u32, current[start..end].to_vec())
+            })
+            .collect()
     }
 
     fn runs_of(d: &Diff) -> Vec<(u32, Vec<u8>)> {
@@ -404,6 +448,29 @@ mod tests {
             );
             assert_eq!(Diff::create(&twin, &twin), Diff::default());
         }
+    }
+
+    #[test]
+    fn runs_join_across_dirty_words_and_nowhere_else() {
+        let twin = vec![0u8; 24];
+        let edit = |at: &[usize]| {
+            let mut cur = twin.clone();
+            at.iter().for_each(|&i| cur[i] = 9);
+            runs_of(&Diff::create(&twin, &cur))
+        };
+        // Neighbouring words, the widest gap there is: one 8-byte run
+        // (16 B with its header) where two 1-byte runs cost 18.
+        assert_eq!(edit(&[0, 7]), vec![(0, vec![9, 0, 0, 0, 0, 0, 0, 9])]);
+        // A narrower gap with a clean word inside it stays split: no byte
+        // of word 1 may travel.
+        assert_eq!(edit(&[3, 8]), vec![(3, vec![9]), (8, vec![9])]);
+        // Within one word the bytes between two changes ride along.
+        assert_eq!(edit(&[13, 15]), vec![(13, vec![9, 0, 9])]);
+        // A stretch runs on while every word differs, then is trimmed.
+        assert_eq!(
+            edit(&[6, 9, 12, 21]),
+            vec![(6, vec![9, 0, 0, 9, 0, 0, 9]), (21, vec![9])]
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod region;
 pub mod vc;
 
 pub use config::{LrcConfig, PageOwnership};
-pub use diff::{Diff, DiffRecord};
+pub use diff::{Diff, DiffRecord, WORD};
 pub use engine::{Demand, LrcEngine};
 pub use interval::IntervalRecord;
 pub use observer::{EngineObserver, ObserverSlot};

@@ -452,3 +452,31 @@ fn claims_must_cover_every_notice_naming_the_page() {
     assert!(e[0].covers_with_claims(2, &[]), "never named: nothing outstanding");
     assert_eq!(e[1].serve_diffs(0, 1, 4), all[1..]);
 }
+
+#[test]
+fn rebased_open_writes_leave_the_neighbour_word_to_the_replacement() {
+    // Node 1 holds page 0 with an open write to the word at 8: two of its
+    // four bytes change, so the run carries the word whole. Node 0
+    // meanwhile rewrites the neighbouring word at 12, and the owner's copy
+    // replaces node 1's. Re-basing node 1's open writes must keep its own
+    // word and take the neighbour from the replacement.
+    let mut e = cluster(2);
+    resolve_write(&mut e, 0, 8, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    sync_release(&mut e, 0, 1);
+    resolve_write(&mut e, 1, 8, &[9]);
+    resolve_write(&mut e, 1, 11, &[9]);
+    resolve_write(&mut e, 0, 12, &[15, 16, 17, 18]);
+    e[0].close_interval();
+    let (data, applied) = e[0].serve_page(0);
+    assert!(e[1].install_page(0, data, applied));
+    let mut words = [0u8; 8];
+    e[1].read(8, &mut words)
+        .expect("the copy covers every notice node 1 knows");
+    assert_eq!(words, [9, 2, 3, 9, 15, 16, 17, 18]);
+    // The new twin is the replacement: node 1's next diff is its own word
+    // and nothing of the neighbour.
+    let rec = e[1].close_interval().expect("open writes survive");
+    let own = e[1].serve_diffs(0, 0, rec.index);
+    let runs: Vec<_> = own.iter().flat_map(|r| r.diff.runs()).collect();
+    assert_eq!(runs, vec![(8, &[9, 2, 3, 9][..])]);
+}

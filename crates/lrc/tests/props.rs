@@ -1,14 +1,33 @@
 //! Property-based tests for the LRC substrate.
 
-use carlos_lrc::{Demand, Diff, DiffRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{Demand, Diff, DiffRecord, LrcConfig, LrcEngine, Vc, WORD};
 use carlos_util::codec::{DecodeError, Decoder, Wire};
 use proptest::prelude::*;
 
 type Runs = Vec<(u32, Vec<u8>)>;
 
-/// The byte-at-a-time scanner: the executable specification of which runs
-/// a diff holds.
+/// The executable specification of which runs a diff holds: mark the dirty
+/// words, take maximal stretches of them, trim each to its first and last
+/// differing byte.
 fn reference_runs(twin: &[u8], current: &[u8]) -> Runs {
+    let differs = |i: &usize| twin[*i] != current[*i];
+    let dirty: Vec<usize> = (0..twin.len().div_ceil(WORD))
+        .filter(|w| (w * WORD..twin.len().min(w * WORD + WORD)).any(|i| differs(&i)))
+        .collect();
+    dirty
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|stretch| {
+            let mut bytes = stretch[0] * WORD..twin.len().min(stretch[stretch.len() - 1] * WORD + WORD);
+            let start = bytes.find(differs).expect("dirty first word");
+            let end = bytes.rfind(differs).unwrap_or(start) + 1;
+            (start as u32, current[start..end].to_vec())
+        })
+        .collect()
+}
+
+/// The byte-granular scanner diffs used before: a run is a maximal stretch
+/// of differing bytes. Kept to show the word rule never encodes larger.
+fn byte_runs(twin: &[u8], current: &[u8]) -> Runs {
     let mut runs = Vec::new();
     let mut i = 0;
     while i < twin.len() {
@@ -23,6 +42,29 @@ fn reference_runs(twin: &[u8], current: &[u8]) -> Runs {
         runs.push((start as u32, current[start..i].to_vec()));
     }
     runs
+}
+
+/// Length of the wire encoding of `runs`.
+fn wire_len(runs: &Runs) -> usize {
+    4 + runs.iter().map(|(_, data)| 8 + data.len()).sum::<usize>()
+}
+
+/// An 8 KiB page of `u32`s below 2^18 and the same page with every element
+/// replaced by another such value: what a sorter leaves of a page of keys.
+fn typed_u32_pages() -> (Vec<u8>, Vec<u8>) {
+    let mut rng = carlos_util::rng::Xoshiro256::new(0x5150_1994);
+    let mut page = || -> Vec<u8> {
+        (0..2048).flat_map(|_| (rng.next_below(1 << 18) as u32).to_le_bytes()).collect()
+    };
+    (page(), page())
+}
+
+/// An 8 KiB page of `f64`s `1.0 + 0.37 i` and the same page with every
+/// element moved by `1e-3 sin i`: one step of a particle code.
+fn typed_f64_pages() -> (Vec<u8>, Vec<u8>) {
+    let at = |i: usize| 1.0 + 0.37 * i as f64;
+    let page = |f: &dyn Fn(usize) -> f64| (0..1024).flat_map(|i| f(i).to_le_bytes()).collect();
+    (page(&at), page(&|i| at(i) + 1e-3 * (i as f64).sin()))
 }
 
 fn runs_of(d: &Diff) -> Runs {
@@ -124,8 +166,9 @@ proptest! {
     }
 
     /// `Diff::create` holds exactly the reference scanner's runs on random
-    /// pages of *unaligned* lengths (the SWAR loop's boundary-word handling
-    /// is the risky part).
+    /// pages of every length, multiples of the word or not (the two-word
+    /// step's hand-off to single words and to a short last word is the
+    /// risky part), whether edits are scattered bytes or rewritten words.
     #[test]
     fn create_equals_reference_scanner(
         len in 0usize..200,
@@ -133,9 +176,12 @@ proptest! {
     ) {
         let twin: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
         let mut cur = twin.clone();
-        for (i, v) in edits {
+        for (k, (i, v)) in edits.into_iter().enumerate() {
             if len > 0 {
-                cur[i % len] = v;
+                // Every fourth edit rewrites up to a word and a half.
+                let span = if k % 4 == 0 { 1 + usize::from(v) % 6 } else { 1 };
+                let at = i % len;
+                cur[at..len.min(at + span)].fill(v);
             }
         }
         prop_assert_eq!(runs_of(&Diff::create(&twin, &cur)), reference_runs(&twin, &cur));
@@ -153,19 +199,19 @@ proptest! {
     }
 
     /// Diffing at the variable-coherence granule sizes (sub-page 64 B and
-    /// 256 B fine granules, 1 MiB bulk granules): create/apply roundtrips
-    /// and the scanner still matches the reference exactly. Granules are
-    /// always powers of two, so unlike `create_equals_reference_scanner`
-    /// these lengths never exercise the odd-tail path — what they add is
-    /// coverage of whole-buffer scans far from the 8 KiB page the rest of
-    /// the suite uses.
+    /// 256 B fine granules, the 8 KiB page, 1 MiB bulk granules):
+    /// create/apply roundtrips and the scanner still matches the reference
+    /// exactly. Granules are always powers of two, so unlike
+    /// `create_equals_reference_scanner` these lengths never exercise the
+    /// short-last-word path — what they add is coverage of whole-buffer
+    /// scans at every size the system diffs.
     #[test]
     fn granule_sized_diffs_match_reference(
-        size_sel in 0usize..3,
+        size_sel in 0usize..4,
         edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..48),
         seed in any::<u64>(),
     ) {
-        let len = [64usize, 256, 1 << 20][size_sel];
+        let len = [64usize, 256, 8192, 1 << 20][size_sel];
         let mut rng = carlos_util::rng::Xoshiro256::new(seed | 1);
         let twin: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let mut cur = twin.clone();
@@ -177,6 +223,42 @@ proptest! {
         let mut rebuilt = twin.clone();
         d.apply(&mut rebuilt);
         prop_assert_eq!(rebuilt, cur);
+    }
+
+    /// What makes the word rule safe and worth having, on scattered bytes
+    /// and on rewritten typed elements alike: the diff rebuilds the page;
+    /// it carries **no byte of a word the writer left clean** (so it cannot
+    /// overwrite what a concurrent writer of another word wrote); and its
+    /// encoding is never longer than the byte-granular one.
+    #[test]
+    fn word_runs_are_safe_and_never_larger(
+        len in 1usize..300,
+        edits in proptest::collection::vec((any::<usize>(), 1usize..9, any::<u32>()), 0..40),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = carlos_util::rng::Xoshiro256::new(seed | 1);
+        let twin: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        let mut cur = twin.clone();
+        for (at, width, v) in edits {
+            // A small value stored 1..=8 bytes wide: its high bytes agree
+            // with what small values left there before.
+            let at = at % len;
+            let bytes = u64::from(v & 0x3FFFF).to_le_bytes();
+            let n = width.min(len - at);
+            cur[at..at + n].copy_from_slice(&bytes[..n]);
+        }
+        let d = Diff::create(&twin, &cur);
+        let mut rebuilt = twin.clone();
+        d.apply(&mut rebuilt);
+        prop_assert_eq!(&rebuilt, &cur);
+        let word_dirty = |w: usize| twin[w * WORD..len.min(w * WORD + WORD)] != cur[w * WORD..len.min(w * WORD + WORD)];
+        for (offset, data) in d.runs() {
+            for i in offset as usize..offset as usize + data.len() {
+                prop_assert!(word_dirty(i / WORD), "byte {} carried from a clean word", i);
+            }
+        }
+        prop_assert!(d.wire_len() <= wire_len(&byte_runs(&twin, &cur)));
+        prop_assert_eq!(d.wire_len(), wire_len(&runs_of(&d)));
     }
 
     /// `decode(encode(d)) == d` for a whole record, whose `wire_len` is its
@@ -343,6 +425,26 @@ proptest! {
             }
         }
     }
+}
+
+/// Pinned sizes on typed data. A rewritten page of small `u32`s agrees
+/// with its twin in every element's top byte: byte-granular runs break
+/// there 2 048 times and ship the page at 2.7 times its size; word runs
+/// ship it once. Perturbed `f64`s agree in sign, exponent and the top of
+/// the mantissa.
+#[test]
+fn typed_pages_encode_near_their_size() {
+    let (twin, cur) = typed_u32_pages();
+    let d = Diff::create(&twin, &cur);
+    assert_eq!((d.runs().count(), d.wire_len()), (1, 8203));
+    let bytewise = byte_runs(&twin, &cur);
+    assert_eq!((bytewise.len(), wire_len(&bytewise)), (2055, 22067));
+
+    let (twin, cur) = typed_f64_pages();
+    let d = Diff::create(&twin, &cur);
+    assert!(d.wire_len() <= 8400, "{} B in {} runs", d.wire_len(), d.runs().count());
+    let bytewise = byte_runs(&twin, &cur);
+    assert_eq!((bytewise.len(), wire_len(&bytewise)), (1038, 13411));
 }
 
 /// The region table rejects every non-power-of-two granule (and the

@@ -342,12 +342,12 @@ fn default_granule_regions_leave_goldens_pinned() {
 }
 
 const GOLDEN_TSP_MIXED_GRANULARITY: &str = "\
-elapsed=38476452 events=727
-net messages=126 payload_bytes=10163 dropped=0
-node0 buckets User=37578500 Unix=246000 CarlOS=0 Idle=649592
-node0 counters app.done_ns=38467372 barrier.waits=3 carlos.accepted=33 carlos.batch_requests_served=1 carlos.discarded=30 carlos.forwarded=56 carlos.notices_applied=39 carlos.page_requests_served=5 carlos.sent=119 carlos.sent.release=33 carlos.sent.request=86 carlos.sent.system=4 carlos.update_diffs_received=28 lock.acquires=30 lock.local_reacquires=20 lock.releases=50 lrc.diffs_applied=39 lrc.diffs_created=41 lrc.intervals_created=30 lrc.notices_applied=39 lrc.pages_installed=0 lrc.records_resident=138 lrc.remote_faults=0 lrc.write_faults=41 net.loopback=60 net.sent=63 net.sent_bytes=5396 tsp.expansions=71157
-node1 buckets User=37701500 Unix=126000 CarlOS=0 Idle=648952
-node1 counters app.done_ns=38469732 barrier.waits=3 carlos.accepted=31 carlos.batch_requests=1 carlos.batched_fetches=2 carlos.discarded=28 carlos.notices_applied=41 carlos.page_requests=5 carlos.sent=59 carlos.sent.release=28 carlos.sent.release_nt=3 carlos.sent.request=28 carlos.sent.system=4 carlos.update_diffs_dropped=7 carlos.update_diffs_received=29 lock.acquires=28 lock.local_reacquires=18 lock.releases=46 lrc.diffs_applied=34 lrc.diffs_created=39 lrc.intervals_created=28 lrc.notices_applied=41 lrc.pages_installed=5 lrc.records_resident=131 lrc.remote_faults=4 lrc.write_faults=39 net.sent=63 net.sent_bytes=4767 tsp.expansions=71403";
+elapsed=38476116 events=728
+net messages=126 payload_bytes=9973 dropped=0
+node0 buckets User=37578500 Unix=246000 CarlOS=0 Idle=649256
+node0 counters app.done_ns=38467036 barrier.waits=3 carlos.accepted=33 carlos.batch_requests_served=1 carlos.discarded=30 carlos.forwarded=56 carlos.notices_applied=39 carlos.page_requests_served=5 carlos.sent=119 carlos.sent.release=33 carlos.sent.request=86 carlos.sent.system=4 carlos.update_diffs_received=28 lock.acquires=30 lock.local_reacquires=20 lock.releases=50 lrc.diffs_applied=39 lrc.diffs_created=41 lrc.intervals_created=30 lrc.notices_applied=39 lrc.pages_installed=0 lrc.records_resident=138 lrc.remote_faults=0 lrc.write_faults=41 net.loopback=60 net.sent=63 net.sent_bytes=5248 tsp.expansions=71157
+node1 buckets User=37701500 Unix=126000 CarlOS=0 Idle=648616
+node1 counters app.done_ns=38469396 barrier.waits=3 carlos.accepted=31 carlos.batch_requests=1 carlos.batched_fetches=2 carlos.discarded=28 carlos.notices_applied=41 carlos.page_requests=5 carlos.sent=59 carlos.sent.release=28 carlos.sent.release_nt=3 carlos.sent.request=28 carlos.sent.system=4 carlos.update_diffs_dropped=7 carlos.update_diffs_received=29 lock.acquires=28 lock.local_reacquires=18 lock.releases=46 lrc.diffs_applied=34 lrc.diffs_created=39 lrc.intervals_created=28 lrc.notices_applied=41 lrc.pages_installed=5 lrc.records_resident=131 lrc.remote_faults=4 lrc.write_faults=39 net.sent=63 net.sent_bytes=4725 tsp.expansions=71403";
 
 const GOLDEN_SOR_MIXED_GRANULARITY: &str = "\
 elapsed=5191904 events=130

@@ -24,10 +24,19 @@
 //! its fixed budget and shrink it to a 1-minimal perturbation set,
 //! deterministically across reruns. The historical random jitter sweep
 //! (the per-app slice of `examples/explore.rs`'s 72-run grid: 3 jitter
-//! amplitudes x 6 seeds) demonstrably misses bugs 2 and 4: both need a
-//! precisely placed delivery flip — a huge batch pile-up behind one
-//! held-back release, or a perturbation of one specific flow — that
-//! blind jitter does not produce.
+//! amplitudes x 6 seeds) is all but blind to bugs 2 and 4, which both
+//! need a precisely placed delivery flip. Bug 4 it misses by
+//! construction: only a plan-perturbed frame of one specific flow skips
+//! the clamp, and a jitter run has none. Bug 2 it does *not* miss by
+//! construction: its trigger is a pile-up of 14 batch entries behind one
+//! held-back release on the 4-node Quicksort+vg run (the unperturbed run
+//! peaks at 12), which the guided search reaches with one flip in 7
+//! executions and blind jitter reaches in exactly 1 of its 18 cells.
+//! That signature was re-derived when diffs went to word granularity —
+//! whole-page replies then win more often and batches form differently:
+//! at 15 entries or more neither search gets there, at 13 the sweep hits
+//! 8 cells, at 12 the baseline itself trips, and on 3 nodes at 14 the
+//! sweep hits 5.
 
 use carlos::core::{CoreConfig, SeededBug};
 use carlos::explore::{explore, random_sweep, App, AppHarness, ExploreConfig, ExploreResult};
@@ -38,8 +47,8 @@ use carlos::sim::{SchedulePlan, SimConfig};
 const SEEDS: [u64; 6] = [1, 2, 3, 0xBEEF, 0x5EED_0115, 0xD15C_07E4];
 const JITTERS_US: [u64; 3] = [10, 50, 200];
 
-fn seeded(app: App, bug: SeededBug) -> AppHarness {
-    AppHarness::new(app, 3)
+fn seeded(n_nodes: usize, app: App, bug: SeededBug) -> AppHarness {
+    AppHarness::new(app, n_nodes)
         .vg()
         .with_core(CoreConfig::fast_test().with_seeded_bug(bug))
 }
@@ -97,7 +106,7 @@ fn assert_guided_finds_deterministically(
 
 #[test]
 fn guided_finds_dropped_notice_clock() {
-    let h = seeded(App::Tsp, SeededBug::DropNoticeClock);
+    let h = seeded(3, App::Tsp, SeededBug::DropNoticeClock);
     let res =
         assert_guided_finds_deterministically("DropNoticeClock", &h, &ExploreConfig::default());
     let ce = res.counterexample.unwrap();
@@ -112,7 +121,7 @@ fn guided_finds_dropped_notice_clock() {
 
 #[test]
 fn guided_finds_skipped_batch_granule() {
-    let h = seeded(App::Qsort, SeededBug::SkipBatchGranule);
+    let h = seeded(4, App::Qsort, SeededBug::SkipBatchGranule);
     let res =
         assert_guided_finds_deterministically("SkipBatchGranule", &h, &ExploreConfig::default());
     let ce = res.counterexample.unwrap();
@@ -129,7 +138,7 @@ fn guided_finds_skipped_batch_granule() {
 
 #[test]
 fn guided_finds_eager_skip_revalidate() {
-    let h = seeded(App::Tsp, SeededBug::EagerSkipRevalidate);
+    let h = seeded(3, App::Tsp, SeededBug::EagerSkipRevalidate);
     let res =
         assert_guided_finds_deterministically("EagerSkipRevalidate", &h, &ExploreConfig::default());
     let ce = res.counterexample.unwrap();
@@ -172,17 +181,19 @@ fn guided_finds_fifo_reorder() {
     assert!(!h.run(&SchedulePlan::new()).failed());
 }
 
-/// The random sweep demonstrably misses bug 2: no jitter cell piles a
-/// batch past the seeded capacity boundary, so all 18 runs stay green
-/// while the guided explorer (same budget class) finds a deadlock.
+/// The random sweep is nearly blind to bug 2: one jitter cell of the 18
+/// piles a batch up to the seeded capacity boundary and deadlocks, the
+/// other 17 stay green, while the guided explorer (same budget class)
+/// gets there with one flip. The count is pinned: it moves only if the
+/// protocol's batching does.
 #[test]
-fn random_sweep_misses_skipped_batch_granule() {
-    let h = seeded(App::Qsort, SeededBug::SkipBatchGranule);
+fn random_sweep_hits_skipped_batch_granule_once_in_18() {
+    let h = seeded(4, App::Qsort, SeededBug::SkipBatchGranule);
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
-    assert_eq!(s.executions, 18);
-    assert!(
-        !s.failed(),
-        "random sweep unexpectedly found SkipBatchGranule: {}",
+    assert_eq!(
+        (s.executions, s.crashes, s.violations, s.wrong_answers),
+        (18, 1, 0, 0),
+        "{}",
         s.human_line()
     );
 }
@@ -209,7 +220,7 @@ fn random_sweep_misses_fifo_reorder() {
 /// broken sweep.
 #[test]
 fn random_sweep_does_find_the_schedule_independent_bug() {
-    let h = seeded(App::Tsp, SeededBug::DropNoticeClock);
+    let h = seeded(3, App::Tsp, SeededBug::DropNoticeClock);
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
     assert!(s.violations > 0, "expected HB violations: {}", s.human_line());
 }
