@@ -64,10 +64,11 @@ echo "==> serve profile (DSM-backed KV serving under open-loop traffic)"
 cargo test -q -p carlos-serve
 # The quick report run above regenerated the serve rows (KV/par n=8 under
 # the parallel scheduler + KV/chaos n=8 with harvest/yield) and gated
-# p999 latency and yield against the committed BENCH_paper_quick.json
-# baseline at 5% tolerance; confirm the serving table actually rendered.
-grep -q 'KV/par' target/report_quick.md
-grep -q 'KV/chaos' target/report_quick.md
+# p999 latency, yield and wire messages per completed operation against
+# the committed BENCH_paper_quick.json baseline at 5% tolerance; confirm
+# the serving table actually rendered, and show its rows (Msg/op included).
+grep 'KV/par' target/report_quick.md
+grep 'KV/chaos' target/report_quick.md
 
 echo "==> parallel profile (conservative multi-baton scheduler)"
 # Bit-identical equivalence: pinned goldens, app seed sweeps, rerun

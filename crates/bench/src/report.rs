@@ -527,6 +527,16 @@ pub struct ServeRow {
     pub host_seconds: f64,
 }
 
+impl ServeRow {
+    /// Wire messages per completed operation — 2 (a request and its
+    /// reply) plus whatever the DSM and the run's barriers add.
+    #[must_use]
+    #[allow(clippy::cast_precision_loss)]
+    pub fn msgs_per_op(&self) -> f64 {
+        self.messages as f64 / self.completed.max(1) as f64
+    }
+}
+
 fn serve_row(variant: &'static str, n: usize, r: &ServeResult, host_seconds: f64) -> ServeRow {
     let t = &r.totals;
     ServeRow {
@@ -595,13 +605,13 @@ pub fn run_serve_rows(opts: &ReportOptions) -> Result<Vec<ServeRow>, SimError> {
 pub fn serve_markdown(rows: &[ServeRow]) -> String {
     let mut out = String::from("\n## Serving (carlos-serve)\n\n");
     out.push_str(
-        "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Yield | Harvest |\n\
-         |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
+        "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest |\n\
+         |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
     );
     #[allow(clippy::cast_precision_loss)]
     for r in rows {
         out.push_str(&format!(
-            "| {} | {} | {:.2} | {:.1} | {:.3} | {:.3} | {:.3} | {} | {:.4} | {:.4} |\n",
+            "| {} | {} | {:.2} | {:.1} | {:.3} | {:.3} | {:.3} | {} | {:.3} | {:.4} | {:.4} |\n",
             r.variant,
             r.n,
             r.secs,
@@ -610,6 +620,7 @@ pub fn serve_markdown(rows: &[ServeRow]) -> String {
             r.p99_ns as f64 / 1e6,
             r.p999_ns as f64 / 1e6,
             r.bytes_per_op,
+            r.msgs_per_op(),
             r.yield_fraction,
             r.harvest
         ));
@@ -619,8 +630,9 @@ pub fn serve_markdown(rows: &[ServeRow]) -> String {
 
 /// The serving regression gate: compares fresh serve rows against the
 /// committed baseline's `serve_rows` by (variant, n) and rejects the run
-/// if p999 latency grew or yield dropped by more than 5%.
-/// Returns one human-readable comparison line per gated metric.
+/// if p999 latency or wire messages per completed operation grew, or
+/// yield dropped, by more than 5% (runs are deterministic, so growth is
+/// real). Returns one human-readable comparison line per row.
 ///
 /// # Errors
 ///
@@ -646,14 +658,14 @@ pub fn serve_gate(rows: &[ServeRow], baseline_json: &str) -> Result<Vec<String>,
                     && b.get("n").and_then(carlos_trace::JsonValue::as_f64) == Some(n)
             })
             .ok_or_else(|| format!("baseline has no {}/n={} serve row", r.variant, r.n))?;
-        let base_p999 = base
-            .get("p999_ns")
-            .and_then(carlos_trace::JsonValue::as_f64)
-            .ok_or_else(|| format!("baseline {}/n={} row has no p999_ns", r.variant, r.n))?;
-        let base_yield = base
-            .get("yield")
-            .and_then(carlos_trace::JsonValue::as_f64)
-            .ok_or_else(|| format!("baseline {}/n={} row has no yield", r.variant, r.n))?;
+        let field = |name: &str| {
+            base.get(name)
+                .and_then(carlos_trace::JsonValue::as_f64)
+                .ok_or_else(|| format!("baseline {}/n={} row has no {name}", r.variant, r.n))
+        };
+        let base_p999 = field("p999_ns")?;
+        let base_yield = field("yield")?;
+        let base_msgs_per_op = field("messages")? / field("completed")?.max(1.0);
         #[allow(clippy::cast_precision_loss)]
         let p999 = r.p999_ns as f64;
         if p999 > base_p999 * SERVE_TOLERANCE {
@@ -668,8 +680,17 @@ pub fn serve_gate(rows: &[ServeRow], baseline_json: &str) -> Result<Vec<String>,
                 r.variant, r.n, r.yield_fraction, base_yield
             ));
         }
+        let msgs_per_op = r.msgs_per_op();
+        if msgs_per_op > base_msgs_per_op * SERVE_TOLERANCE {
+            return Err(format!(
+                "{}/n={} messages per operation regressed: {msgs_per_op:.3} vs baseline \
+                 {base_msgs_per_op:.3} (>5%)",
+                r.variant, r.n
+            ));
+        }
         lines.push(format!(
-            "{}/n={} p999: {} ns (baseline {} ns), yield: {:.4} (baseline {:.4})",
+            "{}/n={} p999: {} ns (baseline {} ns), yield: {:.4} (baseline {:.4}), \
+             messages/op: {msgs_per_op:.3} (baseline {base_msgs_per_op:.3})",
             r.variant, r.n, r.p999_ns, base_p999, r.yield_fraction, base_yield
         ));
     }
@@ -1051,7 +1072,8 @@ mod tests {
     /// yield 1.0 with a clean server mirror, the chaos row shedding load
     /// with every drop attributed — the JSON round-trips through
     /// carlos-trace's parser, and the serve gate passes a run against its
-    /// own output while rejecting synthetic p999 and yield regressions.
+    /// own output while rejecting synthetic p999, yield and
+    /// messages-per-operation regressions.
     #[test]
     fn serve_rows_run_gate_and_render() {
         let opts = ReportOptions {
@@ -1094,6 +1116,12 @@ mod tests {
         lossy[1].yield_fraction *= 0.5;
         let err = serve_gate(&lossy, &json).unwrap_err();
         assert!(err.contains("yield"), "{err}");
+        let mut chatty = serve.clone();
+        chatty[0].messages += chatty[0].messages / 19; // +5.3 %
+        let err = serve_gate(&chatty, &json).unwrap_err();
+        assert!(err.contains("messages per operation"), "{err}");
+        chatty[0].messages = serve[0].messages + serve[0].messages / 21; // +4.8 %
+        assert!(serve_gate(&chatty, &json).is_ok(), "<5% growth tolerated");
 
         let md = serve_markdown(&serve);
         assert!(md.contains("KV/par") && md.contains("KV/chaos"), "{md}");

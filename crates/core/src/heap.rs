@@ -77,7 +77,7 @@ impl CoherentHeap {
     /// Panics if `granule` is not a power of two of at least 8 bytes, or if
     /// the region is exhausted.
     pub fn alloc_with_granule(&mut self, size: usize, granule: usize) -> usize {
-        self.alloc_granule_hinted(size, granule, false)
+        self.alloc_hinted(size, granule, false, None)
     }
 
     /// Like [`CoherentHeap::alloc_with_granule`], but additionally marks the
@@ -92,10 +92,22 @@ impl CoherentHeap {
     ///
     /// Panics under the same conditions as [`CoherentHeap::alloc_with_granule`].
     pub fn alloc_with_granule_eager(&mut self, size: usize, granule: usize) -> usize {
-        self.alloc_granule_hinted(size, granule, true)
+        self.alloc_hinted(size, granule, true, None)
     }
 
-    fn alloc_granule_hinted(&mut self, size: usize, granule: usize, eager: bool) -> usize {
+    /// The hint path in full: [`CoherentHeap::alloc_with_granule`] with the
+    /// region's eager policy and, with `home`, its placement — the node
+    /// that owns every granule of it ahead of the engine's ownership
+    /// policy ([`carlos_lrc::RegionSpec::home`]): the one that makes the
+    /// data's first and most accesses. Same panics; a home the cluster
+    /// does not have is rejected when the engine is built.
+    pub fn alloc_hinted(
+        &mut self,
+        size: usize,
+        granule: usize,
+        eager: bool,
+        home: Option<u32>,
+    ) -> usize {
         assert!(
             granule.is_power_of_two() && granule >= 8,
             "granule must be a power of two of at least 8 bytes"
@@ -110,7 +122,7 @@ impl CoherentHeap {
         );
         self.next = end;
         let spec = carlos_lrc::RegionSpec::new(addr, len, granule);
-        self.regions.push(if eager { spec.eager() } else { spec });
+        self.regions.push(carlos_lrc::RegionSpec { eager, home, ..spec });
         addr
     }
 
@@ -254,6 +266,9 @@ mod tests {
         assert_eq!(regions[0].start, b);
         assert_eq!(regions[0].len, 128); // 100 rounded to two 64 B granules.
         assert_eq!(regions[0].granule, 64);
+        assert_eq!((regions[0].eager, regions[0].home), (false, None));
+        let d = h.alloc_hinted(16, 64, true, Some(3));
+        assert_eq!(h.regions()[1], carlos_lrc::RegionSpec::new(d, 64, 64).eager().home(3));
     }
 
     #[test]

@@ -136,7 +136,9 @@ impl LrcEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range for the configured cluster size.
+    /// Panics if `node` is out of range for the configured cluster size,
+    /// or the region table is invalid (see [`GranuleMap::try_new`]) or
+    /// homes a region on a node the cluster does not have.
     #[must_use]
     pub fn new(node: u32, cfg: LrcConfig) -> Self {
         assert!((node as usize) < cfg.n_nodes, "node id out of range");
@@ -144,7 +146,7 @@ impl LrcEngine {
         Self {
             node,
             vt: Vc::new(cfg.n_nodes),
-            pages: PageTable::new(node, &cfg, granules.n_granules()),
+            pages: PageTable::new(node, &cfg, &granules),
             dirty: BTreeSet::new(),
             intervals: IntervalStore::new(),
             diffs: BTreeMap::new(),

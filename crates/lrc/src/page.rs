@@ -104,29 +104,45 @@ impl PageMeta {
 pub(crate) struct PageTable {
     node: u32,
     ownership: PageOwnership,
+    /// Granule ranges a region hint homes, ascending
+    /// ([`GranuleMap::homes`]); the policy places everything else.
+    homes: Vec<(PageId, PageId, u32)>,
     slots: Vec<u32>,
     resident: Vec<(PageId, PageMeta)>,
     base: Vc,
 }
 
 impl PageTable {
-    /// An all-untouched table of `n_granules` granules for `node`.
+    /// An all-untouched table of the granules of `granules` for `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a region is homed on a node the cluster does not have.
     #[must_use]
-    pub(crate) fn new(node: u32, cfg: &LrcConfig, n_granules: usize) -> Self {
+    pub(crate) fn new(node: u32, cfg: &LrcConfig, granules: &GranuleMap) -> Self {
         Self {
             node,
             ownership: cfg.ownership,
-            slots: vec![0; n_granules],
+            homes: granules
+                .homes(cfg.n_nodes)
+                .unwrap_or_else(|e| panic!("invalid region table: {e}")),
+            slots: vec![0; granules.n_granules()],
             resident: vec![(PageId::MAX, PageMeta::missing(cfg.n_nodes))],
             base: Vc::new(cfg.n_nodes),
         }
     }
 
-    /// The pinning owner of granule `page`. Granules are numbered in
-    /// address order, so banding over granule ids still bands the address
-    /// space.
+    /// The pinning owner of granule `page`: its region's home if it has
+    /// one, else the policy's choice. Granules are numbered in address
+    /// order, so banding over granule ids still bands the address space.
     #[must_use]
     pub(crate) fn owner_of(&self, page: PageId) -> u32 {
+        let upto = self.homes.partition_point(|&(first, ..)| first <= page);
+        if let Some(&(_, end, home)) = self.homes[..upto].last() {
+            if page < end {
+                return home;
+            }
+        }
         match self.ownership {
             PageOwnership::SingleOwner(n) => n,
             PageOwnership::Banded => {
@@ -275,7 +291,7 @@ mod tests {
         let mut cfg = LrcConfig::small_test(2);
         cfg.region_bytes = n_granules * cfg.page_size;
         let granules = GranuleMap::new(cfg.region_bytes, cfg.page_size, &cfg.regions);
-        (PageTable::new(node, &cfg, n_granules), granules)
+        (PageTable::new(node, &cfg, &granules), granules)
     }
 
     #[test]
@@ -298,6 +314,43 @@ mod tests {
             owner.readable(2).is_none(),
             "untouched reads take the slow path"
         );
+    }
+
+    #[test]
+    fn a_region_home_owns_its_granules_ahead_of_the_policy() {
+        use crate::region::RegionSpec;
+        // Granules 0-1 belong to the policy (node 0), 2-3 are homed on 1.
+        let cfg = LrcConfig {
+            region_bytes: 256,
+            regions: vec![RegionSpec::new(128, 128, 64).home(1)],
+            ..LrcConfig::small_test(2)
+        };
+        let g = GranuleMap::new(cfg.region_bytes, cfg.page_size, &cfg.regions);
+        let (mut policy, mut home) = (PageTable::new(0, &cfg, &g), PageTable::new(1, &cfg, &g));
+        assert_eq!([0, 1, 2, 3].map(|p| home.owner_of(p)), [0, 0, 1, 1]);
+        assert_eq!(policy.state(3), PageState::Missing);
+        assert_eq!(home.state(3), PageState::ReadOnly);
+        assert_eq!(home.state(1), PageState::Missing);
+        // A collection re-bases the home's untouched copy, nobody else's.
+        let mut vt = Vc::new(2);
+        vt.set(1, 4);
+        policy.collect(&vt);
+        home.collect(&vt);
+        assert_eq!(policy.entry(3, &g).state, PageState::Missing);
+        let meta = home.entry(3, &g);
+        assert_eq!((meta.state, &meta.applied, meta.own_covered), (PageState::ReadOnly, &vt, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "region at 0x80 is homed on node 2 of 2")]
+    fn a_home_nobody_has_fails_construction() {
+        use crate::region::RegionSpec;
+        let cfg = LrcConfig {
+            regions: vec![RegionSpec::new(128, 128, 64).home(2)],
+            ..LrcConfig::small_test(2)
+        };
+        let g = GranuleMap::new(cfg.region_bytes, cfg.page_size, &cfg.regions);
+        let _ = PageTable::new(0, &cfg, &g);
     }
 
     #[test]

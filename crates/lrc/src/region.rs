@@ -40,19 +40,32 @@ pub struct RegionSpec {
     /// scalars, task slots, boundary rows); wrong for large arrays where
     /// another node may own most of the invalidated range.
     pub eager: bool,
+    /// Placement: the node that owns every granule of the region (holds
+    /// the initial zero-filled copy and answers full-granule requests),
+    /// ahead of the engine's `PageOwnership` policy. Right when one node
+    /// is known to make the region's first and most accesses, which then
+    /// fault on nothing; `None` leaves the region to the policy.
+    pub home: Option<u32>,
 }
 
 impl RegionSpec {
     /// A demand-fetched (non-eager) region hint.
     #[must_use]
     pub fn new(start: usize, len: usize, granule: usize) -> Self {
-        Self { start, len, granule, eager: false }
+        Self { start, len, granule, eager: false, home: None }
     }
 
     /// Marks the region for eager re-fetch on invalidation.
     #[must_use]
     pub fn eager(mut self) -> Self {
         self.eager = true;
+        self
+    }
+
+    /// Homes the region on `node` instead of the ownership policy's choice.
+    #[must_use]
+    pub fn home(mut self, node: u32) -> Self {
+        self.home = Some(node);
         self
     }
 }
@@ -73,6 +86,9 @@ struct Seg {
     /// Eager-fetch policy inherited from the [`RegionSpec`] (gap-fill
     /// segments are never eager).
     eager: bool,
+    /// Home node inherited from the [`RegionSpec`] (gap-fill segments
+    /// have none: the ownership policy places them).
+    home: Option<u32>,
 }
 
 /// The resolved address→granule mapping for one engine: a sorted,
@@ -108,14 +124,17 @@ impl GranuleMap {
         let mut segs: Vec<Seg> = Vec::new();
         let mut cursor = 0usize;
         let mut next_id = 0u32;
-        let mut push = |segs: &mut Vec<Seg>, start: usize, end: usize, granule: usize, eager: bool| {
+        // `hint` is the spec a segment resolves; a gap has none.
+        let mut push = |segs: &mut Vec<Seg>, start: usize, end: usize, hint: Option<&RegionSpec>| {
+            let granule = hint.map_or(page_size, |h| h.granule);
             let count = (end - start).div_ceil(granule);
             segs.push(Seg {
                 start,
                 end,
                 granule,
                 first_id: next_id,
-                eager,
+                eager: hint.is_some_and(|h| h.eager),
+                home: hint.and_then(|h| h.home),
             });
             next_id = u32::try_from(next_id as usize + count).expect("granule id overflow");
         };
@@ -152,13 +171,13 @@ impl GranuleMap {
                 ));
             }
             if spec.start > cursor {
-                push(&mut segs, cursor, spec.start, page_size, false);
+                push(&mut segs, cursor, spec.start, None);
             }
-            push(&mut segs, spec.start, end, spec.granule, spec.eager);
+            push(&mut segs, spec.start, end, Some(spec));
             cursor = end;
         }
         if cursor < region_bytes {
-            push(&mut segs, cursor, region_bytes, page_size, false);
+            push(&mut segs, cursor, region_bytes, None);
         }
         if segs.is_empty() {
             // Zero-byte region: keep one degenerate segment so lookups on
@@ -169,6 +188,7 @@ impl GranuleMap {
                 granule: page_size,
                 first_id: 0,
                 eager: false,
+                home: None,
             });
         }
         let hinted = !(segs.len() == 1 && segs[0].granule == page_size);
@@ -283,6 +303,28 @@ impl GranuleMap {
         self.segs.iter().any(|s| s.eager)
     }
 
+    /// The homed granule ranges `(first id, one past the last id, home)`,
+    /// ascending — what [`RegionSpec::home`] hints resolve to once gaps
+    /// are filled and ids assigned. Empty without such hints.
+    ///
+    /// # Errors
+    ///
+    /// Names the first region homed on a node outside `0..n_nodes`: its
+    /// granules would be owned, and so ever served, by nobody.
+    pub fn homes(&self, n_nodes: usize) -> Result<Vec<(PageId, PageId, u32)>, String> {
+        let ends = self.segs.iter().skip(1).map(|s| s.first_id);
+        let mut homes = Vec::new();
+        for (seg, end) in self.segs.iter().zip(ends.chain([self.n_granules as PageId])) {
+            let Some(home) = seg.home else { continue };
+            if home as usize >= n_nodes {
+                let at = seg.start;
+                return Err(format!("region at {at:#x} is homed on node {home} of {n_nodes}"));
+            }
+            homes.push((seg.first_id, end, home));
+        }
+        Ok(homes)
+    }
+
     /// First byte address of granule `g`.
     ///
     /// # Panics
@@ -387,6 +429,42 @@ mod tests {
         .is_err());
         assert!(GranuleMap::try_new(128, ps, &[RegionSpec::new(0, 256, 64)]).is_err());
         assert!(GranuleMap::try_new(128, ps, &[RegionSpec::new(0, 0, 64)]).is_err());
+    }
+
+    #[test]
+    fn homes_resolve_to_granule_ranges_and_gaps_have_none() {
+        // Fine region homed on 1, a gap, two adjacent bulk regions (the
+        // first unhomed, the second homed on 0), a tail gap.
+        let m = GranuleMap::new(
+            65536,
+            8192,
+            &[
+                RegionSpec::new(32768, 16384, 16384).home(0),
+                RegionSpec::new(0, 128, 64).eager().home(1),
+                RegionSpec::new(16384, 16384, 16384),
+            ],
+        );
+        // ids: 0-1 (fine), 2-3 (gap 128..16384), 4 (bulk), 5 (bulk, homed),
+        // 6-7 (tail).
+        assert_eq!(m.n_granules(), 8);
+        assert_eq!(m.homes(2), Ok(vec![(0, 2, 1), (5, 6, 0)]));
+        assert!(m.eager_granule(1) && !m.eager_granule(5));
+        assert_eq!(GranuleMap::new(65536, 8192, &[]).homes(1), Ok(Vec::new()));
+        // A home on the last segment ends at the table's end.
+        let m = GranuleMap::new(256, 64, &[RegionSpec::new(128, 128, 64).home(3)]);
+        assert_eq!(m.homes(4), Ok(vec![(2, 4, 3)]));
+    }
+
+    #[test]
+    fn home_outside_the_cluster_is_rejected_by_address() {
+        let specs = [
+            RegionSpec::new(0, 64, 64).home(1),
+            RegionSpec::new(0x4000, 64, 64).home(2),
+        ];
+        let m = GranuleMap::new(1 << 15, 8192, &specs);
+        let err = m.homes(2).expect_err("node 2 of 2 does not exist");
+        assert!(err.contains("0x4000") && err.contains("node 2 of 2"), "{err}");
+        assert!(m.homes(3).is_ok());
     }
 
     #[test]

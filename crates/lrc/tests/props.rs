@@ -623,7 +623,14 @@ mod sparse_table_equivalence {
             e
         }
 
+        /// Straight from the specs: the region holding the granule's first
+        /// byte decides, then the policy.
         fn owner_of(&self, page: u32) -> u32 {
+            let base = self.granules.granule_base(page);
+            let region = self.cfg.regions.iter().find(|r| (r.start..r.start + r.len).contains(&base));
+            if let Some(home) = region.and_then(|r| r.home) {
+                return home;
+            }
             match self.cfg.ownership {
                 PageOwnership::SingleOwner(n) => n,
                 PageOwnership::Banded => {
@@ -973,16 +980,23 @@ mod sparse_table_equivalence {
     }
 
     /// 1 KiB region: uniform 64 B pages (the single-shift access fast paths)
-    /// or a mix of eager 16 B granules, 64 B pages and 128 B granules.
-    fn config(n_nodes: usize, mixed: bool, banded: bool) -> LrcConfig {
+    /// or a mix of eager 16 B granules, 64 B pages and 128 B granules with
+    /// a gap on both sides of the first two regions and none before the
+    /// third. `homes[i]` below `n_nodes` homes region `i` there; anything
+    /// else leaves it to the policy.
+    fn config(n_nodes: usize, mixed: bool, banded: bool, homes: [usize; 3]) -> LrcConfig {
+        let mut regions = vec![
+            RegionSpec::new(0, 128, 16).eager(),
+            RegionSpec::new(512, 256, 128),
+            RegionSpec::new(768, 128, 64),
+        ];
+        for (r, home) in regions.iter_mut().zip(homes) {
+            r.home = (home < n_nodes).then_some(home as u32);
+        }
         LrcConfig {
             region_bytes: 1024,
             ownership: if banded { PageOwnership::Banded } else { PageOwnership::SingleOwner(0) },
-            regions: if mixed {
-                vec![RegionSpec::new(0, 128, 16).eager(), RegionSpec::new(512, 256, 128)]
-            } else {
-                Vec::new()
-            },
+            regions: if mixed { regions } else { Vec::new() },
             ..LrcConfig::small_test(n_nodes)
         }
     }
@@ -992,13 +1006,14 @@ mod sparse_table_equivalence {
         #[test]
         fn sparse_table_matches_dense_model(
             shape in (2usize..4, any::<bool>(), any::<bool>()),
+            homes in (0usize..5, 0usize..5, 0usize..5),
             ops in proptest::collection::vec(
                 (0usize..12, 0usize..3, 0usize..1024, 1usize..200, any::<u8>(), 0usize..3),
                 1..80,
             ),
         ) {
             let (n, mixed, banded) = shape;
-            let cfg = config(n, mixed, banded);
+            let cfg = config(n, mixed, banded, [homes.0, homes.1, homes.2]);
             let mut pair = Pair::new(&cfg);
             for (kind, node, addr, len, val, peer) in ops {
                 let (node, peer) = (node % n, peer % n);

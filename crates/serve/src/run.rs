@@ -837,6 +837,47 @@ mod tests {
     }
 
     #[test]
+    fn fault_free_serving_costs_two_messages_per_operation() {
+        let cfg = ServeConfig::test(8);
+        let r = run_serve(&cfg);
+        let (done, msgs) = (r.totals.client.completed, r.app.report.net.messages);
+        assert_eq!(done, r.totals.client.attempted);
+        // A request and its reply; the rest is barriers, DONEs and node 0's
+        // closing read of the counters.
+        assert!(msgs * 100 <= done * 205, "{msgs} messages for {done} operations");
+        // A shard's granules are homed on its server, so serving never
+        // demand-fetches: only node 0 faults, on the counters of shards it
+        // does not serve (a slot header and a value cell each).
+        let faults = |node: usize| r.app.report.node_counters[node].get("lrc.remote_faults");
+        assert!((1..cfg.n_servers()).all(|s| faults(s) == 0));
+        assert!(faults(0) <= 2 * cfg.counter_keys, "node 0 faulted {} times", faults(0));
+    }
+
+    #[test]
+    fn overload_ships_no_notice_twice_to_a_client() {
+        // Four times the test rate and a time-out nothing can reach: every
+        // request waits behind others, so every REQUEST's timestamp is older
+        // than replies already on their way to its client.
+        let mut cfg = ServeConfig::test(8);
+        cfg.mean_interarrival /= 4;
+        cfg.op_timeout = ms(10_000);
+        cfg.drain = ms(20_000);
+        let r = run_serve(&cfg);
+        let t = &r.totals;
+        assert_eq!((t.client.completed, t.client.timed_out), (t.client.attempted, 0));
+        assert_eq!(t.mirror_mismatches, 0);
+        let sum = |nodes: std::ops::Range<usize>, name: &str| -> u64 {
+            nodes.map(|n| r.app.report.node_counters[n].get(name)).sum()
+        };
+        let created = sum(0..cfg.n_servers(), "lrc.diffs_created");
+        let applied = sum(cfg.n_servers()..cfg.n_nodes, "carlos.notices_applied");
+        assert!(
+            applied <= cfg.n_clients() as u64 * created,
+            "{applied} notices reached the clients for {created} created"
+        );
+    }
+
+    #[test]
     fn plain_pages_also_serve() {
         let mut cfg = ServeConfig::test(4);
         cfg.granularity_hints = false;

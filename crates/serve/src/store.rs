@@ -59,8 +59,9 @@ pub struct StoreLayout {
 impl StoreLayout {
     /// Carves the shard tables out of `heap`. With `hints`, slot headers
     /// become eager 64 B fine granules and value cells demand granules of
-    /// one cell; without, both tables use plain page-granularity
-    /// allocations.
+    /// one cell, both homed on the shard's server; without, both tables
+    /// use plain page-granularity allocations placed by the ownership
+    /// policy.
     #[must_use]
     pub fn build(
         heap: &mut CoherentHeap,
@@ -72,27 +73,31 @@ impl StoreLayout {
     ) -> Self {
         assert!(slots_per_shard.is_power_of_two(), "slot count must be a power of two");
         assert!(val_cap >= MIN_VAL_LEN, "value capacity below minimum");
-        let n_shards = n_servers * shards_per_server;
         let val_granule = val_cap.next_power_of_two().max(64);
-        let mut meta_base = Vec::with_capacity(n_shards);
-        let mut val_base = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            if hints {
-                meta_base.push(heap.alloc_with_granule_eager(slots_per_shard * META_BYTES, 64));
-                val_base.push(heap.alloc_with_granule(slots_per_shard * val_cap, val_granule));
-            } else {
-                meta_base.push(heap.alloc(slots_per_shard * META_BYTES, META_BYTES));
-                val_base.push(heap.alloc(slots_per_shard * val_cap, 8));
-            }
-        }
-        Self {
-            n_shards,
+        let mut lay = Self {
+            n_shards: n_servers * shards_per_server,
             n_servers,
             slots_per_shard,
             val_cap,
-            meta_base,
-            val_base,
+            meta_base: Vec::new(),
+            val_base: Vec::new(),
+        };
+        for shard in 0..lay.n_shards {
+            if hints {
+                // Homed on the shard's only writer, whose first touches then
+                // fault on nothing; under the banded policy most would fetch
+                // an all-zero granule from a node that never uses it.
+                let home = Some(lay.server_of(shard));
+                let meta = heap.alloc_hinted(slots_per_shard * META_BYTES, 64, true, home);
+                let val = heap.alloc_hinted(slots_per_shard * val_cap, val_granule, false, home);
+                lay.meta_base.push(meta);
+                lay.val_base.push(val);
+            } else {
+                lay.meta_base.push(heap.alloc(slots_per_shard * META_BYTES, META_BYTES));
+                lay.val_base.push(heap.alloc(slots_per_shard * val_cap, 8));
+            }
         }
+        lay
     }
 
     /// The shard a key hashes to.

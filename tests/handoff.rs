@@ -3,8 +3,9 @@
 //! ARQ transport, message-driven runtime, distributed locks and barriers —
 //! runs with parking procs driving the event loop, and what the runner
 //! reports must not depend on whose stack popped the deciding event.
-//! The pinned values were recorded on the thread-per-proc,
-//! runner-in-the-middle scheduler two designs ago.
+//! The pinned values move with the protocol, never with the scheduler:
+//! they were first recorded on the thread-per-proc, runner-in-the-middle
+//! scheduler two designs ago.
 
 use carlos::core::{CoreConfig, Runtime};
 use carlos::lrc::LrcConfig;
@@ -62,7 +63,7 @@ fn full_stack_outcomes_do_not_depend_on_who_drives() {
             r.net.messages,
             r.net.payload_bytes
         ),
-        (1_984_040, 3_832, 1_120, 36_964)
+        (1_983_624, 3_832, 1_120, 36_912)
     );
 
     // The event valve trips in mid-protocol, on whichever proc is driving.
@@ -72,7 +73,7 @@ fn full_stack_outcomes_do_not_depend_on_who_drives() {
     };
     match contended_counter(valve) {
         Err(SimError::MaxEvents { limit, at, crashed }) => {
-            assert_eq!((limit, at), (2_000, 1_056_952));
+            assert_eq!((limit, at), (2_000, 1_056_744));
             assert!(crashed.is_empty());
         }
         other => panic!("expected MaxEvents, got {other:?}"),
