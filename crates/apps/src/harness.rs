@@ -9,8 +9,7 @@ use carlos_sim::{Bucket, SimReport};
 
 /// Collects one value per node out of the node closures.
 ///
-/// Node closures are `'static` and (for the parallel scheduler, which runs
-/// them on OS threads) `Send`; this is the channel through which
+/// Node closures are `'static + Send`; this is the channel through which
 /// verification data (best tour, sorted flags, final positions) reaches the
 /// test or bench after `Cluster::run`.
 #[derive(Debug)]

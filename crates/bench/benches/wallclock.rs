@@ -5,12 +5,9 @@
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
 //! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
 //! size and run count of a rewritten page of typed data
-//! (`diff_wire_len_typed_*`, `diff_runs_typed_*`). Each end-to-end
-//! run also executes under the conservative parallel scheduler; the
-//! serial/parallel host-second ratio lands in the JSON's `derived`
-//! section as `parallel_speedup_*`, alongside `host_cores`. A raw 2-node
-//! ping-pong prices the serial scheduler itself: `serial_ns_per_event`
-//! and `serial_ns_per_handoff`. Constructing the serving layout's engines
+//! (`diff_wire_len_typed_*`, `diff_runs_typed_*`). A raw 2-node
+//! ping-pong prices the scheduler itself: `serial_ns_per_event` and
+//! `serial_ns_per_handoff`. Constructing the serving layout's engines
 //! prices the sparse page table: `engine_new_ns_per_granule_*` and
 //! `engine_bytes_per_untouched_granule_*`, with `calib_ms` (a fixed
 //! integer loop) recorded beside them so `ci.sh` can gate the timing
@@ -32,7 +29,7 @@ use carlos_apps::tsp::{run_tsp, TspConfig, TspVariant};
 use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{Diff, IntervalRecord, LrcEngine, Vc};
 use carlos_serve::run::{lrc_config, ServeConfig};
-use carlos_sim::{Bucket, Cluster, SimConfig};
+use carlos_sim::{Cluster, SimConfig};
 use carlos_util::{codec::Wire, rng::Xoshiro256};
 use criterion::{black_box, BatchSize, Criterion};
 
@@ -402,92 +399,18 @@ fn bench_e2e(quick: bool) -> Vec<E2eResult> {
         virtual_ns: vns,
     });
 
-    // The same runs under the conservative parallel scheduler: virtual
-    // time is bit-identical (pinned by tests/parallel_golden.rs — the
-    // assert below re-checks it here), so the only thing that may move
-    // is host seconds. The serial/parallel host-second ratio is the
-    // scheduler's speedup; on a single-core host expect ~1x or a small
-    // slowdown from the op-log machinery.
-    {
-        let serial_vns = out
-            .iter()
-            .find(|r| r.id == "tsp_lock_4node_12c")
-            .map(|r| r.virtual_ns);
-        let par_cfg = {
-            let mut c = tsp_cfg.clone();
-            c.sim = c.sim.parallel(true);
-            c
-        };
-        let (host, vns) = time_e2e(reps, || {
-            let r = run_tsp(&par_cfg);
-            black_box(r.app.report.elapsed)
-        });
-        assert_eq!(
-            serial_vns,
-            Some(vns),
-            "parallel TSP diverged from serial virtual time"
-        );
-        eprintln!("e2e  tsp_lock_4node_12c_parallel: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id: "tsp_lock_4node_12c_parallel",
-            host_seconds: host,
-            virtual_ns: vns,
-        });
-    }
-    {
-        let serial_vns = out
-            .iter()
-            .find(|r| r.id == "sor_4node_130x64")
-            .map(|r| r.virtual_ns);
-        let par_cfg = {
-            let mut c = sor_cfg.clone();
-            c.sim = c.sim.parallel(true);
-            c
-        };
-        let (host, vns) = time_e2e(reps, || {
-            let r = run_sor(&par_cfg);
-            black_box(r.app.report.elapsed)
-        });
-        assert_eq!(
-            serial_vns,
-            Some(vns),
-            "parallel SOR diverged from serial virtual time"
-        );
-        eprintln!("e2e  sor_4node_130x64_parallel: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id: "sor_4node_130x64_parallel",
-            host_seconds: host,
-            virtual_ns: vns,
-        });
-    }
-
-    // The same serial/parallel pairs at 8 nodes: more lanes means more
-    // exploitable concurrency (and more op-log traffic per runner pass),
-    // so the 8-node ratio is the multi-core gate's main signal.
+    // The same two workloads at 8 nodes.
     {
         let nodes = 8usize;
         let mut tsp8 = TspConfig::test(nodes, TspVariant::Lock);
         tsp8.n_cities = 12;
-        let (host, serial_vns) = time_e2e(reps, || {
+        let (host, vns) = time_e2e(reps, || {
             let r = run_tsp(&tsp8);
             black_box(r.app.report.elapsed)
         });
-        eprintln!("e2e  tsp_lock_8node_12c: {host:.3} host-s ({} virtual-ms)", serial_vns / 1_000_000);
+        eprintln!("e2e  tsp_lock_8node_12c: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
         out.push(E2eResult {
             id: "tsp_lock_8node_12c",
-            host_seconds: host,
-            virtual_ns: serial_vns,
-        });
-        let mut par = tsp8.clone();
-        par.sim = par.sim.parallel(true);
-        let (host, vns) = time_e2e(reps, || {
-            let r = run_tsp(&par);
-            black_box(r.app.report.elapsed)
-        });
-        assert_eq!(serial_vns, vns, "parallel 8-node TSP diverged from serial virtual time");
-        eprintln!("e2e  tsp_lock_8node_12c_parallel: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id: "tsp_lock_8node_12c_parallel",
             host_seconds: host,
             virtual_ns: vns,
         });
@@ -496,26 +419,13 @@ fn bench_e2e(quick: bool) -> Vec<E2eResult> {
         sor8.rows = 130;
         sor8.cols = 64;
         sor8.iters = 4;
-        let (host, serial_vns) = time_e2e(reps, || {
+        let (host, vns) = time_e2e(reps, || {
             let r = run_sor(&sor8);
             black_box(r.app.report.elapsed)
         });
-        eprintln!("e2e  sor_8node_130x64: {host:.3} host-s ({} virtual-ms)", serial_vns / 1_000_000);
+        eprintln!("e2e  sor_8node_130x64: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
         out.push(E2eResult {
             id: "sor_8node_130x64",
-            host_seconds: host,
-            virtual_ns: serial_vns,
-        });
-        let mut par = sor8.clone();
-        par.sim = par.sim.parallel(true);
-        let (host, vns) = time_e2e(reps, || {
-            let r = run_sor(&par);
-            black_box(r.app.report.elapsed)
-        });
-        assert_eq!(serial_vns, vns, "parallel 8-node SOR diverged from serial virtual time");
-        eprintln!("e2e  sor_8node_130x64_parallel: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id: "sor_8node_130x64_parallel",
             host_seconds: host,
             virtual_ns: vns,
         });
@@ -524,57 +434,7 @@ fn bench_e2e(quick: bool) -> Vec<E2eResult> {
     out
 }
 
-/// Per-op overhead of the parallel scheduler's op-log machinery, measured
-/// directly: a 2-node `parallel(true)` run in which each proc issues
-/// `n_ops` operations that do nothing but traverse the op-log.
-///
-/// - Fast-path ops (`ctx.charge`): one bounded-channel append per op,
-///   replayed in batches by the runner — no rendezvous.
-/// - Rendezvous ops (`ctx.counter` reads): each op parks the lane until
-///   the runner replays it and publishes the outcome — the full
-///   round-trip the conservative scheduler pays on every non-ff step.
-///
-/// Host seconds divided by total ops amortizes thread startup and kernel
-/// setup across 10⁴–10⁵ ops. Returns `(key, ns_per_op)` pairs for the
-/// JSON `derived` section.
-fn bench_oplog(quick: bool) -> Vec<(&'static str, f64)> {
-    let n_ops: u64 = if quick { 10_000 } else { 50_000 };
-    let reps = if quick { 1 } else { 3 };
-    let time_run = |rendezvous: bool| -> f64 {
-        let mut secs: Vec<f64> = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let start = Instant::now();
-            let mut cluster = Cluster::new(SimConfig::fast_test().parallel(true), 2);
-            for node in 0..2u32 {
-                cluster.spawn_node(node, move |ctx| {
-                    if rendezvous {
-                        for _ in 0..n_ops {
-                            black_box(ctx.counter("oplog.bench"));
-                        }
-                    } else {
-                        for _ in 0..n_ops {
-                            ctx.charge(Bucket::User, 10);
-                        }
-                    }
-                });
-            }
-            let _ = black_box(cluster.run());
-            secs.push(start.elapsed().as_secs_f64());
-        }
-        secs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-        secs[secs.len() / 2]
-    };
-    let per_op = |secs: f64| secs * 1e9 / (2.0 * n_ops as f64);
-    let ff = per_op(time_run(false));
-    let rv = per_op(time_run(true));
-    eprintln!("oplog ff op: {ff:.0} ns/op; rendezvous op: {rv:.0} ns/op ({n_ops} ops x 2 lanes)");
-    vec![
-        ("oplog_ns_per_op", ff),
-        ("oplog_ns_per_op_rendezvous", rv),
-    ]
-}
-
-/// Serial-scheduler micro-benchmark: a raw 2-node ping-pong — no
+/// Scheduler micro-benchmark: a raw 2-node ping-pong — no
 /// transport, no DSM, no charged compute — so host time is the switch
 /// between procs and the event queue and nothing else.
 ///
@@ -698,23 +558,7 @@ fn write_json(
             }
         }
     }
-    // Parallel-scheduler speedup: serial host seconds over parallel host
-    // seconds for the same 4-node run (virtual time is bit-identical).
-    // The ci.sh gate reads these keys on hosts with >= 4 cores.
-    for (serial_id, par_id, key) in [
-        ("tsp_lock_4node_12c", "tsp_lock_4node_12c_parallel", "parallel_speedup_tsp_4node"),
-        ("sor_4node_130x64", "sor_4node_130x64_parallel", "parallel_speedup_sor_4node"),
-        ("tsp_lock_8node_12c", "tsp_lock_8node_12c_parallel", "parallel_speedup_tsp_8node"),
-        ("sor_8node_130x64", "sor_8node_130x64_parallel", "parallel_speedup_sor_8node"),
-    ] {
-        if let (Some(serial), Some(par)) = (e2e_secs(serial_id), e2e_secs(par_id)) {
-            if par > 0.0 {
-                lines.push(format!("    \"{key}\": {:.2}", serial / par));
-            }
-        }
-    }
-    // Amortized per-op cost of the scheduler machinery itself: the
-    // parallel op log and the serial proc hand-off (microbenches).
+    // Amortized per-event and per-hand-off cost of the scheduler itself.
     for (key, ns) in micro {
         lines.push(format!("    \"{key}\": {ns:.0}"));
     }
@@ -745,8 +589,7 @@ fn main() {
     bench_diff_lifecycle(&mut c);
     bench_codec(&mut c);
     let e2e = bench_e2e(quick);
-    let mut micro = bench_oplog(quick);
-    micro.extend(bench_handoff(quick));
+    let micro = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();
     footprint.extend(bench_engine_footprint(quick));
     write_json(&c, &e2e, &micro, &footprint, quick);

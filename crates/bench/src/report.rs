@@ -1,6 +1,7 @@
 //! The paper-table report harness: runs the four applications (TSP,
-//! Quicksort, Water, SOR) across 1–4 nodes with a metrics-only
-//! [`Tracer`] installed, and renders the results two ways:
+//! Quicksort, Water, SOR) across 1–4 nodes — TSP Lock and SOR also at 8 —
+//! with a metrics-only [`Tracer`] installed, and renders the results two
+//! ways:
 //!
 //! - `BENCH_paper.json` — machine-readable rows mirroring the paper's
 //!   Tables 1–3 (time, speedup, messages, average size, utilization,
@@ -110,6 +111,45 @@ pub struct ReportRow {
     pub paper: Option<PaperRow>,
 }
 
+/// Cluster size of the TSP Lock and SOR scaling rows, past the paper's
+/// 4-node testbed.
+const SCALING_N: usize = 8;
+
+/// The report's TSP configuration: paper scale, or in quick mode the
+/// test-scale workload under the real cost model — the whole point of the
+/// report is cost attribution, and `fast_test` zeroes every protocol cost.
+fn tsp_config(opts: &ReportOptions, n: usize, variant: TspVariant) -> TspConfig {
+    if opts.quick {
+        let mut cfg = TspConfig::test(n, variant);
+        cfg.core = CoreConfig::osdi94();
+        cfg
+    } else {
+        TspConfig::paper(n, variant)
+    }
+}
+
+/// The report's SOR configuration (see [`tsp_config`]).
+fn sor_config(opts: &ReportOptions, n: usize) -> SorConfig {
+    if opts.quick {
+        let mut cfg = SorConfig::test(n);
+        cfg.core = CoreConfig::osdi94();
+        cfg
+    } else {
+        SorConfig::paper_scale(n)
+    }
+}
+
+/// The report's fault-free serving configuration: in quick mode the same
+/// cost model and protocol on 1/32 of the schedule.
+fn serve_config(opts: &ReportOptions, n: usize) -> ServeConfig {
+    let mut cfg = ServeConfig::paper(n);
+    if opts.quick {
+        cfg.ops_per_client /= 32;
+        cfg.cas_per_client /= 32;
+    }
+    cfg
+}
+
 /// Collapses a finished traced run into a [`ReportRow`].
 fn finish_row(
     app: &'static str,
@@ -176,7 +216,8 @@ fn finish_row(
 
 /// Runs every (application, variant, n) cell and returns the rows in
 /// table order: TSP lock/hybrid, Quicksort lock/hybrid-1, Water
-/// lock/hybrid, SOR — each from 1 node up to `max_nodes`.
+/// lock/hybrid, SOR — each from 1 node up to `max_nodes`, TSP lock and SOR
+/// also at 8 nodes — then the variable-granularity rows.
 ///
 /// # Errors
 ///
@@ -185,21 +226,13 @@ fn finish_row(
 pub fn run_report(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
     let mut rows: Vec<ReportRow> = Vec::new();
     let ns = 1..=opts.max_nodes;
+    let scaling = (opts.max_nodes < SCALING_N).then_some(SCALING_N);
 
     for (variant, name) in [(TspVariant::Lock, "Lock"), (TspVariant::Hybrid, "Hybrid")] {
         let mut single = 0.0;
-        for n in ns.clone() {
+        for n in ns.clone().chain(scaling.filter(|_| matches!(variant, TspVariant::Lock))) {
             let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                // Test-scale workload, but the real cost model: the whole
-                // point of the report is cost attribution, and
-                // `fast_test` zeroes every protocol cost.
-                let mut cfg = TspConfig::test(n, variant);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                TspConfig::paper(n, variant)
-            };
+            let mut cfg = tsp_config(opts, n, variant);
             cfg.trace = Some(tracer.clone());
             let r = try_run_tsp(&cfg)?;
             if n == 1 {
@@ -269,18 +302,9 @@ pub fn run_report(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
 
     {
         let mut single = 0.0;
-        for n in ns.clone() {
+        for n in ns.clone().chain(scaling) {
             let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                // Test-scale workload, but the real cost model: the whole
-                // point of the report is cost attribution, and
-                // `fast_test` zeroes every protocol cost.
-                let mut cfg = SorConfig::test(n);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                SorConfig::paper_scale(n)
-            };
+            let mut cfg = sor_config(opts, n);
             cfg.trace = Some(tracer.clone());
             let r = try_run_sor(&cfg)?;
             if n == 1 {
@@ -299,13 +323,7 @@ pub fn run_report(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
         let mut single = 0.0;
         for n in ns.clone() {
             let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                let mut cfg = TspConfig::test(n, TspVariant::Lock);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                TspConfig::paper(n, TspVariant::Lock)
-            };
+            let mut cfg = tsp_config(opts, n, TspVariant::Lock);
             cfg.granularity_hints = true;
             cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
             cfg.trace = Some(tracer.clone());
@@ -374,13 +392,7 @@ pub fn run_report(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
         let mut single = 0.0;
         for n in ns.clone() {
             let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                let mut cfg = SorConfig::test(n);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                SorConfig::paper_scale(n)
-            };
+            let mut cfg = sor_config(opts, n);
             cfg.granularity_hints = true;
             cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
             cfg.trace = Some(tracer.clone());
@@ -395,98 +407,11 @@ pub fn run_report(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
     Ok(rows)
 }
 
-/// Collapses an untraced parallel-mode run into a [`ReportRow`]: no class
-/// ledger (the tracer is a wire observer, and observers force the serial
-/// scheduler), just the table columns the paper reports.
-fn parallel_row(
-    app: &'static str,
-    variant: &'static str,
-    n: usize,
-    rep: &AppReport,
-    single_s: f64,
-) -> ReportRow {
-    ReportRow {
-        app,
-        variant,
-        n,
-        secs: rep.secs,
-        speedup: if rep.secs > 0.0 { single_s / rep.secs } else { 0.0 },
-        messages: rep.messages,
-        avg_bytes: rep.avg_msg_bytes,
-        util: rep.net_util,
-        classes: Vec::new(),
-        fetch_diffs: 0,
-        fetch_pages: 0,
-        granule_fine_fetches: 0,
-        granule_fine_bytes: 0,
-        granule_page_fetches: 0,
-        granule_page_bytes: 0,
-        granule_bulk_fetches: 0,
-        granule_bulk_bytes: 0,
-        wait_lock_ns: 0,
-        wait_barrier_ns: 0,
-        paper: None,
-    }
-}
-
-/// Runs TSP (Lock) and SOR on an 8-node cluster under the conservative
-/// parallel scheduler (`SimConfig::parallel(true)`), beyond the paper's
-/// 4-node testbed. The parallel scheduler is bit-identical to the serial
-/// one (pinned by `tests/parallel_golden.rs`), so these rows extend the
-/// paper's scaling tables; no tracer is installed because wire observers
-/// force the serial fallback.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] if any run deadlocks, crashes, or
-/// aborts.
-pub fn run_parallel_rows(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
-    let mut rows = Vec::new();
-    let sizes = [1, 8];
-
-    let mut single = 0.0;
-    for n in sizes {
-        let mut cfg = if opts.quick {
-            let mut cfg = TspConfig::test(n, TspVariant::Lock);
-            cfg.core = CoreConfig::osdi94();
-            cfg
-        } else {
-            TspConfig::paper(n, TspVariant::Lock)
-        };
-        cfg.sim = cfg.sim.parallel(true);
-        let r = try_run_tsp(&cfg)?;
-        if n == 1 {
-            single = r.app.secs;
-        }
-        rows.push(parallel_row("TSP", "Lock/par", n, &r.app, single));
-    }
-
-    let mut single = 0.0;
-    for n in sizes {
-        let mut cfg = if opts.quick {
-            let mut cfg = SorConfig::test(n);
-            cfg.core = CoreConfig::osdi94();
-            cfg
-        } else {
-            SorConfig::paper_scale(n)
-        };
-        cfg.sim = cfg.sim.parallel(true);
-        let r = try_run_sor(&cfg)?;
-        if n == 1 {
-            single = r.app.secs;
-        }
-        rows.push(parallel_row("SOR", "-/par", n, &r.app, single));
-    }
-
-    Ok(rows)
-}
-
 /// One serving row: a `carlos-serve` run's latency/throughput/harvest
 /// columns (see DESIGN.md §14 for the metric definitions).
 #[derive(Debug, Clone)]
 pub struct ServeRow {
-    /// Variant label ("KV/par" fault-free under the parallel scheduler,
-    /// "KV/chaos" under the fault plan).
+    /// Variant label ("KV" fault-free, "KV/chaos" under the fault plan).
     pub variant: &'static str,
     /// Cluster size.
     pub n: usize,
@@ -521,9 +446,8 @@ pub struct ServeRow {
     pub cas_done: u64,
     /// Server mirror/DSM disagreements (must be 0).
     pub mirror_mismatches: u64,
-    /// Host wall-clock seconds the run took (virtual-time metrics above
-    /// are machine-independent; this one column records what the parallel
-    /// scheduler actually bought on the generating host).
+    /// Host wall-clock seconds the run took on the generating host (every
+    /// other column is virtual and machine-independent).
     pub host_seconds: f64,
 }
 
@@ -561,12 +485,10 @@ fn serve_row(variant: &'static str, n: usize, r: &ServeResult, host_seconds: f64
     }
 }
 
-/// Runs the serving rows: fault-free KV workloads at n ∈ {8, 16, 32}
-/// under the conservative parallel scheduler (latency collected app-side,
-/// so no observer forces the serial fallback), plus one chaos row —
-/// burst loss and a partition-heal window over an ARQ transport — run
-/// serially, reporting harvest and yield. Quick mode runs a shortened
-/// n = 8 schedule and the same chaos row.
+/// Runs the serving rows: fault-free KV workloads at n ∈ {8, 16, 32},
+/// plus one chaos row — burst loss and a partition-heal window over an
+/// ARQ transport — reporting harvest and yield. Quick mode runs a
+/// shortened n = 8 schedule and the same chaos row.
 ///
 /// # Errors
 ///
@@ -576,13 +498,7 @@ pub fn run_serve_rows(opts: &ReportOptions) -> Result<Vec<ServeRow>, SimError> {
     let mut rows = Vec::new();
     let sizes: &[usize] = if opts.quick { &[8] } else { &[8, 16, 32] };
     for &n in sizes {
-        let mut cfg = ServeConfig::paper(n);
-        if opts.quick {
-            // Same cost model and protocol, 1/32 of the schedule.
-            cfg.ops_per_client /= 32;
-            cfg.cas_per_client /= 32;
-        }
-        cfg.sim = cfg.sim.parallel(true);
+        let cfg = serve_config(opts, n);
         let started = std::time::Instant::now();
         let r = try_run_serve(&cfg)?;
         let host = started.elapsed().as_secs_f64();
@@ -590,7 +506,7 @@ pub fn run_serve_rows(opts: &ReportOptions) -> Result<Vec<ServeRow>, SimError> {
             r.totals.mirror_mismatches, 0,
             "serve row {n}: store/mirror disagreement"
         );
-        rows.push(serve_row("KV/par", n, &r, host));
+        rows.push(serve_row("KV", n, &r, host));
     }
     let started = std::time::Instant::now();
     let r = try_run_serve(&ServeConfig::chaos(8))?;
@@ -807,15 +723,15 @@ pub fn to_markdown(rows: &[ReportRow]) -> String {
         "| App | Version | Class | Sent | Bytes | Cost(ms) | Mean latency(us) |\n\
          |---|---|---|--:|--:|--:|--:|\n",
     );
-    // Parallel-mode rows carry no class ledger (no tracer), so the cost
-    // table considers only traced rows.
-    let max_n = rows
+    let largest: Vec<&ReportRow> = rows
         .iter()
-        .filter(|r| !r.classes.is_empty())
-        .map(|r| r.n)
-        .max()
-        .unwrap_or(0);
-    for r in rows.iter().filter(|r| r.n == max_n && !r.classes.is_empty()) {
+        .filter(|r| {
+            rows.iter()
+                .filter(|o| (o.app, o.variant) == (r.app, r.variant))
+                .all(|o| o.n <= r.n)
+        })
+        .collect();
+    for r in &largest {
         for c in &r.classes {
             out.push_str(&format!(
                 "| {} | {} | {} | {} | {} | {:.3} | {:.1} |\n",
@@ -834,7 +750,7 @@ pub fn to_markdown(rows: &[ReportRow]) -> String {
         "| App | Version | Fine fetches | Fine B | Page fetches | Page B | Bulk fetches | Bulk B |\n\
          |---|---|--:|--:|--:|--:|--:|--:|\n",
     );
-    for r in rows.iter().filter(|r| r.n == max_n && !r.classes.is_empty()) {
+    for r in &largest {
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
             r.app,
@@ -925,6 +841,8 @@ pub fn traffic_gate(rows: &[ReportRow], baseline_json: &str) -> Result<Vec<Strin
 
 #[cfg(test)]
 mod tests {
+    use carlos_check::Checker;
+
     use super::*;
 
     /// A 2-node quick report end to end: every cell runs, the JSON is
@@ -938,8 +856,8 @@ mod tests {
         };
         let rows = run_report(&opts).expect("quick report runs clean");
         // 7 legacy (app, variant) groups plus 4 variable-granularity
-        // groups, × 2 cluster sizes.
-        assert_eq!(rows.len(), 22);
+        // groups, × 2 cluster sizes, plus the TSP Lock and SOR 8-node rows.
+        assert_eq!(rows.len(), 24);
         for r in &rows {
             assert!(r.secs > 0.0, "{}/{} has zero elapsed", r.app, r.variant);
             if r.n > 1 {
@@ -1040,35 +958,71 @@ mod tests {
         );
     }
 
-    /// The parallel 8-node rows run clean at test scale and report real
-    /// traffic; their class ledgers are empty by construction (no tracer
-    /// under the parallel scheduler), and the markdown still renders the
-    /// traced cost table from the serial rows.
+    /// The 8-node scaling rows are traced like every other row — every wire
+    /// message is on their class ledger, which also counts loopback sends —
+    /// and the cost table shows each (application, variant) at its own
+    /// largest cluster size.
     #[test]
-    fn parallel_rows_run_and_render() {
+    fn eight_node_rows_are_traced_and_render() {
         let opts = ReportOptions {
             quick: true,
             max_nodes: 2,
         };
-        let par = run_parallel_rows(&opts).expect("parallel rows run clean");
-        // TSP at n = 1, 8 and SOR at n = 1, 8.
-        assert_eq!(par.len(), 4);
-        for r in &par {
-            assert!(r.secs > 0.0, "{}/{} has zero elapsed", r.app, r.variant);
-            assert!(r.classes.is_empty(), "parallel rows must be untraced");
-            if r.n > 1 {
-                assert!(r.messages > 0, "{}/{} sent nothing", r.app, r.variant);
-            }
+        let rows = run_report(&opts).expect("quick report runs clean");
+        let eight: Vec<_> = rows.iter().filter(|r| r.n == 8).collect();
+        assert_eq!(
+            eight.iter().map(|r| (r.app, r.variant)).collect::<Vec<_>>(),
+            [("TSP", "Lock"), ("SOR", "-")]
+        );
+        for r in eight {
+            let sent: u64 = r.classes.iter().map(|c| c.sent).sum();
+            let dispatched: u64 = r.classes.iter().map(|c| c.dispatched).sum();
+            assert!(sent >= r.messages, "{} n=8: {sent} on the ledger", r.app);
+            assert_eq!(sent, dispatched, "{} n=8 lost messages", r.app);
         }
-        let mut rows = run_report(&opts).expect("serial rows");
-        rows.extend(par);
         let md = to_markdown(&rows);
-        assert!(md.contains("Lock/par"), "parallel rows missing: {md}");
-        // The cost table must still come from traced (serial) rows.
-        assert!(md.contains("| TSP | Lock |"));
+        let cost_table = md
+            .split("## Per-message-class cost attribution")
+            .nth(1)
+            .expect("cost table");
+        assert!(cost_table.contains("| Water | Hybrid |"), "{cost_table}");
+        assert!(cost_table.contains("| TSP | Lock |"), "{cost_table}");
     }
 
-    /// The quick serve rows run clean — the fault-free parallel row at
+    /// The quick report's 8-node TSP Lock, SOR and KV configurations re-run
+    /// under the consistency checker: no violation, and the same elapsed
+    /// time and message count as the unchecked runs the report publishes.
+    #[test]
+    fn eight_node_rows_are_checked_clean() {
+        let opts = ReportOptions {
+            quick: true,
+            max_nodes: 4,
+        };
+        let totals = |app: &AppReport| (app.report.elapsed, app.report.net.messages);
+        let same_under_checker = |what: &str, run: &dyn Fn(Option<Checker>) -> AppReport| {
+            let check = Checker::new(8);
+            let (checked, plain) = (run(Some(check.clone())), run(None));
+            assert_eq!(totals(&checked), totals(&plain), "{what}: the checker showed");
+            check.assert_clean();
+        };
+        same_under_checker("TSP", &|check| {
+            let mut cfg = tsp_config(&opts, 8, TspVariant::Lock);
+            cfg.check = check;
+            try_run_tsp(&cfg).expect("TSP runs clean").app
+        });
+        same_under_checker("SOR", &|check| {
+            let mut cfg = sor_config(&opts, 8);
+            cfg.check = check;
+            try_run_sor(&cfg).expect("SOR runs clean").app
+        });
+        same_under_checker("KV", &|check| {
+            let mut cfg = serve_config(&opts, 8);
+            cfg.check = check;
+            try_run_serve(&cfg).expect("KV runs clean").app
+        });
+    }
+
+    /// The quick serve rows run clean — the fault-free row at
     /// yield 1.0 with a clean server mirror, the chaos row shedding load
     /// with every drop attributed — the JSON round-trips through
     /// carlos-trace's parser, and the serve gate passes a run against its
@@ -1081,12 +1035,12 @@ mod tests {
             max_nodes: 8,
         };
         let serve = run_serve_rows(&opts).expect("serve rows run clean");
-        assert_eq!(serve.len(), 2, "quick mode: KV/par n=8 + KV/chaos n=8");
-        let par = &serve[0];
-        assert_eq!((par.variant, par.n), ("KV/par", 8));
-        assert_eq!(par.timed_out, 0, "fault-free serving must not time out");
-        assert!((par.yield_fraction - 1.0).abs() < f64::EPSILON);
-        assert!(par.completed > 0 && par.ops_per_sec > 0.0 && par.bytes_per_op > 0);
+        assert_eq!(serve.len(), 2, "quick mode: KV n=8 + KV/chaos n=8");
+        let kv = &serve[0];
+        assert_eq!((kv.variant, kv.n), ("KV", 8));
+        assert_eq!(kv.timed_out, 0, "fault-free serving must not time out");
+        assert!((kv.yield_fraction - 1.0).abs() < f64::EPSILON);
+        assert!(kv.completed > 0 && kv.ops_per_sec > 0.0 && kv.bytes_per_op > 0);
         let chaos = &serve[1];
         assert_eq!((chaos.variant, chaos.n), ("KV/chaos", 8));
         assert!(chaos.yield_fraction < 1.0, "chaos must shed load");
@@ -1124,7 +1078,7 @@ mod tests {
         assert!(serve_gate(&chatty, &json).is_ok(), "<5% growth tolerated");
 
         let md = serve_markdown(&serve);
-        assert!(md.contains("KV/par") && md.contains("KV/chaos"), "{md}");
+        assert!(md.contains("| KV | 8 |") && md.contains("| KV/chaos | 8 |"), "{md}");
 
         assert!(
             serve_gate(&serve, "{\"serve_rows\": []}").is_err(),

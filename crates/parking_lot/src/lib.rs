@@ -4,8 +4,7 @@
 //! member wraps `std::sync` primitives behind the `parking_lot` API shape
 //! used by CarlOS-rs: `lock()` returns a guard directly (no poisoning —
 //! a poisoned std lock is transparently recovered, matching `parking_lot`
-//! semantics where panicking while holding a lock does not poison it),
-//! and `Condvar::wait` takes `&mut MutexGuard`.
+//! semantics where panicking while holding a lock does not poison it).
 
 use std::sync::PoisonError;
 
@@ -63,9 +62,8 @@ impl<T: ?Sized> Mutex<T> {
 
 /// RAII guard for [`Mutex`].
 ///
-/// The inner `Option` exists so [`Condvar::wait`] and
-/// [`MutexGuard::unlocked`] can temporarily give the std guard up while
-/// blocking; it is always `Some` outside those windows.
+/// The inner `Option` exists so [`MutexGuard::unlocked`] can temporarily
+/// give the std guard up; it is always `Some` outside that window.
 #[derive(Debug)]
 pub struct MutexGuard<'a, T: ?Sized> {
     /// The lock this guard came from, for re-locking in `unlocked`.
@@ -109,121 +107,9 @@ impl<T: ?Sized> std::ops::DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock with `parking_lot`'s non-poisoning API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a lock owning `value`.
-    pub const fn new(value: T) -> Self {
-        Self {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// RAII shared guard for [`RwLock`].
-#[derive(Debug)]
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-/// RAII exclusive guard for [`RwLock`].
-#[derive(Debug)]
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-}
-
-/// A condition variable with `parking_lot`'s `&mut guard` wait API.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until notified, atomically releasing and reacquiring the lock.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.inner.take().expect("guard present");
-        guard.inner = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) -> bool {
-        self.inner.notify_one();
-        true
-    }
-
-    /// Wakes all waiters.
-    pub fn notify_all(&self) -> usize {
-        self.inner.notify_all();
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn lock_roundtrip() {
@@ -233,18 +119,6 @@ mod tests {
             *g += 1;
         }
         assert_eq!(*m.lock(), 6);
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(3);
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(*a + *b, 6);
-        }
-        *l.write() += 1;
-        assert_eq!(*l.read(), 4);
     }
 
     #[test]
@@ -281,24 +155,5 @@ mod tests {
         *g = 7;
         drop(g);
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn condvar_handoff() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            let mut g = m.lock();
-            *g = true;
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut g = m.lock();
-        while !*g {
-            cv.wait(&mut g);
-        }
-        t.join().unwrap();
-        assert!(*g);
     }
 }

@@ -828,15 +828,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let serial = run_serve(&ServeConfig::test(4));
-        let mut cfg = ServeConfig::test(4);
-        cfg.sim = cfg.sim.parallel(true);
-        let par = run_serve(&cfg);
-        assert_eq!(fingerprint(&serial), fingerprint(&par));
-    }
-
-    #[test]
     fn fault_free_serving_costs_two_messages_per_operation() {
         let cfg = ServeConfig::test(8);
         let r = run_serve(&cfg);

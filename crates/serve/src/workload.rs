@@ -4,7 +4,7 @@
 //! Every client node derives its own RNG stream from the run seed and its
 //! node id, so a fixed configuration yields one fixed schedule of
 //! `(arrival time, operation, key)` triples — the simulator then replays
-//! it bit-identically, serial or parallel. **Open loop** means arrivals
+//! it bit-identically. **Open loop** means arrivals
 //! are drawn from the schedule regardless of how many operations are
 //! still in flight: a slow server grows the client's pending window (and
 //! its tail latency) instead of silently throttling offered load, which

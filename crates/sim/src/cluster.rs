@@ -14,7 +14,6 @@ use crate::{
     coro::{self, Coroutine},
     error::{AbortInfo, BlockedProc, SimError},
     kernel::{EvKind, Kernel, ProcId, ProcMain},
-    parallel,
     stats::{Bucket, Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
 };
@@ -82,15 +81,8 @@ pub struct Datagram {
     pub sent_at: Ns,
 }
 
-pub(crate) struct Shared {
-    pub(crate) kernel: Mutex<Kernel>,
-    /// Parallel-mode control block (op channels, lane state). Inert in
-    /// serial mode.
-    pub(crate) par: parallel::ParCtrl,
-}
-
 /// Why the event loop stopped without a report.
-pub(crate) enum RunFailure {
+enum RunFailure {
     /// A proc panicked; the payload is re-thrown (or stringified) later.
     Panic {
         payload: Box<dyn std::any::Any + Send>,
@@ -108,7 +100,7 @@ pub(crate) enum RunFailure {
 /// completion on the calling thread and returns a [`SimReport`]. Nothing
 /// executes, and no thread or stack exists, before that call.
 pub struct Cluster {
-    shared: Arc<Shared>,
+    kernel: Arc<Mutex<Kernel>>,
     n_nodes: usize,
 }
 
@@ -122,12 +114,8 @@ impl Cluster {
     pub fn new(config: SimConfig, n_nodes: usize) -> Self {
         assert!(n_nodes > 0, "a cluster needs at least one node");
         install_quiet_unwind_hook();
-        let par = parallel::ParCtrl::new(&config, n_nodes);
         Self {
-            shared: Arc::new(Shared {
-                kernel: Mutex::new(Kernel::new(config, n_nodes)),
-                par,
-            }),
+            kernel: Arc::new(Mutex::new(Kernel::new(config, n_nodes))),
             n_nodes,
         }
     }
@@ -143,17 +131,14 @@ impl Cluster {
             "node {node} out of range (cluster has {} nodes)",
             self.n_nodes
         );
-        self.shared
-            .kernel
-            .lock()
-            .spawn_proc(node, 0, Box::new(main));
+        self.kernel.lock().spawn_proc(node, 0, Box::new(main));
     }
 
     /// Installs a passive [`WireObserver`] notified at each non-loopback
     /// mailbox delivery. Install before [`Cluster::run`]; observation adds
     /// zero virtual-time cost.
     pub fn set_observer(&mut self, obs: Arc<dyn WireObserver>) {
-        self.shared.kernel.lock().observer = Some(obs);
+        self.kernel.lock().observer = Some(obs);
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -190,7 +175,7 @@ impl Cluster {
     /// Returns the [`SimError`] describing how the run failed.
     pub fn try_run(self) -> Result<SimReport, SimError> {
         let outcome = self.execute();
-        let crashed = self.shared.kernel.lock().fault.crashed_nodes();
+        let crashed = self.kernel.lock().fault.crashed_nodes();
         match outcome {
             Ok(report) => Ok(report),
             Err(RunFailure::Error(e)) => Err(e),
@@ -209,17 +194,11 @@ impl Cluster {
         }
     }
 
-    /// Runs the event loop in the configured mode, then ends every proc the
-    /// run left unfinished.
+    /// Runs the event loop, then ends every proc the run left unfinished.
     fn execute(&self) -> Result<SimReport, RunFailure> {
-        let mut k = self.shared.kernel.lock();
-        // Observers need the serialized wire view, so their presence forces
-        // serial mode regardless of the config.
-        if k.config.parallel && k.observer.is_none() {
-            return parallel::run(&self.shared, k);
-        }
+        let mut k = self.kernel.lock();
         let mut procs = Procs {
-            shared: &self.shared,
+            kernel: &self.kernel,
             coros: Vec::new(),
         };
         let outcome = procs.event_loop(&mut k);
@@ -237,10 +216,10 @@ impl Cluster {
     }
 }
 
-/// The procs of one serial run: a coroutine each, indexed by pid, on the
-/// runner's thread.
+/// The procs of one run: a coroutine each, indexed by pid, on the runner's
+/// thread.
 struct Procs<'a> {
-    shared: &'a Arc<Shared>,
+    kernel: &'a Arc<Mutex<Kernel>>,
     coros: Vec<Coroutine>,
 }
 
@@ -253,11 +232,10 @@ impl Procs<'_> {
             let p = &mut k.procs[self.coros.len()];
             let main = p.main.take().expect("a registered proc has a body");
             let ctx = NodeCtx {
-                shared: Arc::clone(self.shared),
+                kernel: Arc::clone(self.kernel),
                 pid: self.coros.len(),
                 node: p.node,
                 n_nodes: k.nodes.len(),
-                par: None,
             };
             self.coros
                 .push(Coroutine::new(move || proc_body(ctx, main)));
@@ -316,11 +294,11 @@ impl Procs<'_> {
             }
             k.fault.mark_crashed(node);
             let pending = k.nodes[node as usize].mailbox.len() as u64;
-            k.nodes[node as usize].net.dropped_crash += pending;
+            k.net.dropped_crash += pending;
             // Conservation bookkeeping: purged frames were already
             // counted as delivered (when non-loopback), so record
             // them to keep `messages` balanceable.
-            k.nodes[node as usize].net.purged_crash += k.nodes[node as usize]
+            k.net.purged_crash += k.nodes[node as usize]
                 .mailbox
                 .iter()
                 .filter(|d| d.src != node)
@@ -350,7 +328,6 @@ fn blocked_procs(k: &Kernel) -> Vec<BlockedProc> {
             pid,
             node: p.node,
             waiting_for_msg: p.waiting_for_msg,
-            // Serial mode: every proc's virtual time is the global clock.
             at: k.now,
         })
         .collect()
@@ -366,13 +343,8 @@ fn payload_message(payload: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-pub(crate) fn build_report(k: &Kernel) -> SimReport {
-    // Deterministic merge of the per-node shards, in node-id order. Every
-    // field is a sum, so the totals equal the historical global tally.
-    let mut net = NetStats::default();
-    for n in &k.nodes {
-        net.merge(&n.net);
-    }
+fn build_report(k: &Kernel) -> SimReport {
+    let mut net = k.net;
     // Events already popped are gone from the queue, so what remains is
     // exactly the set of deliveries that were scheduled but never landed.
     net.in_flight = k
@@ -384,7 +356,6 @@ pub(crate) fn build_report(k: &Kernel) -> SimReport {
         elapsed: k.end_time,
         node_buckets: k.nodes.iter().map(|n| n.buckets).collect(),
         node_counters: k.nodes.iter().map(|n| n.counters.clone()).collect(),
-        node_net: k.nodes.iter().map(|n| n.net).collect(),
         net,
         bandwidth_bps: k.config.bandwidth_bps,
         events_processed: k.events_processed,
@@ -392,25 +363,25 @@ pub(crate) fn build_report(k: &Kernel) -> SimReport {
     }
 }
 
-/// Body of a serial proc's coroutine: `main`, then the bookkeeping of its
+/// Body of a proc's coroutine: `main`, then the bookkeeping of its
 /// end. Returns (no panic leaves it) to the coroutine's base frame.
 fn proc_body(ctx: NodeCtx, main: ProcMain) {
-    let shared = Arc::clone(&ctx.shared);
+    let kernel = Arc::clone(&ctx.kernel);
     let pid = ctx.pid;
     let result = catch_unwind(AssertUnwindSafe(|| {
         // The first resumption is like any other: the time-0 wake, or a
         // fail-stop or teardown before the proc ever ran.
-        ctx.check_selected(&shared.kernel.lock());
+        ctx.check_selected(&kernel.lock());
         main(ctx);
     }));
-    let mut k = shared.kernel.lock();
+    let mut k = kernel.lock();
     let node = k.procs[pid].node;
     k.procs[pid].finished = true;
     k.procs[pid].parked = false;
     k.live_procs -= 1;
     k.end_time = k.end_time.max(k.now);
     if let Err(payload) = result {
-        if !is_poison_unwind(&payload) && !payload.is::<CrashUnwind>() && k.panic.is_none() {
+        if !is_poison_unwind(&*payload) && !payload.is::<CrashUnwind>() && k.panic.is_none() {
             k.panic = Some(payload);
             k.panic_node = Some(node);
         }
@@ -421,7 +392,7 @@ fn proc_body(ctx: NodeCtx, main: ProcMain) {
     }
 }
 
-pub(crate) fn is_poison_unwind(payload: &Box<dyn std::any::Any + Send>) -> bool {
+fn is_poison_unwind(payload: &(dyn std::any::Any + Send)) -> bool {
     payload
         .downcast_ref::<&'static str>()
         .is_some_and(|s| *s == POISON_MSG)
@@ -430,7 +401,7 @@ pub(crate) fn is_poison_unwind(payload: &Box<dyn std::any::Any + Send>) -> bool 
             .is_some_and(|s| s == POISON_MSG)
 }
 
-pub(crate) const POISON_MSG: &str = "carlos-sim: run torn down while proc was parked";
+const POISON_MSG: &str = "carlos-sim: run torn down while proc was parked";
 
 /// Installs (once per process) a panic hook that silences the *expected*
 /// unwinds the simulator uses for control flow — scripted crashes
@@ -445,12 +416,7 @@ fn install_quiet_unwind_hook() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            let expected = p.is::<CrashUnwind>()
-                || p.is::<AbortInfo>()
-                || p.downcast_ref::<&'static str>()
-                    .is_some_and(|s| *s == POISON_MSG)
-                || p.downcast_ref::<String>().is_some_and(|s| s == POISON_MSG);
-            if !expected {
+            if !(p.is::<CrashUnwind>() || p.is::<AbortInfo>() || is_poison_unwind(p)) {
                 prev(info);
             }
         }));
@@ -460,7 +426,7 @@ fn install_quiet_unwind_hook() {
 /// Zero-sized panic payload used to unwind the procs of a fail-stopped
 /// node. Recognized (and discarded) by the proc epilogue so a scripted
 /// crash is never mistaken for an application panic.
-pub(crate) struct CrashUnwind;
+struct CrashUnwind;
 
 /// Handle through which simulated node code interacts with the cluster.
 ///
@@ -469,13 +435,10 @@ pub(crate) struct CrashUnwind;
 /// timeline through [`NodeCtx::now`].
 #[derive(Clone)]
 pub struct NodeCtx {
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) pid: ProcId,
-    pub(crate) node: NodeId,
-    pub(crate) n_nodes: usize,
-    /// This proc's op channel in parallel mode. `None` in serial mode,
-    /// where every method takes the kernel-locking path.
-    pub(crate) par: Option<Arc<parallel::ProcChan>>,
+    kernel: Arc<Mutex<Kernel>>,
+    pid: ProcId,
+    node: NodeId,
+    n_nodes: usize,
 }
 
 impl NodeCtx {
@@ -491,15 +454,10 @@ impl NodeCtx {
         self.n_nodes
     }
 
-    /// Current virtual time (in parallel mode: this proc's lane clock,
-    /// which is where the serial run's clock would be at the same point in
-    /// the proc's execution).
+    /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> Ns {
-        if let Some(ch) = &self.par {
-            return parallel::lane_now(ch);
-        }
-        self.shared.kernel.lock().now
+        self.kernel.lock().now
     }
 
     /// Charges `dt` of application computation (the `User` bucket) and
@@ -514,11 +472,7 @@ impl NodeCtx {
     /// charge starts when the node CPU is free, and any wait for the CPU is
     /// charged to `Idle`.
     pub fn charge(&self, bucket: Bucket, dt: Ns) {
-        if let Some(ch) = &self.par {
-            parallel::lane_charge(&self.shared.par, ch, bucket, dt);
-            return;
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         self.advance_locked(&mut k, bucket, dt);
     }
 
@@ -531,10 +485,7 @@ impl NodeCtx {
     /// `dt` elapsed. Callers loop: handle the message, then continue with
     /// the remainder.
     pub fn compute_interruptible(&self, bucket: Bucket, dt: Ns) -> Option<Ns> {
-        if let Some(ch) = &self.par {
-            return parallel::lane_compute_interruptible(&self.shared.par, ch, bucket, dt);
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         if !k.nodes[self.node as usize].mailbox.is_empty() {
             return Some(dt); // Pending work: handle it before computing.
         }
@@ -565,11 +516,7 @@ impl NodeCtx {
 
     /// Sleeps for `dt` without using the CPU; the time is charged to `Idle`.
     pub fn sleep(&self, dt: Ns) {
-        if let Some(ch) = &self.par {
-            parallel::lane_sleep(&self.shared.par, ch, dt);
-            return;
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         let wake_at = k.now + dt;
         k.nodes[self.node as usize].buckets.charge(Bucket::Idle, dt);
         self.park_until(&mut k, wake_at);
@@ -577,21 +524,14 @@ impl NodeCtx {
 
     /// Adds `v` to this node's counter `name`.
     pub fn count(&self, name: &'static str, v: u64) {
-        if let Some(ch) = &self.par {
-            parallel::lane_count(&self.shared.par, ch, name, v);
-            return;
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         k.nodes[self.node as usize].counters.add(name, v);
     }
 
     /// Reads this node's counter `name`.
     #[must_use]
     pub fn counter(&self, name: &'static str) -> u64 {
-        if let Some(ch) = &self.par {
-            return parallel::lane_counter_read(&self.shared.par, ch, name);
-        }
-        self.shared.kernel.lock().nodes[self.node as usize]
+        self.kernel.lock().nodes[self.node as usize]
             .counters
             .get(name)
     }
@@ -609,11 +549,7 @@ impl NodeCtx {
             (dst as usize) < self.n_nodes,
             "datagram to unknown node {dst}"
         );
-        if let Some(ch) = &self.par {
-            parallel::lane_send(&self.shared.par, ch, dst, payload);
-            return;
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         let send_overhead = k.config.send_overhead;
         self.advance_locked(&mut k, Bucket::Unix, send_overhead);
         let now = k.now;
@@ -627,9 +563,9 @@ impl NodeCtx {
             k.push_event(now, EvKind::Deliver { dst, dgram });
             return;
         }
-        k.nodes[self.node as usize].net.messages += 1;
-        k.nodes[self.node as usize].net.payload_bytes += dgram.payload.len() as u64;
-        k.nodes[self.node as usize].net.classes.note(&dgram.payload);
+        k.net.messages += 1;
+        k.net.payload_bytes += dgram.payload.len() as u64;
+        k.net.classes.note(&dgram.payload);
         k.nodes[self.node as usize].counters.add("net.sent", 1);
         k.nodes[self.node as usize]
             .counters
@@ -649,10 +585,7 @@ impl NodeCtx {
     /// Charges the per-datagram receive overhead (`Unix`) when a datagram is
     /// returned.
     pub fn try_recv(&self) -> Option<Datagram> {
-        if let Some(ch) = &self.par {
-            return parallel::lane_try_recv(&self.shared.par, ch);
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         let d = k.nodes[self.node as usize].mailbox.pop_front()?;
         let recv_overhead = k.config.recv_overhead;
         self.advance_locked(&mut k, Bucket::Unix, recv_overhead);
@@ -664,10 +597,7 @@ impl NodeCtx {
     ///
     /// Returns `None` on timeout. `deadline` is an absolute virtual time.
     pub fn wait_recv(&self, deadline: Option<Ns>) -> Option<Datagram> {
-        if let Some(ch) = &self.par {
-            return parallel::lane_wait_recv(&self.shared.par, ch, deadline);
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         loop {
             if let Some(d) = k.nodes[self.node as usize].mailbox.pop_front() {
                 let recv_overhead = k.config.recv_overhead;
@@ -702,10 +632,7 @@ impl NodeCtx {
     /// delivery wakes every such thread so one of them can take the
     /// runtime lock and process the message.
     pub fn wait_mailbox(&self, deadline: Option<Ns>) -> bool {
-        if let Some(ch) = &self.par {
-            return parallel::lane_wait_mailbox(&self.shared.par, ch, deadline);
-        }
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         loop {
             if !k.nodes[self.node as usize].mailbox.is_empty() {
                 return true;
@@ -734,10 +661,7 @@ impl NodeCtx {
     /// no time.
     #[must_use]
     pub fn mailbox_nonempty(&self) -> bool {
-        if let Some(ch) = &self.par {
-            return parallel::lane_mailbox_nonempty(&self.shared.par, ch);
-        }
-        !self.shared.kernel.lock().nodes[self.node as usize]
+        !self.kernel.lock().nodes[self.node as usize]
             .mailbox
             .is_empty()
     }
@@ -749,12 +673,8 @@ impl NodeCtx {
     /// thread blocks on a remote operation, another can run (their CPU
     /// charges serialize through the node's single simulated CPU).
     pub fn spawn_thread(&self, f: impl FnOnce(NodeCtx) + Send + 'static) {
-        if let Some(ch) = &self.par {
-            parallel::lane_spawn(&self.shared.par, ch, Box::new(f));
-            return;
-        }
         // The runner builds the coroutine when the wake selects the proc.
-        let mut k = self.shared.kernel.lock();
+        let mut k = self.kernel.lock();
         let now = k.now;
         k.spawn_proc(self.node, now, Box::new(f));
     }
@@ -831,12 +751,7 @@ pub struct SimReport {
     pub node_buckets: Vec<TimeBuckets>,
     /// Per-node counters, indexed by node id.
     pub node_counters: Vec<Counters>,
-    /// Per-node shards of the wire statistics, indexed by node id: send-side
-    /// figures on the sender's shard, delivery-side figures on the
-    /// receiver's. `net` is their node-id-order merge (plus the global
-    /// `in_flight`), so shard sums always reconcile with the totals.
-    pub node_net: Vec<NetStats>,
-    /// Wire-level statistics (deterministic merge of `node_net`).
+    /// Wire-level statistics.
     pub net: NetStats,
     /// Bandwidth the run was configured with (for utilization).
     pub bandwidth_bps: u64,

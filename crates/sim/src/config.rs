@@ -50,29 +50,11 @@ pub struct SimConfig {
     pub jitter_max: Ns,
     /// Seed for the delivery-jitter stream (independent of `loss_seed`).
     pub jitter_seed: u64,
-    /// Run the conservative parallel scheduler: procs on *different* nodes
-    /// whose work lies within the safe lookahead window execute
-    /// concurrently on real host threads, while a serial replay of their
-    /// operation logs keeps every kernel transition — event order, wire
-    /// serialization, RNG draws, statistics — bit-identical to the
-    /// serial runner. Off by default. Automatically falls back to
-    /// serial whenever a [`crate::WireObserver`] (checker, tracer) is
-    /// attached, since observers require a single serialized wire view.
-    pub parallel: bool,
-    /// Bounded capacity (in ops) of each lane's op-log channel under the
-    /// parallel scheduler. Lanes that run this far ahead of the replay
-    /// runner block until the runner drains the channel, bounding memory
-    /// and lane run-ahead. Capacity never changes results — only how often
-    /// the backpressure stall path is exercised — so tests force it small
-    /// to stress that path. Must be nonzero.
-    pub op_log_cap: usize,
     /// Targeted per-flow delivery perturbations. The empty default plan
     /// perturbs nothing and leaves event timing bit-identical to builds
     /// predating the knob. A non-empty plan adds the named extra delays to
     /// specific `(src, dst, seq)` DATA flows, preserving per-pair FIFO by
-    /// the same clamp the jitter path uses. Deterministic (no RNG) and
-    /// parallel-mode compatible: a plan only ever adds delay, so the
-    /// conservative scheduler's lookahead lower bound still holds.
+    /// the same clamp the jitter path uses. Deterministic (no RNG).
     pub schedule: SchedulePlan,
     /// Seeded wire bug for explorer-recall tests: when set, a plan-perturbed
     /// DATA frame on this `(src, dst)` pair skips the per-pair FIFO clamp,
@@ -117,8 +99,6 @@ impl SimConfig {
             fault_plan: FaultPlan::default(),
             jitter_max: 0,
             jitter_seed: 0,
-            parallel: false,
-            op_log_cap: 1024,
             schedule: SchedulePlan::new(),
             #[cfg(any(test, feature = "seeded-bugs"))]
             seeded_fifo_pair: None,
@@ -141,31 +121,10 @@ impl SimConfig {
             fault_plan: FaultPlan::default(),
             jitter_max: 0,
             jitter_seed: 0,
-            parallel: false,
-            op_log_cap: 1024,
             schedule: SchedulePlan::new(),
             #[cfg(any(test, feature = "seeded-bugs"))]
             seeded_fifo_pair: None,
         }
-    }
-
-    /// Returns `self` with the conservative parallel scheduler enabled (or
-    /// disabled) — builder style. Every `SimReport` fingerprint is
-    /// bit-identical either way; parallelism only changes host wall-clock.
-    #[must_use]
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.parallel = on;
-        self
-    }
-
-    /// Returns `self` with the given parallel op-log channel capacity
-    /// (builder style). Results are capacity-independent; tests force a
-    /// tiny capacity to stress the bounded-channel stall path.
-    #[must_use]
-    pub fn with_op_log_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "op_log_cap must be nonzero");
-        self.op_log_cap = cap;
-        self
     }
 
     /// Returns `self` with the given loss probability and seed (builder style).
@@ -252,20 +211,6 @@ mod tests {
         // Defaults carry the empty plan.
         assert!(SimConfig::osdi94().schedule.is_empty());
         assert!(SimConfig::fast_test().schedule.is_empty());
-    }
-
-    #[test]
-    fn with_op_log_cap_builder() {
-        let c = SimConfig::fast_test().with_op_log_cap(8);
-        assert_eq!(c.op_log_cap, 8);
-        assert_eq!(SimConfig::osdi94().op_log_cap, 1024);
-        assert_eq!(SimConfig::fast_test().op_log_cap, 1024);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn with_op_log_cap_rejects_zero() {
-        let _ = SimConfig::fast_test().with_op_log_cap(0);
     }
 
     #[test]

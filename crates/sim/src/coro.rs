@@ -1,4 +1,4 @@
-//! Stackful coroutines: the simulated procs of a serial run.
+//! Stackful coroutines: the simulated procs of a run.
 //!
 //! A [`Coroutine`] is a closure with a stack of its own. [`Coroutine::resume`]
 //! runs it on the calling thread until it calls [`suspend`] or returns;

@@ -20,9 +20,7 @@ pub struct BlockedProc {
     pub node: NodeId,
     /// Parked waiting for a mailbox delivery (vs. a timer).
     pub waiting_for_msg: bool,
-    /// The proc's virtual time when the run failed. In serial mode this is
-    /// the global clock; in parallel mode it is the proc's lane clock,
-    /// which names how far each blocked lane had progressed.
+    /// Virtual time when the run failed (the global clock).
     pub at: Ns,
 }
 

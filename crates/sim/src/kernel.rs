@@ -1,12 +1,11 @@
 //! Scheduler internals: the event queue, proc states, and the wire model.
 //!
-//! One global [`Kernel`] sits behind a mutex. In serial mode every proc is
-//! a coroutine on the thread that called `Cluster::run` (the *runner*), so
-//! exactly one piece of simulation code executes at any instant, and all
-//! virtual-time ordering comes from the event queue: runs are
-//! deterministic.
+//! One global [`Kernel`] sits behind a mutex. Every proc is a coroutine on
+//! the thread that called `Cluster::run` (the *runner*), so exactly one
+//! piece of simulation code executes at any instant, and all virtual-time
+//! ordering comes from the event queue: runs are deterministic.
 //!
-//! # Who drives the event loop (serial mode)
+//! # Who drives the event loop
 //!
 //! Whoever gives up the CPU drives [`Kernel::drive`]. The runner starts. A
 //! proc that parks pops events itself, under the kernel lock it already
@@ -88,8 +87,8 @@ impl Ord for Event {
 
 /// Scheduler-visible state of one proc.
 pub(crate) struct ProcState {
-    /// The proc's body, from registration until the run mode that executes
-    /// it (a coroutine or, in parallel mode, a thread) takes it.
+    /// The proc's body, from registration until the runner builds its
+    /// coroutine.
     pub main: Option<ProcMain>,
     /// Node this proc belongs to.
     pub node: NodeId,
@@ -111,12 +110,6 @@ pub(crate) struct NodeState {
     pub cpu_free: Ns,
     pub buckets: TimeBuckets,
     pub counters: Counters,
-    /// This node's shard of the wire statistics. Send-side figures
-    /// (messages, bytes, loss) are charged to the sender's shard, delivery
-    /// figures (delivered, pause deferrals, crash drops) to the receiver's.
-    /// The report merges shards in node-id order, so totals are independent
-    /// of which node did what and identical to the historical global tally.
-    pub net: NetStats,
 }
 
 impl NodeState {
@@ -126,7 +119,6 @@ impl NodeState {
             cpu_free: 0,
             buckets: TimeBuckets::default(),
             counters: Counters::default(),
-            net: NetStats::default(),
         }
     }
 }
@@ -144,6 +136,8 @@ pub(crate) struct Kernel {
     pub running: Option<ProcId>,
     /// Number of spawned procs whose main has not finished.
     pub live_procs: usize,
+    /// Wire statistics of the run so far.
+    pub net: NetStats,
     /// Virtual time at which the shared Ethernet becomes free.
     pub medium_busy_until: Ns,
     pub loss_rng: Xoshiro256,
@@ -151,10 +145,9 @@ pub(crate) struct Kernel {
     /// reseeded from `(jitter_seed, src)`. Sharding by sender makes a
     /// pair's jitter sequence a function of that sender's own traffic
     /// order alone — independent of how transmissions from other nodes
-    /// interleave on the shared wire — which is what lets the parallel
-    /// scheduler treat jitter draws as lane-local state rather than a
-    /// global rendezvous. Only consulted when `config.jitter_max > 0`, so
-    /// jitter-free configs draw nothing and stay bit-identical.
+    /// interleave on the shared wire. Only consulted when
+    /// `config.jitter_max > 0`, so jitter-free configs draw nothing and
+    /// stay bit-identical.
     pub jitter_rngs: Vec<Xoshiro256>,
     /// Last scheduled delivery time per (src, dst) pair, used to clamp
     /// jittered deliveries so per-pair FIFO order is preserved. Empty (and
@@ -194,6 +187,7 @@ impl Kernel {
             nodes: (0..n_nodes).map(|_| NodeState::new()).collect(),
             running: None,
             live_procs: 0,
+            net: NetStats::default(),
             medium_busy_until: 0,
             loss_rng,
             jitter_rngs,
@@ -240,7 +234,7 @@ impl Kernel {
         self.queue.peek().map(|Reverse(e)| e.time)
     }
 
-    /// The serial event loop, run by the runner or by a parking proc.
+    /// The event loop, run by the runner or by a parking proc.
     ///
     /// Pops and executes plain events until a live `Wake` names the proc to
     /// execute next: that proc is recorded in `running` and returned (a
@@ -292,18 +286,18 @@ impl Kernel {
         let node = dst as usize;
         if self.fault.is_crashed(dst) {
             // The frame crossed the wire but nobody is home.
-            self.nodes[node].net.dropped_crash += 1;
+            self.net.dropped_crash += 1;
             return;
         }
         if let Some(until) = self.fault.pause_until(dst, self.now) {
             // The node is in a scripted pause: it drains nothing until the
             // pause ends. Re-deliver at that instant.
-            self.nodes[node].net.deferred_pause += 1;
+            self.net.deferred_pause += 1;
             self.push_event(until, EvKind::Deliver { dst, dgram });
             return;
         }
         if dgram.src != dst {
-            self.nodes[node].net.delivered += 1;
+            self.net.delivered += 1;
             if let Some(obs) = &self.observer {
                 obs.frame_delivered(dgram.src, dst, dgram.sent_at, self.now, dgram.payload.len());
                 obs.frame_delivered_payload(
@@ -353,18 +347,18 @@ impl Kernel {
             && self.loss_rng.next_f64() < self.config.loss_probability;
         let fault_drop = self.fault.frame_fate(src, dst, start);
         if base_drop {
-            self.nodes[src as usize].net.dropped += 1;
+            self.net.dropped += 1;
             return None;
         }
         match fault_drop {
             Some(DropCause::Burst) => {
-                self.nodes[src as usize].net.dropped += 1;
-                self.nodes[src as usize].net.dropped_burst += 1;
+                self.net.dropped += 1;
+                self.net.dropped_burst += 1;
                 None
             }
             Some(DropCause::Partition) => {
-                self.nodes[src as usize].net.dropped += 1;
-                self.nodes[src as usize].net.dropped_partition += 1;
+                self.net.dropped += 1;
+                self.net.dropped_partition += 1;
                 None
             }
             None => {

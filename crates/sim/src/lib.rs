@@ -51,7 +51,6 @@ mod cluster;
 #[allow(unsafe_code)]
 mod coro;
 mod kernel;
-mod parallel;
 
 pub mod config;
 pub mod error;

@@ -12,9 +12,8 @@
 //! *every* frame by a pseudo-random amount, a plan perturbs *named* frames
 //! by chosen amounts. The schedule-exploration harness uses plans to flip
 //! the order of two racing deliveries without disturbing anything else.
-//! Plans are deterministic (no RNG is consulted) and parallel-mode
-//! compatible: like jitter, a plan only ever *adds* delay, so the
-//! conservative scheduler's lookahead lower bound still holds.
+//! Plans are deterministic (no RNG is consulted) and, like jitter, only
+//! ever *add* delay.
 
 use std::collections::BTreeMap;
 

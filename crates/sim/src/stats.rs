@@ -150,12 +150,6 @@ impl ClassStats {
     pub fn avg_size(&self) -> u64 {
         self.bytes.checked_div(self.sent).unwrap_or(0)
     }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &ClassStats) {
-        self.sent += other.sent;
-        self.bytes += other.bytes;
-    }
 }
 
 /// Per-frame-class breakdown of everything handed to the wire, keyed by the
@@ -210,15 +204,6 @@ impl FrameClasses {
         self.data.bytes + self.ack.bytes + self.ping.bytes + self.pong.bytes + self.other.bytes
     }
 
-    /// Merges another breakdown into this one (per-node shards -> cluster).
-    pub fn merge(&mut self, other: &FrameClasses) {
-        self.data.merge(&other.data);
-        self.ack.merge(&other.ack);
-        self.ping.merge(&other.ping);
-        self.pong.merge(&other.pong);
-        self.other.merge(&other.other);
-    }
-
     /// Iterates `(class name, stats)` in display order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, ClassStats)> {
         [
@@ -269,24 +254,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Merges another node's shard into this one. Every field is a plain
-    /// sum, so the cluster-wide totals are independent of merge order; the
-    /// kernel still merges in node-id order so the operation is bit-for-bit
-    /// reproducible by construction, not by accident.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.messages += other.messages;
-        self.payload_bytes += other.payload_bytes;
-        self.dropped += other.dropped;
-        self.dropped_burst += other.dropped_burst;
-        self.dropped_partition += other.dropped_partition;
-        self.dropped_crash += other.dropped_crash;
-        self.deferred_pause += other.deferred_pause;
-        self.delivered += other.delivered;
-        self.purged_crash += other.purged_crash;
-        self.in_flight += other.in_flight;
-        self.classes.merge(&other.classes);
-    }
-
     /// Average datagram payload size in bytes (0 when no messages).
     ///
     /// Mixes every frame class: in ARQ mode the 5-byte ACK/PING/PONG

@@ -511,3 +511,59 @@ fn empty_schedule_is_bit_identical_to_no_schedule() {
     assert_eq!(a.events_processed, b.events_processed);
     assert_eq!(a.net, b.net);
 }
+
+/// Two procs share node 0's CPU and mailbox — a spawned thread answers the
+/// peers while the main proc computes and sleeps — and each peer waits once
+/// under a deadline its reply beats (the wake goes stale) and once under one
+/// that fires. The whole report is pinned.
+#[test]
+fn spawned_thread_workload_is_pinned() {
+    let mut cluster = Cluster::new(SimConfig::fast_test(), 3);
+    cluster.spawn_node(0, |ctx| {
+        ctx.spawn_thread(|tctx| {
+            for _ in 0..2 {
+                let d = tctx.wait_recv(None).expect("thread receives");
+                tctx.compute(us(30));
+                tctx.send_datagram(d.src, vec![d.payload[0] + 1]);
+            }
+            tctx.count("thread.replies", 2);
+        });
+        ctx.compute(us(250));
+        ctx.sleep(us(40));
+    });
+    for node in 1..3u32 {
+        cluster.spawn_node(node, move |ctx| {
+            ctx.compute(us(u64::from(node) * 17));
+            ctx.send_datagram(0, vec![node as u8]);
+            let d = ctx.wait_recv(Some(ms(1))).expect("reply beats the deadline");
+            assert_eq!(d.payload[0], node as u8 + 1);
+            let deadline = ctx.now() + us(15);
+            assert!(ctx.wait_recv(Some(deadline)).is_none());
+            assert_eq!(ctx.now(), deadline);
+            ctx.count("answers", u64::from(d.payload[0]));
+        });
+    }
+    let r = cluster.run();
+    let mut fp = format!(
+        "elapsed={} events={} messages={} payload_bytes={}\n",
+        r.elapsed, r.events_processed, r.net.messages, r.net.payload_bytes
+    );
+    for (i, (b, c)) in r.node_buckets.iter().zip(&r.node_counters).enumerate() {
+        fp += &format!("node{i}");
+        for bucket in Bucket::ALL {
+            fp += &format!(" {}={}", bucket.name(), b.get(bucket));
+        }
+        for (k, v) in c.iter() {
+            fp += &format!(" {k}={v}");
+        }
+        fp += "\n";
+    }
+    assert_eq!(fp, GOLDEN_SPAWNED_THREADS, "actual fingerprint:\n{fp}");
+}
+
+const GOLDEN_SPAWNED_THREADS: &str = "\
+elapsed=331008 events=19 messages=4 payload_bytes=4
+node0 User=310000 Unix=4000 CarlOS=0 Idle=290000 net.sent=2 net.sent_bytes=2 thread.replies=2
+node1 User=17000 Unix=2000 CarlOS=0 Idle=280008 answers=2 net.sent=1 net.sent_bytes=1
+node2 User=34000 Unix=2000 CarlOS=0 Idle=295008 answers=3 net.sent=1 net.sent_bytes=1
+";

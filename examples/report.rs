@@ -2,12 +2,10 @@
 //! (plus SOR) across 1–4 nodes with a metrics-only tracer installed,
 //! writing `BENCH_paper.json` and printing a Markdown report with
 //! per-message-class cost attribution (§5.4's microcosts, end to end).
-//! Appends 8-node TSP and SOR rows run under the conservative parallel
-//! scheduler (`SimConfig::parallel(true)`), which is bit-identical to the
-//! serial runner and extends the scaling tables past the paper's testbed,
-//! and the `carlos-serve` serving rows: open-loop Zipfian KV traffic at
-//! 8–32 nodes (tail latency, ops/s, bytes/op) plus a chaos row reporting
-//! harvest and yield under burst loss and a partition.
+//! TSP Lock and SOR also run at 8 nodes, extending the scaling tables past
+//! the paper's testbed. Appends the `carlos-serve` serving rows: open-loop
+//! Zipfian KV traffic at 8–32 nodes (tail latency, ops/s, bytes/op) plus a
+//! chaos row reporting harvest and yield under burst loss and a partition.
 //!
 //! Run with `cargo run --release --example report`. Environment:
 //!
@@ -21,27 +19,22 @@
 //!   JSON and exit nonzero if any grew/shrank >5%.
 
 use carlos::bench::report::{
-    run_parallel_rows, run_report, run_serve_rows, serve_gate, serve_markdown, to_json,
-    to_markdown, traffic_gate, ReportOptions,
+    run_report, run_serve_rows, serve_gate, serve_markdown, to_json, to_markdown, traffic_gate,
+    ReportOptions,
 };
 
 fn main() {
     let opts = ReportOptions::from_env();
     eprintln!(
-        "running report at {} scale, 1-{} nodes...",
+        "running report at {} scale, 1-{} nodes + 8-node TSP/SOR...",
         if opts.quick { "test" } else { "paper" },
         opts.max_nodes
     );
-    let mut rows = run_report(&opts).unwrap_or_else(|e| {
+    let rows = run_report(&opts).unwrap_or_else(|e| {
         eprintln!("report failed: {e}");
         std::process::exit(1);
     });
-    eprintln!("running 8-node TSP/SOR under the parallel scheduler...");
-    rows.extend(run_parallel_rows(&opts).unwrap_or_else(|e| {
-        eprintln!("parallel report failed: {e}");
-        std::process::exit(1);
-    }));
-    eprintln!("running serve rows (KV/par + KV/chaos)...");
+    eprintln!("running serve rows (KV + KV/chaos)...");
     let serve = run_serve_rows(&opts).unwrap_or_else(|e| {
         eprintln!("serve report failed: {e}");
         std::process::exit(1);

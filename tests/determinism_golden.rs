@@ -386,6 +386,31 @@ fn mixed_granularity_reports_are_pinned() {
     );
 }
 
+/// The only pins of a cluster larger than the paper's four nodes: 8-node
+/// TSP and SOR, by their wire-level totals and the application's answer.
+#[test]
+fn eight_node_reports_are_pinned() {
+    let totals = |r: &SimReport| {
+        format!(
+            "elapsed={} events={} messages={} payload_bytes={}",
+            r.elapsed, r.events_processed, r.net.messages, r.net.payload_bytes
+        )
+    };
+    let tsp = carlos::apps::tsp::run_tsp(&carlos::apps::tsp::TspConfig::test(
+        8,
+        carlos::apps::tsp::TspVariant::Lock,
+    ));
+    assert_eq!(
+        format!("{} best_len={}", totals(&tsp.app.report), tsp.best_len),
+        "elapsed=13523020 events=4616 messages=1219 payload_bytes=106900 best_len=25972"
+    );
+    let sor = carlos::apps::sor::run_sor(&carlos::apps::sor::SorConfig::test(8));
+    assert_eq!(
+        format!("{} checksum={:#018x}", totals(&sor.app.report), sor.checksum.to_bits()),
+        "elapsed=5498056 events=1358 messages=380 payload_bytes=43665 checksum=0x4096a841a0000000"
+    );
+}
+
 /// The consistency oracle is a pure observer: installing it on every node
 /// and attaching it to the wire must leave the pinned fingerprints —
 /// virtual times, event and message counts, every per-node counter —
