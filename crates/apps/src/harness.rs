@@ -1,26 +1,23 @@
 //! Shared plumbing for running the applications on a simulated cluster.
 
-use std::{
-    collections::BTreeMap,
-    sync::{Arc, Mutex},
-};
+use std::{cell::RefCell, collections::BTreeMap, rc::Rc};
 
 use carlos_sim::{Bucket, SimReport};
 
 /// Collects one value per node out of the node closures.
 ///
-/// Node closures are `'static + Send`; this is the channel through which
+/// Node closures are `'static`; this is the channel through which
 /// verification data (best tour, sorted flags, final positions) reaches the
 /// test or bench after `Cluster::run`.
 #[derive(Debug)]
 pub struct Collector<T> {
-    inner: Arc<Mutex<BTreeMap<u32, T>>>,
+    inner: Rc<RefCell<BTreeMap<u32, T>>>,
 }
 
 impl<T> Clone for Collector<T> {
     fn clone(&self) -> Self {
         Self {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
@@ -36,23 +33,18 @@ impl<T> Collector<T> {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            inner: Arc::new(Mutex::new(BTreeMap::new())),
+            inner: Rc::new(RefCell::new(BTreeMap::new())),
         }
     }
 
     /// Records `value` for `node`.
     pub fn put(&self, node: u32, value: T) {
-        self.inner
-            .lock()
-            .expect("collector poisoned")
-            .insert(node, value);
+        self.inner.borrow_mut().insert(node, value);
     }
 
     /// Takes all collected values, ordered by node id.
     pub fn take(&self) -> Vec<(u32, T)> {
-        std::mem::take(&mut *self.inner.lock().expect("collector poisoned"))
-            .into_iter()
-            .collect()
+        self.inner.take().into_iter().collect()
     }
 }
 

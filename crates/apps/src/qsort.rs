@@ -24,11 +24,6 @@
 //!   manager accepts and re-releases); the paper found its performance
 //!   nearly identical to Hybrid-2's.
 
-use std::sync::{
-    atomic::{AtomicU32, Ordering},
-    Arc,
-};
-
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
 use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
@@ -472,14 +467,14 @@ fn hybrid_variant(cfg: &QsortConfig, rt: &mut Runtime, sys: &carlos_sync::SyncSy
     // the whole array is sorted. The handler touches only local state and
     // triggers the close with a loopback message.
     if node == 0 {
-        let total = Arc::new(AtomicU32::new(0));
+        let mut total = 0u32;
         rt.register(
             H_LEAF_DONE,
             Box::new(move |env, msg| {
                 let k = u32::from_le_bytes(msg.body.as_slice().try_into().expect("leaf size"));
                 env.discard(msg);
-                let t = total.fetch_add(k, Ordering::SeqCst) + k;
-                if t >= n {
+                total += k;
+                if total >= n {
                     // Everything is sorted: close the queue so parked and
                     // future dequeues return empty.
                     env.send(

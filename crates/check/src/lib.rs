@@ -39,15 +39,15 @@ mod delivery;
 mod hb;
 mod oracle;
 
+use std::cell::RefCell;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use carlos_core::Runtime;
 use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
 use carlos_sim::{Cluster, NodeId, Ns, WireObserver};
-use parking_lot::Mutex;
 
 use delivery::DeliveryLog;
 pub use delivery::DeliveryEvent;
@@ -136,12 +136,12 @@ impl State {
 /// [`attach`](Checker::attach) it to the cluster before the run.
 #[derive(Clone)]
 pub struct Checker {
-    inner: Arc<Mutex<State>>,
+    inner: Rc<RefCell<State>>,
 }
 
 impl fmt::Debug for Checker {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.inner.lock();
+        let st = self.inner.borrow();
         write!(
             f,
             "Checker({} violations{})",
@@ -156,7 +156,7 @@ impl Checker {
     #[must_use]
     pub fn new(n_nodes: usize) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(State {
+            inner: Rc::new(RefCell::new(State {
                 hb: HbTracker::new(n_nodes),
                 oracle: Oracle::new(n_nodes),
                 deliveries: DeliveryLog::new(n_nodes),
@@ -173,7 +173,7 @@ impl Checker {
     /// runs outside any node — but they still accumulate.
     #[must_use]
     pub fn fail_fast(self) -> Self {
-        self.inner.lock().fail_fast = true;
+        self.inner.borrow_mut().fail_fast = true;
         self
     }
 
@@ -181,13 +181,13 @@ impl Checker {
     /// Call from the node closure, before the application touches shared
     /// memory.
     pub fn install(&self, rt: &mut Runtime) {
-        rt.set_engine_observer(Arc::new(self.clone()));
-        rt.set_probe(Arc::new(self.clone()));
+        rt.set_engine_observer(Rc::new(self.clone()));
+        rt.set_probe(Rc::new(self.clone()));
     }
 
     /// Attach the wire observer to the cluster (FIFO delivery checks).
     pub fn attach(&self, cluster: &mut Cluster) {
-        cluster.set_observer(Arc::new(self.clone()));
+        cluster.set_observer(Rc::new(self.clone()));
     }
 
     /// Exempt `[addr, addr + len)` from read-side checks. Use for words an
@@ -195,7 +195,7 @@ impl Checker {
     /// must tolerate any previously written value). Write/write race
     /// detection still applies.
     pub fn allow_racy(&self, addr: usize, len: usize) {
-        self.inner.lock().oracle.allow_racy(addr, len);
+        self.inner.borrow_mut().oracle.allow_racy(addr, len);
     }
 
     /// The wire-delivery log in observation (virtual-time) order, each
@@ -204,24 +204,24 @@ impl Checker {
     /// the racing-delivery frontier of a finished run.
     #[must_use]
     pub fn deliveries(&self) -> Vec<DeliveryEvent> {
-        self.inner.lock().deliveries.events().to_vec()
+        self.inner.borrow().deliveries.events().to_vec()
     }
 
     /// All violations recorded so far, in observation order.
     #[must_use]
     pub fn violations(&self) -> Vec<Violation> {
-        self.inner.lock().violations.clone()
+        self.inner.borrow().violations.clone()
     }
 
     /// True when no violation has been recorded.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.inner.lock().violations.is_empty()
+        self.inner.borrow().violations.is_empty()
     }
 
     /// Panics with a full listing if any violation was recorded.
     pub fn assert_clean(&self) {
-        let st = self.inner.lock();
+        let st = self.inner.borrow();
         assert!(
             st.violations.is_empty(),
             "consistency oracle found {} violation(s):\n{}",
@@ -240,26 +240,26 @@ impl Checker {
         if found.is_empty() {
             return;
         }
-        let msg = self.inner.lock().record(found);
+        let msg = self.inner.borrow_mut().record(found);
         if let Some(m) = msg {
             carlos_sim::abort(node, m);
         }
     }
 
     /// Record `found` without ever escalating (wire-delivery path: the
-    /// caller holds the kernel lock and is not a node).
+    /// caller has the kernel borrowed and is not a node).
     fn sink_passive(&self, found: Vec<(String, Violation)>) {
         if found.is_empty() {
             return;
         }
-        let _ = self.inner.lock().record(found);
+        let _ = self.inner.borrow_mut().record(found);
     }
 }
 
 impl EngineObserver for Checker {
     fn mem_read(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
         let found = {
-            let mut guard = self.inner.lock();
+            let mut guard = self.inner.borrow_mut();
             let st = &mut *guard;
             st.oracle.on_read(node, addr, data, vt)
         };
@@ -268,7 +268,7 @@ impl EngineObserver for Checker {
 
     fn mem_write(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
         let found = {
-            let mut guard = self.inner.lock();
+            let mut guard = self.inner.borrow_mut();
             let st = &mut *guard;
             st.oracle.on_write(node, addr, data, vt, &st.hb.node_vt)
         };
@@ -276,26 +276,26 @@ impl EngineObserver for Checker {
     }
 
     fn interval_closed(&self, node: u32, rec: &IntervalRecord) {
-        let found = self.inner.lock().hb.on_interval_closed(node, rec);
+        let found = self.inner.borrow_mut().hb.on_interval_closed(node, rec);
         self.sink(node, found);
     }
 
     fn record_applied(&self, node: u32, rec: &IntervalRecord) {
-        let found = self.inner.lock().hb.on_record_applied(node, rec);
+        let found = self.inner.borrow_mut().hb.on_record_applied(node, rec);
         self.sink(node, found);
     }
 }
 
 impl carlos_core::CoreProbe for Checker {
     fn release_sent(&self, node: NodeId, _dst: NodeId, required: &Vc) {
-        let found = self.inner.lock().hb.on_release_sent(node, required);
+        let found = self.inner.borrow_mut().hb.on_release_sent(node, required);
         self.sink(node, found);
     }
 
     fn release_accepted(&self, node: NodeId, _origin: NodeId, required: &Vc, complete: bool) {
         let found = self
             .inner
-            .lock()
+            .borrow_mut()
             .hb
             .on_release_accepted(node, required, complete);
         self.sink(node, found);
@@ -306,18 +306,24 @@ impl WireObserver for Checker {
     fn frame_delivered(&self, src: NodeId, dst: NodeId, sent_at: Ns, delivered_at: Ns, _bytes: usize) {
         let found = self
             .inner
-            .lock()
+            .borrow_mut()
             .hb
             .on_frame(src, dst, sent_at, delivered_at);
         self.sink_passive(found);
     }
 
     fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
-        self.inner.lock().deliveries.on_sent(src, dst, at, payload);
+        self.inner
+            .borrow_mut()
+            .deliveries
+            .on_sent(src, dst, at, payload);
     }
 
     fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
-        self.inner.lock().deliveries.on_dropped(src, dst, at, payload);
+        self.inner
+            .borrow_mut()
+            .deliveries
+            .on_dropped(src, dst, at, payload);
     }
 
     fn frame_delivered_payload(
@@ -329,7 +335,7 @@ impl WireObserver for Checker {
         payload: &Bytes,
     ) {
         self.inner
-            .lock()
+            .borrow_mut()
             .deliveries
             .on_delivered(src, dst, sent_at, delivered_at, payload);
     }

@@ -2,7 +2,7 @@
 //! (no simulator) and by direct observer-hook calls for the protocol-bug
 //! cases a correct engine cannot produce.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use carlos_check::{Checker, ViolationKind};
 use carlos_lrc::{Demand, EngineObserver, IntervalRecord, LrcConfig, LrcEngine, Vc};
@@ -11,7 +11,7 @@ fn engines(n: usize, check: &Checker) -> Vec<LrcEngine> {
     (0..n as u32)
         .map(|i| {
             let mut e = LrcEngine::new(i, LrcConfig::small_test(n));
-            e.set_observer(Arc::new(check.clone()));
+            e.set_observer(Rc::new(check.clone()));
             e
         })
         .collect()

@@ -9,17 +9,18 @@
 //! > to prevent user code from blocking on remote coherent shared memory
 //! > operations."
 //!
-//! [`SharedRuntime`] puts one node's [`Runtime`] behind a mutex and runs
+//! [`SharedRuntime`] puts one node's [`Runtime`] in a `RefCell` and runs
 //! each user thread on its own simulated proc of the same node (the
 //! simulator serializes the node's CPU, so this models one processor with
-//! several user threads). Blocking operations are restructured so the
-//! runtime lock is **never held while parked**: a thread that cannot make
-//! progress registers its intent, emits a `Blocked` upcall, sleeps on the
-//! node mailbox, and retries — meanwhile other threads use the runtime,
+//! several user threads). All of them are coroutines on one OS thread, so
+//! nothing here is a lock. Blocking operations are restructured so the
+//! runtime is **never borrowed while a thread waits**: a thread that cannot
+//! make progress registers its intent, emits a `Blocked` upcall, sleeps on
+//! the node mailbox, and retries — meanwhile other threads use the runtime,
 //! and incoming requests keep being served. Remote-operation latency is
 //! thereby hidden exactly as §4.4 intends.
 
-use std::sync::{Arc, Mutex};
+use std::{cell::RefCell, rc::Rc};
 
 use carlos_sim::{time::Ns, NodeCtx};
 
@@ -45,11 +46,11 @@ pub enum ThreadEvent {
 }
 
 /// The scheduler upcall: invoked on every block/unblock transition.
-pub type UpcallFn = Box<dyn Fn(ThreadEvent) + Send + Sync>;
+pub type UpcallFn = Box<dyn Fn(ThreadEvent)>;
 
 struct Shared {
-    rt: Mutex<Runtime>,
-    upcall: Mutex<Option<UpcallFn>>,
+    rt: RefCell<Runtime>,
+    upcall: RefCell<Option<UpcallFn>>,
 }
 
 /// A node runtime shared by several user threads.
@@ -58,7 +59,7 @@ struct Shared {
 /// spawned with [`carlos_sim::NodeCtx::spawn_thread`]. The node's main
 /// proc typically also participates through its own [`Worker`].
 pub struct SharedRuntime {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl SharedRuntime {
@@ -66,16 +67,16 @@ impl SharedRuntime {
     #[must_use]
     pub fn new(rt: Runtime) -> Self {
         Self {
-            shared: Arc::new(Shared {
-                rt: Mutex::new(rt),
-                upcall: Mutex::new(None),
+            shared: Rc::new(Shared {
+                rt: RefCell::new(rt),
+                upcall: RefCell::new(None),
             }),
         }
     }
 
     /// Installs the scheduler upcall hook (§4.4).
     pub fn set_upcall(&self, f: UpcallFn) {
-        *self.shared.upcall.lock().expect("upcall lock") = Some(f);
+        *self.shared.upcall.borrow_mut() = Some(f);
     }
 
     /// Creates the handle a user thread works through. `ctx` must belong
@@ -84,7 +85,7 @@ impl SharedRuntime {
     #[must_use]
     pub fn worker(&self, thread: u32, ctx: NodeCtx) -> Worker {
         Worker {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             ctx,
             thread,
         }
@@ -93,23 +94,32 @@ impl SharedRuntime {
     /// Runs `f` with exclusive access to the underlying runtime.
     ///
     /// Use this only while no worker threads are active (setup, handler
-    /// registration, shutdown): it blocks the OS thread on the mutex, and
-    /// a simulated proc must never block in real time while another proc
-    /// of the node is parked in virtual time holding the lock. Between
-    /// those phases, go through a [`Worker`], whose lock acquisition
-    /// yields virtual time instead of blocking.
+    /// registration, shutdown): it does not wait. Between those phases, go
+    /// through a [`Worker`], which yields virtual time until the runtime is
+    /// free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another proc of the node is parked in virtual time inside
+    /// the runtime; the run then fails with a `SimError::NodePanic` naming
+    /// this node.
     pub fn with<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
-        f(&mut self.shared.rt.lock().expect("runtime lock"))
+        let mut rt = self
+            .shared
+            .rt
+            .try_borrow_mut()
+            .expect("SharedRuntime::with while a worker is inside the runtime");
+        f(&mut rt)
     }
 }
 
 /// A user thread's handle onto the shared node runtime.
 ///
 /// Every potentially blocking operation follows the same discipline:
-/// attempt under the lock, and if the operation cannot complete, release
-/// the lock, emit the `Blocked` upcall, sleep on the node mailbox, retry.
+/// attempt with the runtime borrowed, and if the operation cannot complete,
+/// release it, emit the `Blocked` upcall, sleep on the node mailbox, retry.
 pub struct Worker {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     ctx: NodeCtx,
     thread: u32,
 }
@@ -132,35 +142,26 @@ impl Worker {
     }
 
     fn upcall(&self, ev: ThreadEvent) {
-        if let Some(f) = self.shared.upcall.lock().expect("upcall lock").as_ref() {
+        if let Some(f) = self.shared.upcall.borrow().as_ref() {
             f(ev);
         }
     }
 
-    /// Runs `f` with the runtime locked and this worker's proc installed
+    /// Runs `f` with the runtime borrowed and this worker's proc installed
     /// as the active context, so any parking inside the runtime parks the
     /// calling thread's proc (never a sibling's).
     ///
-    /// The lock is acquired with try-lock plus *virtual* backoff: a worker
-    /// that finds the runtime busy yields simulated time rather than
-    /// blocking in real time. That would deadlock the simulator whenever
-    /// the lock holder is parked in virtual time: the holder is another
-    /// proc on the same OS thread, and runs again only if this one parks.
+    /// A worker that finds the runtime busy backs off in *virtual* time:
+    /// the holder is another proc on the same OS thread, parked inside a
+    /// charge, and runs again only if this one parks.
     fn with_rt<R>(&self, f: impl FnOnce(&mut Runtime) -> R) -> R {
         loop {
-            match self.shared.rt.try_lock() {
-                Ok(mut rt) => {
-                    rt.set_active_ctx(self.ctx.clone());
-                    return f(&mut rt);
-                }
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    // Park; the holder's virtual work proceeds.
-                    self.ctx.sleep(carlos_sim::time::us(20));
-                }
-                Err(std::sync::TryLockError::Poisoned(_)) => {
-                    panic!("shared runtime poisoned by a sibling panic")
-                }
+            if let Ok(mut rt) = self.shared.rt.try_borrow_mut() {
+                rt.set_active_ctx(self.ctx.clone());
+                return f(&mut rt);
             }
+            // Park; the holder's virtual work proceeds.
+            self.ctx.sleep(carlos_sim::time::us(20));
         }
     }
 
@@ -170,7 +171,7 @@ impl Worker {
     }
 
     /// Blocks this thread (only) until `step` returns `Some`: the shared
-    /// runtime is polled under the lock each round, and the thread sleeps
+    /// runtime is polled each round, and the thread sleeps
     /// on the node mailbox between rounds.
     fn block_until<R>(&self, mut step: impl FnMut(&mut Runtime) -> Option<R>) -> R {
         // Fast path: no block, no upcalls.

@@ -147,7 +147,7 @@ impl GranuleClass {
 /// All methods default to no-ops. Implementations run synchronously on the
 /// observed node's proc thread; they may record state (and may panic or
 /// abort to escalate a violation) but must not call back into the runtime.
-pub trait CoreProbe: Send + Sync {
+pub trait CoreProbe {
     /// `node` sent a RELEASE (or RELEASE_NT) to `dst` whose required
     /// timestamp is `required` (the sender's timestamp after closing the
     /// release interval).

@@ -13,7 +13,10 @@
 //! memory through [`Runtime::read_bytes`] / [`Runtime::write_bytes`] and
 //! the typed helpers.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::{
+    collections::{BTreeMap, BTreeSet, HashMap, VecDeque},
+    rc::Rc,
+};
 
 use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_sim::{
@@ -44,7 +47,7 @@ const SYS_BATCH_REQ: u32 = SYS_HANDLER_BASE + 6;
 const SYS_BATCH_REPLY: u32 = SYS_HANDLER_BASE + 7;
 
 /// A low-level active-message handler.
-pub type HandlerFn = Box<dyn FnMut(&mut Env<'_>, Message) + Send>;
+pub type HandlerFn = Box<dyn FnMut(&mut Env<'_>, Message)>;
 
 /// How many times a pending accept may re-request missing consistency
 /// information before the runtime declares a protocol bug.
@@ -158,7 +161,7 @@ struct Core {
     force_diffs: BTreeSet<(u32, NodeId)>,
     /// Passive protocol-event probe (checker instrumentation); `None` by
     /// default, and never charged for.
-    probe: Option<std::sync::Arc<dyn CoreProbe>>,
+    probe: Option<Rc<dyn CoreProbe>>,
 }
 
 impl Core {
@@ -1042,20 +1045,20 @@ impl Runtime {
 
     /// Installs a passive [`CoreProbe`] notified of release/acquire/repair
     /// protocol events. Probing never alters runtime behavior.
-    pub fn set_probe(&mut self, probe: std::sync::Arc<dyn CoreProbe>) {
+    pub fn set_probe(&mut self, probe: Rc<dyn CoreProbe>) {
         self.core.probe = Some(probe);
     }
 
     /// Installs a passive [`carlos_lrc::EngineObserver`] on the underlying
     /// LRC engine (memory accesses, interval closes, record application).
-    pub fn set_engine_observer(&mut self, obs: std::sync::Arc<dyn carlos_lrc::EngineObserver>) {
+    pub fn set_engine_observer(&mut self, obs: Rc<dyn carlos_lrc::EngineObserver>) {
         self.core.engine.set_observer(obs);
     }
 
     /// Installs a passive [`carlos_sim::TransportObserver`] on the
     /// underlying transport endpoint (per-frame send/deliver/retransmit
     /// events, used by trace layers to build causal flows).
-    pub fn set_transport_observer(&mut self, obs: std::sync::Arc<dyn carlos_sim::TransportObserver>) {
+    pub fn set_transport_observer(&mut self, obs: Rc<dyn carlos_sim::TransportObserver>) {
         self.core.transport.set_observer(obs);
     }
 
@@ -1063,7 +1066,7 @@ impl Runtime {
     /// sync library) clone this handle to report their own events — e.g.
     /// [`CoreProbe::sync_wait`] spans — through the same probe.
     #[must_use]
-    pub fn probe(&self) -> Option<std::sync::Arc<dyn CoreProbe>> {
+    pub fn probe(&self) -> Option<Rc<dyn CoreProbe>> {
         self.core.probe.clone()
     }
 

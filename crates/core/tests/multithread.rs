@@ -1,16 +1,14 @@
 //! Tests for §4.4 user-level multithreading: several threads share one
 //! node's runtime, remote latencies are hidden by overlap, handlers keep
-//! being served while threads block, and the scheduler upcall fires.
+//! being served while threads block, the scheduler upcall fires, and
+//! misuse of the shared runtime fails the run instead of hanging it.
 
-use std::sync::{
-    atomic::{AtomicU32, Ordering},
-    Arc,
-};
+use std::{cell::Cell, rc::Rc, sync::mpsc, time::Duration};
 
 use carlos_core::{Annotation, CoreConfig, Runtime, SharedRuntime, ThreadEvent};
 use carlos_lrc::LrcConfig;
 use carlos_sim::time::{ms, us};
-use carlos_sim::{Cluster, SimConfig};
+use carlos_sim::{Cluster, SimConfig, SimError};
 
 const H_DONE: u32 = 9;
 
@@ -40,8 +38,8 @@ fn two_threads_hide_remote_latency() {
                 LrcConfig::osdi94(2, 1 << 16),
                 CoreConfig::osdi94(),
             );
-            let shared = Arc::new(SharedRuntime::new(rt));
-            let done = Arc::new(AtomicU32::new(0));
+            let shared = Rc::new(SharedRuntime::new(rt));
+            let done = Rc::new(Cell::new(0u32));
             let work = move |w: carlos_core::Worker, page: usize| {
                 // Fetch a remote page (a multi-millisecond round trip on
                 // the 10 Mbit wire), then compute for 5 ms.
@@ -50,21 +48,21 @@ fn two_threads_hide_remote_latency() {
                 w.compute(ms(5));
             };
             for t in 1..threads {
-                let shared2 = Arc::clone(&shared);
-                let done2 = Arc::clone(&done);
+                let shared2 = Rc::clone(&shared);
+                let done2 = Rc::clone(&done);
                 ctx.spawn_thread(move |tctx| {
                     let w = shared2.worker(t as u32, tctx);
                     work(w, t);
-                    done2.fetch_add(1, Ordering::SeqCst);
+                    done2.set(done2.get() + 1);
                 });
             }
             let w = shared.worker(0, ctx.clone());
             work(w, 0);
-            done.fetch_add(1, Ordering::SeqCst);
+            done.set(done.get() + 1);
             // Wait for the helper threads, pumping the runtime so their
             // fetches are actually processed.
             let w0 = shared.worker(0, ctx.clone());
-            while done.load(Ordering::SeqCst) < threads as u32 {
+            while done.get() < threads as u32 {
                 w0.poll();
                 let _ = ctx.wait_mailbox(Some(ctx.now() + us(200)));
             }
@@ -102,22 +100,22 @@ fn blocked_thread_does_not_stall_service() {
     // thread keeps the runtime served.
     c.spawn_node(1, |ctx| {
         let rt = Runtime::new(ctx.clone(), LrcConfig::small_test(3), CoreConfig::fast_test());
-        let shared = Arc::new(SharedRuntime::new(rt));
-        let done = Arc::new(AtomicU32::new(0));
-        let shared2 = Arc::clone(&shared);
-        let done2 = Arc::clone(&done);
+        let shared = Rc::new(SharedRuntime::new(rt));
+        let done = Rc::new(Cell::new(0u32));
+        let shared2 = Rc::clone(&shared);
+        let done2 = Rc::clone(&done);
         ctx.spawn_thread(move |tctx| {
             let w = shared2.worker(1, tctx);
             assert_eq!(w.read_u32(0), 11);
             w.send(0, H_DONE, vec![], Annotation::None);
-            done2.fetch_add(1, Ordering::SeqCst);
+            done2.set(done2.get() + 1);
         });
         let w = shared.worker(0, ctx.clone());
         // The main thread writes its own page, which node 2 will read —
         // requiring node 1 to serve diffs while thread 1 is blocked.
         w.write_u32(128, 33);
         w.send(2, H_DONE, vec![], Annotation::Release);
-        while done.load(Ordering::SeqCst) < 1 {
+        while done.get() < 1 {
             w.poll();
             let _ = ctx.wait_mailbox(Some(ctx.now() + us(100)));
         }
@@ -141,9 +139,9 @@ fn blocked_thread_does_not_stall_service() {
 /// The §4.4 scheduler upcall fires on block/unblock transitions.
 #[test]
 fn scheduler_upcall_fires() {
-    let blocks = Arc::new(AtomicU32::new(0));
-    let unblocks = Arc::new(AtomicU32::new(0));
-    let (b2, u2) = (Arc::clone(&blocks), Arc::clone(&unblocks));
+    let blocks = Rc::new(Cell::new(0u32));
+    let unblocks = Rc::new(Cell::new(0u32));
+    let (b2, u2) = (Rc::clone(&blocks), Rc::clone(&unblocks));
     let mut c = Cluster::new(SimConfig::fast_test(), 2);
     c.spawn_node(0, |ctx| {
         let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
@@ -155,12 +153,8 @@ fn scheduler_upcall_fires() {
         let rt = Runtime::new(ctx.clone(), LrcConfig::small_test(2), CoreConfig::fast_test());
         let shared = SharedRuntime::new(rt);
         shared.set_upcall(Box::new(move |ev| match ev {
-            ThreadEvent::Blocked { .. } => {
-                b2.fetch_add(1, Ordering::SeqCst);
-            }
-            ThreadEvent::Unblocked { .. } => {
-                u2.fetch_add(1, Ordering::SeqCst);
-            }
+            ThreadEvent::Blocked { .. } => b2.set(b2.get() + 1),
+            ThreadEvent::Unblocked { .. } => u2.set(u2.get() + 1),
         }));
         let w = shared.worker(0, ctx);
         // The remote read must block at least once (page fetch round trip).
@@ -169,10 +163,50 @@ fn scheduler_upcall_fires() {
         shared.with(|rt| rt.shutdown());
     });
     c.run();
-    assert!(blocks.load(Ordering::SeqCst) >= 1, "no Blocked upcall");
-    assert_eq!(
-        blocks.load(Ordering::SeqCst),
-        unblocks.load(Ordering::SeqCst),
-        "every block must unblock"
-    );
+    assert!(blocks.get() >= 1, "no Blocked upcall");
+    assert_eq!(blocks.get(), unblocks.get(), "every block must unblock");
+}
+
+/// `SharedRuntime::with` while a sibling worker is parked inside the
+/// runtime (here, in the send overhead of its `send`) is a usage error: it
+/// fails the run with a panic attributed to the node. A blocking wait there
+/// would hang the one OS thread that runs every proc, so the run goes on a
+/// spawned thread under a host-time watchdog, and only its result crosses
+/// back.
+#[test]
+fn with_while_a_worker_is_inside_the_runtime_fails_the_node() {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut c = Cluster::new(SimConfig::fast_test(), 1);
+        c.spawn_node(0, |ctx| {
+            let rt = Runtime::new(
+                ctx.clone(),
+                LrcConfig::small_test(1),
+                CoreConfig::fast_test(),
+            );
+            let shared = Rc::new(SharedRuntime::new(rt));
+            let shared2 = Rc::clone(&shared);
+            ctx.spawn_thread(move |tctx| {
+                shared2
+                    .worker(1, tctx)
+                    .send(0, H_DONE, vec![], Annotation::None);
+            });
+            // The worker runs first and parks in its 1 µs send overhead,
+            // holding the runtime, while this proc wakes 1 ns later.
+            ctx.sleep(1);
+            shared.with(|rt| rt.shutdown());
+        });
+        let _ = done_tx.send(c.try_run());
+    });
+    let outcome = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("run hung: SharedRuntime::with waited on a parked worker");
+    match outcome {
+        Err(SimError::NodePanic {
+            node: Some(0),
+            message,
+            ..
+        }) => assert!(message.contains("SharedRuntime::with"), "{message}"),
+        other => panic!("expected a panic on node 0, got {other:?}"),
+    }
 }

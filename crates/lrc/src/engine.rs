@@ -163,7 +163,7 @@ impl LrcEngine {
     /// Installs a passive [`EngineObserver`] notified of memory accesses,
     /// interval closes, record application, and page installs. Observation
     /// never alters engine behavior.
-    pub fn set_observer(&mut self, obs: std::sync::Arc<dyn EngineObserver>) {
+    pub fn set_observer(&mut self, obs: std::rc::Rc<dyn EngineObserver>) {
         self.observer.set(obs);
     }
 

@@ -8,7 +8,7 @@
 //! crate builds its happens-before tracker and shadow-memory oracle on these
 //! hooks.
 
-use std::{fmt, sync::Arc};
+use std::{fmt, rc::Rc};
 
 use crate::{interval::IntervalRecord, page::PageId, vc::Vc};
 
@@ -19,7 +19,7 @@ use crate::{interval::IntervalRecord, page::PageId, vc::Vc};
 /// on the owning node's proc thread; they may record state (and may panic
 /// or abort to escalate a detected violation) but must not call back into
 /// the engine.
-pub trait EngineObserver: Send + Sync {
+pub trait EngineObserver {
     /// A read of `data.len()` bytes at `addr` completed on `node`, returning
     /// the bytes in `data`, with the node's vector timestamp at `vt`.
     fn mem_read(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
@@ -57,11 +57,11 @@ pub trait EngineObserver: Send + Sync {
 /// Empty by default; every notification forwards through a single `Option`
 /// check, so the disabled path costs one branch.
 #[derive(Clone, Default)]
-pub struct ObserverSlot(Option<Arc<dyn EngineObserver>>);
+pub struct ObserverSlot(Option<Rc<dyn EngineObserver>>);
 
 impl ObserverSlot {
     /// Installs `obs`; subsequent engine transitions notify it.
-    pub fn set(&mut self, obs: Arc<dyn EngineObserver>) {
+    pub fn set(&mut self, obs: Rc<dyn EngineObserver>) {
         self.0 = Some(obs);
     }
 

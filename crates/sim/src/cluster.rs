@@ -1,13 +1,13 @@
 //! Public simulator API: [`Cluster`], [`NodeCtx`], and [`SimReport`].
 
 use std::{
+    cell::{RefCell, RefMut},
     cmp::Reverse,
     panic::{catch_unwind, resume_unwind, AssertUnwindSafe},
-    sync::Arc,
+    rc::Rc,
 };
 
 use bytes::Bytes;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::{
     config::SimConfig,
@@ -22,13 +22,13 @@ use crate::{
 ///
 /// The event loop invokes [`WireObserver::frame_delivered`] on the thread
 /// that called [`Cluster::run`] (from the runner or from a parking proc's
-/// stack), under the kernel lock, at the instant a datagram is appended to
-/// a destination mailbox. Implementations must only record: they must not
-/// call back into the simulator, block on simulated state, or panic —
+/// stack), with the kernel borrowed, at the instant a datagram is appended
+/// to a destination mailbox. Implementations must only record: they must
+/// not call back into the simulator, block on simulated state, or panic —
 /// escalation belongs in node-side hooks. Loopback datagrams (src == dst)
 /// skip the wire and are not reported. Observer calls charge no virtual
 /// time, so observed runs are event-for-event identical to unobserved ones.
-pub trait WireObserver: Send + Sync {
+pub trait WireObserver {
     /// A datagram from `src` was appended to `dst`'s mailbox.
     fn frame_delivered(
         &self,
@@ -40,8 +40,8 @@ pub trait WireObserver: Send + Sync {
     );
 
     /// A datagram from `src` was handed to the wire toward `dst` at `at`
-    /// (it may still be dropped). Fired from the sender's context, under
-    /// the kernel lock. Default: ignored.
+    /// (it may still be dropped). Fired from the sender's context, with the
+    /// kernel borrowed. Default: ignored.
     fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
         let _ = (src, dst, at, payload);
     }
@@ -98,9 +98,11 @@ enum RunFailure {
 /// Create one, spawn a main proc per node with [`Cluster::spawn_node`], then
 /// call [`Cluster::run`], which runs the event loop and every proc to
 /// completion on the calling thread and returns a [`SimReport`]. Nothing
-/// executes, and no thread or stack exists, before that call.
+/// executes, and no thread or stack exists, before that call. A cluster,
+/// its procs and its observers live on one thread: build it on the thread
+/// that runs it.
 pub struct Cluster {
-    kernel: Arc<Mutex<Kernel>>,
+    kernel: Rc<RefCell<Kernel>>,
     n_nodes: usize,
 }
 
@@ -115,7 +117,7 @@ impl Cluster {
         assert!(n_nodes > 0, "a cluster needs at least one node");
         install_quiet_unwind_hook();
         Self {
-            kernel: Arc::new(Mutex::new(Kernel::new(config, n_nodes))),
+            kernel: Rc::new(RefCell::new(Kernel::new(config, n_nodes))),
             n_nodes,
         }
     }
@@ -125,20 +127,20 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn spawn_node(&mut self, node: NodeId, main: impl FnOnce(NodeCtx) + Send + 'static) {
+    pub fn spawn_node(&mut self, node: NodeId, main: impl FnOnce(NodeCtx) + 'static) {
         assert!(
             (node as usize) < self.n_nodes,
             "node {node} out of range (cluster has {} nodes)",
             self.n_nodes
         );
-        self.kernel.lock().spawn_proc(node, 0, Box::new(main));
+        self.kernel.borrow_mut().spawn_proc(node, 0, Box::new(main));
     }
 
     /// Installs a passive [`WireObserver`] notified at each non-loopback
     /// mailbox delivery. Install before [`Cluster::run`]; observation adds
     /// zero virtual-time cost.
-    pub fn set_observer(&mut self, obs: Arc<dyn WireObserver>) {
-        self.kernel.lock().observer = Some(obs);
+    pub fn set_observer(&mut self, obs: Rc<dyn WireObserver>) {
+        self.kernel.borrow_mut().observer = Some(obs);
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -175,7 +177,7 @@ impl Cluster {
     /// Returns the [`SimError`] describing how the run failed.
     pub fn try_run(self) -> Result<SimReport, SimError> {
         let outcome = self.execute();
-        let crashed = self.kernel.lock().fault.crashed_nodes();
+        let crashed = self.kernel.borrow().fault.crashed_nodes();
         match outcome {
             Ok(report) => Ok(report),
             Err(RunFailure::Error(e)) => Err(e),
@@ -196,12 +198,12 @@ impl Cluster {
 
     /// Runs the event loop, then ends every proc the run left unfinished.
     fn execute(&self) -> Result<SimReport, RunFailure> {
-        let mut k = self.kernel.lock();
         let mut procs = Procs {
             kernel: &self.kernel,
             coros: Vec::new(),
         };
-        let outcome = procs.event_loop(&mut k);
+        let outcome = procs.event_loop();
+        let mut k = self.kernel.borrow_mut();
         // Teardown: every proc that is still suspended (or never ran) is
         // resumed unselected, sees the flag and unwinds, so each destructor
         // on a proc stack runs before the stack is unmapped.
@@ -209,7 +211,7 @@ impl Cluster {
         k.poisoned = true;
         for pid in 0..k.procs.len() {
             while !k.procs[pid].finished {
-                procs.resume(&mut k, pid);
+                k = procs.resume(k, pid);
             }
         }
         outcome
@@ -219,20 +221,21 @@ impl Cluster {
 /// The procs of one run: a coroutine each, indexed by pid, on the runner's
 /// thread.
 struct Procs<'a> {
-    kernel: &'a Arc<Mutex<Kernel>>,
+    kernel: &'a Rc<RefCell<Kernel>>,
     coros: Vec<Coroutine>,
 }
 
-impl Procs<'_> {
-    /// Switches to proc `pid` with the kernel unlocked (the proc locks it on
-    /// this same thread) and returns when it suspends or finishes. Procs
-    /// registered since the last call get their coroutine here.
-    fn resume(&mut self, k: &mut MutexGuard<'_, Kernel>, pid: ProcId) {
+impl<'a> Procs<'a> {
+    /// Switches to proc `pid` with the kernel borrow released (the proc
+    /// borrows it itself) and borrows it again when the proc suspends or
+    /// finishes. Procs registered since the last call get their coroutine
+    /// here.
+    fn resume(&mut self, mut k: RefMut<'a, Kernel>, pid: ProcId) -> RefMut<'a, Kernel> {
         while self.coros.len() <= pid {
             let p = &mut k.procs[self.coros.len()];
             let main = p.main.take().expect("a registered proc has a body");
             let ctx = NodeCtx {
-                kernel: Arc::clone(self.kernel),
+                kernel: Rc::clone(self.kernel),
                 pid: self.coros.len(),
                 node: p.node,
                 n_nodes: k.nodes.len(),
@@ -240,16 +243,19 @@ impl Procs<'_> {
             self.coros
                 .push(Coroutine::new(move || proc_body(ctx, main)));
         }
-        MutexGuard::unlocked(k, || self.coros[pid].resume());
+        drop(k);
+        self.coros[pid].resume();
+        self.kernel.borrow_mut()
     }
 
-    fn event_loop(&mut self, k: &mut MutexGuard<'_, Kernel>) -> Result<SimReport, RunFailure> {
+    fn event_loop(&mut self) -> Result<SimReport, RunFailure> {
+        let mut k = self.kernel.borrow_mut();
         loop {
             // A parking proc leaves its successor in `running`; otherwise
             // run plain events here until a wake names a proc. Control comes
             // back when that proc parks or finishes.
             if let Some(pid) = k.running.or_else(|| k.drive()) {
-                self.resume(k, pid);
+                k = self.resume(k, pid);
                 continue;
             }
             if let Some(p) = k.panic.take() {
@@ -257,12 +263,12 @@ impl Procs<'_> {
                 return Err(RunFailure::Panic { payload: p, node });
             }
             if k.live_procs == 0 {
-                return Ok(build_report(k));
+                return Ok(build_report(&k));
             }
             let Some(Reverse(ev)) = k.queue.pop() else {
                 return Err(RunFailure::Error(SimError::Stalled {
                     at: k.now,
-                    blocked: blocked_procs(k),
+                    blocked: blocked_procs(&k),
                     crashed: k.fault.crashed_nodes(),
                 }));
             };
@@ -312,7 +318,7 @@ impl Procs<'_> {
             // event.
             for pid in 0..k.procs.len() {
                 while k.procs[pid].node == node && !k.procs[pid].finished {
-                    self.resume(k, pid);
+                    k = self.resume(k, pid);
                 }
             }
         }
@@ -366,15 +372,15 @@ fn build_report(k: &Kernel) -> SimReport {
 /// Body of a proc's coroutine: `main`, then the bookkeeping of its
 /// end. Returns (no panic leaves it) to the coroutine's base frame.
 fn proc_body(ctx: NodeCtx, main: ProcMain) {
-    let kernel = Arc::clone(&ctx.kernel);
+    let kernel = Rc::clone(&ctx.kernel);
     let pid = ctx.pid;
     let result = catch_unwind(AssertUnwindSafe(|| {
         // The first resumption is like any other: the time-0 wake, or a
         // fail-stop or teardown before the proc ever ran.
-        ctx.check_selected(&kernel.lock());
+        ctx.check_selected(&kernel.borrow());
         main(ctx);
     }));
-    let mut k = kernel.lock();
+    let mut k = kernel.borrow_mut();
     let node = k.procs[pid].node;
     k.procs[pid].finished = true;
     k.procs[pid].parked = false;
@@ -435,7 +441,7 @@ struct CrashUnwind;
 /// timeline through [`NodeCtx::now`].
 #[derive(Clone)]
 pub struct NodeCtx {
-    kernel: Arc<Mutex<Kernel>>,
+    kernel: Rc<RefCell<Kernel>>,
     pid: ProcId,
     node: NodeId,
     n_nodes: usize,
@@ -457,7 +463,7 @@ impl NodeCtx {
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> Ns {
-        self.kernel.lock().now
+        self.kernel.borrow().now
     }
 
     /// Charges `dt` of application computation (the `User` bucket) and
@@ -472,8 +478,7 @@ impl NodeCtx {
     /// charge starts when the node CPU is free, and any wait for the CPU is
     /// charged to `Idle`.
     pub fn charge(&self, bucket: Bucket, dt: Ns) {
-        let mut k = self.kernel.lock();
-        self.advance_locked(&mut k, bucket, dt);
+        self.advance(self.kernel.borrow_mut(), bucket, dt);
     }
 
     /// Charges up to `dt` of CPU time to `bucket`, but returns early if a
@@ -485,7 +490,7 @@ impl NodeCtx {
     /// `dt` elapsed. Callers loop: handle the message, then continue with
     /// the remainder.
     pub fn compute_interruptible(&self, bucket: Bucket, dt: Ns) -> Option<Ns> {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         if !k.nodes[self.node as usize].mailbox.is_empty() {
             return Some(dt); // Pending work: handle it before computing.
         }
@@ -504,7 +509,7 @@ impl NodeCtx {
             return None;
         }
         k.procs[self.pid].waiting_for_msg = true;
-        self.park_until(&mut k, wake_at);
+        k = self.park_until(k, wake_at);
         // Either the timer fired (now == wake_at) or a delivery woke us.
         let ran = k.now.saturating_sub(start).min(dt);
         k.nodes[node].buckets.charge(bucket, ran);
@@ -516,22 +521,22 @@ impl NodeCtx {
 
     /// Sleeps for `dt` without using the CPU; the time is charged to `Idle`.
     pub fn sleep(&self, dt: Ns) {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         let wake_at = k.now + dt;
         k.nodes[self.node as usize].buckets.charge(Bucket::Idle, dt);
-        self.park_until(&mut k, wake_at);
+        self.park_until(k, wake_at);
     }
 
     /// Adds `v` to this node's counter `name`.
     pub fn count(&self, name: &'static str, v: u64) {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         k.nodes[self.node as usize].counters.add(name, v);
     }
 
     /// Reads this node's counter `name`.
     #[must_use]
     pub fn counter(&self, name: &'static str) -> u64 {
-        self.kernel.lock().nodes[self.node as usize]
+        self.kernel.borrow().nodes[self.node as usize]
             .counters
             .get(name)
     }
@@ -549,9 +554,9 @@ impl NodeCtx {
             (dst as usize) < self.n_nodes,
             "datagram to unknown node {dst}"
         );
-        let mut k = self.kernel.lock();
+        let k = self.kernel.borrow_mut();
         let send_overhead = k.config.send_overhead;
-        self.advance_locked(&mut k, Bucket::Unix, send_overhead);
+        let mut k = self.advance(k, Bucket::Unix, send_overhead);
         let now = k.now;
         let dgram = Datagram {
             src: self.node,
@@ -585,10 +590,10 @@ impl NodeCtx {
     /// Charges the per-datagram receive overhead (`Unix`) when a datagram is
     /// returned.
     pub fn try_recv(&self) -> Option<Datagram> {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         let d = k.nodes[self.node as usize].mailbox.pop_front()?;
         let recv_overhead = k.config.recv_overhead;
-        self.advance_locked(&mut k, Bucket::Unix, recv_overhead);
+        self.advance(k, Bucket::Unix, recv_overhead);
         Some(d)
     }
 
@@ -597,11 +602,11 @@ impl NodeCtx {
     ///
     /// Returns `None` on timeout. `deadline` is an absolute virtual time.
     pub fn wait_recv(&self, deadline: Option<Ns>) -> Option<Datagram> {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         loop {
             if let Some(d) = k.nodes[self.node as usize].mailbox.pop_front() {
                 let recv_overhead = k.config.recv_overhead;
-                self.advance_locked(&mut k, Bucket::Unix, recv_overhead);
+                self.advance(k, Bucket::Unix, recv_overhead);
                 return Some(d);
             }
             if let Some(dl) = deadline {
@@ -615,7 +620,7 @@ impl NodeCtx {
                 let seq = k.procs[self.pid].park_seq + 1;
                 k.push_event(dl, EvKind::Wake { pid: self.pid, seq });
             }
-            self.park(&mut k);
+            k = self.park(k);
             let waited = k.now - park_start;
             k.nodes[self.node as usize]
                 .buckets
@@ -629,10 +634,10 @@ impl NodeCtx {
     ///
     /// This is the building block for multiple user threads sharing one
     /// node runtime: a thread that finds nothing to do sleeps here, and any
-    /// delivery wakes every such thread so one of them can take the
-    /// runtime lock and process the message.
+    /// delivery wakes every such thread so one of them can take the shared
+    /// runtime and process the message.
     pub fn wait_mailbox(&self, deadline: Option<Ns>) -> bool {
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         loop {
             if !k.nodes[self.node as usize].mailbox.is_empty() {
                 return true;
@@ -648,7 +653,7 @@ impl NodeCtx {
                 let seq = k.procs[self.pid].park_seq + 1;
                 k.push_event(dl, EvKind::Wake { pid: self.pid, seq });
             }
-            self.park(&mut k);
+            k = self.park(k);
             let waited = k.now - park_start;
             k.nodes[self.node as usize]
                 .buckets
@@ -661,7 +666,7 @@ impl NodeCtx {
     /// no time.
     #[must_use]
     pub fn mailbox_nonempty(&self) -> bool {
-        !self.kernel.lock().nodes[self.node as usize]
+        !self.kernel.borrow().nodes[self.node as usize]
             .mailbox
             .is_empty()
     }
@@ -672,16 +677,23 @@ impl NodeCtx {
     /// This supports the paper's §4.4 user-level multithreading: while one
     /// thread blocks on a remote operation, another can run (their CPU
     /// charges serialize through the node's single simulated CPU).
-    pub fn spawn_thread(&self, f: impl FnOnce(NodeCtx) + Send + 'static) {
+    pub fn spawn_thread(&self, f: impl FnOnce(NodeCtx) + 'static) {
         // The runner builds the coroutine when the wake selects the proc.
-        let mut k = self.kernel.lock();
+        let mut k = self.kernel.borrow_mut();
         let now = k.now;
         k.spawn_proc(self.node, now, Box::new(f));
     }
 
     /// Advances time by `dt` charged to `bucket`, serializing on the node
     /// CPU. Fast-paths the common case where no other event intervenes.
-    fn advance_locked(&self, k: &mut MutexGuard<'_, Kernel>, bucket: Bucket, dt: Ns) {
+    /// Like every parking method, it takes the kernel borrow and hands it
+    /// back: a switch in between releases it.
+    fn advance<'k>(
+        &'k self,
+        mut k: RefMut<'k, Kernel>,
+        bucket: Bucket,
+        dt: Ns,
+    ) -> RefMut<'k, Kernel> {
         let node = self.node as usize;
         let start = k.now.max(k.nodes[node].cpu_free);
         if start > k.now {
@@ -695,32 +707,36 @@ impl NodeCtx {
         if k.peek_time().is_none_or(|t| t >= wake_at) {
             // Nothing can observably interleave; advance the clock in place.
             k.now = wake_at;
-            return;
+            return k;
         }
-        self.park_until(k, wake_at);
+        self.park_until(k, wake_at)
     }
 
     /// Schedules a wake at `wake_at` and parks until it fires.
-    fn park_until(&self, k: &mut MutexGuard<'_, Kernel>, wake_at: Ns) {
+    fn park_until<'k>(&'k self, mut k: RefMut<'k, Kernel>, wake_at: Ns) -> RefMut<'k, Kernel> {
         let seq = k.procs[self.pid].park_seq + 1;
         k.push_event(wake_at, EvKind::Wake { pid: self.pid, seq });
-        self.park(k);
+        self.park(k)
     }
 
     /// Parks this proc until a wake event selects it. The proc drives the
     /// event loop itself: its own wake resumes it in place; on a wake for
-    /// another proc, or on anything `drive` leaves to the runner, it
-    /// suspends to the runner with the kernel unlocked.
-    fn park(&self, k: &mut MutexGuard<'_, Kernel>) {
+    /// another proc, or on anything `drive` leaves to the runner, it drops
+    /// the kernel borrow, suspends to the runner and borrows again when
+    /// resumed.
+    fn park<'k>(&'k self, mut k: RefMut<'k, Kernel>) -> RefMut<'k, Kernel> {
         let p = &mut k.procs[self.pid];
         p.parked = true;
         p.park_seq += 1;
         k.running = None;
         if k.drive() == Some(self.pid) {
-            return;
+            return k;
         }
-        MutexGuard::unlocked(k, coro::suspend);
-        self.check_selected(k);
+        drop(k);
+        coro::suspend();
+        let k = self.kernel.borrow_mut();
+        self.check_selected(&k);
+        k
     }
 
     /// After a resumption: returns if a wake selected this proc. The runner

@@ -1,6 +1,6 @@
 //! Scheduler internals: the event queue, proc states, and the wire model.
 //!
-//! One global [`Kernel`] sits behind a mutex. Every proc is a coroutine on
+//! One global [`Kernel`] sits in a `RefCell`. Every proc is a coroutine on
 //! the thread that called `Cluster::run` (the *runner*), so exactly one
 //! piece of simulation code executes at any instant, and all virtual-time
 //! ordering comes from the event queue: runs are deterministic.
@@ -8,10 +8,10 @@
 //! # Who drives the event loop
 //!
 //! Whoever gives up the CPU drives [`Kernel::drive`]. The runner starts. A
-//! proc that parks pops events itself, under the kernel lock it already
+//! proc that parks pops events itself, through the kernel borrow it already
 //! holds — `Deliver`s are handled inline, stale wakes are skipped, its own
 //! wake resumes it in place without a switch — and when the next live wake
-//! names another proc it leaves that proc in `running`, releases the lock
+//! names another proc it leaves that proc in `running`, drops the borrow
 //! and suspends to the runner, which resumes the named coroutine.
 //!
 //! `drive` only ever pops a plain, in-limits `Wake` or `Deliver`. Anything
@@ -27,7 +27,7 @@ use std::{
     any::Any,
     cmp::Reverse,
     collections::{BTreeMap, BinaryHeap, VecDeque},
-    sync::Arc,
+    rc::Rc,
 };
 
 use carlos_util::rng::{SplitMix64, Xoshiro256};
@@ -44,7 +44,7 @@ use crate::{
 pub(crate) type ProcId = usize;
 
 /// The body of a proc, queued until the run starts it.
-pub(crate) type ProcMain = Box<dyn FnOnce(NodeCtx) + Send>;
+pub(crate) type ProcMain = Box<dyn FnOnce(NodeCtx)>;
 
 /// What a scheduled event does when it fires.
 #[derive(Debug)]
@@ -123,7 +123,7 @@ impl NodeState {
     }
 }
 
-/// The global simulation state, always accessed under one mutex.
+/// The global simulation state, borrowed by one stack at a time.
 pub(crate) struct Kernel {
     pub config: SimConfig,
     pub now: Ns,
@@ -157,7 +157,7 @@ pub(crate) struct Kernel {
     pub fault: FaultState,
     /// Passive wire observer invoked at each mailbox delivery (checker
     /// instrumentation). Charges no virtual time.
-    pub observer: Option<Arc<dyn WireObserver>>,
+    pub observer: Option<Rc<dyn WireObserver>>,
     /// First panic payload captured from a proc, re-thrown by the runner.
     pub panic: Option<Box<dyn Any + Send>>,
     /// Node of the proc whose panic was captured.

@@ -18,7 +18,7 @@
 
 use std::{
     collections::{BTreeMap, VecDeque},
-    sync::Arc,
+    rc::Rc,
 };
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -40,7 +40,7 @@ use crate::{
 /// per-(sender, receiver) transport sequence, which together with the node
 /// pair uniquely identifies a data frame for the lifetime of a run — trace
 /// layers use `(src, dst, seq)` as the causal flow id.
-pub trait TransportObserver: Send + Sync {
+pub trait TransportObserver {
     /// A data frame was sealed with `seq` and handed to the wire (first
     /// transmission; includes loopback frames, which skip the wire).
     fn data_sent(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
@@ -240,7 +240,7 @@ pub struct Transport {
     tx: Vec<PeerTx>,
     rx: Vec<PeerRx>,
     ready: VecDeque<(NodeId, Bytes)>,
-    obs: Option<Arc<dyn TransportObserver>>,
+    obs: Option<Rc<dyn TransportObserver>>,
 }
 
 impl Transport {
@@ -260,7 +260,7 @@ impl Transport {
     }
 
     /// Installs a passive [`TransportObserver`] on this endpoint.
-    pub fn set_observer(&mut self, obs: Arc<dyn TransportObserver>) {
+    pub fn set_observer(&mut self, obs: Rc<dyn TransportObserver>) {
         self.obs = Some(obs);
     }
 

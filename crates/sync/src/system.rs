@@ -2,8 +2,9 @@
 //! registration.
 
 use std::{
+    cell::RefCell,
     collections::{HashMap, VecDeque},
-    sync::{Arc, Mutex},
+    rc::Rc,
 };
 
 use carlos_core::{AcceptedMsg, Runtime};
@@ -68,7 +69,7 @@ pub(crate) struct Tables {
 /// Handle to a node's coordination state; create with [`crate::install`].
 #[derive(Clone)]
 pub struct SyncSystem {
-    pub(crate) tables: Arc<Mutex<Tables>>,
+    pub(crate) tables: Rc<RefCell<Tables>>,
     /// Timeout behavior of this handle's blocking operations. Plain data:
     /// each clone (the handlers hold their own) keeps its own copy, and
     /// only the application-facing handle's copy matters.
@@ -80,7 +81,7 @@ impl SyncSystem {
     #[must_use]
     pub fn install(rt: &mut Runtime) -> Self {
         let sys = Self {
-            tables: Arc::new(Mutex::new(Tables::default())),
+            tables: Rc::new(RefCell::new(Tables::default())),
             tuning: SyncTuning::default(),
         };
         crate::lock::register(rt, &sys);
@@ -103,15 +104,7 @@ impl SyncSystem {
     }
 
     pub(crate) fn with_tables<R>(&self, f: impl FnOnce(&mut Tables) -> R) -> R {
-        // A poisoned mutex here means some *other* proc's unwind (teardown,
-        // scripted crash) happened mid-update on a structure we share. The
-        // tables hold only plain ids and queues — no invariant spans the
-        // poison — so recover the data instead of cascading the panic.
-        let mut t = self
-            .tables
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f(&mut t)
+        f(&mut self.tables.borrow_mut())
     }
 
     /// Shared blocking-wait engine for the fallible coordination ops.

@@ -49,13 +49,12 @@ mod export;
 pub mod json;
 mod metrics;
 
-use std::{collections::BTreeMap, collections::VecDeque, fmt, sync::Arc};
+use std::{cell::RefCell, collections::BTreeMap, collections::VecDeque, fmt, rc::Rc};
 
 use bytes::Bytes;
 use carlos_core::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass, Runtime};
 use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
 use carlos_sim::{Cluster, NodeId, Ns, TransportObserver, WireObserver};
-use parking_lot::Mutex;
 
 pub use json::JsonValue;
 pub use metrics::{Metrics, VtHistogram};
@@ -220,12 +219,12 @@ impl State {
 /// [`attach`](Tracer::attach) it to the cluster before the run.
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Arc<Mutex<State>>,
+    inner: Rc<RefCell<State>>,
 }
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.inner.lock();
+        let st = self.inner.borrow();
         write!(
             f,
             "Tracer({} flows, {} spans, {} instants)",
@@ -253,7 +252,7 @@ impl Tracer {
 
     fn build(n_nodes: usize, record_events: bool) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(State {
+            inner: Rc::new(RefCell::new(State {
                 n_nodes,
                 record_events,
                 flows: BTreeMap::new(),
@@ -272,46 +271,46 @@ impl Tracer {
     /// one node's runtime. Call from the node closure, before the
     /// application sends messages.
     pub fn install(&self, rt: &mut Runtime) {
-        rt.set_probe(Arc::new(self.clone()));
-        rt.set_engine_observer(Arc::new(self.clone()));
-        rt.set_transport_observer(Arc::new(self.clone()));
+        rt.set_probe(Rc::new(self.clone()));
+        rt.set_engine_observer(Rc::new(self.clone()));
+        rt.set_transport_observer(Rc::new(self.clone()));
     }
 
     /// Attach the wire observer to the cluster (transmission, loss, and
     /// mailbox-delivery events).
     pub fn attach(&self, cluster: &mut Cluster) {
-        cluster.set_observer(Arc::new(self.clone()));
+        cluster.set_observer(Rc::new(self.clone()));
     }
 
     /// Snapshot of all recorded flows, in `(src, dst, seq)` order.
     #[must_use]
     pub fn flows(&self) -> Vec<Flow> {
-        self.inner.lock().flows.values().cloned().collect()
+        self.inner.borrow().flows.values().cloned().collect()
     }
 
     /// Snapshot of all completed spans, in completion order.
     #[must_use]
     pub fn spans(&self) -> Vec<Span> {
-        self.inner.lock().spans.clone()
+        self.inner.borrow().spans.clone()
     }
 
     /// Snapshot of all instant events, in observation order.
     #[must_use]
     pub fn instants(&self) -> Vec<InstantEvent> {
-        self.inner.lock().instants.clone()
+        self.inner.borrow().instants.clone()
     }
 
     /// Snapshot of the metrics registry.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
-        self.inner.lock().metrics.clone()
+        self.inner.borrow().metrics.clone()
     }
 
     /// Renders everything recorded as Chrome trace-event JSON (the format
     /// `chrome://tracing` and Perfetto load). Deterministic output.
     #[must_use]
     pub fn chrome_trace(&self) -> String {
-        export::chrome_trace(&self.inner.lock())
+        export::chrome_trace(&self.inner.borrow())
     }
 
     /// Renders the causal message graph in Graphviz DOT: one node per
@@ -319,7 +318,7 @@ impl Tracer {
     /// edges along each simulated node. Deterministic output.
     #[must_use]
     pub fn dot_graph(&self) -> String {
-        export::dot_graph(&self.inner.lock())
+        export::dot_graph(&self.inner.borrow())
     }
 }
 
@@ -464,11 +463,14 @@ fn wait_key(what: &'static str) -> Option<&'static str> {
 
 impl CoreProbe for Tracer {
     fn release_sent(&self, _node: NodeId, _dst: NodeId, _required: &Vc) {
-        self.inner.lock().metrics.count("protocol.release_sent", 1);
+        self.inner
+            .borrow_mut()
+            .metrics
+            .count("protocol.release_sent", 1);
     }
 
     fn release_accepted(&self, _node: NodeId, _origin: NodeId, _required: &Vc, complete: bool) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count("protocol.release_accepted", 1);
         if !complete {
             st.metrics.count("protocol.release_incomplete", 1);
@@ -476,11 +478,14 @@ impl CoreProbe for Tracer {
     }
 
     fn repair_requested(&self, _node: NodeId, _origin: NodeId, _have: &Vc, _want: &Vc) {
-        self.inner.lock().metrics.count("protocol.repair_requested", 1);
+        self.inner
+            .borrow_mut()
+            .metrics
+            .count("protocol.repair_requested", 1);
     }
 
     fn msg_sent(&self, node: NodeId, dst: NodeId, class: MsgClass, handler: u32, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count(msg_sent_key(class), 1);
         st.pending_send
             .entry((node, dst))
@@ -497,7 +502,7 @@ impl CoreProbe for Tracer {
         bytes: usize,
         at: Ns,
     ) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count(msg_dispatched_key(class), 1);
         if st.record_events {
             st.push_instant(InstantEvent {
@@ -527,7 +532,7 @@ impl CoreProbe for Tracer {
     }
 
     fn protocol_cost(&self, node: NodeId, class: MsgClass, phase: CostPhase, ns: Ns, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.observe(cost_key(class, phase), ns);
         if st.record_events {
             st.push_span(Span {
@@ -541,13 +546,13 @@ impl CoreProbe for Tracer {
     }
 
     fn fetch_started(&self, node: NodeId, server: NodeId, page: u32, kind: FetchKind, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count(fetch_count_key(kind), 1);
         st.open_fetches.insert((node, server, page), (kind, at));
     }
 
     fn fetch_finished(&self, node: NodeId, server: NodeId, page: u32, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         if let Some((kind, began)) = st.open_fetches.remove(&(node, server, page)) {
             st.metrics
                 .observe(fetch_latency_key(kind), at.saturating_sub(began));
@@ -576,13 +581,13 @@ impl CoreProbe for Tracer {
         bytes: usize,
         _at: Ns,
     ) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count(fetch_class_key(class), 1);
         st.metrics.count(fetch_bytes_key(class), bytes as u64);
     }
 
     fn sync_wait(&self, node: NodeId, what: &'static str, id: u32, begin: bool, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         if begin {
             st.open_waits.entry((node, what, id)).or_default().push(at);
             return;
@@ -612,7 +617,7 @@ impl CoreProbe for Tracer {
 
 impl TransportObserver for Tracer {
     fn data_sent(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         let intent = st
             .pending_send
             .get_mut(&(node, dst))
@@ -631,11 +636,11 @@ impl TransportObserver for Tracer {
 
     fn data_queued(&self, node: NodeId, dst: NodeId, _bytes: usize, _at: Ns) {
         let _ = (node, dst);
-        self.inner.lock().metrics.count("transport.queued", 1);
+        self.inner.borrow_mut().metrics.count("transport.queued", 1);
     }
 
     fn data_retransmitted(&self, node: NodeId, dst: NodeId, seq: u32, _bytes: usize, _at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count("transport.retransmits", 1);
         if let Some(f) = st.flows.get_mut(&(node, dst, seq)) {
             f.retransmits += 1;
@@ -643,7 +648,7 @@ impl TransportObserver for Tracer {
     }
 
     fn data_delivered(&self, node: NodeId, src: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         let flow = st.flow(src, node, seq, bytes);
         flow.ready_at = Some(at);
         let key = flow.key;
@@ -654,7 +659,7 @@ impl TransportObserver for Tracer {
     }
 
     fn data_duplicate(&self, node: NodeId, src: NodeId, seq: u32, _at: Ns) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count("transport.duplicates", 1);
         if let Some(f) = st.flows.get_mut(&(src, node, seq)) {
             f.duplicates += 1;
@@ -675,7 +680,7 @@ impl WireObserver for Tracer {
     }
 
     fn frame_sent(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &Bytes) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         match parse_header(payload) {
             Some((0, seq)) => {
                 st.metrics.count("wire.sent.data", 1);
@@ -694,7 +699,7 @@ impl WireObserver for Tracer {
     }
 
     fn frame_dropped(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &Bytes) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count("wire.dropped", 1);
         if let Some((0, seq)) = parse_header(payload) {
             if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
@@ -711,7 +716,7 @@ impl WireObserver for Tracer {
         delivered_at: Ns,
         payload: &Bytes,
     ) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics
             .observe("wire.latency", delivered_at.saturating_sub(sent_at));
         if let Some((0, seq)) = parse_header(payload) {
@@ -726,17 +731,23 @@ impl WireObserver for Tracer {
 
 impl EngineObserver for Tracer {
     fn interval_closed(&self, _node: u32, rec: &IntervalRecord) {
-        let mut st = self.inner.lock();
+        let mut st = self.inner.borrow_mut();
         st.metrics.count("lrc.intervals_closed", 1);
         st.metrics
             .count("lrc.write_notices", rec.pages.len() as u64);
     }
 
     fn record_applied(&self, _node: u32, _rec: &IntervalRecord) {
-        self.inner.lock().metrics.count("lrc.records_applied", 1);
+        self.inner
+            .borrow_mut()
+            .metrics
+            .count("lrc.records_applied", 1);
     }
 
     fn page_installed(&self, _node: u32, _page: carlos_lrc::PageId, _applied: &Vc) {
-        self.inner.lock().metrics.count("lrc.pages_installed", 1);
+        self.inner
+            .borrow_mut()
+            .metrics
+            .count("lrc.pages_installed", 1);
     }
 }

@@ -11,10 +11,7 @@
 //!
 //! Run with `cargo run --release --example multithreading`.
 
-use std::sync::{
-    atomic::{AtomicU32, Ordering},
-    Arc,
-};
+use std::{cell::Cell, rc::Rc};
 
 use carlos::core::{Annotation, CoreConfig, Runtime, SharedRuntime, ThreadEvent};
 use carlos::lrc::LrcConfig;
@@ -29,8 +26,10 @@ const PAGES: usize = 8;
 const ROUNDS: usize = 2;
 
 fn run_with(threads: usize) -> (f64, u32, u32) {
-    let blocks = Arc::new(AtomicU32::new(0));
-    let b2 = Arc::clone(&blocks);
+    // Every proc of the run is a coroutine on this thread, so plain shared
+    // cells are enough: no atomics, no locks.
+    let blocks = Rc::new(Cell::new(0u32));
+    let b2 = Rc::clone(&blocks);
     let mut cluster = Cluster::new(SimConfig::osdi94(), 2);
 
     // Node 0: page owner and remote-invocation server. The invoked
@@ -41,15 +40,19 @@ fn run_with(threads: usize) -> (f64, u32, u32) {
         for p in 0..PAGES {
             rt.write_u32(p * 8192, (p as u32 + 1) * 100);
         }
-        let invocations = Arc::new(AtomicU32::new(0));
-        let inv = Arc::clone(&invocations);
+        let mut invocations = 0u32;
         rt.register(
             H_INVOKE,
             Box::new(move |env, msg| {
                 let caller = msg.origin;
                 env.accept(msg);
-                let n = inv.fetch_add(1, Ordering::SeqCst) + 1;
-                env.send(caller, H_RESULT, n.to_le_bytes().to_vec(), Annotation::None);
+                invocations += 1;
+                env.send(
+                    caller,
+                    H_RESULT,
+                    invocations.to_le_bytes().to_vec(),
+                    Annotation::None,
+                );
             }),
         );
         let _ = rt.wait_accepted(H_DONE);
@@ -63,13 +66,13 @@ fn run_with(threads: usize) -> (f64, u32, u32) {
             LrcConfig::osdi94(2, 1 << 17),
             CoreConfig::osdi94(),
         );
-        let shared = Arc::new(SharedRuntime::new(rt));
+        let shared = Rc::new(SharedRuntime::new(rt));
         shared.set_upcall(Box::new(move |ev| {
             if matches!(ev, ThreadEvent::Blocked { .. }) {
-                b2.fetch_add(1, Ordering::SeqCst);
+                b2.set(b2.get() + 1);
             }
         }));
-        let done = Arc::new(AtomicU32::new(0));
+        let done = Rc::new(Cell::new(0u32));
         let work = |w: carlos::core::Worker, slot: usize| {
             for round in 0..ROUNDS {
                 let page = (slot + round * 3) % PAGES;
@@ -83,18 +86,18 @@ fn run_with(threads: usize) -> (f64, u32, u32) {
             }
         };
         for t in 1..threads {
-            let shared2 = Arc::clone(&shared);
-            let done2 = Arc::clone(&done);
+            let shared2 = Rc::clone(&shared);
+            let done2 = Rc::clone(&done);
             ctx.spawn_thread(move |tctx| {
                 let w = shared2.worker(t as u32, tctx);
                 work(w, t);
-                done2.fetch_add(1, Ordering::SeqCst);
+                done2.set(done2.get() + 1);
             });
         }
         let w0 = shared.worker(0, ctx.clone());
         work(shared.worker(0, ctx.clone()), 0);
-        done.fetch_add(1, Ordering::SeqCst);
-        while done.load(Ordering::SeqCst) < threads as u32 {
+        done.set(done.get() + 1);
+        while done.get() < threads as u32 {
             w0.poll();
             let _ = ctx.wait_mailbox(Some(ctx.now() + us(200)));
         }
@@ -106,7 +109,7 @@ fn run_with(threads: usize) -> (f64, u32, u32) {
     (
         to_secs(report.elapsed),
         report.net.messages as u32,
-        blocks.load(Ordering::SeqCst),
+        blocks.get(),
     )
 }
 
