@@ -130,6 +130,18 @@ awk -v a="$allocs" -v b="$per_run" -v ns="$ns" -v c="$(ratio calib_ms)" \
     -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
     'BEGIN { exit !(a > 0 && a <= 2 && b > 0 && b <= 12 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 
+# Interval-log gate (both sides of a RELEASE: the 8-record payload out of a
+# 4-creator x 2 000-record log, and accepting 64 decoded records): each
+# stays within 3x of the committed time, normalised like the gates above.
+for id in newer_than_8_of_4x2000 apply_64_decoded; do
+    ns=$(median_ns interval_log "$id")
+    base=$(median_ns interval_log "$id" "$committed")
+    echo "==> interval log $id: ${ns} ns (committed ${base})"
+    awk -v ns="$ns" -v c="$(ratio calib_ms)" \
+        -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
+        'BEGIN { exit !(ns > 0 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
+done
+
 # Typed-diff gate (8 KiB page of u32s below 2^18, every element replaced):
 # runs are stretches of dirty 4-byte words, so the agreeing top bytes do
 # not split it -- exactly one run and 8 203 wire bytes (a byte-granular

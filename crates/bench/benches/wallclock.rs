@@ -1,7 +1,8 @@
 //! Host wall-clock benchmarks of the hot paths touched by the
 //! performance overhaul: diff creation, application and the whole life of
 //! a fetched diff (create, encode, decode, apply, drop), the wire codec,
-//! and end-to-end 4-node TSP/SOR runs (host seconds, not virtual time).
+//! the interval log on both sides of a RELEASE, and end-to-end 4-node
+//! TSP/SOR runs (host seconds, not virtual time).
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
 //! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
 //! size and run count of a rewritten page of typed data
@@ -27,7 +28,7 @@ use std::time::Instant;
 use carlos_apps::sor::{run_sor, SorConfig};
 use carlos_apps::tsp::{run_tsp, TspConfig, TspVariant};
 use carlos_core::{Annotation, Consistency, Message};
-use carlos_lrc::{Diff, IntervalRecord, LrcEngine, Vc};
+use carlos_lrc::{interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_serve::run::{lrc_config, ServeConfig};
 use carlos_sim::{Cluster, SimConfig};
 use carlos_util::{codec::Wire, rng::Xoshiro256};
@@ -319,6 +320,61 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+/// The interval log on both sides of a RELEASE. `newer_than`: the
+/// payload a sender builds, 8 records (the last two of each creator) out
+/// of a 4-creator log of 2 000 records each. `apply`: a receiver accepting
+/// 64 decoded records of one writer, 4 notices each, invalidating its
+/// copies of the 16 pages they name.
+fn bench_interval_log(c: &mut Criterion) {
+    let mut g = c.benchmark_group("interval_log");
+    let n = 4;
+    let mut store = IntervalStore::new();
+    for node in 0..n as u32 {
+        for index in 1..=2000 {
+            let mut vc = Vc::new(n);
+            vc.set(node, index);
+            let pages = (index..index + 4).collect();
+            store.insert(IntervalRecord { node, index, vc, pages });
+        }
+    }
+    let mut have = Vc::new(n);
+    (0..n as u32).for_each(|q| have.set(q, 1998));
+    assert_eq!(store.newer_than(&have).len(), 8);
+    g.bench_function("newer_than_8_of_4x2000", |b| {
+        b.iter(|| black_box(&store).newer_than(black_box(&have)));
+    });
+
+    let cfg = LrcConfig::small_test(n);
+    let mut writer = LrcEngine::new(0, cfg.clone());
+    let mut reader = LrcEngine::new(1, cfg);
+    for page in 0..16 {
+        let (data, applied) = writer.serve_page(page);
+        assert!(reader.install_page(page, data, applied));
+    }
+    for i in 0..64usize {
+        for page in i..i + 4 {
+            writer.write(page % 16 * 64, &[i as u8]).expect("owner write");
+        }
+        writer.close_interval().expect("dirty pages");
+    }
+    let records = writer.records_newer_than(reader.vt());
+    let wire: Vec<Vec<u8>> = records.iter().map(Wire::to_wire).collect();
+    g.bench_function("apply_64_decoded", |b| {
+        b.iter_batched(
+            || {
+                let batch = wire.iter().map(|w| IntervalRecord::from_wire(w).expect("decode"));
+                (reader.clone(), batch.collect::<Vec<_>>())
+            },
+            |(mut engine, batch)| {
+                assert_eq!(engine.apply_records(batch), 64);
+                engine
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+}
+
 /// One timed end-to-end measurement: median host seconds over `reps` runs.
 fn time_e2e<F: FnMut() -> u64>(reps: usize, mut run: F) -> (f64, u64) {
     let mut secs: Vec<f64> = Vec::with_capacity(reps);
@@ -588,6 +644,7 @@ fn main() {
     bench_diff_apply(&mut c);
     bench_diff_lifecycle(&mut c);
     bench_codec(&mut c);
+    bench_interval_log(&mut c);
     let e2e = bench_e2e(quick);
     let micro = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();

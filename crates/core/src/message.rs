@@ -245,14 +245,7 @@ fn vc_sat16(v: u32) -> u16 {
 /// (the rest are causally implied and elided). Record order is preserved
 /// exactly, so decoding reproduces the legacy record sequence.
 fn encode_aggregated_records(enc: &mut Encoder, records: &[IntervalRecord]) {
-    // Group consecutive same-creator records.
-    let mut groups: Vec<&[IntervalRecord]> = Vec::new();
-    let mut rest = records;
-    while let Some(first) = rest.first() {
-        let len = rest.iter().take_while(|r| r.node == first.node).count();
-        groups.push(&rest[..len]);
-        rest = &rest[len..];
-    }
+    let groups: Vec<&[IntervalRecord]> = records.chunk_by(|a, b| a.node == b.node).collect();
     enc.put_u32(groups.len() as u32);
     for group in groups {
         enc.put_u32(group[0].node);

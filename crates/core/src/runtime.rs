@@ -348,8 +348,8 @@ impl Core {
     /// when acceptance completed (the message may be queued to user level),
     /// `false` when it is pending on missing consistency information.
     ///
-    /// Takes the message by `&mut` so carried diffs move into the per-page
-    /// buffer instead of being cloned; records are applied by reference.
+    /// Takes the message by `&mut` so carried records and diffs move into
+    /// the interval log and the per-page buffer instead of being cloned.
     fn do_accept(&mut self, msg: &mut Message) -> bool {
         let origin = msg.origin;
         let class = MsgClass::of(msg.annotation);
@@ -370,7 +370,7 @@ impl Core {
                 self.probe_cost(class, CostPhase::Accept, cost);
                 self.charge(cost);
                 self.ctx.count("carlos.notices_applied", notices as u64);
-                self.engine.apply_records(records);
+                self.engine.apply_records(std::mem::take(records));
                 // The gap check must precede any buffered-diff application:
                 // a non-dominated required timestamp proves records are
                 // missing, and diffs must not apply against a notice set
@@ -598,7 +598,7 @@ impl Core {
                 let apply_cost = self.cfg.per_notice * notices as u64;
                 self.probe_cost(MsgClass::System, CostPhase::NoticeApply, apply_cost);
                 self.charge(apply_cost);
-                self.engine.apply_records(&records);
+                self.engine.apply_records(records);
                 self.retry_pending_accepts();
             }
             other => panic!("unknown system handler id {other:#x}"),

@@ -488,24 +488,21 @@ impl LrcEngine {
     /// is not the next expected one for its creator is skipped (the caller
     /// detects the remaining gap by comparing [`LrcEngine::vt`] with the
     /// message's required timestamp and requests the missing records).
+    /// Applied records move into the interval log; the rest are dropped.
     /// Returns the number of records applied.
-    pub fn apply_records(&mut self, records: &[IntervalRecord]) -> usize {
-        // Sort references, not records: the caller keeps its batch, and only
-        // the records actually applied are cloned into the interval store —
-        // own and already-seen intervals (the common case on re-sends) cost
-        // nothing.
-        let mut order: Vec<&IntervalRecord> = records.iter().collect();
-        order.sort_by_key(|r| (r.node, r.index));
+    pub fn apply_records(&mut self, mut records: Vec<IntervalRecord>) -> usize {
+        records.sort_unstable_by_key(|r| (r.node, r.index));
+        for run in records.chunk_by(|a, b| a.node == b.node) {
+            let (q, seen) = (run[0].node, self.vt.get(run[0].node));
+            self.intervals.reserve(q, run.iter().filter(|r| r.index > seen).count());
+        }
         let mut applied = 0;
-        for rec in order {
-            if rec.node == self.node || rec.index <= self.vt.get(rec.node) {
-                continue; // Own or already-seen interval.
+        for rec in records {
+            // Another creator's next index applies; own, seen and gapped ones drop.
+            if rec.node != self.node && rec.index == self.vt.get(rec.node) + 1 {
+                self.apply_one(rec);
+                applied += 1;
             }
-            if rec.index != self.vt.get(rec.node) + 1 {
-                continue; // Gap: cannot apply out of order.
-            }
-            self.apply_one(rec.clone());
-            applied += 1;
         }
         applied
     }
@@ -919,8 +916,12 @@ impl LrcEngine {
     ///
     /// # Panics
     ///
-    /// Panics if an invalid page remains (the caller skipped validation).
+    /// Panics if an invalid page remains (the caller skipped validation),
+    /// or if a creator's interval log does not end at its `vt` component.
     pub fn gc_discard(&mut self) {
+        for (q, seen) in self.vt.iter() {
+            assert_eq!(self.intervals.next_index(q), seen + 1, "creator {q}'s log is not at vt");
+        }
         self.pages.collect(&self.vt);
         self.intervals.clear();
         self.diffs.clear();
@@ -989,7 +990,7 @@ mod tests {
 
         fn sync(&mut self, from: usize, to: usize) {
             let recs = self.0[from].records_newer_than(&self.0[to].vt().clone());
-            self.0[to].apply_records(&recs);
+            self.0[to].apply_records(recs);
         }
 
         /// The runtime's collection: close, equalise clocks, validate, discard.

@@ -46,10 +46,13 @@ impl Wire for IntervalRecord {
 }
 
 /// In-memory store of all interval records a node knows about (its own and
-/// those learned through acquires), ordered by `(node, index)`.
+/// those learned through acquires). A node learns each creator's intervals
+/// in index order only, so each creator's records are one dense log.
 #[derive(Debug, Default, Clone)]
 pub struct IntervalStore {
-    records: std::collections::BTreeMap<(u32, u32), IntervalRecord>,
+    /// Per creator `(base, records)`, `records[i]` having index `base + 1 + i`
+    /// (`base`: the creator's `vt` at the last collection).
+    logs: Vec<(u32, Vec<IntervalRecord>)>,
 }
 
 impl IntervalStore {
@@ -59,85 +62,91 @@ impl IntervalStore {
         Self::default()
     }
 
-    /// Inserts a record (idempotent: re-inserting the same key is a no-op).
+    /// The index the next record of creator `node` must have.
+    #[must_use]
+    pub fn next_index(&self, node: u32) -> u32 {
+        self.logs
+            .get(node as usize)
+            .map_or(1, |(base, records)| base + records.len() as u32 + 1)
+    }
+
+    /// Appends a record; an index already held (or collected) is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index skips past [`IntervalStore::next_index`]: a
+    /// gapped log would ship records no receiver can apply.
     pub fn insert(&mut self, rec: IntervalRecord) {
-        self.records.entry((rec.node, rec.index)).or_insert(rec);
+        let (node, index, next) = (rec.node, rec.index, self.next_index(rec.node));
+        assert!(index <= next, "interval log gap: creator {node} index {index}, expected {next}");
+        if index == next {
+            self.reserve(node, 1);
+            self.logs[node as usize].1.push(rec);
+        }
+    }
+
+    /// Makes room for `additional` more records of creator `node`, so a
+    /// batch grows each log at most once.
+    pub(crate) fn reserve(&mut self, node: u32, additional: usize) {
+        let q = node as usize;
+        if q >= self.logs.len() {
+            self.logs.resize_with(q + 1, Default::default);
+        }
+        self.logs[q].1.reserve(additional);
     }
 
     /// Looks up a record by creator and index.
     #[must_use]
     pub fn get(&self, node: u32, index: u32) -> Option<&IntervalRecord> {
-        self.records.get(&(node, index))
+        self.range(node, index, index).first()
     }
 
     /// The stored records of creator `node` with index in `lo..=hi`,
-    /// ascending — one tree walk instead of a lookup per index.
-    pub fn range(&self, node: u32, lo: u32, hi: u32) -> impl Iterator<Item = &IntervalRecord> {
-        // `BTreeMap::range` panics on a reversed span; treat it as empty.
-        (lo <= hi)
-            .then(|| self.records.range((node, lo)..=(node, hi)))
-            .into_iter()
-            .flatten()
-            .map(|(_, rec)| rec)
+    /// ascending.
+    #[must_use]
+    pub fn range(&self, node: u32, lo: u32, hi: u32) -> &[IntervalRecord] {
+        let Some((base, records)) = self.logs.get(node as usize) else {
+            return &[];
+        };
+        let start = lo.saturating_sub(base + 1) as usize;
+        let end = (hi.saturating_sub(*base) as usize).min(records.len());
+        records.get(start..end).unwrap_or_default()
     }
 
     /// Number of stored records (GC pressure metric).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.logs.iter().map(|(_, records)| records.len()).sum()
     }
 
     /// True when no records are stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// All records strictly newer than `have`, i.e. records whose index
     /// exceeds `have[creator]`. This is exactly the consistency information
     /// a RELEASE message must carry to a receiver whose state is `have`.
-    ///
-    /// Cost is O(output + nodes·log n), not O(all records ever seen): for
-    /// each creator present in the store, only the `(creator, have+1)..`
-    /// suffix is visited, exactly like [`IntervalStore::own_newer_than`].
-    /// Output order (node-major, index-ascending) matches the historical
-    /// full-scan implementation byte for byte.
+    /// Node-major, index-ascending.
     #[must_use]
     pub fn newer_than(&self, have: &Vc) -> Vec<IntervalRecord> {
-        self.suffix_scan(have, None)
+        self.scan(have, None)
     }
 
     /// Like [`IntervalStore::newer_than`] but bounded above by `through`,
     /// used to serve "missing consistency information" requests.
     #[must_use]
     pub fn newer_than_bounded(&self, have: &Vc, through: &Vc) -> Vec<IntervalRecord> {
-        self.suffix_scan(have, Some(through))
+        self.scan(have, Some(through))
     }
 
-    /// Shared per-node suffix walk: for every creator node present in the
-    /// store, clone records with `have[node] < index` (and, when bounded,
-    /// `index <= through[node]`). Creators are discovered from the key
-    /// space itself, so the walk never depends on the vector-clock width.
-    fn suffix_scan(&self, have: &Vc, through: Option<&Vc>) -> Vec<IntervalRecord> {
+    /// One slice per creator: indices in `(have, through]`.
+    fn scan(&self, have: &Vc, through: Option<&Vc>) -> Vec<IntervalRecord> {
         let mut out = Vec::new();
-        let mut from: Option<u32> = Some(0);
-        while let Some(start_node) = from {
-            // First record at or beyond `start_node` tells us the next
-            // creator that actually has records.
-            let Some((&(node, _), _)) = self.records.range((start_node, 0)..).next() else {
-                break;
-            };
-            if let Some(lo) = have.get(node).checked_add(1) {
-                let hi = through.map_or(u32::MAX, |t| t.get(node));
-                if lo <= hi {
-                    out.extend(
-                        self.records
-                            .range((node, lo)..=(node, hi))
-                            .map(|(_, r)| r.clone()),
-                    );
-                }
-            }
-            from = node.checked_add(1);
+        for q in 0..self.logs.len() as u32 {
+            let hi = through.map_or(u32::MAX, |t| t.get(q));
+            out.extend_from_slice(self.range(q, have.get(q).saturating_add(1), hi));
         }
         out
     }
@@ -146,15 +155,15 @@ impl IntervalStore {
     /// non-transitive (RELEASE_NT) payload.
     #[must_use]
     pub fn own_newer_than(&self, node: u32, have: &Vc) -> Vec<IntervalRecord> {
-        self.records
-            .range((node, have.get(node) + 1)..=(node, u32::MAX))
-            .map(|(_, r)| r.clone())
-            .collect()
+        self.range(node, have.get(node).saturating_add(1), u32::MAX).to_vec()
     }
 
-    /// Discards everything (global garbage collection).
+    /// Discards every record (global garbage collection); next indices stay.
     pub fn clear(&mut self) {
-        self.records.clear();
+        for (base, records) in &mut self.logs {
+            *base += records.len() as u32;
+            records.clear();
+        }
     }
 }
 
@@ -193,14 +202,35 @@ mod tests {
     #[test]
     fn range_walks_one_creator_in_index_order() {
         let mut s = IntervalStore::new();
-        for (node, index) in [(0, 1), (0, 2), (0, 4), (1, 2), (1, 3)] {
-            s.insert(rec(node, index, vec![], 2));
+        for (node, last) in [(0, 4), (1, 3)] {
+            for index in 1..=last {
+                s.insert(rec(node, index, vec![], 2));
+            }
         }
-        let indices = |node, lo, hi| s.range(node, lo, hi).map(|r| r.index).collect::<Vec<_>>();
-        assert_eq!(indices(0, 2, 9), vec![2, 4]);
-        assert_eq!(indices(1, 0, 2), vec![2]);
-        assert_eq!(indices(0, 3, 2), Vec::<u32>::new());
-        assert_eq!(indices(2, 0, u32::MAX), Vec::<u32>::new());
+        let indices = |s: &IntervalStore, node, lo, hi| {
+            s.range(node, lo, hi).iter().map(|r| r.index).collect::<Vec<_>>()
+        };
+        assert_eq!(indices(&s, 0, 2, 9), vec![2, 3, 4]);
+        assert_eq!(indices(&s, 1, 0, 2), vec![1, 2]);
+        assert_eq!(indices(&s, 0, 3, 2), Vec::<u32>::new());
+        assert_eq!(indices(&s, 2, 0, u32::MAX), Vec::<u32>::new());
+        // After a collection each log resumes at its creator's next index.
+        s.clear();
+        assert_eq!((s.next_index(0), s.next_index(1), s.next_index(2)), (5, 4, 1));
+        s.insert(rec(0, 5, vec![], 2));
+        s.insert(rec(0, 6, vec![], 2));
+        assert_eq!(indices(&s, 0, 0, 5), vec![5]);
+        assert_eq!(indices(&s, 0, 6, u32::MAX), vec![6]);
+        assert!(s.get(0, 4).is_none());
+        assert_eq!(s.get(0, 6).map(|r| r.index), Some(6));
+    }
+
+    #[test]
+    #[should_panic(expected = "creator 1 index 3, expected 2")]
+    fn gapped_insert_panics() {
+        let mut s = IntervalStore::new();
+        s.insert(rec(1, 1, vec![], 2));
+        s.insert(rec(1, 3, vec![], 2));
     }
 
     #[test]
@@ -244,11 +274,17 @@ mod tests {
         let mut s = IntervalStore::new();
         s.insert(rec(0, 1, vec![], 2));
         s.insert(rec(0, 2, vec![], 2));
-        s.insert(rec(1, 5, vec![], 2));
-        let have = Vc::new(2);
+        for index in 1..=5 {
+            s.insert(rec(1, index, vec![], 2));
+        }
+        let mut have = Vc::new(2);
         let own = s.own_newer_than(0, &have);
         assert_eq!(own.len(), 2);
         assert!(own.iter().all(|r| r.node == 0));
+        have.set(0, 1);
+        have.set(1, 4);
+        let own = s.own_newer_than(1, &have);
+        assert_eq!(own.iter().map(|r| (r.node, r.index)).collect::<Vec<_>>(), vec![(1, 5)]);
     }
 
     #[test]

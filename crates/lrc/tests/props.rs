@@ -146,7 +146,7 @@ fn sync_release(engines: &mut [LrcEngine], from: usize, to: usize) {
     let have = engines[to].vt().clone();
     let records = engines[from].records_newer_than(&have);
     engines[to].close_interval();
-    engines[to].apply_records(&records);
+    engines[to].apply_records(records);
 }
 
 proptest! {
@@ -485,62 +485,96 @@ mod granule_validation {
     }
 }
 
-/// Reference implementation of the interval-store suffix scans: the
-/// historical full-store linear walk. The optimized per-node range scans
-/// must return byte-identical output (same records, same order) for any
-/// store contents and any `have`/`through` clocks.
+/// The dense interval log against the ordered map it replaced, keyed by
+/// `(creator, index)`: the same random per-creator appends, re-inserts of
+/// held indices and collections, then every query compared for any
+/// `have` / `through` clocks — same records, same order.
 mod interval_scan_equivalence {
+    use std::collections::BTreeMap;
+
     use super::*;
     use carlos_lrc::interval::{IntervalRecord, IntervalStore};
 
-    fn linear_newer_than(s: &IntervalStore, have: &Vc) -> Vec<IntervalRecord> {
-        let mut out = Vec::new();
-        for node in 0..64u32 {
-            for idx in 1..=80u32 {
-                if let Some(r) = s.get(node, idx) {
-                    if r.index > have.get(r.node) {
-                        out.push(r.clone());
-                    }
-                }
-            }
-        }
-        out
+    const NODES: u32 = 6;
+
+    fn rec(node: u32, index: u32, tag: u32) -> IntervalRecord {
+        let mut vc = Vc::new(NODES as usize);
+        vc.set(node, index);
+        IntervalRecord { node, index, vc, pages: vec![tag] }
     }
 
-    fn linear_newer_than_bounded(
-        s: &IntervalStore,
-        have: &Vc,
-        through: &Vc,
+    /// The map's answer: its records in key order, filtered.
+    fn scan(
+        map: &BTreeMap<(u32, u32), IntervalRecord>,
+        keep: impl Fn(&IntervalRecord) -> bool,
     ) -> Vec<IntervalRecord> {
-        linear_newer_than(s, have)
-            .into_iter()
-            .filter(|r| r.index <= through.get(r.node))
-            .collect()
+        map.values().filter(|r| keep(r)).cloned().collect()
+    }
+
+    fn clock(raw: &[u32]) -> Vc {
+        let mut vc = Vc::new(NODES as usize);
+        for (q, &v) in raw.iter().enumerate() {
+            vc.set(q as u32, v);
+        }
+        vc
     }
 
     proptest! {
         #[test]
         fn range_scan_matches_linear_scan(
-            recs in proptest::collection::vec((0u32..6, 1u32..80), 0..120),
-            have_raw in proptest::collection::vec(0u32..90, 6),
-            through_raw in proptest::collection::vec(0u32..90, 6),
+            ops in proptest::collection::vec((0u8..8, 0..NODES, any::<u32>()), 0..160),
+            have_raw in proptest::collection::vec(0u32..40, NODES as usize),
+            through_raw in proptest::collection::vec(0u32..40, NODES as usize),
         ) {
             let mut store = IntervalStore::new();
-            for &(node, index) in &recs {
-                let mut vc = Vc::new(6);
-                vc.set(node, index);
-                store.insert(IntervalRecord { node, index, vc, pages: vec![node + index] });
+            let mut map: BTreeMap<(u32, u32), IntervalRecord> = BTreeMap::new();
+            let mut next = [1u32; NODES as usize];
+            for (kind, node, tag) in ops {
+                match kind {
+                    // A held index again, other contents: the first record stays.
+                    0 | 1 => {
+                        let held: Vec<u32> =
+                            map.keys().filter(|k| k.0 == node).map(|k| k.1).collect();
+                        if !held.is_empty() {
+                            let r = rec(node, held[tag as usize % held.len()], tag);
+                            store.insert(r.clone());
+                            map.entry((node, r.index)).or_insert(r);
+                        }
+                    }
+                    2 => {
+                        store.clear();
+                        map.clear();
+                    }
+                    _ => {
+                        let r = rec(node, next[node as usize], tag);
+                        next[node as usize] += 1;
+                        store.insert(r.clone());
+                        map.insert((node, r.index), r);
+                    }
+                }
             }
-            let mut have = Vc::new(6);
-            let mut through = Vc::new(6);
-            for (i, (&h, &t)) in have_raw.iter().zip(&through_raw).enumerate() {
-                have.set(i as u32, h);
-                through.set(i as u32, t);
+            let (have, through) = (clock(&have_raw), clock(&through_raw));
+            prop_assert_eq!(store.len(), map.len());
+            prop_assert_eq!(store.is_empty(), map.is_empty());
+            for q in 0..NODES {
+                prop_assert_eq!(store.next_index(q), next[q as usize]);
+                for i in 0..next[q as usize] + 2 {
+                    prop_assert_eq!(store.get(q, i), map.get(&(q, i)));
+                }
+                let (lo, hi) = (have.get(q), through.get(q));
+                prop_assert_eq!(
+                    store.range(q, lo, hi).to_vec(),
+                    scan(&map, |r| r.node == q && (lo..=hi).contains(&r.index))
+                );
+                prop_assert_eq!(
+                    store.own_newer_than(q, &have),
+                    scan(&map, |r| r.node == q && r.index > have.get(q))
+                );
             }
-            prop_assert_eq!(store.newer_than(&have), linear_newer_than(&store, &have));
+            prop_assert_eq!(store.newer_than(&have), scan(&map, |r| r.index > have.get(r.node)));
             prop_assert_eq!(
                 store.newer_than_bounded(&have, &through),
-                linear_newer_than_bounded(&store, &have, &through)
+                scan(&map, |r| r.index > have.get(r.node) && r.index <= through.get(r.node))
             );
         }
     }
@@ -953,7 +987,8 @@ mod sparse_table_equivalence {
             let have = self.real[to].vt().clone();
             let recs = self.real[from].records_newer_than(&have);
             prop_assert_eq!(&recs, &self.dense[from].intervals.newer_than(&have));
-            prop_assert_eq!(self.real[to].apply_records(&recs), self.dense[to].apply_records(&recs));
+            let dense = self.dense[to].apply_records(&recs);
+            prop_assert_eq!(self.real[to].apply_records(recs), dense);
             prop_assert_eq!(self.real[to].take_eager_invalid(), self.dense[to].take_eager_invalid());
         }
 

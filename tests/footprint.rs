@@ -2,12 +2,15 @@
 //! the address space: constructing an engine is O(1) allocations and a
 //! few bytes per granule, reads of never-written owner memory materialise
 //! nothing, and each first mutation materialises exactly one entry. A
-//! diff's footprint follows its bytes, not its run count.
+//! diff's footprint follows its bytes, not its run count. Accepting a
+//! RELEASE moves its records into the interval log instead of copying them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use carlos::lrc::{Diff, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec};
+use carlos::lrc::{
+    Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
+};
 use carlos::util::codec::Wire;
 
 /// Counts this thread's allocations (the test harness runs tests on
@@ -137,7 +140,7 @@ fn each_first_mutation_materialises_exactly_one_entry() {
     assert_eq!(owner.resident_pages(), 1);
 
     // A foreign write notice.
-    assert_eq!(other.apply_records(std::slice::from_ref(&rec)), 1);
+    assert_eq!(other.apply_records(vec![rec]), 1);
     assert_eq!(other.resident_pages(), 1);
     assert_eq!(other.page_state(3), PageState::Missing);
 
@@ -197,4 +200,46 @@ fn a_diff_is_one_buffer_however_many_runs_it_has() {
         );
     }
     assert!(std::mem::size_of::<Diff>() <= 24);
+}
+
+/// Allocations made by applying a decoded RELEASE batch of `k` records
+/// from one writer, on a reader that already holds a current copy of every
+/// page the notices name (so no entry materialises and nothing is
+/// invalidated).
+fn release_apply_allocs(k: u32) -> usize {
+    let cfg = LrcConfig::small_test(2);
+    let mut writer = LrcEngine::new(0, cfg.clone());
+    let mut reader = LrcEngine::new(1, cfg);
+    for i in 0..k {
+        writer
+            .write(i as usize % 4 * 64, &[i as u8 + 1])
+            .expect("owner write");
+        writer.close_interval().expect("one dirty page");
+    }
+    for page in 0..4 {
+        let (data, applied) = writer.serve_page(page);
+        assert!(reader.install_page(page, data, applied));
+    }
+    let wire: Vec<Vec<u8>> = writer
+        .records_newer_than(reader.vt())
+        .iter()
+        .map(Wire::to_wire)
+        .collect();
+    let batch: Vec<IntervalRecord> = wire
+        .iter()
+        .map(|w| IntervalRecord::from_wire(w).expect("own encoding"))
+        .collect();
+    let (applied, allocs, _) = counted(|| reader.apply_records(batch));
+    assert_eq!(applied, k as usize);
+    assert_eq!(reader.vt(), writer.vt());
+    allocs
+}
+
+#[test]
+fn applying_a_release_batch_allocates_nothing_per_record() {
+    let (small, large) = (release_apply_allocs(16), release_apply_allocs(64));
+    assert_eq!(
+        small, large,
+        "16 records: {small} allocations; 64 records: {large}"
+    );
 }
