@@ -16,7 +16,7 @@ fi
 # Rc / RefCell / Cell. (std::sync::Once for the panic hook stays allowed;
 # the word bounds spare carlos-sync's DSM `CondvarSpec`.)
 if grep -rEn '\b(Mutex|RwLock|Condvar)\b|Atomic|parking_lot|Arc<|Arc::' \
-    crates/{sim,lrc,core,sync,check,trace,apps}/src; then
+    crates/{util,sim,lrc,core,sync,check,trace,apps}/src; then
     echo "no locks, atomics or Arc in the crates a run executes" >&2
     exit 1
 fi
@@ -30,7 +30,7 @@ cargo test -q
 echo "==> cargo clippy -D warnings (hot-path + hardened crates)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
     -p carlos-sync -p carlos-check -p carlos-trace -p carlos-bench \
-    -p carlos-explore -p carlos-serve -p bytes \
+    -p carlos-explore -p carlos-serve \
     -p criterion -p proptest --all-targets -- -D warnings
 
 echo "==> chaos profile (scripted faults + pinned fingerprints)"
@@ -137,6 +137,19 @@ for id in newer_than_8_of_4x2000 apply_64_decoded; do
     ns=$(median_ns interval_log "$id")
     base=$(median_ns interval_log "$id" "$committed")
     echo "==> interval log $id: ${ns} ns (committed ${base})"
+    awk -v ns="$ns" -v c="$(ratio calib_ms)" \
+        -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
+        'BEGIN { exit !(ns > 0 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
+done
+
+# Codec gate (a 4-creator RELEASE of 8 records: encoded with transport
+# headroom, and decoded back): each stays within 3x of the committed time,
+# normalised like the gates above. The benchmark builds without LTO, so a
+# codec function that loses its `#[inline]` shows here as a call per field.
+for id in encode_framed decode; do
+    ns=$(median_ns codec "$id")
+    base=$(median_ns codec "$id" "$committed")
+    echo "==> codec $id: ${ns} ns (committed ${base})"
     awk -v ns="$ns" -v c="$(ratio calib_ms)" \
         -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
         'BEGIN { exit !(ns > 0 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'

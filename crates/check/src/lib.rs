@@ -44,7 +44,6 @@ use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use carlos_core::Runtime;
 use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
 use carlos_sim::{Cluster, NodeId, Ns, WireObserver};
@@ -312,14 +311,14 @@ impl WireObserver for Checker {
         self.sink_passive(found);
     }
 
-    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
+    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
         self.inner
             .borrow_mut()
             .deliveries
             .on_sent(src, dst, at, payload);
     }
 
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
+    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
         self.inner
             .borrow_mut()
             .deliveries
@@ -332,7 +331,7 @@ impl WireObserver for Checker {
         dst: NodeId,
         sent_at: Ns,
         delivered_at: Ns,
-        payload: &Bytes,
+        payload: &[u8],
     ) {
         self.inner
             .borrow_mut()

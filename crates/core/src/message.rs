@@ -1,6 +1,6 @@
 //! User-level message representation and wire format.
 
-use carlos_lrc::{DiffRecord, IntervalRecord, Vc};
+use carlos_lrc::{vc::wire_component, DiffRecord, IntervalRecord, Vc};
 use carlos_sim::transport::FrameBuf;
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
@@ -89,8 +89,8 @@ impl Message {
 
     /// Encodes like [`Message::to_wire_bytes`], but with transport-header
     /// headroom reserved in front so the transport frames the message in
-    /// place — the encoder's buffer becomes the wire datagram (and, under
-    /// ARQ, the retransmission-queue entry) without further copying.
+    /// place — the encoder's buffer becomes the wire datagram without
+    /// further copying.
     #[must_use]
     pub fn to_framed(&self, pad: usize) -> FrameBuf {
         self.to_framed_with(pad, false)
@@ -104,7 +104,7 @@ impl Message {
         let mut enc = Encoder::with_capacity(FrameBuf::HEADROOM + self.size_hint(pad));
         enc.put_raw(&[0u8; FrameBuf::HEADROOM]);
         self.encode_into(&mut enc, pad, aggregate);
-        FrameBuf::from_reserved(enc.finish_mut())
+        FrameBuf::from_reserved(enc.finish_vec())
     }
 
     /// The size of the legacy encoding (the aggregated one differs by a
@@ -231,13 +231,6 @@ impl Message {
     }
 }
 
-/// Saturating 16-bit view of a vector-clock component — exactly what the
-/// legacy `Vc` encoding puts on the wire, so the aggregated form is a
-/// lossless re-encode of the same information.
-fn vc_sat16(v: u32) -> u16 {
-    u16::try_from(v).unwrap_or(u16::MAX)
-}
-
 /// Encodes `records` in the aggregated write-notice form: consecutive
 /// records from the same creator form a group; the group's first record
 /// carries its full vector clock, and every later record carries only the
@@ -256,15 +249,12 @@ fn encode_aggregated_records(enc: &mut Encoder, records: &[IntervalRecord]) {
             match prev {
                 None => rec.vc.encode(enc),
                 Some(p) => {
-                    let changed: Vec<(u32, u32)> = rec
-                        .vc
-                        .iter()
-                        .filter(|&(n, v)| vc_sat16(v) != vc_sat16(p.get(n)))
-                        .collect();
+                    let changed: Vec<(u32, u32)> =
+                        rec.vc.iter().filter(|&(n, v)| v != p.get(n)).collect();
                     enc.put_u16(changed.len() as u16);
                     for (n, v) in changed {
                         enc.put_u16(n as u16);
-                        enc.put_u16(vc_sat16(v));
+                        enc.put_u16(wire_component(n, v));
                     }
                 }
             }
@@ -275,8 +265,7 @@ fn encode_aggregated_records(enc: &mut Encoder, records: &[IntervalRecord]) {
 }
 
 /// Decodes the aggregated write-notice form back into the exact record
-/// sequence [`encode_aggregated_records`] was given (modulo the u16
-/// saturation the legacy encoding also applies).
+/// sequence [`encode_aggregated_records`] was given.
 fn decode_aggregated_records(dec: &mut Decoder<'_>) -> Result<Vec<IntervalRecord>, DecodeError> {
     let n_groups = dec.get_u32()? as usize;
     if n_groups > dec.remaining() {

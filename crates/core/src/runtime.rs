@@ -1667,9 +1667,6 @@ impl Runtime {
 /// nothing to drop).
 #[cfg(any(test, feature = "seeded-bugs"))]
 fn seeded_drop_notice_clock(msg: &Message) -> Option<Message> {
-    fn sat16(v: u32) -> u16 {
-        u16::try_from(v).unwrap_or(u16::MAX)
-    }
     let Consistency::Release { records, .. } = &msg.consistency else {
         return None;
     };
@@ -1681,7 +1678,7 @@ fn seeded_drop_notice_clock(msg: &Message) -> Option<Message> {
         let target = rec
             .vc
             .iter()
-            .find(|&(n, v)| n != rec.node && sat16(v) != sat16(prev.vc.get(n)));
+            .find(|&(n, v)| n != rec.node && v != prev.vc.get(n));
         if let Some((n, _)) = target {
             let mut mutated = msg.clone();
             if let Consistency::Release { records, .. } = &mut mutated.consistency {

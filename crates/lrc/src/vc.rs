@@ -25,6 +25,7 @@ enum Repr {
 pub struct Vc(Repr);
 
 impl Clone for Vc {
+    #[inline]
     fn clone(&self) -> Self {
         Self(self.0.clone())
     }
@@ -62,6 +63,7 @@ impl std::fmt::Debug for Vc {
 impl Vc {
     /// The zero timestamp for an `n`-node cluster.
     #[must_use]
+    #[inline]
     pub fn new(n: usize) -> Self {
         if n > INLINE {
             return Self(Repr::Heap(vec![0; n]));
@@ -72,6 +74,7 @@ impl Vc {
         })
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u32] {
         match &self.0 {
             Repr::Inline { len, vals } => &vals[..usize::from(*len)],
@@ -79,6 +82,7 @@ impl Vc {
         }
     }
 
+    #[inline]
     fn as_mut_slice(&mut self) -> &mut [u32] {
         match &mut self.0 {
             Repr::Inline { len, vals } => &mut vals[..usize::from(*len)],
@@ -88,6 +92,7 @@ impl Vc {
 
     /// Number of nodes this timestamp covers.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.as_slice().len()
     }
@@ -104,6 +109,7 @@ impl Vc {
     ///
     /// Panics if `node` is out of range.
     #[must_use]
+    #[inline]
     pub fn get(&self, node: u32) -> u32 {
         self.as_slice()[node as usize]
     }
@@ -113,11 +119,13 @@ impl Vc {
     /// # Panics
     ///
     /// Panics if `node` is out of range.
+    #[inline]
     pub fn set(&mut self, node: u32, v: u32) {
         self.as_mut_slice()[node as usize] = v;
     }
 
     /// Increments the component for `node` and returns the new value.
+    #[inline]
     pub fn bump(&mut self, node: u32) -> u32 {
         let c = &mut self.as_mut_slice()[node as usize];
         *c += 1;
@@ -130,6 +138,7 @@ impl Vc {
     ///
     /// Panics if the lengths differ.
     #[must_use]
+    #[inline]
     pub fn dominates(&self, other: &Vc) -> bool {
         assert_eq!(self.len(), other.len(), "vector timestamp size mismatch");
         self.as_slice()
@@ -149,6 +158,7 @@ impl Vc {
     /// # Panics
     ///
     /// Panics if the lengths differ.
+    #[inline]
     pub fn join(&mut self, other: &Vc) {
         assert_eq!(self.len(), other.len(), "vector timestamp size mismatch");
         for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
@@ -165,6 +175,7 @@ impl Vc {
     }
 
     /// Iterates `(node, component)` pairs.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.as_slice()
             .iter()
@@ -175,22 +186,45 @@ impl Vc {
     /// Size in bytes of the wire encoding: a `u16` count and "two bytes
     /// per node" (§5.4).
     #[must_use]
+    #[inline]
     pub fn wire_len(&self) -> usize {
         2 + 2 * self.len()
     }
 }
 
+/// A clock component as the wire carries it: the paper notes the
+/// timestamp costs "two bytes per node" (§5.4), so each component is a
+/// `u16`.
+///
+/// # Panics
+///
+/// Panics, naming the component, if `v` does not fit in 16 bits:
+/// saturating it would make the receiver decode a different clock.
+#[must_use]
+#[inline]
+pub fn wire_component(node: u32, v: u32) -> u16 {
+    match u16::try_from(v) {
+        Ok(c) => c,
+        Err(_) => component_overflow(node, v),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn component_overflow(node: u32, v: u32) -> ! {
+    panic!("vector-clock component {node} is {v}, past the 16-bit wire encoding")
+}
+
 impl Wire for Vc {
+    #[inline]
     fn encode(&self, enc: &mut Encoder) {
-        // The paper notes the timestamp costs "two bytes per node" on the
-        // wire (§5.4); we use u16 components in the encoding to match, with
-        // a saturation guard for pathological runs.
         enc.put_u16(self.len() as u16);
-        for &v in self.as_slice() {
-            enc.put_u16(u16::try_from(v).unwrap_or(u16::MAX));
+        for (n, v) in self.iter() {
+            enc.put_u16(wire_component(n, v));
         }
     }
 
+    #[inline]
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         let mut vc = Self::new(dec.get_u16()? as usize);
         for c in vc.as_mut_slice() {
@@ -268,6 +302,14 @@ mod tests {
         assert_eq!(back, vc);
         // Two bytes per node plus the two-byte count, as §5.4 describes.
         assert_eq!(vc.wire_size(), 2 + 4 * 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "vector-clock component 2 is 65536")]
+    fn a_component_past_16_bits_does_not_encode() {
+        let mut vc = Vc::new(4);
+        vc.set(2, 65_536);
+        let _ = vc.to_wire();
     }
 
     #[test]

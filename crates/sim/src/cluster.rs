@@ -7,8 +7,6 @@ use std::{
     rc::Rc,
 };
 
-use bytes::Bytes;
-
 use crate::{
     config::SimConfig,
     coro::{self, Coroutine},
@@ -42,13 +40,13 @@ pub trait WireObserver {
     /// A datagram from `src` was handed to the wire toward `dst` at `at`
     /// (it may still be dropped). Fired from the sender's context, with the
     /// kernel borrowed. Default: ignored.
-    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
+    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
         let _ = (src, dst, at, payload);
     }
 
     /// A datagram from `src` toward `dst` was dropped by loss injection
     /// (uniform, burst, or partition) at send time. Default: ignored.
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &Bytes) {
+    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
         let _ = (src, dst, at, payload);
     }
 
@@ -62,7 +60,7 @@ pub trait WireObserver {
         dst: NodeId,
         sent_at: Ns,
         delivered_at: Ns,
-        payload: &Bytes,
+        payload: &[u8],
     ) {
         let _ = (src, dst, sent_at, delivered_at, payload);
     }
@@ -74,9 +72,9 @@ pub struct Datagram {
     /// Sending node.
     pub src: NodeId,
     /// Payload bytes (transport headers included; wire frame headers not).
-    /// A shared handle: forwarding or retransmitting a datagram clones the
-    /// handle, not the bytes.
-    pub payload: Bytes,
+    /// The sender's buffer itself: it moves through the event queue and
+    /// the mailbox without being copied.
+    pub payload: Vec<u8>,
     /// Virtual time at which the sender handed the datagram to the wire.
     pub sent_at: Ns,
 }
@@ -548,8 +546,7 @@ impl NodeCtx {
     /// counted in network statistics. The call is asynchronous: it returns
     /// once the local send processing is done, not when the datagram
     /// arrives.
-    pub fn send_datagram(&self, dst: NodeId, payload: impl Into<Bytes>) {
-        let payload = payload.into();
+    pub fn send_datagram(&self, dst: NodeId, payload: Vec<u8>) {
         assert!(
             (dst as usize) < self.n_nodes,
             "datagram to unknown node {dst}"

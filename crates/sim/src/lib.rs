@@ -67,4 +67,4 @@ pub use fault::{FaultPlan, FaultSpec, GeParams};
 pub use schedule::{FlowId, SchedulePlan};
 pub use stats::{Bucket, ClassStats, Counters, FrameClasses, NetStats, TimeBuckets};
 pub use time::{NodeId, Ns};
-pub use transport::{AckMode, ArqTuning, FrameBuf, Transport, TransportObserver};
+pub use transport::{AckMode, ArqTuning, Body, FrameBuf, Transport, TransportObserver};

@@ -18,10 +18,9 @@
 
 use std::{
     collections::{BTreeMap, VecDeque},
+    ops::Deref,
     rc::Rc,
 };
-
-use bytes::{BufMut, Bytes, BytesMut};
 
 use carlos_util::rng::SplitMix64;
 
@@ -127,16 +126,18 @@ impl Default for ArqTuning {
 
 /// An outgoing message body with transport-header headroom in front.
 ///
-/// Framing writes the 5-byte header into the headroom in place and freezes
-/// the buffer once, so the wire copy, the ARQ retransmission queue, and any
-/// store-and-forward hop all share one allocation ([`Bytes`] clones are
-/// O(1)). Senders that already encode through [`carlos_util::codec::Encoder`]
-/// should reserve [`FrameBuf::HEADROOM`] placeholder bytes up front and wrap
-/// the result with [`FrameBuf::from_reserved`]; anything else (tests, raw
-/// byte payloads) converts via `From<Vec<u8>>` / [`FrameBuf::from_body`],
-/// which pays one copy.
+/// Framing writes the 5-byte header into the headroom in place, so the
+/// buffer a sender encoded into is the datagram that crosses the wire: one
+/// allocation per frame. The frame is owned all the way to the receiving
+/// transport, which reads the body past the header ([`Body`]). Only ARQ's
+/// go-back-N queue holds a second copy of a frame. Senders that already
+/// encode through [`carlos_util::codec::Encoder`] should reserve
+/// [`FrameBuf::HEADROOM`] placeholder bytes up front and wrap the result
+/// with [`FrameBuf::from_reserved`]; anything else (tests, raw byte
+/// payloads) converts via `From<Vec<u8>>` / [`FrameBuf::from_body`], which
+/// pays one copy.
 #[derive(Debug)]
-pub struct FrameBuf(BytesMut);
+pub struct FrameBuf(Vec<u8>);
 
 impl FrameBuf {
     /// Placeholder bytes a pre-reserved buffer must carry in front of the
@@ -150,7 +151,7 @@ impl FrameBuf {
     ///
     /// Panics if `buf` is shorter than the headroom.
     #[must_use]
-    pub fn from_reserved(buf: BytesMut) -> Self {
+    pub fn from_reserved(buf: Vec<u8>) -> Self {
         assert!(
             buf.len() >= Self::HEADROOM,
             "frame buffer missing header headroom"
@@ -161,17 +162,17 @@ impl FrameBuf {
     /// Copies `body` into a fresh buffer behind header headroom.
     #[must_use]
     pub fn from_body(body: &[u8]) -> Self {
-        let mut buf = BytesMut::with_capacity(Self::HEADROOM + body.len());
-        buf.put_slice(&[0u8; Self::HEADROOM]);
-        buf.put_slice(body);
+        let mut buf = Vec::with_capacity(Self::HEADROOM + body.len());
+        buf.extend_from_slice(&[0u8; Self::HEADROOM]);
+        buf.extend_from_slice(body);
         Self(buf)
     }
 
-    /// Fills in the header and freezes the frame for the wire.
-    fn seal(mut self, kind: u8, seq: u32) -> Bytes {
+    /// Fills in the header and hands the frame over for the wire.
+    fn seal(mut self, kind: u8, seq: u32) -> Vec<u8> {
         self.0[0] = kind;
         self.0[1..HEADER_BYTES].copy_from_slice(&seq.to_le_bytes());
-        self.0.freeze()
+        self.0
     }
 }
 
@@ -187,25 +188,38 @@ impl From<&[u8]> for FrameBuf {
     }
 }
 
-fn frame_ack(cum: u32) -> Bytes {
+/// A delivered message: the received data frame, read past its transport
+/// header (the header is skipped, not copied away).
+#[derive(Debug)]
+pub struct Body(Vec<u8>);
+
+impl Deref for Body {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[HEADER_BYTES..]
+    }
+}
+
+fn frame_ack(cum: u32) -> Vec<u8> {
     FrameBuf::from_body(&[]).seal(KIND_ACK, cum)
 }
 
-fn frame_ping() -> Bytes {
+fn frame_ping() -> Vec<u8> {
     FrameBuf::from_body(&[]).seal(KIND_PING, 0)
 }
 
-fn frame_pong() -> Bytes {
+fn frame_pong() -> Vec<u8> {
     FrameBuf::from_body(&[]).seal(KIND_PONG, 0)
 }
 
 #[derive(Debug, Default)]
 struct PeerTx {
     next_seq: u32,
-    /// Sent but unacknowledged `(seq, sealed frame)` in seq order. Storing
-    /// the sealed frame means retransmission is an O(1) handle clone of the
-    /// bytes already sent, not a re-framing copy.
-    unacked: VecDeque<(u32, Bytes)>,
+    /// Sent but unacknowledged `(seq, sealed frame)` in seq order: a copy
+    /// of each frame sent, so a retransmission re-sends the same bytes
+    /// without re-framing.
+    unacked: VecDeque<(u32, Vec<u8>)>,
     /// Waiting for window space (not yet framed: no sequence number yet).
     queued: VecDeque<FrameBuf>,
     /// Absolute deadline of the pending retransmission timer.
@@ -225,7 +239,7 @@ struct PeerTx {
 struct PeerRx {
     next_seq: u32,
     /// Out-of-order arrivals awaiting the gap to fill.
-    reorder: BTreeMap<u32, Bytes>,
+    reorder: BTreeMap<u32, Body>,
 }
 
 /// Reliable in-order transport endpoint for one node.
@@ -239,7 +253,7 @@ pub struct Transport {
     tuning: ArqTuning,
     tx: Vec<PeerTx>,
     rx: Vec<PeerRx>,
-    ready: VecDeque<(NodeId, Bytes)>,
+    ready: VecDeque<(NodeId, Body)>,
     obs: Option<Rc<dyn TransportObserver>>,
 }
 
@@ -386,14 +400,14 @@ impl Transport {
 
     /// Returns the next ready user message without blocking, after draining
     /// any datagrams already in the mailbox.
-    pub fn poll(&mut self) -> Option<(NodeId, Bytes)> {
+    pub fn poll(&mut self) -> Option<(NodeId, Body)> {
         self.drain_mailbox();
         self.ready.pop_front()
     }
 
     /// Blocks until a user message is available or `deadline` (absolute
     /// virtual time) passes. Drives retransmission timers while waiting.
-    pub fn wait(&mut self, deadline: Option<Ns>) -> Option<(NodeId, Bytes)> {
+    pub fn wait(&mut self, deadline: Option<Ns>) -> Option<(NodeId, Body)> {
         loop {
             if let Some(m) = self.poll() {
                 return Some(m);
@@ -523,12 +537,12 @@ impl Transport {
                 continue;
             }
             // Go-back-N: retransmit everything unacknowledged. The frames
-            // were sealed at first transmission, so each retransmit is an
-            // O(1) handle clone of the original bytes. Retransmission
-            // continues even once the peer is flagged down — at the capped
-            // backoff interval it doubles as a cheap reprobe, so a healed
-            // partition recovers without explicit reconnection.
-            let frames: Vec<(u32, Bytes)> = self.tx[dst].unacked.iter().cloned().collect();
+            // were sealed at first transmission, so each retransmit is a
+            // copy of the original bytes. Retransmission continues even
+            // once the peer is flagged down — at the capped backoff
+            // interval it doubles as a cheap reprobe, so a healed partition
+            // recovers without explicit reconnection.
+            let frames: Vec<(u32, Vec<u8>)> = self.tx[dst].unacked.iter().cloned().collect();
             for (seq, payload) in frames {
                 self.ctx.count("transport.retransmits", 1);
                 if let Some(obs) = &self.obs {
@@ -569,7 +583,7 @@ impl Transport {
         }
     }
 
-    fn handle_datagram(&mut self, src: NodeId, payload: Bytes) {
+    fn handle_datagram(&mut self, src: NodeId, payload: Vec<u8>) {
         if payload.len() < HEADER_BYTES {
             // Corrupt or foreign datagram; the real system would log and drop.
             self.ctx.count("transport.malformed", 1);
@@ -581,11 +595,9 @@ impl Transport {
                 .try_into()
                 .expect("header slice is four bytes"),
         );
-        // O(1) sub-view of the arriving frame — no receive-side body copy.
-        let body = payload.slice(HEADER_BYTES..);
         self.note_heard(src);
         match kind {
-            KIND_DATA => self.handle_data(src, seq, body),
+            KIND_DATA => self.handle_data(src, seq, Body(payload)),
             KIND_ACK => self.handle_ack(src, seq),
             KIND_PING => {
                 self.ctx.count("transport.pings_answered", 1);
@@ -598,7 +610,7 @@ impl Transport {
         }
     }
 
-    fn handle_data(&mut self, src: NodeId, seq: u32, body: Bytes) {
+    fn handle_data(&mut self, src: NodeId, seq: u32, body: Body) {
         let me = self.ctx.node_id();
         let rx = &mut self.rx[src as usize];
         if seq < rx.next_seq {

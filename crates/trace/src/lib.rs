@@ -51,7 +51,6 @@ mod metrics;
 
 use std::{cell::RefCell, collections::BTreeMap, collections::VecDeque, fmt, rc::Rc};
 
-use bytes::Bytes;
 use carlos_core::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass, Runtime};
 use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
 use carlos_sim::{Cluster, NodeId, Ns, TransportObserver, WireObserver};
@@ -333,10 +332,6 @@ pub fn wire_header(payload: &[u8]) -> Option<(u8, u32)> {
     }
     let seq = u32::from_le_bytes(payload[1..5].try_into().ok()?);
     Some((payload[0], seq))
-}
-
-fn parse_header(payload: &Bytes) -> Option<(u8, u32)> {
-    wire_header(payload)
 }
 
 // Pre-interned metric keys for the per-message hot paths. Building each
@@ -679,9 +674,9 @@ impl WireObserver for Tracer {
         // The payload-carrying companion below does the work.
     }
 
-    fn frame_sent(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &Bytes) {
+    fn frame_sent(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &[u8]) {
         let mut st = self.inner.borrow_mut();
-        match parse_header(payload) {
+        match wire_header(payload) {
             Some((0, seq)) => {
                 st.metrics.count("wire.sent.data", 1);
                 // Only annotate flows the transport observer created:
@@ -698,10 +693,10 @@ impl WireObserver for Tracer {
         }
     }
 
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &Bytes) {
+    fn frame_dropped(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &[u8]) {
         let mut st = self.inner.borrow_mut();
         st.metrics.count("wire.dropped", 1);
-        if let Some((0, seq)) = parse_header(payload) {
+        if let Some((0, seq)) = wire_header(payload) {
             if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
                 f.drops += 1;
             }
@@ -714,12 +709,12 @@ impl WireObserver for Tracer {
         dst: NodeId,
         sent_at: Ns,
         delivered_at: Ns,
-        payload: &Bytes,
+        payload: &[u8],
     ) {
         let mut st = self.inner.borrow_mut();
         st.metrics
             .observe("wire.latency", delivered_at.saturating_sub(sent_at));
-        if let Some((0, seq)) = parse_header(payload) {
+        if let Some((0, seq)) = wire_header(payload) {
             if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
                 if f.delivered_at.is_none() {
                     f.delivered_at = Some(delivered_at);

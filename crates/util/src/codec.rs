@@ -9,8 +9,6 @@
 //! Varints are intentionally not used — the 1994 systems the paper describes
 //! sent fixed-width fields, and fixed widths make size accounting auditable.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// Error returned when a decode runs off the end of the buffer or reads an
 /// implausible length prefix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,9 +53,13 @@ impl core::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// Encoder wrapping a growable byte buffer.
+///
+/// Every `put_*` is `#[inline]`: they are called once per field of every
+/// message, from other crates, and without LTO a non-generic function
+/// does not inline across a crate boundary unless it says so.
 #[derive(Debug, Default)]
 pub struct Encoder {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Encoder {
@@ -65,65 +67,76 @@ impl Encoder {
     /// encodings are a few words, and growing from nothing reallocates at
     /// 8, 16 and 32 bytes on the way there.
     #[must_use]
+    #[inline]
     pub fn new() -> Self {
         Self::with_capacity(64)
     }
 
     /// Creates an encoder with `cap` bytes preallocated.
     #[must_use]
+    #[inline]
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
     /// Ensures room for `additional` more bytes, so a caller that knows
     /// what it is about to append grows the buffer once.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
         self.buf.reserve(additional);
     }
 
     /// Appends a `u8`.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a `u16` (little-endian).
+    #[inline]
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32` (little-endian).
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64` (little-endian).
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
+    #[inline]
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.put_u64_le(v.to_bits());
+        self.put_u64(v.to_bits());
     }
 
     /// Appends a `u32` length prefix followed by the raw bytes.
+    #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends what [`Encoder::put_bytes`] appends for `n` zero bytes,
     /// without building them first.
+    #[inline]
     pub fn put_zeros(&mut self, n: usize) {
         self.put_u32(n as u32);
-        self.buf.put_bytes(0, n);
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// Appends raw bytes with no length prefix (for fixed-size payloads).
+    #[inline]
     pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a `u32` element count followed by each element via `f`.
@@ -136,44 +149,31 @@ impl Encoder {
 
     /// Number of bytes encoded so far.
     #[must_use]
+    #[inline]
     pub fn len(&self) -> usize {
         self.buf.len()
     }
 
     /// True if nothing has been encoded.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
-    /// Finishes encoding, returning the immutable byte string.
+    /// Finishes encoding, returning the encoder's own buffer (no copy).
     #[must_use]
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
-
-    /// Finishes encoding, returning an owned `Vec<u8>`.
-    ///
-    /// This reuses the encoder's buffer allocation; it does not copy.
-    #[must_use]
+    #[inline]
     pub fn finish_vec(self) -> Vec<u8> {
-        self.buf.into()
-    }
-
-    /// Finishes encoding, returning the still-mutable buffer.
-    ///
-    /// Used by senders that encode a payload with headroom for a framing
-    /// header, fill the header in place, and then freeze the whole buffer
-    /// once — so the wire copy and any retransmission queue share one
-    /// allocation.
-    #[must_use]
-    pub fn finish_mut(self) -> BytesMut {
         self.buf
     }
 }
 
 /// Decoder over a borrowed byte slice. Cloning it is a cheap look-ahead:
 /// the clone advances on its own.
+///
+/// Each fixed-width getter is one bounds check (`split_first_chunk`) and
+/// is `#[inline]` for the same reason as the [`Encoder`]'s setters.
 #[derive(Debug, Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
@@ -182,80 +182,87 @@ pub struct Decoder<'a> {
 impl<'a> Decoder<'a> {
     /// Creates a decoder over `buf`.
     #[must_use]
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf }
     }
 
-    fn need(&self, n: usize) -> Result<(), DecodeError> {
-        if self.buf.remaining() < n {
-            Err(DecodeError::Truncated {
-                needed: n,
-                remaining: self.buf.remaining(),
-            })
-        } else {
-            Ok(())
+    /// Consumes the next `N` bytes.
+    #[inline]
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let Some((head, rest)) = self.buf.split_first_chunk::<N>() else {
+            return Err(self.truncated(N));
+        };
+        self.buf = rest;
+        Ok(*head)
+    }
+
+    #[cold]
+    fn truncated(&self, needed: usize) -> DecodeError {
+        DecodeError::Truncated {
+            needed,
+            remaining: self.buf.len(),
         }
     }
 
     /// Reads a `u8`.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        self.take::<1>().map(|[b]| b)
     }
 
     /// Reads a `u16` (little-endian).
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16, DecodeError> {
-        self.need(2)?;
-        Ok(self.buf.get_u16_le())
+        self.take().map(u16::from_le_bytes)
     }
 
     /// Reads a `u32` (little-endian).
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        self.take().map(u32::from_le_bytes)
     }
 
     /// Reads a `u64` (little-endian).
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
+        self.take().map(u64::from_le_bytes)
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.get_u64()?))
+        self.get_u64().map(f64::from_bits)
     }
 
     /// Reads a `u32`-length-prefixed byte string without copying it.
+    #[inline]
     pub fn get_byte_slice(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.get_u32()? as usize;
-        if self.buf.remaining() < len {
+        let Some((bytes, rest)) = self.buf.split_at_checked(len) else {
             return Err(DecodeError::BadLength {
                 claimed: len,
-                remaining: self.buf.remaining(),
+                remaining: self.buf.len(),
             });
-        }
-        let (bytes, rest) = self.buf.split_at(len);
+        };
         self.buf = rest;
         Ok(bytes)
     }
 
     /// Reads a `u32`-length-prefixed byte string.
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         self.get_byte_slice().map(<[u8]>::to_vec)
     }
 
     /// Reads `n` raw bytes (no length prefix) without copying them.
+    #[inline]
     pub fn get_raw_slice(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.need(n)?;
-        let (bytes, rest) = self.buf.split_at(n);
+        let Some((bytes, rest)) = self.buf.split_at_checked(n) else {
+            return Err(self.truncated(n));
+        };
         self.buf = rest;
         Ok(bytes)
-    }
-
-    /// Reads `n` raw bytes (no length prefix).
-    pub fn get_raw(&mut self, n: usize) -> Result<Vec<u8>, DecodeError> {
-        self.get_raw_slice(n).map(<[u8]>::to_vec)
     }
 
     /// Reads a `u32`-count-prefixed sequence, decoding each element via `f`.
@@ -265,10 +272,10 @@ impl<'a> Decoder<'a> {
     ) -> Result<Vec<T>, DecodeError> {
         let n = self.get_u32()? as usize;
         // Each element is at least one byte; reject absurd counts early.
-        if n > self.buf.remaining() {
+        if n > self.buf.len() {
             return Err(DecodeError::BadLength {
                 claimed: n,
-                remaining: self.buf.remaining(),
+                remaining: self.buf.len(),
             });
         }
         let mut out = Vec::with_capacity(n);
@@ -280,18 +287,20 @@ impl<'a> Decoder<'a> {
 
     /// Bytes not yet consumed.
     #[must_use]
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len()
     }
 
     /// Returns an error unless the whole buffer was consumed.
+    #[inline]
     pub fn expect_end(&self) -> Result<(), DecodeError> {
-        if self.buf.remaining() == 0 {
+        if self.buf.is_empty() {
             Ok(())
         } else {
             Err(DecodeError::BadLength {
                 claimed: 0,
-                remaining: self.buf.remaining(),
+                remaining: self.buf.len(),
             })
         }
     }
@@ -474,5 +483,142 @@ mod tests {
         assert!(e.to_string().contains("Annotation"));
         let e = DecodeError::Truncated { needed: 4, remaining: 1 };
         assert!(e.to_string().contains('4'));
+    }
+}
+
+#[cfg(test)]
+mod props {
+    //! The decoder's contract on untrusted input: every getter returns
+    //! `Ok` or `Err`, never panics, and never reads past the end; and
+    //! whatever the encoder writes, the matching getters read back.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Applies getter `op` and returns what it read, re-encoded, with the
+    /// length of the prefix it skipped to get there.
+    fn read_back(dec: &mut Decoder<'_>, op: u8) -> Result<(Vec<u8>, usize), DecodeError> {
+        Ok(match op {
+            0 => (vec![dec.get_u8()?], 0),
+            1 => (dec.get_u16()?.to_le_bytes().to_vec(), 0),
+            2 => (dec.get_u32()?.to_le_bytes().to_vec(), 0),
+            3 => (dec.get_u64()?.to_le_bytes().to_vec(), 0),
+            4 => (dec.get_f64()?.to_bits().to_le_bytes().to_vec(), 0),
+            5 => (dec.get_byte_slice()?.to_vec(), 4),
+            6 => (dec.get_bytes()?, 4),
+            7 => (
+                <[u8; 3]>::try_from(dec.get_raw_slice(3)?).unwrap().to_vec(),
+                0,
+            ),
+            _ => {
+                let v = dec.get_seq(|d| d.get_u16())?;
+                (v.iter().flat_map(|x| x.to_le_bytes()).collect(), 4)
+            }
+        })
+    }
+
+    /// A value written by one `put_*` and read back by its `get_*`.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Field {
+        U8(u8),
+        U16(u16),
+        U32(u32),
+        U64(u64),
+        F64(u64),
+        Bytes(Vec<u8>),
+        Zeros(usize),
+        Seq(Vec<u16>),
+    }
+
+    fn field() -> impl Strategy<Value = Field> {
+        (
+            0u8..8,
+            any::<u64>(),
+            proptest::collection::vec(any::<u8>(), 0..9),
+        )
+            .prop_map(|(kind, v, bytes)| match kind {
+                0 => Field::U8(v as u8),
+                1 => Field::U16(v as u16),
+                2 => Field::U32(v as u32),
+                3 => Field::U64(v),
+                4 => Field::F64(v),
+                5 => Field::Bytes(bytes),
+                6 => Field::Zeros(bytes.len()),
+                _ => Field::Seq(bytes.iter().map(|&b| u16::from(b) << 3).collect()),
+            })
+    }
+
+    fn put(enc: &mut Encoder, f: &Field) {
+        match f {
+            Field::U8(v) => enc.put_u8(*v),
+            Field::U16(v) => enc.put_u16(*v),
+            Field::U32(v) => enc.put_u32(*v),
+            Field::U64(v) => enc.put_u64(*v),
+            Field::F64(bits) => enc.put_f64(f64::from_bits(*bits)),
+            Field::Bytes(b) => enc.put_bytes(b),
+            Field::Zeros(n) => enc.put_zeros(*n),
+            Field::Seq(s) => enc.put_seq(s, |e, &v| e.put_u16(v)),
+        }
+    }
+
+    fn get(dec: &mut Decoder<'_>, like: &Field) -> Result<Field, DecodeError> {
+        Ok(match like {
+            Field::U8(_) => Field::U8(dec.get_u8()?),
+            Field::U16(_) => Field::U16(dec.get_u16()?),
+            Field::U32(_) => Field::U32(dec.get_u32()?),
+            Field::U64(_) => Field::U64(dec.get_u64()?),
+            Field::F64(_) => Field::F64(dec.get_f64()?.to_bits()),
+            Field::Bytes(_) => Field::Bytes(dec.get_bytes()?),
+            Field::Zeros(_) => {
+                let s = dec.get_byte_slice()?;
+                assert!(s.iter().all(|&b| b == 0));
+                Field::Zeros(s.len())
+            }
+            Field::Seq(_) => Field::Seq(dec.get_seq(|d| d.get_u16())?),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn getters_never_panic_on_arbitrary_bytes(
+            data in proptest::collection::vec(any::<u8>(), 0..48),
+            ops in proptest::collection::vec(0u8..9, 1..24),
+        ) {
+            let mut dec = Decoder::new(&data);
+            for op in ops {
+                let pos = data.len() - dec.remaining();
+                if let Ok((read, prefix)) = read_back(&mut dec, op) {
+                    // Exactly the bytes after `pos` were consumed.
+                    let end = data.len() - dec.remaining();
+                    prop_assert_eq!(&data[pos + prefix..end], &read[..]);
+                }
+            }
+            prop_assert_eq!(dec.expect_end().is_ok(), dec.remaining() == 0);
+        }
+
+        #[test]
+        fn every_put_reads_back_through_its_get(
+            fields in proptest::collection::vec(field(), 0..16),
+        ) {
+            let mut enc = Encoder::new();
+            for f in &fields {
+                put(&mut enc, f);
+            }
+            let buf = enc.finish_vec();
+            let mut dec = Decoder::new(&buf);
+            for f in &fields {
+                prop_assert_eq!(&get(&mut dec, f).expect("own encoding"), f);
+            }
+            prop_assert!(dec.expect_end().is_ok());
+            // Every strict prefix runs out somewhere: an error, not a panic
+            // and not a value read from beyond the cut.
+            for cut in 0..buf.len() {
+                let mut dec = Decoder::new(&buf[..cut]);
+                let whole = fields.iter().all(|f| get(&mut dec, f).is_ok());
+                prop_assert!(!whole, "a {cut}-byte prefix of {} decoded", buf.len());
+            }
+        }
     }
 }

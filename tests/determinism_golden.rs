@@ -1,6 +1,6 @@
 //! Golden-value determinism regression tests.
 //!
-//! The hot-path work (word-level diffing, zero-copy payloads, fast-path
+//! The hot-path work (word-level diffing, one-allocation frames, fast-path
 //! page access) is host-performance only: it must not perturb the
 //! simulated virtual-time results. These tests pin the full
 //! [`SimReport`] fingerprint — virtual times, message counts, byte

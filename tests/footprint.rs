@@ -4,13 +4,17 @@
 //! nothing, and each first mutation materialises exactly one entry. A
 //! diff's footprint follows its bytes, not its run count. Accepting a
 //! RELEASE moves its records into the interval log instead of copying them.
+//! Sending a message costs one allocation: the encoder's buffer is the frame.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 
+use carlos::core::{Annotation, Consistency, Message};
 use carlos::lrc::{
     Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
 };
+use carlos::sim::{AckMode, Cluster, SimConfig, Transport};
 use carlos::util::codec::Wire;
 
 /// Counts this thread's allocations (the test harness runs tests on
@@ -242,4 +246,63 @@ fn applying_a_release_batch_allocates_nothing_per_record() {
         small, large,
         "16 records: {small} allocations; 64 records: {large}"
     );
+}
+
+/// Allocations made by encoding and sending `k` NONE messages over a
+/// 2-node implicit-ack transport. The messages are built beforehand, and a
+/// first round of `k` (drained by the receiver before the counted round)
+/// grows the event queue, the mailbox and the receive queue to size, so
+/// what is counted is the per-frame cost alone. Procs are coroutines on
+/// this thread, so the receiver only drains: anything it allocated would
+/// be counted too.
+fn send_allocs(k: usize) -> usize {
+    let allocs = Rc::new(Cell::new(usize::MAX));
+    let out = Rc::clone(&allocs);
+    let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
+    cluster.spawn_node(0, move |ctx| {
+        let mut t = Transport::new(ctx, AckMode::Implicit);
+        let msg = |i: usize| Message {
+            src: 0,
+            origin: 0,
+            handler: 1,
+            annotation: Annotation::None,
+            body: (i as u64).to_le_bytes().to_vec(),
+            consistency: Consistency::None,
+        };
+        let msgs: Vec<Message> = (0..2 * k).map(msg).collect();
+        for m in &msgs[..k] {
+            t.send(1, m.to_framed(0));
+        }
+        t.wait(None).expect("the receiver drained the first round");
+        let ((), n, _) = counted(|| {
+            for m in &msgs[k..] {
+                t.send(1, m.to_framed(0));
+            }
+        });
+        out.set(n);
+    });
+    cluster.spawn_node(1, move |ctx| {
+        let mut t = Transport::new(ctx, AckMode::Implicit);
+        for round in 0..2 {
+            for _ in 0..k {
+                t.wait(None).expect("every frame arrives");
+            }
+            if round == 0 {
+                t.send(0, vec![1]);
+            }
+        }
+    });
+    cluster.run();
+    allocs.get()
+}
+
+#[test]
+fn a_sent_frame_is_one_allocation() {
+    for k in [16, 64] {
+        let allocs = send_allocs(k);
+        assert_eq!(
+            allocs, k,
+            "{k} frames: {allocs} allocations; the encoder's buffer should be the only one"
+        );
+    }
 }
