@@ -31,7 +31,7 @@ echo "==> cargo clippy -D warnings (hot-path + hardened crates)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
     -p carlos-sync -p carlos-check -p carlos-trace -p carlos-bench \
     -p carlos-explore -p carlos-serve \
-    -p criterion -p proptest --all-targets -- -D warnings
+    -p proptest --all-targets -- -D warnings
 
 echo "==> chaos profile (scripted faults + pinned fingerprints)"
 cargo test -q --test chaos
@@ -61,17 +61,18 @@ echo "==> explore profile (guided DPOR search + seeded-bug smoke)"
 # workspace test pass above.
 cargo run --release -q --example explore
 
-echo "==> trace profile (causal tracer + traced paper-table report)"
+echo "==> trace profile (causal tracer + traced paper report)"
 cargo test -q -p carlos-trace
 cargo test -q -p carlos-bench
-# The quick report doubles as the wire-traffic regression gate: the
-# example compares its fresh TSP/Quicksort Lock n=4 rows against the
-# committed baseline and exits nonzero if messages or SYSTEM-class bytes
-# grew more than 5% (quick runs are deterministic, so growth is real).
+# The quick report doubles as the exact row gate: quick runs are
+# bit-deterministic, so every row of the committed baseline must come back
+# with every field (per-class ledgers included) equal; new rows and new
+# fields pass and are listed. The example exits nonzero otherwise.
 CARLOS_REPORT_QUICK=1 CARLOS_REPORT_OUT=target/BENCH_paper_quick.json \
     CARLOS_REPORT_BASELINE=BENCH_paper_quick.json \
     cargo run --release -q --example report > target/report_quick.md
 grep -q '| TSP |' target/report_quick.md
+grep -q '## Ablations against their base rows' target/report_quick.md
 
 echo "==> serve profile (DSM-backed KV serving under open-loop traffic)"
 # Store/workload/client/orchestration unit + integration tests: exact

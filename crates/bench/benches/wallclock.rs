@@ -1,8 +1,7 @@
-//! Host wall-clock benchmarks of the hot paths touched by the
-//! performance overhaul: diff creation, application and the whole life of
-//! a fetched diff (create, encode, decode, apply, drop), the wire codec,
-//! the interval log on both sides of a RELEASE, and end-to-end 4-node
-//! TSP/SOR runs (host seconds, not virtual time).
+//! Host wall-clock benchmarks of the hot paths: diff creation,
+//! application and the whole life of a fetched diff (create, encode,
+//! decode, apply, drop), the wire codec, vector timestamps and interval
+//! records, and the interval log on both sides of a RELEASE.
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
 //! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
 //! size and run count of a rewritten page of typed data
@@ -12,27 +11,121 @@
 //! prices the sparse page table: `engine_new_ns_per_granule_*` and
 //! `engine_bytes_per_untouched_granule_*`, with `calib_ms` (a fixed
 //! integer loop) recorded beside them so `ci.sh` can gate the timing
-//! across hosts.
+//! across hosts. End-to-end host time is `benchmark/`'s to measure.
 //!
 //! Run with `cargo bench -p carlos-bench --bench wallclock`. Results are
 //! written to `BENCH_hotpath.json` at the repository root (override the
-//! path with `CARLOS_BENCH_OUT`); `CARLOS_BENCH_QUICK=1` shrinks warmup,
-//! sample counts, and end-to-end repetitions for CI.
+//! path with `CARLOS_BENCH_OUT`); `CARLOS_BENCH_QUICK=1` shrinks warm-up,
+//! sample counts and repetitions for CI.
 //!
 //! `encode_finish_copy` reproduces the old `finish_vec` full-buffer copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use carlos_apps::sor::{run_sor, SorConfig};
-use carlos_apps::tsp::{run_tsp, TspConfig, TspVariant};
 use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_serve::run::{lrc_config, ServeConfig};
 use carlos_sim::{Cluster, SimConfig};
 use carlos_util::{codec::Wire, rng::Xoshiro256};
-use criterion::{black_box, BatchSize, Criterion};
+
+/// One timed routine: median nanoseconds per iteration over the samples.
+struct BenchRow {
+    group: &'static str,
+    id: String,
+    median_ns: f64,
+    iters: u64,
+}
+
+/// Warm-up, then the median of fixed-length samples, per routine.
+struct Bencher {
+    warmup: Duration,
+    sample: Duration,
+    samples: usize,
+    rows: Vec<BenchRow>,
+}
+
+impl Bencher {
+    fn new(quick: bool) -> Self {
+        let (warmup, sample, samples) = if quick { (20, 5, 9) } else { (200, 25, 21) };
+        Self {
+            warmup: Duration::from_millis(warmup),
+            sample: Duration::from_millis(sample),
+            samples,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Measures `timed(iters)`, the time `iters` runs of a routine take.
+    /// Warm-up sizes `iters` so that one sample lasts about `self.sample`.
+    fn measure(
+        &mut self,
+        group: &'static str,
+        id: impl Into<String>,
+        mut timed: impl FnMut(u64) -> Duration,
+    ) {
+        let mut iters = 1u64;
+        let start = Instant::now();
+        while start.elapsed() < self.warmup {
+            let per_iter = timed(iters).as_nanos().max(1) / u128::from(iters);
+            iters = (self.sample.as_nanos() / per_iter).clamp(1, 1 << 28) as u64;
+        }
+        let mut ns: Vec<f64> = (0..self.samples)
+            .map(|_| timed(iters).as_nanos() as f64 / iters as f64)
+            .collect();
+        ns.sort_by(f64::total_cmp);
+        let row = BenchRow {
+            group,
+            id: id.into(),
+            median_ns: ns[ns.len() / 2],
+            iters: iters * self.samples as u64,
+        };
+        let label = format!("{group}/{}", row.id);
+        eprintln!("bench {label:<48} {:>12.1} ns/iter ({} iters)", row.median_ns, row.iters);
+        self.rows.push(row);
+    }
+
+    /// Times `routine` back to back.
+    fn iter<O>(
+        &mut self,
+        group: &'static str,
+        id: impl Into<String>,
+        mut routine: impl FnMut() -> O,
+    ) {
+        self.measure(group, id, |iters| {
+            let start = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            start.elapsed()
+        });
+    }
+
+    /// Times `routine` on a fresh input from `setup` each run; only the
+    /// routine is on the clock.
+    fn iter_batched<I, O>(
+        &mut self,
+        group: &'static str,
+        id: impl Into<String>,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        self.measure(group, id, |iters| {
+            (0..iters)
+                .map(|_| {
+                    let input = setup();
+                    let start = Instant::now();
+                    let out = routine(input);
+                    let elapsed = start.elapsed();
+                    drop(black_box(out));
+                    elapsed
+                })
+                .sum()
+        });
+    }
+}
 
 /// Counts allocations and sums the bytes requested while a footprint
 /// measurement has it armed; otherwise every allocation in this binary
@@ -140,23 +233,19 @@ fn typed_f64_pages() -> (Vec<u8>, Vec<u8>) {
     (page(&at), page(&|i| at(i) + 1e-3 * (i as f64).sin()))
 }
 
-fn bench_diff_create(c: &mut Criterion) {
-    let mut g = c.benchmark_group("diff_create");
+fn bench_diff_create(b: &mut Bencher) {
     for &(label, every) in DIRTINESS {
         let (twin, cur) = page_pair(every);
-        g.bench_function(format!("word_{label}"), |b| {
-            b.iter(|| Diff::create(black_box(&twin), black_box(&cur)));
+        b.iter("diff_create", format!("word_{label}"), || {
+            Diff::create(black_box(&twin), black_box(&cur))
         });
     }
     for (label, (twin, cur)) in [
         ("typed_u32_rewritten_8k", typed_u32_pages()),
         ("typed_f64_perturbed_8k", typed_f64_pages()),
     ] {
-        g.bench_function(label, |b| {
-            b.iter(|| Diff::create(black_box(&twin), black_box(&cur)));
-        });
+        b.iter("diff_create", label, || Diff::create(black_box(&twin), black_box(&cur)));
     }
-    g.finish();
 }
 
 /// The variable-granularity coherence sizes: a 64 B fine granule (one
@@ -171,68 +260,49 @@ const GRANULES: &[(&str, usize)] = &[
     ("1MiB", 1 << 20),
 ];
 
-fn bench_diff_granules(c: &mut Criterion) {
-    let mut g = c.benchmark_group("diff_granule");
+/// Times applying `diff` to a fresh copy of `twin`.
+fn bench_apply(b: &mut Bencher, group: &'static str, id: String, twin: &[u8], diff: &Diff) {
+    b.iter_batched(group, id, || twin.to_vec(), |mut page| {
+        diff.apply(&mut page);
+        page
+    });
+}
+
+fn bench_diff_granules(b: &mut Bencher) {
     for &(label, len) in GRANULES {
         // Sparse dirtiness (one byte in 64) — the demand-fetch common case.
         let (twin, cur) = sized_pair(len, 64);
-        g.bench_function(format!("create_{label}"), |b| {
-            b.iter(|| Diff::create(black_box(&twin), black_box(&cur)));
+        b.iter("diff_granule", format!("create_{label}"), || {
+            Diff::create(black_box(&twin), black_box(&cur))
         });
         let diff = Diff::create(&twin, &cur);
-        g.bench_function(format!("apply_{label}"), |b| {
-            b.iter_batched(
-                || twin.clone(),
-                |mut page| {
-                    diff.apply(&mut page);
-                    page
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        bench_apply(b, "diff_granule", format!("apply_{label}"), &twin, &diff);
     }
-    g.finish();
 }
 
-fn bench_diff_apply(c: &mut Criterion) {
-    let mut g = c.benchmark_group("diff_apply");
+fn bench_diff_apply(b: &mut Bencher) {
     for &(label, every) in DIRTINESS {
         if every == 0 {
             continue; // An empty diff applies in no time; nothing to see.
         }
         let (twin, cur) = page_pair(every);
-        let diff = Diff::create(&twin, &cur);
-        g.bench_function(label, |b| {
-            b.iter_batched(
-                || twin.clone(),
-                |mut page| {
-                    diff.apply(&mut page);
-                    page
-                },
-                BatchSize::SmallInput,
-            );
-        });
+        bench_apply(b, "diff_apply", label.to_string(), &twin, &Diff::create(&twin, &cur));
     }
-    g.finish();
 }
 
 /// What one fetched diff costs from end to end, which `diff_create` alone
 /// hides: the writer creates and encodes it, the reader decodes, applies
 /// and finally drops it.
-fn bench_diff_lifecycle(c: &mut Criterion) {
-    let mut g = c.benchmark_group("diff_lifecycle");
+fn bench_diff_lifecycle(b: &mut Bencher) {
     for (label, every) in [("dense_1_in_8", 8), ("sparse_1_in_64", 64)] {
         let (twin, cur) = page_pair(every);
         let mut page = twin.clone();
-        g.bench_function(label, |b| {
-            b.iter(|| {
-                let wire = Diff::create(black_box(&twin), black_box(&cur)).to_wire();
-                let fetched = Diff::from_wire(black_box(&wire)).expect("roundtrip");
-                fetched.apply(black_box(&mut page));
-            });
+        b.iter("diff_lifecycle", label, || {
+            let wire = Diff::create(black_box(&twin), black_box(&cur)).to_wire();
+            let fetched = Diff::from_wire(black_box(&wire)).expect("roundtrip");
+            fetched.apply(black_box(&mut page));
         });
     }
-    g.finish();
 }
 
 /// Allocations and heap bytes per run of one dense diff (a 4 KiB page,
@@ -298,26 +368,48 @@ fn release_message() -> Message {
     }
 }
 
-fn bench_codec(c: &mut Criterion) {
-    let mut g = c.benchmark_group("codec");
+fn bench_codec(b: &mut Bencher) {
     let msg = release_message();
     let pad = 32;
-    g.bench_function("encode_framed", |b| {
-        b.iter(|| black_box(&msg).to_framed(pad));
-    });
-    g.bench_function("encode_finish_vec", |b| {
-        b.iter(|| black_box(&msg).to_wire_bytes(pad));
-    });
+    b.iter("codec", "encode_framed", || black_box(&msg).to_framed(pad));
+    b.iter("codec", "encode_finish_vec", || black_box(&msg).to_wire_bytes(pad));
     // The pre-overhaul cost: encode, then copy the whole buffer out again
     // (what `finish_vec` used to do via `to_vec`).
-    g.bench_function("encode_finish_copy", |b| {
-        b.iter(|| black_box(&msg).to_wire_bytes(pad).clone());
-    });
+    b.iter("codec", "encode_finish_copy", || black_box(&msg).to_wire_bytes(pad).clone());
     let bytes = msg.to_wire_bytes(pad);
-    g.bench_function("decode", |b| {
-        b.iter(|| Message::from_wire_bytes(1, black_box(&bytes)).expect("decode"));
+    b.iter("codec", "decode", || Message::from_wire_bytes(1, black_box(&bytes)).expect("decode"));
+}
+
+/// Vector-timestamp operations on 16 nodes.
+fn bench_vc(b: &mut Bencher) {
+    let (mut x, mut y) = (Vc::new(16), Vc::new(16));
+    for i in 0..16u32 {
+        x.set(i, i % 5);
+        y.set(i, (i + 2) % 7);
+    }
+    b.iter("vector_timestamp", "dominates_16", || black_box(&x).dominates(black_box(&y)));
+    b.iter_batched("vector_timestamp", "join_16", || x.clone(), |mut z| {
+        z.join(&y);
+        z
     });
-    g.finish();
+    b.iter("vector_timestamp", "wire_roundtrip_16", || {
+        Vc::from_wire(&black_box(&x).to_wire()).expect("roundtrip")
+    });
+}
+
+/// One interval record with 24 write notices through the codec.
+fn bench_interval_record(b: &mut Bencher) {
+    let mut vc = Vc::new(8);
+    vc.set(3, 17);
+    let rec = IntervalRecord {
+        node: 3,
+        index: 17,
+        vc,
+        pages: (0..24).collect(),
+    };
+    b.iter("interval_record", "wire_roundtrip_24_notices", || {
+        IntervalRecord::from_wire(&black_box(&rec).to_wire()).expect("roundtrip")
+    });
 }
 
 /// The interval log on both sides of a RELEASE. `newer_than`: the
@@ -325,8 +417,7 @@ fn bench_codec(c: &mut Criterion) {
 /// of a 4-creator log of 2 000 records each. `apply`: a receiver accepting
 /// 64 decoded records of one writer, 4 notices each, invalidating its
 /// copies of the 16 pages they name.
-fn bench_interval_log(c: &mut Criterion) {
-    let mut g = c.benchmark_group("interval_log");
+fn bench_interval_log(b: &mut Bencher) {
     let n = 4;
     let mut store = IntervalStore::new();
     for node in 0..n as u32 {
@@ -340,8 +431,8 @@ fn bench_interval_log(c: &mut Criterion) {
     let mut have = Vc::new(n);
     (0..n as u32).for_each(|q| have.set(q, 1998));
     assert_eq!(store.newer_than(&have).len(), 8);
-    g.bench_function("newer_than_8_of_4x2000", |b| {
-        b.iter(|| black_box(&store).newer_than(black_box(&have)));
+    b.iter("interval_log", "newer_than_8_of_4x2000", || {
+        black_box(&store).newer_than(black_box(&have))
     });
 
     let cfg = LrcConfig::small_test(n);
@@ -359,135 +450,32 @@ fn bench_interval_log(c: &mut Criterion) {
     }
     let records = writer.records_newer_than(reader.vt());
     let wire: Vec<Vec<u8>> = records.iter().map(Wire::to_wire).collect();
-    g.bench_function("apply_64_decoded", |b| {
-        b.iter_batched(
-            || {
-                let batch = wire.iter().map(|w| IntervalRecord::from_wire(w).expect("decode"));
-                (reader.clone(), batch.collect::<Vec<_>>())
-            },
-            |(mut engine, batch)| {
-                assert_eq!(engine.apply_records(batch), 64);
-                engine
-            },
-            BatchSize::SmallInput,
-        );
-    });
-    g.finish();
+    b.iter_batched(
+        "interval_log",
+        "apply_64_decoded",
+        || {
+            let batch = wire.iter().map(|w| IntervalRecord::from_wire(w).expect("decode"));
+            (reader.clone(), batch.collect::<Vec<_>>())
+        },
+        |(mut engine, batch)| {
+            assert_eq!(engine.apply_records(batch), 64);
+            engine
+        },
+    );
 }
 
-/// One timed end-to-end measurement: median host seconds over `reps` runs.
-fn time_e2e<F: FnMut() -> u64>(reps: usize, mut run: F) -> (f64, u64) {
+/// Median host seconds of `run` over `reps` repetitions, and its last
+/// result.
+fn median_secs<F: FnMut() -> u64>(reps: usize, mut run: F) -> (f64, u64) {
     let mut secs: Vec<f64> = Vec::with_capacity(reps);
-    let mut virtual_ns = 0;
+    let mut out = 0;
     for _ in 0..reps {
         let start = Instant::now();
-        virtual_ns = run();
+        out = run();
         secs.push(start.elapsed().as_secs_f64());
     }
-    secs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    (secs[secs.len() / 2], virtual_ns)
-}
-
-struct E2eResult {
-    id: &'static str,
-    host_seconds: f64,
-    virtual_ns: u64,
-}
-
-/// End-to-end 4-node runs. These exercise every hot path at once — page
-/// faults, diffing, codec, transport — and report *host* seconds (the
-/// virtual-time results are pinned elsewhere and must not move).
-fn bench_e2e(quick: bool) -> Vec<E2eResult> {
-    let reps = if quick { 1 } else { 3 };
-    let mut out = Vec::new();
-
-    let mut tsp_cfg = TspConfig::test(4, TspVariant::Lock);
-    tsp_cfg.n_cities = 12;
-    let (host, vns) = time_e2e(reps, || {
-        let r = run_tsp(&tsp_cfg);
-        black_box(r.app.report.elapsed)
-    });
-    eprintln!("e2e  tsp_lock_4node_12c: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-    out.push(E2eResult {
-        id: "tsp_lock_4node_12c",
-        host_seconds: host,
-        virtual_ns: vns,
-    });
-
-    // The same TSP run with the tracer installed, in both modes: the
-    // delta is the tracer's host-time overhead (virtual time is pinned
-    // identical by the golden tests, so host seconds are the only cost).
-    for (id, full) in [
-        ("tsp_lock_4node_12c_traced_metrics", false),
-        ("tsp_lock_4node_12c_traced_full", true),
-    ] {
-        let base = tsp_cfg.clone();
-        let (host, vns) = time_e2e(reps, || {
-            let mut cfg = base.clone();
-            cfg.trace = Some(if full {
-                carlos_trace::Tracer::new(4)
-            } else {
-                carlos_trace::Tracer::metrics_only(4)
-            });
-            let r = run_tsp(&cfg);
-            black_box(r.app.report.elapsed)
-        });
-        eprintln!("e2e  {id}: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id,
-            host_seconds: host,
-            virtual_ns: vns,
-        });
-    }
-
-    let mut sor_cfg = SorConfig::test(4);
-    sor_cfg.rows = 130;
-    sor_cfg.cols = 64;
-    sor_cfg.iters = 4;
-    let (host, vns) = time_e2e(reps, || {
-        let r = run_sor(&sor_cfg);
-        black_box(r.app.report.elapsed)
-    });
-    eprintln!("e2e  sor_4node_130x64: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-    out.push(E2eResult {
-        id: "sor_4node_130x64",
-        host_seconds: host,
-        virtual_ns: vns,
-    });
-
-    // The same two workloads at 8 nodes.
-    {
-        let nodes = 8usize;
-        let mut tsp8 = TspConfig::test(nodes, TspVariant::Lock);
-        tsp8.n_cities = 12;
-        let (host, vns) = time_e2e(reps, || {
-            let r = run_tsp(&tsp8);
-            black_box(r.app.report.elapsed)
-        });
-        eprintln!("e2e  tsp_lock_8node_12c: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id: "tsp_lock_8node_12c",
-            host_seconds: host,
-            virtual_ns: vns,
-        });
-
-        let mut sor8 = SorConfig::test(nodes);
-        sor8.rows = 130;
-        sor8.cols = 64;
-        sor8.iters = 4;
-        let (host, vns) = time_e2e(reps, || {
-            let r = run_sor(&sor8);
-            black_box(r.app.report.elapsed)
-        });
-        eprintln!("e2e  sor_8node_130x64: {host:.3} host-s ({} virtual-ms)", vns / 1_000_000);
-        out.push(E2eResult {
-            id: "sor_8node_130x64",
-            host_seconds: host,
-            virtual_ns: vns,
-        });
-    }
-
-    out
+    secs.sort_by(f64::total_cmp);
+    (secs[secs.len() / 2], out)
 }
 
 /// Scheduler micro-benchmark: a raw 2-node ping-pong — no
@@ -501,7 +489,7 @@ fn bench_e2e(quick: bool) -> Vec<E2eResult> {
 /// section.
 fn bench_handoff(quick: bool) -> Vec<(&'static str, f64)> {
     let rounds: u64 = if quick { 20_000 } else { 100_000 };
-    let (secs, events) = time_e2e(if quick { 1 } else { 3 }, || {
+    let (secs, events) = median_secs(if quick { 1 } else { 3 }, || {
         let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
         cluster.spawn_node(0, move |ctx| {
             for _ in 0..rounds {
@@ -547,7 +535,7 @@ fn bench_engine_footprint(quick: bool) -> Vec<(String, f64)> {
         assert!(engines.iter().all(|e| e.resident_pages() == 0));
         let granules = (engines[0].granules().n_granules() * n) as f64;
         drop(engines);
-        let (secs, _) = time_e2e(reps, || {
+        let (secs, _) = median_secs(reps, || {
             black_box(build());
             0
         });
@@ -558,7 +546,7 @@ fn bench_engine_footprint(quick: bool) -> Vec<(String, f64)> {
     }
     // The benchmark package's calibration loop (`bench.calib_ms`): the
     // unit that makes a host-time gate portable across hosts.
-    let (secs, _) = time_e2e(if quick { 3 } else { 9 }, || {
+    let (secs, _) = median_secs(if quick { 3 } else { 9 }, || {
         let mut rng = Xoshiro256::new(0xCA11_B8A7);
         black_box((0..10_000_000u64).fold(0, |acc, _| acc ^ rng.next_u64()))
     });
@@ -567,67 +555,35 @@ fn bench_engine_footprint(quick: bool) -> Vec<(String, f64)> {
 }
 
 fn write_json(
-    c: &Criterion,
-    e2e: &[E2eResult],
-    micro: &[(&'static str, f64)],
+    rows: &[BenchRow],
+    handoff: &[(&'static str, f64)],
     footprint: &[(String, f64)],
     quick: bool,
 ) {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"generated_by\": \"cargo bench -p carlos-bench --bench wallclock\",\n");
-    s.push_str(&format!("  \"quick_mode\": {quick},\n"));
-    s.push_str("  \"benches\": [\n");
-    let results = c.results();
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"group\": \"{}\", \"id\": \"{}\", \"median_ns\": {:.1}, \"iters\": {}}}{comma}\n",
-            r.group, r.id, r.median_ns, r.iters
-        ));
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"e2e\": [\n");
-    for (i, r) in e2e.iter().enumerate() {
-        let comma = if i + 1 == e2e.len() { "" } else { "," };
-        s.push_str(&format!(
-            "    {{\"id\": \"{}\", \"host_seconds\": {:.4}, \"virtual_ns\": {}}}{comma}\n",
-            r.id, r.host_seconds, r.virtual_ns
-        ));
-    }
-    s.push_str("  ],\n");
-
-    s.push_str("  \"derived\": {\n");
-    let mut lines = Vec::new();
-    // Tracer host-time overhead relative to the untraced TSP run.
-    let e2e_secs = |id: &str| e2e.iter().find(|r| r.id == id).map(|r| r.host_seconds);
-    if let Some(base) = e2e_secs("tsp_lock_4node_12c").filter(|s| *s > 0.0) {
-        for (id, key) in [
-            ("tsp_lock_4node_12c_traced_metrics", "tracer_overhead_metrics_only_pct"),
-            ("tsp_lock_4node_12c_traced_full", "tracer_overhead_full_pct"),
-        ] {
-            if let Some(traced) = e2e_secs(id) {
-                lines.push(format!(
-                    "    \"{key}\": {:.1}",
-                    (traced / base - 1.0) * 100.0
-                ));
-            }
-        }
-    }
-    // Amortized per-event and per-hand-off cost of the scheduler itself.
-    for (key, ns) in micro {
-        lines.push(format!("    \"{key}\": {ns:.0}"));
-    }
-    for (key, v) in footprint {
-        lines.push(format!("    \"{key}\": {v:.3}"));
-    }
-    lines.push(format!(
+    let benches: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"group\": \"{}\", \"id\": \"{}\", \"median_ns\": {:.1}, \"iters\": {}}}",
+                r.group, r.id, r.median_ns, r.iters
+            )
+        })
+        .collect();
+    // Amortized per-event and per-hand-off cost of the scheduler itself,
+    // then the footprint keys.
+    let mut derived: Vec<String> =
+        handoff.iter().map(|(key, ns)| format!("    \"{key}\": {ns:.0}")).collect();
+    derived.extend(footprint.iter().map(|(key, v)| format!("    \"{key}\": {v:.3}")));
+    derived.push(format!(
         "    \"host_cores\": {}",
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     ));
-    s.push_str(&lines.join(",\n"));
-    s.push_str("\n  }\n}\n");
-
+    let s = format!(
+        "{{\n  \"generated_by\": \"cargo bench -p carlos-bench --bench wallclock\",\n  \
+         \"quick_mode\": {quick},\n  \"benches\": [\n{}\n  ],\n  \"derived\": {{\n{}\n  }}\n}}\n",
+        benches.join(",\n"),
+        derived.join(",\n")
+    );
     let path = std::env::var("CARLOS_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json").to_string()
     });
@@ -638,17 +594,17 @@ fn write_json(
 fn main() {
     let quick =
         std::env::var("CARLOS_BENCH_QUICK").is_ok_and(|v| v != "0" && !v.is_empty());
-    let mut c = Criterion::default().configure_from_args();
-    bench_diff_create(&mut c);
-    bench_diff_granules(&mut c);
-    bench_diff_apply(&mut c);
-    bench_diff_lifecycle(&mut c);
-    bench_codec(&mut c);
-    bench_interval_log(&mut c);
-    let e2e = bench_e2e(quick);
-    let micro = bench_handoff(quick);
+    let mut b = Bencher::new(quick);
+    bench_diff_create(&mut b);
+    bench_diff_granules(&mut b);
+    bench_diff_apply(&mut b);
+    bench_diff_lifecycle(&mut b);
+    bench_codec(&mut b);
+    bench_vc(&mut b);
+    bench_interval_record(&mut b);
+    bench_interval_log(&mut b);
+    let handoff = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();
     footprint.extend(bench_engine_footprint(quick));
-    write_json(&c, &e2e, &micro, &footprint, quick);
-    c.final_summary();
+    write_json(&b.rows, &handoff, &footprint, quick);
 }

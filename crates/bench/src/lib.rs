@@ -1,20 +1,8 @@
-//! Benchmark harnesses that regenerate every table and figure of the
-//! CarlOS paper (OSDI '94).
-//!
-//! Each `cargo bench` target prints one artifact, paper values alongside
-//! measured ones:
-//!
-//! | bench target         | paper artifact |
-//! |-----------------------|----------------|
-//! | `table1`             | Table 1 — TSP, lock vs hybrid |
-//! | `table2`             | Table 2 — Quicksort, lock vs Hybrid-1 vs Hybrid-2 |
-//! | `table3`             | Table 3 — Water, lock vs hybrid |
-//! | `figure2`            | Figure 2 — execution breakdown on four nodes |
-//! | `annotation_costs`   | §5.4 — annotation micro-costs and all-RELEASE runs |
-//! | `treadmarks_compare` | §5 — TreadMarks-style dispatch vs CarlOS generality |
-//! | `update_strategy`    | ablation (beyond the paper): §4.3 update vs invalidate |
-//! | `sor`                | workload (beyond the paper): red-black SOR scaling |
-//! | `micro`              | Criterion microbenches of the core data structures |
+//! Regenerates every table and figure of the CarlOS paper (OSDI '94), and
+//! the ablations beyond it, from one table of row specs:
+//! `cargo run --release --example report` runs [`report::run_report`] and
+//! writes `BENCH_paper.json` plus a Markdown report. Host wall-clock
+//! micro-benchmarks of the hot paths are the `wallclock` bench target.
 //!
 //! Absolute times come from the calibrated cost model (`DESIGN.md`); the
 //! claims under reproduction are the *shapes*: who wins, by what factor,
@@ -24,326 +12,3 @@
 #![warn(missing_docs)]
 
 pub mod report;
-
-use carlos_apps::{
-    harness::AppReport,
-    qsort::{run_qsort, QsortConfig, QsortVariant},
-    tsp::{run_tsp, TspConfig, TspVariant},
-    water::{run_water, WaterConfig, WaterVariant},
-};
-use carlos_sim::Bucket;
-use carlos_util::fmt::{percent, ratio, secs_f, thousands, Table};
-
-/// One row of a paper-style table: measured columns plus paper reference.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Variant label ("Lock", "Hybrid", …).
-    pub version: String,
-    /// Cluster size.
-    pub n: usize,
-    /// Measured elapsed seconds.
-    pub time_s: f64,
-    /// Speedup vs the measured single-node run of the same variant.
-    pub speedup: f64,
-    /// Messages on the wire.
-    pub messages: u64,
-    /// Average message payload size in bytes.
-    pub avg_bytes: u64,
-    /// Network utilization (fraction).
-    pub util: f64,
-}
-
-/// Paper reference values for one row (from Tables 1–3).
-#[derive(Debug, Clone, Copy)]
-pub struct PaperRow {
-    /// Elapsed seconds reported by the paper.
-    pub time_s: f64,
-    /// Speedup reported by the paper.
-    pub speedup: f64,
-    /// Message count reported by the paper.
-    pub messages: u64,
-    /// Average message size reported by the paper.
-    pub avg_bytes: u64,
-    /// Network utilization reported by the paper (fraction).
-    pub util: f64,
-}
-
-/// Writes rows as CSV under `target/bench-results/<name>.csv` so runs can
-/// be archived and diffed; failures to write are reported but non-fatal.
-pub fn export_csv(name: &str, rows: &[(Row, Option<PaperRow>)]) {
-    let dir = std::path::Path::new("target").join("bench-results");
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("(csv export skipped: {e})");
-        return;
-    }
-    let mut out = String::from(
-        "version,nodes,time_s,speedup,messages,avg_bytes,utilization,\
-         paper_time_s,paper_speedup,paper_messages,paper_avg_bytes,paper_utilization\n",
-    );
-    for (r, p) in rows {
-        out.push_str(&format!(
-            "{},{},{:.3},{:.3},{},{},{:.4}",
-            r.version, r.n, r.time_s, r.speedup, r.messages, r.avg_bytes, r.util
-        ));
-        match p {
-            Some(p) => out.push_str(&format!(
-                ",{:.3},{:.3},{},{},{:.4}\n",
-                p.time_s, p.speedup, p.messages, p.avg_bytes, p.util
-            )),
-            None => out.push_str(",,,,,\n"),
-        }
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, out) {
-        Ok(()) => println!("(csv written to {})", path.display()),
-        Err(e) => eprintln!("(csv export skipped: {e})"),
-    }
-}
-
-/// Renders measured rows next to paper references.
-#[must_use]
-pub fn render_table(title: &str, rows: &[(Row, Option<PaperRow>)]) -> String {
-    let mut t = Table::new(&[
-        "Version", "N", "Time(s)", "Speedup", "Msgs", "Avg(B)", "Util", "|", "paper:T", "Spd",
-        "Msgs", "Avg", "Util",
-    ]);
-    for (r, p) in rows {
-        let mut cells = vec![
-            r.version.clone(),
-            r.n.to_string(),
-            secs_f(r.time_s),
-            ratio(r.speedup),
-            thousands(r.messages),
-            r.avg_bytes.to_string(),
-            percent(r.util),
-            "|".to_string(),
-        ];
-        match p {
-            Some(p) => cells.extend([
-                secs_f(p.time_s),
-                ratio(p.speedup),
-                thousands(p.messages),
-                p.avg_bytes.to_string(),
-                percent(p.util),
-            ]),
-            None => cells.extend(["-".into(), "-".into(), "-".into(), "-".into(), "-".into()]),
-        }
-        t.row(&cells);
-    }
-    format!("{title}\n{}", t.render())
-}
-
-fn row_from(version: &str, n: usize, app: &AppReport, single_s: f64) -> Row {
-    Row {
-        version: version.to_string(),
-        n,
-        time_s: app.secs,
-        speedup: if app.secs > 0.0 { single_s / app.secs } else { 0.0 },
-        messages: app.messages,
-        avg_bytes: app.avg_msg_bytes,
-        util: app.net_util,
-    }
-}
-
-/// Paper Table 1 reference rows (TSP): (variant, n) → values.
-#[must_use]
-pub fn paper_table1(version: &str, n: usize) -> Option<PaperRow> {
-    let v = match (version, n) {
-        ("Lock", 2) => (52.3, 1.64, 5_838, 133, 0.01),
-        ("Lock", 3) => (39.7, 2.16, 8_626, 168, 0.03),
-        ("Lock", 4) => (31.8, 2.69, 10_403, 219, 0.06),
-        ("Hybrid", 2) => (44.9, 1.91, 1_204, 356, 0.01),
-        ("Hybrid", 3) => (31.0, 2.76, 1_916, 426, 0.02),
-        ("Hybrid", 4) => (22.0, 3.89, 2_198, 498, 0.04),
-        _ => return None,
-    };
-    Some(PaperRow {
-        time_s: v.0,
-        speedup: v.1,
-        messages: v.2,
-        avg_bytes: v.3,
-        util: v.4,
-    })
-}
-
-/// Paper Table 2 reference rows (Quicksort).
-#[must_use]
-pub fn paper_table2(version: &str, n: usize) -> Option<PaperRow> {
-    let v = match (version, n) {
-        ("Lock", 2) => (19.6, 1.36, 2_426, 1_209, 0.12),
-        ("Lock", 3) => (18.6, 1.44, 5_144, 1_446, 0.32),
-        ("Lock", 4) => (17.3, 1.54, 6_866, 1_560, 0.50),
-        ("Hybrid-1", 2) => (17.5, 1.53, 1_406, 1_704, 0.11),
-        ("Hybrid-1", 3) => (13.9, 1.93, 2_282, 2_265, 0.30),
-        ("Hybrid-1", 4) => (11.8, 2.27, 2_870, 2_564, 0.50),
-        ("Hybrid-2", 4) => (14.2, 1.89, 4_361, 2_254, 0.55),
-        _ => return None,
-    };
-    Some(PaperRow {
-        time_s: v.0,
-        speedup: v.1,
-        messages: v.2,
-        avg_bytes: v.3,
-        util: v.4,
-    })
-}
-
-/// Paper Table 3 reference rows (Water).
-#[must_use]
-pub fn paper_table3(version: &str, n: usize) -> Option<PaperRow> {
-    let v = match (version, n) {
-        ("Lock", 2) => (23.3, 1.34, 6_920, 368, 0.09),
-        ("Lock", 3) => (19.4, 1.61, 11_348, 374, 0.17),
-        ("Lock", 4) => (17.3, 1.81, 15_423, 379, 0.27),
-        ("Hybrid", 2) => (18.4, 1.70, 2_546, 889, 0.10),
-        ("Hybrid", 3) => (14.4, 2.20, 4_155, 876, 0.20),
-        ("Hybrid", 4) => (12.1, 2.58, 5_634, 871, 0.32),
-        _ => return None,
-    };
-    Some(PaperRow {
-        time_s: v.0,
-        speedup: v.1,
-        messages: v.2,
-        avg_bytes: v.3,
-        util: v.4,
-    })
-}
-
-/// Regenerates Table 1 (TSP on CarlOS, locks vs message-passing).
-#[must_use]
-pub fn table1() -> String {
-    let mut rows = Vec::new();
-    for (variant, name) in [(TspVariant::Lock, "Lock"), (TspVariant::Hybrid, "Hybrid")] {
-        let single = run_tsp(&TspConfig::paper(1, variant)).app.secs;
-        for n in [2, 3, 4] {
-            let r = run_tsp(&TspConfig::paper(n, variant));
-            rows.push((row_from(name, n, &r.app, single), paper_table1(name, n)));
-        }
-    }
-    export_csv("table1", &rows);
-    render_table("Table 1: TSP — coherent shared memory + locks vs message-passing", &rows)
-}
-
-/// Regenerates Table 2 (Quicksort: lock vs Hybrid-1 vs Hybrid-2).
-#[must_use]
-pub fn table2() -> String {
-    let mut rows = Vec::new();
-    let specs = [
-        (QsortVariant::Lock, "Lock", vec![2usize, 3, 4]),
-        (QsortVariant::Hybrid1, "Hybrid-1", vec![2, 3, 4]),
-        (QsortVariant::Hybrid2, "Hybrid-2", vec![4]),
-    ];
-    for (variant, name, ns) in specs {
-        // Hybrid-2's single-node baseline is Hybrid-1's, as in the paper
-        // (the annotations differ only once messages actually flow).
-        let base_variant = if variant == QsortVariant::Hybrid2 {
-            QsortVariant::Hybrid1
-        } else {
-            variant
-        };
-        let single = run_qsort(&QsortConfig::paper(1, base_variant)).app.secs;
-        for n in ns {
-            let r = run_qsort(&QsortConfig::paper(n, variant));
-            assert!(r.sorted && r.permutation_ok, "benchmark run must be correct");
-            rows.push((row_from(name, n, &r.app, single), paper_table2(name, n)));
-        }
-    }
-    export_csv("table2", &rows);
-    render_table("Table 2: Quicksort — lock vs message-based work queue", &rows)
-}
-
-/// Regenerates Table 3 (Water: lock vs hybrid).
-#[must_use]
-pub fn table3() -> String {
-    let mut rows = Vec::new();
-    for (variant, name) in [(WaterVariant::Lock, "Lock"), (WaterVariant::Hybrid, "Hybrid")] {
-        let single = run_water(&WaterConfig::paper(1, variant)).app.secs;
-        for n in [2, 3, 4] {
-            let r = run_water(&WaterConfig::paper(n, variant));
-            rows.push((row_from(name, n, &r.app, single), paper_table3(name, n)));
-        }
-    }
-    export_csv("table3", &rows);
-    render_table("Table 3: Water — per-molecule locks vs shipped update functions", &rows)
-}
-
-/// One bar of Figure 2: the four-bucket execution breakdown at N = 4.
-#[derive(Debug, Clone)]
-pub struct Breakdown {
-    /// Application/variant label, e.g. "TSP/lock".
-    pub label: String,
-    /// Average per-node seconds: (User, Unix, CarlOS, Idle).
-    pub buckets: [f64; 4],
-    /// Total elapsed seconds (measured).
-    pub total: f64,
-    /// Total the paper's Figure 2 reports.
-    pub paper_total: f64,
-}
-
-/// Regenerates the data behind Figure 2 (execution breakdown, four nodes).
-#[must_use]
-pub fn figure2() -> Vec<Breakdown> {
-    let mut out = Vec::new();
-    let mut push = |label: &str, app: &AppReport, paper_total: f64| {
-        out.push(Breakdown {
-            label: label.to_string(),
-            buckets: [
-                app.bucket_secs(Bucket::User),
-                app.bucket_secs(Bucket::Unix),
-                app.bucket_secs(Bucket::Carlos),
-                app.bucket_secs(Bucket::Idle),
-            ],
-            total: app.secs,
-            paper_total,
-        });
-    };
-    let r = run_tsp(&TspConfig::paper(4, TspVariant::Lock));
-    push("TSP/lock", &r.app, 31.8);
-    let r = run_tsp(&TspConfig::paper(4, TspVariant::Hybrid));
-    push("TSP/hybrid", &r.app, 22.0);
-    let r = run_qsort(&QsortConfig::paper(4, QsortVariant::Lock));
-    push("QS/lock", &r.app, 17.3);
-    let r = run_qsort(&QsortConfig::paper(4, QsortVariant::Hybrid1));
-    push("QS/hybrid", &r.app, 11.8);
-    let r = run_water(&WaterConfig::paper(4, WaterVariant::Lock));
-    push("Wtr/lock", &r.app, 17.3);
-    let r = run_water(&WaterConfig::paper(4, WaterVariant::Hybrid));
-    push("Wtr/hybrid", &r.app, 12.1);
-    out
-}
-
-/// Renders Figure 2 as a text table plus proportional bars.
-#[must_use]
-pub fn render_figure2(bars: &[Breakdown]) -> String {
-    let mut t = Table::new(&[
-        "App", "User", "Unix", "CarlOS", "Idle", "Total", "paper:Total",
-    ]);
-    for b in bars {
-        t.row(&[
-            b.label.clone(),
-            secs_f(b.buckets[0]),
-            secs_f(b.buckets[1]),
-            secs_f(b.buckets[2]),
-            secs_f(b.buckets[3]),
-            secs_f(b.total),
-            secs_f(b.paper_total),
-        ]);
-    }
-    let mut out = String::from(
-        "Figure 2: execution breakdown on four nodes (average seconds per node)\n",
-    );
-    out.push_str(&t.render());
-    out.push('\n');
-    let max = bars.iter().map(|b| b.total).fold(0.0f64, f64::max).max(1e-9);
-    for b in bars {
-        let width = 56.0;
-        let mut bar = String::new();
-        for (ch, v) in [('U', b.buckets[0]), ('x', b.buckets[1]), ('C', b.buckets[2]), ('.', b.buckets[3])] {
-            let k = ((v / max) * width).round() as usize;
-            bar.extend(std::iter::repeat_n(ch, k));
-        }
-        out.push_str(&format!("{:>12} |{bar}\n", b.label));
-    }
-    out.push_str("              U = User   x = Unix   C = CarlOS   . = Idle\n");
-    out
-}

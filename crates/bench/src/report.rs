@@ -1,30 +1,35 @@
-//! The paper-table report harness: runs the four applications (TSP,
-//! Quicksort, Water, SOR) across 1–4 nodes — TSP Lock and SOR also at 8 —
-//! with a metrics-only [`Tracer`] installed, and renders the results two
-//! ways:
+//! The paper report: every table and figure of the paper's evaluation, and
+//! the ablations beyond it, from one table of row specs.
 //!
-//! - `BENCH_paper.json` — machine-readable rows mirroring the paper's
-//!   Tables 1–3 (time, speedup, messages, average size, utilization,
-//!   paper reference values), extended with the per-message-class cost
-//!   attribution the paper only reports as §5.4 microcosts;
-//! - a Markdown table for `EXPERIMENTS.md`-style side-by-side reading.
+//! [`SPECS`] lists each group of rows as plain data: application and
+//! variant, label, cluster sizes, one configuration [`Tweak`], and the row
+//! whose single-node time is the speedup base. [`run_report`] runs each
+//! cell once with a metrics-only [`Tracer`] installed, and the rows render
+//! two ways:
+//!
+//! - `BENCH_paper.json` ([`to_json`]) — one row per (application, variant,
+//!   cluster size): the columns of the paper's Tables 1–3 with their
+//!   reference values, Figure 2's time buckets, the write notices behind
+//!   §5.4's per-notice cost, and the per-message-class cost attribution the
+//!   paper only reports as microcosts; then the §5.4 [`Microcosts`] block
+//!   and the serving rows;
+//! - Markdown ([`to_markdown`]) — the same, side by side with the paper.
 //!
 //! Scale comes from [`ReportOptions`]: paper-scale configurations by
 //! default, test-scale when `CARLOS_REPORT_QUICK=1` (CI runs quick mode).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use carlos_apps::harness::AppReport;
 use carlos_apps::qsort::{try_run_qsort, QsortConfig, QsortVariant};
 use carlos_apps::sor::{try_run_sor, SorConfig};
 use carlos_apps::tsp::{try_run_tsp, TspConfig, TspVariant};
 use carlos_apps::water::{try_run_water, WaterConfig, WaterVariant};
-use carlos_core::{CoreConfig, MsgClass};
+use carlos_core::{Annotation, CoreConfig, MsgClass, Runtime};
+use carlos_lrc::LrcConfig;
 use carlos_serve::run::{try_run_serve, ServeConfig, ServeResult};
-use carlos_sim::SimError;
-use carlos_trace::Tracer;
-
-use crate::{paper_table1, paper_table2, paper_table3, PaperRow};
+use carlos_sim::{Bucket, Cluster, SimConfig, SimError};
+use carlos_trace::{JsonValue, Tracer};
 
 /// Scale and scope of one report run.
 #[derive(Debug, Clone)]
@@ -44,6 +49,227 @@ impl ReportOptions {
             quick,
             max_nodes: 4,
         }
+    }
+}
+
+/// An application and its program variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// TSP (Table 1).
+    Tsp(TspVariant),
+    /// Quicksort (Table 2).
+    Quicksort(QsortVariant),
+    /// Water (Table 3).
+    Water(WaterVariant),
+    /// Red-black SOR (beyond the paper).
+    Sor,
+}
+
+impl Workload {
+    /// The application's name in report rows.
+    #[must_use]
+    pub fn app(self) -> &'static str {
+        match self {
+            Self::Tsp(_) => "TSP",
+            Self::Quicksort(_) => "Quicksort",
+            Self::Water(_) => "Water",
+            Self::Sor => "SOR",
+        }
+    }
+}
+
+/// The one configuration change a spec makes to its workload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tweak {
+    /// The workload as the paper ran it.
+    None,
+    /// Variable granularity ("+vg"): per-region granule hints, coalesced
+    /// demand fetches and aggregated write notices.
+    Vg,
+    /// Every message marked RELEASE (§5.4; TSP and Water).
+    AllRelease,
+    /// TreadMarks-style specialised message dispatch (§5).
+    TreadMarks,
+    /// The §4.3 update coherence strategy instead of invalidation.
+    Update,
+}
+
+/// The cluster sizes a spec runs at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sizes {
+    /// 1 to `max_nodes`.
+    Scaling,
+    /// 1 to `max_nodes`, then the row at 8 nodes, past the paper's testbed.
+    ScalingTo8,
+    /// `max_nodes` only.
+    Largest,
+}
+
+/// Cluster size of the TSP Lock and SOR scaling rows, past the paper's
+/// 4-node testbed.
+const SCALING_N: usize = 8;
+
+impl Sizes {
+    fn nodes(self, max_nodes: usize) -> Vec<usize> {
+        match self {
+            Self::Scaling => (1..=max_nodes).collect(),
+            Self::ScalingTo8 => (1..=max_nodes)
+                .chain((max_nodes < SCALING_N).then_some(SCALING_N))
+                .collect(),
+            Self::Largest => vec![max_nodes],
+        }
+    }
+}
+
+/// One group of report rows, as plain data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowSpec {
+    /// Application and program variant.
+    pub workload: Workload,
+    /// Variant label of the rows ("Lock", "Hybrid-1", "Lock+vg", …).
+    pub label: &'static str,
+    /// Cluster sizes.
+    pub sizes: Sizes,
+    /// The configuration change.
+    pub tweak: Tweak,
+    /// Label of the same application's spec whose n = 1 run is the speedup
+    /// base. A spec based on another spec is an ablation: the contrast
+    /// table pairs each of its rows with that spec's row of the same size.
+    pub base: &'static str,
+}
+
+impl RowSpec {
+    /// Whether the paper's Tables 1–3 report this spec (each of their
+    /// variants has a four-node row).
+    #[must_use]
+    pub fn in_paper_tables(&self) -> bool {
+        paper_row(self.workload.app(), self.label, 4).is_some()
+    }
+}
+
+const fn spec(
+    workload: Workload,
+    label: &'static str,
+    sizes: Sizes,
+    tweak: Tweak,
+    base: &'static str,
+) -> RowSpec {
+    RowSpec {
+        workload,
+        label,
+        sizes,
+        tweak,
+        base,
+    }
+}
+
+/// Every row group of the report, in row order: Tables 1–3 and SOR, the
+/// variable-granularity rows, then the ablations — Table 2's Hybrid-2 and
+/// §5.4's no-forward and all-RELEASE runs, §5's TreadMarks-style dispatch,
+/// and the §4.3 update strategy.
+pub const SPECS: &[RowSpec] = {
+    use Sizes::{Largest, Scaling, ScalingTo8};
+    use Workload::{Quicksort as Qs, Sor, Tsp, Water};
+    &[
+        spec(Tsp(TspVariant::Lock), "Lock", ScalingTo8, Tweak::None, "Lock"),
+        spec(Tsp(TspVariant::Hybrid), "Hybrid", Scaling, Tweak::None, "Hybrid"),
+        spec(Qs(QsortVariant::Lock), "Lock", Scaling, Tweak::None, "Lock"),
+        spec(Qs(QsortVariant::Hybrid1), "Hybrid-1", Scaling, Tweak::None, "Hybrid-1"),
+        spec(Water(WaterVariant::Lock), "Lock", Scaling, Tweak::None, "Lock"),
+        spec(Water(WaterVariant::Hybrid), "Hybrid", Scaling, Tweak::None, "Hybrid"),
+        spec(Sor, "-", ScalingTo8, Tweak::None, "-"),
+        spec(Tsp(TspVariant::Lock), "Lock+vg", Scaling, Tweak::Vg, "Lock+vg"),
+        spec(Qs(QsortVariant::Lock), "Lock+vg", Scaling, Tweak::Vg, "Lock+vg"),
+        spec(Water(WaterVariant::Lock), "Lock+vg", Scaling, Tweak::Vg, "Lock+vg"),
+        spec(Sor, "-+vg", Scaling, Tweak::Vg, "-+vg"),
+        spec(Qs(QsortVariant::Hybrid2), "Hybrid-2", Largest, Tweak::None, "Hybrid-1"),
+        spec(Qs(QsortVariant::HybridNoForward), "No-forward", Largest, Tweak::None, "Hybrid-1"),
+        spec(Tsp(TspVariant::Hybrid), "Hybrid+allrel", Largest, Tweak::AllRelease, "Hybrid"),
+        spec(Water(WaterVariant::Hybrid), "Hybrid+allrel", Largest, Tweak::AllRelease, "Hybrid"),
+        spec(Tsp(TspVariant::Lock), "Lock+tmk", Largest, Tweak::TreadMarks, "Lock"),
+        spec(Qs(QsortVariant::Lock), "Lock+tmk", Largest, Tweak::TreadMarks, "Lock"),
+        spec(Water(WaterVariant::Lock), "Lock+tmk", Largest, Tweak::TreadMarks, "Lock"),
+        spec(Tsp(TspVariant::Lock), "Lock+update", Largest, Tweak::Update, "Lock"),
+        spec(Qs(QsortVariant::Lock), "Lock+update", Largest, Tweak::Update, "Lock"),
+        spec(Water(WaterVariant::Lock), "Lock+update", Largest, Tweak::Update, "Lock"),
+        spec(Water(WaterVariant::Hybrid), "Hybrid+update", Largest, Tweak::Update, "Hybrid"),
+        spec(Sor, "-+update", Scaling, Tweak::Update, "-"),
+    ]
+};
+
+/// Paper reference values for one row (from Tables 1–3).
+#[derive(Debug, Clone, Copy)]
+pub struct PaperRow {
+    /// Elapsed seconds reported by the paper.
+    pub time_s: f64,
+    /// Speedup reported by the paper.
+    pub speedup: f64,
+    /// Message count reported by the paper.
+    pub messages: u64,
+    /// Average message size reported by the paper.
+    pub avg_bytes: u64,
+    /// Network utilization reported by the paper (fraction).
+    pub util: f64,
+}
+
+/// The paper's Tables 1–3 reference values for one (application, variant,
+/// cluster size) cell.
+fn paper_row(app: &str, variant: &str, n: usize) -> Option<PaperRow> {
+    let (time_s, speedup, messages, avg_bytes, util) = match (app, variant, n) {
+        ("TSP", "Lock", 2) => (52.3, 1.64, 5_838, 133, 0.01),
+        ("TSP", "Lock", 3) => (39.7, 2.16, 8_626, 168, 0.03),
+        ("TSP", "Lock", 4) => (31.8, 2.69, 10_403, 219, 0.06),
+        ("TSP", "Hybrid", 2) => (44.9, 1.91, 1_204, 356, 0.01),
+        ("TSP", "Hybrid", 3) => (31.0, 2.76, 1_916, 426, 0.02),
+        ("TSP", "Hybrid", 4) => (22.0, 3.89, 2_198, 498, 0.04),
+        ("Quicksort", "Lock", 2) => (19.6, 1.36, 2_426, 1_209, 0.12),
+        ("Quicksort", "Lock", 3) => (18.6, 1.44, 5_144, 1_446, 0.32),
+        ("Quicksort", "Lock", 4) => (17.3, 1.54, 6_866, 1_560, 0.50),
+        ("Quicksort", "Hybrid-1", 2) => (17.5, 1.53, 1_406, 1_704, 0.11),
+        ("Quicksort", "Hybrid-1", 3) => (13.9, 1.93, 2_282, 2_265, 0.30),
+        ("Quicksort", "Hybrid-1", 4) => (11.8, 2.27, 2_870, 2_564, 0.50),
+        ("Quicksort", "Hybrid-2", 4) => (14.2, 1.89, 4_361, 2_254, 0.55),
+        ("Water", "Lock", 2) => (23.3, 1.34, 6_920, 368, 0.09),
+        ("Water", "Lock", 3) => (19.4, 1.61, 11_348, 374, 0.17),
+        ("Water", "Lock", 4) => (17.3, 1.81, 15_423, 379, 0.27),
+        ("Water", "Hybrid", 2) => (18.4, 1.70, 2_546, 889, 0.10),
+        ("Water", "Hybrid", 3) => (14.4, 2.20, 4_155, 876, 0.20),
+        ("Water", "Hybrid", 4) => (12.1, 2.58, 5_634, 871, 0.32),
+        _ => return None,
+    };
+    Some(PaperRow {
+        time_s,
+        speedup,
+        messages,
+        avg_bytes,
+        util,
+    })
+}
+
+/// The paper's §5.4 consistency overhead per write notice (µs) for the
+/// lock and hybrid variants.
+fn paper_per_notice_us(app: &str, variant: &str) -> Option<f64> {
+    Some(match (app, variant) {
+        ("TSP", "Lock") => 42.0,
+        ("TSP", "Hybrid") => 52.0,
+        ("Quicksort", "Lock") => 125.0,
+        ("Quicksort", "Hybrid-1") => 141.0,
+        ("Water", "Lock") => 94.0,
+        ("Water", "Hybrid") => 95.0,
+        _ => return None,
+    })
+}
+
+/// What the paper measured for an ablation row against its base row.
+fn paper_contrast(app: &str, variant: &str) -> &'static str {
+    match (app, variant) {
+        ("Quicksort", "Hybrid-2") => "+20%",
+        ("Quicksort", "No-forward") => "≈ Hybrid-2",
+        ("TSP", "Hybrid+allrel") => "+2.4%",
+        ("Water", "Hybrid+allrel") => "+1.4%",
+        ("TSP" | "Quicksort", "Lock+tmk") => "CarlOS +5–6%",
+        ("Water", "Lock+tmk") => "CarlOS ~0%",
+        _ => "-",
     }
 }
 
@@ -67,17 +293,25 @@ pub struct ClassCost {
 }
 
 /// One row of the report: one (application, variant, cluster-size) run.
+///
+/// `secs` ends at the last node's `app.done_ns`, before node 0 reads the
+/// result back; every traffic and bucket column covers the whole run. So
+/// the buckets of a row can sum past its `secs` (Quicksort's do, by node
+/// 0's verification read-back). ROADMAP item 4(a) moves them to the timed
+/// window.
 #[derive(Debug, Clone)]
 pub struct ReportRow {
     /// Application name ("TSP", "Quicksort", "Water", "SOR").
     pub app: &'static str,
-    /// Variant label ("Lock", "Hybrid", "Hybrid-1", "-").
+    /// Variant label ("Lock", "Hybrid", "Hybrid-1", "-", "Lock+vg", …).
     pub variant: &'static str,
+    /// Variant whose single-node run is the speedup base.
+    pub base: &'static str,
     /// Cluster size.
     pub n: usize,
     /// Measured elapsed virtual seconds.
     pub secs: f64,
-    /// Speedup vs the measured single-node run of the same variant.
+    /// Speedup vs the measured single-node run of `base`.
     pub speedup: f64,
     /// Messages on the wire.
     pub messages: u64,
@@ -85,6 +319,12 @@ pub struct ReportRow {
     pub avg_bytes: u64,
     /// Network utilization (fraction).
     pub util: f64,
+    /// Average virtual seconds per node in each [`Bucket::ALL`] bucket
+    /// (User, Unix, CarlOS, Idle) over the whole run: Figure 2's bars.
+    pub buckets: [f64; 4],
+    /// Write notices applied, all nodes (§5.4's per-notice cost divides
+    /// the CarlOS bucket by this).
+    pub notices_applied: u64,
     /// Per-message-class accounting (classes with traffic only).
     pub classes: Vec<ClassCost>,
     /// Demand diff fetches observed.
@@ -111,31 +351,74 @@ pub struct ReportRow {
     pub paper: Option<PaperRow>,
 }
 
-/// Cluster size of the TSP Lock and SOR scaling rows, past the paper's
-/// 4-node testbed.
-const SCALING_N: usize = 8;
-
-/// The report's TSP configuration: paper scale, or in quick mode the
-/// test-scale workload under the real cost model — the whole point of the
-/// report is cost attribution, and `fast_test` zeroes every protocol cost.
-fn tsp_config(opts: &ReportOptions, n: usize, variant: TspVariant) -> TspConfig {
-    if opts.quick {
-        let mut cfg = TspConfig::test(n, variant);
-        cfg.core = CoreConfig::osdi94();
-        cfg
-    } else {
-        TspConfig::paper(n, variant)
-    }
+/// One application run's configuration.
+enum AppConfig {
+    Tsp(TspConfig),
+    Quicksort(QsortConfig),
+    Water(WaterConfig),
+    Sor(SorConfig),
 }
 
-/// The report's SOR configuration (see [`tsp_config`]).
-fn sor_config(opts: &ReportOptions, n: usize) -> SorConfig {
-    if opts.quick {
-        let mut cfg = SorConfig::test(n);
-        cfg.core = CoreConfig::osdi94();
+/// Evaluates `$body` with `$c` bound to the configuration inside an
+/// [`AppConfig`] (the four share their field names).
+macro_rules! with_cfg {
+    ($cfg:expr, $c:ident => $body:expr) => {
+        match $cfg {
+            AppConfig::Tsp($c) => $body,
+            AppConfig::Quicksort($c) => $body,
+            AppConfig::Water($c) => $body,
+            AppConfig::Sor($c) => $body,
+        }
+    };
+}
+
+impl AppConfig {
+    /// The configuration of `spec` at `n` nodes: paper scale, or in quick
+    /// mode the test-scale workload under the real cost model — the point
+    /// of the report is cost attribution, and `fast_test` zeroes every
+    /// protocol cost.
+    fn new(spec: &RowSpec, n: usize, quick: bool) -> Self {
+        let mut cfg = match (spec.workload, quick) {
+            (Workload::Tsp(v), false) => Self::Tsp(TspConfig::paper(n, v)),
+            (Workload::Tsp(v), true) => Self::Tsp(TspConfig::test(n, v)),
+            (Workload::Quicksort(v), false) => Self::Quicksort(QsortConfig::paper(n, v)),
+            (Workload::Quicksort(v), true) => Self::Quicksort(QsortConfig::test(n, v)),
+            (Workload::Water(v), false) => Self::Water(WaterConfig::paper(n, v)),
+            (Workload::Water(v), true) => Self::Water(WaterConfig::test(n, v)),
+            (Workload::Sor, false) => Self::Sor(SorConfig::paper_scale(n)),
+            (Workload::Sor, true) => Self::Sor(SorConfig::test(n)),
+        };
+        with_cfg!(&mut cfg, c => {
+            let core = if quick { CoreConfig::osdi94() } else { c.core.clone() };
+            c.core = match spec.tweak {
+                Tweak::None | Tweak::AllRelease => core,
+                Tweak::Vg => core.with_coalesced_fetches().with_aggregated_notices(),
+                Tweak::TreadMarks => core.with_treadmarks_dispatch(),
+                Tweak::Update => core.with_update_strategy(),
+            };
+            c.granularity_hints = spec.tweak == Tweak::Vg;
+        });
+        if spec.tweak == Tweak::AllRelease {
+            match &mut cfg {
+                Self::Tsp(c) => c.all_release = true,
+                Self::Water(c) => c.all_release = true,
+                _ => panic!("{}: all-RELEASE runs exist for TSP and Water", spec.label),
+            }
+        }
         cfg
-    } else {
-        SorConfig::paper_scale(n)
+    }
+
+    fn run(&self) -> Result<AppReport, SimError> {
+        Ok(match self {
+            Self::Tsp(c) => try_run_tsp(c)?.app,
+            Self::Quicksort(c) => {
+                let r = try_run_qsort(c)?;
+                assert!(r.sorted && r.permutation_ok, "report run must be correct");
+                r.app
+            }
+            Self::Water(c) => try_run_water(c)?.app,
+            Self::Sor(c) => try_run_sor(c)?.app,
+        })
     }
 }
 
@@ -152,13 +435,11 @@ fn serve_config(opts: &ReportOptions, n: usize) -> ServeConfig {
 
 /// Collapses a finished traced run into a [`ReportRow`].
 fn finish_row(
-    app: &'static str,
-    variant: &'static str,
+    spec: &RowSpec,
     n: usize,
     rep: &AppReport,
-    single_s: f64,
+    speedup: f64,
     tracer: &Tracer,
-    paper: Option<PaperRow>,
 ) -> ReportRow {
     let m = tracer.metrics();
     let mut class_bytes: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -190,15 +471,19 @@ fn finish_row(
         .filter(|c| c.sent > 0)
         .collect();
     let wait_sum = |key: &str| m.histogram(key).map_or(0, carlos_trace::VtHistogram::sum);
+    let app = spec.workload.app();
     ReportRow {
         app,
-        variant,
+        variant: spec.label,
+        base: spec.base,
         n,
         secs: rep.secs,
-        speedup: if rep.secs > 0.0 { single_s / rep.secs } else { 0.0 },
+        speedup,
         messages: rep.messages,
         avg_bytes: rep.avg_msg_bytes,
         util: rep.net_util,
+        buckets: Bucket::ALL.map(|b| rep.bucket_secs(b)),
+        notices_applied: rep.report.counter_total("carlos.notices_applied"),
         classes,
         fetch_diffs: m.counter("fetch.diffs"),
         fetch_pages: m.counter("fetch.page"),
@@ -210,201 +495,96 @@ fn finish_row(
         granule_bulk_bytes: m.counter("fetch.bytes.bulk"),
         wait_lock_ns: wait_sum("wait.lock acquire"),
         wait_barrier_ns: wait_sum("wait.barrier"),
-        paper,
+        paper: paper_row(app, spec.label, n),
     }
 }
 
-/// Runs every (application, variant, n) cell and returns the rows in
-/// table order: TSP lock/hybrid, Quicksort lock/hybrid-1, Water
-/// lock/hybrid, SOR — each from 1 node up to `max_nodes`, TSP lock and SOR
-/// also at 8 nodes — then the variable-granularity rows.
+/// Runs every cell of `specs` once, in order — each spec at each of its
+/// cluster sizes — and returns one row per cell.
 ///
 /// # Errors
 ///
 /// Returns the first [`SimError`] if any run deadlocks, crashes, or
 /// aborts (the tracer is an observer and cannot itself cause one).
-pub fn run_report(opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
+///
+/// # Panics
+///
+/// If a spec's speedup base has no single-node row before it.
+pub fn run_report(specs: &[RowSpec], opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
     let mut rows: Vec<ReportRow> = Vec::new();
-    let ns = 1..=opts.max_nodes;
-    let scaling = (opts.max_nodes < SCALING_N).then_some(SCALING_N);
-
-    for (variant, name) in [(TspVariant::Lock, "Lock"), (TspVariant::Hybrid, "Hybrid")] {
-        let mut single = 0.0;
-        for n in ns.clone().chain(scaling.filter(|_| matches!(variant, TspVariant::Lock))) {
+    for spec in specs {
+        let app = spec.workload.app();
+        for n in spec.sizes.nodes(opts.max_nodes) {
             let tracer = Tracer::metrics_only(n);
-            let mut cfg = tsp_config(opts, n, variant);
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_tsp(&cfg)?;
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row("TSP", name, n, &r.app, single, &tracer, paper_table1(name, n)));
-        }
-    }
-
-    for (variant, name) in [
-        (QsortVariant::Lock, "Lock"),
-        (QsortVariant::Hybrid1, "Hybrid-1"),
-    ] {
-        let mut single = 0.0;
-        for n in ns.clone() {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                // Test-scale workload, but the real cost model: the whole
-                // point of the report is cost attribution, and
-                // `fast_test` zeroes every protocol cost.
-                let mut cfg = QsortConfig::test(n, variant);
-                cfg.core = CoreConfig::osdi94();
-                cfg
+            let mut cfg = AppConfig::new(spec, n, opts.quick);
+            with_cfg!(&mut cfg, c => c.trace = Some(tracer.clone()));
+            let rep = cfg.run()?;
+            let base_secs = if n == 1 && spec.base == spec.label {
+                rep.secs
             } else {
-                QsortConfig::paper(n, variant)
+                rows.iter()
+                    .find(|r| (r.app, r.variant, r.n) == (app, spec.base, 1))
+                    .unwrap_or_else(|| panic!("{app}/{}: no n = 1 {} row", spec.label, spec.base))
+                    .secs
             };
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_qsort(&cfg)?;
-            assert!(r.sorted && r.permutation_ok, "report run must be correct");
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row(
-                "Quicksort",
-                name,
-                n,
-                &r.app,
-                single,
-                &tracer,
-                paper_table2(name, n),
-            ));
+            rows.push(finish_row(spec, n, &rep, rep.speedup_vs(base_secs), &tracer));
         }
     }
-
-    for (variant, name) in [(WaterVariant::Lock, "Lock"), (WaterVariant::Hybrid, "Hybrid")] {
-        let mut single = 0.0;
-        for n in ns.clone() {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                // Test-scale workload, but the real cost model: the whole
-                // point of the report is cost attribution, and
-                // `fast_test` zeroes every protocol cost.
-                let mut cfg = WaterConfig::test(n, variant);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                WaterConfig::paper(n, variant)
-            };
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_water(&cfg)?;
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row("Water", name, n, &r.app, single, &tracer, paper_table3(name, n)));
-        }
-    }
-
-    {
-        let mut single = 0.0;
-        for n in ns.clone().chain(scaling) {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = sor_config(opts, n);
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_sor(&cfg)?;
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row("SOR", "-", n, &r.app, single, &tracer, None));
-        }
-    }
-
-    // Variable-granularity rows ("+vg"): the same Lock-variant workloads
-    // with per-region granule hints, coalesced demand fetches, and
-    // aggregated write notices — the traffic-reduction configuration. The
-    // legacy rows above are untouched, so the before/after comparison is
-    // readable from a single document.
-    {
-        let mut single = 0.0;
-        for n in ns.clone() {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = tsp_config(opts, n, TspVariant::Lock);
-            cfg.granularity_hints = true;
-            cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_tsp(&cfg)?;
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row("TSP", "Lock+vg", n, &r.app, single, &tracer, None));
-        }
-    }
-
-    {
-        let mut single = 0.0;
-        for n in ns.clone() {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                let mut cfg = QsortConfig::test(n, QsortVariant::Lock);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                QsortConfig::paper(n, QsortVariant::Lock)
-            };
-            cfg.granularity_hints = true;
-            cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_qsort(&cfg)?;
-            assert!(r.sorted && r.permutation_ok, "vg report run must be correct");
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row(
-                "Quicksort",
-                "Lock+vg",
-                n,
-                &r.app,
-                single,
-                &tracer,
-                None,
-            ));
-        }
-    }
-
-    {
-        let mut single = 0.0;
-        for n in ns.clone() {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = if opts.quick {
-                let mut cfg = WaterConfig::test(n, WaterVariant::Lock);
-                cfg.core = CoreConfig::osdi94();
-                cfg
-            } else {
-                WaterConfig::paper(n, WaterVariant::Lock)
-            };
-            cfg.granularity_hints = true;
-            cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_water(&cfg)?;
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row("Water", "Lock+vg", n, &r.app, single, &tracer, None));
-        }
-    }
-
-    {
-        let mut single = 0.0;
-        for n in ns.clone() {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = sor_config(opts, n);
-            cfg.granularity_hints = true;
-            cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-            cfg.trace = Some(tracer.clone());
-            let r = try_run_sor(&cfg)?;
-            if n == 1 {
-                single = r.app.secs;
-            }
-            rows.push(finish_row("SOR", "-+vg", n, &r.app, single, &tracer, None));
-        }
-    }
-
     Ok(rows)
+}
+
+/// §5.4's annotation microcosts: CarlOS-bucket time per message, sender
+/// and receiver together, of a two-node stream of one annotation.
+#[derive(Debug, Clone, Copy)]
+pub struct Microcosts {
+    /// Messages in each stream.
+    pub messages: u32,
+    /// Microseconds per NONE message.
+    pub none_us: f64,
+    /// Microseconds per REQUEST message.
+    pub request_us: f64,
+    /// Microseconds per RELEASE message (one dirty page, announced once).
+    pub release_us: f64,
+}
+
+/// Streams 500 messages of each of NONE, REQUEST and RELEASE from node 0
+/// to node 1 under the `osdi94` cost models.
+///
+/// # Errors
+///
+/// Returns the [`SimError`] of a stream that fails.
+pub fn run_microcosts() -> Result<Microcosts, SimError> {
+    const MESSAGES: u32 = 500;
+    let per_message = |annotation: Annotation| -> Result<f64, SimError> {
+        let mut cluster = Cluster::new(SimConfig::osdi94(), 2);
+        cluster.spawn_node(0, move |ctx| {
+            let mut rt = Runtime::new(ctx, LrcConfig::osdi94(2, 1 << 16), CoreConfig::osdi94());
+            // Dirty one page so releases have an interval to announce once.
+            rt.write_u32(0, 1);
+            for i in 0..MESSAGES {
+                rt.send(1, 7, i.to_le_bytes().to_vec(), annotation);
+            }
+            let _ = rt.wait_accepted(8);
+            rt.shutdown();
+        });
+        cluster.spawn_node(1, move |ctx| {
+            let mut rt = Runtime::new(ctx, LrcConfig::osdi94(2, 1 << 16), CoreConfig::osdi94());
+            for _ in 0..MESSAGES {
+                let _ = rt.wait_accepted(7);
+            }
+            rt.send(0, 8, vec![], Annotation::None);
+            rt.shutdown();
+        });
+        #[allow(clippy::cast_precision_loss)]
+        let ns = cluster.try_run()?.bucket_total(Bucket::Carlos) as f64;
+        Ok(ns / 1e3 / f64::from(MESSAGES))
+    };
+    Ok(Microcosts {
+        messages: MESSAGES,
+        none_us: per_message(Annotation::None)?,
+        request_us: per_message(Annotation::Request)?,
+        release_us: per_message(Annotation::Release)?,
+    })
 }
 
 /// One serving row: a `carlos-serve` run's latency/throughput/harvest
@@ -616,7 +796,12 @@ pub fn serve_gate(rows: &[ServeRow], baseline_json: &str) -> Result<Vec<String>,
 /// Renders the rows as the `BENCH_paper.json` document (valid JSON; all
 /// strings are fixed ASCII labels, so no escaping is required).
 #[must_use]
-pub fn to_json(rows: &[ReportRow], serve: &[ServeRow], opts: &ReportOptions) -> String {
+pub fn to_json(
+    rows: &[ReportRow],
+    micro: Option<&Microcosts>,
+    serve: &[ServeRow],
+    opts: &ReportOptions,
+) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"generated_by\": \"cargo run --release --example report\",\n");
     out.push_str(&format!("  \"quick_mode\": {},\n", opts.quick));
@@ -644,6 +829,11 @@ pub fn to_json(rows: &[ReportRow], serve: &[ServeRow], opts: &ReportOptions) -> 
             r.granule_bulk_fetches,
             r.granule_bulk_bytes
         ));
+        out.push_str(&format!("     \"speedup_base\": \"{}\", ", r.base));
+        for (b, secs) in Bucket::ALL.iter().zip(r.buckets) {
+            out.push_str(&format!("\"bucket_{}_s\": {secs:.6}, ", b.name().to_lowercase()));
+        }
+        out.push_str(&format!("\"notices_applied\": {},\n", r.notices_applied));
         out.push_str("     \"classes\": [");
         for (j, c) in r.classes.iter().enumerate() {
             if j > 0 {
@@ -667,6 +857,14 @@ pub fn to_json(rows: &[ReportRow], serve: &[ServeRow], opts: &ReportOptions) -> 
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
+    if let Some(m) = micro {
+        out.push_str(&format!(
+            "  \"microcosts\": {{\"messages\": {}, \"none_us\": {:.3}, \"request_us\": {:.3}, \
+             \"release_us\": {:.3}, \"paper_request_minus_none_us\": [5, 15], \
+             \"paper_release_minus_none_us\": 30}},\n",
+            m.messages, m.none_us, m.request_us, m.release_us
+        ));
+    }
     out.push_str("  \"serve_rows\": [\n");
     for (i, r) in serve.iter().enumerate() {
         out.push_str(&format!(
@@ -691,8 +889,11 @@ pub fn to_json(rows: &[ReportRow], serve: &[ServeRow], opts: &ReportOptions) -> 
 }
 
 /// Renders the rows as a Markdown report: one summary table in the
-/// paper's column layout, then the per-class cost attribution for the
-/// largest cluster size of every (application, variant).
+/// paper's column layout; the per-class cost attribution and per-granule
+/// demand traffic for the largest cluster size of every (application,
+/// variant); Figure 2 and §5.4's per-notice cost for the paper's variants
+/// at their largest cluster size; and every ablation row beside its base
+/// row.
 #[must_use]
 pub fn to_markdown(rows: &[ReportRow]) -> String {
     let mut out = String::from("## Paper tables, regenerated\n\n");
@@ -763,80 +964,194 @@ pub fn to_markdown(rows: &[ReportRow]) -> String {
             r.granule_bulk_bytes
         ));
     }
+    paper_figures_markdown(rows, &mut out);
+    contrast_markdown(rows, &mut out);
     out
 }
 
-/// The wire-traffic regression gate: compares the freshly-run rows
-/// against a committed baseline report JSON and rejects the run if the
-/// legacy TSP or Quicksort Lock n=4 rows grew their total message count
-/// or SYSTEM-class payload bytes by more than `TRAFFIC_TOLERANCE`.
-/// Returns one human-readable comparison line per gated metric.
+/// Figure 2 and the per-notice table: the paper's own variants (rows with
+/// a paper reference and their own speedup base) at the largest cluster
+/// size they reach.
+fn paper_figures_markdown(rows: &[ReportRow], out: &mut String) {
+    let paper_variant = |r: &&ReportRow| r.paper.is_some() && r.base == r.variant;
+    let Some(n) = rows.iter().filter(paper_variant).map(|r| r.n).max() else {
+        return;
+    };
+    let at_n: Vec<&ReportRow> = rows.iter().filter(paper_variant).filter(|r| r.n == n).collect();
+    out.push_str(&format!(
+        "\n## Figure 2 — execution breakdown on {n} nodes\n\n\
+         Average seconds per node over the whole run; Time(s) ends at the last \
+         node's `app.done_ns`, before node 0 reads the result back, so the \
+         buckets can sum past it.\n\n\
+         | App | Version | User | Unix | CarlOS | Idle | Time(s) | paper T(s) |\n\
+         |---|---|--:|--:|--:|--:|--:|--:|\n"
+    ));
+    for r in &at_n {
+        let [user, unix, carlos, idle] = r.buckets;
+        let paper = r.paper.map_or(0.0, |p| p.time_s);
+        out.push_str(&format!(
+            "| {} | {} | {user:.1} | {unix:.1} | {carlos:.1} | {idle:.1} | {:.1} | {paper:.1} |\n",
+            r.app, r.variant, r.secs
+        ));
+    }
+    out.push_str(&format!(
+        "\n## §5.4 — consistency overhead per write notice on {n} nodes\n\n\
+         CarlOS-bucket time of all nodes over the write notices they applied \
+         (n/a below 100 notices: almost no shared-memory traffic).\n\n\
+         | App | Version | Notices | µs/notice | paper µs |\n\
+         |---|---|--:|--:|--:|\n"
+    ));
+    for r in &at_n {
+        #[allow(clippy::cast_precision_loss)]
+        let measured = if r.notices_applied < 100 {
+            "n/a".to_string()
+        } else {
+            let carlos_us = r.buckets[2] * r.n as f64 * 1e6;
+            format!("{:.1}", carlos_us / r.notices_applied as f64)
+        };
+        let paper = paper_per_notice_us(r.app, r.variant).map_or("-".into(), |p| format!("{p:.0}"));
+        out.push_str(&format!(
+            "| {} | {} | {} | {measured} | {paper} |\n",
+            r.app, r.variant, r.notices_applied
+        ));
+    }
+}
+
+/// Every ablation row beside its base row of the same size.
+fn contrast_markdown(rows: &[ReportRow], out: &mut String) {
+    let pairs: Vec<(&ReportRow, &ReportRow)> = rows
+        .iter()
+        .filter(|r| r.base != r.variant)
+        .filter_map(|r| {
+            let base = rows.iter().find(|b| (b.app, b.variant, b.n) == (r.app, r.base, r.n))?;
+            Some((r, base))
+        })
+        .collect();
+    if pairs.is_empty() {
+        return;
+    }
+    out.push_str(
+        "\n## Ablations against their base rows\n\n\
+         | App | Row | Base | N | Base T(s) | T(s) | Δ time | Base msgs | Msgs | \
+         Base fetches | Fetches | paper Δ |\n\
+         |---|---|---|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
+    );
+    for (r, b) in pairs {
+        out.push_str(&format!(
+            "| {} | {} | {} | {} | {:.2} | {:.2} | {:+.1}% | {} | {} | {} | {} | {} |\n",
+            r.app,
+            r.variant,
+            b.variant,
+            r.n,
+            b.secs,
+            r.secs,
+            (r.secs / b.secs - 1.0) * 100.0,
+            b.messages,
+            r.messages,
+            b.fetch_diffs,
+            r.fetch_diffs,
+            paper_contrast(r.app, r.variant)
+        ));
+    }
+}
+
+/// Renders the microcosts block as a Markdown table.
+#[must_use]
+pub fn microcosts_markdown(m: &Microcosts) -> String {
+    format!(
+        "\n## §5.4 — annotation microcosts ({} messages, 2 nodes)\n\n\
+         CarlOS-bucket time per message, sender and receiver together.\n\n\
+         | Quantity | Measured (µs) | Paper |\n\
+         |---|--:|---|\n\
+         | NONE | {:.1} | - |\n\
+         | REQUEST − NONE | {:.1} | 5–15 µs |\n\
+         | RELEASE − NONE (no notices) | {:.1} | ~30 µs |\n",
+        m.messages,
+        m.none_us,
+        m.request_us - m.none_us,
+        m.release_us - m.none_us
+    )
+}
+
+/// The exact row gate: every (app, variant, n) row of the committed
+/// baseline must be in the fresh report, with every field the baseline
+/// row has — each `classes` entry included — equal; so must the
+/// microcosts block if the baseline has one. Quick runs are
+/// bit-deterministic, so any difference is a real change. Rows and fields
+/// the baseline lacks pass, and are listed in the returned lines.
 ///
 /// # Errors
 ///
-/// Returns a description of the first regression, or of a baseline /
-/// report row that is missing or malformed.
-pub fn traffic_gate(rows: &[ReportRow], baseline_json: &str) -> Result<Vec<String>, String> {
-    /// Quick-mode runs are deterministic, so any growth is a real protocol
-    /// change; 5% headroom only forgives intentional small reshapes.
-    const TRAFFIC_TOLERANCE: f64 = 1.05;
-
-    let doc = carlos_trace::json::parse(baseline_json)
-        .map_err(|e| format!("baseline JSON does not parse: {e:?}"))?;
-    let baseline_rows = doc
-        .get("rows")
-        .and_then(carlos_trace::JsonValue::as_array)
-        .ok_or_else(|| "baseline JSON has no rows array".to_string())?;
-    let field = |row: &carlos_trace::JsonValue, key: &str| -> Option<u64> {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        row.get(key).and_then(|v| v.as_f64()).map(|v| v as u64)
+/// Returns the first missing row or differing field, naming both, or a
+/// document that does not parse.
+pub fn row_gate(report_json: &str, baseline_json: &str) -> Result<Vec<String>, String> {
+    let parse = |what: &str, text: &str| {
+        carlos_trace::json::parse(text).map_err(|e| format!("{what} JSON does not parse: {e}"))
     };
-    let baseline_traffic = |app: &str, variant: &str, n: f64| -> Option<(u64, u64)> {
-        let row = baseline_rows.iter().find(|r| {
-            r.get("app").and_then(carlos_trace::JsonValue::as_str) == Some(app)
-                && r.get("variant").and_then(carlos_trace::JsonValue::as_str) == Some(variant)
-                && r.get("n").and_then(carlos_trace::JsonValue::as_f64) == Some(n)
-        })?;
-        let messages = field(row, "messages")?;
-        let sys_bytes = row
-            .get("classes")
-            .and_then(carlos_trace::JsonValue::as_array)?
-            .iter()
-            .find(|c| c.get("class").and_then(carlos_trace::JsonValue::as_str) == Some("SYSTEM"))
-            .and_then(|c| field(c, "bytes"))
-            .unwrap_or(0);
-        Some((messages, sys_bytes))
+    let (fresh, base) = (parse("report", report_json)?, parse("baseline", baseline_json)?);
+    let rows = |doc: &JsonValue, what: &str| {
+        doc.get("rows")
+            .and_then(JsonValue::as_array)
+            .map(<[JsonValue]>::to_vec)
+            .ok_or_else(|| format!("{what} JSON has no rows array"))
     };
-
-    let mut lines = Vec::new();
-    for (app, variant) in [("TSP", "Lock"), ("Quicksort", "Lock")] {
-        let (base_msgs, base_sys) = baseline_traffic(app, variant, 4.0)
-            .ok_or_else(|| format!("baseline has no {app}/{variant} n=4 row"))?;
-        let row = rows
+    let (fresh_rows, base_rows) = (rows(&fresh, "report")?, rows(&base, "baseline")?);
+    let key = |r: &JsonValue| {
+        let text = |k: &str| r.get(k).and_then(JsonValue::as_str).unwrap_or("?").to_string();
+        let n = r.get("n").and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
+        format!("{}/{} n={n}", text("app"), text("variant"))
+    };
+    let mut new_fields = BTreeSet::new();
+    for b in &base_rows {
+        let k = key(b);
+        let f = fresh_rows
             .iter()
-            .find(|r| r.app == app && r.variant == variant && r.n == 4)
-            .ok_or_else(|| format!("report has no {app}/{variant} n=4 row"))?;
-        let sys = row
-            .classes
-            .iter()
-            .find(|c| c.class == "SYSTEM")
-            .map_or(0, |c| c.bytes);
-        #[allow(clippy::cast_precision_loss)]
-        for (metric, now, base) in [
-            ("messages", row.messages, base_msgs),
-            ("SYSTEM bytes", sys, base_sys),
-        ] {
-            if now as f64 > base as f64 * TRAFFIC_TOLERANCE {
-                return Err(format!(
-                    "{app}/{variant} n=4 {metric} regressed: {now} vs baseline {base} (>5%)"
-                ));
-            }
-            lines.push(format!(
-                "{app}/{variant} n=4 {metric}: {now} (baseline {base})"
-            ));
-        }
+            .find(|f| key(f) == k)
+            .ok_or_else(|| format!("report has no {k} row"))?;
+        same_json(b, f, &k, &mut new_fields)?;
     }
+    if let Some(b) = base.get("microcosts") {
+        let f = fresh.get("microcosts").ok_or("report has no microcosts block")?;
+        same_json(b, f, "microcosts", &mut new_fields)?;
+    }
+    let mut lines = vec![format!("{} baseline rows equal", base_rows.len())];
+    lines.extend(
+        fresh_rows
+            .iter()
+            .map(key)
+            .filter(|k| !base_rows.iter().any(|b| key(b) == *k))
+            .map(|k| format!("new row {k}")),
+    );
+    lines.extend(new_fields.into_iter().map(|f| format!("new field {f}")));
     Ok(lines)
+}
+
+/// Checks that `fresh` holds everything `base` does, equal, at `path`;
+/// object members only `fresh` has are collected into `new_fields`.
+fn same_json(
+    base: &JsonValue,
+    fresh: &JsonValue,
+    path: &str,
+    new_fields: &mut BTreeSet<String>,
+) -> Result<(), String> {
+    match (base, fresh) {
+        (JsonValue::Object(b), JsonValue::Object(f)) => {
+            for (k, v) in b {
+                let at = format!("{path}: {k}");
+                let fv = f.get(k).ok_or_else(|| format!("{at} is missing"))?;
+                same_json(v, fv, &at, new_fields)?;
+            }
+            new_fields.extend(f.keys().filter(|k| !b.contains_key(*k)).cloned());
+            Ok(())
+        }
+        (JsonValue::Array(b), JsonValue::Array(f)) if b.len() == f.len() => b
+            .iter()
+            .zip(f)
+            .enumerate()
+            .try_for_each(|(i, (b, f))| same_json(b, f, &format!("{path}[{i}]"), new_fields)),
+        _ if base == fresh => Ok(()),
+        _ => Err(format!("{path} changed: baseline {base:?}, now {fresh:?}")),
+    }
 }
 
 #[cfg(test)]
@@ -845,21 +1160,27 @@ mod tests {
 
     use super::*;
 
+    fn quick(max_nodes: usize) -> ReportOptions {
+        ReportOptions {
+            quick: true,
+            max_nodes,
+        }
+    }
+
     /// A 2-node quick report end to end: every cell runs, the JSON is
     /// valid (checked with carlos-trace's own parser), and the class
     /// ledgers are populated and self-consistent.
     #[test]
     fn quick_report_rows_and_json_are_consistent() {
-        let opts = ReportOptions {
-            quick: true,
-            max_nodes: 2,
-        };
-        let rows = run_report(&opts).expect("quick report runs clean");
-        // 7 legacy (app, variant) groups plus 4 variable-granularity
-        // groups, × 2 cluster sizes, plus the TSP Lock and SOR 8-node rows.
-        assert_eq!(rows.len(), 24);
+        let opts = quick(2);
+        let rows = run_report(SPECS, &opts).expect("quick report runs clean");
+        // 7 legacy (app, variant) groups, 4 variable-granularity groups and
+        // the SOR update group, × 2 cluster sizes; the TSP Lock and SOR
+        // 8-node rows; 11 ablations at the largest size only.
+        assert_eq!(rows.len(), 37);
         for r in &rows {
             assert!(r.secs > 0.0, "{}/{} has zero elapsed", r.app, r.variant);
+            assert!(r.buckets[0] > 0.0, "{}/{} computed nothing", r.app, r.variant);
             if r.n > 1 {
                 assert!(r.messages > 0, "{}/{} sent nothing", r.app, r.variant);
                 let sent: u64 = r.classes.iter().map(|c| c.sent).sum();
@@ -874,16 +1195,41 @@ mod tests {
                 );
             }
         }
-        let json = to_json(&rows, &[], &opts);
+        // Hybrid-2's speedup is over Hybrid-1's single-node run, as in the
+        // paper's Table 2.
+        let row = |variant: &str, n: usize| {
+            rows.iter()
+                .find(|r| (r.app, r.variant, r.n) == ("Quicksort", variant, n))
+                .expect("row")
+        };
+        let (h2, h1) = (row("Hybrid-2", 2), row("Hybrid-1", 1));
+        assert_eq!(h2.base, "Hybrid-1");
+        assert!((h2.speedup - h1.secs / h2.secs).abs() < 1e-12, "{}", h2.speedup);
+        assert!(h2.paper.is_none(), "the paper reports Hybrid-2 at four nodes only");
+        let json = to_json(&rows, None, &[], &opts);
         let doc = carlos_trace::json::parse(&json).expect("report JSON parses");
         let parsed = doc
             .get("rows")
             .and_then(carlos_trace::JsonValue::as_array)
             .expect("rows array");
         assert_eq!(parsed.len(), rows.len());
+        let h2_json = parsed
+            .iter()
+            .find(|r| r.get("variant").and_then(JsonValue::as_str) == Some("Hybrid-2"))
+            .expect("Hybrid-2 row");
+        assert_eq!(h2_json.get("speedup_base").and_then(JsonValue::as_str), Some("Hybrid-1"));
+        for field in ["user", "unix", "carlos", "idle"].map(|b| format!("bucket_{b}_s")) {
+            assert!(h2_json.get(&field).and_then(JsonValue::as_f64).is_some(), "{field}");
+        }
+        #[allow(clippy::cast_precision_loss)]
+        let notices = h2.notices_applied as f64;
+        assert_eq!(h2_json.get("notices_applied").and_then(JsonValue::as_f64), Some(notices));
         let md = to_markdown(&rows);
         assert!(md.contains("| TSP |") && md.contains("| SOR |"));
         assert!(md.contains("Per-granule-class demand traffic"));
+        assert!(md.contains("## Figure 2") && md.contains("per write notice"));
+        assert!(md.contains("| Quicksort | Hybrid-2 | Hybrid-1 | 2 |"), "{md}");
+        assert!(md.contains("| SOR | -+update | - | 1 |"), "{md}");
         // The variable-granularity rows actually exercise non-page
         // granules and the per-class traffic columns see them.
         let vg: Vec<_> = rows.iter().filter(|r| r.variant.ends_with("+vg")).collect();
@@ -895,16 +1241,34 @@ mod tests {
         );
     }
 
+    /// The microcost streams reproduce §5.4's differences exactly: 10 µs of
+    /// vector-timestamp handling on a REQUEST, 40 µs on a RELEASE.
+    #[test]
+    fn microcosts_are_pinned() {
+        let m = run_microcosts().expect("streams run clean");
+        assert_eq!(m.messages, 500);
+        assert_eq!(format!("{:.1}", m.request_us - m.none_us), "10.0");
+        assert_eq!(format!("{:.1}", m.release_us - m.none_us), "40.0");
+        let md = microcosts_markdown(&m);
+        assert!(md.contains("| REQUEST − NONE | 10.0 |"), "{md}");
+        let json = to_json(&[], Some(&m), &[], &quick(2));
+        let doc = carlos_trace::json::parse(&json).expect("microcosts JSON parses");
+        assert!(doc.get("microcosts").and_then(|b| b.get("none_us")).is_some());
+    }
+
     fn gate_row(app: &'static str, messages: u64, sys_bytes: u64) -> ReportRow {
         ReportRow {
             app,
             variant: "Lock",
+            base: "Lock",
             n: 4,
             secs: 1.0,
             speedup: 1.0,
             messages,
             avg_bytes: 100,
             util: 0.1,
+            buckets: [0.5, 0.1, 0.1, 0.3],
+            notices_applied: 10,
             classes: vec![ClassCost {
                 class: "SYSTEM",
                 sent: 10,
@@ -927,34 +1291,37 @@ mod tests {
         }
     }
 
-    /// The traffic gate passes a run against its own JSON, tolerates small
-    /// (<5%) growth, and rejects anything beyond on either metric.
+    /// The row gate passes a report against itself, fails on one changed
+    /// field (naming the row and the field) and on a missing row, and
+    /// passes added rows and fields, listing them.
     #[test]
-    fn traffic_gate_catches_regressions() {
-        let opts = ReportOptions {
-            quick: true,
-            max_nodes: 4,
-        };
-        let baseline_rows = vec![gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 80_000)];
-        let baseline = to_json(&baseline_rows, &[], &opts);
+    fn row_gate_demands_equal_rows() {
+        let opts = quick(4);
+        let json = |rows: &[ReportRow]| to_json(rows, None, &[], &opts);
+        let both = [gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 80_000)];
+        let baseline = json(&both);
 
-        let lines = traffic_gate(&baseline_rows, &baseline).expect("self-comparison passes");
-        assert_eq!(lines.len(), 4, "two metrics per gated app: {lines:?}");
+        let lines = row_gate(&baseline, &baseline).expect("self-comparison passes");
+        assert_eq!(lines, ["2 baseline rows equal"]);
 
-        let small_growth = vec![gate_row("TSP", 1040, 51_000), gate_row("Quicksort", 2000, 80_000)];
-        assert!(traffic_gate(&small_growth, &baseline).is_ok(), "<5% growth tolerated");
+        let changed = [gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 80_001)];
+        let err = row_gate(&json(&changed), &baseline).unwrap_err();
+        assert!(err.contains("Quicksort/Lock n=4") && err.contains("classes[0]: bytes"), "{err}");
 
-        let msg_regress = vec![gate_row("TSP", 1100, 50_000), gate_row("Quicksort", 2000, 80_000)];
-        let err = traffic_gate(&msg_regress, &baseline).unwrap_err();
-        assert!(err.contains("TSP") && err.contains("messages"), "{err}");
+        let err = row_gate(&json(&both[..1]), &baseline).unwrap_err();
+        assert!(err.contains("no Quicksort/Lock n=4 row"), "{err}");
 
-        let byte_regress = vec![gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 90_000)];
-        let err = traffic_gate(&byte_regress, &baseline).unwrap_err();
-        assert!(err.contains("Quicksort") && err.contains("SYSTEM bytes"), "{err}");
+        let older = "{\"rows\": [{\"app\": \"TSP\", \"variant\": \"Lock\", \"n\": 4, \
+                     \"messages\": 1000, \
+                     \"classes\": [{\"class\": \"SYSTEM\", \"bytes\": 50000}]}]}";
+        let lines = row_gate(&baseline, older).expect("added rows and fields pass");
+        assert!(lines.contains(&"new row Quicksort/Lock n=4".to_string()), "{lines:?}");
+        assert!(lines.contains(&"new field notices_applied".to_string()), "{lines:?}");
+        assert!(lines.contains(&"new field cost_ns".to_string()), "{lines:?}");
 
         assert!(
-            traffic_gate(&baseline_rows, "{\"rows\": []}").is_err(),
-            "missing baseline rows must fail loudly"
+            row_gate(&baseline, "{\"serve_rows\": []}").is_err(),
+            "a baseline without rows must fail loudly"
         );
     }
 
@@ -964,11 +1331,7 @@ mod tests {
     /// largest cluster size.
     #[test]
     fn eight_node_rows_are_traced_and_render() {
-        let opts = ReportOptions {
-            quick: true,
-            max_nodes: 2,
-        };
-        let rows = run_report(&opts).expect("quick report runs clean");
+        let rows = run_report(SPECS, &quick(2)).expect("quick report runs clean");
         let eight: Vec<_> = rows.iter().filter(|r| r.n == 8).collect();
         assert_eq!(
             eight.iter().map(|r| (r.app, r.variant)).collect::<Vec<_>>(),
@@ -994,10 +1357,6 @@ mod tests {
     /// time and message count as the unchecked runs the report publishes.
     #[test]
     fn eight_node_rows_are_checked_clean() {
-        let opts = ReportOptions {
-            quick: true,
-            max_nodes: 4,
-        };
         let totals = |app: &AppReport| (app.report.elapsed, app.report.net.messages);
         let same_under_checker = |what: &str, run: &dyn Fn(Option<Checker>) -> AppReport| {
             let check = Checker::new(8);
@@ -1005,18 +1364,15 @@ mod tests {
             assert_eq!(totals(&checked), totals(&plain), "{what}: the checker showed");
             check.assert_clean();
         };
-        same_under_checker("TSP", &|check| {
-            let mut cfg = tsp_config(&opts, 8, TspVariant::Lock);
-            cfg.check = check;
-            try_run_tsp(&cfg).expect("TSP runs clean").app
-        });
-        same_under_checker("SOR", &|check| {
-            let mut cfg = sor_config(&opts, 8);
-            cfg.check = check;
-            try_run_sor(&cfg).expect("SOR runs clean").app
-        });
+        for spec in SPECS.iter().filter(|s| s.sizes == Sizes::ScalingTo8) {
+            same_under_checker(spec.label, &|check| {
+                let mut cfg = AppConfig::new(spec, 8, true);
+                with_cfg!(&mut cfg, c => c.check = check);
+                cfg.run().expect("runs clean")
+            });
+        }
         same_under_checker("KV", &|check| {
-            let mut cfg = serve_config(&opts, 8);
+            let mut cfg = serve_config(&quick(4), 8);
             cfg.check = check;
             try_run_serve(&cfg).expect("KV runs clean").app
         });
@@ -1030,10 +1386,7 @@ mod tests {
     /// messages-per-operation regressions.
     #[test]
     fn serve_rows_run_gate_and_render() {
-        let opts = ReportOptions {
-            quick: true,
-            max_nodes: 8,
-        };
+        let opts = quick(8);
         let serve = run_serve_rows(&opts).expect("serve rows run clean");
         assert_eq!(serve.len(), 2, "quick mode: KV n=8 + KV/chaos n=8");
         let kv = &serve[0];
@@ -1051,7 +1404,7 @@ mod tests {
             "every drop must be attributed"
         );
 
-        let json = to_json(&[], &serve, &opts);
+        let json = to_json(&[], None, &serve, &opts);
         let doc = carlos_trace::json::parse(&json).expect("serve JSON parses");
         let parsed = doc
             .get("serve_rows")

@@ -9,12 +9,9 @@
 //!   message counts and *sizes in bytes*, so every protocol message in this
 //!   repository is serialized through this codec and its size is the size
 //!   that crosses the simulated wire.
-//! - [`fmt`] — tiny table/duration formatting helpers used by the bench
-//!   harnesses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod fmt;
 pub mod rng;

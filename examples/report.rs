@@ -1,27 +1,38 @@
-//! The paper-table report harness: regenerates the paper's Tables 1–3
-//! (plus SOR) across 1–4 nodes with a metrics-only tracer installed,
-//! writing `BENCH_paper.json` and printing a Markdown report with
-//! per-message-class cost attribution (§5.4's microcosts, end to end).
-//! TSP Lock and SOR also run at 8 nodes, extending the scaling tables past
-//! the paper's testbed. Appends the `carlos-serve` serving rows: open-loop
-//! Zipfian KV traffic at 8–32 nodes (tail latency, ops/s, bytes/op) plus a
-//! chaos row reporting harvest and yield under burst loss and a partition.
+//! The paper report: regenerates every table and figure of the paper's
+//! evaluation — Tables 1–3 (plus SOR) across 1–4 nodes, Figure 2, §5.4's
+//! microcosts, per-notice costs and all-RELEASE runs, §5's TreadMarks-style
+//! dispatch — and the ablations beyond it, every row traced, writing
+//! `BENCH_paper.json` and printing a Markdown report with per-message-class
+//! cost attribution. TSP Lock and SOR also run at 8 nodes, extending the
+//! scaling tables past the paper's testbed. Appends the `carlos-serve`
+//! serving rows: open-loop Zipfian KV traffic at 8–32 nodes (tail latency,
+//! ops/s, bytes/op) plus a chaos row reporting harvest and yield under
+//! burst loss and a partition.
 //!
 //! Run with `cargo run --release --example report`. Environment:
 //!
 //! - `CARLOS_REPORT_QUICK=1` — test-scale workloads (what CI runs);
 //! - `CARLOS_REPORT_OUT=path` — JSON destination (default
-//!   `BENCH_paper.json` in the current directory).
+//!   `BENCH_paper.json` in the current directory);
+//! - `CARLOS_REPORT_BASELINE=path` — regression gates against a committed
+//!   report: every baseline row must come back with every field equal
+//!   (`row_gate`), and the serve rows' p999 latency, yield and messages per
+//!   operation within 5% (`serve_gate`); exits nonzero otherwise.
 
-//! - `CARLOS_REPORT_BASELINE=path` — regression gates: compare the fresh
-//!   TSP/Quicksort Lock n=4 rows (messages, SYSTEM bytes) and the serve
-//!   rows (p999 latency, yield) against the committed baseline report
-//!   JSON and exit nonzero if any grew/shrank >5%.
+use std::fmt::Display;
 
 use carlos::bench::report::{
-    run_report, run_serve_rows, serve_gate, serve_markdown, to_json, to_markdown, traffic_gate,
-    ReportOptions,
+    microcosts_markdown, row_gate, run_microcosts, run_report, run_serve_rows, serve_gate,
+    serve_markdown, to_json, to_markdown, ReportOptions, SPECS,
 };
+
+/// The value, or exit 1 after printing `what` and the error.
+fn or_exit<T>(r: Result<T, impl Display>, what: &str) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("{what}: {e}");
+        std::process::exit(1);
+    })
+}
 
 fn main() {
     let opts = ReportOptions::from_env();
@@ -30,52 +41,28 @@ fn main() {
         if opts.quick { "test" } else { "paper" },
         opts.max_nodes
     );
-    let rows = run_report(&opts).unwrap_or_else(|e| {
-        eprintln!("report failed: {e}");
-        std::process::exit(1);
-    });
+    let rows = or_exit(run_report(SPECS, &opts), "report failed");
+    let micro = or_exit(run_microcosts(), "microcosts failed");
     eprintln!("running serve rows (KV + KV/chaos)...");
-    let serve = run_serve_rows(&opts).unwrap_or_else(|e| {
-        eprintln!("serve report failed: {e}");
-        std::process::exit(1);
-    });
+    let serve = or_exit(run_serve_rows(&opts), "serve report failed");
     let path =
         std::env::var("CARLOS_REPORT_OUT").unwrap_or_else(|_| "BENCH_paper.json".to_string());
-    match std::fs::write(&path, to_json(&rows, &serve, &opts)) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let json = to_json(&rows, Some(&micro), &serve, &opts);
+    or_exit(std::fs::write(&path, &json), &format!("cannot write {path}"));
+    eprintln!("wrote {path}");
     if let Ok(baseline_path) = std::env::var("CARLOS_REPORT_BASELINE") {
-        let baseline = std::fs::read_to_string(&baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            std::process::exit(1);
-        });
-        match traffic_gate(&rows, &baseline) {
-            Ok(lines) => {
-                for line in lines {
-                    eprintln!("traffic gate: {line}");
-                }
-            }
-            Err(e) => {
-                eprintln!("traffic gate FAILED: {e}");
-                std::process::exit(1);
-            }
+        let baseline = or_exit(
+            std::fs::read_to_string(&baseline_path),
+            &format!("cannot read baseline {baseline_path}"),
+        );
+        for line in or_exit(row_gate(&json, &baseline), "row gate FAILED") {
+            eprintln!("row gate: {line}");
         }
-        match serve_gate(&serve, &baseline) {
-            Ok(lines) => {
-                for line in lines {
-                    eprintln!("serve gate: {line}");
-                }
-            }
-            Err(e) => {
-                eprintln!("serve gate FAILED: {e}");
-                std::process::exit(1);
-            }
+        for line in or_exit(serve_gate(&serve, &baseline), "serve gate FAILED") {
+            eprintln!("serve gate: {line}");
         }
     }
     println!("{}", to_markdown(&rows));
+    println!("{}", microcosts_markdown(&micro));
     println!("{}", serve_markdown(&serve));
 }

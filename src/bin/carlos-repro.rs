@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! carlos-repro table1|table2|table3|figure2      regenerate a paper artifact
+//!                                               (CARLOS_REPORT_QUICK=1: test scale)
 //! carlos-repro tsp    [--nodes N] [--variant lock|hybrid] [--small]
 //! carlos-repro qsort  [--nodes N] [--variant lock|hybrid1|hybrid2] [--small]
 //! carlos-repro water  [--nodes N] [--variant lock|hybrid] [--small]
@@ -18,6 +19,7 @@ use carlos::apps::{
     tsp::{run_tsp, TspConfig, TspVariant},
     water::{run_water, WaterConfig, WaterVariant},
 };
+use carlos::bench::report::{run_report, to_markdown, ReportOptions, SPECS};
 use carlos::sim::Bucket;
 
 fn usage() -> ! {
@@ -97,12 +99,25 @@ fn main() {
     let Some(cmd) = args.first() else { usage() };
     let rest = &args[1..];
     match cmd.as_str() {
-        "table1" => println!("{}", carlos_bench_table(1)),
-        "table2" => println!("{}", carlos_bench_table(2)),
-        "table3" => println!("{}", carlos_bench_table(3)),
-        "figure2" => {
-            let bars = carlos_bench::figure2();
-            println!("{}", carlos_bench::render_figure2(&bars));
+        "table1" | "table2" | "table3" | "figure2" => {
+            // The report's rows for the paper's tables: one table's
+            // application, or all three for Figure 2.
+            let app = match cmd.as_str() {
+                "table1" => Some("TSP"),
+                "table2" => Some("Quicksort"),
+                "table3" => Some("Water"),
+                _ => None,
+            };
+            let specs: Vec<_> = SPECS
+                .iter()
+                .filter(|s| s.in_paper_tables() && app.is_none_or(|a| s.workload.app() == a))
+                .copied()
+                .collect();
+            let rows = run_report(&specs, &ReportOptions::from_env()).unwrap_or_else(|e| {
+                eprintln!("{cmd} failed: {e}");
+                std::process::exit(1);
+            });
+            println!("{}", to_markdown(&rows));
         }
         "tsp" => {
             let o = parse_opts(rest);
@@ -171,13 +186,5 @@ fn main() {
             println!("  checksum {:.3}", r.checksum);
         }
         _ => usage(),
-    }
-}
-
-fn carlos_bench_table(which: u8) -> String {
-    match which {
-        1 => carlos_bench::table1(),
-        2 => carlos_bench::table2(),
-        _ => carlos_bench::table3(),
     }
 }
