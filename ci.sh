@@ -131,26 +131,21 @@ awk -v a="$allocs" -v b="$per_run" -v ns="$ns" -v c="$(ratio calib_ms)" \
     -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
     'BEGIN { exit !(a > 0 && a <= 2 && b > 0 && b <= 12 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 
-# Interval-log gate (both sides of a RELEASE: the 8-record payload out of a
-# 4-creator x 2 000-record log, and accepting 64 decoded records): each
-# stays within 3x of the committed time, normalised like the gates above.
-for id in newer_than_8_of_4x2000 apply_64_decoded; do
-    ns=$(median_ns interval_log "$id")
-    base=$(median_ns interval_log "$id" "$committed")
-    echo "==> interval log $id: ${ns} ns (committed ${base})"
-    awk -v ns="$ns" -v c="$(ratio calib_ms)" \
-        -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
-        'BEGIN { exit !(ns > 0 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
-done
-
-# Codec gate (a 4-creator RELEASE of 8 records: encoded with transport
-# headroom, and decoded back): each stays within 3x of the committed time,
-# normalised like the gates above. The benchmark builds without LTO, so a
-# codec function that loses its `#[inline]` shows here as a call per field.
-for id in encode_framed decode; do
-    ns=$(median_ns codec "$id")
-    base=$(median_ns codec "$id" "$committed")
-    echo "==> codec $id: ${ns} ns (committed ${base})"
+# Row gates, each within 3x of the committed time, normalised like the
+# gates above:
+# - the interval log on both sides of a RELEASE: the 8-record payload out of
+#   a 4-creator x 2 000-record log, and accepting 64 decoded records;
+# - the codec: a 4-creator RELEASE of 8 records encoded with transport
+#   headroom, and decoded back. The benchmark builds without LTO, so a codec
+#   function that loses its `#[inline]` shows here as a call per field;
+# - the serving load generator: one arrival (gap, Zipf key, op) drawn at
+#   paper scale, 65 536 keys.
+for row in "interval_log newer_than_8_of_4x2000" "interval_log apply_64_decoded" \
+    "codec encode_framed" "codec decode" "serve next_arrival_64k"; do
+    read -r group id <<< "$row"
+    ns=$(median_ns "$group" "$id")
+    base=$(median_ns "$group" "$id" "$committed")
+    echo "==> $group/$id: ${ns} ns (committed ${base})"
     awk -v ns="$ns" -v c="$(ratio calib_ms)" \
         -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
         'BEGIN { exit !(ns > 0 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'

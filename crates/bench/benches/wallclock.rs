@@ -1,7 +1,8 @@
 //! Host wall-clock benchmarks of the hot paths: diff creation,
 //! application and the whole life of a fetched diff (create, encode,
 //! decode, apply, drop), the wire codec, vector timestamps and interval
-//! records, and the interval log on both sides of a RELEASE.
+//! records, the interval log on both sides of a RELEASE, and the serving
+//! load generator (building a run's Zipf table, drawing one arrival).
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
 //! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
 //! size and run count of a rewritten page of typed data
@@ -28,6 +29,7 @@ use std::time::{Duration, Instant};
 use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_serve::run::{lrc_config, ServeConfig};
+use carlos_serve::{Workload, ZipfTable};
 use carlos_sim::{Cluster, SimConfig};
 use carlos_util::{codec::Wire, rng::Xoshiro256};
 
@@ -464,6 +466,28 @@ fn bench_interval_log(b: &mut Bencher) {
     );
 }
 
+/// The serving load generator at paper scale (65 536 keys, θ 0.99): the
+/// Zipf table a run builds once, and one arrival of a client's stream (gap,
+/// key, op), CAS arrivals left out.
+fn bench_serve(b: &mut Bencher) {
+    let cfg = ServeConfig::paper(8);
+    b.iter("serve", "zipf_table_64k", || {
+        ZipfTable::new(black_box(cfg.keyspace), black_box(cfg.theta))
+    });
+    let mut w = Workload::new(
+        cfg.seed,
+        4,
+        cfg.keyspace,
+        cfg.theta,
+        cfg.mean_interarrival,
+        cfg.mix,
+        u64::MAX,
+        0,
+        0,
+    );
+    b.iter("serve", "next_arrival_64k", || w.next_arrival());
+}
+
 /// Median host seconds of `run` over `reps` repetitions, and its last
 /// result.
 fn median_secs<F: FnMut() -> u64>(reps: usize, mut run: F) -> (f64, u64) {
@@ -603,6 +627,7 @@ fn main() {
     bench_vc(&mut b);
     bench_interval_record(&mut b);
     bench_interval_log(&mut b);
+    bench_serve(&mut b);
     let handoff = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();
     footprint.extend(bench_engine_footprint(quick));

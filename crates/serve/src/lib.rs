@@ -39,4 +39,4 @@ pub use run::{
     ServeTotals, ServerStats,
 };
 pub use store::{OpKind, Reply, Request, Status, StoreLayout};
-pub use workload::{OpMix, Workload};
+pub use workload::{OpMix, Workload, ZipfTable};

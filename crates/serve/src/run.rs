@@ -10,6 +10,7 @@
 //! barrier — and epoch 102 lets every node retire.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use carlos_apps::{AppReport, Collector};
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
@@ -24,7 +25,7 @@ use crate::client::{ClientStats, KvClient, H_KV_REQ, H_SERVE_DONE};
 use crate::store::{
     execute, meta_of, read_key, OpKind, Request, Status, StoreLayout, META_BYTES,
 };
-use crate::workload::{counter_bytes, counter_value, value_bytes, OpMix, Workload};
+use crate::workload::{counter_bytes, counter_value, value_bytes, OpMix, Workload, ZipfTable};
 
 /// Handler id re-export for the server reply path.
 use crate::client::H_KV_REP;
@@ -458,13 +459,17 @@ fn submit_incr(
 /// CAS chains moving; attribute every scheduled op as completed or
 /// timed out by the drain deadline.
 #[allow(clippy::too_many_lines)]
-fn client_node(cfg: &ServeConfig, rt: &mut Runtime, lay: &StoreLayout) -> ClientNodeStats {
+fn client_node(
+    cfg: &ServeConfig,
+    zipf: Rc<ZipfTable>,
+    rt: &mut Runtime,
+    lay: &StoreLayout,
+) -> ClientNodeStats {
     let node = rt.node_id();
-    let mut wl = Workload::new(
+    let mut wl = Workload::with_table(
+        zipf,
         cfg.seed,
         node,
-        cfg.keyspace,
-        cfg.theta,
         cfg.mean_interarrival,
         cfg.mix,
         cfg.ops_per_client,
@@ -613,8 +618,13 @@ fn client_node(cfg: &ServeConfig, rt: &mut Runtime, lay: &StoreLayout) -> Client
     out
 }
 
-/// One node of the serving cluster (role decided by node id).
-fn serve_node(cfg: &ServeConfig, ctx: NodeCtx) -> (NodeStats, Option<Vec<u64>>) {
+/// One node of the serving cluster (role decided by node id); a client
+/// draws its keys from `zipf`.
+fn serve_node(
+    cfg: &ServeConfig,
+    zipf: Rc<ZipfTable>,
+    ctx: NodeCtx,
+) -> (NodeStats, Option<Vec<u64>>) {
     let (lay, lrc) = layout(cfg);
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
     if let Some(check) = &cfg.check {
@@ -628,11 +638,14 @@ fn serve_node(cfg: &ServeConfig, ctx: NodeCtx) -> (NodeStats, Option<Vec<u64>>) 
     sys.barrier(&mut rt, barrier, 100);
     let node = rt.node_id();
     let out = if (node as usize) < cfg.n_servers() {
+        // Servers draw no keys: dropping their handles now frees the table
+        // when the last client's schedule ends, not at the end of the run.
+        drop(zipf);
         let s = server_node(cfg, &mut rt, &lay);
         rt.ctx().count("serve.served", s.ops_served);
         NodeStats::Server(s)
     } else {
-        let c = client_node(cfg, &mut rt, &lay);
+        let c = client_node(cfg, zipf, &mut rt, &lay);
         rt.ctx().count("serve.attempted", c.stats.attempted);
         rt.ctx().count("serve.completed", c.stats.completed);
         rt.ctx().count("serve.timed_out", c.stats.timed_out);
@@ -662,12 +675,16 @@ fn build_serve(cfg: &ServeConfig) -> (Cluster, Collector<NodeStats>, Collector<V
     if let Some(trace) = &cfg.trace {
         trace.attach(&mut cluster);
     }
+    // One Zipf table per run, shared by every client: it depends on the
+    // keyspace and skew alone.
+    let zipf = Rc::new(ZipfTable::new(cfg.keyspace, cfg.theta));
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
+        let zipf = Rc::clone(&zipf);
         let stats_c = stats_c.clone();
         let counters_c = counters_c.clone();
         cluster.spawn_node(node, move |ctx| {
-            let (stats, counters) = serve_node(&cfg, ctx);
+            let (stats, counters) = serve_node(&cfg, zipf, ctx);
             stats_c.put(node, stats);
             if let Some(c) = counters {
                 counters_c.put(node, c);

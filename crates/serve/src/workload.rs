@@ -9,6 +9,11 @@
 //! still in flight: a slow server grows the client's pending window (and
 //! its tail latency) instead of silently throttling offered load, which
 //! is what makes the p999 and harvest/yield numbers honest.
+//!
+//! Key popularity comes from one [`ZipfTable`] per serving run, shared by
+//! every client of the run.
+
+use std::rc::Rc;
 
 use carlos_sim::time::Ns;
 use carlos_util::rng::Xoshiro256;
@@ -50,12 +55,50 @@ pub struct Arrival {
     pub key: u64,
 }
 
+/// The normalised Zipf CDF over key ranks (rank 0 is the hottest key). It
+/// depends only on `(keyspace, theta)`, so a serving run builds one and
+/// its clients share it.
+#[derive(Debug)]
+pub struct ZipfTable {
+    cdf: Vec<f64>,
+}
+
+impl ZipfTable {
+    /// Builds the table over `keyspace` ranks with skew `theta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keyspace` is 0.
+    #[must_use]
+    pub fn new(keyspace: u64, theta: f64) -> Self {
+        assert!(keyspace > 0, "empty keyspace");
+        let mut cdf = Vec::with_capacity(usize::try_from(keyspace).expect("keyspace fits usize"));
+        let mut acc = 0.0f64;
+        for rank in 0..keyspace {
+            #[allow(clippy::cast_precision_loss)]
+            let w = 1.0 / ((rank + 1) as f64).powf(theta);
+            acc += w;
+            cdf.push(acc);
+        }
+        for v in &mut cdf {
+            *v /= acc;
+        }
+        Self { cdf }
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` selects: the first whose
+    /// CDF entry is not below `u`, clamped to the last rank.
+    fn rank(&self, u: f64) -> usize {
+        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+    }
+}
+
 /// Per-client deterministic workload stream.
 #[derive(Debug, Clone)]
 pub struct Workload {
     rng: Xoshiro256,
-    /// Normalized Zipf CDF over key ranks (rank 0 is the hottest key).
-    cdf: Vec<f64>,
+    /// The run's key-popularity table, shared with its other clients.
+    zipf: Rc<ZipfTable>,
     mix_total: u64,
     mix: OpMix,
     mean_gap: f64,
@@ -71,7 +114,8 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Builds the stream for one client. `cas_total` arrivals out of
+    /// Builds the stream for one client, with a [`ZipfTable`] of its own
+    /// over `keyspace` keys at skew `theta`. `cas_total` arrivals out of
     /// `total` are CAS increments spread evenly over the schedule,
     /// round-robin across `counter_keys` shared counters.
     #[must_use]
@@ -87,20 +131,33 @@ impl Workload {
         cas_total: u64,
         counter_keys: u64,
     ) -> Self {
-        assert!(keyspace > 0, "empty keyspace");
+        Self::with_table(
+            Rc::new(ZipfTable::new(keyspace, theta)),
+            seed,
+            client_node,
+            mean_interarrival,
+            mix,
+            total,
+            cas_total,
+            counter_keys,
+        )
+    }
+
+    /// [`Workload::new`] drawing keys from `zipf`, a table the run shares.
+    #[must_use]
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_table(
+        zipf: Rc<ZipfTable>,
+        seed: u64,
+        client_node: u32,
+        mean_interarrival: Ns,
+        mix: OpMix,
+        total: u64,
+        cas_total: u64,
+        counter_keys: u64,
+    ) -> Self {
         assert!(cas_total <= total, "more CAS arrivals than arrivals");
         assert!(cas_total == 0 || counter_keys > 0, "CAS arrivals need counter keys");
-        let mut cdf = Vec::with_capacity(usize::try_from(keyspace).expect("keyspace fits usize"));
-        let mut acc = 0.0f64;
-        for rank in 0..keyspace {
-            #[allow(clippy::cast_precision_loss)]
-            let w = 1.0 / ((rank + 1) as f64).powf(theta);
-            acc += w;
-            cdf.push(acc);
-        }
-        for v in &mut cdf {
-            *v /= acc;
-        }
         let mut rng = Xoshiro256::new(seed ^ mix64(u64::from(client_node) + 1));
         // First arrival: one gap into the run, so node start-up (barrier,
         // page warm-up) stays out of the measured latency window.
@@ -109,7 +166,7 @@ impl Workload {
         let first = exp_gap(&mut rng, mean_gap);
         Self {
             rng,
-            cdf,
+            zipf,
             mix_total: u64::from(mix.get) + u64::from(mix.put) + u64::from(mix.delete),
             mix,
             mean_gap,
@@ -164,16 +221,18 @@ impl Workload {
         Some(arrival)
     }
 
-    /// Samples a key rank from the Zipf CDF (rank 0 hottest) and maps it
-    /// to a key id. Ranks map to keys through a fixed hash so hot keys
-    /// scatter over shards instead of clustering in shard 0.
+    /// Samples a key rank from the Zipf table (rank 0 hottest) and maps it
+    /// to a key id through a fixed hash, so hot keys scatter over shards
+    /// instead of clustering in shard 0.
+    ///
+    /// The hash is not a permutation: ranks that collide merge into one
+    /// key, and `mix64(rank) % keyspace` reaches about 63 % of the keys —
+    /// 41 416 of 65 536 at paper scale (9 of the 1 024 hottest ranks land
+    /// on a hotter rank's key), 2 623 of 4 096 at test scale. Changing the
+    /// map would move every serving run's virtual numbers.
     fn zipf_key(&mut self) -> u64 {
-        let u = self.rng.next_f64();
-        let rank = self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1);
-        // Permute rank -> key id within the keyspace (collision-free would
-        // need a full permutation; a fixed mix keeps determinism and
-        // spreads hot ranks, and collisions merely merge two ranks).
-        mix64(rank as u64) % self.cdf.len() as u64
+        let rank = self.zipf.rank(self.rng.next_f64());
+        mix64(rank as u64) % self.zipf.cdf.len() as u64
     }
 }
 
@@ -219,7 +278,12 @@ pub fn counter_value(cell: &[u8]) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::run::ServeConfig;
 
     fn stream(seed: u64, node: u32) -> Vec<Arrival> {
         let mut w = Workload::new(seed, node, 1024, 0.99, 1000, OpMix::read_heavy(), 200, 20, 2);
@@ -257,6 +321,81 @@ mod tests {
         // The hottest key dominates and far fewer than 4096 keys appear.
         assert!(max > 1_000, "hottest key only {max} hits");
         assert!(distinct < 4_000, "no skew: {distinct} distinct keys");
+    }
+
+    /// Digest of the first `n` arrivals `(at, op, key)` of client `node`
+    /// of a `cfg` run.
+    fn digest(cfg: &ServeConfig, node: u32, n: usize) -> u64 {
+        let mut w = Workload::new(
+            cfg.seed,
+            node,
+            cfg.keyspace,
+            cfg.theta,
+            cfg.mean_interarrival,
+            cfg.mix,
+            cfg.ops_per_client,
+            cfg.cas_per_client,
+            cfg.counter_keys,
+        );
+        std::iter::from_fn(|| w.next_arrival())
+            .take(n)
+            .flat_map(|a| [a.at, a.op as u64, a.key])
+            .fold(0, |h, x| mix64(h ^ x))
+    }
+
+    #[test]
+    fn schedules_are_bit_identical_to_one_table_per_client() {
+        // Recorded when every client built its own CDF: the table a run
+        // shares must draw the same streams.
+        let paper = ServeConfig::paper(8);
+        let mut test = ServeConfig::test(8);
+        (test.ops_per_client, test.cas_per_client) = (4_096, 256);
+        assert_eq!(paper.keyspace, 65_536);
+        assert_eq!(test.keyspace, 4_096);
+        assert_eq!(digest(&paper, 4, 4_096), 0x5475_46fb_1500_1fb0);
+        assert_eq!(digest(&test, 4, 4_096), 0x5d1f_ecea_514d_66fa);
+    }
+
+    #[test]
+    fn the_key_map_reaches_about_63_percent_of_the_keys() {
+        // (keyspace, keys reached, hottest 1 024 ranks mapped onto a key a
+        // hotter rank already took)
+        for (keyspace, reached, merged) in [(65_536, 41_416, 9), (4_096, 2_623, 112)] {
+            let mut seen = HashSet::new();
+            let mut hot_merged = 0;
+            for rank in 0..keyspace {
+                if !seen.insert(mix64(rank) % keyspace) && rank < 1_024 {
+                    hot_merged += 1;
+                }
+            }
+            assert_eq!((seen.len(), hot_merged), (reached, merged), "keyspace {keyspace}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+        #[test]
+        fn rank_inverts_the_cdf(
+            keyspace in 1u64..=70_000,
+            theta_milli in 0u32..=1_500,
+            seed in any::<u64>(),
+        ) {
+            // The CDF is non-decreasing and ends at exactly 1, so for every
+            // draw in [0, 1) the rank is the first entry not below it and the
+            // clamp to the last rank never fires.
+            let table = ZipfTable::new(keyspace, f64::from(theta_milli) / 1_000.0);
+            let cdf = &table.cdf;
+            prop_assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
+            prop_assert_eq!(cdf.last().copied(), Some(1.0));
+            let mut rng = Xoshiro256::new(seed);
+            let draws: Vec<f64> = (0..1_024).map(|_| rng.next_f64()).collect();
+            let exact = cdf.iter().copied().filter(|&c| c < 1.0);
+            let inputs = exact.chain(draws).chain([0.0, 1.0f64.next_down()]);
+            for u in inputs.flat_map(|u| [u, u.next_down().max(0.0)]) {
+                let r = table.rank(u);
+                prop_assert!(cdf[r] >= u && (r == 0 || cdf[r - 1] < u), "u = {:e}", u);
+            }
+        }
     }
 
     #[test]

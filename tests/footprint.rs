@@ -5,6 +5,7 @@
 //! diff's footprint follows its bytes, not its run count. Accepting a
 //! RELEASE moves its records into the interval log instead of copying them.
 //! Sending a message costs one allocation: the encoder's buffer is the frame.
+//! A serving run builds one Zipf table, however many clients it has.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +15,7 @@ use carlos::core::{Annotation, Consistency, Message};
 use carlos::lrc::{
     Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
 };
+use carlos::serve::{run_serve, ServeConfig};
 use carlos::sim::{AckMode, Cluster, SimConfig, Transport};
 use carlos::util::codec::Wire;
 
@@ -24,11 +26,17 @@ struct CountingAlloc;
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
     static BYTES: Cell<usize> = const { Cell::new(0) };
+    /// Allocations of exactly `WATCHED_SIZE` bytes (0: none watched).
+    static WATCHED: Cell<usize> = const { Cell::new(0) };
+    static WATCHED_SIZE: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count(layout: Layout) {
     ALLOCS.set(ALLOCS.get() + 1);
     BYTES.set(BYTES.get() + layout.size());
+    if layout.size() == WATCHED_SIZE.get() {
+        WATCHED.set(WATCHED.get() + 1);
+    }
 }
 
 // SAFETY: defers every operation to `System` unchanged; the counters are
@@ -305,4 +313,27 @@ fn a_sent_frame_is_one_allocation() {
             "{k} frames: {allocs} allocations; the encoder's buffer should be the only one"
         );
     }
+}
+
+#[test]
+fn a_serving_run_builds_one_zipf_table() {
+    let cfg = ServeConfig::test(8);
+    // A first run takes the one-time set-up (thread-locals, the panic
+    // hook) out of the counted one.
+    let _ = run_serve(&cfg);
+    // A CDF is `keyspace` f64s. Every node also makes two larger
+    // allocations (36 and 40 KiB here), so the watch is on the exact size.
+    WATCHED_SIZE.set(usize::try_from(cfg.keyspace).unwrap() * 8);
+    let w0 = WATCHED.get();
+    let (r, allocs, bytes) = counted(|| run_serve(&cfg));
+    let cdfs = WATCHED.get() - w0;
+    WATCHED_SIZE.set(0);
+    assert_eq!(r.totals.client.completed, r.totals.client.attempted);
+    assert_eq!(cdfs, 1, "{} clients built {cdfs} CDFs", cfg.n_clients());
+    // The whole run, pinned exactly: the run is deterministic, and so is
+    // every allocation it makes. A change that allocates more or less moves
+    // these; re-pin them from the failure message and give the old and new
+    // values in the change's description. With one CDF per client there
+    // were 27 204 allocations and 4 158 280 bytes.
+    assert_eq!((allocs, bytes), (27_202, 4_060_080), "allocations and bytes of one run");
 }
