@@ -29,7 +29,7 @@ cargo test -q
 
 echo "==> cargo clippy -D warnings (hot-path + hardened crates)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
-    -p carlos-sync -p carlos-check -p carlos-trace -p carlos-bench \
+    -p carlos-sync -p carlos-check -p carlos-trace -p carlos-apps -p carlos-bench \
     -p carlos-explore -p carlos-serve \
     -p proptest --all-targets -- -D warnings
 
@@ -58,8 +58,13 @@ echo "==> explore profile (guided DPOR search + seeded-bug smoke)"
 # guided explorer must find and shrink. Any oracle violation, wrong
 # answer, crash, missed smoke, or gate failure exits nonzero. The full
 # seeded-bug regression suite (tests/seeded_bugs.rs) runs under the
-# workspace test pass above.
-cargo run --release -q --example explore
+# workspace test pass above. The campaigns are deterministic, so their JSON
+# lines must equal the committed BENCH_explore.jsonl exactly.
+cargo run --release -q --example explore | tee target/explore.out
+if ! diff <(grep '^{' target/explore.out) BENCH_explore.jsonl; then
+    echo "explore JSON lines differ from BENCH_explore.jsonl" >&2
+    exit 1
+fi
 
 echo "==> trace profile (causal tracer + traced paper report)"
 cargo test -q -p carlos-trace
@@ -177,7 +182,28 @@ awk -v ns="$ns" -v c="$(ratio calib_ms)" \
     -v bns="$base" -v bc="$(ratio calib_ms "$committed")" \
     'BEGIN { exit !(ns > 0 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 
-# Non-test source lines: each file up to its `#[cfg(test)]` module.
-lines=$(find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n }')
+# Non-test source lines: each file up to its `#[cfg(test)]` module, per
+# source directory. They must equal the committed BENCH_lines.json, so
+# every change records its line delta there.
+count_lines() {
+    find "$1" -name '*.rs' -print0 |
+        xargs -0 awk '/^#\[cfg\(test\)\]/ { nextfile } { n++ } END { print n + 0 }'
+}
+lines=0
+{
+    echo "{"
+    for dir in crates/*/src src; do
+        n=$(count_lines "$dir")
+        lines=$((lines + n))
+        echo "  \"$dir\": $n,"
+    done
+    echo "  \"total\": $lines"
+    echo "}"
+} > target/BENCH_lines.json
+if ! diff BENCH_lines.json target/BENCH_lines.json; then
+    echo "non-test source lines differ from BENCH_lines.json:" \
+        "cp target/BENCH_lines.json BENCH_lines.json and commit it" >&2
+    exit 1
+fi
 echo "==> ${lines} non-test source lines in crates/*/src + src/; ci.sh took $((SECONDS - started)) s"
 echo "ci.sh: all green"

@@ -2,7 +2,41 @@
 
 use std::{cell::RefCell, collections::BTreeMap, rc::Rc};
 
-use carlos_sim::{Bucket, SimReport};
+use carlos_check::Checker;
+use carlos_core::Runtime;
+use carlos_sim::{Bucket, Cluster, SimConfig, SimReport};
+use carlos_trace::Tracer;
+
+/// A cluster of `n` nodes with a run's observers attached to its wire, the
+/// checker first.
+#[must_use]
+pub fn observed_cluster(
+    sim: &SimConfig,
+    n: usize,
+    check: Option<&Checker>,
+    trace: Option<&Tracer>,
+) -> Cluster {
+    let mut cluster = Cluster::new(sim.clone(), n);
+    if let Some(check) = check {
+        check.attach(&mut cluster);
+    }
+    if let Some(trace) = trace {
+        trace.attach(&mut cluster);
+    }
+    cluster
+}
+
+/// Installs a run's observers on one node's runtime, the checker first.
+/// Call from the node closure, before the application touches shared
+/// memory.
+pub fn install_observers(rt: &mut Runtime, check: Option<&Checker>, trace: Option<&Tracer>) {
+    if let Some(check) = check {
+        check.install(rt);
+    }
+    if let Some(trace) = trace {
+        trace.install(rt);
+    }
+}
 
 /// Collects one value per node out of the node closures.
 ///
@@ -97,16 +131,6 @@ impl AppReport {
     #[must_use]
     pub fn bucket_secs(&self, bucket: Bucket) -> f64 {
         self.report.bucket_avg_secs(bucket)
-    }
-
-    /// Speedup of this run relative to `single_node_secs`.
-    #[must_use]
-    pub fn speedup_vs(&self, single_node_secs: f64) -> f64 {
-        if self.secs == 0.0 {
-            0.0
-        } else {
-            single_node_secs / self.secs
-        }
     }
 }
 

@@ -6,7 +6,8 @@
 //! Every application really computes its result on the DSM — the tests
 //! verify tours, sort order, and simulation agreement — while virtual-time
 //! charges calibrate single-node run times to the paper's testbed so the
-//! benchmark harnesses can reproduce Tables 1–3 and Figure 2.
+//! benchmark harnesses can reproduce Tables 1–3 and Figure 2. A run is
+//! described by a [`Spec`] and started by [`launch`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,11 +15,13 @@
 pub mod harness;
 pub mod qsort;
 pub mod sor;
+pub mod spec;
 pub mod tsp;
 pub mod water;
 
 pub use harness::{AppReport, Collector};
-pub use qsort::{run_qsort, try_run_qsort, QsortConfig, QsortVariant};
-pub use sor::{run_sor, try_run_sor, SorConfig};
-pub use tsp::{run_tsp, try_run_tsp, TspConfig, TspVariant};
-pub use water::{run_water, try_run_water, WaterConfig, WaterVariant};
+pub use qsort::{try_run_qsort, QsortConfig, QsortVariant};
+pub use sor::{try_run_sor, SorConfig};
+pub use spec::{launch, launch_with, Answer, App, Observe, Reference, Run, Scale, Spec, Tweak};
+pub use tsp::{try_run_tsp, TspConfig, TspVariant};
+pub use water::{try_run_water, WaterConfig, WaterVariant};

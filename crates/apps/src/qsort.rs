@@ -26,13 +26,13 @@
 
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
+use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::{
     ids::H_Q_CLOSE, BarrierSpec, LockSpec, QueueSpec,
 };
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
 
 const H_LEAF_DONE: u32 = 0x0210;
 const QUEUE_ID: u32 = 1;
@@ -98,21 +98,16 @@ impl QsortConfig {
     #[must_use]
     pub fn paper(n_nodes: usize, variant: QsortVariant) -> Self {
         Self {
-            n_nodes,
             n_elements: 256 * 1024,
             threshold: 1024,
             seed: 0x5150_1994,
-            variant,
             ns_per_bubble_step: 285,
             ns_per_partition_elem: 45,
             sim: SimConfig::osdi94(),
             core: CoreConfig::osdi94(),
             page_size: 8192,
-            granularity_hints: false,
             verify_all_nodes: false,
-            ack: AckMode::Implicit,
-            check: None,
-            trace: None,
+            ..Self::test(n_nodes, variant)
         }
     }
 
@@ -197,57 +192,29 @@ fn layout(cfg: &QsortConfig) -> (Layout, usize, Vec<carlos_lrc::RegionSpec>) {
     )
 }
 
-fn build_qsort(cfg: &QsortConfig) -> (Cluster, Collector<(bool, bool)>) {
-    let checks: Collector<(bool, bool)> = Collector::new();
-    let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
-    for node in 0..cfg.n_nodes as u32 {
-        let cfg = cfg.clone();
-        let checks = checks.clone();
-        cluster.spawn_node(node, move |ctx| {
-            let r = qsort_node(&cfg, ctx);
-            checks.put(node, r);
-        });
-    }
-    (cluster, checks)
-}
-
-fn finish_qsort(report: carlos_sim::SimReport, checks: &Collector<(bool, bool)>) -> QsortResult {
-    let collected = checks.take();
-    QsortResult {
-        app: AppReport::new(report),
-        sorted: collected.iter().all(|(_, (s, _))| *s),
-        permutation_ok: collected.iter().all(|(_, (_, p))| *p),
-    }
-}
-
-/// Runs the Quicksort application on a simulated cluster.
-///
-/// # Panics
-///
-/// Panics on configuration errors or internal protocol violations.
-#[must_use]
-pub fn run_qsort(cfg: &QsortConfig) -> QsortResult {
-    let (cluster, checks) = build_qsort(cfg);
-    let report = cluster.run();
-    finish_qsort(report, &checks)
-}
-
-/// Runs the Quicksort application, returning simulation failures as a
-/// [`carlos_sim::SimError`] value instead of panicking.
+/// Runs the Quicksort application on a simulated cluster, returning
+/// simulation failures as a [`carlos_sim::SimError`] value instead of
+/// panicking.
 ///
 /// # Errors
 ///
 /// Returns the [`carlos_sim::SimError`] describing how the run failed.
 pub fn try_run_qsort(cfg: &QsortConfig) -> Result<QsortResult, carlos_sim::SimError> {
-    let (cluster, checks) = build_qsort(cfg);
+    let checks: Collector<(bool, bool)> = Collector::new();
+    let mut cluster =
+        observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
+    for node in 0..cfg.n_nodes as u32 {
+        let cfg = cfg.clone();
+        let checks = checks.clone();
+        cluster.spawn_node(node, move |ctx| checks.put(node, qsort_node(&cfg, ctx)));
+    }
     let report = cluster.try_run()?;
-    Ok(finish_qsort(report, &checks))
+    let collected = checks.take();
+    Ok(QsortResult {
+        app: AppReport::new(report),
+        sorted: collected.iter().all(|(_, (s, _))| *s),
+        permutation_ok: collected.iter().all(|(_, (_, p))| *p),
+    })
 }
 
 fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
@@ -261,12 +228,7 @@ fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

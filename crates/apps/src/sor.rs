@@ -20,10 +20,10 @@
 
 use carlos_core::{CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
+use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::BarrierSpec;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
 
 /// Configuration for one SOR run.
 #[derive(Debug, Clone)]
@@ -68,7 +68,6 @@ impl SorConfig {
     #[must_use]
     pub fn paper_scale(n_nodes: usize) -> Self {
         Self {
-            n_nodes,
             rows: 2048,
             cols: 512,
             iters: 10,
@@ -76,10 +75,7 @@ impl SorConfig {
             sim: SimConfig::osdi94(),
             core: CoreConfig::osdi94(),
             page_size: 8192,
-            granularity_hints: false,
-            ack: AckMode::Implicit,
-            check: None,
-            trace: None,
+            ..Self::test(n_nodes)
         }
     }
 
@@ -156,27 +152,22 @@ fn initial_grid(rows: usize, cols: usize) -> Vec<f64> {
     g
 }
 
-fn build_sor(cfg: &SorConfig) -> (Cluster, Collector<Vec<f64>>) {
+/// Runs red-black SOR on a simulated cluster, returning simulation
+/// failures as a [`carlos_sim::SimError`] value instead of panicking.
+///
+/// # Errors
+///
+/// Returns the [`carlos_sim::SimError`] describing how the run failed.
+pub fn try_run_sor(cfg: &SorConfig) -> Result<SorResult, carlos_sim::SimError> {
     let out: Collector<Vec<f64>> = Collector::new();
-    let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    let mut cluster =
+        observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
     for node in 0..cfg.n_nodes as u32 {
         let cfg = cfg.clone();
         let out = out.clone();
-        cluster.spawn_node(node, move |ctx| {
-            let g = sor_node(&cfg, ctx);
-            out.put(node, g);
-        });
+        cluster.spawn_node(node, move |ctx| out.put(node, sor_node(&cfg, ctx)));
     }
-    (cluster, out)
-}
-
-fn finish_sor(cfg: &SorConfig, report: carlos_sim::SimReport, out: &Collector<Vec<f64>>) -> SorResult {
+    let report = cluster.try_run()?;
     let grid = out
         .take()
         .into_iter()
@@ -188,35 +179,11 @@ fn finish_sor(cfg: &SorConfig, report: carlos_sim::SimReport, out: &Collector<Ve
         .flat_map(|r| (1..cols - 1).map(move |c| (r, c)))
         .map(|(r, c)| grid[r * cols + c])
         .sum();
-    SorResult {
+    Ok(SorResult {
         app: AppReport::new(report),
         checksum,
         grid,
-    }
-}
-
-/// Runs red-black SOR on a simulated cluster.
-///
-/// # Panics
-///
-/// Panics on configuration errors or internal protocol violations.
-#[must_use]
-pub fn run_sor(cfg: &SorConfig) -> SorResult {
-    let (cluster, out) = build_sor(cfg);
-    let report = cluster.run();
-    finish_sor(cfg, report, &out)
-}
-
-/// Runs red-black SOR, returning simulation failures as a
-/// [`carlos_sim::SimError`] value instead of panicking.
-///
-/// # Errors
-///
-/// Returns the [`carlos_sim::SimError`] describing how the run failed.
-pub fn try_run_sor(cfg: &SorConfig) -> Result<SorResult, carlos_sim::SimError> {
-    let (cluster, out) = build_sor(cfg);
-    let report = cluster.try_run()?;
-    Ok(finish_sor(cfg, report, &out))
+    })
 }
 
 fn sor_node(cfg: &SorConfig, ctx: carlos_sim::NodeCtx) -> Vec<f64> {
@@ -243,12 +210,7 @@ fn sor_node(cfg: &SorConfig, ctx: carlos_sim::NodeCtx) -> Vec<f64> {
         regions: heap.regions(),
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id() as usize;

@@ -22,11 +22,11 @@
 
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
+use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec, QueueSpec};
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
 
 /// User handler ids (outside the `carlos-sync` reserved range).
 const H_BOUND_POST: u32 = 0x0200;
@@ -91,21 +91,15 @@ impl TspConfig {
     #[must_use]
     pub fn paper(n_nodes: usize, variant: TspVariant) -> Self {
         Self {
-            n_nodes,
             n_cities: 19,
             leaf_depth: 4,
             seed: 0x7597_1994,
-            variant,
-            all_release: false,
             ns_per_expansion: 2_550,
             refresh_every: 4_096,
             sim: SimConfig::osdi94(),
             core: CoreConfig::osdi94(),
             page_size: 8192,
-            granularity_hints: false,
-            ack: AckMode::Implicit,
-            check: None,
-            trace: None,
+            ..Self::test(n_nodes, variant)
         }
     }
 
@@ -488,67 +482,29 @@ fn generate_leaves(cities: &Cities, leaf_depth: usize, bound: u32) -> (Vec<Task>
     (out, expansions)
 }
 
-fn build_tsp(cfg: &TspConfig) -> (Cluster, Collector<u32>, Collector<u64>) {
-    let best_c: Collector<u32> = Collector::new();
-    let exp_c: Collector<u64> = Collector::new();
-    let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
-    for node in 0..cfg.n_nodes as u32 {
-        let cfg = cfg.clone();
-        let best_c = best_c.clone();
-        let exp_c = exp_c.clone();
-        cluster.spawn_node(node, move |ctx| {
-            let (res_best, res_exp) = tsp_node(&cfg, ctx);
-            best_c.put(node, res_best);
-            exp_c.put(node, res_exp);
-        });
-    }
-    (cluster, best_c, exp_c)
-}
-
-fn finish_tsp(report: carlos_sim::SimReport, best_c: &Collector<u32>, exp_c: &Collector<u64>) -> TspResult {
-    let best = best_c
-        .take()
-        .into_iter()
-        .map(|(_, b)| b)
-        .min()
-        .expect("at least one node ran");
-    let expansions: u64 = exp_c.take().into_iter().map(|(_, e)| e).sum();
-    TspResult {
-        app: AppReport::new(report),
-        best_len: best,
-        expansions,
-    }
-}
-
-/// Runs the TSP application on a simulated cluster.
-///
-/// # Panics
-///
-/// Panics on configuration errors or internal protocol violations.
-#[must_use]
-pub fn run_tsp(cfg: &TspConfig) -> TspResult {
-    let (cluster, best_c, exp_c) = build_tsp(cfg);
-    let report = cluster.run();
-    finish_tsp(report, &best_c, &exp_c)
-}
-
-/// Runs the TSP application, returning simulation failures (deadlock,
-/// node panic, safety-valve trip) as a [`carlos_sim::SimError`] value
-/// instead of panicking.
+/// Runs the TSP application on a simulated cluster, returning simulation
+/// failures (deadlock, node panic, safety-valve trip) as a
+/// [`carlos_sim::SimError`] value instead of panicking.
 ///
 /// # Errors
 ///
 /// Returns the [`carlos_sim::SimError`] describing how the run failed.
 pub fn try_run_tsp(cfg: &TspConfig) -> Result<TspResult, carlos_sim::SimError> {
-    let (cluster, best_c, exp_c) = build_tsp(cfg);
+    let out: Collector<(u32, u64)> = Collector::new();
+    let mut cluster =
+        observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
+    for node in 0..cfg.n_nodes as u32 {
+        let cfg = cfg.clone();
+        let out = out.clone();
+        cluster.spawn_node(node, move |ctx| out.put(node, tsp_node(&cfg, ctx)));
+    }
     let report = cluster.try_run()?;
-    Ok(finish_tsp(report, &best_c, &exp_c))
+    let out = out.take();
+    Ok(TspResult {
+        app: AppReport::new(report),
+        best_len: out.iter().map(|(_, (b, _))| *b).min().expect("at least one node ran"),
+        expansions: out.iter().map(|(_, (_, e))| e).sum(),
+    })
 }
 
 fn ann(cfg: &TspConfig, normal: Annotation) -> Annotation {
@@ -571,14 +527,11 @@ fn tsp_node(cfg: &TspConfig, ctx: carlos_sim::NodeCtx) -> (u32, u64) {
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     if let Some(check) = &cfg.check {
-        check.install(&mut rt);
         // Reads of the bound are deliberately unsynchronized — a benign
         // single-word race the paper calls safe (§5.1). Tell the oracle.
         check.allow_racy(lay.best, 4);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
     }
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);

@@ -21,11 +21,11 @@ use std::collections::BTreeSet;
 
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, Cluster, SimConfig};
+use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec};
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{AppReport, Collector};
+use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
 
 const H_UPDATE: u32 = 0x0220;
 
@@ -89,22 +89,16 @@ impl WaterConfig {
     #[must_use]
     pub fn paper(n_nodes: usize, variant: WaterVariant) -> Self {
         Self {
-            n_nodes,
             n_molecules: 343,
             steps: 5,
             seed: 0xAA71_1994,
-            variant,
-            all_release: false,
             ns_per_pair: 104_000,
             ns_per_integrate: 60_000,
             sim: SimConfig::osdi94(),
             core: CoreConfig::osdi94(),
             page_size: 8192,
-            granularity_hints: false,
             collect_all_nodes: false,
-            ack: AckMode::Implicit,
-            check: None,
-            trace: None,
+            ..Self::test(n_nodes, variant)
         }
     }
 
@@ -195,58 +189,9 @@ fn owned_range(node: u32, n_mols: usize, n_nodes: usize) -> std::ops::Range<usiz
 /// What each node hands back: final positions and its kinetic-energy sum.
 type WaterOut = (Vec<[f64; 3]>, f64);
 
-fn build_water(cfg: &WaterConfig) -> (Cluster, Collector<WaterOut>) {
-    assert!(
-        cfg.n_molecules % 2 == 1,
-        "n_molecules must be odd for the half-window pair assignment"
-    );
-    let out: Collector<WaterOut> = Collector::new();
-    let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
-    for node in 0..cfg.n_nodes as u32 {
-        let cfg = cfg.clone();
-        let out = out.clone();
-        cluster.spawn_node(node, move |ctx| {
-            let r = water_node(&cfg, ctx);
-            out.put(node, r);
-        });
-    }
-    (cluster, out)
-}
-
-fn finish_water(report: carlos_sim::SimReport, out: &Collector<WaterOut>) -> WaterResult {
-    let collected = out.take();
-    let (positions, kinetic) = collected
-        .into_iter()
-        .next()
-        .map(|(_, v)| v)
-        .expect("node 0 ran");
-    WaterResult {
-        app: AppReport::new(report),
-        positions,
-        kinetic,
-    }
-}
-
-/// Runs the Water application on a simulated cluster.
-///
-/// # Panics
-///
-/// Panics if `n_molecules` is even, or on internal protocol violations.
-#[must_use]
-pub fn run_water(cfg: &WaterConfig) -> WaterResult {
-    let (cluster, out) = build_water(cfg);
-    let report = cluster.run();
-    finish_water(report, &out)
-}
-
-/// Runs the Water application, returning simulation failures as a
-/// [`carlos_sim::SimError`] value instead of panicking.
+/// Runs the Water application on a simulated cluster, returning
+/// simulation failures as a [`carlos_sim::SimError`] value instead of
+/// panicking.
 ///
 /// # Panics
 ///
@@ -257,9 +202,30 @@ pub fn run_water(cfg: &WaterConfig) -> WaterResult {
 ///
 /// Returns the [`carlos_sim::SimError`] describing how the run failed.
 pub fn try_run_water(cfg: &WaterConfig) -> Result<WaterResult, carlos_sim::SimError> {
-    let (cluster, out) = build_water(cfg);
+    assert!(
+        cfg.n_molecules % 2 == 1,
+        "n_molecules must be odd for the half-window pair assignment"
+    );
+    let out: Collector<WaterOut> = Collector::new();
+    let mut cluster =
+        observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
+    for node in 0..cfg.n_nodes as u32 {
+        let cfg = cfg.clone();
+        let out = out.clone();
+        cluster.spawn_node(node, move |ctx| out.put(node, water_node(&cfg, ctx)));
+    }
     let report = cluster.try_run()?;
-    Ok(finish_water(report, &out))
+    let (positions, kinetic) = out
+        .take()
+        .into_iter()
+        .next()
+        .map(|(_, v)| v)
+        .expect("node 0 ran");
+    Ok(WaterResult {
+        app: AppReport::new(report),
+        positions,
+        kinetic,
+    })
 }
 
 fn mol_addr(lay: &Layout, m: usize) -> usize {
@@ -312,12 +278,7 @@ fn water_node(cfg: &WaterConfig, ctx: carlos_sim::NodeCtx) -> (Vec<[f64; 3]>, f6
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

@@ -1,60 +1,64 @@
 //! Correctness tests for the Quicksort application.
 
-use carlos_apps::qsort::{run_qsort, QsortConfig, QsortVariant};
+use carlos_apps::qsort::QsortVariant;
+use carlos_apps::{launch, App, Reference, Run, Scale, Spec, Tweak};
+
+fn spec(n: usize, variant: QsortVariant, tweak: Tweak) -> Spec {
+    Spec {
+        tweak,
+        ..Spec::new(App::Quicksort(variant), n, Scale::Test)
+    }
+}
+
+/// Launches `spec` and asserts every node saw the sorted input permutation.
+fn sorted(spec: &Spec) -> Run {
+    let run = launch(spec).expect("Quicksort run");
+    assert_eq!(run.verdict(&Reference::of(spec)), Ok(()), "{spec:?}");
+    run
+}
 
 #[test]
 fn lock_variant_sorts_single_node() {
-    let r = run_qsort(&QsortConfig::test(1, QsortVariant::Lock));
-    assert!(r.sorted);
-    assert!(r.permutation_ok);
+    sorted(&spec(1, QsortVariant::Lock, Tweak::None));
 }
 
 #[test]
 fn lock_variant_sorts_four_nodes() {
-    let r = run_qsort(&QsortConfig::test(4, QsortVariant::Lock));
-    assert!(r.sorted, "parallel lock sort produced unsorted output");
-    assert!(r.permutation_ok, "elements lost or duplicated");
+    sorted(&spec(4, QsortVariant::Lock, Tweak::None));
 }
 
 #[test]
 fn hybrid1_sorts_four_nodes() {
-    let r = run_qsort(&QsortConfig::test(4, QsortVariant::Hybrid1));
-    assert!(r.sorted);
-    assert!(r.permutation_ok);
+    sorted(&spec(4, QsortVariant::Hybrid1, Tweak::None));
 }
 
 #[test]
 fn hybrid2_sorts_four_nodes() {
-    let r = run_qsort(&QsortConfig::test(4, QsortVariant::Hybrid2));
-    assert!(r.sorted);
-    assert!(r.permutation_ok);
+    sorted(&spec(4, QsortVariant::Hybrid2, Tweak::None));
 }
 
 #[test]
 fn no_forward_variant_sorts_four_nodes() {
-    let r = run_qsort(&QsortConfig::test(4, QsortVariant::HybridNoForward));
-    assert!(r.sorted);
-    assert!(r.permutation_ok);
+    sorted(&spec(4, QsortVariant::HybridNoForward, Tweak::None));
 }
 
 #[test]
 fn hybrid_sorts_two_and_three_nodes() {
     for n in [2, 3] {
-        let r = run_qsort(&QsortConfig::test(n, QsortVariant::Hybrid1));
-        assert!(r.sorted, "hybrid on {n} nodes failed");
-        assert!(r.permutation_ok);
+        sorted(&spec(n, QsortVariant::Hybrid1, Tweak::None));
     }
 }
 
 #[test]
 fn hybrid_uses_fewer_messages_than_lock() {
-    let lock = run_qsort(&QsortConfig::test(3, QsortVariant::Lock));
-    let hybrid = run_qsort(&QsortConfig::test(3, QsortVariant::Hybrid1));
+    let lock = sorted(&spec(3, QsortVariant::Lock, Tweak::None));
+    let hybrid = sorted(&spec(3, QsortVariant::Hybrid1, Tweak::None));
+    let (lock, hybrid) = (lock.app(), hybrid.app());
     assert!(
-        hybrid.app.messages < lock.app.messages,
+        hybrid.messages < lock.messages,
         "hybrid sent {} vs lock {}",
-        hybrid.app.messages,
-        lock.app.messages
+        hybrid.messages,
+        lock.messages
     );
 }
 
@@ -62,10 +66,10 @@ fn hybrid_uses_fewer_messages_than_lock() {
 fn hybrid2_moves_more_consistency_data_than_hybrid1() {
     // With every queue message marked RELEASE, strictly more synchronizing
     // messages flow and more consistency data rides the wire (§5.2).
-    let h1 = run_qsort(&QsortConfig::test(3, QsortVariant::Hybrid1));
-    let h2 = run_qsort(&QsortConfig::test(3, QsortVariant::Hybrid2));
-    let r1 = h1.app.report.counter_total("carlos.sent.release");
-    let r2 = h2.app.report.counter_total("carlos.sent.release");
+    let h1 = sorted(&spec(3, QsortVariant::Hybrid1, Tweak::None));
+    let h2 = sorted(&spec(3, QsortVariant::Hybrid2, Tweak::None));
+    let r1 = h1.app().report.counter_total("carlos.sent.release");
+    let r2 = h2.app().report.counter_total("carlos.sent.release");
     assert!(
         r2 > r1,
         "all-RELEASE should send more synchronizing messages: {r2} vs {r1}"
@@ -79,22 +83,17 @@ fn hybrid2_moves_more_consistency_data_than_hybrid1() {
 fn variable_granularity_sorts_correctly() {
     for variant in [QsortVariant::Lock, QsortVariant::Hybrid1] {
         for n in [2, 4] {
-            let mut cfg = QsortConfig::test(n, variant);
-            cfg.granularity_hints = true;
-            cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-            let r = run_qsort(&cfg);
-            assert!(r.sorted, "{variant:?} with hints on {n} nodes unsorted");
-            assert!(r.permutation_ok);
+            sorted(&spec(n, variant, Tweak::Vg));
         }
     }
 }
 
 #[test]
 fn runs_are_deterministic() {
-    let a = run_qsort(&QsortConfig::test(3, QsortVariant::Hybrid1));
-    let b = run_qsort(&QsortConfig::test(3, QsortVariant::Hybrid1));
-    assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
-    assert_eq!(a.app.messages, b.app.messages);
+    let a = sorted(&spec(3, QsortVariant::Hybrid1, Tweak::None));
+    let b = sorted(&spec(3, QsortVariant::Hybrid1, Tweak::None));
+    assert_eq!(a.app().report.elapsed, b.app().report.elapsed);
+    assert_eq!(a.app().messages, b.app().messages);
 }
 
 #[test]
@@ -103,10 +102,6 @@ fn update_strategy_sorts_correctly() {
     // workloads (per-interval coverage was checked with a per-node max,
     // letting a later interval's eager diff mask an earlier one).
     for n in [3, 4] {
-        let mut cfg = QsortConfig::test(n, QsortVariant::Lock);
-        cfg.core = cfg.core.with_update_strategy();
-        let r = run_qsort(&cfg);
-        assert!(r.sorted, "update strategy corrupted the sort on {n} nodes");
-        assert!(r.permutation_ok);
+        sorted(&spec(n, QsortVariant::Lock, Tweak::Update));
     }
 }

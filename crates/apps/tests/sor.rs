@@ -2,58 +2,54 @@
 //! be bitwise identical to the sequential reference (red-black updates
 //! read only values frozen by the previous half-sweep).
 
-use carlos_apps::sor::{run_sor, sequential_reference, SorConfig};
+use carlos_apps::sor::{try_run_sor, SorConfig, SorResult};
+use carlos_apps::{launch, App, Reference, Scale, Spec, Tweak};
+
+/// Launches SOR on `n` nodes with `tweak` and asserts its grid is
+/// bit-exact against the sequential reference.
+fn exact(n: usize, tweak: Tweak) {
+    let spec = Spec {
+        tweak,
+        ..Spec::new(App::Sor, n, Scale::Test)
+    };
+    let run = launch(&spec).expect("SOR run");
+    assert_eq!(run.verdict(&Reference::of(&spec)), Ok(()), "{spec:?}");
+}
+
+fn run(cfg: &SorConfig) -> SorResult {
+    try_run_sor(cfg).expect("SOR run")
+}
 
 #[test]
 fn single_node_matches_reference_bitwise() {
-    let cfg = SorConfig::test(1);
-    let reference = sequential_reference(&cfg);
-    let r = run_sor(&cfg);
-    assert_eq!(r.grid, reference, "single-node run must be exact");
+    exact(1, Tweak::None);
 }
 
 #[test]
 fn parallel_matches_reference_bitwise() {
-    let reference = sequential_reference(&SorConfig::test(1));
     for n in [2, 3, 4] {
-        let r = run_sor(&SorConfig::test(n));
-        assert_eq!(
-            r.grid, reference,
-            "parallel SOR on {n} nodes must be bitwise exact"
-        );
+        exact(n, Tweak::None);
     }
 }
 
 #[test]
 fn update_strategy_matches_reference_bitwise() {
-    let reference = sequential_reference(&SorConfig::test(1));
     for n in [2, 4] {
-        let mut cfg = SorConfig::test(n);
-        cfg.core = cfg.core.with_update_strategy();
-        let r = run_sor(&cfg);
-        assert_eq!(r.grid, reference, "update-mode SOR diverged on {n} nodes");
+        exact(n, Tweak::Update);
     }
 }
 
 #[test]
 fn variable_granularity_matches_reference_bitwise() {
-    let reference = sequential_reference(&SorConfig::test(1));
     for n in [2, 4] {
-        let mut cfg = SorConfig::test(n);
-        cfg.granularity_hints = true;
-        cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-        let r = run_sor(&cfg);
-        assert_eq!(
-            r.grid, reference,
-            "row-granule SOR on {n} nodes must stay bitwise exact"
-        );
+        exact(n, Tweak::Vg);
     }
 }
 
 #[test]
 fn heat_diffuses_downward() {
     let cfg = SorConfig::test(2);
-    let r = run_sor(&cfg);
+    let r = run(&cfg);
     let cols = cfg.cols;
     // After some iterations, the row below the hot edge is warmer than the
     // row above the cold edge.
@@ -65,8 +61,8 @@ fn heat_diffuses_downward() {
 
 #[test]
 fn runs_are_deterministic() {
-    let a = run_sor(&SorConfig::test(3));
-    let b = run_sor(&SorConfig::test(3));
+    let a = run(&SorConfig::test(3));
+    let b = run(&SorConfig::test(3));
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.grid, b.grid);
 }

@@ -2,7 +2,26 @@
 //! exact optimum (verified against a Held–Karp oracle) on every cluster
 //! size, and the hybrid must use substantially fewer messages.
 
-use carlos_apps::tsp::{run_tsp, Cities, TspConfig, TspVariant};
+use carlos_apps::tsp::{try_run_tsp, Cities, TspConfig, TspResult, TspVariant};
+use carlos_apps::{launch, Answer, App, Reference, Run, Scale, Spec, Tweak};
+
+fn spec(n: usize, variant: TspVariant, tweak: Tweak) -> Spec {
+    Spec {
+        tweak,
+        ..Spec::new(App::Tsp(variant), n, Scale::Test)
+    }
+}
+
+/// Launches `spec` and asserts it found the optimum tour.
+fn optimal(spec: &Spec) -> Run {
+    let run = launch(spec).expect("TSP run");
+    assert_eq!(run.verdict(&Reference::of(spec)), Ok(()), "{spec:?}");
+    run
+}
+
+fn run(cfg: &TspConfig) -> TspResult {
+    try_run_tsp(cfg).expect("TSP run")
+}
 
 #[test]
 fn oracle_agrees_with_greedy_bound_ordering() {
@@ -15,60 +34,48 @@ fn oracle_agrees_with_greedy_bound_ordering() {
 
 #[test]
 fn lock_variant_finds_optimum_single_node() {
-    let cfg = TspConfig::test(1, TspVariant::Lock);
-    let opt = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-    let r = run_tsp(&cfg);
-    assert_eq!(r.best_len, opt);
+    let run = optimal(&spec(1, TspVariant::Lock, Tweak::None));
+    let Answer::Tsp(r) = run.answer else {
+        unreachable!("a TSP run");
+    };
     assert!(r.expansions > 0);
 }
 
 #[test]
 fn lock_variant_finds_optimum_four_nodes() {
-    let cfg = TspConfig::test(4, TspVariant::Lock);
-    let opt = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-    let r = run_tsp(&cfg);
-    assert_eq!(r.best_len, opt, "parallel lock version missed the optimum");
+    optimal(&spec(4, TspVariant::Lock, Tweak::None));
 }
 
 #[test]
 fn hybrid_variant_finds_optimum_four_nodes() {
-    let cfg = TspConfig::test(4, TspVariant::Hybrid);
-    let opt = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-    let r = run_tsp(&cfg);
-    assert_eq!(r.best_len, opt, "hybrid version missed the optimum");
+    optimal(&spec(4, TspVariant::Hybrid, Tweak::None));
 }
 
 #[test]
 fn hybrid_variant_finds_optimum_two_and_three_nodes() {
     for n in [2, 3] {
-        let cfg = TspConfig::test(n, TspVariant::Hybrid);
-        let opt = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-        let r = run_tsp(&cfg);
-        assert_eq!(r.best_len, opt, "hybrid on {n} nodes missed the optimum");
+        optimal(&spec(n, TspVariant::Hybrid, Tweak::None));
     }
 }
 
 #[test]
 fn hybrid_uses_fewer_messages_than_lock() {
-    let lock = run_tsp(&TspConfig::test(3, TspVariant::Lock));
-    let hybrid = run_tsp(&TspConfig::test(3, TspVariant::Hybrid));
+    let lock = optimal(&spec(3, TspVariant::Lock, Tweak::None));
+    let hybrid = optimal(&spec(3, TspVariant::Hybrid, Tweak::None));
+    let (lock, hybrid) = (lock.app(), hybrid.app());
     assert!(
-        hybrid.app.messages < lock.app.messages,
+        hybrid.messages < lock.messages,
         "hybrid sent {} messages, lock {}",
-        hybrid.app.messages,
-        lock.app.messages
+        hybrid.messages,
+        lock.messages
     );
     // And average message size grows, as in Table 1.
-    assert!(hybrid.app.avg_msg_bytes > lock.app.avg_msg_bytes);
+    assert!(hybrid.avg_msg_bytes > lock.avg_msg_bytes);
 }
 
 #[test]
 fn all_release_variant_still_correct() {
-    let mut cfg = TspConfig::test(3, TspVariant::Hybrid);
-    cfg.all_release = true;
-    let opt = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-    let r = run_tsp(&cfg);
-    assert_eq!(r.best_len, opt);
+    optimal(&spec(3, TspVariant::Hybrid, Tweak::AllRelease));
 }
 
 #[test]
@@ -76,12 +83,7 @@ fn variable_granularity_finds_optimum() {
     // Granularity hints plus the coalesced/aggregated wire modes must not
     // change the computed result, only the traffic.
     for variant in [TspVariant::Lock, TspVariant::Hybrid] {
-        let mut cfg = TspConfig::test(4, variant);
-        cfg.granularity_hints = true;
-        cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-        let opt = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-        let r = run_tsp(&cfg);
-        assert_eq!(r.best_len, opt, "{variant:?} with hints missed the optimum");
+        optimal(&spec(4, variant, Tweak::Vg));
     }
 }
 
@@ -90,8 +92,8 @@ fn variable_granularity_is_deterministic() {
     let mut cfg = TspConfig::test(3, TspVariant::Lock);
     cfg.granularity_hints = true;
     cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-    let a = run_tsp(&cfg);
-    let b = run_tsp(&cfg);
+    let a = run(&cfg);
+    let b = run(&cfg);
     assert_eq!(a.best_len, b.best_len);
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.app.messages, b.app.messages);
@@ -100,8 +102,8 @@ fn variable_granularity_is_deterministic() {
 #[test]
 fn runs_are_deterministic() {
     let cfg = TspConfig::test(3, TspVariant::Hybrid);
-    let a = run_tsp(&cfg);
-    let b = run_tsp(&cfg);
+    let a = run(&cfg);
+    let b = run(&cfg);
     assert_eq!(a.best_len, b.best_len);
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.app.messages, b.app.messages);

@@ -3,9 +3,9 @@
 //!
 //! [`SPECS`] lists each group of rows as plain data: application and
 //! variant, label, cluster sizes, one configuration [`Tweak`], and the row
-//! whose single-node time is the speedup base. [`run_report`] runs each
-//! cell once with a metrics-only [`Tracer`] installed, and the rows render
-//! two ways:
+//! whose single-node time is the speedup base. [`run_report`] launches
+//! each cell once as a [`Spec`] with a metrics-only [`Tracer`] installed,
+//! judges its answer, and the rows render two ways:
 //!
 //! - `BENCH_paper.json` ([`to_json`]) — one row per (application, variant,
 //!   cluster size): the columns of the paper's Tables 1–3 with their
@@ -18,13 +18,12 @@
 //! Scale comes from [`ReportOptions`]: paper-scale configurations by
 //! default, test-scale when `CARLOS_REPORT_QUICK=1` (CI runs quick mode).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use carlos_apps::harness::AppReport;
-use carlos_apps::qsort::{try_run_qsort, QsortConfig, QsortVariant};
-use carlos_apps::sor::{try_run_sor, SorConfig};
-use carlos_apps::tsp::{try_run_tsp, TspConfig, TspVariant};
-use carlos_apps::water::{try_run_water, WaterConfig, WaterVariant};
+use carlos_apps::{
+    launch, App, AppReport, Observe, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak,
+    WaterVariant,
+};
 use carlos_core::{Annotation, CoreConfig, MsgClass, Runtime};
 use carlos_lrc::LrcConfig;
 use carlos_serve::run::{try_run_serve, ServeConfig, ServeResult};
@@ -50,48 +49,6 @@ impl ReportOptions {
             max_nodes: 4,
         }
     }
-}
-
-/// An application and its program variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// TSP (Table 1).
-    Tsp(TspVariant),
-    /// Quicksort (Table 2).
-    Quicksort(QsortVariant),
-    /// Water (Table 3).
-    Water(WaterVariant),
-    /// Red-black SOR (beyond the paper).
-    Sor,
-}
-
-impl Workload {
-    /// The application's name in report rows.
-    #[must_use]
-    pub fn app(self) -> &'static str {
-        match self {
-            Self::Tsp(_) => "TSP",
-            Self::Quicksort(_) => "Quicksort",
-            Self::Water(_) => "Water",
-            Self::Sor => "SOR",
-        }
-    }
-}
-
-/// The one configuration change a spec makes to its workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tweak {
-    /// The workload as the paper ran it.
-    None,
-    /// Variable granularity ("+vg"): per-region granule hints, coalesced
-    /// demand fetches and aggregated write notices.
-    Vg,
-    /// Every message marked RELEASE (§5.4; TSP and Water).
-    AllRelease,
-    /// TreadMarks-style specialised message dispatch (§5).
-    TreadMarks,
-    /// The §4.3 update coherence strategy instead of invalidation.
-    Update,
 }
 
 /// The cluster sizes a spec runs at.
@@ -125,7 +82,7 @@ impl Sizes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RowSpec {
     /// Application and program variant.
-    pub workload: Workload,
+    pub app: App,
     /// Variant label of the rows ("Lock", "Hybrid-1", "Lock+vg", …).
     pub label: &'static str,
     /// Cluster sizes.
@@ -143,19 +100,31 @@ impl RowSpec {
     /// variants has a four-node row).
     #[must_use]
     pub fn in_paper_tables(&self) -> bool {
-        paper_row(self.workload.app(), self.label, 4).is_some()
+        paper_row(self.app.name(), self.label, 4).is_some()
+    }
+
+    /// The run of this spec's cell at `n` nodes: paper scale, or in quick
+    /// mode the test-scale workload under the real cost model — the point
+    /// of the report is cost attribution, and `fast_test` zeroes every
+    /// protocol cost.
+    fn cell(&self, n: usize, quick: bool) -> Spec {
+        Spec {
+            tweak: self.tweak,
+            core: quick.then(CoreConfig::osdi94),
+            ..Spec::new(self.app, n, if quick { Scale::Test } else { Scale::Paper })
+        }
     }
 }
 
 const fn spec(
-    workload: Workload,
+    app: App,
     label: &'static str,
     sizes: Sizes,
     tweak: Tweak,
     base: &'static str,
 ) -> RowSpec {
     RowSpec {
-        workload,
+        app,
         label,
         sizes,
         tweak,
@@ -168,8 +137,8 @@ const fn spec(
 /// §5.4's no-forward and all-RELEASE runs, §5's TreadMarks-style dispatch,
 /// and the §4.3 update strategy.
 pub const SPECS: &[RowSpec] = {
+    use App::{Quicksort as Qs, Sor, Tsp, Water};
     use Sizes::{Largest, Scaling, ScalingTo8};
-    use Workload::{Quicksort as Qs, Sor, Tsp, Water};
     &[
         spec(Tsp(TspVariant::Lock), "Lock", ScalingTo8, Tweak::None, "Lock"),
         spec(Tsp(TspVariant::Hybrid), "Hybrid", Scaling, Tweak::None, "Hybrid"),
@@ -351,77 +320,6 @@ pub struct ReportRow {
     pub paper: Option<PaperRow>,
 }
 
-/// One application run's configuration.
-enum AppConfig {
-    Tsp(TspConfig),
-    Quicksort(QsortConfig),
-    Water(WaterConfig),
-    Sor(SorConfig),
-}
-
-/// Evaluates `$body` with `$c` bound to the configuration inside an
-/// [`AppConfig`] (the four share their field names).
-macro_rules! with_cfg {
-    ($cfg:expr, $c:ident => $body:expr) => {
-        match $cfg {
-            AppConfig::Tsp($c) => $body,
-            AppConfig::Quicksort($c) => $body,
-            AppConfig::Water($c) => $body,
-            AppConfig::Sor($c) => $body,
-        }
-    };
-}
-
-impl AppConfig {
-    /// The configuration of `spec` at `n` nodes: paper scale, or in quick
-    /// mode the test-scale workload under the real cost model — the point
-    /// of the report is cost attribution, and `fast_test` zeroes every
-    /// protocol cost.
-    fn new(spec: &RowSpec, n: usize, quick: bool) -> Self {
-        let mut cfg = match (spec.workload, quick) {
-            (Workload::Tsp(v), false) => Self::Tsp(TspConfig::paper(n, v)),
-            (Workload::Tsp(v), true) => Self::Tsp(TspConfig::test(n, v)),
-            (Workload::Quicksort(v), false) => Self::Quicksort(QsortConfig::paper(n, v)),
-            (Workload::Quicksort(v), true) => Self::Quicksort(QsortConfig::test(n, v)),
-            (Workload::Water(v), false) => Self::Water(WaterConfig::paper(n, v)),
-            (Workload::Water(v), true) => Self::Water(WaterConfig::test(n, v)),
-            (Workload::Sor, false) => Self::Sor(SorConfig::paper_scale(n)),
-            (Workload::Sor, true) => Self::Sor(SorConfig::test(n)),
-        };
-        with_cfg!(&mut cfg, c => {
-            let core = if quick { CoreConfig::osdi94() } else { c.core.clone() };
-            c.core = match spec.tweak {
-                Tweak::None | Tweak::AllRelease => core,
-                Tweak::Vg => core.with_coalesced_fetches().with_aggregated_notices(),
-                Tweak::TreadMarks => core.with_treadmarks_dispatch(),
-                Tweak::Update => core.with_update_strategy(),
-            };
-            c.granularity_hints = spec.tweak == Tweak::Vg;
-        });
-        if spec.tweak == Tweak::AllRelease {
-            match &mut cfg {
-                Self::Tsp(c) => c.all_release = true,
-                Self::Water(c) => c.all_release = true,
-                _ => panic!("{}: all-RELEASE runs exist for TSP and Water", spec.label),
-            }
-        }
-        cfg
-    }
-
-    fn run(&self) -> Result<AppReport, SimError> {
-        Ok(match self {
-            Self::Tsp(c) => try_run_tsp(c)?.app,
-            Self::Quicksort(c) => {
-                let r = try_run_qsort(c)?;
-                assert!(r.sorted && r.permutation_ok, "report run must be correct");
-                r.app
-            }
-            Self::Water(c) => try_run_water(c)?.app,
-            Self::Sor(c) => try_run_sor(c)?.app,
-        })
-    }
-}
-
 /// The report's fault-free serving configuration: in quick mode the same
 /// cost model and protocol on 1/32 of the schedule.
 fn serve_config(opts: &ReportOptions, n: usize) -> ServeConfig {
@@ -471,7 +369,7 @@ fn finish_row(
         .filter(|c| c.sent > 0)
         .collect();
     let wait_sum = |key: &str| m.histogram(key).map_or(0, carlos_trace::VtHistogram::sum);
-    let app = spec.workload.app();
+    let app = spec.app.name();
     ReportRow {
         app,
         variant: spec.label,
@@ -500,7 +398,7 @@ fn finish_row(
 }
 
 /// Runs every cell of `specs` once, in order — each spec at each of its
-/// cluster sizes — and returns one row per cell.
+/// cluster sizes — judges each answer, and returns one row per cell.
 ///
 /// # Errors
 ///
@@ -509,16 +407,28 @@ fn finish_row(
 ///
 /// # Panics
 ///
-/// If a spec's speedup base has no single-node row before it.
+/// If a run computes a wrong answer, or a spec's speedup base has no
+/// single-node row before it.
 pub fn run_report(specs: &[RowSpec], opts: &ReportOptions) -> Result<Vec<ReportRow>, SimError> {
     let mut rows: Vec<ReportRow> = Vec::new();
+    // One reference per application: it does not depend on the variant.
+    let mut references = HashMap::new();
     for spec in specs {
-        let app = spec.workload.app();
+        let app = spec.app.name();
         for n in spec.sizes.nodes(opts.max_nodes) {
-            let tracer = Tracer::metrics_only(n);
-            let mut cfg = AppConfig::new(spec, n, opts.quick);
-            with_cfg!(&mut cfg, c => c.trace = Some(tracer.clone()));
-            let rep = cfg.run()?;
+            let cell = Spec {
+                observe: Observe::Trace,
+                ..spec.cell(n, opts.quick)
+            };
+            let run = launch(&cell)?;
+            let reference = references
+                .entry(std::mem::discriminant(&spec.app))
+                .or_insert_with(|| Reference::of(&cell));
+            if let Err(why) = run.verdict(reference) {
+                panic!("{app}/{} n={n}: wrong answer: {why}", spec.label);
+            }
+            let rep = run.app();
+            let tracer = run.trace.as_ref().expect("the cell is traced");
             let base_secs = if n == 1 && spec.base == spec.label {
                 rep.secs
             } else {
@@ -527,7 +437,7 @@ pub fn run_report(specs: &[RowSpec], opts: &ReportOptions) -> Result<Vec<ReportR
                     .unwrap_or_else(|| panic!("{app}/{}: no n = 1 {} row", spec.label, spec.base))
                     .secs
             };
-            rows.push(finish_row(spec, n, &rep, rep.speedup_vs(base_secs), &tracer));
+            rows.push(finish_row(spec, n, rep, base_secs / rep.secs, tracer));
         }
     }
     Ok(rows)
@@ -1156,6 +1066,7 @@ fn same_json(
 
 #[cfg(test)]
 mod tests {
+    use carlos_apps::launch_with;
     use carlos_check::Checker;
 
     use super::*;
@@ -1366,9 +1277,8 @@ mod tests {
         };
         for spec in SPECS.iter().filter(|s| s.sizes == Sizes::ScalingTo8) {
             same_under_checker(spec.label, &|check| {
-                let mut cfg = AppConfig::new(spec, 8, true);
-                with_cfg!(&mut cfg, c => c.check = check);
-                cfg.run().expect("runs clean")
+                let run = launch_with(&spec.cell(8, true), check, None).expect("runs clean");
+                run.app().clone()
             });
         }
         same_under_checker("KV", &|check| {
@@ -1376,6 +1286,24 @@ mod tests {
             cfg.check = check;
             try_run_serve(&cfg).expect("KV runs clean").app
         });
+    }
+
+    /// Every configuration the report publishes, checked once: each spec's
+    /// quick cell at four nodes runs under the consistency checker, which
+    /// stays clean, and computes the right answer.
+    #[test]
+    fn every_report_configuration_is_checked_clean() {
+        for row in SPECS {
+            let spec = Spec {
+                observe: Observe::Check,
+                ..row.cell(4, true)
+            };
+            let what = format!("{}/{}", row.app.name(), row.label);
+            let run = launch(&spec).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let check = run.check.as_ref().expect("checked");
+            assert!(check.is_clean(), "{what}: {:?}", check.violations());
+            assert_eq!(run.verdict(&Reference::of(&spec)), Ok(()), "{what}");
+        }
     }
 
     /// The quick serve rows run clean — the fault-free row at

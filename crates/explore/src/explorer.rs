@@ -260,27 +260,13 @@ pub fn explore(
     }
 }
 
-/// Standalone entry point to the delta-debugging shrinker: reduces a
-/// failing `plan` (whose run produced `failing`) to a 1-minimal plan —
-/// one from which removing any single perturbation no longer reproduces
-/// a failure. Returns the minimal plan, the observation of its failing
-/// run, and how many executions the shrink spent.
-pub fn shrink_plan(
-    plan: SchedulePlan,
-    failing: Observation,
-    run: &mut impl FnMut(&SchedulePlan) -> Observation,
-) -> (SchedulePlan, Observation, usize) {
-    let mut executions = 0;
-    let (minimal, last) = shrink(plan, failing, run, &mut executions);
-    (minimal, last, executions)
-}
-
-/// Greedy delta-debugging shrink: repeatedly drop any single perturbation
-/// whose removal still reproduces a failure, until none does. The result
-/// is 1-minimal by construction — the final pass has tried and failed to
-/// remove every remaining perturbation. Returns the minimal plan and the
-/// observation of its (still failing) run.
-fn shrink(
+/// Greedy delta-debugging shrink of a failing `plan` (whose run observed
+/// `last`): repeatedly drop any single perturbation whose removal still
+/// reproduces a failure, until none does. The result is 1-minimal by
+/// construction — the final pass has tried and failed to remove every
+/// remaining perturbation. Returns the minimal plan and the observation of
+/// its (still failing) run, counting its runs in `executions`.
+pub fn shrink(
     mut plan: SchedulePlan,
     mut last: Observation,
     run: &mut impl FnMut(&SchedulePlan) -> Observation,

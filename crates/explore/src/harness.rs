@@ -1,14 +1,10 @@
-//! Application harnesses: run one app under one schedule and observe it.
+//! One execution of an application run under one schedule, observed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use carlos_apps::qsort::{try_run_qsort, QsortConfig, QsortVariant};
-use carlos_apps::sor::{sequential_reference, try_run_sor, SorConfig};
-use carlos_apps::tsp::{try_run_tsp, Cities, TspConfig, TspVariant};
-use carlos_apps::water::{try_run_water, WaterConfig, WaterVariant};
+use carlos_apps::{launch_with, Reference, Spec};
 use carlos_check::{Checker, Violation};
-use carlos_serve::run::{try_run_serve, ServeConfig};
-use carlos_core::CoreConfig;
+use carlos_sim::time::secs;
 use carlos_sim::{SchedulePlan, SimConfig};
 
 /// How one execution ended.
@@ -42,296 +38,47 @@ impl Observation {
     }
 }
 
-/// Which application to drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum App {
-    /// Red-black successive over-relaxation (barrier-heavy).
-    Sor,
-    /// Distributed quicksort (lock + work-queue).
-    Qsort,
-    /// Branch-and-bound traveling salesman (lock + racy bound).
-    Tsp,
-    /// Water N-body molecular dynamics (lock + barrier mix).
-    Water,
-    /// Open-loop KV serving over the sharded store (message-driven
-    /// request/reply + CAS counter chains).
-    Serve,
-}
-
-impl App {
-    /// Display name used in summaries.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            App::Sor => "sor",
-            App::Qsort => "qsort",
-            App::Tsp => "tsp",
-            App::Water => "water",
-            App::Serve => "serve",
-        }
-    }
-}
-
-/// The serving workload the explorer drives: a shrunk `test` schedule
-/// (fewer ops, so one execution stays cheap at sweep counts) with
-/// deadlines far beyond the runaway cap. The explorer's hostile schedules
-/// may delay any message up to the jitter bound; generous deadlines keep
-/// exactness a hard oracle — a timed-out op would otherwise relax the
-/// expected CAS counter totals to a liveness question.
-fn serve_explore_cfg(n_nodes: usize) -> ServeConfig {
-    let mut cfg = ServeConfig::test(n_nodes);
-    cfg.ops_per_client = 96;
-    cfg.cas_per_client = 12;
-    cfg.op_timeout = carlos_sim::time::secs(2);
-    cfg.drain = carlos_sim::time::secs(4);
-    cfg
-}
-
-/// Reference answers are computed once, from clean single-reference
-/// configurations, so every later (possibly bug-seeded) run compares
-/// against ground truth.
-#[derive(Debug, Clone)]
-enum Reference {
-    Sor(Vec<f64>),
-    Qsort,
-    Tsp(u32),
-    Water(Vec<[f64; 3]>),
-    /// Expected CAS counter values (exact under fault-free serving).
-    Serve(Vec<u64>),
-}
-
-/// Runs one application under arbitrary `SimConfig`s and classifies each
-/// execution against a pre-computed reference answer.
-///
-/// The harness owns the base simulator and runtime configurations; the
-/// explorer swaps in a [`SchedulePlan`] per execution, the random sweep
-/// swaps in jitter. Seeded-bug tests inject their mutation through
-/// [`AppHarness::with_core`] — the reference is always computed clean.
-#[derive(Debug, Clone)]
-pub struct AppHarness {
-    /// Application under test.
-    pub app: App,
-    /// Cluster size.
-    pub n_nodes: usize,
-    /// Mixed-granularity mode: granularity hints + aggregated notices +
-    /// coalesced fetches (the benchmark suite's "+vg" rows).
-    pub vg: bool,
-    /// Base simulator config (schedule/jitter applied per run).
-    pub sim: SimConfig,
-    /// Base runtime config (seeded bugs injected here by tests).
-    pub core: CoreConfig,
-    reference: Reference,
-}
-
-impl AppHarness {
-    /// A harness for `app` on `n_nodes` nodes with `fast_test` models.
-    /// Computes the app's reference answer eagerly from a clean config.
-    #[must_use]
-    pub fn new(app: App, n_nodes: usize) -> Self {
-        let reference = match app {
-            App::Sor => Reference::Sor(sequential_reference(&SorConfig::test(1))),
-            App::Qsort => Reference::Qsort,
-            App::Tsp => {
-                let base = TspConfig::test(n_nodes, TspVariant::Lock);
-                Reference::Tsp(Cities::generate(base.n_cities, base.seed).held_karp())
-            }
-            App::Water => {
-                let r = try_run_water(&WaterConfig::test(1, WaterVariant::Lock))
-                    .expect("reference water run");
-                Reference::Water(r.positions)
-            }
-            App::Serve => {
-                let cfg = serve_explore_cfg(n_nodes);
-                let clients = cfg.n_clients() as u64;
-                let per_key = clients * cfg.cas_per_client / cfg.counter_keys;
-                #[allow(clippy::cast_possible_truncation)]
-                Reference::Serve(vec![per_key; cfg.counter_keys as usize])
-            }
-        };
-        // Clean fast_test runs of every app finish in well under a virtual
-        // second; a tight runaway cap turns livelocked counterexamples
-        // (which otherwise burn the full 7200-virtual-second budget) into
-        // promptly-detected crashes.
+/// The simulator configuration an exploration execution perturbs: the
+/// spec's own, or `fast_test` with a 10-virtual-second runaway cap. Clean
+/// `fast_test` runs of every application finish in well under a virtual
+/// second; the cap turns livelocked counterexamples (which otherwise burn
+/// the full 7200-virtual-second budget) into promptly detected crashes.
+#[must_use]
+pub fn base_sim(spec: &Spec) -> SimConfig {
+    spec.sim.clone().unwrap_or_else(|| {
         let mut sim = SimConfig::fast_test();
-        sim.max_virtual_time = Some(carlos_sim::time::secs(10));
-        Self {
-            app,
-            n_nodes,
-            vg: false,
-            sim,
-            core: CoreConfig::fast_test(),
-            reference,
-        }
-    }
+        sim.max_virtual_time = Some(secs(10));
+        sim
+    })
+}
 
-    /// Returns `self` in mixed-granularity ("+vg") mode: granularity
-    /// hints on, aggregated write notices, coalesced batch fetches.
-    #[must_use]
-    pub fn vg(mut self) -> Self {
-        self.vg = true;
-        self
+/// `spec` under the targeted delivery perturbations of `plan`.
+#[must_use]
+pub fn planned(spec: &Spec, plan: &SchedulePlan) -> Spec {
+    Spec {
+        sim: Some(base_sim(spec).with_schedule(plan.clone())),
+        ..spec.clone()
     }
+}
 
-    /// Returns `self` with the given base runtime config (builder style).
-    #[must_use]
-    pub fn with_core(mut self, core: CoreConfig) -> Self {
-        self.core = core;
-        self
-    }
-
-    /// Returns `self` with the given base simulator config (builder style).
-    #[must_use]
-    pub fn with_sim(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
-        self
-    }
-
-    /// Executes the app once under `plan` and observes the outcome.
-    #[must_use]
-    pub fn run(&self, plan: &SchedulePlan) -> Observation {
-        self.run_with_sim(self.sim.clone().with_schedule(plan.clone()))
-    }
-
-    /// Executes the app once under an explicit simulator config (used by
-    /// the random jitter sweep). Node panics are contained and reported as
-    /// [`RunStatus::Crashed`], so a seeded bug that trips a runtime
-    /// assertion still yields an observation instead of unwinding the
-    /// explorer.
-    #[must_use]
-    pub fn run_with_sim(&self, sim: SimConfig) -> Observation {
-        let check = Checker::new(self.n_nodes);
-        let core = if self.vg {
-            self.core.clone().with_coalesced_fetches().with_aggregated_notices()
-        } else {
-            self.core.clone()
-        };
-        let status = {
-            let check = check.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(|| self.dispatch(sim, core, check)));
-            match outcome {
-                Ok(status) => status,
-                Err(p) => RunStatus::Crashed(format!("panic: {}", panic_text(&p))),
-            }
-        };
-        Observation {
-            status,
-            violations: check.violations(),
-            deliveries: check.deliveries(),
-        }
-    }
-
-    fn dispatch(&self, sim: SimConfig, core: CoreConfig, check: Checker) -> RunStatus {
-        match self.app {
-            App::Sor => {
-                let mut cfg = SorConfig::test(self.n_nodes);
-                cfg.sim = sim;
-                cfg.core = core;
-                cfg.check = Some(check);
-                cfg.granularity_hints = self.vg;
-                match try_run_sor(&cfg) {
-                    Err(e) => RunStatus::Crashed(e.to_string()),
-                    Ok(r) => {
-                        let Reference::Sor(grid) = &self.reference else {
-                            unreachable!("reference matches app");
-                        };
-                        if &r.grid == grid {
-                            RunStatus::Ok
-                        } else {
-                            RunStatus::WrongAnswer
-                        }
-                    }
-                }
-            }
-            App::Qsort => {
-                let mut cfg = QsortConfig::test(self.n_nodes, QsortVariant::Lock);
-                cfg.sim = sim;
-                cfg.core = core;
-                cfg.check = Some(check);
-                cfg.granularity_hints = self.vg;
-                match try_run_qsort(&cfg) {
-                    Err(e) => RunStatus::Crashed(e.to_string()),
-                    Ok(r) if r.sorted && r.permutation_ok => RunStatus::Ok,
-                    Ok(_) => RunStatus::WrongAnswer,
-                }
-            }
-            App::Tsp => {
-                let mut cfg = TspConfig::test(self.n_nodes, TspVariant::Lock);
-                cfg.sim = sim;
-                cfg.core = core;
-                cfg.check = Some(check);
-                cfg.granularity_hints = self.vg;
-                match try_run_tsp(&cfg) {
-                    Err(e) => RunStatus::Crashed(e.to_string()),
-                    Ok(r) => {
-                        let Reference::Tsp(optimum) = &self.reference else {
-                            unreachable!("reference matches app");
-                        };
-                        if r.best_len == *optimum {
-                            RunStatus::Ok
-                        } else {
-                            RunStatus::WrongAnswer
-                        }
-                    }
-                }
-            }
-            App::Water => {
-                let mut cfg = WaterConfig::test(self.n_nodes, WaterVariant::Lock);
-                cfg.sim = sim;
-                cfg.core = core;
-                cfg.check = Some(check);
-                cfg.granularity_hints = self.vg;
-                match try_run_water(&cfg) {
-                    Err(e) => RunStatus::Crashed(e.to_string()),
-                    Ok(r) => {
-                        let Reference::Water(positions) = &self.reference else {
-                            unreachable!("reference matches app");
-                        };
-                        let close = r.positions.len() == positions.len()
-                            && r.positions
-                                .iter()
-                                .zip(positions)
-                                .all(|(a, b)| (0..3).all(|d| (a[d] - b[d]).abs() < 1e-6));
-                        if close {
-                            RunStatus::Ok
-                        } else {
-                            RunStatus::WrongAnswer
-                        }
-                    }
-                }
-            }
-            App::Serve => {
-                let mut cfg = serve_explore_cfg(self.n_nodes);
-                cfg.sim = sim;
-                cfg.core = core;
-                cfg.check = Some(check);
-                cfg.granularity_hints = self.vg;
-                match try_run_serve(&cfg) {
-                    Err(e) => RunStatus::Crashed(e.to_string()),
-                    Ok(r) => {
-                        let Reference::Serve(counters) = &self.reference else {
-                            unreachable!("reference matches app");
-                        };
-                        let t = &r.totals;
-                        // Fault-free serving is exact under any schedule:
-                        // nothing may time out, arrive late, fail the value
-                        // self-tag, or disagree with the server's private
-                        // version mirror, and every CAS intent must land
-                        // exactly once.
-                        let exact = &r.counters == counters
-                            && t.client.timed_out == 0
-                            && t.client.late_replies == 0
-                            && t.client.value_check_failures == 0
-                            && t.mirror_mismatches == 0
-                            && t.client.attempted == t.client.completed;
-                        if exact {
-                            RunStatus::Ok
-                        } else {
-                            RunStatus::WrongAnswer
-                        }
-                    }
-                }
-            }
-        }
+/// Runs `spec` once under a fresh checker and judges its answer against
+/// `reference`. Node panics are contained and reported as
+/// [`RunStatus::Crashed`], so a seeded bug that trips a runtime assertion
+/// still yields an observation instead of unwinding the explorer.
+#[must_use]
+pub fn observe(spec: &Spec, reference: &Reference) -> Observation {
+    let check = Checker::new(spec.n);
+    let outcome = catch_unwind(AssertUnwindSafe(|| launch_with(spec, Some(check.clone()), None)));
+    let status = match outcome {
+        Ok(Ok(run)) if run.verdict(reference).is_ok() => RunStatus::Ok,
+        Ok(Ok(_)) => RunStatus::WrongAnswer,
+        Ok(Err(e)) => RunStatus::Crashed(e.to_string()),
+        Err(p) => RunStatus::Crashed(format!("panic: {}", panic_text(&p))),
+    };
+    Observation {
+        status,
+        violations: check.violations(),
+        deliveries: check.deliveries(),
     }
 }
 

@@ -36,8 +36,8 @@ mod harness;
 mod summary;
 
 pub use explorer::{
-    explore, fingerprint, frontier_pairs, shrink_plan, Counterexample, ExploreConfig,
+    explore, fingerprint, frontier_pairs, shrink, Counterexample, ExploreConfig,
     ExploreResult, ExploreStats,
 };
-pub use harness::{App, AppHarness, Observation, RunStatus};
+pub use harness::{base_sim, observe, planned, Observation, RunStatus};
 pub use summary::{guided_sweep, random_sweep, render_counterexample, ExploreSummary};

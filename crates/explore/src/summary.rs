@@ -1,14 +1,16 @@
 //! Shared outcome bookkeeping for random-sweep and guided exploration.
 
+use carlos_apps::{App, Reference, Spec, Tweak};
 use carlos_sim::time::us;
+use carlos_trace::json_string;
 
 use crate::explorer::{fingerprint, Counterexample, ExploreConfig, ExploreResult};
-use crate::harness::{AppHarness, RunStatus};
+use crate::harness::{base_sim, observe, planned, RunStatus};
 
 /// One exploration campaign's outcome, in the shape both the random
 /// jitter sweep and the guided explorer produce — one bookkeeping type,
 /// one nonzero-exit rule, one machine-readable JSON line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExploreSummary {
     /// Application name.
     pub app: String,
@@ -68,19 +70,16 @@ impl ExploreSummary {
     /// key order).
     #[must_use]
     pub fn json_line(&self) -> String {
-        let ce = match &self.counterexample {
-            None => "null".to_string(),
-            Some(c) => format!("\"{}\"", escape_json(c)),
-        };
+        let ce = self.counterexample.as_deref().map_or("null".to_string(), json_string);
         format!(
             concat!(
-                "{{\"app\":\"{}\",\"mode\":\"{}\",\"executions\":{},",
+                "{{\"app\":{},\"mode\":{},\"executions\":{},",
                 "\"violations\":{},\"wrong_answers\":{},\"crashes\":{},",
                 "\"distinct_classes\":{},\"dedupe_hits\":{},",
                 "\"shrink_executions\":{},\"counterexample\":{}}}"
             ),
-            escape_json(&self.app),
-            escape_json(&self.mode),
+            json_string(&self.app),
+            json_string(&self.mode),
             self.executions,
             self.violations,
             self.wrong_answers,
@@ -99,13 +98,10 @@ impl ExploreSummary {
             app: app.to_string(),
             mode: mode.to_string(),
             executions: result.stats.executions,
-            violations: 0,
-            wrong_answers: 0,
-            crashes: 0,
             distinct_classes: result.stats.distinct_classes,
             dedupe_hits: result.stats.dedupe_hits,
             shrink_executions: result.stats.shrink_executions,
-            counterexample: None,
+            ..Self::default()
         };
         if let Some(ce) = &result.counterexample {
             match &ce.status {
@@ -136,34 +132,47 @@ pub fn render_counterexample(ce: &Counterexample) -> String {
         .join(",")
 }
 
+/// The campaign label of `spec`: the application's short name, plus
+/// `+vg` for variable-granularity runs.
+fn label(spec: &Spec) -> String {
+    let app = match spec.app {
+        App::Sor => "sor",
+        App::Quicksort(_) => "qsort",
+        App::Tsp(_) => "tsp",
+        App::Water(_) => "water",
+    };
+    if spec.tweak == Tweak::Vg {
+        format!("{app}+vg")
+    } else {
+        app.to_string()
+    }
+}
+
 /// Runs the historical random jitter sweep — every (jitter, seed) cell —
-/// through `harness`, producing the same summary shape as the guided
-/// explorer. The sweep draws delivery delays blindly from an RNG; it
-/// covers whatever classes it happens to hit.
+/// of `spec`, producing the same summary shape as the guided explorer.
+/// The sweep draws delivery delays blindly from an RNG; it covers
+/// whatever classes it happens to hit.
 #[must_use]
 pub fn random_sweep(
-    harness: &AppHarness,
+    spec: &Spec,
     jitters_us: &[u64],
     seeds: &[u64],
     verbose: bool,
 ) -> ExploreSummary {
+    let reference = Reference::of(spec);
     let mut summary = ExploreSummary {
-        app: harness.app.name().to_string(),
+        app: label(spec),
         mode: "random".to_string(),
-        executions: 0,
-        violations: 0,
-        wrong_answers: 0,
-        crashes: 0,
-        distinct_classes: 0,
-        dedupe_hits: 0,
-        shrink_executions: 0,
-        counterexample: None,
+        ..ExploreSummary::default()
     };
     let mut classes = std::collections::BTreeSet::new();
     for &jitter in jitters_us {
         for &seed in seeds {
-            let sim = harness.sim.clone().with_jitter(us(jitter), seed);
-            let obs = harness.run_with_sim(sim);
+            let jittered = Spec {
+                sim: Some(base_sim(spec).with_jitter(us(jitter), seed)),
+                ..spec.clone()
+            };
+            let obs = observe(&jittered, &reference);
             summary.executions += 1;
             classes.insert(fingerprint(&obs.deliveries));
             match &obs.status {
@@ -201,33 +210,13 @@ pub fn random_sweep(
     summary
 }
 
-/// Runs the guided explorer over `harness` and summarizes it.
+/// Runs the guided explorer over `spec` and summarizes it.
 #[must_use]
-pub fn guided_sweep(harness: &AppHarness, cfg: &ExploreConfig) -> ExploreSummary {
-    let result = crate::explorer::explore(cfg, |plan| harness.run(plan));
+pub fn guided_sweep(spec: &Spec, cfg: &ExploreConfig) -> ExploreSummary {
+    let reference = Reference::of(spec);
+    let result = crate::explorer::explore(cfg, |plan| observe(&planned(spec, plan), &reference));
     let mode = if cfg.dedupe { "guided" } else { "frontier-full" };
-    let label = if harness.vg {
-        format!("{}+vg", harness.app.name())
-    } else {
-        harness.app.name().to_string()
-    };
-    ExploreSummary::from_guided(&label, mode, &result)
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+    ExploreSummary::from_guided(&label(spec), mode, &result)
 }
 
 #[cfg(test)]

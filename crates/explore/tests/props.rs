@@ -10,7 +10,8 @@
 //!    removing any single remaining perturbation no longer reproduces
 //!    the failure.
 
-use carlos_explore::{fingerprint, shrink_plan, App, AppHarness, Observation, RunStatus};
+use carlos_apps::{App, Reference, Scale, Spec};
+use carlos_explore::{fingerprint, observe, planned, shrink, Observation, RunStatus};
 use carlos_sim::time::us;
 use carlos_sim::SchedulePlan;
 use proptest::prelude::*;
@@ -39,9 +40,10 @@ proptest! {
         tuples in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()), 0..4)
     ) {
         let plan = plan_from(&tuples);
-        let h = AppHarness::new(App::Sor, 3);
-        let a = h.run(&plan);
-        let b = h.run(&plan);
+        let spec = Spec::new(App::Sor, 3, Scale::Test);
+        let reference = Reference::of(&spec);
+        let a = observe(&planned(&spec, &plan), &reference);
+        let b = observe(&planned(&spec, &plan), &reference);
         prop_assert_eq!(fingerprint(&a.deliveries), fingerprint(&b.deliveries));
         prop_assert_eq!(a.status, b.status);
         prop_assert_eq!(a.violations.len(), b.violations.len());
@@ -61,9 +63,10 @@ proptest! {
         let plan = plan_from(&tuples);
         let padded = plan.clone().delay(pad_src, (pad_src + 1) % 3, 1_000_000, pad_delay);
         prop_assert_ne!(&plan, &padded);
-        let h = AppHarness::new(App::Sor, 3);
-        let a = h.run(&plan);
-        let b = h.run(&padded);
+        let spec = Spec::new(App::Sor, 3, Scale::Test);
+        let reference = Reference::of(&spec);
+        let a = observe(&planned(&spec, &plan), &reference);
+        let b = observe(&planned(&spec, &padded), &reference);
         prop_assert_eq!(fingerprint(&a.deliveries), fingerprint(&b.deliveries));
     }
 
@@ -95,7 +98,8 @@ proptest! {
         };
         let first = run(&noisy);
         prop_assert!(first.failed(), "noisy plan contains all culprits by construction");
-        let (minimal, last, execs) = shrink_plan(noisy, first, &mut run);
+        let mut execs = 0;
+        let (minimal, last) = shrink(noisy, first, &mut run, &mut execs);
         // Exactly the culprit set survives.
         let kept: Vec<_> = minimal.iter().map(|(f, _)| f).collect();
         prop_assert_eq!(&kept, &culprits);

@@ -35,7 +35,7 @@ pub mod workload;
 
 pub use client::{ClientStats, Completion, KvClient, H_KV_REP, H_KV_REQ, H_SERVE_DONE};
 pub use run::{
-    run_serve, try_run_serve, ClientNodeStats, HarvestProbe, ServeConfig, ServeResult,
+    try_run_serve, ClientNodeStats, HarvestProbe, ServeConfig, ServeResult,
     ServeTotals, ServerStats,
 };
 pub use store::{OpKind, Reply, Request, Status, StoreLayout};

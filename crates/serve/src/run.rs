@@ -12,12 +12,13 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use carlos_apps::harness::{install_observers, observed_cluster};
 use carlos_apps::{AppReport, Collector};
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
 use carlos_sim::{
     time::{ms, us, Ns},
-    AckMode, Cluster, FaultPlan, GeParams, NodeCtx, SimConfig, SimReport,
+    AckMode, FaultPlan, GeParams, NodeCtx, SimConfig,
 };
 use carlos_sync::BarrierSpec;
 
@@ -126,12 +127,9 @@ impl ServeConfig {
         let ops_per_client = 262_144 / clients;
         let mean_interarrival = us(1_000) * clients;
         Self {
-            n_nodes,
             seed: 0x5E7E_1994,
             keyspace,
-            theta: 0.99,
             val_len: 128,
-            mix: OpMix::read_heavy(),
             ops_per_client,
             cas_per_client: ops_per_client / 64,
             counter_keys: 8,
@@ -142,16 +140,12 @@ impl ServeConfig {
             drain: mean_interarrival * 2_000,
             shards_per_server,
             slots_per_shard: slots_for(keyspace, n_servers * shards_per_server),
-            granularity_hints: true,
             ns_per_op: us(20),
             page_size: 8192,
             gc_threshold_records: 1 << 26,
-            probe: None,
             sim: SimConfig::osdi94(),
             core: CoreConfig::osdi94(),
-            ack: AckMode::Implicit,
-            check: None,
-            trace: None,
+            ..Self::test(n_nodes)
         }
     }
 
@@ -627,12 +621,7 @@ fn serve_node(
 ) -> (NodeStats, Option<Vec<u64>>) {
     let (lay, lrc) = layout(cfg);
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    if let Some(check) = &cfg.check {
-        check.install(&mut rt);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.install(&mut rt);
-    }
+    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     sys.barrier(&mut rt, barrier, 100);
@@ -665,16 +654,18 @@ fn serve_node(
     (out, counters)
 }
 
-fn build_serve(cfg: &ServeConfig) -> (Cluster, Collector<NodeStats>, Collector<Vec<u64>>) {
+/// Runs a serving workload on a simulated cluster, returning simulation
+/// failures (deadlock, node panic, safety-valve trip) as a
+/// [`carlos_sim::SimError`] value instead of panicking.
+///
+/// # Errors
+///
+/// Returns the [`carlos_sim::SimError`] describing how the run failed.
+pub fn try_run_serve(cfg: &ServeConfig) -> Result<ServeResult, carlos_sim::SimError> {
     let stats_c: Collector<NodeStats> = Collector::new();
     let counters_c: Collector<Vec<u64>> = Collector::new();
-    let mut cluster = Cluster::new(cfg.sim.clone(), cfg.n_nodes);
-    if let Some(check) = &cfg.check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &cfg.trace {
-        trace.attach(&mut cluster);
-    }
+    let mut cluster =
+        observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
     // One Zipf table per run, shared by every client: it depends on the
     // keyspace and skew alone.
     let zipf = Rc::new(ZipfTable::new(cfg.keyspace, cfg.theta));
@@ -691,14 +682,7 @@ fn build_serve(cfg: &ServeConfig) -> (Cluster, Collector<NodeStats>, Collector<V
             }
         });
     }
-    (cluster, stats_c, counters_c)
-}
-
-fn finish_serve(
-    report: SimReport,
-    stats_c: &Collector<NodeStats>,
-    counters_c: &Collector<Vec<u64>>,
-) -> ServeResult {
+    let report = cluster.try_run()?;
     let mut totals = ServeTotals::default();
     for (_, s) in stats_c.take() {
         match s {
@@ -724,42 +708,21 @@ fn finish_serve(
         .next()
         .map(|(_, c)| c)
         .unwrap_or_default();
-    ServeResult {
+    Ok(ServeResult {
         app: AppReport::new(report),
         totals,
         counters,
-    }
-}
-
-/// Runs a serving workload on a simulated cluster.
-///
-/// # Panics
-///
-/// Panics on configuration errors or internal protocol violations.
-#[must_use]
-pub fn run_serve(cfg: &ServeConfig) -> ServeResult {
-    let (cluster, stats_c, counters_c) = build_serve(cfg);
-    let report = cluster.run();
-    finish_serve(report, &stats_c, &counters_c)
-}
-
-/// Runs a serving workload, returning simulation failures (deadlock, node
-/// panic, safety-valve trip) as a [`carlos_sim::SimError`] value instead
-/// of panicking.
-///
-/// # Errors
-///
-/// Returns the [`carlos_sim::SimError`] describing how the run failed.
-pub fn try_run_serve(cfg: &ServeConfig) -> Result<ServeResult, carlos_sim::SimError> {
-    let (cluster, stats_c, counters_c) = build_serve(cfg);
-    let report = cluster.try_run()?;
-    Ok(finish_serve(report, &stats_c, &counters_c))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fmt::Write as _;
+
+    fn serve(cfg: &ServeConfig) -> ServeResult {
+        try_run_serve(cfg).expect("serving run")
+    }
 
     fn fingerprint(r: &ServeResult) -> String {
         let mut s = String::new();
@@ -810,7 +773,7 @@ mod tests {
     #[test]
     fn fault_free_serve_is_exact() {
         let cfg = ServeConfig::test(4);
-        let r = run_serve(&cfg);
+        let r = serve(&cfg);
         let t = &r.totals;
         let clients = cfg.n_clients() as u64;
         // Every scheduled op resolves: no timeouts, no late replies, no
@@ -839,15 +802,15 @@ mod tests {
 
     #[test]
     fn same_seed_is_bit_identical() {
-        let a = run_serve(&ServeConfig::test(4));
-        let b = run_serve(&ServeConfig::test(4));
+        let a = serve(&ServeConfig::test(4));
+        let b = serve(&ServeConfig::test(4));
         assert_eq!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]
     fn fault_free_serving_costs_two_messages_per_operation() {
         let cfg = ServeConfig::test(8);
-        let r = run_serve(&cfg);
+        let r = serve(&cfg);
         let (done, msgs) = (r.totals.client.completed, r.app.report.net.messages);
         assert_eq!(done, r.totals.client.attempted);
         // A request and its reply; the rest is barriers, DONEs and node 0's
@@ -870,7 +833,7 @@ mod tests {
         cfg.mean_interarrival /= 4;
         cfg.op_timeout = ms(10_000);
         cfg.drain = ms(20_000);
-        let r = run_serve(&cfg);
+        let r = serve(&cfg);
         let t = &r.totals;
         assert_eq!((t.client.completed, t.client.timed_out), (t.client.attempted, 0));
         assert_eq!(t.mirror_mismatches, 0);
@@ -889,7 +852,7 @@ mod tests {
     fn plain_pages_also_serve() {
         let mut cfg = ServeConfig::test(4);
         cfg.granularity_hints = false;
-        let r = run_serve(&cfg);
+        let r = serve(&cfg);
         assert_eq!(r.totals.client.completed, r.totals.client.attempted);
         assert_eq!(r.totals.mirror_mismatches, 0);
     }

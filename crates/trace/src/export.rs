@@ -10,7 +10,7 @@ use crate::State;
 
 /// Escapes `s` as a JSON string literal (quotes included).
 #[must_use]
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -55,6 +55,7 @@ use carlos_core::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass, Runti
 use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
 use carlos_sim::{Cluster, NodeId, Ns, TransportObserver, WireObserver};
 
+pub use export::json_string;
 pub use json::JsonValue;
 pub use metrics::{Metrics, VtHistogram};
 

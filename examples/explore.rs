@@ -30,18 +30,24 @@
 //!
 //! Run with `cargo run --release --example explore`.
 
+use carlos::apps::{App, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak, WaterVariant};
 use carlos::explore::{
-    explore, fingerprint, guided_sweep, random_sweep, App, AppHarness, ExploreConfig,
+    base_sim, explore, fingerprint, guided_sweep, observe, planned, random_sweep, ExploreConfig,
     ExploreSummary,
 };
-use carlos::sim::time::{secs, us};
-use carlos::sim::SimConfig;
+use carlos::sim::time::us;
 use std::collections::BTreeSet;
 
 const NODES: usize = 3;
 const SEEDS: [u64; 6] = [1, 2, 3, 0xBEEF, 0x5EED_0115, 0xD15C_07E4];
 const JITTERS_US: [u64; 3] = [10, 50, 200];
-const APPS: [App; 4] = [App::Sor, App::Qsort, App::Tsp, App::Water];
+const APPS: [App; 4] = [
+    App::Sor,
+    App::Quicksort(QsortVariant::Lock),
+    App::Tsp(TspVariant::Lock),
+    App::Water(WaterVariant::Lock),
+];
+const TSP: App = App::Tsp(TspVariant::Lock);
 /// Delivery window for the dedupe-effectiveness comparison: large enough
 /// that TSP's windowed race space holds dozens of classes, small enough
 /// that the guided search exhausts it within the budget.
@@ -64,8 +70,8 @@ fn emit(failed: &mut bool, s: &ExploreSummary) {
 /// The historical 72-run random sweep (18 cells per application).
 fn run_random(failed: &mut bool) {
     for app in APPS {
-        let h = AppHarness::new(app, NODES);
-        emit(failed, &random_sweep(&h, &JITTERS_US, &SEEDS, true));
+        let spec = Spec::new(app, NODES, Scale::Test);
+        emit(failed, &random_sweep(&spec, &JITTERS_US, &SEEDS, true));
     }
 }
 
@@ -77,11 +83,13 @@ fn run_guided(failed: &mut bool) {
         ..ExploreConfig::default()
     };
     for app in APPS {
-        let h = AppHarness::new(app, NODES);
-        emit(failed, &guided_sweep(&h, &cfg));
+        emit(failed, &guided_sweep(&Spec::new(app, NODES, Scale::Test), &cfg));
     }
-    let h = AppHarness::new(App::Tsp, NODES).vg();
-    emit(failed, &guided_sweep(&h, &cfg));
+    let vg = Spec {
+        tweak: Tweak::Vg,
+        ..Spec::new(TSP, NODES, Scale::Test)
+    };
+    emit(failed, &guided_sweep(&vg, &cfg));
 }
 
 /// Dedupe effectiveness on TSP: how many executions does naive
@@ -98,7 +106,8 @@ fn run_guided(failed: &mut bool) {
 /// flows back, re-predictable interleavings) only shows once the space
 /// can be covered.
 fn run_dedupe_compare(failed: &mut bool) {
-    let h = AppHarness::new(App::Tsp, NODES);
+    let spec = Spec::new(TSP, NODES, Scale::Test);
+    let reference = Reference::of(&spec);
     let wfp = |ds: &[carlos::check::DeliveryEvent]| fingerprint(&ds[..DEDUPE_WINDOW.min(ds.len())]);
     let deduped = ExploreConfig {
         budget: budget(),
@@ -107,7 +116,7 @@ fn run_dedupe_compare(failed: &mut bool) {
     };
     let mut guided_classes: BTreeSet<u64> = BTreeSet::new();
     let res = explore(&deduped, |p| {
-        let obs = h.run(p);
+        let obs = observe(&planned(&spec, p), &reference);
         guided_classes.insert(wfp(&obs.deliveries));
         obs
     });
@@ -125,7 +134,7 @@ fn run_dedupe_compare(failed: &mut bool) {
     };
     let mut trail: Vec<u64> = Vec::new();
     let _ = explore(&full, |p| {
-        let obs = h.run(p);
+        let obs = observe(&planned(&spec, p), &reference);
         trail.push(wfp(&obs.deliveries));
         obs
     });
@@ -176,10 +185,10 @@ fn run_dedupe_compare(failed: &mut bool) {
 /// never trigger this mutation (it only fires on plan-perturbed frames),
 /// so a find here is evidence the guided path works end to end.
 fn run_seeded_smoke(failed: &mut bool) {
-    let mut sim = SimConfig::fast_test();
-    sim.max_virtual_time = Some(secs(10));
+    let mut spec = Spec::new(TSP, NODES, Scale::Test);
+    let mut sim = base_sim(&spec);
     sim.seeded_fifo_pair = Some((1, 0));
-    let h = AppHarness::new(App::Tsp, NODES).with_sim(sim);
+    spec.sim = Some(sim);
     // Coarse flip margin: FIFO-sensitivity needs a frame displaced far
     // enough past its racer that same-flow successors can overtake it.
     let cfg = ExploreConfig {
@@ -187,7 +196,7 @@ fn run_seeded_smoke(failed: &mut bool) {
         margin: us(500),
         ..ExploreConfig::default()
     };
-    let mut s = guided_sweep(&h, &cfg);
+    let mut s = guided_sweep(&spec, &cfg);
     s.app = "tsp+seeded-fifo".into();
     s.mode = "seeded-smoke".into();
     println!("{}", s.human_line());

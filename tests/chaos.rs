@@ -13,7 +13,10 @@
 //! 3. **Determinism** — the same seed and the same fault plan reproduce
 //!    the same simulation, byte for byte, faults included.
 
-use carlos::apps::{run_qsort, run_sor, run_tsp, QsortConfig, QsortVariant, SorConfig, TspConfig, TspVariant};
+use carlos::apps::{
+    try_run_qsort, try_run_sor, try_run_tsp, QsortConfig, QsortVariant, SorConfig, TspConfig,
+    TspVariant,
+};
 use carlos::core::{CoreConfig, Runtime};
 use carlos::lrc::LrcConfig;
 use carlos::sim::time::ms;
@@ -67,9 +70,9 @@ fn chaos_tsp_config(plan: FaultPlan) -> TspConfig {
 
 #[test]
 fn tsp_result_identical_under_burst_loss() {
-    let clean = run_tsp(&chaos_tsp_config(FaultPlan::default()));
+    let clean = try_run_tsp(&chaos_tsp_config(FaultPlan::default())).expect("TSP run");
     let plan = FaultPlan::new(0xC4A05).burst_loss(0, ms(60_000), GeParams::bursty(0.7));
-    let chaos = run_tsp(&chaos_tsp_config(plan));
+    let chaos = try_run_tsp(&chaos_tsp_config(plan)).expect("TSP run");
     assert!(
         chaos.app.report.net.dropped_burst > 0,
         "the burst window must actually bite"
@@ -85,13 +88,13 @@ fn sor_checksum_identical_under_partition_then_heal() {
     let mut clean_cfg = SorConfig::test(2);
     clean_cfg.ack = ARQ;
     clean_cfg.sim = SimConfig::fast_test();
-    let clean = run_sor(&clean_cfg);
+    let clean = try_run_sor(&clean_cfg).expect("SOR run");
 
     let mut chaos_cfg = SorConfig::test(2);
     chaos_cfg.ack = ARQ;
     chaos_cfg.sim = SimConfig::fast_test()
         .with_fault_plan(FaultPlan::new(11).partition(&[0], &[1], ms(1), ms(40)));
-    let chaos = run_sor(&chaos_cfg);
+    let chaos = try_run_sor(&chaos_cfg).expect("SOR run");
 
     assert!(
         chaos.app.report.net.dropped_partition > 0,
@@ -111,7 +114,7 @@ fn qsort_stays_correct_under_burst_loss() {
     cfg.ack = ARQ;
     cfg.sim = SimConfig::fast_test()
         .with_fault_plan(FaultPlan::new(0x50B7).burst_loss(0, ms(60_000), GeParams::bursty(0.7)));
-    let r = run_qsort(&cfg);
+    let r = try_run_qsort(&cfg).expect("Quicksort run");
     assert!(
         r.app.report.net.dropped_burst > 0,
         "the burst window must actually bite"
@@ -204,8 +207,8 @@ fn same_seed_and_plan_reproduce_the_same_simulation() {
             .burst_loss(0, ms(60_000), GeParams::bursty(0.6))
             .pause(1, ms(3), ms(6))
     };
-    let a = run_tsp(&chaos_tsp_config(plan()));
-    let b = run_tsp(&chaos_tsp_config(plan()));
+    let a = try_run_tsp(&chaos_tsp_config(plan())).expect("TSP run");
+    let b = try_run_tsp(&chaos_tsp_config(plan())).expect("TSP run");
     assert_eq!(
         fingerprint(&a.app.report),
         fingerprint(&b.app.report),
@@ -225,7 +228,7 @@ fn same_seed_and_plan_reproduce_the_same_simulation() {
 /// whole degraded run is reproducible byte for byte from its seed.
 #[test]
 fn serve_chaos_is_attributed_and_reproducible() {
-    use carlos::serve::{run_serve, ServeConfig, ServeResult};
+    use carlos::serve::{try_run_serve, ServeConfig, ServeResult};
 
     fn serve_fingerprint(r: &ServeResult) -> String {
         let t = &r.totals;
@@ -264,7 +267,7 @@ fn serve_chaos_is_attributed_and_reproducible() {
         s
     }
 
-    let a = run_serve(&ServeConfig::chaos(4));
+    let a = try_run_serve(&ServeConfig::chaos(4)).expect("serving run");
     let t = &a.totals;
     // The fault plan must actually bite.
     assert!(a.app.report.net.dropped_burst > 0, "burst window never fired");
@@ -310,7 +313,7 @@ fn serve_chaos_is_attributed_and_reproducible() {
     );
 
     // Same seed, same fault plan: byte-identical simulation and accounting.
-    let b = run_serve(&ServeConfig::chaos(4));
+    let b = try_run_serve(&ServeConfig::chaos(4)).expect("serving run");
     assert_eq!(
         fingerprint(&a.app.report),
         fingerprint(&b.app.report),

@@ -12,6 +12,7 @@
 //! these fingerprints), regenerate the goldens by running the test and
 //! copying the `actual fingerprint:` block from the failure message.
 
+use carlos::apps::{launch, App, Scale, Spec, TspVariant, Tweak};
 use carlos::check::Checker;
 use carlos::trace::Tracer;
 use carlos::core::{CoreConfig, Runtime};
@@ -365,22 +366,20 @@ node1 counters app.done_ns=5170472 barrier.waits=10 carlos.accepted=10 carlos.ba
 /// drift run to run.
 #[test]
 fn mixed_granularity_reports_are_pinned() {
-    let mut tsp = carlos::apps::tsp::TspConfig::test(2, carlos::apps::tsp::TspVariant::Lock);
-    tsp.granularity_hints = true;
-    tsp.core = tsp.core.with_coalesced_fetches().with_aggregated_notices();
-    let r = carlos::apps::tsp::run_tsp(&tsp);
+    let vg = |app| Spec {
+        tweak: Tweak::Vg,
+        ..Spec::new(app, 2, Scale::Test)
+    };
+    let r = launch(&vg(App::Tsp(TspVariant::Lock))).expect("TSP run");
     assert_matches_golden(
-        &r.app.report,
+        &r.app().report,
         GOLDEN_TSP_MIXED_GRANULARITY,
         "mixed-granularity 2-node TSP",
     );
 
-    let mut sor = carlos::apps::sor::SorConfig::test(2);
-    sor.granularity_hints = true;
-    sor.core = sor.core.with_coalesced_fetches().with_aggregated_notices();
-    let r = carlos::apps::sor::run_sor(&sor);
+    let r = launch(&vg(App::Sor)).expect("SOR run");
     assert_matches_golden(
-        &r.app.report,
+        &r.app().report,
         GOLDEN_SOR_MIXED_GRANULARITY,
         "mixed-granularity 2-node SOR",
     );
@@ -396,15 +395,13 @@ fn eight_node_reports_are_pinned() {
             r.elapsed, r.events_processed, r.net.messages, r.net.payload_bytes
         )
     };
-    let tsp = carlos::apps::tsp::run_tsp(&carlos::apps::tsp::TspConfig::test(
-        8,
-        carlos::apps::tsp::TspVariant::Lock,
-    ));
+    let tsp = carlos::apps::try_run_tsp(&carlos::apps::TspConfig::test(8, TspVariant::Lock))
+        .expect("TSP run");
     assert_eq!(
         format!("{} best_len={}", totals(&tsp.app.report), tsp.best_len),
         "elapsed=13523020 events=4616 messages=1219 payload_bytes=106900 best_len=25972"
     );
-    let sor = carlos::apps::sor::run_sor(&carlos::apps::sor::SorConfig::test(8));
+    let sor = carlos::apps::try_run_sor(&carlos::apps::SorConfig::test(8)).expect("SOR run");
     assert_eq!(
         format!("{} checksum={:#018x}", totals(&sor.app.report), sor.checksum.to_bits()),
         "elapsed=5498056 events=1358 messages=380 payload_bytes=43665 checksum=0x4096a841a0000000"

@@ -15,7 +15,7 @@ use carlos::core::{Annotation, Consistency, Message};
 use carlos::lrc::{
     Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
 };
-use carlos::serve::{run_serve, ServeConfig};
+use carlos::serve::{try_run_serve, ServeConfig};
 use carlos::sim::{AckMode, Cluster, SimConfig, Transport};
 use carlos::util::codec::Wire;
 
@@ -320,12 +320,12 @@ fn a_serving_run_builds_one_zipf_table() {
     let cfg = ServeConfig::test(8);
     // A first run takes the one-time set-up (thread-locals, the panic
     // hook) out of the counted one.
-    let _ = run_serve(&cfg);
+    let _ = try_run_serve(&cfg).expect("serving run");
     // A CDF is `keyspace` f64s. Every node also makes two larger
     // allocations (36 and 40 KiB here), so the watch is on the exact size.
     WATCHED_SIZE.set(usize::try_from(cfg.keyspace).unwrap() * 8);
     let w0 = WATCHED.get();
-    let (r, allocs, bytes) = counted(|| run_serve(&cfg));
+    let (r, allocs, bytes) = counted(|| try_run_serve(&cfg).expect("serving run"));
     let cdfs = WATCHED.get() - w0;
     WATCHED_SIZE.set(0);
     assert_eq!(r.totals.client.completed, r.totals.client.attempted);

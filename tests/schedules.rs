@@ -10,82 +10,74 @@
 //! the same answer as its reference and (b) keep the oracle clean: no
 //! happens-before violation, no data race, no stale read.
 //!
-//! This is the harness that turns the oracle from a spot check into a
-//! search: `examples/explore.rs` widens the same sweep from the command
-//! line.
+//! Each test sweeps rows of `(application, tweak, seeds)` through
+//! [`launch`] and [`Run::verdict`](carlos::apps::Run::verdict). This is the
+//! harness that turns the oracle from a spot check into a search:
+//! `examples/explore.rs` widens the same sweep from the command line.
 
-use carlos::apps::qsort::{run_qsort, QsortConfig, QsortVariant};
-use carlos::apps::sor::{run_sor, sequential_reference, SorConfig};
-use carlos::apps::tsp::{run_tsp, Cities, TspConfig, TspVariant};
-use carlos::apps::water::{run_water, WaterConfig, WaterVariant};
+use carlos::apps::{
+    launch, App, Observe, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak, WaterVariant,
+};
 use carlos::check::Checker;
-use carlos::sim::time::us;
+use carlos::serve::{try_run_serve, ServeConfig};
+use carlos::sim::time::{secs, us};
+use carlos::sim::SimConfig;
 
 /// Delivery-schedule seeds: arbitrary, fixed for reproducibility.
 const SEEDS: [u64; 4] = [1, 2, 0xBEEF, 0x5EED_0115];
+/// The seeds of the paired sweeps.
+const PAIR: [u64; 2] = [SEEDS[0], SEEDS[2]];
+
+/// A run description is plain data, so it can be handed to another thread.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Spec>();
+};
+
+/// Runs each row's application on three nodes at test scale under 50 µs
+/// of delivery jitter, once per seed: the answer must match the reference
+/// and the checker must stay clean.
+fn sweep(rows: &[(App, Tweak, &[u64])]) {
+    for &(app, tweak, seeds) in rows {
+        let base = Spec {
+            tweak,
+            observe: Observe::Check,
+            ..Spec::new(app, 3, Scale::Test)
+        };
+        let reference = Reference::of(&base);
+        for &seed in seeds {
+            let spec = Spec {
+                sim: Some(SimConfig::fast_test().with_jitter(us(50), seed)),
+                ..base.clone()
+            };
+            let what = format!("{}/{tweak:?} seed {seed}", app.name());
+            let run = launch(&spec).unwrap_or_else(|e| panic!("{what}: {e}"));
+            if let Err(why) = run.verdict(&reference) {
+                panic!("{what}: {why}");
+            }
+            run.check.expect("checked").assert_clean();
+        }
+    }
+}
 
 #[test]
 fn sor_is_clean_and_exact_across_schedules() {
-    let reference = sequential_reference(&SorConfig::test(1));
-    for seed in SEEDS {
-        let mut cfg = SorConfig::test(3);
-        cfg.sim = cfg.sim.with_jitter(us(50), seed);
-        let check = Checker::new(cfg.n_nodes);
-        cfg.check = Some(check.clone());
-        let r = run_sor(&cfg);
-        assert_eq!(r.grid, reference, "seed {seed}: SOR diverged");
-        check.assert_clean();
-    }
+    sweep(&[(App::Sor, Tweak::None, &SEEDS)]);
 }
 
 #[test]
 fn qsort_is_clean_and_sorted_across_schedules() {
-    for seed in SEEDS {
-        let mut cfg = QsortConfig::test(3, QsortVariant::Lock);
-        cfg.sim = cfg.sim.with_jitter(us(50), seed);
-        let check = Checker::new(cfg.n_nodes);
-        cfg.check = Some(check.clone());
-        let r = run_qsort(&cfg);
-        assert!(r.sorted, "seed {seed}: unsorted output");
-        assert!(r.permutation_ok, "seed {seed}: elements lost/duplicated");
-        check.assert_clean();
-    }
+    sweep(&[(App::Quicksort(QsortVariant::Lock), Tweak::None, &SEEDS)]);
 }
 
 #[test]
 fn tsp_is_clean_and_optimal_across_schedules() {
-    let base = TspConfig::test(3, TspVariant::Lock);
-    let optimum = Cities::generate(base.n_cities, base.seed).held_karp();
-    for seed in SEEDS {
-        let mut cfg = base.clone();
-        cfg.sim = cfg.sim.with_jitter(us(50), seed);
-        let check = Checker::new(cfg.n_nodes);
-        cfg.check = Some(check.clone());
-        let r = run_tsp(&cfg);
-        assert_eq!(r.best_len, optimum, "seed {seed}: suboptimal tour");
-        check.assert_clean();
-    }
+    sweep(&[(App::Tsp(TspVariant::Lock), Tweak::None, &SEEDS)]);
 }
 
 #[test]
 fn water_is_clean_and_accurate_across_schedules() {
-    let seq = run_water(&WaterConfig::test(1, WaterVariant::Lock));
-    for seed in SEEDS {
-        let mut cfg = WaterConfig::test(3, WaterVariant::Lock);
-        cfg.sim = cfg.sim.with_jitter(us(50), seed);
-        let check = Checker::new(cfg.n_nodes);
-        cfg.check = Some(check.clone());
-        let r = run_water(&cfg);
-        for (m, (a, b)) in seq.positions.iter().zip(&r.positions).enumerate() {
-            for d in 0..3 {
-                assert!(
-                    (a[d] - b[d]).abs() < 1e-6,
-                    "seed {seed}: molecule {m} diverged"
-                );
-            }
-        }
-        check.assert_clean();
-    }
+    sweep(&[(App::Water(WaterVariant::Lock), Tweak::None, &SEEDS)]);
 }
 
 /// The hybrid variants route updates through messages instead of locks;
@@ -93,22 +85,10 @@ fn water_is_clean_and_accurate_across_schedules() {
 /// claim that sequential message delivery replaces explicit locks).
 #[test]
 fn hybrids_are_clean_across_schedules() {
-    for seed in [SEEDS[0], SEEDS[2]] {
-        let mut q = QsortConfig::test(3, QsortVariant::Hybrid1);
-        q.sim = q.sim.with_jitter(us(50), seed);
-        let qc = Checker::new(q.n_nodes);
-        q.check = Some(qc.clone());
-        let r = run_qsort(&q);
-        assert!(r.sorted && r.permutation_ok, "seed {seed}: hybrid qsort");
-        qc.assert_clean();
-
-        let mut w = WaterConfig::test(3, WaterVariant::Hybrid);
-        w.sim = w.sim.with_jitter(us(50), seed);
-        let wc = Checker::new(w.n_nodes);
-        w.check = Some(wc.clone());
-        let _ = run_water(&w);
-        wc.assert_clean();
-    }
+    sweep(&[
+        (App::Quicksort(QsortVariant::Hybrid1), Tweak::None, &PAIR),
+        (App::Water(WaterVariant::Hybrid), Tweak::None, &PAIR),
+    ]);
 }
 
 /// Mixed-granularity ("+vg") configurations — granularity hints plus
@@ -119,94 +99,74 @@ fn hybrids_are_clean_across_schedules() {
 /// same schedule perturbations as the page-granularity baseline.
 #[test]
 fn vg_apps_are_clean_and_exact_across_schedules() {
-    let vg_core = |cfg: carlos::core::CoreConfig| {
-        cfg.with_coalesced_fetches().with_aggregated_notices()
-    };
-    let reference = sequential_reference(&SorConfig::test(1));
-    let base = TspConfig::test(3, TspVariant::Lock);
-    let optimum = Cities::generate(base.n_cities, base.seed).held_karp();
-    for seed in [SEEDS[0], SEEDS[2]] {
-        let mut s = SorConfig::test(3);
-        s.sim = s.sim.with_jitter(us(50), seed);
-        s.core = vg_core(s.core);
-        s.granularity_hints = true;
-        let sc = Checker::new(s.n_nodes);
-        s.check = Some(sc.clone());
-        let r = run_sor(&s);
-        assert_eq!(r.grid, reference, "seed {seed}: SOR+vg diverged");
-        sc.assert_clean();
-
-        let mut q = QsortConfig::test(3, QsortVariant::Lock);
-        q.sim = q.sim.with_jitter(us(50), seed);
-        q.core = vg_core(q.core);
-        q.granularity_hints = true;
-        let qc = Checker::new(q.n_nodes);
-        q.check = Some(qc.clone());
-        let r = run_qsort(&q);
-        assert!(r.sorted && r.permutation_ok, "seed {seed}: qsort+vg");
-        qc.assert_clean();
-
-        let mut t = base.clone();
-        t.sim = t.sim.with_jitter(us(50), seed);
-        t.core = vg_core(t.core);
-        t.granularity_hints = true;
-        let tc = Checker::new(t.n_nodes);
-        t.check = Some(tc.clone());
-        let r = run_tsp(&t);
-        assert_eq!(r.best_len, optimum, "seed {seed}: tsp+vg suboptimal");
-        tc.assert_clean();
-    }
+    sweep(&[
+        (App::Sor, Tweak::Vg, &PAIR),
+        (App::Quicksort(QsortVariant::Lock), Tweak::Vg, &PAIR),
+        (App::Tsp(TspVariant::Lock), Tweak::Vg, &PAIR),
+    ]);
 }
 
-/// The serving workload joins the oracle sweep through the explorer's
-/// harness: under every jittered schedule the run must stay exact — each
-/// CAS counter increment lands exactly once (the harness compares the
-/// final counters against `clients × cas_per_client / counter_keys`),
-/// nothing times out, arrives late, or fails the value self-tag, and the
-/// server's private version mirror agrees with the DSM — while the
-/// consistency oracle stays clean. The mixed-granularity variant changes
-/// the wire encodings (serve mixes eager fine granules for hot shard
-/// metadata with demand granules for values), so it gets a paired sweep.
+/// The serving workload joins the oracle sweep on a shrunk `test` schedule
+/// (fewer ops) with deadlines far beyond the runaway cap: jitter may delay
+/// any message, and generous deadlines keep exactness a hard oracle — a
+/// timed-out op would otherwise relax the expected CAS counter totals to a
+/// liveness question. Under every jittered schedule the run must stay
+/// exact — each CAS counter increment lands exactly once, nothing times
+/// out, arrives late, or fails the value self-tag, and the server's
+/// private version mirror agrees with the DSM — while the consistency
+/// oracle stays clean. The mixed-granularity variant changes the wire
+/// encodings (serve mixes eager fine granules for hot shard metadata with
+/// demand granules for values), so it gets a paired sweep.
 #[test]
 fn serve_is_clean_and_exact_across_schedules() {
-    use carlos::explore::{App, AppHarness, RunStatus};
-    for seed in SEEDS {
-        let h = AppHarness::new(App::Serve, 4);
-        let obs = h.run_with_sim(h.sim.clone().with_jitter(us(50), seed));
-        assert_eq!(obs.status, RunStatus::Ok, "seed {seed}: serve inexact");
-        assert!(
-            obs.violations.is_empty(),
-            "seed {seed}: oracle violations {:?}",
-            obs.violations
-        );
-    }
-    for seed in [SEEDS[0], SEEDS[2]] {
-        let h = AppHarness::new(App::Serve, 4).vg();
-        let obs = h.run_with_sim(h.sim.clone().with_jitter(us(50), seed));
-        assert_eq!(obs.status, RunStatus::Ok, "seed {seed}: serve+vg inexact");
-        assert!(
-            obs.violations.is_empty(),
-            "seed {seed}: oracle violations {:?}",
-            obs.violations
-        );
-    }
+    let sweep = |vg: bool, seeds: &[u64]| {
+        for &seed in seeds {
+            let mut cfg = ServeConfig::test(4);
+            cfg.ops_per_client = 96;
+            cfg.cas_per_client = 12;
+            cfg.op_timeout = secs(2);
+            cfg.drain = secs(4);
+            cfg.sim.max_virtual_time = Some(secs(10));
+            cfg.sim = cfg.sim.with_jitter(us(50), seed);
+            cfg.granularity_hints = vg;
+            if vg {
+                cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
+            }
+            let check = Checker::new(cfg.n_nodes);
+            cfg.check = Some(check.clone());
+            let r = try_run_serve(&cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            let t = &r.totals;
+            let per_key = cfg.n_clients() as u64 * cfg.cas_per_client / cfg.counter_keys;
+            let exact = r.counters == vec![per_key; cfg.counter_keys as usize]
+                && t.client.timed_out == 0
+                && t.client.late_replies == 0
+                && t.client.value_check_failures == 0
+                && t.mirror_mismatches == 0
+                && t.client.attempted == t.client.completed;
+            assert!(exact, "seed {seed} (vg {vg}): serve inexact: {t:?}");
+            check.assert_clean();
+        }
+    };
+    sweep(false, &SEEDS);
+    sweep(true, &PAIR);
 }
 
 /// Zero jitter must draw nothing from the jitter RNG: the checked run's
 /// virtual-time outcome is identical to an unchecked, unjittered run.
 #[test]
 fn checker_and_zero_jitter_are_observer_only() {
-    let plain = run_sor(&SorConfig::test(3));
-    let mut cfg = SorConfig::test(3);
-    cfg.sim = cfg.sim.with_jitter(0, 12345);
-    let check = Checker::new(cfg.n_nodes);
-    cfg.check = Some(check.clone());
-    let observed = run_sor(&cfg);
-    assert_eq!(plain.app.report.elapsed, observed.app.report.elapsed);
-    assert_eq!(
-        plain.app.report.events_processed,
-        observed.app.report.events_processed
-    );
-    assert_eq!(plain.grid, observed.grid);
-    check.assert_clean();
+    let plain_spec = Spec::new(App::Sor, 3, Scale::Test);
+    let observed_spec = Spec {
+        sim: Some(SimConfig::fast_test().with_jitter(0, 12345)),
+        observe: Observe::Check,
+        ..plain_spec.clone()
+    };
+    let plain = launch(&plain_spec).expect("plain SOR run");
+    let observed = launch(&observed_spec).expect("checked SOR run");
+    let (a, b) = (&plain.app().report, &observed.app().report);
+    assert_eq!(a.elapsed, b.elapsed);
+    assert_eq!(a.events_processed, b.events_processed);
+    assert_eq!(plain.verdict(&Reference::of(&plain_spec)), Ok(()));
+    assert_eq!(observed.verdict(&Reference::of(&plain_spec)), Ok(()));
+    observed.check.expect("checked").assert_clean();
 }

@@ -38,19 +38,32 @@
 //! 8 cells, at 12 the baseline itself trips, and on 3 nodes at 14 the
 //! sweep hits 5.
 
+use carlos::apps::{App, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak};
 use carlos::core::{CoreConfig, SeededBug};
-use carlos::explore::{explore, random_sweep, App, AppHarness, ExploreConfig, ExploreResult};
-use carlos::sim::time::{secs, us};
-use carlos::sim::{SchedulePlan, SimConfig};
+use carlos::explore::{
+    base_sim, explore, observe, planned, random_sweep, ExploreConfig, ExploreResult, Observation,
+};
+use carlos::sim::time::us;
+use carlos::sim::SchedulePlan;
 
 /// The random sweep's per-app grid, exactly as in `examples/explore.rs`.
 const SEEDS: [u64; 6] = [1, 2, 3, 0xBEEF, 0x5EED_0115, 0xD15C_07E4];
 const JITTERS_US: [u64; 3] = [10, 50, 200];
 
-fn seeded(n_nodes: usize, app: App, bug: SeededBug) -> AppHarness {
-    AppHarness::new(app, n_nodes)
-        .vg()
-        .with_core(CoreConfig::fast_test().with_seeded_bug(bug))
+const TSP: App = App::Tsp(TspVariant::Lock);
+const QSORT: App = App::Quicksort(QsortVariant::Lock);
+
+fn seeded(n_nodes: usize, app: App, bug: SeededBug) -> Spec {
+    Spec {
+        tweak: Tweak::Vg,
+        core: Some(CoreConfig::fast_test().with_seeded_bug(bug)),
+        ..Spec::new(app, n_nodes, Scale::Test)
+    }
+}
+
+/// One exploration execution of `spec` under `plan`.
+fn run(spec: &Spec, reference: &Reference, plan: &SchedulePlan) -> Observation {
+    observe(&planned(spec, plan), reference)
 }
 
 /// Runs the guided explorer three times and checks that every rerun
@@ -58,10 +71,11 @@ fn seeded(n_nodes: usize, app: App, bug: SeededBug) -> AppHarness {
 /// outcome class, same search statistics.
 fn assert_guided_finds_deterministically(
     name: &str,
-    harness: &AppHarness,
+    spec: &Spec,
     cfg: &ExploreConfig,
 ) -> ExploreResult {
-    let first = explore(cfg, |p| harness.run(p));
+    let reference = Reference::of(spec);
+    let first = explore(cfg, |p| run(spec, &reference, p));
     let ce = first
         .counterexample
         .as_ref()
@@ -81,12 +95,12 @@ fn assert_guided_finds_deterministically(
         let mut probe = ce.plan.clone();
         probe.remove(src, dst, seq);
         assert!(
-            !harness.run(&probe).failed(),
+            !run(spec, &reference, &probe).failed(),
             "{name}: removing flow ({src},{dst},{seq}) still fails — not minimal"
         );
     }
     for rerun in 1..3 {
-        let again = explore(cfg, |p| harness.run(p));
+        let again = explore(cfg, |p| run(spec, &reference, p));
         let ce2 = again
             .counterexample
             .as_ref()
@@ -106,7 +120,7 @@ fn assert_guided_finds_deterministically(
 
 #[test]
 fn guided_finds_dropped_notice_clock() {
-    let h = seeded(3, App::Tsp, SeededBug::DropNoticeClock);
+    let h = seeded(3, TSP, SeededBug::DropNoticeClock);
     let res =
         assert_guided_finds_deterministically("DropNoticeClock", &h, &ExploreConfig::default());
     let ce = res.counterexample.unwrap();
@@ -121,7 +135,7 @@ fn guided_finds_dropped_notice_clock() {
 
 #[test]
 fn guided_finds_skipped_batch_granule() {
-    let h = seeded(4, App::Qsort, SeededBug::SkipBatchGranule);
+    let h = seeded(4, QSORT, SeededBug::SkipBatchGranule);
     let res =
         assert_guided_finds_deterministically("SkipBatchGranule", &h, &ExploreConfig::default());
     let ce = res.counterexample.unwrap();
@@ -138,7 +152,7 @@ fn guided_finds_skipped_batch_granule() {
 
 #[test]
 fn guided_finds_eager_skip_revalidate() {
-    let h = seeded(3, App::Tsp, SeededBug::EagerSkipRevalidate);
+    let h = seeded(3, TSP, SeededBug::EagerSkipRevalidate);
     let res =
         assert_guided_finds_deterministically("EagerSkipRevalidate", &h, &ExploreConfig::default());
     let ce = res.counterexample.unwrap();
@@ -146,13 +160,16 @@ fn guided_finds_eager_skip_revalidate() {
     assert!(res.stats.executions > 1, "baseline is clean for this bug");
 }
 
-fn fifo_harness() -> AppHarness {
-    let mut sim = SimConfig::fast_test();
-    sim.max_virtual_time = Some(secs(10));
+fn fifo_spec() -> Spec {
+    let spec = Spec::new(TSP, 3, Scale::Test);
+    let mut sim = base_sim(&spec);
     // Arm the seeded FIFO bug on the (1 -> 0) pair: plan-perturbed DATA
     // frames of that pair skip the per-pair FIFO delivery clamp.
     sim.seeded_fifo_pair = Some((1, 0));
-    AppHarness::new(App::Tsp, 3).with_sim(sim)
+    Spec {
+        sim: Some(sim),
+        ..spec
+    }
 }
 
 /// FIFO-sensitivity needs a coarse flip margin: a frame displaced well
@@ -168,7 +185,7 @@ fn coarse_margin() -> ExploreConfig {
 
 #[test]
 fn guided_finds_fifo_reorder() {
-    let h = fifo_harness();
+    let h = fifo_spec();
     let res = assert_guided_finds_deterministically("FifoReorder", &h, &coarse_margin());
     let ce = res.counterexample.unwrap();
     assert_eq!(ce.plan.len(), 1, "one perturbed flow breaks pair FIFO");
@@ -178,7 +195,7 @@ fn guided_finds_fifo_reorder() {
     );
     // Sanity: the bug is keyed on plan perturbation, so the unperturbed
     // baseline stays clean even with the bug armed.
-    assert!(!h.run(&SchedulePlan::new()).failed());
+    assert!(!run(&h, &Reference::of(&h), &SchedulePlan::new()).failed());
 }
 
 /// The random sweep is nearly blind to bug 2: one jitter cell of the 18
@@ -188,7 +205,7 @@ fn guided_finds_fifo_reorder() {
 /// protocol's batching does.
 #[test]
 fn random_sweep_hits_skipped_batch_granule_once_in_18() {
-    let h = seeded(4, App::Qsort, SeededBug::SkipBatchGranule);
+    let h = seeded(4, QSORT, SeededBug::SkipBatchGranule);
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
     assert_eq!(
         (s.executions, s.crashes, s.violations, s.wrong_answers),
@@ -204,7 +221,7 @@ fn random_sweep_hits_skipped_batch_granule_once_in_18() {
 /// of. Only the guided explorer's targeted plans expose it.
 #[test]
 fn random_sweep_misses_fifo_reorder() {
-    let h = fifo_harness();
+    let h = fifo_spec();
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
     assert_eq!(s.executions, 18);
     assert!(
@@ -220,7 +237,7 @@ fn random_sweep_misses_fifo_reorder() {
 /// broken sweep.
 #[test]
 fn random_sweep_does_find_the_schedule_independent_bug() {
-    let h = seeded(3, App::Tsp, SeededBug::DropNoticeClock);
+    let h = seeded(3, TSP, SeededBug::DropNoticeClock);
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
     assert!(s.violations > 0, "expected HB violations: {}", s.human_line());
 }
