@@ -21,6 +21,17 @@ if grep -rEn '\b(Mutex|RwLock|Condvar)\b|Atomic|parking_lot|Arc<|Arc::' \
     exit 1
 fi
 
+# One event stream: every layer emits `carlos_util::event::Event`s into one
+# `Sink`, so no per-layer observer trait or single-slot setter comes back.
+if grep -rEn '\btrait\s+\w*(Observer|Probe)\b' crates/*/src src; then
+    echo "observe through carlos_util::event::Sink, not a new *Observer / *Probe trait" >&2
+    exit 1
+fi
+if grep -rEn 'fn set_[a-z_]*observer\b|fn set_probe\b' crates/*/src src; then
+    echo "attach sinks with Cluster::observe, not a set_*observer / set_probe slot" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -144,9 +155,13 @@ awk -v a="$allocs" -v b="$per_run" -v ns="$ns" -v c="$(ratio calib_ms)" \
 #   headroom, and decoded back. The benchmark builds without LTO, so a codec
 #   function that loses its `#[inline]` shows here as a call per field;
 # - the serving load generator: one arrival (gap, Zipf key, op) drawn at
-#   paper scale, 65 536 keys.
+#   paper scale, 65 536 keys;
+# - observing a run: a test-scale Quicksort Hybrid-1 launch on four nodes
+#   with the checker, and with the checker and the tracer on one stream
+#   (the host seconds a checked run adds, in absolute ns).
 for row in "interval_log newer_than_8_of_4x2000" "interval_log apply_64_decoded" \
-    "codec encode_framed" "codec decode" "serve next_arrival_64k"; do
+    "codec encode_framed" "codec decode" "serve next_arrival_64k" \
+    "observe check" "observe both"; do
     read -r group id <<< "$row"
     ns=$(median_ns "$group" "$id")
     base=$(median_ns "$group" "$id" "$committed")

@@ -3,12 +3,11 @@
 use std::{cell::RefCell, collections::BTreeMap, rc::Rc};
 
 use carlos_check::Checker;
-use carlos_core::Runtime;
 use carlos_sim::{Bucket, Cluster, SimConfig, SimReport};
 use carlos_trace::Tracer;
 
-/// A cluster of `n` nodes with a run's observers attached to its wire, the
-/// checker first.
+/// A cluster of `n` nodes whose event stream feeds a run's observers, the
+/// checker first. Both may be attached: each sees every event.
 #[must_use]
 pub fn observed_cluster(
     sim: &SimConfig,
@@ -17,25 +16,10 @@ pub fn observed_cluster(
     trace: Option<&Tracer>,
 ) -> Cluster {
     let mut cluster = Cluster::new(sim.clone(), n);
-    if let Some(check) = check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = trace {
-        trace.attach(&mut cluster);
+    if check.is_some() || trace.is_some() {
+        cluster.observe(Rc::new((check.cloned(), trace.cloned())));
     }
     cluster
-}
-
-/// Installs a run's observers on one node's runtime, the checker first.
-/// Call from the node closure, before the application touches shared
-/// memory.
-pub fn install_observers(rt: &mut Runtime, check: Option<&Checker>, trace: Option<&Tracer>) {
-    if let Some(check) = check {
-        check.install(rt);
-    }
-    if let Some(trace) = trace {
-        trace.install(rt);
-    }
 }
 
 /// Collects one value per node out of the node closures.

@@ -32,7 +32,7 @@ use carlos_sync::{
 };
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
+use crate::harness::{observed_cluster, AppReport, Collector};
 
 const H_LEAF_DONE: u32 = 0x0210;
 const QUEUE_ID: u32 = 1;
@@ -85,11 +85,11 @@ pub struct QsortConfig {
     /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
     /// under injected loss, e.g. in chaos tests).
     pub ack: AckMode,
-    /// Optional consistency oracle, installed on every node and attached
-    /// to the cluster wire (observer-only: virtual time is unaffected).
+    /// Optional consistency oracle on the run's event stream
+    /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
-    /// Optional causal tracer, installed on every node and attached to the
-    /// cluster wire (observer-only: virtual time is unaffected).
+    /// Optional causal tracer on the run's event stream, beside the
+    /// checker if both are set (observer-only: virtual time is unaffected).
     pub trace: Option<carlos_trace::Tracer>,
 }
 
@@ -228,7 +228,6 @@ fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

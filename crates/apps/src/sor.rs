@@ -23,7 +23,7 @@ use carlos_lrc::{LrcConfig, PageOwnership};
 use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::BarrierSpec;
 
-use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
+use crate::harness::{observed_cluster, AppReport, Collector};
 
 /// Configuration for one SOR run.
 #[derive(Debug, Clone)]
@@ -52,11 +52,11 @@ pub struct SorConfig {
     /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
     /// under injected loss, e.g. in chaos tests).
     pub ack: AckMode,
-    /// Optional consistency oracle, installed on every node and attached
-    /// to the cluster wire (observer-only: virtual time is unaffected).
+    /// Optional consistency oracle on the run's event stream
+    /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
-    /// Optional causal tracer, installed on every node and attached to the
-    /// cluster wire (observer-only: virtual time is unaffected).
+    /// Optional causal tracer on the run's event stream, beside the
+    /// checker if both are set (observer-only: virtual time is unaffected).
     pub trace: Option<carlos_trace::Tracer>,
 }
 
@@ -210,7 +210,6 @@ fn sor_node(cfg: &SorConfig, ctx: carlos_sim::NodeCtx) -> Vec<f64> {
         regions: heap.regions(),
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id() as usize;

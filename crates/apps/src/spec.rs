@@ -3,7 +3,7 @@
 //!
 //! A [`Spec`] names an application and variant, a cluster size, a scale,
 //! one configuration [`Tweak`], optional replacements for the scale's
-//! simulator and runtime configurations, and the observer to install.
+//! simulator and runtime configurations, and the observer to attach.
 //! [`launch`] builds the application's configuration from it and runs it;
 //! [`Run::verdict`] judges the answer against a [`Reference`], the one
 //! place where an application's correctness is decided. The paper report,
@@ -85,8 +85,8 @@ pub enum Scale {
     Test,
 }
 
-/// Which observer a run installs. The observer slots are
-/// single-assignment, so a run has at most one.
+/// Which observer [`launch`] attaches to a run's event stream. To observe
+/// one run with both, pass them to [`launch_with`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Observe {
     /// No observer.
@@ -114,7 +114,7 @@ pub struct Spec {
     /// Replaces the scale's runtime configuration (cost model, seeded
     /// bugs); the tweak applies on top of it.
     pub core: Option<CoreConfig>,
-    /// The observer to install.
+    /// The observer to attach.
     pub observe: Observe,
 }
 
@@ -147,15 +147,15 @@ pub enum Answer {
     Sor(SorResult),
 }
 
-/// A finished run: the application's result and the observer it
-/// installed on every node and on the wire.
+/// A finished run: the application's result and the observers that
+/// consumed its event stream.
 #[derive(Debug, Clone)]
 pub struct Run {
     /// The application's result.
     pub answer: Answer,
-    /// The consistency oracle, if installed.
+    /// The consistency oracle, if attached.
     pub check: Option<Checker>,
-    /// The causal tracer, if installed.
+    /// The causal tracer, if attached.
     pub trace: Option<Tracer>,
 }
 
@@ -265,9 +265,10 @@ pub fn launch(spec: &Spec) -> Result<Run, SimError> {
     launch_with(spec, check, trace)
 }
 
-/// Runs `spec` with `check` and `trace` installed instead of the observer
-/// `spec.observe` names. A caller that keeps a clone of an observer can
-/// read it even when the run fails.
+/// Runs `spec` with `check` and `trace` attached instead of the observer
+/// `spec.observe` names; either, both or neither may be passed, and with
+/// both each sees the whole event stream, the checker first. A caller that
+/// keeps a clone of an observer can read it even when the run fails.
 ///
 /// The application's configuration is the scale's, with `spec.sim` and
 /// `spec.core` replacing its simulator and runtime configurations and the

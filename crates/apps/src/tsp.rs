@@ -26,7 +26,7 @@ use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec, QueueSpec};
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
+use crate::harness::{observed_cluster, AppReport, Collector};
 
 /// User handler ids (outside the `carlos-sync` reserved range).
 const H_BOUND_POST: u32 = 0x0200;
@@ -78,11 +78,11 @@ pub struct TspConfig {
     /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
     /// under injected loss, e.g. in chaos tests).
     pub ack: AckMode,
-    /// Optional consistency oracle, installed on every node and attached
-    /// to the cluster wire (observer-only: virtual time is unaffected).
+    /// Optional consistency oracle on the run's event stream
+    /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
-    /// Optional causal tracer, installed on every node and attached to the
-    /// cluster wire (observer-only: virtual time is unaffected).
+    /// Optional causal tracer on the run's event stream, beside the
+    /// checker if both are set (observer-only: virtual time is unaffected).
     pub trace: Option<carlos_trace::Tracer>,
 }
 
@@ -527,7 +527,6 @@ fn tsp_node(cfg: &TspConfig, ctx: carlos_sim::NodeCtx) -> (u32, u64) {
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     if let Some(check) = &cfg.check {
         // Reads of the bound are deliberately unsynchronized — a benign
         // single-word race the paper calls safe (§5.1). Tell the oracle.

@@ -25,7 +25,7 @@ use carlos_sim::{time::us, AckMode, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec};
 use carlos_util::rng::Xoshiro256;
 
-use crate::harness::{install_observers, observed_cluster, AppReport, Collector};
+use crate::harness::{observed_cluster, AppReport, Collector};
 
 const H_UPDATE: u32 = 0x0220;
 
@@ -76,11 +76,11 @@ pub struct WaterConfig {
     /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
     /// under injected loss, e.g. in chaos tests).
     pub ack: AckMode,
-    /// Optional consistency oracle, installed on every node and attached
-    /// to the cluster wire (observer-only: virtual time is unaffected).
+    /// Optional consistency oracle on the run's event stream
+    /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
-    /// Optional causal tracer, installed on every node and attached to the
-    /// cluster wire (observer-only: virtual time is unaffected).
+    /// Optional causal tracer on the run's event stream, beside the
+    /// checker if both are set (observer-only: virtual time is unaffected).
     pub trace: Option<carlos_trace::Tracer>,
 }
 
@@ -278,7 +278,6 @@ fn water_node(cfg: &WaterConfig, ctx: carlos_sim::NodeCtx) -> (Vec<[f64; 3]>, f6
         regions,
     };
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

@@ -1,8 +1,10 @@
 //! Host wall-clock benchmarks of the hot paths: diff creation,
 //! application and the whole life of a fetched diff (create, encode,
 //! decode, apply, drop), the wire codec, vector timestamps and interval
-//! records, the interval log on both sides of a RELEASE, and the serving
-//! load generator (building a run's Zipf table, drawing one arrival).
+//! records, the interval log on both sides of a RELEASE, the serving
+//! load generator (building a run's Zipf table, drawing one arrival), and
+//! what observing a run costs: one test-scale Quicksort launch with no
+//! observer, the tracer, the checker, or both on its event stream.
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
 //! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
 //! size and run count of a rewritten page of typed data
@@ -26,11 +28,14 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use carlos_apps::{launch_with, App, QsortVariant, Scale, Spec};
+use carlos_check::Checker;
 use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_serve::run::{lrc_config, ServeConfig};
 use carlos_serve::{Workload, ZipfTable};
 use carlos_sim::{Cluster, SimConfig};
+use carlos_trace::Tracer;
 use carlos_util::{codec::Wire, rng::Xoshiro256};
 
 /// One timed routine: median nanoseconds per iteration over the samples.
@@ -488,6 +493,25 @@ fn bench_serve(b: &mut Bencher) {
     b.iter("serve", "next_arrival_64k", || w.next_arrival());
 }
 
+/// Host time of observing a run, in absolute ns: `launch` of Quicksort
+/// Hybrid-1 on four nodes at test scale, unobserved, traced (metrics
+/// only), checked, and with both on one event stream.
+fn bench_observe(b: &mut Bencher) {
+    let spec = Spec::new(App::Quicksort(QsortVariant::Hybrid1), 4, Scale::Test);
+    for (id, checked, traced) in [
+        ("none", false, false),
+        ("trace", false, true),
+        ("check", true, false),
+        ("both", true, true),
+    ] {
+        b.iter("observe", id, || {
+            let check = checked.then(|| Checker::new(spec.n));
+            let trace = traced.then(|| Tracer::metrics_only(spec.n));
+            launch_with(&spec, check, trace).expect("a clean run")
+        });
+    }
+}
+
 /// Median host seconds of `run` over `reps` repetitions, and its last
 /// result.
 fn median_secs<F: FnMut() -> u64>(reps: usize, mut run: F) -> (f64, u64) {
@@ -628,6 +652,7 @@ fn main() {
     bench_interval_record(&mut b);
     bench_interval_log(&mut b);
     bench_serve(&mut b);
+    bench_observe(&mut b);
     let handoff = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();
     footprint.extend(bench_engine_footprint(quick));

@@ -4,7 +4,7 @@
 //! [`SPECS`] lists each group of rows as plain data: application and
 //! variant, label, cluster sizes, one configuration [`Tweak`], and the row
 //! whose single-node time is the speedup base. [`run_report`] launches
-//! each cell once as a [`Spec`] with a metrics-only [`Tracer`] installed,
+//! each cell once as a [`Spec`] with a metrics-only [`Tracer`] attached,
 //! judges its answer, and the rows render two ways:
 //!
 //! - `BENCH_paper.json` ([`to_json`]) — one row per (application, variant,

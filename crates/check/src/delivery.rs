@@ -19,7 +19,7 @@
 //! message-passing DPOR condition: co-enabled receives at one endpoint
 //! whose sends are concurrent.
 //!
-//! Loopback datagrams never reach the wire observer, which is harmless:
+//! Loopback datagrams never produce wire events, which is harmless:
 //! both endpoints are the same node, and intra-node program order is
 //! already captured by that node's own clock component.
 
@@ -169,7 +169,7 @@ impl DeliveryLog {
         });
         let send_clock = match sent {
             Some(f) => f.clock,
-            // Observer attached mid-run or unmatched retransmit: fall back
+            // Sink attached mid-run or unmatched retransmit: fall back
             // to the sender's current clock (conservative over-ordering).
             None => self.node_clock[src as usize].clone(),
         };

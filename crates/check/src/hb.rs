@@ -10,12 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use carlos_lrc::{IntervalRecord, Vc};
+use carlos_lrc::Vc;
 use carlos_sim::{NodeId, Ns};
+use carlos_util::event::Interval;
 
 use crate::{Violation, ViolationKind};
 
-/// Mirror of the cluster's causal state, fed by observer hooks.
+/// Mirror of the cluster's causal state, fed by the event stream.
 pub(crate) struct HbTracker {
     /// `node_vt[n]` re-derives node `n`'s engine timestamp.
     pub(crate) node_vt: Vec<Vc>,
@@ -53,15 +54,16 @@ impl HbTracker {
     pub(crate) fn on_interval_closed(
         &mut self,
         node: u32,
-        rec: &IntervalRecord,
+        rec: Interval<'_>,
     ) -> Vec<(String, Violation)> {
         let mut out = Vec::new();
         let old = &self.node_vt[node as usize];
-        if rec.node != node {
+        let vc = Vc::from_slice(rec.vt);
+        if rec.creator != node {
             out.push(Self::hb_violation(
                 node,
                 old.get(node),
-                format!("closed an interval attributed to node {}", rec.node),
+                format!("closed an interval attributed to node {}", rec.creator),
             ));
         }
         if rec.index != old.get(node) + 1 {
@@ -75,31 +77,28 @@ impl HbTracker {
                 ),
             ));
         }
-        if rec.vc.get(node) != rec.index || !rec.vc.dominates(old) {
+        if vc.get(node) != rec.index || !vc.dominates(old) {
             out.push(Self::hb_violation(
                 node,
                 old.get(node),
-                format!(
-                    "close timestamp {:?} regressed from mirrored {:?}",
-                    rec.vc, old
-                ),
+                format!("close timestamp {vc:?} regressed from mirrored {old:?}"),
             ));
         }
-        if let Some(prev) = self.records.get(&(rec.node, rec.index)) {
-            if *prev != rec.vc {
+        if let Some(prev) = self.records.get(&(rec.creator, rec.index)) {
+            if *prev != vc {
                 out.push(Self::hb_violation(
                     node,
                     old.get(node),
                     format!(
-                        "interval ({}, {}) re-created with timestamp {:?} != {:?}",
-                        rec.node, rec.index, rec.vc, prev
+                        "interval ({}, {}) re-created with timestamp {vc:?} != {prev:?}",
+                        rec.creator, rec.index
                     ),
                 ));
             }
         } else {
-            self.records.insert((rec.node, rec.index), rec.vc.clone());
+            self.records.insert((rec.creator, rec.index), vc.clone());
         }
-        self.node_vt[node as usize] = rec.vc.clone();
+        self.node_vt[node as usize] = vc;
         out
     }
 
@@ -107,11 +106,11 @@ impl HbTracker {
     pub(crate) fn on_record_applied(
         &mut self,
         node: u32,
-        rec: &IntervalRecord,
+        rec: Interval<'_>,
     ) -> Vec<(String, Violation)> {
         let mut out = Vec::new();
         let own = self.node_vt[node as usize].get(node);
-        if rec.node == node {
+        if rec.creator == node {
             out.push(Self::hb_violation(
                 node,
                 own,
@@ -119,36 +118,39 @@ impl HbTracker {
             ));
             return out;
         }
-        let have = self.node_vt[node as usize].get(rec.node);
+        let have = self.node_vt[node as usize].get(rec.creator);
         if rec.index != have + 1 {
             out.push(Self::hb_violation(
                 node,
                 own,
                 format!(
                     "applied interval ({}, {}) out of order (mirror has {})",
-                    rec.node, rec.index, have
+                    rec.creator, rec.index, have
                 ),
             ));
         }
-        match self.records.get(&(rec.node, rec.index)) {
-            Some(truth) if *truth != rec.vc => {
+        match self.records.get(&(rec.creator, rec.index)) {
+            Some(truth) if truth.as_slice() != rec.vt => {
                 out.push(Self::hb_violation(
                     node,
                     own,
                     format!(
-                        "record ({}, {}) carries timestamp {:?}, creator made {:?}",
-                        rec.node, rec.index, rec.vc, truth
+                        "record ({}, {}) carries timestamp {:?}, creator made {truth:?}",
+                        rec.creator,
+                        rec.index,
+                        Vc::from_slice(rec.vt)
                     ),
                 ));
             }
             Some(_) => {}
             None => {
-                // Creator unobserved (checker installed on a subset): adopt
-                // the first sighting as ground truth.
-                self.records.insert((rec.node, rec.index), rec.vc.clone());
+                // Creator unobserved (records from before the sink was
+                // attached): adopt the first sighting as ground truth.
+                self.records
+                    .insert((rec.creator, rec.index), Vc::from_slice(rec.vt));
             }
         }
-        self.node_vt[node as usize].set(rec.node, rec.index.max(have));
+        self.node_vt[node as usize].set(rec.creator, rec.index.max(have));
         out
     }
 
@@ -156,15 +158,16 @@ impl HbTracker {
     pub(crate) fn on_release_sent(
         &self,
         node: NodeId,
-        required: &Vc,
+        required: &[u32],
     ) -> Vec<(String, Violation)> {
         let mirror = &self.node_vt[node as usize];
-        if mirror != required {
+        if mirror.as_slice() != required {
             vec![Self::hb_violation(
                 node,
                 mirror.get(node),
                 format!(
-                    "release requires {required:?} but mirrored state is {mirror:?}"
+                    "release requires {:?} but mirrored state is {mirror:?}",
+                    Vc::from_slice(required)
                 ),
             )]
         } else {
@@ -176,11 +179,12 @@ impl HbTracker {
     pub(crate) fn on_release_accepted(
         &self,
         node: NodeId,
-        required: &Vc,
+        required: &[u32],
         complete: bool,
     ) -> Vec<(String, Violation)> {
         let mirror = &self.node_vt[node as usize];
-        if mirror.dominates(required) != complete {
+        let required = Vc::from_slice(required);
+        if mirror.dominates(&required) != complete {
             vec![Self::hb_violation(
                 node,
                 mirror.get(node),

@@ -16,9 +16,10 @@
 //!   reads) of the same word from different nodes with no intervening
 //!   release/acquire chain, attributed by `(node, interval, address)`.
 //!
-//! The checker is an observer: it is invoked synchronously from the engine
+//! The checker is a consumer of the run's event stream
+//! ([`carlos_util::event`]): it is invoked synchronously from the engine
 //! and runtime hot paths but never sends messages, never advances virtual
-//! time, and never perturbs scheduling. A run with the checker installed
+//! time, and never perturbs scheduling. A run with the checker attached
 //! produces a bit-identical [`carlos_sim::SimReport`] fingerprint to the
 //! same run without it.
 //!
@@ -44,9 +45,7 @@ use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 
-use carlos_core::Runtime;
-use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
-use carlos_sim::{Cluster, NodeId, Ns, WireObserver};
+use carlos_util::event::{Event, Sink};
 
 use delivery::DeliveryLog;
 pub use delivery::DeliveryEvent;
@@ -130,9 +129,9 @@ impl State {
     }
 }
 
-/// The online LRC oracle. Cheap to clone (all clones share one state);
-/// [`install`](Checker::install) it on every node's runtime and
-/// [`attach`](Checker::attach) it to the cluster before the run.
+/// The online LRC oracle: a [`Sink`] of the run's event stream. Cheap to
+/// clone (all clones share one state); attach it to the cluster before the
+/// run (`Cluster::observe`).
 #[derive(Clone)]
 pub struct Checker {
     inner: Rc<RefCell<State>>,
@@ -174,19 +173,6 @@ impl Checker {
     pub fn fail_fast(self) -> Self {
         self.inner.borrow_mut().fail_fast = true;
         self
-    }
-
-    /// Install the engine observer and core probe on one node's runtime.
-    /// Call from the node closure, before the application touches shared
-    /// memory.
-    pub fn install(&self, rt: &mut Runtime) {
-        rt.set_engine_observer(Rc::new(self.clone()));
-        rt.set_probe(Rc::new(self.clone()));
-    }
-
-    /// Attach the wire observer to the cluster (FIFO delivery checks).
-    pub fn attach(&self, cluster: &mut Cluster) {
-        cluster.set_observer(Rc::new(self.clone()));
     }
 
     /// Exempt `[addr, addr + len)` from read-side checks. Use for words an
@@ -233,109 +219,49 @@ impl Checker {
         );
     }
 
-    /// Record `found` and, in fail-fast mode, abort `node` on the first
-    /// fresh violation. Only safe from a node's own execution context.
-    fn sink(&self, node: u32, found: Vec<(String, Violation)>) {
-        if found.is_empty() {
-            return;
-        }
-        let msg = self.inner.borrow_mut().record(found);
-        if let Some(m) = msg {
+}
+
+impl Sink for Checker {
+    fn event(&self, ev: &Event<'_>) {
+        let mut guard = self.inner.borrow_mut();
+        let st = &mut *guard;
+        let (node, found) = match *ev {
+            Event::MemRead { node, addr, data, vt } => {
+                (node, st.oracle.on_read(node, addr, data, vt))
+            }
+            Event::MemWrite { node, addr, data, vt } => {
+                (node, st.oracle.on_write(node, addr, data, vt, &st.hb.node_vt))
+            }
+            Event::IntervalClosed { node, rec } => (node, st.hb.on_interval_closed(node, rec)),
+            Event::RecordApplied { node, rec } => (node, st.hb.on_record_applied(node, rec)),
+            Event::ReleaseSent { node, required, .. } => {
+                (node, st.hb.on_release_sent(node, required))
+            }
+            Event::ReleaseAccepted { node, required, complete, .. } => {
+                (node, st.hb.on_release_accepted(node, required, complete))
+            }
+            Event::WireSent { src, dst, at, payload } => {
+                st.deliveries.on_sent(src, dst, at, payload);
+                return;
+            }
+            Event::WireDropped { src, dst, at, payload } => {
+                st.deliveries.on_dropped(src, dst, at, payload);
+                return;
+            }
+            Event::WireDelivered { src, dst, sent_at, delivered_at, payload } => {
+                st.deliveries.on_delivered(src, dst, sent_at, delivered_at, payload);
+                // The event loop emits deliveries outside any node, with the
+                // kernel borrowed: record, never escalate.
+                let found = st.hb.on_frame(src, dst, sent_at, delivered_at);
+                let _ = st.record(found);
+                return;
+            }
+            _ => return,
+        };
+        let escalate = st.record(found);
+        drop(guard);
+        if let Some(m) = escalate {
             carlos_sim::abort(node, m);
         }
-    }
-
-    /// Record `found` without ever escalating (wire-delivery path: the
-    /// caller has the kernel borrowed and is not a node).
-    fn sink_passive(&self, found: Vec<(String, Violation)>) {
-        if found.is_empty() {
-            return;
-        }
-        let _ = self.inner.borrow_mut().record(found);
-    }
-}
-
-impl EngineObserver for Checker {
-    fn mem_read(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
-        let found = {
-            let mut guard = self.inner.borrow_mut();
-            let st = &mut *guard;
-            st.oracle.on_read(node, addr, data, vt)
-        };
-        self.sink(node, found);
-    }
-
-    fn mem_write(&self, node: u32, addr: usize, data: &[u8], vt: &Vc) {
-        let found = {
-            let mut guard = self.inner.borrow_mut();
-            let st = &mut *guard;
-            st.oracle.on_write(node, addr, data, vt, &st.hb.node_vt)
-        };
-        self.sink(node, found);
-    }
-
-    fn interval_closed(&self, node: u32, rec: &IntervalRecord) {
-        let found = self.inner.borrow_mut().hb.on_interval_closed(node, rec);
-        self.sink(node, found);
-    }
-
-    fn record_applied(&self, node: u32, rec: &IntervalRecord) {
-        let found = self.inner.borrow_mut().hb.on_record_applied(node, rec);
-        self.sink(node, found);
-    }
-}
-
-impl carlos_core::CoreProbe for Checker {
-    fn release_sent(&self, node: NodeId, _dst: NodeId, required: &Vc) {
-        let found = self.inner.borrow_mut().hb.on_release_sent(node, required);
-        self.sink(node, found);
-    }
-
-    fn release_accepted(&self, node: NodeId, _origin: NodeId, required: &Vc, complete: bool) {
-        let found = self
-            .inner
-            .borrow_mut()
-            .hb
-            .on_release_accepted(node, required, complete);
-        self.sink(node, found);
-    }
-}
-
-impl WireObserver for Checker {
-    fn frame_delivered(&self, src: NodeId, dst: NodeId, sent_at: Ns, delivered_at: Ns, _bytes: usize) {
-        let found = self
-            .inner
-            .borrow_mut()
-            .hb
-            .on_frame(src, dst, sent_at, delivered_at);
-        self.sink_passive(found);
-    }
-
-    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
-        self.inner
-            .borrow_mut()
-            .deliveries
-            .on_sent(src, dst, at, payload);
-    }
-
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
-        self.inner
-            .borrow_mut()
-            .deliveries
-            .on_dropped(src, dst, at, payload);
-    }
-
-    fn frame_delivered_payload(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &[u8],
-    ) {
-        self.inner
-            .borrow_mut()
-            .deliveries
-            .on_delivered(src, dst, sent_at, delivered_at, payload);
     }
 }

@@ -30,7 +30,10 @@
 //! *after* a read can never happen-before it — so coverage alone decides
 //! the race verdict.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::{
+    collections::{BTreeSet, HashMap},
+    hash::{BuildHasherDefault, Hasher},
+};
 
 use carlos_lrc::{Vc, WORD};
 
@@ -46,19 +49,46 @@ struct WriteRec {
     value: Option<[u8; WORD]>,
 }
 
+/// Hashes a word index with one multiply (Fibonacci hashing). Every read
+/// and write of a checked run looks up each word it touches, and SipHash
+/// took over a quarter of a checked Quicksort run; the map is never
+/// iterated, so its order cannot reach a verdict.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0 << 8 | u64::from(b);
+        }
+    }
+
+    fn write_usize(&mut self, w: usize) {
+        self.0 = w as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
 /// Per-word write history plus the racy-by-design allowlist.
 pub(crate) struct Oracle {
     n_nodes: usize,
-    words: HashMap<usize, Vec<WriteRec>>,
+    words: HashMap<usize, Vec<WriteRec>, BuildHasherDefault<WordHasher>>,
     allow: BTreeSet<usize>,
+    /// Scratch for [`Oracle::on_read`]: the index of each writer's newest
+    /// write to the word being checked, reused so a read allocates nothing.
+    newest: Vec<usize>,
 }
 
 impl Oracle {
     pub(crate) fn new(n_nodes: usize) -> Self {
         Self {
             n_nodes,
-            words: HashMap::new(),
+            words: HashMap::default(),
             allow: BTreeSet::new(),
+            newest: Vec::new(),
         }
     }
 
@@ -80,15 +110,15 @@ impl Oracle {
         node: u32,
         addr: usize,
         data: &[u8],
-        vt: &Vc,
+        vt: &[u32],
         node_vt: &[Vc],
     ) -> Vec<(String, Violation)> {
         if data.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let interval = vt.get(node) + 1;
-        let mut vc_w = vt.clone();
+        let interval = vt[node as usize] + 1;
+        let mut vc_w = Vc::from_slice(vt);
         vc_w.bump(node);
         // Pruning floor: every interval of `node` at or below `cover` has
         // been applied by the whole cluster, so only the newest such entry
@@ -154,17 +184,17 @@ impl Oracle {
     /// Check a read's race status and, where the word is race-free, the
     /// legality of the returned value.
     pub(crate) fn on_read(
-        &self,
+        &mut self,
         node: u32,
         addr: usize,
         data: &[u8],
-        vt: &Vc,
+        vt: &[u32],
     ) -> Vec<(String, Violation)> {
         if data.is_empty() {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let interval = vt.get(node) + 1;
+        let interval = vt[node as usize] + 1;
         for w in addr / WORD..=(addr + data.len() - 1) / WORD {
             if self.allow.contains(&w) {
                 continue;
@@ -198,7 +228,7 @@ impl Oracle {
             };
             if let Some(e) = entries
                 .iter()
-                .find(|e| e.node != node && vt.get(e.node) < e.interval)
+                .find(|e| e.node != node && vt[e.node as usize] < e.interval)
             {
                 out.push((
                     format!("rw:{w}:{}:{}:{node}", e.node, e.interval),
@@ -217,40 +247,40 @@ impl Oracle {
             }
             let Some(g) = got else { continue };
             // All writes to this word are covered. The legal value is the
-            // unique maximal write under happened-before, if one exists.
-            let mut latest: BTreeMap<u32, &WriteRec> = BTreeMap::new();
-            for e in entries {
-                let cur = latest.entry(e.node).or_insert(e);
-                if e.interval > cur.interval {
-                    *cur = e;
+            // unique maximal write under happened-before, if one exists: of
+            // each writer's newest write, the one no other writer's newest
+            // write covers.
+            let newest = &mut self.newest;
+            newest.clear();
+            for (i, e) in entries.iter().enumerate() {
+                match newest.iter_mut().find(|j| entries[**j].node == e.node) {
+                    Some(j) if e.interval > entries[*j].interval => *j = i,
+                    Some(_) => {}
+                    None => newest.push(i),
                 }
             }
-            let maximal: Vec<&&WriteRec> = latest
-                .values()
-                .filter(|a| {
-                    !latest
-                        .values()
-                        .any(|b| b.node != a.node && b.vc.get(a.node) >= a.interval)
+            let mut maximal = newest.iter().map(|&i| &entries[i]).filter(|a| {
+                !newest.iter().any(|&j| {
+                    let b = &entries[j];
+                    b.node != a.node && b.vc.get(a.node) >= a.interval
                 })
-                .collect();
-            if maximal.len() == 1 {
-                if let Some(v) = maximal[0].value {
-                    if g != v {
-                        out.push((
-                            format!("stale:{w}:{node}"),
-                            Violation {
-                                kind: ViolationKind::StaleRead,
-                                node,
-                                interval,
-                                addr: ws,
-                                detail: format!(
-                                    "read {g:02x?} but the covering write by node {} \
-                                     interval {} stored {v:02x?}",
-                                    maximal[0].node, maximal[0].interval
-                                ),
-                            },
-                        ));
-                    }
+            });
+            if let (Some(m), None) = (maximal.next(), maximal.next()) {
+                if let Some(v) = m.value.filter(|v| g != v) {
+                    out.push((
+                        format!("stale:{w}:{node}"),
+                        Violation {
+                            kind: ViolationKind::StaleRead,
+                            node,
+                            interval,
+                            addr: ws,
+                            detail: format!(
+                                "read {g:02x?} but the covering write by node {} \
+                                 interval {} stored {v:02x?}",
+                                m.node, m.interval
+                            ),
+                        },
+                    ));
                 }
             }
             // Multiple maximal covered writes means the writes themselves

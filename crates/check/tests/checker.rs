@@ -1,20 +1,39 @@
 //! Oracle and happens-before tracker unit tests, driven by raw LRC engines
-//! (no simulator) and by direct observer-hook calls for the protocol-bug
-//! cases a correct engine cannot produce.
+//! (no simulator) and by events fed to the checker directly for the
+//! protocol-bug cases a correct engine cannot produce.
 
 use std::rc::Rc;
 
 use carlos_check::{Checker, ViolationKind};
-use carlos_lrc::{Demand, EngineObserver, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_util::event::{Event, Sink};
 
 fn engines(n: usize, check: &Checker) -> Vec<LrcEngine> {
     (0..n as u32)
         .map(|i| {
             let mut e = LrcEngine::new(i, LrcConfig::small_test(n));
-            e.set_observer(Rc::new(check.clone()));
+            e.set_sink(Rc::new(check.clone()));
             e
         })
         .collect()
+}
+
+fn mem_read(check: &Checker, node: u32, addr: usize, data: &[u8], vt: &Vc) {
+    check.event(&Event::MemRead {
+        node,
+        addr,
+        data,
+        vt: vt.as_slice(),
+    });
+}
+
+fn mem_write(check: &Checker, node: u32, addr: usize, data: &[u8], vt: &Vc) {
+    check.event(&Event::MemWrite {
+        node,
+        addr,
+        data,
+        vt: vt.as_slice(),
+    });
 }
 
 fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
@@ -147,15 +166,15 @@ fn duplicate_races_are_reported_once() {
 }
 
 /// A correct engine cannot return a stale value, so the stale-read path is
-/// exercised by calling the observer hooks directly: the "engine" claims a
+/// exercised by feeding the checker events directly: the "engine" claims a
 /// timestamp covering the write yet returns a different value.
 #[test]
 fn stale_read_past_established_acquire_is_flagged() {
     let check = Checker::new(2);
-    check.mem_write(0, 0, &7u32.to_le_bytes(), &Vc::new(2));
+    mem_write(&check, 0, 0, &7u32.to_le_bytes(), &Vc::new(2));
     let mut vt1 = Vc::new(2);
     vt1.set(0, 1); // node 1 covers node 0's interval 1...
-    check.mem_read(1, 0, &9u32.to_le_bytes(), &vt1); // ...but reads 9, not 7
+    mem_read(&check, 1, 0, &9u32.to_le_bytes(), &vt1); // ...but reads 9, not 7
     let vs = check.violations();
     assert_eq!(vs.len(), 1);
     assert_eq!(vs[0].kind, ViolationKind::StaleRead);
@@ -170,15 +189,15 @@ fn stale_read_of_causally_older_write_is_flagged() {
     let check = Checker::new(2);
     // Node 0 writes 7 in interval 1; node 1, having covered it, overwrites
     // with 8 in its own interval 1.
-    check.mem_write(0, 0, &7u32.to_le_bytes(), &Vc::new(2));
+    mem_write(&check, 0, 0, &7u32.to_le_bytes(), &Vc::new(2));
     let mut vt1 = Vc::new(2);
     vt1.set(0, 1);
-    check.mem_write(1, 0, &8u32.to_le_bytes(), &vt1);
+    mem_write(&check, 1, 0, &8u32.to_le_bytes(), &vt1);
     // Node 0 covers both writes but reads its own old 7: stale.
     let mut vt0 = Vc::new(2);
     vt0.set(0, 1);
     vt0.set(1, 1);
-    check.mem_read(0, 0, &7u32.to_le_bytes(), &vt0);
+    mem_read(&check, 0, 0, &7u32.to_le_bytes(), &vt0);
     let vs = check.violations();
     assert_eq!(vs.len(), 1, "{vs:?}");
     assert_eq!(vs[0].kind, ViolationKind::StaleRead);
@@ -188,7 +207,7 @@ fn stale_read_of_causally_older_write_is_flagged() {
 #[test]
 fn nonzero_value_from_unwritten_word_is_flagged() {
     let check = Checker::new(2);
-    check.mem_read(0, 4, &1u32.to_le_bytes(), &Vc::new(2));
+    mem_read(&check, 0, 4, &1u32.to_le_bytes(), &Vc::new(2));
     let vs = check.violations();
     assert_eq!(vs.len(), 1);
     assert_eq!(vs[0].kind, ViolationKind::UnknownValue);
@@ -198,7 +217,7 @@ fn nonzero_value_from_unwritten_word_is_flagged() {
 #[test]
 fn zero_read_from_unwritten_word_is_clean() {
     let check = Checker::new(2);
-    check.mem_read(0, 4, &0u32.to_le_bytes(), &Vc::new(2));
+    mem_read(&check, 0, 4, &0u32.to_le_bytes(), &Vc::new(2));
     check.assert_clean();
 }
 
@@ -213,7 +232,10 @@ fn out_of_order_apply_is_flagged() {
         vc,
         pages: vec![],
     };
-    check.record_applied(1, &rec);
+    check.event(&Event::RecordApplied {
+        node: 1,
+        rec: rec.as_interval(),
+    });
     let vs = check.violations();
     assert!(
         vs.iter()
@@ -234,7 +256,10 @@ fn forged_record_timestamp_is_flagged() {
         vc,
         pages: vec![],
     };
-    check.interval_closed(0, &rec);
+    check.event(&Event::IntervalClosed {
+        node: 0,
+        rec: rec.as_interval(),
+    });
     // ...but node 1 applies a copy whose timestamp was tampered with.
     let mut forged_vc = Vc::new(2);
     forged_vc.set(0, 1);
@@ -245,7 +270,10 @@ fn forged_record_timestamp_is_flagged() {
         vc: forged_vc,
         pages: vec![],
     };
-    check.record_applied(1, &forged);
+    check.event(&Event::RecordApplied {
+        node: 1,
+        rec: forged.as_interval(),
+    });
     let vs = check.violations();
     assert!(
         vs.iter()
@@ -257,11 +285,11 @@ fn forged_record_timestamp_is_flagged() {
 #[test]
 fn fail_fast_aborts_the_offending_node() {
     let check = Checker::new(2).fail_fast();
-    check.mem_write(0, 0, &7u32.to_le_bytes(), &Vc::new(2));
+    mem_write(&check, 0, 0, &7u32.to_le_bytes(), &Vc::new(2));
     let c2 = check.clone();
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         // Unsynchronized read from node 1: escalates via carlos_sim::abort.
-        c2.mem_read(1, 0, &7u32.to_le_bytes(), &Vc::new(2));
+        mem_read(&c2, 1, 0, &7u32.to_le_bytes(), &Vc::new(2));
     }))
     .expect_err("fail-fast checker must abort");
     let info = payload

@@ -3,6 +3,8 @@
 //! report the access with full `(node, interval, address)` attribution;
 //! the corrected program (reader takes the lock) must come back clean.
 
+use std::rc::Rc;
+
 use carlos_check::{Checker, ViolationKind};
 use carlos_core::{CoreConfig, Runtime};
 use carlos_lrc::LrcConfig;
@@ -17,11 +19,9 @@ const SECRET: u32 = 0xDEAD_BEEF;
 fn run_app(check: &Checker, reader_locks: bool) -> Result<carlos_sim::SimReport, SimError> {
     const N: usize = 2;
     let mut c = Cluster::new(SimConfig::fast_test(), N);
-    check.attach(&mut c);
-    let ck = check.clone();
+    c.observe(Rc::new(check.clone()));
     c.spawn_node(0, move |ctx| {
         let mut rt = Runtime::new(ctx, LrcConfig::small_test(N), CoreConfig::fast_test());
-        ck.install(&mut rt);
         let sys = carlos_sync::install(&mut rt);
         let lock = LockSpec::new(1, 0);
         sys.acquire(&mut rt, lock);
@@ -30,10 +30,8 @@ fn run_app(check: &Checker, reader_locks: bool) -> Result<carlos_sim::SimReport,
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         rt.shutdown();
     });
-    let ck = check.clone();
     c.spawn_node(1, move |ctx| {
         let mut rt = Runtime::new(ctx, LrcConfig::small_test(N), CoreConfig::fast_test());
-        ck.install(&mut rt);
         let sys = carlos_sync::install(&mut rt);
         let lock = LockSpec::new(1, 0);
         rt.sleep(ms(5)); // let the writer go first in virtual time

@@ -1,6 +1,9 @@
 //! Memory-consistency annotations (§2.1 of the paper).
 
-use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
+use carlos_util::{
+    codec::{DecodeError, Decoder, Encoder, Wire},
+    event::MsgClass,
+};
 
 /// The annotation every user-level CarlOS message carries.
 ///
@@ -39,6 +42,17 @@ impl Annotation {
     #[must_use]
     pub fn carries_timestamp(self) -> bool {
         !matches!(self, Annotation::None)
+    }
+
+    /// The cost-attribution class of a user message with this annotation.
+    #[must_use]
+    pub fn class(self) -> MsgClass {
+        match self {
+            Annotation::None => MsgClass::None,
+            Annotation::Request => MsgClass::Request,
+            Annotation::Release => MsgClass::Release,
+            Annotation::ReleaseNt => MsgClass::ReleaseNt,
+        }
     }
 
     /// Display name as the paper writes it.

@@ -44,15 +44,14 @@ pub mod config;
 pub mod heap;
 pub mod message;
 pub mod multithread;
-pub mod probe;
 pub mod runtime;
 
 pub use annotation::Annotation;
+pub use carlos_util::event::{CostPhase, FetchKind, GranuleClass, MsgClass};
 pub use config::{CoreConfig, Strategy};
 #[cfg(any(test, feature = "seeded-bugs"))]
 pub use config::SeededBug;
 pub use heap::CoherentHeap;
 pub use message::{AcceptedMsg, Consistency, Message};
 pub use multithread::{SharedRuntime, ThreadEvent, Worker};
-pub use probe::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass};
 pub use runtime::{Env, Runtime};

@@ -24,13 +24,15 @@ use carlos_sim::{
     transport::{AckMode, ArqTuning, Transport},
     Bucket, NodeCtx, NodeId,
 };
-use carlos_util::codec::{Decoder, Encoder, Wire};
+use carlos_util::{
+    codec::{Decoder, Encoder, Wire},
+    event::{emit, CostPhase, Event, FetchKind, GranuleClass, MsgClass, Sink},
+};
 
 use crate::{
     annotation::Annotation,
     config::CoreConfig,
     message::{AcceptedMsg, Consistency, Message},
-    probe::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass},
 };
 
 /// First handler id reserved for the system protocol; user handlers must
@@ -159,9 +161,9 @@ struct Core {
     /// `(page, node)` pairs whose page-instead-of-diffs substitution was
     /// rejected as stale; retries demand plain diffs to guarantee progress.
     force_diffs: BTreeSet<(u32, NodeId)>,
-    /// Passive protocol-event probe (checker instrumentation); `None` by
-    /// default, and never charged for.
-    probe: Option<Rc<dyn CoreProbe>>,
+    /// The cluster's event sink; `None` unless attached, and never
+    /// charged for.
+    sink: Option<Rc<dyn Sink>>,
 }
 
 impl Core {
@@ -175,16 +177,20 @@ impl Core {
         }
     }
 
-    /// Reports a protocol-work charge to the probe before it lands, so the
-    /// probe's `at` marks the start of the charged work. Free when no probe
-    /// is installed or nothing is charged.
-    fn probe_cost(&self, class: MsgClass, phase: CostPhase, ns: Ns) {
+    /// Reports a protocol-work charge before it lands, so the event's `at`
+    /// marks the start of the charged work. Free when no sink is attached
+    /// or nothing is charged.
+    fn note_cost(&self, class: MsgClass, phase: CostPhase, ns: Ns) {
         if ns == 0 {
             return;
         }
-        if let Some(p) = &self.probe {
-            p.protocol_cost(self.node(), class, phase, ns, self.ctx.now());
-        }
+        emit(&self.sink, || Event::ProtocolCost {
+            node: self.node(),
+            class,
+            phase,
+            ns,
+            at: self.ctx.now(),
+        });
     }
 
     /// Encodes and transmits `msg` to `dst`, charging send-side costs.
@@ -203,8 +209,8 @@ impl Core {
                 }
             }
         }
-        let class = MsgClass::of(msg.annotation);
-        self.probe_cost(class, CostPhase::Send, cost);
+        let class = msg.annotation.class();
+        self.note_cost(class, CostPhase::Send, cost);
         self.charge(cost);
         self.ctx.count("carlos.sent", 1);
         match msg.annotation {
@@ -213,9 +219,13 @@ impl Core {
             Annotation::Release => self.ctx.count("carlos.sent.release", 1),
             Annotation::ReleaseNt => self.ctx.count("carlos.sent.release_nt", 1),
         }
-        if let Some(p) = &self.probe {
-            p.msg_sent(self.node(), dst, class, msg.handler, self.ctx.now());
-        }
+        emit(&self.sink, || Event::MsgSent {
+            node: self.node(),
+            dst,
+            class,
+            handler: msg.handler,
+            at: self.ctx.now(),
+        });
         let pad = self.cfg.wire_header_pad;
         #[cfg(any(test, feature = "seeded-bugs"))]
         if self.cfg.seeded_bug == Some(crate::config::SeededBug::DropNoticeClock)
@@ -250,9 +260,11 @@ impl Core {
                 // Sending a RELEASE is a release event: close the interval.
                 self.engine.close_interval();
                 let required = self.engine.vt().clone();
-                if let Some(p) = &self.probe {
-                    p.release_sent(node, dst, &required);
-                }
+                emit(&self.sink, || Event::ReleaseSent {
+                    node,
+                    dst,
+                    required: required.as_slice(),
+                });
                 let have = &self.known[dst as usize];
                 let records = if annotation == Annotation::Release {
                     self.engine.records_newer_than(have)
@@ -326,9 +338,13 @@ impl Core {
             consistency: Consistency::None,
         };
         self.ctx.count("carlos.sent.system", 1);
-        if let Some(p) = &self.probe {
-            p.msg_sent(node, dst, MsgClass::System, handler, self.ctx.now());
-        }
+        emit(&self.sink, || Event::MsgSent {
+            node,
+            dst,
+            class: MsgClass::System,
+            handler,
+            at: self.ctx.now(),
+        });
         let pad = self.cfg.wire_header_pad;
         self.transport.send(dst, msg.to_framed(pad));
     }
@@ -352,7 +368,7 @@ impl Core {
     /// the interval log and the per-page buffer instead of being cloned.
     fn do_accept(&mut self, msg: &mut Message) -> bool {
         let origin = msg.origin;
-        let class = MsgClass::of(msg.annotation);
+        let class = msg.annotation.class();
         match &mut msg.consistency {
             Consistency::None | Consistency::Request { .. } => true,
             Consistency::Release {
@@ -367,7 +383,7 @@ impl Core {
                 let cost = self.cfg.release_accept
                     + self.cfg.per_record * records.len() as u64
                     + self.cfg.per_notice * notices as u64;
-                self.probe_cost(class, CostPhase::Accept, cost);
+                self.note_cost(class, CostPhase::Accept, cost);
                 self.charge(cost);
                 self.ctx.count("carlos.notices_applied", notices as u64);
                 self.engine.apply_records(std::mem::take(records));
@@ -376,9 +392,12 @@ impl Core {
                 // missing, and diffs must not apply against a notice set
                 // that is not transitively closed.
                 let complete = self.engine.vt().dominates(required);
-                if let Some(p) = &self.probe {
-                    p.release_accepted(self.ctx.node_id(), origin, required, complete);
-                }
+                emit(&self.sink, || Event::ReleaseAccepted {
+                    node: self.node(),
+                    origin,
+                    required: required.as_slice(),
+                    complete,
+                });
                 if !diffs.is_empty() {
                     // Update strategy: the carried diffs revalidate pages
                     // whose coverage they complete. They go through the
@@ -392,7 +411,7 @@ impl Core {
                         pages.insert(d.page);
                         self.pending_diffs.entry(d.page).or_default().push(d);
                     }
-                    self.probe_cost(class, CostPhase::DiffApply, apply_cost);
+                    self.note_cost(class, CostPhase::DiffApply, apply_cost);
                     self.charge(apply_cost);
                     self.ctx.count("carlos.update_diffs_received", 1);
                     // Seeded bug EagerSkipRevalidate: apply the carried
@@ -434,9 +453,7 @@ impl Core {
                     // Inadequate consistency information (forwarded or
                     // non-transitive message): ask the original sender.
                     self.ctx.count("carlos.repair_requests", 1);
-                    if let Some(p) = &self.probe {
-                        p.repair_requested(self.ctx.node_id(), origin, self.engine.vt(), required);
-                    }
+                    self.note_repair(origin, required);
                     let mut body = Encoder::new();
                     self.engine.vt().encode(&mut body);
                     required.encode(&mut body);
@@ -596,7 +613,7 @@ impl Core {
                     .expect("ival reply records");
                 let notices: usize = records.iter().map(|r| r.pages.len()).sum();
                 let apply_cost = self.cfg.per_notice * notices as u64;
-                self.probe_cost(MsgClass::System, CostPhase::NoticeApply, apply_cost);
+                self.note_cost(MsgClass::System, CostPhase::NoticeApply, apply_cost);
                 self.charge(apply_cost);
                 self.engine.apply_records(records);
                 self.retry_pending_accepts();
@@ -622,7 +639,7 @@ impl Core {
         if total > page_bytes && !force_diffs {
             let (data, applied) = self.engine.serve_page(page);
             let copy_cost = self.cfg.page_copy_cost(data.len());
-            self.probe_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
+            self.note_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
             self.charge(copy_cost);
             self.ctx.count("carlos.page_instead_of_diffs", 1);
             return SubReply::Page {
@@ -642,7 +659,7 @@ impl Core {
     fn serve_page_demand(&mut self, page: u32) -> SubReply {
         let (data, applied) = self.engine.serve_page(page);
         let copy_cost = self.cfg.page_copy_cost(data.len());
-        self.probe_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
+        self.note_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
         self.charge(copy_cost);
         self.ctx.count("carlos.page_requests_served", 1);
         SubReply::Page {
@@ -662,7 +679,7 @@ impl Core {
             bytes += r.diff.modified_bytes();
             cost += self.cfg.diff_apply_cost(r.diff.modified_bytes());
         }
-        self.probe_cost(MsgClass::System, CostPhase::DiffApply, cost);
+        self.note_cost(MsgClass::System, CostPhase::DiffApply, cost);
         self.charge(cost);
         self.pending_diffs.entry(page).or_default().extend(records);
         self.fetch_done(src, page, bytes);
@@ -672,7 +689,7 @@ impl Core {
     /// installs the granule, and settles the inflight key.
     fn accept_page_reply(&mut self, src: NodeId, page: u32, data: Vec<u8>, applied: Vc) {
         let copy_cost = self.cfg.page_copy_cost(data.len());
-        self.probe_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
+        self.note_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
         self.charge(copy_cost);
         let bytes = data.len();
         if !self.engine.install_page(page, data, applied) {
@@ -686,20 +703,48 @@ impl Core {
     }
 
     /// Removes the `(page, src)` inflight key and reports fetch completion
-    /// (with the granule's size class) to the probe.
+    /// (with the granule's size class).
     fn fetch_done(&mut self, src: NodeId, page: u32, bytes: usize) {
         if self.inflight.remove(&(page, src)) {
-            if let Some(p) = &self.probe {
-                p.fetch_finished(self.node(), src, page, self.ctx.now());
-            }
+            emit(&self.sink, || Event::FetchFinished {
+                node: self.node(),
+                server: src,
+                page,
+                at: self.ctx.now(),
+            });
         }
-        if let Some(p) = &self.probe {
-            let class = GranuleClass::of(
+        emit(&self.sink, || Event::FetchFulfilled {
+            node: self.node(),
+            server: src,
+            page,
+            granule: GranuleClass::of(
                 self.engine.granule_len(page),
                 self.engine.config().page_size,
-            );
-            p.fetch_fulfilled(self.node(), src, page, class, bytes, self.ctx.now());
-        }
+            ),
+            bytes,
+            at: self.ctx.now(),
+        });
+    }
+
+    /// Reports a demand fetch of `page` going to `server`.
+    fn note_fetch(&self, server: NodeId, page: u32, kind: FetchKind) {
+        emit(&self.sink, || Event::FetchStarted {
+            node: self.node(),
+            server,
+            page,
+            kind,
+            at: self.ctx.now(),
+        });
+    }
+
+    /// Reports a repair request to `origin` for the records up to `want`.
+    fn note_repair(&self, origin: NodeId, want: &Vc) {
+        emit(&self.sink, || Event::RepairRequested {
+            node: self.node(),
+            origin,
+            have: self.engine.vt().as_slice(),
+            want: want.as_slice(),
+        });
     }
 
     /// Applies the diffs buffered for `page` once (a) no request for the
@@ -773,14 +818,7 @@ impl Core {
                     p.required,
                     self.engine.vt()
                 );
-                if let Some(probe) = &self.probe {
-                    probe.repair_requested(
-                        self.ctx.node_id(),
-                        p.msg.origin,
-                        self.engine.vt(),
-                        &p.required,
-                    );
-                }
+                self.note_repair(p.msg.origin, &p.required);
                 let mut body = Encoder::new();
                 self.engine.vt().encode(&mut body);
                 p.required.encode(&mut body);
@@ -805,7 +843,7 @@ impl Core {
         if msg.annotation.carries_timestamp() {
             cost += self.cfg.vt_recv;
         }
-        self.probe_cost(MsgClass::of(msg.annotation), CostPhase::Recv, cost);
+        self.note_cost(msg.annotation.class(), CostPhase::Recv, cost);
         self.charge(cost);
         match &msg.consistency {
             Consistency::None => {}
@@ -1021,13 +1059,17 @@ impl Runtime {
             "LRC config cluster size must match the simulated cluster"
         );
         let n = ctx.num_nodes();
-        let node = ctx.node_id();
+        let sink = ctx.sink();
+        let mut engine = LrcEngine::new(ctx.node_id(), lrc_cfg);
+        if let Some(s) = &sink {
+            engine.set_sink(Rc::clone(s));
+        }
         let transport = Transport::new(ctx.clone(), ack);
         Self {
             core: Core {
                 ctx,
                 transport,
-                engine: LrcEngine::new(node, lrc_cfg),
+                engine,
                 cfg,
                 known: (0..n).map(|_| Vc::new(n)).collect(),
                 accepted: VecDeque::new(),
@@ -1037,37 +1079,17 @@ impl Runtime {
                 inflight: BTreeSet::new(),
                 pending_diffs: BTreeMap::new(),
                 force_diffs: BTreeSet::new(),
-                probe: None,
+                sink,
             },
             handlers: HashMap::new(),
         }
     }
 
-    /// Installs a passive [`CoreProbe`] notified of release/acquire/repair
-    /// protocol events. Probing never alters runtime behavior.
-    pub fn set_probe(&mut self, probe: Rc<dyn CoreProbe>) {
-        self.core.probe = Some(probe);
-    }
-
-    /// Installs a passive [`carlos_lrc::EngineObserver`] on the underlying
-    /// LRC engine (memory accesses, interval closes, record application).
-    pub fn set_engine_observer(&mut self, obs: Rc<dyn carlos_lrc::EngineObserver>) {
-        self.core.engine.set_observer(obs);
-    }
-
-    /// Installs a passive [`carlos_sim::TransportObserver`] on the
-    /// underlying transport endpoint (per-frame send/deliver/retransmit
-    /// events, used by trace layers to build causal flows).
-    pub fn set_transport_observer(&mut self, obs: Rc<dyn carlos_sim::TransportObserver>) {
-        self.core.transport.set_observer(obs);
-    }
-
-    /// The installed [`CoreProbe`], if any. Layers above the runtime (the
-    /// sync library) clone this handle to report their own events — e.g.
-    /// [`CoreProbe::sync_wait`] spans — through the same probe.
-    #[must_use]
-    pub fn probe(&self) -> Option<Rc<dyn CoreProbe>> {
-        self.core.probe.clone()
+    /// Reports the event `ev` builds to the cluster's sink, if one is
+    /// attached; layers above the runtime (the sync library's waits) emit
+    /// through here.
+    pub fn emit<'a>(&self, ev: impl FnOnce() -> Event<'a>) {
+        emit(&self.core.sink, ev);
     }
 
     /// This node's id.
@@ -1170,21 +1192,18 @@ impl Runtime {
                 return;
             }
         };
-        if let Some(p) = &self.core.probe {
-            let class = if msg.handler >= SYS_HANDLER_BASE {
+        emit(&self.core.sink, || Event::MsgDispatched {
+            node: self.core.node(),
+            src,
+            class: if msg.handler >= SYS_HANDLER_BASE {
                 MsgClass::System
             } else {
-                MsgClass::of(msg.annotation)
-            };
-            p.msg_dispatched(
-                self.core.node(),
-                src,
-                class,
-                msg.handler,
-                bytes.len(),
-                self.core.ctx.now(),
-            );
-        }
+                msg.annotation.class()
+            },
+            handler: msg.handler,
+            bytes: bytes.len(),
+            at: self.core.ctx.now(),
+        });
         if msg.handler >= SYS_HANDLER_BASE {
             self.core.handle_sys(msg);
             self.eager_fetch_invalidated();
@@ -1440,15 +1459,7 @@ impl Runtime {
                     waiting.push((page, to));
                     if self.core.inflight.insert((page, to)) {
                         self.core.ctx.count("carlos.diff_requests", 1);
-                        if let Some(p) = &self.core.probe {
-                            p.fetch_started(
-                                self.core.node(),
-                                to,
-                                page,
-                                FetchKind::Diffs,
-                                self.core.ctx.now(),
-                            );
-                        }
+                        self.core.note_fetch(to, page, FetchKind::Diffs);
                         let force = self.core.force_diffs.contains(&(page, to));
                         if coalesce {
                             fresh.entry(to).or_default().push(BatchEntry {
@@ -1467,15 +1478,7 @@ impl Runtime {
                     waiting.push((page, to));
                     if self.core.inflight.insert((page, to)) {
                         self.core.ctx.count("carlos.page_requests", 1);
-                        if let Some(p) = &self.core.probe {
-                            p.fetch_started(
-                                self.core.node(),
-                                to,
-                                page,
-                                FetchKind::Page,
-                                self.core.ctx.now(),
-                            );
-                        }
+                        self.core.note_fetch(to, page, FetchKind::Page);
                         if coalesce {
                             fresh.entry(to).or_default().push(BatchEntry {
                                 kind: 1,

@@ -23,13 +23,17 @@
 //!   in causal order ([`LrcEngine::apply_diff_records`]). A node with no
 //!   copy demands the whole page.
 
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+use std::{
+    collections::{btree_map::Entry, BTreeMap, BTreeSet},
+    rc::Rc,
+};
+
+use carlos_util::event::{emit, Event, Sink};
 
 use crate::{
     config::LrcConfig,
     diff::{sort_causally, Diff, DiffRecord},
     interval::{IntervalRecord, IntervalStore},
-    observer::{EngineObserver, ObserverSlot},
     page::{PageId, PageState, PageTable},
     region::GranuleMap,
     vc::Vc,
@@ -110,8 +114,8 @@ pub struct LrcEngine {
     /// `log2(granule)` when the whole region uses one power-of-two granule
     /// (every standard config); enables the single-page access fast path.
     page_shift: Option<u32>,
-    /// Passive checker hooks; empty (one-branch cost) unless installed.
-    observer: ObserverSlot,
+    /// The event sink; `None` (one-branch cost) unless attached.
+    sink: Option<Rc<dyn Sink>>,
     /// Granules of eager regions invalidated by applied write notices since
     /// the last [`LrcEngine::take_eager_invalid`]; always empty without
     /// eager region hints.
@@ -152,7 +156,7 @@ impl LrcEngine {
             diffs: BTreeMap::new(),
             page_shift: granules.uniform_shift(),
             granules,
-            observer: ObserverSlot::default(),
+            sink: None,
             eager_invalid: Vec::new(),
             outstanding: BTreeMap::new(),
             stats: EngineStats::default(),
@@ -160,11 +164,10 @@ impl LrcEngine {
         }
     }
 
-    /// Installs a passive [`EngineObserver`] notified of memory accesses,
-    /// interval closes, record application, and page installs. Observation
-    /// never alters engine behavior.
-    pub fn set_observer(&mut self, obs: std::rc::Rc<dyn EngineObserver>) {
-        self.observer.set(obs);
+    /// Reports memory accesses, interval closes, record application and
+    /// page installs to `sink`. Observation never alters engine behavior.
+    pub fn set_sink(&mut self, sink: Rc<dyn Sink>) {
+        self.sink = Some(sink);
     }
 
     /// The node that pins a copy of `page` and answers full-page requests.
@@ -258,7 +261,7 @@ impl LrcEngine {
                 if let Some(data) = self.pages.readable(page) {
                     let off = addr & ((1usize << shift) - 1);
                     buf.copy_from_slice(&data[off..off + buf.len()]);
-                    self.observer.mem_read(self.node, addr, buf, &self.vt);
+                    self.note_read(addr, buf);
                     return Ok(());
                 }
             }
@@ -288,7 +291,7 @@ impl LrcEngine {
             }
             done += n;
         }
-        self.observer.mem_read(self.node, addr, buf, &self.vt);
+        self.note_read(addr, buf);
         Ok(())
     }
 
@@ -337,7 +340,7 @@ impl LrcEngine {
                 if let Some(dst) = self.pages.writable(page) {
                     let off = addr & ((1usize << shift) - 1);
                     dst[off..off + data.len()].copy_from_slice(data);
-                    self.observer.mem_write(self.node, addr, data, &self.vt);
+                    self.note_write(addr, data);
                     return Ok(());
                 }
             }
@@ -364,8 +367,28 @@ impl LrcEngine {
             meta.data[off..off + n].copy_from_slice(&data[done..done + n]);
             done += n;
         }
-        self.observer.mem_write(self.node, addr, data, &self.vt);
+        self.note_write(addr, data);
         Ok(())
+    }
+
+    #[inline]
+    fn note_read(&self, addr: usize, data: &[u8]) {
+        emit(&self.sink, || Event::MemRead {
+            node: self.node,
+            addr,
+            data,
+            vt: self.vt.as_slice(),
+        });
+    }
+
+    #[inline]
+    fn note_write(&self, addr: usize, data: &[u8]) {
+        emit(&self.sink, || Event::MemWrite {
+            node: self.node,
+            addr,
+            data,
+            vt: self.vt.as_slice(),
+        });
     }
 
     /// Makes `page` readable or reports what must be fetched first.
@@ -457,7 +480,10 @@ impl LrcEngine {
         for &p in &rec.pages {
             self.capture_own_diff(p);
         }
-        self.observer.interval_closed(self.node, &rec);
+        emit(&self.sink, || Event::IntervalClosed {
+            node: self.node,
+            rec: rec.as_interval(),
+        });
         Some(rec)
     }
 
@@ -540,7 +566,10 @@ impl LrcEngine {
                 }
             }
         }
-        self.observer.record_applied(self.node, &rec);
+        emit(&self.sink, || Event::RecordApplied {
+            node: self.node,
+            rec: rec.as_interval(),
+        });
         self.intervals.insert(rec);
     }
 
@@ -877,7 +906,11 @@ impl LrcEngine {
             PageState::Invalid
         };
         self.stats.pages_installed += 1;
-        self.observer.page_installed(self.node, page, &meta.applied);
+        emit(&self.sink, || Event::PageInstalled {
+            node: self.node,
+            page,
+            applied: meta.applied.as_slice(),
+        });
         true
     }
 

@@ -7,7 +7,10 @@
 //! (§4.2). In CarlOS the endpoints occur when RELEASE messages are sent
 //! and accepted (§4.3).
 
-use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
+use carlos_util::{
+    codec::{DecodeError, Decoder, Encoder, Wire},
+    event::Interval,
+};
 
 use crate::vc::Vc;
 
@@ -25,6 +28,19 @@ pub struct IntervalRecord {
     pub vc: Vc,
     /// Pages modified during the interval — the write notices.
     pub pages: Vec<u32>,
+}
+
+impl IntervalRecord {
+    /// The record as the event stream carries it.
+    #[must_use]
+    pub fn as_interval(&self) -> Interval<'_> {
+        Interval {
+            creator: self.node,
+            index: self.index,
+            vt: self.vc.as_slice(),
+            pages: &self.pages,
+        }
+    }
 }
 
 impl Wire for IntervalRecord {

@@ -33,7 +33,6 @@ pub mod config;
 pub mod diff;
 pub mod engine;
 pub mod interval;
-pub mod observer;
 pub mod page;
 pub mod region;
 pub mod vc;
@@ -42,7 +41,6 @@ pub use config::{LrcConfig, PageOwnership};
 pub use diff::{Diff, DiffRecord, WORD};
 pub use engine::{Demand, LrcEngine};
 pub use interval::IntervalRecord;
-pub use observer::{EngineObserver, ObserverSlot};
 pub use page::{PageId, PageState};
 pub use region::{GranuleMap, RegionSpec};
 pub use vc::Vc;

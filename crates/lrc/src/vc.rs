@@ -74,8 +74,18 @@ impl Vc {
         })
     }
 
+    /// A timestamp with the given components (component `i` is node `i`).
+    #[must_use]
+    pub fn from_slice(comps: &[u32]) -> Self {
+        let mut vc = Self::new(comps.len());
+        vc.as_mut_slice().copy_from_slice(comps);
+        vc
+    }
+
+    /// The components, node 0 first (how the event stream carries them).
+    #[must_use]
     #[inline]
-    fn as_slice(&self) -> &[u32] {
+    pub fn as_slice(&self) -> &[u32] {
         match &self.0 {
             Repr::Inline { len, vals } => &vals[..usize::from(*len)],
             Repr::Heap(v) => v,

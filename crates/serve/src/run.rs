@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use carlos_apps::harness::{install_observers, observed_cluster};
+use carlos_apps::harness::observed_cluster;
 use carlos_apps::{AppReport, Collector};
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
@@ -621,7 +621,6 @@ fn serve_node(
 ) -> (NodeStats, Option<Vec<u64>>) {
     let (lay, lrc) = layout(cfg);
     let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
-    install_observers(&mut rt, cfg.check.as_ref(), cfg.trace.as_ref());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     sys.barrier(&mut rt, barrier, 100);

@@ -7,6 +7,8 @@ use std::{
     rc::Rc,
 };
 
+use carlos_util::event::{emit, Event, Sink};
+
 use crate::{
     config::SimConfig,
     coro::{self, Coroutine},
@@ -15,56 +17,6 @@ use crate::{
     stats::{Bucket, Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
 };
-
-/// Passive observer of wire-level deliveries (checker instrumentation).
-///
-/// The event loop invokes [`WireObserver::frame_delivered`] on the thread
-/// that called [`Cluster::run`] (from the runner or from a parking proc's
-/// stack), with the kernel borrowed, at the instant a datagram is appended
-/// to a destination mailbox. Implementations must only record: they must
-/// not call back into the simulator, block on simulated state, or panic —
-/// escalation belongs in node-side hooks. Loopback datagrams (src == dst)
-/// skip the wire and are not reported. Observer calls charge no virtual
-/// time, so observed runs are event-for-event identical to unobserved ones.
-pub trait WireObserver {
-    /// A datagram from `src` was appended to `dst`'s mailbox.
-    fn frame_delivered(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        bytes: usize,
-    );
-
-    /// A datagram from `src` was handed to the wire toward `dst` at `at`
-    /// (it may still be dropped). Fired from the sender's context, with the
-    /// kernel borrowed. Default: ignored.
-    fn frame_sent(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
-        let _ = (src, dst, at, payload);
-    }
-
-    /// A datagram from `src` toward `dst` was dropped by loss injection
-    /// (uniform, burst, or partition) at send time. Default: ignored.
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, at: Ns, payload: &[u8]) {
-        let _ = (src, dst, at, payload);
-    }
-
-    /// Payload-carrying companion to [`WireObserver::frame_delivered`],
-    /// invoked immediately after it with the same frame. Split out so
-    /// observers that only need sizes (the checker) keep their narrower
-    /// signature. Default: ignored.
-    fn frame_delivered_payload(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &[u8],
-    ) {
-        let _ = (src, dst, sent_at, delivered_at, payload);
-    }
-}
 
 /// A datagram as seen by a receiving node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,11 +86,12 @@ impl Cluster {
         self.kernel.borrow_mut().spawn_proc(node, 0, Box::new(main));
     }
 
-    /// Installs a passive [`WireObserver`] notified at each non-loopback
-    /// mailbox delivery. Install before [`Cluster::run`]; observation adds
-    /// zero virtual-time cost.
-    pub fn set_observer(&mut self, obs: Rc<dyn WireObserver>) {
-        self.kernel.borrow_mut().observer = Some(obs);
+    /// Attaches `sink` to the run's event stream: the wire reports to it,
+    /// and so does every transport, engine and runtime built on a
+    /// [`NodeCtx`] of this cluster ([`NodeCtx::sink`]). Attach before
+    /// [`Cluster::run`]; observation adds zero virtual-time cost.
+    pub fn observe(&mut self, sink: Rc<dyn Sink>) {
+        self.kernel.borrow_mut().sink = Some(sink);
     }
 
     /// Runs the simulation to completion and returns the report.
@@ -458,6 +411,13 @@ impl NodeCtx {
         self.n_nodes
     }
 
+    /// The sink attached to this cluster's event stream, if any
+    /// ([`Cluster::observe`]).
+    #[must_use]
+    pub fn sink(&self) -> Option<Rc<dyn Sink>> {
+        self.kernel.borrow().sink.clone()
+    }
+
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> Ns {
@@ -572,13 +532,12 @@ impl NodeCtx {
         k.nodes[self.node as usize]
             .counters
             .add("net.sent_bytes", dgram.payload.len() as u64);
-        if let Some(obs) = &k.observer {
-            obs.frame_sent(self.node, dst, now, &dgram.payload);
-        }
-        if let Some(deliver_at) = k.wire_transmit_frame(self.node, dst, &dgram.payload, now) {
+        let src = self.node;
+        emit(&k.sink, || Event::WireSent { src, dst, at: now, payload: &dgram.payload });
+        if let Some(deliver_at) = k.wire_transmit_frame(src, dst, &dgram.payload, now) {
             k.push_event(deliver_at, EvKind::Deliver { dst, dgram });
-        } else if let Some(obs) = &k.observer {
-            obs.frame_dropped(self.node, dst, now, &dgram.payload);
+        } else {
+            emit(&k.sink, || Event::WireDropped { src, dst, at: now, payload: &dgram.payload });
         }
     }
 

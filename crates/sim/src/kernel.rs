@@ -30,10 +30,13 @@ use std::{
     rc::Rc,
 };
 
-use carlos_util::rng::{SplitMix64, Xoshiro256};
+use carlos_util::{
+    event::{self, emit, Sink},
+    rng::{SplitMix64, Xoshiro256},
+};
 
 use crate::{
-    cluster::{Datagram, NodeCtx, WireObserver},
+    cluster::{Datagram, NodeCtx},
     config::SimConfig,
     fault::{DropCause, FaultState},
     stats::{Counters, NetStats, TimeBuckets},
@@ -155,9 +158,8 @@ pub(crate) struct Kernel {
     pub pair_last_delivery: BTreeMap<(NodeId, NodeId), Ns>,
     /// Scripted-fault runtime state compiled from the config's plan.
     pub fault: FaultState,
-    /// Passive wire observer invoked at each mailbox delivery (checker
-    /// instrumentation). Charges no virtual time.
-    pub observer: Option<Rc<dyn WireObserver>>,
+    /// The run's event sink (`Cluster::observe`). Charges no virtual time.
+    pub sink: Option<Rc<dyn Sink>>,
     /// First panic payload captured from a proc, re-thrown by the runner.
     pub panic: Option<Box<dyn Any + Send>>,
     /// Node of the proc whose panic was captured.
@@ -193,7 +195,7 @@ impl Kernel {
             jitter_rngs,
             pair_last_delivery: BTreeMap::new(),
             fault,
-            observer: None,
+            sink: None,
             panic: None,
             panic_node: None,
             poisoned: false,
@@ -298,16 +300,13 @@ impl Kernel {
         }
         if dgram.src != dst {
             self.net.delivered += 1;
-            if let Some(obs) = &self.observer {
-                obs.frame_delivered(dgram.src, dst, dgram.sent_at, self.now, dgram.payload.len());
-                obs.frame_delivered_payload(
-                    dgram.src,
-                    dst,
-                    dgram.sent_at,
-                    self.now,
-                    &dgram.payload,
-                );
-            }
+            emit(&self.sink, || event::Event::WireDelivered {
+                src: dgram.src,
+                dst,
+                sent_at: dgram.sent_at,
+                delivered_at: self.now,
+                payload: &dgram.payload,
+            });
         }
         self.nodes[node].mailbox.push_back(dgram);
         // Ascending pid order fixes the wakes' `ord` numbers, and with

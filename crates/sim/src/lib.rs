@@ -60,11 +60,11 @@ pub mod stats;
 pub mod time;
 pub mod transport;
 
-pub use cluster::{Cluster, Datagram, NodeCtx, SimReport, WireObserver};
+pub use cluster::{Cluster, Datagram, NodeCtx, SimReport};
 pub use config::SimConfig;
 pub use error::{abort, AbortInfo, BlockedProc, SimError};
 pub use fault::{FaultPlan, FaultSpec, GeParams};
 pub use schedule::{FlowId, SchedulePlan};
 pub use stats::{Bucket, ClassStats, Counters, FrameClasses, NetStats, TimeBuckets};
 pub use time::{NodeId, Ns};
-pub use transport::{AckMode, ArqTuning, Body, FrameBuf, Transport, TransportObserver};
+pub use transport::{AckMode, ArqTuning, Body, FrameBuf, Transport};

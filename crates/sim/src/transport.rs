@@ -22,52 +22,15 @@ use std::{
     rc::Rc,
 };
 
-use carlos_util::rng::SplitMix64;
+use carlos_util::{
+    event::{emit, Event, Sink},
+    rng::SplitMix64,
+};
 
 use crate::{
     cluster::NodeCtx,
     time::{NodeId, Ns},
 };
-
-/// Passive observer of one node's transport endpoint (trace
-/// instrumentation).
-///
-/// Every method is invoked synchronously on the owning node's proc, charges
-/// no virtual time, and has a no-op default, so an endpoint with an observer
-/// installed behaves bit-identically to one without. `bytes` is always the
-/// sealed wire-frame length (header included). Sequence numbers are the
-/// per-(sender, receiver) transport sequence, which together with the node
-/// pair uniquely identifies a data frame for the lifetime of a run — trace
-/// layers use `(src, dst, seq)` as the causal flow id.
-pub trait TransportObserver {
-    /// A data frame was sealed with `seq` and handed to the wire (first
-    /// transmission; includes loopback frames, which skip the wire).
-    fn data_sent(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let _ = (node, dst, seq, bytes, at);
-    }
-
-    /// A message could not enter the ARQ window and was queued unsealed;
-    /// its `data_sent` fires later, when acknowledgements open the window.
-    fn data_queued(&self, node: NodeId, dst: NodeId, bytes: usize, at: Ns) {
-        let _ = (node, dst, bytes, at);
-    }
-
-    /// A go-back-N timeout retransmitted the already-sealed frame `seq`.
-    fn data_retransmitted(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let _ = (node, dst, seq, bytes, at);
-    }
-
-    /// Frame `seq` from `src` was released to the application in order
-    /// (`bytes` is the body length, header stripped).
-    fn data_delivered(&self, node: NodeId, src: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let _ = (node, src, seq, bytes, at);
-    }
-
-    /// A duplicate of an already-delivered frame arrived and was suppressed.
-    fn data_duplicate(&self, node: NodeId, src: NodeId, seq: u32, at: Ns) {
-        let _ = (node, src, seq, at);
-    }
-}
 
 /// Acknowledgement strategy for a [`Transport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,28 +217,27 @@ pub struct Transport {
     tx: Vec<PeerTx>,
     rx: Vec<PeerRx>,
     ready: VecDeque<(NodeId, Body)>,
-    obs: Option<Rc<dyn TransportObserver>>,
+    /// The cluster's event sink, taken from the context at creation.
+    sink: Option<Rc<dyn Sink>>,
 }
 
 impl Transport {
-    /// Creates the endpoint for the node behind `ctx`.
+    /// Creates the endpoint for the node behind `ctx`; it reports its data
+    /// frames to the cluster's event sink, if one is attached. Sequence
+    /// numbers are per (sender, receiver) pair, so `(node, dst, seq)` names
+    /// one data frame for the whole run (the tracer's flow id).
     #[must_use]
     pub fn new(ctx: NodeCtx, mode: AckMode) -> Self {
         let n = ctx.num_nodes();
         Self {
+            sink: ctx.sink(),
             ctx,
             mode,
             tuning: ArqTuning::default(),
             tx: (0..n).map(|_| PeerTx::default()).collect(),
             rx: (0..n).map(|_| PeerRx::default()).collect(),
             ready: VecDeque::new(),
-            obs: None,
         }
-    }
-
-    /// Installs a passive [`TransportObserver`] on this endpoint.
-    pub fn set_observer(&mut self, obs: Rc<dyn TransportObserver>) {
-        self.obs = Some(obs);
     }
 
     /// The node context this transport runs on.
@@ -358,9 +320,7 @@ impl Transport {
             let seq = self.tx[dst as usize].next_seq;
             self.tx[dst as usize].next_seq += 1;
             let sealed = msg.seal(KIND_DATA, seq);
-            if let Some(obs) = &self.obs {
-                obs.data_sent(dst, dst, seq, sealed.len(), self.ctx.now());
-            }
+            self.note_sent(dst, seq, sealed.len());
             self.ctx.send_datagram(dst, sealed);
             return;
         }
@@ -369,9 +329,7 @@ impl Transport {
                 let seq = self.tx[dst as usize].next_seq;
                 self.tx[dst as usize].next_seq += 1;
                 let sealed = msg.seal(KIND_DATA, seq);
-                if let Some(obs) = &self.obs {
-                    obs.data_sent(self.ctx.node_id(), dst, seq, sealed.len(), self.ctx.now());
-                }
+                self.note_sent(dst, seq, sealed.len());
                 self.ctx.send_datagram(dst, sealed);
             }
             AckMode::Arq { window, rto } => {
@@ -384,14 +342,15 @@ impl Transport {
                     if peer.rto_at.is_none() {
                         peer.rto_at = Some(self.ctx.now() + rto);
                     }
-                    if let Some(obs) = &self.obs {
-                        obs.data_sent(self.ctx.node_id(), dst, seq, sealed.len(), self.ctx.now());
-                    }
+                    self.note_sent(dst, seq, sealed.len());
                     self.ctx.send_datagram(dst, sealed);
                 } else {
-                    if let Some(obs) = &self.obs {
-                        obs.data_queued(self.ctx.node_id(), dst, msg.0.len(), self.ctx.now());
-                    }
+                    emit(&self.sink, || Event::DataQueued {
+                        node: self.ctx.node_id(),
+                        dst,
+                        bytes: msg.0.len(),
+                        at: self.ctx.now(),
+                    });
                     peer.queued.push_back(msg);
                 }
             }
@@ -545,15 +504,13 @@ impl Transport {
             let frames: Vec<(u32, Vec<u8>)> = self.tx[dst].unacked.iter().cloned().collect();
             for (seq, payload) in frames {
                 self.ctx.count("transport.retransmits", 1);
-                if let Some(obs) = &self.obs {
-                    obs.data_retransmitted(
-                        self.ctx.node_id(),
-                        dst as NodeId,
-                        seq,
-                        payload.len(),
-                        self.ctx.now(),
-                    );
-                }
+                emit(&self.sink, || Event::DataRetransmitted {
+                    node: self.ctx.node_id(),
+                    dst: dst as NodeId,
+                    seq,
+                    bytes: payload.len(),
+                    at: self.ctx.now(),
+                });
                 self.ctx.send_datagram(dst as NodeId, payload);
             }
             if self.tx[dst].unacked.is_empty() {
@@ -613,22 +570,28 @@ impl Transport {
     fn handle_data(&mut self, src: NodeId, seq: u32, body: Body) {
         let me = self.ctx.node_id();
         let rx = &mut self.rx[src as usize];
+        let delivered = |seq, bytes| Event::DataDelivered {
+            node: me,
+            src,
+            seq,
+            bytes,
+            at: self.ctx.now(),
+        };
         if seq < rx.next_seq {
             self.ctx.count("transport.duplicates", 1);
-            if let Some(obs) = &self.obs {
-                obs.data_duplicate(me, src, seq, self.ctx.now());
-            }
+            emit(&self.sink, || Event::DataDuplicate {
+                node: me,
+                src,
+                seq,
+                at: self.ctx.now(),
+            });
         } else if seq == rx.next_seq {
             rx.next_seq += 1;
-            if let Some(obs) = &self.obs {
-                obs.data_delivered(me, src, seq, body.len(), self.ctx.now());
-            }
+            emit(&self.sink, || delivered(seq, body.len()));
             self.ready.push_back((src, body));
             // Drain any buffered successors.
             while let Some(b) = rx.reorder.remove(&rx.next_seq) {
-                if let Some(obs) = &self.obs {
-                    obs.data_delivered(me, src, rx.next_seq, b.len(), self.ctx.now());
-                }
+                emit(&self.sink, || delivered(rx.next_seq, b.len()));
                 rx.next_seq += 1;
                 self.ready.push_back((src, b));
             }
@@ -677,16 +640,25 @@ impl Transport {
             self.tx[src as usize].rto_at = Some(self.ctx.now() + rto);
         }
         for sealed in to_send {
-            if let Some(obs) = &self.obs {
-                // The frame's sequence number sits in its sealed header.
-                let seq = u32::from_le_bytes(
-                    sealed[1..HEADER_BYTES]
-                        .try_into()
-                        .expect("header slice is four bytes"),
-                );
-                obs.data_sent(self.ctx.node_id(), src, seq, sealed.len(), self.ctx.now());
-            }
+            // The frame's sequence number sits in its sealed header.
+            let seq = u32::from_le_bytes(
+                sealed[1..HEADER_BYTES]
+                    .try_into()
+                    .expect("header slice is four bytes"),
+            );
+            self.note_sent(src, seq, sealed.len());
             self.ctx.send_datagram(src, sealed);
         }
+    }
+
+    /// Reports data frame `seq` of `bytes` going out to `dst`.
+    fn note_sent(&self, dst: NodeId, seq: u32, bytes: usize) {
+        emit(&self.sink, || Event::DataSent {
+            node: self.ctx.node_id(),
+            dst,
+            seq,
+            bytes,
+            at: self.ctx.now(),
+        });
     }
 }

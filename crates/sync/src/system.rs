@@ -9,6 +9,7 @@ use std::{
 
 use carlos_core::{AcceptedMsg, Runtime};
 use carlos_sim::NodeId;
+use carlos_util::event::Event;
 
 use crate::error::{SyncError, SyncTuning};
 
@@ -123,19 +124,22 @@ impl SyncSystem {
         id: u32,
         peers: &[NodeId],
     ) -> Result<AcceptedMsg, SyncError> {
-        // Bracket the blocking wait with probe span events so trace layers
+        // Bracket the blocking wait with `SyncWait` events so trace layers
         // see lock/barrier/queue stalls as first-class spans. Both the Ok
         // and Err exits close the span; a crash-unwind leaves it open, and
         // trace layers drop unclosed spans at export.
-        let probe = rt.probe();
-        let node = rt.node_id();
-        if let Some(p) = &probe {
-            p.sync_wait(node, op, id, true, rt.ctx().now());
-        }
+        let wait = |rt: &Runtime, begin| {
+            rt.emit(|| Event::SyncWait {
+                node: rt.node_id(),
+                what: op,
+                id,
+                begin,
+                at: rt.ctx().now(),
+            });
+        };
+        wait(rt, true);
         let result = self.wait_sync_inner(rt, handlers, op, id, peers);
-        if let Some(p) = &probe {
-            p.sync_wait(node, op, id, false, rt.ctx().now());
-        }
+        wait(rt, false);
         result
     }
 

@@ -23,21 +23,20 @@
 //! causal DOT graph via [`Tracer::dot_graph`], and as metrics JSON via
 //! [`Metrics::to_json`].
 //!
-//! Like `carlos-check`, the tracer is a pure observer: its hooks charge no
-//! virtual time, consume no randomness, and send no messages, so a run
-//! with a tracer installed produces a bit-identical
-//! [`carlos_sim::SimReport`] fingerprint to the same run without one (see
-//! the `tracer_is_invisible_to_the_goldens` test).
+//! Like `carlos-check`, the tracer is a pure consumer of the run's event
+//! stream ([`carlos_util::event`]): it charges no virtual time, consumes no
+//! randomness, and sends no messages, so a traced run produces a
+//! bit-identical [`carlos_sim::SimReport`] fingerprint to the same run
+//! without it (see the `observers_are_invisible_to_the_goldens` test).
 //!
 //! # Usage
 //!
 //! ```no_run
+//! use std::rc::Rc;
 //! use carlos_trace::Tracer;
 //! # let mut cluster = carlos_sim::Cluster::new(carlos_sim::SimConfig::default(), 2);
 //! let tracer = Tracer::new(2);
-//! tracer.attach(&mut cluster); // wire observer
-//! // ... inside each node closure:
-//! // tracer.install(&mut rt);  // probe + engine + transport observers
+//! cluster.observe(Rc::new(tracer.clone())); // every layer of every node
 //! let report = cluster.run();
 //! std::fs::write("trace.json", tracer.chrome_trace()).unwrap();
 //! ```
@@ -51,9 +50,8 @@ mod metrics;
 
 use std::{cell::RefCell, collections::BTreeMap, collections::VecDeque, fmt, rc::Rc};
 
-use carlos_core::{CoreProbe, CostPhase, FetchKind, GranuleClass, MsgClass, Runtime};
-use carlos_lrc::{EngineObserver, IntervalRecord, Vc};
-use carlos_sim::{Cluster, NodeId, Ns, TransportObserver, WireObserver};
+use carlos_sim::{NodeId, Ns};
+use carlos_util::event::{CostPhase, Event, FetchKind, GranuleClass, MsgClass, Sink};
 
 pub use export::json_string;
 pub use json::JsonValue;
@@ -96,7 +94,7 @@ pub struct Flow {
     pub handler: Option<u32>,
     /// Sealed wire-frame length in bytes.
     pub bytes: usize,
-    /// Virtual time of the core's send intent ([`CoreProbe::msg_sent`]).
+    /// Virtual time of the core's send intent ([`Event::MsgSent`]).
     pub msg_at: Option<Ns>,
     /// First transport transmission time.
     pub sent_at: Option<Ns>,
@@ -180,7 +178,7 @@ struct State {
     flows: BTreeMap<(NodeId, NodeId, u32), Flow>,
     spans: Vec<Span>,
     instants: Vec<InstantEvent>,
-    /// Core send intents not yet paired with a transport `data_sent`,
+    /// Core send intents not yet paired with a transport `DataSent`,
     /// FIFO per (node, dst). Pairing is exact because the transport
     /// assigns sequence numbers in the order the core hands messages over.
     pending_send: PendingFifo<(MsgClass, u32, Ns)>,
@@ -214,9 +212,9 @@ impl State {
     }
 }
 
-/// The causal tracer. Cheap to clone (all clones share one state);
-/// [`install`](Tracer::install) it on every node's runtime and
-/// [`attach`](Tracer::attach) it to the cluster before the run.
+/// The causal tracer: a [`Sink`] of the run's event stream. Cheap to clone
+/// (all clones share one state); attach it to the cluster before the run
+/// (`Cluster::observe`).
 #[derive(Clone)]
 pub struct Tracer {
     inner: Rc<RefCell<State>>,
@@ -265,21 +263,6 @@ impl Tracer {
                 metrics: Metrics::default(),
             })),
         }
-    }
-
-    /// Install the core probe, engine observer, and transport observer on
-    /// one node's runtime. Call from the node closure, before the
-    /// application sends messages.
-    pub fn install(&self, rt: &mut Runtime) {
-        rt.set_probe(Rc::new(self.clone()));
-        rt.set_engine_observer(Rc::new(self.clone()));
-        rt.set_transport_observer(Rc::new(self.clone()));
-    }
-
-    /// Attach the wire observer to the cluster (transmission, loss, and
-    /// mailbox-delivery events).
-    pub fn attach(&self, cluster: &mut Cluster) {
-        cluster.set_observer(Rc::new(self.clone()));
     }
 
     /// Snapshot of all recorded flows, in `(src, dst, seq)` order.
@@ -340,7 +323,7 @@ pub fn wire_header(payload: &[u8]) -> Option<(u8, u32)> {
 // the metrics-only tracer's overhead; every key is drawn from a small
 // finite enum product, so an exhaustive match returns a `&'static str`
 // with no allocation. The matches are compiler-checked against the enums
-// in `carlos-core`: adding a variant fails the build here instead of
+// in `carlos_util::event`: adding a variant fails the build here instead of
 // silently minting a new runtime string.
 
 fn msg_sent_key(class: MsgClass) -> &'static str {
@@ -457,293 +440,199 @@ fn wait_key(what: &'static str) -> Option<&'static str> {
     }
 }
 
-impl CoreProbe for Tracer {
-    fn release_sent(&self, _node: NodeId, _dst: NodeId, _required: &Vc) {
-        self.inner
-            .borrow_mut()
-            .metrics
-            .count("protocol.release_sent", 1);
+impl Sink for Tracer {
+    fn event(&self, ev: &Event<'_>) {
+        self.inner.borrow_mut().on(ev);
     }
+}
 
-    fn release_accepted(&self, _node: NodeId, _origin: NodeId, _required: &Vc, complete: bool) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count("protocol.release_accepted", 1);
-        if !complete {
-            st.metrics.count("protocol.release_incomplete", 1);
-        }
-    }
-
-    fn repair_requested(&self, _node: NodeId, _origin: NodeId, _have: &Vc, _want: &Vc) {
-        self.inner
-            .borrow_mut()
-            .metrics
-            .count("protocol.repair_requested", 1);
-    }
-
-    fn msg_sent(&self, node: NodeId, dst: NodeId, class: MsgClass, handler: u32, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count(msg_sent_key(class), 1);
-        st.pending_send
-            .entry((node, dst))
-            .or_default()
-            .push_back((class, handler, at));
-    }
-
-    fn msg_dispatched(
-        &self,
-        node: NodeId,
-        src: NodeId,
-        class: MsgClass,
-        handler: u32,
-        bytes: usize,
-        at: Ns,
-    ) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count(msg_dispatched_key(class), 1);
-        if st.record_events {
-            st.push_instant(InstantEvent {
-                node,
-                name: format!("dispatch {} h{handler:#x} from n{src}", class.name()),
-                cat: "protocol",
-                at,
-            });
-        }
-        if let Some(key) = st
-            .pending_dispatch
-            .get_mut(&(node, src))
-            .and_then(VecDeque::pop_front)
-        {
-            let flow = st.flows.get_mut(&key).expect("pending flow exists");
-            flow.dispatched_at = Some(at);
-            if flow.class.is_none() {
-                flow.class = Some(class);
-                flow.handler = Some(handler);
-                flow.bytes = bytes;
+impl State {
+    fn on(&mut self, ev: &Event<'_>) {
+        match *ev {
+            Event::ReleaseSent { .. } => self.metrics.count("protocol.release_sent", 1),
+            Event::ReleaseAccepted { complete, .. } => {
+                self.metrics.count("protocol.release_accepted", 1);
+                if !complete {
+                    self.metrics.count("protocol.release_incomplete", 1);
+                }
             }
-            if let (Some(sent), Some(cls)) = (flow.msg_at.or(flow.sent_at), flow.class) {
-                let lat = at.saturating_sub(sent);
-                st.metrics.observe(flow_latency_key(cls), lat);
+            Event::RepairRequested { .. } => self.metrics.count("protocol.repair_requested", 1),
+            Event::MsgSent { node, dst, class, handler, at } => {
+                self.metrics.count(msg_sent_key(class), 1);
+                self.pending_send
+                    .entry((node, dst))
+                    .or_default()
+                    .push_back((class, handler, at));
             }
-        }
-    }
-
-    fn protocol_cost(&self, node: NodeId, class: MsgClass, phase: CostPhase, ns: Ns, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.observe(cost_key(class, phase), ns);
-        if st.record_events {
-            st.push_span(Span {
-                node,
-                name: format!("{} {}", phase.name(), class.name()),
-                cat: "cost",
-                start: at,
-                end: at + ns,
-            });
-        }
-    }
-
-    fn fetch_started(&self, node: NodeId, server: NodeId, page: u32, kind: FetchKind, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count(fetch_count_key(kind), 1);
-        st.open_fetches.insert((node, server, page), (kind, at));
-    }
-
-    fn fetch_finished(&self, node: NodeId, server: NodeId, page: u32, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        if let Some((kind, began)) = st.open_fetches.remove(&(node, server, page)) {
-            st.metrics
-                .observe(fetch_latency_key(kind), at.saturating_sub(began));
-            if st.record_events {
-                let what = match kind {
-                    FetchKind::Diffs => "diffs",
-                    FetchKind::Page => "page",
+            Event::MsgDispatched { node, src, class, handler, bytes, at } => {
+                self.metrics.count(msg_dispatched_key(class), 1);
+                if self.record_events {
+                    self.push_instant(InstantEvent {
+                        node,
+                        name: format!("dispatch {} h{handler:#x} from n{src}", class.name()),
+                        cat: "protocol",
+                        at,
+                    });
+                }
+                if let Some(key) = self
+                    .pending_dispatch
+                    .get_mut(&(node, src))
+                    .and_then(VecDeque::pop_front)
+                {
+                    let flow = self.flows.get_mut(&key).expect("pending flow exists");
+                    flow.dispatched_at = Some(at);
+                    if flow.class.is_none() {
+                        flow.class = Some(class);
+                        flow.handler = Some(handler);
+                        flow.bytes = bytes;
+                    }
+                    if let (Some(sent), Some(cls)) = (flow.msg_at.or(flow.sent_at), flow.class) {
+                        let lat = at.saturating_sub(sent);
+                        self.metrics.observe(flow_latency_key(cls), lat);
+                    }
+                }
+            }
+            Event::ProtocolCost { node, class, phase, ns, at } => {
+                self.metrics.observe(cost_key(class, phase), ns);
+                if self.record_events {
+                    self.push_span(Span {
+                        node,
+                        name: format!("{} {}", phase.name(), class.name()),
+                        cat: "cost",
+                        start: at,
+                        end: at + ns,
+                    });
+                }
+            }
+            Event::FetchStarted { node, server, page, kind, at } => {
+                self.metrics.count(fetch_count_key(kind), 1);
+                self.open_fetches.insert((node, server, page), (kind, at));
+            }
+            Event::FetchFinished { node, server, page, at } => {
+                if let Some((kind, began)) = self.open_fetches.remove(&(node, server, page)) {
+                    self.metrics
+                        .observe(fetch_latency_key(kind), at.saturating_sub(began));
+                    if self.record_events {
+                        let what = match kind {
+                            FetchKind::Diffs => "diffs",
+                            FetchKind::Page => "page",
+                        };
+                        self.push_span(Span {
+                            node,
+                            name: format!("fetch {what} p{page} <- n{server}"),
+                            cat: "fetch",
+                            start: began,
+                            end: at.max(began),
+                        });
+                    }
+                }
+            }
+            Event::FetchFulfilled { granule, bytes, .. } => {
+                self.metrics.count(fetch_class_key(granule), 1);
+                self.metrics.count(fetch_bytes_key(granule), bytes as u64);
+            }
+            Event::SyncWait { node, what, id, begin: true, at } => {
+                self.open_waits.entry((node, what, id)).or_default().push(at);
+            }
+            Event::SyncWait { node, what, id, begin: false, at } => {
+                let Some(began) = self.open_waits.get_mut(&(node, what, id)).and_then(Vec::pop)
+                else {
+                    return;
                 };
-                st.push_span(Span {
-                    node,
-                    name: format!("fetch {what} p{page} <- n{server}"),
-                    cat: "fetch",
-                    start: began,
-                    end: at.max(began),
-                });
-            }
-        }
-    }
-
-    fn fetch_fulfilled(
-        &self,
-        _node: NodeId,
-        _server: NodeId,
-        _page: u32,
-        class: GranuleClass,
-        bytes: usize,
-        _at: Ns,
-    ) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count(fetch_class_key(class), 1);
-        st.metrics.count(fetch_bytes_key(class), bytes as u64);
-    }
-
-    fn sync_wait(&self, node: NodeId, what: &'static str, id: u32, begin: bool, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        if begin {
-            st.open_waits.entry((node, what, id)).or_default().push(at);
-            return;
-        }
-        if let Some(began) = st
-            .open_waits
-            .get_mut(&(node, what, id))
-            .and_then(Vec::pop)
-        {
-            let elapsed = at.saturating_sub(began);
-            match wait_key(what) {
-                Some(key) => st.metrics.observe(key, elapsed),
-                None => st.metrics.observe(&format!("wait.{what}"), elapsed),
-            }
-            if st.record_events {
-                st.push_span(Span {
-                    node,
-                    name: format!("wait {what} #{id}"),
-                    cat: "sync",
-                    start: began,
-                    end: at.max(began),
-                });
-            }
-        }
-    }
-}
-
-impl TransportObserver for Tracer {
-    fn data_sent(&self, node: NodeId, dst: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        let intent = st
-            .pending_send
-            .get_mut(&(node, dst))
-            .and_then(VecDeque::pop_front);
-        let flow = st.flow(node, dst, seq, bytes);
-        flow.sent_at = Some(at);
-        flow.bytes = bytes;
-        if let Some((class, handler, msg_at)) = intent {
-            flow.class = Some(class);
-            flow.handler = Some(handler);
-            flow.msg_at = Some(msg_at);
-            let delay = at.saturating_sub(msg_at);
-            st.metrics.observe("flow.send_delay", delay);
-        }
-    }
-
-    fn data_queued(&self, node: NodeId, dst: NodeId, _bytes: usize, _at: Ns) {
-        let _ = (node, dst);
-        self.inner.borrow_mut().metrics.count("transport.queued", 1);
-    }
-
-    fn data_retransmitted(&self, node: NodeId, dst: NodeId, seq: u32, _bytes: usize, _at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count("transport.retransmits", 1);
-        if let Some(f) = st.flows.get_mut(&(node, dst, seq)) {
-            f.retransmits += 1;
-        }
-    }
-
-    fn data_delivered(&self, node: NodeId, src: NodeId, seq: u32, bytes: usize, at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        let flow = st.flow(src, node, seq, bytes);
-        flow.ready_at = Some(at);
-        let key = flow.key;
-        st.pending_dispatch
-            .entry((node, src))
-            .or_default()
-            .push_back((key.src, key.dst, key.seq));
-    }
-
-    fn data_duplicate(&self, node: NodeId, src: NodeId, seq: u32, _at: Ns) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count("transport.duplicates", 1);
-        if let Some(f) = st.flows.get_mut(&(src, node, seq)) {
-            f.duplicates += 1;
-        }
-    }
-}
-
-impl WireObserver for Tracer {
-    fn frame_delivered(
-        &self,
-        _src: NodeId,
-        _dst: NodeId,
-        _sent_at: Ns,
-        _delivered_at: Ns,
-        _bytes: usize,
-    ) {
-        // The payload-carrying companion below does the work.
-    }
-
-    fn frame_sent(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &[u8]) {
-        let mut st = self.inner.borrow_mut();
-        match wire_header(payload) {
-            Some((0, seq)) => {
-                st.metrics.count("wire.sent.data", 1);
-                // Only annotate flows the transport observer created:
-                // foreign traffic that merely looks like a data frame must
-                // not fabricate flow entries.
-                if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
-                    f.wire_sends += 1;
+                let elapsed = at.saturating_sub(began);
+                match wait_key(what) {
+                    Some(key) => self.metrics.observe(key, elapsed),
+                    None => self.metrics.observe(&format!("wait.{what}"), elapsed),
+                }
+                if self.record_events {
+                    self.push_span(Span {
+                        node,
+                        name: format!("wait {what} #{id}"),
+                        cat: "sync",
+                        start: began,
+                        end: at.max(began),
+                    });
                 }
             }
-            Some((1, _)) => st.metrics.count("wire.sent.ack", 1),
-            Some((2, _)) => st.metrics.count("wire.sent.ping", 1),
-            Some((3, _)) => st.metrics.count("wire.sent.pong", 1),
-            _ => st.metrics.count("wire.sent.other", 1),
-        }
-    }
-
-    fn frame_dropped(&self, src: NodeId, dst: NodeId, _at: Ns, payload: &[u8]) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count("wire.dropped", 1);
-        if let Some((0, seq)) = wire_header(payload) {
-            if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
-                f.drops += 1;
-            }
-        }
-    }
-
-    fn frame_delivered_payload(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        sent_at: Ns,
-        delivered_at: Ns,
-        payload: &[u8],
-    ) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics
-            .observe("wire.latency", delivered_at.saturating_sub(sent_at));
-        if let Some((0, seq)) = wire_header(payload) {
-            if let Some(f) = st.flows.get_mut(&(src, dst, seq)) {
-                if f.delivered_at.is_none() {
-                    f.delivered_at = Some(delivered_at);
+            Event::DataSent { node, dst, seq, bytes, at } => {
+                let intent = self
+                    .pending_send
+                    .get_mut(&(node, dst))
+                    .and_then(VecDeque::pop_front);
+                let flow = self.flow(node, dst, seq, bytes);
+                flow.sent_at = Some(at);
+                flow.bytes = bytes;
+                if let Some((class, handler, msg_at)) = intent {
+                    flow.class = Some(class);
+                    flow.handler = Some(handler);
+                    flow.msg_at = Some(msg_at);
+                    let delay = at.saturating_sub(msg_at);
+                    self.metrics.observe("flow.send_delay", delay);
                 }
             }
+            Event::DataQueued { .. } => self.metrics.count("transport.queued", 1),
+            Event::DataRetransmitted { node, dst, seq, .. } => {
+                self.metrics.count("transport.retransmits", 1);
+                if let Some(f) = self.flows.get_mut(&(node, dst, seq)) {
+                    f.retransmits += 1;
+                }
+            }
+            Event::DataDelivered { node, src, seq, bytes, at } => {
+                let flow = self.flow(src, node, seq, bytes);
+                flow.ready_at = Some(at);
+                let key = flow.key;
+                self.pending_dispatch
+                    .entry((node, src))
+                    .or_default()
+                    .push_back((key.src, key.dst, key.seq));
+            }
+            Event::DataDuplicate { node, src, seq, .. } => {
+                self.metrics.count("transport.duplicates", 1);
+                if let Some(f) = self.flows.get_mut(&(src, node, seq)) {
+                    f.duplicates += 1;
+                }
+            }
+            Event::WireSent { src, dst, payload, .. } => match wire_header(payload) {
+                Some((0, seq)) => {
+                    self.metrics.count("wire.sent.data", 1);
+                    // Only annotate flows the transport's `DataSent`
+                    // created: foreign traffic that merely looks like a
+                    // data frame must not fabricate flow entries.
+                    if let Some(f) = self.flows.get_mut(&(src, dst, seq)) {
+                        f.wire_sends += 1;
+                    }
+                }
+                Some((1, _)) => self.metrics.count("wire.sent.ack", 1),
+                Some((2, _)) => self.metrics.count("wire.sent.ping", 1),
+                Some((3, _)) => self.metrics.count("wire.sent.pong", 1),
+                _ => self.metrics.count("wire.sent.other", 1),
+            },
+            Event::WireDropped { src, dst, payload, .. } => {
+                self.metrics.count("wire.dropped", 1);
+                if let Some((0, seq)) = wire_header(payload) {
+                    if let Some(f) = self.flows.get_mut(&(src, dst, seq)) {
+                        f.drops += 1;
+                    }
+                }
+            }
+            Event::WireDelivered { src, dst, sent_at, delivered_at, payload } => {
+                self.metrics
+                    .observe("wire.latency", delivered_at.saturating_sub(sent_at));
+                if let Some((0, seq)) = wire_header(payload) {
+                    if let Some(f) = self.flows.get_mut(&(src, dst, seq)) {
+                        if f.delivered_at.is_none() {
+                            f.delivered_at = Some(delivered_at);
+                        }
+                    }
+                }
+            }
+            Event::IntervalClosed { rec, .. } => {
+                self.metrics.count("lrc.intervals_closed", 1);
+                self.metrics.count("lrc.write_notices", rec.pages.len() as u64);
+            }
+            Event::RecordApplied { .. } => self.metrics.count("lrc.records_applied", 1),
+            Event::PageInstalled { .. } => self.metrics.count("lrc.pages_installed", 1),
+            Event::MemRead { .. } | Event::MemWrite { .. } => {}
         }
-    }
-}
-
-impl EngineObserver for Tracer {
-    fn interval_closed(&self, _node: u32, rec: &IntervalRecord) {
-        let mut st = self.inner.borrow_mut();
-        st.metrics.count("lrc.intervals_closed", 1);
-        st.metrics
-            .count("lrc.write_notices", rec.pages.len() as u64);
-    }
-
-    fn record_applied(&self, _node: u32, _rec: &IntervalRecord) {
-        self.inner
-            .borrow_mut()
-            .metrics
-            .count("lrc.records_applied", 1);
-    }
-
-    fn page_installed(&self, _node: u32, _page: carlos_lrc::PageId, _applied: &Vc) {
-        self.inner
-            .borrow_mut()
-            .metrics
-            .count("lrc.pages_installed", 1);
     }
 }

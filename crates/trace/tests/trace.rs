@@ -2,6 +2,8 @@
 //! barriers, and demand fetches, traced and exported, with the exports
 //! validated by the crate's own JSON parser.
 
+use std::rc::Rc;
+
 use carlos_core::{Annotation, CoreConfig, MsgClass, Runtime};
 use carlos_lrc::LrcConfig;
 use carlos_sim::{time::ms, AckMode, Cluster, SimConfig};
@@ -18,9 +20,8 @@ use carlos_trace::{json, JsonValue, Tracer};
 /// hook class: sends, dispatches, costs, fetches, and sync waits.
 fn traced_run(tracer: &Tracer, ack: AckMode) -> carlos_sim::SimReport {
     let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
-    tracer.attach(&mut cluster);
+    cluster.observe(Rc::new(tracer.clone()));
     for node in 0..2u32 {
-        let tracer = tracer.clone();
         cluster.spawn_node(node, move |ctx| {
             let mut rt = Runtime::with_ack_mode(
                 ctx,
@@ -28,7 +29,6 @@ fn traced_run(tracer: &Tracer, ack: AckMode) -> carlos_sim::SimReport {
                 CoreConfig::osdi94(),
                 ack,
             );
-            tracer.install(&mut rt);
             let sys = carlos_sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             let barrier = BarrierSpec::global(900, 0);
@@ -229,26 +229,22 @@ fn traced_and_untraced_reports_match() {
 }
 
 /// A raw `send` with a `None` annotation still traces end to end, and the
-/// observer Arcs stay alive across the run.
+/// sink stays alive across the run.
 #[test]
 fn none_annotated_sends_trace_too() {
     let tracer = Tracer::new(2);
     let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
-    tracer.attach(&mut cluster);
-    let t0 = tracer.clone();
+    cluster.observe(Rc::new(tracer.clone()));
     cluster.spawn_node(0, move |ctx| {
         let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
-        t0.install(&mut rt);
         for i in 0..4u32 {
             rt.send(1, 7, i.to_le_bytes().to_vec(), Annotation::None);
         }
         let _ = rt.wait_accepted(8);
         rt.shutdown();
     });
-    let t1 = tracer.clone();
     cluster.spawn_node(1, move |ctx| {
         let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
-        t1.install(&mut rt);
         for _ in 0..4 {
             let _ = rt.wait_accepted(7);
         }

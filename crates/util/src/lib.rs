@@ -9,9 +9,13 @@
 //!   message counts and *sizes in bytes*, so every protocol message in this
 //!   repository is serialized through this codec and its size is the size
 //!   that crosses the simulated wire.
+//! - [`event`] — the one typed stream of protocol events every layer
+//!   emits, and the [`event::Sink`] trait its consumers (the checker, the
+//!   tracer) implement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod event;
 pub mod rng;

@@ -21,7 +21,10 @@ use carlos::sim::time::{ms, us};
 use carlos::sim::transport::AckMode;
 use carlos::sim::{Bucket, Cluster, SimConfig, SimReport};
 use carlos::sync::{BarrierSpec, LockSpec};
+use carlos::util::event::{Event, Sink};
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Serializes every determinism-relevant field of a report into one
 /// comparable, diffable string.
@@ -60,40 +63,31 @@ fn fingerprint(r: &SimReport) -> String {
     s
 }
 
+/// A cluster of two nodes whose event stream feeds `sink`, if any.
+fn observed(cfg: SimConfig, sink: Option<Rc<dyn Sink>>) -> Cluster {
+    let mut cluster = Cluster::new(cfg, 2);
+    if let Some(sink) = sink {
+        cluster.observe(sink);
+    }
+    cluster
+}
+
 /// A fixed 2-node lock/barrier workload over shared pages: enough traffic
 /// to exercise diff creation/application, page fetches, interval records,
 /// and the wire codec end to end.
-fn two_node_run(check: Option<Checker>, trace: Option<Tracer>) -> SimReport {
-    two_node_run_regions(check, trace, Vec::new())
+fn two_node_run(sink: Option<Rc<dyn Sink>>) -> SimReport {
+    two_node_run_regions(sink, Vec::new())
 }
 
-fn two_node_run_regions(
-    check: Option<Checker>,
-    trace: Option<Tracer>,
-    regions: Vec<RegionSpec>,
-) -> SimReport {
+fn two_node_run_regions(sink: Option<Rc<dyn Sink>>, regions: Vec<RegionSpec>) -> SimReport {
     const N: usize = 2;
-    let mut cluster = Cluster::new(SimConfig::osdi94(), N);
-    if let Some(check) = &check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &trace {
-        trace.attach(&mut cluster);
-    }
+    let mut cluster = observed(SimConfig::osdi94(), sink);
     for node in 0..N as u32 {
-        let check = check.clone();
-        let trace = trace.clone();
         let regions = regions.clone();
         cluster.spawn_node(node, move |ctx| {
             let mut lrc = LrcConfig::osdi94(N, 1 << 15);
             lrc.regions = regions.clone();
             let mut rt = Runtime::new(ctx, lrc, CoreConfig::osdi94());
-            if let Some(check) = &check {
-                check.install(&mut rt);
-            }
-            if let Some(trace) = &trace {
-                trace.install(&mut rt);
-            }
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             let b = BarrierSpec::global(9, 0);
@@ -120,27 +114,14 @@ fn two_node_run_regions(
 
 /// Same shape, but with packet loss and the ARQ transport, so retransmit
 /// paths are part of the pinned behavior too.
-fn two_node_lossy_run(check: Option<Checker>, trace: Option<Tracer>) -> SimReport {
-    two_node_lossy_run_regions(check, trace, Vec::new())
+fn two_node_lossy_run(sink: Option<Rc<dyn Sink>>) -> SimReport {
+    two_node_lossy_run_regions(sink, Vec::new())
 }
 
-fn two_node_lossy_run_regions(
-    check: Option<Checker>,
-    trace: Option<Tracer>,
-    regions: Vec<RegionSpec>,
-) -> SimReport {
+fn two_node_lossy_run_regions(sink: Option<Rc<dyn Sink>>, regions: Vec<RegionSpec>) -> SimReport {
     const N: usize = 2;
-    let cfg = SimConfig::fast_test().with_loss(0.10, 77);
-    let mut cluster = Cluster::new(cfg, N);
-    if let Some(check) = &check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &trace {
-        trace.attach(&mut cluster);
-    }
+    let mut cluster = observed(SimConfig::fast_test().with_loss(0.10, 77), sink);
     for node in 0..N as u32 {
-        let check = check.clone();
-        let trace = trace.clone();
         let regions = regions.clone();
         cluster.spawn_node(node, move |ctx| {
             let ack = AckMode::Arq {
@@ -150,12 +131,6 @@ fn two_node_lossy_run_regions(
             let mut lrc = LrcConfig::small_test(N);
             lrc.regions = regions.clone();
             let mut rt = Runtime::with_ack_mode(ctx, lrc, CoreConfig::fast_test(), ack);
-            if let Some(check) = &check {
-                check.install(&mut rt);
-            }
-            if let Some(trace) = &trace {
-                trace.install(&mut rt);
-            }
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..6 {
@@ -177,15 +152,11 @@ fn two_node_lossy_run_regions(
 /// the uniform loss: a Gilbert–Elliott burst window and a node pause. Pins
 /// the fault subsystem's behavior — GE chain consumption, deferred
 /// deliveries, ARQ recovery — not just its absence.
-fn two_node_chaos_run(check: Option<Checker>, trace: Option<Tracer>) -> SimReport {
-    two_node_chaos_run_regions(check, trace, Vec::new())
+fn two_node_chaos_run(sink: Option<Rc<dyn Sink>>) -> SimReport {
+    two_node_chaos_run_regions(sink, Vec::new())
 }
 
-fn two_node_chaos_run_regions(
-    check: Option<Checker>,
-    trace: Option<Tracer>,
-    regions: Vec<RegionSpec>,
-) -> SimReport {
+fn two_node_chaos_run_regions(sink: Option<Rc<dyn Sink>>, regions: Vec<RegionSpec>) -> SimReport {
     use carlos::sim::{FaultPlan, GeParams};
     const N: usize = 2;
     let plan = FaultPlan::new(0xC4A05)
@@ -201,16 +172,8 @@ fn two_node_chaos_run_regions(
         )
         .pause(1, us(20), ms(12));
     let cfg = SimConfig::fast_test().with_loss(0.05, 77).with_fault_plan(plan);
-    let mut cluster = Cluster::new(cfg, N);
-    if let Some(check) = &check {
-        check.attach(&mut cluster);
-    }
-    if let Some(trace) = &trace {
-        trace.attach(&mut cluster);
-    }
+    let mut cluster = observed(cfg, sink);
     for node in 0..N as u32 {
-        let check = check.clone();
-        let trace = trace.clone();
         let regions = regions.clone();
         cluster.spawn_node(node, move |ctx| {
             let ack = AckMode::Arq {
@@ -220,12 +183,6 @@ fn two_node_chaos_run_regions(
             let mut lrc = LrcConfig::small_test(N);
             lrc.regions = regions.clone();
             let mut rt = Runtime::with_ack_mode(ctx, lrc, CoreConfig::fast_test(), ack);
-            if let Some(check) = &check {
-                check.install(&mut rt);
-            }
-            if let Some(trace) = &trace {
-                trace.install(&mut rt);
-            }
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..6 {
@@ -283,7 +240,7 @@ node1 counters barrier.waits=2 carlos.accepted=3 carlos.diff_requests_served=1 c
 #[test]
 fn two_node_chaos_report_is_pinned() {
     assert_matches_golden(
-        &two_node_chaos_run(None, None),
+        &two_node_chaos_run(None),
         GOLDEN_TWO_NODE_CHAOS,
         "2-node chaos (burst loss + pause) workload",
     );
@@ -292,7 +249,7 @@ fn two_node_chaos_report_is_pinned() {
 #[test]
 fn two_node_report_is_pinned() {
     assert_matches_golden(
-        &two_node_run(None, None),
+        &two_node_run(None),
         GOLDEN_TWO_NODE,
         "2-node osdi94 workload",
     );
@@ -301,7 +258,7 @@ fn two_node_report_is_pinned() {
 #[test]
 fn two_node_lossy_report_is_pinned() {
     assert_matches_golden(
-        &two_node_lossy_run(None, None),
+        &two_node_lossy_run(None),
         GOLDEN_TWO_NODE_LOSSY,
         "2-node lossy ARQ workload",
     );
@@ -321,7 +278,7 @@ fn default_granule_regions_leave_goldens_pinned() {
         RegionSpec::new(1 << 14, 1 << 14, 8192),
     ];
     assert_matches_golden(
-        &two_node_run_regions(None, None, osdi),
+        &two_node_run_regions(None, osdi),
         GOLDEN_TWO_NODE,
         "2-node osdi94 workload with default-granule regions",
     );
@@ -331,12 +288,12 @@ fn default_granule_regions_leave_goldens_pinned() {
         RegionSpec::new(2048, 2048, 64),
     ];
     assert_matches_golden(
-        &two_node_lossy_run_regions(None, None, small.clone()),
+        &two_node_lossy_run_regions(None, small.clone()),
         GOLDEN_TWO_NODE_LOSSY,
         "2-node lossy ARQ workload with default-granule regions",
     );
     assert_matches_golden(
-        &two_node_chaos_run_regions(None, None, small),
+        &two_node_chaos_run_regions(None, small),
         GOLDEN_TWO_NODE_CHAOS,
         "2-node chaos workload with default-granule regions",
     );
@@ -408,66 +365,121 @@ fn eight_node_reports_are_pinned() {
     );
 }
 
-/// The consistency oracle is a pure observer: installing it on every node
-/// and attaching it to the wire must leave the pinned fingerprints —
-/// virtual times, event and message counts, every per-node counter —
-/// bit-identical, while the oracle itself reports a clean run.
+/// The three pinned 2-node workloads, each with an optional sink.
+const WORKLOADS: [(fn(Option<Rc<dyn Sink>>) -> SimReport, &str, &str); 3] = [
+    (two_node_run, GOLDEN_TWO_NODE, "2-node osdi94 workload"),
+    (two_node_lossy_run, GOLDEN_TWO_NODE_LOSSY, "2-node lossy ARQ workload"),
+    (two_node_chaos_run, GOLDEN_TWO_NODE_CHAOS, "2-node chaos workload"),
+];
+
+/// What the observers of one run saw: the checker's delivery count and the
+/// tracer's metrics JSON and flows, for whichever of the two was attached.
+type Seen = (Option<usize>, Option<(String, Vec<carlos::trace::Flow>)>);
+
+/// Runs the three pinned workloads with the checker, the tracer, or both
+/// attached as one sink. The checker and the tracer are pure consumers of
+/// the event stream: the pinned fingerprints — virtual times, event and
+/// message counts, every per-node counter, the chaos workload's retransmit
+/// and fault accounting — stay bit-identical, the oracle reports a clean
+/// run, and the tracer (recording flows, spans and metrics) comes back
+/// non-empty. Returns what each observer saw, one entry per workload.
+fn observe_goldens(checked: bool, traced: bool) -> Vec<Seen> {
+    let mut seen = Vec::new();
+    for (run, golden, what) in WORKLOADS {
+        let check = checked.then(|| Checker::new(2));
+        let trace = traced.then(|| Tracer::new(2));
+        let what = format!("{what}, checked {checked}, traced {traced}");
+        let report = run(Some(Rc::new((check.clone(), trace.clone()))));
+        assert_matches_golden(&report, golden, &what);
+        let deliveries = check.map(|check| {
+            check.assert_clean();
+            check.deliveries().len()
+        });
+        let trace = trace.map(|trace| {
+            assert!(!trace.flows().is_empty(), "{what}: tracer saw no flows");
+            assert!(
+                trace.metrics().counter("msg.sent.REQUEST") > 0,
+                "{what}: tracer saw no REQUEST sends"
+            );
+            (trace.metrics().to_json(), trace.flows())
+        });
+        seen.push((deliveries, trace));
+    }
+    seen
+}
+
 #[test]
 fn checker_is_invisible_to_the_goldens() {
-    for (run, golden, what) in [
-        (
-            two_node_run as fn(Option<Checker>, Option<Tracer>) -> SimReport,
-            GOLDEN_TWO_NODE,
-            "checked 2-node osdi94 workload",
-        ),
-        (
-            two_node_lossy_run,
-            GOLDEN_TWO_NODE_LOSSY,
-            "checked 2-node lossy ARQ workload",
-        ),
-        (
-            two_node_chaos_run,
-            GOLDEN_TWO_NODE_CHAOS,
-            "checked 2-node chaos workload",
-        ),
-    ] {
-        let check = Checker::new(2);
-        assert_matches_golden(&run(Some(check.clone()), None), golden, what);
-        check.assert_clean();
-    }
+    observe_goldens(true, false);
 }
 
-/// The tracer, too, is a pure observer: with it installed on every node,
-/// attached to the wire, and recording flows, spans, and metrics, the
-/// pinned fingerprints — including the chaos workload's retransmit and
-/// fault accounting — stay bit-identical, while the tracer itself comes
-/// back non-empty.
 #[test]
 fn tracer_is_invisible_to_the_goldens() {
-    for (run, golden, what) in [
-        (
-            two_node_run as fn(Option<Checker>, Option<Tracer>) -> SimReport,
-            GOLDEN_TWO_NODE,
-            "traced 2-node osdi94 workload",
-        ),
-        (
-            two_node_lossy_run,
-            GOLDEN_TWO_NODE_LOSSY,
-            "traced 2-node lossy ARQ workload",
-        ),
-        (
-            two_node_chaos_run,
-            GOLDEN_TWO_NODE_CHAOS,
-            "traced 2-node chaos workload",
-        ),
-    ] {
-        let trace = Tracer::new(2);
-        assert_matches_golden(&run(None, Some(trace.clone())), golden, what);
-        assert!(!trace.flows().is_empty(), "{what}: tracer saw no flows");
-        assert!(
-            trace.metrics().counter("msg.sent.REQUEST") > 0,
-            "{what}: tracer saw no REQUEST sends"
-        );
+    observe_goldens(false, true);
+}
+
+/// With both attached, the goldens still hold, and each observer sees
+/// beside the other exactly what it sees alone.
+#[test]
+fn observers_are_invisible_to_the_goldens() {
+    let checked = observe_goldens(true, false);
+    let traced = observe_goldens(false, true);
+    let both = observe_goldens(true, true);
+    for (i, (_, _, what)) in WORKLOADS.into_iter().enumerate() {
+        assert_eq!(both[i].0, checked[i].0, "{what}: deliveries beside the tracer");
+        assert_eq!(both[i].1, traced[i].1, "{what}: trace beside the checker");
     }
 }
 
+/// A third consumer of the stream: the FNV-1a hash of every event's `Debug`
+/// form, in stream order, and the number of events.
+#[derive(Clone)]
+struct Digest(Rc<RefCell<(u64, u64, String)>>);
+
+impl Digest {
+    fn new() -> Self {
+        Self(Rc::new(RefCell::new((0xcbf2_9ce4_8422_2325, 0, String::new()))))
+    }
+
+    fn value(&self) -> String {
+        let (hash, events, _) = &*self.0.borrow();
+        format!("{events} events, fnv {hash:#018x}")
+    }
+}
+
+impl Sink for Digest {
+    fn event(&self, ev: &Event<'_>) {
+        let (hash, events, buf) = &mut *self.0.borrow_mut();
+        buf.clear();
+        let _ = write!(buf, "{ev:?}");
+        for b in buf.bytes() {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        *events += 1;
+    }
+}
+
+/// The whole event stream of each pinned workload, hashed: it repeats
+/// run to run, it is the same when the checker and the tracer share the
+/// stream with the digest (a three-way fan-out), and it is pinned. It
+/// moves when any event, or the order of any two, does.
+#[test]
+fn event_stream_digests_are_pinned() {
+    let pinned = [
+        "1184 events, fnv 0x6b730073ddd760bc",
+        "156 events, fnv 0x4308ae32a8e05e70",
+        "222 events, fnv 0xc4cb95082fa5373d",
+    ];
+    for ((run, golden, what), pin) in WORKLOADS.into_iter().zip(pinned) {
+        let digest = |sink: fn(Digest) -> Rc<dyn Sink>| {
+            let d = Digest::new();
+            assert_matches_golden(&run(Some(sink(d.clone()))), golden, what);
+            d.value()
+        };
+        let first = digest(|d| Rc::new(d));
+        assert_eq!(digest(|d| Rc::new(d)), first, "{what}: stream differs run to run");
+        let fanned = digest(|d| Rc::new((Checker::new(2), (Tracer::new(2), d))));
+        assert_eq!(fanned, first, "{what}: stream differs beside the checker and tracer");
+        assert_eq!(first, pin, "{what}: event stream digest moved");
+    }
+}

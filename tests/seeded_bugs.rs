@@ -38,13 +38,15 @@
 //! 8 cells, at 12 the baseline itself trips, and on 3 nodes at 14 the
 //! sweep hits 5.
 
-use carlos::apps::{App, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak};
+use carlos::apps::{launch_with, App, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak};
+use carlos::check::Checker;
 use carlos::core::{CoreConfig, SeededBug};
 use carlos::explore::{
     base_sim, explore, observe, planned, random_sweep, ExploreConfig, ExploreResult, Observation,
 };
 use carlos::sim::time::us;
 use carlos::sim::SchedulePlan;
+use carlos::trace::Tracer;
 
 /// The random sweep's per-app grid, exactly as in `examples/explore.rs`.
 const SEEDS: [u64; 6] = [1, 2, 3, 0xBEEF, 0x5EED_0115, 0xD15C_07E4];
@@ -240,4 +242,28 @@ fn random_sweep_does_find_the_schedule_independent_bug() {
     let h = seeded(3, TSP, SeededBug::DropNoticeClock);
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
     assert!(s.violations > 0, "expected HB violations: {}", s.human_line());
+}
+
+/// The checker and the tracer compose: on one run each sees exactly what
+/// it sees alone. Bug 1's encoder slip gives the checker something to
+/// report, so a checker blinded by the tracer beside it would show.
+#[test]
+fn checker_beside_a_tracer_sees_what_it_sees_alone() {
+    let spec = seeded(3, TSP, SeededBug::DropNoticeClock);
+    let observe = |checked: bool, traced: bool| {
+        let check = checked.then(|| Checker::new(spec.n));
+        let trace = traced.then(|| Tracer::new(spec.n));
+        let _ = launch_with(&spec, check.clone(), trace.clone());
+        (
+            check.map(|c| c.violations()),
+            trace.map(|t| (t.metrics().to_json(), t.flows())),
+        )
+    };
+    let (alone, _) = observe(true, false);
+    let (_, traced) = observe(false, true);
+    let (violations, both_traced) = observe(true, true);
+    let alone = alone.expect("checked");
+    assert!(!alone.is_empty(), "the HB tracker must flag the reverted clock component");
+    assert_eq!(violations.expect("checked"), alone, "the tracer changed what the checker saw");
+    assert_eq!(both_traced, traced, "the checker changed what the tracer saw");
 }
