@@ -14,14 +14,14 @@ use carlos_apps::{App, Reference, Scale, Spec};
 use carlos_explore::{fingerprint, observe, planned, shrink, Observation, RunStatus};
 use carlos_sim::time::us;
 use carlos_sim::SchedulePlan;
-use proptest::prelude::*;
+use carlos_util::cases::{cases, Gen};
 
-/// A plan built from arbitrary (src, dst, seq, delay) tuples. Flows that
-/// name a (src, dst, seq) never sent are legal — they simply match no
+/// A plan built from `len` arbitrary (src, dst, seq, delay) tuples. Flows
+/// that name a (src, dst, seq) never sent are legal — they simply match no
 /// frame — so arbitrary tuples exercise the full plan surface.
-fn plan_from(tuples: &[(u32, u32, u32, u64)]) -> SchedulePlan {
+fn plan_from(g: &mut Gen, len: std::ops::Range<usize>) -> SchedulePlan {
     let mut plan = SchedulePlan::new();
-    for &(src, dst, seq, delay) in tuples {
+    for (src, dst, seq, delay) in g.vec(len, |g| (g.u32(), g.u32(), g.u32(), g.u64())) {
         let (src, dst) = (src % 3, dst % 3);
         if src != dst {
             plan.add(src, dst, seq % 40, us(1) + delay % us(300));
@@ -30,56 +30,52 @@ fn plan_from(tuples: &[(u32, u32, u32, u64)]) -> SchedulePlan {
     plan
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Same plan in, bit-identical run out: equal delivery fingerprints,
-    /// equal outcome, equal violation count — on every rerun.
-    #[test]
-    fn same_plan_is_bit_identical(
-        tuples in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()), 0..4)
-    ) {
-        let plan = plan_from(&tuples);
+/// Same plan in, bit-identical run out: equal delivery fingerprints,
+/// equal outcome, equal violation count — on every rerun.
+#[test]
+fn same_plan_is_bit_identical() {
+    cases("same_plan_is_bit_identical", 6, |g| {
+        let plan = plan_from(g, 0..4);
         let spec = Spec::new(App::Sor, 3, Scale::Test);
         let reference = Reference::of(&spec);
         let a = observe(&planned(&spec, &plan), &reference);
         let b = observe(&planned(&spec, &plan), &reference);
-        prop_assert_eq!(fingerprint(&a.deliveries), fingerprint(&b.deliveries));
-        prop_assert_eq!(a.status, b.status);
-        prop_assert_eq!(a.violations.len(), b.violations.len());
-        prop_assert_eq!(a.deliveries.len(), b.deliveries.len());
-    }
+        assert_eq!(fingerprint(&a.deliveries), fingerprint(&b.deliveries));
+        assert_eq!(a.status, b.status);
+        assert_eq!(a.violations.len(), b.violations.len());
+        assert_eq!(a.deliveries.len(), b.deliveries.len());
+    });
+}
 
-    /// Plans that realize the same delivery order are one equivalence
-    /// class: padding a plan with perturbations of flows that are never
-    /// sent (seq far beyond the run's traffic) changes nothing, so the
-    /// padded plan must land on the same canonical fingerprint.
-    #[test]
-    fn equivalent_plans_share_one_fingerprint(
-        tuples in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()), 0..3),
-        pad_src in 0u32..3,
-        pad_delay in 1u64..1_000_000,
-    ) {
-        let plan = plan_from(&tuples);
-        let padded = plan.clone().delay(pad_src, (pad_src + 1) % 3, 1_000_000, pad_delay);
-        prop_assert_ne!(&plan, &padded);
+/// Plans that realize the same delivery order are one equivalence
+/// class: padding a plan with perturbations of flows that are never
+/// sent (seq far beyond the run's traffic) changes nothing, so the
+/// padded plan must land on the same canonical fingerprint.
+#[test]
+fn equivalent_plans_share_one_fingerprint() {
+    cases("equivalent_plans_share_one_fingerprint", 6, |g| {
+        let plan = plan_from(g, 0..3);
+        let (pad_src, pad_delay) = (g.range(0u32..3), g.range(1u64..1_000_000));
+        let padded = plan
+            .clone()
+            .delay(pad_src, (pad_src + 1) % 3, 1_000_000, pad_delay);
+        assert_ne!(&plan, &padded);
         let spec = Spec::new(App::Sor, 3, Scale::Test);
         let reference = Reference::of(&spec);
         let a = observe(&planned(&spec, &plan), &reference);
         let b = observe(&planned(&spec, &padded), &reference);
-        prop_assert_eq!(fingerprint(&a.deliveries), fingerprint(&b.deliveries));
-    }
+        assert_eq!(fingerprint(&a.deliveries), fingerprint(&b.deliveries));
+    });
+}
 
-    /// Shrink output is 1-minimal. The failure model: a run fails iff its
-    /// plan still contains every flow of a hidden culprit subset. The
-    /// shrinker must strip all the noise and keep exactly the culprits —
-    /// and removing any single survivor must break reproduction.
-    #[test]
-    fn shrink_keeps_exactly_the_culprits(
-        tuples in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), any::<u64>()), 1..6),
-        culprit_mask in any::<u32>(),
-    ) {
-        let noisy = plan_from(&tuples);
+/// Shrink output is 1-minimal. The failure model: a run fails iff its
+/// plan still contains every flow of a hidden culprit subset. The
+/// shrinker must strip all the noise and keep exactly the culprits —
+/// and removing any single survivor must break reproduction.
+#[test]
+fn shrink_keeps_exactly_the_culprits() {
+    cases("shrink_keeps_exactly_the_culprits", 6, |g| {
+        let (noisy, culprit_mask) = (plan_from(g, 1..6), g.u32());
         if noisy.is_empty() {
             return;
         }
@@ -92,24 +88,31 @@ proptest! {
             .collect();
         let fails = |p: &SchedulePlan| culprits.iter().all(|&(s, d, q)| p.contains(s, d, q));
         let mut run = |p: &SchedulePlan| Observation {
-            status: if fails(p) { RunStatus::WrongAnswer } else { RunStatus::Ok },
+            status: if fails(p) {
+                RunStatus::WrongAnswer
+            } else {
+                RunStatus::Ok
+            },
             violations: Vec::new(),
             deliveries: Vec::new(),
         };
         let first = run(&noisy);
-        prop_assert!(first.failed(), "noisy plan contains all culprits by construction");
+        assert!(
+            first.failed(),
+            "noisy plan contains all culprits by construction"
+        );
         let mut execs = 0;
         let (minimal, last) = shrink(noisy, first, &mut run, &mut execs);
         // Exactly the culprit set survives.
         let kept: Vec<_> = minimal.iter().map(|(f, _)| f).collect();
-        prop_assert_eq!(&kept, &culprits);
-        prop_assert!(last.failed());
-        prop_assert!(execs >= kept.len(), "final pass re-tries every survivor");
+        assert_eq!(&kept, &culprits);
+        assert!(last.failed());
+        assert!(execs >= kept.len(), "final pass re-tries every survivor");
         // 1-minimality, verified directly: no single removal still fails.
         for (src, dst, seq) in kept {
             let mut probe = minimal.clone();
             probe.remove(src, dst, seq);
-            prop_assert!(!run(&probe).failed());
+            assert!(!run(&probe).failed());
         }
-    }
+    });
 }

@@ -676,7 +676,7 @@ impl LrcEngine {
 
     /// [`LrcEngine::covers_with_claims`] answered from the interval store,
     /// one lookup per index in each creator's `(applied, max_notice]`: the
-    /// reference the equivalence proptest below holds the per-page list to.
+    /// reference the equivalence property below holds the per-page list to.
     #[cfg(test)]
     fn covers_by_store_walk(&self, page: PageId, claims: &[DiffRecord]) -> bool {
         let Some(meta) = self.pages.get(page) else {
@@ -966,7 +966,7 @@ impl LrcEngine {
 
 #[cfg(test)]
 mod tests {
-    use proptest::prelude::*;
+    use carlos_util::cases::cases;
 
     use super::*;
     use crate::config::PageOwnership;
@@ -1065,29 +1065,25 @@ mod tests {
                         );
                         // (A page without a copy demands no diffs, so its
                         // claims are empty and both say "nothing known".)
-                        prop_assert_eq!(list, walk, "node {} page {}", node, page);
+                        assert_eq!(list, walk, "node {node} page {page}");
                     }
                     if let Some(meta) = e.pages.get(page) {
                         let listed = e.outstanding.contains_key(&page);
                         let behind = meta.state != PageState::Missing && !meta.up_to_date();
-                        prop_assert_eq!(listed, behind, "node {} page {}", node, page);
+                        assert_eq!(listed, behind, "node {node} page {page}");
                     }
                 }
             }
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-        #[test]
-        fn outstanding_notices_match_the_store_walk(
-            shape in (2usize..5, any::<bool>()),
-            ops in proptest::collection::vec(
-                (0usize..10, 0usize..4, 0usize..4, 0u32..PAGES, any::<u32>()),
-                1..100,
-            ),
-        ) {
-            let (n, banded) = shape;
+    #[test]
+    fn outstanding_notices_match_the_store_walk() {
+        cases("outstanding_notices_match_the_store_walk", 256, |g| {
+            let (n, banded) = (g.range(2usize..5), g.bool());
+            let ops = g.vec(1..100, |g| {
+                (g.range(0usize..10), g.range(0usize..4), g.range(0usize..4), g.range(0..PAGES), g.u32())
+            });
             let mut c = Cluster::new(n, banded);
             for (kind, node, peer, page, mask) in ops {
                 let (node, peer) = (node % n, peer % n);
@@ -1108,6 +1104,6 @@ mod tests {
                 }
                 c.check(mask);
             }
-        }
+        });
     }
 }

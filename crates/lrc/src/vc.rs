@@ -366,16 +366,12 @@ mod algebra_props {
     //! are pinned here rather than assumed.
 
     use super::*;
-    use proptest::prelude::*;
+    use carlos_util::cases::{cases, Gen};
 
     /// Small components over a small cluster keep the order relation dense
     /// enough that dominated, dominating, and concurrent pairs all appear.
-    fn vc3() -> impl Strategy<Value = Vc> {
-        proptest::collection::vec(0u32..5, 4).prop_map(|comps| {
-            let mut vc = Vc::new(comps.len());
-            vc.as_mut_slice().copy_from_slice(&comps);
-            vc
-        })
+    fn vc3(g: &mut Gen) -> Vc {
+        Vc::from_slice(&[(); 4].map(|()| g.range(0u32..5)))
     }
 
     fn joined(a: &Vc, b: &Vc) -> Vc {
@@ -384,44 +380,51 @@ mod algebra_props {
         j
     }
 
-    proptest! {
-        #[test]
-        fn join_is_upper_bound_commutative_idempotent(a in vc3(), b in vc3()) {
+    #[test]
+    fn join_is_upper_bound_commutative_idempotent() {
+        cases("join_is_upper_bound_commutative_idempotent", 64, |g| {
+            let (a, b) = (vc3(g), vc3(g));
             let ab = joined(&a, &b);
-            prop_assert!(ab.dominates(&a), "join must dominate left input");
-            prop_assert!(ab.dominates(&b), "join must dominate right input");
-            prop_assert_eq!(&ab, &joined(&b, &a), "join must be commutative");
-            prop_assert_eq!(&joined(&a, &a), &a, "join must be idempotent");
-        }
+            assert!(ab.dominates(&a), "join must dominate left input");
+            assert!(ab.dominates(&b), "join must dominate right input");
+            assert_eq!(&ab, &joined(&b, &a), "join must be commutative");
+            assert_eq!(&joined(&a, &a), &a, "join must be idempotent");
+        });
+    }
 
-        #[test]
-        fn join_is_least_upper_bound(a in vc3(), b in vc3(), c in vc3()) {
+    #[test]
+    fn join_is_least_upper_bound() {
+        cases("join_is_least_upper_bound", 64, |g| {
+            let (a, b, c) = (vc3(g), vc3(g), vc3(g));
             // Any common upper bound of a and b dominates their join.
             if c.dominates(&a) && c.dominates(&b) {
-                prop_assert!(c.dominates(&joined(&a, &b)));
+                assert!(c.dominates(&joined(&a, &b)));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn dominates_is_a_partial_order(a in vc3(), b in vc3(), c in vc3()) {
-            prop_assert!(a.dominates(&a), "reflexivity");
+    #[test]
+    fn dominates_is_a_partial_order() {
+        cases("dominates_is_a_partial_order", 64, |g| {
+            let (a, b, c) = (vc3(g), vc3(g), vc3(g));
+            assert!(a.dominates(&a), "reflexivity");
             if a.dominates(&b) && b.dominates(&a) {
-                prop_assert_eq!(&a, &b, "antisymmetry");
+                assert_eq!(&a, &b, "antisymmetry");
             }
             if a.dominates(&b) && b.dominates(&c) {
-                prop_assert!(a.dominates(&c), "transitivity");
+                assert!(a.dominates(&c), "transitivity");
             }
-        }
+        });
+    }
 
-        #[test]
-        fn concurrent_is_symmetric_and_irreflexive(a in vc3(), b in vc3()) {
-            prop_assert_eq!(a.concurrent(&b), b.concurrent(&a), "symmetry");
-            prop_assert!(!a.concurrent(&a), "irreflexivity");
+    #[test]
+    fn concurrent_is_symmetric_and_irreflexive() {
+        cases("concurrent_is_symmetric_and_irreflexive", 64, |g| {
+            let (a, b) = (vc3(g), vc3(g));
+            assert_eq!(a.concurrent(&b), b.concurrent(&a), "symmetry");
+            assert!(!a.concurrent(&a), "irreflexivity");
             // Concurrency is exactly the absence of order, either way.
-            prop_assert_eq!(
-                a.concurrent(&b),
-                !a.dominates(&b) && !b.dominates(&a)
-            );
-        }
+            assert_eq!(a.concurrent(&b), !a.dominates(&b) && !b.dominates(&a));
+        });
     }
 }

@@ -2,7 +2,7 @@
 
 use carlos_lrc::{Demand, Diff, DiffRecord, LrcConfig, LrcEngine, Vc, WORD};
 use carlos_util::codec::{DecodeError, Decoder, Wire};
-use proptest::prelude::*;
+use carlos_util::cases::{cases, Gen};
 
 type Runs = Vec<(u32, Vec<u8>)>;
 
@@ -149,10 +149,10 @@ fn sync_release(engines: &mut [LrcEngine], from: usize, to: usize) {
     engines[to].apply_records(records);
 }
 
-proptest! {
-    #[test]
-    fn diff_roundtrip(twin in proptest::collection::vec(any::<u8>(), 128),
-                      edits in proptest::collection::vec((0usize..128, any::<u8>()), 0..40)) {
+#[test]
+fn diff_roundtrip() {
+    cases("diff_roundtrip", 64, |g| {
+        let (twin, edits) = (g.bytes(128), g.vec(0..40, |g| (g.range(0usize..128), g.u8())));
         let mut cur = twin.clone();
         for (i, v) in edits {
             cur[i] = v;
@@ -160,20 +160,20 @@ proptest! {
         let d = Diff::create(&twin, &cur);
         let mut rebuilt = twin.clone();
         d.apply(&mut rebuilt);
-        prop_assert_eq!(rebuilt, cur);
+        assert_eq!(rebuilt, cur);
         // Modified byte count never exceeds the edit count upper bound.
-        prop_assert!(d.modified_bytes() <= 128);
-    }
+        assert!(d.modified_bytes() <= 128);
+    });
+}
 
-    /// `Diff::create` holds exactly the reference scanner's runs on random
-    /// pages of every length, multiples of the word or not (the two-word
-    /// step's hand-off to single words and to a short last word is the
-    /// risky part), whether edits are scattered bytes or rewritten words.
-    #[test]
-    fn create_equals_reference_scanner(
-        len in 0usize..200,
-        edits in proptest::collection::vec((0usize..200, any::<u8>()), 0..64),
-    ) {
+/// `Diff::create` holds exactly the reference scanner's runs on random
+/// pages of every length, multiples of the word or not (the two-word
+/// step's hand-off to single words and to a short last word is the
+/// risky part), whether edits are scattered bytes or rewritten words.
+#[test]
+fn create_equals_reference_scanner() {
+    cases("create_equals_reference_scanner", 64, |g| {
+        let (len, edits) = (g.range(0usize..200), g.vec(0..64, |g| (g.range(0usize..200), g.u8())));
         let twin: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
         let mut cur = twin.clone();
         for (k, (i, v)) in edits.into_iter().enumerate() {
@@ -184,59 +184,61 @@ proptest! {
                 cur[at..len.min(at + span)].fill(v);
             }
         }
-        prop_assert_eq!(runs_of(&Diff::create(&twin, &cur)), reference_runs(&twin, &cur));
-    }
+        assert_eq!(runs_of(&Diff::create(&twin, &cur)), reference_runs(&twin, &cur));
+    });
+}
 
-    /// Degenerate dirtiness extremes at word-multiple and odd sizes.
-    #[test]
-    fn create_equals_reference_at_extremes(len in 1usize..96, flip in any::<bool>()) {
+/// Degenerate dirtiness extremes at word-multiple and odd sizes.
+#[test]
+fn create_equals_reference_at_extremes() {
+    cases("create_equals_reference_at_extremes", 64, |g| {
+        let (len, flip) = (g.range(1usize..96), g.bool());
         let twin = vec![0xA5u8; len];
         let cur = if flip { vec![0x5Au8; len] } else { twin.clone() };
         let d = Diff::create(&twin, &cur);
-        prop_assert_eq!(runs_of(&d), reference_runs(&twin, &cur));
-        prop_assert_eq!(d.modified_bytes(), if flip { len } else { 0 });
-        prop_assert_eq!(d.is_empty(), !flip);
-    }
+        assert_eq!(runs_of(&d), reference_runs(&twin, &cur));
+        assert_eq!(d.modified_bytes(), if flip { len } else { 0 });
+        assert_eq!(d.is_empty(), !flip);
+    });
+}
 
-    /// Diffing at the variable-coherence granule sizes (sub-page 64 B and
-    /// 256 B fine granules, the 8 KiB page, 1 MiB bulk granules):
-    /// create/apply roundtrips and the scanner still matches the reference
-    /// exactly. Granules are always powers of two, so unlike
-    /// `create_equals_reference_scanner` these lengths never exercise the
-    /// short-last-word path — what they add is coverage of whole-buffer
-    /// scans at every size the system diffs.
-    #[test]
-    fn granule_sized_diffs_match_reference(
-        size_sel in 0usize..4,
-        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..48),
-        seed in any::<u64>(),
-    ) {
-        let len = [64usize, 256, 8192, 1 << 20][size_sel];
-        let mut rng = carlos_util::rng::Xoshiro256::new(seed | 1);
+/// Diffing at the variable-coherence granule sizes (sub-page 64 B and
+/// 256 B fine granules, the 8 KiB page, 1 MiB bulk granules):
+/// create/apply roundtrips and the scanner still matches the reference
+/// exactly. Granules are always powers of two, so unlike
+/// `create_equals_reference_scanner` these lengths never exercise the
+/// short-last-word path — what they add is coverage of whole-buffer
+/// scans at every size the system diffs.
+#[test]
+fn granule_sized_diffs_match_reference() {
+    cases("granule_sized_diffs_match_reference", 64, |g| {
+        let len = [64usize, 256, 8192, 1 << 20][g.below(4)];
+        let edits = g.vec(0..48, |g| (g.u64() as usize, g.u8()));
+        let mut rng = carlos_util::rng::Xoshiro256::new(g.u64() | 1);
         let twin: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let mut cur = twin.clone();
         for (i, v) in edits {
             cur[i % len] = v;
         }
         let d = Diff::create(&twin, &cur);
-        prop_assert_eq!(runs_of(&d), reference_runs(&twin, &cur), "scanners diverged at {} B granule", len);
+        assert_eq!(runs_of(&d), reference_runs(&twin, &cur), "scanners diverged at {len} B granule");
         let mut rebuilt = twin.clone();
         d.apply(&mut rebuilt);
-        prop_assert_eq!(rebuilt, cur);
-    }
+        assert_eq!(rebuilt, cur);
+    });
+}
 
-    /// What makes the word rule safe and worth having, on scattered bytes
-    /// and on rewritten typed elements alike: the diff rebuilds the page;
-    /// it carries **no byte of a word the writer left clean** (so it cannot
-    /// overwrite what a concurrent writer of another word wrote); and its
-    /// encoding is never longer than the byte-granular one.
-    #[test]
-    fn word_runs_are_safe_and_never_larger(
-        len in 1usize..300,
-        edits in proptest::collection::vec((any::<usize>(), 1usize..9, any::<u32>()), 0..40),
-        seed in any::<u64>(),
-    ) {
-        let mut rng = carlos_util::rng::Xoshiro256::new(seed | 1);
+/// What makes the word rule safe and worth having, on scattered bytes
+/// and on rewritten typed elements alike: the diff rebuilds the page;
+/// it carries **no byte of a word the writer left clean** (so it cannot
+/// overwrite what a concurrent writer of another word wrote); and its
+/// encoding is never longer than the byte-granular one.
+#[test]
+fn word_runs_are_safe_and_never_larger() {
+    cases("word_runs_are_safe_and_never_larger", 64, |g| {
+        let len = g.range(1usize..300);
+        let edits = g.vec(0..40, |g| (g.u64() as usize, g.range(1usize..9), g.u32()));
+        let mut rng = carlos_util::rng::Xoshiro256::new(g.u64() | 1);
         let twin: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
         let mut cur = twin.clone();
         for (at, width, v) in edits {
@@ -250,59 +252,57 @@ proptest! {
         let d = Diff::create(&twin, &cur);
         let mut rebuilt = twin.clone();
         d.apply(&mut rebuilt);
-        prop_assert_eq!(&rebuilt, &cur);
+        assert_eq!(&rebuilt, &cur);
         let word_dirty = |w: usize| twin[w * WORD..len.min(w * WORD + WORD)] != cur[w * WORD..len.min(w * WORD + WORD)];
         for (offset, data) in d.runs() {
             for i in offset as usize..offset as usize + data.len() {
-                prop_assert!(word_dirty(i / WORD), "byte {} carried from a clean word", i);
+                assert!(word_dirty(i / WORD), "byte {i} carried from a clean word");
             }
         }
-        prop_assert!(d.wire_len() <= wire_len(&byte_runs(&twin, &cur)));
-        prop_assert_eq!(d.wire_len(), wire_len(&runs_of(&d)));
-    }
+        assert!(d.wire_len() <= wire_len(&byte_runs(&twin, &cur)));
+        assert_eq!(d.wire_len(), wire_len(&runs_of(&d)));
+    });
+}
 
-    /// `decode(encode(d)) == d` for a whole record, whose `wire_len` is its
-    /// encoding's length.
-    #[test]
-    fn record_wire_roundtrip(twin in proptest::collection::vec(any::<u8>(), 64),
-                             edits in proptest::collection::vec((0usize..64, any::<u8>()), 0..20),
-                             ids in proptest::collection::vec(any::<u32>(), 4),
-                             // The wire saturates clock components at 16 bits.
-                             clock in proptest::collection::vec(0u32..=65_535, 0..12)) {
+/// `decode(encode(d)) == d` for a whole record, whose `wire_len` is its
+/// encoding's length.
+#[test]
+fn record_wire_roundtrip() {
+    cases("record_wire_roundtrip", 64, |g| {
+        let (twin, edits) = (g.bytes(64), g.vec(0..20, |g| (g.range(0usize..64), g.u8())));
+        let ids = [(); 4].map(|()| g.u32());
+        // The wire saturates clock components at 16 bits.
+        let clock = g.vec(0..12, |g| g.range(0u32..=65_535));
         let mut cur = twin.clone();
         for (i, v) in edits {
             cur[i] = v;
-        }
-        let mut vc = Vc::new(clock.len());
-        for (i, &v) in clock.iter().enumerate() {
-            vc.set(i as u32, v);
         }
         let rec = DiffRecord {
             node: ids[0],
             page: ids[1],
             first: ids[2],
             last: ids[3],
-            vc,
+            vc: Vc::from_slice(&clock),
             diff: Diff::create(&twin, &cur),
         };
         let wire = rec.to_wire();
-        prop_assert_eq!(rec.wire_len(), wire.len());
-        prop_assert_eq!(rec.diff.wire_len(), rec.diff.to_wire().len());
-        prop_assert_eq!(Diff::from_wire(&rec.diff.to_wire()).unwrap(), rec.diff.clone());
-        prop_assert_eq!(DiffRecord::from_wire(&wire).unwrap(), rec);
-    }
+        assert_eq!(rec.wire_len(), wire.len());
+        assert_eq!(rec.diff.wire_len(), rec.diff.to_wire().len());
+        assert_eq!(Diff::from_wire(&rec.diff.to_wire()).unwrap(), rec.diff.clone());
+        assert_eq!(DiffRecord::from_wire(&wire).unwrap(), rec);
+    });
+}
 
-    /// Decoding never trusts its input: arbitrary bytes, run lengths that
-    /// lie, and valid encodings cut short or with one bit flipped.
-    #[test]
-    fn decoders_survive_any_bytes(
-        noise in proptest::collection::vec(any::<u8>(), 0..96),
-        claims in proptest::collection::vec((any::<u32>(), 0u32..12, proptest::collection::vec(any::<u8>(), 0..12)), 0..6),
-        count_skew in 0u32..3,
-        edits in proptest::collection::vec((0usize..64, any::<u8>()), 0..20),
-        cut in any::<usize>(),
-        flip in any::<usize>(),
-    ) {
+/// Decoding never trusts its input: arbitrary bytes, run lengths that
+/// lie, and valid encodings cut short or with one bit flipped.
+#[test]
+fn decoders_survive_any_bytes() {
+    cases("decoders_survive_any_bytes", 64, |g| {
+        let noise = g.vec(0..96, Gen::u8);
+        let claims = g.vec(0..6, |g| (g.u32(), g.range(0u32..12), g.vec(0..12, Gen::u8)));
+        let count_skew = g.range(0u32..3);
+        let edits = g.vec(0..20, |g| (g.range(0usize..64), g.u8()));
+        let (cut, flip) = (g.u64() as usize, g.u64() as usize);
         check_decoders(&noise);
 
         let mut lying = (claims.len() as u32 + count_skew).saturating_sub(1).to_le_bytes().to_vec();
@@ -332,52 +332,51 @@ proptest! {
             flipped[flip / 8 % wire.len()] ^= 1 << (flip % 8);
             check_decoders(&flipped);
         }
-    }
+    });
+}
 
-    #[test]
-    fn vc_lattice_laws(a in proptest::collection::vec(0u32..100, 4),
-                       b in proptest::collection::vec(0u32..100, 4)) {
-        let mut va = Vc::new(4);
-        let mut vb = Vc::new(4);
-        for i in 0..4 {
-            va.set(i as u32, a[i]);
-            vb.set(i as u32, b[i]);
-        }
+#[test]
+fn vc_lattice_laws() {
+    cases("vc_lattice_laws", 64, |g| {
+        let va = Vc::from_slice(&[(); 4].map(|()| g.range(0u32..100)));
+        let vb = Vc::from_slice(&[(); 4].map(|()| g.range(0u32..100)));
         // Join is an upper bound of both.
         let mut j = va.clone();
         j.join(&vb);
-        prop_assert!(j.dominates(&va));
-        prop_assert!(j.dominates(&vb));
+        assert!(j.dominates(&va));
+        assert!(j.dominates(&vb));
         // Join is commutative.
         let mut j2 = vb.clone();
         j2.join(&va);
-        prop_assert_eq!(&j, &j2);
+        assert_eq!(&j, &j2);
         // Join is idempotent.
         let mut j3 = j.clone();
         j3.join(&j);
-        prop_assert_eq!(&j3, &j);
+        assert_eq!(&j3, &j);
         // Domination is antisymmetric up to equality.
         if va.dominates(&vb) && vb.dominates(&va) {
-            prop_assert_eq!(&va, &vb);
+            assert_eq!(&va, &vb);
         }
         // sum() is a monotone witness.
         if va.dominates(&vb) {
-            prop_assert!(va.sum() >= vb.sum());
+            assert!(va.sum() >= vb.sum());
         }
-    }
+    });
+}
 
-    /// Data-race-free fuzz: each node owns a disjoint byte range and writes
-    /// random values into it with random interleavings of release pairs.
-    /// After a closing all-to-all synchronization, every node must read
-    /// every writer's final values.
-    #[test]
-    fn drf_runs_converge(ops in proptest::collection::vec((0usize..3, 0usize..48, any::<u8>(), 0usize..3), 1..60)) {
+/// Data-race-free fuzz: each node owns a disjoint byte range and writes
+/// random values into it with random interleavings of release pairs.
+/// After a closing all-to-all synchronization, every node must read
+/// every writer's final values.
+#[test]
+fn drf_runs_converge() {
+    cases("drf_runs_converge", 64, |g| {
+        let ops = g.vec(1..60, |g| (g.range(0usize..3), g.range(0usize..48), g.u8(), g.range(0usize..3)));
         let n = 3usize;
         let cfg = LrcConfig::small_test(n);
         let region = cfg.region_bytes;
         let slice = region / n;
-        let mut engines: Vec<LrcEngine> =
-            (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect();
+        let mut engines: Vec<LrcEngine> = (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect();
         let mut expected = vec![0u8; region];
 
         for (node, off, val, peer) in ops {
@@ -402,18 +401,20 @@ proptest! {
         for node in 0..n {
             let mut buf = vec![0u8; region];
             resolve_read(&mut engines, node, 0, &mut buf);
-            prop_assert_eq!(&buf, &expected, "node {} diverged", node);
+            assert_eq!(&buf, &expected, "node {node} diverged");
         }
-    }
+    });
+}
 
-    /// The release/acquire pair always leaves the acquirer's timestamp
-    /// covering the releaser's, regardless of history.
-    #[test]
-    fn release_always_covers(ops in proptest::collection::vec((0usize..3, 0usize..3, 0usize..64, any::<u8>()), 1..40)) {
+/// The release/acquire pair always leaves the acquirer's timestamp
+/// covering the releaser's, regardless of history.
+#[test]
+fn release_always_covers() {
+    cases("release_always_covers", 64, |g| {
+        let ops = g.vec(1..40, |g| (g.range(0usize..3), g.range(0usize..3), g.range(0usize..64), g.u8()));
         let n = 3usize;
         let cfg = LrcConfig::small_test(n);
-        let mut engines: Vec<LrcEngine> =
-            (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect();
+        let mut engines: Vec<LrcEngine> = (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect();
         for (from, to, addr_seed, val) in ops {
             let slice = cfg.region_bytes / n;
             let addr = from * slice + (addr_seed % slice);
@@ -421,10 +422,10 @@ proptest! {
             if from != to {
                 sync_release(&mut engines, from, to);
                 let vt_from = engines[from].vt().clone();
-                prop_assert!(engines[to].vt().dominates(&vt_from));
+                assert!(engines[to].vt().dominates(&vt_from));
             }
         }
-    }
+    });
 }
 
 /// Pinned sizes on typed data. A rewritten page of small `u32`s agrees
@@ -454,34 +455,39 @@ mod granule_validation {
     use super::*;
     use carlos_lrc::region::{GranuleMap, RegionSpec};
 
-    proptest! {
-        #[test]
-        fn non_pow2_granules_are_rejected(raw in 8usize..100_000, len in 1usize..4096) {
+    #[test]
+    fn non_pow2_granules_are_rejected() {
+        cases("non_pow2_granules_are_rejected", 64, |g| {
+            let (raw, len) = (g.range(8usize..100_000), g.range(1usize..4096));
             // Nudge powers of two off by one; n and n+1 are never both
             // powers of two for n >= 8.
             let granule = if raw.is_power_of_two() { raw + 1 } else { raw };
             let spec = RegionSpec::new(0, len, granule);
             let r = GranuleMap::try_new(1 << 20, 8192, &[spec]);
-            prop_assert!(r.is_err(), "granule {} must be rejected", granule);
-        }
+            assert!(r.is_err(), "granule {granule} must be rejected");
+        });
+    }
 
-        #[test]
-        fn sub_floor_granules_are_rejected(shift in 0u32..3, len in 1usize..4096) {
+    #[test]
+    fn sub_floor_granules_are_rejected() {
+        cases("sub_floor_granules_are_rejected", 64, |g| {
+            let (shift, len) = (g.range(0u32..3), g.range(1usize..4096));
             // Powers of two below the 8-byte floor (1, 2, 4) are invalid too.
             let spec = RegionSpec::new(0, len, 1usize << shift);
-            prop_assert!(GranuleMap::try_new(1 << 20, 8192, &[spec]).is_err());
-        }
+            assert!(GranuleMap::try_new(1 << 20, 8192, &[spec]).is_err());
+        });
+    }
 
-        #[test]
-        fn pow2_granules_are_accepted(shift in 3u32..17, len in 1usize..4096) {
+    #[test]
+    fn pow2_granules_are_accepted() {
+        cases("pow2_granules_are_accepted", 64, |g| {
+            let (shift, len) = (g.range(3u32..17), g.range(1usize..4096));
             let granule = 1usize << shift;
             let spec = RegionSpec::new(0, len, granule);
-            let m = GranuleMap::try_new(1 << 20, 8192, &[spec]);
-            prop_assert!(m.is_ok());
-            let m = m.unwrap();
-            prop_assert!(m.hinted() || granule == 8192);
-            prop_assert_eq!(m.granule_len(0), granule);
-        }
+            let m = GranuleMap::try_new(1 << 20, 8192, &[spec]).expect("a power-of-two granule");
+            assert!(m.hinted() || granule == 8192);
+            assert_eq!(m.granule_len(0), granule);
+        });
     }
 }
 
@@ -511,21 +517,15 @@ mod interval_scan_equivalence {
         map.values().filter(|r| keep(r)).cloned().collect()
     }
 
-    fn clock(raw: &[u32]) -> Vc {
-        let mut vc = Vc::new(NODES as usize);
-        for (q, &v) in raw.iter().enumerate() {
-            vc.set(q as u32, v);
-        }
-        vc
+    fn clock(g: &mut Gen) -> Vc {
+        Vc::from_slice(&[(); NODES as usize].map(|()| g.range(0u32..40)))
     }
 
-    proptest! {
-        #[test]
-        fn range_scan_matches_linear_scan(
-            ops in proptest::collection::vec((0u8..8, 0..NODES, any::<u32>()), 0..160),
-            have_raw in proptest::collection::vec(0u32..40, NODES as usize),
-            through_raw in proptest::collection::vec(0u32..40, NODES as usize),
-        ) {
+    #[test]
+    fn range_scan_matches_linear_scan() {
+        cases("range_scan_matches_linear_scan", 64, |g| {
+            let ops = g.vec(0..160, |g| (g.range(0u8..8), g.range(0..NODES), g.u32()));
+            let (have, through) = (clock(g), clock(g));
             let mut store = IntervalStore::new();
             let mut map: BTreeMap<(u32, u32), IntervalRecord> = BTreeMap::new();
             let mut next = [1u32; NODES as usize];
@@ -553,30 +553,29 @@ mod interval_scan_equivalence {
                     }
                 }
             }
-            let (have, through) = (clock(&have_raw), clock(&through_raw));
-            prop_assert_eq!(store.len(), map.len());
-            prop_assert_eq!(store.is_empty(), map.is_empty());
+            assert_eq!(store.len(), map.len());
+            assert_eq!(store.is_empty(), map.is_empty());
             for q in 0..NODES {
-                prop_assert_eq!(store.next_index(q), next[q as usize]);
+                assert_eq!(store.next_index(q), next[q as usize]);
                 for i in 0..next[q as usize] + 2 {
-                    prop_assert_eq!(store.get(q, i), map.get(&(q, i)));
+                    assert_eq!(store.get(q, i), map.get(&(q, i)));
                 }
                 let (lo, hi) = (have.get(q), through.get(q));
-                prop_assert_eq!(
+                assert_eq!(
                     store.range(q, lo, hi).to_vec(),
                     scan(&map, |r| r.node == q && (lo..=hi).contains(&r.index))
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     store.own_newer_than(q, &have),
                     scan(&map, |r| r.node == q && r.index > have.get(q))
                 );
             }
-            prop_assert_eq!(store.newer_than(&have), scan(&map, |r| r.index > have.get(r.node)));
-            prop_assert_eq!(
+            assert_eq!(store.newer_than(&have), scan(&map, |r| r.index > have.get(r.node)));
+            assert_eq!(
                 store.newer_than_bounded(&have, &through),
                 scan(&map, |r| r.index > have.get(r.node) && r.index <= through.get(r.node))
             );
-        }
+        });
     }
 }
 
@@ -921,13 +920,13 @@ mod sparse_table_equivalence {
 
         fn check(&self) {
             for (r, d) in self.real.iter().zip(&self.dense) {
-                prop_assert_eq!(r.vt(), &d.vt);
-                prop_assert_eq!(r.stats(), d.stats);
+                assert_eq!(r.vt(), &d.vt);
+                assert_eq!(r.stats(), d.stats);
                 for p in 0..d.pages.len() as u32 {
                     let m = &d.pages[p as usize];
-                    prop_assert_eq!(r.page_state(p), m.state, "node {} page {}", d.node, p);
-                    prop_assert_eq!(r.fault_demands(p), d.fault_demands(p));
-                    prop_assert_eq!(r.covers_with_claims(p, &[]), d.covers_with_claims(p));
+                    assert_eq!(r.page_state(p), m.state, "node {} page {}", d.node, p);
+                    assert_eq!(r.fault_demands(p), d.fault_demands(p));
+                    assert_eq!(r.covers_with_claims(p, &[]), d.covers_with_claims(p));
                 }
             }
         }
@@ -940,13 +939,13 @@ mod sparse_table_equivalence {
                     Demand::Page { to, page } => {
                         let (data, applied) = self.real[to as usize].serve_page(page);
                         let served = self.dense[to as usize].serve_page(page);
-                        prop_assert_eq!((&data, &applied), (&served.0, &served.1));
+                        assert_eq!((&data, &applied), (&served.0, &served.1));
                         let ok = self.real[node].install_page(page, data.clone(), applied.clone());
-                        prop_assert_eq!(ok, self.dense[node].install_page(page, data, applied));
+                        assert_eq!(ok, self.dense[node].install_page(page, data, applied));
                     }
                     Demand::Diffs { to, page, after, through } => {
                         let recs = self.real[to as usize].serve_diffs(page, after, through);
-                        prop_assert_eq!(&recs, &self.dense[to as usize].serve_diffs(page, after, through));
+                        assert_eq!(&recs, &self.dense[to as usize].serve_diffs(page, after, through));
                         diffs.entry(page).or_default().extend(recs);
                     }
                 }
@@ -969,8 +968,8 @@ mod sparse_table_equivalence {
                     ),
                     None => (self.real[node].read(addr, &mut rb), self.dense[node].read(addr, &mut db)),
                 };
-                prop_assert_eq!(&r, &d, "node {} access at {}+{}", node, addr, len);
-                prop_assert_eq!(rb, db);
+                assert_eq!(&r, &d, "node {node} access at {addr}+{len}");
+                assert_eq!(rb, db);
                 match r {
                     Err(demands) if resolve => self.satisfy(node, &demands),
                     _ => return,
@@ -980,16 +979,16 @@ mod sparse_table_equivalence {
         }
 
         fn close(&mut self, node: usize) {
-            prop_assert_eq!(self.real[node].close_interval(), self.dense[node].close_interval());
+            assert_eq!(self.real[node].close_interval(), self.dense[node].close_interval());
         }
 
         fn sync(&mut self, from: usize, to: usize) {
             let have = self.real[to].vt().clone();
             let recs = self.real[from].records_newer_than(&have);
-            prop_assert_eq!(&recs, &self.dense[from].intervals.newer_than(&have));
+            assert_eq!(&recs, &self.dense[from].intervals.newer_than(&have));
             let dense = self.dense[to].apply_records(&recs);
-            prop_assert_eq!(self.real[to].apply_records(recs), dense);
-            prop_assert_eq!(self.real[to].take_eager_invalid(), self.dense[to].take_eager_invalid());
+            assert_eq!(self.real[to].apply_records(recs), dense);
+            assert_eq!(self.real[to].take_eager_invalid(), self.dense[to].take_eager_invalid());
         }
 
         /// A whole-cluster collection: close, equalise clocks, validate,
@@ -1004,7 +1003,7 @@ mod sparse_table_equivalence {
             }
             for i in 0..n {
                 let demands = self.real[i].gc_validate_demands();
-                prop_assert_eq!(&demands, &self.dense[i].gc_validate_demands());
+                assert_eq!(&demands, &self.dense[i].gc_validate_demands());
                 self.satisfy(i, &demands);
             }
             for i in 0..n {
@@ -1036,19 +1035,16 @@ mod sparse_table_equivalence {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
-        #[test]
-        fn sparse_table_matches_dense_model(
-            shape in (2usize..4, any::<bool>(), any::<bool>()),
-            homes in (0usize..5, 0usize..5, 0usize..5),
-            ops in proptest::collection::vec(
-                (0usize..12, 0usize..3, 0usize..1024, 1usize..200, any::<u8>(), 0usize..3),
-                1..80,
-            ),
-        ) {
-            let (n, mixed, banded) = shape;
-            let cfg = config(n, mixed, banded, [homes.0, homes.1, homes.2]);
+    #[test]
+    fn sparse_table_matches_dense_model() {
+        cases("sparse_table_matches_dense_model", 256, |g| {
+            let (n, mixed, banded) = (g.range(2usize..4), g.bool(), g.bool());
+            let homes = [(); 3].map(|()| g.range(0usize..5));
+            let ops = g.vec(1..80, |g| {
+                let (kind, node, addr) = (g.range(0usize..12), g.range(0usize..3), g.range(0usize..1024));
+                (kind, node, addr, g.range(1usize..200), g.u8(), g.range(0usize..3))
+            });
+            let cfg = config(n, mixed, banded, homes);
             let mut pair = Pair::new(&cfg);
             for (kind, node, addr, len, val, peer) in ops {
                 let (node, peer) = (node % n, peer % n);
@@ -1077,6 +1073,6 @@ mod sparse_table_equivalence {
                 pair.access(node, 0, cfg.region_bytes, None, true);
             }
             pair.check();
-        }
+        });
     }
 }

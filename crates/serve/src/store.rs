@@ -20,6 +20,7 @@
 //! replies (the paper's message-driven model applied to serving).
 
 use carlos_core::{CoherentHeap, Runtime};
+use carlos_util::rng::SplitMix64;
 
 /// Bytes per slot header: key (8) + version (4) + value length (4).
 pub const META_BYTES: usize = 16;
@@ -30,15 +31,6 @@ pub const TOMBSTONE: u32 = u32::MAX;
 /// Stored values must hold the 8-byte key self-tag plus an 8-byte
 /// counter cell.
 pub const MIN_VAL_LEN: usize = 16;
-
-/// SplitMix64: the store's deterministic key-placement hash.
-#[must_use]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Addresses of the store's shard tables, computed identically on every
 /// node from the configuration (SPMD layout, no communication).
@@ -103,7 +95,7 @@ impl StoreLayout {
     /// The shard a key hashes to.
     #[must_use]
     pub fn shard_of(&self, key: u64) -> usize {
-        (mix64(key) % self.n_shards as u64) as usize
+        (SplitMix64::new(key).next_u64() % self.n_shards as u64) as usize
     }
 
     /// The server node owning `shard`.
@@ -115,7 +107,7 @@ impl StoreLayout {
     /// The slot linear probing starts from for `key` within its shard.
     #[must_use]
     pub fn home_slot(&self, key: u64) -> usize {
-        (mix64(key.rotate_left(32) ^ 0xC0DE) % self.slots_per_shard as u64) as usize
+        (SplitMix64::new(key.rotate_left(32) ^ 0xC0DE).next_u64() % self.slots_per_shard as u64) as usize
     }
 
     /// Address of the slot header.

@@ -16,9 +16,9 @@
 use std::rc::Rc;
 
 use carlos_sim::time::Ns;
-use carlos_util::rng::Xoshiro256;
+use carlos_util::rng::{SplitMix64, Xoshiro256};
 
-use crate::store::{mix64, OpKind};
+use crate::store::OpKind;
 
 /// Relative op-kind weights for the Zipfian traffic (CAS arrivals are
 /// scheduled separately, against the shared counter keys).
@@ -158,7 +158,7 @@ impl Workload {
     ) -> Self {
         assert!(cas_total <= total, "more CAS arrivals than arrivals");
         assert!(cas_total == 0 || counter_keys > 0, "CAS arrivals need counter keys");
-        let mut rng = Xoshiro256::new(seed ^ mix64(u64::from(client_node) + 1));
+        let mut rng = Xoshiro256::new(seed ^ SplitMix64::new(u64::from(client_node) + 1).next_u64());
         // First arrival: one gap into the run, so node start-up (barrier,
         // page warm-up) stays out of the measured latency window.
         #[allow(clippy::cast_precision_loss)]
@@ -226,13 +226,14 @@ impl Workload {
     /// instead of clustering in shard 0.
     ///
     /// The hash is not a permutation: ranks that collide merge into one
-    /// key, and `mix64(rank) % keyspace` reaches about 63 % of the keys —
-    /// 41 416 of 65 536 at paper scale (9 of the 1 024 hottest ranks land
-    /// on a hotter rank's key), 2 623 of 4 096 at test scale. Changing the
-    /// map would move every serving run's virtual numbers.
+    /// key, and `SplitMix64::new(rank).next_u64() % keyspace` reaches
+    /// about 63 % of the keys — 41 416 of 65 536 at paper scale (9 of the
+    /// 1 024 hottest ranks land on a hotter rank's key), 2 623 of 4 096 at
+    /// test scale. Changing the map would move every serving run's virtual
+    /// numbers.
     fn zipf_key(&mut self) -> u64 {
         let rank = self.zipf.rank(self.rng.next_f64());
-        mix64(rank as u64) % self.zipf.cdf.len() as u64
+        SplitMix64::new(rank as u64).next_u64() % self.zipf.cdf.len() as u64
     }
 }
 
@@ -252,7 +253,7 @@ pub fn value_bytes(key: u64, writer: u32, val_len: usize) -> Vec<u8> {
     assert!(val_len >= crate::store::MIN_VAL_LEN, "value below minimum length");
     let mut v = vec![0u8; val_len];
     v[0..8].copy_from_slice(&key.to_le_bytes());
-    let fill = mix64(key ^ u64::from(writer)).to_le_bytes();
+    let fill = SplitMix64::new(key ^ u64::from(writer)).next_u64().to_le_bytes();
     for (i, b) in v[8..].iter_mut().enumerate() {
         *b = fill[i % 8];
     }
@@ -280,7 +281,7 @@ pub fn counter_value(cell: &[u8]) -> u64 {
 mod tests {
     use std::collections::HashSet;
 
-    use proptest::prelude::*;
+    use carlos_util::cases::cases;
 
     use super::*;
     use crate::run::ServeConfig;
@@ -340,7 +341,7 @@ mod tests {
         std::iter::from_fn(|| w.next_arrival())
             .take(n)
             .flat_map(|a| [a.at, a.op as u64, a.key])
-            .fold(0, |h, x| mix64(h ^ x))
+            .fold(0, |h, x| SplitMix64::new(h ^ x).next_u64())
     }
 
     #[test]
@@ -364,7 +365,7 @@ mod tests {
             let mut seen = HashSet::new();
             let mut hot_merged = 0;
             for rank in 0..keyspace {
-                if !seen.insert(mix64(rank) % keyspace) && rank < 1_024 {
+                if !seen.insert(SplitMix64::new(rank).next_u64() % keyspace) && rank < 1_024 {
                     hot_merged += 1;
                 }
             }
@@ -372,30 +373,26 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-        #[test]
-        fn rank_inverts_the_cdf(
-            keyspace in 1u64..=70_000,
-            theta_milli in 0u32..=1_500,
-            seed in any::<u64>(),
-        ) {
+    #[test]
+    fn rank_inverts_the_cdf() {
+        cases("rank_inverts_the_cdf", 32, |g| {
+            let (keyspace, theta_milli, seed) = (g.range(1u64..=70_000), g.range(0u32..=1_500), g.u64());
             // The CDF is non-decreasing and ends at exactly 1, so for every
             // draw in [0, 1) the rank is the first entry not below it and the
             // clamp to the last rank never fires.
             let table = ZipfTable::new(keyspace, f64::from(theta_milli) / 1_000.0);
             let cdf = &table.cdf;
-            prop_assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
-            prop_assert_eq!(cdf.last().copied(), Some(1.0));
+            assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(cdf.last().copied(), Some(1.0));
             let mut rng = Xoshiro256::new(seed);
             let draws: Vec<f64> = (0..1_024).map(|_| rng.next_f64()).collect();
             let exact = cdf.iter().copied().filter(|&c| c < 1.0);
             let inputs = exact.chain(draws).chain([0.0, 1.0f64.next_down()]);
             for u in inputs.flat_map(|u| [u, u.next_down().max(0.0)]) {
                 let r = table.rank(u);
-                prop_assert!(cdf[r] >= u && (r == 0 || cdf[r - 1] < u), "u = {:e}", u);
+                assert!(cdf[r] >= u && (r == 0 || cdf[r - 1] < u), "u = {u:e}");
             }
-        }
+        });
     }
 
     #[test]

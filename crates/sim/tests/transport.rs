@@ -227,7 +227,7 @@ fn malformed_datagram_is_dropped() {
 // ---------------------------------------------------------------------------
 
 use carlos_sim::{FaultPlan, GeParams};
-use proptest::prelude::*;
+use carlos_util::cases::cases;
 
 #[test]
 fn arq_delivers_through_burst_loss() {
@@ -421,18 +421,13 @@ fn netstats_conservation_without_faults() {
     assert_eq!(n.payload_bytes, n.classes.total_bytes());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    /// Any loss regime short of a total blackout delivers every payload,
-    /// in order, exactly once.
-    #[test]
-    fn arq_delivers_everything_below_blackout(
-        loss_pct in 0u32..95,
-        p_exit_pct in 10u32..60,
-        seed in any::<u64>(),
-        n_msgs in 1usize..48,
-    ) {
+/// Any loss regime short of a total blackout delivers every payload,
+/// in order, exactly once.
+#[test]
+fn arq_delivers_everything_below_blackout() {
+    cases("arq_delivers_everything_below_blackout", 12, |g| {
+        let (loss_pct, p_exit_pct) = (g.range(0u32..95), g.range(10u32..60));
+        let (seed, n_msgs) = (g.u64(), g.range(1usize..48));
         let ge = GeParams {
             p_enter_bad: 0.10,
             p_exit_bad: f64::from(p_exit_pct) / 100.0,
@@ -459,5 +454,5 @@ proptest! {
             while t.wait(Some(t.ctx().now() + ms(200))).is_some() {}
         });
         c.run();
-    }
+    });
 }

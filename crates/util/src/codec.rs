@@ -493,7 +493,7 @@ mod props {
     //! whatever the encoder writes, the matching getters read back.
 
     use super::*;
-    use proptest::prelude::*;
+    use crate::cases::{cases, Gen};
 
     /// Applies getter `op` and returns what it read, re-encoded, with the
     /// length of the prefix it skipped to get there.
@@ -530,22 +530,18 @@ mod props {
         Seq(Vec<u16>),
     }
 
-    fn field() -> impl Strategy<Value = Field> {
-        (
-            0u8..8,
-            any::<u64>(),
-            proptest::collection::vec(any::<u8>(), 0..9),
-        )
-            .prop_map(|(kind, v, bytes)| match kind {
-                0 => Field::U8(v as u8),
-                1 => Field::U16(v as u16),
-                2 => Field::U32(v as u32),
-                3 => Field::U64(v),
-                4 => Field::F64(v),
-                5 => Field::Bytes(bytes),
-                6 => Field::Zeros(bytes.len()),
-                _ => Field::Seq(bytes.iter().map(|&b| u16::from(b) << 3).collect()),
-            })
+    fn field(g: &mut Gen) -> Field {
+        let (kind, v, bytes) = (g.range(0u8..8), g.u64(), g.vec(0..9, Gen::u8));
+        match kind {
+            0 => Field::U8(v as u8),
+            1 => Field::U16(v as u16),
+            2 => Field::U32(v as u32),
+            3 => Field::U64(v),
+            4 => Field::F64(v),
+            5 => Field::Bytes(bytes),
+            6 => Field::Zeros(bytes.len()),
+            _ => Field::Seq(bytes.iter().map(|&b| u16::from(b) << 3).collect()),
+        }
     }
 
     fn put(enc: &mut Encoder, f: &Field) {
@@ -578,30 +574,27 @@ mod props {
         })
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
-
-        #[test]
-        fn getters_never_panic_on_arbitrary_bytes(
-            data in proptest::collection::vec(any::<u8>(), 0..48),
-            ops in proptest::collection::vec(0u8..9, 1..24),
-        ) {
+    #[test]
+    fn getters_never_panic_on_arbitrary_bytes() {
+        cases("getters_never_panic_on_arbitrary_bytes", 512, |g| {
+            let (data, ops) = (g.vec(0..48, Gen::u8), g.vec(1..24, |g| g.range(0u8..9)));
             let mut dec = Decoder::new(&data);
             for op in ops {
                 let pos = data.len() - dec.remaining();
                 if let Ok((read, prefix)) = read_back(&mut dec, op) {
                     // Exactly the bytes after `pos` were consumed.
                     let end = data.len() - dec.remaining();
-                    prop_assert_eq!(&data[pos + prefix..end], &read[..]);
+                    assert_eq!(&data[pos + prefix..end], &read[..]);
                 }
             }
-            prop_assert_eq!(dec.expect_end().is_ok(), dec.remaining() == 0);
-        }
+            assert_eq!(dec.expect_end().is_ok(), dec.remaining() == 0);
+        });
+    }
 
-        #[test]
-        fn every_put_reads_back_through_its_get(
-            fields in proptest::collection::vec(field(), 0..16),
-        ) {
+    #[test]
+    fn every_put_reads_back_through_its_get() {
+        cases("every_put_reads_back_through_its_get", 512, |g| {
+            let fields = g.vec(0..16, field);
             let mut enc = Encoder::new();
             for f in &fields {
                 put(&mut enc, f);
@@ -609,16 +602,16 @@ mod props {
             let buf = enc.finish_vec();
             let mut dec = Decoder::new(&buf);
             for f in &fields {
-                prop_assert_eq!(&get(&mut dec, f).expect("own encoding"), f);
+                assert_eq!(&get(&mut dec, f).expect("own encoding"), f);
             }
-            prop_assert!(dec.expect_end().is_ok());
+            assert!(dec.expect_end().is_ok());
             // Every strict prefix runs out somewhere: an error, not a panic
             // and not a value read from beyond the cut.
             for cut in 0..buf.len() {
                 let mut dec = Decoder::new(&buf[..cut]);
                 let whole = fields.iter().all(|f| get(&mut dec, f).is_ok());
-                prop_assert!(!whole, "a {cut}-byte prefix of {} decoded", buf.len());
+                assert!(!whole, "a {cut}-byte prefix of {} decoded", buf.len());
             }
-        }
+        });
     }
 }

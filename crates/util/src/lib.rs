@@ -12,10 +12,12 @@
 //! - [`event`] — the one typed stream of protocol events every layer
 //!   emits, and the [`event::Sink`] trait its consumers (the checker, the
 //!   tracer) implement.
+//! - [`cases`] — the seeded case runner every property test runs on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cases;
 pub mod codec;
 pub mod event;
 pub mod rng;

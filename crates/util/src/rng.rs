@@ -26,11 +26,13 @@ pub struct SplitMix64 {
 impl SplitMix64 {
     /// Creates a generator from a 64-bit seed. Any seed, including 0, is fine.
     #[must_use]
+    #[inline]
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Returns the next 64 bits of the stream.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

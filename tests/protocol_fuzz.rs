@@ -1,15 +1,15 @@
 //! Property-based protocol fuzzing across the whole stack: random DRF
-//! workloads over random topologies, run under both coherence strategies
-//! and with loss injection, must always converge to identical contents on
-//! every node.
+//! workloads over random topologies, run under both coherence strategies,
+//! with loss injection, and over the variable-granularity wire forms, must
+//! always converge to identical contents on every node.
 
 use carlos::core::{Annotation, CoreConfig, Runtime};
-use carlos::lrc::LrcConfig;
+use carlos::lrc::{LrcConfig, RegionSpec};
 use carlos::sim::time::ms;
 use carlos::sim::transport::AckMode;
 use carlos::sim::{Cluster, SimConfig};
 use carlos::sync::{BarrierSpec, LockSpec};
-use proptest::prelude::*;
+use carlos::util::cases::{cases, Gen};
 
 /// One scripted operation for a node.
 #[derive(Debug, Clone)]
@@ -24,13 +24,20 @@ enum Op {
     Compute { us: u64 },
 }
 
-fn op_strategy(n_nodes: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0usize..16, any::<u8>()).prop_map(|(slot, val)| Op::WriteOwn { slot, val }),
-        Just(Op::LockedIncrement),
-        (0..n_nodes).prop_map(|peer| Op::ReleaseTo { peer }),
-        (1u64..200).prop_map(|us| Op::Compute { us }),
-    ]
+fn op(g: &mut Gen, n_nodes: usize) -> Op {
+    match g.below(4) {
+        0 => Op::WriteOwn {
+            slot: g.range(0usize..16),
+            val: g.u8(),
+        },
+        1 => Op::LockedIncrement,
+        2 => Op::ReleaseTo {
+            peer: g.range(0..n_nodes),
+        },
+        _ => Op::Compute {
+            us: g.range(1u64..200),
+        },
+    }
 }
 
 const H_SYNC: u32 = 77;
@@ -40,11 +47,16 @@ enum Mode {
     Invalidate,
     Update,
     Lossy,
+    /// The variable-granularity wire forms: 8-byte granules over the
+    /// own-slot area (so faults batch their demands), coalesced fetches
+    /// (`SYS_BATCH_*`) and aggregated RELEASE notices (tags 4/5).
+    Batched,
 }
 
-/// Runs the scripted workload and returns (final region bytes as seen by
-/// node 0, counter value, per-node agreement).
-fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32) {
+/// Runs the scripted workload and returns the final region bytes and
+/// counter value every node agrees on, and the run's batched fetch
+/// requests.
+fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32, u64) {
     let n = scripts.len();
     let region = 64 * 16 * (n + 1);
     let sim = match mode {
@@ -65,10 +77,16 @@ fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32) {
                 region_bytes: region,
                 gc_threshold_records: 200, // Force GCs under fuzz too.
                 ownership: carlos::lrc::PageOwnership::SingleOwner(0),
-                regions: Vec::new(),
+                regions: match mode {
+                    Mode::Batched => vec![RegionSpec::new(64 * 16, 64 * 16 * n, 8)],
+                    _ => Vec::new(),
+                },
             };
             let core = match mode {
                 Mode::Update => CoreConfig::fast_test().with_update_strategy(),
+                Mode::Batched => CoreConfig::fast_test()
+                    .with_coalesced_fetches()
+                    .with_aggregated_notices(),
                 _ => CoreConfig::fast_test(),
             };
             let mut rt = match mode {
@@ -121,7 +139,7 @@ fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32) {
             rt.shutdown();
         });
     }
-    cluster.run();
+    let batches = cluster.run().counter_total("carlos.batch_requests");
     let views = out.take();
     let first = views[0].1.clone();
     for (node, view) in &views {
@@ -132,33 +150,26 @@ fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32) {
     for (node, c) in &counters {
         assert_eq!(*c, c0, "node {node} counter diverged");
     }
-    (first, c0)
+    (first, c0, batches)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12, // Each case runs three full cluster simulations.
-        .. ProptestConfig::default()
-    })]
-
-    /// All three modes converge, agree across nodes, and agree with the
-    /// scripted expectations (own-range writes are last-writer-wins by
-    /// construction; the counter equals the number of locked increments).
-    #[test]
-    fn fuzzed_workloads_converge(
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(op_strategy(3), 1..25),
-            3..=3,
-        )
-    ) {
+/// All four modes converge, agree across nodes, and agree with the
+/// scripted expectations (own-range writes are last-writer-wins by
+/// construction; the counter equals the number of locked increments).
+#[test]
+fn fuzzed_workloads_converge() {
+    let mut batches = 0;
+    // Each case runs four full cluster simulations.
+    cases("fuzzed_workloads_converge", 12, |g| {
+        let scripts: Vec<Vec<Op>> = (0..3).map(|_| g.vec(1..25, |g| op(g, 3))).collect();
         let expected_counter: u32 = scripts
             .iter()
             .flatten()
             .filter(|op| matches!(op, Op::LockedIncrement))
             .count() as u32;
 
-        let (inv_view, inv_counter) = run_script(&scripts, Mode::Invalidate);
-        prop_assert_eq!(inv_counter, expected_counter);
+        let (inv_view, inv_counter, _) = run_script(&scripts, Mode::Invalidate);
+        assert_eq!(inv_counter, expected_counter);
 
         // Own-range writes: the last scripted write per slot must be there.
         for (node, script) in scripts.iter().enumerate() {
@@ -170,16 +181,20 @@ proptest! {
                 }
             }
             for (slot, val) in last {
-                prop_assert_eq!(inv_view[base + slot * 8], val, "node {} slot {}", node, slot);
+                assert_eq!(inv_view[base + slot * 8], val, "node {node} slot {slot}");
             }
         }
 
-        let (upd_view, upd_counter) = run_script(&scripts, Mode::Update);
-        prop_assert_eq!(upd_counter, expected_counter);
-        prop_assert_eq!(&upd_view, &inv_view, "strategies disagree");
-
-        let (lossy_view, lossy_counter) = run_script(&scripts, Mode::Lossy);
-        prop_assert_eq!(lossy_counter, expected_counter);
-        prop_assert_eq!(&lossy_view, &inv_view, "loss recovery disagrees");
-    }
+        for (mode, what) in [
+            (Mode::Update, "strategies disagree"),
+            (Mode::Lossy, "loss recovery disagrees"),
+            (Mode::Batched, "batched wire forms disagree"),
+        ] {
+            let (view, counter, b) = run_script(&scripts, mode);
+            assert_eq!(counter, expected_counter, "{mode:?} counter");
+            assert_eq!(view, inv_view, "{what}");
+            batches += b;
+        }
+    });
+    assert!(batches > 0, "the batched mode never sent a batch request");
 }
