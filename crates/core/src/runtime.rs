@@ -1210,8 +1210,9 @@ impl Runtime {
             return;
         }
         self.core.note_incoming(&msg);
-        // Take the handler out so it can borrow the core via Env.
-        if let Some(mut h) = self.handlers.remove(&msg.handler) {
+        // The handler borrows its slot and the core (via Env) side by side:
+        // one lookup per message, nothing removed or re-inserted.
+        if let Some(h) = self.handlers.get_mut(&msg.handler) {
             let handler_id = msg.handler;
             let mut env = Env {
                 core: &mut self.core,
@@ -1222,7 +1223,6 @@ impl Runtime {
                 env.disposed,
                 "handler {handler_id} returned without disposing of its message"
             );
-            self.handlers.insert(handler_id, h);
         } else {
             // Default disposition: accept.
             let mut env = Env {

@@ -99,7 +99,8 @@ pub struct LrcEngine {
     /// `vt[self]` = number of locally closed intervals; `vt[q]` = highest
     /// interval of node `q` whose record has been applied here.
     vt: Vc,
-    /// Sparse: only granules this node has mutated hold an entry.
+    /// Sparse: an entry only for a granule whose copy this node has
+    /// mutated (written, invalidated, installed or updated).
     pages: PageTable,
     /// Pages currently write-enabled (twin present).
     dirty: BTreeSet<PageId>,
@@ -135,8 +136,8 @@ impl LrcEngine {
     /// Creates the engine for `node`. Pages start zero-filled and valid on
     /// their owner (node 0 by convention: applications initialize shared
     /// data there) and absent everywhere else. No per-page state exists
-    /// until a page is first mutated, so construction costs one 4-byte slot
-    /// per granule and no allocation per granule.
+    /// until a copy is first mutated, so construction costs one 4-byte
+    /// directory entry per 1 024 granules and no allocation per granule.
     ///
     /// # Panics
     ///
@@ -537,6 +538,11 @@ impl LrcEngine {
         self.vt.set(rec.node, rec.index);
         for &p in &rec.pages {
             self.stats.notices_applied += 1;
+            // Without a copy there is nothing to invalidate: the notice
+            // waits in the interval log, where `install_page` finds it.
+            if self.pages.state(p) == PageState::Missing {
+                continue;
+            }
             let meta = self.pages.entry(p, &self.granules);
             if rec.index <= meta.applied.get(rec.node) {
                 // Already covered (e.g. by a merged diff or page install).
@@ -553,17 +559,10 @@ impl LrcEngine {
             // writes base.
             let cur = meta.max_notice.get(rec.node);
             meta.max_notice.set(rec.node, cur.max(rec.index));
-            match meta.state {
-                // Nothing to bring up to date yet: `install_page` finds
-                // this notice in the store if the first copy predates it.
-                PageState::Missing => {}
-                _ => {
-                    self.outstanding.entry(p).or_default().push((rec.node, rec.index));
-                    meta.state = PageState::Invalid;
-                    if self.granules.eager_granule(p) {
-                        self.eager_invalid.push(p);
-                    }
-                }
+            self.outstanding.entry(p).or_default().push((rec.node, rec.index));
+            meta.state = PageState::Invalid;
+            if self.granules.eager_granule(p) {
+                self.eager_invalid.push(p);
             }
         }
         emit(&self.sink, || Event::RecordApplied {
@@ -624,7 +623,7 @@ impl LrcEngine {
             vc: self.vt.clone(),
             diff,
         };
-        self.diffs.entry((self.node, page)).or_default().push(rec);
+        Self::store_diff(&mut self.diffs, rec);
         self.stats.diffs_created += 1;
     }
 
@@ -648,15 +647,47 @@ impl LrcEngine {
     #[must_use]
     pub fn covers_with_claims(&self, page: PageId, claims: &[DiffRecord]) -> bool {
         match self.pages.get(page) {
-            // An untouched page has no outstanding notice.
-            None => true,
-            // Without a copy there is nothing a diff could complete.
-            Some(meta) if meta.state == PageState::Missing => meta.up_to_date(),
-            Some(_) => self
-                .outstanding
-                .get(&page)
-                .is_none_or(|notices| notices.iter().all(|&(q, i)| claimed(claims, q, i))),
+            // An owner's untouched copy has no outstanding notice: one would
+            // have materialised it.
+            None if self.owner_of(page) == self.node => true,
+            // Without a copy there is nothing a diff could complete, so only
+            // a notice since the last collection leaves it uncovered.
+            None => self.logged_notices(page, self.pages.base()).next().is_none(),
+            Some(meta) => {
+                debug_assert_ne!(meta.state, PageState::Missing, "page {page} has no copy");
+                self.outstanding
+                    .get(&page)
+                    .is_none_or(|notices| notices.iter().all(|&(q, i)| claimed(claims, q, i)))
+            }
         }
+    }
+
+    /// The write notices `(creator, index)` naming `page` in the interval
+    /// log above `after`, other creators only, each creator ascending.
+    fn logged_notices<'a>(
+        &'a self,
+        page: PageId,
+        after: &'a Vc,
+    ) -> impl Iterator<Item = (u32, u32)> + 'a {
+        self.vt
+            .iter()
+            .filter(move |&(q, _)| q != self.node)
+            .flat_map(move |(q, seen)| self.intervals.range(q, after.get(q) + 1, seen))
+            .filter(move |rec| rec.pages.contains(&page))
+            .map(|rec| (rec.node, rec.index))
+    }
+
+    /// Files `rec` with the stored records of its `(creator, page)`, which
+    /// stay single-interval and ascending so lookups can bisect them.
+    fn store_diff(diffs: &mut BTreeMap<(u32, PageId), Vec<DiffRecord>>, rec: DiffRecord) {
+        let recs = diffs.entry((rec.node, rec.page)).or_default();
+        debug_assert!(
+            rec.first == rec.last && recs.last().is_none_or(|r| r.last < rec.first),
+            "diff records of ({}, {}) out of order",
+            rec.node,
+            rec.page
+        );
+        recs.push(rec);
     }
 
     /// Drops `page`'s outstanding notices that `applied` has caught up
@@ -680,7 +711,14 @@ impl LrcEngine {
     #[cfg(test)]
     fn covers_by_store_walk(&self, page: PageId, claims: &[DiffRecord]) -> bool {
         let Some(meta) = self.pages.get(page) else {
-            return true;
+            // No copy: every stored record since the collection counts.
+            return self.owner_of(page) == self.node
+                || self.vt.iter().filter(|&(q, _)| q != self.node).all(|(q, seen)| {
+                    self.intervals
+                        .range(q, 0, seen)
+                        .iter()
+                        .all(|rec| !rec.pages.contains(&page) || claimed(claims, q, rec.index))
+                });
         };
         meta.applied.iter().filter(|&(q, _)| q != self.node).all(|(q, have)| {
             (have + 1..=meta.max_notice.get(q)).all(|i| {
@@ -739,11 +777,10 @@ impl LrcEngine {
                 >= through.min(self.vt.get(self.node)),
             "diff request beyond materialized coverage"
         );
-        self.diffs
-            .get(&(self.node, page))
-            .into_iter()
-            .flatten()
-            .filter(move |r| r.last > after && r.first <= through)
+        let recs = self.diffs.get(&(self.node, page)).map_or(&[][..], Vec::as_slice);
+        recs[recs.partition_point(|r| r.last <= after)..]
+            .iter()
+            .take_while(move |r| r.first <= through)
     }
 
     /// Serves a diff request: returns this node's diff records for `page`
@@ -793,7 +830,7 @@ impl LrcEngine {
             meta.max_notice.set(rec.node, cur.max(rec.last));
             self.stats.diffs_applied += 1;
             // Keep the fetched record (GC pressure, as in TreadMarks).
-            self.diffs.entry((rec.node, page)).or_default().push(rec);
+            Self::store_diff(&mut self.diffs, rec);
         }
         Self::prune_outstanding(&mut self.outstanding, page, &meta.applied);
         if meta.state == PageState::Invalid && meta.up_to_date() {
@@ -810,9 +847,8 @@ impl LrcEngine {
     /// diffs together with the write notices that describe them.
     #[must_use]
     pub fn stored_diff(&self, node: u32, page: PageId, index: u32) -> Option<&DiffRecord> {
-        self.diffs
-            .get(&(node, page))
-            .and_then(|recs| recs.iter().find(|r| r.first <= index && index <= r.last))
+        let recs = self.diffs.get(&(node, page))?;
+        recs.get(recs.partition_point(|r| r.last < index)).filter(|r| r.first <= index)
     }
 
     /// Serves a full-page request: the current copy plus the applied vector
@@ -849,12 +885,22 @@ impl LrcEngine {
             self.granules.granule_len(page),
             "bad granule size in install"
         );
+        // Notices that arrived while there was no copy stayed in the log;
+        // those the copy does not cover are outstanding now. This is the
+        // one walk of the log per page, once per first copy instead of once
+        // per coverage test.
+        let first_copy = self.pages.state(page) == PageState::Missing;
+        let notices: Vec<(u32, u32)> = if first_copy {
+            self.logged_notices(page, &applied).collect()
+        } else {
+            Vec::new()
+        };
         let meta = self.pages.entry(page, &self.granules);
         // Replacement must not roll the copy backwards: only accept data
         // covering at least what is already applied locally. (A copy may
         // replace an existing one — the TreadMarks heuristic ships a whole
         // page when the pending diff chain outgrows it.)
-        if meta.state != PageState::Missing && !applied.dominates(&meta.applied) {
+        if !first_copy && !applied.dominates(&meta.applied) {
             // Stale copy (the server lagged); keep ours — the caller falls
             // back to plain diffs.
             return false;
@@ -871,22 +917,12 @@ impl LrcEngine {
         } else {
             meta.data = data;
         }
-        let first_copy = meta.state == PageState::Missing;
         meta.applied.join(&applied);
         if first_copy {
-            // Notices that arrived while there was no copy were not listed;
-            // those the copy does not cover are, from the store, now. This
-            // is the one walk of a creator's `(applied, max_notice]` left,
-            // once per first touch instead of once per coverage test.
-            let store = &self.intervals;
-            let notices: Vec<(u32, u32)> = meta
-                .applied
-                .iter()
-                .filter(|&(q, _)| q != self.node)
-                .flat_map(|(q, have)| store.range(q, have + 1, meta.max_notice.get(q)))
-                .filter(|rec| rec.pages.contains(&page))
-                .map(|rec| (rec.node, rec.index))
-                .collect();
+            // Each creator's notices ascend, so the last one sets its maximum.
+            for &(q, i) in &notices {
+                meta.max_notice.set(q, i);
+            }
             if !notices.is_empty() {
                 self.outstanding.insert(page, notices);
             }
@@ -1068,9 +1104,9 @@ mod tests {
                         assert_eq!(list, walk, "node {node} page {page}");
                     }
                     if let Some(meta) = e.pages.get(page) {
+                        assert_ne!(meta.state, PageState::Missing, "node {node} page {page}");
                         let listed = e.outstanding.contains_key(&page);
-                        let behind = meta.state != PageState::Missing && !meta.up_to_date();
-                        assert_eq!(listed, behind, "node {node} page {page}");
+                        assert_eq!(listed, !meta.up_to_date(), "node {node} page {page}");
                     }
                 }
             }

@@ -7,10 +7,12 @@
 //! on access to invalid pages). See `DESIGN.md` §1 for the substitution
 //! rationale.
 //!
-//! The table is *sparse*: consistency state exists per granule a node has
-//! touched, not per granule of the address space. An untouched granule is
-//! one 4-byte slot whose meaning is derived (see [`PageTable`]); a full
-//! [`PageMeta`] is materialised by the first mutation only.
+//! The table is *sparse*: consistency state exists per granule a node
+//! holds, not per granule of the address space. An untouched granule's
+//! meaning is derived (see [`PageTable`]); a full [`PageMeta`] is
+//! materialised by the first mutation of a copy only (a write, a notice
+//! invalidating an owner's copy, an installed page), and slots are
+//! allocated a chunk at a time where granules materialise.
 
 use crate::{
     config::{LrcConfig, PageOwnership},
@@ -20,6 +22,10 @@ use crate::{
 
 /// Page identifier within the coherent region (0-based, dense).
 pub type PageId = u32;
+
+/// Granule slots per chunk of the slot directory: one `u32` each, so a
+/// chunk is 4 KiB, allocated when its first granule materialises.
+const CHUNK: usize = 1024;
 
 /// Access state of one page on one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,18 +94,24 @@ impl PageMeta {
 
 /// One node's sparse page table.
 ///
-/// `slots[g]` is 0 for a granule this node never mutated, otherwise the
-/// index of its entry in `resident`. An untouched granule has no entry and
-/// no heap allocation; its meaning is derived:
+/// Granule `g`'s slot is entry `g % CHUNK` of chunk `dir[g / CHUNK]`: 0 for
+/// a granule with no entry, otherwise the index of its entry in `resident`.
+/// A chunk without a materialised granule is not allocated and reads as
+/// all zeros, so an untouched granule has no entry and no heap allocation
+/// of its own; its meaning is derived:
 ///
-/// - on a non-owner: `Missing`, no data, zero clocks;
+/// - on a non-owner: `Missing`, no data, zero clocks — write notices
+///   naming it stay in the interval log until a first copy is installed;
 /// - on its owner: `ReadOnly`, all-zero data, and clocks equal to `base` —
 ///   the vector time of the last garbage collection (zero before the
 ///   first), which is what a collection assigns every valid page.
 ///
 /// `resident[0]` is a shared `Missing` template that untouched slots point
 /// at, so the access fast paths are one state check whether or not the
-/// granule is resident; it is never handed out mutably.
+/// granule is resident; it is never handed out mutably. No other resident
+/// entry is `Missing` once [`LrcEngine::install_page`](crate::LrcEngine::install_page)
+/// has returned: only a first copy materialises a granule this node does
+/// not own.
 #[derive(Debug, Clone)]
 pub(crate) struct PageTable {
     node: u32,
@@ -107,7 +119,8 @@ pub(crate) struct PageTable {
     /// Granule ranges a region hint homes, ascending
     /// ([`GranuleMap::homes`]); the policy places everything else.
     homes: Vec<(PageId, PageId, u32)>,
-    slots: Vec<u32>,
+    n_granules: usize,
+    dir: Vec<Option<Box<[u32; CHUNK]>>>,
     resident: Vec<(PageId, PageMeta)>,
     base: Vc,
 }
@@ -126,7 +139,8 @@ impl PageTable {
             homes: granules
                 .homes(cfg.n_nodes)
                 .unwrap_or_else(|e| panic!("invalid region table: {e}")),
-            slots: vec![0; granules.n_granules()],
+            n_granules: granules.n_granules(),
+            dir: vec![None; granules.n_granules().div_ceil(CHUNK)],
             resident: vec![(PageId::MAX, PageMeta::missing(cfg.n_nodes))],
             base: Vc::new(cfg.n_nodes),
         }
@@ -146,7 +160,7 @@ impl PageTable {
         match self.ownership {
             PageOwnership::SingleOwner(n) => n,
             PageOwnership::Banded => {
-                let (n_nodes, n_units) = (self.base.len() as u64, self.slots.len().max(1) as u64);
+                let (n_nodes, n_units) = (self.base.len() as u64, self.n_granules.max(1) as u64);
                 (u64::from(page) * n_nodes / n_units).min(n_nodes - 1) as u32
             }
         }
@@ -158,20 +172,26 @@ impl PageTable {
         self.resident.len() - 1
     }
 
+    /// Granule `page`'s slot: its index in `resident`, 0 when untouched.
+    #[inline]
+    fn slot(&self, page: usize) -> usize {
+        self.dir[page / CHUNK].as_ref().map_or(0, |chunk| chunk[page % CHUNK] as usize)
+    }
+
     /// The materialised entry for `page`, if any.
     #[must_use]
     pub(crate) fn get(&self, page: PageId) -> Option<&PageMeta> {
-        match self.slots[page as usize] {
+        match self.slot(page as usize) {
             0 => None,
-            i => Some(&self.resident[i as usize].1),
+            i => Some(&self.resident[i].1),
         }
     }
 
     /// The materialised entry for `page`, if any.
     pub(crate) fn get_mut(&mut self, page: PageId) -> Option<&mut PageMeta> {
-        match self.slots[page as usize] {
+        match self.slot(page as usize) {
             0 => None,
-            i => Some(&mut self.resident[i as usize].1),
+            i => Some(&mut self.resident[i].1),
         }
     }
 
@@ -190,7 +210,7 @@ impl PageTable {
     #[inline]
     #[must_use]
     pub(crate) fn readable(&self, page: usize) -> Option<&[u8]> {
-        let meta = &self.resident[self.slots[page] as usize].1;
+        let meta = &self.resident[self.slot(page)].1;
         matches!(meta.state, PageState::ReadOnly | PageState::ReadWrite).then_some(&meta.data[..])
     }
 
@@ -198,7 +218,8 @@ impl PageTable {
     /// fast path.
     #[inline]
     pub(crate) fn writable(&mut self, page: usize) -> Option<&mut [u8]> {
-        let meta = &mut self.resident[self.slots[page] as usize].1;
+        let i = self.slot(page);
+        let meta = &mut self.resident[i].1;
         (meta.state == PageState::ReadWrite).then_some(&mut meta.data[..])
     }
 
@@ -209,9 +230,9 @@ impl PageTable {
     }
 
     /// The entry for `page`, materialising the derived untouched state on
-    /// first use.
+    /// first use (and its slot chunk with the chunk's first granule).
     pub(crate) fn entry(&mut self, page: PageId, granules: &GranuleMap) -> &mut PageMeta {
-        if self.slots[page as usize] == 0 {
+        if self.slot(page as usize) == 0 {
             let meta = if self.owner_of(page) == self.node {
                 PageMeta {
                     state: PageState::ReadOnly,
@@ -224,11 +245,13 @@ impl PageTable {
             } else {
                 PageMeta::missing(self.base.len())
             };
-            self.slots[page as usize] =
+            let chunk = self.dir[page as usize / CHUNK].get_or_insert_with(|| Box::new([0; CHUNK]));
+            chunk[page as usize % CHUNK] =
                 u32::try_from(self.resident.len()).expect("resident entries fit the slot width");
             self.resident.push((page, meta));
         }
-        &mut self.resident[self.slots[page as usize] as usize].1
+        let i = self.slot(page as usize);
+        &mut self.resident[i].1
     }
 
     /// The `Invalid` pages, ascending (only a resident page can be invalid).
@@ -245,38 +268,26 @@ impl PageTable {
 
     /// The table side of a global garbage collection at vector time `vt`:
     /// every valid page — resident or untouched — now reflects exactly
-    /// `vt`, and `Missing` entries return to the untouched form.
+    /// `vt`.
     ///
     /// # Panics
     ///
-    /// Panics if an invalid page remains (the caller skipped validation).
+    /// Panics if an invalid page remains (the caller skipped validation),
+    /// or a resident entry has no copy.
     pub(crate) fn collect(&mut self, vt: &Vc) {
         self.base.clone_from(vt);
-        let mut i = 1;
-        while i < self.resident.len() {
-            let (page, meta) = &mut self.resident[i];
+        for (page, meta) in &mut self.resident[1..] {
             match meta.state {
                 PageState::Invalid => {
                     panic!("gc_discard with invalid page {page}; validate first")
                 }
-                PageState::Missing => {
-                    debug_assert!(
-                        meta.data.is_empty() && meta.twin.is_none(),
-                        "missing page {page} holds data"
-                    );
-                    self.slots[*page as usize] = 0;
-                    self.resident.swap_remove(i);
-                    if let Some(&(moved, _)) = self.resident.get(i) {
-                        self.slots[moved as usize] = i as u32;
-                    }
-                }
+                PageState::Missing => panic!("resident page {page} has no copy"),
                 PageState::ReadOnly | PageState::ReadWrite => {
                     // Everything announced is covered everywhere; intervals
                     // without notices for this page vacuously count.
                     meta.applied.clone_from(vt);
                     meta.max_notice.clone_from(vt);
                     meta.own_covered = vt.get(self.node);
-                    i += 1;
                 }
             }
         }
@@ -367,11 +378,8 @@ mod tests {
     }
 
     #[test]
-    fn collect_returns_missing_entries_to_the_untouched_form() {
+    fn collect_rebases_every_copy() {
         let (mut t, g) = table(1, 6);
-        for p in [1, 3, 4] {
-            t.entry(p, &g).max_notice.set(0, 1); // noticed, never fetched
-        }
         let fetched = t.entry(3, &g);
         fetched.state = PageState::ReadOnly;
         fetched.data = vec![7; 64];
@@ -382,10 +390,28 @@ mod tests {
         assert_eq!(t.state(1), PageState::Missing);
         assert_eq!(t.get(3).expect("valid copy stays").applied, vt);
         assert_eq!(t.readable(3), Some(&[7u8; 64][..]));
-        assert!(
-            t.entry(4, &g).up_to_date(),
-            "reset entries restart from zero clocks"
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "resident page 4 has no copy")]
+    fn collect_refuses_a_resident_entry_without_a_copy() {
+        let (mut t, g) = table(1, 6);
+        t.entry(4, &g).max_notice.set(0, 1);
+        t.collect(&Vc::new(2));
+    }
+
+    #[test]
+    fn slots_are_allocated_per_touched_chunk() {
+        let (mut t, g) = table(0, 3 * CHUNK + 5);
+        assert_eq!(t.dir.len(), 4);
+        for p in [7, CHUNK as PageId - 1, 3 * CHUNK as PageId + 4] {
+            t.entry(p, &g).data[0] = 1;
+        }
+        let allocated: Vec<bool> = t.dir.iter().map(Option::is_some).collect();
+        assert_eq!((allocated, t.resident_len()), (vec![true, false, false, true], 3));
+        assert_eq!(t.readable(3 * CHUNK + 4).map(|d| d[0]), Some(1));
+        assert_eq!(t.readable(CHUNK), None, "untouched, in an untouched chunk");
+        assert_eq!(t.state(CHUNK as PageId), PageState::ReadOnly);
     }
 
     #[test]

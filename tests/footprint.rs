@@ -1,6 +1,7 @@
 //! The page table's footprint follows the granules a node touches, not
 //! the address space: constructing an engine is O(1) allocations and a
 //! few bytes per granule, reads of never-written owner memory materialise
+//! nothing, a write notice for a granule without a copy materialises
 //! nothing, and each first mutation materialises exactly one entry. A
 //! diff's footprint follows its bytes, not its run count. Accepting a
 //! RELEASE moves its records into the interval log instead of copying them.
@@ -13,7 +14,7 @@ use std::rc::Rc;
 
 use carlos::core::{Annotation, Consistency, Message};
 use carlos::lrc::{
-    Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
+    Demand, Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
 };
 use carlos::serve::{try_run_serve, ServeConfig};
 use carlos::sim::{AckMode, Cluster, SimConfig, Transport};
@@ -147,14 +148,31 @@ fn each_first_mutation_materialises_exactly_one_entry() {
     assert_eq!(owner.resident_pages(), 1);
 
     // Closing the interval touches only the page it announces.
-    let rec = owner.close_interval().expect("one dirty page");
-    assert_eq!(rec.pages, vec![3]);
+    let first = owner.close_interval().expect("one dirty page");
+    assert_eq!(first.pages, vec![3]);
     assert_eq!(owner.resident_pages(), 1);
+    let (copy, copy_applied) = owner.serve_page(3);
+    owner.write(3 * FINE + 9, &[5]).expect("owner write");
+    let second = owner.close_interval().expect("one dirty page");
 
-    // A foreign write notice.
-    assert_eq!(other.apply_records(vec![rec]), 1);
-    assert_eq!(other.resident_pages(), 1);
+    // Foreign write notices for a granule with no copy stay in the log.
+    assert_eq!(other.apply_records(vec![first, second]), 2);
+    assert_eq!(other.resident_pages(), 0);
     assert_eq!(other.page_state(3), PageState::Missing);
+
+    // A first copy lists exactly the notices above the copy's `applied`.
+    assert!(other.install_page(3, copy, copy_applied));
+    assert_eq!(other.resident_pages(), 1);
+    assert_eq!(other.page_state(3), PageState::Invalid);
+    assert_eq!(
+        other.fault_demands(3),
+        vec![Demand::Diffs {
+            to: 0,
+            page: 3,
+            after: 1,
+            through: 2
+        }]
+    );
 
     // An installed copy (of a page no notice named).
     assert!(
@@ -334,6 +352,11 @@ fn a_serving_run_builds_one_zipf_table() {
     // every allocation it makes. A change that allocates more or less moves
     // these; re-pin them from the failure message and give the old and new
     // values in the change's description. With one CDF per client there
-    // were 27 204 allocations and 4 158 280 bytes.
-    assert_eq!((allocs, bytes), (27_202, 4_060_080), "allocations and bytes of one run");
+    // were 27 204 allocations and 4 158 280 bytes; with a page-table entry
+    // per noticed granule and a slot per granule, 27 202 and 4 060 080.
+    assert_eq!(
+        (allocs, bytes),
+        (27_184, 3_292_976),
+        "allocations and bytes of one run"
+    );
 }
