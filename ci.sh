@@ -143,6 +143,20 @@ for n in 8 32; do
         'BEGIN { exit !(b > 0 && b <= 1 && c > 0 && bc > 0 && bns > 0 && ns / c <= 3 * bns / bc) }'
 done
 
+# Interval-log gate (n = 8 and n = 32): a log filled by applying one
+# 10 000-record batch of one-notice records holds each record in its
+# creator, clock and notice words plus an end offset -- at most 4 * (n + 4)
+# heap bytes -- and allocates nothing per record: at most 0.01 allocations
+# each (the JSON keeps three decimals, so a few growths read as 0.000).
+for n in 8 32; do
+    bytes=$(ratio "engine_bytes_per_logged_record_n$n")
+    allocs=$(ratio "engine_allocs_per_logged_record_n$n")
+    echo "==> interval log n=$n: ${bytes} B and ${allocs} allocations per logged record"
+    [[ -n $bytes && -n $allocs ]]
+    awk -v b="$bytes" -v a="$allocs" -v n="$n" \
+        'BEGIN { exit !(b > 0 && b <= 4 * (n + 4) && a >= 0 && a <= 0.01) }'
+done
+
 # Flat-diff gate (4 KiB page, one byte in 8 changed, which leaves every
 # second word clean: 512 runs that must not merge): a diff is one buffer
 # whatever its run count -- at most 2 allocations and 12 heap bytes per

@@ -12,9 +12,11 @@
 //! ping-pong prices the scheduler itself: `serial_ns_per_event` and
 //! `serial_ns_per_handoff`. Constructing the serving layout's engines
 //! prices the sparse page table: `engine_new_ns_per_granule_*` and
-//! `engine_bytes_per_untouched_granule_*`, with `calib_ms` (a fixed
-//! integer loop) recorded beside them so `ci.sh` can gate the timing
-//! across hosts. End-to-end host time is `benchmark/`'s to measure.
+//! `engine_bytes_per_untouched_granule_*`, and a log filled from one
+//! batch prices a logged interval record: `engine_bytes_per_logged_record_*`
+//! and `engine_allocs_per_logged_record_*`. `calib_ms` (a fixed integer
+//! loop) is recorded beside them so `ci.sh` can gate the timing across
+//! hosts. End-to-end host time is `benchmark/`'s to measure.
 //!
 //! Run with `cargo bench -p carlos-bench --bench wallclock`. Results are
 //! written to `BENCH_hotpath.json` at the repository root (override the
@@ -31,12 +33,14 @@ use std::time::{Duration, Instant};
 use carlos_apps::{launch_with, App, QsortVariant, Scale, Spec};
 use carlos_check::Checker;
 use carlos_core::{Annotation, Consistency, Message};
-use carlos_lrc::{interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{
+    interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Records, Vc,
+};
 use carlos_serve::run::{lrc_config, ServeConfig};
 use carlos_serve::{Workload, ZipfTable};
 use carlos_sim::{Cluster, SimConfig};
 use carlos_trace::Tracer;
-use carlos_util::{codec::Wire, rng::Xoshiro256};
+use carlos_util::{codec::Wire, event::Interval, rng::Xoshiro256};
 
 /// One timed routine: median nanoseconds per iteration over the samples.
 struct BenchRow {
@@ -404,7 +408,7 @@ fn bench_vc(b: &mut Bencher) {
     });
 }
 
-/// One interval record with 24 write notices through the codec.
+/// A batch of one interval record with 24 write notices through the codec.
 fn bench_interval_record(b: &mut Bencher) {
     let mut vc = Vc::new(8);
     vc.set(3, 17);
@@ -414,8 +418,9 @@ fn bench_interval_record(b: &mut Bencher) {
         vc,
         pages: (0..24).collect(),
     };
+    let batch: Records = [rec].into_iter().collect();
     b.iter("interval_record", "wire_roundtrip_24_notices", || {
-        IntervalRecord::from_wire(&black_box(&rec).to_wire()).expect("roundtrip")
+        Records::from_wire(&black_box(&batch).to_wire()).expect("roundtrip")
     });
 }
 
@@ -431,8 +436,13 @@ fn bench_interval_log(b: &mut Bencher) {
         for index in 1..=2000 {
             let mut vc = Vc::new(n);
             vc.set(node, index);
-            let pages = (index..index + 4).collect();
-            store.insert(IntervalRecord { node, index, vc, pages });
+            let pages: Vec<u32> = (index..index + 4).collect();
+            store.insert(Interval {
+                creator: node,
+                index,
+                vt: vc.as_slice(),
+                pages: &pages,
+            });
         }
     }
     let mut have = Vc::new(n);
@@ -455,20 +465,51 @@ fn bench_interval_log(b: &mut Bencher) {
         }
         writer.close_interval().expect("dirty pages");
     }
-    let records = writer.records_newer_than(reader.vt());
-    let wire: Vec<Vec<u8>> = records.iter().map(Wire::to_wire).collect();
+    let wire = writer.records_newer_than(reader.vt()).to_wire();
     b.iter_batched(
         "interval_log",
         "apply_64_decoded",
-        || {
-            let batch = wire.iter().map(|w| IntervalRecord::from_wire(w).expect("decode"));
-            (reader.clone(), batch.collect::<Vec<_>>())
-        },
+        || (reader.clone(), Records::from_wire(&wire).expect("decode")),
         |(mut engine, batch)| {
-            assert_eq!(engine.apply_records(batch), 64);
+            assert_eq!(engine.apply_records(&batch), 64);
             engine
         },
     );
+}
+
+/// What a logged interval record costs the node that learns it: heap
+/// bytes and allocations per record of a log filled by applying one
+/// 10 000-record batch of one-notice records, at 8 and 32 nodes. A record
+/// is its creator, clock and notice words and one end offset, so
+/// `4 * (n + 3)` bytes.
+fn bench_log_footprint() -> Vec<(String, f64)> {
+    const RECORDS: u32 = 10_000;
+    let mut out = Vec::new();
+    for n in [8usize, 32] {
+        let cfg = LrcConfig {
+            region_bytes: RECORDS as usize * 64,
+            ..LrcConfig::small_test(n)
+        };
+        let mut reader = LrcEngine::new(1, cfg);
+        let batch: Records = (1..=RECORDS)
+            .map(|index| {
+                let mut vc = Vc::new(n);
+                vc.set(0, index);
+                IntervalRecord { node: 0, index, vc, pages: vec![index - 1] }
+            })
+            .collect();
+        let (applied, allocs, bytes) = counted(|| reader.apply_records(&batch));
+        assert_eq!(applied, RECORDS as usize);
+        let per = |x: usize| x as f64 / f64::from(RECORDS);
+        eprintln!(
+            "interval log n={n}: {:.2} B, {:.4} allocations per logged record",
+            per(bytes),
+            per(allocs)
+        );
+        out.push((format!("engine_bytes_per_logged_record_n{n}"), per(bytes)));
+        out.push((format!("engine_allocs_per_logged_record_n{n}"), per(allocs)));
+    }
+    out
 }
 
 /// The serving load generator at paper scale (65 536 keys, θ 0.99): the
@@ -655,6 +696,7 @@ fn main() {
     bench_observe(&mut b);
     let handoff = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();
+    footprint.extend(bench_log_footprint());
     footprint.extend(bench_engine_footprint(quick));
     write_json(&b.rows, &handoff, &footprint, quick);
 }

@@ -79,7 +79,7 @@ fn sync_release(engines: &mut [LrcEngine], from: usize, to: usize) {
     let have = engines[to].vt().clone();
     let records = engines[from].records_newer_than(&have);
     engines[to].close_interval();
-    engines[to].apply_records(records);
+    engines[to].apply_records(&records);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! User-level message representation and wire format.
 
-use carlos_lrc::{vc::wire_component, DiffRecord, IntervalRecord, Vc};
+use carlos_lrc::{DiffRecord, Records, Vc};
 use carlos_sim::transport::FrameBuf;
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
@@ -25,8 +25,9 @@ pub enum Consistency {
         /// consistent on the basis of this message; necessary to handle
         /// forwarding correctly (§4.3).
         required: Vc,
-        /// Interval descriptions (write notices).
-        records: Vec<IntervalRecord>,
+        /// Interval descriptions (write notices), node-major and
+        /// index-ascending.
+        records: Records,
         /// Diffs for the noticed pages — empty under the invalidate
         /// strategy; populated under the update/hybrid strategy, where
         /// "pages to which a 'complete' set of diffs can be applied remain
@@ -121,12 +122,8 @@ impl Message {
                 records,
                 diffs,
             } => {
-                let records: usize = records
-                    .iter()
-                    .map(|r| 8 + vc(&r.vc) + 4 + 4 * r.pages.len())
-                    .sum();
                 let diffs: usize = diffs.iter().map(DiffRecord::wire_len).sum();
-                vc(required) + 4 + records + 4 + diffs
+                vc(required) + records.wire_len() + 4 + diffs
             }
         }
     }
@@ -158,9 +155,9 @@ impl Message {
             } => {
                 required.encode(enc);
                 if aggregated {
-                    encode_aggregated_records(enc, records);
+                    records.encode_grouped(enc);
                 } else {
-                    enc.put_seq(records, |enc, r| r.encode(enc));
+                    records.encode(enc);
                 }
                 enc.put_seq(diffs, |enc, d| d.encode(enc));
             }
@@ -203,9 +200,9 @@ impl Message {
             Annotation::Release | Annotation::ReleaseNt => Consistency::Release {
                 required: Vc::decode(&mut dec)?,
                 records: if aggregated {
-                    decode_aggregated_records(&mut dec)?
+                    Records::decode_grouped(&mut dec)?
                 } else {
-                    dec.get_seq(IntervalRecord::decode)?
+                    Records::decode(&mut dec)?
                 },
                 diffs: dec.get_seq(DiffRecord::decode)?,
             },
@@ -225,98 +222,10 @@ impl Message {
     #[must_use]
     pub fn notice_count(&self) -> usize {
         match &self.consistency {
-            Consistency::Release { records, .. } => records.iter().map(|r| r.pages.len()).sum(),
+            Consistency::Release { records, .. } => records.notice_count(),
             _ => 0,
         }
     }
-}
-
-/// Encodes `records` in the aggregated write-notice form: consecutive
-/// records from the same creator form a group; the group's first record
-/// carries its full vector clock, and every later record carries only the
-/// components that differ from the creator's previous record in the group
-/// (the rest are causally implied and elided). Record order is preserved
-/// exactly, so decoding reproduces the legacy record sequence.
-fn encode_aggregated_records(enc: &mut Encoder, records: &[IntervalRecord]) {
-    let groups: Vec<&[IntervalRecord]> = records.chunk_by(|a, b| a.node == b.node).collect();
-    enc.put_u32(groups.len() as u32);
-    for group in groups {
-        enc.put_u32(group[0].node);
-        enc.put_u32(group.len() as u32);
-        let mut prev: Option<&Vc> = None;
-        for rec in group {
-            enc.put_u32(rec.index);
-            match prev {
-                None => rec.vc.encode(enc),
-                Some(p) => {
-                    let changed: Vec<(u32, u32)> =
-                        rec.vc.iter().filter(|&(n, v)| v != p.get(n)).collect();
-                    enc.put_u16(changed.len() as u16);
-                    for (n, v) in changed {
-                        enc.put_u16(n as u16);
-                        enc.put_u16(wire_component(n, v));
-                    }
-                }
-            }
-            enc.put_seq(&rec.pages, |enc, &p| enc.put_u32(p));
-            prev = Some(&rec.vc);
-        }
-    }
-}
-
-/// Decodes the aggregated write-notice form back into the exact record
-/// sequence [`encode_aggregated_records`] was given.
-fn decode_aggregated_records(dec: &mut Decoder<'_>) -> Result<Vec<IntervalRecord>, DecodeError> {
-    let n_groups = dec.get_u32()? as usize;
-    if n_groups > dec.remaining() {
-        return Err(DecodeError::BadLength {
-            claimed: n_groups,
-            remaining: dec.remaining(),
-        });
-    }
-    let mut out = Vec::new();
-    for _ in 0..n_groups {
-        let node = dec.get_u32()?;
-        let count = dec.get_u32()? as usize;
-        if count > dec.remaining() {
-            return Err(DecodeError::BadLength {
-                claimed: count,
-                remaining: dec.remaining(),
-            });
-        }
-        let mut prev: Option<Vc> = None;
-        for _ in 0..count {
-            let index = dec.get_u32()?;
-            let vc = match &prev {
-                None => Vc::decode(dec)?,
-                Some(p) => {
-                    let mut vc = p.clone();
-                    let n_changed = dec.get_u16()? as usize;
-                    for _ in 0..n_changed {
-                        let comp = u32::from(dec.get_u16()?);
-                        let val = u32::from(dec.get_u16()?);
-                        if comp as usize >= vc.len() {
-                            return Err(DecodeError::BadTag {
-                                tag: comp,
-                                what: "aggregated vc component",
-                            });
-                        }
-                        vc.set(comp, val);
-                    }
-                    vc
-                }
-            };
-            let pages = dec.get_seq(|d| d.get_u32())?;
-            prev = Some(vc.clone());
-            out.push(IntervalRecord {
-                node,
-                index,
-                vc,
-                pages,
-            });
-        }
-    }
-    Ok(out)
 }
 
 /// A message after acceptance, handed to user-level code.
@@ -337,6 +246,7 @@ pub struct AcceptedMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carlos_lrc::IntervalRecord;
 
     fn rec(node: u32, index: u32, n: usize) -> IntervalRecord {
         let mut vc = Vc::new(n);
@@ -391,7 +301,7 @@ mod tests {
             body: vec![1, 2, 3],
             consistency: Consistency::Release {
                 required,
-                records: vec![rec(0, 1, 2), rec(0, 2, 2)],
+                records: [rec(0, 1, 2), rec(0, 2, 2)].into_iter().collect(),
                 diffs: vec![],
             },
         };
@@ -418,7 +328,7 @@ mod tests {
             body: vec![1, 2, 3],
             consistency: Consistency::Release {
                 required: Vc::new(2),
-                records: vec![rec(0, 1, 2), rec(1, 2, 2)],
+                records: [rec(0, 1, 2), rec(1, 2, 2)].into_iter().collect(),
                 diffs: vec![diff],
             },
         };
@@ -459,7 +369,7 @@ mod tests {
             body: vec![9; 4],
             consistency: Consistency::Release {
                 required: Vc::new(2),
-                records: vec![rec(1, 1, 2)],
+                records: [rec(1, 1, 2)].into_iter().collect(),
                 diffs: vec![],
             },
         };
@@ -486,12 +396,14 @@ mod tests {
                 pages,
             }
         };
-        let records = vec![
+        let records = [
             mk(0, 1, (1, 0), vec![3]),
             mk(0, 2, (1, 5), vec![3, 9]),
             mk(0, 3, (1, 5), vec![]),
             mk(2, 7, (3, 1), vec![11]),
-        ];
+        ]
+        .into_iter()
+        .collect();
         let mut required = Vc::new(n);
         required.set(0, 3);
         required.set(2, 7);
@@ -528,7 +440,7 @@ mod tests {
             body: vec![],
             consistency: Consistency::Release {
                 required: Vc::new(2),
-                records: vec![rec(1, 1, 2)],
+                records: [rec(1, 1, 2)].into_iter().collect(),
                 diffs: vec![],
             },
         };

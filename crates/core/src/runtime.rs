@@ -18,7 +18,7 @@ use std::{
     rc::Rc,
 };
 
-use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{Demand, LrcConfig, LrcEngine, Records, Vc};
 use carlos_sim::{
     time::Ns,
     transport::{AckMode, ArqTuning, Transport},
@@ -296,12 +296,12 @@ impl Core {
                 let mut diffs = Vec::new();
                 if update_all || self.engine.granules().has_eager() {
                     let mut seen = std::collections::BTreeSet::new();
-                    for rec in &records {
-                        for &p in &rec.pages {
+                    for rec in records.iter() {
+                        for &p in rec.pages {
                             if !update_all && !self.engine.granules().eager_granule(p) {
                                 continue;
                             }
-                            if let Some(d) = self.engine.stored_diff(rec.node, p, rec.index) {
+                            if let Some(d) = self.engine.stored_diff(rec.creator, p, rec.index) {
                                 if seen.insert((d.node, d.page, d.first, d.last)) {
                                     diffs.push(d.clone());
                                 }
@@ -379,14 +379,14 @@ impl Core {
                 // Accepting a RELEASE is an acquire: close the current
                 // interval, apply the carried write notices, check coverage.
                 self.engine.close_interval();
-                let notices: usize = records.iter().map(|r| r.pages.len()).sum();
+                let notices = records.notice_count();
                 let cost = self.cfg.release_accept
                     + self.cfg.per_record * records.len() as u64
                     + self.cfg.per_notice * notices as u64;
                 self.note_cost(class, CostPhase::Accept, cost);
                 self.charge(cost);
                 self.ctx.count("carlos.notices_applied", notices as u64);
-                self.engine.apply_records(std::mem::take(records));
+                self.engine.apply_records(&std::mem::take(records));
                 // The gap check must precede any buffered-diff application:
                 // a non-dominated required timestamp proves records are
                 // missing, and diffs must not apply against a notice set
@@ -602,20 +602,17 @@ impl Core {
                 let want = Vc::decode(&mut dec).expect("ival request want");
                 let records = self.engine.records_between(&have, &want);
                 self.ctx.count("carlos.repair_served", 1);
-                let mut body = Encoder::new();
-                body.put_seq(&records, |e, r| r.encode(e));
+                let mut body = Encoder::with_capacity(records.wire_len());
+                records.encode(&mut body);
                 self.send_sys(msg.src, SYS_IVAL_REPLY, body.finish_vec());
             }
             SYS_IVAL_REPLY => {
                 let mut dec = Decoder::new(&msg.body);
-                let records = dec
-                    .get_seq(IntervalRecord::decode)
-                    .expect("ival reply records");
-                let notices: usize = records.iter().map(|r| r.pages.len()).sum();
-                let apply_cost = self.cfg.per_notice * notices as u64;
+                let records = Records::decode(&mut dec).expect("ival reply records");
+                let apply_cost = self.cfg.per_notice * records.notice_count() as u64;
                 self.note_cost(MsgClass::System, CostPhase::NoticeApply, apply_cost);
                 self.charge(apply_cost);
-                self.engine.apply_records(records);
+                self.engine.apply_records(&records);
                 self.retry_pending_accepts();
             }
             other => panic!("unknown system handler id {other:#x}"),
@@ -1673,23 +1670,27 @@ fn seeded_drop_notice_clock(msg: &Message) -> Option<Message> {
     let Consistency::Release { records, .. } = &msg.consistency else {
         return None;
     };
-    for i in 1..records.len() {
-        let (prev, rec) = (&records[i - 1], &records[i]);
-        if prev.node != rec.node {
-            continue;
+    let (i, n) = (1..records.len()).find_map(|i| {
+        let (prev, rec) = (records.get(i - 1), records.get(i));
+        if prev.creator != rec.creator {
+            return None;
         }
-        let target = rec
-            .vc
+        let changed = |&n: &usize| n != rec.creator as usize && rec.vt[n] != prev.vt[n];
+        (0..rec.vt.len()).find(changed).map(|n| (i, n))
+    })?;
+    let mut mutated = msg.clone();
+    if let Consistency::Release { records, .. } = &mut mutated.consistency {
+        *records = records
             .iter()
-            .find(|&(n, v)| n != rec.node && v != prev.vc.get(n));
-        if let Some((n, _)) = target {
-            let mut mutated = msg.clone();
-            if let Consistency::Release { records, .. } = &mut mutated.consistency {
-                let reverted = records[i - 1].vc.get(n);
-                records[i].vc.set(n, reverted);
-            }
-            return Some(mutated);
-        }
+            .enumerate()
+            .map(|(j, rec)| {
+                let mut rec = carlos_lrc::IntervalRecord::from(rec);
+                if j == i {
+                    rec.vc.set(n as u32, records.get(i - 1).vt[n]);
+                }
+                rec
+            })
+            .collect();
     }
-    None
+    Some(mutated)
 }

@@ -28,12 +28,12 @@ use std::{
     rc::Rc,
 };
 
-use carlos_util::event::{emit, Event, Sink};
+use carlos_util::event::{emit, Event, Interval, Sink};
 
 use crate::{
     config::LrcConfig,
     diff::{sort_causally, Diff, DiffRecord},
-    interval::{IntervalRecord, IntervalStore},
+    interval::{IntervalRecord, IntervalStore, Records},
     page::{PageId, PageState, PageTable},
     region::GranuleMap,
     vc::Vc,
@@ -463,13 +463,12 @@ impl LrcEngine {
             // Our own data always reflects our own writes.
             meta.applied.set(self.node, idx);
         }
-        let rec = IntervalRecord {
-            node: self.node,
+        self.intervals.insert(Interval {
+            creator: self.node,
             index: idx,
-            vc: self.vt.clone(),
-            pages,
-        };
-        self.intervals.insert(rec.clone());
+            vt: self.vt.as_slice(),
+            pages: &pages,
+        });
         self.stats.intervals_created += 1;
         // Eager per-interval diffing: capture each announced page's
         // modifications now, so every diff record covers exactly one
@@ -478,9 +477,15 @@ impl LrcEngine {
         // be ordered correctly against concurrent writers — a byte written
         // in an early interval would sort by the late timestamp and could
         // overwrite a causally-later write from another node.
-        for &p in &rec.pages {
+        for &p in &pages {
             self.capture_own_diff(p);
         }
+        let rec = IntervalRecord {
+            node: self.node,
+            index: idx,
+            vc: self.vt.clone(),
+            pages,
+        };
         emit(&self.sink, || Event::IntervalClosed {
             node: self.node,
             rec: rec.as_interval(),
@@ -491,13 +496,13 @@ impl LrcEngine {
     /// Interval records a receiver whose state is `have` still needs —
     /// the consistency payload of a RELEASE message.
     #[must_use]
-    pub fn records_newer_than(&self, have: &Vc) -> Vec<IntervalRecord> {
+    pub fn records_newer_than(&self, have: &Vc) -> Records {
         self.intervals.newer_than(have)
     }
 
     /// Own interval records newer than `have` — the RELEASE_NT payload.
     #[must_use]
-    pub fn own_records_newer_than(&self, have: &Vc) -> Vec<IntervalRecord> {
+    pub fn own_records_newer_than(&self, have: &Vc) -> Records {
         self.intervals.own_newer_than(self.node, have)
     }
 
@@ -505,28 +510,26 @@ impl LrcEngine {
     /// to repair inadequate consistency information after a forwarded or
     /// non-transitive message.
     #[must_use]
-    pub fn records_between(&self, have: &Vc, through: &Vc) -> Vec<IntervalRecord> {
+    pub fn records_between(&self, have: &Vc, through: &Vc) -> Records {
         self.intervals.newer_than_bounded(have, through)
     }
 
     /// Applies a batch of interval records (the acquire side of a RELEASE).
     ///
-    /// Records are applied per creator in index order; a record whose index
-    /// is not the next expected one for its creator is skipped (the caller
+    /// A batch is node-major and index-ascending, so records apply per
+    /// creator in index order; a record whose index is not the next
+    /// expected one for its creator is skipped (the caller
     /// detects the remaining gap by comparing [`LrcEngine::vt`] with the
     /// message's required timestamp and requests the missing records).
-    /// Applied records move into the interval log; the rest are dropped.
-    /// Returns the number of records applied.
-    pub fn apply_records(&mut self, mut records: Vec<IntervalRecord>) -> usize {
-        records.sort_unstable_by_key(|r| (r.node, r.index));
-        for run in records.chunk_by(|a, b| a.node == b.node) {
-            let (q, seen) = (run[0].node, self.vt.get(run[0].node));
-            self.intervals.reserve(q, run.iter().filter(|r| r.index > seen).count());
-        }
+    /// Applied records are copied into the interval log, each creator's
+    /// log growing at most once per array. Returns the number of records
+    /// applied.
+    pub fn apply_records(&mut self, records: &Records) -> usize {
+        self.intervals.reserve_for(records, &self.vt);
         let mut applied = 0;
-        for rec in records {
+        for rec in records.iter() {
             // Another creator's next index applies; own, seen and gapped ones drop.
-            if rec.node != self.node && rec.index == self.vt.get(rec.node) + 1 {
+            if rec.creator != self.node && rec.index == self.vt.get(rec.creator) + 1 {
                 self.apply_one(rec);
                 applied += 1;
             }
@@ -534,9 +537,9 @@ impl LrcEngine {
         applied
     }
 
-    fn apply_one(&mut self, rec: IntervalRecord) {
-        self.vt.set(rec.node, rec.index);
-        for &p in &rec.pages {
+    fn apply_one(&mut self, rec: Interval<'_>) {
+        self.vt.set(rec.creator, rec.index);
+        for &p in rec.pages {
             self.stats.notices_applied += 1;
             // Without a copy there is nothing to invalidate: the notice
             // waits in the interval log, where `install_page` finds it.
@@ -544,10 +547,10 @@ impl LrcEngine {
                 continue;
             }
             let meta = self.pages.entry(p, &self.granules);
-            if rec.index <= meta.applied.get(rec.node) {
+            if rec.index <= meta.applied.get(rec.creator) {
                 // Already covered (e.g. by a merged diff or page install).
-                let cur = meta.max_notice.get(rec.node);
-                meta.max_notice.set(rec.node, cur.max(rec.index));
+                let cur = meta.max_notice.get(rec.creator);
+                meta.max_notice.set(rec.creator, cur.max(rec.index));
                 continue;
             }
             // A notice hitting a locally write-enabled page means concurrent
@@ -557,9 +560,9 @@ impl LrcEngine {
             // captured at the next close; fetched diffs are applied to both
             // the data and the twin, keeping the twin a faithful pre-local-
             // writes base.
-            let cur = meta.max_notice.get(rec.node);
-            meta.max_notice.set(rec.node, cur.max(rec.index));
-            self.outstanding.entry(p).or_default().push((rec.node, rec.index));
+            let cur = meta.max_notice.get(rec.creator);
+            meta.max_notice.set(rec.creator, cur.max(rec.index));
+            self.outstanding.entry(p).or_default().push((rec.creator, rec.index));
             meta.state = PageState::Invalid;
             if self.granules.eager_granule(p) {
                 self.eager_invalid.push(p);
@@ -567,7 +570,7 @@ impl LrcEngine {
         }
         emit(&self.sink, || Event::RecordApplied {
             node: self.node,
-            rec: rec.as_interval(),
+            rec,
         });
         self.intervals.insert(rec);
     }
@@ -674,7 +677,7 @@ impl LrcEngine {
             .filter(move |&(q, _)| q != self.node)
             .flat_map(move |(q, seen)| self.intervals.range(q, after.get(q) + 1, seen))
             .filter(move |rec| rec.pages.contains(&page))
-            .map(|rec| (rec.node, rec.index))
+            .map(|rec| (rec.creator, rec.index))
     }
 
     /// Files `rec` with the stored records of its `(creator, page)`, which
@@ -716,7 +719,6 @@ impl LrcEngine {
                 || self.vt.iter().filter(|&(q, _)| q != self.node).all(|(q, seen)| {
                     self.intervals
                         .range(q, 0, seen)
-                        .iter()
                         .all(|rec| !rec.pages.contains(&page) || claimed(claims, q, rec.index))
                 });
         };
@@ -1059,7 +1061,7 @@ mod tests {
 
         fn sync(&mut self, from: usize, to: usize) {
             let recs = self.0[from].records_newer_than(&self.0[to].vt().clone());
-            self.0[to].apply_records(recs);
+            self.0[to].apply_records(&recs);
         }
 
         /// The runtime's collection: close, equalise clocks, validate, discard.

@@ -40,7 +40,7 @@ pub mod vc;
 pub use config::{LrcConfig, PageOwnership};
 pub use diff::{Diff, DiffRecord, WORD};
 pub use engine::{Demand, LrcEngine};
-pub use interval::IntervalRecord;
+pub use interval::{IntervalRecord, Records};
 pub use page::{PageId, PageState};
 pub use region::{GranuleMap, RegionSpec};
 pub use vc::Vc;

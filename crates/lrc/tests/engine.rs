@@ -2,7 +2,7 @@
 //! of the messaging layer: demands are satisfied by calling the serving
 //! engine directly.
 
-use carlos_lrc::{Demand, LrcConfig, LrcEngine, PageState, Vc};
+use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, PageState, Vc};
 
 /// Satisfies every outstanding demand for `node` against the other engines,
 /// looping until the access succeeds. Returns the number of demands served.
@@ -60,7 +60,7 @@ fn sync_release(engines: &mut [LrcEngine], from: usize, to: usize) {
     let have = engines[to].vt().clone();
     let records = engines[from].records_newer_than(&have);
     engines[to].close_interval();
-    engines[to].apply_records(records);
+    engines[to].apply_records(&records);
     assert!(
         engines[to].vt().dominates(engines[from].vt()),
         "acquirer must cover releaser after a full RELEASE"
@@ -242,7 +242,10 @@ fn release_nt_payload_contains_only_own_records() {
     e[1].close_interval();
     let have = Vc::new(3);
     let own = e[1].own_records_newer_than(&have);
-    assert!(own.iter().all(|r| r.node == 1), "NT payload leaked records");
+    assert!(
+        own.iter().all(|r| r.creator == 1),
+        "NT payload leaked records"
+    );
     assert_eq!(own.len(), 1);
     let full = e[1].records_newer_than(&have);
     assert_eq!(full.len(), 2, "full payload carries both");
@@ -262,7 +265,7 @@ fn gap_detection_and_repair() {
     // Non-transitive payload only.
     let have0 = Vc::new(3);
     let nt = e[1].own_records_newer_than(&have0);
-    e[2].apply_records(nt);
+    e[2].apply_records(&nt);
     assert!(
         !e[2].vt().dominates(&required),
         "gap must be visible in the timestamp"
@@ -270,7 +273,7 @@ fn gap_detection_and_repair() {
     // Repair: ask the original sender for the difference.
     let missing = e[1].records_between(&e[2].vt().clone(), &required);
     assert!(!missing.is_empty());
-    e[2].apply_records(missing);
+    e[2].apply_records(&missing);
     assert!(e[2].vt().dominates(&required), "repair failed");
 }
 
@@ -286,13 +289,16 @@ fn apply_records_skips_gapped_and_duplicate() {
     let all = e[0].records_newer_than(&Vc::new(2));
     assert_eq!(all.len(), 3);
     // Deliver only record #2: gapped, must not apply.
-    let second = all.iter().find(|r| r.index == 2).unwrap().clone();
-    assert_eq!(e[1].apply_records(vec![second.clone()]), 0);
+    let second = IntervalRecord::from(all.iter().find(|r| r.index == 2).unwrap());
+    assert_eq!(
+        e[1].apply_records(&[second.clone()].into_iter().collect()),
+        0
+    );
     assert_eq!(e[1].vt().get(0), 0);
     // Deliver 1 and 2 (2 duplicated): both apply once.
-    let first = all.iter().find(|r| r.index == 1).unwrap().clone();
+    let first = IntervalRecord::from(all.iter().find(|r| r.index == 1).unwrap());
     assert_eq!(
-        e[1].apply_records(vec![second.clone(), first, second]),
+        e[1].apply_records(&[second.clone(), first, second].into_iter().collect()),
         2
     );
     assert_eq!(e[1].vt().get(0), 2);
@@ -314,7 +320,7 @@ fn gc_cycle_resets_records_and_preserves_data() {
     // the last acquire; node 0 must also cover node 1, which wrote nothing).
     assert!(e[0].vt().dominates(e[1].vt()) || e[1].vt().dominates(e[0].vt()));
     let records = e[1].records_newer_than(&e[0].vt().clone());
-    e[0].apply_records(records);
+    e[0].apply_records(&records);
     // Phase 2: validate all pages everywhere.
     for node in 0..2 {
         let demands = e[node].gc_validate_demands();

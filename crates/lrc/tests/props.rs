@@ -146,7 +146,7 @@ fn sync_release(engines: &mut [LrcEngine], from: usize, to: usize) {
     let have = engines[to].vt().clone();
     let records = engines[from].records_newer_than(&have);
     engines[to].close_interval();
-    engines[to].apply_records(records);
+    engines[to].apply_records(&records);
 }
 
 #[test]
@@ -499,7 +499,7 @@ mod interval_scan_equivalence {
     use std::collections::BTreeMap;
 
     use super::*;
-    use carlos_lrc::interval::{IntervalRecord, IntervalStore};
+    use carlos_lrc::interval::{IntervalRecord, IntervalStore, Records};
 
     const NODES: u32 = 6;
 
@@ -513,7 +513,7 @@ mod interval_scan_equivalence {
     fn scan(
         map: &BTreeMap<(u32, u32), IntervalRecord>,
         keep: impl Fn(&IntervalRecord) -> bool,
-    ) -> Vec<IntervalRecord> {
+    ) -> Records {
         map.values().filter(|r| keep(r)).cloned().collect()
     }
 
@@ -537,7 +537,7 @@ mod interval_scan_equivalence {
                             map.keys().filter(|k| k.0 == node).map(|k| k.1).collect();
                         if !held.is_empty() {
                             let r = rec(node, held[tag as usize % held.len()], tag);
-                            store.insert(r.clone());
+                            store.insert(r.as_interval());
                             map.entry((node, r.index)).or_insert(r);
                         }
                     }
@@ -548,7 +548,7 @@ mod interval_scan_equivalence {
                     _ => {
                         let r = rec(node, next[node as usize], tag);
                         next[node as usize] += 1;
-                        store.insert(r.clone());
+                        store.insert(r.as_interval());
                         map.insert((node, r.index), r);
                     }
                 }
@@ -558,11 +558,17 @@ mod interval_scan_equivalence {
             for q in 0..NODES {
                 assert_eq!(store.next_index(q), next[q as usize]);
                 for i in 0..next[q as usize] + 2 {
-                    assert_eq!(store.get(q, i), map.get(&(q, i)));
+                    assert_eq!(
+                        store.get(q, i),
+                        map.get(&(q, i)).map(IntervalRecord::as_interval)
+                    );
                 }
                 let (lo, hi) = (have.get(q), through.get(q));
                 assert_eq!(
-                    store.range(q, lo, hi).to_vec(),
+                    store
+                        .range(q, lo, hi)
+                        .map(IntervalRecord::from)
+                        .collect::<Records>(),
                     scan(&map, |r| r.node == q && (lo..=hi).contains(&r.index))
                 );
                 assert_eq!(
@@ -591,7 +597,7 @@ mod sparse_table_equivalence {
     use carlos_lrc::diff::sort_causally;
     use carlos_lrc::engine::EngineStats;
     use carlos_lrc::interval::IntervalStore;
-    use carlos_lrc::{DiffRecord, GranuleMap, IntervalRecord, PageOwnership, PageState, RegionSpec};
+    use carlos_lrc::{DiffRecord, GranuleMap, IntervalRecord, PageOwnership, PageState, Records, RegionSpec};
 
     struct DenseMeta {
         state: PageState,
@@ -776,26 +782,24 @@ mod sparse_table_equivalence {
                 self.stats.diffs_created += 1;
             }
             let rec = IntervalRecord { node: self.node, index: idx, vc: self.vt.clone(), pages };
-            self.intervals.insert(rec.clone());
+            self.intervals.insert(rec.as_interval());
             self.stats.intervals_created += 1;
             Some(rec)
         }
 
-        fn apply_records(&mut self, records: &[IntervalRecord]) -> usize {
-            let mut order: Vec<&IntervalRecord> = records.iter().collect();
-            order.sort_by_key(|r| (r.node, r.index));
+        fn apply_records(&mut self, records: &Records) -> usize {
             let mut applied = 0;
-            for rec in order {
-                if rec.node == self.node || rec.index != self.vt.get(rec.node) + 1 {
+            for rec in records.iter() {
+                if rec.creator == self.node || rec.index != self.vt.get(rec.creator) + 1 {
                     continue;
                 }
-                self.vt.set(rec.node, rec.index);
-                for &p in &rec.pages {
+                self.vt.set(rec.creator, rec.index);
+                for &p in rec.pages {
                     self.stats.notices_applied += 1;
                     let meta = &mut self.pages[p as usize];
-                    let covered = rec.index <= meta.applied.get(rec.node);
-                    let cur = meta.max_notice.get(rec.node);
-                    meta.max_notice.set(rec.node, cur.max(rec.index));
+                    let covered = rec.index <= meta.applied.get(rec.creator);
+                    let cur = meta.max_notice.get(rec.creator);
+                    meta.max_notice.set(rec.creator, cur.max(rec.index));
                     if !covered && meta.state != PageState::Missing {
                         meta.state = PageState::Invalid;
                         if self.granules.eager_granule(p) {
@@ -803,7 +807,7 @@ mod sparse_table_equivalence {
                         }
                     }
                 }
-                self.intervals.insert(rec.clone());
+                self.intervals.insert(rec);
                 applied += 1;
             }
             applied
@@ -987,7 +991,7 @@ mod sparse_table_equivalence {
             let recs = self.real[from].records_newer_than(&have);
             assert_eq!(&recs, &self.dense[from].intervals.newer_than(&have));
             let dense = self.dense[to].apply_records(&recs);
-            assert_eq!(self.real[to].apply_records(recs), dense);
+            assert_eq!(self.real[to].apply_records(&recs), dense);
             assert_eq!(self.real[to].take_eager_invalid(), self.dense[to].take_eager_invalid());
         }
 

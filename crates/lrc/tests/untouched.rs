@@ -5,7 +5,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, PageId, PageState, Vc};
+use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, PageId, PageState, Records, Vc};
 
 /// Counts this thread's allocations (the test harness runs tests on
 /// parallel threads, so process-wide counters would see each other).
@@ -82,7 +82,7 @@ fn write(e: &mut [LrcEngine], node: usize, addr: usize, data: &[u8]) {
 /// Ships `from`'s records that `to` lacks.
 fn sync(e: &mut [LrcEngine], from: usize, to: usize) {
     let recs = e[from].records_newer_than(e[to].vt());
-    e[to].apply_records(recs);
+    e[to].apply_records(&recs);
 }
 
 /// The runtime's collection: close, equalise clocks, validate, discard.
@@ -170,9 +170,13 @@ fn a_notice_collected_before_the_first_touch_stays_collected() {
 #[test]
 fn notices_for_untouched_foreign_granules_allocate_only_the_log() {
     const N: u32 = 10_000;
+    /// A creator's log is two flat arrays (record words, record ends),
+    /// each grown at most once by a batch.
+    const LOG_ARRAYS: usize = 2;
+    let n = 2;
     let cfg = LrcConfig {
         region_bytes: (N as usize + 1) * 64,
-        ..LrcConfig::small_test(2)
+        ..LrcConfig::small_test(n)
     };
     let mut reader = LrcEngine::new(1, cfg);
     let rec = |index: u32| IntervalRecord {
@@ -182,14 +186,17 @@ fn notices_for_untouched_foreign_granules_allocate_only_the_log() {
         pages: vec![index - 1],
     };
     // A first notice sets up the writer's log.
-    assert_eq!(reader.apply_records(vec![rec(1)]), 1);
-    let batch: Vec<IntervalRecord> = (2..=N + 1).map(rec).collect();
-    let (applied, allocs, bytes) = counted(|| reader.apply_records(batch));
+    assert_eq!(reader.apply_records(&[rec(1)].into_iter().collect()), 1);
+    let batch: Records = (2..=N + 1).map(rec).collect();
+    let (applied, allocs, bytes) = counted(|| reader.apply_records(&batch));
     assert_eq!(applied, N as usize);
-    // One growth of the writer's log to hold the batch, nothing per notice.
-    assert_eq!(allocs, 1, "{allocs} allocations for {N} notices");
+    // One growth of each of the writer's log arrays to hold the batch,
+    // nothing per notice.
+    assert_eq!(allocs, LOG_ARRAYS, "{allocs} allocations for {N} notices");
+    // A record of one notice is its creator, clock and notice words and
+    // its end: 4 * (n + 3) bytes, with room for one word more.
     assert!(
-        bytes <= (N as usize + 1) * std::mem::size_of::<IntervalRecord>(),
+        bytes <= (N as usize + 1) * 4 * (n + 4),
         "{bytes} bytes for {N} notices"
     );
     assert_eq!(reader.resident_pages(), 0);

@@ -3,8 +3,9 @@
 //! few bytes per granule, reads of never-written owner memory materialise
 //! nothing, a write notice for a granule without a copy materialises
 //! nothing, and each first mutation materialises exactly one entry. A
-//! diff's footprint follows its bytes, not its run count. Accepting a
-//! RELEASE moves its records into the interval log instead of copying them.
+//! diff's footprint follows its bytes, not its run count. Building,
+//! framing, decoding and applying a RELEASE's interval records costs the
+//! same number of allocations for 16 records as for 64.
 //! Sending a message costs one allocation: the encoder's buffer is the frame.
 //! A serving run builds one Zipf table, however many clients it has.
 
@@ -13,9 +14,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use carlos::core::{Annotation, Consistency, Message};
-use carlos::lrc::{
-    Demand, Diff, IntervalRecord, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec,
-};
+use carlos::lrc::{Demand, Diff, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec, Vc};
 use carlos::serve::{try_run_serve, ServeConfig};
 use carlos::sim::{AckMode, Cluster, SimConfig, Transport};
 use carlos::util::codec::Wire;
@@ -156,7 +155,10 @@ fn each_first_mutation_materialises_exactly_one_entry() {
     let second = owner.close_interval().expect("one dirty page");
 
     // Foreign write notices for a granule with no copy stay in the log.
-    assert_eq!(other.apply_records(vec![first, second]), 2);
+    assert_eq!(
+        other.apply_records(&[first, second].into_iter().collect()),
+        2
+    );
     assert_eq!(other.resident_pages(), 0);
     assert_eq!(other.page_state(3), PageState::Missing);
 
@@ -232,11 +234,10 @@ fn a_diff_is_one_buffer_however_many_runs_it_has() {
     assert!(std::mem::size_of::<Diff>() <= 24);
 }
 
-/// Allocations made by applying a decoded RELEASE batch of `k` records
-/// from one writer, on a reader that already holds a current copy of every
-/// page the notices name (so no entry materialises and nothing is
-/// invalidated).
-fn release_apply_allocs(k: u32) -> usize {
+/// A writer that closed `k` one-page intervals over 4 pages, and a reader
+/// that holds a current copy of each of those pages (so applying the
+/// writer's notices materialises no entry and invalidates nothing).
+fn writer_and_reader(k: u32) -> (LrcEngine, LrcEngine) {
     let cfg = LrcConfig::small_test(2);
     let mut writer = LrcEngine::new(0, cfg.clone());
     let mut reader = LrcEngine::new(1, cfg);
@@ -250,16 +251,59 @@ fn release_apply_allocs(k: u32) -> usize {
         let (data, applied) = writer.serve_page(page);
         assert!(reader.install_page(page, data, applied));
     }
-    let wire: Vec<Vec<u8>> = writer
-        .records_newer_than(reader.vt())
-        .iter()
-        .map(Wire::to_wire)
-        .collect();
-    let batch: Vec<IntervalRecord> = wire
-        .iter()
-        .map(|w| IntervalRecord::from_wire(w).expect("own encoding"))
-        .collect();
-    let (applied, allocs, _) = counted(|| reader.apply_records(batch));
+    (writer, reader)
+}
+
+/// `writer`'s records newer than `have`, as the RELEASE a runtime frames.
+fn release(writer: &LrcEngine, have: &Vc) -> Message {
+    Message {
+        src: 0,
+        origin: 0,
+        handler: 1,
+        annotation: Annotation::Release,
+        body: Vec::new(),
+        consistency: Consistency::Release {
+            required: writer.vt().clone(),
+            records: writer.records_newer_than(have),
+            diffs: Vec::new(),
+        },
+    }
+}
+
+/// Allocations made by filling a RELEASE of `k` records from the writer's
+/// log and framing it.
+fn release_build_allocs(k: u32) -> usize {
+    let (writer, reader) = writer_and_reader(k);
+    let (msg, allocs, _) = counted(|| {
+        let msg = release(&writer, reader.vt());
+        drop(msg.to_framed(0));
+        msg
+    });
+    assert_eq!(msg.notice_count(), k as usize);
+    allocs
+}
+
+#[test]
+fn building_a_release_allocates_nothing_per_record() {
+    let (small, large) = (release_build_allocs(16), release_build_allocs(64));
+    assert_eq!(
+        small, large,
+        "16 records: {small} allocations; 64 records: {large}"
+    );
+}
+
+/// Allocations made by decoding a framed RELEASE of `k` records from one
+/// writer and applying its batch.
+fn release_apply_allocs(k: u32) -> usize {
+    let (writer, mut reader) = writer_and_reader(k);
+    let wire = release(&writer, reader.vt()).to_wire_bytes(0);
+    let (applied, allocs, _) = counted(|| {
+        let msg = Message::from_wire_bytes(0, &wire).expect("own encoding");
+        let Consistency::Release { records, .. } = &msg.consistency else {
+            unreachable!("a RELEASE decodes as one");
+        };
+        reader.apply_records(records)
+    });
     assert_eq!(applied, k as usize);
     assert_eq!(reader.vt(), writer.vt());
     allocs
@@ -353,10 +397,12 @@ fn a_serving_run_builds_one_zipf_table() {
     // these; re-pin them from the failure message and give the old and new
     // values in the change's description. With one CDF per client there
     // were 27 204 allocations and 4 158 280 bytes; with a page-table entry
-    // per noticed granule and a slot per granule, 27 202 and 4 060 080.
+    // per noticed granule and a slot per granule, 27 202 and 4 060 080;
+    // with a heap vector per interval record's notices, 27 184 and
+    // 3 292 976.
     assert_eq!(
         (allocs, bytes),
-        (27_184, 3_292_976),
+        (24_705, 2_878_800),
         "allocations and bytes of one run"
     );
 }
