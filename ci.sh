@@ -32,6 +32,19 @@ if grep -rEn 'fn set_[a-z_]*observer\b|fn set_probe\b' crates/*/src src; then
     exit 1
 fi
 
+# One ack mode per run: how transports acknowledge frames is a property of
+# the network, set once in carlos_sim's SimConfig, so no second runtime
+# constructor or other crate's config carries it.
+if grep -rEn 'fn with_ack_mode\b' crates/*/src src; then
+    echo "build a Runtime with Runtime::new; the ack mode comes from SimConfig::ack" >&2
+    exit 1
+fi
+if grep -rEn '^\s*(pub(\([a-z]+\))?\s+)?ack\s*:' \
+    $(ls -d crates/*/src src | grep -v '^crates/sim/src$'); then
+    echo "set the ack mode on SimConfig::ack, not in a config of its own" >&2
+    exit 1
+fi
+
 # No stand-in crates: every workspace package is one of ours. Each of the
 # four offline shims this workspace once carried took the name of the
 # registry crate it imitated.
@@ -91,9 +104,10 @@ echo "==> trace profile (causal tracer + traced paper report)"
 cargo test -q -p carlos-trace
 cargo test -q -p carlos-bench
 # The quick report doubles as the exact row gate: quick runs are
-# bit-deterministic, so every row of the committed baseline must come back
-# with every field (per-class ledgers included) equal; new rows and new
-# fields pass and are listed. The example exits nonzero otherwise.
+# bit-deterministic, so every row and serve row of the committed baseline
+# must come back with every field (per-class ledgers included; a serve
+# row's host seconds excepted) equal; new rows and new fields pass and are
+# listed. The example exits nonzero otherwise.
 CARLOS_REPORT_QUICK=1 CARLOS_REPORT_OUT=target/BENCH_paper_quick.json \
     CARLOS_REPORT_BASELINE=BENCH_paper_quick.json \
     cargo run --release -q --example report > target/report_quick.md
@@ -105,10 +119,9 @@ echo "==> serve profile (DSM-backed KV serving under open-loop traffic)"
 # fault-free serving, bit-identical reruns.
 cargo test -q -p carlos-serve
 # The quick report run above regenerated the serve rows (KV n=8 +
-# KV/chaos n=8 with harvest/yield) and gated p999 latency, yield and wire
-# messages per completed operation against the committed
-# BENCH_paper_quick.json baseline at 5% tolerance; confirm the serving
-# table actually rendered, and show its rows (Msg/op included).
+# KV/chaos n=8 with harvest/yield), and its row gate demanded every field
+# but host seconds equal to the committed BENCH_paper_quick.json; confirm
+# the serving table actually rendered, and show its rows (Msg/op included).
 grep '| KV | 8 |' target/report_quick.md
 grep 'KV/chaos' target/report_quick.md
 

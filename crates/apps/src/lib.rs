@@ -21,7 +21,7 @@ pub mod water;
 
 pub use harness::{AppReport, Collector};
 pub use qsort::{try_run_qsort, QsortConfig, QsortVariant};
-pub use sor::{try_run_sor, SorConfig};
+pub use sor::SorConfig;
 pub use spec::{launch, launch_with, Answer, App, Observe, Reference, Run, Scale, Spec, Tweak};
-pub use tsp::{try_run_tsp, TspConfig, TspVariant};
+pub use tsp::{TspConfig, TspVariant};
 pub use water::{try_run_water, WaterConfig, WaterVariant};

@@ -26,7 +26,7 @@
 
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, SimConfig};
+use carlos_sim::{time::us, SimConfig};
 use carlos_sync::{
     ids::H_Q_CLOSE, BarrierSpec, LockSpec, QueueSpec,
 };
@@ -82,9 +82,6 @@ pub struct QsortConfig {
     /// Verify the result on every node (tests) or only on node 0 (paper
     /// runs: the master collects the sorted array once).
     pub verify_all_nodes: bool,
-    /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
-    /// under injected loss, e.g. in chaos tests).
-    pub ack: AckMode,
     /// Optional consistency oracle on the run's event stream
     /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
@@ -127,7 +124,6 @@ impl QsortConfig {
             page_size: 512,
             granularity_hints: false,
             verify_all_nodes: true,
-            ack: AckMode::Implicit,
             check: None,
             trace: None,
         }
@@ -227,7 +223,7 @@ fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
         ownership: PageOwnership::SingleOwner(0),
         regions,
     };
-    let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    let mut rt = Runtime::new(ctx, lrc, cfg.core.clone());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

@@ -20,7 +20,7 @@
 
 use carlos_core::{CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, SimConfig};
+use carlos_sim::{time::us, SimConfig};
 use carlos_sync::BarrierSpec;
 
 use crate::harness::{observed_cluster, AppReport, Collector};
@@ -49,9 +49,6 @@ pub struct SorConfig {
     /// halo-row fetch moves one row instead of a page spanning two. Off by
     /// default — legacy behavior is pinned by golden fingerprints.
     pub granularity_hints: bool,
-    /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
-    /// under injected loss, e.g. in chaos tests).
-    pub ack: AckMode,
     /// Optional consistency oracle on the run's event stream
     /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
@@ -92,7 +89,6 @@ impl SorConfig {
             core: CoreConfig::fast_test(),
             page_size: 256,
             granularity_hints: false,
-            ack: AckMode::Implicit,
             check: None,
             trace: None,
         }
@@ -152,13 +148,9 @@ fn initial_grid(rows: usize, cols: usize) -> Vec<f64> {
     g
 }
 
-/// Runs red-black SOR on a simulated cluster, returning simulation
-/// failures as a [`carlos_sim::SimError`] value instead of panicking.
-///
-/// # Errors
-///
-/// Returns the [`carlos_sim::SimError`] describing how the run failed.
-pub fn try_run_sor(cfg: &SorConfig) -> Result<SorResult, carlos_sim::SimError> {
+/// Runs red-black SOR on a simulated cluster; a failed run is the
+/// `SimError` saying how.
+pub(crate) fn try_run_sor(cfg: &SorConfig) -> Result<SorResult, carlos_sim::SimError> {
     let out: Collector<Vec<f64>> = Collector::new();
     let mut cluster =
         observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
@@ -209,7 +201,7 @@ fn sor_node(cfg: &SorConfig, ctx: carlos_sim::NodeCtx) -> Vec<f64> {
         ownership: PageOwnership::Banded,
         regions: heap.regions(),
     };
-    let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    let mut rt = Runtime::new(ctx, lrc, cfg.core.clone());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id() as usize;

@@ -108,8 +108,8 @@ pub struct Spec {
     pub scale: Scale,
     /// The configuration change.
     pub tweak: Tweak,
-    /// Replaces the scale's simulator configuration (schedule plans,
-    /// jitter, runaway caps).
+    /// Replaces the scale's simulator configuration (ack mode, fault and
+    /// schedule plans, jitter, runaway caps).
     pub sim: Option<SimConfig>,
     /// Replaces the scale's runtime configuration (cost model, seeded
     /// bugs); the tweak applies on top of it.

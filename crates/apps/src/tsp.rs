@@ -22,7 +22,7 @@
 
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, SimConfig};
+use carlos_sim::{time::us, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec, QueueSpec};
 use carlos_util::rng::Xoshiro256;
 
@@ -75,9 +75,6 @@ pub struct TspConfig {
     /// pages. Off by default — the legacy layout and wire behavior are
     /// pinned by golden fingerprints.
     pub granularity_hints: bool,
-    /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
-    /// under injected loss, e.g. in chaos tests).
-    pub ack: AckMode,
     /// Optional consistency oracle on the run's event stream
     /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
@@ -119,7 +116,6 @@ impl TspConfig {
             core: CoreConfig::fast_test(),
             page_size: 512,
             granularity_hints: false,
-            ack: AckMode::Implicit,
             check: None,
             trace: None,
         }
@@ -482,14 +478,9 @@ fn generate_leaves(cities: &Cities, leaf_depth: usize, bound: u32) -> (Vec<Task>
     (out, expansions)
 }
 
-/// Runs the TSP application on a simulated cluster, returning simulation
-/// failures (deadlock, node panic, safety-valve trip) as a
-/// [`carlos_sim::SimError`] value instead of panicking.
-///
-/// # Errors
-///
-/// Returns the [`carlos_sim::SimError`] describing how the run failed.
-pub fn try_run_tsp(cfg: &TspConfig) -> Result<TspResult, carlos_sim::SimError> {
+/// Runs the TSP application on a simulated cluster; a failed run
+/// (deadlock, node panic, safety-valve trip) is the `SimError` saying how.
+pub(crate) fn try_run_tsp(cfg: &TspConfig) -> Result<TspResult, carlos_sim::SimError> {
     let out: Collector<(u32, u64)> = Collector::new();
     let mut cluster =
         observed_cluster(&cfg.sim, cfg.n_nodes, cfg.check.as_ref(), cfg.trace.as_ref());
@@ -526,7 +517,7 @@ fn tsp_node(cfg: &TspConfig, ctx: carlos_sim::NodeCtx) -> (u32, u64) {
         ownership: PageOwnership::SingleOwner(0),
         regions,
     };
-    let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    let mut rt = Runtime::new(ctx, lrc, cfg.core.clone());
     if let Some(check) = &cfg.check {
         // Reads of the bound are deliberately unsynchronized — a benign
         // single-word race the paper calls safe (§5.1). Tell the oracle.

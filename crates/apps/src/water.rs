@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 
 use carlos_core::{Annotation, CoherentHeap, CoreConfig, Runtime};
 use carlos_lrc::{LrcConfig, PageOwnership};
-use carlos_sim::{time::us, AckMode, SimConfig};
+use carlos_sim::{time::us, SimConfig};
 use carlos_sync::{BarrierSpec, LockSpec};
 use carlos_util::rng::Xoshiro256;
 
@@ -73,9 +73,6 @@ pub struct WaterConfig {
     pub granularity_hints: bool,
     /// Collect final state on every node (tests) or only node 0 (paper).
     pub collect_all_nodes: bool,
-    /// Transport acknowledgement mode (switch to [`AckMode::Arq`] to run
-    /// under injected loss, e.g. in chaos tests).
-    pub ack: AckMode,
     /// Optional consistency oracle on the run's event stream
     /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
@@ -119,7 +116,6 @@ impl WaterConfig {
             page_size: 512,
             granularity_hints: false,
             collect_all_nodes: true,
-            ack: AckMode::Implicit,
             check: None,
             trace: None,
         }
@@ -277,7 +273,7 @@ fn water_node(cfg: &WaterConfig, ctx: carlos_sim::NodeCtx) -> (Vec<[f64; 3]>, f6
         ownership: PageOwnership::SingleOwner(0),
         regions,
     };
-    let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    let mut rt = Runtime::new(ctx, lrc, cfg.core.clone());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     let node = rt.node_id();

@@ -2,22 +2,22 @@
 //! be bitwise identical to the sequential reference (red-black updates
 //! read only values frozen by the previous half-sweep).
 
-use carlos_apps::sor::{try_run_sor, SorConfig, SorResult};
-use carlos_apps::{launch, App, Reference, Scale, Spec, Tweak};
+use carlos_apps::sor::{SorConfig, SorResult};
+use carlos_apps::{launch, Answer, App, Reference, Scale, Spec, Tweak};
 
-/// Launches SOR on `n` nodes with `tweak` and asserts its grid is
-/// bit-exact against the sequential reference.
-fn exact(n: usize, tweak: Tweak) {
+/// Launches SOR on `n` nodes with `tweak`, asserts its grid is bit-exact
+/// against the sequential reference, and returns the result.
+fn exact(n: usize, tweak: Tweak) -> SorResult {
     let spec = Spec {
         tweak,
         ..Spec::new(App::Sor, n, Scale::Test)
     };
     let run = launch(&spec).expect("SOR run");
     assert_eq!(run.verdict(&Reference::of(&spec)), Ok(()), "{spec:?}");
-}
-
-fn run(cfg: &SorConfig) -> SorResult {
-    try_run_sor(cfg).expect("SOR run")
+    let Answer::Sor(r) = run.answer else {
+        unreachable!("a SOR run");
+    };
+    r
 }
 
 #[test]
@@ -49,7 +49,7 @@ fn variable_granularity_matches_reference_bitwise() {
 #[test]
 fn heat_diffuses_downward() {
     let cfg = SorConfig::test(2);
-    let r = run(&cfg);
+    let r = exact(2, Tweak::None);
     let cols = cfg.cols;
     // After some iterations, the row below the hot edge is warmer than the
     // row above the cold edge.
@@ -61,8 +61,8 @@ fn heat_diffuses_downward() {
 
 #[test]
 fn runs_are_deterministic() {
-    let a = run(&SorConfig::test(3));
-    let b = run(&SorConfig::test(3));
+    let a = exact(3, Tweak::None);
+    let b = exact(3, Tweak::None);
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.grid, b.grid);
 }

@@ -2,8 +2,8 @@
 //! exact optimum (verified against a Held–Karp oracle) on every cluster
 //! size, and the hybrid must use substantially fewer messages.
 
-use carlos_apps::tsp::{try_run_tsp, Cities, TspConfig, TspResult, TspVariant};
-use carlos_apps::{launch, Answer, App, Reference, Run, Scale, Spec, Tweak};
+use carlos_apps::tsp::{Cities, TspResult, TspVariant};
+use carlos_apps::{launch, Answer, App, Reference, Scale, Spec, Tweak};
 
 fn spec(n: usize, variant: TspVariant, tweak: Tweak) -> Spec {
     Spec {
@@ -12,15 +12,15 @@ fn spec(n: usize, variant: TspVariant, tweak: Tweak) -> Spec {
     }
 }
 
-/// Launches `spec` and asserts it found the optimum tour.
-fn optimal(spec: &Spec) -> Run {
+/// Launches `spec`, asserts it found the optimum tour, and returns the
+/// result.
+fn optimal(spec: &Spec) -> TspResult {
     let run = launch(spec).expect("TSP run");
     assert_eq!(run.verdict(&Reference::of(spec)), Ok(()), "{spec:?}");
-    run
-}
-
-fn run(cfg: &TspConfig) -> TspResult {
-    try_run_tsp(cfg).expect("TSP run")
+    let Answer::Tsp(r) = run.answer else {
+        unreachable!("a TSP run");
+    };
+    r
 }
 
 #[test]
@@ -34,11 +34,7 @@ fn oracle_agrees_with_greedy_bound_ordering() {
 
 #[test]
 fn lock_variant_finds_optimum_single_node() {
-    let run = optimal(&spec(1, TspVariant::Lock, Tweak::None));
-    let Answer::Tsp(r) = run.answer else {
-        unreachable!("a TSP run");
-    };
-    assert!(r.expansions > 0);
+    assert!(optimal(&spec(1, TspVariant::Lock, Tweak::None)).expansions > 0);
 }
 
 #[test]
@@ -62,7 +58,7 @@ fn hybrid_variant_finds_optimum_two_and_three_nodes() {
 fn hybrid_uses_fewer_messages_than_lock() {
     let lock = optimal(&spec(3, TspVariant::Lock, Tweak::None));
     let hybrid = optimal(&spec(3, TspVariant::Hybrid, Tweak::None));
-    let (lock, hybrid) = (lock.app(), hybrid.app());
+    let (lock, hybrid) = (lock.app, hybrid.app);
     assert!(
         hybrid.messages < lock.messages,
         "hybrid sent {} messages, lock {}",
@@ -89,11 +85,9 @@ fn variable_granularity_finds_optimum() {
 
 #[test]
 fn variable_granularity_is_deterministic() {
-    let mut cfg = TspConfig::test(3, TspVariant::Lock);
-    cfg.granularity_hints = true;
-    cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
-    let a = run(&cfg);
-    let b = run(&cfg);
+    let spec = spec(3, TspVariant::Lock, Tweak::Vg);
+    let a = optimal(&spec);
+    let b = optimal(&spec);
     assert_eq!(a.best_len, b.best_len);
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.app.messages, b.app.messages);
@@ -101,9 +95,9 @@ fn variable_granularity_is_deterministic() {
 
 #[test]
 fn runs_are_deterministic() {
-    let cfg = TspConfig::test(3, TspVariant::Hybrid);
-    let a = run(&cfg);
-    let b = run(&cfg);
+    let spec = spec(3, TspVariant::Hybrid, Tweak::None);
+    let a = optimal(&spec);
+    let b = optimal(&spec);
     assert_eq!(a.best_len, b.best_len);
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.app.messages, b.app.messages);

@@ -634,75 +634,6 @@ pub fn serve_markdown(rows: &[ServeRow]) -> String {
     out
 }
 
-/// The serving regression gate: compares fresh serve rows against the
-/// committed baseline's `serve_rows` by (variant, n) and rejects the run
-/// if p999 latency or wire messages per completed operation grew, or
-/// yield dropped, by more than 5% (runs are deterministic, so growth is
-/// real). Returns one human-readable comparison line per row.
-///
-/// # Errors
-///
-/// Returns a description of the first regression, or of a baseline /
-/// report row that is missing or malformed.
-pub fn serve_gate(rows: &[ServeRow], baseline_json: &str) -> Result<Vec<String>, String> {
-    const SERVE_TOLERANCE: f64 = 1.05;
-
-    let doc = carlos_trace::json::parse(baseline_json)
-        .map_err(|e| format!("baseline JSON does not parse: {e:?}"))?;
-    let baseline_rows = doc
-        .get("serve_rows")
-        .and_then(carlos_trace::JsonValue::as_array)
-        .ok_or_else(|| "baseline JSON has no serve_rows array".to_string())?;
-    let mut lines = Vec::new();
-    for r in rows {
-        #[allow(clippy::cast_precision_loss)]
-        let n = r.n as f64;
-        let base = baseline_rows
-            .iter()
-            .find(|b| {
-                b.get("variant").and_then(carlos_trace::JsonValue::as_str) == Some(r.variant)
-                    && b.get("n").and_then(carlos_trace::JsonValue::as_f64) == Some(n)
-            })
-            .ok_or_else(|| format!("baseline has no {}/n={} serve row", r.variant, r.n))?;
-        let field = |name: &str| {
-            base.get(name)
-                .and_then(carlos_trace::JsonValue::as_f64)
-                .ok_or_else(|| format!("baseline {}/n={} row has no {name}", r.variant, r.n))
-        };
-        let base_p999 = field("p999_ns")?;
-        let base_yield = field("yield")?;
-        let base_msgs_per_op = field("messages")? / field("completed")?.max(1.0);
-        #[allow(clippy::cast_precision_loss)]
-        let p999 = r.p999_ns as f64;
-        if p999 > base_p999 * SERVE_TOLERANCE {
-            return Err(format!(
-                "{}/n={} p999 regressed: {} ns vs baseline {} ns (>5%)",
-                r.variant, r.n, r.p999_ns, base_p999
-            ));
-        }
-        if r.yield_fraction < base_yield / SERVE_TOLERANCE {
-            return Err(format!(
-                "{}/n={} yield regressed: {:.4} vs baseline {:.4} (>5%)",
-                r.variant, r.n, r.yield_fraction, base_yield
-            ));
-        }
-        let msgs_per_op = r.msgs_per_op();
-        if msgs_per_op > base_msgs_per_op * SERVE_TOLERANCE {
-            return Err(format!(
-                "{}/n={} messages per operation regressed: {msgs_per_op:.3} vs baseline \
-                 {base_msgs_per_op:.3} (>5%)",
-                r.variant, r.n
-            ));
-        }
-        lines.push(format!(
-            "{}/n={} p999: {} ns (baseline {} ns), yield: {:.4} (baseline {:.4}), \
-             messages/op: {msgs_per_op:.3} (baseline {base_msgs_per_op:.3})",
-            r.variant, r.n, r.p999_ns, base_p999, r.yield_fraction, base_yield
-        ));
-    }
-    Ok(lines)
-}
-
 /// Renders the rows as the `BENCH_paper.json` document (valid JSON; all
 /// strings are fixed ASCII labels, so no escaping is required).
 #[must_use]
@@ -983,12 +914,21 @@ pub fn microcosts_markdown(m: &Microcosts) -> String {
     )
 }
 
-/// The exact row gate: every (app, variant, n) row of the committed
-/// baseline must be in the fresh report, with every field the baseline
-/// row has — each `classes` entry included — equal; so must the
-/// microcosts block if the baseline has one. Quick runs are
-/// bit-deterministic, so any difference is a real change. Rows and fields
-/// the baseline lacks pass, and are listed in the returned lines.
+/// The row arrays [`row_gate`] compares: each array's name, the text
+/// members that name a row beside its `n`, and the members left out (host
+/// time, the one column that is not virtual).
+const GATED: [(&str, &[&str], &[&str]); 2] = [
+    ("rows", &["app", "variant"], &[]),
+    ("serve_rows", &["variant"], &["host_seconds"]),
+];
+
+/// The exact row gate: every (app, variant, n) row and every (variant, n)
+/// serve row of the committed baseline must be in the fresh report, with
+/// every field the baseline row has — each `classes` entry included, a
+/// serve row's `host_seconds` excepted — equal; so must the microcosts
+/// block if the baseline has one. Quick runs are bit-deterministic, so any
+/// difference is a real change. Rows and fields the baseline lacks pass,
+/// and are listed in the returned lines.
 ///
 /// # Errors
 ///
@@ -999,41 +939,54 @@ pub fn row_gate(report_json: &str, baseline_json: &str) -> Result<Vec<String>, S
         carlos_trace::json::parse(text).map_err(|e| format!("{what} JSON does not parse: {e}"))
     };
     let (fresh, base) = (parse("report", report_json)?, parse("baseline", baseline_json)?);
-    let rows = |doc: &JsonValue, what: &str| {
-        doc.get("rows")
-            .and_then(JsonValue::as_array)
-            .map(<[JsonValue]>::to_vec)
-            .ok_or_else(|| format!("{what} JSON has no rows array"))
-    };
-    let (fresh_rows, base_rows) = (rows(&fresh, "report")?, rows(&base, "baseline")?);
-    let key = |r: &JsonValue| {
-        let text = |k: &str| r.get(k).and_then(JsonValue::as_str).unwrap_or("?").to_string();
-        let n = r.get("n").and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
-        format!("{}/{} n={n}", text("app"), text("variant"))
-    };
+    let mut lines = Vec::new();
     let mut new_fields = BTreeSet::new();
-    for b in &base_rows {
-        let k = key(b);
-        let f = fresh_rows
-            .iter()
-            .find(|f| key(f) == k)
-            .ok_or_else(|| format!("report has no {k} row"))?;
-        same_json(b, f, &k, &mut new_fields)?;
+    for (array, names, free) in GATED {
+        let rows = |doc: &JsonValue, what: &str| {
+            let rows = doc
+                .get(array)
+                .and_then(JsonValue::as_array)
+                .ok_or_else(|| format!("{what} JSON has no {array} array"))?;
+            Ok::<_, String>(rows.iter().map(|r| without(r, free)).collect::<Vec<_>>())
+        };
+        let (fresh_rows, base_rows) = (rows(&fresh, "report")?, rows(&base, "baseline")?);
+        let key = |r: &JsonValue| {
+            let text = |k: &&str| r.get(k).and_then(JsonValue::as_str).unwrap_or("?");
+            let n = r.get("n").and_then(JsonValue::as_f64).unwrap_or(f64::NAN);
+            format!("{} n={n}", names.iter().map(text).collect::<Vec<_>>().join("/"))
+        };
+        for b in &base_rows {
+            let k = key(b);
+            let f = fresh_rows
+                .iter()
+                .find(|f| key(f) == k)
+                .ok_or_else(|| format!("report has no {k} row"))?;
+            same_json(b, f, &k, &mut new_fields)?;
+        }
+        lines.push(format!("{} baseline {array} equal", base_rows.len()));
+        lines.extend(
+            fresh_rows
+                .iter()
+                .map(key)
+                .filter(|k| !base_rows.iter().any(|b| key(b) == *k))
+                .map(|k| format!("new row {k}")),
+        );
     }
     if let Some(b) = base.get("microcosts") {
         let f = fresh.get("microcosts").ok_or("report has no microcosts block")?;
         same_json(b, f, "microcosts", &mut new_fields)?;
     }
-    let mut lines = vec![format!("{} baseline rows equal", base_rows.len())];
-    lines.extend(
-        fresh_rows
-            .iter()
-            .map(key)
-            .filter(|k| !base_rows.iter().any(|b| key(b) == *k))
-            .map(|k| format!("new row {k}")),
-    );
     lines.extend(new_fields.into_iter().map(|f| format!("new field {f}")));
     Ok(lines)
+}
+
+/// `row` without its members `names`.
+fn without(row: &JsonValue, names: &[&str]) -> JsonValue {
+    let mut row = row.clone();
+    if let JsonValue::Object(members) = &mut row {
+        members.retain(|k, _| !names.contains(&k.as_str()));
+    }
+    row
 }
 
 /// Checks that `fresh` holds everything `base` does, equal, at `path`;
@@ -1202,38 +1155,77 @@ mod tests {
         }
     }
 
+    fn gate_serve_row() -> ServeRow {
+        ServeRow {
+            variant: "KV",
+            n: 8,
+            secs: 1.0,
+            ops_per_sec: 100.0,
+            attempted: 100,
+            completed: 100,
+            timed_out: 0,
+            p50_ns: 1_000,
+            p99_ns: 2_000,
+            p999_ns: 3_000,
+            bytes_per_op: 200,
+            messages: 300,
+            util: 0.1,
+            yield_fraction: 1.0,
+            harvest: 1.0,
+            cas_done: 2,
+            mirror_mismatches: 0,
+            host_seconds: 0.5,
+        }
+    }
+
     /// The row gate passes a report against itself, fails on one changed
-    /// field (naming the row and the field) and on a missing row, and
-    /// passes added rows and fields, listing them.
+    /// field of a row or a serve row (naming the row and the field) and on
+    /// a missing row, ignores a serve row's host time, and passes added
+    /// rows and fields, listing them.
     #[test]
     fn row_gate_demands_equal_rows() {
         let opts = quick(4);
-        let json = |rows: &[ReportRow]| to_json(rows, None, &[], &opts);
+        let json = |rows: &[ReportRow], serve: &[ServeRow]| to_json(rows, None, serve, &opts);
         let both = [gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 80_000)];
-        let baseline = json(&both);
+        let kv = [gate_serve_row()];
+        let baseline = json(&both, &kv);
 
         let lines = row_gate(&baseline, &baseline).expect("self-comparison passes");
-        assert_eq!(lines, ["2 baseline rows equal"]);
+        assert_eq!(lines, ["2 baseline rows equal", "1 baseline serve_rows equal"]);
 
         let changed = [gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 80_001)];
-        let err = row_gate(&json(&changed), &baseline).unwrap_err();
+        let err = row_gate(&json(&changed, &kv), &baseline).unwrap_err();
         assert!(err.contains("Quicksort/Lock n=4") && err.contains("classes[0]: bytes"), "{err}");
 
-        let err = row_gate(&json(&both[..1]), &baseline).unwrap_err();
+        let err = row_gate(&json(&both[..1], &kv), &baseline).unwrap_err();
         assert!(err.contains("no Quicksort/Lock n=4 row"), "{err}");
+
+        let mut slower = kv.clone();
+        slower[0].p999_ns += 1;
+        let err = row_gate(&json(&both, &slower), &baseline).unwrap_err();
+        assert!(err.contains("KV n=8") && err.contains("p999_ns"), "{err}");
+        let mut host = kv.clone();
+        host[0].host_seconds *= 2.0;
+        assert!(row_gate(&json(&both, &host), &baseline).is_ok(), "host time is not gated");
+        let err = row_gate(&json(&both, &[]), &baseline).unwrap_err();
+        assert!(err.contains("no KV n=8 row"), "{err}");
 
         let older = "{\"rows\": [{\"app\": \"TSP\", \"variant\": \"Lock\", \"n\": 4, \
                      \"messages\": 1000, \
-                     \"classes\": [{\"class\": \"SYSTEM\", \"bytes\": 50000}]}]}";
+                     \"classes\": [{\"class\": \"SYSTEM\", \"bytes\": 50000}]}], \
+                     \"serve_rows\": []}";
         let lines = row_gate(&baseline, older).expect("added rows and fields pass");
         assert!(lines.contains(&"new row Quicksort/Lock n=4".to_string()), "{lines:?}");
+        assert!(lines.contains(&"new row KV n=8".to_string()), "{lines:?}");
         assert!(lines.contains(&"new field notices_applied".to_string()), "{lines:?}");
         assert!(lines.contains(&"new field cost_ns".to_string()), "{lines:?}");
 
-        assert!(
-            row_gate(&baseline, "{\"serve_rows\": []}").is_err(),
-            "a baseline without rows must fail loudly"
-        );
+        for partial in ["{\"serve_rows\": []}", "{\"rows\": []}"] {
+            assert!(
+                row_gate(&baseline, partial).is_err(),
+                "a baseline without rows or serve rows must fail loudly"
+            );
+        }
     }
 
     /// The 8-node scaling rows are traced like every other row — every wire
@@ -1309,9 +1301,8 @@ mod tests {
     /// The quick serve rows run clean — the fault-free row at
     /// yield 1.0 with a clean server mirror, the chaos row shedding load
     /// with every drop attributed — the JSON round-trips through
-    /// carlos-trace's parser, and the serve gate passes a run against its
-    /// own output while rejecting synthetic p999, yield and
-    /// messages-per-operation regressions.
+    /// carlos-trace's parser, and the row gate passes a run against its
+    /// own output.
     #[test]
     fn serve_rows_run_gate_and_render() {
         let opts = quick(8);
@@ -1340,30 +1331,10 @@ mod tests {
             .expect("serve_rows array");
         assert_eq!(parsed.len(), serve.len());
 
-        let lines = serve_gate(&serve, &json).expect("self-comparison passes");
-        assert_eq!(lines.len(), serve.len());
-
-        let mut worse = serve.clone();
-        worse[0].p999_ns *= 2;
-        let err = serve_gate(&worse, &json).unwrap_err();
-        assert!(err.contains("p999"), "{err}");
-        let mut lossy = serve.clone();
-        lossy[1].yield_fraction *= 0.5;
-        let err = serve_gate(&lossy, &json).unwrap_err();
-        assert!(err.contains("yield"), "{err}");
-        let mut chatty = serve.clone();
-        chatty[0].messages += chatty[0].messages / 19; // +5.3 %
-        let err = serve_gate(&chatty, &json).unwrap_err();
-        assert!(err.contains("messages per operation"), "{err}");
-        chatty[0].messages = serve[0].messages + serve[0].messages / 21; // +4.8 %
-        assert!(serve_gate(&chatty, &json).is_ok(), "<5% growth tolerated");
+        let lines = row_gate(&json, &json).expect("self-comparison passes");
+        assert_eq!(lines, ["0 baseline rows equal", "2 baseline serve_rows equal"]);
 
         let md = serve_markdown(&serve);
         assert!(md.contains("| KV | 8 |") && md.contains("| KV/chaos | 8 |"), "{md}");
-
-        assert!(
-            serve_gate(&serve, "{\"serve_rows\": []}").is_err(),
-            "missing baseline serve rows must fail loudly"
-        );
     }
 }

@@ -21,7 +21,7 @@ use std::{
 use carlos_lrc::{Demand, LrcConfig, LrcEngine, Records, Vc};
 use carlos_sim::{
     time::Ns,
-    transport::{AckMode, ArqTuning, Transport},
+    transport::{ArqTuning, Transport},
     Bucket, NodeCtx, NodeId,
 };
 use carlos_util::{
@@ -65,14 +65,54 @@ struct PendingAccept {
     rounds: u32,
 }
 
-/// One demand inside a coalesced SYS_BATCH_REQ (kind 0 = diffs, 1 = page;
-/// `after`/`through`/`force` are meaningful for diff entries only).
+/// Kind tag of a demand fetch and of its reply: the diffs for a granule,
+/// or a whole copy of it.
+const KIND_DIFFS: u8 = 0;
+const KIND_PAGE: u8 = 1;
+
+/// One demand fetch (`after`/`through`/`force` are meaningful for diff
+/// entries only). Sent alone it is a SYS_DIFF_REQ or SYS_PAGE_REQ; two or
+/// more to one server go as one SYS_BATCH_REQ.
 struct BatchEntry {
     kind: u8,
     page: u32,
     after: u32,
     through: u32,
     force: bool,
+}
+
+impl BatchEntry {
+    fn new(kind: u8, page: u32) -> Self {
+        Self {
+            kind,
+            page,
+            after: 0,
+            through: 0,
+            force: false,
+        }
+    }
+
+    /// Appends the entry after its kind tag. A lone page request carries
+    /// only the page; every other form carries all four fields.
+    fn encode(&self, enc: &mut Encoder, batched: bool) {
+        enc.put_u32(self.page);
+        if batched || self.kind == KIND_DIFFS {
+            enc.put_u32(self.after);
+            enc.put_u32(self.through);
+            enc.put_u8(u8::from(self.force));
+        }
+    }
+
+    /// Decodes an entry of `kind` that [`BatchEntry::encode`] appended.
+    fn decode(dec: &mut Decoder<'_>, kind: u8, batched: bool) -> Self {
+        let mut e = Self::new(kind, dec.get_u32().expect("demand page"));
+        if batched || kind == KIND_DIFFS {
+            e.after = dec.get_u32().expect("demand after");
+            e.through = dec.get_u32().expect("demand through");
+            e.force = dec.get_u8().expect("demand force") != 0;
+        }
+        e
+    }
 }
 
 /// The server-side result of one demand fetch: either the diff chain or a
@@ -123,13 +163,12 @@ impl SubReply {
         }
     }
 
-    /// Appends this sub-reply to a SYS_BATCH_REPLY body.
-    fn encode_into(&self, enc: &mut Encoder, engine: &LrcEngine) {
-        enc.put_u8(match self {
-            SubReply::Diffs { .. } => 0,
-            SubReply::Page { .. } => 1,
-        });
-        self.encode_body(enc, engine);
+    /// The kind tag a SYS_BATCH_REPLY puts before this sub-reply.
+    fn kind(&self) -> u8 {
+        match self {
+            SubReply::Diffs { .. } => KIND_DIFFS,
+            SubReply::Page { .. } => KIND_PAGE,
+        }
     }
 }
 
@@ -497,34 +536,15 @@ impl Core {
     /// Handles an incoming system message.
     fn handle_sys(&mut self, msg: Message) {
         match msg.handler {
-            SYS_DIFF_REQ => {
-                let mut dec = Decoder::new(&msg.body);
-                let page = dec.get_u32().expect("diff request page");
-                let after = dec.get_u32().expect("diff request after");
-                let through = dec.get_u32().expect("diff request through");
-                let force_diffs = dec.get_u8().unwrap_or(0) != 0;
-                let reply = self.serve_diff_demand(page, after, through, force_diffs);
+            SYS_DIFF_REQ | SYS_PAGE_REQ => {
+                let kind = if msg.handler == SYS_DIFF_REQ { KIND_DIFFS } else { KIND_PAGE };
+                let entry = BatchEntry::decode(&mut Decoder::new(&msg.body), kind, false);
+                let reply = self.serve_demand(&entry);
                 self.send_sub_reply(msg.src, &reply);
             }
-            SYS_DIFF_REPLY => {
-                let mut dec = Decoder::new(&msg.body);
-                let page = dec.get_u32().expect("diff reply page");
-                let records = dec.get_seq(carlos_lrc::DiffRecord::decode).expect("diff records");
-                self.accept_diff_reply(msg.src, page, records);
-                self.maybe_apply_buffered(page);
-            }
-            SYS_PAGE_REQ => {
-                let mut dec = Decoder::new(&msg.body);
-                let page = dec.get_u32().expect("page request id");
-                let reply = self.serve_page_demand(page);
-                self.send_sub_reply(msg.src, &reply);
-            }
-            SYS_PAGE_REPLY => {
-                let mut dec = Decoder::new(&msg.body);
-                let page = dec.get_u32().expect("page reply id");
-                let data = dec.get_bytes().expect("page data");
-                let applied = Vc::decode(&mut dec).expect("page applied vc");
-                self.accept_page_reply(msg.src, page, data, applied);
+            SYS_DIFF_REPLY | SYS_PAGE_REPLY => {
+                let kind = if msg.handler == SYS_DIFF_REPLY { KIND_DIFFS } else { KIND_PAGE };
+                let page = self.accept_sub_reply(msg.src, kind, &mut Decoder::new(&msg.body));
                 self.maybe_apply_buffered(page);
             }
             SYS_BATCH_REQ => {
@@ -552,16 +572,9 @@ impl Core {
                 body.put_u32(n);
                 for _ in 0..n {
                     let kind = dec.get_u8().expect("batch entry kind");
-                    let page = dec.get_u32().expect("batch entry page");
-                    let after = dec.get_u32().expect("batch entry after");
-                    let through = dec.get_u32().expect("batch entry through");
-                    let force = dec.get_u8().expect("batch entry force") != 0;
-                    let reply = match kind {
-                        0 => self.serve_diff_demand(page, after, through, force),
-                        1 => self.serve_page_demand(page),
-                        other => panic!("unknown batch entry kind {other}"),
-                    };
-                    reply.encode_into(&mut body, &self.engine);
+                    let reply = self.serve_demand(&BatchEntry::decode(&mut dec, kind, true));
+                    body.put_u8(reply.kind());
+                    reply.encode_body(&mut body, &self.engine);
                 }
                 self.send_sys(msg.src, SYS_BATCH_REPLY, body.finish_vec());
             }
@@ -571,22 +584,7 @@ impl Core {
                 let mut pages: BTreeSet<u32> = BTreeSet::new();
                 for _ in 0..n {
                     let kind = dec.get_u8().expect("batch sub-reply kind");
-                    let page = dec.get_u32().expect("batch sub-reply page");
-                    pages.insert(page);
-                    match kind {
-                        0 => {
-                            let records = dec
-                                .get_seq(carlos_lrc::DiffRecord::decode)
-                                .expect("batch diff records");
-                            self.accept_diff_reply(msg.src, page, records);
-                        }
-                        1 => {
-                            let data = dec.get_bytes().expect("batch page data");
-                            let applied = Vc::decode(&mut dec).expect("batch page applied vc");
-                            self.accept_page_reply(msg.src, page, data, applied);
-                        }
-                        other => panic!("unknown batch sub-reply kind {other}"),
-                    }
+                    pages.insert(self.accept_sub_reply(msg.src, kind, &mut dec));
                 }
                 // Buffered-diff application runs once per distinct page,
                 // after every inflight key this reply settles is removed —
@@ -616,6 +614,15 @@ impl Core {
                 self.retry_pending_accepts();
             }
             other => panic!("unknown system handler id {other:#x}"),
+        }
+    }
+
+    /// Serves one demand fetch, of either kind.
+    fn serve_demand(&mut self, e: &BatchEntry) -> SubReply {
+        match e.kind {
+            KIND_DIFFS => self.serve_diff_demand(e.page, e.after, e.through, e.force),
+            KIND_PAGE => self.serve_page_demand(e.page),
+            other => panic!("unknown demand kind {other}"),
         }
     }
 
@@ -664,6 +671,25 @@ impl Core {
             data,
             applied,
         }
+    }
+
+    /// Decodes and accepts one (sub-)reply of `kind` from `src`, returning
+    /// its page.
+    fn accept_sub_reply(&mut self, src: NodeId, kind: u8, dec: &mut Decoder<'_>) -> u32 {
+        let page = dec.get_u32().expect("reply page");
+        match kind {
+            KIND_DIFFS => {
+                let records = dec.get_seq(carlos_lrc::DiffRecord::decode).expect("diff records");
+                self.accept_diff_reply(src, page, records);
+            }
+            KIND_PAGE => {
+                let data = dec.get_bytes().expect("page data");
+                let applied = Vc::decode(dec).expect("page applied vc");
+                self.accept_page_reply(src, page, data, applied);
+            }
+            other => panic!("unknown reply kind {other}"),
+        }
+        page
     }
 
     /// Receive side of one diff (sub-)reply: charges apply costs, buffers
@@ -1032,24 +1058,14 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Creates the runtime for the node behind `ctx`.
-    #[must_use]
-    pub fn new(ctx: NodeCtx, lrc_cfg: LrcConfig, cfg: CoreConfig) -> Self {
-        Self::with_ack_mode(ctx, lrc_cfg, cfg, AckMode::Implicit)
-    }
-
-    /// Creates the runtime with an explicit transport acknowledgement mode.
+    /// Creates the runtime for the node behind `ctx`, its transport
+    /// acknowledging in the cluster's mode ([`NodeCtx::ack`]).
     ///
     /// # Panics
     ///
     /// Panics if the LRC cluster size disagrees with the simulated one.
     #[must_use]
-    pub fn with_ack_mode(
-        ctx: NodeCtx,
-        lrc_cfg: LrcConfig,
-        cfg: CoreConfig,
-        ack: AckMode,
-    ) -> Self {
+    pub fn new(ctx: NodeCtx, lrc_cfg: LrcConfig, cfg: CoreConfig) -> Self {
         assert_eq!(
             lrc_cfg.n_nodes,
             ctx.num_nodes(),
@@ -1061,7 +1077,7 @@ impl Runtime {
         if let Some(s) = &sink {
             engine.set_sink(Rc::clone(s));
         }
-        let transport = Transport::new(ctx.clone(), ack);
+        let transport = Transport::new(ctx.clone(), ctx.ack());
         Self {
             core: Core {
                 ctx,
@@ -1436,101 +1452,71 @@ impl Runtime {
     /// Sends the protocol requests for `demands` (deduplicated against
     /// requests already in flight) and returns the `(page, server)` keys
     /// whose replies the caller may wait on.
+    ///
+    /// Without coalescing, every request goes out alone as it is made, in
+    /// demand order (pinned by the golden fingerprints). With it, requests
+    /// are grouped by serving node and each group goes out as one request.
     fn issue_demands(&mut self, demands: Vec<Demand>) -> Vec<(u32, NodeId)> {
         let coalesce = self.core.cfg.coalesce_fetches;
-        // With coalescing, demands not yet in flight are grouped by serving
-        // node and same-destination groups of two or more share one batched
-        // round trip; singletons keep the legacy wire exchange. Without it,
-        // every request goes out inline, in demand order, exactly as the
-        // historical protocol did (pinned by the golden fingerprints).
         let mut fresh: BTreeMap<NodeId, Vec<BatchEntry>> = BTreeMap::new();
         let mut waiting: Vec<(u32, NodeId)> = Vec::new();
         for d in demands {
-            match d {
+            let (to, mut entry) = match d {
                 Demand::Diffs {
                     to,
                     page,
                     after,
                     through,
-                } => {
-                    waiting.push((page, to));
-                    if self.core.inflight.insert((page, to)) {
-                        self.core.ctx.count("carlos.diff_requests", 1);
-                        self.core.note_fetch(to, page, FetchKind::Diffs);
-                        let force = self.core.force_diffs.contains(&(page, to));
-                        if coalesce {
-                            fresh.entry(to).or_default().push(BatchEntry {
-                                kind: 0,
-                                page,
-                                after,
-                                through,
-                                force,
-                            });
-                        } else {
-                            self.send_diff_req(to, page, after, through, force);
-                        }
-                    }
-                }
-                Demand::Page { to, page } => {
-                    waiting.push((page, to));
-                    if self.core.inflight.insert((page, to)) {
-                        self.core.ctx.count("carlos.page_requests", 1);
-                        self.core.note_fetch(to, page, FetchKind::Page);
-                        if coalesce {
-                            fresh.entry(to).or_default().push(BatchEntry {
-                                kind: 1,
-                                page,
-                                after: 0,
-                                through: 0,
-                                force: false,
-                            });
-                        } else {
-                            let mut body = Encoder::new();
-                            body.put_u32(page);
-                            self.core.send_sys(to, SYS_PAGE_REQ, body.finish_vec());
-                        }
-                    }
-                }
+                } => (to, BatchEntry { after, through, ..BatchEntry::new(KIND_DIFFS, page) }),
+                Demand::Page { to, page } => (to, BatchEntry::new(KIND_PAGE, page)),
+            };
+            let key = (entry.page, to);
+            waiting.push(key);
+            if !self.core.inflight.insert(key) {
+                continue;
+            }
+            if entry.kind == KIND_DIFFS {
+                self.core.ctx.count("carlos.diff_requests", 1);
+                self.core.note_fetch(to, entry.page, FetchKind::Diffs);
+                entry.force = self.core.force_diffs.contains(&key);
+            } else {
+                self.core.ctx.count("carlos.page_requests", 1);
+                self.core.note_fetch(to, entry.page, FetchKind::Page);
+            }
+            if coalesce {
+                fresh.entry(to).or_default().push(entry);
+            } else {
+                self.send_demands(to, &[entry]);
             }
         }
         for (to, entries) in fresh {
-            if entries.len() == 1 {
-                let e = &entries[0];
-                if e.kind == 0 {
-                    self.send_diff_req(to, e.page, e.after, e.through, e.force);
-                } else {
-                    let mut body = Encoder::new();
-                    body.put_u32(e.page);
-                    self.core.send_sys(to, SYS_PAGE_REQ, body.finish_vec());
-                }
-                continue;
-            }
-            self.core.ctx.count("carlos.batch_requests", 1);
-            self.core
-                .ctx
-                .count("carlos.batched_fetches", entries.len() as u64);
-            let mut body = Encoder::new();
-            body.put_u32(entries.len() as u32);
-            for e in &entries {
-                body.put_u8(e.kind);
-                body.put_u32(e.page);
-                body.put_u32(e.after);
-                body.put_u32(e.through);
-                body.put_u8(u8::from(e.force));
-            }
-            self.core.send_sys(to, SYS_BATCH_REQ, body.finish_vec());
+            self.send_demands(to, &entries);
         }
         waiting
     }
 
-    /// Sends one legacy (singleton) diff request.
-    fn send_diff_req(&mut self, to: NodeId, page: u32, after: u32, through: u32, force: bool) {
+    /// Sends `entries` to `to`: one entry as SYS_DIFF_REQ or SYS_PAGE_REQ,
+    /// two or more as one SYS_BATCH_REQ.
+    fn send_demands(&mut self, to: NodeId, entries: &[BatchEntry]) {
         let mut body = Encoder::new();
-        body.put_u32(page);
-        body.put_u32(after);
-        body.put_u32(through);
-        body.put_u8(u8::from(force));
-        self.core.send_sys(to, SYS_DIFF_REQ, body.finish_vec());
+        let handler = if let [e] = entries {
+            e.encode(&mut body, false);
+            if e.kind == KIND_DIFFS {
+                SYS_DIFF_REQ
+            } else {
+                SYS_PAGE_REQ
+            }
+        } else {
+            self.core.ctx.count("carlos.batch_requests", 1);
+            self.core.ctx.count("carlos.batched_fetches", entries.len() as u64);
+            body.put_u32(entries.len() as u32);
+            for e in entries {
+                body.put_u8(e.kind);
+                e.encode(&mut body, true);
+            }
+            SYS_BATCH_REQ
+        };
+        self.core.send_sys(to, handler, body.finish_vec());
     }
 
     fn resolve_demands(&mut self, demands: Vec<Demand>) {

@@ -93,8 +93,6 @@ pub struct ServeConfig {
     pub sim: SimConfig,
     /// CarlOS cost model.
     pub core: CoreConfig,
-    /// Transport acknowledgement mode.
-    pub ack: AckMode,
     /// Optional consistency oracle (observer-only).
     pub check: Option<carlos_check::Checker>,
     /// Optional causal tracer (observer-only).
@@ -182,7 +180,6 @@ impl ServeConfig {
             probe: None,
             sim: SimConfig::fast_test(),
             core: CoreConfig::fast_test(),
-            ack: AckMode::Implicit,
             check: None,
             trace: None,
         }
@@ -205,7 +202,7 @@ impl ServeConfig {
         let n_servers = cfg.n_servers();
         let last_server = (n_servers - 1) as u32;
         let clients: Vec<u32> = (n_servers as u32..cfg.n_nodes as u32).collect();
-        cfg.ack = AckMode::Arq {
+        cfg.sim.ack = AckMode::Arq {
             window: 16,
             rto: ms(5),
         };
@@ -620,7 +617,7 @@ fn serve_node(
     ctx: NodeCtx,
 ) -> (NodeStats, Option<Vec<u64>>) {
     let (lay, lrc) = layout(cfg);
-    let mut rt = Runtime::with_ack_mode(ctx, lrc, cfg.core.clone(), cfg.ack);
+    let mut rt = Runtime::new(ctx, lrc, cfg.core.clone());
     let sys = carlos_sync::install(&mut rt);
     let barrier = BarrierSpec::global(900, 0);
     sys.barrier(&mut rt, barrier, 100);

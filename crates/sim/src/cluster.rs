@@ -16,6 +16,7 @@ use crate::{
     kernel::{EvKind, Kernel, ProcId, ProcMain},
     stats::{Bucket, Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
+    transport::AckMode,
 };
 
 /// A datagram as seen by a receiving node.
@@ -409,6 +410,13 @@ impl NodeCtx {
     #[must_use]
     pub fn num_nodes(&self) -> usize {
         self.n_nodes
+    }
+
+    /// How this cluster's transports acknowledge frames
+    /// ([`SimConfig::ack`]).
+    #[must_use]
+    pub fn ack(&self) -> AckMode {
+        self.kernel.borrow().config.ack
     }
 
     /// The sink attached to this cluster's event stream, if any

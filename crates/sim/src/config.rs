@@ -4,6 +4,7 @@ use crate::{
     fault::FaultPlan,
     schedule::SchedulePlan,
     time::{us, Ns},
+    transport::AckMode,
 };
 #[cfg(any(test, feature = "seeded-bugs"))]
 use crate::time::NodeId;
@@ -41,6 +42,10 @@ pub struct SimConfig {
     /// Scripted fault schedule (burst loss, partitions, pauses, crashes).
     /// The default empty plan injects nothing.
     pub fault_plan: FaultPlan,
+    /// How every node's transport acknowledges frames. `Implicit` (the
+    /// default) sends no acknowledgements and is correct only on a
+    /// loss-free wire; a run with loss or faults needs `Arq`.
+    pub ack: AckMode,
     /// Maximum extra receiver-side delivery delay per frame, in
     /// nanoseconds. `0` (the default) disables jitter entirely: no random
     /// numbers are drawn and event timing is bit-identical to builds
@@ -97,6 +102,7 @@ impl SimConfig {
             max_virtual_time: None,
             max_events: None,
             fault_plan: FaultPlan::default(),
+            ack: AckMode::Implicit,
             jitter_max: 0,
             jitter_seed: 0,
             schedule: SchedulePlan::new(),
@@ -119,6 +125,7 @@ impl SimConfig {
             max_virtual_time: Some(crate::time::secs(7_200)),
             max_events: Some(200_000_000),
             fault_plan: FaultPlan::default(),
+            ack: AckMode::Implicit,
             jitter_max: 0,
             jitter_seed: 0,
             schedule: SchedulePlan::new(),
@@ -143,6 +150,14 @@ impl SimConfig {
     #[must_use]
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
+        self
+    }
+
+    /// Returns `self` with every node's transport acknowledging in `mode`
+    /// (builder style).
+    #[must_use]
+    pub fn with_ack(mut self, mode: AckMode) -> Self {
+        self.ack = mode;
         self
     }
 

@@ -19,16 +19,11 @@ use carlos_trace::{json, JsonValue, Tracer};
 /// barrier; node 1's reads demand-fetch node 0's writes. Exercises every
 /// hook class: sends, dispatches, costs, fetches, and sync waits.
 fn traced_run(tracer: &Tracer, ack: AckMode) -> carlos_sim::SimReport {
-    let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
+    let mut cluster = Cluster::new(SimConfig::fast_test().with_ack(ack), 2);
     cluster.observe(Rc::new(tracer.clone()));
     for node in 0..2u32 {
         cluster.spawn_node(node, move |ctx| {
-            let mut rt = Runtime::with_ack_mode(
-                ctx,
-                LrcConfig::small_test(2),
-                CoreConfig::osdi94(),
-                ack,
-            );
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::osdi94());
             let sys = carlos_sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             let barrier = BarrierSpec::global(900, 0);
@@ -195,15 +190,10 @@ fn traced_and_untraced_reports_match() {
         traced_run(&t, ARQ)
     };
     let untraced = {
-        let mut cluster = Cluster::new(SimConfig::fast_test(), 2);
+        let mut cluster = Cluster::new(SimConfig::fast_test().with_ack(ARQ), 2);
         for node in 0..2u32 {
             cluster.spawn_node(node, move |ctx| {
-                let mut rt = Runtime::with_ack_mode(
-                    ctx,
-                    LrcConfig::small_test(2),
-                    CoreConfig::osdi94(),
-                    ARQ,
-                );
+                let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::osdi94());
                 let sys = carlos_sync::install(&mut rt);
                 let lock = LockSpec::new(1, 0);
                 let barrier = BarrierSpec::global(900, 0);

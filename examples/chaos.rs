@@ -25,16 +25,16 @@ const ARQ: AckMode = AckMode::Arq {
     rto: ms(5),
 };
 
+/// A fast network under `plan`, with the ARQ transport that rides it out.
+fn chaos_config(plan: FaultPlan) -> SimConfig {
+    SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ)
+}
+
 /// The same counter workload for every act; returns the final counter.
 fn spawn_workload(cluster: &mut Cluster, tuning: Option<SyncTuning>) {
     for node in 0..NODES as u32 {
         cluster.spawn_node(node, move |ctx| {
-            let mut rt = Runtime::with_ack_mode(
-                ctx,
-                LrcConfig::small_test(NODES),
-                CoreConfig::fast_test(),
-                ARQ,
-            );
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(NODES), CoreConfig::fast_test());
             let mut sys = carlos::sync::install(&mut rt);
             if let Some(t) = tuning {
                 sys.set_tuning(t);
@@ -58,7 +58,7 @@ fn spawn_workload(cluster: &mut Cluster, tuning: Option<SyncTuning>) {
 fn main() {
     // Act 1: burst loss. The bad state eats 70% of its frames.
     let plan = FaultPlan::new(0xC4A05).burst_loss(0, ms(60_000), GeParams::bursty(0.7));
-    let mut cluster = Cluster::new(SimConfig::fast_test().with_fault_plan(plan), NODES);
+    let mut cluster = Cluster::new(chaos_config(plan), NODES);
     spawn_workload(&mut cluster, None);
     let r = cluster.run();
     println!(
@@ -71,7 +71,7 @@ fn main() {
 
     // Act 2: partition node 2 away from both peers, heal at 40ms.
     let plan = FaultPlan::new(7).partition(&[0, 1], &[2], us(100), ms(30));
-    let mut cluster = Cluster::new(SimConfig::fast_test().with_fault_plan(plan), NODES);
+    let mut cluster = Cluster::new(chaos_config(plan), NODES);
     spawn_workload(&mut cluster, None);
     let r = cluster.run();
     println!(
@@ -83,7 +83,7 @@ fn main() {
 
     // Act 3: node 2 fail-stops early. Timeouts turn the hang into a report.
     let plan = FaultPlan::new(7).crash(2, us(100));
-    let mut cluster = Cluster::new(SimConfig::fast_test().with_fault_plan(plan), NODES);
+    let mut cluster = Cluster::new(chaos_config(plan), NODES);
     spawn_workload(&mut cluster, Some(SyncTuning::with_timeout(ms(20))));
     match cluster.try_run() {
         Ok(_) => unreachable!("the barrier cannot fall with node 2 dead"),

@@ -16,20 +16,16 @@ const NODES: usize = 3;
 const INCREMENTS: u32 = 10;
 
 fn main() {
-    let config = SimConfig::osdi94().with_loss(0.15, 0xBAD_5EED);
+    let config = SimConfig::osdi94()
+        .with_loss(0.15, 0xBAD_5EED)
+        .with_ack(AckMode::Arq {
+            window: 16,
+            rto: ms(25),
+        });
     let mut cluster = Cluster::new(config, NODES);
     for node in 0..NODES as u32 {
         cluster.spawn_node(node, move |ctx| {
-            let ack = AckMode::Arq {
-                window: 16,
-                rto: ms(25),
-            };
-            let mut rt = Runtime::with_ack_mode(
-                ctx,
-                LrcConfig::osdi94(NODES, 1 << 16),
-                CoreConfig::osdi94(),
-                ack,
-            );
+            let mut rt = Runtime::new(ctx, LrcConfig::osdi94(NODES, 1 << 16), CoreConfig::osdi94());
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..INCREMENTS {

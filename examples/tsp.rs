@@ -4,23 +4,22 @@
 //!
 //! Run with `cargo run --release --example tsp [-- small]`.
 
-use carlos::apps::tsp::{try_run_tsp, Cities, TspConfig, TspVariant};
+use carlos::apps::{launch, Answer, App, Reference, Scale, Spec, TspVariant};
 use carlos::sim::Bucket;
 
 fn main() {
     let small = std::env::args().any(|a| a == "small");
+    let scale = if small { Scale::Test } else { Scale::Paper };
     for (variant, name) in [(TspVariant::Lock, "lock"), (TspVariant::Hybrid, "hybrid")] {
         let mut single = 0.0;
         for n in 1..=4usize {
-            let cfg = if small {
-                TspConfig::test(n, variant)
-            } else {
-                TspConfig::paper(n, variant)
-            };
-            let r = try_run_tsp(&cfg).unwrap_or_else(|e| {
+            let run = launch(&Spec::new(App::Tsp(variant), n, scale)).unwrap_or_else(|e| {
                 eprintln!("TSP/{name} on {n} node(s) failed: {e}");
                 std::process::exit(1);
             });
+            let Answer::Tsp(r) = run.answer else {
+                unreachable!("a TSP run");
+            };
             if n == 1 {
                 single = r.app.secs;
             }
@@ -39,8 +38,9 @@ fn main() {
     }
     if small {
         // On test-scale instances an exact oracle fits in memory.
-        let cfg = TspConfig::test(1, TspVariant::Lock);
-        let oracle = Cities::generate(cfg.n_cities, cfg.seed).held_karp();
-        println!("Held-Karp optimum for the small instance: {oracle}");
+        let spec = Spec::new(App::Tsp(TspVariant::Lock), 1, scale);
+        if let Reference::Tour(oracle) = Reference::of(&spec) {
+            println!("Held-Karp optimum for the small instance: {oracle}");
+        }
     }
 }

@@ -4,8 +4,10 @@
 //!
 //! 1. **Fault transparency** — under recoverable faults (burst loss,
 //!    partition-then-heal) the ARQ transport and the protocols above it
-//!    deliver *bit-identical application results* to a fault-free run.
-//!    Faults may cost virtual time, never correctness.
+//!    deliver the answer `Run::verdict` accepts from a fault-free run: the
+//!    optimal tour, the bit-exact SOR grid, a sorted permutation. Faults
+//!    may cost virtual time, never correctness; each run's fingerprint
+//!    and answer are pinned.
 //! 2. **Graceful failure** — unrecoverable faults (a fail-stop crash of a
 //!    node another node depends on) end the run with a structured
 //!    [`SimError`] naming the crashed node and the operation that gave up,
@@ -13,10 +15,7 @@
 //! 3. **Determinism** — the same seed and the same fault plan reproduce
 //!    the same simulation, byte for byte, faults included.
 
-use carlos::apps::{
-    try_run_qsort, try_run_sor, try_run_tsp, QsortConfig, QsortVariant, SorConfig, TspConfig,
-    TspVariant,
-};
+use carlos::apps::{launch, Answer, App, QsortVariant, Reference, Run, Scale, Spec, TspVariant};
 use carlos::core::{CoreConfig, Runtime};
 use carlos::lrc::LrcConfig;
 use carlos::sim::time::ms;
@@ -61,66 +60,68 @@ fn fingerprint(r: &SimReport) -> String {
     s
 }
 
-fn chaos_tsp_config(plan: FaultPlan) -> TspConfig {
-    let mut cfg = TspConfig::test(2, TspVariant::Lock);
-    cfg.ack = ARQ;
-    cfg.sim = SimConfig::fast_test().with_fault_plan(plan);
-    cfg
+/// The FNV-1a hash of `text`, the form in which fingerprints are pinned.
+fn fnv(text: &str) -> String {
+    let hash = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("fnv {hash:#018x}")
+}
+
+/// `app` on two nodes at test scale, over ARQ, under `plan`.
+fn chaos_spec(app: App, plan: FaultPlan) -> Spec {
+    Spec {
+        sim: Some(SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ)),
+        ..Spec::new(app, 2, Scale::Test)
+    }
+}
+
+/// Launches `spec`, asserts the answer is right whatever the faults did,
+/// and returns the run with its pin: the fingerprint's hash and the answer.
+fn judged(spec: &Spec) -> (Run, String) {
+    let run = launch(spec).expect("chaos run");
+    assert_eq!(run.verdict(&Reference::of(spec)), Ok(()), "faults changed the answer");
+    let answer = match &run.answer {
+        Answer::Tsp(r) => format!("best_len={}", r.best_len),
+        Answer::Quicksort(r) => format!("sorted={} permutation={}", r.sorted, r.permutation_ok),
+        Answer::Sor(r) => format!("checksum={:#018x}", r.checksum.to_bits()),
+        Answer::Water(_) => unreachable!("no Water chaos run"),
+    };
+    let pin = format!("{} {answer}", fnv(&fingerprint(&run.app().report)));
+    (run, pin)
 }
 
 #[test]
 fn tsp_result_identical_under_burst_loss() {
-    let clean = try_run_tsp(&chaos_tsp_config(FaultPlan::default())).expect("TSP run");
     let plan = FaultPlan::new(0xC4A05).burst_loss(0, ms(60_000), GeParams::bursty(0.7));
-    let chaos = try_run_tsp(&chaos_tsp_config(plan)).expect("TSP run");
+    let (run, pin) = judged(&chaos_spec(App::Tsp(TspVariant::Lock), plan));
     assert!(
-        chaos.app.report.net.dropped_burst > 0,
+        run.app().report.net.dropped_burst > 0,
         "the burst window must actually bite"
     );
-    assert_eq!(
-        chaos.best_len, clean.best_len,
-        "burst loss must never change the answer"
-    );
+    assert_eq!(pin, "fnv 0x823c4df38fca9c63 best_len=25972");
 }
 
 #[test]
 fn sor_checksum_identical_under_partition_then_heal() {
-    let mut clean_cfg = SorConfig::test(2);
-    clean_cfg.ack = ARQ;
-    clean_cfg.sim = SimConfig::fast_test();
-    let clean = try_run_sor(&clean_cfg).expect("SOR run");
-
-    let mut chaos_cfg = SorConfig::test(2);
-    chaos_cfg.ack = ARQ;
-    chaos_cfg.sim = SimConfig::fast_test()
-        .with_fault_plan(FaultPlan::new(11).partition(&[0], &[1], ms(1), ms(40)));
-    let chaos = try_run_sor(&chaos_cfg).expect("SOR run");
-
+    let plan = FaultPlan::new(11).partition(&[0], &[1], ms(1), ms(40));
+    let (run, pin) = judged(&chaos_spec(App::Sor, plan));
     assert!(
-        chaos.app.report.net.dropped_partition > 0,
+        run.app().report.net.dropped_partition > 0,
         "the partition must actually bite"
     );
-    assert_eq!(
-        chaos.checksum.to_bits(),
-        clean.checksum.to_bits(),
-        "a healed partition must leave the grid bit-identical"
-    );
-    assert_eq!(chaos.grid, clean.grid);
+    assert_eq!(pin, "fnv 0xdebd7dfbd4871488 checksum=0x4096a841a0000000");
 }
 
 #[test]
 fn qsort_stays_correct_under_burst_loss() {
-    let mut cfg = QsortConfig::test(2, QsortVariant::Lock);
-    cfg.ack = ARQ;
-    cfg.sim = SimConfig::fast_test()
-        .with_fault_plan(FaultPlan::new(0x50B7).burst_loss(0, ms(60_000), GeParams::bursty(0.7)));
-    let r = try_run_qsort(&cfg).expect("Quicksort run");
+    let plan = FaultPlan::new(0x50B7).burst_loss(0, ms(60_000), GeParams::bursty(0.7));
+    let (run, pin) = judged(&chaos_spec(App::Quicksort(QsortVariant::Lock), plan));
     assert!(
-        r.app.report.net.dropped_burst > 0,
+        run.app().report.net.dropped_burst > 0,
         "the burst window must actually bite"
     );
-    assert!(r.sorted, "every node must still see a sorted array");
-    assert!(r.permutation_ok, "and the exact input permutation");
+    assert_eq!(pin, "fnv 0x6f5264e7fa3e0aee sorted=true permutation=true");
 }
 
 #[test]
@@ -129,9 +130,9 @@ fn crash_with_timeouts_reports_attributed_error() {
     // sync timeouts and the ARQ failure detector, must give up with an
     // error naming both the operation and the casualty — not hang.
     let plan = FaultPlan::new(5).crash(1, ms(2));
-    let mut c = Cluster::new(SimConfig::fast_test().with_fault_plan(plan), 2);
+    let mut c = Cluster::new(SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ), 2);
     c.spawn_node(0, |ctx| {
-        let mut rt = Runtime::with_ack_mode(ctx, LrcConfig::small_test(2), CoreConfig::fast_test(), ARQ);
+        let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
         let mut sys = carlos::sync::install(&mut rt);
         sys.set_tuning(SyncTuning::with_timeout(ms(20)));
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
@@ -207,14 +208,18 @@ fn same_seed_and_plan_reproduce_the_same_simulation() {
             .burst_loss(0, ms(60_000), GeParams::bursty(0.6))
             .pause(1, ms(3), ms(6))
     };
-    let a = try_run_tsp(&chaos_tsp_config(plan())).expect("TSP run");
-    let b = try_run_tsp(&chaos_tsp_config(plan())).expect("TSP run");
+    let spec = chaos_spec(App::Tsp(TspVariant::Lock), plan());
+    let (a, a_pin) = judged(&spec);
+    let (b, b_pin) = judged(&spec);
     assert_eq!(
-        fingerprint(&a.app.report),
-        fingerprint(&b.app.report),
+        fingerprint(&a.app().report),
+        fingerprint(&b.app().report),
         "chaos must be scripted, not random"
     );
-    assert_eq!(a.best_len, b.best_len);
+    assert_eq!(a_pin, b_pin);
+    let (Answer::Tsp(a), Answer::Tsp(b)) = (&a.answer, &b.answer) else {
+        unreachable!("TSP runs");
+    };
     assert_eq!(a.expansions, b.expansions);
 }
 
@@ -320,4 +325,8 @@ fn serve_chaos_is_attributed_and_reproducible() {
         "chaos serving must be scripted, not random"
     );
     assert_eq!(serve_fingerprint(&a), serve_fingerprint(&b));
+    assert_eq!(
+        format!("{} {}", fnv(&fingerprint(&a.app.report)), fnv(&serve_fingerprint(&a))),
+        "fnv 0x51ebe539110b2017 fnv 0xef741612b45c5677"
+    );
 }

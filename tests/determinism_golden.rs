@@ -12,7 +12,7 @@
 //! these fingerprints), regenerate the goldens by running the test and
 //! copying the `actual fingerprint:` block from the failure message.
 
-use carlos::apps::{launch, App, Scale, Spec, TspVariant, Tweak};
+use carlos::apps::{launch, Answer, App, Scale, Spec, TspVariant, Tweak};
 use carlos::check::Checker;
 use carlos::trace::Tracer;
 use carlos::core::{CoreConfig, Runtime};
@@ -25,6 +25,12 @@ use carlos::util::event::{Event, Sink};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
+
+/// The transport of the lossy and chaos workloads.
+const ARQ: AckMode = AckMode::Arq {
+    window: 16,
+    rto: ms(5),
+};
 
 /// Serializes every determinism-relevant field of a report into one
 /// comparable, diffable string.
@@ -120,17 +126,14 @@ fn two_node_lossy_run(sink: Option<Rc<dyn Sink>>) -> SimReport {
 
 fn two_node_lossy_run_regions(sink: Option<Rc<dyn Sink>>, regions: Vec<RegionSpec>) -> SimReport {
     const N: usize = 2;
-    let mut cluster = observed(SimConfig::fast_test().with_loss(0.10, 77), sink);
+    let cfg = SimConfig::fast_test().with_loss(0.10, 77).with_ack(ARQ);
+    let mut cluster = observed(cfg, sink);
     for node in 0..N as u32 {
         let regions = regions.clone();
         cluster.spawn_node(node, move |ctx| {
-            let ack = AckMode::Arq {
-                window: 16,
-                rto: ms(5),
-            };
             let mut lrc = LrcConfig::small_test(N);
             lrc.regions = regions.clone();
-            let mut rt = Runtime::with_ack_mode(ctx, lrc, CoreConfig::fast_test(), ack);
+            let mut rt = Runtime::new(ctx, lrc, CoreConfig::fast_test());
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..6 {
@@ -171,18 +174,17 @@ fn two_node_chaos_run_regions(sink: Option<Rc<dyn Sink>>, regions: Vec<RegionSpe
             },
         )
         .pause(1, us(20), ms(12));
-    let cfg = SimConfig::fast_test().with_loss(0.05, 77).with_fault_plan(plan);
+    let cfg = SimConfig::fast_test()
+        .with_loss(0.05, 77)
+        .with_fault_plan(plan)
+        .with_ack(ARQ);
     let mut cluster = observed(cfg, sink);
     for node in 0..N as u32 {
         let regions = regions.clone();
         cluster.spawn_node(node, move |ctx| {
-            let ack = AckMode::Arq {
-                window: 16,
-                rto: ms(5),
-            };
             let mut lrc = LrcConfig::small_test(N);
             lrc.regions = regions.clone();
-            let mut rt = Runtime::with_ack_mode(ctx, lrc, CoreConfig::fast_test(), ack);
+            let mut rt = Runtime::new(ctx, lrc, CoreConfig::fast_test());
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..6 {
@@ -352,15 +354,17 @@ fn eight_node_reports_are_pinned() {
             r.elapsed, r.events_processed, r.net.messages, r.net.payload_bytes
         )
     };
-    let tsp = carlos::apps::try_run_tsp(&carlos::apps::TspConfig::test(8, TspVariant::Lock))
-        .expect("TSP run");
+    let launched = |app| launch(&Spec::new(app, 8, Scale::Test)).expect("8-node run");
+    let tsp = launched(App::Tsp(TspVariant::Lock));
+    let Answer::Tsp(t) = &tsp.answer else { unreachable!("a TSP run") };
     assert_eq!(
-        format!("{} best_len={}", totals(&tsp.app.report), tsp.best_len),
+        format!("{} best_len={}", totals(&tsp.app().report), t.best_len),
         "elapsed=13523020 events=4616 messages=1219 payload_bytes=106900 best_len=25972"
     );
-    let sor = carlos::apps::try_run_sor(&carlos::apps::SorConfig::test(8)).expect("SOR run");
+    let sor = launched(App::Sor);
+    let Answer::Sor(s) = &sor.answer else { unreachable!("a SOR run") };
     assert_eq!(
-        format!("{} checksum={:#018x}", totals(&sor.app.report), sor.checksum.to_bits()),
+        format!("{} checksum={:#018x}", totals(&sor.app().report), s.checksum.to_bits()),
         "elapsed=5498056 events=1358 messages=380 payload_bytes=43665 checksum=0x4096a841a0000000"
     );
 }

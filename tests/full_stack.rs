@@ -166,20 +166,16 @@ fn fault_injection_lock_counter() {
     for (loss, seed) in [(0.05, 11u64), (0.20, 22)] {
         const N: usize = 3;
         const INCS: u32 = 8;
-        let cfg = SimConfig::fast_test().with_loss(loss, seed);
+        let cfg = SimConfig::fast_test()
+            .with_loss(loss, seed)
+            .with_ack(AckMode::Arq {
+                window: 16,
+                rto: ms(5),
+            });
         let mut cluster = Cluster::new(cfg, N);
         for node in 0..N as u32 {
             cluster.spawn_node(node, move |ctx| {
-                let ack = AckMode::Arq {
-                    window: 16,
-                    rto: ms(5),
-                };
-                let mut rt = Runtime::with_ack_mode(
-                    ctx,
-                    LrcConfig::small_test(N),
-                    CoreConfig::fast_test(),
-                    ack,
-                );
+                let mut rt = Runtime::new(ctx, LrcConfig::small_test(N), CoreConfig::fast_test());
                 let sys = carlos::sync::install(&mut rt);
                 let lock = LockSpec::new(1, 0);
                 for _ in 0..INCS {

@@ -16,19 +16,19 @@ use carlos::sync::{BarrierSpec, LockSpec, SyncTuning};
 
 const N: usize = 4;
 
+const ARQ: AckMode = AckMode::Arq {
+    window: 16,
+    rto: ms(5),
+};
+
 /// Four nodes increment one shared counter under a contended lock, with a
 /// barrier every few rounds: small messages, and a park on almost every
 /// operation.
 fn contended_counter(sim: SimConfig) -> Result<SimReport, SimError> {
-    let mut c = Cluster::new(sim, N);
+    let mut c = Cluster::new(sim.with_ack(ARQ), N);
     for node in 0..N as u32 {
         c.spawn_node(node, move |ctx| {
-            let ack = AckMode::Arq {
-                window: 16,
-                rto: ms(5),
-            };
-            let mut rt =
-                Runtime::with_ack_mode(ctx, LrcConfig::small_test(N), CoreConfig::fast_test(), ack);
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(N), CoreConfig::fast_test());
             let mut sys = carlos::sync::install(&mut rt);
             sys.set_tuning(SyncTuning::with_timeout(ms(50)));
             let lock = LockSpec::new(1, 0);

@@ -60,7 +60,12 @@ fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32, u64) {
     let n = scripts.len();
     let region = 64 * 16 * (n + 1);
     let sim = match mode {
-        Mode::Lossy => SimConfig::fast_test().with_loss(0.10, 0xF422),
+        Mode::Lossy => SimConfig::fast_test()
+            .with_loss(0.10, 0xF422)
+            .with_ack(AckMode::Arq {
+                window: 16,
+                rto: ms(5),
+            }),
         _ => SimConfig::fast_test(),
     };
     let out = carlos::apps::harness::Collector::<Vec<u8>>::new();
@@ -89,18 +94,7 @@ fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32, u64) {
                     .with_aggregated_notices(),
                 _ => CoreConfig::fast_test(),
             };
-            let mut rt = match mode {
-                Mode::Lossy => Runtime::with_ack_mode(
-                    ctx,
-                    lrc,
-                    core,
-                    AckMode::Arq {
-                        window: 16,
-                        rto: ms(5),
-                    },
-                ),
-                _ => Runtime::new(ctx, lrc, core),
-            };
+            let mut rt = Runtime::new(ctx, lrc, core);
             let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             let barrier = BarrierSpec::global(9, 0);
