@@ -13,11 +13,20 @@ if grep -rEn 'thread::(spawn|Builder|JoinHandle)' crates/sim/src; then
     exit 1
 fi
 # A run's procs, kernel and observers share one thread: state they share is
-# Rc / RefCell / Cell. (std::sync::Once for the panic hook stays allowed;
-# the word bounds spare carlos-sync's DSM `CondvarSpec`.)
-if grep -rEn '\b(Mutex|RwLock|Condvar)\b|Atomic|parking_lot|Arc<|Arc::' \
+# Rc / RefCell / Cell, and a lazily initialised global (OnceLock, LazyLock)
+# is process state shared by every run. (std::sync::Once for the panic hook
+# stays allowed.)
+if grep -rEn 'Mutex|RwLock|Condvar|OnceLock|LazyLock|Atomic|parking_lot|Arc<|Arc::' \
     crates/{util,sim,lrc,core,sync,check,trace,apps}/src; then
-    echo "no locks, atomics or Arc in the crates a run executes" >&2
+    echo "no locks, atomics, lazy globals or Arc in the crates a run executes" >&2
+    exit 1
+fi
+# A run is configured by its Spec and configs alone: no environment variable
+# changes what the crates a run executes do. (The report's and the bench's
+# CARLOS_REPORT_* / CARLOS_BENCH_* switches live in crates/bench.)
+if grep -rEn 'env::var' \
+    crates/{util,sim,lrc,core,sync,check,trace,apps,serve,explore}/src; then
+    echo "no environment variables in the crates a run executes; add a config field" >&2
     exit 1
 fi
 

@@ -69,16 +69,11 @@ pub struct QsortConfig {
     pub ns_per_partition_elem: u64,
     /// Network/cost model.
     pub sim: SimConfig,
-    /// CarlOS cost model.
+    /// CarlOS cost model; its `variable_granularity` also selects the
+    /// fine-granule layout of the shared data.
     pub core: CoreConfig,
     /// DSM page size.
     pub page_size: usize,
-    /// Variable-granularity layout hints: control words and descriptor
-    /// slots get fine coherence granules and the array gets 1 KiB granules
-    /// (one Bubblesort leaf spans a few granules instead of sharing 8 KiB
-    /// pages with other sorters' halves). Off by default — the legacy
-    /// layout and wire behavior are pinned by golden fingerprints.
-    pub granularity_hints: bool,
     /// Verify the result on every node (tests) or only on node 0 (paper
     /// runs: the master collects the sorted array once).
     pub verify_all_nodes: bool,
@@ -122,7 +117,6 @@ impl QsortConfig {
             sim: SimConfig::fast_test(),
             core: CoreConfig::fast_test(),
             page_size: 512,
-            granularity_hints: false,
             verify_all_nodes: true,
             check: None,
             trace: None,
@@ -154,7 +148,7 @@ fn layout(cfg: &QsortConfig) -> (Layout, usize, Vec<carlos_lrc::RegionSpec>) {
     let mut heap = CoherentHeap::new(1 << 28);
     let slot_cap = 8192;
     let (stack_top, done, slots, array);
-    if cfg.granularity_hints {
+    if cfg.core.variable_granularity {
         // Fine granules for the hot small data: the stack control words
         // share one 64 B unit, and each 64 B slot granule holds eight
         // 8-byte descriptors. The array gets 1 KiB granules, so a sorter

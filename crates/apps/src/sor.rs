@@ -40,15 +40,11 @@ pub struct SorConfig {
     pub ns_per_cell: u64,
     /// Network/cost model.
     pub sim: SimConfig,
-    /// CarlOS cost model (switch `strategy` for the ablation).
+    /// CarlOS cost model (switch `strategy` for the ablation); its
+    /// `variable_granularity` makes the coherence unit one grid row.
     pub core: CoreConfig,
     /// DSM page size.
     pub page_size: usize,
-    /// Variable-granularity layout hint: make the coherence unit exactly
-    /// one grid row (`cols * 8` bytes, when that is a power of two), so a
-    /// halo-row fetch moves one row instead of a page spanning two. Off by
-    /// default — legacy behavior is pinned by golden fingerprints.
-    pub granularity_hints: bool,
     /// Optional consistency oracle on the run's event stream
     /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
@@ -88,7 +84,6 @@ impl SorConfig {
             sim: SimConfig::fast_test(),
             core: CoreConfig::fast_test(),
             page_size: 256,
-            granularity_hints: false,
             check: None,
             trace: None,
         }
@@ -182,7 +177,9 @@ fn sor_node(cfg: &SorConfig, ctx: carlos_sim::NodeCtx) -> Vec<f64> {
     let (rows, cols) = (cfg.rows, cfg.cols);
     let mut heap = CoherentHeap::new(rows * cols * 8 + cfg.page_size);
     let row_bytes = cols * 8;
-    let grid_addr = if cfg.granularity_hints && row_bytes.is_power_of_two() {
+    // Variable granularity: one grid row per coherence unit (when `cols * 8`
+    // is a power of two), so a halo-row fetch moves one row, not a page.
+    let grid_addr = if cfg.core.variable_granularity && row_bytes.is_power_of_two() {
         heap.alloc_with_granule(rows * row_bytes, row_bytes)
     } else {
         heap.alloc(rows * cols * 8, 8)

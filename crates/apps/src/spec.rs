@@ -52,8 +52,9 @@ impl App {
 pub enum Tweak {
     /// The application as the paper ran it.
     None,
-    /// Variable granularity ("+vg"): per-region granule hints, coalesced
-    /// demand fetches and aggregated write notices.
+    /// Variable granularity ("+vg", [`CoreConfig::variable_granularity`]):
+    /// per-region granules, coalesced demand fetches and aggregated write
+    /// notices.
     Vg,
     /// Every message marked RELEASE (§5.4; TSP and Water).
     AllRelease,
@@ -68,7 +69,7 @@ impl Tweak {
     fn core(self, core: CoreConfig) -> CoreConfig {
         match self {
             Self::None | Self::AllRelease => core,
-            Self::Vg => core.with_coalesced_fetches().with_aggregated_notices(),
+            Self::Vg => core.with_variable_granularity(),
             Self::TreadMarks => core.with_treadmarks_dispatch(),
             Self::Update => core.with_update_strategy(),
         }
@@ -300,7 +301,6 @@ pub fn launch_with(
                 c.sim = sim.clone();
             }
             c.core = spec.tweak.core(spec.core.clone().unwrap_or(c.core));
-            c.granularity_hints = spec.tweak == Tweak::Vg;
             c.check = check.clone();
             c.trace = trace.clone();
             c

@@ -65,16 +65,11 @@ pub struct TspConfig {
     pub refresh_every: u32,
     /// Network/cost model.
     pub sim: SimConfig,
-    /// CarlOS cost model.
+    /// CarlOS cost model; its `variable_granularity` also selects the
+    /// fine-granule layout of the shared data.
     pub core: CoreConfig,
     /// DSM page size.
     pub page_size: usize,
-    /// Variable-granularity layout hints: give the queue control words and
-    /// each handful of task descriptors their own fine coherence granule
-    /// (via `CoherentHeap::alloc_with_granule`) instead of sharing whole
-    /// pages. Off by default — the legacy layout and wire behavior are
-    /// pinned by golden fingerprints.
-    pub granularity_hints: bool,
     /// Optional consistency oracle on the run's event stream
     /// (observer-only: virtual time is unaffected).
     pub check: Option<carlos_check::Checker>,
@@ -115,7 +110,6 @@ impl TspConfig {
             sim: SimConfig::fast_test(),
             core: CoreConfig::fast_test(),
             page_size: 512,
-            granularity_hints: false,
             check: None,
             trace: None,
         }
@@ -344,7 +338,7 @@ fn layout(cfg: &TspConfig) -> (Layout, usize, Vec<carlos_lrc::RegionSpec>) {
     let mut heap = CoherentHeap::new(1 << 22);
     let slot_cap = 16_384;
     let (best, q_top, slots);
-    if cfg.granularity_hints {
+    if cfg.core.variable_granularity {
         // Fine granules: the bound and the queue control words each get a
         // 64 B coherence unit, and the task table is carved into 64 B
         // granules (~7 descriptors each). A pop then fetches one task's

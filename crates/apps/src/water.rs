@@ -61,16 +61,11 @@ pub struct WaterConfig {
     pub ns_per_integrate: u64,
     /// Network/cost model.
     pub sim: SimConfig,
-    /// CarlOS cost model.
+    /// CarlOS cost model; its `variable_granularity` also selects the
+    /// fine-granule layout of the shared data.
     pub core: CoreConfig,
     /// DSM page size.
     pub page_size: usize,
-    /// Variable-granularity layout hint: carve the molecule table into
-    /// 128 B coherence granules so a per-molecule lock–update–unlock moves
-    /// that molecule's live fields, not an 8 KiB page shared by a dozen
-    /// molecules. Off by default — legacy behavior is pinned by golden
-    /// fingerprints.
-    pub granularity_hints: bool,
     /// Collect final state on every node (tests) or only node 0 (paper).
     pub collect_all_nodes: bool,
     /// Optional consistency oracle on the run's event stream
@@ -114,7 +109,6 @@ impl WaterConfig {
             sim: SimConfig::fast_test(),
             core: CoreConfig::fast_test(),
             page_size: 512,
-            granularity_hints: false,
             collect_all_nodes: true,
             check: None,
             trace: None,
@@ -149,7 +143,7 @@ struct Layout {
 fn layout(cfg: &WaterConfig) -> (Layout, usize, Vec<carlos_lrc::RegionSpec>) {
     let ps = cfg.page_size;
     let mut heap = CoherentHeap::new(1 << 26);
-    let mols = if cfg.granularity_hints {
+    let mols = if cfg.core.variable_granularity {
         // Eager 4 KiB granules over the molecule table (about six 672-byte
         // molecule records each). Every node sweeps the whole table every
         // force phase, so updates piggyback on the phase's releases (eager)

@@ -25,13 +25,10 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use carlos_sim::{NodeId, Ns};
-
-/// Transport DATA kind byte (mirrors `carlos_sim::transport`).
-const KIND_DATA: u8 = 0;
-
-/// Kind recorded for frames too short to carry a transport header.
-const KIND_RAW: u8 = u8::MAX;
+use carlos_sim::{
+    transport::{frame_header, KIND_DATA},
+    NodeId, Ns,
+};
 
 /// One wire delivery, annotated with message-level vector clocks.
 ///
@@ -99,13 +96,10 @@ pub(crate) struct DeliveryLog {
     events: Vec<DeliveryEvent>,
 }
 
+/// `(kind, seq)` of a frame; a payload too short for a transport header is
+/// recorded as kind [`u8::MAX`], sequence 0.
 fn header(payload: &[u8]) -> (u8, u32) {
-    if payload.len() >= 5 {
-        let seq = u32::from_le_bytes(payload[1..5].try_into().unwrap_or([0; 4]));
-        (payload[0], seq)
-    } else {
-        (KIND_RAW, 0)
-    }
+    frame_header(payload).unwrap_or((u8::MAX, 0))
 }
 
 fn join(into: &mut [u64], from: &[u64]) {
@@ -252,5 +246,17 @@ mod tests {
         log.on_delivered(0, 1, 12, 22, &data(1));
         assert_eq!(log.events().len(), 1);
         assert_eq!(log.events()[0].seq, 1);
+    }
+
+    #[test]
+    fn a_payload_too_short_for_a_header_is_raw() {
+        let mut log = DeliveryLog::new(2);
+        log.on_sent(0, 1, 10, &[KIND_DATA, 7, 0, 0]);
+        log.on_delivered(0, 1, 10, 20, &[KIND_DATA, 7, 0, 0]);
+        log.on_sent(0, 1, 30, &data(7));
+        log.on_delivered(0, 1, 30, 40, &data(7));
+        let ev = log.events();
+        assert_eq!((ev[0].kind, ev[0].seq, ev[0].is_data()), (u8::MAX, 0, false));
+        assert_eq!((ev[1].kind, ev[1].seq, ev[1].is_data()), (KIND_DATA, 7, true));
     }
 }

@@ -31,11 +31,11 @@ pub enum SeededBug {
     /// changed non-creator vector-clock component of a delta-coded record
     /// back to its predecessor's value — the wire carries a write notice
     /// with an understated timestamp. Requires
-    /// [`CoreConfig::aggregate_notices`].
+    /// [`CoreConfig::variable_granularity`].
     DropNoticeClock,
     /// Serve one granule short in a batched fetch reply: a batch request
     /// for two or more granules gets a well-formed reply carrying all but
-    /// the last sub-reply. Requires [`CoreConfig::coalesce_fetches`].
+    /// the last sub-reply. Requires [`CoreConfig::variable_granularity`].
     SkipBatchGranule,
     /// Apply buffered eager diffs without the completeness revalidation:
     /// a page whose carried-diff set does not cover all known writes is
@@ -104,19 +104,17 @@ pub struct CoreConfig {
     /// forever. `None` (the default) keeps the historical wait-forever
     /// behavior and adds no timer events to the run.
     pub fetch_timeout: Option<Ns>,
-    /// When set, demand fetches raised by one fault that target the same
-    /// serving node travel as a single batched request/reply round trip
-    /// instead of one message pair per granule. Off by default: the
-    /// singleton wire exchanges stay byte-identical with the historical
-    /// protocol.
-    pub coalesce_fetches: bool,
-    /// When set, RELEASE/RELEASE_NT payloads use the aggregated
-    /// write-notice encoding (wire tags 4/5): interval records are grouped
-    /// by creator and all vector-clock components implied by the creator's
-    /// previous record in the same frame are elided. Lossless — the
-    /// receiver reconstructs the exact record set — and off by default so
-    /// legacy frames stay byte-identical.
-    pub aggregate_notices: bool,
+    /// Variable granularity ("+vg"). When set, the applications lay their
+    /// shared data out in per-region granules sized to their objects;
+    /// demand fetches raised by one fault that target the same serving
+    /// node travel as a single batched request/reply round trip instead of
+    /// one message pair per granule; and RELEASE/RELEASE_NT payloads use
+    /// the aggregated write-notice encoding (wire tags 4/5), which groups
+    /// interval records by creator and elides every vector-clock component
+    /// implied by the creator's previous record in the same frame
+    /// (lossless). Off by default, so the wire exchanges stay
+    /// byte-identical with the paper's protocol.
+    pub variable_granularity: bool,
     /// Seeded protocol mutation for explorer-recall tests (never set in
     /// production configs; see [`SeededBug`]).
     #[cfg(any(test, feature = "seeded-bugs"))]
@@ -151,8 +149,7 @@ impl CoreConfig {
             wire_header_pad: 90,
             strategy: Strategy::Invalidate,
             fetch_timeout: None,
-            coalesce_fetches: false,
-            aggregate_notices: false,
+            variable_granularity: false,
             #[cfg(any(test, feature = "seeded-bugs"))]
             seeded_bug: None,
         }
@@ -179,8 +176,7 @@ impl CoreConfig {
             wire_header_pad: 0,
             strategy: Strategy::Invalidate,
             fetch_timeout: None,
-            coalesce_fetches: false,
-            aggregate_notices: false,
+            variable_granularity: false,
             #[cfg(any(test, feature = "seeded-bugs"))]
             seeded_bug: None,
         }
@@ -216,19 +212,10 @@ impl CoreConfig {
         self
     }
 
-    /// Returns `self` with same-destination demand fetches coalesced into
-    /// batched request/reply round trips.
+    /// Returns `self` with variable granularity ("+vg") switched on.
     #[must_use]
-    pub fn with_coalesced_fetches(mut self) -> Self {
-        self.coalesce_fetches = true;
-        self
-    }
-
-    /// Returns `self` with the aggregated write-notice release encoding
-    /// enabled (wire tags 4/5).
-    #[must_use]
-    pub fn with_aggregated_notices(mut self) -> Self {
-        self.aggregate_notices = true;
+    pub fn with_variable_granularity(mut self) -> Self {
+        self.variable_granularity = true;
         self
     }
 

@@ -19,11 +19,7 @@ use std::{
 };
 
 use carlos_lrc::{Demand, LrcConfig, LrcEngine, Records, Vc};
-use carlos_sim::{
-    time::Ns,
-    transport::{ArqTuning, Transport},
-    Bucket, NodeCtx, NodeId,
-};
+use carlos_sim::{time::Ns, transport::Transport, Bucket, NodeCtx, NodeId};
 use carlos_util::{
     codec::{Decoder, Encoder, Wire},
     event::{emit, CostPhase, Event, FetchKind, GranuleClass, MsgClass, Sink},
@@ -268,7 +264,7 @@ impl Core {
         let pad = self.cfg.wire_header_pad;
         #[cfg(any(test, feature = "seeded-bugs"))]
         if self.cfg.seeded_bug == Some(crate::config::SeededBug::DropNoticeClock)
-            && self.cfg.aggregate_notices
+            && self.cfg.variable_granularity
         {
             if let Some(mutated) = seeded_drop_notice_clock(msg) {
                 self.ctx.count("carlos.seeded_bug_fired", 1);
@@ -277,7 +273,7 @@ impl Core {
             }
         }
         self.transport
-            .send(dst, msg.to_framed_with(pad, self.cfg.aggregate_notices));
+            .send(dst, msg.to_framed_with(pad, self.cfg.variable_granularity));
     }
 
     /// Builds a user message from this node with the given annotation,
@@ -1017,12 +1013,6 @@ impl Env<'_> {
         self.core.transmit(dst, &msg);
     }
 
-    /// Number of messages currently stored for deferred disposition.
-    #[must_use]
-    pub fn stored_count(&self) -> usize {
-        self.core.stored.len()
-    }
-
     /// Accepts a previously stored message.
     ///
     /// # Panics
@@ -1281,13 +1271,6 @@ impl Runtime {
         }
     }
 
-    /// Like [`Runtime::wait_accepted`], but gives up when the absolute
-    /// virtual-time `deadline` passes, returning `None`. Traffic for other
-    /// handlers is still serviced while waiting.
-    pub fn wait_accepted_until(&mut self, handler: u32, deadline: Ns) -> Option<AcceptedMsg> {
-        self.wait_accepted_any_until(&[handler], deadline)
-    }
-
     /// Like [`Runtime::wait_accepted_any`] with an absolute deadline.
     pub fn wait_accepted_any_until(
         &mut self,
@@ -1321,14 +1304,9 @@ impl Runtime {
 
     /// Sends a liveness probe to `peer` (no-op in Implicit ack mode, for
     /// self, or while a probe is already outstanding). An unanswered probe
-    /// flags the peer down after [`ArqTuning::probe_rtos`] RTOs.
+    /// flags the peer down after [`carlos_sim::ArqTuning::probe_rtos`] RTOs.
     pub fn probe_peer(&mut self, peer: NodeId) {
         self.core.transport.probe(peer);
-    }
-
-    /// Replaces the transport's retransmission/failure-detection tuning.
-    pub fn set_arq_tuning(&mut self, tuning: ArqTuning) {
-        self.core.transport.set_tuning(tuning);
     }
 
     /// Sleeps for `dt` of virtual time while continuing to service
@@ -1457,7 +1435,7 @@ impl Runtime {
     /// demand order (pinned by the golden fingerprints). With it, requests
     /// are grouped by serving node and each group goes out as one request.
     fn issue_demands(&mut self, demands: Vec<Demand>) -> Vec<(u32, NodeId)> {
-        let coalesce = self.core.cfg.coalesce_fetches;
+        let coalesce = self.core.cfg.variable_granularity;
         let mut fresh: BTreeMap<NodeId, Vec<BatchEntry>> = BTreeMap::new();
         let mut waiting: Vec<(u32, NodeId)> = Vec::new();
         for d in demands {
@@ -1549,10 +1527,10 @@ impl Runtime {
                     carlos_sim::abort(
                         self.core.ctx.node_id(),
                         format!(
-                            "page {page} fetch from node {server} abandoned after \
-                             {rounds} timeout rounds (peer {})",
+                            "page {page} fetch abandoned after {rounds} timeout rounds: \
+                             node {server} is {}",
                             if self.core.transport.peer_down(server) {
-                                "is down"
+                                "down"
                             } else {
                                 "unresponsive"
                             }

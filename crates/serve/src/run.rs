@@ -78,8 +78,10 @@ pub struct ServeConfig {
     pub shards_per_server: usize,
     /// Slots per shard (power of two; sized ≥ 2× expected keys/shard).
     pub slots_per_shard: usize,
-    /// Variable-granularity layout hints (eager fine granules for slot
-    /// headers, demand cell granules for values).
+    /// Granularity hints for serving's store layout only (eager fine
+    /// granules for slot headers, demand cell granules for values). On by
+    /// default, without the "+vg" wire forms (coalesced fetches, aggregated
+    /// notices), which [`CoreConfig::variable_granularity`] switches on.
     pub granularity_hints: bool,
     /// Server-side compute charged per request executed.
     pub ns_per_op: Ns,

@@ -41,6 +41,7 @@ use crate::{
     fault::{DropCause, FaultState},
     stats::{Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
+    transport::{frame_header, KIND_DATA},
 };
 
 /// Dense identifier of a simulated proc (thread of control).
@@ -407,7 +408,8 @@ impl Kernel {
             return Some(base);
         }
         let mut at = base;
-        if let Some(seq) = data_frame_seq(payload) {
+        // A plan names DATA frames by their transport sequence number.
+        if let Some((KIND_DATA, seq)) = frame_header(payload) {
             if let Some(extra) = self.config.schedule.get(src, dst, seq) {
                 at += extra;
                 // Seeded bug (FifoReorder): on the configured pair a
@@ -433,17 +435,6 @@ impl Kernel {
 /// `(seed, src)`.
 fn jitter_shard_seed(seed: u64, src: u64) -> u64 {
     SplitMix64::new(seed ^ (src + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
-}
-
-/// Transport sequence number of a DATA frame, parsed from the wire header
-/// (`None` for control frames and anything too short to carry a header).
-fn data_frame_seq(payload: &[u8]) -> Option<u32> {
-    use crate::transport::{HEADER_BYTES, KIND_DATA};
-    if payload.len() >= HEADER_BYTES && payload[0] == KIND_DATA {
-        Some(u32::from_le_bytes(payload[1..HEADER_BYTES].try_into().ok()?))
-    } else {
-        None
-    }
 }
 
 #[cfg(test)]

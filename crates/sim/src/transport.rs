@@ -48,10 +48,24 @@ pub enum AckMode {
 
 /// Wire header: 1 byte kind + 4 bytes sequence/ack number.
 pub(crate) const HEADER_BYTES: usize = 5;
-pub(crate) const KIND_DATA: u8 = 0;
-const KIND_ACK: u8 = 1;
-const KIND_PING: u8 = 2;
-const KIND_PONG: u8 = 3;
+/// Frame kind of an application message; its header field is the per-pair
+/// sequence number that names the frame's flow.
+pub const KIND_DATA: u8 = 0;
+/// Frame kind of a cumulative acknowledgement (header field: the ack).
+pub const KIND_ACK: u8 = 1;
+/// Frame kind of a failure-detector probe.
+pub const KIND_PING: u8 = 2;
+/// Frame kind of the answer to a probe.
+pub const KIND_PONG: u8 = 3;
+
+/// Decodes a frame's transport header into `(kind, seq)`: the kind byte,
+/// then the 4-byte little-endian sequence (or ack) number. `None` for a
+/// payload too short to carry a header.
+#[must_use]
+pub fn frame_header(payload: &[u8]) -> Option<(u8, u32)> {
+    let seq = payload.get(1..HEADER_BYTES)?;
+    Some((payload[0], u32::from_le_bytes(seq.try_into().ok()?)))
+}
 
 /// Retransmission and failure-detection knobs for [`AckMode::Arq`].
 ///
@@ -541,17 +555,11 @@ impl Transport {
     }
 
     fn handle_datagram(&mut self, src: NodeId, payload: Vec<u8>) {
-        if payload.len() < HEADER_BYTES {
+        let Some((kind, seq)) = frame_header(&payload) else {
             // Corrupt or foreign datagram; the real system would log and drop.
             self.ctx.count("transport.malformed", 1);
             return;
-        }
-        let kind = payload[0];
-        let seq = u32::from_le_bytes(
-            payload[1..5]
-                .try_into()
-                .expect("header slice is four bytes"),
-        );
+        };
         self.note_heard(src);
         match kind {
             KIND_DATA => self.handle_data(src, seq, Body(payload)),
@@ -641,11 +649,7 @@ impl Transport {
         }
         for sealed in to_send {
             // The frame's sequence number sits in its sealed header.
-            let seq = u32::from_le_bytes(
-                sealed[1..HEADER_BYTES]
-                    .try_into()
-                    .expect("header slice is four bytes"),
-            );
+            let (_, seq) = frame_header(&sealed).expect("a sealed frame has a header");
             self.note_sent(src, seq, sealed.len());
             self.ctx.send_datagram(src, sealed);
         }

@@ -36,12 +36,3 @@ pub const H_SEM_P: u32 = 0x0130;
 pub const H_SEM_V: u32 = 0x0131;
 /// Semaphore grant, manager (or forwarded V) to the P-er.
 pub const H_SEM_GRANT: u32 = 0x0132;
-
-/// Condition-variable wait registration (REQUEST), to manager.
-pub const H_CV_WAIT: u32 = 0x0140;
-/// Condition-variable signal (RELEASE), to manager.
-pub const H_CV_SIGNAL: u32 = 0x0141;
-/// Condition-variable broadcast (RELEASE), to manager.
-pub const H_CV_BROADCAST: u32 = 0x0142;
-/// Wake-up delivered to a waiter.
-pub const H_CV_WAKE: u32 = 0x0143;

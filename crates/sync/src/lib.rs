@@ -19,9 +19,8 @@
 //!   requests are REQUESTs the manager answers by *forwarding* a stored
 //!   item, so consumers become consistent with producers while the manager
 //!   absorbs nothing (§2.2).
-//! - [`semaphore`] and [`condvar`] — "semaphores and condition variables
-//!   have similar implementations" (§3), built with the same store/forward
-//!   technique.
+//! - [`semaphore`] — "semaphores ... have similar implementations" (§3),
+//!   built with the same store/forward technique.
 //!
 //! All primitives share one [`SyncSystem`] per node, which registers the
 //! necessary active-message handlers on the node's [`Runtime`].
@@ -30,7 +29,6 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod condvar;
 pub mod error;
 pub mod ids;
 pub mod lock;
@@ -39,7 +37,6 @@ pub mod semaphore;
 mod system;
 
 pub use barrier::BarrierSpec;
-pub use condvar::CondvarSpec;
 pub use error::{SyncError, SyncTuning};
 pub use lock::LockSpec;
 pub use queue::{QueueDiscipline, QueueMode, QueueSpec};

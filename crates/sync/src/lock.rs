@@ -50,12 +50,6 @@ fn parse_id(b: &[u8]) -> Option<u32> {
     Decoder::new(b).get_u32().ok()
 }
 
-/// Env-gated protocol tracing (`LOCK_TRACE=1`).
-fn lock_trace() -> bool {
-    static T: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *T.get_or_init(|| std::env::var("LOCK_TRACE").is_ok())
-}
-
 pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
     // Manager hop: update the queue tail, then forward to the previous
     // tail (or grant directly on the very first request — the manager is
@@ -71,13 +65,6 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
             };
             let requester = msg.origin;
             let prev = s.with_tables(|t| t.lock_tails.insert(lock, requester));
-            if lock_trace() {
-                eprintln!(
-                    "LOCK[{}] acq lock {lock} from {requester}, prev tail {prev:?} t={}",
-                    env.node_id(),
-                    env.now()
-                );
-            }
             match prev {
                 None => {
                     // First request ever: the manager owns the lock, free.
@@ -123,13 +110,6 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
                     false
                 }
             });
-            if lock_trace() {
-                eprintln!(
-                    "LOCK[{}] pass lock {lock} for {requester}: grant_now={grant_now} t={}",
-                    env.node_id(),
-                    env.now()
-                );
-            }
             env.discard(msg);
             if grant_now {
                 env.send(requester, H_LOCK_GRANT, body(lock), Annotation::Release);
@@ -225,30 +205,9 @@ impl SyncSystem {
                 }
             }
         });
-        if lock_trace() {
-            eprintln!(
-                "LOCK[{}] release lock {} succ={succ:?} t={}",
-                rt.node_id(),
-                lock.id,
-                rt.ctx().now()
-            );
-        }
         if let Some(next) = succ {
             rt.send(next, H_LOCK_GRANT, body(lock.id), Annotation::Release);
         }
         rt.ctx().count("lock.releases", 1);
-    }
-
-    /// Convenience: runs `f` with `lock` held.
-    pub fn with_lock<R>(
-        &self,
-        rt: &mut Runtime,
-        lock: LockSpec,
-        f: impl FnOnce(&mut Runtime) -> R,
-    ) -> R {
-        self.acquire(rt, lock);
-        let r = f(rt);
-        self.release(rt, lock);
-        r
     }
 }

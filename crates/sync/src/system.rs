@@ -50,13 +50,6 @@ pub(crate) struct SemState {
     pub waiters: VecDeque<NodeId>,
 }
 
-/// Manager-side state for one condition variable.
-#[derive(Debug, Default)]
-pub(crate) struct CvState {
-    /// Blocked waiters in arrival order.
-    pub waiters: VecDeque<NodeId>,
-}
-
 #[derive(Default)]
 pub(crate) struct Tables {
     pub locks: HashMap<u32, LockState>,
@@ -64,7 +57,6 @@ pub(crate) struct Tables {
     pub lock_tails: HashMap<u32, NodeId>,
     pub queues: HashMap<u32, QueueState>,
     pub sems: HashMap<u32, SemState>,
-    pub cvs: HashMap<u32, CvState>,
 }
 
 /// Handle to a node's coordination state; create with [`crate::install`].
@@ -88,7 +80,6 @@ impl SyncSystem {
         crate::lock::register(rt, &sys);
         crate::queue::register(rt, &sys);
         crate::semaphore::register(rt, &sys);
-        crate::condvar::register(rt, &sys);
         // Barriers need no handlers beyond default acceptance.
         sys
     }

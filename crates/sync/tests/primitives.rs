@@ -4,7 +4,7 @@
 use carlos_core::{CoreConfig, Runtime};
 use carlos_lrc::LrcConfig;
 use carlos_sim::{time::us, Cluster, SimConfig};
-use carlos_sync::{BarrierSpec, CondvarSpec, LockSpec, QueueSpec, SemSpec};
+use carlos_sync::{BarrierSpec, LockSpec, QueueSpec, SemSpec};
 
 fn mk(ctx: carlos_sim::NodeCtx, n: usize) -> (Runtime, carlos_sync::SyncSystem) {
     let mut rt = Runtime::new(ctx, LrcConfig::small_test(n), CoreConfig::fast_test());
@@ -339,67 +339,6 @@ fn semaphore_initial_credits() {
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         rt.shutdown();
     });
-    c.run();
-}
-
-#[test]
-fn condvar_wait_signal_with_lock() {
-    let mut c = Cluster::new(SimConfig::fast_test(), 2);
-    // Node 1 waits for a flag; node 0 sets it and signals.
-    c.spawn_node(0, |ctx| {
-        let (mut rt, sys) = mk(ctx, 2);
-        let lock = LockSpec::new(1, 0);
-        let cv = CondvarSpec::new(1, 0);
-        rt.sleep(carlos_sim::time::ms(20)); // Let the waiter park (still serving).
-        sys.acquire(&mut rt, lock);
-        rt.write_u32(0, 1);
-        sys.cv_signal(&mut rt, cv);
-        sys.release(&mut rt, lock);
-        sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
-        rt.shutdown();
-    });
-    c.spawn_node(1, |ctx| {
-        let (mut rt, sys) = mk(ctx, 2);
-        let lock = LockSpec::new(1, 0);
-        let cv = CondvarSpec::new(1, 0);
-        sys.acquire(&mut rt, lock);
-        while rt.read_u32(0) == 0 {
-            sys.cv_wait(&mut rt, cv, lock);
-        }
-        assert_eq!(rt.read_u32(0), 1);
-        sys.release(&mut rt, lock);
-        sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
-        rt.shutdown();
-    });
-    c.run();
-}
-
-#[test]
-fn condvar_broadcast_wakes_all() {
-    const N: usize = 4;
-    let mut c = Cluster::new(SimConfig::fast_test(), N);
-    c.spawn_node(0, |ctx| {
-        let (mut rt, sys) = mk(ctx, N);
-        let cv = CondvarSpec::new(1, 0);
-        rt.sleep(carlos_sim::time::ms(30)); // Let all waiters park (still serving).
-        rt.write_u32(0, 5);
-        sys.cv_broadcast(&mut rt, cv);
-        sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
-        rt.shutdown();
-    });
-    for node in 1..N as u32 {
-        c.spawn_node(node, move |ctx| {
-            let (mut rt, sys) = mk(ctx, N);
-            let lock = LockSpec::new(2, 0);
-            let cv = CondvarSpec::new(1, 0);
-            sys.acquire(&mut rt, lock);
-            sys.cv_wait(&mut rt, cv, lock);
-            assert_eq!(rt.read_u32(0), 5, "broadcast consistency lost");
-            sys.release(&mut rt, lock);
-            sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
-            rt.shutdown();
-        });
-    }
     c.run();
 }
 

@@ -1,7 +1,7 @@
-//! Chrome trace-event JSON and Graphviz DOT rendering.
+//! Chrome trace-event JSON rendering.
 //!
-//! Both exporters walk the recorded state in deterministic (BTreeMap /
-//! insertion) order and format all numbers explicitly, so the same run
+//! The exporter walks the recorded state in deterministic (BTreeMap /
+//! insertion) order and formats all numbers explicitly, so the same run
 //! always produces byte-identical output.
 
 use std::fmt::Write as _;
@@ -159,73 +159,4 @@ pub(crate) fn chrome_trace(st: &State) -> String {
         ));
     }
     ev.finish()
-}
-
-/// Renders the causal message graph in Graphviz DOT.
-///
-/// Each completed flow contributes a send vertex on the sender and a
-/// receive vertex on the receiver, joined by a wire edge labelled with the
-/// flow's class and latency. Vertices on the same simulated node are
-/// chained in virtual-time order (program order), so the rendered graph is
-/// the run's happens-before skeleton.
-pub(crate) fn dot_graph(st: &State) -> String {
-    let mut out = String::from("digraph carlos_trace {\n  rankdir=LR;\n  node [shape=box,fontsize=9];\n");
-    // (node, time, vertex-id) for program-order chaining.
-    let mut per_node: Vec<Vec<(u64, String)>> = vec![Vec::new(); st.n_nodes];
-    let mut edges = String::new();
-    for flow in st.flows.values() {
-        let (Some(sent), Some(recv)) = (flow.msg_at.or(flow.sent_at), flow.ready_at) else {
-            continue;
-        };
-        let k = flow.key;
-        let tx = format!("tx_{}_{}_{}", k.src, k.dst, k.seq);
-        let rx = format!("rx_{}_{}_{}", k.src, k.dst, k.seq);
-        let _ = writeln!(
-            out,
-            "  {tx} [label=\"n{} tx {} seq={}\\n@{}us\"];",
-            k.src,
-            flow.label(),
-            k.seq,
-            sent / 1000
-        );
-        let _ = writeln!(
-            out,
-            "  {rx} [label=\"n{} rx {} seq={}\\n@{}us\"];",
-            k.dst,
-            flow.label(),
-            k.seq,
-            recv / 1000
-        );
-        let _ = writeln!(
-            edges,
-            "  {tx} -> {rx} [label=\"{}us{}\"];",
-            recv.saturating_sub(sent) / 1000,
-            if flow.retransmits > 0 {
-                format!(" ({}rtx)", flow.retransmits)
-            } else {
-                String::new()
-            }
-        );
-        if (k.src as usize) < per_node.len() {
-            per_node[k.src as usize].push((sent, tx));
-        }
-        if (k.dst as usize) < per_node.len() {
-            per_node[k.dst as usize].push((recv, rx));
-        }
-    }
-    // Program order: stable sort by time keeps equal-time vertices in flow
-    // order, which is itself deterministic.
-    for events in &mut per_node {
-        events.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for pair in events.windows(2) {
-            let _ = writeln!(
-                edges,
-                "  {} -> {} [style=dashed,color=gray];",
-                pair[0].1, pair[1].1
-            );
-        }
-    }
-    out.push_str(&edges);
-    out.push_str("}\n");
-    out
 }

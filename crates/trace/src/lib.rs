@@ -19,9 +19,8 @@
 //!   RELEASE−NONE + per-write-notice, ...).
 //!
 //! Recorded data exports as Chrome trace-event JSON (load in
-//! `chrome://tracing` or Perfetto) via [`Tracer::chrome_trace`], as a
-//! causal DOT graph via [`Tracer::dot_graph`], and as metrics JSON via
-//! [`Metrics::to_json`].
+//! `chrome://tracing` or Perfetto) via [`Tracer::chrome_trace`], and as
+//! metrics JSON via [`Metrics::to_json`].
 //!
 //! Like `carlos-check`, the tracer is a pure consumer of the run's event
 //! stream ([`carlos_util::event`]): it charges no virtual time, consumes no
@@ -50,7 +49,10 @@ mod metrics;
 
 use std::{cell::RefCell, collections::BTreeMap, collections::VecDeque, fmt, rc::Rc};
 
-use carlos_sim::{NodeId, Ns};
+use carlos_sim::{
+    transport::{frame_header, KIND_ACK, KIND_DATA, KIND_PING, KIND_PONG},
+    NodeId, Ns,
+};
 use carlos_util::event::{CostPhase, Event, FetchKind, GranuleClass, MsgClass, Sink};
 
 pub use export::json_string;
@@ -67,19 +69,6 @@ pub struct FlowKey {
     pub dst: NodeId,
     /// Transport sequence number on that (src, dst) pair.
     pub seq: u32,
-}
-
-impl FlowKey {
-    /// Parses a wire frame into its causal flow identity. Returns the
-    /// transport kind byte alongside the key; `None` for payloads too short
-    /// to carry a transport header. Only DATA frames (kind 0) have
-    /// per-pair sequence numbers that identify a unique flow; control
-    /// frames reuse the field for ack/sequence bookkeeping.
-    #[must_use]
-    pub fn from_frame(src: NodeId, dst: NodeId, payload: &[u8]) -> Option<(u8, FlowKey)> {
-        let (kind, seq) = wire_header(payload)?;
-        Some((kind, FlowKey { src, dst, seq }))
-    }
 }
 
 /// The life of one message, send intent through handler dispatch.
@@ -295,27 +284,6 @@ impl Tracer {
     pub fn chrome_trace(&self) -> String {
         export::chrome_trace(&self.inner.borrow())
     }
-
-    /// Renders the causal message graph in Graphviz DOT: one node per
-    /// send/receive endpoint, wire edges between them, program-order
-    /// edges along each simulated node. Deterministic output.
-    #[must_use]
-    pub fn dot_graph(&self) -> String {
-        export::dot_graph(&self.inner.borrow())
-    }
-}
-
-/// Transport frame header layout (mirrors `carlos_sim::transport`): 1 kind
-/// byte + 4-byte LE sequence number. Returns `(kind, seq)`, or `None` for
-/// payloads too short to carry a header. Public so schedule-exploration
-/// tooling can name flows without re-deriving the wire format.
-#[must_use]
-pub fn wire_header(payload: &[u8]) -> Option<(u8, u32)> {
-    if payload.len() < 5 {
-        return None;
-    }
-    let seq = u32::from_le_bytes(payload[1..5].try_into().ok()?);
-    Some((payload[0], seq))
 }
 
 // Pre-interned metric keys for the per-message hot paths. Building each
@@ -592,8 +560,8 @@ impl State {
                     f.duplicates += 1;
                 }
             }
-            Event::WireSent { src, dst, payload, .. } => match wire_header(payload) {
-                Some((0, seq)) => {
+            Event::WireSent { src, dst, payload, .. } => match frame_header(payload) {
+                Some((KIND_DATA, seq)) => {
                     self.metrics.count("wire.sent.data", 1);
                     // Only annotate flows the transport's `DataSent`
                     // created: foreign traffic that merely looks like a
@@ -602,14 +570,14 @@ impl State {
                         f.wire_sends += 1;
                     }
                 }
-                Some((1, _)) => self.metrics.count("wire.sent.ack", 1),
-                Some((2, _)) => self.metrics.count("wire.sent.ping", 1),
-                Some((3, _)) => self.metrics.count("wire.sent.pong", 1),
+                Some((KIND_ACK, _)) => self.metrics.count("wire.sent.ack", 1),
+                Some((KIND_PING, _)) => self.metrics.count("wire.sent.ping", 1),
+                Some((KIND_PONG, _)) => self.metrics.count("wire.sent.pong", 1),
                 _ => self.metrics.count("wire.sent.other", 1),
             },
             Event::WireDropped { src, dst, payload, .. } => {
                 self.metrics.count("wire.dropped", 1);
-                if let Some((0, seq)) = wire_header(payload) {
+                if let Some((KIND_DATA, seq)) = frame_header(payload) {
                     if let Some(f) = self.flows.get_mut(&(src, dst, seq)) {
                         f.drops += 1;
                     }
@@ -618,7 +586,7 @@ impl State {
             Event::WireDelivered { src, dst, sent_at, delivered_at, payload } => {
                 self.metrics
                     .observe("wire.latency", delivered_at.saturating_sub(sent_at));
-                if let Some((0, seq)) = wire_header(payload) {
+                if let Some((KIND_DATA, seq)) = frame_header(payload) {
                     if let Some(f) = self.flows.get_mut(&(src, dst, seq)) {
                         if f.delivered_at.is_none() {
                             f.delivered_at = Some(delivered_at);

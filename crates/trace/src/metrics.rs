@@ -116,15 +116,6 @@ impl VtHistogram {
             self.buckets[i] += other.buckets[i];
         }
     }
-
-    /// Non-empty `(bucket_upper_edge, count)` pairs, ascending.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i.min(63) }, c))
-    }
 }
 
 /// Registry of named counters and virtual-time histograms.

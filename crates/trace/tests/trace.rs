@@ -140,7 +140,7 @@ fn chrome_trace_is_valid_json_with_consistent_events() {
 }
 
 #[test]
-fn metrics_json_and_dot_are_well_formed() {
+fn metrics_json_is_well_formed() {
     let tracer = Tracer::new(2);
     traced_run(&tracer, AckMode::Implicit);
     let mj = tracer.metrics().to_json();
@@ -151,12 +151,20 @@ fn metrics_json_and_dot_are_well_formed() {
         .expect("counters");
     assert!(!counters.is_empty());
     assert!(doc.get("histograms").and_then(JsonValue::as_object).is_some());
+}
 
-    let dot = tracer.dot_graph();
-    assert!(dot.starts_with("digraph"));
-    assert!(dot.trim_end().ends_with('}'));
-    assert!(dot.contains("->"), "graph has no edges");
-    assert!(dot.matches("tx_").count() >= 2);
+/// Wire frames are counted by their transport kind; a payload too short
+/// for a transport header is "other".
+#[test]
+fn wire_frames_are_counted_by_kind() {
+    use carlos_util::event::{Event, Sink};
+    let tracer = Tracer::metrics_only(2);
+    for payload in [&[0u8, 0, 0, 0, 0][..], &[1, 0, 0, 0, 0], &[0, 0, 0, 0]] {
+        tracer.event(&Event::WireSent { src: 0, dst: 1, at: 0, payload });
+    }
+    let m = tracer.metrics();
+    let counts = ["data", "ack", "ping", "other"].map(|k| m.counter(&format!("wire.sent.{k}")));
+    assert_eq!(counts, [1, 1, 0, 1]);
 }
 
 #[test]
@@ -166,7 +174,6 @@ fn traced_exports_are_deterministic() {
     let b = Tracer::new(2);
     traced_run(&b, ARQ);
     assert_eq!(a.chrome_trace(), b.chrome_trace());
-    assert_eq!(a.dot_graph(), b.dot_graph());
     assert_eq!(a.metrics().to_json(), b.metrics().to_json());
 }
 

@@ -15,8 +15,8 @@
 //!   drive all coherence actions, with accept / forward / store message
 //!   disposition ([`core`]);
 //! - message-based **coordination**: distributed-queue locks, barriers
-//!   (hosting global GC), semaphores, condition variables, and shared work
-//!   queues built on store-and-forward ([`sync`]);
+//!   (hosting global GC), semaphores, and shared work queues built on
+//!   store-and-forward ([`sync`]);
 //! - the paper's **applications** — TSP, Quicksort, Water — in lock and
 //!   hybrid variants ([`apps`]);
 //! - an online **consistency oracle**: a happens-before tracker, shadow
@@ -25,8 +25,8 @@
 //!   any run as a pure observer ([`check`]);
 //! - a causal **tracer**: per-message flows threaded send → wire → ARQ →
 //!   deliver → dispatch, per-message-class cost attribution mirroring the
-//!   paper's §5.4 microcosts, and Chrome-trace / DOT / metrics-JSON
-//!   export, also a pure observer ([`trace`]);
+//!   paper's §5.4 microcosts, and Chrome-trace / metrics-JSON export,
+//!   also a pure observer ([`trace`]);
 //! - a guided **schedule explorer**: DPOR-style racing-delivery search
 //!   driven by targeted per-message delivery perturbations, with
 //!   happens-before schedule dedupe and delta-debugging counterexample

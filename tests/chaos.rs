@@ -17,7 +17,7 @@
 
 use carlos::apps::{launch, Answer, App, QsortVariant, Reference, Run, Scale, Spec, TspVariant};
 use carlos::core::{CoreConfig, Runtime};
-use carlos::lrc::LrcConfig;
+use carlos::lrc::{LrcConfig, PageOwnership};
 use carlos::sim::time::ms;
 use carlos::sim::transport::AckMode;
 use carlos::sim::{Bucket, Cluster, FaultPlan, GeParams, SimConfig, SimError, SimReport};
@@ -183,6 +183,57 @@ fn crash_without_timeouts_reports_stall_with_casualties() {
         }
         other => panic!("expected a stall report, got: {other}"),
     }
+}
+
+/// A read whose serving node crashed before the reader's first copy.
+/// Node 1 owns every page; node 0 first reads page 3 after node 1 died.
+fn read_from_a_crashed_server(core: CoreConfig) -> SimError {
+    let plan = FaultPlan::new(5).crash(1, ms(2));
+    let mut c = Cluster::new(SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ), 2);
+    let lrc = LrcConfig {
+        ownership: PageOwnership::SingleOwner(1),
+        ..LrcConfig::small_test(2)
+    };
+    let page_size = lrc.page_size;
+    let (reader_lrc, server_lrc) = (lrc.clone(), lrc);
+    let server_core = core.clone();
+    c.spawn_node(0, move |ctx| {
+        let mut rt = Runtime::new(ctx, reader_lrc, core);
+        rt.sleep(ms(5));
+        let _ = rt.read_u32(3 * page_size);
+        unreachable!("page 3 cannot arrive with node 1 dead");
+    });
+    c.spawn_node(1, move |ctx| {
+        let mut rt = Runtime::new(ctx, server_lrc, server_core);
+        rt.sleep(ms(100));
+    });
+    c.try_run().expect_err("the run must fail, not hang")
+}
+
+#[test]
+fn fetch_timeout_attributes_a_crashed_server() {
+    // Armed: the reader's quiet rounds probe the server, the ARQ failure
+    // detector convicts it, and the fetch gives up naming reader and page.
+    let err = read_from_a_crashed_server(CoreConfig::fast_test().with_fetch_timeout(ms(10)));
+    assert_eq!(err.crashed_nodes(), vec![1], "the casualty must be named");
+    match &err {
+        SimError::Aborted { node, context, .. } => {
+            assert_eq!(*node, 0, "the reader is the one that gave up");
+            assert!(context.contains("page 3"), "the context must name the page: {context}");
+            assert!(context.contains("node 1 is down"), "and the dead server: {context}");
+        }
+        other => panic!("expected an attributed abort, got: {other}"),
+    }
+    // Unarmed: the reader waits forever. Its transport keeps retransmitting
+    // the request to the dead server (the ARQ never gives up on a peer, so
+    // that a healed partition recovers), so the run is not a stall: it
+    // ends at the virtual-time valve, unattributed but listing the casualty.
+    let err = read_from_a_crashed_server(CoreConfig::fast_test());
+    assert_eq!(err.crashed_nodes(), vec![1]);
+    assert!(
+        matches!(err, SimError::MaxVirtualTime { .. }),
+        "expected the virtual-time valve, got: {err}"
+    );
 }
 
 #[test]

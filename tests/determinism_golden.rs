@@ -12,7 +12,9 @@
 //! these fingerprints), regenerate the goldens by running the test and
 //! copying the `actual fingerprint:` block from the failure message.
 
-use carlos::apps::{launch, Answer, App, Scale, Spec, TspVariant, Tweak};
+use carlos::apps::{
+    launch, Answer, App, QsortVariant, Scale, Spec, TspVariant, Tweak, WaterVariant,
+};
 use carlos::check::Checker;
 use carlos::trace::Tracer;
 use carlos::core::{CoreConfig, Runtime};
@@ -322,13 +324,31 @@ node1 counters app.done_ns=5170472 barrier.waits=10 carlos.accepted=10 carlos.ba
 /// coalescing and write-notice aggregation switched on. These fingerprints
 /// define the variable-granularity protocol's behavior; they are expected
 /// to differ from the legacy goldens (that is the point), but must never
-/// drift run to run.
+/// drift run to run. `CoreConfig::variable_granularity` is the whole mode:
+/// for every application, `Tweak::Vg` and the switch set on a `Spec`'s
+/// core give the same fingerprint, and one that differs from the plain run.
 #[test]
 fn mixed_granularity_reports_are_pinned() {
     let vg = |app| Spec {
         tweak: Tweak::Vg,
         ..Spec::new(app, 2, Scale::Test)
     };
+    for app in [
+        App::Tsp(TspVariant::Lock),
+        App::Quicksort(QsortVariant::Hybrid1),
+        App::Water(WaterVariant::Lock),
+        App::Sor,
+    ] {
+        let switched = Spec {
+            core: Some(CoreConfig::fast_test().with_variable_granularity()),
+            ..Spec::new(app, 2, Scale::Test)
+        };
+        let [tweaked, switched, plain] = [vg(app), switched, Spec::new(app, 2, Scale::Test)]
+            .map(|spec| fingerprint(&launch(&spec).expect("run").app().report));
+        assert_eq!(tweaked, switched, "{}: Tweak::Vg is not the core switch", app.name());
+        assert_ne!(tweaked, plain, "{}: the switch changed nothing", app.name());
+    }
+
     let r = launch(&vg(App::Tsp(TspVariant::Lock))).expect("TSP run");
     assert_matches_golden(
         &r.app().report,

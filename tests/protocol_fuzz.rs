@@ -89,9 +89,7 @@ fn run_script(scripts: &[Vec<Op>], mode: Mode) -> (Vec<u8>, u32, u64) {
             };
             let core = match mode {
                 Mode::Update => CoreConfig::fast_test().with_update_strategy(),
-                Mode::Batched => CoreConfig::fast_test()
-                    .with_coalesced_fetches()
-                    .with_aggregated_notices(),
+                Mode::Batched => CoreConfig::fast_test().with_variable_granularity(),
                 _ => CoreConfig::fast_test(),
             };
             let mut rt = Runtime::new(ctx, lrc, core);

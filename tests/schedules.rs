@@ -130,7 +130,7 @@ fn serve_is_clean_and_exact_across_schedules() {
             cfg.sim = cfg.sim.with_jitter(us(50), seed);
             cfg.granularity_hints = vg;
             if vg {
-                cfg.core = cfg.core.with_coalesced_fetches().with_aggregated_notices();
+                cfg.core = cfg.core.with_variable_granularity();
             }
             let check = Checker::new(cfg.n_nodes);
             cfg.check = Some(check.clone());
