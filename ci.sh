@@ -15,7 +15,7 @@ fi
 # A run's procs, kernel and observers share one thread: state they share is
 # Rc / RefCell / Cell, and a lazily initialised global (OnceLock, LazyLock)
 # is process state shared by every run. (std::sync::Once for the panic hook
-# stays allowed.)
+# stays allowed.) Serving runs in the apps crate, so its code is covered.
 if grep -rEn 'Mutex|RwLock|Condvar|OnceLock|LazyLock|Atomic|parking_lot|Arc<|Arc::' \
     crates/{util,sim,lrc,core,sync,check,trace,apps}/src; then
     echo "no locks, atomics, lazy globals or Arc in the crates a run executes" >&2
@@ -25,8 +25,18 @@ fi
 # changes what the crates a run executes do. (The report's and the bench's
 # CARLOS_REPORT_* / CARLOS_BENCH_* switches live in crates/bench.)
 if grep -rEn 'env::var' \
-    crates/{util,sim,lrc,core,sync,check,trace,apps,serve,explore}/src; then
+    crates/{util,sim,lrc,core,sync,check,trace,apps,explore}/src; then
     echo "no environment variables in the crates a run executes; add a config field" >&2
+    exit 1
+fi
+
+# One way to run serving: it is an application like the others, described
+# by a Spec, started by launch and judged by Run::verdict, so only the apps
+# crate calls its configuration-level entry point. (benchmark/, a workspace
+# of its own, is not searched.)
+if grep -rEn --include='*.rs' '\btry_run_serve\b' crates src tests examples |
+    grep -v '^crates/apps/src/'; then
+    echo "run serving as launch(&Spec::new(App::Serve(traffic), n, scale)), not try_run_serve" >&2
     exit 1
 fi
 
@@ -74,7 +84,7 @@ cargo test -q
 echo "==> cargo clippy -D warnings (hot-path + hardened crates)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
     -p carlos-sync -p carlos-check -p carlos-trace -p carlos-apps -p carlos-bench \
-    -p carlos-explore -p carlos-serve --all-targets -- -D warnings
+    -p carlos-explore --all-targets -- -D warnings
 
 echo "==> chaos profile (scripted faults + pinned fingerprints)"
 cargo test -q --test chaos
@@ -124,9 +134,9 @@ grep -q '| TSP |' target/report_quick.md
 grep -q '## Ablations against their base rows' target/report_quick.md
 
 echo "==> serve profile (DSM-backed KV serving under open-loop traffic)"
-# Store/workload/client/orchestration unit + integration tests: exact
-# fault-free serving, bit-identical reruns.
-cargo test -q -p carlos-serve
+# Store/workload/client/orchestration unit tests: exact fault-free
+# serving, bit-identical reruns.
+cargo test -q -p carlos-apps serve::
 # The quick report run above regenerated the serve rows (KV n=8 +
 # KV/chaos n=8 with harvest/yield), and its row gate demanded every field
 # but host seconds equal to the committed BENCH_paper_quick.json; confirm

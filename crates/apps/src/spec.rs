@@ -7,8 +7,9 @@
 //! [`launch`] builds the application's configuration from it and runs it;
 //! [`Run::verdict`] judges the answer against a [`Reference`], the one
 //! place where an application's correctness is decided. The paper report,
-//! the schedule explorer, the schedule sweeps and `carlos-repro` all
-//! describe their runs this way.
+//! the schedule explorer, the schedule sweeps, the chaos and footprint
+//! tests and `carlos-repro` all describe their runs this way, serving runs
+//! included.
 
 use carlos_check::Checker;
 use carlos_core::CoreConfig;
@@ -17,6 +18,7 @@ use carlos_trace::Tracer;
 
 use crate::harness::AppReport;
 use crate::qsort::{try_run_qsort, QsortConfig, QsortResult, QsortVariant};
+use crate::serve::{try_run_serve, ServeConfig, ServeResult, Traffic};
 use crate::sor::{sequential_reference, try_run_sor, SorConfig, SorResult};
 use crate::tsp::{try_run_tsp, Cities, TspConfig, TspResult, TspVariant};
 use crate::water::{try_run_water, WaterConfig, WaterResult, WaterVariant};
@@ -32,6 +34,8 @@ pub enum App {
     Water(WaterVariant),
     /// Red-black SOR (beyond the paper).
     Sor,
+    /// The DSM-backed key-value service (beyond the paper).
+    Serve(Traffic),
 }
 
 impl App {
@@ -43,6 +47,8 @@ impl App {
             Self::Quicksort(_) => "Quicksort",
             Self::Water(_) => "Water",
             Self::Sor => "SOR",
+            Self::Serve(Traffic::Steady) => "KV",
+            Self::Serve(Traffic::Chaos) => "KV/chaos",
         }
     }
 }
@@ -77,13 +83,17 @@ impl Tweak {
 }
 
 /// Workload size and cost models: each application's `paper` or `test`
-/// configuration.
+/// configuration, or the report's quick cut between them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// The paper's problem sizes under the `osdi94` cost models.
     Paper,
     /// Small problems under the `fast_test` cost models.
     Test,
+    /// The report's quick scale: the `test` problems under the `osdi94`
+    /// runtime cost model (`fast_test` zeroes every protocol cost), and
+    /// serving's paper configuration on 1/32 of its schedule.
+    Quick,
 }
 
 /// Which observer [`launch`] attaches to a run's event stream. To observe
@@ -146,6 +156,8 @@ pub enum Answer {
     Water(WaterResult),
     /// A SOR run's final grid.
     Sor(SorResult),
+    /// A serving run's accounting and final shared counters.
+    Serve(Box<ServeResult>),
 }
 
 /// A finished run: the application's result and the observers that
@@ -169,6 +181,7 @@ impl Run {
             Answer::Quicksort(r) => &r.app,
             Answer::Water(r) => &r.app,
             Answer::Sor(r) => &r.app,
+            Answer::Serve(r) => &r.app,
         }
     }
 
@@ -176,7 +189,10 @@ impl Run {
     /// - TSP: the tour equals the Held–Karp optimum;
     /// - Quicksort: the array is sorted and is the input permutation;
     /// - Water: every position is within 1e-6 of the n = 1 run;
-    /// - SOR: the grid is bit-exact against the sequential reference.
+    /// - SOR: the grid is bit-exact against the sequential reference;
+    /// - serving: every value and server mirror is intact, every operation
+    ///   and CAS intent is accounted for, and the counters are exact
+    ///   (fault-free) or sum to between the landed and the issued intents.
     ///
     /// # Errors
     ///
@@ -201,6 +217,7 @@ impl Run {
             }
             (Answer::Sor(r), Reference::Grid(grid)) => (r.grid != *grid)
                 .then(|| "grid differs from the sequential reference".to_string()),
+            (Answer::Serve(r), Reference::Counters(exact)) => serve_wrong(r, exact.as_deref()),
             _ => panic!("the reference is another application's"),
         };
         wrong.map_or(Ok(()), Err)
@@ -220,6 +237,9 @@ pub enum Reference {
     Positions(Vec<[f64; 3]>),
     /// SOR: the sequential reference grid.
     Grid(Vec<f64>),
+    /// Serving: each shared counter's exact final value, or `None` under
+    /// faults, where an abandoned intent may still have landed.
+    Counters(Option<Vec<u64>>),
 }
 
 impl Reference {
@@ -246,6 +266,48 @@ impl Reference {
                 let c = if paper { SorConfig::paper_scale(1) } else { SorConfig::test(1) };
                 Self::Grid(sequential_reference(&c))
             }
+            App::Serve(Traffic::Steady) => {
+                let c = serve_config(Traffic::Steady, spec.n, spec.scale);
+                let per_key = c.n_clients() as u64 * c.cas_per_client / c.counter_keys;
+                let keys = usize::try_from(c.counter_keys).expect("counter keys fit");
+                Self::Counters(Some(vec![per_key; keys]))
+            }
+            App::Serve(Traffic::Chaos) => Self::Counters(None),
+        }
+    }
+}
+
+/// What is wrong with a serving answer, judged against each counter's
+/// exact value or, under faults (`None`), against the CAS ledger.
+fn serve_wrong(r: &ServeResult, exact: Option<&[u64]>) -> Option<String> {
+    let (t, c) = (&r.totals, &r.totals.client);
+    let landed: u64 = r.counters.iter().sum();
+    let wrongs = [
+        (c.value_check_failures > 0, "a value failed its self-tag"),
+        (t.mirror_mismatches > 0, "a server's mirror disagrees with the DSM"),
+        (c.attempted != c.completed + c.timed_out, "an operation neither completed nor timed out"),
+        (t.cas_intents != t.cas_done + t.cas_abandoned, "a CAS intent neither landed nor gave up"),
+        (exact.is_some() && c.timed_out + c.late_replies > 0, "fault-free serving timed out"),
+        (exact.is_some_and(|e| r.counters != e), "the counters are not exact"),
+        (exact.is_none() && !(t.cas_done..=t.cas_intents).contains(&landed), "a CAS landed twice"),
+    ];
+    let (_, why) = wrongs.iter().find(|(wrong, _)| *wrong)?;
+    Some(format!("{why} (counters {:?} against {exact:?})", r.counters))
+}
+
+/// A serving run's configuration: chaos is the test workload under
+/// faults; fault-free traffic is `paper` or `test`, or at quick scale the
+/// paper's on 1/32 of its schedule.
+fn serve_config(traffic: Traffic, n: usize, scale: Scale) -> ServeConfig {
+    match (traffic, scale) {
+        (Traffic::Chaos, _) => ServeConfig::chaos(n),
+        (Traffic::Steady, Scale::Paper) => ServeConfig::paper(n),
+        (Traffic::Steady, Scale::Test) => ServeConfig::test(n),
+        (Traffic::Steady, Scale::Quick) => {
+            let mut c = ServeConfig::paper(n);
+            c.ops_per_client /= 32;
+            c.cas_per_client /= 32;
+            c
         }
     }
 }
@@ -259,7 +321,8 @@ impl Reference {
 ///
 /// # Panics
 ///
-/// If `spec` asks for all-RELEASE runs of Quicksort or SOR.
+/// If `spec` asks for all-RELEASE runs of Quicksort, SOR or serving, or for
+/// chaos traffic at another scale than `Test`.
 pub fn launch(spec: &Spec) -> Result<Run, SimError> {
     let check = (spec.observe == Observe::Check).then(|| Checker::new(spec.n));
     let trace = (spec.observe == Observe::Trace).then(|| Tracer::metrics_only(spec.n));
@@ -281,7 +344,8 @@ pub fn launch(spec: &Spec) -> Result<Run, SimError> {
 ///
 /// # Panics
 ///
-/// If `spec` asks for all-RELEASE runs of Quicksort or SOR.
+/// If `spec` asks for all-RELEASE runs of Quicksort, SOR or serving, or for
+/// chaos traffic at another scale than `Test`.
 pub fn launch_with(
     spec: &Spec,
     check: Option<Checker>,
@@ -293,14 +357,23 @@ pub fn launch_with(
         !all_release || matches!(spec.app, App::Tsp(_) | App::Water(_)),
         "all-RELEASE runs exist for TSP and Water"
     );
+    assert!(
+        spec.app != App::Serve(Traffic::Chaos) || spec.scale == Scale::Test,
+        "KV/chaos runs at test scale only"
+    );
+    // The quick scale runs the `test` problems under `osdi94` costs.
+    let core = spec.core.clone().or((spec.scale == Scale::Quick).then(CoreConfig::osdi94));
     // The fields every application's configuration shares.
     macro_rules! configure {
-        ($paper:expr, $test:expr) => {{
-            let mut c = if paper { $paper } else { $test };
+        ($paper:expr, $test:expr) => {
+            configure!(if paper { $paper } else { $test })
+        };
+        ($c:expr) => {{
+            let mut c = $c;
             if let Some(sim) = &spec.sim {
                 c.sim = sim.clone();
             }
-            c.core = spec.tweak.core(spec.core.clone().unwrap_or(c.core));
+            c.core = spec.tweak.core(core.clone().unwrap_or(c.core));
             c.check = check.clone();
             c.trace = trace.clone();
             c
@@ -325,6 +398,43 @@ pub fn launch_with(
             SorConfig::paper_scale(n),
             SorConfig::test(n)
         ))?),
+        App::Serve(traffic) => Answer::Serve(Box::new(try_run_serve(&configure!(
+            serve_config(traffic, n, spec.scale)
+        ))?)),
     };
     Ok(Run { answer, check, trace })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fault-free serving is judged against exact counters and chaos
+    /// against the CAS ledger. A fault-free answer passes both, and one
+    /// counter off by one, one mirror mismatch or one operation neither
+    /// completed nor timed out fails both.
+    #[test]
+    fn serving_verdict_rejects_each_wrong_answer() {
+        let steady = Spec::new(App::Serve(Traffic::Steady), 4, Scale::Test);
+        let chaos = Spec::new(App::Serve(Traffic::Chaos), 4, Scale::Test);
+        let (exact, ledger) = (Reference::of(&steady), Reference::of(&chaos));
+        assert!(matches!(exact, Reference::Counters(Some(_))));
+        assert!(matches!(ledger, Reference::Counters(None)));
+        let run = launch(&steady).expect("serving run");
+        type Wrong = (&'static str, fn(&mut ServeResult));
+        let wrongs: [Wrong; 3] = [
+            ("a counter off by one", |r| r.counters[0] += 1),
+            ("a mirror mismatch", |r| r.totals.mirror_mismatches += 1),
+            ("an unattributed operation", |r| r.totals.client.attempted += 1),
+        ];
+        for reference in [&exact, &ledger] {
+            assert_eq!(run.verdict(reference), Ok(()));
+            for (what, wrong) in wrongs {
+                let mut bad = run.clone();
+                let Answer::Serve(r) = &mut bad.answer else { unreachable!("a serving run") };
+                wrong(r);
+                assert!(bad.verdict(reference).is_err(), "{what} passed {reference:?}");
+            }
+        }
+    }
 }

@@ -30,14 +30,14 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use carlos_apps::serve::run::{lrc_config, ServeConfig};
+use carlos_apps::serve::{Workload, ZipfTable};
 use carlos_apps::{launch_with, App, QsortVariant, Scale, Spec};
 use carlos_check::Checker;
 use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{
     interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Records, Vc,
 };
-use carlos_serve::run::{lrc_config, ServeConfig};
-use carlos_serve::{Workload, ZipfTable};
 use carlos_sim::{Cluster, SimConfig};
 use carlos_trace::Tracer;
 use carlos_util::{codec::Wire, event::Interval, rng::Xoshiro256};

@@ -16,25 +16,27 @@
 //! - Markdown ([`to_markdown`]) — the same, side by side with the paper.
 //!
 //! Scale comes from [`ReportOptions`]: paper-scale configurations by
-//! default, test-scale when `CARLOS_REPORT_QUICK=1` (CI runs quick mode).
+//! default, [`Scale::Quick`] when `CARLOS_REPORT_QUICK=1` (CI runs quick
+//! mode).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use carlos_apps::serve::ServeResult;
 use carlos_apps::{
-    launch, App, AppReport, Observe, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak,
-    WaterVariant,
+    launch, Answer, App, AppReport, Observe, QsortVariant, Reference, Scale, Spec, Traffic,
+    TspVariant, Tweak, WaterVariant,
 };
 use carlos_core::{Annotation, CoreConfig, MsgClass, Runtime};
 use carlos_lrc::LrcConfig;
-use carlos_serve::run::{try_run_serve, ServeConfig, ServeResult};
 use carlos_sim::{Bucket, Cluster, SimConfig, SimError};
 use carlos_trace::{JsonValue, Tracer};
 
 /// Scale and scope of one report run.
 #[derive(Debug, Clone)]
 pub struct ReportOptions {
-    /// Test-scale configurations instead of paper-scale ones.
-    pub quick: bool,
+    /// `Scale::Paper`, or `Scale::Quick` (except the chaos row, which
+    /// exists at one scale).
+    pub scale: Scale,
     /// Largest cluster size (the paper stops at 4).
     pub max_nodes: usize,
 }
@@ -45,7 +47,7 @@ impl ReportOptions {
     pub fn from_env() -> Self {
         let quick = std::env::var("CARLOS_REPORT_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
         Self {
-            quick,
+            scale: if quick { Scale::Quick } else { Scale::Paper },
             max_nodes: 4,
         }
     }
@@ -103,15 +105,11 @@ impl RowSpec {
         paper_row(self.app.name(), self.label, 4).is_some()
     }
 
-    /// The run of this spec's cell at `n` nodes: paper scale, or in quick
-    /// mode the test-scale workload under the real cost model — the point
-    /// of the report is cost attribution, and `fast_test` zeroes every
-    /// protocol cost.
-    fn cell(&self, n: usize, quick: bool) -> Spec {
+    /// The run of this spec's cell at `n` nodes and `scale`.
+    fn cell(&self, n: usize, scale: Scale) -> Spec {
         Spec {
             tweak: self.tweak,
-            core: quick.then(CoreConfig::osdi94),
-            ..Spec::new(self.app, n, if quick { Scale::Test } else { Scale::Paper })
+            ..Spec::new(self.app, n, scale)
         }
     }
 }
@@ -320,17 +318,6 @@ pub struct ReportRow {
     pub paper: Option<PaperRow>,
 }
 
-/// The report's fault-free serving configuration: in quick mode the same
-/// cost model and protocol on 1/32 of the schedule.
-fn serve_config(opts: &ReportOptions, n: usize) -> ServeConfig {
-    let mut cfg = ServeConfig::paper(n);
-    if opts.quick {
-        cfg.ops_per_client /= 32;
-        cfg.cas_per_client /= 32;
-    }
-    cfg
-}
-
 /// Collapses a finished traced run into a [`ReportRow`].
 fn finish_row(
     spec: &RowSpec,
@@ -418,7 +405,7 @@ pub fn run_report(specs: &[RowSpec], opts: &ReportOptions) -> Result<Vec<ReportR
         for n in spec.sizes.nodes(opts.max_nodes) {
             let cell = Spec {
                 observe: Observe::Trace,
-                ..spec.cell(n, opts.quick)
+                ..spec.cell(n, opts.scale)
             };
             let run = launch(&cell)?;
             let reference = references
@@ -497,7 +484,7 @@ pub fn run_microcosts() -> Result<Microcosts, SimError> {
     })
 }
 
-/// One serving row: a `carlos-serve` run's latency/throughput/harvest
+/// One serving row: a serving run's latency/throughput/harvest
 /// columns (see DESIGN.md §14 for the metric definitions).
 #[derive(Debug, Clone)]
 pub struct ServeRow {
@@ -551,11 +538,13 @@ impl ServeRow {
     }
 }
 
-fn serve_row(variant: &'static str, n: usize, r: &ServeResult, host_seconds: f64) -> ServeRow {
+/// The serving row of `spec`'s run, whose answer is `r`.
+#[must_use]
+pub fn serve_row(spec: &Spec, r: &ServeResult, host_seconds: f64) -> ServeRow {
     let t = &r.totals;
     ServeRow {
-        variant,
-        n,
+        variant: spec.app.name(),
+        n: spec.n,
         secs: r.app.secs,
         ops_per_sec: r.ops_per_sec(),
         attempted: t.client.attempted,
@@ -584,32 +573,34 @@ fn serve_row(variant: &'static str, n: usize, r: &ServeResult, host_seconds: f64
 ///
 /// Returns the first [`SimError`] if any run deadlocks, crashes, or
 /// aborts.
+///
+/// # Panics
+///
+/// If a run's answer fails its verdict.
 pub fn run_serve_rows(opts: &ReportOptions) -> Result<Vec<ServeRow>, SimError> {
+    let sizes: &[usize] = if opts.scale == Scale::Quick { &[8] } else { &[8, 16, 32] };
+    let specs = sizes
+        .iter()
+        .map(|&n| Spec::new(App::Serve(Traffic::Steady), n, opts.scale))
+        .chain([Spec::new(App::Serve(Traffic::Chaos), 8, Scale::Test)]);
     let mut rows = Vec::new();
-    let sizes: &[usize] = if opts.quick { &[8] } else { &[8, 16, 32] };
-    for &n in sizes {
-        let cfg = serve_config(opts, n);
+    for spec in specs {
         let started = std::time::Instant::now();
-        let r = try_run_serve(&cfg)?;
+        let run = launch(&spec)?;
         let host = started.elapsed().as_secs_f64();
-        assert_eq!(
-            r.totals.mirror_mismatches, 0,
-            "serve row {n}: store/mirror disagreement"
-        );
-        rows.push(serve_row("KV", n, &r, host));
+        if let Err(why) = run.verdict(&Reference::of(&spec)) {
+            panic!("{} n={}: wrong answer: {why}", spec.app.name(), spec.n);
+        }
+        let Answer::Serve(r) = &run.answer else { unreachable!("a serving run") };
+        rows.push(serve_row(&spec, r, host));
     }
-    let started = std::time::Instant::now();
-    let r = try_run_serve(&ServeConfig::chaos(8))?;
-    let host = started.elapsed().as_secs_f64();
-    assert_eq!(r.totals.mirror_mismatches, 0, "chaos row: store/mirror disagreement");
-    rows.push(serve_row("KV/chaos", 8, &r, host));
     Ok(rows)
 }
 
 /// Renders the serving rows as a Markdown table.
 #[must_use]
 pub fn serve_markdown(rows: &[ServeRow]) -> String {
-    let mut out = String::from("\n## Serving (carlos-serve)\n\n");
+    let mut out = String::from("\n## Serving (KV)\n\n");
     out.push_str(
         "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest |\n\
          |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
@@ -645,7 +636,7 @@ pub fn to_json(
 ) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"generated_by\": \"cargo run --release --example report\",\n");
-    out.push_str(&format!("  \"quick_mode\": {},\n", opts.quick));
+    out.push_str(&format!("  \"quick_mode\": {},\n", opts.scale == Scale::Quick));
     out.push_str(&format!("  \"max_nodes\": {},\n", opts.max_nodes));
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -1019,14 +1010,14 @@ fn same_json(
 
 #[cfg(test)]
 mod tests {
-    use carlos_apps::launch_with;
+    use carlos_apps::{launch_with, Run};
     use carlos_check::Checker;
 
     use super::*;
 
     fn quick(max_nodes: usize) -> ReportOptions {
         ReportOptions {
-            quick: true,
+            scale: Scale::Quick,
             max_nodes,
         }
     }
@@ -1260,37 +1251,42 @@ mod tests {
     /// time and message count as the unchecked runs the report publishes.
     #[test]
     fn eight_node_rows_are_checked_clean() {
-        let totals = |app: &AppReport| (app.report.elapsed, app.report.net.messages);
-        let same_under_checker = |what: &str, run: &dyn Fn(Option<Checker>) -> AppReport| {
+        let totals = |run: &Run| (run.app().report.elapsed, run.app().report.net.messages);
+        let cells = SPECS
+            .iter()
+            .filter(|s| s.sizes == Sizes::ScalingTo8)
+            .map(|s| s.cell(8, Scale::Quick));
+        for cell in cells.chain([Spec::new(App::Serve(Traffic::Steady), 8, Scale::Quick)]) {
+            let what = cell.app.name();
             let check = Checker::new(8);
-            let (checked, plain) = (run(Some(check.clone())), run(None));
+            let checked = launch_with(&cell, Some(check.clone()), None).expect("runs clean");
+            let plain = launch(&cell).expect("runs clean");
             assert_eq!(totals(&checked), totals(&plain), "{what}: the checker showed");
             check.assert_clean();
-        };
-        for spec in SPECS.iter().filter(|s| s.sizes == Sizes::ScalingTo8) {
-            same_under_checker(spec.label, &|check| {
-                let run = launch_with(&spec.cell(8, true), check, None).expect("runs clean");
-                run.app().clone()
-            });
         }
-        same_under_checker("KV", &|check| {
-            let mut cfg = serve_config(&quick(4), 8);
-            cfg.check = check;
-            try_run_serve(&cfg).expect("KV runs clean").app
-        });
     }
 
     /// Every configuration the report publishes, checked once: each spec's
-    /// quick cell at four nodes runs under the consistency checker, which
-    /// stays clean, and computes the right answer.
+    /// quick cell at four nodes, quick KV at four nodes and KV/chaos at four
+    /// and at eight, the size of its row, run under the consistency
+    /// checker, which stays clean, and compute the right answer.
     #[test]
     fn every_report_configuration_is_checked_clean() {
-        for row in SPECS {
+        let cells = SPECS.iter().map(|row| {
+            let what = format!("{}/{}", row.app.name(), row.label);
+            (what, row.cell(4, Scale::Quick))
+        });
+        let serving = [
+            Spec::new(App::Serve(Traffic::Steady), 4, Scale::Quick),
+            Spec::new(App::Serve(Traffic::Chaos), 4, Scale::Test),
+            Spec::new(App::Serve(Traffic::Chaos), 8, Scale::Test),
+        ]
+        .map(|cell| (format!("{} n={}", cell.app.name(), cell.n), cell));
+        for (what, cell) in cells.chain(serving) {
             let spec = Spec {
                 observe: Observe::Check,
-                ..row.cell(4, true)
+                ..cell
             };
-            let what = format!("{}/{}", row.app.name(), row.label);
             let run = launch(&spec).unwrap_or_else(|e| panic!("{what}: {e}"));
             let check = run.check.as_ref().expect("checked");
             assert!(check.is_clean(), "{what}: {:?}", check.violations());

@@ -140,6 +140,7 @@ fn label(spec: &Spec) -> String {
         App::Quicksort(_) => "qsort",
         App::Tsp(_) => "tsp",
         App::Water(_) => "water",
+        App::Serve(_) => "kv",
     };
     if spec.tweak == Tweak::Vg {
         format!("{app}+vg")

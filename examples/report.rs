@@ -4,8 +4,8 @@
 //! dispatch — and the ablations beyond it, every row traced, writing
 //! `BENCH_paper.json` and printing a Markdown report with per-message-class
 //! cost attribution. TSP Lock and SOR also run at 8 nodes, extending the
-//! scaling tables past the paper's testbed. Appends the `carlos-serve`
-//! serving rows: open-loop Zipfian KV traffic at 8–32 nodes (tail latency,
+//! scaling tables past the paper's testbed. Appends the serving rows
+//! (`carlos::serve`): open-loop Zipfian KV traffic at 8–32 nodes (tail latency,
 //! ops/s, bytes/op) plus a chaos row reporting harvest and yield under
 //! burst loss and a partition.
 //!
@@ -21,6 +21,7 @@
 
 use std::fmt::Display;
 
+use carlos::apps::Scale;
 use carlos::bench::report::{
     microcosts_markdown, row_gate, run_microcosts, run_report, run_serve_rows, serve_markdown,
     to_json, to_markdown, ReportOptions, SPECS,
@@ -38,7 +39,7 @@ fn main() {
     let opts = ReportOptions::from_env();
     eprintln!(
         "running report at {} scale, 1-{} nodes + 8-node TSP/SOR...",
-        if opts.quick { "test" } else { "paper" },
+        if opts.scale == Scale::Quick { "quick" } else { "paper" },
         opts.max_nodes
     );
     let rows = or_exit(run_report(SPECS, &opts), "report failed");

@@ -7,6 +7,7 @@
 //! carlos-repro qsort  [--nodes N] [--variant lock|hybrid1|hybrid2|noforward] [--small] [--update]
 //! carlos-repro water  [--nodes N] [--variant lock|hybrid] [--small] [--update|--all-release]
 //! carlos-repro sor    [--nodes N] [--small] [--update]
+//! carlos-repro kv     [--nodes N] [--small | --chaos]
 //! ```
 //!
 //! Build with `cargo build --release` and run
@@ -14,9 +15,11 @@
 //! `cargo run --release --bin carlos-repro -- <command>`.
 
 use carlos::apps::{
-    launch, Answer, App, QsortVariant, Scale, Spec, TspVariant, Tweak, WaterVariant,
+    launch, Answer, App, QsortVariant, Scale, Spec, Traffic, TspVariant, Tweak, WaterVariant,
 };
-use carlos::bench::report::{run_report, to_markdown, ReportOptions, SPECS};
+use carlos::bench::report::{
+    run_report, serve_markdown, serve_row, to_markdown, ReportOptions, SPECS,
+};
 use carlos::sim::Bucket;
 
 fn usage() -> ! {
@@ -31,12 +34,14 @@ fn usage() -> ! {
          \x20 qsort  [--nodes N] [--variant lock|hybrid1|hybrid2|noforward] [--small] [--update]\n\
          \x20 water  [--nodes N] [--variant lock|hybrid] [--small] [--update|--all-release]\n\
          \x20 sor    [--nodes N] [--small] [--update]\n\
+         \x20 kv     [--nodes N] [--small | --chaos]\n\
          \n\
          options:\n\
-         \x20 --nodes N       cluster size (default 4)\n\
+         \x20 --nodes N       cluster size (default 4; kv: half servers, at least 2)\n\
          \x20 --small         test-scale workload instead of paper scale\n\
          \x20 --update        update coherence strategy\n\
-         \x20 --all-release   mark every message RELEASE (tsp, water)"
+         \x20 --all-release   mark every message RELEASE (tsp, water)\n\
+         \x20 --chaos         kv at test scale under burst loss and a partition"
     );
     std::process::exit(2);
 }
@@ -44,14 +49,15 @@ fn usage() -> ! {
 /// Parses one application run's options into a [`Spec`].
 fn parse_spec(cmd: &str, args: &[String]) -> Spec {
     let (mut nodes, mut scale, mut tweak, mut variant) = (4, Scale::Paper, Tweak::None, None);
+    let (mut traffic, least) = (Traffic::Steady, if cmd == "kv" { 2 } else { 1 });
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--nodes" => {
                 let v = it.next().unwrap_or_else(|| usage());
                 nodes = v.parse().unwrap_or_else(|_| usage());
-                if nodes == 0 || nodes > 16 {
-                    eprintln!("--nodes must be 1..=16");
+                if !(least..=16).contains(&nodes) {
+                    eprintln!("--nodes must be {least}..=16");
                     std::process::exit(2);
                 }
             }
@@ -59,6 +65,7 @@ fn parse_spec(cmd: &str, args: &[String]) -> Spec {
             "--small" => scale = Scale::Test,
             "--update" => tweak = Tweak::Update,
             "--all-release" => tweak = Tweak::AllRelease,
+            "--chaos" if cmd == "kv" => (traffic, scale) = (Traffic::Chaos, Scale::Test),
             _ => usage(),
         }
     }
@@ -72,9 +79,10 @@ fn parse_spec(cmd: &str, args: &[String]) -> Spec {
         ("water", None | Some("hybrid")) => App::Water(WaterVariant::Hybrid),
         ("water", Some("lock")) => App::Water(WaterVariant::Lock),
         ("sor", None) => App::Sor,
+        ("kv", None) => App::Serve(traffic),
         _ => usage(),
     };
-    if tweak == Tweak::AllRelease && matches!(app, App::Quicksort(_) | App::Sor) {
+    if tweak == Tweak::AllRelease && matches!(app, App::Quicksort(_) | App::Sor | App::Serve(_)) {
         usage();
     }
     Spec {
@@ -121,12 +129,14 @@ fn main() {
             });
             println!("{}", to_markdown(&rows));
         }
-        "tsp" | "qsort" | "water" | "sor" => {
+        "tsp" | "qsort" | "water" | "sor" | "kv" => {
             let spec = parse_spec(cmd, rest);
+            let started = std::time::Instant::now();
             let run = launch(&spec).unwrap_or_else(|e| {
                 eprintln!("{cmd} failed: {e}");
                 std::process::exit(1);
             });
+            let host = started.elapsed().as_secs_f64();
             print_report(spec.app.name(), run.app());
             match &run.answer {
                 Answer::Tsp(r) => {
@@ -137,6 +147,10 @@ fn main() {
                 }
                 Answer::Water(r) => println!("  kinetic energy {:.4}", r.kinetic),
                 Answer::Sor(r) => println!("  checksum {:.3}", r.checksum),
+                Answer::Serve(r) => {
+                    print!("{}", serve_markdown(&[serve_row(&spec, r, host)]));
+                    println!("  counters {:?}", r.counters);
+                }
             }
         }
         _ => usage(),

@@ -34,7 +34,9 @@
 //! - a DSM-backed **key-value / session-cache service**: sharded
 //!   single-writer store with granularity hints, an async submit/poll
 //!   request API, a deterministic open-loop Zipfian traffic generator,
-//!   and tail-latency / harvest-yield reporting under chaos ([`serve`]).
+//!   and tail-latency / harvest-yield reporting under chaos — one more
+//!   application, run and judged like the others ([`serve`], in
+//!   [`apps`]).
 //!
 //! # Quick start
 //!
@@ -70,12 +72,12 @@
 #![warn(missing_docs)]
 
 pub use carlos_apps as apps;
+pub use carlos_apps::serve;
 pub use carlos_bench as bench;
 pub use carlos_check as check;
 pub use carlos_core as core;
 pub use carlos_explore as explore;
 pub use carlos_lrc as lrc;
-pub use carlos_serve as serve;
 pub use carlos_sim as sim;
 pub use carlos_sync as sync;
 pub use carlos_trace as trace;

@@ -15,11 +15,14 @@
 //! 3. **Determinism** — the same seed and the same fault plan reproduce
 //!    the same simulation, byte for byte, faults included.
 
-use carlos::apps::{launch, Answer, App, QsortVariant, Reference, Run, Scale, Spec, TspVariant};
+use carlos::apps::{
+    launch, Answer, App, QsortVariant, Reference, Run, Scale, Spec, Traffic, TspVariant,
+};
 use carlos::core::{CoreConfig, Runtime};
 use carlos::lrc::{LrcConfig, PageOwnership};
 use carlos::sim::time::ms;
 use carlos::sim::transport::AckMode;
+use carlos::serve::ServeResult;
 use carlos::sim::{Bucket, Cluster, FaultPlan, GeParams, SimConfig, SimError, SimReport};
 use carlos::sync::{BarrierSpec, SyncTuning};
 use std::fmt::Write as _;
@@ -76,6 +79,45 @@ fn chaos_spec(app: App, plan: FaultPlan) -> Spec {
     }
 }
 
+/// Serializes a serving run's accounting: every client and server total,
+/// the latency histogram's shape, and the final counters.
+fn serve_fingerprint(r: &ServeResult) -> String {
+    let t = &r.totals;
+    let mut s = String::new();
+    let _ = writeln!(
+        s,
+        "attempted={} completed={} timed_out={} late={} statuses={:?}",
+        t.client.attempted,
+        t.client.completed,
+        t.client.timed_out,
+        t.client.late_replies,
+        t.client.status_counts,
+    );
+    let _ = writeln!(
+        s,
+        "probes={}/{} cas={}/{}/{} served={} mirror={}/{}",
+        t.client.probes_answered,
+        t.client.probes_attempted,
+        t.cas_done,
+        t.cas_abandoned,
+        t.cas_intents,
+        t.ops_served,
+        t.mirror_mismatches,
+        t.mirror_keys,
+    );
+    let _ = writeln!(
+        s,
+        "hist count={} sum={} p50={} p99={} p999={} counters={:?}",
+        t.client.hist.count(),
+        t.client.hist.sum(),
+        t.client.hist.quantile(0.50),
+        t.client.hist.quantile(0.99),
+        t.client.hist.quantile(0.999),
+        r.counters,
+    );
+    s
+}
+
 /// Launches `spec`, asserts the answer is right whatever the faults did,
 /// and returns the run with its pin: the fingerprint's hash and the answer.
 fn judged(spec: &Spec) -> (Run, String) {
@@ -85,6 +127,7 @@ fn judged(spec: &Spec) -> (Run, String) {
         Answer::Tsp(r) => format!("best_len={}", r.best_len),
         Answer::Quicksort(r) => format!("sorted={} permutation={}", r.sorted, r.permutation_ok),
         Answer::Sor(r) => format!("checksum={:#018x}", r.checksum.to_bits()),
+        Answer::Serve(r) => fnv(&serve_fingerprint(r)),
         Answer::Water(_) => unreachable!("no Water chaos run"),
     };
     let pin = format!("{} {answer}", fnv(&fingerprint(&run.app().report)));
@@ -280,50 +323,15 @@ fn same_seed_and_plan_reproduce_the_same_simulation() {
 /// timed_out`, latency observations match completions, replies that beat
 /// the ARQ but missed their deadline are counted as late rather than
 /// silently discarded — while everything that did complete stays correct
-/// (value self-tags intact, server mirror agreeing with the DSM). And the
-/// whole degraded run is reproducible byte for byte from its seed.
+/// (the verdict: value self-tags intact, server mirrors agreeing with the
+/// DSM, every CAS intent landed at most once). And the whole degraded run
+/// is reproducible byte for byte from its seed.
 #[test]
 fn serve_chaos_is_attributed_and_reproducible() {
-    use carlos::serve::{try_run_serve, ServeConfig, ServeResult};
 
-    fn serve_fingerprint(r: &ServeResult) -> String {
-        let t = &r.totals;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "attempted={} completed={} timed_out={} late={} statuses={:?}",
-            t.client.attempted,
-            t.client.completed,
-            t.client.timed_out,
-            t.client.late_replies,
-            t.client.status_counts,
-        );
-        let _ = writeln!(
-            s,
-            "probes={}/{} cas={}/{}/{} served={} mirror={}/{}",
-            t.client.probes_answered,
-            t.client.probes_attempted,
-            t.cas_done,
-            t.cas_abandoned,
-            t.cas_intents,
-            t.ops_served,
-            t.mirror_mismatches,
-            t.mirror_keys,
-        );
-        let _ = writeln!(
-            s,
-            "hist count={} sum={} p50={} p99={} p999={} counters={:?}",
-            t.client.hist.count(),
-            t.client.hist.sum(),
-            t.client.hist.quantile(0.50),
-            t.client.hist.quantile(0.99),
-            t.client.hist.quantile(0.999),
-            r.counters,
-        );
-        s
-    }
-
-    let a = try_run_serve(&ServeConfig::chaos(4)).expect("serving run");
+    let spec = Spec::new(App::Serve(Traffic::Chaos), 4, Scale::Test);
+    let (run, a_pin) = judged(&spec);
+    let Answer::Serve(a) = &run.answer else { unreachable!("a serving run") };
     let t = &a.totals;
     // The fault plan must actually bite.
     assert!(a.app.report.net.dropped_burst > 0, "burst window never fired");
@@ -331,14 +339,10 @@ fn serve_chaos_is_attributed_and_reproducible() {
         a.app.report.net.dropped_partition > 0,
         "partition window never fired"
     );
-    // Load was shed, and every shed op is attributed.
+    // Load was shed, and every shed op is attributed (the verdict demands
+    // `attempted == completed + timed_out`).
     assert!(t.yield_fraction() < 1.0, "chaos must cost yield");
     assert!(t.client.timed_out > 0);
-    assert_eq!(
-        t.client.attempted,
-        t.client.completed + t.client.timed_out,
-        "ops must complete or time out — nothing vanishes"
-    );
     assert_eq!(
         t.client.hist.count(),
         t.client.completed,
@@ -351,33 +355,20 @@ fn serve_chaos_is_attributed_and_reproducible() {
     // Harvest was probed during the partition and is degraded.
     assert!(t.client.probes_attempted > 0);
     assert!(t.harvest() < 1.0, "the probe window straddles the partition");
-    // What did complete is correct.
-    assert_eq!(t.client.value_check_failures, 0);
-    assert_eq!(t.mirror_mismatches, 0);
-    // CAS intents either landed or were abandoned at-most-once. An
-    // abandoned intent whose request reached the server before the client
-    // gave up still lands (only the reply was lost), so the counter totals
-    // are bounded by — not equal to — the client-confirmed count; they can
-    // never exceed intents issued, because nothing is ever retried blind.
-    assert_eq!(t.cas_intents, t.cas_done + t.cas_abandoned);
-    let landed: u64 = a.counters.iter().sum();
-    assert!(
-        landed >= t.cas_done && landed <= t.cas_intents,
-        "counters sum {landed} outside [{}, {}]",
-        t.cas_done,
-        t.cas_intents
-    );
+    // Some CAS intents were abandoned. One whose request reached the server
+    // before the client gave up still lands (only the reply was lost), so
+    // the verdict bounds the counter totals by — not equates them to — the
+    // client-confirmed count; they never exceed the intents issued, because
+    // nothing is ever retried blind.
+    assert!(t.cas_abandoned > 0);
 
     // Same seed, same fault plan: byte-identical simulation and accounting.
-    let b = try_run_serve(&ServeConfig::chaos(4)).expect("serving run");
+    let (b, b_pin) = judged(&spec);
     assert_eq!(
-        fingerprint(&a.app.report),
-        fingerprint(&b.app.report),
+        fingerprint(&run.app().report),
+        fingerprint(&b.app().report),
         "chaos serving must be scripted, not random"
     );
-    assert_eq!(serve_fingerprint(&a), serve_fingerprint(&b));
-    assert_eq!(
-        format!("{} {}", fnv(&fingerprint(&a.app.report)), fnv(&serve_fingerprint(&a))),
-        "fnv 0x51ebe539110b2017 fnv 0xef741612b45c5677"
-    );
+    assert_eq!(a_pin, b_pin);
+    assert_eq!(a_pin, "fnv 0x51ebe539110b2017 fnv 0xef741612b45c5677");
 }

@@ -16,10 +16,9 @@
 //! `examples/explore.rs` widens the same sweep from the command line.
 
 use carlos::apps::{
-    launch, App, Observe, QsortVariant, Reference, Scale, Spec, TspVariant, Tweak, WaterVariant,
+    launch, App, Observe, QsortVariant, Reference, Scale, Spec, Traffic, TspVariant, Tweak,
+    WaterVariant,
 };
-use carlos::check::Checker;
-use carlos::serve::{try_run_serve, ServeConfig};
 use carlos::sim::time::{secs, us};
 use carlos::sim::SimConfig;
 
@@ -34,20 +33,22 @@ const _: fn() = || {
     send::<Spec>();
 };
 
-/// Runs each row's application on three nodes at test scale under 50 µs
-/// of delivery jitter, once per seed: the answer must match the reference
-/// and the checker must stay clean.
-fn sweep(rows: &[(App, Tweak, &[u64])]) {
+/// Runs each row's application on `n` nodes at test scale under 50 µs of
+/// delivery jitter and a 10 s runaway cap, once per seed: the answer must
+/// match the reference and the checker must stay clean.
+fn sweep(n: usize, rows: &[(App, Tweak, &[u64])]) {
     for &(app, tweak, seeds) in rows {
         let base = Spec {
             tweak,
             observe: Observe::Check,
-            ..Spec::new(app, 3, Scale::Test)
+            ..Spec::new(app, n, Scale::Test)
         };
         let reference = Reference::of(&base);
         for &seed in seeds {
+            let mut sim = SimConfig::fast_test().with_jitter(us(50), seed);
+            sim.max_virtual_time = Some(secs(10));
             let spec = Spec {
-                sim: Some(SimConfig::fast_test().with_jitter(us(50), seed)),
+                sim: Some(sim),
                 ..base.clone()
             };
             let what = format!("{}/{tweak:?} seed {seed}", app.name());
@@ -62,22 +63,22 @@ fn sweep(rows: &[(App, Tweak, &[u64])]) {
 
 #[test]
 fn sor_is_clean_and_exact_across_schedules() {
-    sweep(&[(App::Sor, Tweak::None, &SEEDS)]);
+    sweep(3, &[(App::Sor, Tweak::None, &SEEDS)]);
 }
 
 #[test]
 fn qsort_is_clean_and_sorted_across_schedules() {
-    sweep(&[(App::Quicksort(QsortVariant::Lock), Tweak::None, &SEEDS)]);
+    sweep(3, &[(App::Quicksort(QsortVariant::Lock), Tweak::None, &SEEDS)]);
 }
 
 #[test]
 fn tsp_is_clean_and_optimal_across_schedules() {
-    sweep(&[(App::Tsp(TspVariant::Lock), Tweak::None, &SEEDS)]);
+    sweep(3, &[(App::Tsp(TspVariant::Lock), Tweak::None, &SEEDS)]);
 }
 
 #[test]
 fn water_is_clean_and_accurate_across_schedules() {
-    sweep(&[(App::Water(WaterVariant::Lock), Tweak::None, &SEEDS)]);
+    sweep(3, &[(App::Water(WaterVariant::Lock), Tweak::None, &SEEDS)]);
 }
 
 /// The hybrid variants route updates through messages instead of locks;
@@ -85,7 +86,7 @@ fn water_is_clean_and_accurate_across_schedules() {
 /// claim that sequential message delivery replaces explicit locks).
 #[test]
 fn hybrids_are_clean_across_schedules() {
-    sweep(&[
+    sweep(3, &[
         (App::Quicksort(QsortVariant::Hybrid1), Tweak::None, &PAIR),
         (App::Water(WaterVariant::Hybrid), Tweak::None, &PAIR),
     ]);
@@ -99,56 +100,25 @@ fn hybrids_are_clean_across_schedules() {
 /// same schedule perturbations as the page-granularity baseline.
 #[test]
 fn vg_apps_are_clean_and_exact_across_schedules() {
-    sweep(&[
+    sweep(3, &[
         (App::Sor, Tweak::Vg, &PAIR),
         (App::Quicksort(QsortVariant::Lock), Tweak::Vg, &PAIR),
         (App::Tsp(TspVariant::Lock), Tweak::Vg, &PAIR),
     ]);
 }
 
-/// The serving workload joins the oracle sweep on a shrunk `test` schedule
-/// (fewer ops) with deadlines far beyond the runaway cap: jitter may delay
-/// any message, and generous deadlines keep exactness a hard oracle — a
-/// timed-out op would otherwise relax the expected CAS counter totals to a
-/// liveness question. Under every jittered schedule the run must stay
-/// exact — each CAS counter increment lands exactly once, nothing times
-/// out, arrives late, or fails the value self-tag, and the server's
-/// private version mirror agrees with the DSM — while the consistency
-/// oracle stays clean. The mixed-granularity variant changes the wire
-/// encodings (serve mixes eager fine granules for hot shard metadata with
-/// demand granules for values), so it gets a paired sweep.
+/// The serving workload joins the oracle sweep at its test scale, on two
+/// servers and two clients. Fault-free serving is exact under every
+/// jittered schedule — each CAS counter increment lands exactly once,
+/// nothing times out, arrives late, or fails the value self-tag, and the
+/// servers' private version mirrors agree with the DSM — while the
+/// consistency oracle stays clean. The mixed-granularity variant changes
+/// the wire encodings (serving mixes eager fine granules for hot shard
+/// metadata with demand granules for values), so it gets a paired sweep.
 #[test]
 fn serve_is_clean_and_exact_across_schedules() {
-    let sweep = |vg: bool, seeds: &[u64]| {
-        for &seed in seeds {
-            let mut cfg = ServeConfig::test(4);
-            cfg.ops_per_client = 96;
-            cfg.cas_per_client = 12;
-            cfg.op_timeout = secs(2);
-            cfg.drain = secs(4);
-            cfg.sim.max_virtual_time = Some(secs(10));
-            cfg.sim = cfg.sim.with_jitter(us(50), seed);
-            cfg.granularity_hints = vg;
-            if vg {
-                cfg.core = cfg.core.with_variable_granularity();
-            }
-            let check = Checker::new(cfg.n_nodes);
-            cfg.check = Some(check.clone());
-            let r = try_run_serve(&cfg).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-            let t = &r.totals;
-            let per_key = cfg.n_clients() as u64 * cfg.cas_per_client / cfg.counter_keys;
-            let exact = r.counters == vec![per_key; cfg.counter_keys as usize]
-                && t.client.timed_out == 0
-                && t.client.late_replies == 0
-                && t.client.value_check_failures == 0
-                && t.mirror_mismatches == 0
-                && t.client.attempted == t.client.completed;
-            assert!(exact, "seed {seed} (vg {vg}): serve inexact: {t:?}");
-            check.assert_clean();
-        }
-    };
-    sweep(false, &SEEDS);
-    sweep(true, &PAIR);
+    let kv = App::Serve(Traffic::Steady);
+    sweep(4, &[(kv, Tweak::None, &SEEDS), (kv, Tweak::Vg, &PAIR)]);
 }
 
 /// Zero jitter must draw nothing from the jitter RNG: the checked run's
