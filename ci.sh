@@ -127,11 +127,23 @@ cargo test -q -p carlos-bench
 # must come back with every field (per-class ledgers included; a serve
 # row's host seconds excepted) equal; new rows and new fields pass and are
 # listed. The example exits nonzero otherwise.
+# The same run writes the footprint ledger: every quick cell, both serve
+# rows and paper-scale Water Lock / Quicksort Hybrid-1 (n = 4) and KV
+# (n = 8), each counted by the example's allocator (allocations, bytes,
+# peak live bytes, allocations per message, events). Runs are
+# deterministic, so the ledger must equal the committed
+# BENCH_footprint.json exactly: every change commits its footprint delta.
 CARLOS_REPORT_QUICK=1 CARLOS_REPORT_OUT=target/BENCH_paper_quick.json \
     CARLOS_REPORT_BASELINE=BENCH_paper_quick.json \
+    CARLOS_REPORT_FOOTPRINT=target/BENCH_footprint.json \
     cargo run --release -q --example report > target/report_quick.md
 grep -q '| TSP |' target/report_quick.md
 grep -q '## Ablations against their base rows' target/report_quick.md
+if ! diff BENCH_footprint.json target/BENCH_footprint.json; then
+    echo "footprint ledger differs from BENCH_footprint.json:" \
+        "cp target/BENCH_footprint.json BENCH_footprint.json and commit it" >&2
+    exit 1
+fi
 
 echo "==> serve profile (DSM-backed KV serving under open-loop traffic)"
 # Store/workload/client/orchestration unit tests: exact fault-free

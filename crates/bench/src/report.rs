@@ -69,7 +69,7 @@ pub enum Sizes {
 const SCALING_N: usize = 8;
 
 impl Sizes {
-    fn nodes(self, max_nodes: usize) -> Vec<usize> {
+    pub(crate) fn nodes(self, max_nodes: usize) -> Vec<usize> {
         match self {
             Self::Scaling => (1..=max_nodes).collect(),
             Self::ScalingTo8 => (1..=max_nodes)
@@ -106,7 +106,7 @@ impl RowSpec {
     }
 
     /// The run of this spec's cell at `n` nodes and `scale`.
-    fn cell(&self, n: usize, scale: Scale) -> Spec {
+    pub(crate) fn cell(&self, n: usize, scale: Scale) -> Spec {
         Spec {
             tweak: self.tweak,
             ..Spec::new(self.app, n, scale)
@@ -578,13 +578,8 @@ pub fn serve_row(spec: &Spec, r: &ServeResult, host_seconds: f64) -> ServeRow {
 ///
 /// If a run's answer fails its verdict.
 pub fn run_serve_rows(opts: &ReportOptions) -> Result<Vec<ServeRow>, SimError> {
-    let sizes: &[usize] = if opts.scale == Scale::Quick { &[8] } else { &[8, 16, 32] };
-    let specs = sizes
-        .iter()
-        .map(|&n| Spec::new(App::Serve(Traffic::Steady), n, opts.scale))
-        .chain([Spec::new(App::Serve(Traffic::Chaos), 8, Scale::Test)]);
     let mut rows = Vec::new();
-    for spec in specs {
+    for spec in serve_specs(opts) {
         let started = std::time::Instant::now();
         let run = launch(&spec)?;
         let host = started.elapsed().as_secs_f64();
@@ -595,6 +590,16 @@ pub fn run_serve_rows(opts: &ReportOptions) -> Result<Vec<ServeRow>, SimError> {
         rows.push(serve_row(&spec, r, host));
     }
     Ok(rows)
+}
+
+/// The serving rows' runs: KV at each size, then KV/chaos.
+pub(crate) fn serve_specs(opts: &ReportOptions) -> Vec<Spec> {
+    let sizes: &[usize] = if opts.scale == Scale::Quick { &[8] } else { &[8, 16, 32] };
+    sizes
+        .iter()
+        .map(|&n| Spec::new(App::Serve(Traffic::Steady), n, opts.scale))
+        .chain([Spec::new(App::Serve(Traffic::Chaos), 8, Scale::Test)])
+        .collect()
 }
 
 /// Renders the serving rows as a Markdown table.
