@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use carlos_check::{Checker, ViolationKind};
-use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{Demand, Diffs, IntervalRecord, LrcConfig, LrcEngine, Vc};
 use carlos_util::event::{Event, Sink};
 
 fn engines(n: usize, check: &Checker) -> Vec<LrcEngine> {
@@ -45,8 +45,8 @@ fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 after,
                 through,
             } => {
-                let recs = engines[to as usize].serve_diffs(page, after, through);
-                engines[node].apply_diff_records(page, recs);
+                let recs: Diffs = engines[to as usize].own_diffs(page, after, through).collect();
+                engines[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
                 let (data, applied) = engines[to as usize].serve_page(page);

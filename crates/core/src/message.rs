@@ -1,6 +1,6 @@
 //! User-level message representation and wire format.
 
-use carlos_lrc::{DiffRecord, Records, Vc};
+use carlos_lrc::{Diffs, Records, Vc};
 use carlos_sim::transport::FrameBuf;
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
@@ -28,11 +28,14 @@ pub enum Consistency {
         /// Interval descriptions (write notices), node-major and
         /// index-ascending.
         records: Records,
-        /// Diffs for the noticed pages — empty under the invalidate
-        /// strategy; populated under the update/hybrid strategy, where
-        /// "pages to which a 'complete' set of diffs can be applied remain
-        /// valid" (§4.3).
-        diffs: Vec<DiffRecord>,
+        /// Diffs for the noticed pages — none under the invalidate
+        /// strategy (eager granules apart); carried under the
+        /// update/hybrid strategy, where "pages to which a 'complete' set
+        /// of diffs can be applied remain valid" (§4.3). Flat batches,
+        /// encoded back to back as one record sequence: a built or decoded
+        /// release holds one batch, or none when it carries no diff, which
+        /// is how `Vec::new()` (the form `benchmark/` builds) reads.
+        diffs: Vec<Diffs>,
     },
 }
 
@@ -122,7 +125,7 @@ impl Message {
                 records,
                 diffs,
             } => {
-                let diffs: usize = diffs.iter().map(DiffRecord::wire_len).sum();
+                let diffs: usize = diffs.iter().map(|b| b.wire_len() - 4).sum();
                 vc(required) + records.wire_len() + 4 + diffs
             }
         }
@@ -159,7 +162,10 @@ impl Message {
                 } else {
                     records.encode(enc);
                 }
-                enc.put_seq(diffs, |enc, d| d.encode(enc));
+                enc.put_u32(diffs.iter().map(Diffs::len).sum::<usize>() as u32);
+                for rec in diffs.iter().flat_map(Diffs::iter) {
+                    rec.encode(enc);
+                }
             }
         }
     }
@@ -197,15 +203,20 @@ impl Message {
             Annotation::Request => Consistency::Request {
                 vt: Vc::decode(&mut dec)?,
             },
-            Annotation::Release | Annotation::ReleaseNt => Consistency::Release {
-                required: Vc::decode(&mut dec)?,
-                records: if aggregated {
+            Annotation::Release | Annotation::ReleaseNt => {
+                let required = Vc::decode(&mut dec)?;
+                let records = if aggregated {
                     Records::decode_grouped(&mut dec)?
                 } else {
                     Records::decode(&mut dec)?
-                },
-                diffs: dec.get_seq(DiffRecord::decode)?,
-            },
+                };
+                let diffs = Diffs::decode(&mut dec)?;
+                Consistency::Release {
+                    required,
+                    records,
+                    diffs: if diffs.is_empty() { Vec::new() } else { vec![diffs] },
+                }
+            }
         };
         dec.expect_end()?;
         Ok(Self {
@@ -246,7 +257,7 @@ pub struct AcceptedMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carlos_lrc::IntervalRecord;
+    use carlos_lrc::{DiffRecord, IntervalRecord};
 
     fn rec(node: u32, index: u32, n: usize) -> IntervalRecord {
         let mut vc = Vc::new(n);
@@ -302,7 +313,7 @@ mod tests {
             consistency: Consistency::Release {
                 required,
                 records: [rec(0, 1, 2), rec(0, 2, 2)].into_iter().collect(),
-                diffs: vec![],
+                diffs: Vec::new(),
             },
         };
         let back = Message::from_wire_bytes(0, &m.to_wire_bytes(0)).unwrap();
@@ -329,7 +340,7 @@ mod tests {
             consistency: Consistency::Release {
                 required: Vc::new(2),
                 records: [rec(0, 1, 2), rec(1, 2, 2)].into_iter().collect(),
-                diffs: vec![diff],
+                diffs: vec![[diff.view()].into_iter().collect()],
             },
         };
         assert_eq!(m.to_wire_bytes(90).len(), m.size_hint(90));
@@ -370,7 +381,7 @@ mod tests {
             consistency: Consistency::Release {
                 required: Vc::new(2),
                 records: [rec(1, 1, 2)].into_iter().collect(),
-                diffs: vec![],
+                diffs: Vec::new(),
             },
         };
         let bytes = m.to_wire_bytes(0);
@@ -416,7 +427,7 @@ mod tests {
             consistency: Consistency::Release {
                 required,
                 records,
-                diffs: vec![],
+                diffs: Vec::new(),
             },
         };
         let agg = m.to_wire_bytes_with(0, true);
@@ -441,7 +452,7 @@ mod tests {
             consistency: Consistency::Release {
                 required: Vc::new(2),
                 records: [rec(1, 1, 2)].into_iter().collect(),
-                diffs: vec![],
+                diffs: Vec::new(),
             },
         };
         let agg = m.to_wire_bytes_with(0, true);

@@ -14,11 +14,11 @@
 //! the typed helpers.
 
 use std::{
-    collections::{BTreeMap, BTreeSet, HashMap, VecDeque},
+    collections::{btree_map::Entry, BTreeMap, BTreeSet, HashMap, VecDeque},
     rc::Rc,
 };
 
-use carlos_lrc::{Demand, LrcConfig, LrcEngine, Records, Vc};
+use carlos_lrc::{Demand, Diffs, LrcConfig, LrcEngine, Records, Vc};
 use carlos_sim::{time::Ns, transport::Transport, Bucket, NodeCtx, NodeId};
 use carlos_util::{
     codec::{Decoder, Encoder, Wire},
@@ -116,7 +116,7 @@ impl BatchEntry {
 /// substitution).
 enum SubReply {
     /// The server's own diffs for `page` over `(after, through]`; encoded
-    /// straight from the engine's store, never cloned.
+    /// straight from views of the engine's store, never cloned.
     Diffs { page: u32, after: u32, through: u32 },
     Page {
         page: u32,
@@ -192,7 +192,7 @@ struct Core {
     /// page are still outstanding. Diffs from concurrent writers must be
     /// applied together in causal order, so application is deferred until
     /// the page's last outstanding reply arrives.
-    pending_diffs: BTreeMap<u32, Vec<carlos_lrc::DiffRecord>>,
+    pending_diffs: BTreeMap<u32, Diffs>,
     /// `(page, node)` pairs whose page-instead-of-diffs substitution was
     /// rejected as stale; retries demand plain diffs to guarantee progress.
     force_diffs: BTreeSet<(u32, NodeId)>,
@@ -239,8 +239,8 @@ impl Core {
                 cost += self.cfg.release_send + self.cfg.per_record * records.len() as u64;
                 // Update strategy: marshalling the attached diffs costs the
                 // sender roughly what applying them costs the receiver.
-                for d in diffs {
-                    cost += self.cfg.diff_apply_cost(d.diff.modified_bytes());
+                for d in diffs.iter().flat_map(Diffs::iter) {
+                    cost += self.cfg.diff_apply_cost(d.modified_bytes());
                 }
             }
         }
@@ -328,26 +328,27 @@ impl Core {
                 // trip. Granules whose diffs the sender does not hold are
                 // batch-fetched by the receiver right after the notices apply.
                 let update_all = self.cfg.strategy == crate::config::Strategy::Update;
-                let mut diffs = Vec::new();
+                let mut diffs = Diffs::new();
                 if update_all || self.engine.granules().has_eager() {
-                    let mut seen = std::collections::BTreeSet::new();
-                    for rec in records.iter() {
-                        for &p in rec.pages {
-                            if !update_all && !self.engine.granules().eager_granule(p) {
-                                continue;
-                            }
-                            if let Some(d) = self.engine.stored_diff(rec.creator, p, rec.index) {
-                                if seen.insert((d.node, d.page, d.first, d.last)) {
-                                    diffs.push(d.clone());
-                                }
-                            }
-                        }
-                    }
+                    // Each stored diff covers one interval, so no notice
+                    // finds one twice. Sized first: one allocation per array.
+                    let engine = &self.engine;
+                    let shipped = || {
+                        records.iter().flat_map(move |rec| {
+                            rec.pages
+                                .iter()
+                                .filter(move |&&p| update_all || engine.granules().eager_granule(p))
+                                .filter_map(move |&p| engine.stored_diff(rec.creator, p, rec.index))
+                        })
+                    };
+                    let (count, bytes) = shipped().fold((0, 0), |(c, b), d| (c + 1, b + d.run_bytes()));
+                    diffs.reserve(required.len(), count, bytes);
+                    shipped().for_each(|d| diffs.push(d));
                 }
                 Consistency::Release {
                     required,
                     records,
-                    diffs,
+                    diffs: if diffs.is_empty() { Vec::new() } else { vec![diffs] },
                 }
             }
         };
@@ -441,10 +442,12 @@ impl Core {
                     let mut apply_cost = 0;
                     let mut pages: std::collections::BTreeSet<u32> =
                         std::collections::BTreeSet::new();
-                    for d in std::mem::take(diffs) {
-                        apply_cost += self.cfg.diff_apply_cost(d.diff.modified_bytes());
-                        pages.insert(d.page);
-                        self.pending_diffs.entry(d.page).or_default().push(d);
+                    for batch in std::mem::take(diffs) {
+                        for d in batch.iter() {
+                            apply_cost += self.cfg.diff_apply_cost(d.modified_bytes());
+                            pages.insert(d.page);
+                        }
+                        self.buffer_diffs(batch);
                     }
                     self.note_cost(class, CostPhase::DiffApply, apply_cost);
                     self.charge(apply_cost);
@@ -634,7 +637,7 @@ impl Core {
         let total: usize = self
             .engine
             .own_diffs(page, after, through)
-            .map(|r| r.diff.modified_bytes())
+            .map(|r| r.modified_bytes())
             .sum();
         if total > page_bytes && !force_diffs {
             let (data, applied) = self.engine.serve_page(page);
@@ -675,7 +678,7 @@ impl Core {
         let page = dec.get_u32().expect("reply page");
         match kind {
             KIND_DIFFS => {
-                let records = dec.get_seq(carlos_lrc::DiffRecord::decode).expect("diff records");
+                let records = Diffs::decode(dec).expect("diff records");
                 self.accept_diff_reply(src, page, records);
             }
             KIND_PAGE => {
@@ -691,17 +694,41 @@ impl Core {
     /// Receive side of one diff (sub-)reply: charges apply costs, buffers
     /// the records, and settles the inflight key. The caller runs
     /// [`Core::maybe_apply_buffered`] once all sibling sub-replies landed.
-    fn accept_diff_reply(&mut self, src: NodeId, page: u32, records: Vec<carlos_lrc::DiffRecord>) {
+    fn accept_diff_reply(&mut self, src: NodeId, page: u32, records: Diffs) {
         let mut cost = 0;
         let mut bytes = 0;
-        for r in &records {
-            bytes += r.diff.modified_bytes();
-            cost += self.cfg.diff_apply_cost(r.diff.modified_bytes());
+        for r in records.iter() {
+            bytes += r.modified_bytes();
+            cost += self.cfg.diff_apply_cost(r.modified_bytes());
         }
         self.note_cost(MsgClass::System, CostPhase::DiffApply, cost);
         self.charge(cost);
-        self.pending_diffs.entry(page).or_default().extend(records);
+        self.buffer_page_diffs(page, records);
         self.fetch_done(src, page, bytes);
+    }
+
+    /// Adds `batch`, whose records are all for `page`, to the page's
+    /// buffer: it becomes the buffer, or is appended to it, whole.
+    fn buffer_page_diffs(&mut self, page: u32, batch: Diffs) {
+        match self.pending_diffs.entry(page) {
+            Entry::Vacant(e) => {
+                e.insert(batch);
+            }
+            Entry::Occupied(mut e) => e.get_mut().extend(&batch),
+        }
+    }
+
+    /// Adds a RELEASE's `batch` to the per-page buffers: whole when it
+    /// holds one page's diffs, record by record otherwise.
+    fn buffer_diffs(&mut self, batch: Diffs) {
+        let page = batch.get(0).page;
+        if batch.iter().all(|d| d.page == page) {
+            self.buffer_page_diffs(page, batch);
+        } else {
+            for d in batch.iter() {
+                self.pending_diffs.entry(d.page).or_default().push(d);
+            }
+        }
     }
 
     /// Receive side of one whole-granule (sub-)reply: charges copy costs,
@@ -812,7 +839,7 @@ impl Core {
         let complete = complete || bug_eager;
         if complete {
             if let Some(all) = self.pending_diffs.remove(&page) {
-                self.engine.apply_diff_records(page, all);
+                self.engine.apply_diff_records(page, &all);
             }
         }
         // Incomplete coverage: the fault-resolution loop re-issues the
@@ -1064,6 +1091,9 @@ impl Runtime {
         let n = ctx.num_nodes();
         let sink = ctx.sink();
         let mut engine = LrcEngine::new(ctx.node_id(), lrc_cfg);
+        if cfg.strategy == crate::config::Strategy::Update {
+            engine.keep_fetched_diffs();
+        }
         if let Some(s) = &sink {
             engine.set_sink(Rc::clone(s));
         }

@@ -176,3 +176,43 @@ fn mixed_strategies_interoperate() {
     });
     c.run();
 }
+
+#[test]
+fn a_release_ships_again_the_diff_it_fetched() {
+    // Under the update strategy a node keeps the diffs it applies, so a
+    // RELEASE it sends later carries another writer's diff along with that
+    // writer's notice: node 2 learns node 0's write from node 1 and reads
+    // it without a demand fetch.
+    let mut c = Cluster::new(SimConfig::fast_test(), 3);
+    c.spawn_node(0, |ctx| {
+        let mut rt = mk_update(ctx, 3);
+        let _ = rt.wait_accepted(H_REPLY);
+        let _ = rt.wait_accepted(H_REPLY);
+        rt.write_u32(0, 777);
+        rt.send(1, H_GO, vec![], Annotation::Release);
+        let _ = rt.wait_accepted(H_REPLY);
+        rt.shutdown();
+    });
+    for node in [1, 2] {
+        c.spawn_node(node, move |ctx| {
+            let mut rt = mk_update(ctx, 3);
+            assert_eq!(rt.read_u32(0), 0, "a copy from before the write");
+            rt.send(0, H_REPLY, vec![], Annotation::None);
+            let _ = rt.wait_accepted(H_GO);
+            assert_eq!(rt.read_u32(0), 777);
+            assert_eq!(rt.ctx().counter("carlos.diff_requests"), 0, "node {node} fetched");
+            if node == 1 {
+                rt.send(2, H_GO, vec![], Annotation::Release);
+            } else {
+                rt.send(0, H_REPLY, vec![], Annotation::None);
+            }
+            rt.shutdown();
+        });
+    }
+    let r = c.run();
+    assert_eq!(r.counter_total("carlos.update_diffs_received"), 2);
+    // Node 1's bytes on the wire, its RELEASE's 40-byte diff record (node
+    // 0, page 0, interval 1, a 3-node clock, one 4-byte run) among them:
+    // what it sent when it kept every fetched diff.
+    assert_eq!(r.node_counters[1].get("net.sent_bytes"), 148);
+}

@@ -15,10 +15,17 @@
 //! overwritten — and two stretches of modified bytes are joined only
 //! across a gap of at most 6 bytes, less than the run header a split
 //! would cost.
+//!
+//! Diff records live in one flat layout, [`Diffs`], from the twin to the
+//! wire and back: a writer captures its diffs straight into its store,
+//! serving a fetch encodes views of the store, a release's payload and a
+//! fetch reply decode into a batch, and applying reads views of it. A
+//! record is read as a [`DiffView`]; [`DiffRecord`] is the owned
+//! one-record value.
 
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
-use crate::vc::Vc;
+use crate::vc::{wire_component, Vc};
 
 /// Bytes of run header in a diff buffer: `offset` and `len`, `u32` LE each.
 const RUN_HEADER: usize = 8;
@@ -139,6 +146,90 @@ fn scan_runs(twin: &[u8], current: &[u8], mut run: impl FnMut(usize, usize)) {
     }
 }
 
+/// Where `scan_runs` finds runs: how many, the bytes they modify, and the
+/// span from the first run's start to the last one's end.
+struct Extent {
+    runs: usize,
+    modified: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl Extent {
+    /// The runs between `twin` and `current`, measured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices have different lengths, or are too long for
+    /// `u32` offsets.
+    fn of(twin: &[u8], current: &[u8]) -> Self {
+        assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
+        assert!(u32::try_from(twin.len()).is_ok(), "page too large to diff");
+        let mut e = Self { runs: 0, modified: 0, lo: 0, hi: 0 };
+        scan_runs(twin, current, |start, end| {
+            if e.runs == 0 {
+                e.lo = start;
+            }
+            e.hi = end;
+            e.runs += 1;
+            e.modified += end - start;
+        });
+        e
+    }
+
+    /// Bytes of the runs' encoding.
+    fn len(&self) -> usize {
+        RUN_HEADER * self.runs + self.modified
+    }
+
+    /// Appends the runs to `out`, which the caller has made room in. The
+    /// second scan covers the dirty span alone (from the word its first
+    /// byte is in, so both scans see the same words); a lone run is its
+    /// span, nothing to find again.
+    fn write(&self, twin: &[u8], current: &[u8], out: &mut Vec<u8>) {
+        let mut push = |start: usize, end: usize| {
+            out.extend_from_slice(&(start as u32).to_le_bytes());
+            out.extend_from_slice(&((end - start) as u32).to_le_bytes());
+            out.extend_from_slice(&current[start..end]);
+        };
+        if self.runs == 1 {
+            push(self.lo, self.hi);
+        } else if self.runs > 1 {
+            let base = self.lo / WORD * WORD;
+            scan_runs(&twin[base..self.hi], &current[base..self.hi], |start, end| {
+                push(base + start, base + end);
+            });
+        }
+    }
+}
+
+/// The runs in `buf`, `([offset u32 LE][len u32 LE][len bytes])*`, as
+/// `(offset, new bytes)`.
+fn runs_in(buf: &[u8]) -> impl Iterator<Item = (u32, &[u8])> {
+    let mut rest = buf;
+    std::iter::from_fn(move || {
+        let (offset, tail) = rest.split_first_chunk::<4>()?;
+        let (len, tail) = tail.split_first_chunk::<4>()?;
+        let (data, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+        rest = tail;
+        Some((u32::from_le_bytes(*offset), data))
+    })
+}
+
+/// Writes the runs in `buf` into `page`.
+///
+/// # Panics
+///
+/// Panics if a run extends past the end of the page (a malformed diff).
+fn apply_runs(buf: &[u8], page: &mut [u8]) {
+    for (offset, data) in runs_in(buf) {
+        let start = offset as usize;
+        let end = start + data.len();
+        assert!(end <= page.len(), "diff run out of page bounds");
+        page[start..end].copy_from_slice(data);
+    }
+}
+
 impl Diff {
     /// Computes the diff that rewrites `twin` into `current`.
     ///
@@ -148,51 +239,20 @@ impl Diff {
     /// `u32` offsets.
     #[must_use]
     pub fn create(twin: &[u8], current: &[u8]) -> Self {
-        assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
-        assert!(u32::try_from(twin.len()).is_ok(), "page too large to diff");
         // The first scan sizes the buffer, so it is allocated once and
-        // exactly; the second, over the dirty span alone (from the word its
-        // first byte is in, so both see the same words), writes the runs
-        // straight into it. A lone run is its span: nothing to find again.
-        let (mut runs, mut modified, mut lo, mut hi) = (0, 0, 0, 0);
-        scan_runs(twin, current, |start, end| {
-            if runs == 0 {
-                lo = start;
-            }
-            hi = end;
-            runs += 1;
-            modified += end - start;
-        });
-        let mut buf = Vec::with_capacity(RUN_HEADER * runs + modified);
-        let mut push = |start: usize, end: usize| {
-            buf.extend_from_slice(&(start as u32).to_le_bytes());
-            buf.extend_from_slice(&((end - start) as u32).to_le_bytes());
-            buf.extend_from_slice(&current[start..end]);
-        };
-        if runs == 1 {
-            push(lo, hi);
-        } else {
-            let base = lo / WORD * WORD;
-            scan_runs(&twin[base..hi], &current[base..hi], |start, end| {
-                push(base + start, base + end);
-            });
-        }
+        // exactly; the second writes the runs straight into it.
+        let extent = Extent::of(twin, current);
+        let mut buf = Vec::with_capacity(extent.len());
+        extent.write(twin, current, &mut buf);
         Self {
             buf: buf.into_boxed_slice(),
-            runs: runs as u32,
+            runs: extent.runs as u32,
         }
     }
 
     /// The modified runs as `(offset, new bytes)`, in stored order.
     pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
-        let mut rest = &*self.buf;
-        std::iter::from_fn(move || {
-            let (offset, tail) = rest.split_first_chunk::<4>()?;
-            let (len, tail) = tail.split_first_chunk::<4>()?;
-            let (data, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
-            rest = tail;
-            Some((u32::from_le_bytes(*offset), data))
-        })
+        runs_in(&self.buf)
     }
 
     /// Applies the diff to `page` in place.
@@ -201,12 +261,7 @@ impl Diff {
     ///
     /// Panics if a run extends past the end of the page (a malformed diff).
     pub fn apply(&self, page: &mut [u8]) {
-        for (offset, data) in self.runs() {
-            let start = offset as usize;
-            let end = start + data.len();
-            assert!(end <= page.len(), "diff run out of page bounds");
-            page[start..end].copy_from_slice(data);
-        }
+        apply_runs(&self.buf, page);
     }
 
     /// True if the diff changes nothing.
@@ -235,23 +290,7 @@ impl Wire for Diff {
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let runs = dec.get_u32()?;
-        // A count the remaining bytes cannot hold is rejected before any
-        // run is looked at (the check `Decoder::get_seq` makes).
-        if runs as usize > dec.remaining() {
-            return Err(DecodeError::BadLength {
-                claimed: runs as usize,
-                remaining: dec.remaining(),
-            });
-        }
-        // Walk the runs on a look-ahead to validate them and find where
-        // they end, then copy them out in one piece.
-        let mut walk = dec.clone();
-        for _ in 0..runs {
-            walk.get_u32()?;
-            walk.get_byte_slice()?;
-        }
-        let buf = dec.get_raw_slice(dec.remaining() - walk.remaining())?;
+        let (runs, buf) = decode_runs(dec)?;
         Ok(Self {
             buf: buf.into(),
             runs,
@@ -259,12 +298,35 @@ impl Wire for Diff {
     }
 }
 
-/// A stored, shippable diff: which node produced it, for which page, and
-/// which of the producer's intervals it covers.
+/// Decodes a diff's run count and, validated in a look-ahead walk, the
+/// runs as one slice.
+fn decode_runs<'a>(dec: &mut Decoder<'a>) -> Result<(u32, &'a [u8]), DecodeError> {
+    let runs = dec.get_u32()?;
+    // A count the remaining bytes cannot hold is rejected before any run
+    // is looked at (the check `Decoder::get_seq` makes).
+    if runs as usize > dec.remaining() {
+        return Err(DecodeError::BadLength {
+            claimed: runs as usize,
+            remaining: dec.remaining(),
+        });
+    }
+    let mut walk = dec.clone();
+    for _ in 0..runs {
+        walk.get_u32()?;
+        walk.get_byte_slice()?;
+    }
+    Ok((runs, dec.get_raw_slice(dec.remaining() - walk.remaining())?))
+}
+
+/// A diff record as an owned value: which node produced it, for which
+/// page, and which of the producer's intervals it covers. A [`Diffs`]
+/// batch collects from these; no store or payload holds one.
 ///
 /// Because diffing is lazy, one record may cover several consecutive
 /// intervals of its creator (`first..=last`): the page was dirtied across
 /// multiple release points before anyone requested the modifications.
+/// The engine captures one per interval, so its records have
+/// `first == last`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRecord {
     /// The node whose modifications this diff describes.
@@ -283,21 +345,46 @@ pub struct DiffRecord {
 }
 
 impl DiffRecord {
+    /// The record read in place.
+    #[must_use]
+    pub fn view(&self) -> DiffView<'_> {
+        DiffView {
+            node: self.node,
+            page: self.page,
+            first: self.first,
+            last: self.last,
+            vt: self.vc.as_slice(),
+            runs: self.diff.runs,
+            buf: &self.diff.buf,
+        }
+    }
+
     /// Size in bytes of the wire encoding, without encoding it.
     #[must_use]
     pub fn wire_len(&self) -> usize {
-        16 + self.vc.wire_len() + self.diff.wire_len()
+        self.view().wire_len()
+    }
+}
+
+impl From<DiffView<'_>> for DiffRecord {
+    fn from(rec: DiffView<'_>) -> Self {
+        Self {
+            node: rec.node,
+            page: rec.page,
+            first: rec.first,
+            last: rec.last,
+            vc: Vc::from_slice(rec.vt),
+            diff: Diff {
+                buf: rec.buf.into(),
+                runs: rec.runs,
+            },
+        }
     }
 }
 
 impl Wire for DiffRecord {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.node);
-        enc.put_u32(self.page);
-        enc.put_u32(self.first);
-        enc.put_u32(self.last);
-        self.vc.encode(enc);
-        self.diff.encode(enc);
+        self.view().encode(enc);
     }
 
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
@@ -312,15 +399,473 @@ impl Wire for DiffRecord {
     }
 }
 
-/// Sorts diff records into a linear extension of happened-before, so that
-/// causally later diffs overwrite earlier ones when applied in order.
+/// One diff record read in place, from a [`Diffs`] batch or a
+/// [`DiffRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DiffView<'a> {
+    /// The node whose modifications this diff describes.
+    pub node: u32,
+    /// The page the diff applies to.
+    pub page: u32,
+    /// First interval index of `node` covered by this record.
+    pub first: u32,
+    /// Last interval index of `node` covered by this record.
+    pub last: u32,
+    /// The creator's vector timestamp when the diff was created.
+    pub vt: &'a [u32],
+    pub(crate) runs: u32,
+    /// `runs` well-formed runs, back to back: a [`Diff`]'s buffer.
+    pub(crate) buf: &'a [u8],
+}
+
+impl<'a> DiffView<'a> {
+    /// The modified runs as `(offset, new bytes)`, in stored order.
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &'a [u8])> {
+        runs_in(self.buf)
+    }
+
+    /// Applies the diff to `page` in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run extends past the end of the page (a malformed diff).
+    pub fn apply(&self, page: &mut [u8]) {
+        apply_runs(self.buf, page);
+    }
+
+    /// Total number of modified bytes described.
+    #[must_use]
+    pub fn modified_bytes(&self) -> usize {
+        self.buf.len() - RUN_HEADER * self.runs as usize
+    }
+
+    /// Size in bytes of the wire encoding.
+    #[must_use]
+    pub fn wire_len(&self) -> usize {
+        16 + 2 + 2 * self.vt.len() + 4 + self.buf.len()
+    }
+
+    /// Bytes of the runs: their headers and new bytes.
+    #[must_use]
+    pub fn run_bytes(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Encodes the record: node, page, first and last, the clock (a `u16`
+    /// width and a `u16` a component), the run count and the runs.
+    pub fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(self.node);
+        enc.put_u32(self.page);
+        enc.put_u32(self.first);
+        enc.put_u32(self.last);
+        enc.put_u16(self.vt.len() as u16);
+        for (c, &v) in self.vt.iter().enumerate() {
+            enc.put_u16(wire_component(c as u32, v));
+        }
+        enc.put_u32(self.runs);
+        enc.put_raw(self.buf);
+    }
+
+    /// The multi-writer application order: sorting by this key gives a
+    /// linear extension of happened-before, so causally later diffs
+    /// overwrite earlier ones when applied in order. If record A's
+    /// timestamp is strictly dominated by record B's, then `sum(A) <
+    /// sum(B)`, so A sorts first; concurrent records (necessarily from
+    /// different writers touching disjoint bytes in a data-race-free
+    /// program) tie-break deterministically by `(node, last)`.
+    #[must_use]
+    pub fn causal_key(&self) -> (u64, u32, u32) {
+        let sum = self.vt.iter().map(|&v| u64::from(v)).sum();
+        (sum, self.node, self.last)
+    }
+}
+
+/// Header words of a record in a [`Diffs`] batch before its clock: node,
+/// page, first, last, run count, and the end of its runs in the bytes.
+const HEAD: usize = 6;
+
+/// Diff records in one flat layout: header words in one array, run bytes
+/// in another. Record `i`'s header is the words `words[i * (HEAD + n)..]`:
+/// node, page, first, last, run count, the end of its runs (they start
+/// where record `i - 1`'s end), then its clock (`n` words). A creator's
+/// store, a fetch reply's payload and a release's are each one, so no
+/// record is a heap allocation of its own.
 ///
-/// The key is `(vc.sum(), node, last)`: if record A's timestamp is strictly
-/// dominated by record B's, then `sum(A) < sum(B)`, so A sorts first;
-/// concurrent records (necessarily from different writers touching disjoint
-/// bytes in a data-race-free program) tie-break deterministically.
-pub fn sort_causally(records: &mut [DiffRecord]) {
-    records.sort_by_key(|r| (r.vc.sum(), r.node, r.last));
+/// A batch sized before it is filled keeps its runs in one array. A store
+/// filled one record at a time never moves a run to grow: when a record
+/// does not fit, the array is sealed, trimmed to its runs, and a new one
+/// begun, a fraction of the whole; offsets run on across arrays. (A store
+/// of 8 KiB diffs that grew by reallocation held both the old and the new
+/// array at each step, and its process's resident memory grew by about
+/// the store's size.)
+///
+/// A node's own diffs are stored with `n = 0`: each one's clock is its
+/// interval's, which the interval log holds already.
+#[derive(Debug, Clone, Default)]
+pub struct Diffs {
+    /// Clock width of every record.
+    n: usize,
+    words: Vec<u32>,
+    /// The runs from offset `self.base()` on.
+    bytes: Vec<u8>,
+    /// The runs before, in the arrays that held them, each with the offset
+    /// it starts at.
+    sealed: Vec<(u32, Box<[u8]>)>,
+}
+
+/// The room a store adds for `extra` more elements of which it holds
+/// `len`: exactly `extra` the first time, and after that at least an
+/// eighth of `len` and 256 bytes, not double — a store of large diffs keeps
+/// little slack, and one filled a record at a time still grows only
+/// logarithmically often.
+fn step<T>(has: bool, len: usize, extra: usize) -> usize {
+    if has {
+        extra.max(len / 8).max(256 / std::mem::size_of::<T>())
+    } else {
+        extra
+    }
+}
+
+impl Diffs {
+    /// An empty batch.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn stride(&self) -> usize {
+        HEAD + self.n
+    }
+
+    /// Number of records.
+    #[must_use]
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.len() / self.stride()
+    }
+
+    /// True when the batch holds no record.
+    #[must_use]
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// Record `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[must_use]
+    #[inline]
+    pub fn get(&self, i: usize) -> DiffView<'_> {
+        let stride = self.stride();
+        let head = &self.words[i * stride..(i + 1) * stride];
+        let start = i.checked_sub(1).map_or(0, |p| self.words[p * stride + 5] as usize);
+        DiffView {
+            node: head[0],
+            page: head[1],
+            first: head[2],
+            last: head[3],
+            vt: &head[HEAD..],
+            runs: head[4],
+            buf: self.runs_at(start, head[5] as usize),
+        }
+    }
+
+    /// The offset the current byte array starts at.
+    fn base(&self) -> usize {
+        self.sealed.last().map_or(0, |(start, runs)| *start as usize + runs.len())
+    }
+
+    /// The run bytes at offsets `start..end`, which one array holds.
+    fn runs_at(&self, start: usize, end: usize) -> &[u8] {
+        let base = self.base();
+        if start >= base {
+            return &self.bytes[start - base..end - base];
+        }
+        let (at, runs) = &self.sealed[self.sealed.partition_point(|(at, _)| *at as usize <= start) - 1];
+        &runs[start - *at as usize..end - *at as usize]
+    }
+
+    /// The records in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DiffView<'_>> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    fn set_width(&mut self, n: usize) {
+        if self.is_empty() {
+            self.n = n;
+        }
+        assert_eq!(self.n, n, "diff records of {} and {n} nodes in one batch", self.n);
+    }
+
+    /// Makes room for `records` more records of clock width `n` holding
+    /// `bytes` bytes of runs ([`DiffView::run_bytes`]) in one array: the
+    /// header words grow by at least an eighth, and the runs go on in the
+    /// current byte array or, if they do not fit, in a new one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch holds records of another width.
+    pub fn reserve(&mut self, n: usize, records: usize, bytes: usize) {
+        self.set_width(n);
+        let words = records * self.stride();
+        if self.words.capacity() - self.words.len() < words {
+            let add = step::<u32>(self.words.capacity() > 0, self.words.len(), words);
+            self.words.reserve_exact(add);
+        }
+        if self.bytes.capacity() - self.bytes.len() < bytes {
+            let total = self.base() + self.bytes.len();
+            let add = step::<u8>(self.bytes.capacity() > 0 || total > 0, total, bytes);
+            if self.bytes.is_empty() {
+                self.bytes.reserve_exact(add);
+            } else {
+                let start = self.base() as u32;
+                let full = std::mem::replace(&mut self.bytes, Vec::with_capacity(add));
+                self.sealed.push((start, full.into_boxed_slice()));
+            }
+        }
+    }
+
+    /// Appends the header `[node, page, first, last]` of a record of
+    /// `runs` runs and clock `vt`, whose runs end the bytes.
+    fn push_head(&mut self, head: [u32; 4], runs: u32, vt: &[u32]) {
+        let end = self.base() + self.bytes.len();
+        let end = u32::try_from(end).expect("diff batch past 4 GiB");
+        self.words.extend_from_slice(&head);
+        self.words.extend_from_slice(&[runs, end]);
+        self.words.extend_from_slice(vt);
+    }
+
+    /// Appends `rec`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if its clock width differs from the batch's.
+    pub fn push(&mut self, rec: DiffView<'_>) {
+        self.reserve(rec.vt.len(), 1, rec.buf.len());
+        self.bytes.extend_from_slice(rec.buf);
+        self.push_head([rec.node, rec.page, rec.first, rec.last], rec.runs, rec.vt);
+    }
+
+    /// Appends every record of `src`, one copy per array.
+    pub fn extend(&mut self, src: &Diffs) {
+        if src.is_empty() {
+            return;
+        }
+        let bytes = src.base() + src.bytes.len();
+        self.reserve(src.n, src.len(), bytes);
+        let (stride, end) = (self.stride(), (self.base() + self.bytes.len()) as u32);
+        let from = self.words.len();
+        self.words.extend_from_slice(&src.words);
+        for head in self.words[from..].chunks_exact_mut(stride) {
+            head[5] += end;
+        }
+        for (_, runs) in &src.sealed {
+            self.bytes.extend_from_slice(runs);
+        }
+        self.bytes.extend_from_slice(&src.bytes);
+    }
+
+    /// Appends, without a clock, the diff that rewrites `twin` into
+    /// `current`, as interval `index` of `node` on `page`: the runs are
+    /// written straight into the bytes.
+    pub(crate) fn capture(&mut self, node: u32, page: u32, index: u32, twin: &[u8], current: &[u8]) {
+        let extent = Extent::of(twin, current);
+        self.reserve(0, 1, extent.len());
+        extent.write(twin, current, &mut self.bytes);
+        self.push_head([node, page, index, index], extent.runs as u32, &[]);
+    }
+
+    /// Size in bytes of the encoding ([`Wire`]).
+    #[must_use]
+    pub fn wire_len(&self) -> usize {
+        4 + self.iter().map(|r| r.wire_len()).sum::<usize>()
+    }
+
+    /// Decodes one record onto the arrays, which hold room for it.
+    fn decode_record(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
+        let start = self.words.len();
+        for _ in 0..4 {
+            self.words.push(dec.get_u32()?);
+        }
+        // Run count and end, known once the runs are decoded.
+        self.words.extend_from_slice(&[0, 0]);
+        let width = usize::from(dec.get_u16()?);
+        if width != self.n {
+            return Err(DecodeError::BadLength {
+                claimed: width,
+                remaining: dec.remaining(),
+            });
+        }
+        for _ in 0..width {
+            self.words.push(u32::from(dec.get_u16()?));
+        }
+        let (runs, buf) = decode_runs(dec)?;
+        self.bytes.extend_from_slice(buf);
+        self.words[start + 4] = runs;
+        self.words[start + 5] = self.bytes.len() as u32;
+        Ok(())
+    }
+}
+
+/// `(width, records, bytes of runs)` of the batch at `dec`, walked without
+/// decoding.
+fn measure(mut dec: Decoder<'_>) -> Result<(usize, usize, usize), DecodeError> {
+    let count = dec.get_u32()? as usize;
+    if count > dec.remaining() {
+        return Err(DecodeError::BadLength {
+            claimed: count,
+            remaining: dec.remaining(),
+        });
+    }
+    let (mut n, mut bytes) = (None, 0);
+    for _ in 0..count {
+        dec.get_raw_slice(16)?;
+        let width = usize::from(dec.get_u16()?);
+        n.get_or_insert(width);
+        dec.get_raw_slice(2 * width)?;
+        bytes += decode_runs(&mut dec)?.1.len();
+    }
+    Ok((n.unwrap_or(0), count, bytes))
+}
+
+/// A `u32` record count, then each record as [`DiffView::encode`] writes
+/// it: the encoding of a sequence of [`DiffRecord`]s.
+impl Wire for Diffs {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(self.len() as u32);
+        for rec in self.iter() {
+            rec.encode(enc);
+        }
+    }
+
+    /// Decodes into arrays sized by a first walk over the bytes; every
+    /// record of a batch has the same clock width.
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        let (n, records, bytes) = measure(dec.clone())?;
+        let mut out = Self::new();
+        out.n = n;
+        out.words.reserve_exact(records * out.stride());
+        out.bytes.reserve_exact(bytes);
+        for _ in 0..dec.get_u32()? {
+            out.decode_record(dec)?;
+        }
+        Ok(out)
+    }
+}
+
+impl PartialEq for Diffs {
+    /// Same records, however their runs are held; an empty batch's width
+    /// does not count.
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Diffs {}
+
+/// Sized by a first pass, so each array is allocated once.
+impl<'a> FromIterator<DiffView<'a>> for Diffs {
+    fn from_iter<I: IntoIterator<Item = DiffView<'a>>>(iter: I) -> Self {
+        let recs: Vec<DiffView<'a>> = iter.into_iter().collect();
+        let mut out = Self::new();
+        if let Some(first) = recs.first() {
+            out.reserve(first.vt.len(), recs.len(), recs.iter().map(|r| r.buf.len()).sum());
+        }
+        recs.into_iter().for_each(|rec| out.push(rec));
+        out
+    }
+}
+
+/// One creator's retained diffs, each covering one interval, found by
+/// `(interval, page)`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DiffStore {
+    recs: Diffs,
+    /// Positions of `recs` in `(first, page)` order; empty while the
+    /// records arrive in that order (a node's own always do).
+    order: Vec<u32>,
+}
+
+impl DiffStore {
+    pub(crate) fn len(&self) -> usize {
+        self.recs.len()
+    }
+
+    /// The record `k`-th in `(first, page)` order.
+    fn nth(&self, k: usize) -> DiffView<'_> {
+        self.recs.get(self.order.get(k).map_or(k, |&i| i as usize))
+    }
+
+    fn key(&self, k: usize) -> (u32, u32) {
+        let rec = self.nth(k);
+        (rec.first, rec.page)
+    }
+
+    /// Where `key` goes in `(first, page)` order.
+    fn rank(&self, key: (u32, u32)) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.key(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The records file a new one last at `key` unless it sorts earlier.
+    fn file(&mut self, key: (u32, u32)) {
+        let len = self.len();
+        if self.order.is_empty() && len.checked_sub(1).is_none_or(|last| self.key(last) < key) {
+            return;
+        }
+        if self.order.is_empty() {
+            self.order = (0..len as u32).collect();
+        }
+        let at = self.rank(key);
+        self.order.insert(at, len as u32);
+    }
+
+    /// Stores the fetched record `rec`.
+    pub(crate) fn push(&mut self, rec: DiffView<'_>) {
+        debug_assert_eq!(rec.first, rec.last, "stored diffs cover one interval");
+        self.file((rec.first, rec.page));
+        self.recs.push(rec);
+    }
+
+    /// Captures the diff that rewrites `twin` into `current` as interval
+    /// `index` of `node` on `page`, without a clock: a node's own.
+    pub(crate) fn capture(&mut self, node: u32, page: u32, index: u32, twin: &[u8], current: &[u8]) {
+        self.file((index, page));
+        self.recs.capture(node, page, index, twin, current);
+    }
+
+    /// Makes room for `records` more records of width `n` holding `bytes`
+    /// bytes of runs.
+    pub(crate) fn reserve(&mut self, n: usize, records: usize, bytes: usize) {
+        self.recs.reserve(n, records, bytes);
+    }
+
+    /// The record covering interval `index` of `page`.
+    pub(crate) fn get(&self, page: u32, index: u32) -> Option<DiffView<'_>> {
+        let k = self.rank((index, page));
+        (k < self.len() && self.key(k) == (index, page)).then(|| self.nth(k))
+    }
+
+    /// The records of `page` covering intervals in `(after, through]`,
+    /// oldest first.
+    pub(crate) fn range(&self, page: u32, after: u32, through: u32) -> impl Iterator<Item = DiffView<'_>> {
+        let start = self.rank((after.saturating_add(1), 0));
+        (start..self.len())
+            .map(|k| self.nth(k))
+            .take_while(move |r| r.first <= through)
+            .filter(move |r| r.page == page)
+    }
 }
 
 #[cfg(test)]
@@ -598,7 +1143,7 @@ mod tests {
             diff: Diff::default(),
         };
         let mut v = vec![late.clone(), early.clone()];
-        sort_causally(&mut v);
+        v.sort_by_key(|r| r.view().causal_key());
         assert_eq!(v[0], early);
         assert_eq!(v[1], late);
     }
@@ -631,7 +1176,7 @@ mod tests {
                 diff: Diff::create(&base, &v1),
             },
         ];
-        sort_causally(&mut records);
+        records.sort_by_key(|r| r.view().causal_key());
         let mut page = base;
         for r in &records {
             r.diff.apply(&mut page);

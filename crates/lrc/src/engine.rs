@@ -18,10 +18,11 @@
 //!   invalidating named pages ([`LrcEngine::apply_records`]); if the local
 //!   page is dirty, its modifications are first captured in a diff.
 //! - An access fault on an invalid page demands diffs from the writers
-//!   whose notices are unapplied ([`LrcEngine::fault_demands`]); diffs are
-//!   created lazily by the writers ([`LrcEngine::serve_diffs`]) and applied
-//!   in causal order ([`LrcEngine::apply_diff_records`]). A node with no
-//!   copy demands the whole page.
+//!   whose notices are unapplied ([`LrcEngine::fault_demands`]); the
+//!   writers serve the diffs they captured when each interval closed
+//!   ([`LrcEngine::own_diffs`]), and they are applied in causal order
+//!   ([`LrcEngine::apply_diff_records`]). A node with no copy demands the
+//!   whole page.
 
 use std::{
     collections::{btree_map::Entry, BTreeMap, BTreeSet},
@@ -32,7 +33,7 @@ use carlos_util::event::{emit, Event, Interval, Sink};
 
 use crate::{
     config::LrcConfig,
-    diff::{sort_causally, Diff, DiffRecord},
+    diff::{Diff, DiffStore, DiffView, Diffs},
     interval::{IntervalRecord, IntervalStore, Records},
     page::{PageId, PageState, PageTable},
     region::GranuleMap,
@@ -85,7 +86,7 @@ pub struct EngineStats {
 }
 
 /// True when one of `claims` covers interval `index` of `creator`.
-fn claimed(claims: &[DiffRecord], creator: u32, index: u32) -> bool {
+fn claimed(claims: &Diffs, creator: u32, index: u32) -> bool {
     claims
         .iter()
         .any(|r| r.node == creator && r.first <= index && index <= r.last)
@@ -105,10 +106,19 @@ pub struct LrcEngine {
     /// Pages currently write-enabled (twin present).
     dirty: BTreeSet<PageId>,
     intervals: IntervalStore,
-    /// Diff records held locally, keyed by `(creator, page)`. Contains both
-    /// self-created diffs (served to others) and fetched ones (kept, as in
-    /// TreadMarks, until garbage collection).
-    diffs: BTreeMap<(u32, PageId), Vec<DiffRecord>>,
+    /// This node's diffs, one per write notice of its logged intervals, in
+    /// interval order: what it serves. Their clocks are the intervals'.
+    own: DiffStore,
+    /// Per creator, the fetched diffs a RELEASE may ship again: those of
+    /// eager granules, or every one under the update strategy
+    /// ([`LrcEngine::keep_fetched_diffs`]). Nothing reads another fetched
+    /// diff again, so it is applied and dropped.
+    fetched: Vec<DiffStore>,
+    /// Fetched diffs applied and dropped since the last collection. They
+    /// count as stored records, so collections fall where they did when
+    /// every fetched diff was kept, as in TreadMarks.
+    dropped: usize,
+    keep_fetched: bool,
     /// Address→granule resolution. With no configured regions this is one
     /// segment at `page_size` and granule ids equal legacy page ids.
     granules: GranuleMap,
@@ -154,7 +164,10 @@ impl LrcEngine {
             pages: PageTable::new(node, &cfg, &granules),
             dirty: BTreeSet::new(),
             intervals: IntervalStore::new(),
-            diffs: BTreeMap::new(),
+            own: DiffStore::default(),
+            fetched: Vec::new(),
+            dropped: 0,
+            keep_fetched: false,
             page_shift: granules.uniform_shift(),
             granules,
             sink: None,
@@ -163,6 +176,13 @@ impl LrcEngine {
             stats: EngineStats::default(),
             cfg,
         }
+    }
+
+    /// Keeps every fetched diff, as the update strategy needs: a RELEASE
+    /// then ships any diff its write notices describe, not just those of
+    /// eager granules.
+    pub fn keep_fetched_diffs(&mut self) {
+        self.keep_fetched = true;
     }
 
     /// Reports memory accesses, interval closes, record application and
@@ -599,8 +619,7 @@ impl LrcEngine {
     // ------------------------------------------------------------------
 
     /// Captures this node's modifications to `page` for the just-closed
-    /// interval into a stored diff record, drops the twin, and re-protects
-    /// the page. Called from [`LrcEngine::close_interval`] for every page
+    /// interval into its store, drops the twin, and re-protects the page. Called from [`LrcEngine::close_interval`] for every page
     /// the closing interval announces, so each record covers exactly one
     /// interval and carries its timestamp (sound causal ordering).
     ///
@@ -611,22 +630,13 @@ impl LrcEngine {
         let idx = self.vt.get(self.node);
         let meta = self.pages.get_mut(page).expect("announced page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
-        let diff = Diff::create(&twin, &meta.data);
+        self.own.capture(self.node, page, idx, &twin, &meta.data);
         meta.own_covered = idx;
         meta.state = if meta.up_to_date() {
             PageState::ReadOnly
         } else {
             PageState::Invalid
         };
-        let rec = DiffRecord {
-            node: self.node,
-            page,
-            first: idx,
-            last: idx,
-            vc: self.vt.clone(),
-            diff,
-        };
-        Self::store_diff(&mut self.diffs, rec);
         self.stats.diffs_created += 1;
     }
 
@@ -648,7 +658,7 @@ impl LrcEngine {
     /// batches could order a causally later record before an earlier one
     /// arriving in a later round.
     #[must_use]
-    pub fn covers_with_claims(&self, page: PageId, claims: &[DiffRecord]) -> bool {
+    pub fn covers_with_claims(&self, page: PageId, claims: &Diffs) -> bool {
         match self.pages.get(page) {
             // An owner's untouched copy has no outstanding notice: one would
             // have materialised it.
@@ -680,19 +690,6 @@ impl LrcEngine {
             .map(|rec| (rec.creator, rec.index))
     }
 
-    /// Files `rec` with the stored records of its `(creator, page)`, which
-    /// stay single-interval and ascending so lookups can bisect them.
-    fn store_diff(diffs: &mut BTreeMap<(u32, PageId), Vec<DiffRecord>>, rec: DiffRecord) {
-        let recs = diffs.entry((rec.node, rec.page)).or_default();
-        debug_assert!(
-            rec.first == rec.last && recs.last().is_none_or(|r| r.last < rec.first),
-            "diff records of ({}, {}) out of order",
-            rec.node,
-            rec.page
-        );
-        recs.push(rec);
-    }
-
     /// Drops `page`'s outstanding notices that `applied` has caught up
     /// with; called wherever a page's `applied` rises.
     fn prune_outstanding(
@@ -712,7 +709,7 @@ impl LrcEngine {
     /// one lookup per index in each creator's `(applied, max_notice]`: the
     /// reference the equivalence property below holds the per-page list to.
     #[cfg(test)]
-    fn covers_by_store_walk(&self, page: PageId, claims: &[DiffRecord]) -> bool {
+    fn covers_by_store_walk(&self, page: PageId, claims: &Diffs) -> bool {
         let Some(meta) = self.pages.get(page) else {
             // No copy: every stored record since the collection counts.
             return self.owner_of(page) == self.node
@@ -764,48 +761,61 @@ impl LrcEngine {
         }
     }
 
-    /// This node's stored diff records for `page` covering its intervals in
+    /// This node's diff records for `page` covering its intervals in
     /// `(after, through]`, oldest first — what a diff request is answered
-    /// from. A server that only encodes them borrows here instead of
-    /// cloning every run through [`LrcEngine::serve_diffs`].
+    /// from, read in place.
     pub fn own_diffs(
         &self,
         page: PageId,
         after: u32,
         through: u32,
-    ) -> impl Iterator<Item = &DiffRecord> {
+    ) -> impl Iterator<Item = DiffView<'_>> {
         debug_assert!(
             self.pages.get(page).map_or(self.pages.base().get(self.node), |m| m.own_covered)
                 >= through.min(self.vt.get(self.node)),
             "diff request beyond materialized coverage"
         );
-        let recs = self.diffs.get(&(self.node, page)).map_or(&[][..], Vec::as_slice);
-        recs[recs.partition_point(|r| r.last <= after)..]
-            .iter()
-            .take_while(move |r| r.first <= through)
+        self.own.range(page, after, through).map(|r| self.clocked(r))
     }
 
-    /// Serves a diff request: returns this node's diff records for `page`
-    /// covering its intervals in `(after, through]`. With eager per-
-    /// interval capture, every announced interval's diff already exists.
-    pub fn serve_diffs(&mut self, page: PageId, after: u32, through: u32) -> Vec<DiffRecord> {
-        self.own_diffs(page, after, through).cloned().collect()
+    /// An own diff with its clock, which is its interval's.
+    fn clocked<'a>(&'a self, rec: DiffView<'a>) -> DiffView<'a> {
+        let interval = self.intervals.get(self.node, rec.first);
+        DiffView {
+            vt: interval.expect("an own diff's interval is logged").vt,
+            ..rec
+        }
     }
 
-    /// Applies fetched diff records to `page` in causal order.
+    /// Applies fetched diff records to `page` in causal order. A record is
+    /// kept for shipping again if its granule is eager or the engine keeps
+    /// every fetched diff ([`LrcEngine::keep_fetched_diffs`]); any other is
+    /// dropped, and counted by [`LrcEngine::record_count`] until the next
+    /// collection.
     ///
     /// # Panics
     ///
-    /// Panics if the page has no local copy, or if a record leaves a gap in
-    /// its creator's interval coverage (a protocol violation upstream).
-    pub fn apply_diff_records(&mut self, page: PageId, mut records: Vec<DiffRecord>) {
+    /// Panics if the page has no local copy, or a record is for another
+    /// page.
+    pub fn apply_diff_records(&mut self, page: PageId, records: &Diffs) {
         assert!(
             self.pages.state(page) != PageState::Missing,
             "applying diffs to a missing page"
         );
-        sort_causally(&mut records);
+        // Records of one writer arrive in causal order already; only a
+        // batch that is not needs an order of its own.
+        let mut order: Vec<u32> = Vec::new();
+        if !records.iter().is_sorted_by_key(|r| r.causal_key()) {
+            order = (0..records.len() as u32).collect();
+            order.sort_by_key(|&i| records.get(i as usize).causal_key());
+        }
+        let keep = self.keep_fetched || self.granules.eager_granule(page);
+        if keep {
+            reserve_for(&mut self.fetched, records);
+        }
         let meta = self.pages.entry(page, &self.granules);
-        for rec in records {
+        for k in 0..records.len() {
+            let rec = records.get(order.get(k).map_or(k, |&i| i as usize));
             assert_eq!(rec.page, page, "diff record for a different page");
             let have = meta.applied.get(rec.node);
             if rec.last <= have {
@@ -817,7 +827,7 @@ impl LrcEngine {
             // notices arrive gap-free per creator, fault demands span
             // `(applied, max_notice]`, and the serving node returns every
             // record in that range.
-            rec.diff.apply(&mut meta.data);
+            rec.apply(&mut meta.data);
             // A surviving twin holds only the still-open local interval's
             // writes; fetched diffs are from concurrent writers (disjoint
             // bytes in a data-race-free program) or causal predecessors.
@@ -825,14 +835,17 @@ impl LrcEngine {
             // "page without my open writes" base, so the next capture
             // contains only this node's own modifications.
             if let Some(twin) = &mut meta.twin {
-                rec.diff.apply(twin);
+                rec.apply(twin);
             }
             meta.applied.set(rec.node, rec.last);
             let cur = meta.max_notice.get(rec.node);
             meta.max_notice.set(rec.node, cur.max(rec.last));
             self.stats.diffs_applied += 1;
-            // Keep the fetched record (GC pressure, as in TreadMarks).
-            Self::store_diff(&mut self.diffs, rec);
+            if keep {
+                self.fetched[rec.node as usize].push(rec);
+            } else {
+                self.dropped += 1;
+            }
         }
         Self::prune_outstanding(&mut self.outstanding, page, &meta.applied);
         if meta.state == PageState::Invalid && meta.up_to_date() {
@@ -845,12 +858,14 @@ impl LrcEngine {
     }
 
     /// Returns this node's stored diff record (if any) covering `index` of
-    /// `node`'s intervals for `page` — used by the update strategy to ship
-    /// diffs together with the write notices that describe them.
+    /// `node`'s intervals for `page` — used to ship diffs together with the
+    /// write notices that describe them.
     #[must_use]
-    pub fn stored_diff(&self, node: u32, page: PageId, index: u32) -> Option<&DiffRecord> {
-        let recs = self.diffs.get(&(node, page))?;
-        recs.get(recs.partition_point(|r| r.last < index)).filter(|r| r.first <= index)
+    pub fn stored_diff(&self, node: u32, page: PageId, index: u32) -> Option<DiffView<'_>> {
+        if node == self.node {
+            return self.own.get(page, index).map(|r| self.clocked(r));
+        }
+        self.fetched.get(node as usize)?.get(page, index)
     }
 
     /// Serves a full-page request: the current copy plus the applied vector
@@ -960,7 +975,8 @@ impl LrcEngine {
     /// pressure metric.
     #[must_use]
     pub fn record_count(&self) -> usize {
-        self.intervals.len() + self.diffs.values().map(Vec::len).sum::<usize>()
+        let fetched: usize = self.fetched.iter().map(DiffStore::len).sum();
+        self.intervals.len() + self.own.len() + fetched + self.dropped
     }
 
     /// True when this node's stored records exceed the configured GC
@@ -995,10 +1011,35 @@ impl LrcEngine {
         }
         self.pages.collect(&self.vt);
         self.intervals.clear();
-        self.diffs.clear();
+        self.own = DiffStore::default();
+        self.fetched.clear();
+        self.dropped = 0;
         // Every page is valid, so nothing was outstanding.
         self.outstanding.clear();
         self.stats.gcs += 1;
+    }
+}
+
+/// Makes room in each creator's store of `fetched` for its records in
+/// `batch`, so keeping them grows each of a store's arrays at most once.
+fn reserve_for(fetched: &mut Vec<DiffStore>, batch: &Diffs) {
+    let mut need: Vec<(usize, usize)> = Vec::new();
+    for rec in batch.iter() {
+        let q = rec.node as usize;
+        if q >= need.len() {
+            need.resize(q + 1, (0, 0));
+        }
+        need[q].0 += 1;
+        need[q].1 += rec.run_bytes();
+    }
+    if fetched.len() < need.len() {
+        fetched.resize_with(need.len(), DiffStore::default);
+    }
+    let n = batch.iter().next().map_or(0, |r| r.vt.len());
+    for (store, &(records, bytes)) in fetched.iter_mut().zip(&need) {
+        if records > 0 {
+            store.reserve(n, records, bytes);
+        }
     }
 }
 
@@ -1030,11 +1071,11 @@ mod tests {
 
         /// The diff records `node`'s outstanding demands for `page` name,
         /// as their writers would serve them.
-        fn demanded_diffs(&mut self, node: usize, page: PageId) -> Vec<DiffRecord> {
-            let mut recs = Vec::new();
+        fn demanded_diffs(&mut self, node: usize, page: PageId) -> Diffs {
+            let mut recs = Diffs::new();
             for d in self.0[node].fault_demands(page) {
                 if let Demand::Diffs { to, after, through, .. } = d {
-                    recs.extend(self.0[to as usize].serve_diffs(page, after, through));
+                    recs.extend(&self.0[to as usize].own_diffs(page, after, through).collect());
                 }
             }
             recs
@@ -1047,7 +1088,7 @@ mod tests {
             }
             let recs = self.demanded_diffs(node, page);
             if !recs.is_empty() {
-                self.0[node].apply_diff_records(page, recs);
+                self.0[node].apply_diff_records(page, &recs);
             }
         }
 
@@ -1089,14 +1130,14 @@ mod tests {
             for node in 0..self.0.len() {
                 for page in 0..PAGES {
                     let all = self.demanded_diffs(node, page);
-                    let some: Vec<DiffRecord> = all
+                    let some: Diffs = all
                         .iter()
                         .enumerate()
                         .filter(|(k, _)| mask >> (k % 32) & 1 == 1)
-                        .map(|(_, r)| r.clone())
+                        .map(|(_, r)| r)
                         .collect();
                     let e = &self.0[node];
-                    for claims in [&[][..], &all, &some] {
+                    for claims in [&Diffs::new(), &all, &some] {
                         let (list, walk) = (
                             e.covers_with_claims(page, claims),
                             e.covers_by_store_walk(page, claims),

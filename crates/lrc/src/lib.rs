@@ -13,7 +13,8 @@
 //!   events; each interval carries one write notice per page modified in it.
 //! - [`diff`] — run-length-encoded diffs produced by comparing a page with
 //!   its twin, and applied (possibly from multiple concurrent writers) to
-//!   bring an invalidated page up to date.
+//!   bring an invalidated page up to date; [`diff::Diffs`] holds records
+//!   flat, from a writer's store to the wire and back.
 //! - [`page`] — the software page table replacing `mprotect`/`SIGSEGV`:
 //!   page states, twin management, per-page application bookkeeping.
 //! - [`engine::LrcEngine`] — the per-node protocol state machine, written
@@ -38,7 +39,7 @@ pub mod region;
 pub mod vc;
 
 pub use config::{LrcConfig, PageOwnership};
-pub use diff::{Diff, DiffRecord, WORD};
+pub use diff::{Diff, DiffRecord, DiffView, Diffs, WORD};
 pub use engine::{Demand, LrcEngine};
 pub use interval::{IntervalRecord, Records};
 pub use page::{PageId, PageState};

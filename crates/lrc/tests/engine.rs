@@ -2,7 +2,10 @@
 //! of the messaging layer: demands are satisfied by calling the serving
 //! engine directly.
 
-use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, PageState, Vc};
+use carlos_lrc::{
+    Demand, DiffView, Diffs, IntervalRecord, LrcConfig, LrcEngine, PageState, RegionSpec, Vc,
+};
+use carlos_util::codec::Encoder;
 
 /// Satisfies every outstanding demand for `node` against the other engines,
 /// looping until the access succeeds. Returns the number of demands served.
@@ -42,8 +45,8 @@ fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 after,
                 through,
             } => {
-                let recs = engines[to as usize].serve_diffs(page, after, through);
-                engines[node].apply_diff_records(page, recs);
+                let recs: Diffs = engines[to as usize].own_diffs(page, after, through).collect();
+                engines[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
                 let (data, applied) = engines[to as usize].serve_page(page);
@@ -193,16 +196,16 @@ fn eager_capture_is_per_interval() {
     resolve_write(&mut e, 0, 1, &[2]); // Faults again: next interval.
     assert_eq!(e[0].stats().write_faults, 2);
     e[0].close_interval();
-    let recs = e[0].serve_diffs(0, 0, 2);
+    let recs: Vec<_> = e[0].own_diffs(0, 0, 2).collect();
     assert_eq!(recs.len(), 2, "one record per interval");
     assert_eq!((recs[0].first, recs[0].last), (1, 1));
     assert_eq!((recs[1].first, recs[1].last), (2, 2));
-    assert_eq!(recs[0].vc.get(0), 1);
-    assert_eq!(recs[1].vc.get(0), 2);
+    assert_eq!(recs[0].vt[0], 1);
+    assert_eq!(recs[1].vt[0], 2);
     // Applying both in order reconstructs the page.
     let mut page = vec![0u8; 64];
     for r in &recs {
-        r.diff.apply(&mut page);
+        r.apply(&mut page);
     }
     assert_eq!((page[0], page[1]), (1, 2));
 }
@@ -449,14 +452,15 @@ fn claims_must_cover_every_notice_naming_the_page() {
     // Intervals 2 and 3 do not name page 0, so the one diff of interval 4
     // completes the coverage; nothing, or a diff of another interval, does
     // not.
-    let all = e[1].own_diffs(0, 0, 4).cloned().collect::<Vec<_>>();
+    let all: Vec<_> = e[1].own_diffs(0, 0, 4).collect();
     assert_eq!(all.iter().map(|r| r.last).collect::<Vec<_>>(), vec![1, 4]);
-    assert!(!e[0].covers_with_claims(0, &[]));
-    assert!(!e[0].covers_with_claims(0, &all[..1]));
-    assert!(e[0].covers_with_claims(0, &all[1..]));
-    assert!(!e[0].covers_with_claims(1, &[]), "page 1 has notices 2 and 3");
-    assert!(e[0].covers_with_claims(2, &[]), "never named: nothing outstanding");
-    assert_eq!(e[1].serve_diffs(0, 1, 4), all[1..]);
+    let claims = |recs: &[DiffView<'_>]| recs.iter().copied().collect::<Diffs>();
+    assert!(!e[0].covers_with_claims(0, &Diffs::new()));
+    assert!(!e[0].covers_with_claims(0, &claims(&all[..1])));
+    assert!(e[0].covers_with_claims(0, &claims(&all[1..])));
+    assert!(!e[0].covers_with_claims(1, &Diffs::new()), "page 1 has notices 2 and 3");
+    assert!(e[0].covers_with_claims(2, &Diffs::new()), "never named: nothing outstanding");
+    assert_eq!(e[1].own_diffs(0, 1, 4).collect::<Vec<_>>(), all[1..]);
 }
 
 #[test]
@@ -482,7 +486,69 @@ fn rebased_open_writes_leave_the_neighbour_word_to_the_replacement() {
     // The new twin is the replacement: node 1's next diff is its own word
     // and nothing of the neighbour.
     let rec = e[1].close_interval().expect("open writes survive");
-    let own = e[1].serve_diffs(0, 0, rec.index);
-    let runs: Vec<_> = own.iter().flat_map(|r| r.diff.runs()).collect();
+    let runs: Vec<_> = e[1].own_diffs(0, 0, rec.index).flat_map(|r| r.runs()).collect();
     assert_eq!(runs, vec![(8, &[9, 2, 3, 9][..])]);
+}
+
+/// Node 1 writes four 9s at byte 64 and releases to node 0, the owner,
+/// whose copy of that granule the notice invalidates; node 0 then reads
+/// it, fetching and applying node 1's diff. `regions` configure both
+/// engines, and with `keep` node 0 keeps every fetched diff (the update
+/// strategy). Returns the engines, the granule, and node 0's record count
+/// before the diff applied.
+fn fetch_one_diff(regions: Vec<RegionSpec>, keep: bool) -> (Vec<LrcEngine>, u32, usize) {
+    let cfg = LrcConfig {
+        regions,
+        ..LrcConfig::small_test(2)
+    };
+    let mut e: Vec<LrcEngine> = (0..2).map(|i| LrcEngine::new(i, cfg.clone())).collect();
+    if keep {
+        e[0].keep_fetched_diffs();
+    }
+    let g = e[0].page_of(64);
+    let mut buf = [0u8; 4];
+    resolve_read(&mut e, 1, 64, &mut buf);
+    resolve_write(&mut e, 1, 64, &[9; 4]);
+    sync_release(&mut e, 1, 0);
+    assert_eq!(e[0].page_state(g), PageState::Invalid);
+    let before = e[0].record_count();
+    assert_eq!(resolve_read(&mut e, 0, 64, &mut buf), 1, "one diff demand");
+    assert_eq!((buf, e[0].stats().diffs_applied), ([9; 4], 1));
+    (e, g, before)
+}
+
+#[test]
+fn a_fetched_diff_no_release_can_ship_is_dropped_but_counted() {
+    // Invalidate strategy, no eager region: nothing reads the diff again.
+    let (e, g, before) = fetch_one_diff(Vec::new(), false);
+    assert_eq!(e[0].stored_diff(1, g, 1), None);
+    // It still counts as a stored record, as when every fetched diff was
+    // kept, so a collection falls where it did.
+    assert_eq!(e[0].record_count(), before + 1);
+}
+
+#[test]
+fn a_fetched_diff_a_release_can_ship_is_kept() {
+    // An eager granule under the invalidate strategy, and any granule
+    // under the update strategy.
+    for (regions, keep) in [
+        (vec![RegionSpec::new(64, 64, 64).eager()], false),
+        (Vec::new(), true),
+    ] {
+        let (e, g, before) = fetch_one_diff(regions, keep);
+        let kept = e[0].stored_diff(1, g, 1).expect("kept for a release to ship");
+        assert_eq!(Some(kept), e[1].stored_diff(1, g, 1), "the writer's record");
+        // As a release ships it: node 1, the granule, interval 1 to 1,
+        // clock [0, 1], one run of four bytes at offset 0.
+        let mut enc = Encoder::new();
+        kept.encode(&mut enc);
+        #[rustfmt::skip]
+        let pinned = [
+            1, 0, 0, 0, g as u8, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0,
+            2, 0, 0, 0, 1, 0,
+            1, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 9, 9, 9, 9,
+        ];
+        assert_eq!(enc.finish_vec(), pinned);
+        assert_eq!(e[0].record_count(), before + 1);
+    }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the LRC substrate.
 
-use carlos_lrc::{Demand, Diff, DiffRecord, LrcConfig, LrcEngine, Vc, WORD};
-use carlos_util::codec::{DecodeError, Decoder, Wire};
+use carlos_lrc::{Demand, Diff, DiffRecord, Diffs, LrcConfig, LrcEngine, Vc, WORD};
+use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 use carlos_util::cases::{cases, Gen};
 
 type Runs = Vec<(u32, Vec<u8>)>;
@@ -79,9 +79,9 @@ fn reference_decode(dec: &mut Decoder<'_>) -> Result<Runs, DecodeError> {
     dec.get_seq(|dec| Ok((dec.get_u32()?, dec.get_bytes()?)))
 }
 
-/// `Diff::decode` and `DiffRecord::decode` on bytes from anywhere: no
-/// panic, the reference decoder's verdict, and a diff that is exactly the
-/// bytes it consumed.
+/// `Diff::decode`, `DiffRecord::decode` and `Diffs::decode` on bytes from
+/// anywhere: no panic, the reference decoder's verdict, and a value that
+/// is exactly the bytes it consumed.
 fn check_decoders(input: &[u8]) {
     let (mut dec, mut reference) = (Decoder::new(input), Decoder::new(input));
     let got = Diff::decode(&mut dec);
@@ -101,6 +101,10 @@ fn check_decoders(input: &[u8]) {
     if let Ok(rec) = DiffRecord::decode(&mut dec) {
         assert_eq!(rec.to_wire(), input[..input.len() - dec.remaining()]);
     }
+    let mut dec = Decoder::new(input);
+    if let Ok(batch) = Diffs::decode(&mut dec) {
+        assert_eq!(batch.to_wire(), input[..input.len() - dec.remaining()]);
+    }
 }
 
 fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
@@ -112,8 +116,8 @@ fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 after,
                 through,
             } => {
-                let recs = engines[to as usize].serve_diffs(page, after, through);
-                engines[node].apply_diff_records(page, recs);
+                let recs: Diffs = engines[to as usize].own_diffs(page, after, through).collect();
+                engines[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
                 let (data, applied) = engines[to as usize].serve_page(page);
@@ -290,6 +294,15 @@ fn record_wire_roundtrip() {
         assert_eq!(rec.diff.wire_len(), rec.diff.to_wire().len());
         assert_eq!(Diff::from_wire(&rec.diff.to_wire()).unwrap(), rec.diff.clone());
         assert_eq!(DiffRecord::from_wire(&wire).unwrap(), rec);
+        // A batch of it is the record sequence's encoding, and reads back
+        // the record.
+        let batch: Diffs = [rec.view(), rec.view()].into_iter().collect();
+        let mut seq = Encoder::new();
+        seq.put_seq(&[rec.clone(), rec.clone()], |enc, r| r.encode(enc));
+        assert_eq!(batch.to_wire(), seq.finish_vec());
+        assert_eq!(batch.wire_len(), batch.to_wire().len());
+        assert_eq!(Diffs::from_wire(&batch.to_wire()).unwrap(), batch);
+        assert_eq!(DiffRecord::from(batch.get(1)), rec);
     });
 }
 
@@ -325,7 +338,8 @@ fn decoders_survive_any_bytes() {
             vc: Vc::new(4),
             diff: Diff::create(&[0; 64], &cur),
         };
-        for wire in [valid.to_wire(), valid.diff.to_wire()] {
+        let batch: Diffs = [valid.view(); 2].into_iter().collect();
+        for wire in [valid.to_wire(), valid.diff.to_wire(), batch.to_wire()] {
             check_decoders(&wire);
             check_decoders(&wire[..cut % wire.len()]);
             let mut flipped = wire.clone();
@@ -594,7 +608,6 @@ mod sparse_table_equivalence {
     use std::collections::{BTreeMap, BTreeSet};
 
     use super::*;
-    use carlos_lrc::diff::sort_causally;
     use carlos_lrc::engine::EngineStats;
     use carlos_lrc::interval::IntervalStore;
     use carlos_lrc::{DiffRecord, GranuleMap, IntervalRecord, PageOwnership, PageState, Records, RegionSpec};
@@ -836,7 +849,7 @@ mod sparse_table_equivalence {
         }
 
         fn apply_diff_records(&mut self, page: u32, mut records: Vec<DiffRecord>) {
-            sort_causally(&mut records);
+            records.sort_by_key(|r| r.view().causal_key());
             let meta = &mut self.pages[page as usize];
             assert!(meta.state != PageState::Missing);
             for rec in records {
@@ -930,7 +943,7 @@ mod sparse_table_equivalence {
                     let m = &d.pages[p as usize];
                     assert_eq!(r.page_state(p), m.state, "node {} page {}", d.node, p);
                     assert_eq!(r.fault_demands(p), d.fault_demands(p));
-                    assert_eq!(r.covers_with_claims(p, &[]), d.covers_with_claims(p));
+                    assert_eq!(r.covers_with_claims(p, &Diffs::new()), d.covers_with_claims(p));
                 }
             }
         }
@@ -948,14 +961,16 @@ mod sparse_table_equivalence {
                         assert_eq!(ok, self.dense[node].install_page(page, data, applied));
                     }
                     Demand::Diffs { to, page, after, through } => {
-                        let recs = self.real[to as usize].serve_diffs(page, after, through);
+                        let recs: Vec<DiffRecord> =
+                            self.real[to as usize].own_diffs(page, after, through).map(DiffRecord::from).collect();
                         assert_eq!(&recs, &self.dense[to as usize].serve_diffs(page, after, through));
                         diffs.entry(page).or_default().extend(recs);
                     }
                 }
             }
             for (page, recs) in diffs {
-                self.real[node].apply_diff_records(page, recs.clone());
+                let batch: Diffs = recs.iter().map(DiffRecord::view).collect();
+                self.real[node].apply_diff_records(page, &batch);
                 self.dense[node].apply_diff_records(page, recs);
             }
         }

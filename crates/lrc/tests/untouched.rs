@@ -5,7 +5,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use carlos_lrc::{Demand, IntervalRecord, LrcConfig, LrcEngine, PageId, PageState, Records, Vc};
+use carlos_lrc::{Demand, Diffs, IntervalRecord, LrcConfig, LrcEngine, PageId, PageState, Records, Vc};
 
 /// Counts this thread's allocations (the test harness runs tests on
 /// parallel threads, so process-wide counters would see each other).
@@ -62,8 +62,8 @@ fn satisfy(e: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 after,
                 through,
             } => {
-                let recs = e[to as usize].serve_diffs(page, after, through);
-                e[node].apply_diff_records(page, recs);
+                let recs: Diffs = e[to as usize].own_diffs(page, after, through).collect();
+                e[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
                 let (data, applied) = e[to as usize].serve_page(page);
@@ -117,14 +117,14 @@ fn a_notice_collected_before_the_first_touch_stays_collected() {
     );
     assert_eq!(e[2].page_state(p), PageState::Missing);
     assert!(
-        !e[2].covers_with_claims(p, &[]),
+        !e[2].covers_with_claims(p, &Diffs::new()),
         "a logged notice is outstanding"
     );
 
     gc(&mut e);
     assert_eq!(e[2].resident_pages(), 0);
     assert!(
-        e[2].covers_with_claims(p, &[]),
+        e[2].covers_with_claims(p, &Diffs::new()),
         "the collection took the notice"
     );
 

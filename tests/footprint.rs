@@ -5,7 +5,8 @@
 //! nothing, and each first mutation materialises exactly one entry. A
 //! diff's footprint follows its bytes, not its run count. Building,
 //! framing, decoding and applying a RELEASE's interval records costs the
-//! same number of allocations for 16 records as for 64.
+//! same number of allocations for 16 records as for 64, and so do serving,
+//! encoding, decoding and applying 16 diffs against 64.
 //! Sending a message costs one allocation: the encoder's buffer is the frame.
 //! A serving run builds one Zipf table, however many clients it has.
 
@@ -18,7 +19,7 @@ use carlos::core::{Annotation, Consistency, Message};
 use carlos::lrc::{Demand, Diff, LrcConfig, LrcEngine, PageOwnership, PageState, RegionSpec, Vc};
 use carlos::serve::ServeConfig;
 use carlos::sim::{AckMode, Cluster, SimConfig, Transport};
-use carlos::util::codec::Wire;
+use carlos::util::codec::{Encoder, Wire};
 
 /// Counts this thread's allocations (the test harness runs tests on
 /// parallel threads, so process-wide counters would see each other).
@@ -319,6 +320,97 @@ fn applying_a_release_batch_allocates_nothing_per_record() {
     );
 }
 
+/// A writer that closed `k` intervals each rewriting page 0, and a reader
+/// whose copy of page 0 predates them all and that has applied their
+/// notices: `k` diffs to fetch.
+fn diff_writer_and_reader(k: u32, keep: bool) -> (LrcEngine, LrcEngine) {
+    let cfg = LrcConfig::small_test(2);
+    let mut writer = LrcEngine::new(0, cfg.clone());
+    let mut reader = LrcEngine::new(1, cfg);
+    if keep {
+        reader.keep_fetched_diffs();
+    }
+    let (data, applied) = writer.serve_page(0);
+    assert!(reader.install_page(0, data, applied));
+    for i in 0..k {
+        let at = i as usize % 16 * 4;
+        writer.write(at, &(i + 1).to_le_bytes()).expect("owner write");
+        writer.close_interval().expect("one dirty page");
+    }
+    assert_eq!(reader.apply_records(&writer.records_newer_than(reader.vt())), k as usize);
+    assert_eq!(reader.page_state(0), PageState::Invalid);
+    (writer, reader)
+}
+
+/// The writer's `k` diffs as a RELEASE carries them.
+fn diff_release(writer: &LrcEngine, k: u32) -> Message {
+    let mut msg = release(writer, &Vc::new(2));
+    let Consistency::Release { diffs, .. } = &mut msg.consistency else {
+        unreachable!("a RELEASE");
+    };
+    diffs.push(writer.own_diffs(0, 0, k).collect());
+    msg
+}
+
+/// Allocations of each path a fetched diff takes, for `k` diffs: serving
+/// them into a reply buffer sized first (as the runtime does), framing a
+/// RELEASE that carries them, decoding that frame, and applying the
+/// decoded batch (dropping every record, or with `keep` keeping them).
+fn diff_path_allocs(k: u32, keep: bool) -> [usize; 4] {
+    let (writer, mut reader) = diff_writer_and_reader(k, keep);
+    let ((), served, _) = counted(|| {
+        let len: usize = writer.own_diffs(0, 0, k).map(|r| r.wire_len()).sum();
+        let mut enc = Encoder::with_capacity(len);
+        writer.own_diffs(0, 0, k).for_each(|r| r.encode(&mut enc));
+        assert_eq!(enc.finish_vec().len(), len);
+    });
+    let release = diff_release(&writer, k);
+    let (frame, encoded, _) = counted(|| release.to_framed(0));
+    let wire = release.to_wire_bytes(0);
+    let (msg, decoded, _) = counted(|| Message::from_wire_bytes(0, &wire).expect("own encoding"));
+    assert_eq!(msg, release);
+    drop(frame);
+    let Consistency::Release { diffs, .. } = &msg.consistency else {
+        unreachable!("a RELEASE decodes as one");
+    };
+    let ((), applied, _) = counted(|| reader.apply_diff_records(0, &diffs[0]));
+    assert_eq!(reader.page_state(0), PageState::ReadOnly);
+    assert_eq!(reader.stats().diffs_applied, u64::from(k));
+    [served, encoded, decoded, applied]
+}
+
+/// Asserts path `path` of [`diff_path_allocs`] costs as many allocations
+/// for 16 diffs as for 64, both when the reader drops and keeps them.
+fn diff_path_allocates_nothing_per_record(path: usize, what: &str) {
+    for keep in [false, true] {
+        let (small, large) = (diff_path_allocs(16, keep)[path], diff_path_allocs(64, keep)[path]);
+        assert_eq!(
+            small, large,
+            "{what} (keep {keep}): 16 diffs, {small} allocations; 64 diffs, {large}"
+        );
+    }
+}
+
+#[test]
+fn serving_diffs_allocates_nothing_per_record() {
+    diff_path_allocates_nothing_per_record(0, "serving");
+}
+
+#[test]
+fn encoding_diffs_allocates_nothing_per_record() {
+    diff_path_allocates_nothing_per_record(1, "encoding");
+}
+
+#[test]
+fn decoding_diffs_allocates_nothing_per_record() {
+    diff_path_allocates_nothing_per_record(2, "decoding");
+}
+
+#[test]
+fn applying_diffs_allocates_nothing_per_record() {
+    diff_path_allocates_nothing_per_record(3, "applying");
+}
+
 /// Allocations made by encoding and sending `k` NONE messages over a
 /// 2-node implicit-ack transport. The messages are built beforehand, and a
 /// first round of `k` (drained by the receiver before the counted round)
@@ -408,10 +500,12 @@ fn a_serving_run_builds_one_zipf_table() {
     // handler map grow to 16 buckets, and a map in the sync tables),
     // 24 705 and 2 878 816; before the run went through `launch`, which
     // boxes the 1 032-byte `ServeResult` in its `Answer`, 24 673 and
-    // 2 874 336.
+    // 2 874 336; with every diff a box of its own in a per-(creator, page)
+    // vector, and a release's diffs decoded one box each, 24 674 and
+    // 2 875 368.
     assert_eq!(
         (allocs, bytes),
-        (24_674, 2_875_368),
+        (23_811, 2_379_768),
         "allocations and bytes of one run"
     );
 }
