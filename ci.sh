@@ -201,6 +201,22 @@ for n in 8 32; do
         'BEGIN { exit !(b > 0 && b <= 4 * (n + 4) && a >= 0 && a <= 0.01) }'
 done
 
+# Stored-diff gate (n = 8 and n = 32), beside the interval log's: a store
+# filled by keeping one 10 000-record batch of fetched diffs (the update
+# strategy) holds each record in its 6 header words, n clock words and its
+# runs -- at most its run bytes plus 4 * (n + 6), and a tenth of a byte
+# for what the batch allocates once -- and allocates nothing per record:
+# at most 0.01 allocations each.
+for n in 8 32; do
+    bytes=$(ratio "engine_bytes_per_stored_diff_n$n")
+    runs=$(ratio "engine_run_bytes_per_stored_diff_n$n")
+    allocs=$(ratio "engine_allocs_per_stored_diff_n$n")
+    echo "==> diff store n=$n: ${bytes} B (${runs} of runs) and ${allocs} allocations per stored diff"
+    [[ -n $bytes && -n $runs && -n $allocs ]]
+    awk -v b="$bytes" -v r="$runs" -v a="$allocs" -v n="$n" \
+        'BEGIN { exit !(b > 0 && r > 0 && b <= r + 4 * (n + 6) + 0.1 && a >= 0 && a <= 0.01) }'
+done
+
 # Flat-diff gate (4 KiB page, one byte in 8 changed, which leaves every
 # second word clean: 512 runs that must not merge): a diff is one buffer
 # whatever its run count -- at most 2 allocations and 12 heap bytes per

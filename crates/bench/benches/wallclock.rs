@@ -14,7 +14,10 @@
 //! prices the sparse page table: `engine_new_ns_per_granule_*` and
 //! `engine_bytes_per_untouched_granule_*`, and a log filled from one
 //! batch prices a logged interval record: `engine_bytes_per_logged_record_*`
-//! and `engine_allocs_per_logged_record_*`. `calib_ms` (a fixed integer
+//! and `engine_allocs_per_logged_record_*`, and a store filled from one
+//! batch of kept diffs a stored diff: `engine_bytes_per_stored_diff_*`,
+//! `engine_run_bytes_per_stored_diff_*` and
+//! `engine_allocs_per_stored_diff_*`. `calib_ms` (a fixed integer
 //! loop) is recorded beside them so `ci.sh` can gate the timing across
 //! hosts. End-to-end host time is `benchmark/`'s to measure.
 //!
@@ -36,7 +39,7 @@ use carlos_apps::{launch_with, App, QsortVariant, Scale, Spec};
 use carlos_check::Checker;
 use carlos_core::{Annotation, Consistency, Message};
 use carlos_lrc::{
-    interval::IntervalStore, Diff, IntervalRecord, LrcConfig, LrcEngine, Records, Vc,
+    interval::IntervalStore, Diff, Diffs, IntervalRecord, LrcConfig, LrcEngine, Records, Vc,
 };
 use carlos_sim::{Cluster, SimConfig};
 use carlos_trace::Tracer;
@@ -512,6 +515,49 @@ fn bench_log_footprint() -> Vec<(String, f64)> {
     out
 }
 
+/// What a kept diff costs the node that stores it: heap bytes and
+/// allocations per record of a store filled by applying one 10 000-record
+/// batch of fetched diffs under the update strategy, at 8 and 32 nodes,
+/// beside the run bytes per record. A record is its 6 header words, its
+/// `n` clock words and its runs, so `4 * (n + 6)` bytes above its runs.
+fn bench_diff_store_footprint() -> Vec<(String, f64)> {
+    const RECORDS: u32 = 10_000;
+    let mut out = Vec::new();
+    for n in [8usize, 32] {
+        let cfg = LrcConfig::small_test(n);
+        let mut writer = LrcEngine::new(0, cfg.clone());
+        let mut reader = LrcEngine::new(1, cfg);
+        reader.keep_fetched_diffs();
+        let (data, applied) = writer.serve_page(0);
+        assert!(reader.install_page(0, data, applied));
+        for i in 0..RECORDS {
+            writer
+                .write(i as usize % 16 * 4, &(i + 1).to_le_bytes())
+                .expect("owner write");
+            writer.close_interval().expect("one dirty page");
+        }
+        assert_eq!(
+            reader.apply_records(&writer.records_newer_than(reader.vt())),
+            RECORDS as usize
+        );
+        let batch: Diffs = writer.own_diffs(0, 0, RECORDS).collect();
+        let runs: usize = batch.iter().map(|r| r.run_bytes()).sum();
+        let ((), allocs, bytes) = counted(|| reader.apply_diff_records(0, &batch));
+        assert_eq!(reader.stored_diff(0, 0, RECORDS), Some(batch.get(batch.len() - 1)));
+        let per = |x: usize| x as f64 / f64::from(RECORDS);
+        eprintln!(
+            "diff store n={n}: {:.2} B ({:.2} of runs), {:.4} allocations per stored diff",
+            per(bytes),
+            per(runs),
+            per(allocs)
+        );
+        out.push((format!("engine_bytes_per_stored_diff_n{n}"), per(bytes)));
+        out.push((format!("engine_run_bytes_per_stored_diff_n{n}"), per(runs)));
+        out.push((format!("engine_allocs_per_stored_diff_n{n}"), per(allocs)));
+    }
+    out
+}
+
 /// The serving load generator at paper scale (65 536 keys, θ 0.99): the
 /// Zipf table a run builds once, and one arrival of a client's stream (gap,
 /// key, op), CAS arrivals left out.
@@ -697,6 +743,7 @@ fn main() {
     let handoff = bench_handoff(quick);
     let mut footprint = bench_diff_footprint();
     footprint.extend(bench_log_footprint());
+    footprint.extend(bench_diff_store_footprint());
     footprint.extend(bench_engine_footprint(quick));
     write_json(&b.rows, &handoff, &footprint, quick);
 }

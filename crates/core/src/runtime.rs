@@ -115,9 +115,16 @@ impl BatchEntry {
 /// full granule copy (first touch, or the TreadMarks page-instead-of-diffs
 /// substitution).
 enum SubReply {
-    /// The server's own diffs for `page` over `(after, through]`; encoded
-    /// straight from views of the engine's store, never cloned.
-    Diffs { page: u32, after: u32, through: u32 },
+    /// The server's own diffs for `page` over `(after, through]`, `count`
+    /// records of `len` encoded bytes; encoded straight from views of the
+    /// engine's store, never cloned.
+    Diffs {
+        page: u32,
+        after: u32,
+        through: u32,
+        count: u32,
+        len: usize,
+    },
     Page {
         page: u32,
         data: Vec<u8>,
@@ -135,10 +142,9 @@ impl SubReply {
                 page,
                 after,
                 through,
+                count,
+                len,
             } => {
-                let (count, len) = engine
-                    .own_diffs(page, after, through)
-                    .fold((0, 0), |(count, len), r| (count + 1, len + r.wire_len()));
                 enc.reserve(8 + len);
                 enc.put_u32(page);
                 enc.put_u32(count);
@@ -634,11 +640,10 @@ impl Core {
     fn serve_diff_demand(&mut self, page: u32, after: u32, through: u32, force_diffs: bool) -> SubReply {
         let page_bytes = self.engine.granule_len(page);
         self.ctx.count("carlos.diff_requests_served", 1);
-        let total: usize = self
-            .engine
-            .own_diffs(page, after, through)
-            .map(|r| r.modified_bytes())
-            .sum();
+        let (count, len, total) = self.engine.own_diffs(page, after, through).fold(
+            (0, 0, 0),
+            |(count, len, total), r| (count + 1, len + r.wire_len(), total + r.modified_bytes()),
+        );
         if total > page_bytes && !force_diffs {
             let (data, applied) = self.engine.serve_page(page);
             let copy_cost = self.cfg.page_copy_cost(data.len());
@@ -655,6 +660,8 @@ impl Core {
             page,
             after,
             through,
+            count,
+            len,
         }
     }
 

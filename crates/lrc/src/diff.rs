@@ -475,9 +475,14 @@ impl<'a> DiffView<'a> {
     /// program) tie-break deterministically by `(node, last)`.
     #[must_use]
     pub fn causal_key(&self) -> (u64, u32, u32) {
-        let sum = self.vt.iter().map(|&v| u64::from(v)).sum();
-        (sum, self.node, self.last)
+        causal_key(self.node, self.last, self.vt)
     }
+}
+
+/// [`DiffView::causal_key`] of a record of `node` ending at interval
+/// `last` with clock `vt`.
+fn causal_key(node: u32, last: u32, vt: &[u32]) -> (u64, u32, u32) {
+    (vt.iter().map(|&v| u64::from(v)).sum(), node, last)
 }
 
 /// Header words of a record in a [`Diffs`] batch before its clock: node,
@@ -591,6 +596,22 @@ impl Diffs {
     /// The records in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = DiffView<'_>> + '_ {
         (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// True when a record covers interval `index` of `node`; read from the
+    /// headers alone.
+    pub(crate) fn covers(&self, node: u32, index: u32) -> bool {
+        self.words
+            .chunks_exact(self.stride())
+            .any(|h| h[0] == node && h[2] <= index && index <= h[3])
+    }
+
+    /// Each record's [`DiffView::causal_key`], in order; read from the
+    /// headers alone.
+    pub(crate) fn causal_keys(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+        self.words
+            .chunks_exact(self.stride())
+            .map(|h| causal_key(h[0], h[3], &h[HEAD..]))
     }
 
     fn set_width(&mut self, n: usize) {
@@ -794,14 +815,16 @@ impl DiffStore {
         self.recs.len()
     }
 
-    /// The record `k`-th in `(first, page)` order.
-    fn nth(&self, k: usize) -> DiffView<'_> {
-        self.recs.get(self.order.get(k).map_or(k, |&i| i as usize))
+    /// The position of the record `k`-th in `(first, page)` order.
+    fn pos(&self, k: usize) -> usize {
+        self.order.get(k).map_or(k, |&i| i as usize)
     }
 
+    /// `(first, page)` of the record `k`-th in that order, read from its
+    /// header alone.
     fn key(&self, k: usize) -> (u32, u32) {
-        let rec = self.nth(k);
-        (rec.first, rec.page)
+        let head = &self.recs.words[self.pos(k) * self.recs.stride()..];
+        (head[2], head[1])
     }
 
     /// Where `key` goes in `(first, page)` order.
@@ -854,7 +877,7 @@ impl DiffStore {
     /// The record covering interval `index` of `page`.
     pub(crate) fn get(&self, page: u32, index: u32) -> Option<DiffView<'_>> {
         let k = self.rank((index, page));
-        (k < self.len() && self.key(k) == (index, page)).then(|| self.nth(k))
+        (k < self.len() && self.key(k) == (index, page)).then(|| self.recs.get(self.pos(k)))
     }
 
     /// The records of `page` covering intervals in `(after, through]`,
@@ -862,9 +885,9 @@ impl DiffStore {
     pub(crate) fn range(&self, page: u32, after: u32, through: u32) -> impl Iterator<Item = DiffView<'_>> {
         let start = self.rank((after.saturating_add(1), 0));
         (start..self.len())
-            .map(|k| self.nth(k))
-            .take_while(move |r| r.first <= through)
-            .filter(move |r| r.page == page)
+            .take_while(move |&k| self.key(k).0 <= through)
+            .filter(move |&k| self.key(k).1 == page)
+            .map(|k| self.recs.get(self.pos(k)))
     }
 }
 
@@ -1142,7 +1165,7 @@ mod tests {
             vc: vc2(1, 1), // saw node 0's interval, then wrote
             diff: Diff::default(),
         };
-        let mut v = vec![late.clone(), early.clone()];
+        let mut v = [late.clone(), early.clone()];
         v.sort_by_key(|r| r.view().causal_key());
         assert_eq!(v[0], early);
         assert_eq!(v[1], late);
@@ -1182,5 +1205,76 @@ mod tests {
             r.diff.apply(&mut page);
         }
         assert_eq!(page[0], 2);
+    }
+
+    /// A 256-byte page pair whose diff is `runs` one-byte runs from byte
+    /// `at` on, every eighth byte.
+    fn pages(at: usize, runs: usize) -> (Vec<u8>, Vec<u8>) {
+        let twin = vec![0u8; 256];
+        let mut cur = twin.clone();
+        for r in 0..runs {
+            cur[at + 8 * r] = (r + 1) as u8;
+        }
+        (twin, cur)
+    }
+
+    #[test]
+    fn a_store_filled_a_record_at_a_time_never_moves_a_run() {
+        let mut store = DiffStore::default();
+        let mut first = None;
+        for index in 1..=200u32 {
+            let (twin, cur) = pages(index as usize % 8, 1 + index as usize % 20);
+            store.capture(3, index % 5, index, &twin, &cur);
+            let rec = store.get(index % 5, index).expect("just captured");
+            let created = Diff::create(&twin, &cur);
+            assert_eq!((rec.runs, rec.buf), (created.runs, &*created.buf));
+            assert!(rec.vt.is_empty(), "an own diff's clock is its interval's");
+            let runs = store.get(1, 1).expect("the first record").buf.as_ptr();
+            assert_eq!(*first.get_or_insert(runs), runs, "record 1's runs moved");
+        }
+        assert!(store.recs.sealed.len() > 4, "{} arrays", store.recs.sealed.len());
+        // Slack is one array's tail at most: an eighth of the runs, or 256 B.
+        let held: usize = store.recs.sealed.iter().map(|(_, r)| r.len()).sum::<usize>()
+            + store.recs.bytes.capacity();
+        let runs: usize = store.recs.iter().map(|r| r.run_bytes()).sum();
+        assert!(held <= runs + (runs / 8).max(256), "{held} B held for {runs} B of runs");
+        // A copy holds the same records in one array.
+        let mut copy = Diffs::new();
+        copy.extend(&store.recs);
+        assert_eq!((copy.sealed.len(), &copy), (0, &store.recs));
+        assert_eq!(Diffs::from_wire(&copy.to_wire()).unwrap(), store.recs);
+    }
+
+    #[test]
+    fn a_store_finds_records_that_arrived_out_of_order() {
+        let recs: Vec<DiffRecord> = [(4, 2), (1, 7), (4, 1), (2, 7), (9, 0), (1, 3)]
+            .into_iter()
+            .map(|(index, page)| {
+                let (twin, cur) = pages(index as usize, 2);
+                DiffRecord {
+                    node: 1,
+                    page,
+                    first: index,
+                    last: index,
+                    vc: vc2(0, index),
+                    diff: Diff::create(&twin, &cur),
+                }
+            })
+            .collect();
+        let mut store = DiffStore::default();
+        for rec in &recs {
+            store.push(rec.view());
+        }
+        for rec in &recs {
+            assert_eq!(store.get(rec.page, rec.first), Some(rec.view()));
+        }
+        assert_eq!(store.get(7, 4), None);
+        let range = |page, after, through| {
+            store.range(page, after, through).map(|r| r.first).collect::<Vec<_>>()
+        };
+        assert_eq!(range(7, 0, 9), vec![1, 2]);
+        assert_eq!(range(7, 1, 9), vec![2]);
+        assert_eq!(range(2, 0, 3), Vec::<u32>::new());
+        assert_eq!(range(2, 3, 4), vec![4]);
     }
 }

@@ -85,13 +85,6 @@ pub struct EngineStats {
     pub gcs: u64,
 }
 
-/// True when one of `claims` covers interval `index` of `creator`.
-fn claimed(claims: &Diffs, creator: u32, index: u32) -> bool {
-    claims
-        .iter()
-        .any(|r| r.node == creator && r.first <= index && index <= r.last)
-}
-
 /// One node's lazy-release-consistency engine.
 #[derive(Debug, Clone)]
 pub struct LrcEngine {
@@ -670,7 +663,7 @@ impl LrcEngine {
                 debug_assert_ne!(meta.state, PageState::Missing, "page {page} has no copy");
                 self.outstanding
                     .get(&page)
-                    .is_none_or(|notices| notices.iter().all(|&(q, i)| claimed(claims, q, i)))
+                    .is_none_or(|notices| notices.iter().all(|&(q, i)| claims.covers(q, i)))
             }
         }
     }
@@ -716,7 +709,7 @@ impl LrcEngine {
                 || self.vt.iter().filter(|&(q, _)| q != self.node).all(|(q, seen)| {
                     self.intervals
                         .range(q, 0, seen)
-                        .all(|rec| !rec.pages.contains(&page) || claimed(claims, q, rec.index))
+                        .all(|rec| !rec.pages.contains(&page) || claims.covers(q, rec.index))
                 });
         };
         meta.applied.iter().filter(|&(q, _)| q != self.node).all(|(q, have)| {
@@ -725,7 +718,7 @@ impl LrcEngine {
                 // of the last collection) counts as incomplete.
                 self.intervals
                     .get(q, i)
-                    .is_some_and(|rec| !rec.pages.contains(&page) || claimed(claims, q, i))
+                    .is_some_and(|rec| !rec.pages.contains(&page) || claims.covers(q, i))
             })
         })
     }
@@ -805,9 +798,10 @@ impl LrcEngine {
         // Records of one writer arrive in causal order already; only a
         // batch that is not needs an order of its own.
         let mut order: Vec<u32> = Vec::new();
-        if !records.iter().is_sorted_by_key(|r| r.causal_key()) {
+        if !records.causal_keys().is_sorted() {
+            let keys: Vec<_> = records.causal_keys().collect();
             order = (0..records.len() as u32).collect();
-            order.sort_by_key(|&i| records.get(i as usize).causal_key());
+            order.sort_by_key(|&i| keys[i as usize]);
         }
         let keep = self.keep_fetched || self.granules.eager_granule(page);
         if keep {
