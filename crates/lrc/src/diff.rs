@@ -518,6 +518,10 @@ pub struct Diffs {
     sealed: Vec<(u32, Box<[u8]>)>,
 }
 
+/// Bytes of runs from which a store seals a full array rather than move
+/// it: below, moving is cheap and sealing would only add allocations.
+const SEAL_AT: usize = 1 << 16;
+
 /// The room a store adds for `extra` more elements of which it holds
 /// `len`: exactly `extra` the first time, and after that at least an
 /// eighth of `len` and 256 bytes, not double — a store of large diffs keeps
@@ -606,12 +610,10 @@ impl Diffs {
             .any(|h| h[0] == node && h[2] <= index && index <= h[3])
     }
 
-    /// Each record's [`DiffView::causal_key`], in order; read from the
-    /// headers alone.
-    pub(crate) fn causal_keys(&self) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
-        self.words
-            .chunks_exact(self.stride())
-            .map(|h| causal_key(h[0], h[3], &h[HEAD..]))
+    /// Record `i`'s [`DiffView::causal_key`], read from its header alone.
+    pub(crate) fn causal_key(&self, i: usize) -> (u64, u32, u32) {
+        let h = &self.words[i * self.stride()..(i + 1) * self.stride()];
+        causal_key(h[0], h[3], &h[HEAD..])
     }
 
     fn set_width(&mut self, n: usize) {
@@ -639,7 +641,7 @@ impl Diffs {
         if self.bytes.capacity() - self.bytes.len() < bytes {
             let total = self.base() + self.bytes.len();
             let add = step::<u8>(self.bytes.capacity() > 0 || total > 0, total, bytes);
-            if self.bytes.is_empty() {
+            if self.bytes.is_empty() || total < SEAL_AT {
                 self.bytes.reserve_exact(add);
             } else {
                 let start = self.base() as u32;
@@ -808,6 +810,11 @@ pub(crate) struct DiffStore {
     /// Positions of `recs` in `(first, page)` order; empty while the
     /// records arrive in that order (a node's own always do).
     order: Vec<u32>,
+    /// In a node's own store, per record the positions plus one (0: none)
+    /// of the previous and the next record of its page, so serving walks a
+    /// page's records, not every record of the intervals asked for. Empty
+    /// in a fetched store.
+    chain: Vec<[u32; 2]>,
 }
 
 impl DiffStore {
@@ -862,9 +869,25 @@ impl DiffStore {
     }
 
     /// Captures the diff that rewrites `twin` into `current` as interval
-    /// `index` of `node` on `page`, without a clock: a node's own.
-    pub(crate) fn capture(&mut self, node: u32, page: u32, index: u32, twin: &[u8], current: &[u8]) {
+    /// `index` of `node` on `page`, without a clock: a node's own. `newest`
+    /// is the interval of the page's newest record before it, if any.
+    pub(crate) fn capture(
+        &mut self,
+        (node, page, index, newest): (u32, u32, u32, u32),
+        twin: &[u8],
+        current: &[u8],
+    ) {
+        let prev = self.find(page, newest);
         self.file((index, page));
+        let at = self.len() as u32 + 1;
+        if self.chain.len() == self.chain.capacity() {
+            let add = step::<[u32; 2]>(self.chain.capacity() > 0, self.chain.len(), 1);
+            self.chain.reserve_exact(add);
+        }
+        self.chain.push([prev.map_or(0, |p| p as u32 + 1), 0]);
+        if let Some(p) = prev {
+            self.chain[p][1] = at;
+        }
         self.recs.capture(node, page, index, twin, current);
     }
 
@@ -874,20 +897,40 @@ impl DiffStore {
         self.recs.reserve(n, records, bytes);
     }
 
+    /// The position of the record covering interval `index` of `page`.
+    fn find(&self, page: u32, index: u32) -> Option<usize> {
+        let k = self.rank((index, page));
+        (k < self.len() && self.key(k) == (index, page)).then(|| self.pos(k))
+    }
+
     /// The record covering interval `index` of `page`.
     pub(crate) fn get(&self, page: u32, index: u32) -> Option<DiffView<'_>> {
-        let k = self.rank((index, page));
-        (k < self.len() && self.key(k) == (index, page)).then(|| self.recs.get(self.pos(k)))
+        self.find(page, index).map(|p| self.recs.get(p))
     }
 
     /// The records of `page` covering intervals in `(after, through]`,
-    /// oldest first.
-    pub(crate) fn range(&self, page: u32, after: u32, through: u32) -> impl Iterator<Item = DiffView<'_>> {
-        let start = self.rank((after.saturating_add(1), 0));
-        (start..self.len())
-            .take_while(move |&k| self.key(k).0 <= through)
-            .filter(move |&k| self.key(k).1 == page)
-            .map(|k| self.recs.get(self.pos(k)))
+    /// oldest first, in a node's own store: from the page's newest record,
+    /// at interval `newest`, back along its chain to the first one in
+    /// range, then forward.
+    pub(crate) fn range(
+        &self,
+        page: u32,
+        after: u32,
+        through: u32,
+        newest: u32,
+    ) -> impl Iterator<Item = DiffView<'_>> {
+        let first = |p: usize| self.recs.words[p * self.recs.stride() + 2];
+        let link = |p: usize, next: usize| (self.chain[p][next] as usize).checked_sub(1);
+        let mut last = self.find(page, newest);
+        while let Some(p) = last.filter(|&p| first(p) > through) {
+            last = link(p, 0);
+        }
+        let mut start = last.filter(|&p| first(p) > after);
+        while let Some(p) = start.and_then(|p| link(p, 0)).filter(|&p| first(p) > after) {
+            start = Some(p);
+        }
+        std::iter::successors(start, move |&p| if Some(p) == last { None } else { link(p, 1) })
+            .map(|p| self.recs.get(p))
     }
 }
 
@@ -1207,10 +1250,10 @@ mod tests {
         assert_eq!(page[0], 2);
     }
 
-    /// A 256-byte page pair whose diff is `runs` one-byte runs from byte
-    /// `at` on, every eighth byte.
+    /// A 4 KiB page pair whose diff is `runs` one-byte runs from byte `at`
+    /// on, every eighth byte.
     fn pages(at: usize, runs: usize) -> (Vec<u8>, Vec<u8>) {
-        let twin = vec![0u8; 256];
+        let twin = vec![0u8; 4096];
         let mut cur = twin.clone();
         for r in 0..runs {
             cur[at + 8 * r] = (r + 1) as u8;
@@ -1219,30 +1262,51 @@ mod tests {
     }
 
     #[test]
-    fn a_store_filled_a_record_at_a_time_never_moves_a_run() {
+    fn a_store_filled_a_record_at_a_time_moves_no_sealed_run() {
         let mut store = DiffStore::default();
-        let mut first = None;
+        let (mut first, mut newest) = (None, [0; 5]);
         for index in 1..=200u32 {
-            let (twin, cur) = pages(index as usize % 8, 1 + index as usize % 20);
-            store.capture(3, index % 5, index, &twin, &cur);
-            let rec = store.get(index % 5, index).expect("just captured");
+            let (twin, cur) = pages(index as usize % 8, 1 + index as usize % 400);
+            let page = (index % 5 + index / 50 % 2) % 5;
+            store.capture((3, page, index, newest[page as usize]), &twin, &cur);
+            newest[page as usize] = index;
+            let rec = store.get(page, index).expect("just captured");
             let created = Diff::create(&twin, &cur);
             assert_eq!((rec.runs, rec.buf), (created.runs, &*created.buf));
             assert!(rec.vt.is_empty(), "an own diff's clock is its interval's");
-            let runs = store.get(1, 1).expect("the first record").buf.as_ptr();
-            assert_eq!(*first.get_or_insert(runs), runs, "record 1's runs moved");
+            // Below `SEAL_AT` the array grows in place; once sealed, a run
+            // stays where it is.
+            if !store.recs.sealed.is_empty() {
+                let runs = store.get(1, 1).expect("the first record").buf.as_ptr();
+                assert_eq!(*first.get_or_insert(runs), runs, "record 1's runs moved");
+            }
         }
         assert!(store.recs.sealed.len() > 4, "{} arrays", store.recs.sealed.len());
-        // Slack is one array's tail at most: an eighth of the runs, or 256 B.
+        // Sealed arrays are exact: the slack is the current array's tail,
+        // an eighth of the runs and a record at most.
         let held: usize = store.recs.sealed.iter().map(|(_, r)| r.len()).sum::<usize>()
             + store.recs.bytes.capacity();
         let runs: usize = store.recs.iter().map(|r| r.run_bytes()).sum();
-        assert!(held <= runs + (runs / 8).max(256), "{held} B held for {runs} B of runs");
+        assert!(held <= runs + runs / 8 + 4096, "{held} B held for {runs} B of runs");
         // A copy holds the same records in one array.
         let mut copy = Diffs::new();
         copy.extend(&store.recs);
         assert_eq!((copy.sealed.len(), &copy), (0, &store.recs));
         assert_eq!(Diffs::from_wire(&copy.to_wire()).unwrap(), store.recs);
+        // A page's chain yields exactly what a scan of every record does.
+        for page in 0..5 {
+            for (after, through) in [(0, 200), (0, 0), (37, 151), (60, 61), (199, 300), (3, 2)] {
+                let walked: Vec<u32> =
+                    store.range(page, after, through, newest[page as usize]).map(|r| r.first).collect();
+                let scanned: Vec<u32> = store
+                    .recs
+                    .iter()
+                    .filter(|r| r.page == page && after < r.first && r.first <= through)
+                    .map(|r| r.first)
+                    .collect();
+                assert_eq!(walked, scanned, "page {page} ({after}, {through}]");
+            }
+        }
     }
 
     #[test]
@@ -1269,12 +1333,6 @@ mod tests {
             assert_eq!(store.get(rec.page, rec.first), Some(rec.view()));
         }
         assert_eq!(store.get(7, 4), None);
-        let range = |page, after, through| {
-            store.range(page, after, through).map(|r| r.first).collect::<Vec<_>>()
-        };
-        assert_eq!(range(7, 0, 9), vec![1, 2]);
-        assert_eq!(range(7, 1, 9), vec![2]);
-        assert_eq!(range(2, 0, 3), Vec::<u32>::new());
-        assert_eq!(range(2, 3, 4), vec![4]);
+        assert_eq!(store.get(2, 3), None);
     }
 }

@@ -623,7 +623,7 @@ impl LrcEngine {
         let idx = self.vt.get(self.node);
         let meta = self.pages.get_mut(page).expect("announced page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
-        self.own.capture(self.node, page, idx, &twin, &meta.data);
+        self.own.capture((self.node, page, idx, meta.own_covered), &twin, &meta.data);
         meta.own_covered = idx;
         meta.state = if meta.up_to_date() {
             PageState::ReadOnly
@@ -768,7 +768,8 @@ impl LrcEngine {
                 >= through.min(self.vt.get(self.node)),
             "diff request beyond materialized coverage"
         );
-        self.own.range(page, after, through).map(|r| self.clocked(r))
+        let newest = self.pages.get(page).map_or(0, |m| m.own_covered);
+        self.own.range(page, after, through, newest).map(|r| self.clocked(r))
     }
 
     /// An own diff with its clock, which is its interval's.
@@ -798,10 +799,9 @@ impl LrcEngine {
         // Records of one writer arrive in causal order already; only a
         // batch that is not needs an order of its own.
         let mut order: Vec<u32> = Vec::new();
-        if !records.causal_keys().is_sorted() {
-            let keys: Vec<_> = records.causal_keys().collect();
+        if !(0..records.len()).is_sorted_by_key(|i| records.causal_key(i)) {
             order = (0..records.len() as u32).collect();
-            order.sort_by_key(|&i| keys[i as usize]);
+            order.sort_by_key(|&i| records.causal_key(i as usize));
         }
         let keep = self.keep_fetched || self.granules.eager_granule(page);
         if keep {
@@ -1017,23 +1017,19 @@ impl LrcEngine {
 /// Makes room in each creator's store of `fetched` for its records in
 /// `batch`, so keeping them grows each of a store's arrays at most once.
 fn reserve_for(fetched: &mut Vec<DiffStore>, batch: &Diffs) {
-    let mut need: Vec<(usize, usize)> = Vec::new();
-    for rec in batch.iter() {
-        let q = rec.node as usize;
-        if q >= need.len() {
-            need.resize(q + 1, (0, 0));
-        }
-        need[q].0 += 1;
-        need[q].1 += rec.run_bytes();
-    }
-    if fetched.len() < need.len() {
-        fetched.resize_with(need.len(), DiffStore::default);
-    }
     let n = batch.iter().next().map_or(0, |r| r.vt.len());
-    for (store, &(records, bytes)) in fetched.iter_mut().zip(&need) {
-        if records > 0 {
-            store.reserve(n, records, bytes);
+    let mut done = None;
+    // Each creator in turn, ascending.
+    while let Some(q) = batch.iter().map(|r| r.node).filter(|&q| done.is_none_or(|d| q > d)).min() {
+        let (records, bytes) = batch
+            .iter()
+            .filter(|r| r.node == q)
+            .fold((0, 0), |(c, b), r| (c + 1, b + r.run_bytes()));
+        if fetched.len() <= q as usize {
+            fetched.resize_with(q as usize + 1, DiffStore::default);
         }
+        fetched[q as usize].reserve(n, records, bytes);
+        done = Some(q);
     }
 }
 

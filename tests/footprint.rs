@@ -505,7 +505,7 @@ fn a_serving_run_builds_one_zipf_table() {
     // 2 875 368.
     assert_eq!(
         (allocs, bytes),
-        (23_811, 2_379_768),
+        (23_692, 2_452_186),
         "allocations and bytes of one run"
     );
 }
