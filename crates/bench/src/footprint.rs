@@ -109,7 +109,9 @@ pub fn cells() -> Vec<(String, Spec)> {
 #[allow(clippy::cast_precision_loss)]
 pub fn to_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"generated_by\": \"CARLOS_REPORT_FOOTPRINT=path cargo run --release --example report\",\n");
+    out.push_str(
+        "  \"generated_by\": \"CARLOS_REPORT_FOOTPRINT=path cargo run --release --example report\",\n",
+    );
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(

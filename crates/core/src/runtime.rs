@@ -347,7 +347,8 @@ impl Core {
                                 .filter_map(move |&p| engine.stored_diff(rec.creator, p, rec.index))
                         })
                     };
-                    let (count, bytes) = shipped().fold((0, 0), |(c, b), d| (c + 1, b + d.run_bytes()));
+                    let (count, bytes) =
+                        shipped().fold((0, 0), |(c, b), d| (c + 1, b + d.run_bytes()));
                     diffs.reserve(required.len(), count, bytes);
                     shipped().for_each(|d| diffs.push(d));
                 }

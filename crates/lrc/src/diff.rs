@@ -593,7 +593,8 @@ impl Diffs {
         if start >= base {
             return &self.bytes[start - base..end - base];
         }
-        let (at, runs) = &self.sealed[self.sealed.partition_point(|(at, _)| *at as usize <= start) - 1];
+        let sealed = self.sealed.partition_point(|(at, _)| *at as usize <= start) - 1;
+        let (at, runs) = &self.sealed[sealed];
         &runs[start - *at as usize..end - *at as usize]
     }
 
@@ -694,7 +695,14 @@ impl Diffs {
     /// Appends, without a clock, the diff that rewrites `twin` into
     /// `current`, as interval `index` of `node` on `page`: the runs are
     /// written straight into the bytes.
-    pub(crate) fn capture(&mut self, node: u32, page: u32, index: u32, twin: &[u8], current: &[u8]) {
+    pub(crate) fn capture(
+        &mut self,
+        node: u32,
+        page: u32,
+        index: u32,
+        twin: &[u8],
+        current: &[u8],
+    ) {
         let extent = Extent::of(twin, current);
         self.reserve(0, 1, extent.len());
         extent.write(twin, current, &mut self.bytes);
@@ -1296,8 +1304,10 @@ mod tests {
         // A page's chain yields exactly what a scan of every record does.
         for page in 0..5 {
             for (after, through) in [(0, 200), (0, 0), (37, 151), (60, 61), (199, 300), (3, 2)] {
-                let walked: Vec<u32> =
-                    store.range(page, after, through, newest[page as usize]).map(|r| r.first).collect();
+                let walked: Vec<u32> = store
+                    .range(page, after, through, newest[page as usize])
+                    .map(|r| r.first)
+                    .collect();
                 let scanned: Vec<u32> = store
                     .recs
                     .iter()

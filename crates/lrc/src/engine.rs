@@ -612,9 +612,10 @@ impl LrcEngine {
     // ------------------------------------------------------------------
 
     /// Captures this node's modifications to `page` for the just-closed
-    /// interval into its store, drops the twin, and re-protects the page. Called from [`LrcEngine::close_interval`] for every page
-    /// the closing interval announces, so each record covers exactly one
-    /// interval and carries its timestamp (sound causal ordering).
+    /// interval into its store, drops the twin, and re-protects the page.
+    /// Called from [`LrcEngine::close_interval`] for every page the closing
+    /// interval announces, so each record covers exactly one interval and
+    /// carries its timestamp (sound causal ordering).
     ///
     /// # Panics
     ///

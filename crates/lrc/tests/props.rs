@@ -961,8 +961,10 @@ mod sparse_table_equivalence {
                         assert_eq!(ok, self.dense[node].install_page(page, data, applied));
                     }
                     Demand::Diffs { to, page, after, through } => {
-                        let recs: Vec<DiffRecord> =
-                            self.real[to as usize].own_diffs(page, after, through).map(DiffRecord::from).collect();
+                        let recs: Vec<DiffRecord> = self.real[to as usize]
+                            .own_diffs(page, after, through)
+                            .map(DiffRecord::from)
+                            .collect();
                         assert_eq!(&recs, &self.dense[to as usize].serve_diffs(page, after, through));
                         diffs.entry(page).or_default().extend(recs);
                     }

@@ -5,7 +5,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use carlos_lrc::{Demand, Diffs, IntervalRecord, LrcConfig, LrcEngine, PageId, PageState, Records, Vc};
+use carlos_lrc::{
+    Demand, Diffs, IntervalRecord, LrcConfig, LrcEngine, PageId, PageState, Records, Vc,
+};
 
 /// Counts this thread's allocations (the test harness runs tests on
 /// parallel threads, so process-wide counters would see each other).
