@@ -12,6 +12,13 @@ if grep -rEn 'thread::(spawn|Builder|JoinHandle)' crates/sim/src; then
     echo "crates/sim/src must not spawn threads" >&2
     exit 1
 fi
+# Each simulated node runs exactly one proc: its scheduling state lives in
+# the node's own state, so no second proc per node, proc table or proc id
+# comes back.
+if grep -rEn 'fn spawn_thread|ProcState|ProcId' crates/sim/src; then
+    echo "one proc per node: no spawn_thread, ProcState or ProcId in crates/sim/src" >&2
+    exit 1
+fi
 # A run's procs, kernel and observers share one thread: state they share is
 # Rc / RefCell / Cell, and a lazily initialised global (OnceLock, LazyLock)
 # is process state shared by every run. (std::sync::Once for the panic hook

@@ -5,7 +5,7 @@
 //! 1. a **private** region — ordinary Rust data on each node;
 //! 2. a **non-coherent shared** region — identical address mappings on all
 //!    nodes, but contents kept consistent only by explicit application
-//!    messages ([`NonCoherentRegion`]);
+//!    messages;
 //! 3. the **coherent shared** region — kept consistent by the
 //!    message-driven mechanism (accessed through `Runtime`).
 //!
@@ -154,55 +154,6 @@ impl CoherentHeap {
     }
 }
 
-/// The non-coherent shared region: a per-node byte array with an identical
-/// layout on every node. The single address map gives pointers a consistent
-/// interpretation; consistency of the *contents* is the application's (or a
-/// runtime library's) responsibility, by messaging.
-#[derive(Debug, Clone)]
-pub struct NonCoherentRegion {
-    data: Vec<u8>,
-}
-
-impl NonCoherentRegion {
-    /// A zero-filled region of `size` bytes.
-    #[must_use]
-    pub fn new(size: usize) -> Self {
-        Self {
-            data: vec![0; size],
-        }
-    }
-
-    /// Reads `buf.len()` bytes at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range access.
-    pub fn read(&self, addr: usize, buf: &mut [u8]) {
-        buf.copy_from_slice(&self.data[addr..addr + buf.len()]);
-    }
-
-    /// Writes `data` at `addr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range access.
-    pub fn write(&mut self, addr: usize, data: &[u8]) {
-        self.data[addr..addr + data.len()].copy_from_slice(data);
-    }
-
-    /// Region size in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True for a zero-sized region.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,15 +227,5 @@ mod tests {
     fn bad_granule_panics() {
         let mut h = CoherentHeap::new(1 << 16);
         let _ = h.alloc_with_granule(16, 48);
-    }
-
-    #[test]
-    fn noncoherent_region_roundtrip() {
-        let mut r = NonCoherentRegion::new(64);
-        assert_eq!(r.len(), 64);
-        r.write(10, &[1, 2, 3]);
-        let mut buf = [0u8; 3];
-        r.read(10, &mut buf);
-        assert_eq!(buf, [1, 2, 3]);
     }
 }

@@ -43,7 +43,6 @@ pub mod annotation;
 pub mod config;
 pub mod heap;
 pub mod message;
-pub mod multithread;
 pub mod runtime;
 
 pub use annotation::Annotation;
@@ -53,5 +52,4 @@ pub use config::{CoreConfig, Strategy};
 pub use config::SeededBug;
 pub use heap::CoherentHeap;
 pub use message::{AcceptedMsg, Consistency, Message};
-pub use multithread::{SharedRuntime, ThreadEvent, Worker};
 pub use runtime::{Env, Runtime};

@@ -1151,24 +1151,6 @@ impl Runtime {
         &self.core.ctx
     }
 
-    /// Installs `ctx` as the proc context all runtime operations park and
-    /// charge through. Required when several user threads share a runtime
-    /// (§4.4): each thread installs its own context before operating, so
-    /// blocking parks the calling thread's proc.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` belongs to a different node.
-    pub fn set_active_ctx(&mut self, ctx: NodeCtx) {
-        assert_eq!(
-            ctx.node_id(),
-            self.core.ctx.node_id(),
-            "runtime context must stay on its node"
-        );
-        self.core.transport.set_ctx(ctx.clone());
-        self.core.ctx = ctx;
-    }
-
     /// Current vector timestamp (diagnostics/tests).
     #[must_use]
     pub fn vt(&self) -> &Vc {
@@ -1576,33 +1558,6 @@ impl Runtime {
                     );
                 }
                 self.core.transport.probe(server);
-            }
-        }
-    }
-
-    /// Non-blocking read: returns `true` and fills `buf` when every page is
-    /// accessible, or issues the outstanding fetches and returns `false`.
-    /// Used by user threads that must not block the shared runtime while a
-    /// fault is in flight (§4.4 latency hiding).
-    pub fn try_read_bytes(&mut self, addr: usize, buf: &mut [u8]) -> bool {
-        self.poll();
-        match self.core.engine.read(addr, buf) {
-            Ok(()) => true,
-            Err(demands) => {
-                let _ = self.issue_demands(demands);
-                false
-            }
-        }
-    }
-
-    /// Non-blocking write: the mirror of [`Runtime::try_read_bytes`].
-    pub fn try_write_bytes(&mut self, addr: usize, data: &[u8]) -> bool {
-        self.poll();
-        match self.core.engine.write(addr, data) {
-            Ok(()) => true,
-            Err(demands) => {
-                let _ = self.issue_demands(demands);
-                false
             }
         }
     }

@@ -13,7 +13,7 @@ use crate::{
     config::SimConfig,
     coro::{self, Coroutine},
     error::{AbortInfo, BlockedProc, SimError},
-    kernel::{EvKind, Kernel, ProcId, ProcMain},
+    kernel::{EvKind, Kernel, ProcMain},
     stats::{Bucket, Counters, NetStats, TimeBuckets},
     time::{NodeId, Ns},
     transport::AckMode,
@@ -46,7 +46,7 @@ enum RunFailure {
 
 /// A deterministic simulated cluster.
 ///
-/// Create one, spawn a main proc per node with [`Cluster::spawn_node`], then
+/// Create one, spawn each node's proc with [`Cluster::spawn_node`], then
 /// call [`Cluster::run`], which runs the event loop and every proc to
 /// completion on the calling thread and returns a [`SimReport`]. Nothing
 /// executes, and no thread or stack exists, before that call. A cluster,
@@ -73,18 +73,19 @@ impl Cluster {
         }
     }
 
-    /// Spawns the main proc of `node`, running `main` from virtual time 0.
+    /// Spawns the proc of `node`, running `main` from virtual time 0. A
+    /// node runs one proc; a node never spawned only receives.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range.
+    /// Panics if `node` is out of range or already has a proc.
     pub fn spawn_node(&mut self, node: NodeId, main: impl FnOnce(NodeCtx) + 'static) {
         assert!(
             (node as usize) < self.n_nodes,
             "node {node} out of range (cluster has {} nodes)",
             self.n_nodes
         );
-        self.kernel.borrow_mut().spawn_proc(node, 0, Box::new(main));
+        self.kernel.borrow_mut().spawn_proc(node, Box::new(main));
     }
 
     /// Attaches `sink` to the run's event stream: the wire reports to it,
@@ -152,7 +153,7 @@ impl Cluster {
     fn execute(&self) -> Result<SimReport, RunFailure> {
         let mut procs = Procs {
             kernel: &self.kernel,
-            coros: Vec::new(),
+            coros: (0..self.n_nodes).map(|_| None).collect(),
         };
         let outcome = procs.event_loop();
         let mut k = self.kernel.borrow_mut();
@@ -161,42 +162,41 @@ impl Cluster {
         // on a proc stack runs before the stack is unmapped.
         debug_assert!(k.running.is_none(), "the loop returns from the runner's own turn");
         k.poisoned = true;
-        for pid in 0..k.procs.len() {
-            while !k.procs[pid].finished {
-                k = procs.resume(k, pid);
+        for node in 0..self.n_nodes as NodeId {
+            while !k.nodes[node as usize].finished {
+                k = procs.resume(k, node);
             }
         }
         outcome
     }
 }
 
-/// The procs of one run: a coroutine each, indexed by pid, on the runner's
+/// The procs of one run: a coroutine each, indexed by node, on the runner's
 /// thread.
 struct Procs<'a> {
     kernel: &'a Rc<RefCell<Kernel>>,
-    coros: Vec<Coroutine>,
+    coros: Vec<Option<Coroutine>>,
 }
 
 impl<'a> Procs<'a> {
-    /// Switches to proc `pid` with the kernel borrow released (the proc
+    /// Switches to `node`'s proc with the kernel borrow released (the proc
     /// borrows it itself) and borrows it again when the proc suspends or
-    /// finishes. Procs registered since the last call get their coroutine
-    /// here.
-    fn resume(&mut self, mut k: RefMut<'a, Kernel>, pid: ProcId) -> RefMut<'a, Kernel> {
-        while self.coros.len() <= pid {
-            let p = &mut k.procs[self.coros.len()];
-            let main = p.main.take().expect("a registered proc has a body");
+    /// finishes. A proc gets its coroutine on its first resumption.
+    fn resume(&mut self, mut k: RefMut<'a, Kernel>, node: NodeId) -> RefMut<'a, Kernel> {
+        let coro = self.coros[node as usize].get_or_insert_with(|| {
+            let main = k.nodes[node as usize]
+                .main
+                .take()
+                .expect("a spawned proc has a body");
             let ctx = NodeCtx {
                 kernel: Rc::clone(self.kernel),
-                pid: self.coros.len(),
-                node: p.node,
+                node,
                 n_nodes: k.nodes.len(),
             };
-            self.coros
-                .push(Coroutine::new(move || proc_body(ctx, main)));
-        }
+            Coroutine::new(move || proc_body(ctx, main))
+        });
         drop(k);
-        self.coros[pid].resume();
+        coro.resume();
         self.kernel.borrow_mut()
     }
 
@@ -206,8 +206,8 @@ impl<'a> Procs<'a> {
             // A parking proc leaves its successor in `running`; otherwise
             // run plain events here until a wake names a proc. Control comes
             // back when that proc parks or finishes.
-            if let Some(pid) = k.running.or_else(|| k.drive()) {
-                k = self.resume(k, pid);
+            if let Some(node) = k.running.or_else(|| k.drive()) {
+                k = self.resume(k, node);
                 continue;
             }
             if let Some(p) = k.panic.take() {
@@ -263,29 +263,25 @@ impl<'a> Procs<'a> {
                 .count() as u64;
             k.nodes[node as usize].mailbox.clear();
             k.nodes[node as usize].counters.add("node.crashed", 1);
-            // Terminate the node's procs: each is resumed unselected,
+            // Terminate the node's proc: it is resumed unselected,
             // observes the crash flag, and unwinds with a CrashUnwind
             // payload (not captured as a panic), finishing its bookkeeping
             // so live_procs and the queue are consistent before the next
             // event.
-            for pid in 0..k.procs.len() {
-                while k.procs[pid].node == node && !k.procs[pid].finished {
-                    k = self.resume(k, pid);
-                }
+            while !k.nodes[node as usize].finished {
+                k = self.resume(k, node);
             }
         }
     }
 }
 
 fn blocked_procs(k: &Kernel) -> Vec<BlockedProc> {
-    k.procs
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.finished)
-        .map(|(pid, p)| BlockedProc {
-            pid,
-            node: p.node,
-            waiting_for_msg: p.waiting_for_msg,
+    (0..)
+        .zip(&k.nodes)
+        .filter(|(_, n)| !n.finished)
+        .map(|(node, n)| BlockedProc {
+            node,
+            waiting_for_msg: n.waiting_for_msg,
             at: k.now,
         })
         .collect()
@@ -325,7 +321,7 @@ fn build_report(k: &Kernel) -> SimReport {
 /// end. Returns (no panic leaves it) to the coroutine's base frame.
 fn proc_body(ctx: NodeCtx, main: ProcMain) {
     let kernel = Rc::clone(&ctx.kernel);
-    let pid = ctx.pid;
+    let node = ctx.node;
     let result = catch_unwind(AssertUnwindSafe(|| {
         // The first resumption is like any other: the time-0 wake, or a
         // fail-stop or teardown before the proc ever ran.
@@ -333,9 +329,9 @@ fn proc_body(ctx: NodeCtx, main: ProcMain) {
         main(ctx);
     }));
     let mut k = kernel.borrow_mut();
-    let node = k.procs[pid].node;
-    k.procs[pid].finished = true;
-    k.procs[pid].parked = false;
+    let n = &mut k.nodes[node as usize];
+    n.finished = true;
+    n.parked = false;
     k.live_procs -= 1;
     k.end_time = k.end_time.max(k.now);
     if let Err(payload) = result {
@@ -345,7 +341,7 @@ fn proc_body(ctx: NodeCtx, main: ProcMain) {
         }
     }
     // A proc resumed only to be terminated was never `running`.
-    if k.running == Some(pid) {
+    if k.running == Some(node) {
         k.running = None;
     }
 }
@@ -381,26 +377,25 @@ fn install_quiet_unwind_hook() {
     });
 }
 
-/// Zero-sized panic payload used to unwind the procs of a fail-stopped
+/// Zero-sized panic payload used to unwind the proc of a fail-stopped
 /// node. Recognized (and discarded) by the proc epilogue so a scripted
 /// crash is never mistaken for an application panic.
 struct CrashUnwind;
 
 /// Handle through which simulated node code interacts with the cluster.
 ///
-/// Cloneable; all clones refer to the same proc. Every method that charges
+/// Cloneable; all clones refer to the node's one proc. Every method that charges
 /// time advances the virtual clock, so node code observes a consistent
 /// timeline through [`NodeCtx::now`].
 #[derive(Clone)]
 pub struct NodeCtx {
     kernel: Rc<RefCell<Kernel>>,
-    pid: ProcId,
     node: NodeId,
     n_nodes: usize,
 }
 
 impl NodeCtx {
-    /// This proc's node id.
+    /// This node's id.
     #[must_use]
     pub fn node_id(&self) -> NodeId {
         self.node
@@ -439,10 +434,6 @@ impl NodeCtx {
     }
 
     /// Charges `dt` of CPU time to `bucket` and advances virtual time.
-    ///
-    /// When several user threads share the node, CPU time serializes: the
-    /// charge starts when the node CPU is free, and any wait for the CPU is
-    /// charged to `Idle`.
     pub fn charge(&self, bucket: Bucket, dt: Ns) {
         self.advance(self.kernel.borrow_mut(), bucket, dt);
     }
@@ -461,25 +452,19 @@ impl NodeCtx {
             return Some(dt); // Pending work: handle it before computing.
         }
         let node = self.node as usize;
-        let start = k.now.max(k.nodes[node].cpu_free);
-        if start > k.now {
-            let gap = start - k.now;
-            k.nodes[node].buckets.charge(Bucket::Idle, gap);
-        }
+        let start = k.now;
         let wake_at = start + dt;
         if k.peek_time().is_none_or(|t| t >= wake_at) {
             // Nothing can arrive before we finish; run to completion.
             k.nodes[node].buckets.charge(bucket, dt);
-            k.nodes[node].cpu_free = wake_at;
             k.now = wake_at;
             return None;
         }
-        k.procs[self.pid].waiting_for_msg = true;
+        k.nodes[node].waiting_for_msg = true;
         k = self.park_until(k, wake_at);
         // Either the timer fired (now == wake_at) or a delivery woke us.
-        let ran = k.now.saturating_sub(start).min(dt);
+        let ran = (k.now - start).min(dt);
         k.nodes[node].buckets.charge(bucket, ran);
-        k.nodes[node].cpu_free = k.now.max(k.nodes[node].cpu_free);
         // A datagram arrived, or the wake was spurious (e.g. a stale
         // timer): either way report the remainder so the caller continues.
         (ran < dt).then(|| dt - ran)
@@ -566,44 +551,21 @@ impl NodeCtx {
     ///
     /// Returns `None` on timeout. `deadline` is an absolute virtual time.
     pub fn wait_recv(&self, deadline: Option<Ns>) -> Option<Datagram> {
-        let mut k = self.kernel.borrow_mut();
-        loop {
-            if let Some(d) = k.nodes[self.node as usize].mailbox.pop_front() {
-                let recv_overhead = k.config.recv_overhead;
-                self.advance(k, Bucket::Unix, recv_overhead);
-                return Some(d);
-            }
-            if let Some(dl) = deadline {
-                if k.now >= dl {
-                    return None;
-                }
-            }
-            let park_start = k.now;
-            k.procs[self.pid].waiting_for_msg = true;
-            if let Some(dl) = deadline {
-                let seq = k.procs[self.pid].park_seq + 1;
-                k.push_event(dl, EvKind::Wake { pid: self.pid, seq });
-            }
-            k = self.park(k);
-            let waited = k.now - park_start;
-            k.nodes[self.node as usize]
-                .buckets
-                .charge(Bucket::Idle, waited);
+        if self.wait_mailbox(deadline) {
+            self.try_recv()
+        } else {
+            None
         }
     }
 
     /// Parks until the node's mailbox is non-empty (or `deadline` passes)
     /// **without consuming anything**. Returns whether the mailbox has a
     /// datagram.
-    ///
-    /// This is the building block for multiple user threads sharing one
-    /// node runtime: a thread that finds nothing to do sleeps here, and any
-    /// delivery wakes every such thread so one of them can take the shared
-    /// runtime and process the message.
     pub fn wait_mailbox(&self, deadline: Option<Ns>) -> bool {
+        let node = self.node;
         let mut k = self.kernel.borrow_mut();
         loop {
-            if !k.nodes[self.node as usize].mailbox.is_empty() {
+            if !k.nodes[node as usize].mailbox.is_empty() {
                 return true;
             }
             if let Some(dl) = deadline {
@@ -612,16 +574,14 @@ impl NodeCtx {
                 }
             }
             let park_start = k.now;
-            k.procs[self.pid].waiting_for_msg = true;
+            k.nodes[node as usize].waiting_for_msg = true;
             if let Some(dl) = deadline {
-                let seq = k.procs[self.pid].park_seq + 1;
-                k.push_event(dl, EvKind::Wake { pid: self.pid, seq });
+                let seq = k.nodes[node as usize].park_seq + 1;
+                k.push_event(dl, EvKind::Wake { node, seq });
             }
             k = self.park(k);
             let waited = k.now - park_start;
-            k.nodes[self.node as usize]
-                .buckets
-                .charge(Bucket::Idle, waited);
+            k.nodes[node as usize].buckets.charge(Bucket::Idle, waited);
         }
     }
 
@@ -635,39 +595,18 @@ impl NodeCtx {
             .is_empty()
     }
 
-    /// Spawns an additional user thread on this node, starting now.
-    ///
-    /// The new proc shares the node's mailbox, CPU, buckets, and counters.
-    /// This supports the paper's §4.4 user-level multithreading: while one
-    /// thread blocks on a remote operation, another can run (their CPU
-    /// charges serialize through the node's single simulated CPU).
-    pub fn spawn_thread(&self, f: impl FnOnce(NodeCtx) + 'static) {
-        // The runner builds the coroutine when the wake selects the proc.
-        let mut k = self.kernel.borrow_mut();
-        let now = k.now;
-        k.spawn_proc(self.node, now, Box::new(f));
-    }
-
-    /// Advances time by `dt` charged to `bucket`, serializing on the node
-    /// CPU. Fast-paths the common case where no other event intervenes.
-    /// Like every parking method, it takes the kernel borrow and hands it
-    /// back: a switch in between releases it.
+    /// Advances time by `dt` charged to `bucket`. Fast-paths the common
+    /// case where no other event intervenes. Like every parking method, it
+    /// takes the kernel borrow and hands it back: a switch in between
+    /// releases it.
     fn advance<'k>(
         &'k self,
         mut k: RefMut<'k, Kernel>,
         bucket: Bucket,
         dt: Ns,
     ) -> RefMut<'k, Kernel> {
-        let node = self.node as usize;
-        let start = k.now.max(k.nodes[node].cpu_free);
-        if start > k.now {
-            // Waited for the node CPU: that gap is idle time.
-            let gap = start - k.now;
-            k.nodes[node].buckets.charge(Bucket::Idle, gap);
-        }
-        let wake_at = start + dt;
-        k.nodes[node].buckets.charge(bucket, dt);
-        k.nodes[node].cpu_free = wake_at;
+        let wake_at = k.now + dt;
+        k.nodes[self.node as usize].buckets.charge(bucket, dt);
         if k.peek_time().is_none_or(|t| t >= wake_at) {
             // Nothing can observably interleave; advance the clock in place.
             k.now = wake_at;
@@ -678,22 +617,23 @@ impl NodeCtx {
 
     /// Schedules a wake at `wake_at` and parks until it fires.
     fn park_until<'k>(&'k self, mut k: RefMut<'k, Kernel>, wake_at: Ns) -> RefMut<'k, Kernel> {
-        let seq = k.procs[self.pid].park_seq + 1;
-        k.push_event(wake_at, EvKind::Wake { pid: self.pid, seq });
+        let node = self.node;
+        let seq = k.nodes[node as usize].park_seq + 1;
+        k.push_event(wake_at, EvKind::Wake { node, seq });
         self.park(k)
     }
 
     /// Parks this proc until a wake event selects it. The proc drives the
     /// event loop itself: its own wake resumes it in place; on a wake for
-    /// another proc, or on anything `drive` leaves to the runner, it drops
+    /// another node, or on anything `drive` leaves to the runner, it drops
     /// the kernel borrow, suspends to the runner and borrows again when
     /// resumed.
     fn park<'k>(&'k self, mut k: RefMut<'k, Kernel>) -> RefMut<'k, Kernel> {
-        let p = &mut k.procs[self.pid];
+        let p = &mut k.nodes[self.node as usize];
         p.parked = true;
         p.park_seq += 1;
         k.running = None;
-        if k.drive() == Some(self.pid) {
+        if k.drive() == Some(self.node) {
             return k;
         }
         drop(k);
@@ -708,7 +648,7 @@ impl NodeCtx {
     /// — out of a torn-down run, or out of a fail-stopped node without being
     /// treated as an application panic.
     fn check_selected(&self, k: &Kernel) {
-        if k.running == Some(self.pid) {
+        if k.running == Some(self.node) {
             return;
         }
         if k.poisoned {

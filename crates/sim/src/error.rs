@@ -14,9 +14,7 @@ use crate::time::{NodeId, Ns};
 /// A proc still alive when the run failed, and what it was doing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockedProc {
-    /// Scheduler proc id (dense; the node's main proc comes first).
-    pub pid: usize,
-    /// Node the proc belongs to.
+    /// Node the proc belongs to (a node runs one proc).
     pub node: NodeId,
     /// Parked waiting for a mailbox delivery (vs. a timer).
     pub waiting_for_msg: bool,
@@ -28,8 +26,7 @@ impl fmt::Display for BlockedProc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "proc {} on node {} ({}, t = {} ns)",
-            self.pid,
+            "proc on node {} ({}, t = {} ns)",
             self.node,
             if self.waiting_for_msg {
                 "waiting for a message"
@@ -206,7 +203,6 @@ mod tests {
         let e = SimError::Stalled {
             at: 123,
             blocked: vec![BlockedProc {
-                pid: 0,
                 node: 0,
                 waiting_for_msg: true,
                 at: 123,

@@ -20,7 +20,7 @@
 //!   (in their original order), modeling a long GC pause or scheduling
 //!   stall.
 //! - **Fail-stop crash** ([`FaultPlan::crash`]): at the scripted instant the
-//!   node's procs are terminated, its mailbox is discarded, and all future
+//!   node's proc is terminated, its mailbox is discarded, and all future
 //!   deliveries to it are dropped. Nothing is ever delivered *from* a
 //!   crashed node again.
 //!
@@ -112,7 +112,7 @@ pub enum FaultSpec {
         /// Pause end: deferred datagrams are delivered here.
         end: Ns,
     },
-    /// `node` fail-stops at `at`: procs terminate, mailbox and all later
+    /// `node` fail-stops at `at`: its proc terminates, mailbox and all later
     /// deliveries are discarded.
     Crash {
         /// Crashing node.

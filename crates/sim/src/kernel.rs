@@ -1,9 +1,10 @@
-//! Scheduler internals: the event queue, proc states, and the wire model.
+//! Scheduler internals: the event queue, node states, and the wire model.
 //!
-//! One global [`Kernel`] sits in a `RefCell`. Every proc is a coroutine on
-//! the thread that called `Cluster::run` (the *runner*), so exactly one
-//! piece of simulation code executes at any instant, and all virtual-time
-//! ordering comes from the event queue: runs are deterministic.
+//! One global [`Kernel`] sits in a `RefCell`. Each node runs at most one
+//! proc, a coroutine on the thread that called `Cluster::run` (the
+//! *runner*), so exactly one piece of simulation code executes at any
+//! instant, and all virtual-time ordering comes from the event queue: runs
+//! are deterministic.
 //!
 //! # Who drives the event loop
 //!
@@ -44,22 +45,20 @@ use crate::{
     transport::{frame_header, KIND_DATA},
 };
 
-/// Dense identifier of a simulated proc (thread of control).
-pub(crate) type ProcId = usize;
-
 /// The body of a proc, queued until the run starts it.
 pub(crate) type ProcMain = Box<dyn FnOnce(NodeCtx)>;
 
 /// What a scheduled event does when it fires.
 #[derive(Debug)]
 pub(crate) enum EvKind {
-    /// Run proc `pid` next, provided it is still parked with park ticket
-    /// `seq` (stale wakes are ignored).
-    Wake { pid: ProcId, seq: u64 },
-    /// Append a datagram to `dst`'s mailbox and wake its mailbox waiters.
+    /// Run `node`'s proc next, provided it is still parked with park
+    /// ticket `seq` (stale wakes are ignored).
+    Wake { node: NodeId, seq: u64 },
+    /// Append a datagram to `dst`'s mailbox and wake its proc if it waits
+    /// for mail.
     Deliver { dst: NodeId, dgram: Datagram },
     /// Fail-stop `node` per the fault plan: discard its mailbox, terminate
-    /// its procs, drop all future deliveries to it.
+    /// its proc, drop all future deliveries to it.
     Crash { node: NodeId },
 }
 
@@ -89,29 +88,23 @@ impl Ord for Event {
     }
 }
 
-/// Scheduler-visible state of one proc.
-pub(crate) struct ProcState {
-    /// The proc's body, from registration until the runner builds its
+/// Per-node state: its proc's scheduling state, mailbox, and statistics.
+///
+/// A node has at most one proc, so the proc's clock is the node's CPU: a
+/// charge starts at `now` and nothing else on the node runs meanwhile.
+pub(crate) struct NodeState {
+    /// The proc's body, from `spawn_proc` until the runner builds its
     /// coroutine.
     pub main: Option<ProcMain>,
-    /// Node this proc belongs to.
-    pub node: NodeId,
     /// True between park and the wake that selects the proc.
     pub parked: bool,
-    /// The proc's main function returned (or panicked).
+    /// The node has no proc, or its proc's main returned (or panicked).
     pub finished: bool,
     /// Ticket incremented on every park; wake events must match it.
     pub park_seq: u64,
     /// Parked specifically waiting for a mailbox delivery.
     pub waiting_for_msg: bool,
-}
-
-/// Per-node state: mailbox, CPU availability, and statistics.
-pub(crate) struct NodeState {
     pub mailbox: VecDeque<Datagram>,
-    /// Virtual time at which the node's (single) CPU becomes free. Charges
-    /// from concurrent user threads on one node serialize through this.
-    pub cpu_free: Ns,
     pub buckets: TimeBuckets,
     pub counters: Counters,
 }
@@ -119,8 +112,12 @@ pub(crate) struct NodeState {
 impl NodeState {
     fn new() -> Self {
         Self {
+            main: None,
+            parked: false,
+            finished: true,
+            park_seq: 0,
+            waiting_for_msg: false,
             mailbox: VecDeque::new(),
-            cpu_free: 0,
             buckets: TimeBuckets::default(),
             counters: Counters::default(),
         }
@@ -133,11 +130,10 @@ pub(crate) struct Kernel {
     pub now: Ns,
     pub queue: BinaryHeap<Reverse<Event>>,
     pub next_ord: u64,
-    pub procs: Vec<ProcState>,
     pub nodes: Vec<NodeState>,
-    /// The proc that is executing, or that the last `drive` selected to
-    /// execute next (None: the runner itself).
-    pub running: Option<ProcId>,
+    /// The node whose proc is executing, or that the last `drive` selected
+    /// to execute next (None: the runner itself).
+    pub running: Option<NodeId>,
     /// Number of spawned procs whose main has not finished.
     pub live_procs: usize,
     /// Wire statistics of the run so far.
@@ -186,7 +182,6 @@ impl Kernel {
             now: 0,
             queue: BinaryHeap::new(),
             next_ord: 0,
-            procs: Vec::new(),
             nodes: (0..n_nodes).map(|_| NodeState::new()).collect(),
             running: None,
             live_procs: 0,
@@ -215,21 +210,21 @@ impl Kernel {
         self.queue.push(Reverse(Event { time, ord, kind }));
     }
 
-    /// Registers a proc of `node` that first runs at `start_at`. It is born
+    /// Registers the proc of `node`, which first runs at time 0. It is born
     /// parked with ticket 1, the ticket of the wake queued for it here.
-    pub fn spawn_proc(&mut self, node: NodeId, start_at: Ns, main: ProcMain) -> ProcId {
-        let pid = self.procs.len();
-        self.procs.push(ProcState {
-            main: Some(main),
-            node,
-            parked: true,
-            finished: false,
-            park_seq: 1,
-            waiting_for_msg: false,
-        });
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` already has a proc.
+    pub fn spawn_proc(&mut self, node: NodeId, main: ProcMain) {
+        let n = &mut self.nodes[node as usize];
+        assert!(n.finished, "node {node} already has a proc");
+        n.main = Some(main);
+        n.parked = true;
+        n.finished = false;
+        n.park_seq = 1;
         self.live_procs += 1;
-        self.push_event(start_at, EvKind::Wake { pid, seq: 1 });
-        pid
+        self.push_event(0, EvKind::Wake { node, seq: 1 });
     }
 
     /// Time of the earliest pending event, if any.
@@ -239,13 +234,13 @@ impl Kernel {
 
     /// The event loop, run by the runner or by a parking proc.
     ///
-    /// Pops and executes plain events until a live `Wake` names the proc to
-    /// execute next: that proc is recorded in `running` and returned (a
+    /// Pops and executes plain events until a live `Wake` names the node
+    /// whose proc executes next: it is recorded in `running` and returned (a
     /// parking proc resumes in place if it is the one, otherwise suspends to
     /// the runner). Returns `None`, with the offending event still at the
     /// head of the queue, for everything only the runner may handle — see
     /// the module doc for the list.
-    pub fn drive(&mut self) -> Option<ProcId> {
+    pub fn drive(&mut self) -> Option<NodeId> {
         loop {
             if self.panic.is_some() || self.live_procs == 0 {
                 return None;
@@ -267,15 +262,15 @@ impl Kernel {
             debug_assert!(ev.time >= self.now, "event queue went backwards in time");
             self.now = self.now.max(ev.time);
             match ev.kind {
-                EvKind::Wake { pid, seq } => {
-                    let p = &mut self.procs[pid];
+                EvKind::Wake { node, seq } => {
+                    let p = &mut self.nodes[node as usize];
                     if p.finished || !p.parked || p.park_seq != seq {
                         continue; // Stale wake.
                     }
                     p.parked = false;
                     p.waiting_for_msg = false;
-                    self.running = Some(pid);
-                    return Some(pid);
+                    self.running = Some(node);
+                    return Some(node);
                 }
                 EvKind::Deliver { dst, dgram } => self.deliver(dst, dgram),
                 EvKind::Crash { .. } => unreachable!("crashes are left to the runner"),
@@ -284,7 +279,7 @@ impl Kernel {
     }
 
     /// Lands `dgram` in `dst`'s mailbox (or drops / defers it per the fault
-    /// state) and schedules a wake for each of the node's mailbox waiters.
+    /// state) and schedules a wake for the node's proc if it waits for mail.
     fn deliver(&mut self, dst: NodeId, dgram: Datagram) {
         let node = dst as usize;
         if self.fault.is_crashed(dst) {
@@ -309,15 +304,11 @@ impl Kernel {
                 payload: &dgram.payload,
             });
         }
-        self.nodes[node].mailbox.push_back(dgram);
-        // Ascending pid order fixes the wakes' `ord` numbers, and with
-        // them every fingerprint.
-        for pid in 0..self.procs.len() {
-            let p = &self.procs[pid];
-            if p.node == dst && p.parked && p.waiting_for_msg {
-                let seq = p.park_seq;
-                self.push_event(self.now, EvKind::Wake { pid, seq });
-            }
+        let n = &mut self.nodes[node];
+        n.mailbox.push_back(dgram);
+        if n.parked && n.waiting_for_msg {
+            let seq = n.park_seq;
+            self.push_event(self.now, EvKind::Wake { node: dst, seq });
         }
     }
 

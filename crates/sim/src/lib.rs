@@ -4,11 +4,12 @@
 //! 10 Mbit/s Ethernet under DEC OSF/1. This crate substitutes that testbed
 //! with a virtual cluster:
 //!
-//! - Each simulated process ("proc") runs application and protocol code as a
-//!   **coroutine** with its own stack on the thread that called
-//!   [`Cluster::run`]: exactly one proc executes at a time, in virtual-time
-//!   order, and a simulated context switch is a function call, so every run
-//!   is bit-for-bit deterministic and creates no OS thread.
+//! - Each node runs one simulated process ("proc"), its application and
+//!   protocol code, as a **coroutine** with its own stack on the thread
+//!   that called [`Cluster::run`]: exactly one proc executes at a time, in
+//!   virtual-time order, and a simulated context switch is a function
+//!   call, so every run is bit-for-bit deterministic and creates no OS
+//!   thread.
 //! - A **shared-medium Ethernet model** serializes frames at a configurable
 //!   bandwidth, adds latency, charges per-message software overhead (the
 //!   "Unix" cost of syscalls and the UDP/IP stack), and can drop datagrams

@@ -304,25 +304,6 @@ impl Transport {
         self.ctx.send_datagram(peer, frame_ping());
     }
 
-    /// Replaces the proc context used for waiting and time charging.
-    ///
-    /// All procs of one node share the mailbox, CPU, and counters, but
-    /// parking is per proc: when several user threads share one endpoint,
-    /// each must install its own context before blocking so it parks its
-    /// own proc rather than a sibling's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` belongs to a different node.
-    pub fn set_ctx(&mut self, ctx: NodeCtx) {
-        assert_eq!(
-            ctx.node_id(),
-            self.ctx.node_id(),
-            "transport context must stay on its node"
-        );
-        self.ctx = ctx;
-    }
-
     /// Sends `msg` to `dst` reliably and in order. Asynchronous: returns
     /// after local send processing, not delivery.
     pub fn send(&mut self, dst: NodeId, msg: impl Into<FrameBuf>) {

@@ -121,9 +121,8 @@ fn stall_with_every_proc_in_wait_recv_is_reported_from_a_proc() {
         }) => {
             assert_eq!(at, 30_048);
             let want: Vec<BlockedProc> = (0..3)
-                .map(|pid| BlockedProc {
-                    pid,
-                    node: pid as u32,
+                .map(|node| BlockedProc {
+                    node,
                     waiting_for_msg: true,
                     at: 30_048,
                 })
@@ -183,45 +182,6 @@ fn abort_on_a_handed_off_proc_is_attributed() {
             assert!(crashed.is_empty());
         }
         other => panic!("expected Aborted, got {other:?}"),
-    }
-}
-
-#[test]
-fn spawned_threads_rendezvous_through_the_runner() {
-    // Node 0 runs three procs. A fresh proc has no stack until the runner
-    // resumes it for the first time, so its first wake, popped by whichever
-    // proc is driving, sends that proc back to the runner like any other
-    // hand-off — and the fingerprint must not move.
-    let run = || {
-        let mut c = Cluster::new(SimConfig::fast_test(), 2);
-        c.spawn_node(0, |ctx| {
-            for t in 0..2u64 {
-                ctx.spawn_thread(move |tctx| {
-                    tctx.compute(us(20 + t));
-                    let d = tctx.wait_recv(None).expect("one datagram per thread");
-                    tctx.send_datagram(1, vec![d.payload[0], t as u8]);
-                });
-                ctx.compute(us(5));
-            }
-            ctx.sleep(ms(1));
-        });
-        c.spawn_node(1, |ctx| {
-            ctx.compute(us(50));
-            ctx.send_datagram(0, vec![10]);
-            ctx.send_datagram(0, vec![11]);
-            for _ in 0..2 {
-                ctx.wait_recv(None).expect("reply");
-            }
-        });
-        fingerprint(&c.run())
-    };
-    let first = run();
-    assert_eq!(
-        first,
-        "elapsed=1030000 events=25 messages=4 delivered=4 dropped_crash=0 deferred_pause=0 crashed=[]"
-    );
-    for _ in 0..20 {
-        assert_eq!(run(), first);
     }
 }
 
@@ -349,7 +309,7 @@ const SLACK: usize = 8;
 
 #[test]
 fn no_os_thread_per_proc() {
-    const NODES: u32 = 24;
+    const NODES: u32 = 48;
     let runner = thread::current().id();
     let before = os_threads();
     let most = Arc::new(AtomicUsize::new(0));
@@ -358,14 +318,8 @@ fn no_os_thread_per_proc() {
         let most = Arc::clone(&most);
         c.spawn_node(n, move |ctx| {
             assert_eq!(thread::current().id(), runner);
-            let (done_tx, done_rx) = mpsc::channel();
-            ctx.spawn_thread(move |tctx| {
-                assert_eq!(thread::current().id(), runner);
-                tctx.compute(us(2));
-                done_tx.send(tctx.node_id()).expect("parent is alive");
-            });
             // One lap of a token ring: by the time the token is back every
-            // proc and every child has run, and none has finished.
+            // proc has run, and none has finished.
             if n == 0 {
                 ctx.send_datagram(1, vec![0]);
             }
@@ -375,15 +329,13 @@ fn no_os_thread_per_proc() {
             }
             most.fetch_max(os_threads(), Ordering::Relaxed);
             ctx.sleep(ms(1));
-            assert_eq!(done_rx.try_recv(), Ok(n));
         });
     }
     c.run();
     let most = most.load(Ordering::Relaxed);
     assert!(
         most <= before + SLACK,
-        "{before} OS threads before the run, {most} with {} procs live",
-        2 * NODES
+        "{before} OS threads before the run, {most} with {NODES} procs live"
     );
 }
 
@@ -418,21 +370,17 @@ fn cluster_dropped_without_run_leaves_nothing_behind() {
     );
 }
 
-/// Runs `body` on `n` nodes, each proc holding a [`Guard`] on its stack, and
-/// returns the outcome with the number of guards dropped by the time
-/// `try_run` returned.
-fn run_guarded(
-    cfg: SimConfig,
-    n: u32,
-    body: fn(&NodeCtx, &Arc<AtomicUsize>),
-) -> (Result<SimReport, SimError>, usize) {
+/// Runs `body` on `n` nodes, each proc's queued body owning a [`Guard`]
+/// that moves onto the proc's stack when it starts, and returns the outcome
+/// with the number of guards dropped by the time `try_run` returned.
+fn run_guarded(cfg: SimConfig, n: u32, body: fn(&NodeCtx)) -> (Result<SimReport, SimError>, usize) {
     let drops = Arc::new(AtomicUsize::new(0));
     let mut c = Cluster::new(cfg, n as usize);
     for node in 0..n {
-        let drops = Arc::clone(&drops);
+        let guard = Guard(Arc::clone(&drops));
         c.spawn_node(node, move |ctx| {
-            let _on_the_stack = Guard(Arc::clone(&drops));
-            body(&ctx, &drops);
+            let _on_the_stack = guard;
+            body(&ctx);
         });
     }
     let outcome = c.try_run();
@@ -442,7 +390,7 @@ fn run_guarded(
 #[test]
 fn teardown_unwinds_every_proc_stack() {
     // Stalled: everybody waits for mail that never comes.
-    let (r, drops) = run_guarded(SimConfig::fast_test(), 3, |ctx, _| {
+    let (r, drops) = run_guarded(SimConfig::fast_test(), 3, |ctx| {
         ctx.compute(us(u64::from(ctx.node_id())));
         let _ = ctx.wait_recv(None);
     });
@@ -454,29 +402,20 @@ fn teardown_unwinds_every_proc_stack() {
         max_events: Some(500),
         ..SimConfig::fast_test()
     };
-    let (r, drops) = run_guarded(cfg, 2, |ctx, _| match ctx.node_id() {
+    let (r, drops) = run_guarded(cfg, 2, |ctx| match ctx.node_id() {
         0 => ping_for_ever(ctx),
         _ => pong_for_ever(ctx),
     });
     assert!(matches!(r, Err(SimError::MaxEvents { .. })), "{r:?}");
     assert_eq!(drops, 2);
 
-    // An application panic on node 1 while node 0 is parked mid-exchange;
-    // node 1 has just spawned a thread that therefore never starts, and
-    // whose queued body owns a third guard.
-    let (r, drops) = run_guarded(SimConfig::fast_test(), 2, |ctx, drops| {
-        match ctx.node_id() {
-            0 => ping_for_ever(ctx),
-            _ => {
-                ctx.wait_recv(None).expect("ping");
-                let never_runs = Guard(Arc::clone(drops));
-                ctx.spawn_thread(move |_| {
-                    let _never_runs = never_runs;
-                    unreachable!("the run ends before this thread's first wake");
-                });
-                panic!("boom");
-            }
-        }
+    // An application panic on node 1 at its first wake, while node 0 is
+    // parked sending its first ping: node 2's first wake never comes, and
+    // its queued body owns the third guard.
+    let (r, drops) = run_guarded(SimConfig::fast_test(), 3, |ctx| match ctx.node_id() {
+        0 => ping_for_ever(ctx),
+        1 => panic!("boom"),
+        _ => unreachable!("the run ends before node 2's first wake"),
     });
     assert!(
         matches!(r, Err(SimError::NodePanic { node: Some(1), .. })),
@@ -485,7 +424,7 @@ fn teardown_unwinds_every_proc_stack() {
     assert_eq!(drops, 3);
 
     // An attributed abort.
-    let (r, drops) = run_guarded(SimConfig::fast_test(), 2, |ctx, _| match ctx.node_id() {
+    let (r, drops) = run_guarded(SimConfig::fast_test(), 2, |ctx| match ctx.node_id() {
         0 => ping_for_ever(ctx),
         _ => {
             ctx.wait_recv(None).expect("ping");
@@ -499,7 +438,7 @@ fn teardown_unwinds_every_proc_stack() {
     // proc unwinds at the crash, theirs at teardown.
     let plan = FaultPlan::new(1).crash(2, us(100));
     let cfg = SimConfig::fast_test().with_fault_plan(plan);
-    let (r, drops) = run_guarded(cfg, 3, |ctx, _| {
+    let (r, drops) = run_guarded(cfg, 3, |ctx| {
         if ctx.node_id() == 2 {
             ctx.sleep(ms(1));
             ctx.send_datagram(0, vec![1]);

@@ -224,49 +224,11 @@ fn node_panic_propagates() {
 }
 
 #[test]
-fn spawned_thread_shares_node() {
+#[should_panic(expected = "already has a proc")]
+fn a_node_runs_one_proc() {
     let mut c = Cluster::new(SimConfig::fast_test(), 2);
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen2 = Arc::clone(&seen);
-    c.spawn_node(0, move |ctx| {
-        let seen3 = Arc::clone(&seen2);
-        ctx.spawn_thread(move |tctx| {
-            // The user thread can receive on the node's mailbox.
-            let d = tctx.wait_recv(None).expect("thread receives");
-            seen3.store(d.payload[0] as u64, Ordering::SeqCst);
-        });
-        ctx.compute(us(10));
-    });
-    c.spawn_node(1, |ctx| {
-        ctx.compute(us(5));
-        ctx.send_datagram(0, vec![77]);
-    });
-    c.run();
-    assert_eq!(seen.load(Ordering::SeqCst), 77);
-}
-
-#[test]
-fn node_cpu_serializes_threads() {
-    // Two threads on one node each compute 1 ms; a single node CPU means
-    // the node finishes no earlier than 2 ms.
-    let mut c = Cluster::new(SimConfig::fast_test(), 1);
-    let end = Arc::new(AtomicU64::new(0));
-    let end2 = Arc::clone(&end);
-    c.spawn_node(0, move |ctx| {
-        let end3 = Arc::clone(&end2);
-        ctx.spawn_thread(move |tctx| {
-            tctx.compute(ms(1));
-            end3.fetch_max(tctx.now(), Ordering::SeqCst);
-        });
-        ctx.compute(ms(1));
-        end2.fetch_max(ctx.now(), Ordering::SeqCst);
-    });
-    c.run();
-    assert!(
-        end.load(Ordering::SeqCst) >= ms(2),
-        "threads overlapped on one CPU: {}",
-        end.load(Ordering::SeqCst)
-    );
+    c.spawn_node(0, |ctx| ctx.compute(us(1)));
+    c.spawn_node(0, |ctx| ctx.compute(us(1)));
 }
 
 #[test]
@@ -511,59 +473,3 @@ fn empty_schedule_is_bit_identical_to_no_schedule() {
     assert_eq!(a.events_processed, b.events_processed);
     assert_eq!(a.net, b.net);
 }
-
-/// Two procs share node 0's CPU and mailbox — a spawned thread answers the
-/// peers while the main proc computes and sleeps — and each peer waits once
-/// under a deadline its reply beats (the wake goes stale) and once under one
-/// that fires. The whole report is pinned.
-#[test]
-fn spawned_thread_workload_is_pinned() {
-    let mut cluster = Cluster::new(SimConfig::fast_test(), 3);
-    cluster.spawn_node(0, |ctx| {
-        ctx.spawn_thread(|tctx| {
-            for _ in 0..2 {
-                let d = tctx.wait_recv(None).expect("thread receives");
-                tctx.compute(us(30));
-                tctx.send_datagram(d.src, vec![d.payload[0] + 1]);
-            }
-            tctx.count("thread.replies", 2);
-        });
-        ctx.compute(us(250));
-        ctx.sleep(us(40));
-    });
-    for node in 1..3u32 {
-        cluster.spawn_node(node, move |ctx| {
-            ctx.compute(us(u64::from(node) * 17));
-            ctx.send_datagram(0, vec![node as u8]);
-            let d = ctx.wait_recv(Some(ms(1))).expect("reply beats the deadline");
-            assert_eq!(d.payload[0], node as u8 + 1);
-            let deadline = ctx.now() + us(15);
-            assert!(ctx.wait_recv(Some(deadline)).is_none());
-            assert_eq!(ctx.now(), deadline);
-            ctx.count("answers", u64::from(d.payload[0]));
-        });
-    }
-    let r = cluster.run();
-    let mut fp = format!(
-        "elapsed={} events={} messages={} payload_bytes={}\n",
-        r.elapsed, r.events_processed, r.net.messages, r.net.payload_bytes
-    );
-    for (i, (b, c)) in r.node_buckets.iter().zip(&r.node_counters).enumerate() {
-        fp += &format!("node{i}");
-        for bucket in Bucket::ALL {
-            fp += &format!(" {}={}", bucket.name(), b.get(bucket));
-        }
-        for (k, v) in c.iter() {
-            fp += &format!(" {k}={v}");
-        }
-        fp += "\n";
-    }
-    assert_eq!(fp, GOLDEN_SPAWNED_THREADS, "actual fingerprint:\n{fp}");
-}
-
-const GOLDEN_SPAWNED_THREADS: &str = "\
-elapsed=331008 events=19 messages=4 payload_bytes=4
-node0 User=310000 Unix=4000 CarlOS=0 Idle=290000 net.sent=2 net.sent_bytes=2 thread.replies=2
-node1 User=17000 Unix=2000 CarlOS=0 Idle=280008 answers=2 net.sent=1 net.sent_bytes=1
-node2 User=34000 Unix=2000 CarlOS=0 Idle=295008 answers=3 net.sent=1 net.sent_bytes=1
-";
