@@ -107,6 +107,8 @@ cargo test -q --test handoff
 echo "==> checker profile (consistency oracle over schedule sweeps)"
 cargo test -q -p carlos-check
 cargo test -q --test schedules
+# Paper-scale KV at n = 16, checked: too slow for the debug test pass.
+cargo test -q --release -p carlos-bench --lib -- --ignored sixteen_node_paper_kv_is_checked_clean
 
 echo "==> explore profile (guided DPOR search + seeded-bug smoke)"
 # Four campaigns, all inside the one example run: the historical 72-run

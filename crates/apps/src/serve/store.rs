@@ -6,9 +6,11 @@
 //! is a linear-probed hash table split into two coherent regions:
 //!
 //! - a **metadata table** — 16 B per slot (key, version, value length).
-//!   Hot and tiny, so it is carved into eager 64 B fine granules: a
-//!   RELEASE reply pushes the updated slot header to the requesting
-//!   client instead of inviting a page-sized demand fetch later;
+//!   Hot and tiny, so it is carved into eager 64 B fine granules: a node
+//!   holding a copy of one gets the updated header with the write notice
+//!   instead of a page-sized demand fetch later. Clients hold none (a
+//!   reply's body carries what they asked for), so the owning server's
+//!   RELEASE replies carry them no diffs at all;
 //! - a **value table** — one fixed-capacity cell per slot, allocated as
 //!   demand granules of one cell each: peers that never read a value
 //!   never pay for it.

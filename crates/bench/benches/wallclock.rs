@@ -459,7 +459,7 @@ fn bench_interval_log(b: &mut Bencher) {
     let mut writer = LrcEngine::new(0, cfg.clone());
     let mut reader = LrcEngine::new(1, cfg);
     for page in 0..16 {
-        let (data, applied) = writer.serve_page(page);
+        let (data, applied) = writer.serve_page(page, 1);
         assert!(reader.install_page(page, data, applied));
     }
     for i in 0..64usize {
@@ -528,7 +528,7 @@ fn bench_diff_store_footprint() -> Vec<(String, f64)> {
         let mut writer = LrcEngine::new(0, cfg.clone());
         let mut reader = LrcEngine::new(1, cfg);
         reader.keep_fetched_diffs();
-        let (data, applied) = writer.serve_page(0);
+        let (data, applied) = writer.serve_page(0, 1);
         assert!(reader.install_page(0, data, applied));
         for i in 0..RECORDS {
             writer

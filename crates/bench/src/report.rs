@@ -1299,6 +1299,42 @@ mod tests {
         }
     }
 
+    /// Paper-scale KV at sixteen nodes under the consistency checker:
+    /// clean, and the exact counter verdict. 10–15 s in a release build
+    /// and minutes in a debug one, so `ci.sh` runs it, in release.
+    #[test]
+    #[ignore = "paper scale; ci.sh runs it in a release build"]
+    fn sixteen_node_paper_kv_is_checked_clean() {
+        let spec = Spec {
+            observe: Observe::Check,
+            ..Spec::new(App::Serve(Traffic::Steady), 16, Scale::Paper)
+        };
+        let run = launch(&spec).expect("KV n=16 runs clean");
+        let check = run.check.as_ref().expect("checked");
+        assert!(check.is_clean(), "KV n=16: {:?}", check.violations());
+        assert_eq!(run.verdict(&Reference::of(&spec)), Ok(()));
+    }
+
+    /// A serving shard's owner ships a client no slot-header diff: no
+    /// client holds a copy of a header granule, so each would be dropped.
+    #[test]
+    fn serving_ships_no_diff_a_client_drops() {
+        let opts = quick(8);
+        for spec in serve_specs(&opts) {
+            let what = format!("{} n={}", spec.app.name(), spec.n);
+            let run = launch(&spec).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let report = &run.app().report;
+            for counter in ["carlos.update_diffs_received", "carlos.update_diffs_dropped"] {
+                assert_eq!(report.counter_total(counter), 0, "{what}: {counter}");
+            }
+            let Answer::Serve(r) = &run.answer else { unreachable!("a serving run") };
+            if spec.app == App::Serve(Traffic::Steady) {
+                let c = &r.totals.client;
+                assert_eq!(c.completed, c.attempted, "{what}");
+            }
+        }
+    }
+
     /// The quick serve rows run clean — the fault-free row at
     /// yield 1.0 with a clean server mirror, the chaos row shedding load
     /// with every drop attributed — the JSON round-trips through

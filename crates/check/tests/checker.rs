@@ -49,7 +49,7 @@ fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 engines[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
-                let (data, applied) = engines[to as usize].serve_page(page);
+                let (data, applied) = engines[to as usize].serve_page(page, node as u32);
                 engines[node].install_page(page, data, applied);
             }
         }

@@ -333,6 +333,10 @@ impl Core {
                 // notification message is sent", §3), killing the fetch round
                 // trip. Granules whose diffs the sender does not hold are
                 // batch-fetched by the receiver right after the notices apply.
+                //
+                // A granule's owner skips its diffs for a `dst` it never
+                // served the granule: `dst` holds no copy, so it could only
+                // drop them.
                 let update_all = self.cfg.strategy == crate::config::Strategy::Update;
                 let mut diffs = Diffs::new();
                 if update_all || self.engine.granules().has_eager() {
@@ -343,7 +347,10 @@ impl Core {
                         records.iter().flat_map(move |rec| {
                             rec.pages
                                 .iter()
-                                .filter(move |&&p| update_all || engine.granules().eager_granule(p))
+                                .filter(move |&&p| {
+                                    (update_all || engine.granules().eager_granule(p))
+                                        && engine.may_hold_copy(p, dst)
+                                })
                                 .filter_map(move |&p| engine.stored_diff(rec.creator, p, rec.index))
                         })
                     };
@@ -545,7 +552,7 @@ impl Core {
             SYS_DIFF_REQ | SYS_PAGE_REQ => {
                 let kind = if msg.handler == SYS_DIFF_REQ { KIND_DIFFS } else { KIND_PAGE };
                 let entry = BatchEntry::decode(&mut Decoder::new(&msg.body), kind, false);
-                let reply = self.serve_demand(&entry);
+                let reply = self.serve_demand(msg.src, &entry);
                 self.send_sub_reply(msg.src, &reply);
             }
             SYS_DIFF_REPLY | SYS_PAGE_REPLY => {
@@ -578,7 +585,7 @@ impl Core {
                 body.put_u32(n);
                 for _ in 0..n {
                     let kind = dec.get_u8().expect("batch entry kind");
-                    let reply = self.serve_demand(&BatchEntry::decode(&mut dec, kind, true));
+                    let reply = self.serve_demand(msg.src, &BatchEntry::decode(&mut dec, kind, true));
                     body.put_u8(reply.kind());
                     reply.encode_body(&mut body, &self.engine);
                 }
@@ -623,11 +630,11 @@ impl Core {
         }
     }
 
-    /// Serves one demand fetch, of either kind.
-    fn serve_demand(&mut self, e: &BatchEntry) -> SubReply {
+    /// Serves one demand fetch from `src`, of either kind.
+    fn serve_demand(&mut self, src: NodeId, e: &BatchEntry) -> SubReply {
         match e.kind {
-            KIND_DIFFS => self.serve_diff_demand(e.page, e.after, e.through, e.force),
-            KIND_PAGE => self.serve_page_demand(e.page),
+            KIND_DIFFS => self.serve_diff_demand(src, e.page, e.after, e.through, e.force),
+            KIND_PAGE => self.serve_page_demand(src, e.page),
             other => panic!("unknown demand kind {other}"),
         }
     }
@@ -638,7 +645,14 @@ impl Core {
     /// TreadMarks heuristic — when the chain outweighs the granule itself,
     /// ship the whole granule instead (unless the requester demanded plain
     /// diffs).
-    fn serve_diff_demand(&mut self, page: u32, after: u32, through: u32, force_diffs: bool) -> SubReply {
+    fn serve_diff_demand(
+        &mut self,
+        src: NodeId,
+        page: u32,
+        after: u32,
+        through: u32,
+        force_diffs: bool,
+    ) -> SubReply {
         let page_bytes = self.engine.granule_len(page);
         self.ctx.count("carlos.diff_requests_served", 1);
         let (count, len, total) = self.engine.own_diffs(page, after, through).fold(
@@ -646,7 +660,7 @@ impl Core {
             |(count, len, total), r| (count + 1, len + r.wire_len(), total + r.modified_bytes()),
         );
         if total > page_bytes && !force_diffs {
-            let (data, applied) = self.engine.serve_page(page);
+            let (data, applied) = self.engine.serve_page(page, src);
             let copy_cost = self.cfg.page_copy_cost(data.len());
             self.note_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
             self.charge(copy_cost);
@@ -667,8 +681,8 @@ impl Core {
     }
 
     /// Serves one whole-granule demand (first touch), charging copy costs.
-    fn serve_page_demand(&mut self, page: u32) -> SubReply {
-        let (data, applied) = self.engine.serve_page(page);
+    fn serve_page_demand(&mut self, src: NodeId, page: u32) -> SubReply {
+        let (data, applied) = self.engine.serve_page(page, src);
         let copy_cost = self.cfg.page_copy_cost(data.len());
         self.note_cost(MsgClass::System, CostPhase::PageCopy, copy_cost);
         self.charge(copy_cost);

@@ -3,7 +3,7 @@
 //! valid and reads proceed without demand fetches.
 
 use carlos_core::{Annotation, CoreConfig, Runtime};
-use carlos_lrc::LrcConfig;
+use carlos_lrc::{LrcConfig, RegionSpec};
 use carlos_sim::{Cluster, SimConfig};
 
 const H_GO: u32 = 1;
@@ -215,4 +215,55 @@ fn a_release_ships_again_the_diff_it_fetched() {
     // 0, page 0, interval 1, a 3-node clock, one 4-byte run) among them:
     // what it sent when it kept every fetched diff.
     assert_eq!(r.node_counters[1].get("net.sent_bytes"), 148);
+}
+
+#[test]
+fn an_owner_ships_an_eager_diff_only_to_a_node_it_served() {
+    // Node 0 owns the eager granule 0. It served node 2 a copy and never
+    // served node 1, so of two RELEASEs carrying the same write notice only
+    // the one to node 2 carries the diff: node 1 holds no copy to apply it
+    // to, and its first touch fetches the current page anyway.
+    let lrc = || LrcConfig {
+        regions: vec![RegionSpec::new(0, 64, 64).eager()],
+        ..LrcConfig::small_test(3)
+    };
+    let mut c = Cluster::new(SimConfig::fast_test(), 3);
+    c.spawn_node(0, move |ctx| {
+        let mut rt = Runtime::new(ctx, lrc(), CoreConfig::fast_test());
+        let _ = rt.wait_accepted(H_REPLY);
+        rt.write_u32(0, 777);
+        let sent = |rt: &mut Runtime, dst| {
+            let before = rt.ctx().counter("net.sent_bytes");
+            rt.send(dst, H_GO, vec![], Annotation::Release);
+            rt.ctx().counter("net.sent_bytes") - before
+        };
+        // The same RELEASE twice; the second adds the 38-byte diff record
+        // (node 0, page 0, interval 1, a 3-node clock, one 4-byte run).
+        assert_eq!((sent(&mut rt, 1), sent(&mut rt, 2)), (62, 100));
+        let _ = rt.wait_accepted(H_REPLY);
+        let _ = rt.wait_accepted(H_REPLY);
+        rt.shutdown();
+    });
+    c.spawn_node(1, move |ctx| {
+        let mut rt = Runtime::new(ctx, lrc(), CoreConfig::fast_test());
+        let _ = rt.wait_accepted(H_GO);
+        assert_eq!(rt.ctx().counter("carlos.update_diffs_received"), 0);
+        assert_eq!(rt.read_u32(0), 777, "the first copy holds the write");
+        rt.send(0, H_REPLY, vec![], Annotation::None);
+        rt.shutdown();
+    });
+    c.spawn_node(2, move |ctx| {
+        let mut rt = Runtime::new(ctx, lrc(), CoreConfig::fast_test());
+        assert_eq!(rt.read_u32(0), 0, "a copy from before the write");
+        rt.send(0, H_REPLY, vec![], Annotation::None);
+        let _ = rt.wait_accepted(H_GO);
+        assert_eq!(rt.ctx().counter("carlos.update_diffs_received"), 1);
+        assert_eq!(rt.read_u32(0), 777);
+        assert_eq!(rt.ctx().counter("carlos.diff_requests"), 0, "node 2 fetched");
+        assert_eq!(rt.ctx().counter("carlos.page_requests"), 1, "its first copy only");
+        rt.send(0, H_REPLY, vec![], Annotation::None);
+        rt.shutdown();
+    });
+    let r = c.run();
+    assert_eq!(r.counter_total("carlos.update_diffs_dropped"), 0);
 }

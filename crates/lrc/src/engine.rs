@@ -132,6 +132,11 @@ pub struct LrcEngine {
     /// outstanding, not what has happened since the page was last brought
     /// up to date. Up-to-date pages and pages without a copy have no entry.
     outstanding: BTreeMap<PageId, Vec<(u32, u32)>>,
+    /// Every `(granule, node)` this node has served a copy of the granule
+    /// to ([`LrcEngine::serve_page`]). A first copy only ever comes from
+    /// the owner, so on the owner this is a superset of the granule's other
+    /// holders; it is never cleared, not even by a collection.
+    served: BTreeSet<(PageId, u32)>,
     stats: EngineStats,
 }
 
@@ -166,6 +171,7 @@ impl LrcEngine {
             sink: None,
             eager_invalid: Vec::new(),
             outstanding: BTreeMap::new(),
+            served: BTreeSet::new(),
             stats: EngineStats::default(),
             cfg,
         }
@@ -188,6 +194,14 @@ impl LrcEngine {
     #[must_use]
     pub fn owner_of(&self, page: PageId) -> u32 {
         self.pages.owner_of(page)
+    }
+
+    /// False only when this node owns `page` and never served `node` a
+    /// copy of it, which proves `node` holds none: every first copy comes
+    /// from the owner ([`LrcEngine::fault_demands`]).
+    #[must_use]
+    pub fn may_hold_copy(&self, page: PageId, node: u32) -> bool {
+        node == self.node || self.owner_of(page) != self.node || self.served.contains(&(page, node))
     }
 
     /// This engine's node id.
@@ -863,8 +877,9 @@ impl LrcEngine {
         self.fetched.get(node as usize)?.get(page, index)
     }
 
-    /// Serves a full-page request: the current copy plus the applied vector
-    /// describing exactly which modifications it reflects.
+    /// Serves `to`'s full-page request: the current copy plus the applied
+    /// vector describing exactly which modifications it reflects. `to` is
+    /// recorded as a node that may hold a copy ([`LrcEngine::may_hold_copy`]).
     ///
     /// With eager per-interval capture, a live twin holds only the
     /// still-open interval's local writes; the served data may include
@@ -876,11 +891,12 @@ impl LrcEngine {
     /// Panics if this node has no copy (only owners are asked, and owners
     /// pin their copies).
     #[must_use]
-    pub fn serve_page(&mut self, page: PageId) -> (Vec<u8>, Vc) {
+    pub fn serve_page(&mut self, page: PageId, to: u32) -> (Vec<u8>, Vc) {
         assert!(
             self.pages.state(page) != PageState::Missing,
             "page request hit a node without a copy"
         );
+        self.served.insert((page, to));
         match self.pages.get(page) {
             Some(meta) => (meta.data.clone(), meta.applied.clone()),
             // Untouched on its owner: never-written zeros.
@@ -1086,7 +1102,7 @@ mod tests {
         fn install(&mut self, node: usize, page: PageId) {
             let owner = self.0[node].owner_of(page) as usize;
             if owner != node {
-                let (data, applied) = self.0[owner].serve_page(page);
+                let (data, applied) = self.0[owner].serve_page(page, node as u32);
                 let _ = self.0[node].install_page(page, data, applied);
             }
         }
@@ -1145,11 +1161,24 @@ mod tests {
                 }
             }
         }
+
+        /// Every node holding a copy of a page is in its owner's served
+        /// set, so an owner that skips a node's eager diffs never costs a
+        /// holder a fetch.
+        fn check_copysets(&mut self, _mask: u32) {
+            for node in 0..self.0.len() {
+                for page in (0..PAGES).filter(|&p| self.0[node].page_state(p) != PageState::Missing) {
+                    let owner = &self.0[self.0[node].owner_of(page) as usize];
+                    assert!(owner.may_hold_copy(page, node as u32), "node {node} page {page}");
+                }
+            }
+        }
     }
 
-    #[test]
-    fn outstanding_notices_match_the_store_walk() {
-        cases("outstanding_notices_match_the_store_walk", 256, |g| {
+    /// Runs a random script of writes, closes, syncs, fetches, installs and
+    /// collections on 2-4 nodes, calling `check` after every step.
+    fn random_script(name: &str, check: fn(&mut Cluster, u32)) {
+        cases(name, 256, |g| {
             let (n, banded) = (g.range(2usize..5), g.bool());
             let ops = g.vec(1..100, |g| {
                 (g.range(0usize..10), g.range(0usize..4), g.range(0usize..4), g.range(0..PAGES), g.u32())
@@ -1172,8 +1201,18 @@ mod tests {
                     9 if mask % 4 == 0 => c.gc(),
                     _ => {}
                 }
-                c.check(mask);
+                check(&mut c, mask);
             }
         });
+    }
+
+    #[test]
+    fn outstanding_notices_match_the_store_walk() {
+        random_script("outstanding_notices_match_the_store_walk", Cluster::check);
+    }
+
+    #[test]
+    fn every_copy_holder_is_in_its_owners_served_set() {
+        random_script("every_copy_holder_is_in_its_owners_served_set", Cluster::check_copysets);
     }
 }

@@ -49,7 +49,7 @@ fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 engines[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
-                let (data, applied) = engines[to as usize].serve_page(page);
+                let (data, applied) = engines[to as usize].serve_page(page, node as u32);
                 engines[node].install_page(page, data, applied);
             }
         }
@@ -477,7 +477,7 @@ fn rebased_open_writes_leave_the_neighbour_word_to_the_replacement() {
     resolve_write(&mut e, 1, 11, &[9]);
     resolve_write(&mut e, 0, 12, &[15, 16, 17, 18]);
     e[0].close_interval();
-    let (data, applied) = e[0].serve_page(0);
+    let (data, applied) = e[0].serve_page(0, 1);
     assert!(e[1].install_page(0, data, applied));
     let mut words = [0u8; 8];
     e[1].read(8, &mut words)

@@ -120,7 +120,7 @@ fn satisfy(engines: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 engines[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
-                let (data, applied) = engines[to as usize].serve_page(page);
+                let (data, applied) = engines[to as usize].serve_page(page, node as u32);
                 engines[node].install_page(page, data, applied);
             }
         }
@@ -954,7 +954,7 @@ mod sparse_table_equivalence {
             for d in demands {
                 match *d {
                     Demand::Page { to, page } => {
-                        let (data, applied) = self.real[to as usize].serve_page(page);
+                        let (data, applied) = self.real[to as usize].serve_page(page, node as u32);
                         let served = self.dense[to as usize].serve_page(page);
                         assert_eq!((&data, &applied), (&served.0, &served.1));
                         let ok = self.real[node].install_page(page, data.clone(), applied.clone());

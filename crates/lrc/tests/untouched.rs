@@ -68,7 +68,7 @@ fn satisfy(e: &mut [LrcEngine], node: usize, demands: Vec<Demand>) {
                 e[node].apply_diff_records(page, &recs);
             }
             Demand::Page { to, page } => {
-                let (data, applied) = e[to as usize].serve_page(page);
+                let (data, applied) = e[to as usize].serve_page(page, node as u32);
                 assert!(e[node].install_page(page, data, applied));
             }
         }
@@ -149,7 +149,7 @@ fn a_notice_collected_before_the_first_touch_stays_collected() {
     assert_eq!(byte, [9]);
 
     // p's first copy lists interval 2 alone.
-    let (data, applied) = e[0].serve_page(p);
+    let (data, applied) = e[0].serve_page(p, 2);
     assert_eq!(applied, Vc::from_slice(&[0, 1, 0]));
     assert!(e[2].install_page(p, data, applied));
     assert_eq!(
