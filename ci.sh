@@ -88,10 +88,10 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test -q
 
-echo "==> cargo clippy -D warnings (hot-path + hardened crates)"
+echo "==> cargo clippy -D warnings (every crate, and the facade's bin, examples and tests)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
     -p carlos-sync -p carlos-check -p carlos-trace -p carlos-apps -p carlos-bench \
-    -p carlos-explore --all-targets -- -D warnings
+    -p carlos-explore -p carlos --all-targets -- -D warnings
 
 echo "==> chaos profile (scripted faults + pinned fingerprints)"
 cargo test -q --test chaos

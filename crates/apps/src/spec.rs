@@ -62,8 +62,6 @@ pub enum Tweak {
     /// per-region granules, coalesced demand fetches and aggregated write
     /// notices.
     Vg,
-    /// Every message marked RELEASE (§5.4; TSP and Water).
-    AllRelease,
     /// TreadMarks-style specialised message dispatch (§5).
     TreadMarks,
     /// The §4.3 update coherence strategy instead of invalidation.
@@ -74,7 +72,7 @@ impl Tweak {
     /// `core` with this tweak's runtime change applied.
     fn core(self, core: CoreConfig) -> CoreConfig {
         match self {
-            Self::None | Self::AllRelease => core,
+            Self::None => core,
             Self::Vg => core.with_variable_granularity(),
             Self::TreadMarks => core.with_treadmarks_dispatch(),
             Self::Update => core.with_update_strategy(),
@@ -104,7 +102,7 @@ pub enum Observe {
     None,
     /// The consistency oracle.
     Check,
-    /// A metrics-only causal tracer.
+    /// The causal tracer: flows and metrics.
     Trace,
 }
 
@@ -312,8 +310,7 @@ fn serve_config(traffic: Traffic, n: usize, scale: Scale) -> ServeConfig {
     }
 }
 
-/// Runs `spec` with a fresh observer of the kind `spec.observe` names (a
-/// tracer records metrics only).
+/// Runs `spec` with a fresh observer of the kind `spec.observe` names.
 ///
 /// # Errors
 ///
@@ -321,8 +318,7 @@ fn serve_config(traffic: Traffic, n: usize, scale: Scale) -> ServeConfig {
 ///
 /// # Panics
 ///
-/// If `spec` asks for all-RELEASE runs of Quicksort, SOR or serving, or for
-/// chaos traffic at another scale than `Test`.
+/// If `spec` asks for chaos traffic at another scale than `Test`.
 pub fn launch(spec: &Spec) -> Result<Run, SimError> {
     let check = (spec.observe == Observe::Check).then(|| Checker::new(spec.n));
     let trace = (spec.observe == Observe::Trace).then(|| Tracer::metrics_only(spec.n));
@@ -344,19 +340,13 @@ pub fn launch(spec: &Spec) -> Result<Run, SimError> {
 ///
 /// # Panics
 ///
-/// If `spec` asks for all-RELEASE runs of Quicksort, SOR or serving, or for
-/// chaos traffic at another scale than `Test`.
+/// If `spec` asks for chaos traffic at another scale than `Test`.
 pub fn launch_with(
     spec: &Spec,
     check: Option<Checker>,
     trace: Option<Tracer>,
 ) -> Result<Run, SimError> {
     let (n, paper) = (spec.n, spec.scale == Scale::Paper);
-    let all_release = spec.tweak == Tweak::AllRelease;
-    assert!(
-        !all_release || matches!(spec.app, App::Tsp(_) | App::Water(_)),
-        "all-RELEASE runs exist for TSP and Water"
-    );
     assert!(
         spec.app != App::Serve(Traffic::Chaos) || spec.scale == Scale::Test,
         "KV/chaos runs at test scale only"
@@ -380,20 +370,18 @@ pub fn launch_with(
         }};
     }
     let answer = match spec.app {
-        App::Tsp(v) => {
-            let mut c = configure!(TspConfig::paper(n, v), TspConfig::test(n, v));
-            c.all_release = all_release;
-            Answer::Tsp(try_run_tsp(&c)?)
-        }
+        App::Tsp(v) => Answer::Tsp(try_run_tsp(&configure!(
+            TspConfig::paper(n, v),
+            TspConfig::test(n, v)
+        ))?),
         App::Quicksort(v) => Answer::Quicksort(try_run_qsort(&configure!(
             QsortConfig::paper(n, v),
             QsortConfig::test(n, v)
         ))?),
-        App::Water(v) => {
-            let mut c = configure!(WaterConfig::paper(n, v), WaterConfig::test(n, v));
-            c.all_release = all_release;
-            Answer::Water(try_run_water(&c)?)
-        }
+        App::Water(v) => Answer::Water(try_run_water(&configure!(
+            WaterConfig::paper(n, v),
+            WaterConfig::test(n, v)
+        ))?),
         App::Sor => Answer::Sor(try_run_sor(&configure!(
             SorConfig::paper_scale(n),
             SorConfig::test(n)

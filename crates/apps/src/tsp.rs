@@ -40,6 +40,12 @@ pub enum TspVariant {
     Lock,
     /// Message-based work queue and bound posting.
     Hybrid,
+    /// Hybrid with its REQUEST sends marked RELEASE (the §5.4 annotation
+    /// experiment): the queue's dequeue requests and the bound posts. Not
+    /// every message becomes RELEASE: the 2n NONE sends stay NONE (the
+    /// queue's close command and empty replies, and the workers' done
+    /// reports), and the barriers keep their own annotations.
+    HybridAllRelease,
 }
 
 /// Configuration for one TSP run.
@@ -56,8 +62,6 @@ pub struct TspConfig {
     pub seed: u64,
     /// Program variant.
     pub variant: TspVariant,
-    /// Mark every message RELEASE (the §5.4 annotation experiment).
-    pub all_release: bool,
     /// Virtual nanoseconds charged per branch-and-bound tree expansion
     /// (calibrates single-node time to the paper's testbed).
     pub ns_per_expansion: u64,
@@ -104,7 +108,6 @@ impl TspConfig {
             leaf_depth: 3,
             seed: 42,
             variant,
-            all_release: false,
             ns_per_expansion: 500,
             refresh_every: 256,
             sim: SimConfig::fast_test(),
@@ -493,7 +496,7 @@ pub(crate) fn try_run_tsp(cfg: &TspConfig) -> Result<TspResult, carlos_sim::SimE
 }
 
 fn ann(cfg: &TspConfig, normal: Annotation) -> Annotation {
-    if cfg.all_release {
+    if cfg.variant == TspVariant::HybridAllRelease {
         Annotation::Release
     } else {
         normal
@@ -529,7 +532,7 @@ fn tsp_node(cfg: &TspConfig, ctx: carlos_sim::NodeCtx) -> (u32, u64) {
         TspVariant::Lock => {
             lock_variant(cfg, &mut rt, &sys, &lay, &cities, init_bound, &mut expansions);
         }
-        TspVariant::Hybrid => {
+        TspVariant::Hybrid | TspVariant::HybridAllRelease => {
             hybrid_variant(cfg, &mut rt, &sys, &lay, &cities, init_bound, &mut expansions);
         }
     }

@@ -36,6 +36,9 @@ pub enum WaterVariant {
     Lock,
     /// Per-molecule update functions shipped in NONE messages.
     Hybrid,
+    /// Hybrid with its update messages marked RELEASE instead of NONE
+    /// (the §5.4 annotation experiment).
+    HybridAllRelease,
 }
 
 /// Configuration for one Water run.
@@ -52,9 +55,6 @@ pub struct WaterConfig {
     pub seed: u64,
     /// Program variant.
     pub variant: WaterVariant,
-    /// Mark the hybrid's update messages RELEASE instead of NONE (the
-    /// §5.4 annotation experiment).
-    pub all_release: bool,
     /// Virtual nanoseconds charged per examined molecule pair.
     pub ns_per_pair: u64,
     /// Virtual nanoseconds charged per molecule integration.
@@ -103,7 +103,6 @@ impl WaterConfig {
             steps: 2,
             seed: 99,
             variant,
-            all_release: false,
             ns_per_pair: 200,
             ns_per_integrate: 100,
             sim: SimConfig::fast_test(),
@@ -330,7 +329,7 @@ fn water_node(cfg: &WaterConfig, ctx: carlos_sim::NodeCtx) -> (Vec<[f64; 3]>, f6
         expected_updates += mine.len();
     }
 
-    let update_annotation = if cfg.all_release {
+    let update_annotation = if cfg.variant == WaterVariant::HybridAllRelease {
         Annotation::Release
     } else {
         Annotation::None
@@ -394,7 +393,7 @@ fn water_node(cfg: &WaterConfig, ctx: carlos_sim::NodeCtx) -> (Vec<[f64; 3]>, f6
                 }
                 sys.barrier(&mut rt, barrier, ep + 2);
             }
-            WaterVariant::Hybrid => {
+            WaterVariant::Hybrid | WaterVariant::HybridAllRelease => {
                 // Own contributions apply directly: the owner is the only
                 // writer of its molecules in the hybrid, which is exactly
                 // what function shipping buys.

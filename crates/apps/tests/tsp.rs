@@ -3,7 +3,7 @@
 //! size, and the hybrid must use substantially fewer messages.
 
 use carlos_apps::tsp::{Cities, TspResult, TspVariant};
-use carlos_apps::{launch, Answer, App, Reference, Scale, Spec, Tweak};
+use carlos_apps::{launch, Answer, App, Observe, Reference, Scale, Spec, Tweak};
 
 fn spec(n: usize, variant: TspVariant, tweak: Tweak) -> Spec {
     Spec {
@@ -71,7 +71,7 @@ fn hybrid_uses_fewer_messages_than_lock() {
 
 #[test]
 fn all_release_variant_still_correct() {
-    optimal(&spec(3, TspVariant::Hybrid, Tweak::AllRelease));
+    optimal(&spec(3, TspVariant::HybridAllRelease, Tweak::None));
 }
 
 #[test]
@@ -102,4 +102,26 @@ fn runs_are_deterministic() {
     assert_eq!(a.app.report.elapsed, b.app.report.elapsed);
     assert_eq!(a.app.messages, b.app.messages);
     assert_eq!(a.expansions, b.expansions);
+}
+
+/// The all-RELEASE variant re-annotates Hybrid's REQUEST sends one for one:
+/// REQUEST falls to zero, RELEASE rises by as many, NONE and RELEASE_NT
+/// keep their counts. Only SYSTEM traffic may move with the timing.
+#[test]
+fn all_release_variant_moves_every_request_to_release() {
+    let sent = |variant, n| {
+        let run = launch(&Spec {
+            observe: Observe::Trace,
+            ..spec(n, variant, Tweak::None)
+        })
+        .expect("TSP run");
+        let m = run.trace.expect("traced").metrics();
+        ["NONE", "REQUEST", "RELEASE", "RELEASE_NT"].map(|c| m.counter(&format!("msg.sent.{c}")))
+    };
+    for (n, requests) in [(2, 75), (3, 76), (4, 78)] {
+        let [none, request, release, release_nt] = sent(TspVariant::Hybrid, n);
+        assert_eq!(request, requests, "n = {n}: Hybrid's REQUEST sends");
+        let all = sent(TspVariant::HybridAllRelease, n);
+        assert_eq!(all, [none, 0, release + request, release_nt], "n = {n}");
+    }
 }

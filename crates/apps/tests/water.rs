@@ -1,7 +1,7 @@
 //! Correctness tests for the Water application.
 
 use carlos_apps::water::{try_run_water, WaterConfig, WaterResult, WaterVariant};
-use carlos_apps::{launch, App, Reference, Run, Scale, Spec, Tweak};
+use carlos_apps::{launch, App, Observe, Reference, Run, Scale, Spec, Tweak};
 
 fn spec(n: usize, variant: WaterVariant, tweak: Tweak) -> Spec {
     Spec {
@@ -72,7 +72,7 @@ fn hybrid_uses_fewer_messages_than_lock() {
 
 #[test]
 fn all_release_hybrid_still_correct() {
-    accurate(&spec(3, WaterVariant::Hybrid, Tweak::AllRelease));
+    accurate(&spec(3, WaterVariant::HybridAllRelease, Tweak::None));
 }
 
 #[test]
@@ -94,5 +94,27 @@ fn variable_granularity_matches_sequential() {
 fn update_strategy_matches_invalidate() {
     for variant in [WaterVariant::Lock, WaterVariant::Hybrid] {
         accurate(&spec(4, variant, Tweak::Update));
+    }
+}
+
+/// The all-RELEASE variant re-annotates Hybrid's NONE update messages one
+/// for one: NONE falls to zero, RELEASE rises by as many, REQUEST and
+/// RELEASE_NT keep their counts. Only SYSTEM traffic may move with the
+/// timing.
+#[test]
+fn all_release_variant_moves_every_update_to_release() {
+    let sent = |variant, n| {
+        let run = accurate(&Spec {
+            observe: Observe::Trace,
+            ..spec(n, variant, Tweak::None)
+        });
+        let m = run.trace.expect("traced").metrics();
+        ["NONE", "REQUEST", "RELEASE", "RELEASE_NT"].map(|c| m.counter(&format!("msg.sent.{c}")))
+    };
+    for (n, updates) in [(2, 52), (3, 78), (4, 104)] {
+        let [none, request, release, release_nt] = sent(WaterVariant::Hybrid, n);
+        assert_eq!(none, updates, "n = {n}: Hybrid's NONE update sends");
+        let all = sent(WaterVariant::HybridAllRelease, n);
+        assert_eq!(all, [0, request, release + none, release_nt], "n = {n}");
     }
 }

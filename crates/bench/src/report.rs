@@ -4,7 +4,7 @@
 //! [`SPECS`] lists each group of rows as plain data: application and
 //! variant, label, cluster sizes, one configuration [`Tweak`], and the row
 //! whose single-node time is the speedup base. [`run_report`] launches
-//! each cell once as a [`Spec`] with a metrics-only [`Tracer`] attached,
+//! each cell once as a [`Spec`] with a [`Tracer`] attached,
 //! judges its answer, and the rows render two ways:
 //!
 //! - `BENCH_paper.json` ([`to_json`]) — one row per (application, variant,
@@ -151,8 +151,8 @@ pub const SPECS: &[RowSpec] = {
         spec(Sor, "-+vg", Scaling, Tweak::Vg, "-+vg"),
         spec(Qs(QsortVariant::Hybrid2), "Hybrid-2", Largest, Tweak::None, "Hybrid-1"),
         spec(Qs(QsortVariant::HybridNoForward), "No-forward", Largest, Tweak::None, "Hybrid-1"),
-        spec(Tsp(TspVariant::Hybrid), "Hybrid+allrel", Largest, Tweak::AllRelease, "Hybrid"),
-        spec(Water(WaterVariant::Hybrid), "Hybrid+allrel", Largest, Tweak::AllRelease, "Hybrid"),
+        spec(Tsp(TspVariant::HybridAllRelease), "Hybrid+allrel", Largest, Tweak::None, "Hybrid"),
+        spec(Water(WaterVariant::HybridAllRelease), "Hybrid+allrel", Largest, Tweak::None, "Hybrid"),
         spec(Tsp(TspVariant::Lock), "Lock+tmk", Largest, Tweak::TreadMarks, "Lock"),
         spec(Qs(QsortVariant::Lock), "Lock+tmk", Largest, Tweak::TreadMarks, "Lock"),
         spec(Water(WaterVariant::Lock), "Lock+tmk", Largest, Tweak::TreadMarks, "Lock"),

@@ -116,9 +116,9 @@ impl SyncSystem {
         peers: &[NodeId],
     ) -> Result<AcceptedMsg, SyncError> {
         // Bracket the blocking wait with `SyncWait` events so trace layers
-        // see lock/barrier/queue stalls as first-class spans. Both the Ok
-        // and Err exits close the span; a crash-unwind leaves it open, and
-        // trace layers drop unclosed spans at export.
+        // can time lock/barrier/queue stalls. Both the Ok and Err exits
+        // close the wait; a crash-unwind leaves it open, and the tracer
+        // never times an unclosed wait.
         let wait = |rt: &Runtime, begin| {
             rt.emit(|| Event::SyncWait {
                 node: rt.node_id(),

@@ -1,12 +1,35 @@
-//! Minimal hand-rolled JSON parser.
+//! Minimal hand-rolled JSON: a string escaper and a parser.
 //!
-//! Exists so trace exports can be validated and post-processed without
-//! pulling a serde dependency into the workspace. Supports the full JSON
-//! grammar the exporters emit: objects, arrays, strings (with the escape
-//! set `\" \\ \/ \n \r \t \b \f \uXXXX`), numbers, booleans, and null.
+//! Exists so the workspace's JSON documents (metrics, report rows,
+//! explorer summaries) can be written, validated and read back without
+//! pulling a serde dependency into the workspace. The parser supports the
+//! full JSON grammar: objects, arrays, strings (with the escape set
+//! `\" \\ \/ \n \r \t \b \f \uXXXX`), numbers, booleans, and null.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+
+/// Escapes `s` as a JSON string literal (quotes included).
+#[must_use]
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value. Object members are kept in a `BTreeMap`, so member
 /// order is normalised (sufficient for the exporters, which never rely on
@@ -340,7 +363,7 @@ mod tests {
     #[test]
     fn roundtrips_exported_escapes() {
         let s = "quote \" slash \\ newline \n tab \t low \u{1}";
-        let lit = crate::export::json_string(s);
+        let lit = json_string(s);
         assert_eq!(parse(&lit).unwrap(), JsonValue::String(s.into()));
     }
 }

@@ -1,26 +1,20 @@
 //! Causal event tracing and cost attribution for the CarlOS simulator.
 //!
-//! `carlos-trace` attaches a [`Tracer`] to a simulated cluster and records,
-//! as the run unfolds, a causal picture of every message and every unit of
-//! consistency work:
+//! `carlos-trace` attaches a [`Tracer`] to a simulated cluster and keeps,
+//! as the run unfolds, two things its readers read:
 //!
-//! - **Causal flows** — every transport data frame is identified by
-//!   `(src, dst, seq)` and threaded from the core's send intent through
-//!   wire transmission, loss, ARQ retransmission, in-order delivery, and
-//!   handler dispatch. No trace id is added to the wire: the id is the
-//!   transport sequence number already in the frame header, so traced runs
-//!   keep bit-identical wire traffic.
-//! - **Spans** — demand fetches (diff/page), lock/barrier/queue waits, and
-//!   every protocol-cost charge become virtual-time spans attributed to a
-//!   node and a message class.
+//! - **A flow table** ([`Tracer::flows`]) — every transport data frame is
+//!   identified by `(src, dst, seq)` and threaded from the core's send
+//!   intent through wire transmission, loss, ARQ retransmission, in-order
+//!   delivery, and handler dispatch. No trace id is added to the wire: the
+//!   id is the transport sequence number already in the frame header, so
+//!   traced runs keep bit-identical wire traffic.
 //! - **A metrics registry** ([`Metrics`]) of deterministic counters and
-//!   virtual-time histograms keyed by message class and protocol phase,
-//!   reproducing the paper's §5.4 microcost accounting (REQUEST−NONE,
-//!   RELEASE−NONE + per-write-notice, ...).
-//!
-//! Recorded data exports as Chrome trace-event JSON (load in
-//! `chrome://tracing` or Perfetto) via [`Tracer::chrome_trace`], and as
-//! metrics JSON via [`Metrics::to_json`].
+//!   virtual-time histograms keyed by message class and protocol phase —
+//!   demand fetches, lock/barrier/queue waits and every protocol-cost
+//!   charge among them — reproducing the paper's §5.4 microcost
+//!   accounting (REQUEST−NONE, RELEASE−NONE + per-write-notice, ...). It
+//!   renders as JSON via [`Metrics::to_json`].
 //!
 //! Like `carlos-check`, the tracer is a pure consumer of the run's event
 //! stream ([`carlos_util::event`]): it charges no virtual time, consumes no
@@ -34,16 +28,15 @@
 //! use std::rc::Rc;
 //! use carlos_trace::Tracer;
 //! # let mut cluster = carlos_sim::Cluster::new(carlos_sim::SimConfig::default(), 2);
-//! let tracer = Tracer::new(2);
+//! let tracer = Tracer::metrics_only(2);
 //! cluster.observe(Rc::new(tracer.clone())); // every layer of every node
 //! let report = cluster.run();
-//! std::fs::write("trace.json", tracer.chrome_trace()).unwrap();
+//! println!("{} flows, {}", tracer.flows().len(), tracer.metrics().to_json());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod export;
 pub mod json;
 mod metrics;
 
@@ -55,8 +48,7 @@ use carlos_sim::{
 };
 use carlos_util::event::{CostPhase, Event, FetchKind, GranuleClass, MsgClass, Sink};
 
-pub use export::json_string;
-pub use json::JsonValue;
+pub use json::{json_string, JsonValue};
 pub use metrics::{Metrics, VtHistogram};
 
 /// Identity of one transport data frame: the causal flow id. Unique per
@@ -122,51 +114,13 @@ impl Flow {
             dispatched_at: None,
         }
     }
-
-    /// Display label: class name or "DATA" for raw transport traffic.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        self.class.map_or("DATA", MsgClass::name)
-    }
-}
-
-/// A completed virtual-time span attributed to one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Node the span ran on.
-    pub node: NodeId,
-    /// Display name.
-    pub name: String,
-    /// Category: "cost", "fetch", or "sync".
-    pub cat: &'static str,
-    /// Start of the span (virtual ns).
-    pub start: Ns,
-    /// End of the span (virtual ns, `>= start`).
-    pub end: Ns,
-}
-
-/// A point event attributed to one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InstantEvent {
-    /// Node the event happened on.
-    pub node: NodeId,
-    /// Display name.
-    pub name: String,
-    /// Category: "lrc" or "protocol".
-    pub cat: &'static str,
-    /// Virtual time of the event.
-    pub at: Ns,
 }
 
 /// FIFO correlation queues keyed by a (node, peer) pair.
 type PendingFifo<T> = BTreeMap<(NodeId, NodeId), VecDeque<T>>;
 
 struct State {
-    n_nodes: usize,
-    record_events: bool,
     flows: BTreeMap<(NodeId, NodeId, u32), Flow>,
-    spans: Vec<Span>,
-    instants: Vec<InstantEvent>,
     /// Core send intents not yet paired with a transport `DataSent`,
     /// FIFO per (node, dst). Pairing is exact because the transport
     /// assigns sequence numbers in the order the core hands messages over.
@@ -174,7 +128,7 @@ struct State {
     /// Frames released in order but not yet dispatched, FIFO per
     /// (node, src).
     pending_dispatch: PendingFifo<(NodeId, NodeId, u32)>,
-    /// Open sync-wait spans, a stack per (node, op, id).
+    /// Start times of open sync waits, a stack per (node, op, id).
     open_waits: BTreeMap<(NodeId, &'static str, u32), Vec<Ns>>,
     /// Open demand fetches per (node, server, page).
     open_fetches: BTreeMap<(NodeId, NodeId, u32), (FetchKind, Ns)>,
@@ -186,18 +140,6 @@ impl State {
         self.flows
             .entry((src, dst, seq))
             .or_insert_with(|| Flow::new(FlowKey { src, dst, seq }, bytes))
-    }
-
-    fn push_span(&mut self, span: Span) {
-        if self.record_events {
-            self.spans.push(span);
-        }
-    }
-
-    fn push_instant(&mut self, ev: InstantEvent) {
-        if self.record_events {
-            self.instants.push(ev);
-        }
     }
 }
 
@@ -211,40 +153,19 @@ pub struct Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.inner.borrow();
-        write!(
-            f,
-            "Tracer({} flows, {} spans, {} instants)",
-            st.flows.len(),
-            st.spans.len(),
-            st.instants.len()
-        )
+        write!(f, "Tracer({} flows)", self.inner.borrow().flows.len())
     }
 }
 
 impl Tracer {
-    /// A tracer for an `n_nodes`-node cluster, recording flows, spans, and
-    /// metrics.
+    /// A tracer keeping the metrics registry and the flow table. The node
+    /// count is unread (nothing is sized by it); the argument stays until
+    /// the benchmark harness, which calls `metrics_only(n)`, is refreshed.
     #[must_use]
-    pub fn new(n_nodes: usize) -> Self {
-        Self::build(n_nodes, true)
-    }
-
-    /// A tracer that keeps only the metrics registry and flow table —
-    /// span/instant event lists stay empty, bounding memory on long runs.
-    #[must_use]
-    pub fn metrics_only(n_nodes: usize) -> Self {
-        Self::build(n_nodes, false)
-    }
-
-    fn build(n_nodes: usize, record_events: bool) -> Self {
+    pub fn metrics_only(_n_nodes: usize) -> Self {
         Self {
             inner: Rc::new(RefCell::new(State {
-                n_nodes,
-                record_events,
                 flows: BTreeMap::new(),
-                spans: Vec::new(),
-                instants: Vec::new(),
                 pending_send: BTreeMap::new(),
                 pending_dispatch: BTreeMap::new(),
                 open_waits: BTreeMap::new(),
@@ -260,37 +181,18 @@ impl Tracer {
         self.inner.borrow().flows.values().cloned().collect()
     }
 
-    /// Snapshot of all completed spans, in completion order.
-    #[must_use]
-    pub fn spans(&self) -> Vec<Span> {
-        self.inner.borrow().spans.clone()
-    }
-
-    /// Snapshot of all instant events, in observation order.
-    #[must_use]
-    pub fn instants(&self) -> Vec<InstantEvent> {
-        self.inner.borrow().instants.clone()
-    }
-
     /// Snapshot of the metrics registry.
     #[must_use]
     pub fn metrics(&self) -> Metrics {
         self.inner.borrow().metrics.clone()
     }
-
-    /// Renders everything recorded as Chrome trace-event JSON (the format
-    /// `chrome://tracing` and Perfetto load). Deterministic output.
-    #[must_use]
-    pub fn chrome_trace(&self) -> String {
-        export::chrome_trace(&self.inner.borrow())
-    }
 }
 
 // Pre-interned metric keys for the per-message hot paths. Building each
 // key with `format!` costs a heap allocation per message, which dominated
-// the metrics-only tracer's overhead; every key is drawn from a small
-// finite enum product, so an exhaustive match returns a `&'static str`
-// with no allocation. The matches are compiler-checked against the enums
+// the tracer's overhead; every key is drawn from a small finite enum
+// product, so an exhaustive match returns a `&'static str` with no
+// allocation. The matches are compiler-checked against the enums
 // in `carlos_util::event`: adding a variant fails the build here instead of
 // silently minting a new runtime string.
 
@@ -434,14 +336,6 @@ impl State {
             }
             Event::MsgDispatched { node, src, class, handler, bytes, at } => {
                 self.metrics.count(msg_dispatched_key(class), 1);
-                if self.record_events {
-                    self.push_instant(InstantEvent {
-                        node,
-                        name: format!("dispatch {} h{handler:#x} from n{src}", class.name()),
-                        cat: "protocol",
-                        at,
-                    });
-                }
                 if let Some(key) = self
                     .pending_dispatch
                     .get_mut(&(node, src))
@@ -460,17 +354,8 @@ impl State {
                     }
                 }
             }
-            Event::ProtocolCost { node, class, phase, ns, at } => {
+            Event::ProtocolCost { class, phase, ns, .. } => {
                 self.metrics.observe(cost_key(class, phase), ns);
-                if self.record_events {
-                    self.push_span(Span {
-                        node,
-                        name: format!("{} {}", phase.name(), class.name()),
-                        cat: "cost",
-                        start: at,
-                        end: at + ns,
-                    });
-                }
             }
             Event::FetchStarted { node, server, page, kind, at } => {
                 self.metrics.count(fetch_count_key(kind), 1);
@@ -480,19 +365,6 @@ impl State {
                 if let Some((kind, began)) = self.open_fetches.remove(&(node, server, page)) {
                     self.metrics
                         .observe(fetch_latency_key(kind), at.saturating_sub(began));
-                    if self.record_events {
-                        let what = match kind {
-                            FetchKind::Diffs => "diffs",
-                            FetchKind::Page => "page",
-                        };
-                        self.push_span(Span {
-                            node,
-                            name: format!("fetch {what} p{page} <- n{server}"),
-                            cat: "fetch",
-                            start: began,
-                            end: at.max(began),
-                        });
-                    }
                 }
             }
             Event::FetchFulfilled { granule, bytes, .. } => {
@@ -511,15 +383,6 @@ impl State {
                 match wait_key(what) {
                     Some(key) => self.metrics.observe(key, elapsed),
                     None => self.metrics.observe(&format!("wait.{what}"), elapsed),
-                }
-                if self.record_events {
-                    self.push_span(Span {
-                        node,
-                        name: format!("wait {what} #{id}"),
-                        cat: "sync",
-                        start: began,
-                        end: at.max(began),
-                    });
                 }
             }
             Event::DataSent { node, dst, seq, bytes, at } => {

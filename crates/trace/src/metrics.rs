@@ -192,7 +192,7 @@ impl Metrics {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", crate::export::json_string(k), v));
+            out.push_str(&format!("{}:{}", crate::json_string(k), v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -201,7 +201,7 @@ impl Metrics {
             }
             out.push_str(&format!(
                 "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{}}}",
-                crate::export::json_string(k),
+                crate::json_string(k),
                 h.count(),
                 h.sum(),
                 h.min(),

@@ -3,9 +3,9 @@
 //! ```text
 //! carlos-repro table1|table2|table3|figure2      regenerate a paper artifact
 //!                                               (CARLOS_REPORT_QUICK=1: test scale)
-//! carlos-repro tsp    [--nodes N] [--variant lock|hybrid] [--small] [--update|--all-release]
+//! carlos-repro tsp    [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]
 //! carlos-repro qsort  [--nodes N] [--variant lock|hybrid1|hybrid2|noforward] [--small] [--update]
-//! carlos-repro water  [--nodes N] [--variant lock|hybrid] [--small] [--update|--all-release]
+//! carlos-repro water  [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]
 //! carlos-repro sor    [--nodes N] [--small] [--update]
 //! carlos-repro kv     [--nodes N] [--small | --chaos]
 //! ```
@@ -30,9 +30,9 @@ fn usage() -> ! {
          \x20 table1 | table2 | table3 | figure2\n\
          \n\
          single application runs:\n\
-         \x20 tsp    [--nodes N] [--variant lock|hybrid] [--small] [--update|--all-release]\n\
+         \x20 tsp    [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]\n\
          \x20 qsort  [--nodes N] [--variant lock|hybrid1|hybrid2|noforward] [--small] [--update]\n\
-         \x20 water  [--nodes N] [--variant lock|hybrid] [--small] [--update|--all-release]\n\
+         \x20 water  [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]\n\
          \x20 sor    [--nodes N] [--small] [--update]\n\
          \x20 kv     [--nodes N] [--small | --chaos]\n\
          \n\
@@ -40,7 +40,8 @@ fn usage() -> ! {
          \x20 --nodes N       cluster size (default 4; kv: half servers, at least 2)\n\
          \x20 --small         test-scale workload instead of paper scale\n\
          \x20 --update        update coherence strategy\n\
-         \x20 --all-release   mark every message RELEASE (tsp, water)\n\
+         \x20 --variant allrelease  hybrid with its REQUEST (tsp) or NONE (water)\n\
+         \x20                       sends marked RELEASE (section 5.4)\n\
          \x20 --chaos         kv at test scale under burst loss and a partition"
     );
     std::process::exit(2);
@@ -64,7 +65,6 @@ fn parse_spec(cmd: &str, args: &[String]) -> Spec {
             "--variant" => variant = Some(it.next().unwrap_or_else(|| usage()).as_str()),
             "--small" => scale = Scale::Test,
             "--update" => tweak = Tweak::Update,
-            "--all-release" => tweak = Tweak::AllRelease,
             "--chaos" if cmd == "kv" => (traffic, scale) = (Traffic::Chaos, Scale::Test),
             _ => usage(),
         }
@@ -72,19 +72,18 @@ fn parse_spec(cmd: &str, args: &[String]) -> Spec {
     let app = match (cmd, variant) {
         ("tsp", None | Some("hybrid")) => App::Tsp(TspVariant::Hybrid),
         ("tsp", Some("lock")) => App::Tsp(TspVariant::Lock),
+        ("tsp", Some("allrelease")) => App::Tsp(TspVariant::HybridAllRelease),
         ("qsort", None | Some("hybrid1")) => App::Quicksort(QsortVariant::Hybrid1),
         ("qsort", Some("lock")) => App::Quicksort(QsortVariant::Lock),
         ("qsort", Some("hybrid2")) => App::Quicksort(QsortVariant::Hybrid2),
         ("qsort", Some("noforward")) => App::Quicksort(QsortVariant::HybridNoForward),
         ("water", None | Some("hybrid")) => App::Water(WaterVariant::Hybrid),
         ("water", Some("lock")) => App::Water(WaterVariant::Lock),
+        ("water", Some("allrelease")) => App::Water(WaterVariant::HybridAllRelease),
         ("sor", None) => App::Sor,
         ("kv", None) => App::Serve(traffic),
         _ => usage(),
     };
-    if tweak == Tweak::AllRelease && matches!(app, App::Quicksort(_) | App::Sor | App::Serve(_)) {
-        usage();
-    }
     Spec {
         tweak,
         ..Spec::new(app, nodes, scale)

@@ -408,8 +408,11 @@ fn eight_node_reports_are_pinned() {
     );
 }
 
-/// The three pinned 2-node workloads, each with an optional sink.
-const WORKLOADS: [(fn(Option<Rc<dyn Sink>>) -> SimReport, &str, &str); 3] = [
+/// One pinned 2-node workload, run with an optional sink.
+type Workload = fn(Option<Rc<dyn Sink>>) -> SimReport;
+
+/// The three pinned 2-node workloads, each with its golden and its name.
+const WORKLOADS: [(Workload, &str, &str); 3] = [
     (two_node_run, GOLDEN_TWO_NODE, "2-node osdi94 workload"),
     (two_node_lossy_run, GOLDEN_TWO_NODE_LOSSY, "2-node lossy ARQ workload"),
     (two_node_chaos_run, GOLDEN_TWO_NODE_CHAOS, "2-node chaos workload"),
@@ -424,13 +427,13 @@ type Seen = (Option<usize>, Option<(String, Vec<carlos::trace::Flow>)>);
 /// the event stream: the pinned fingerprints — virtual times, event and
 /// message counts, every per-node counter, the chaos workload's retransmit
 /// and fault accounting — stay bit-identical, the oracle reports a clean
-/// run, and the tracer (recording flows, spans and metrics) comes back
+/// run, and the tracer (recording flows and metrics) comes back
 /// non-empty. Returns what each observer saw, one entry per workload.
 fn observe_goldens(checked: bool, traced: bool) -> Vec<Seen> {
     let mut seen = Vec::new();
     for (run, golden, what) in WORKLOADS {
         let check = checked.then(|| Checker::new(2));
-        let trace = traced.then(|| Tracer::new(2));
+        let trace = traced.then(|| Tracer::metrics_only(2));
         let what = format!("{what}, checked {checked}, traced {traced}");
         let report = run(Some(Rc::new((check.clone(), trace.clone()))));
         assert_matches_golden(&report, golden, &what);
@@ -521,7 +524,7 @@ fn event_stream_digests_are_pinned() {
         };
         let first = digest(|d| Rc::new(d));
         assert_eq!(digest(|d| Rc::new(d)), first, "{what}: stream differs run to run");
-        let fanned = digest(|d| Rc::new((Checker::new(2), (Tracer::new(2), d))));
+        let fanned = digest(|d| Rc::new((Checker::new(2), (Tracer::metrics_only(2), d))));
         assert_eq!(fanned, first, "{what}: stream differs beside the checker and tracer");
         assert_eq!(first, pin, "{what}: event stream digest moved");
     }

@@ -255,7 +255,7 @@ fn checker_beside_a_tracer_sees_what_it_sees_alone() {
     let spec = seeded(3, TSP, SeededBug::DropNoticeClock);
     let observe = |checked: bool, traced: bool| {
         let check = checked.then(|| Checker::new(spec.n));
-        let trace = traced.then(|| Tracer::new(spec.n));
+        let trace = traced.then(|| Tracer::metrics_only(spec.n));
         let _ = launch_with(&spec, check.clone(), trace.clone());
         (
             check.map(|c| c.violations()),
