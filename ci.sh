@@ -88,6 +88,12 @@ cargo build --release
 echo "==> cargo test (workspace)"
 cargo test -q
 
+# benchmark/ is a workspace of its own that pins part of the facade's
+# surface (carlos::trace::json among it); compile it so a change that
+# breaks that surface fails here, not only when the benchmark runs.
+echo "==> cargo check benchmark/"
+cargo check --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy -D warnings (every crate, and the facade's bin, examples and tests)"
 cargo clippy -p carlos-util -p carlos-sim -p carlos-lrc -p carlos-core \
     -p carlos-sync -p carlos-check -p carlos-trace -p carlos-apps -p carlos-bench \
@@ -153,6 +159,18 @@ if ! diff BENCH_footprint.json target/BENCH_footprint.json; then
         "cp target/BENCH_footprint.json BENCH_footprint.json and commit it" >&2
     exit 1
 fi
+
+echo "==> docs (EXPERIMENTS.md and README.md tables rendered from BENCH_paper.json)"
+# Every measured table of the two documents sits in a generated region;
+# the committed documents must be exactly what the renderer makes of the
+# committed report.
+cargo run --release -q --bin carlos-repro -- docs target/docs
+for doc in EXPERIMENTS.md README.md; do
+    if ! diff "$doc" "target/docs/$doc"; then
+        echo "$doc differs from its rendering: cp target/docs/$doc $doc and commit it" >&2
+        exit 1
+    fi
+done
 
 echo "==> serve profile (DSM-backed KV serving under open-loop traffic)"
 # Store/workload/client/orchestration unit tests: exact fault-free

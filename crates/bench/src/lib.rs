@@ -2,7 +2,9 @@
 //! the ablations beyond it, from one table of row specs:
 //! `cargo run --release --example report` runs [`report::run_report`] and
 //! writes `BENCH_paper.json` plus a Markdown report, and with
-//! `CARLOS_REPORT_FOOTPRINT` set the heap ledger of [`footprint`]. Host
+//! `CARLOS_REPORT_FOOTPRINT` set the heap ledger of [`footprint`];
+//! [`docs`] renders EXPERIMENTS.md's and README.md's tables from the
+//! committed report (`carlos-repro docs <dir>`). Host
 //! wall-clock micro-benchmarks of the hot paths are the `wallclock` bench
 //! target.
 //!
@@ -13,5 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod docs;
 pub mod footprint;
 pub mod report;

@@ -13,7 +13,10 @@
 //!   §5.4's per-notice cost, and the per-message-class cost attribution the
 //!   paper only reports as microcosts; then the §5.4 [`Microcosts`] block
 //!   and the serving rows;
-//! - Markdown ([`to_markdown`]) — the same, side by side with the paper.
+//! - Markdown ([`to_markdown`], one function per section) — the same, side
+//!   by side with the paper, rendered from the document decoded back
+//!   ([`decode`]), which is also how EXPERIMENTS.md's and README.md's
+//!   tables are made ([`crate::docs`]).
 //!
 //! Scale comes from [`ReportOptions`]: paper-scale configurations by
 //! default, [`Scale::Quick`] when `CARLOS_REPORT_QUICK=1` (CI runs quick
@@ -29,7 +32,8 @@ use carlos_apps::{
 use carlos_core::{Annotation, CoreConfig, MsgClass, Runtime};
 use carlos_lrc::LrcConfig;
 use carlos_sim::{Bucket, Cluster, SimConfig, SimError};
-use carlos_trace::{JsonValue, Tracer};
+use carlos_trace::Tracer;
+use carlos_util::json::{self, JsonValue};
 
 /// Scale and scope of one report run.
 #[derive(Debug, Clone)]
@@ -181,7 +185,7 @@ pub struct PaperRow {
 
 /// The paper's Tables 1–3 reference values for one (application, variant,
 /// cluster size) cell.
-fn paper_row(app: &str, variant: &str, n: usize) -> Option<PaperRow> {
+pub(crate) fn paper_row(app: &str, variant: &str, n: usize) -> Option<PaperRow> {
     let (time_s, speedup, messages, avg_bytes, util) = match (app, variant, n) {
         ("TSP", "Lock", 2) => (52.3, 1.64, 5_838, 133, 0.01),
         ("TSP", "Lock", 3) => (39.7, 2.16, 8_626, 168, 0.03),
@@ -602,11 +606,10 @@ pub(crate) fn serve_specs(opts: &ReportOptions) -> Vec<Spec> {
         .collect()
 }
 
-/// Renders the serving rows as a Markdown table.
+/// The serving rows as a Markdown table.
 #[must_use]
 pub fn serve_markdown(rows: &[ServeRow]) -> String {
-    let mut out = String::from("\n## Serving (KV)\n\n");
-    out.push_str(
+    let mut out = String::from(
         "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest |\n\
          |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
     );
@@ -725,25 +728,259 @@ pub fn to_json(
     out
 }
 
-/// Renders the rows as a Markdown report: one summary table in the
-/// paper's column layout; the per-class cost attribution and per-granule
-/// demand traffic for the largest cluster size of every (application,
-/// variant); Figure 2 and §5.4's per-notice cost for the paper's variants
-/// at their largest cluster size; and every ablation row beside its base
-/// row.
+/// A report as `BENCH_paper.json` holds it: the arguments [`to_json`]
+/// rendered, decoded back by [`decode`].
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// One row per (application, variant, cluster size).
+    pub rows: Vec<ReportRow>,
+    /// The §5.4 microcosts block, if the document has one.
+    pub micro: Option<Microcosts>,
+    /// The serving rows.
+    pub serve: Vec<ServeRow>,
+    /// Scale and scope of the run that wrote the document.
+    pub opts: ReportOptions,
+}
+
+/// Parses a `BENCH_paper.json` document and decodes it into the rows that
+/// rendered it. Labels must be ones the report writes (an application,
+/// variant or message-class name it knows), so each decodes to the same
+/// `'static` label. Numbers come back at the precision [`to_json`] writes:
+/// rendering the decoded report again gives the same document.
+///
+/// # Errors
+///
+/// A document that does not parse, or a missing, mistyped or unknown
+/// member, named with its row.
+pub fn decode(text: &str) -> Result<Report, String> {
+    let doc = json::parse(text).map_err(|e| format!("report JSON does not parse: {e}"))?;
+    let top = Fields(&doc, "report".into());
+    let array = |key: &str| -> Result<&[JsonValue], String> {
+        top.get(key)?.as_array().ok_or_else(|| format!("report: {key} is not an array"))
+    };
+    let micro = match doc.get("microcosts") {
+        Some(m) => {
+            let m = Fields(m, "microcosts".into());
+            Some(Microcosts {
+                messages: u32::try_from(m.u64("messages")?).map_err(|e| e.to_string())?,
+                none_us: m.f64("none_us")?,
+                request_us: m.f64("request_us")?,
+                release_us: m.f64("release_us")?,
+            })
+        }
+        None => None,
+    };
+    let quick = match top.get("quick_mode")? {
+        JsonValue::Bool(quick) => *quick,
+        _ => return Err("report: quick_mode is not a boolean".into()),
+    };
+    Ok(Report {
+        rows: array("rows")?.iter().enumerate().map(decode_row).collect::<Result<_, _>>()?,
+        micro,
+        serve: array("serve_rows")?
+            .iter()
+            .enumerate()
+            .map(decode_serve_row)
+            .collect::<Result<_, _>>()?,
+        opts: ReportOptions {
+            scale: if quick { Scale::Quick } else { Scale::Paper },
+            max_nodes: top.usize("max_nodes")?,
+        },
+    })
+}
+
+/// The members of one JSON object, and what to call it in an error.
+struct Fields<'a>(&'a JsonValue, String);
+
+impl Fields<'_> {
+    fn get(&self, key: &str) -> Result<&JsonValue, String> {
+        self.0.get(key).ok_or_else(|| format!("{}: no {key}", self.1))
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)?.as_f64().ok_or_else(|| format!("{}: {key} is not a number", self.1))
+    }
+
+    /// A count: a whole, non-negative number an `f64` holds exactly.
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        let v = self.f64(key)?;
+        if v.fract() != 0.0 || !(0.0..=9_007_199_254_740_992.0).contains(&v) {
+            return Err(format!("{}: {key} = {v} is not a count", self.1));
+        }
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        Ok(v as u64)
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        usize::try_from(self.u64(key)?).map_err(|e| format!("{}: {key}: {e}", self.1))
+    }
+
+    /// The text member `key`, which must be one of `known`.
+    fn label(
+        &self,
+        key: &str,
+        known: impl IntoIterator<Item = &'static str>,
+    ) -> Result<&'static str, String> {
+        let text =
+            self.get(key)?.as_str().ok_or_else(|| format!("{}: {key} is not a string", self.1))?;
+        known
+            .into_iter()
+            .find(|k| *k == text)
+            .ok_or_else(|| format!("{}: unknown {key} {text:?}", self.1))
+    }
+}
+
+fn decode_row((i, row): (usize, &JsonValue)) -> Result<ReportRow, String> {
+    let f = Fields(row, format!("rows[{i}]"));
+    let app = f.label("app", SPECS.iter().map(|s| s.app.name()))?;
+    let labels = || SPECS.iter().map(|s| s.label);
+    let classes = f
+        .get("classes")?
+        .as_array()
+        .ok_or_else(|| format!("rows[{i}]: classes is not an array"))?
+        .iter()
+        .enumerate()
+        .map(|(j, c)| {
+            let c = Fields(c, format!("rows[{i}].classes[{j}]"));
+            Ok(ClassCost {
+                class: c.label("class", MsgClass::ALL.iter().map(|m| m.name()))?,
+                sent: c.u64("sent")?,
+                dispatched: c.u64("dispatched")?,
+                bytes: c.u64("bytes")?,
+                cost_ns: c.u64("cost_ns")?,
+                mean_latency_ns: c.u64("mean_latency_ns")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    let paper = match f.get("paper")? {
+        JsonValue::Null => None,
+        p => {
+            let p = Fields(p, format!("rows[{i}].paper"));
+            Some(PaperRow {
+                time_s: p.f64("time_s")?,
+                speedup: p.f64("speedup")?,
+                messages: p.u64("messages")?,
+                avg_bytes: p.u64("avg_bytes")?,
+                util: p.f64("utilization")?,
+            })
+        }
+    };
+    let mut buckets = [0.0; 4];
+    for (secs, b) in buckets.iter_mut().zip(Bucket::ALL) {
+        *secs = f.f64(&format!("bucket_{}_s", b.name().to_lowercase()))?;
+    }
+    Ok(ReportRow {
+        app,
+        variant: f.label("variant", labels())?,
+        base: f.label("speedup_base", labels())?,
+        n: f.usize("n")?,
+        secs: f.f64("time_s")?,
+        speedup: f.f64("speedup")?,
+        messages: f.u64("messages")?,
+        avg_bytes: f.u64("avg_bytes")?,
+        util: f.f64("utilization")?,
+        buckets,
+        notices_applied: f.u64("notices_applied")?,
+        classes,
+        fetch_diffs: f.u64("fetch_diffs")?,
+        fetch_pages: f.u64("fetch_pages")?,
+        granule_fine_fetches: f.u64("granule_fine_fetches")?,
+        granule_fine_bytes: f.u64("granule_fine_bytes")?,
+        granule_page_fetches: f.u64("granule_page_fetches")?,
+        granule_page_bytes: f.u64("granule_page_bytes")?,
+        granule_bulk_fetches: f.u64("granule_bulk_fetches")?,
+        granule_bulk_bytes: f.u64("granule_bulk_bytes")?,
+        wait_lock_ns: f.u64("wait_lock_ns")?,
+        wait_barrier_ns: f.u64("wait_barrier_ns")?,
+        paper,
+    })
+}
+
+fn decode_serve_row((i, row): (usize, &JsonValue)) -> Result<ServeRow, String> {
+    let f = Fields(row, format!("serve_rows[{i}]"));
+    let variants = [Traffic::Steady, Traffic::Chaos].map(|t| App::Serve(t).name());
+    Ok(ServeRow {
+        variant: f.label("variant", variants)?,
+        n: f.usize("n")?,
+        secs: f.f64("time_s")?,
+        ops_per_sec: f.f64("ops_per_sec")?,
+        attempted: f.u64("attempted")?,
+        completed: f.u64("completed")?,
+        timed_out: f.u64("timed_out")?,
+        p50_ns: f.u64("p50_ns")?,
+        p99_ns: f.u64("p99_ns")?,
+        p999_ns: f.u64("p999_ns")?,
+        bytes_per_op: f.u64("bytes_per_op")?,
+        messages: f.u64("messages")?,
+        util: f.f64("utilization")?,
+        yield_fraction: f.f64("yield")?,
+        harvest: f.f64("harvest")?,
+        cas_done: f.u64("cas_done")?,
+        mirror_mismatches: f.u64("mirror_mismatches")?,
+        host_seconds: f.f64("host_seconds")?,
+    })
+}
+
+/// Renders a report as Markdown: each section's heading over its table —
+/// the paper's Tables 1–3 layout for every row, the per-class cost
+/// attribution and per-granule demand traffic, Figure 2, §5.4's
+/// per-notice cost, every ablation beside its base row, then the
+/// microcosts and the serving rows when the report has them.
 #[must_use]
-pub fn to_markdown(rows: &[ReportRow]) -> String {
-    let mut out = String::from("## Paper tables, regenerated\n\n");
-    out.push_str(
-        "| App | Version | N | Time(s) | Speedup | Msgs | Avg(B) | Util | paper T(s) | paper spd |\n\
-         |---|---|--:|--:|--:|--:|--:|--:|--:|--:|\n",
+pub fn to_markdown(report: &Report) -> String {
+    let rows = &report.rows;
+    let mut sections = vec![
+        ("Paper tables, regenerated", paper_table_markdown(rows)),
+        ("Per-message-class cost attribution (largest cluster)", class_cost_markdown(rows)),
+        ("Per-granule-class demand traffic (largest cluster)", granule_markdown(rows)),
+    ];
+    if !paper_variants_at_largest(rows).is_empty() {
+        sections.push(("Figure 2 — execution breakdown", figure2_markdown(rows)));
+        let per_notice = per_notice_markdown(rows);
+        sections.push(("§5.4 — consistency overhead per write notice", per_notice));
+    }
+    if rows.iter().any(|r| r.base != r.variant) {
+        sections.push(("Ablations against their base rows", contrast_markdown(rows)));
+    }
+    if let Some(m) = &report.micro {
+        sections.push(("§5.4 — annotation microcosts", microcosts_markdown(m)));
+    }
+    if !report.serve.is_empty() {
+        sections.push(("Serving (KV)", serve_markdown(&report.serve)));
+    }
+    let mut out = String::new();
+    for (heading, body) in sections {
+        out.push_str(&format!("## {heading}\n\n{body}\n"));
+    }
+    out
+}
+
+/// Tables 1–3's layout for every row: time, speedup, messages, average
+/// size and utilisation, measured and — where the paper reports the cell —
+/// the paper's.
+#[must_use]
+pub fn paper_table_markdown(rows: &[ReportRow]) -> String {
+    let mut out = String::from(
+        "| App | Version | N | Time(s) | Speedup | Msgs | Avg(B) | Util | \
+         paper T(s) | paper spd | paper msgs | paper avg(B) | paper util |\n\
+         |---|---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
     );
     for r in rows {
-        let (pt, ps) = r.paper.as_ref().map_or(("-".into(), "-".into()), |p| {
-            (format!("{:.1}", p.time_s), format!("{:.2}", p.speedup))
-        });
+        let paper = r.paper.as_ref().map_or_else(
+            || "- | - | - | - | -".to_string(),
+            |p| {
+                format!(
+                    "{:.1} | {:.2} | {} | {} | {:.0}%",
+                    p.time_s,
+                    p.speedup,
+                    p.messages,
+                    p.avg_bytes,
+                    p.util * 100.0
+                )
+            },
+        );
         out.push_str(&format!(
-            "| {} | {} | {} | {:.2} | {:.2} | {} | {} | {:.1}% | {} | {} |\n",
+            "| {} | {} | {} | {:.2} | {:.2} | {} | {} | {:.1}% | {paper} |\n",
             r.app,
             r.variant,
             r.n,
@@ -752,24 +989,30 @@ pub fn to_markdown(rows: &[ReportRow]) -> String {
             r.messages,
             r.avg_bytes,
             r.util * 100.0,
-            pt,
-            ps
         ));
     }
-    out.push_str("\n## Per-message-class cost attribution (largest cluster)\n\n");
-    out.push_str(
+    out
+}
+
+/// The rows of each (application, variant) at the largest cluster size it
+/// reaches among `rows`.
+fn largest(rows: &[ReportRow]) -> impl Iterator<Item = &ReportRow> {
+    rows.iter().filter(|r| {
+        rows.iter()
+            .filter(|o| (o.app, o.variant) == (r.app, r.variant))
+            .all(|o| o.n <= r.n)
+    })
+}
+
+/// Per-message-class sends, bytes, protocol cost and latency of each
+/// (application, variant) at its largest cluster size.
+#[must_use]
+pub fn class_cost_markdown(rows: &[ReportRow]) -> String {
+    let mut out = String::from(
         "| App | Version | Class | Sent | Bytes | Cost(ms) | Mean latency(us) |\n\
          |---|---|---|--:|--:|--:|--:|\n",
     );
-    let largest: Vec<&ReportRow> = rows
-        .iter()
-        .filter(|r| {
-            rows.iter()
-                .filter(|o| (o.app, o.variant) == (r.app, r.variant))
-                .all(|o| o.n <= r.n)
-        })
-        .collect();
-    for r in &largest {
+    for r in largest(rows) {
         for c in &r.classes {
             out.push_str(&format!(
                 "| {} | {} | {} | {} | {} | {:.3} | {:.1} |\n",
@@ -783,12 +1026,19 @@ pub fn to_markdown(rows: &[ReportRow]) -> String {
             ));
         }
     }
-    out.push_str("\n## Per-granule-class demand traffic (largest cluster)\n\n");
-    out.push_str(
-        "| App | Version | Fine fetches | Fine B | Page fetches | Page B | Bulk fetches | Bulk B |\n\
+    out
+}
+
+/// Demand fetches and their bytes per granule class of each (application,
+/// variant) at its largest cluster size.
+#[must_use]
+pub fn granule_markdown(rows: &[ReportRow]) -> String {
+    let mut out = String::from(
+        "| App | Version | Fine fetches | Fine B | Page fetches | Page B | Bulk fetches | \
+         Bulk B |\n\
          |---|---|--:|--:|--:|--:|--:|--:|\n",
     );
-    for r in &largest {
+    for r in largest(rows) {
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} | {} | {} |\n",
             r.app,
@@ -801,44 +1051,53 @@ pub fn to_markdown(rows: &[ReportRow]) -> String {
             r.granule_bulk_bytes
         ));
     }
-    paper_figures_markdown(rows, &mut out);
-    contrast_markdown(rows, &mut out);
     out
 }
 
-/// Figure 2 and the per-notice table: the paper's own variants (rows with
-/// a paper reference and their own speedup base) at the largest cluster
-/// size they reach.
-fn paper_figures_markdown(rows: &[ReportRow], out: &mut String) {
+/// The paper's own variants (rows with a paper reference and their own
+/// speedup base) at the largest cluster size they reach: Figure 2's and
+/// the per-notice table's rows.
+fn paper_variants_at_largest(rows: &[ReportRow]) -> Vec<&ReportRow> {
     let paper_variant = |r: &&ReportRow| r.paper.is_some() && r.base == r.variant;
-    let Some(n) = rows.iter().filter(paper_variant).map(|r| r.n).max() else {
-        return;
-    };
-    let at_n: Vec<&ReportRow> = rows.iter().filter(paper_variant).filter(|r| r.n == n).collect();
-    out.push_str(&format!(
-        "\n## Figure 2 — execution breakdown on {n} nodes\n\n\
-         Average seconds per node over the whole run; Time(s) ends at the last \
+    let n = rows.iter().filter(paper_variant).map(|r| r.n).max();
+    rows.iter().filter(paper_variant).filter(|r| Some(r.n) == n).collect()
+}
+
+/// Figure 2: the paper's variants' time buckets at the largest cluster
+/// size.
+#[must_use]
+pub fn figure2_markdown(rows: &[ReportRow]) -> String {
+    let mut out = String::from(
+        "Average seconds per node over the whole run; Time(s) ends at the last \
          node's `app.done_ns`, before node 0 reads the result back, so the \
          buckets can sum past it.\n\n\
-         | App | Version | User | Unix | CarlOS | Idle | Time(s) | paper T(s) |\n\
-         |---|---|--:|--:|--:|--:|--:|--:|\n"
-    ));
-    for r in &at_n {
+         | App | Version | N | User | Unix | CarlOS | Idle | Time(s) | paper T(s) |\n\
+         |---|---|--:|--:|--:|--:|--:|--:|--:|\n",
+    );
+    for r in paper_variants_at_largest(rows) {
         let [user, unix, carlos, idle] = r.buckets;
         let paper = r.paper.map_or(0.0, |p| p.time_s);
         out.push_str(&format!(
-            "| {} | {} | {user:.1} | {unix:.1} | {carlos:.1} | {idle:.1} | {:.1} | {paper:.1} |\n",
-            r.app, r.variant, r.secs
+            "| {} | {} | {} | {user:.1} | {unix:.1} | {carlos:.1} | {idle:.1} | {:.1} | \
+             {paper:.1} |\n",
+            r.app, r.variant, r.n, r.secs
         ));
     }
-    out.push_str(&format!(
-        "\n## §5.4 — consistency overhead per write notice on {n} nodes\n\n\
-         CarlOS-bucket time of all nodes over the write notices they applied \
+    out
+}
+
+/// §5.4's consistency overhead per write notice: the paper's variants'
+/// CarlOS-bucket time over the notices they applied, at the largest
+/// cluster size.
+#[must_use]
+pub fn per_notice_markdown(rows: &[ReportRow]) -> String {
+    let mut out = String::from(
+        "CarlOS-bucket time of all nodes over the write notices they applied \
          (n/a below 100 notices: almost no shared-memory traffic).\n\n\
-         | App | Version | Notices | µs/notice | paper µs |\n\
-         |---|---|--:|--:|--:|\n"
-    ));
-    for r in &at_n {
+         | App | Version | N | Notices | µs/notice | paper µs |\n\
+         |---|---|--:|--:|--:|--:|\n",
+    );
+    for r in paper_variants_at_largest(rows) {
         #[allow(clippy::cast_precision_loss)]
         let measured = if r.notices_applied < 100 {
             "n/a".to_string()
@@ -848,31 +1107,26 @@ fn paper_figures_markdown(rows: &[ReportRow], out: &mut String) {
         };
         let paper = paper_per_notice_us(r.app, r.variant).map_or("-".into(), |p| format!("{p:.0}"));
         out.push_str(&format!(
-            "| {} | {} | {} | {measured} | {paper} |\n",
-            r.app, r.variant, r.notices_applied
+            "| {} | {} | {} | {} | {measured} | {paper} |\n",
+            r.app, r.variant, r.n, r.notices_applied
         ));
     }
+    out
 }
 
-/// Every ablation row beside its base row of the same size.
-fn contrast_markdown(rows: &[ReportRow], out: &mut String) {
-    let pairs: Vec<(&ReportRow, &ReportRow)> = rows
-        .iter()
-        .filter(|r| r.base != r.variant)
-        .filter_map(|r| {
-            let base = rows.iter().find(|b| (b.app, b.variant, b.n) == (r.app, r.base, r.n))?;
-            Some((r, base))
-        })
-        .collect();
-    if pairs.is_empty() {
-        return;
-    }
-    out.push_str(
-        "\n## Ablations against their base rows\n\n\
-         | App | Row | Base | N | Base T(s) | T(s) | Δ time | Base msgs | Msgs | \
+/// Every ablation row among `rows` beside its base row of the same size
+/// (when `rows` has it).
+#[must_use]
+pub fn contrast_markdown(rows: &[ReportRow]) -> String {
+    let mut out = String::from(
+        "| App | Row | Base | N | Base T(s) | T(s) | Δ time | Base msgs | Msgs | \
          Base fetches | Fetches | paper Δ |\n\
          |---|---|---|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
     );
+    let pairs = rows.iter().filter(|r| r.base != r.variant).filter_map(|r| {
+        let base = rows.iter().find(|b| (b.app, b.variant, b.n) == (r.app, r.base, r.n))?;
+        Some((r, base))
+    });
     for (r, b) in pairs {
         out.push_str(&format!(
             "| {} | {} | {} | {} | {:.2} | {:.2} | {:+.1}% | {} | {} | {} | {} | {} |\n",
@@ -890,14 +1144,15 @@ fn contrast_markdown(rows: &[ReportRow], out: &mut String) {
             paper_contrast(r.app, r.variant)
         ));
     }
+    out
 }
 
-/// Renders the microcosts block as a Markdown table.
+/// §5.4's annotation microcosts, measured beside the paper's.
 #[must_use]
 pub fn microcosts_markdown(m: &Microcosts) -> String {
     format!(
-        "\n## §5.4 — annotation microcosts ({} messages, 2 nodes)\n\n\
-         CarlOS-bucket time per message, sender and receiver together.\n\n\
+        "CarlOS-bucket time per message, sender and receiver together, over \
+         a two-node stream of {} messages.\n\n\
          | Quantity | Measured (µs) | Paper |\n\
          |---|--:|---|\n\
          | NONE | {:.1} | - |\n\
@@ -932,7 +1187,7 @@ const GATED: [(&str, &[&str], &[&str]); 2] = [
 /// document that does not parse.
 pub fn row_gate(report_json: &str, baseline_json: &str) -> Result<Vec<String>, String> {
     let parse = |what: &str, text: &str| {
-        carlos_trace::json::parse(text).map_err(|e| format!("{what} JSON does not parse: {e}"))
+        json::parse(text).map_err(|e| format!("{what} JSON does not parse: {e}"))
     };
     let (fresh, base) = (parse("report", report_json)?, parse("baseline", baseline_json)?);
     let mut lines = Vec::new();
@@ -1027,13 +1282,18 @@ mod tests {
         }
     }
 
-    /// A 2-node quick report end to end: every cell runs, the JSON is
-    /// valid (checked with carlos-trace's own parser), and the class
-    /// ledgers are populated and self-consistent.
+    /// A 2-node quick report end to end: every cell runs, the class
+    /// ledgers are populated and self-consistent, and the document — rows,
+    /// microcosts and serving rows — decodes back into what rendered it:
+    /// rendering the decoded report gives the same document, so every
+    /// field of every row, class ledgers and paper values included, comes
+    /// back at the precision the document holds.
     #[test]
     fn quick_report_rows_and_json_are_consistent() {
         let opts = quick(2);
         let rows = run_report(SPECS, &opts).expect("quick report runs clean");
+        let micro = run_microcosts().expect("streams run clean");
+        let serve = run_serve_rows(&opts).expect("serve rows run clean");
         // 7 legacy (app, variant) groups, 4 variable-granularity groups and
         // the SOR update group, × 2 cluster sizes; the TSP Lock and SOR
         // 8-node rows; 11 ablations at the largest size only.
@@ -1066,25 +1326,13 @@ mod tests {
         assert_eq!(h2.base, "Hybrid-1");
         assert!((h2.speedup - h1.secs / h2.secs).abs() < 1e-12, "{}", h2.speedup);
         assert!(h2.paper.is_none(), "the paper reports Hybrid-2 at four nodes only");
-        let json = to_json(&rows, None, &[], &opts);
-        let doc = carlos_trace::json::parse(&json).expect("report JSON parses");
-        let parsed = doc
-            .get("rows")
-            .and_then(carlos_trace::JsonValue::as_array)
-            .expect("rows array");
-        assert_eq!(parsed.len(), rows.len());
-        let h2_json = parsed
-            .iter()
-            .find(|r| r.get("variant").and_then(JsonValue::as_str) == Some("Hybrid-2"))
-            .expect("Hybrid-2 row");
-        assert_eq!(h2_json.get("speedup_base").and_then(JsonValue::as_str), Some("Hybrid-1"));
-        for field in ["user", "unix", "carlos", "idle"].map(|b| format!("bucket_{b}_s")) {
-            assert!(h2_json.get(&field).and_then(JsonValue::as_f64).is_some(), "{field}");
-        }
-        #[allow(clippy::cast_precision_loss)]
-        let notices = h2.notices_applied as f64;
-        assert_eq!(h2_json.get("notices_applied").and_then(JsonValue::as_f64), Some(notices));
-        let md = to_markdown(&rows);
+        let json = to_json(&rows, Some(&micro), &serve, &opts);
+        let report = decode(&json).expect("the report decodes");
+        assert_eq!((report.rows.len(), report.serve.len()), (rows.len(), serve.len()));
+        let again = to_json(&report.rows, report.micro.as_ref(), &report.serve, &report.opts);
+        assert_eq!(again, json, "decoding lost or changed a field");
+        assert!(decode(&json.replacen("\"Hybrid-2\"", "\"Hybrid-3\"", 1)).is_err());
+        let md = to_markdown(&report);
         assert!(md.contains("| TSP |") && md.contains("| SOR |"));
         assert!(md.contains("Per-granule-class demand traffic"));
         assert!(md.contains("## Figure 2") && md.contains("per write notice"));
@@ -1112,7 +1360,7 @@ mod tests {
         let md = microcosts_markdown(&m);
         assert!(md.contains("| REQUEST − NONE | 10.0 |"), "{md}");
         let json = to_json(&[], Some(&m), &[], &quick(2));
-        let doc = carlos_trace::json::parse(&json).expect("microcosts JSON parses");
+        let doc = json::parse(&json).expect("microcosts JSON parses");
         assert!(doc.get("microcosts").and_then(|b| b.get("none_us")).is_some());
     }
 
@@ -1242,7 +1490,8 @@ mod tests {
             assert!(sent >= r.messages, "{} n=8: {sent} on the ledger", r.app);
             assert_eq!(sent, dispatched, "{} n=8 lost messages", r.app);
         }
-        let md = to_markdown(&rows);
+        let report = Report { rows, micro: None, serve: Vec::new(), opts: quick(2) };
+        let md = to_markdown(&report);
         let cost_table = md
             .split("## Per-message-class cost attribution")
             .nth(1)
@@ -1338,7 +1587,7 @@ mod tests {
     /// The quick serve rows run clean — the fault-free row at
     /// yield 1.0 with a clean server mirror, the chaos row shedding load
     /// with every drop attributed — the JSON round-trips through
-    /// carlos-trace's parser, and the row gate passes a run against its
+    /// the workspace's JSON parser, and the row gate passes a run against its
     /// own output.
     #[test]
     fn serve_rows_run_gate_and_render() {
@@ -1361,11 +1610,8 @@ mod tests {
         );
 
         let json = to_json(&[], None, &serve, &opts);
-        let doc = carlos_trace::json::parse(&json).expect("serve JSON parses");
-        let parsed = doc
-            .get("serve_rows")
-            .and_then(carlos_trace::JsonValue::as_array)
-            .expect("serve_rows array");
+        let doc = json::parse(&json).expect("serve JSON parses");
+        let parsed = doc.get("serve_rows").and_then(JsonValue::as_array).expect("serve_rows array");
         assert_eq!(parsed.len(), serve.len());
 
         let lines = row_gate(&json, &json).expect("self-comparison passes");

@@ -2,7 +2,7 @@
 
 use carlos_apps::{App, Reference, Spec, Tweak};
 use carlos_sim::time::us;
-use carlos_trace::json_string;
+use carlos_util::json::json_string;
 
 use crate::explorer::{fingerprint, Counterexample, ExploreConfig, ExploreResult};
 use crate::harness::{base_sim, observe, planned, RunStatus};
@@ -238,7 +238,7 @@ mod tests {
             shrink_executions: 4,
             counterexample: Some("0->2#7+5000ns".into()),
         };
-        let parsed = carlos_trace::json::parse(&s.json_line()).expect("valid json");
+        let parsed = carlos_util::json::parse(&s.json_line()).expect("valid json");
         assert_eq!(parsed.get("app").and_then(|v| v.as_str()), Some("tsp"));
         assert_eq!(parsed.get("executions").and_then(|v| v.as_f64()), Some(12.0));
         assert_eq!(
@@ -263,7 +263,7 @@ mod tests {
             counterexample: None,
         };
         assert!(!s.failed());
-        let parsed = carlos_trace::json::parse(&s.json_line()).expect("valid json");
+        let parsed = carlos_util::json::parse(&s.json_line()).expect("valid json");
         assert!(parsed.get("counterexample").is_some());
     }
 }

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 mod metrics;
 
 use std::{cell::RefCell, collections::BTreeMap, collections::VecDeque, fmt, rc::Rc};
@@ -48,7 +47,9 @@ use carlos_sim::{
 };
 use carlos_util::event::{CostPhase, Event, FetchKind, GranuleClass, MsgClass, Sink};
 
-pub use json::{json_string, JsonValue};
+/// The workspace's JSON module, re-exported because `benchmark/` imports it
+/// as `carlos::trace::json`.
+pub use carlos_util::json;
 pub use metrics::{Metrics, VtHistogram};
 
 /// Identity of one transport data frame: the causal flow id. Unique per

@@ -8,6 +8,7 @@
 use std::collections::BTreeMap;
 
 use carlos_sim::Ns;
+use carlos_util::json::json_string;
 
 /// Power-of-two-bucketed histogram of virtual-time durations (ns).
 ///
@@ -192,7 +193,7 @@ impl Metrics {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("{}:{}", crate::json_string(k), v));
+            out.push_str(&format!("{}:{}", json_string(k), v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.hists.iter().enumerate() {
@@ -201,7 +202,7 @@ impl Metrics {
             }
             out.push_str(&format!(
                 "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{}}}",
-                crate::json_string(k),
+                json_string(k),
                 h.count(),
                 h.sum(),
                 h.min(),

@@ -13,7 +13,8 @@ const ARQ: AckMode = AckMode::Arq {
     rto: ms(20),
 };
 use carlos_sync::{BarrierSpec, LockSpec};
-use carlos_trace::{json, JsonValue, Tracer};
+use carlos_trace::json::{self, JsonValue};
+use carlos_trace::Tracer;
 
 /// Two nodes increment a shared counter under a lock, then meet at a
 /// barrier; node 1's reads demand-fetch node 0's writes. Exercises every

@@ -1,9 +1,9 @@
-//! Minimal hand-rolled JSON: a string escaper and a parser.
+//! The workspace's one JSON module: a string escaper and a parser.
 //!
-//! Exists so the workspace's JSON documents (metrics, report rows,
-//! explorer summaries) can be written, validated and read back without
-//! pulling a serde dependency into the workspace. The parser supports the
-//! full JSON grammar: objects, arrays, strings (with the escape set
+//! The workspace's JSON documents (metrics, report rows, explorer
+//! summaries, the footprint ledger) escape their strings and are read back
+//! here, with no serde dependency. The parser accepts exactly RFC 8259's grammar:
+//! objects, arrays, strings (with the escape set
 //! `\" \\ \/ \n \r \t \b \f \uXXXX`), numbers, booleans, and null.
 
 use std::collections::BTreeMap;
@@ -300,29 +300,43 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("digits are ASCII");
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// One or more decimal digits: JSON has no empty integer, fraction or
+    /// exponent part.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err("expected a digit"));
+        }
+        Ok(())
     }
 }
 
@@ -355,7 +369,9 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"abc", "1 2", "{'a':1}"] {
+        for bad in [
+            "", "{", "[1,", "{\"a\":}", "tru", "\"abc", "1 2", "{'a':1}", "01", "1.", "-.5", "1.e3",
+        ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
     }

@@ -13,6 +13,8 @@
 //!   emits, and the [`event::Sink`] trait its consumers (the checker, the
 //!   tracer) implement.
 //! - [`cases`] — the seeded case runner every property test runs on.
+//! - [`json`] — the workspace's one JSON module: a string escaper and a
+//!   strict parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,4 +22,5 @@
 pub mod cases;
 pub mod codec;
 pub mod event;
+pub mod json;
 pub mod rng;

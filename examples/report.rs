@@ -2,8 +2,8 @@
 //! evaluation — Tables 1–3 (plus SOR) across 1–4 nodes, Figure 2, §5.4's
 //! microcosts, per-notice costs and all-RELEASE runs, §5's TreadMarks-style
 //! dispatch — and the ablations beyond it, every row traced, writing
-//! `BENCH_paper.json` and printing a Markdown report with per-message-class
-//! cost attribution. TSP Lock and SOR also run at 8 nodes, extending the
+//! `BENCH_paper.json` and printing a Markdown report, with per-message-class
+//! cost attribution, rendered from the document it wrote. TSP Lock and SOR also run at 8 nodes, extending the
 //! scaling tables past the paper's testbed. Appends the serving rows
 //! (`carlos::serve`): open-loop Zipfian KV traffic at 8–32 nodes (tail latency,
 //! ops/s, bytes/op) plus a chaos row reporting harvest and yield under
@@ -30,8 +30,8 @@ use std::fmt::Display;
 use carlos::apps::{launch, Scale};
 use carlos::bench::footprint::{self, Heap};
 use carlos::bench::report::{
-    microcosts_markdown, row_gate, run_microcosts, run_report, run_serve_rows, serve_markdown,
-    to_json, to_markdown, ReportOptions, SPECS,
+    decode, row_gate, run_microcosts, run_report, run_serve_rows, to_json, to_markdown,
+    ReportOptions, SPECS,
 };
 
 /// Counts this thread's heap activity. A run's procs are coroutines on the
@@ -155,7 +155,7 @@ fn main() {
         eprintln!("running the footprint ledger...");
         write_footprint(&path);
     }
-    println!("{}", to_markdown(&rows));
-    println!("{}", microcosts_markdown(&micro));
-    println!("{}", serve_markdown(&serve));
+    // The Markdown comes from the document just written, as the docs'
+    // tables come from the committed one.
+    print!("{}", to_markdown(&or_exit(decode(&json), "report JSON does not decode")));
 }

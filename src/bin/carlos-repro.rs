@@ -3,6 +3,8 @@
 //! ```text
 //! carlos-repro table1|table2|table3|figure2      regenerate a paper artifact
 //!                                               (CARLOS_REPORT_QUICK=1: test scale)
+//! carlos-repro docs <dir>                       EXPERIMENTS.md and README.md with their
+//!                                               tables rendered from BENCH_paper.json
 //! carlos-repro tsp    [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]
 //! carlos-repro qsort  [--nodes N] [--variant lock|hybrid1|hybrid2|noforward] [--small] [--update]
 //! carlos-repro water  [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]
@@ -17,8 +19,9 @@
 use carlos::apps::{
     launch, Answer, App, QsortVariant, Scale, Spec, Traffic, TspVariant, Tweak, WaterVariant,
 };
+use carlos::bench::docs;
 use carlos::bench::report::{
-    run_report, serve_markdown, serve_row, to_markdown, ReportOptions, SPECS,
+    decode, run_report, serve_markdown, serve_row, to_json, to_markdown, ReportOptions, SPECS,
 };
 use carlos::sim::Bucket;
 
@@ -28,6 +31,8 @@ fn usage() -> ! {
          \n\
          paper artifacts:\n\
          \x20 table1 | table2 | table3 | figure2\n\
+         \x20 docs <dir>      write EXPERIMENTS.md and README.md into <dir>, their\n\
+         \x20                 generated tables rendered from ./BENCH_paper.json\n\
          \n\
          single application runs:\n\
          \x20 tsp    [--nodes N] [--variant lock|hybrid|allrelease] [--small] [--update]\n\
@@ -122,11 +127,20 @@ fn main() {
                 .filter(|s| s.in_paper_tables() && app.is_none_or(|a| s.app.name() == a))
                 .copied()
                 .collect();
-            let rows = run_report(&specs, &ReportOptions::from_env()).unwrap_or_else(|e| {
+            let opts = ReportOptions::from_env();
+            let rows = run_report(&specs, &opts).unwrap_or_else(|e| {
                 eprintln!("{cmd} failed: {e}");
                 std::process::exit(1);
             });
-            println!("{}", to_markdown(&rows));
+            let report = decode(&to_json(&rows, None, &[], &opts)).expect("the report decodes");
+            print!("{}", to_markdown(&report));
+        }
+        "docs" => {
+            let [dir] = rest else { usage() };
+            if let Err(e) = docs::write(std::path::Path::new(dir)) {
+                eprintln!("docs failed: {e}");
+                std::process::exit(1);
+            }
         }
         "tsp" | "qsort" | "water" | "sor" | "kv" => {
             let spec = parse_spec(cmd, rest);

@@ -46,3 +46,46 @@ fn all_release_flag_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "carlos-repro {cmd} --all-release");
     }
 }
+
+/// `carlos-repro docs` run in a copy of the repository's report and
+/// documents: what it writes into `out/`.
+fn docs_from(report: &str, case: &str) -> (String, String) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(case);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temporary directory");
+    std::fs::write(dir.join("BENCH_paper.json"), report).expect("report copy");
+    for doc in ["EXPERIMENTS.md", "README.md"] {
+        std::fs::copy(root.join(doc), dir.join(doc)).expect("document copy");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_carlos-repro"))
+        .args(["docs", "out"])
+        .current_dir(&dir)
+        .output()
+        .expect("carlos-repro starts");
+    assert!(out.status.success(), "carlos-repro docs: {}", String::from_utf8_lossy(&out.stderr));
+    let read = |doc: &str| std::fs::read_to_string(dir.join("out").join(doc)).expect("written");
+    (read("EXPERIMENTS.md"), read("README.md"))
+}
+
+/// The committed documents are exactly what `carlos-repro docs` renders
+/// from the committed report, and one number changed in a row that a
+/// generated table shows (TSP Lock on four nodes, in Table 1 and in
+/// README's headline table) shows up in both documents.
+#[test]
+fn docs_are_rendered_from_the_committed_report() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |name: &str| std::fs::read_to_string(root.join(name)).expect("committed file");
+    let report = read("BENCH_paper.json");
+    let (experiments, readme) = docs_from(&report, "docs_committed");
+    assert!(experiments == read("EXPERIMENTS.md"), "EXPERIMENTS.md differs from its rendering");
+    assert!(readme == read("README.md"), "README.md differs from its rendering");
+
+    let row = "\"app\": \"TSP\", \"variant\": \"Lock\", \"n\": 4,";
+    let at = report.find(row).expect("the TSP Lock n = 4 row");
+    let messages = at + report[at..].find("\"messages\": ").expect("its messages");
+    let edited = format!("{}\"messages\": 1{}", &report[..messages], &report[messages + 12..]);
+    let (experiments, readme) = docs_from(&edited, "docs_edited");
+    assert!(experiments != read("EXPERIMENTS.md"), "an edited row left EXPERIMENTS.md as it was");
+    assert!(readme != read("README.md"), "an edited row left README.md as it was");
+}
