@@ -1282,12 +1282,95 @@ mod tests {
         }
     }
 
+    /// `x` as the document writes it, at `places` decimals.
+    fn at(places: usize, x: f64) -> String {
+        format!("{x:.places$}")
+    }
+
+    /// `decoded` is `rendered` field by field: labels and counts exactly,
+    /// each float at the precision [`to_json`] writes it.
+    fn assert_rows_decoded(rendered: &[ReportRow], decoded: &[ReportRow]) {
+        assert_eq!(decoded.len(), rendered.len());
+        for (a, b) in rendered.iter().zip(decoded) {
+            let id = format!("{}/{}/{}", a.app, a.variant, a.n);
+            assert_eq!((a.app, a.variant, a.base, a.n), (b.app, b.variant, b.base, b.n), "{id}");
+            let counts = |r: &ReportRow| {
+                [
+                    r.messages,
+                    r.avg_bytes,
+                    r.notices_applied,
+                    r.fetch_diffs,
+                    r.fetch_pages,
+                    r.granule_fine_fetches,
+                    r.granule_fine_bytes,
+                    r.granule_page_fetches,
+                    r.granule_page_bytes,
+                    r.granule_bulk_fetches,
+                    r.granule_bulk_bytes,
+                    r.wait_lock_ns,
+                    r.wait_barrier_ns,
+                ]
+            };
+            assert_eq!(counts(a), counts(b), "{id}");
+            let floats = |r: &ReportRow| [at(4, r.secs), at(3, r.speedup), at(4, r.util)];
+            assert_eq!(floats(a), floats(b), "{id}");
+            assert_eq!(a.buckets.map(|s| at(6, s)), b.buckets.map(|s| at(6, s)), "{id}");
+            let classes = |r: &ReportRow| {
+                r.classes
+                    .iter()
+                    .map(|c| (c.class, c.sent, c.dispatched, c.bytes, c.cost_ns, c.mean_latency_ns))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(classes(a), classes(b), "{id}");
+            let paper = |r: &ReportRow| {
+                r.paper.map(|p| {
+                    (at(1, p.time_s), at(2, p.speedup), p.messages, p.avg_bytes, at(2, p.util))
+                })
+            };
+            assert_eq!(paper(a), paper(b), "{id}");
+        }
+    }
+
+    /// `decoded` is `rendered` field by field, as [`assert_rows_decoded`].
+    fn assert_serve_decoded(rendered: &[ServeRow], decoded: &[ServeRow]) {
+        assert_eq!(decoded.len(), rendered.len());
+        for (a, b) in rendered.iter().zip(decoded) {
+            let id = format!("{}/{}", a.variant, a.n);
+            assert_eq!((a.variant, a.n), (b.variant, b.n), "{id}");
+            let counts = |r: &ServeRow| {
+                [
+                    r.attempted,
+                    r.completed,
+                    r.timed_out,
+                    r.p50_ns,
+                    r.p99_ns,
+                    r.p999_ns,
+                    r.bytes_per_op,
+                    r.messages,
+                    r.cas_done,
+                    r.mirror_mismatches,
+                ]
+            };
+            assert_eq!(counts(a), counts(b), "{id}");
+            let floats = |r: &ServeRow| {
+                [
+                    at(4, r.secs),
+                    at(3, r.ops_per_sec),
+                    at(4, r.util),
+                    at(6, r.yield_fraction),
+                    at(6, r.harvest),
+                    at(4, r.host_seconds),
+                ]
+            };
+            assert_eq!(floats(a), floats(b), "{id}");
+        }
+    }
+
     /// A 2-node quick report end to end: every cell runs, the class
     /// ledgers are populated and self-consistent, and the document — rows,
-    /// microcosts and serving rows — decodes back into what rendered it:
-    /// rendering the decoded report gives the same document, so every
-    /// field of every row, class ledgers and paper values included, comes
-    /// back at the precision the document holds.
+    /// microcosts and serving rows — decodes back into what rendered it,
+    /// field by field (class ledgers and paper values included) at the
+    /// precision the document holds.
     #[test]
     fn quick_report_rows_and_json_are_consistent() {
         let opts = quick(2);
@@ -1327,8 +1410,29 @@ mod tests {
         assert!((h2.speedup - h1.secs / h2.secs).abs() < 1e-12, "{}", h2.speedup);
         assert!(h2.paper.is_none(), "the paper reports Hybrid-2 at four nodes only");
         let json = to_json(&rows, Some(&micro), &serve, &opts);
+        let doc = json::parse(&json).expect("report JSON parses");
+        let h2_json = doc
+            .get("rows")
+            .and_then(JsonValue::as_array)
+            .expect("rows array")
+            .iter()
+            .find(|r| r.get("variant").and_then(JsonValue::as_str) == Some("Hybrid-2"))
+            .expect("Hybrid-2 row");
+        assert_eq!(h2_json.get("speedup_base").and_then(JsonValue::as_str), Some("Hybrid-1"));
+        for field in ["user", "unix", "carlos", "idle"].map(|b| format!("bucket_{b}_s")) {
+            assert!(h2_json.get(&field).and_then(JsonValue::as_f64).is_some(), "{field}");
+        }
+        #[allow(clippy::cast_precision_loss)]
+        let notices = h2.notices_applied as f64;
+        assert_eq!(h2_json.get("notices_applied").and_then(JsonValue::as_f64), Some(notices));
         let report = decode(&json).expect("the report decodes");
-        assert_eq!((report.rows.len(), report.serve.len()), (rows.len(), serve.len()));
+        assert_rows_decoded(&rows, &report.rows);
+        assert_serve_decoded(&serve, &report.serve);
+        let m = report.micro.expect("the microcosts decode");
+        assert_eq!(
+            (m.messages, at(3, m.none_us), at(3, m.request_us), at(3, m.release_us)),
+            (micro.messages, at(3, micro.none_us), at(3, micro.request_us), at(3, micro.release_us))
+        );
         let again = to_json(&report.rows, report.micro.as_ref(), &report.serve, &report.opts);
         assert_eq!(again, json, "decoding lost or changed a field");
         assert!(decode(&json.replacen("\"Hybrid-2\"", "\"Hybrid-3\"", 1)).is_err());
