@@ -97,13 +97,14 @@ pub struct CoreConfig {
     pub wire_header_pad: usize,
     /// Coherence strategy driven by RELEASE messages.
     pub strategy: Strategy,
-    /// When set, a page/diff fetch that makes no progress for this long
-    /// probes the serving node and — if the transport's failure detector
-    /// flags it down, or after 8 fruitless rounds — aborts the run with an
-    /// attributed [`carlos_sim::SimError::Aborted`] instead of pumping
-    /// forever. `None` (the default) keeps the historical wait-forever
-    /// behavior and adds no timer events to the run.
-    pub fetch_timeout: Option<Ns>,
+    /// When set, every bounded wait of the runtime — a page/diff fetch, and
+    /// each blocking step of a lock, barrier, semaphore or queue — that is
+    /// still unsatisfied after this long probes the peers it waits on; it
+    /// aborts the run with an attributed [`carlos_sim::SimError::Aborted`]
+    /// once the transport's failure detector flags one of them down, or
+    /// after [`crate::STALL_ROUNDS`] such rounds. `None` (the default)
+    /// waits forever and adds no timer events to the run.
+    pub stall_timeout: Option<Ns>,
     /// Variable granularity ("+vg"). When set, the applications lay their
     /// shared data out in per-region granules sized to their objects;
     /// demand fetches raised by one fault that target the same serving
@@ -148,7 +149,7 @@ impl CoreConfig {
             treadmarks_dispatch: false,
             wire_header_pad: 90,
             strategy: Strategy::Invalidate,
-            fetch_timeout: None,
+            stall_timeout: None,
             variable_granularity: false,
             #[cfg(any(test, feature = "seeded-bugs"))]
             seeded_bug: None,
@@ -175,7 +176,7 @@ impl CoreConfig {
             treadmarks_dispatch: false,
             wire_header_pad: 0,
             strategy: Strategy::Invalidate,
-            fetch_timeout: None,
+            stall_timeout: None,
             variable_granularity: false,
             #[cfg(any(test, feature = "seeded-bugs"))]
             seeded_bug: None,
@@ -205,10 +206,11 @@ impl CoreConfig {
         self
     }
 
-    /// Returns `self` with the given fetch timeout (builder style).
+    /// Returns `self` with every bounded wait armed at `timeout` per round
+    /// (builder style).
     #[must_use]
-    pub fn with_fetch_timeout(mut self, timeout: Ns) -> Self {
-        self.fetch_timeout = Some(timeout);
+    pub fn with_stall_timeout(mut self, timeout: Ns) -> Self {
+        self.stall_timeout = Some(timeout);
         self
     }
 

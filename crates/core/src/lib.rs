@@ -52,4 +52,4 @@ pub use config::{CoreConfig, Strategy};
 pub use config::SeededBug;
 pub use heap::CoherentHeap;
 pub use message::{AcceptedMsg, Consistency, Message};
-pub use runtime::{Env, Runtime};
+pub use runtime::{Env, Runtime, STALL_ROUNDS};

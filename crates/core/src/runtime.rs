@@ -51,9 +51,10 @@ pub type HandlerFn = Box<dyn FnMut(&mut Env<'_>, Message)>;
 /// information before the runtime declares a protocol bug.
 const MAX_REPAIR_ROUNDS: u32 = 64;
 
-/// How many consecutive fetch-timeout rounds a demand fetch survives
-/// before the runtime gives up even without a failure-detector verdict.
-const MAX_FETCH_ROUNDS: u32 = 8;
+/// Stall rounds a bounded wait survives: it aborts when its
+/// `STALL_ROUNDS`-th round of [`CoreConfig::stall_timeout`] ends
+/// unsatisfied, even without a failure-detector verdict.
+pub const STALL_ROUNDS: u32 = 8;
 
 struct PendingAccept {
     msg: Message,
@@ -1273,74 +1274,106 @@ impl Runtime {
 
     /// Takes the first accepted message for `handler`, if one is queued.
     pub fn try_take_accepted(&mut self, handler: u32) -> Option<AcceptedMsg> {
+        self.take_accepted_any(&[handler])
+    }
+
+    fn take_accepted_any(&mut self, handlers: &[u32]) -> Option<AcceptedMsg> {
         self.poll();
-        let pos = self.core.accepted.iter().position(|m| m.handler == handler)?;
+        let pos = self
+            .core
+            .accepted
+            .iter()
+            .position(|m| handlers.contains(&m.handler))?;
         self.core.accepted.remove(pos)
     }
 
     /// Blocks until a message for `handler` has been accepted, processing
     /// all other traffic (including serving remote requests) meanwhile.
     pub fn wait_accepted(&mut self, handler: u32) -> AcceptedMsg {
-        loop {
-            if let Some(m) = self.try_take_accepted(handler) {
-                return m;
-            }
-            self.pump(None);
-        }
+        self.wait_accepted_any(&[handler])
     }
 
     /// Like [`Runtime::wait_accepted`] for any of several handler ids.
     pub fn wait_accepted_any(&mut self, handlers: &[u32]) -> AcceptedMsg {
+        self.wait_for(|rt| rt.take_accepted_any(handlers))
+    }
+
+    /// Pumps without a deadline until `ready` yields: the unbounded wait,
+    /// which adds no timer events to the run.
+    fn wait_for<R>(&mut self, mut ready: impl FnMut(&mut Self) -> Option<R>) -> R {
         loop {
-            self.poll();
-            if let Some(pos) = self
-                .core
-                .accepted
-                .iter()
-                .position(|m| handlers.contains(&m.handler))
-            {
-                return self.core.accepted.remove(pos).expect("position valid");
+            if let Some(r) = ready(self) {
+                return r;
             }
             self.pump(None);
         }
     }
 
-    /// Like [`Runtime::wait_accepted_any`] with an absolute deadline.
-    pub fn wait_accepted_any_until(
+    /// Like [`Runtime::wait_accepted_any`], bounded by
+    /// [`CoreConfig::stall_timeout`]: each unsatisfied round probes
+    /// `peers`, the nodes the wait depends on (at least one), and the run
+    /// aborts once one of them is flagged down or after [`STALL_ROUNDS`]
+    /// rounds. `what` names the waiting operation in the abort text
+    /// ("lock acquire 1"); it is built only on abort. Unarmed, this is
+    /// exactly [`Runtime::wait_accepted_any`].
+    pub fn wait_accepted_bounded(
         &mut self,
         handlers: &[u32],
-        deadline: Ns,
-    ) -> Option<AcceptedMsg> {
+        peers: &[NodeId],
+        what: impl Fn() -> String,
+    ) -> AcceptedMsg {
+        assert!(!peers.is_empty(), "a bounded wait depends on some peer");
+        self.stall_wait(
+            |rt| rt.take_accepted_any(handlers),
+            |_| peers.to_vec(),
+            |_, _| what(),
+        )
+    }
+
+    /// The runtime's one bounded wait: pumps until `ready` yields. Unarmed
+    /// (no [`CoreConfig::stall_timeout`]) it is [`Runtime::wait_for`].
+    /// Armed, a round is one stall timeout
+    /// in which `ready` stays empty; after each, the peers `stalled` names
+    /// are checked against the failure detector — a convicted one aborts
+    /// the run as "down" — and probed; the [`STALL_ROUNDS`]-th round
+    /// aborts it naming the first as "unresponsive". `what` names what
+    /// waits on a peer.
+    fn stall_wait<R>(
+        &mut self,
+        mut ready: impl FnMut(&mut Self) -> Option<R>,
+        stalled: impl Fn(&Self) -> Vec<NodeId>,
+        what: impl Fn(&Self, NodeId) -> String,
+    ) -> R {
+        let Some(bound) = self.core.cfg.stall_timeout else {
+            return self.wait_for(ready);
+        };
+        let mut rounds: u32 = 0;
         loop {
-            self.poll();
-            if let Some(pos) = self
-                .core
-                .accepted
-                .iter()
-                .position(|m| handlers.contains(&m.handler))
-            {
-                return self.core.accepted.remove(pos);
+            let deadline = self.core.ctx.now() + bound;
+            loop {
+                if let Some(r) = ready(self) {
+                    return r;
+                }
+                if self.core.ctx.now() >= deadline {
+                    break;
+                }
+                self.pump(Some(deadline));
             }
-            if self.core.ctx.now() >= deadline {
-                return None;
+            rounds += 1;
+            self.core.ctx.count("carlos.stall_rounds", 1);
+            let peers = stalled(self);
+            let down = peers.iter().find(|&&p| self.core.transport.peer_down(p));
+            if down.is_some() || rounds >= STALL_ROUNDS {
+                let (peer, state) = down.map_or((peers[0], "unresponsive"), |&p| (p, "down"));
+                carlos_sim::abort(
+                    self.core.ctx.node_id(),
+                    format!("{} abandoned: node {peer} is {state}", what(self, peer)),
+                );
             }
-            self.pump(Some(deadline));
+            for p in peers {
+                self.core.transport.probe(p);
+            }
         }
-    }
-
-    /// Whether the transport's failure detector currently considers `peer`
-    /// dead (see [`carlos_sim::transport::Transport::peer_down`]). Always
-    /// `false` in Implicit ack mode.
-    #[must_use]
-    pub fn peer_down(&self, peer: NodeId) -> bool {
-        self.core.transport.peer_down(peer)
-    }
-
-    /// Sends a liveness probe to `peer` (no-op in Implicit ack mode, for
-    /// self, or while a probe is already outstanding). An unanswered probe
-    /// flags the peer down after [`carlos_sim::ArqTuning::probe_rtos`] RTOs.
-    pub fn probe_peer(&mut self, peer: NodeId) {
-        self.core.transport.probe(peer);
     }
 
     /// Sleeps for `dt` of virtual time while continuing to service
@@ -1533,47 +1566,28 @@ impl Runtime {
 
     fn resolve_demands(&mut self, demands: Vec<Demand>) {
         let waiting = self.issue_demands(demands);
-        let Some(timeout) = self.core.cfg.fetch_timeout else {
-            // Historical wait-forever path: no timer events, so fault-free
-            // runs are event-for-event identical with and without this code.
-            while waiting.iter().any(|k| self.core.inflight.contains(k)) {
-                self.pump(None);
-            }
-            return;
-        };
-        let mut rounds: u32 = 0;
-        while waiting.iter().any(|k| self.core.inflight.contains(k)) {
-            let deadline = self.core.ctx.now() + timeout;
-            let mut progressed = false;
-            while self.core.ctx.now() < deadline {
-                if self.pump(Some(deadline)) {
-                    progressed = true;
-                    break;
-                }
-            }
-            if progressed {
-                continue;
-            }
-            rounds += 1;
-            self.core.ctx.count("carlos.fetch_timeouts", 1);
-            for &(page, server) in waiting.iter().filter(|k| self.core.inflight.contains(k)) {
-                if self.core.transport.peer_down(server) || rounds > MAX_FETCH_ROUNDS {
-                    carlos_sim::abort(
-                        self.core.ctx.node_id(),
-                        format!(
-                            "page {page} fetch abandoned after {rounds} timeout rounds: \
-                             node {server} is {}",
-                            if self.core.transport.peer_down(server) {
-                                "down"
-                            } else {
-                                "unresponsive"
-                            }
-                        ),
-                    );
-                }
-                self.core.transport.probe(server);
-            }
-        }
+        self.stall_wait(
+            |rt| rt.outstanding(&waiting).next().is_none().then_some(()),
+            |rt| rt.outstanding(&waiting).map(|(_, server)| server).collect(),
+            |rt, server| {
+                let (page, _) = rt
+                    .outstanding(&waiting)
+                    .find(|&(_, s)| s == server)
+                    .expect("a stalled server has an outstanding fetch");
+                format!("page {page} fetch")
+            },
+        );
+    }
+
+    /// The `(page, server)` fetches of `waiting` still in flight.
+    fn outstanding<'a>(
+        &'a self,
+        waiting: &'a [(u32, NodeId)],
+    ) -> impl Iterator<Item = (u32, NodeId)> + 'a {
+        waiting
+            .iter()
+            .filter(|k| self.core.inflight.contains(k))
+            .copied()
     }
 
     // ------------------------------------------------------------------

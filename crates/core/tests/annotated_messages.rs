@@ -2,6 +2,8 @@
 //! simulated cluster: the paper's Figure 1 scenario, annotation behaviour,
 //! forwarding, stored messages, and non-transitive releases.
 
+use std::{cell::Cell, rc::Rc};
+
 use carlos_core::{Annotation, CoreConfig, Runtime};
 use carlos_lrc::LrcConfig;
 use carlos_sim::{time::ms, Cluster, SimConfig};
@@ -218,6 +220,47 @@ fn stored_messages_forward_later() {
         assert_eq!(rt.read_u32(0), 555, "consumer must see producer's write");
         rt.send(0, H_REPLY, vec![], Annotation::None);
         rt.send(1, H_REPLY, vec![], Annotation::None);
+        rt.shutdown();
+    });
+    c.run();
+}
+
+#[test]
+fn stored_release_synchronizes_when_accepted_later() {
+    // Deferred acceptance (§2.2): a handler stores a RELEASE, and only a
+    // later message makes it accept the stored one; the node becomes
+    // consistent with the sender then, not on arrival.
+    let mut c = Cluster::new(SimConfig::fast_test(), 2);
+    c.spawn_node(0, |ctx| {
+        let mut rt = mk_runtime(ctx, 2);
+        rt.write_u32(0, 909);
+        rt.send(1, H_FWD, b"deferred".to_vec(), Annotation::Release);
+        rt.sleep(ms(5));
+        rt.send(1, H_GO, vec![], Annotation::None);
+        let _ = rt.wait_accepted(H_REPLY);
+        rt.shutdown();
+    });
+    c.spawn_node(1, |ctx| {
+        let mut rt = mk_runtime(ctx, 2);
+        let token = Rc::new(Cell::new(None));
+        let t1 = Rc::clone(&token);
+        rt.register(H_FWD, Box::new(move |env, msg| t1.set(Some(env.store(msg)))));
+        rt.register(
+            H_GO,
+            Box::new(move |env, msg| {
+                env.accept(msg);
+                env.accept_stored(token.take().expect("the RELEASE is stored"));
+            }),
+        );
+        rt.sleep(ms(2));
+        assert_eq!(rt.ctx().counter("carlos.stored"), 1);
+        assert!(rt.try_take_accepted(H_FWD).is_none(), "stored, not accepted");
+        assert_eq!(rt.vt().get(0), 0, "a stored RELEASE does not synchronize");
+        let m = rt.wait_accepted(H_FWD);
+        assert_eq!((m.origin, m.body.as_slice()), (0, &b"deferred"[..]));
+        assert_eq!(rt.vt().get(0), 1, "accepting it applies the sender's interval");
+        assert_eq!(rt.read_u32(0), 909, "the deferred accept must see the write");
+        rt.send(0, H_REPLY, vec![], Annotation::None);
         rt.shutdown();
     });
     c.run();

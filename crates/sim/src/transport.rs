@@ -67,39 +67,21 @@ pub fn frame_header(payload: &[u8]) -> Option<(u8, u32)> {
     Some((payload[0], u32::from_le_bytes(seq.try_into().ok()?)))
 }
 
-/// Retransmission and failure-detection knobs for [`AckMode::Arq`].
-///
-/// The defaults give classic bounded exponential backoff (interval
-/// `rto << min(attempts - 1, max_backoff_exp)` after the `attempts`-th
-/// consecutive timeout) plus a small deterministic per-(node, peer,
-/// attempt) jitter that decorrelates retransmit storms between nodes
-/// without breaking run-to-run determinism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArqTuning {
-    /// Cap on the backoff shift: the retransmit interval never exceeds
-    /// `rto << max_backoff_exp`.
-    pub max_backoff_exp: u32,
-    /// Consecutive timeouts without ack progress after which the peer is
-    /// flagged down ([`Transport::peer_down`]). Retransmission continues at
-    /// the capped interval so a healed partition still recovers.
-    pub max_attempts: u32,
-    /// Add deterministic jitter (up to interval/8) to each backoff.
-    pub jitter: bool,
-    /// An explicit [`Transport::probe`] waits this many RTOs for any sign
-    /// of life before flagging the peer down.
-    pub probe_rtos: u32,
-}
+/// Cap on the ARQ backoff shift: after the `attempts`-th consecutive
+/// timeout the retransmit interval is `rto << min(attempts - 1,
+/// MAX_BACKOFF_EXP)`, plus a small deterministic per-(node, peer, attempt)
+/// jitter that decorrelates retransmit storms between nodes without
+/// breaking run-to-run determinism.
+const MAX_BACKOFF_EXP: u32 = 6;
 
-impl Default for ArqTuning {
-    fn default() -> Self {
-        Self {
-            max_backoff_exp: 6,
-            max_attempts: 30,
-            jitter: true,
-            probe_rtos: 8,
-        }
-    }
-}
+/// Consecutive retransmission timeouts without ack progress after which
+/// the peer is flagged down ([`Transport::peer_down`]). Retransmission
+/// continues at the capped interval so a healed partition still recovers.
+const MAX_ATTEMPTS: u32 = 30;
+
+/// RTOs an explicit [`Transport::probe`] waits for any sign of life
+/// before flagging the peer down.
+pub const PROBE_RTOS: u32 = 8;
 
 /// An outgoing message body with transport-header headroom in front.
 ///
@@ -203,7 +185,7 @@ struct PeerTx {
     rto_at: Option<Ns>,
     /// Consecutive retransmission timeouts without ack progress.
     attempts: u32,
-    /// Failure-detector verdict: the peer has gone `max_attempts` timeouts
+    /// Failure-detector verdict: the peer has gone `MAX_ATTEMPTS` timeouts
     /// (or an unanswered probe) without any sign of life. Cleared the
     /// moment anything arrives from the peer.
     down: bool,
@@ -227,7 +209,6 @@ struct PeerRx {
 pub struct Transport {
     ctx: NodeCtx,
     mode: AckMode,
-    tuning: ArqTuning,
     tx: Vec<PeerTx>,
     rx: Vec<PeerRx>,
     ready: VecDeque<(NodeId, Body)>,
@@ -247,7 +228,6 @@ impl Transport {
             sink: ctx.sink(),
             ctx,
             mode,
-            tuning: ArqTuning::default(),
             tx: (0..n).map(|_| PeerTx::default()).collect(),
             rx: (0..n).map(|_| PeerRx::default()).collect(),
             ready: VecDeque::new(),
@@ -260,21 +240,10 @@ impl Transport {
         &self.ctx
     }
 
-    /// Replaces the retransmission/failure-detection tuning (Arq mode).
-    pub fn set_tuning(&mut self, tuning: ArqTuning) {
-        self.tuning = tuning;
-    }
-
-    /// The current retransmission/failure-detection tuning.
-    #[must_use]
-    pub fn tuning(&self) -> ArqTuning {
-        self.tuning
-    }
-
     /// Whether the failure detector currently considers `peer` dead: it has
-    /// gone [`ArqTuning::max_attempts`] consecutive retransmission timeouts,
-    /// or an unanswered [`Transport::probe`], without any datagram arriving
-    /// from it. Any later arrival clears the verdict (and counts
+    /// gone `MAX_ATTEMPTS` (30) consecutive retransmission timeouts, or an
+    /// unanswered [`Transport::probe`], without any datagram arriving from
+    /// it. Any later arrival clears the verdict (and counts
     /// `transport.peer_revived`), so a healed partition recovers.
     #[must_use]
     pub fn peer_down(&self, peer: NodeId) -> bool {
@@ -285,8 +254,8 @@ impl Transport {
 
     /// Sends a liveness probe (ping) to `peer` unless one is already
     /// outstanding. If nothing — pong, ack, or data — arrives from the peer
-    /// within [`ArqTuning::probe_rtos`] RTOs, the failure detector flags it
-    /// down. No-op in Implicit mode and for self.
+    /// within [`PROBE_RTOS`] RTOs, the failure detector flags it down.
+    /// No-op in Implicit mode and for self.
     ///
     /// Probes ride the normal datagram path, so they also serve as traffic
     /// that re-opens a healed link: the peer's pong resets this node's
@@ -298,7 +267,7 @@ impl Transport {
         if peer == self.ctx.node_id() || self.tx[peer as usize].probe_deadline.is_some() {
             return;
         }
-        let wait = rto * Ns::from(self.tuning.probe_rtos);
+        let wait = rto * Ns::from(PROBE_RTOS);
         self.tx[peer as usize].probe_deadline = Some(self.ctx.now() + wait);
         self.ctx.count("transport.pings", 1);
         self.ctx.send_datagram(peer, frame_ping());
@@ -461,11 +430,7 @@ impl Transport {
     /// retransmitting to each other never stay phase-locked, yet the same
     /// run replays identically.
     fn backoff_interval(&self, dst: NodeId, attempts: u32, rto: Ns) -> Ns {
-        let exp = attempts.saturating_sub(1).min(self.tuning.max_backoff_exp);
-        let base = rto << exp;
-        if !self.tuning.jitter {
-            return base;
-        }
+        let base = rto << attempts.saturating_sub(1).min(MAX_BACKOFF_EXP);
         let me = u64::from(self.ctx.node_id());
         let seed = me ^ (u64::from(dst) << 16) ^ (u64::from(attempts) << 32);
         base + SplitMix64::new(seed).next_u64() % (base / 8 + 1)
@@ -514,7 +479,7 @@ impl Transport {
             }
             let attempts = self.tx[dst].attempts.saturating_add(1);
             self.tx[dst].attempts = attempts;
-            if attempts >= self.tuning.max_attempts && !self.tx[dst].down {
+            if attempts >= MAX_ATTEMPTS && !self.tx[dst].down {
                 self.tx[dst].down = true;
                 self.ctx.count("transport.peer_down", 1);
             }

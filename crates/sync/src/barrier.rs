@@ -20,7 +20,6 @@ use carlos_sim::NodeId;
 use carlos_util::codec::{Decoder, Encoder};
 
 use crate::{
-    error::SyncError,
     ids::{H_BARRIER_ARRIVE, H_BARRIER_DEPART, H_GC_DONE, H_GC_GO},
     system::SyncSystem,
 };
@@ -83,38 +82,17 @@ impl SyncSystem {
     /// consistency-record storage has crossed its GC threshold, the fall of
     /// the barrier triggers a global garbage collection before returning.
     ///
-    /// # Panics
-    ///
-    /// With timeouts enabled (see [`crate::SyncTuning`]), a timed-out or
-    /// peer-down barrier escalates through [`carlos_sim::abort`].
+    /// With [`carlos_core::CoreConfig::stall_timeout`] armed, a stalled
+    /// round probes exactly the stragglers (manager side) or the manager
+    /// (client side), and a stalled barrier aborts the run through
+    /// [`carlos_sim::abort`]. The post-barrier GC round (when triggered)
+    /// still waits unboundedly: it only runs after every node already
+    /// checked in at this barrier.
     pub fn barrier(&self, rt: &mut Runtime, barrier: BarrierSpec, epoch: u32) {
-        if let Err(e) = self.try_barrier(rt, barrier, epoch) {
-            carlos_sim::abort(rt.node_id(), e.to_string());
-        }
-    }
-
-    /// Fallible [`SyncSystem::barrier`].
-    ///
-    /// The manager tracks which nodes have arrived, so a quiet timeout
-    /// round probes exactly the stragglers; a client probes the manager.
-    /// The post-barrier GC round (when triggered) still waits unboundedly:
-    /// it only runs after every node already checked in at this barrier.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::PeerDown`] when a straggler (manager side) or the
-    /// manager (client side) is convicted, [`SyncError::Timeout`] after
-    /// the round budget.
-    pub fn try_barrier(
-        &self,
-        rt: &mut Runtime,
-        barrier: BarrierSpec,
-        epoch: u32,
-    ) -> Result<(), SyncError> {
         let n = rt.num_nodes() as u32;
         rt.ctx().count("barrier.waits", 1);
         if n == 1 {
-            return Ok(());
+            return;
         }
         let me = rt.node_id();
         let want_gc_local = rt.gc_needed();
@@ -126,7 +104,7 @@ impl SyncSystem {
             let mut arrivals = 0;
             while arrivals < n - 1 {
                 let missing: Vec<NodeId> = (0..n).filter(|&p| !arrived[p as usize]).collect();
-                let m = self.wait_sync(rt, &[H_BARRIER_ARRIVE], "barrier", barrier.id, &missing)?;
+                let m = self.wait_sync(rt, &[H_BARRIER_ARRIVE], "barrier", barrier.id, &missing);
                 let Some((id, ep, client_gc)) = parse(&m.body) else {
                     rt.ctx().count("sync.malformed", 1);
                     continue;
@@ -170,7 +148,7 @@ impl SyncSystem {
                 "barrier",
                 barrier.id,
                 &[barrier.manager],
-            )?;
+            );
             let parsed = parse(&m.body);
             assert_eq!(
                 parsed.map(|(id, ep, _)| (id, ep)),
@@ -181,7 +159,6 @@ impl SyncSystem {
                 self.gc_round_client(rt, barrier.manager);
             }
         }
-        Ok(())
     }
 
     /// Manager side of the GC round that follows a barrier fall: wait for

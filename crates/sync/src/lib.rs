@@ -23,13 +23,17 @@
 //!   built with the same store/forward technique.
 //!
 //! All primitives share one [`SyncSystem`] per node, which registers the
-//! necessary active-message handlers on the node's [`Runtime`].
+//! necessary active-message handlers on the node's [`Runtime`]. Every
+//! blocking step waits through the runtime's one bounded wait
+//! ([`Runtime::wait_accepted_bounded`]): unarmed it waits forever, and
+//! with [`carlos_core::CoreConfig::stall_timeout`] set a stalled operation
+//! aborts the run with an attributed error naming the operation and the
+//! peer it waited on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod error;
 pub mod ids;
 pub mod lock;
 pub mod queue;
@@ -37,7 +41,6 @@ pub mod semaphore;
 mod system;
 
 pub use barrier::BarrierSpec;
-pub use error::{SyncError, SyncTuning};
 pub use lock::LockSpec;
 pub use queue::{QueueDiscipline, QueueMode, QueueSpec};
 pub use semaphore::SemSpec;

@@ -18,7 +18,6 @@ use carlos_sim::NodeId;
 use carlos_util::codec::{Decoder, Encoder};
 
 use crate::{
-    error::SyncError,
     ids::{H_LOCK_ACQ, H_LOCK_GRANT, H_LOCK_PASS},
     system::SyncSystem,
 };
@@ -125,29 +124,12 @@ impl SyncSystem {
     /// Acquires `lock`, blocking until granted. Accepting the grant is the
     /// acquire event: memory becomes consistent with the previous holder.
     ///
-    /// # Panics
-    ///
-    /// With timeouts enabled (see [`crate::SyncTuning`]), a timed-out or
-    /// peer-down acquire escalates through [`carlos_sim::abort`], naming
-    /// this node and the lock.
+    /// With [`carlos_core::CoreConfig::stall_timeout`] armed, a stalled
+    /// round probes the manager but never re-sends the acquire REQUEST (the
+    /// manager's queue-tail protocol is not idempotent, and a duplicate
+    /// would enqueue this node behind itself), and a stalled acquire aborts
+    /// the run through [`carlos_sim::abort`], naming the lock.
     pub fn acquire(&self, rt: &mut Runtime, lock: LockSpec) {
-        if let Err(e) = self.try_acquire(rt, lock) {
-            carlos_sim::abort(rt.node_id(), e.to_string());
-        }
-    }
-
-    /// Fallible [`SyncSystem::acquire`].
-    ///
-    /// A timeout round probes the manager but never re-sends the acquire
-    /// REQUEST: the manager's queue-tail protocol is not idempotent, and a
-    /// duplicate would enqueue this node behind itself.
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::PeerDown`] when the failure detector convicts the
-    /// manager, [`SyncError::Timeout`] after the round budget. Both leave
-    /// the acquire logically outstanding; the caller must not retry.
-    pub fn try_acquire(&self, rt: &mut Runtime, lock: LockSpec) -> Result<(), SyncError> {
         let reacquired = self.with_tables(|t| {
             let st = t.locks.entry(lock.id).or_default();
             assert!(!st.holding, "recursive acquire of lock {}", lock.id);
@@ -162,7 +144,7 @@ impl SyncSystem {
         });
         if reacquired {
             rt.ctx().count("lock.local_reacquires", 1);
-            return Ok(());
+            return;
         }
         rt.send(
             lock.manager,
@@ -170,7 +152,7 @@ impl SyncSystem {
             body(lock.id),
             Annotation::Request,
         );
-        let grant = self.wait_sync(rt, &[H_LOCK_GRANT], "lock acquire", lock.id, &[lock.manager])?;
+        let grant = self.wait_sync(rt, &[H_LOCK_GRANT], "lock acquire", lock.id, &[lock.manager]);
         assert_eq!(
             parse_id(&grant.body),
             Some(lock.id),
@@ -180,7 +162,6 @@ impl SyncSystem {
             t.locks.entry(lock.id).or_default().holding = true;
         });
         rt.ctx().count("lock.acquires", 1);
-        Ok(())
     }
 
     /// Releases `lock`. If a successor is queued it is granted with a

@@ -21,7 +21,6 @@ use carlos_sim::NodeId;
 use carlos_util::codec::{Decoder, Encoder};
 
 use crate::{
-    error::SyncError,
     ids::{H_Q_CLOSE, H_Q_DEQ, H_Q_EMPTY, H_Q_ENQ, H_Q_ITEM},
     system::SyncSystem,
 };
@@ -276,32 +275,13 @@ impl SyncSystem {
     /// Dequeues an item, blocking while the queue is empty and open.
     /// Returns `None` once the queue has been closed and drained.
     ///
-    /// # Panics
-    ///
-    /// With timeouts enabled (see [`crate::SyncTuning`]), a timed-out or
-    /// peer-down dequeue escalates through [`carlos_sim::abort`].
+    /// With [`carlos_core::CoreConfig::stall_timeout`] armed, stalled
+    /// rounds probe the manager but never re-send the dequeue REQUEST (the
+    /// manager would park this node twice and hand a later item to a ghost
+    /// request), and a stalled dequeue aborts the run through
+    /// [`carlos_sim::abort`] — also when the queue merely stays empty for
+    /// [`carlos_core::STALL_ROUNDS`] stall timeouts.
     pub fn dequeue(&self, rt: &mut Runtime, queue: QueueSpec) -> Option<Vec<u8>> {
-        match self.try_dequeue(rt, queue) {
-            Ok(item) => item,
-            Err(e) => carlos_sim::abort(rt.node_id(), e.to_string()),
-        }
-    }
-
-    /// Fallible [`SyncSystem::dequeue`]. Timeout rounds probe the manager
-    /// but never re-send the dequeue REQUEST (the manager would park this
-    /// node twice and hand a later item to a ghost request).
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::PeerDown`] when the failure detector convicts the
-    /// manager, [`SyncError::Timeout`] after the round budget. A timeout
-    /// while the queue is merely empty means the tuning's budget is shorter
-    /// than the producers' think time — size `max_rounds` accordingly.
-    pub fn try_dequeue(
-        &self,
-        rt: &mut Runtime,
-        queue: QueueSpec,
-    ) -> Result<Option<Vec<u8>>, SyncError> {
         rt.send(
             queue.manager,
             H_Q_DEQ,
@@ -315,9 +295,9 @@ impl SyncSystem {
             "queue dequeue",
             queue.id,
             &[queue.manager],
-        )?;
+        );
         if m.handler == crate::ids::H_Q_EMPTY {
-            return Ok(None);
+            return None;
         }
         let parsed = parse_enq(&m.body);
         assert_eq!(
@@ -325,7 +305,7 @@ impl SyncSystem {
             Some(queue.id),
             "item from a different queue"
         );
-        Ok(parsed.map(|(_, _, item)| item))
+        parsed.map(|(_, _, item)| item)
     }
 
     /// Closes `queue`: parked and future dequeues return `None`.

@@ -12,7 +12,6 @@ use carlos_sim::NodeId;
 use carlos_util::codec::{Decoder, Encoder};
 
 use crate::{
-    error::SyncError,
     ids::{H_SEM_GRANT, H_SEM_P, H_SEM_V},
     system::{SemState, SyncSystem},
 };
@@ -142,38 +141,24 @@ impl SyncSystem {
     /// grant makes memory consistent with the matching `V`-er (or the
     /// manager, for initial credits).
     ///
-    /// # Panics
-    ///
-    /// With timeouts enabled (see [`crate::SyncTuning`]), a timed-out or
-    /// peer-down `P` escalates through [`carlos_sim::abort`].
+    /// With [`carlos_core::CoreConfig::stall_timeout`] armed, stalled
+    /// rounds probe the manager but never re-send the `P` REQUEST (it
+    /// would double-debit), and a stalled `P` aborts the run through
+    /// [`carlos_sim::abort`].
     pub fn sem_p(&self, rt: &mut Runtime, sem: SemSpec) {
-        if let Err(e) = self.try_sem_p(rt, sem) {
-            carlos_sim::abort(rt.node_id(), e.to_string());
-        }
-    }
-
-    /// Fallible [`SyncSystem::sem_p`]. Timeout rounds probe the manager
-    /// but never re-send the `P` REQUEST (it would double-debit).
-    ///
-    /// # Errors
-    ///
-    /// [`SyncError::PeerDown`] when the failure detector convicts the
-    /// manager, [`SyncError::Timeout`] after the round budget.
-    pub fn try_sem_p(&self, rt: &mut Runtime, sem: SemSpec) -> Result<(), SyncError> {
         rt.send(
             sem.manager,
             H_SEM_P,
             body(sem.id, sem.initial),
             Annotation::Request,
         );
-        let m = self.wait_sync(rt, &[H_SEM_GRANT], "semaphore P", sem.id, &[sem.manager])?;
+        let m = self.wait_sync(rt, &[H_SEM_GRANT], "semaphore P", sem.id, &[sem.manager]);
         assert_eq!(
             parse(&m.body).map(|(id, _)| id),
             Some(sem.id),
             "grant for a different semaphore"
         );
         rt.ctx().count("sem.p", 1);
-        Ok(())
     }
 
     /// `V`: returns one credit. The RELEASE annotation carries this node's

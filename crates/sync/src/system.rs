@@ -11,8 +11,6 @@ use carlos_core::{AcceptedMsg, Runtime};
 use carlos_sim::NodeId;
 use carlos_util::event::Event;
 
-use crate::error::{SyncError, SyncTuning};
-
 /// Client- and manager-side state for one lock.
 #[derive(Debug, Default)]
 pub(crate) struct LockState {
@@ -63,10 +61,6 @@ pub(crate) struct Tables {
 #[derive(Clone)]
 pub struct SyncSystem {
     pub(crate) tables: Rc<RefCell<Tables>>,
-    /// Timeout behavior of this handle's blocking operations. Plain data:
-    /// each clone (the handlers hold their own) keeps its own copy, and
-    /// only the application-facing handle's copy matters.
-    tuning: SyncTuning,
 }
 
 impl SyncSystem {
@@ -75,7 +69,6 @@ impl SyncSystem {
     pub fn install(rt: &mut Runtime) -> Self {
         let sys = Self {
             tables: Rc::new(RefCell::new(Tables::default())),
-            tuning: SyncTuning::default(),
         };
         crate::lock::register(rt, &sys);
         crate::queue::register(rt, &sys);
@@ -84,29 +77,16 @@ impl SyncSystem {
         sys
     }
 
-    /// Replaces this handle's timeout tuning (builder style).
-    pub fn set_tuning(&mut self, tuning: SyncTuning) {
-        self.tuning = tuning;
-    }
-
-    /// This handle's timeout tuning.
-    #[must_use]
-    pub fn tuning(&self) -> SyncTuning {
-        self.tuning
-    }
-
     pub(crate) fn with_tables<R>(&self, f: impl FnOnce(&mut Tables) -> R) -> R {
         f(&mut self.tables.borrow_mut())
     }
 
-    /// Shared blocking-wait engine for the fallible coordination ops.
-    ///
-    /// With timeouts disabled (the default) this is exactly
-    /// [`Runtime::wait_accepted_any`]: no deadline events enter the run.
-    /// With a timeout, each quiet round probes `peers` (never re-sends the
-    /// original request — protocols here are not idempotent), gives up with
-    /// [`SyncError::PeerDown`] the moment the failure detector convicts a
-    /// peer, and with [`SyncError::Timeout`] after `max_rounds` rounds.
+    /// The blocking wait of every coordination op: the runtime's bounded
+    /// wait ([`Runtime::wait_accepted_bounded`]), which probes `peers` —
+    /// never re-sending the original request, as the protocols here are not
+    /// idempotent — and aborts naming `op` and `id` once
+    /// [`carlos_core::CoreConfig::stall_timeout`] is armed and the wait
+    /// stalls.
     pub(crate) fn wait_sync(
         &self,
         rt: &mut Runtime,
@@ -114,11 +94,11 @@ impl SyncSystem {
         op: &'static str,
         id: u32,
         peers: &[NodeId],
-    ) -> Result<AcceptedMsg, SyncError> {
+    ) -> AcceptedMsg {
         // Bracket the blocking wait with `SyncWait` events so trace layers
-        // can time lock/barrier/queue stalls. Both the Ok and Err exits
-        // close the wait; a crash-unwind leaves it open, and the tracer
-        // never times an unclosed wait.
+        // can time lock/barrier/queue stalls. An abort or crash-unwind
+        // leaves the wait open, and the tracer never times an unclosed
+        // wait.
         let wait = |rt: &Runtime, begin| {
             rt.emit(|| Event::SyncWait {
                 node: rt.node_id(),
@@ -129,47 +109,8 @@ impl SyncSystem {
             });
         };
         wait(rt, true);
-        let result = self.wait_sync_inner(rt, handlers, op, id, peers);
+        let m = rt.wait_accepted_bounded(handlers, peers, || format!("{op} {id}"));
         wait(rt, false);
-        result
-    }
-
-    fn wait_sync_inner(
-        &self,
-        rt: &mut Runtime,
-        handlers: &[u32],
-        op: &'static str,
-        id: u32,
-        peers: &[NodeId],
-    ) -> Result<AcceptedMsg, SyncError> {
-        let Some(timeout) = self.tuning.op_timeout else {
-            return Ok(rt.wait_accepted_any(handlers));
-        };
-        let mut rounds: u32 = 0;
-        loop {
-            let deadline = rt.ctx().now() + timeout;
-            if let Some(m) = rt.wait_accepted_any_until(handlers, deadline) {
-                return Ok(m);
-            }
-            rounds += 1;
-            rt.ctx().count("sync.timeouts", 1);
-            for &p in peers {
-                if rt.peer_down(p) {
-                    rt.ctx().count("sync.peer_down", 1);
-                    return Err(SyncError::PeerDown { op, id, peer: p });
-                }
-            }
-            if rounds >= self.tuning.max_rounds {
-                return Err(SyncError::Timeout {
-                    op,
-                    id,
-                    waited: timeout * u64::from(rounds),
-                    rounds,
-                });
-            }
-            for &p in peers {
-                rt.probe_peer(p);
-            }
-        }
+        m
     }
 }

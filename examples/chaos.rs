@@ -4,9 +4,9 @@
 //! workload; the ARQ transport rides it out and the result is identical.
 //! Act 2 — a partition separates the nodes mid-run and heals; backoff
 //! retransmission carries the protocols across it.
-//! Act 3 — a node fail-stops while its peers depend on it; with sync
-//! timeouts armed the run ends with a structured, attributed error
-//! instead of hanging.
+//! Act 3 — a node fail-stops while its peers depend on it; with the
+//! runtime's stall bound armed the run ends with a structured, attributed
+//! error instead of hanging.
 //!
 //! Run with `cargo run --release --example chaos`.
 
@@ -15,7 +15,7 @@ use carlos::lrc::LrcConfig;
 use carlos::sim::time::{ms, us};
 use carlos::sim::transport::AckMode;
 use carlos::sim::{Cluster, FaultPlan, GeParams, SimConfig};
-use carlos::sync::{BarrierSpec, LockSpec, SyncTuning};
+use carlos::sync::{BarrierSpec, LockSpec};
 
 const NODES: usize = 3;
 const INCREMENTS: u32 = 10;
@@ -30,15 +30,13 @@ fn chaos_config(plan: FaultPlan) -> SimConfig {
     SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ)
 }
 
-/// The same counter workload for every act; returns the final counter.
-fn spawn_workload(cluster: &mut Cluster, tuning: Option<SyncTuning>) {
+/// The same counter workload for every act, on runtimes built with `core`.
+fn spawn_workload(cluster: &mut Cluster, core: &CoreConfig) {
     for node in 0..NODES as u32 {
+        let core = core.clone();
         cluster.spawn_node(node, move |ctx| {
-            let mut rt = Runtime::new(ctx, LrcConfig::small_test(NODES), CoreConfig::fast_test());
-            let mut sys = carlos::sync::install(&mut rt);
-            if let Some(t) = tuning {
-                sys.set_tuning(t);
-            }
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(NODES), core);
+            let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             for _ in 0..INCREMENTS {
                 sys.acquire(&mut rt, lock);
@@ -59,7 +57,7 @@ fn main() {
     // Act 1: burst loss. The bad state eats 70% of its frames.
     let plan = FaultPlan::new(0xC4A05).burst_loss(0, ms(60_000), GeParams::bursty(0.7));
     let mut cluster = Cluster::new(chaos_config(plan), NODES);
-    spawn_workload(&mut cluster, None);
+    spawn_workload(&mut cluster, &CoreConfig::fast_test());
     let r = cluster.run();
     println!(
         "act 1, burst loss: counter correct; {} datagrams, {} burst-dropped, {} retransmits, {:.1} virtual ms",
@@ -72,7 +70,7 @@ fn main() {
     // Act 2: partition node 2 away from both peers, heal at 40ms.
     let plan = FaultPlan::new(7).partition(&[0, 1], &[2], us(100), ms(30));
     let mut cluster = Cluster::new(chaos_config(plan), NODES);
-    spawn_workload(&mut cluster, None);
+    spawn_workload(&mut cluster, &CoreConfig::fast_test());
     let r = cluster.run();
     println!(
         "act 2, partition+heal: counter correct; {} partition-dropped, {} retransmits, {:.1} virtual ms",
@@ -81,10 +79,10 @@ fn main() {
         r.elapsed as f64 / 1e6,
     );
 
-    // Act 3: node 2 fail-stops early. Timeouts turn the hang into a report.
+    // Act 3: node 2 fail-stops early. The stall bound turns the hang into a report.
     let plan = FaultPlan::new(7).crash(2, us(100));
     let mut cluster = Cluster::new(chaos_config(plan), NODES);
-    spawn_workload(&mut cluster, Some(SyncTuning::with_timeout(ms(20))));
+    spawn_workload(&mut cluster, &CoreConfig::fast_test().with_stall_timeout(ms(20)));
     match cluster.try_run() {
         Ok(_) => unreachable!("the barrier cannot fall with node 2 dead"),
         Err(e) => {

@@ -18,14 +18,16 @@
 use carlos::apps::{
     launch, Answer, App, QsortVariant, Reference, Run, Scale, Spec, Traffic, TspVariant,
 };
-use carlos::core::{CoreConfig, Runtime};
+use carlos::core::{CoreConfig, Runtime, STALL_ROUNDS};
 use carlos::lrc::{LrcConfig, PageOwnership};
-use carlos::sim::time::ms;
-use carlos::sim::transport::AckMode;
 use carlos::serve::ServeResult;
-use carlos::sim::{Bucket, Cluster, FaultPlan, GeParams, SimConfig, SimError, SimReport};
-use carlos::sync::{BarrierSpec, SyncTuning};
+use carlos::sim::time::{ms, us};
+use carlos::sim::transport::{AckMode, PROBE_RTOS};
+use carlos::sim::{Bucket, Cluster, FaultPlan, GeParams, NodeCtx, SimConfig, SimError, SimReport};
+use carlos::sync::BarrierSpec;
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 const ARQ: AckMode = AckMode::Arq {
     window: 16,
@@ -167,17 +169,26 @@ fn qsort_stays_correct_under_burst_loss() {
     assert_eq!(pin, "fnv 0x6f5264e7fa3e0aee sorted=true permutation=true");
 }
 
-#[test]
-fn crash_with_timeouts_reports_attributed_error() {
-    // Node 1 crashes before ever reaching the barrier; node 0, armed with
-    // sync timeouts and the ARQ failure detector, must give up with an
-    // error naming both the operation and the casualty — not hang.
+/// Node 0's context, kept so its counters can be read after the run.
+type Probe = Rc<RefCell<Option<NodeCtx>>>;
+
+/// The bounded-wait rounds node 0 spent, read after its run ended.
+fn stall_rounds(node0: &Probe) -> u64 {
+    node0.borrow().as_ref().expect("node 0 ran").counter("carlos.stall_rounds")
+}
+
+/// A global barrier managed by node 0, whose only client, node 1, crashes
+/// at 2 ms before ever arriving. Returns the run's error and node 0's
+/// stall rounds.
+fn barrier_with_a_crashed_client(core: CoreConfig) -> (SimError, u64) {
     let plan = FaultPlan::new(5).crash(1, ms(2));
     let mut c = Cluster::new(SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ), 2);
-    c.spawn_node(0, |ctx| {
-        let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
-        let mut sys = carlos::sync::install(&mut rt);
-        sys.set_tuning(SyncTuning::with_timeout(ms(20)));
+    let node0 = Probe::default();
+    let kept = node0.clone();
+    c.spawn_node(0, move |ctx| {
+        *kept.borrow_mut() = Some(ctx.clone());
+        let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), core);
+        let sys = carlos::sync::install(&mut rt);
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         unreachable!("the barrier cannot fall with node 1 dead");
     });
@@ -185,6 +196,16 @@ fn crash_with_timeouts_reports_attributed_error() {
         ctx.sleep(ms(100));
     });
     let err = c.try_run().expect_err("the run must fail, not hang");
+    (err, stall_rounds(&node0))
+}
+
+#[test]
+fn crash_with_timeouts_reports_attributed_error() {
+    // Node 0, armed with the stall bound and the ARQ failure detector, must
+    // give up with an error naming both the operation and the casualty —
+    // not hang.
+    let core = CoreConfig::fast_test().with_stall_timeout(ms(20));
+    let (err, _) = barrier_with_a_crashed_client(core);
     assert_eq!(err.crashed_nodes(), vec![1], "the casualty must be named");
     match &err {
         SimError::Aborted { node, context, .. } => {
@@ -193,6 +214,7 @@ fn crash_with_timeouts_reports_attributed_error() {
                 context.contains("barrier"),
                 "the context must name the operation, got: {context}"
             );
+            assert!(context.contains("node 1 is down"), "and the casualty: {context}");
         }
         other => panic!("expected an attributed abort, got: {other}"),
     }
@@ -230,7 +252,8 @@ fn crash_without_timeouts_reports_stall_with_casualties() {
 
 /// A read whose serving node crashed before the reader's first copy.
 /// Node 1 owns every page; node 0 first reads page 3 after node 1 died.
-fn read_from_a_crashed_server(core: CoreConfig) -> SimError {
+/// Returns the run's error and the reader's stall rounds.
+fn read_from_a_crashed_server(core: CoreConfig) -> (SimError, u64) {
     let plan = FaultPlan::new(5).crash(1, ms(2));
     let mut c = Cluster::new(SimConfig::fast_test().with_fault_plan(plan).with_ack(ARQ), 2);
     let lrc = LrcConfig {
@@ -240,7 +263,10 @@ fn read_from_a_crashed_server(core: CoreConfig) -> SimError {
     let page_size = lrc.page_size;
     let (reader_lrc, server_lrc) = (lrc.clone(), lrc);
     let server_core = core.clone();
+    let node0 = Probe::default();
+    let kept = node0.clone();
     c.spawn_node(0, move |ctx| {
+        *kept.borrow_mut() = Some(ctx.clone());
         let mut rt = Runtime::new(ctx, reader_lrc, core);
         rt.sleep(ms(5));
         let _ = rt.read_u32(3 * page_size);
@@ -250,14 +276,15 @@ fn read_from_a_crashed_server(core: CoreConfig) -> SimError {
         let mut rt = Runtime::new(ctx, server_lrc, server_core);
         rt.sleep(ms(100));
     });
-    c.try_run().expect_err("the run must fail, not hang")
+    let err = c.try_run().expect_err("the run must fail, not hang");
+    (err, stall_rounds(&node0))
 }
 
 #[test]
-fn fetch_timeout_attributes_a_crashed_server() {
+fn stall_timeout_attributes_a_crashed_server() {
     // Armed: the reader's quiet rounds probe the server, the ARQ failure
     // detector convicts it, and the fetch gives up naming reader and page.
-    let err = read_from_a_crashed_server(CoreConfig::fast_test().with_fetch_timeout(ms(10)));
+    let (err, _) = read_from_a_crashed_server(CoreConfig::fast_test().with_stall_timeout(ms(10)));
     assert_eq!(err.crashed_nodes(), vec![1], "the casualty must be named");
     match &err {
         SimError::Aborted { node, context, .. } => {
@@ -271,12 +298,40 @@ fn fetch_timeout_attributes_a_crashed_server() {
     // the request to the dead server (the ARQ never gives up on a peer, so
     // that a healed partition recovers), so the run is not a stall: it
     // ends at the virtual-time valve, unattributed but listing the casualty.
-    let err = read_from_a_crashed_server(CoreConfig::fast_test());
+    let (err, rounds) = read_from_a_crashed_server(CoreConfig::fast_test());
     assert_eq!(err.crashed_nodes(), vec![1]);
     assert!(
         matches!(err, SimError::MaxVirtualTime { .. }),
         "expected the virtual-time valve, got: {err}"
     );
+    assert_eq!(rounds, 0, "an unarmed wait has no rounds");
+}
+
+#[test]
+fn a_silent_peer_is_abandoned_after_the_round_budget() {
+    // A stall bound far below the probe's conviction time (PROBE_RTOS
+    // RTOs): the silent peer is never flagged down, so a fetch and a sync
+    // op each give up on the round budget alone, after exactly
+    // STALL_ROUNDS rounds, calling the peer unresponsive.
+    let bound = us(250);
+    let AckMode::Arq { rto, .. } = ARQ else {
+        unreachable!("the chaos transport is ARQ")
+    };
+    assert!(u64::from(STALL_ROUNDS) * bound < u64::from(PROBE_RTOS) * rto);
+    let core = CoreConfig::fast_test().with_stall_timeout(bound);
+    for ((err, rounds), what) in [
+        (read_from_a_crashed_server(core.clone()), "page 3 fetch"),
+        (barrier_with_a_crashed_client(core), "barrier 9"),
+    ] {
+        match &err {
+            SimError::Aborted { node, context, .. } => {
+                assert_eq!(*node, 0);
+                assert_eq!(context, &format!("{what} abandoned: node 1 is unresponsive"));
+            }
+            other => panic!("expected an attributed abort, got: {other}"),
+        }
+        assert_eq!(rounds, u64::from(STALL_ROUNDS), "{what}: the budget is exact");
+    }
 }
 
 #[test]

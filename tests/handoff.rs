@@ -12,7 +12,7 @@ use carlos::lrc::LrcConfig;
 use carlos::sim::time::{ms, us};
 use carlos::sim::transport::AckMode;
 use carlos::sim::{Cluster, FaultPlan, SimConfig, SimError, SimReport};
-use carlos::sync::{BarrierSpec, LockSpec, SyncTuning};
+use carlos::sync::{BarrierSpec, LockSpec};
 
 const N: usize = 4;
 
@@ -28,9 +28,9 @@ fn contended_counter(sim: SimConfig) -> Result<SimReport, SimError> {
     let mut c = Cluster::new(sim.with_ack(ARQ), N);
     for node in 0..N as u32 {
         c.spawn_node(node, move |ctx| {
-            let mut rt = Runtime::new(ctx, LrcConfig::small_test(N), CoreConfig::fast_test());
-            let mut sys = carlos::sync::install(&mut rt);
-            sys.set_tuning(SyncTuning::with_timeout(ms(50)));
+            let core = CoreConfig::fast_test().with_stall_timeout(ms(50));
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(N), core);
+            let sys = carlos::sync::install(&mut rt);
             let lock = LockSpec::new(1, 0);
             let barrier = BarrierSpec::global(9, 1);
             for epoch in 0..4u32 {
