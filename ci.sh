@@ -71,6 +71,17 @@ if grep -rEn '^\s*(pub(\([a-z]+\))?\s+)?ack\s*:' \
     exit 1
 fi
 
+# One store-and-forward manager: queues, stacks and semaphores (a FIFO
+# queue of empty items) share the queue manager's one pool per queue, and a
+# handler relays a message through one forward per disposition, so no
+# second manager store or second forward path comes back.
+if grep -rEn 'SemSpec|SemState|H_SEM_|local_items|fn forward_as|fn forward_stored_as' \
+    crates/*/src src; then
+    echo "one store-and-forward manager: a semaphore is a queue of empty items," \
+        "and Env::forward / forward_stored take the target handler" >&2
+    exit 1
+fi
+
 # No stand-in crates: every workspace package is one of ours. Each of the
 # four offline shims this workspace once carried took the name of the
 # registry crate it imitated.

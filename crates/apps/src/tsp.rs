@@ -679,7 +679,6 @@ fn hybrid_variant(
     // RELEASE from the manager carrying its latest state (including bound
     // updates written to shared memory).
     let mut q = QueueSpec::fifo(1, 0).accepting();
-    q.enq_annotation = ann(cfg, Annotation::Release);
     q.deq_annotation = ann(cfg, Annotation::Request);
 
     if node == 0 {

@@ -98,7 +98,8 @@ pub struct CoreConfig {
     /// Coherence strategy driven by RELEASE messages.
     pub strategy: Strategy,
     /// When set, every bounded wait of the runtime — a page/diff fetch, and
-    /// each blocking step of a lock, barrier, semaphore or queue — that is
+    /// each blocking step of a lock, barrier or queue (a semaphore is a
+    /// queue of empty items, §3) — that is
     /// still unsatisfied after this long probes the peers it waits on; it
     /// aborts the run with an attributed [`carlos_sim::SimError::Aborted`]
     /// once the transport's failure detector flags one of them down, or

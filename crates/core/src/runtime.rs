@@ -235,6 +235,16 @@ impl Core {
         });
     }
 
+    /// Relays `msg` to `dst`'s `handler` with its origin and consistency
+    /// information intact.
+    fn forward(&mut self, mut msg: Message, dst: NodeId, handler: u32) {
+        assert!(handler < SYS_HANDLER_BASE, "handler id in reserved range");
+        self.ctx.count("carlos.forwarded", 1);
+        msg.src = self.node();
+        msg.handler = handler;
+        self.transmit(dst, &msg);
+    }
+
     /// Encodes and transmits `msg` to `dst`, charging send-side costs.
     fn transmit(&mut self, dst: NodeId, msg: &Message) {
         let mut cost = self.cfg.effective_msg_send();
@@ -997,25 +1007,17 @@ impl Env<'_> {
     }
 
     /// Forwards `msg` and its encapsulated consistency information to
-    /// another node, without performing any memory-consistency action here.
-    pub fn forward(&mut self, mut msg: Message, dst: NodeId) {
+    /// `dst`'s `handler`, without performing any memory-consistency action
+    /// here. Protocols usually re-target a relayed message at a distinct
+    /// entry point (a lock request hits the manager under one id and the
+    /// previous holder under another); pass `msg.handler` to keep it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handler` is in the reserved range.
+    pub fn forward(&mut self, msg: Message, dst: NodeId, handler: u32) {
         self.disposed = true;
-        self.core.ctx.count("carlos.forwarded", 1);
-        msg.src = self.core.node(); // Origin and payload stay intact.
-        self.core.transmit(dst, &msg);
-    }
-
-    /// Forwards `msg` like [`Env::forward`], but re-targets it at a
-    /// different handler id on the destination (protocols often dispatch a
-    /// relayed message to a distinct entry point — e.g. a lock request hits
-    /// the manager under one id and the previous holder under another).
-    pub fn forward_as(&mut self, mut msg: Message, dst: NodeId, handler: u32) {
-        assert!(handler < SYS_HANDLER_BASE, "handler id in reserved range");
-        self.disposed = true;
-        self.core.ctx.count("carlos.forwarded", 1);
-        msg.src = self.core.node();
-        msg.handler = handler;
-        self.core.transmit(dst, &msg);
+        self.core.forward(msg, dst, handler);
     }
 
     /// Stores `msg` for deferred disposition; returns a token for
@@ -1029,38 +1031,19 @@ impl Env<'_> {
         id
     }
 
-    /// Forwards a previously stored message to `dst`.
+    /// Forwards a previously stored message like [`Env::forward`].
     ///
     /// # Panics
     ///
-    /// Panics if `id` is unknown (already disposed).
-    pub fn forward_stored(&mut self, id: u64, dst: NodeId) {
-        let mut msg = self
+    /// Panics if `id` is unknown (already disposed) or `handler` is in the
+    /// reserved range.
+    pub fn forward_stored(&mut self, id: u64, dst: NodeId, handler: u32) {
+        let msg = self
             .core
             .stored
             .remove(&id)
             .expect("forward_stored: unknown store token");
-        self.core.ctx.count("carlos.forwarded", 1);
-        msg.src = self.core.node();
-        self.core.transmit(dst, &msg);
-    }
-
-    /// Forwards a stored message to `dst`, re-targeted at `handler`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or `handler` is in the reserved range.
-    pub fn forward_stored_as(&mut self, id: u64, dst: NodeId, handler: u32) {
-        assert!(handler < SYS_HANDLER_BASE, "handler id in reserved range");
-        let mut msg = self
-            .core
-            .stored
-            .remove(&id)
-            .expect("forward_stored_as: unknown store token");
-        self.core.ctx.count("carlos.forwarded", 1);
-        msg.src = self.core.node();
-        msg.handler = handler;
-        self.core.transmit(dst, &msg);
+        self.core.forward(msg, dst, handler);
     }
 
     /// Accepts a previously stored message.
@@ -1310,22 +1293,26 @@ impl Runtime {
     }
 
     /// Like [`Runtime::wait_accepted_any`], bounded by
-    /// [`CoreConfig::stall_timeout`]: each unsatisfied round probes
-    /// `peers`, the nodes the wait depends on (at least one), and the run
-    /// aborts once one of them is flagged down or after [`STALL_ROUNDS`]
-    /// rounds. `what` names the waiting operation in the abort text
-    /// ("lock acquire 1"); it is built only on abort. Unarmed, this is
-    /// exactly [`Runtime::wait_accepted_any`].
+    /// [`CoreConfig::stall_timeout`]: each unsatisfied round probes the
+    /// nodes the wait depends on, which `peers` lists (at least one), and
+    /// the run aborts once one of them is flagged down or after
+    /// [`STALL_ROUNDS`] rounds. `what` names the waiting operation in the
+    /// abort text ("lock acquire 1"). Both are called only on a stalled
+    /// round, so an unarmed wait, exactly [`Runtime::wait_accepted_any`],
+    /// builds neither.
     pub fn wait_accepted_bounded(
         &mut self,
         handlers: &[u32],
-        peers: &[NodeId],
+        peers: impl Fn() -> Vec<NodeId>,
         what: impl Fn() -> String,
     ) -> AcceptedMsg {
-        assert!(!peers.is_empty(), "a bounded wait depends on some peer");
         self.stall_wait(
             |rt| rt.take_accepted_any(handlers),
-            |_| peers.to_vec(),
+            |_| {
+                let peers = peers();
+                assert!(!peers.is_empty(), "a bounded wait depends on some peer");
+                peers
+            },
             |_, _| what(),
         )
     }

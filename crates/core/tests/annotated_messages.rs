@@ -149,7 +149,8 @@ fn forwarding_relays_consistency_to_final_recipient() {
         rt.register(
             H_FWD,
             Box::new(|env, msg| {
-                env.forward(msg, 2);
+                let handler = msg.handler;
+                env.forward(msg, 2, handler);
             }),
         );
         let _ = rt.wait_accepted(H_REPLY);
@@ -202,7 +203,7 @@ fn stored_messages_forward_later() {
                 let requester = msg.src;
                 env.accept(msg); // The dequeue REQUEST itself.
                 let id = s2.lock().unwrap().pop().expect("an item is queued");
-                env.forward_stored(id, requester);
+                env.forward_stored(id, requester, H_FWD);
             }),
         );
         let _ = rt.wait_accepted(H_REPLY);

@@ -114,7 +114,7 @@ fn an_overestimate_after_a_stored_release_is_repaired() {
                 let requester = msg.src;
                 env.accept(msg);
                 let id = stored.lock().unwrap().pop().expect("an item is queued");
-                env.forward_stored(id, requester);
+                env.forward_stored(id, requester, H_FWD);
             }),
         );
         rt.send(0, H_GO, vec![], Annotation::Request);

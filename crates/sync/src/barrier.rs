@@ -103,8 +103,8 @@ impl SyncSystem {
             arrived[me as usize] = true;
             let mut arrivals = 0;
             while arrivals < n - 1 {
-                let missing: Vec<NodeId> = (0..n).filter(|&p| !arrived[p as usize]).collect();
-                let m = self.wait_sync(rt, &[H_BARRIER_ARRIVE], "barrier", barrier.id, &missing);
+                let missing = || (0..n).filter(|&p| !arrived[p as usize]).collect();
+                let m = self.wait_sync(rt, &[H_BARRIER_ARRIVE], "barrier", barrier.id, missing);
                 let Some((id, ep, client_gc)) = parse(&m.body) else {
                     rt.ctx().count("sync.malformed", 1);
                     continue;
@@ -142,13 +142,9 @@ impl SyncSystem {
                 body(barrier.id, epoch, want_gc_local),
                 annotation,
             );
-            let m = self.wait_sync(
-                rt,
-                &[H_BARRIER_DEPART],
-                "barrier",
-                barrier.id,
-                &[barrier.manager],
-            );
+            let m = self.wait_sync(rt, &[H_BARRIER_DEPART], "barrier", barrier.id, || {
+                vec![barrier.manager]
+            });
             let parsed = parse(&m.body);
             assert_eq!(
                 parsed.map(|(id, ep, _)| (id, ep)),

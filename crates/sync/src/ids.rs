@@ -30,9 +30,3 @@ pub const H_Q_EMPTY: u32 = 0x0123;
 /// Queue close command (NONE), any node to manager.
 pub const H_Q_CLOSE: u32 = 0x0124;
 
-/// Semaphore P request (REQUEST), to manager.
-pub const H_SEM_P: u32 = 0x0130;
-/// Semaphore V (RELEASE), to manager.
-pub const H_SEM_V: u32 = 0x0131;
-/// Semaphore grant, manager (or forwarded V) to the P-er.
-pub const H_SEM_GRANT: u32 = 0x0132;

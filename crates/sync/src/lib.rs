@@ -19,8 +19,9 @@
 //!   requests are REQUESTs the manager answers by *forwarding* a stored
 //!   item, so consumers become consistent with producers while the manager
 //!   absorbs nothing (§2.2).
-//! - [`semaphore`] — "semaphores ... have similar implementations" (§3),
-//!   built with the same store/forward technique.
+//! - semaphores — "semaphores ... have similar implementations" (§3): a
+//!   semaphore is a FIFO [`queue`] of empty items, `V` an enqueue, `P` a
+//!   dequeue, and initial credits that many enqueues.
 //!
 //! All primitives share one [`SyncSystem`] per node, which registers the
 //! necessary active-message handlers on the node's [`Runtime`]. Every
@@ -37,13 +38,11 @@ pub mod barrier;
 pub mod ids;
 pub mod lock;
 pub mod queue;
-pub mod semaphore;
 mod system;
 
 pub use barrier::BarrierSpec;
 pub use lock::LockSpec;
 pub use queue::{QueueDiscipline, QueueMode, QueueSpec};
-pub use semaphore::SemSpec;
 pub use system::SyncSystem;
 
 use carlos_core::Runtime;

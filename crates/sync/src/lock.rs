@@ -77,7 +77,7 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
                         prev, requester,
                         "re-request while at the tail implies a missing local re-acquire"
                     );
-                    env.forward_as(msg, prev, H_LOCK_PASS);
+                    env.forward(msg, prev, H_LOCK_PASS);
                 }
             }
         }),
@@ -152,7 +152,9 @@ impl SyncSystem {
             body(lock.id),
             Annotation::Request,
         );
-        let grant = self.wait_sync(rt, &[H_LOCK_GRANT], "lock acquire", lock.id, &[lock.manager]);
+        let grant = self.wait_sync(rt, &[H_LOCK_GRANT], "lock acquire", lock.id, || {
+            vec![lock.manager]
+        });
         assert_eq!(
             parse_id(&grant.body),
             Some(lock.id),

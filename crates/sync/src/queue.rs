@@ -14,15 +14,22 @@
 //! [`QueueMode::Accepting`] implements the contrast experiment from §5.2
 //! (the variation in which "the forwarding mechanism is not used"): the
 //! manager accepts every enqueue and re-releases items itself, becoming a
-//! consistency hot spot.
+//! consistency hot spot. Either way the manager keeps one pool per queue
+//! and serves it in the queue's [`QueueDiscipline`].
+//!
+//! A semaphore is this same manager (§3: "semaphores ... have similar
+//! implementations"): a FIFO forwarding queue of empty items. `V` is
+//! `enqueue(q, &[])`, a RELEASE the manager stores or forwards to a parked
+//! `P`-er, which so becomes consistent with the `V`-er; `P` is
+//! `dequeue(q)`; `k` initial credits are `k` enqueues.
 
-use carlos_core::{Annotation, Runtime};
+use carlos_core::{Annotation, Env, Runtime};
 use carlos_sim::NodeId;
 use carlos_util::codec::{Decoder, Encoder};
 
 use crate::{
     ids::{H_Q_CLOSE, H_Q_DEQ, H_Q_EMPTY, H_Q_ENQ, H_Q_ITEM},
-    system::SyncSystem,
+    system::{Item, SyncSystem},
 };
 
 /// Ordering discipline of a shared work pool.
@@ -55,9 +62,6 @@ pub struct QueueSpec {
     pub discipline: QueueDiscipline,
     /// Store-and-forward or accept-and-rerelease.
     pub mode: QueueMode,
-    /// Annotation on enqueue messages (RELEASE by convention; experiments
-    /// vary it).
-    pub enq_annotation: Annotation,
     /// Annotation on dequeue request messages (REQUEST by convention).
     pub deq_annotation: Annotation,
 }
@@ -71,7 +75,6 @@ impl QueueSpec {
             manager,
             discipline: QueueDiscipline::Fifo,
             mode: QueueMode::Forwarding,
-            enq_annotation: Annotation::Release,
             deq_annotation: Annotation::Request,
         }
     }
@@ -86,10 +89,10 @@ impl QueueSpec {
     }
 
     /// Returns `self` with every queue message marked RELEASE (the §5.2
-    /// Hybrid-2 variation).
+    /// Hybrid-2 variation): enqueues always are, so this marks the dequeue
+    /// requests.
     #[must_use]
     pub fn all_release(mut self) -> Self {
-        self.enq_annotation = Annotation::Release;
         self.deq_annotation = Annotation::Release;
         self
     }
@@ -102,16 +105,8 @@ impl QueueSpec {
     }
 }
 
-fn enq_body(id: u32, item: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.put_u32(id);
-    e.put_u8(0); // Discipline/mode byte reserved; set per message below.
-    e.put_bytes(item);
-    e.finish_vec()
-}
-
 /// Encodes (queue id, flags, item). Flags bit 0: LIFO, bit 1: accepting.
-fn enq_body_flags(id: u32, flags: u8, item: &[u8]) -> Vec<u8> {
+fn body(id: u32, flags: u8, item: &[u8]) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_u32(id);
     e.put_u8(flags);
@@ -119,23 +114,37 @@ fn enq_body_flags(id: u32, flags: u8, item: &[u8]) -> Vec<u8> {
     e.finish_vec()
 }
 
-fn parse_enq(b: &[u8]) -> Option<(u32, u8, Vec<u8>)> {
+fn parse(b: &[u8]) -> Option<(u32, u8, &[u8])> {
     let mut d = Decoder::new(b);
     let id = d.get_u32().ok()?;
     let flags = d.get_u8().ok()?;
-    let item = d.get_bytes().ok()?;
+    let item = d.get_byte_slice().ok()?;
     Some((id, flags, item))
 }
+
+const LIFO: u8 = 1;
+const ACCEPTING: u8 = 2;
 
 fn spec_flags(spec: &QueueSpec) -> u8 {
     let mut f = 0;
     if spec.discipline == QueueDiscipline::Lifo {
-        f |= 1;
+        f |= LIFO;
     }
     if spec.mode == QueueMode::Accepting {
-        f |= 2;
+        f |= ACCEPTING;
     }
     f
+}
+
+/// Hands `item` of queue `qid` to the consumer `to`: a stored enqueue is
+/// forwarded, an accepted one leaves as the manager's own RELEASE.
+fn deliver(env: &mut Env<'_>, qid: u32, item: Item, to: NodeId) {
+    match item {
+        Item::Stored(token) => env.forward_stored(token, to, H_Q_ITEM),
+        Item::Accepted(bytes) => {
+            env.send(to, H_Q_ITEM, body(qid, 0, &bytes), Annotation::Release);
+        }
+    }
 }
 
 pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
@@ -144,45 +153,36 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
     rt.register(
         H_Q_ENQ,
         Box::new(move |env, msg| {
-            let Some((qid, flags, item)) = parse_enq(&msg.body) else {
+            let Some((qid, flags, bytes)) = parse(&msg.body) else {
                 env.count("sync.malformed", 1);
                 env.discard(msg);
                 return;
             };
-            let lifo = flags & 1 != 0;
-            let accepting = flags & 2 != 0;
             // Is a consumer already parked?
             let waiter = s.with_tables(|t| t.queues.entry(qid).or_default().waiters.pop_front());
-            if accepting {
-                // Contrast mode: absorb the producer's consistency, then
-                // re-release the item ourselves (to a waiter or the store).
-                env.accept(msg);
+            let item = if flags & ACCEPTING == 0 {
                 if let Some(w) = waiter {
-                    env.send(w, H_Q_ITEM, enq_body(qid, &item), Annotation::Release);
-                } else {
-                    s.with_tables(|t| {
-                        let q = t.queues.entry(qid).or_default();
-                        // Re-use the store for the raw item bytes by keeping
-                        // them in a synthetic slot: push a sentinel token.
-                        q.local_items.push_back(item);
-                        let _ = lifo;
-                    });
+                    env.forward(msg, w, H_Q_ITEM);
+                    return;
                 }
-                return;
-            }
+                Item::Stored(env.store(msg))
+            } else {
+                // Contrast mode: absorb the producer's consistency; the
+                // item leaves as a fresh RELEASE of the manager.
+                let item = Item::Accepted(bytes.into());
+                env.accept(msg);
+                item
+            };
             match waiter {
-                Some(w) => env.forward_as(msg, w, H_Q_ITEM),
-                None => {
-                    let token = env.store(msg);
-                    s.with_tables(|t| {
-                        let q = t.queues.entry(qid).or_default();
-                        if lifo {
-                            q.items.push_front(token);
-                        } else {
-                            q.items.push_back(token);
-                        }
-                    });
-                }
+                Some(w) => deliver(env, qid, item, w),
+                None => s.with_tables(|t| {
+                    let items = &mut t.queues.entry(qid).or_default().items;
+                    if flags & LIFO == 0 {
+                        items.push_back(item);
+                    } else {
+                        items.push_front(item);
+                    }
+                }),
             }
         }),
     );
@@ -193,43 +193,27 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
         H_Q_DEQ,
         Box::new(move |env, msg| {
             let mut d = Decoder::new(&msg.body);
-            let (Ok(qid), Ok(flags)) = (d.get_u32(), d.get_u8()) else {
+            let (Ok(qid), Ok(_)) = (d.get_u32(), d.get_u8()) else {
                 env.count("sync.malformed", 1);
                 env.discard(msg);
                 return;
             };
-            let accepting = flags & 2 != 0;
             let requester = msg.origin;
             env.discard(msg);
-            enum Action {
-                Forward(u64),
-                Local(Vec<u8>),
-                Empty,
-                Park,
-            }
-            let action = s.with_tables(|t| {
+            let (item, closed) = s.with_tables(|t| {
                 let q = t.queues.entry(qid).or_default();
-                if accepting {
-                    if let Some(item) = q.local_items.pop_front() {
-                        return Action::Local(item);
-                    }
-                } else if let Some(tok) = q.items.pop_front() {
-                    return Action::Forward(tok);
-                }
-                if q.closed {
-                    Action::Empty
-                } else {
+                let item = q.items.pop_front();
+                if item.is_none() && !q.closed {
                     q.waiters.push_back(requester);
-                    Action::Park
                 }
+                (item, q.closed)
             });
-            match action {
-                Action::Forward(tok) => env.forward_stored_as(tok, requester, H_Q_ITEM),
-                Action::Local(item) => {
-                    env.send(requester, H_Q_ITEM, enq_body(qid, &item), Annotation::Release);
+            match item {
+                Some(item) => deliver(env, qid, item, requester),
+                None if closed => {
+                    env.send(requester, H_Q_EMPTY, body(qid, 0, &[]), Annotation::None);
                 }
-                Action::Empty => env.send(requester, H_Q_EMPTY, enq_body(qid, &[]), Annotation::None),
-                Action::Park => {}
+                None => {} // Parked until an enqueue or the close.
             }
         }),
     );
@@ -252,7 +236,7 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
                 std::mem::take(&mut q.waiters)
             });
             for w in waiters {
-                env.send(w, H_Q_EMPTY, enq_body(qid, &[]), Annotation::None);
+                env.send(w, H_Q_EMPTY, body(qid, 0, &[]), Annotation::None);
             }
         }),
     );
@@ -266,8 +250,8 @@ impl SyncSystem {
         rt.send(
             queue.manager,
             H_Q_ENQ,
-            enq_body_flags(queue.id, spec_flags(&queue), item),
-            queue.enq_annotation,
+            body(queue.id, spec_flags(&queue), item),
+            Annotation::Release,
         );
         rt.ctx().count("queue.enqueues", 1);
     }
@@ -285,27 +269,27 @@ impl SyncSystem {
         rt.send(
             queue.manager,
             H_Q_DEQ,
-            enq_body_flags(queue.id, spec_flags(&queue), &[]),
+            body(queue.id, spec_flags(&queue), &[]),
             queue.deq_annotation,
         );
         rt.ctx().count("queue.dequeues", 1);
         let m = self.wait_sync(
             rt,
-            &[crate::ids::H_Q_ITEM, crate::ids::H_Q_EMPTY],
+            &[H_Q_ITEM, H_Q_EMPTY],
             "queue dequeue",
             queue.id,
-            &[queue.manager],
+            || vec![queue.manager],
         );
-        if m.handler == crate::ids::H_Q_EMPTY {
+        if m.handler == H_Q_EMPTY {
             return None;
         }
-        let parsed = parse_enq(&m.body);
+        let parsed = parse(&m.body);
         assert_eq!(
             parsed.as_ref().map(|(qid, _, _)| *qid),
             Some(queue.id),
             "item from a different queue"
         );
-        parsed.map(|(_, _, item)| item)
+        parsed.map(|(_, _, item)| item.to_vec())
     }
 
     /// Closes `queue`: parked and future dequeues return `None`.
@@ -313,7 +297,7 @@ impl SyncSystem {
         rt.send(
             queue.manager,
             H_Q_CLOSE,
-            enq_body_flags(queue.id, spec_flags(&queue), &[]),
+            body(queue.id, spec_flags(&queue), &[]),
             Annotation::None,
         );
     }

@@ -23,29 +23,27 @@ pub(crate) struct LockState {
     pub successor: Option<NodeId>,
 }
 
+/// One entry of a queue manager's pool.
+#[derive(Debug)]
+pub(crate) enum Item {
+    /// Store token of an enqueue message the manager keeps unaccepted
+    /// ([`crate::QueueMode::Forwarding`]).
+    Stored(u64),
+    /// Bytes of an item whose enqueue the manager accepted
+    /// ([`crate::QueueMode::Accepting`]); boxed, an entry takes 16 bytes
+    /// where a `Vec` would make every entry of every pool 24.
+    Accepted(Box<[u8]>),
+}
+
 /// Manager-side state for one work queue.
 #[derive(Debug, Default)]
 pub(crate) struct QueueState {
-    /// Store tokens of enqueued (stored) item messages.
-    pub items: VecDeque<u64>,
-    /// Item bytes held locally in `QueueMode::Accepting` (the manager has
-    /// accepted the enqueue and re-releases items itself).
-    pub local_items: VecDeque<Vec<u8>>,
+    /// The pool, in service order: dequeues take the front.
+    pub items: VecDeque<Item>,
     /// Consumers blocked on an empty queue.
     pub waiters: VecDeque<NodeId>,
     /// No further items will arrive; dequeues answer "empty".
     pub closed: bool,
-}
-
-/// Manager-side state for one semaphore.
-#[derive(Debug)]
-pub(crate) struct SemState {
-    /// Grants available beyond stored V messages.
-    pub count: u64,
-    /// Store tokens of stored V (RELEASE) messages.
-    pub stored_vs: VecDeque<u64>,
-    /// Blocked P requesters.
-    pub waiters: VecDeque<NodeId>,
 }
 
 #[derive(Default)]
@@ -54,7 +52,6 @@ pub(crate) struct Tables {
     /// Lock-manager queue tails: lock id -> last requester.
     pub lock_tails: HashMap<u32, NodeId>,
     pub queues: HashMap<u32, QueueState>,
-    pub sems: HashMap<u32, SemState>,
 }
 
 /// Handle to a node's coordination state; create with [`crate::install`].
@@ -72,7 +69,6 @@ impl SyncSystem {
         };
         crate::lock::register(rt, &sys);
         crate::queue::register(rt, &sys);
-        crate::semaphore::register(rt, &sys);
         // Barriers need no handlers beyond default acceptance.
         sys
     }
@@ -82,18 +78,18 @@ impl SyncSystem {
     }
 
     /// The blocking wait of every coordination op: the runtime's bounded
-    /// wait ([`Runtime::wait_accepted_bounded`]), which probes `peers` —
-    /// never re-sending the original request, as the protocols here are not
-    /// idempotent — and aborts naming `op` and `id` once
-    /// [`carlos_core::CoreConfig::stall_timeout`] is armed and the wait
-    /// stalls.
+    /// wait ([`Runtime::wait_accepted_bounded`]), which probes the nodes
+    /// `peers` lists — never re-sending the original request, as the
+    /// protocols here are not idempotent — and aborts naming `op` and `id`
+    /// once [`carlos_core::CoreConfig::stall_timeout`] is armed and the
+    /// wait stalls. `peers` is called only then.
     pub(crate) fn wait_sync(
         &self,
         rt: &mut Runtime,
         handlers: &[u32],
         op: &'static str,
         id: u32,
-        peers: &[NodeId],
+        peers: impl Fn() -> Vec<NodeId>,
     ) -> AcceptedMsg {
         // Bracket the blocking wait with `SyncWait` events so trace layers
         // can time lock/barrier/queue stalls. An abort or crash-unwind

@@ -4,7 +4,7 @@
 use carlos_core::{CoreConfig, Runtime};
 use carlos_lrc::LrcConfig;
 use carlos_sim::{time::us, Cluster, SimConfig};
-use carlos_sync::{BarrierSpec, LockSpec, QueueSpec, SemSpec};
+use carlos_sync::{BarrierSpec, LockSpec, QueueSpec};
 
 fn mk(ctx: carlos_sim::NodeCtx, n: usize) -> (Runtime, carlos_sync::SyncSystem) {
     let mut rt = Runtime::new(ctx, LrcConfig::small_test(n), CoreConfig::fast_test());
@@ -233,6 +233,35 @@ fn work_stack_is_lifo() {
     c.run();
 }
 
+/// The accepting manager (the §5.2 no-forwarding variation) keeps the
+/// stack's discipline: items accepted before any dequeue come back last in,
+/// first out.
+#[test]
+fn accepting_stack_is_lifo() {
+    let mut c = Cluster::new(SimConfig::fast_test(), 2);
+    c.spawn_node(0, |ctx| {
+        let (mut rt, sys) = mk(ctx, 2);
+        let q = QueueSpec::lifo(1, 0).accepting();
+        for i in 1..=3u32 {
+            sys.enqueue(&mut rt, q, &i.to_le_bytes());
+        }
+        sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
+        rt.shutdown();
+    });
+    c.spawn_node(1, |ctx| {
+        let (mut rt, sys) = mk(ctx, 2);
+        let q = QueueSpec::lifo(1, 0).accepting();
+        rt.sleep(carlos_sim::time::ms(10)); // Producer first.
+        for expect in [3, 2, 1u32] {
+            let item = sys.dequeue(&mut rt, q).expect("stack has items");
+            assert_eq!(u32::from_le_bytes(item.try_into().unwrap()), expect);
+        }
+        sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
+        rt.shutdown();
+    });
+    c.run();
+}
+
 #[test]
 fn queue_close_unblocks_waiting_consumers() {
     const N: usize = 3;
@@ -299,22 +328,24 @@ fn accepting_queue_mode_also_correct_but_absorbs() {
     c.run();
 }
 
+/// A semaphore is a FIFO forwarding queue of empty items (§3): `V` is an
+/// empty enqueue, `P` a dequeue.
 #[test]
 fn semaphore_bounds_concurrency_and_carries_consistency() {
     // Producer V's after writing; consumer P's and must see the write.
     let mut c = Cluster::new(SimConfig::fast_test(), 2);
     c.spawn_node(0, |ctx| {
         let (mut rt, sys) = mk(ctx, 2);
-        let sem = SemSpec::new(1, 0, 0);
+        let sem = QueueSpec::fifo(1, 0);
         rt.write_u32(0, 31337);
-        sys.sem_v(&mut rt, sem);
+        sys.enqueue(&mut rt, sem, &[]);
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         rt.shutdown();
     });
     c.spawn_node(1, |ctx| {
         let (mut rt, sys) = mk(ctx, 2);
-        let sem = SemSpec::new(1, 0, 0);
-        sys.sem_p(&mut rt, sem);
+        let sem = QueueSpec::fifo(1, 0);
+        assert_eq!(sys.dequeue(&mut rt, sem), Some(Vec::new()));
         assert_eq!(rt.read_u32(0), 31337, "V-er's write invisible to P-er");
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         rt.shutdown();
@@ -322,24 +353,31 @@ fn semaphore_bounds_concurrency_and_carries_consistency() {
     c.run();
 }
 
+/// `k` initial credits are `k` empty enqueues made up front: `k` P's pass
+/// without any V.
 #[test]
 fn semaphore_initial_credits() {
     let mut c = Cluster::new(SimConfig::fast_test(), 2);
     c.spawn_node(0, |ctx| {
         let (mut rt, sys) = mk(ctx, 2);
+        let sem = QueueSpec::fifo(1, 0);
+        for _ in 0..3 {
+            sys.enqueue(&mut rt, sem, &[]);
+        }
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         rt.shutdown();
     });
     c.spawn_node(1, |ctx| {
         let (mut rt, sys) = mk(ctx, 2);
-        let sem = SemSpec::new(1, 0, 3);
+        let sem = QueueSpec::fifo(1, 0);
         for _ in 0..3 {
-            sys.sem_p(&mut rt, sem); // Initial credits: no V needed.
+            assert_eq!(sys.dequeue(&mut rt, sem), Some(Vec::new()));
         }
         sys.barrier(&mut rt, BarrierSpec::global(9, 0), 0);
         rt.shutdown();
     });
-    c.run();
+    let r = c.run();
+    assert_eq!(r.node_counters[1].get("queue.dequeues"), 3);
 }
 
 /// Garbage collection fires at a barrier once record storage crosses the

@@ -306,7 +306,7 @@ fn wait_key(what: &'static str) -> Option<&'static str> {
     match what {
         "barrier" => Some("wait.barrier"),
         "lock acquire" => Some("wait.lock acquire"),
-        "semaphore P" => Some("wait.semaphore P"),
+        "queue dequeue" => Some("wait.queue dequeue"),
         _ => None,
     }
 }

@@ -15,8 +15,9 @@
 //!   drive all coherence actions, with accept / forward / store message
 //!   disposition ([`core`]);
 //! - message-based **coordination**: distributed-queue locks, barriers
-//!   (hosting global GC), semaphores, and shared work queues built on
-//!   store-and-forward ([`sync`]);
+//!   (hosting global GC), and shared work queues built on
+//!   store-and-forward, with a semaphore a FIFO queue of empty items (§3)
+//!   ([`sync`]);
 //! - the paper's **applications** — TSP, Quicksort, Water — in lock and
 //!   hybrid variants ([`apps`]);
 //! - an online **consistency oracle**: a happens-before tracker, shadow

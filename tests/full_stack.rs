@@ -7,7 +7,7 @@ use carlos::lrc::LrcConfig;
 use carlos::sim::time::{ms, us};
 use carlos::sim::transport::AckMode;
 use carlos::sim::{Bucket, Cluster, SimConfig};
-use carlos::sync::{BarrierSpec, LockSpec, QueueSpec, SemSpec};
+use carlos::sync::{BarrierSpec, LockSpec, QueueSpec};
 
 fn mk(ctx: carlos::sim::NodeCtx, n: usize) -> (Runtime, carlos::sync::SyncSystem) {
     let mut rt = Runtime::new(ctx, LrcConfig::small_test(n), CoreConfig::fast_test());
@@ -16,7 +16,8 @@ fn mk(ctx: carlos::sim::NodeCtx, n: usize) -> (Runtime, carlos::sync::SyncSystem
 }
 
 /// A small mixed workload: locks, a queue, a semaphore, and barriers all in
-/// one run, with shared-memory payloads crossing every primitive.
+/// one run, with shared-memory payloads crossing every primitive. The
+/// semaphore is a FIFO queue of empty items (§3): V enqueues, P dequeues.
 #[test]
 fn mixed_primitive_workload() {
     const N: usize = 4;
@@ -26,7 +27,7 @@ fn mixed_primitive_workload() {
             let (mut rt, sys) = mk(ctx, N);
             let lock = LockSpec::new(1, 0);
             let q = QueueSpec::fifo(2, 1);
-            let sem = SemSpec::new(3, 2, 0);
+            let sem = QueueSpec::fifo(3, 2);
             let b = BarrierSpec::global(9, 0);
 
             // Stage 1: everyone increments a counter under the lock.
@@ -41,8 +42,9 @@ fn mixed_primitive_workload() {
             sys.barrier(&mut rt, b, 1);
 
             // Stage 2: node 0 produces work through the queue (managed by
-            // node 1); nodes 2 and 3 consume; node 1 V's a semaphore
-            // (managed by node 2) when it has forwarded everything.
+            // node 1); nodes 2 and 3 consume, and each V's a semaphore
+            // (managed by node 2) once the queue is drained; node 0 P's
+            // it twice.
             match node {
                 0 => {
                     for i in 0..6u32 {
@@ -59,14 +61,15 @@ fn mixed_primitive_workload() {
                         got += 1;
                     }
                     rt.ctx().count("consumed", u64::from(got));
-                    sys.sem_v(&mut rt, sem);
+                    sys.enqueue(&mut rt, sem, &[]);
                 }
                 _ => {}
             }
             if node == 0 {
                 // Wait until both consumers finished.
-                sys.sem_p(&mut rt, sem);
-                sys.sem_p(&mut rt, sem);
+                for _ in 0..2 {
+                    assert_eq!(sys.dequeue(&mut rt, sem), Some(Vec::new()));
+                }
             }
             sys.barrier(&mut rt, b, 2);
             rt.shutdown();
