@@ -82,6 +82,14 @@ if grep -rEn 'SemSpec|SemState|H_SEM_|local_items|fn forward_as|fn forward_store
     exit 1
 fi
 
+# One path to user level: a handler's Env::accept is the acquire alone, and
+# only the default disposition (no handler registered) delivers to user
+# level, so no second acquire-only disposition forks off beside accept.
+if grep -rEn '\bfn absorb\b' crates/*/src src; then
+    echo "Env::accept is the acquire alone; no absorb beside it" >&2
+    exit 1
+fi
+
 # No stand-in crates: every workspace package is one of ours. Each of the
 # four offline shims this workspace once carried took the name of the
 # registry crate it imitated.

@@ -192,9 +192,11 @@ impl Run {
     ///   and CAS intent is accounted for, and the counters are exact
     ///   (fault-free) or sum to between the landed and the issued intents.
     ///
+    /// A node that ends holding messages (`carlos.residue`) fails any run.
+    ///
     /// # Errors
     ///
-    /// Describes how the answer is wrong.
+    /// Describes how the answer is wrong, or which node kept messages.
     ///
     /// # Panics
     ///
@@ -218,7 +220,13 @@ impl Run {
             (Answer::Serve(r), Reference::Counters(exact)) => serve_wrong(r, exact.as_deref()),
             _ => panic!("the reference is another application's"),
         };
-        wrong.map_or(Ok(()), Err)
+        let residue = || {
+            let counters = self.app().report.node_counters.iter();
+            let held = counters.map(|c| c.get("carlos.residue"));
+            let (node, n) = held.enumerate().find(|r| r.1 > 0)?;
+            Some(format!("node {node} ends holding {n} undelivered messages"))
+        };
+        wrong.or_else(residue).map_or(Ok(()), Err)
     }
 }
 
@@ -424,5 +432,22 @@ mod tests {
                 assert!(bad.verdict(reference).is_err(), "{what} passed {reference:?}");
             }
         }
+    }
+
+    /// A right answer still fails when a node ends holding messages, and
+    /// the verdict names the node.
+    #[test]
+    fn verdict_rejects_residue() {
+        let spec = Spec::new(App::Sor, 2, Scale::Test);
+        let reference = Reference::of(&spec);
+        let run = launch(&spec).expect("SOR run");
+        assert_eq!(run.verdict(&reference), Ok(()));
+        let mut bad = run.clone();
+        let Answer::Sor(r) = &mut bad.answer else { unreachable!("a SOR run") };
+        r.app.report.node_counters[1].add("carlos.residue", 3);
+        assert_eq!(
+            bad.verdict(&reference),
+            Err("node 1 ends holding 3 undelivered messages".to_string())
+        );
     }
 }

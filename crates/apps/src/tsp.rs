@@ -677,7 +677,9 @@ fn hybrid_variant(
     // Items originate at the manager itself, so the accepting queue mode
     // reproduces the paper's behaviour: each dequeue reply is a *fresh*
     // RELEASE from the manager carrying its latest state (including bound
-    // updates written to shared memory).
+    // updates written to shared memory). The manager's accept of an
+    // enqueue is the acquire alone: the item joins the pool, and nothing
+    // reaches node 0's user level.
     let mut q = QueueSpec::fifo(1, 0).accepting();
     q.deq_annotation = ann(cfg, Annotation::Request);
 

@@ -27,8 +27,9 @@
 //! type is invoked at delivery, may inspect the body, and must dispose of
 //! the message by **accepting** it (performing the acquire), **forwarding**
 //! it to another node with its encapsulated consistency information, or
-//! **storing** it for deferred disposition (§2.2). A message counts as
-//! delivered to user level only when accepted.
+//! **storing** it for deferred disposition (§2.2). Accepting is the acquire
+//! alone: user level receives exactly the messages whose handler id has no
+//! registered handler, which the default disposition accepts and delivers.
 //!
 //! [`Runtime`] ties the pieces together on each node: the LRC engine from
 //! `carlos-lrc`, the reliable transport from `carlos-sim`, handler

@@ -7,8 +7,10 @@
 //!
 //! Low-level handlers registered with [`Runtime::register`] run at message
 //! delivery, receive an [`Env`] (the capabilities a non-blocking handler
-//! may use), and must dispose of the message: [`Env::accept`],
-//! [`Env::forward`], or [`Env::store`]. Application code above the
+//! may use), and must dispose of the message: [`Env::accept`] (the acquire
+//! alone), [`Env::forward`], [`Env::store`] or [`Env::discard`]. A message
+//! whose id has no handler is accepted and delivered to user level, the
+//! only way there. Application code above the
 //! handlers blocks with [`Runtime::wait_accepted`] and accesses coherent
 //! memory through [`Runtime::read_bytes`] / [`Runtime::write_bytes`] and
 //! the typed helpers.
@@ -186,13 +188,15 @@ struct Core {
     /// used to tailor RELEASE payloads ("a description of the sending
     /// node's knowledge of the state of shared memory", §2.1).
     known: Vec<Vc>,
-    /// Messages accepted and awaiting user-level consumption.
+    /// Default-disposition messages, acquired and awaiting user level.
     accepted: VecDeque<AcceptedMsg>,
     /// Messages stored for deferred disposition (§2.2).
     stored: BTreeMap<u64, Message>,
     next_store_id: u64,
     /// Accepts blocked on inadequate consistency information (§4.3).
     pending_accepts: Vec<PendingAccept>,
+    /// Pending accepts a repair completed, to go back to their disposition.
+    repaired: Vec<PendingAccept>,
     /// Outstanding memory-system requests: (page, serving node).
     inflight: BTreeSet<(u32, NodeId)>,
     /// Diff records received for a page while other requests for the same
@@ -422,8 +426,8 @@ impl Core {
     }
 
     /// Performs the acquire side for an accepted message. Returns `true`
-    /// when acceptance completed (the message may be queued to user level),
-    /// `false` when it is pending on missing consistency information.
+    /// when the acquire completed, `false` when it is pending on missing
+    /// consistency information.
     ///
     /// Takes the message by `&mut` so carried records and diffs move into
     /// the interval log and the per-page buffer instead of being cloned.
@@ -527,11 +531,12 @@ impl Core {
         }
     }
 
-    /// Runs the acquire side for `msg`, then either queues it for user
-    /// level or parks it as a pending accept awaiting repair.
-    fn finish_or_pend(&mut self, mut msg: Message) {
+    /// Runs the acquire side for `msg` and returns it once complete, or
+    /// parks it as a pending accept awaiting repair.
+    fn acquire(&mut self, mut msg: Message) -> Option<Message> {
         if self.do_accept(&mut msg) {
-            self.complete_accept(msg);
+            self.ctx.count("carlos.accepted", 1);
+            Some(msg)
         } else {
             let required = msg
                 .consistency
@@ -543,18 +548,8 @@ impl Core {
                 required,
                 rounds: 0,
             });
+            None
         }
-    }
-
-    fn complete_accept(&mut self, msg: Message) {
-        self.ctx.count("carlos.accepted", 1);
-        self.accepted.push_back(AcceptedMsg {
-            src: msg.src,
-            origin: msg.origin,
-            handler: msg.handler,
-            annotation: msg.annotation,
-            body: msg.body,
-        });
     }
 
     /// Handles an incoming system message.
@@ -881,29 +876,27 @@ impl Core {
     }
 
     fn retry_pending_accepts(&mut self) {
-        let mut still_pending = Vec::new();
-        let pending = std::mem::take(&mut self.pending_accepts);
+        let mut pending = std::mem::take(&mut self.pending_accepts);
         let had_pending = !pending.is_empty();
-        for mut p in pending {
-            if self.engine.vt().dominates(&p.required) {
-                let msg = p.msg;
-                self.complete_accept(msg);
-            } else {
-                p.rounds += 1;
-                assert!(
-                    p.rounds < MAX_REPAIR_ROUNDS,
-                    "consistency repair not converging (node {}, required {:?}, have {:?})",
-                    self.node(),
-                    p.required,
-                    self.engine.vt()
-                );
-                self.note_repair(p.msg.origin, &p.required);
-                let mut body = Encoder::new();
-                self.engine.vt().encode(&mut body);
-                p.required.encode(&mut body);
-                self.send_sys(p.msg.origin, SYS_IVAL_REQ, body.finish_vec());
-                still_pending.push(p);
-            }
+        let vt = self.engine.vt();
+        let incomplete = |p: &mut PendingAccept| !vt.dominates(&p.required);
+        let mut still_pending: Vec<_> = pending.extract_if(.., incomplete).collect();
+        // The complete ones go back to their disposition.
+        self.repaired = pending;
+        for p in &mut still_pending {
+            p.rounds += 1;
+            assert!(
+                p.rounds < MAX_REPAIR_ROUNDS,
+                "consistency repair not converging (node {}, required {:?}, have {:?})",
+                self.node(),
+                p.required,
+                self.engine.vt()
+            );
+            self.note_repair(p.msg.origin, &p.required);
+            let mut body = Encoder::new();
+            self.engine.vt().encode(&mut body);
+            p.required.encode(&mut body);
+            self.send_sys(p.msg.origin, SYS_IVAL_REQ, body.finish_vec());
         }
         self.pending_accepts.extend(still_pending);
         if had_pending && self.pending_accepts.is_empty() {
@@ -984,16 +977,17 @@ impl Env<'_> {
         self.core.ctx.now()
     }
 
-    /// Accepts `msg`: performs the acquire actions its annotation requires
-    /// and delivers it to user level (possibly later, if consistency
-    /// information must first be repaired).
-    pub fn accept(&mut self, msg: Message) {
+    /// Accepts `msg`: the acquire its annotation requires, and nothing more
+    /// (user level gets only messages whose id has no handler). Returns
+    /// `false` if the acquire pends on repair (§4.3): the message comes back
+    /// to its handler, with nothing left to acquire, once the repair lands,
+    /// so a handler acts on it only after a `true`.
+    pub fn accept(&mut self, msg: Message) -> bool {
         self.disposed = true;
-        self.core.finish_or_pend(msg);
+        self.core.acquire(msg).is_some()
     }
 
-    /// Consumes `msg` without delivering it to user level and without any
-    /// memory-consistency action.
+    /// Consumes `msg` without any memory-consistency action.
     ///
     /// This is the usual disposition for protocol-internal REQUEST/NONE
     /// messages whose content the handler has fully absorbed (e.g. a lock
@@ -1046,18 +1040,18 @@ impl Env<'_> {
         self.core.forward(msg, dst, handler);
     }
 
-    /// Accepts a previously stored message.
+    /// Accepts a previously stored message, like [`Env::accept`].
     ///
     /// # Panics
     ///
     /// Panics if `id` is unknown (already disposed).
-    pub fn accept_stored(&mut self, id: u64) {
+    pub fn accept_stored(&mut self, id: u64) -> bool {
         let msg = self
             .core
             .stored
             .remove(&id)
             .expect("accept_stored: unknown store token");
-        self.core.finish_or_pend(msg);
+        self.core.acquire(msg).is_some()
     }
 
     /// Sends a new user message (handlers may reply or notify third
@@ -1115,6 +1109,7 @@ impl Runtime {
                 stored: BTreeMap::new(),
                 next_store_id: 1,
                 pending_accepts: Vec::new(),
+                repaired: Vec::new(),
                 inflight: BTreeSet::new(),
                 pending_diffs: BTreeMap::new(),
                 force_diffs: BTreeSet::new(),
@@ -1227,10 +1222,21 @@ impl Runtime {
         });
         if msg.handler >= SYS_HANDLER_BASE {
             self.core.handle_sys(msg);
-            self.eager_fetch_invalidated();
-            return;
+            // A repaired message has nothing left to acquire.
+            for mut p in std::mem::take(&mut self.core.repaired) {
+                p.msg.consistency = Consistency::None;
+                self.dispose(p.msg);
+            }
+        } else {
+            self.core.note_incoming(&msg);
+            self.dispose(msg);
         }
-        self.core.note_incoming(&msg);
+        self.eager_fetch_invalidated();
+    }
+
+    /// Runs `msg`'s handler, or the default disposition when its id has
+    /// none: the acquire, then delivery to user level.
+    fn dispose(&mut self, msg: Message) {
         // The handler borrows its slot and the core (via Env) side by side:
         // one lookup per message, nothing removed or re-inserted.
         if let Some(h) = self.handlers.get_mut(&msg.handler) {
@@ -1244,15 +1250,15 @@ impl Runtime {
                 env.disposed,
                 "handler {handler_id} returned without disposing of its message"
             );
-        } else {
-            // Default disposition: accept.
-            let mut env = Env {
-                core: &mut self.core,
-                disposed: false,
-            };
-            env.accept(msg);
+        } else if let Some(msg) = self.core.acquire(msg) {
+            self.core.accepted.push_back(AcceptedMsg {
+                src: msg.src,
+                origin: msg.origin,
+                handler: msg.handler,
+                annotation: msg.annotation,
+                body: msg.body,
+            });
         }
-        self.eager_fetch_invalidated();
     }
 
     /// Takes the first accepted message for `handler`, if one is queued.
@@ -1614,11 +1620,17 @@ impl Runtime {
     }
 
     /// Flushes transport state and publishes engine statistics as node
-    /// counters; call once at the end of a node's main.
+    /// counters, and the messages the node still holds (never taken, pending
+    /// or stored) as `carlos.residue`; call once at the end of a node's main.
     pub fn shutdown(&mut self) {
         self.core.transport.flush();
         let s = self.core.engine.stats();
         let c = &self.core.ctx;
+        let residue =
+            self.core.accepted.len() + self.core.pending_accepts.len() + self.core.stored.len();
+        if residue > 0 {
+            c.count("carlos.residue", residue as u64);
+        }
         c.count("lrc.intervals_created", s.intervals_created);
         c.count("lrc.diffs_created", s.diffs_created);
         c.count("lrc.diffs_applied", s.diffs_applied);

@@ -11,6 +11,7 @@ use carlos_sim::{time::ms, Cluster, SimConfig};
 const H_GO: u32 = 1;
 const H_REPLY: u32 = 2;
 const H_FWD: u32 = 3;
+const H_NEXT: u32 = 4;
 
 fn mk_runtime(ctx: carlos_sim::NodeCtx, n: usize) -> Runtime {
     Runtime::new(ctx, LrcConfig::small_test(n), CoreConfig::fast_test())
@@ -201,7 +202,7 @@ fn stored_messages_forward_later() {
             H_GO,
             Box::new(move |env, msg| {
                 let requester = msg.src;
-                env.accept(msg); // The dequeue REQUEST itself.
+                env.discard(msg); // The dequeue REQUEST itself.
                 let id = s2.lock().unwrap().pop().expect("an item is queued");
                 env.forward_stored(id, requester, H_FWD);
             }),
@@ -230,7 +231,10 @@ fn stored_messages_forward_later() {
 fn stored_release_synchronizes_when_accepted_later() {
     // Deferred acceptance (§2.2): a handler stores a RELEASE, and only a
     // later message makes it accept the stored one; the node becomes
-    // consistent with the sender then, not on arrival.
+    // consistent with the sender then, not on arrival. Accepting is the
+    // acquire alone, so the RELEASE never reaches user level; the NONE
+    // message sent after `H_GO` (per-pair FIFO orders the two) tells user
+    // level that the accept ran.
     let mut c = Cluster::new(SimConfig::fast_test(), 2);
     c.spawn_node(0, |ctx| {
         let mut rt = mk_runtime(ctx, 2);
@@ -238,6 +242,7 @@ fn stored_release_synchronizes_when_accepted_later() {
         rt.send(1, H_FWD, b"deferred".to_vec(), Annotation::Release);
         rt.sleep(ms(5));
         rt.send(1, H_GO, vec![], Annotation::None);
+        rt.send(1, H_NEXT, vec![], Annotation::None);
         let _ = rt.wait_accepted(H_REPLY);
         rt.shutdown();
     });
@@ -250,17 +255,18 @@ fn stored_release_synchronizes_when_accepted_later() {
             H_GO,
             Box::new(move |env, msg| {
                 env.accept(msg);
-                env.accept_stored(token.take().expect("the RELEASE is stored"));
+                let stored = token.take().expect("the RELEASE is stored");
+                assert!(env.accept_stored(stored), "the RELEASE is complete");
             }),
         );
         rt.sleep(ms(2));
         assert_eq!(rt.ctx().counter("carlos.stored"), 1);
         assert!(rt.try_take_accepted(H_FWD).is_none(), "stored, not accepted");
         assert_eq!(rt.vt().get(0), 0, "a stored RELEASE does not synchronize");
-        let m = rt.wait_accepted(H_FWD);
-        assert_eq!((m.origin, m.body.as_slice()), (0, &b"deferred"[..]));
+        let _ = rt.wait_accepted(H_NEXT);
         assert_eq!(rt.vt().get(0), 1, "accepting it applies the sender's interval");
         assert_eq!(rt.read_u32(0), 909, "the deferred accept must see the write");
+        assert!(rt.try_take_accepted(H_FWD).is_none(), "an accept is not a delivery");
         rt.send(0, H_REPLY, vec![], Annotation::None);
         rt.shutdown();
     });

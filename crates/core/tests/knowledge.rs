@@ -112,7 +112,7 @@ fn an_overestimate_after_a_stored_release_is_repaired() {
             H_DEQ,
             Box::new(move |env, msg| {
                 let requester = msg.src;
-                env.accept(msg);
+                env.discard(msg);
                 let id = stored.lock().unwrap().pop().expect("an item is queued");
                 env.forward_stored(id, requester, H_FWD);
             }),

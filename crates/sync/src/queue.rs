@@ -14,8 +14,12 @@
 //! [`QueueMode::Accepting`] implements the contrast experiment from §5.2
 //! (the variation in which "the forwarding mechanism is not used"): the
 //! manager accepts every enqueue and re-releases items itself, becoming a
-//! consistency hot spot. Either way the manager keeps one pool per queue
-//! and serves it in the queue's [`QueueDiscipline`].
+//! consistency hot spot. Its accept is the acquire alone (the enqueue never
+//! reaches the manager's user level), and an item joins the pool or goes
+//! to a parked consumer only once that acquire is complete, so the
+//! manager never re-releases what it does not yet hold. Either way the
+//! manager keeps one pool per queue and serves it in the queue's
+//! [`QueueDiscipline`].
 //!
 //! A semaphore is this same manager (§3: "semaphores ... have similar
 //! implementations"): a FIFO forwarding queue of empty items. `V` is
@@ -159,31 +163,36 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
                 return;
             };
             // Is a consumer already parked?
-            let waiter = s.with_tables(|t| t.queues.entry(qid).or_default().waiters.pop_front());
+            let waiter = || s.with_tables(|t| t.queues.entry(qid).or_default().waiters.pop_front());
             let item = if flags & ACCEPTING == 0 {
-                if let Some(w) = waiter {
+                if let Some(w) = waiter() {
                     env.forward(msg, w, H_Q_ITEM);
                     return;
                 }
                 Item::Stored(env.store(msg))
             } else {
                 // Contrast mode: absorb the producer's consistency; the
-                // item leaves as a fresh RELEASE of the manager.
+                // item leaves as a fresh RELEASE of the manager, so it waits
+                // for a complete acquire (a pending one brings the message
+                // back here once repaired).
                 let item = Item::Accepted(bytes.into());
-                env.accept(msg);
+                if !env.accept(msg) {
+                    return;
+                }
+                if let Some(w) = waiter() {
+                    deliver(env, qid, item, w);
+                    return;
+                }
                 item
             };
-            match waiter {
-                Some(w) => deliver(env, qid, item, w),
-                None => s.with_tables(|t| {
-                    let items = &mut t.queues.entry(qid).or_default().items;
-                    if flags & LIFO == 0 {
-                        items.push_back(item);
-                    } else {
-                        items.push_front(item);
-                    }
-                }),
-            }
+            s.with_tables(|t| {
+                let items = &mut t.queues.entry(qid).or_default().items;
+                if flags & LIFO == 0 {
+                    items.push_back(item);
+                } else {
+                    items.push_front(item);
+                }
+            });
         }),
     );
 
@@ -240,7 +249,8 @@ pub(crate) fn register(rt: &mut Runtime, sys: &SyncSystem) {
             }
         }),
     );
-    // H_Q_ITEM and H_Q_EMPTY use the default disposition (accept).
+    // H_Q_ITEM and H_Q_EMPTY have no handler: the default disposition
+    // accepts them and delivers them to the dequeuer at user level.
 }
 
 impl SyncSystem {

@@ -81,6 +81,51 @@ fn mixed_primitive_workload() {
 }
 
 /// The same workload must be bit-for-bit deterministic across runs.
+/// An accepting queue manager whose acquire pends on repair re-releases
+/// the item only once it holds the producer's intervals. The producer's
+/// first enqueue goes to a forwarding queue the same manager only stores,
+/// so its estimate of the manager is too high, and its enqueue on the
+/// accepting queue arrives one interval short: the manager's acquire must
+/// repair before the parked consumer gets the item.
+#[test]
+fn accepting_manager_re_releases_only_after_its_acquire_completes() {
+    let checker = carlos::check::Checker::new(3);
+    let mut cluster = Cluster::new(SimConfig::fast_test(), 3);
+    cluster.observe(std::rc::Rc::new(checker.clone()));
+    let stored = QueueSpec::fifo(1, 0);
+    let accepting = QueueSpec::fifo(2, 0).accepting();
+    let b = BarrierSpec::global(9, 0);
+    for node in 0..3u32 {
+        cluster.spawn_node(node, move |ctx| {
+            let (mut rt, sys) = mk(ctx, 3);
+            match node {
+                1 => {
+                    rt.ctx().sleep(ms(5)); // Let the consumer park first.
+                    rt.write_u32(0, 111);
+                    sys.enqueue(&mut rt, stored, b"stored");
+                    rt.write_u32(64, 222);
+                    sys.enqueue(&mut rt, accepting, b"accepted");
+                }
+                2 => {
+                    let item = sys.dequeue(&mut rt, accepting);
+                    assert_eq!(item.as_deref(), Some(&b"accepted"[..]));
+                    assert_eq!((rt.read_u32(0), rt.read_u32(64)), (111, 222));
+                    let item = sys.dequeue(&mut rt, stored);
+                    assert_eq!(item.as_deref(), Some(&b"stored"[..]));
+                }
+                _ => {}
+            }
+            sys.barrier(&mut rt, b, 0);
+            rt.shutdown();
+        });
+    }
+    let report = cluster.run();
+    let repairs = report.node_counters[0].get("carlos.repair_requests");
+    assert!(repairs >= 1, "the manager's acquire pended");
+    assert_eq!(report.counter_total("carlos.residue"), 0);
+    checker.assert_clean();
+}
+
 #[test]
 fn full_stack_determinism() {
     let run = || {
