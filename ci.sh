@@ -287,13 +287,16 @@ awk -v a="$allocs" -v b="$per_run" -v ns="$ns" -v c="$(ratio calib_ms)" \
 # - the codec: a 4-creator RELEASE of 8 records encoded with transport
 #   headroom, and decoded back. The benchmark builds without LTO, so a codec
 #   function that loses its `#[inline]` shows here as a call per field;
+# - diffing a partitioned 8 KiB page of distinct keys, the shape of
+#   Quicksort's diffs (about 90 runs, diff_runs_typed_u32_partitioned_8k);
 # - the serving load generator: one arrival (gap, Zipf key, op) drawn at
 #   paper scale, 65 536 keys;
 # - observing a run: a test-scale Quicksort Hybrid-1 launch on four nodes
 #   with the checker, and with the checker and the tracer on one stream
 #   (the host seconds a checked run adds, in absolute ns).
 for row in "interval_log newer_than_8_of_4x2000" "interval_log apply_64_decoded" \
-    "codec encode_framed" "codec decode" "serve next_arrival_64k" \
+    "codec encode_framed" "codec decode" "diff_create typed_u32_partitioned_8k" \
+    "serve next_arrival_64k" \
     "observe check" "observe both"; do
     read -r group id <<< "$row"
     ns=$(median_ns "$group" "$id")

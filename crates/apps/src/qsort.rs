@@ -245,13 +245,16 @@ fn qsort_node(cfg: &QsortConfig, ctx: carlos_sim::NodeCtx) -> (bool, bool) {
     let (sorted, permutation) = if cfg.verify_all_nodes || node == 0 {
         let mut bytes = vec![0u8; n * 4];
         rt.read_bytes(lay.array, &mut bytes);
-        let vals: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect();
-        let sorted = vals.windows(2).all(|w| w[0] <= w[1]);
+        // Read in place: a second copy of the array would be the run's
+        // heap peak.
+        let vals = || {
+            bytes
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        };
+        let sorted = vals().zip(vals().skip(1)).all(|(a, b)| a <= b);
         // The input was a permutation of 0..n, so sorted output is 0..n.
-        let permutation = vals.iter().enumerate().all(|(i, &v)| v == i as u32);
+        let permutation = vals().enumerate().all(|(i, v)| v == i as u32);
         (sorted, permutation)
     } else {
         (true, true)
@@ -293,11 +296,13 @@ fn partition(cfg: &QsortConfig, rt: &mut Runtime, lay: &Layout, lo: usize, hi: u
     let mut vals = read_range(rt, lay, lo, hi);
     let pivot = vals[vals.len() - 1];
     let mut store = 0usize;
+    // Lomuto's swap as a select, not a branch on an unpredictable key.
     for i in 0..vals.len() - 1 {
-        if vals[i] <= pivot {
-            vals.swap(i, store);
-            store += 1;
-        }
+        let (v, w) = (vals[i], vals[store]);
+        let low = v <= pivot;
+        vals[i] = if low { w } else { v };
+        vals[store] = if low { v } else { w };
+        store += usize::from(low);
     }
     let last = vals.len() - 1;
     vals.swap(store, last);

@@ -8,10 +8,11 @@
 //! A counting allocator prices one dense diff: `diff_allocs_*` and
 //! `diff_heap_bytes_per_run_*`, both deterministic, as are the encoded
 //! size and run count of a rewritten page of typed data
-//! (`diff_wire_len_typed_*`, `diff_runs_typed_*`). A raw 2-node
-//! ping-pong prices the scheduler itself: `serial_ns_per_event` and
-//! `serial_ns_per_handoff`. Constructing the serving layout's engines
-//! prices the sparse page table: `engine_new_ns_per_granule_*` and
+//! (`diff_wire_len_typed_*`, `diff_runs_typed_*`, the latter also for a
+//! partitioned page of keys). A raw 2-node ping-pong prices the scheduler
+//! itself: `serial_ns_per_event` and `serial_ns_per_handoff`.
+//! Constructing the serving layout's engines prices the sparse page
+//! table: `engine_new_ns_per_granule_*` and
 //! `engine_bytes_per_untouched_granule_*`, and a log filled from one
 //! batch prices a logged interval record: `engine_bytes_per_logged_record_*`
 //! and `engine_allocs_per_logged_record_*`, and a store filled from one
@@ -238,6 +239,33 @@ fn typed_u32_pages() -> (Vec<u8>, Vec<u8>) {
     (page(), page())
 }
 
+/// An 8 KiB page of 2 048 distinct shuffled `u32`s before and after one
+/// Lomuto pass around the key of rank 100: the shape of Quicksort's own
+/// diffs, one stretch where the small keys gather and 90 runs in all, about
+/// their mean.
+fn typed_u32_partitioned_pages() -> (Vec<u8>, Vec<u8>) {
+    let mut rng = Xoshiro256::new(0x5150_1994);
+    let mut vals: Vec<u32> = (0..2048).collect();
+    rng.shuffle(&mut vals);
+    let last = vals.len() - 1;
+    let pivot = vals
+        .iter()
+        .position(|&v| v == 100)
+        .expect("a key of rank 100");
+    vals.swap(pivot, last);
+    let bytes = |vals: &[u32]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
+    let twin = bytes(&vals);
+    let mut store = 0;
+    for i in 0..last {
+        if vals[i] <= vals[last] {
+            vals.swap(i, store);
+            store += 1;
+        }
+    }
+    vals.swap(store, last);
+    (twin, bytes(&vals))
+}
+
 /// An 8 KiB page of `f64`s `1.0 + 0.37 i` and the same page with every
 /// element moved by `1e-3 sin i` — one step of a particle code: sign,
 /// exponent and the top of the mantissa agree.
@@ -257,8 +285,11 @@ fn bench_diff_create(b: &mut Bencher) {
     for (label, (twin, cur)) in [
         ("typed_u32_rewritten_8k", typed_u32_pages()),
         ("typed_f64_perturbed_8k", typed_f64_pages()),
+        ("typed_u32_partitioned_8k", typed_u32_partitioned_pages()),
     ] {
-        b.iter("diff_create", label, || Diff::create(black_box(&twin), black_box(&cur)));
+        b.iter("diff_create", label, || {
+            Diff::create(black_box(&twin), black_box(&cur))
+        });
     }
 }
 
@@ -324,7 +355,8 @@ fn bench_diff_lifecycle(b: &mut Bencher) {
 /// stay apart): the flat layout makes both independent of the run count —
 /// one buffer of `8 * runs + modified` bytes. And what a rewritten page of
 /// small `u32`s encodes to: one run, the page less its last (agreeing)
-/// byte, 12 bytes of framing.
+/// byte, 12 bytes of framing. And how many runs a partitioned page of keys
+/// makes.
 fn bench_diff_footprint() -> Vec<(String, f64)> {
     let (twin, cur) = page_pair(8);
     let (diff, allocs, bytes) = counted(|| Diff::create(&twin, &cur));
@@ -337,6 +369,8 @@ fn bench_diff_footprint() -> Vec<(String, f64)> {
         typed.wire_len(),
         typed.runs().count()
     );
+    let (twin, cur) = typed_u32_partitioned_pages();
+    let partitioned = Diff::create(&twin, &cur).runs().count();
     vec![
         ("diff_allocs_dense_1_in_8".to_string(), allocs as f64),
         (
@@ -345,6 +379,10 @@ fn bench_diff_footprint() -> Vec<(String, f64)> {
         ),
         ("diff_wire_len_typed_u32_8k".to_string(), typed.wire_len() as f64),
         ("diff_runs_typed_u32_8k".to_string(), typed.runs().count() as f64),
+        (
+            "diff_runs_typed_u32_partitioned_8k".to_string(),
+            partitioned as f64,
+        ),
     ]
 }
 

@@ -72,8 +72,8 @@ const BLOCK: usize = 128;
 /// First index `>= i` where the slices disagree (at least `len` if none):
 /// whole equal blocks, then equal word pairs, are skipped, and the first
 /// differing pair's XOR says which byte it is. Always inlined: left to the
-/// compiler it becomes a call in both of `create`'s scans, and sparse
-/// pages diff 10–40 % slower.
+/// compiler it becomes a call in the scanner's loop, and sparse pages diff
+/// 10–40 % slower.
 #[inline(always)]
 fn first_mismatch(a: &[u8], b: &[u8], mut i: usize) -> usize {
     let n = a.len();
@@ -146,61 +146,71 @@ fn scan_runs(twin: &[u8], current: &[u8], mut run: impl FnMut(usize, usize)) {
     }
 }
 
-/// Where `scan_runs` finds runs: how many, the bytes they modify, and the
-/// span from the first run's start to the last one's end.
-struct Extent {
-    runs: usize,
-    modified: usize,
-    lo: usize,
-    hi: usize,
-}
+/// Runs whose bounds the scan keeps, 4 KiB of stack: every run a 4 KiB
+/// page can hold (a run takes a dirty word and the clean word after it)
+/// and all but the last few of Quicksort's densest 8 KiB pages, which make
+/// up to 540. A page with more has the span after the last one kept
+/// scanned again. (Twice as many would cover every 8 KiB page at twice
+/// the stack, and a frame's pages stay resident on every proc's
+/// coroutine stack.)
+const KEPT: usize = 512;
 
-impl Extent {
-    /// The runs between `twin` and `current`, measured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths, or are too long for
-    /// `u32` offsets.
-    fn of(twin: &[u8], current: &[u8]) -> Self {
-        assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
-        assert!(u32::try_from(twin.len()).is_ok(), "page too large to diff");
-        let mut e = Self { runs: 0, modified: 0, lo: 0, hi: 0 };
-        scan_runs(twin, current, |start, end| {
-            if e.runs == 0 {
-                e.lo = start;
-            }
-            e.hi = end;
-            e.runs += 1;
-            e.modified += end - start;
-        });
-        e
-    }
+/// The first runs, whose bounds have an array of their own: a page of few
+/// runs zeroes 128 bytes of stack, not 4 KiB.
+const KEPT_HEAD: usize = 16;
 
-    /// Bytes of the runs' encoding.
-    fn len(&self) -> usize {
-        RUN_HEADER * self.runs + self.modified
-    }
-
-    /// Appends the runs to `out`, which the caller has made room in. The
-    /// second scan covers the dirty span alone (from the word its first
-    /// byte is in, so both scans see the same words); a lone run is its
-    /// span, nothing to find again.
-    fn write(&self, twin: &[u8], current: &[u8], out: &mut Vec<u8>) {
-        let mut push = |start: usize, end: usize| {
-            out.extend_from_slice(&(start as u32).to_le_bytes());
-            out.extend_from_slice(&((end - start) as u32).to_le_bytes());
-            out.extend_from_slice(&current[start..end]);
+/// Appends the runs between `twin` and `current` to the buffer `room`
+/// returns once it has made room for their `len` bytes of encoding, and
+/// returns how many there are. One scan finds and measures them all and
+/// keeps their bounds, so writing them compares no byte again (Quicksort's
+/// partitioned 8 KiB pages make up to 540 runs each). The bounds stay in
+/// this one frame: returned from a measuring function, they were copied
+/// on every call, and a clean page diffed a tenth slower.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths, or are too long for
+/// `u32` offsets.
+fn write_runs<'b>(twin: &[u8], current: &[u8], room: impl FnOnce(usize) -> &'b mut Vec<u8>) -> u32 {
+    assert_eq!(twin.len(), current.len(), "twin/page size mismatch");
+    assert!(u32::try_from(twin.len()).is_ok(), "page too large to diff");
+    let (mut runs, mut modified, mut hi, mut kept_end) = (0usize, 0, 0, 0);
+    // Each array is made at its first run, so a clean page zeroes neither.
+    let mut head: Option<[[u32; 2]; KEPT_HEAD]> = None;
+    let mut tail: Option<[[u32; 2]; KEPT - KEPT_HEAD]> = None;
+    scan_runs(twin, current, |start, end| {
+        let bounds = match runs.checked_sub(KEPT_HEAD) {
+            None => head.get_or_insert([[0; 2]; KEPT_HEAD]).get_mut(runs),
+            Some(r) => tail.get_or_insert([[0; 2]; KEPT - KEPT_HEAD]).get_mut(r),
         };
-        if self.runs == 1 {
-            push(self.lo, self.hi);
-        } else if self.runs > 1 {
-            let base = self.lo / WORD * WORD;
-            scan_runs(&twin[base..self.hi], &current[base..self.hi], |start, end| {
-                push(base + start, base + end);
-            });
+        if let Some(b) = bounds {
+            *b = [start as u32, end as u32];
+            kept_end = end;
         }
+        (runs, modified, hi) = (runs + 1, modified + end - start, end);
+    });
+    let out = room(RUN_HEADER * runs + modified);
+    let mut push = |start: usize, end: usize| {
+        out.extend_from_slice(&(start as u32).to_le_bytes());
+        out.extend_from_slice(&((end - start) as u32).to_le_bytes());
+        out.extend_from_slice(&current[start..end]);
+    };
+    let head = head.as_ref().map_or(&[][..], |b| &b[..runs.min(KEPT_HEAD)]);
+    let tail = tail
+        .as_ref()
+        .map_or(&[][..], |b| &b[..runs.min(KEPT) - KEPT_HEAD]);
+    for &[start, end] in head.iter().chain(tail) {
+        push(start as usize, end as usize);
     }
+    if runs > KEPT {
+        // From the word after the last kept run, which its stretch left
+        // clean, so both scans see the same words.
+        let base = kept_end.div_ceil(WORD) * WORD;
+        scan_runs(&twin[base..hi], &current[base..hi], |start, end| {
+            push(base + start, base + end);
+        });
+    }
+    runs as u32
 }
 
 /// The runs in `buf`, `([offset u32 LE][len u32 LE][len bytes])*`, as
@@ -239,14 +249,16 @@ impl Diff {
     /// `u32` offsets.
     #[must_use]
     pub fn create(twin: &[u8], current: &[u8]) -> Self {
-        // The first scan sizes the buffer, so it is allocated once and
-        // exactly; the second writes the runs straight into it.
-        let extent = Extent::of(twin, current);
-        let mut buf = Vec::with_capacity(extent.len());
-        extent.write(twin, current, &mut buf);
+        // The scan sizes the buffer, so it is allocated once and exactly;
+        // the runs it found are then written straight into it.
+        let mut buf = Vec::new();
+        let runs = write_runs(twin, current, |len| {
+            buf.reserve_exact(len);
+            &mut buf
+        });
         Self {
             buf: buf.into_boxed_slice(),
-            runs: extent.runs as u32,
+            runs,
         }
     }
 
@@ -703,10 +715,11 @@ impl Diffs {
         twin: &[u8],
         current: &[u8],
     ) {
-        let extent = Extent::of(twin, current);
-        self.reserve(0, 1, extent.len());
-        extent.write(twin, current, &mut self.bytes);
-        self.push_head([node, page, index, index], extent.runs as u32, &[]);
+        let runs = write_runs(twin, current, |len| {
+            self.reserve(0, 1, len);
+            &mut self.bytes
+        });
+        self.push_head([node, page, index, index], runs, &[]);
     }
 
     /// Size in bytes of the encoding ([`Wire`]).
@@ -1316,6 +1329,39 @@ mod tests {
                     .collect();
                 assert_eq!(walked, scanned, "page {page} ({after}, {through}]");
             }
+        }
+    }
+
+    /// A store captures what `Diff::create` makes of the same pages, and
+    /// both hold the reference runs, on either side of the first array of
+    /// kept bounds and of the last run kept: a 16 KiB page, one byte in
+    /// eight changed.
+    #[test]
+    fn capture_equals_create_around_the_kept_runs() {
+        let mut store = DiffStore::default();
+        let counts = [
+            0,
+            1,
+            KEPT_HEAD - 1,
+            KEPT_HEAD,
+            KEPT_HEAD + 1,
+            KEPT - 1,
+            KEPT,
+            KEPT + 1,
+            2000,
+        ];
+        for (index, runs) in (1..).zip(counts) {
+            let twin = vec![0u8; 16 << 10];
+            let mut cur = twin.clone();
+            for r in 0..runs {
+                cur[3 + 8 * r] = 0xFF;
+            }
+            store.capture((0, 0, index, index - 1), &twin, &cur);
+            let rec = store.get(0, index).expect("just captured");
+            let created = Diff::create(&twin, &cur);
+            assert_eq!((rec.runs, rec.buf), (created.runs, &*created.buf));
+            assert_eq!(runs_of(&created), reference_runs(&twin, &cur));
+            assert_eq!(created.runs().count(), runs);
         }
     }
 

@@ -232,6 +232,120 @@ fn granule_sized_diffs_match_reference() {
     });
 }
 
+/// A page of `len` bytes of distinct `u32`s (the last one cut short when
+/// `len` is not a multiple of four) before and after one Lomuto pass over
+/// its words `a..b` around the last of them, which the pass's pivot is
+/// made to be: the shape of the pages Quicksort's `partition` writes back.
+/// A low pivot leaves a few scattered runs, a middling one hundreds.
+fn partitioned_pages(g: &mut Gen, len: usize) -> (Vec<u8>, Vec<u8>) {
+    let words = len.div_ceil(WORD);
+    let salt = g.u32();
+    // Xor with a constant and multiplication by an odd one are both
+    // bijections of `u32`: every value differs from every other.
+    let mut vals: Vec<u32> = (0..words as u32)
+        .map(|k| (k ^ salt).wrapping_mul(0x9E37_79B1))
+        .collect();
+    // Mostly most of the page, as a partition of a large range writes it;
+    // one pass in eight pivots on its largest key and moves nothing.
+    let a = g.below(words / 8 + 1);
+    let b = g.range(words - (words - a) / 8..=words);
+    let mut ranked: Vec<usize> = (a..b).collect();
+    ranked.sort_by_key(|&i| vals[i]);
+    let rank = if g.below(8) == 0 {
+        ranked.len() - 1
+    } else {
+        g.below(ranked.len())
+    };
+    let pivot = ranked[rank];
+    vals.swap(pivot, b - 1);
+    let bytes = |vals: &[u32]| -> Vec<u8> {
+        vals.iter()
+            .flat_map(|v| v.to_le_bytes())
+            .take(len)
+            .collect()
+    };
+    let twin = bytes(&vals);
+    let mut store = a;
+    for i in a..b {
+        if vals[i] <= vals[b - 1] {
+            vals.swap(i, store);
+            store += 1;
+        }
+    }
+    (twin, bytes(&vals))
+}
+
+/// Pages with many runs, as a partitioned array of keys makes them: the
+/// scanner keeps the bounds of its first 512 runs (the first 16 in an
+/// array of their own) and scans only what follows the last of them
+/// again, so the pages here range from none to about 2 000 runs, 8 KiB and
+/// up to 64 KB of lengths that are no multiple of a word, with long
+/// stretches across the 128-byte blocks the scan skips clean stretches by.
+#[test]
+fn partitioned_pages_equal_reference() {
+    let (mut none, mut past_kept, mut most) = (false, false, 0);
+    cases("partitioned_pages_equal_reference", 64, |g| {
+        let len = if g.bool() {
+            8192
+        } else {
+            g.range(1usize..64_000)
+        };
+        let (twin, cur) = partitioned_pages(g, len);
+        let d = Diff::create(&twin, &cur);
+        assert_eq!(runs_of(&d), reference_runs(&twin, &cur), "{len} B page");
+        let mut rebuilt = twin.clone();
+        d.apply(&mut rebuilt);
+        assert_eq!(rebuilt, cur);
+        let runs = d.runs().count();
+        none |= runs == 0;
+        past_kept |= runs > 512;
+        most = most.max(runs);
+    });
+    assert!(
+        none && past_kept && most >= 1_500,
+        "cases made 0 runs: {none}, over 512: {past_kept}, at most {most}"
+    );
+}
+
+/// Exactly 14 to 19 or 509 to 515 runs of 1 to 40 dirty words each,
+/// apart by 1 to 8 clean words, each dirty word changed in some of its
+/// bytes: the runs either side of the scanner's first array of kept
+/// bounds and of the last run it keeps, and stretches that start in one
+/// 128-byte block and end in another.
+#[test]
+fn runs_around_the_kept_count_equal_reference() {
+    cases("runs_around_the_kept_count_equal_reference", 64, |g| {
+        let target = if g.bool() {
+            g.range(14usize..=19)
+        } else {
+            g.range(509usize..=515)
+        };
+        let mut dirty = Vec::new();
+        let mut w = g.below(4);
+        for _ in 0..target {
+            let stretch = g.range(1usize..=40);
+            dirty.extend(w..w + stretch);
+            w += stretch + g.range(1usize..=8);
+        }
+        let len = w * WORD + g.below(WORD);
+        let twin: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
+        let mut cur = twin.clone();
+        for w in dirty {
+            // Some of the word's bytes, at least one: a stretch whose
+            // words differ only at their far ends is still one run.
+            let always = g.below(WORD);
+            for (k, byte) in cur[w * WORD..w * WORD + WORD].iter_mut().enumerate() {
+                if k == always || g.bool() {
+                    *byte ^= g.u8() | 1;
+                }
+            }
+        }
+        let d = Diff::create(&twin, &cur);
+        assert_eq!(d.runs().count(), target);
+        assert_eq!(runs_of(&d), reference_runs(&twin, &cur));
+    });
+}
+
 /// What makes the word rule safe and worth having, on scattered bytes
 /// and on rewritten typed elements alike: the diff rebuilds the page;
 /// it carries **no byte of a word the writer left clean** (so it cannot
