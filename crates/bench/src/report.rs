@@ -1183,14 +1183,15 @@ const GATED: [(&str, &[&str], &[&str]); 2] = [
 ///
 /// # Errors
 ///
-/// Returns the first missing row or differing field, naming both, or a
-/// document that does not parse.
+/// Returns every missing row and every differing row, each named with its
+/// first differing field, one a line; or a document that does not parse.
 pub fn row_gate(report_json: &str, baseline_json: &str) -> Result<Vec<String>, String> {
     let parse = |what: &str, text: &str| {
         json::parse(text).map_err(|e| format!("{what} JSON does not parse: {e}"))
     };
     let (fresh, base) = (parse("report", report_json)?, parse("baseline", baseline_json)?);
     let mut lines = Vec::new();
+    let mut differ = Vec::new();
     let mut new_fields = BTreeSet::new();
     for (array, names, free) in GATED {
         let rows = |doc: &JsonValue, what: &str| {
@@ -1208,11 +1209,11 @@ pub fn row_gate(report_json: &str, baseline_json: &str) -> Result<Vec<String>, S
         };
         for b in &base_rows {
             let k = key(b);
-            let f = fresh_rows
-                .iter()
-                .find(|f| key(f) == k)
-                .ok_or_else(|| format!("report has no {k} row"))?;
-            same_json(b, f, &k, &mut new_fields)?;
+            let verdict = match fresh_rows.iter().find(|f| key(f) == k) {
+                Some(f) => same_json(b, f, &k, &mut new_fields),
+                None => Err(format!("report has no {k} row")),
+            };
+            differ.extend(verdict.err());
         }
         lines.push(format!("{} baseline {array} equal", base_rows.len()));
         lines.extend(
@@ -1224,8 +1225,14 @@ pub fn row_gate(report_json: &str, baseline_json: &str) -> Result<Vec<String>, S
         );
     }
     if let Some(b) = base.get("microcosts") {
-        let f = fresh.get("microcosts").ok_or("report has no microcosts block")?;
-        same_json(b, f, "microcosts", &mut new_fields)?;
+        let verdict = match fresh.get("microcosts") {
+            Some(f) => same_json(b, f, "microcosts", &mut new_fields),
+            None => Err("report has no microcosts block".to_string()),
+        };
+        differ.extend(verdict.err());
+    }
+    if !differ.is_empty() {
+        return Err(format!("{} baseline entries differ:\n{}", differ.len(), differ.join("\n")));
     }
     lines.extend(new_fields.into_iter().map(|f| format!("new field {f}")));
     Ok(lines)
@@ -1544,6 +1551,12 @@ mod tests {
         let changed = [gate_row("TSP", 1000, 50_000), gate_row("Quicksort", 2000, 80_001)];
         let err = row_gate(&json(&changed, &kv), &baseline).unwrap_err();
         assert!(err.contains("Quicksort/Lock n=4") && err.contains("classes[0]: bytes"), "{err}");
+        // Every differing row is named, each with its first differing field.
+        let both_changed = [gate_row("TSP", 1001, 50_000), gate_row("Quicksort", 2000, 80_001)];
+        let err = row_gate(&json(&both_changed, &kv), &baseline).unwrap_err();
+        assert!(err.starts_with("2 baseline entries differ"), "{err}");
+        assert!(err.contains("TSP/Lock n=4: messages changed"), "{err}");
+        assert!(err.contains("Quicksort/Lock n=4: classes[0]: bytes"), "{err}");
 
         let err = row_gate(&json(&both[..1], &kv), &baseline).unwrap_err();
         assert!(err.contains("no Quicksort/Lock n=4 row"), "{err}");

@@ -334,10 +334,10 @@ fn decode_runs<'a>(dec: &mut Decoder<'a>) -> Result<(u32, &'a [u8]), DecodeError
 /// page, and which of the producer's intervals it covers. A [`Diffs`]
 /// batch collects from these; no store or payload holds one.
 ///
-/// Because diffing is lazy, one record may cover several consecutive
-/// intervals of its creator (`first..=last`): the page was dirtied across
-/// multiple release points before anyone requested the modifications.
-/// The engine captures one per interval, so its records have
+/// A record may cover several consecutive intervals of its creator
+/// (`first..=last`), as a lazily created diff does when a page was dirtied
+/// across several release points before anyone requested it. The engine
+/// captures one per interval, at its close, so its records have
 /// `first == last`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffRecord {

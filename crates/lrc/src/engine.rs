@@ -12,11 +12,15 @@
 //! - All clean shared pages are read-only. A write fault creates a *twin*
 //!   and write-enables the page.
 //! - A new interval is created when a RELEASE message is sent or accepted
-//!   ([`LrcEngine::close_interval`]); it carries a write notice for every
-//!   page dirtied since the previous interval.
+//!   ([`LrcEngine::close_interval`]). Each page written since the previous
+//!   interval is diffed against its twin then and re-protected, and the
+//!   interval carries a write notice for every such page whose bytes
+//!   changed.
 //! - Accepting consistency information applies write notices by
-//!   invalidating named pages ([`LrcEngine::apply_records`]); if the local
-//!   page is dirty, its modifications are first captured in a diff.
+//!   invalidating named pages ([`LrcEngine::apply_records`]). A locally
+//!   write-enabled page keeps its twin, which holds only the open
+//!   interval's writes: they are captured at the next close, and fetched
+//!   diffs are applied to the twin as well as to the copy.
 //! - An access fault on an invalid page demands diffs from the writers
 //!   whose notices are unapplied ([`LrcEngine::fault_demands`]); the
 //!   writers serve the diffs they captured when each interval closed
@@ -69,7 +73,10 @@ pub enum Demand {
 pub struct EngineStats {
     /// Intervals created locally.
     pub intervals_created: u64,
-    /// Diffs created locally (twin comparisons performed).
+    /// Diffs created locally: pages whose bytes an interval changed. A
+    /// written page left byte-identical to its twin makes none, so once
+    /// every interval has closed, `write_faults - diffs_created` counts
+    /// those pages.
     pub diffs_created: u64,
     /// Diff records applied to local pages.
     pub diffs_applied: u64,
@@ -469,21 +476,29 @@ impl LrcEngine {
     // Intervals and write notices.
     // ------------------------------------------------------------------
 
-    /// Closes the current interval if any page was modified in it; called
-    /// at every release and acquire endpoint.
+    /// Closes the current interval if any page took a write fault in it;
+    /// called at every release and acquire endpoint.
     ///
-    /// The closing interval receives a write notice for every page dirtied
-    /// since the previous close. Pages stay write-enabled with their twins
-    /// intact — diffing is lazy — so writes that land on a still-unprotected
-    /// page after the close are folded, undetected, into the earlier
-    /// interval's eventual diff, exactly as in TreadMarks (safe for
-    /// data-race-free programs).
+    /// Each written page is diffed against its twin now and re-protected,
+    /// so its next write faults into the next interval. The interval names
+    /// only the pages whose bytes changed: one left byte-identical to its
+    /// twin gets no write notice and no diff. The interval closes, and the
+    /// clock advances, even when it names no page: each write belongs to
+    /// the interval open when it was made.
     pub fn close_interval(&mut self) -> Option<IntervalRecord> {
         if self.dirty.is_empty() {
             return None;
         }
         let idx = self.vt.bump(self.node);
-        let pages: Vec<PageId> = std::mem::take(&mut self.dirty).into_iter().collect();
+        let mut pages: Vec<PageId> = std::mem::take(&mut self.dirty).into_iter().collect();
+        // Eager per-interval diffing: capture each written page's
+        // modifications now, so every diff record covers exactly one
+        // interval and carries that interval's timestamp. Records that
+        // merge several intervals under one capture-time timestamp cannot
+        // be ordered correctly against concurrent writers — a byte written
+        // in an early interval would sort by the late timestamp and could
+        // overwrite a causally-later write from another node.
+        pages.retain(|&p| self.capture_own_diff(p));
         for &p in &pages {
             let meta = self.pages.get_mut(p).expect("dirty page is resident");
             meta.max_notice.set(self.node, idx);
@@ -497,16 +512,6 @@ impl LrcEngine {
             pages: &pages,
         });
         self.stats.intervals_created += 1;
-        // Eager per-interval diffing: capture each announced page's
-        // modifications now, so every diff record covers exactly one
-        // interval and carries that interval's timestamp. Records that
-        // merge several intervals under one capture-time timestamp cannot
-        // be ordered correctly against concurrent writers — a byte written
-        // in an early interval would sort by the late timestamp and could
-        // overwrite a causally-later write from another node.
-        for &p in &pages {
-            self.capture_own_diff(p);
-        }
         let rec = IntervalRecord {
             node: self.node,
             index: idx,
@@ -627,25 +632,33 @@ impl LrcEngine {
 
     /// Captures this node's modifications to `page` for the just-closed
     /// interval into its store, drops the twin, and re-protects the page.
-    /// Called from [`LrcEngine::close_interval`] for every page the closing
-    /// interval announces, so each record covers exactly one interval and
-    /// carries its timestamp (sound causal ordering).
+    /// Called from [`LrcEngine::close_interval`] for every page written in
+    /// the closing interval, so each record covers exactly one interval and
+    /// carries its timestamp (sound causal ordering). Returns whether the
+    /// page changed: one byte-identical to its twin is re-protected with no
+    /// record.
     ///
     /// # Panics
     ///
     /// Panics if the page has no twin (an internal invariant).
-    fn capture_own_diff(&mut self, page: PageId) {
+    fn capture_own_diff(&mut self, page: PageId) -> bool {
         let idx = self.vt.get(self.node);
-        let meta = self.pages.get_mut(page).expect("announced page is resident");
+        let meta = self.pages.get_mut(page).expect("written page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
-        self.own.capture((self.node, page, idx, meta.own_covered), &twin, &meta.data);
-        meta.own_covered = idx;
+        // The close moves this node's `applied` and `max_notice` entries
+        // together, so the test gives the same answer before it as after.
         meta.state = if meta.up_to_date() {
             PageState::ReadOnly
         } else {
             PageState::Invalid
         };
+        if twin == meta.data {
+            return false;
+        }
+        self.own.capture((self.node, page, idx, meta.own_covered), &twin, &meta.data);
+        meta.own_covered = idx;
         self.stats.diffs_created += 1;
+        true
     }
 
     /// True when every *individual* write notice known for `page` is either
@@ -1162,6 +1175,19 @@ mod tests {
             }
         }
 
+        /// Every page an own interval names changed in it: its own diff for
+        /// that interval holds at least one run.
+        fn check_named_pages(&mut self, _mask: u32) {
+            for e in &self.0 {
+                for rec in e.intervals.range(e.node, 0, e.vt.get(e.node)) {
+                    for &p in rec.pages {
+                        let diff = e.own.get(p, rec.index).expect("a named page has an own diff");
+                        assert!(diff.runs().next().is_some(), "node {} page {p}", e.node);
+                    }
+                }
+            }
+        }
+
         /// Every node holding a copy of a page is in its owner's served
         /// set, so an owner that skips a node's eager diffs never costs a
         /// holder a fetch.
@@ -1190,7 +1216,12 @@ mod tests {
                     0..=2 => {
                         c.fetch(node, page);
                         let addr = page as usize * 64 + 4 * (node + (mask as usize % 3));
-                        c.0[node].write(addr, &mask.to_le_bytes()).expect("fetched page");
+                        let mut word = mask.to_le_bytes();
+                        if mask % 5 == 0 {
+                            // Writes back what the word holds.
+                            c.0[node].read(addr, &mut word).expect("fetched page");
+                        }
+                        c.0[node].write(addr, &word).expect("fetched page");
                     }
                     3 | 4 => {
                         c.0[node].close_interval();
@@ -1209,6 +1240,11 @@ mod tests {
     #[test]
     fn outstanding_notices_match_the_store_walk() {
         random_script("outstanding_notices_match_the_store_walk", Cluster::check);
+    }
+
+    #[test]
+    fn every_named_page_has_an_own_diff_with_a_run() {
+        random_script("every_named_page_has_an_own_diff_with_a_run", Cluster::check_named_pages);
     }
 
     #[test]

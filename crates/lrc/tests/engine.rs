@@ -354,6 +354,72 @@ fn empty_interval_not_created() {
     assert_eq!(e[0].vt().get(0), 1);
 }
 
+/// The record `close_interval` returns, which must exist.
+fn close(e: &mut [LrcEngine], node: usize) -> IntervalRecord {
+    e[node].close_interval().expect("a page was written")
+}
+
+#[test]
+fn rewriting_identical_bytes_closes_an_interval_that_names_no_page() {
+    let mut e = cluster(2);
+    resolve_write(&mut e, 0, 0, &[5]);
+    assert_eq!(close(&mut e, 0).pages, vec![0]);
+    resolve_write(&mut e, 0, 0, &[5]);
+    assert_eq!(e[0].stats().write_faults, 2);
+    // The interval still closes, so the write is attributed to interval 2.
+    let rec = close(&mut e, 0);
+    assert_eq!((rec.index, rec.pages), (2, vec![]));
+    assert_eq!(e[0].vt().get(0), 2);
+    assert_eq!(e[0].page_state(0), PageState::ReadOnly);
+    assert!(e[0].stored_diff(0, 0, 2).is_none(), "no own record for interval 2");
+    assert_eq!(e[0].stats().diffs_created, 1);
+    // The page was re-protected: the next write faults again.
+    resolve_write(&mut e, 0, 0, &[6]);
+    assert_eq!(e[0].stats().write_faults, 3);
+    assert_eq!(close(&mut e, 0).pages, vec![0]);
+}
+
+#[test]
+fn a_change_restored_within_the_interval_is_elided() {
+    let mut e = cluster(2);
+    resolve_write(&mut e, 0, 8, &[7, 7]);
+    resolve_write(&mut e, 0, 8, &[0, 0]);
+    assert!(close(&mut e, 0).pages.is_empty());
+    assert_eq!(e[0].stats().diffs_created, 0);
+    assert_eq!(e[0].page_state(0), PageState::ReadOnly);
+}
+
+#[test]
+fn only_the_changed_page_is_named() {
+    let mut e = cluster(2);
+    resolve_write(&mut e, 0, 0, &[3]);
+    resolve_write(&mut e, 0, 64, &[0]); // Page 1 already holds a zero there.
+    let rec = close(&mut e, 0);
+    assert_eq!(rec.pages, vec![0]);
+    assert_eq!(e[0].stats().diffs_created, 1);
+    assert!(e[0].stored_diff(0, 1, 1).is_none());
+    let own: Vec<DiffView<'_>> = e[0].own_diffs(0, 0, 1).collect();
+    assert_eq!(own.len(), 1);
+    assert_eq!(own[0].runs().collect::<Vec<_>>(), vec![(0, &[3u8][..])]);
+}
+
+#[test]
+fn an_elided_page_stays_valid_on_a_reader_that_applies_the_record() {
+    let mut e = cluster(2);
+    let mut buf = [0u8; 1];
+    resolve_write(&mut e, 0, 0, &[4]);
+    sync_release(&mut e, 0, 1);
+    resolve_read(&mut e, 1, 0, &mut buf); // Node 1 holds an up-to-date copy.
+    assert_eq!(buf[0], 4);
+    resolve_write(&mut e, 0, 0, &[4]);
+    sync_release(&mut e, 0, 1);
+    assert_eq!(e[1].vt().get(0), 2, "the empty interval was applied");
+    assert_eq!(e[1].page_state(0), PageState::ReadOnly);
+    assert!(e[1].fault_demands(0).is_empty());
+    assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 0, "no fetch");
+    assert_eq!(buf[0], 4);
+}
+
 #[test]
 fn serving_page_from_invalid_owner_copy_is_repaired_by_diffs() {
     // Node 1 writes page 0 and releases to owner 0, which does NOT fault

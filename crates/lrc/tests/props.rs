@@ -890,14 +890,19 @@ mod sparse_table_equivalence {
                 return None;
             }
             let idx = self.vt.bump(self.node);
-            let pages: Vec<u32> = std::mem::take(&mut self.dirty).into_iter().collect();
-            for &p in &pages {
+            let mut pages: Vec<u32> = std::mem::take(&mut self.dirty).into_iter().collect();
+            // A page left byte-identical to its twin is re-protected and
+            // named by no notice; the interval still closes.
+            pages.retain(|&p| {
                 let meta = &mut self.pages[p as usize];
+                let twin = meta.twin.take().expect("dirty page has a twin");
+                meta.state = if meta.up_to_date() { PageState::ReadOnly } else { PageState::Invalid };
+                let diff = Diff::create(&twin, &meta.data);
+                if diff.is_empty() {
+                    return false;
+                }
                 meta.max_notice.set(self.node, idx);
                 meta.applied.set(self.node, idx);
-                let twin = meta.twin.take().expect("dirty page has a twin");
-                let diff = Diff::create(&twin, &meta.data);
-                meta.state = if meta.up_to_date() { PageState::ReadOnly } else { PageState::Invalid };
                 self.diffs.entry((self.node, p)).or_default().push(DiffRecord {
                     node: self.node,
                     page: p,
@@ -907,7 +912,8 @@ mod sparse_table_equivalence {
                     diff,
                 });
                 self.stats.diffs_created += 1;
-            }
+                true
+            });
             let rec = IntervalRecord { node: self.node, index: idx, vc: self.vt.clone(), pages };
             self.intervals.insert(rec.as_interval());
             self.stats.intervals_created += 1;
@@ -1093,14 +1099,11 @@ mod sparse_table_equivalence {
 
         /// One access on both sides; on a fault, optionally fetch and retry
         /// (a page then its diffs, one granule per round without hints).
-        fn access(&mut self, node: usize, addr: usize, len: usize, write: Option<u8>, resolve: bool) {
+        fn access(&mut self, node: usize, addr: usize, len: usize, write: Option<&[u8]>, resolve: bool) {
             for _ in 0..64 {
                 let (mut rb, mut db) = (vec![0xEE; len], vec![0xEE; len]);
                 let (r, d) = match write {
-                    Some(v) => (
-                        self.real[node].write(addr, &vec![v; len]),
-                        self.dense[node].write(addr, &vec![v; len]),
-                    ),
+                    Some(data) => (self.real[node].write(addr, data), self.dense[node].write(addr, data)),
                     None => (self.real[node].read(addr, &mut rb), self.dense[node].read(addr, &mut db)),
                 };
                 assert_eq!(&r, &d, "node {node} access at {addr}+{len}");
@@ -1176,7 +1179,7 @@ mod sparse_table_equivalence {
             let (n, mixed, banded) = (g.range(2usize..4), g.bool(), g.bool());
             let homes = [(); 3].map(|()| g.range(0usize..5));
             let ops = g.vec(1..80, |g| {
-                let (kind, node, addr) = (g.range(0usize..12), g.range(0usize..3), g.range(0usize..1024));
+                let (kind, node, addr) = (g.range(0usize..13), g.range(0usize..3), g.range(0usize..1024));
                 (kind, node, addr, g.range(1usize..200), g.u8(), g.range(0usize..3))
             });
             let cfg = config(n, mixed, banded, homes);
@@ -1186,7 +1189,7 @@ mod sparse_table_equivalence {
                 let len = len.min(cfg.region_bytes - addr);
                 match kind {
                     0..=2 => pair.access(node, addr, len, None, kind != 0),
-                    3..=5 => pair.access(node, addr, len, Some(val), kind != 3),
+                    3..=5 => pair.access(node, addr, len, Some(&vec![val; len]), kind != 3),
                     6 | 7 => pair.close(node),
                     8 | 9 if peer != node => pair.sync(node, peer),
                     10 => {
@@ -1199,6 +1202,14 @@ mod sparse_table_equivalence {
                         }
                     }
                     11 => pair.gc(),
+                    12 => {
+                        // Writes back the bytes the range holds: a write
+                        // that leaves its pages as they were.
+                        pair.access(node, addr, len, None, true);
+                        let mut held = vec![0; len];
+                        pair.real[node].read(addr, &mut held).expect("just fetched");
+                        pair.access(node, addr, len, Some(&held), true);
+                    }
                     _ => {}
                 }
                 pair.check();

@@ -306,22 +306,29 @@ fn default_granule_regions_leave_goldens_pinned() {
 /// History: before an owner stopped shipping eager diffs to a node it never
 /// served the granule (node 1 dropped 7 of them), `elapsed=38476116
 /// events=728`, `messages=126 payload_bytes=9973`, node 1 installing 5
-/// pages; the shorter releases re-time the branch-and-bound search.
+/// pages; the shorter releases re-time the branch-and-bound search. Then
+/// `payload_bytes=9819`, node 0 creating 48 diffs and node 1 applying 41,
+/// while a page a write left byte-identical was announced with an empty
+/// diff.
 const GOLDEN_TSP_MIXED_GRANULARITY: &str = "\
 elapsed=38309308 events=721
-net messages=128 payload_bytes=9819 dropped=0
+net messages=128 payload_bytes=9789 dropped=0
 node0 buckets User=37410500 Unix=242000 CarlOS=0 Idle=654448
-node0 counters app.done_ns=38300228 barrier.waits=3 carlos.accepted=32 carlos.batch_requests_served=1 carlos.discarded=29 carlos.forwarded=55 carlos.notices_applied=34 carlos.page_requests_served=6 carlos.sent=116 carlos.sent.release=32 carlos.sent.request=84 carlos.sent.system=5 carlos.update_diffs_received=27 lock.acquires=29 lock.local_reacquires=25 lock.releases=54 lrc.diffs_applied=34 lrc.diffs_created=48 lrc.intervals_created=29 lrc.notices_applied=34 lrc.pages_installed=0 lrc.records_resident=139 lrc.remote_faults=0 lrc.write_faults=48 net.loopback=57 net.sent=64 net.sent_bytes=5436 tsp.expansions=70821
+node0 counters app.done_ns=38300228 barrier.waits=3 carlos.accepted=32 carlos.batch_requests_served=1 carlos.discarded=29 carlos.forwarded=55 carlos.notices_applied=34 carlos.page_requests_served=6 carlos.sent=116 carlos.sent.release=32 carlos.sent.request=84 carlos.sent.system=5 carlos.update_diffs_received=27 lock.acquires=29 lock.local_reacquires=25 lock.releases=54 lrc.diffs_applied=34 lrc.diffs_created=47 lrc.intervals_created=29 lrc.notices_applied=34 lrc.pages_installed=0 lrc.records_resident=138 lrc.remote_faults=0 lrc.write_faults=48 net.loopback=57 net.sent=64 net.sent_bytes=5406 tsp.expansions=70821
 node1 buckets User=37524000 Unix=128000 CarlOS=0 Idle=657308
-node1 counters app.done_ns=38302588 barrier.waits=3 carlos.accepted=31 carlos.batch_requests=1 carlos.batched_fetches=2 carlos.discarded=28 carlos.notices_applied=48 carlos.page_requests=6 carlos.sent=59 carlos.sent.release=28 carlos.sent.release_nt=3 carlos.sent.request=28 carlos.sent.system=5 carlos.update_diffs_received=26 lock.acquires=28 lock.local_reacquires=16 lock.releases=44 lrc.diffs_applied=41 lrc.diffs_created=34 lrc.intervals_created=28 lrc.notices_applied=48 lrc.pages_installed=6 lrc.records_resident=132 lrc.remote_faults=5 lrc.write_faults=34 net.sent=64 net.sent_bytes=4383 tsp.expansions=71048";
+node1 counters app.done_ns=38302588 barrier.waits=3 carlos.accepted=31 carlos.batch_requests=1 carlos.batched_fetches=2 carlos.discarded=28 carlos.notices_applied=47 carlos.page_requests=6 carlos.sent=59 carlos.sent.release=28 carlos.sent.release_nt=3 carlos.sent.request=28 carlos.sent.system=5 carlos.update_diffs_received=26 lock.acquires=28 lock.local_reacquires=16 lock.releases=44 lrc.diffs_applied=40 lrc.diffs_created=34 lrc.intervals_created=28 lrc.notices_applied=47 lrc.pages_installed=6 lrc.records_resident=131 lrc.remote_faults=5 lrc.write_faults=34 net.sent=64 net.sent_bytes=4383 tsp.expansions=71048";
 
+/// History: `elapsed=5191904 events=130`, `messages=54 payload_bytes=5464`,
+/// node 0 creating 89 diffs and node 1 88, while a page a write left
+/// byte-identical was announced with an empty diff: node 1's writes leave
+/// every page it writes as it was, so it now announces none.
 const GOLDEN_SOR_MIXED_GRANULARITY: &str = "\
-elapsed=5191904 events=130
-net messages=54 payload_bytes=5464 dropped=0
-node0 buckets User=5030800 Unix=54000 CarlOS=0 Idle=104744
-node0 counters app.done_ns=5167584 barrier.waits=10 carlos.accepted=10 carlos.batch_requests=1 carlos.batched_fetches=12 carlos.diff_requests=8 carlos.diff_requests_served=7 carlos.notices_applied=88 carlos.page_requests=12 carlos.page_requests_served=1 carlos.sent=10 carlos.sent.release=10 carlos.sent.system=17 lrc.diffs_applied=8 lrc.diffs_created=89 lrc.intervals_created=9 lrc.notices_applied=88 lrc.pages_installed=12 lrc.records_resident=114 lrc.remote_faults=9 lrc.write_faults=89 net.sent=27 net.sent_bytes=2025
-node1 buckets User=30800 Unix=54000 CarlOS=0 Idle=5107104
-node1 counters app.done_ns=5170472 barrier.waits=10 carlos.accepted=10 carlos.batch_requests_served=1 carlos.diff_requests=7 carlos.diff_requests_served=8 carlos.notices_applied=89 carlos.page_requests=1 carlos.page_requests_served=12 carlos.sent=10 carlos.sent.release_nt=10 carlos.sent.system=17 lrc.diffs_applied=7 lrc.diffs_created=88 lrc.intervals_created=8 lrc.notices_applied=89 lrc.pages_installed=1 lrc.records_resident=112 lrc.remote_faults=8 lrc.write_faults=88 net.sent=27 net.sent_bytes=3439";
+elapsed=5124872 events=74
+net messages=26 payload_bytes=3581 dropped=0
+node0 buckets User=5030800 Unix=26000 CarlOS=0 Idle=65712
+node0 counters app.done_ns=5100928 barrier.waits=10 carlos.accepted=10 carlos.batch_requests=1 carlos.batched_fetches=11 carlos.notices_applied=0 carlos.page_requests=12 carlos.page_requests_served=1 carlos.sent=10 carlos.sent.release=10 carlos.sent.system=3 lrc.diffs_applied=0 lrc.diffs_created=37 lrc.intervals_created=9 lrc.notices_applied=0 lrc.pages_installed=12 lrc.records_resident=54 lrc.remote_faults=2 lrc.write_faults=89 net.sent=13 net.sent_bytes=1166
+node1 buckets User=30800 Unix=26000 CarlOS=0 Idle=5068072
+node1 counters app.done_ns=5103720 barrier.waits=10 carlos.accepted=10 carlos.batch_requests_served=1 carlos.notices_applied=37 carlos.page_requests=1 carlos.page_requests_served=12 carlos.sent=10 carlos.sent.release_nt=10 carlos.sent.system=3 lrc.diffs_applied=0 lrc.diffs_created=0 lrc.intervals_created=8 lrc.notices_applied=37 lrc.pages_installed=1 lrc.records_resident=17 lrc.remote_faults=1 lrc.write_faults=88 net.sent=13 net.sent_bytes=2415";
 
 /// Mixed-granularity runs are pinned too: TSP with 64 B fine granules on
 /// its hot scalars and SOR with row-sized granules, both with fetch
@@ -372,7 +379,10 @@ fn mixed_granularity_reports_are_pinned() {
 /// TSP, SOR and fault-free KV serving, by their wire-level totals and the
 /// application's answer. History: KV was `elapsed=104984582 events=10815
 /// payload_bytes=384554` while servers pushed slot-header diffs to clients
-/// that held no copy of them.
+/// that held no copy of them. While a page a write left byte-identical was
+/// announced with an empty diff, SOR was `elapsed=5498056 events=1358
+/// messages=380 payload_bytes=43665` and KV `elapsed=104857126
+/// payload_bytes=319828`.
 #[test]
 fn eight_node_reports_are_pinned() {
     let totals = |r: &SimReport| {
@@ -392,7 +402,7 @@ fn eight_node_reports_are_pinned() {
     let Answer::Sor(s) = &sor.answer else { unreachable!("a SOR run") };
     assert_eq!(
         format!("{} checksum={:#018x}", totals(&sor.app().report), s.checksum.to_bits()),
-        "elapsed=5498056 events=1358 messages=380 payload_bytes=43665 checksum=0x4096a841a0000000"
+        "elapsed=5380870 events=729 messages=210 payload_bytes=32278 checksum=0x4096a841a0000000"
     );
     let kv = launched(App::Serve(Traffic::Steady));
     let Answer::Serve(kv) = &kv.answer else { unreachable!("a serving run") };
@@ -404,7 +414,7 @@ fn eight_node_reports_are_pinned() {
             kv.totals.client.attempted,
             kv.counters
         ),
-        "elapsed=104857126 events=10831 messages=3332 payload_bytes=319828 completed=1630/1630 counters=[48, 48]"
+        "elapsed=104856006 events=10831 messages=3332 payload_bytes=319484 completed=1630/1630 counters=[48, 48]"
     );
 }
 

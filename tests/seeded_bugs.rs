@@ -31,10 +31,12 @@
 //! construction: its trigger is a pile-up of 14 batch entries behind one
 //! held-back release on the 4-node Quicksort+vg run (the unperturbed run
 //! peaks at 12), which the guided search reaches with one flip and blind
-//! jitter reaches in none of its 18 cells. (It reached one, jitter 200 us
-//! seed 2, a peak of 14, while a granule's owner still shipped eager diffs
-//! to nodes holding no copy; the shorter releases re-time that cell, which
-//! now peaks at 12.)
+//! jitter reaches in exactly one of its 18 cells, jitter 50 us seed 3,
+//! whose run deadlocks on the missing granule. (While a granule's owner
+//! still shipped eager diffs to nodes holding no copy, the one cell was
+//! jitter 200 us seed 2, a peak of 14; the shorter releases re-timed it to
+//! a peak of 12 and the sweep hit none. Announcing only the pages a write
+//! changed re-times the runs again.)
 //! That signature was re-derived when diffs went to word granularity —
 //! whole-page replies then win more often and batches form differently:
 //! at 15 entries or more neither search gets there, at 13 the sweep hits
@@ -203,14 +205,34 @@ fn guided_finds_fifo_reorder() {
     assert!(!run(&h, &Reference::of(&h), &SchedulePlan::new()).failed());
 }
 
-/// The random sweep is blind to bug 2: no jitter cell of the 18 piles a
-/// batch up to the seeded capacity boundary, while the guided explorer
-/// (same budget class) gets there with one flip. The count is pinned: it
-/// moves only if the protocol's batching does. History: (18, 1, 0, 0)
-/// while owners shipped eager diffs to nodes holding no copy.
+/// The random sweep all but misses bug 2: exactly one jitter cell of the
+/// 18 piles a batch up to the seeded capacity boundary, while the guided
+/// explorer (same budget class) gets there with one flip. The count is
+/// pinned: it moves only if the protocol's batching does. History:
+/// (18, 0, 0, 0) while a page a write left byte-identical was announced
+/// with an empty diff, and (18, 1, 0, 0) before that, while owners shipped
+/// eager diffs to nodes holding no copy.
 #[test]
-fn random_sweep_misses_skipped_batch_granule() {
+fn random_sweep_hits_skipped_batch_granule_once_in_18() {
     let h = seeded(4, QSORT, SeededBug::SkipBatchGranule);
+    let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
+    assert_eq!(
+        (s.executions, s.crashes, s.violations, s.wrong_answers),
+        (18, 1, 0, 0),
+        "{}",
+        s.human_line()
+    );
+}
+
+/// The control for the sweep above: the same Quicksort+vg spec with no bug
+/// armed runs all 18 cells clean, so the one crash there is the bug's.
+#[test]
+fn random_sweep_of_the_unarmed_spec_is_clean() {
+    let h = Spec {
+        tweak: Tweak::Vg,
+        core: Some(CoreConfig::fast_test()),
+        ..Spec::new(QSORT, 4, Scale::Test)
+    };
     let s = random_sweep(&h, &JITTERS_US, &SEEDS, false);
     assert_eq!(
         (s.executions, s.crashes, s.violations, s.wrong_answers),
