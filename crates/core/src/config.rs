@@ -77,10 +77,6 @@ pub struct CoreConfig {
     pub per_notice: Ns,
     /// Cost of encoding/decoding one interval record in a release payload.
     pub per_record: Ns,
-    /// Cost of creating a diff, per page byte compared (twin comparison).
-    pub diff_create_per_byte_x1000: u64,
-    /// Fixed cost of creating one diff.
-    pub diff_create_fixed: Ns,
     /// Fixed cost of applying one diff record.
     pub diff_apply_fixed: Ns,
     /// Cost of applying one modified byte of a diff (×1000 per byte).
@@ -142,8 +138,6 @@ impl CoreConfig {
             release_accept: us(15),
             per_notice: us(12),
             per_record: us(4),
-            diff_create_per_byte_x1000: 14, // ~115 µs to scan an 8 KiB page
-            diff_create_fixed: us(25),
             diff_apply_fixed: us(15),
             diff_apply_per_byte_x1000: 20,
             page_copy_per_byte_x1000: 12,
@@ -169,8 +163,6 @@ impl CoreConfig {
             release_accept: 0,
             per_notice: 0,
             per_record: 0,
-            diff_create_per_byte_x1000: 0,
-            diff_create_fixed: 0,
             diff_apply_fixed: 0,
             diff_apply_per_byte_x1000: 0,
             page_copy_per_byte_x1000: 0,
@@ -242,12 +234,6 @@ impl CoreConfig {
         }
     }
 
-    /// Cost of scanning `bytes` during diff creation.
-    #[must_use]
-    pub fn diff_create_cost(&self, page_bytes: usize) -> Ns {
-        self.diff_create_fixed + (page_bytes as u64 * self.diff_create_per_byte_x1000) / 1000
-    }
-
     /// Cost of applying a diff that modifies `bytes` bytes.
     #[must_use]
     pub fn diff_apply_cost(&self, bytes: usize) -> Ns {
@@ -289,11 +275,11 @@ mod tests {
     fn scaled_costs() {
         let c = CoreConfig::osdi94();
         assert_eq!(
-            c.diff_create_cost(8192),
-            c.diff_create_fixed + 8192 * c.diff_create_per_byte_x1000 / 1000
+            c.diff_apply_cost(100),
+            c.diff_apply_fixed + 100 * c.diff_apply_per_byte_x1000 / 1000
         );
         assert_eq!(c.page_copy_cost(0), 0);
         let zero = CoreConfig::fast_test();
-        assert_eq!(zero.diff_create_cost(8192), 0);
+        assert_eq!(zero.diff_apply_cost(8192), 0);
     }
 }

@@ -257,7 +257,7 @@ pub struct AcceptedMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carlos_lrc::{DiffRecord, IntervalRecord};
+    use carlos_lrc::{Diff, IntervalRecord};
 
     fn rec(node: u32, index: u32, n: usize) -> IntervalRecord {
         let mut vc = Vc::new(n);
@@ -323,14 +323,8 @@ mod tests {
 
     #[test]
     fn size_hint_is_the_legacy_encoded_length() {
-        let diff = DiffRecord {
-            node: 1,
-            page: 3,
-            first: 2,
-            last: 2,
-            vc: Vc::new(2),
-            diff: carlos_lrc::Diff::create(&[0; 16], &[0, 7, 7, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),
-        };
+        let diff = Diff::create(&[0; 16], &[0, 7, 7, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        let clock = Vc::new(2);
         let mut m = Message {
             src: 0,
             origin: 0,
@@ -340,7 +334,7 @@ mod tests {
             consistency: Consistency::Release {
                 required: Vc::new(2),
                 records: [rec(0, 1, 2), rec(1, 2, 2)].into_iter().collect(),
-                diffs: vec![[diff.view()].into_iter().collect()],
+                diffs: vec![[diff.view([1, 3, 2, 2], clock.as_slice())].into_iter().collect()],
             },
         };
         assert_eq!(m.to_wire_bytes(90).len(), m.size_hint(90));

@@ -651,6 +651,12 @@ impl Core {
     /// TreadMarks heuristic — when the chain outweighs the granule itself,
     /// ship the whole granule instead (unless the requester demanded plain
     /// diffs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this node owns `page` and never served `src` a copy: only
+    /// a holder sends diff demands, and an owner keeps no diff of a granule
+    /// it has served to nobody, so the reply would come up short.
     fn serve_diff_demand(
         &mut self,
         src: NodeId,
@@ -659,6 +665,11 @@ impl Core {
         through: u32,
         force_diffs: bool,
     ) -> SubReply {
+        assert!(
+            self.engine.may_hold_copy(page, src),
+            "diff demand from node {src} for page {page} ({after}, {through}], \
+             a granule it was never served"
+        );
         let page_bytes = self.engine.granule_len(page);
         self.ctx.count("carlos.diff_requests_served", 1);
         let (count, len, total) = self.engine.own_diffs(page, after, through).fold(
@@ -1677,4 +1688,42 @@ fn seeded_drop_notice_clock(msg: &Message) -> Option<Message> {
             .collect();
     }
     Some(mutated)
+}
+
+#[cfg(test)]
+mod tests {
+    use carlos_sim::{Cluster, SimConfig};
+
+    use super::*;
+
+    const H_GO: u32 = 1;
+
+    /// A diff demand from a node the owner never served the granule to is
+    /// a protocol fault, not a short reply: node 0's write to its own
+    /// page 0 closes interval 1 with the diff elided, and node 1, which
+    /// holds no copy, demands it anyway.
+    #[test]
+    #[should_panic(expected = "diff demand from node 1 for page 0 (0, 1], a granule it was never served")]
+    fn a_diff_demand_from_a_node_never_served_panics() {
+        let mut c = Cluster::new(SimConfig::fast_test(), 2);
+        c.spawn_node(0, |ctx| {
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
+            rt.write_u32(0, 7);
+            rt.send(1, H_GO, Vec::new(), Annotation::Release);
+            let _ = rt.wait_accepted(H_GO);
+        });
+        c.spawn_node(1, |ctx| {
+            let mut rt = Runtime::new(ctx, LrcConfig::small_test(2), CoreConfig::fast_test());
+            let _ = rt.wait_accepted(H_GO);
+            assert_eq!(rt.vt().get(0), 1, "node 0's interval is known");
+            let demand = BatchEntry {
+                after: 0,
+                through: 1,
+                ..BatchEntry::new(KIND_DIFFS, 0)
+            };
+            rt.send_demands(0, &[demand]);
+            let _ = rt.wait_accepted(H_GO);
+        });
+        c.run();
+    }
 }

@@ -20,12 +20,11 @@
 //! wire and back: a writer captures its diffs straight into its store,
 //! serving a fetch encodes views of the store, a release's payload and a
 //! fetch reply decode into a batch, and applying reads views of it. A
-//! record is read as a [`DiffView`]; [`DiffRecord`] is the owned
-//! one-record value.
+//! record is read as a [`DiffView`]; a lone record is a batch of one.
 
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 
-use crate::vc::{wire_component, Vc};
+use crate::vc::wire_component;
 
 /// Bytes of run header in a diff buffer: `offset` and `len`, `u32` LE each.
 const RUN_HEADER: usize = 8;
@@ -293,6 +292,21 @@ impl Diff {
     pub fn wire_len(&self) -> usize {
         4 + self.buf.len()
     }
+
+    /// The diff as the record of `[node, page, first, last]` with clock
+    /// `vt`, to push onto a [`Diffs`] batch.
+    #[must_use]
+    pub fn view<'a>(&'a self, [node, page, first, last]: [u32; 4], vt: &'a [u32]) -> DiffView<'a> {
+        DiffView {
+            node,
+            page,
+            first,
+            last,
+            vt,
+            runs: self.runs,
+            buf: &self.buf,
+        }
+    }
 }
 
 impl Wire for Diff {
@@ -330,89 +344,9 @@ fn decode_runs<'a>(dec: &mut Decoder<'a>) -> Result<(u32, &'a [u8]), DecodeError
     Ok((runs, dec.get_raw_slice(dec.remaining() - walk.remaining())?))
 }
 
-/// A diff record as an owned value: which node produced it, for which
-/// page, and which of the producer's intervals it covers. A [`Diffs`]
-/// batch collects from these; no store or payload holds one.
-///
-/// A record may cover several consecutive intervals of its creator
-/// (`first..=last`), as a lazily created diff does when a page was dirtied
-/// across several release points before anyone requested it. The engine
-/// captures one per interval, at its close, so its records have
-/// `first == last`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiffRecord {
-    /// The node whose modifications this diff describes.
-    pub node: u32,
-    /// The page the diff applies to.
-    pub page: u32,
-    /// First interval index of `node` covered by this record.
-    pub first: u32,
-    /// Last interval index of `node` covered by this record.
-    pub last: u32,
-    /// The creator's vector timestamp when the diff was created; used to
-    /// order diffs from multiple writers before application.
-    pub vc: Vc,
-    /// The encoded modifications.
-    pub diff: Diff,
-}
-
-impl DiffRecord {
-    /// The record read in place.
-    #[must_use]
-    pub fn view(&self) -> DiffView<'_> {
-        DiffView {
-            node: self.node,
-            page: self.page,
-            first: self.first,
-            last: self.last,
-            vt: self.vc.as_slice(),
-            runs: self.diff.runs,
-            buf: &self.diff.buf,
-        }
-    }
-
-    /// Size in bytes of the wire encoding, without encoding it.
-    #[must_use]
-    pub fn wire_len(&self) -> usize {
-        self.view().wire_len()
-    }
-}
-
-impl From<DiffView<'_>> for DiffRecord {
-    fn from(rec: DiffView<'_>) -> Self {
-        Self {
-            node: rec.node,
-            page: rec.page,
-            first: rec.first,
-            last: rec.last,
-            vc: Vc::from_slice(rec.vt),
-            diff: Diff {
-                buf: rec.buf.into(),
-                runs: rec.runs,
-            },
-        }
-    }
-}
-
-impl Wire for DiffRecord {
-    fn encode(&self, enc: &mut Encoder) {
-        self.view().encode(enc);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(Self {
-            node: dec.get_u32()?,
-            page: dec.get_u32()?,
-            first: dec.get_u32()?,
-            last: dec.get_u32()?,
-            vc: Vc::decode(dec)?,
-            diff: Diff::decode(dec)?,
-        })
-    }
-}
-
-/// One diff record read in place, from a [`Diffs`] batch or a
-/// [`DiffRecord`].
+/// One diff record read in place: which node produced it, for which page,
+/// and which of the producer's intervals it covers. The engine captures
+/// one per interval, at its close, so its records have `first == last`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiffView<'a> {
     /// The node whose modifications this diff describes.
@@ -776,7 +710,7 @@ fn measure(mut dec: Decoder<'_>) -> Result<(usize, usize, usize), DecodeError> {
 }
 
 /// A `u32` record count, then each record as [`DiffView::encode`] writes
-/// it: the encoding of a sequence of [`DiffRecord`]s.
+/// it.
 impl Wire for Diffs {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u32(self.len() as u32);
@@ -958,6 +892,7 @@ impl DiffStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vc::Vc;
 
     fn vc2(a: u32, b: u32) -> Vc {
         let mut v = Vc::new(2);
@@ -1146,19 +1081,16 @@ mod tests {
         cur[3] = 1;
         cur[20..23].copy_from_slice(&[7, 8, 9]);
         cur[63] = 2;
-        let rec = DiffRecord {
-            node: 1,
-            page: 42,
-            first: 3,
-            last: 5,
-            vc: vc2(5, 2),
-            diff: Diff::create(&twin, &cur),
-        };
-        assert_eq!(rec.to_wire(), LEGACY);
+        let (diff, vc) = (Diff::create(&twin, &cur), vc2(5, 2));
+        let rec = diff.view([1, 42, 3, 5], vc.as_slice());
         assert_eq!(rec.wire_len(), LEGACY.len());
-        assert_eq!(DiffRecord::from_wire(&LEGACY).unwrap(), rec);
+        // A batch of one: its count, then the record.
+        let one: Diffs = [rec].into_iter().collect();
+        let wire = [&[1, 0, 0, 0][..], &LEGACY].concat();
+        assert_eq!(one.to_wire(), wire);
+        assert_eq!(Diffs::from_wire(&wire).unwrap(), one);
         // The stored buffer is the encoding's tail, byte for byte.
-        assert_eq!(*rec.diff.buf, LEGACY[26..]);
+        assert_eq!(*diff.buf, LEGACY[26..]);
     }
 
     #[test]
@@ -1199,40 +1131,21 @@ mod tests {
         let mut cur = twin.clone();
         cur[3] = 1;
         cur[60] = 2;
-        let rec = DiffRecord {
-            node: 1,
-            page: 42,
-            first: 3,
-            last: 5,
-            vc: vc2(5, 2),
-            diff: Diff::create(&twin, &cur),
-        };
-        let back = DiffRecord::from_wire(&rec.to_wire()).unwrap();
-        assert_eq!(back, rec);
+        let (diff, vc) = (Diff::create(&twin, &cur), vc2(5, 2));
+        let one: Diffs = [diff.view([1, 42, 3, 5], vc.as_slice())].into_iter().collect();
+        let back = Diffs::from_wire(&one.to_wire()).unwrap();
+        assert_eq!(back, one);
     }
 
     #[test]
     fn sort_causally_orders_dominated_first() {
-        let early = DiffRecord {
-            node: 0,
-            page: 0,
-            first: 1,
-            last: 1,
-            vc: vc2(1, 0),
-            diff: Diff::default(),
-        };
-        let late = DiffRecord {
-            node: 1,
-            page: 0,
-            first: 1,
-            last: 1,
-            vc: vc2(1, 1), // saw node 0's interval, then wrote
-            diff: Diff::default(),
-        };
-        let mut v = [late.clone(), early.clone()];
-        v.sort_by_key(|r| r.view().causal_key());
-        assert_eq!(v[0], early);
-        assert_eq!(v[1], late);
+        let (empty, a, b) = (Diff::default(), vc2(1, 0), vc2(1, 1));
+        let early = empty.view([0, 0, 1, 1], a.as_slice());
+        // Saw node 0's interval, then wrote.
+        let late = empty.view([1, 0, 1, 1], b.as_slice());
+        let mut v = [late, early];
+        v.sort_by_key(DiffView::causal_key);
+        assert_eq!(v, [early, late]);
     }
 
     #[test]
@@ -1245,28 +1158,13 @@ mod tests {
         v1[0] = 1;
         let mut v2 = base.clone();
         v2[0] = 2;
-        let mut records = vec![
-            DiffRecord {
-                node: 1,
-                page: 0,
-                first: 1,
-                last: 1,
-                vc: vc2(1, 1),
-                diff: Diff::create(&base, &v2),
-            },
-            DiffRecord {
-                node: 0,
-                page: 0,
-                first: 1,
-                last: 1,
-                vc: vc2(1, 0),
-                diff: Diff::create(&base, &v1),
-            },
-        ];
-        records.sort_by_key(|r| r.view().causal_key());
+        let (d1, d2) = (Diff::create(&base, &v1), Diff::create(&base, &v2));
+        let (a, b) = (vc2(1, 0), vc2(1, 1));
+        let mut records = [d2.view([1, 0, 1, 1], b.as_slice()), d1.view([0, 0, 1, 1], a.as_slice())];
+        records.sort_by_key(DiffView::causal_key);
         let mut page = base;
         for r in &records {
-            r.diff.apply(&mut page);
+            r.apply(&mut page);
         }
         assert_eq!(page[0], 2);
     }
@@ -1367,26 +1265,23 @@ mod tests {
 
     #[test]
     fn a_store_finds_records_that_arrived_out_of_order() {
-        let recs: Vec<DiffRecord> = [(4, 2), (1, 7), (4, 1), (2, 7), (9, 0), (1, 3)]
+        let made: Vec<(u32, u32, Diff, Vc)> = [(4, 2), (1, 7), (4, 1), (2, 7), (9, 0), (1, 3)]
             .into_iter()
             .map(|(index, page)| {
                 let (twin, cur) = pages(index as usize, 2);
-                DiffRecord {
-                    node: 1,
-                    page,
-                    first: index,
-                    last: index,
-                    vc: vc2(0, index),
-                    diff: Diff::create(&twin, &cur),
-                }
+                (index, page, Diff::create(&twin, &cur), vc2(0, index))
             })
             .collect();
+        let recs: Diffs = made
+            .iter()
+            .map(|(index, page, diff, vc)| diff.view([1, *page, *index, *index], vc.as_slice()))
+            .collect();
         let mut store = DiffStore::default();
-        for rec in &recs {
-            store.push(rec.view());
+        for rec in recs.iter() {
+            store.push(rec);
         }
-        for rec in &recs {
-            assert_eq!(store.get(rec.page, rec.first), Some(rec.view()));
+        for rec in recs.iter() {
+            assert_eq!(store.get(rec.page, rec.first), Some(rec));
         }
         assert_eq!(store.get(7, 4), None);
         assert_eq!(store.get(2, 3), None);

@@ -73,10 +73,11 @@ pub enum Demand {
 pub struct EngineStats {
     /// Intervals created locally.
     pub intervals_created: u64,
-    /// Diffs created locally: pages whose bytes an interval changed. A
-    /// written page left byte-identical to its twin makes none, so once
-    /// every interval has closed, `write_faults - diffs_created` counts
-    /// those pages.
+    /// Diffs created locally: pages whose bytes an interval changed, each
+    /// named by a write notice, whether its diff was stored or elided
+    /// (an owner's granule no other node holds). A written page left
+    /// byte-identical to its twin makes none, so once every interval has
+    /// closed, `write_faults - diffs_created` counts those pages.
     pub diffs_created: u64,
     /// Diff records applied to local pages.
     pub diffs_applied: u64,
@@ -106,17 +107,21 @@ pub struct LrcEngine {
     /// Pages currently write-enabled (twin present).
     dirty: BTreeSet<PageId>,
     intervals: IntervalStore,
-    /// This node's diffs, one per write notice of its logged intervals, in
-    /// interval order: what it serves. Their clocks are the intervals'.
+    /// This node's diffs that another node can ask for or a release can
+    /// ship, in interval order: one per write notice of its logged
+    /// intervals, except on a granule it owns and had served no copy of
+    /// when the interval closed ([`LrcEngine::capture_own_diff`]). What it
+    /// serves. Their clocks are the intervals'.
     own: DiffStore,
     /// Per creator, the fetched diffs a RELEASE may ship again: those of
     /// eager granules, or every one under the update strategy
     /// ([`LrcEngine::keep_fetched_diffs`]). Nothing reads another fetched
     /// diff again, so it is applied and dropped.
     fetched: Vec<DiffStore>,
-    /// Fetched diffs applied and dropped since the last collection. They
-    /// count as stored records, so collections fall where they did when
-    /// every fetched diff was kept, as in TreadMarks.
+    /// Diffs not stored since the last collection: fetched ones applied
+    /// and dropped, and own ones elided because no node can ask for them.
+    /// They count as stored records, so collections fall where they did
+    /// when every diff was kept.
     dropped: usize,
     keep_fetched: bool,
     /// Address→granule resolution. With no configured regions this is one
@@ -184,9 +189,9 @@ impl LrcEngine {
         }
     }
 
-    /// Keeps every fetched diff, as the update strategy needs: a RELEASE
-    /// then ships any diff its write notices describe, not just those of
-    /// eager granules.
+    /// Keeps every fetched diff, and every own one, as the update strategy
+    /// needs: a RELEASE then ships any diff its write notices describe,
+    /// not just those of eager granules.
     pub fn keep_fetched_diffs(&mut self) {
         self.keep_fetched = true;
     }
@@ -482,9 +487,11 @@ impl LrcEngine {
     /// Each written page is diffed against its twin now and re-protected,
     /// so its next write faults into the next interval. The interval names
     /// only the pages whose bytes changed: one left byte-identical to its
-    /// twin gets no write notice and no diff. The interval closes, and the
-    /// clock advances, even when it names no page: each write belongs to
-    /// the interval open when it was made.
+    /// twin gets no write notice and no diff. A changed granule this node
+    /// owns and has served to no other node is named, but its diff is not
+    /// stored unless a release can ship it: nobody can ask for it. The
+    /// interval closes, and the clock advances, even when it names no
+    /// page: each write belongs to the interval open when it was made.
     pub fn close_interval(&mut self) -> Option<IntervalRecord> {
         if self.dirty.is_empty() {
             return None;
@@ -638,11 +645,22 @@ impl LrcEngine {
     /// page changed: one byte-identical to its twin is re-protected with no
     /// record.
     ///
+    /// A changed granule this node owns and has served to no other node
+    /// gets no record either, only a count in `dropped`, unless a release
+    /// can ship the diff ([`LrcEngine::shippable`]): no other node holds a
+    /// copy, and a copy served later already reflects this interval, so no
+    /// node will ask for the diff (TreadMarks never made a diff nobody
+    /// asked for). A copy served while the interval is open puts its
+    /// holder in `served` before the close, so that diff is kept.
+    ///
     /// # Panics
     ///
     /// Panics if the page has no twin (an internal invariant).
     fn capture_own_diff(&mut self, page: PageId) -> bool {
         let idx = self.vt.get(self.node);
+        let unserved = self.owner_of(page) == self.node
+            && !self.shippable(page)
+            && self.served.range((page, 0)..=(page, u32::MAX)).next().is_none();
         let meta = self.pages.get_mut(page).expect("written page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
         // The close moves this node's `applied` and `max_notice` entries
@@ -655,9 +673,13 @@ impl LrcEngine {
         if twin == meta.data {
             return false;
         }
-        self.own.capture((self.node, page, idx, meta.own_covered), &twin, &meta.data);
-        meta.own_covered = idx;
         self.stats.diffs_created += 1;
+        if unserved {
+            self.dropped += 1;
+        } else {
+            self.own.capture((self.node, page, idx, meta.own_covered), &twin, &meta.data);
+            meta.own_covered = idx;
+        }
         true
     }
 
@@ -785,18 +807,24 @@ impl LrcEngine {
     /// This node's diff records for `page` covering its intervals in
     /// `(after, through]`, oldest first — what a diff request is answered
     /// from, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page's newest stored diff is older than `through`
+    /// (up to the last closed interval): a request only a node this one
+    /// never served could make.
     pub fn own_diffs(
         &self,
         page: PageId,
         after: u32,
         through: u32,
     ) -> impl Iterator<Item = DiffView<'_>> {
-        debug_assert!(
-            self.pages.get(page).map_or(self.pages.base().get(self.node), |m| m.own_covered)
-                >= through.min(self.vt.get(self.node)),
-            "diff request beyond materialized coverage"
+        let base = self.pages.base().get(self.node);
+        let newest = self.pages.get(page).map_or(base, |m| m.own_covered);
+        assert!(
+            newest >= through.min(self.vt.get(self.node)),
+            "diff request for page {page} ({after}, {through}] beyond materialized coverage {newest}"
         );
-        let newest = self.pages.get(page).map_or(0, |m| m.own_covered);
         self.own.range(page, after, through, newest).map(|r| self.clocked(r))
     }
 
@@ -809,9 +837,15 @@ impl LrcEngine {
         }
     }
 
+    /// True when a RELEASE can ship a diff of `page` with its write
+    /// notice: the granule is eager, or the engine keeps every diff
+    /// ([`LrcEngine::keep_fetched_diffs`], the update strategy).
+    fn shippable(&self, page: PageId) -> bool {
+        self.keep_fetched || self.granules.eager_granule(page)
+    }
+
     /// Applies fetched diff records to `page` in causal order. A record is
-    /// kept for shipping again if its granule is eager or the engine keeps
-    /// every fetched diff ([`LrcEngine::keep_fetched_diffs`]); any other is
+    /// kept for shipping again if [`LrcEngine::shippable`]; any other is
     /// dropped, and counted by [`LrcEngine::record_count`] until the next
     /// collection.
     ///
@@ -831,7 +865,7 @@ impl LrcEngine {
             order = (0..records.len() as u32).collect();
             order.sort_by_key(|&i| records.causal_key(i as usize));
         }
-        let keep = self.keep_fetched || self.granules.eager_granule(page);
+        let keep = self.shippable(page);
         if keep {
             reserve_for(&mut self.fetched, records);
         }
@@ -1072,8 +1106,10 @@ mod tests {
 
     const PAGES: u32 = 6;
 
-    /// A small cluster driven by hand, every fetch answered at once.
-    struct Cluster(Vec<LrcEngine>);
+    /// A small cluster driven by hand, every fetch answered at once, and
+    /// per `(owner, page)` the owner's own clock when it first served a
+    /// copy of the page.
+    struct Cluster(Vec<LrcEngine>, BTreeMap<(u32, PageId), u32>);
 
     impl Cluster {
         fn new(n: usize, banded: bool) -> Self {
@@ -1086,7 +1122,7 @@ mod tests {
                 },
                 ..LrcConfig::small_test(n)
             };
-            Self((0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect())
+            Self((0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect(), BTreeMap::new())
         }
 
         /// The diff records `node`'s outstanding demands for `page` name,
@@ -1115,6 +1151,8 @@ mod tests {
         fn install(&mut self, node: usize, page: PageId) {
             let owner = self.0[node].owner_of(page) as usize;
             if owner != node {
+                let at = self.0[owner].vt.get(owner as u32);
+                self.1.entry((owner as u32, page)).or_insert(at);
                 let (data, applied) = self.0[owner].serve_page(page, node as u32);
                 let _ = self.0[node].install_page(page, data, applied);
             }
@@ -1176,13 +1214,48 @@ mod tests {
         }
 
         /// Every page an own interval names changed in it: its own diff for
-        /// that interval holds at least one run.
+        /// that interval holds at least one run, unless the page's owner
+        /// made it before serving the page to any other node and no release
+        /// ships it, which stores no diff.
         fn check_named_pages(&mut self, _mask: u32) {
             for e in &self.0 {
                 for rec in e.intervals.range(e.node, 0, e.vt.get(e.node)) {
                     for &p in rec.pages {
-                        let diff = e.own.get(p, rec.index).expect("a named page has an own diff");
+                        let served = self.1.get(&(e.node, p)).is_some_and(|&at| at < rec.index);
+                        let diff = e.own.get(p, rec.index);
+                        if e.owner_of(p) == e.node && !served && !e.shippable(p) {
+                            assert!(diff.is_none(), "node {} page {p} kept its diff", e.node);
+                            continue;
+                        }
+                        let diff = diff.expect("a named page has an own diff");
                         assert!(diff.runs().next().is_some(), "node {} page {p}", e.node);
+                    }
+                }
+            }
+        }
+
+        /// Every interval of a page's owner that names the page and that a
+        /// holder's copy does not reflect yet has a stored own diff: the
+        /// holder can fetch each diff it may ask for.
+        fn check_holders_can_fetch(&mut self, _mask: u32) {
+            for holder in &self.0 {
+                for page in 0..PAGES {
+                    let owner = &self.0[holder.owner_of(page) as usize];
+                    let Some(meta) = holder.pages.get(page) else { continue };
+                    if owner.node == holder.node {
+                        continue;
+                    }
+                    let (o, have) = (owner.node, meta.applied.get(owner.node));
+                    for rec in owner.intervals.range(o, have + 1, owner.vt.get(o)) {
+                        if rec.pages.contains(&page) {
+                            assert!(
+                                owner.own.get(page, rec.index).is_some(),
+                                "node {} page {page} interval {} of owner {}",
+                                holder.node,
+                                rec.index,
+                                owner.node
+                            );
+                        }
                     }
                 }
             }
@@ -1245,6 +1318,14 @@ mod tests {
     #[test]
     fn every_named_page_has_an_own_diff_with_a_run() {
         random_script("every_named_page_has_an_own_diff_with_a_run", Cluster::check_named_pages);
+    }
+
+    #[test]
+    fn every_diff_a_holder_may_ask_its_owner_for_is_stored() {
+        random_script(
+            "every_diff_a_holder_may_ask_its_owner_for_is_stored",
+            Cluster::check_holders_can_fetch,
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod region;
 pub mod vc;
 
 pub use config::{LrcConfig, PageOwnership};
-pub use diff::{Diff, DiffRecord, DiffView, Diffs, WORD};
+pub use diff::{Diff, DiffView, Diffs, WORD};
 pub use engine::{Demand, LrcEngine};
 pub use interval::{IntervalRecord, Records};
 pub use page::{PageId, PageState};

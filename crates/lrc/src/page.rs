@@ -58,9 +58,10 @@ pub struct PageMeta {
     /// write notice naming this page has been seen. The page is up to date
     /// when `applied` dominates `max_notice`.
     pub max_notice: Vc,
-    /// Highest *own* interval index whose modifications to this page have
-    /// been captured in a created diff. Own modifications newer than this
-    /// live only in the twin/data pair.
+    /// Highest *own* interval index whose diff of this page is stored: the
+    /// newest record of the page's chain in the own store. An interval
+    /// whose diff was elided (an owner's granule no other node held)
+    /// leaves it where it was.
     pub own_covered: u32,
 }
 

@@ -187,8 +187,10 @@ fn eager_capture_is_per_interval() {
     // every record covers exactly one interval and carries its timestamp
     // (the property that makes cross-writer causal ordering sound). The
     // page is re-protected at each close: post-close writes fault again
-    // and land in the next interval.
+    // and land in the next interval. Node 1 holds a copy, so the owner
+    // stores the diffs it may ask for.
     let mut e = cluster(2);
+    resolve_read(&mut e, 1, 0, &mut [0]);
     resolve_write(&mut e, 0, 0, &[1]);
     e[0].close_interval();
     assert_eq!(e[0].stats().diffs_created, 1);
@@ -392,6 +394,8 @@ fn a_change_restored_within_the_interval_is_elided() {
 #[test]
 fn only_the_changed_page_is_named() {
     let mut e = cluster(2);
+    // Node 1 holds both pages, so the owner stores what it may ask for.
+    resolve_read(&mut e, 1, 0, &mut [0; 128]);
     resolve_write(&mut e, 0, 0, &[3]);
     resolve_write(&mut e, 0, 64, &[0]); // Page 1 already holds a zero there.
     let rec = close(&mut e, 0);
@@ -401,6 +405,29 @@ fn only_the_changed_page_is_named() {
     let own: Vec<DiffView<'_>> = e[0].own_diffs(0, 0, 1).collect();
     assert_eq!(own.len(), 1);
     assert_eq!(own[0].runs().collect::<Vec<_>>(), vec![(0, &[3u8][..])]);
+}
+
+#[test]
+fn an_owner_stores_no_diff_of_a_granule_it_never_served() {
+    let mut e = cluster(2);
+    resolve_write(&mut e, 0, 0, &[5]);
+    // The interval names the page and advances the clock, and the diff
+    // counts as created and as a record, but no node can ask for it.
+    assert_eq!(close(&mut e, 0).pages, vec![0]);
+    assert_eq!((e[0].vt().get(0), e[0].stats().diffs_created), (1, 1));
+    assert_eq!(e[0].record_count(), 2, "the interval and the elided diff");
+    assert!(e[0].stored_diff(0, 0, 1).is_none());
+    // Node 1's first copy comes from the owner and already holds the write.
+    let mut buf = [0u8; 1];
+    sync_release(&mut e, 0, 1);
+    assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 1, "the page alone");
+    assert_eq!(buf[0], 5);
+    // Served now: the next write's diff is stored, and node 1 fetches it.
+    resolve_write(&mut e, 0, 0, &[6]);
+    sync_release(&mut e, 0, 1);
+    assert!(e[0].stored_diff(0, 0, 2).is_some());
+    assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 1, "one diff demand");
+    assert_eq!((buf[0], e[1].stats().diffs_applied), (6, 1));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the LRC substrate.
 
-use carlos_lrc::{Demand, Diff, DiffRecord, Diffs, LrcConfig, LrcEngine, Vc, WORD};
+use carlos_lrc::{Demand, Diff, DiffView, Diffs, LrcConfig, LrcEngine, Vc, WORD};
 use carlos_util::codec::{DecodeError, Decoder, Encoder, Wire};
 use carlos_util::cases::{cases, Gen};
 
@@ -79,7 +79,7 @@ fn reference_decode(dec: &mut Decoder<'_>) -> Result<Runs, DecodeError> {
     dec.get_seq(|dec| Ok((dec.get_u32()?, dec.get_bytes()?)))
 }
 
-/// `Diff::decode`, `DiffRecord::decode` and `Diffs::decode` on bytes from
+/// `Diff::decode` and `Diffs::decode` on bytes from
 /// anywhere: no panic, the reference decoder's verdict, and a value that
 /// is exactly the bytes it consumed.
 fn check_decoders(input: &[u8]) {
@@ -96,10 +96,6 @@ fn check_decoders(input: &[u8]) {
             d.runs().map(|(_, data)| data.len()).sum::<usize>(),
             d.modified_bytes()
         );
-    }
-    let mut dec = Decoder::new(input);
-    if let Ok(rec) = DiffRecord::decode(&mut dec) {
-        assert_eq!(rec.to_wire(), input[..input.len() - dec.remaining()]);
     }
     let mut dec = Decoder::new(input);
     if let Ok(batch) = Diffs::decode(&mut dec) {
@@ -395,28 +391,23 @@ fn record_wire_roundtrip() {
         for (i, v) in edits {
             cur[i] = v;
         }
-        let rec = DiffRecord {
-            node: ids[0],
-            page: ids[1],
-            first: ids[2],
-            last: ids[3],
-            vc: Vc::from_slice(&clock),
-            diff: Diff::create(&twin, &cur),
-        };
-        let wire = rec.to_wire();
-        assert_eq!(rec.wire_len(), wire.len());
-        assert_eq!(rec.diff.wire_len(), rec.diff.to_wire().len());
-        assert_eq!(Diff::from_wire(&rec.diff.to_wire()).unwrap(), rec.diff.clone());
-        assert_eq!(DiffRecord::from_wire(&wire).unwrap(), rec);
-        // A batch of it is the record sequence's encoding, and reads back
+        let (diff, clock) = (Diff::create(&twin, &cur), Vc::from_slice(&clock));
+        let rec = diff.view(ids, clock.as_slice());
+        let one: Diffs = [rec].into_iter().collect();
+        let wire = one.to_wire();
+        assert_eq!(4 + rec.wire_len(), wire.len());
+        assert_eq!(diff.wire_len(), diff.to_wire().len());
+        assert_eq!(Diff::from_wire(&diff.to_wire()).unwrap(), diff);
+        assert_eq!(Diffs::from_wire(&wire).unwrap(), one);
+        // A batch of two is the record sequence's encoding, and reads back
         // the record.
-        let batch: Diffs = [rec.view(), rec.view()].into_iter().collect();
+        let batch: Diffs = [rec, rec].into_iter().collect();
         let mut seq = Encoder::new();
-        seq.put_seq(&[rec.clone(), rec.clone()], |enc, r| r.encode(enc));
+        seq.put_seq(&[rec, rec], |enc, r| r.encode(enc));
         assert_eq!(batch.to_wire(), seq.finish_vec());
         assert_eq!(batch.wire_len(), batch.to_wire().len());
         assert_eq!(Diffs::from_wire(&batch.to_wire()).unwrap(), batch);
-        assert_eq!(DiffRecord::from(batch.get(1)), rec);
+        assert_eq!(batch.get(1), rec);
     });
 }
 
@@ -444,16 +435,11 @@ fn decoders_survive_any_bytes() {
         for (i, v) in edits {
             cur[i] = v;
         }
-        let valid = DiffRecord {
-            node: 1,
-            page: 2,
-            first: 3,
-            last: 3,
-            vc: Vc::new(4),
-            diff: Diff::create(&[0; 64], &cur),
-        };
-        let batch: Diffs = [valid.view(); 2].into_iter().collect();
-        for wire in [valid.to_wire(), valid.diff.to_wire(), batch.to_wire()] {
+        let (diff, clock) = (Diff::create(&[0; 64], &cur), Vc::new(4));
+        let valid = diff.view([1, 2, 3, 3], clock.as_slice());
+        let one: Diffs = [valid].into_iter().collect();
+        let batch: Diffs = [valid; 2].into_iter().collect();
+        for wire in [one.to_wire(), diff.to_wire(), batch.to_wire()] {
             check_decoders(&wire);
             check_decoders(&wire[..cut % wire.len()]);
             let mut flipped = wire.clone();
@@ -724,7 +710,7 @@ mod sparse_table_equivalence {
     use super::*;
     use carlos_lrc::engine::EngineStats;
     use carlos_lrc::interval::IntervalStore;
-    use carlos_lrc::{DiffRecord, GranuleMap, IntervalRecord, PageOwnership, PageState, Records, RegionSpec};
+    use carlos_lrc::{GranuleMap, IntervalRecord, PageOwnership, PageState, Records, RegionSpec};
 
     struct DenseMeta {
         state: PageState,
@@ -755,7 +741,7 @@ mod sparse_table_equivalence {
         pages: Vec<DenseMeta>,
         dirty: BTreeSet<u32>,
         intervals: IntervalStore,
-        diffs: BTreeMap<(u32, u32), Vec<DiffRecord>>,
+        diffs: BTreeMap<(u32, u32), Diffs>,
         granules: GranuleMap,
         eager_invalid: Vec<u32>,
         stats: EngineStats,
@@ -903,14 +889,8 @@ mod sparse_table_equivalence {
                 }
                 meta.max_notice.set(self.node, idx);
                 meta.applied.set(self.node, idx);
-                self.diffs.entry((self.node, p)).or_default().push(DiffRecord {
-                    node: self.node,
-                    page: p,
-                    first: idx,
-                    last: idx,
-                    vc: self.vt.clone(),
-                    diff,
-                });
+                let rec = diff.view([self.node, p, idx, idx], self.vt.as_slice());
+                self.diffs.entry((self.node, p)).or_default().push(rec);
                 self.stats.diffs_created += 1;
                 true
             });
@@ -962,23 +942,24 @@ mod sparse_table_equivalence {
             })
         }
 
-        fn serve_diffs(&self, page: u32, after: u32, through: u32) -> Vec<DiffRecord> {
-            self.diffs.get(&(self.node, page)).map_or_else(Vec::new, |recs| {
-                recs.iter().filter(|r| r.last > after && r.first <= through).cloned().collect()
+        fn serve_diffs(&self, page: u32, after: u32, through: u32) -> Diffs {
+            self.diffs.get(&(self.node, page)).map_or_else(Diffs::new, |recs| {
+                recs.iter().filter(|r| r.last > after && r.first <= through).collect()
             })
         }
 
-        fn apply_diff_records(&mut self, page: u32, mut records: Vec<DiffRecord>) {
-            records.sort_by_key(|r| r.view().causal_key());
+        fn apply_diff_records(&mut self, page: u32, batch: &Diffs) {
+            let mut records: Vec<DiffView<'_>> = batch.iter().collect();
+            records.sort_by_key(DiffView::causal_key);
             let meta = &mut self.pages[page as usize];
             assert!(meta.state != PageState::Missing);
             for rec in records {
                 if rec.last <= meta.applied.get(rec.node) {
                     continue;
                 }
-                rec.diff.apply(&mut meta.data);
+                rec.apply(&mut meta.data);
                 if let Some(twin) = &mut meta.twin {
-                    rec.diff.apply(twin);
+                    rec.apply(twin);
                 }
                 meta.applied.set(rec.node, rec.last);
                 let cur = meta.max_notice.get(rec.node);
@@ -1070,7 +1051,7 @@ mod sparse_table_equivalence {
 
         /// Fetches what `demands` name into `node`, comparing every reply.
         fn satisfy(&mut self, node: usize, demands: &[Demand]) {
-            let mut diffs: BTreeMap<u32, Vec<DiffRecord>> = BTreeMap::new();
+            let mut diffs: BTreeMap<u32, Diffs> = BTreeMap::new();
             for d in demands {
                 match *d {
                     Demand::Page { to, page } => {
@@ -1081,19 +1062,15 @@ mod sparse_table_equivalence {
                         assert_eq!(ok, self.dense[node].install_page(page, data, applied));
                     }
                     Demand::Diffs { to, page, after, through } => {
-                        let recs: Vec<DiffRecord> = self.real[to as usize]
-                            .own_diffs(page, after, through)
-                            .map(DiffRecord::from)
-                            .collect();
+                        let recs: Diffs = self.real[to as usize].own_diffs(page, after, through).collect();
                         assert_eq!(&recs, &self.dense[to as usize].serve_diffs(page, after, through));
-                        diffs.entry(page).or_default().extend(recs);
+                        diffs.entry(page).or_default().extend(&recs);
                     }
                 }
             }
-            for (page, recs) in diffs {
-                let batch: Diffs = recs.iter().map(DiffRecord::view).collect();
+            for (page, batch) in diffs {
                 self.real[node].apply_diff_records(page, &batch);
-                self.dense[node].apply_diff_records(page, recs);
+                self.dense[node].apply_diff_records(page, &batch);
             }
         }
 
