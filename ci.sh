@@ -90,6 +90,14 @@ if grep -rEn '\bfn absorb\b' crates/*/src src; then
     exit 1
 fi
 
+# One ship rule: which diffs an owner keeps and which a RELEASE carries is
+# decided in carlos-lrc (LrcEngine::release_diffs), so the messaging layer
+# neither looks up a stored diff nor asks which granules are eager.
+if grep -rEn '\b(stored_diff|eager_granule)\b' crates/core/src; then
+    echo "the ship rule belongs to carlos-lrc: call LrcEngine::release_diffs" >&2
+    exit 1
+fi
+
 # No stand-in crates: every workspace package is one of ours. Each of the
 # four offline shims this workspace once carried took the name of the
 # registry crate it imitated.

@@ -173,25 +173,6 @@ impl Cities {
         self.dist[i * self.n + j]
     }
 
-    /// A nearest-neighbour tour length from city 0 — the initial bound.
-    #[must_use]
-    pub fn greedy_bound(&self) -> u32 {
-        let mut visited = vec![false; self.n];
-        visited[0] = true;
-        let mut cur = 0usize;
-        let mut len = 0u32;
-        for _ in 1..self.n {
-            let next = (0..self.n)
-                .filter(|&j| !visited[j])
-                .min_by_key(|&j| self.d(cur, j))
-                .expect("unvisited city exists");
-            len += self.d(cur, next);
-            visited[next] = true;
-            cur = next;
-        }
-        len + self.d(cur, 0)
-    }
-
     /// A nearest-neighbour tour improved by 2-opt passes — the initial
     /// bound used by the search (a tight bound keeps the branch-and-bound
     /// tree tractable, as any serious TSP code of the era did).

@@ -25,9 +25,19 @@ fn optimal(spec: &Spec) -> TspResult {
 
 #[test]
 fn oracle_agrees_with_greedy_bound_ordering() {
-    let c = Cities::generate(10, 42);
+    let n = 10;
+    let c = Cities::generate(n, 42);
     let opt = c.held_karp();
-    let greedy = c.greedy_bound();
+    // A nearest-neighbour tour from city 0.
+    let (mut visited, mut cur, mut greedy) = (vec![false; n], 0, 0);
+    visited[0] = true;
+    for _ in 1..n {
+        let next = (0..n).filter(|&j| !visited[j]).min_by_key(|&j| c.d(cur, j)).unwrap();
+        greedy += c.d(cur, next);
+        visited[next] = true;
+        cur = next;
+    }
+    greedy += c.d(cur, 0);
     assert!(opt <= greedy, "optimum cannot exceed the greedy tour");
     assert!(opt > 0);
 }

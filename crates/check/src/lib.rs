@@ -198,12 +198,6 @@ impl Checker {
         self.inner.borrow().violations.clone()
     }
 
-    /// True when no violation has been recorded.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.inner.borrow().violations.is_empty()
-    }
-
     /// Panics with a full listing if any violation was recorded.
     pub fn assert_clean(&self) {
         let st = self.inner.borrow();

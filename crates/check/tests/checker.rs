@@ -335,7 +335,7 @@ fn adjacent_word_writers(order: [u32; 2]) {
     resolve_write(&mut e, 2, 12, &0x0006_2244u32.to_le_bytes());
     sync_release(&mut e, 1, 0);
     sync_release(&mut e, 2, 0);
-    let page = e[0].page_of(8);
+    let page = e[0].granules().granule_of(8);
     let mut demands = e[0].fault_demands(page);
     demands.sort_by_key(|d| match d {
         Demand::Diffs { to, .. } => order.iter().position(|n| n == to),

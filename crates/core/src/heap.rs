@@ -133,14 +133,6 @@ impl CoherentHeap {
         self.regions.clone()
     }
 
-    /// Allocates a `count`-element array of `elem_size`-byte elements,
-    /// page-aligning nothing special — alignment is `elem_size` rounded to
-    /// the next power of two (capped at 16).
-    pub fn alloc_array(&mut self, count: usize, elem_size: usize) -> usize {
-        let align = elem_size.next_power_of_two().clamp(1, 16);
-        self.alloc(count * elem_size, align)
-    }
-
     /// Bytes allocated so far.
     #[must_use]
     pub fn used(&self) -> usize {
@@ -178,15 +170,6 @@ mod tests {
         for (s, a) in seq {
             assert_eq!(h1.alloc(s, a), h2.alloc(s, a));
         }
-    }
-
-    #[test]
-    fn alloc_array_sizes() {
-        let mut h = CoherentHeap::new(1 << 20);
-        let a = h.alloc_array(100, 8);
-        assert_eq!(a % 8, 0);
-        let b = h.alloc_array(10, 3); // 3 rounds to 4-byte alignment.
-        assert_eq!(b % 4, 0);
     }
 
     #[test]

@@ -336,44 +336,7 @@ impl Core {
                         self.known[dst as usize].set(node, own);
                     }
                 }
-                // Update strategy: ship the diffs the notices describe, so
-                // the receiver's pages can stay valid (§4.3). Only locally
-                // stored diffs are attached; anything missing is fetched
-                // lazily by the receiver exactly as under invalidation.
-                //
-                // Eager region hints get the same treatment per granule even
-                // under the invalidate strategy: data the receiver is certain
-                // to re-read travels with its write notices ("the actual data
-                // transmission occurs eagerly and asynchronously when the
-                // notification message is sent", §3), killing the fetch round
-                // trip. Granules whose diffs the sender does not hold are
-                // batch-fetched by the receiver right after the notices apply.
-                //
-                // A granule's owner skips its diffs for a `dst` it never
-                // served the granule: `dst` holds no copy, so it could only
-                // drop them.
-                let update_all = self.cfg.strategy == crate::config::Strategy::Update;
-                let mut diffs = Diffs::new();
-                if update_all || self.engine.granules().has_eager() {
-                    // Each stored diff covers one interval, so no notice
-                    // finds one twice. Sized first: one allocation per array.
-                    let engine = &self.engine;
-                    let shipped = || {
-                        records.iter().flat_map(move |rec| {
-                            rec.pages
-                                .iter()
-                                .filter(move |&&p| {
-                                    (update_all || engine.granules().eager_granule(p))
-                                        && engine.may_hold_copy(p, dst)
-                                })
-                                .filter_map(move |&p| engine.stored_diff(rec.creator, p, rec.index))
-                        })
-                    };
-                    let (count, bytes) =
-                        shipped().fold((0, 0), |(c, b), d| (c + 1, b + d.run_bytes()));
-                    diffs.reserve(required.len(), count, bytes);
-                    shipped().for_each(|d| diffs.push(d));
-                }
+                let diffs = self.engine.release_diffs(&records, dst);
                 Consistency::Release {
                     required,
                     records,

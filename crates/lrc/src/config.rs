@@ -67,12 +67,6 @@ impl LrcConfig {
             regions: Vec::new(),
         }
     }
-
-    /// Number of pages in the region.
-    #[must_use]
-    pub fn n_pages(&self) -> usize {
-        self.region_bytes.div_ceil(self.page_size)
-    }
 }
 
 #[cfg(test)]
@@ -89,13 +83,15 @@ mod tests {
             ownership: PageOwnership::SingleOwner(0),
             regions: Vec::new(),
         };
-        assert_eq!(c.n_pages(), 3);
+        // The engine's page table has a granule for the partial last page.
+        let granules = crate::GranuleMap::new(c.region_bytes, c.page_size, &c.regions);
+        assert_eq!(granules.n_granules(), 3);
     }
 
     #[test]
     fn osdi94_uses_alpha_pages() {
         let c = LrcConfig::osdi94(4, 1 << 20);
         assert_eq!(c.page_size, 8192);
-        assert_eq!(c.n_pages(), 128);
+        assert_eq!(c.region_bytes / c.page_size, 128);
     }
 }

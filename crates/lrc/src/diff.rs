@@ -1063,7 +1063,7 @@ mod tests {
     }
 
     /// The encoding of a three-run record as the commit before the flat
-    /// layout produced it (a vector of runs, `put_seq` + `put_bytes`): the
+    /// layout produced it (a vector of runs: a `u32` count, then each run's offset and bytes): the
     /// stored form is the wire form, so neither may drift.
     #[test]
     fn wire_format_is_pinned() {

@@ -89,8 +89,6 @@ pub struct EngineStats {
     pub remote_faults: u64,
     /// Full-page installs.
     pub pages_installed: u64,
-    /// Global garbage collections participated in.
-    pub gcs: u64,
 }
 
 /// One node's lazy-release-consistency engine.
@@ -107,11 +105,12 @@ pub struct LrcEngine {
     /// Pages currently write-enabled (twin present).
     dirty: BTreeSet<PageId>,
     intervals: IntervalStore,
-    /// This node's diffs that another node can ask for or a release can
-    /// ship, in interval order: one per write notice of its logged
-    /// intervals, except on a granule it owns and had served no copy of
-    /// when the interval closed ([`LrcEngine::capture_own_diff`]). What it
-    /// serves. Their clocks are the intervals'.
+    /// This node's diffs that another node can ask for, in interval
+    /// order: one per write notice of its logged intervals, except on a
+    /// granule it owns and had served no copy of when the interval closed
+    /// ([`LrcEngine::capture_own_diff`]). What it serves, and what a
+    /// release ships ([`LrcEngine::release_diffs`]). Their clocks are the
+    /// intervals'.
     own: DiffStore,
     /// Per creator, the fetched diffs a RELEASE may ship again: those of
     /// eager granules, or every one under the update strategy
@@ -251,13 +250,6 @@ impl LrcEngine {
     #[must_use]
     pub fn resident_pages(&self) -> usize {
         self.pages.resident_len()
-    }
-
-    /// Granule (coherence unit) containing byte address `addr`. With no
-    /// granularity hints this is the legacy `addr / page_size`.
-    #[must_use]
-    pub fn page_of(&self, addr: usize) -> PageId {
-        self.granules.granule_of(addr)
     }
 
     /// The address→granule map this engine was built with.
@@ -646,11 +638,11 @@ impl LrcEngine {
     /// record.
     ///
     /// A changed granule this node owns and has served to no other node
-    /// gets no record either, only a count in `dropped`, unless a release
-    /// can ship the diff ([`LrcEngine::shippable`]): no other node holds a
-    /// copy, and a copy served later already reflects this interval, so no
-    /// node will ask for the diff (TreadMarks never made a diff nobody
-    /// asked for). A copy served while the interval is open puts its
+    /// gets no record either, only a count in `dropped`, whatever its kind:
+    /// no other node holds a copy, and a copy served later already
+    /// reflects this interval, so no node will ask for the diff and no
+    /// release to a holder can carry it (TreadMarks never made a diff
+    /// nobody asked for). A copy served while the interval is open puts its
     /// holder in `served` before the close, so that diff is kept.
     ///
     /// # Panics
@@ -659,7 +651,6 @@ impl LrcEngine {
     fn capture_own_diff(&mut self, page: PageId) -> bool {
         let idx = self.vt.get(self.node);
         let unserved = self.owner_of(page) == self.node
-            && !self.shippable(page)
             && self.served.range((page, 0)..=(page, u32::MAX)).next().is_none();
         let meta = self.pages.get_mut(page).expect("written page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
@@ -842,6 +833,37 @@ impl LrcEngine {
     /// ([`LrcEngine::keep_fetched_diffs`], the update strategy).
     fn shippable(&self, page: PageId) -> bool {
         self.keep_fetched || self.granules.eager_granule(page)
+    }
+
+    /// The diffs a RELEASE to `dst` carries beside `records`: for each
+    /// write notice of a shippable granule whose copy `dst` may hold, the
+    /// diff this node stores for it. Data the receiver is certain to
+    /// re-read then travels with its write notices (§3, eager regions),
+    /// and under the update strategy every notice's diff does, so the
+    /// receiver's pages can stay valid (§4.3). A diff this node does not
+    /// hold is fetched by the receiver as under invalidation. A granule's
+    /// owner ships nothing to a `dst` it never served the granule: `dst`
+    /// holds no copy, so it could only drop the diff.
+    #[must_use]
+    pub fn release_diffs(&self, records: &Records, dst: u32) -> Diffs {
+        let mut diffs = Diffs::new();
+        if !self.keep_fetched && !self.granules.has_eager() {
+            return diffs;
+        }
+        // Each stored diff covers one interval, so no notice finds one
+        // twice. Sized first: one allocation per array.
+        let shipped = || {
+            records.iter().flat_map(move |rec| {
+                rec.pages
+                    .iter()
+                    .filter(move |&&p| self.shippable(p) && self.may_hold_copy(p, dst))
+                    .filter_map(move |&p| self.stored_diff(rec.creator, p, rec.index))
+            })
+        };
+        let (count, bytes) = shipped().fold((0, 0), |(c, b), d| (c + 1, b + d.run_bytes()));
+        diffs.reserve(self.vt.len(), count, bytes);
+        shipped().for_each(|d| diffs.push(d));
+        diffs
     }
 
     /// Applies fetched diff records to `page` in causal order. A record is
@@ -1074,7 +1096,6 @@ impl LrcEngine {
         self.dropped = 0;
         // Every page is valid, so nothing was outstanding.
         self.outstanding.clear();
-        self.stats.gcs += 1;
     }
 }
 
@@ -1102,7 +1123,7 @@ mod tests {
     use carlos_util::cases::cases;
 
     use super::*;
-    use crate::config::PageOwnership;
+    use crate::{config::PageOwnership, region::RegionSpec};
 
     const PAGES: u32 = 6;
 
@@ -1112,7 +1133,10 @@ mod tests {
     struct Cluster(Vec<LrcEngine>, BTreeMap<(u32, PageId), u32>);
 
     impl Cluster {
-        fn new(n: usize, banded: bool) -> Self {
+        /// `variant` 1 makes pages 1 and 2 eager; `variant` 2 keeps every
+        /// fetched diff (the update strategy). Either makes diffs a release
+        /// can ship.
+        fn new(n: usize, banded: bool, variant: u8) -> Self {
             let cfg = LrcConfig {
                 region_bytes: PAGES as usize * 64,
                 ownership: if banded {
@@ -1120,9 +1144,19 @@ mod tests {
                 } else {
                     PageOwnership::SingleOwner(0)
                 },
+                regions: if variant == 1 {
+                    vec![RegionSpec::new(64, 128, 64).eager()]
+                } else {
+                    Vec::new()
+                },
                 ..LrcConfig::small_test(n)
             };
-            Self((0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect(), BTreeMap::new())
+            let engines = (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone()));
+            let mut c = Self(engines.collect(), BTreeMap::new());
+            if variant == 2 {
+                c.0.iter_mut().for_each(LrcEngine::keep_fetched_diffs);
+            }
+            c
         }
 
         /// The diff records `node`'s outstanding demands for `page` name,
@@ -1215,15 +1249,15 @@ mod tests {
 
         /// Every page an own interval names changed in it: its own diff for
         /// that interval holds at least one run, unless the page's owner
-        /// made it before serving the page to any other node and no release
-        /// ships it, which stores no diff.
+        /// made it before serving the page to any other node, which stores
+        /// no diff.
         fn check_named_pages(&mut self, _mask: u32) {
             for e in &self.0 {
                 for rec in e.intervals.range(e.node, 0, e.vt.get(e.node)) {
                     for &p in rec.pages {
                         let served = self.1.get(&(e.node, p)).is_some_and(|&at| at < rec.index);
                         let diff = e.own.get(p, rec.index);
-                        if e.owner_of(p) == e.node && !served && !e.shippable(p) {
+                        if e.owner_of(p) == e.node && !served {
                             assert!(diff.is_none(), "node {} page {p} kept its diff", e.node);
                             continue;
                         }
@@ -1275,14 +1309,15 @@ mod tests {
     }
 
     /// Runs a random script of writes, closes, syncs, fetches, installs and
-    /// collections on 2-4 nodes, calling `check` after every step.
+    /// collections on 2-4 nodes, plain, with eager pages or keeping fetched
+    /// diffs, calling `check` after every step.
     fn random_script(name: &str, check: fn(&mut Cluster, u32)) {
         cases(name, 256, |g| {
-            let (n, banded) = (g.range(2usize..5), g.bool());
+            let (n, banded, variant) = (g.range(2usize..5), g.bool(), g.range(0u8..3));
             let ops = g.vec(1..100, |g| {
                 (g.range(0usize..10), g.range(0usize..4), g.range(0usize..4), g.range(0..PAGES), g.u32())
             });
-            let mut c = Cluster::new(n, banded);
+            let mut c = Cluster::new(n, banded, variant);
             for (kind, node, peer, page, mask) in ops {
                 let (node, peer) = (node % n, peer % n);
                 match kind {

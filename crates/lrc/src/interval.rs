@@ -966,12 +966,13 @@ mod decode_props {
                 recs[i + 1] = recs[i].clone();
             }
             let mut legacy = Encoder::new();
-            legacy.put_seq(&recs, |enc, r| {
-                enc.put_u32(r.node);
-                enc.put_u32(r.index);
-                put_vt(enc, r.vc.as_slice());
-                put_notices(enc, &r.pages);
-            });
+            legacy.put_u32(recs.len() as u32);
+            for r in &recs {
+                legacy.put_u32(r.node);
+                legacy.put_u32(r.index);
+                put_vt(&mut legacy, r.vc.as_slice());
+                put_notices(&mut legacy, &r.pages);
+            }
             let legacy = legacy.finish_vec();
             assert!(Form::Legacy.decode(&legacy).is_err(), "{recs:?}");
             // The grouped form of the same sequence, one group per record

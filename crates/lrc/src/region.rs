@@ -324,18 +324,6 @@ impl GranuleMap {
         }
         Ok(homes)
     }
-
-    /// First byte address of granule `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    #[must_use]
-    pub fn granule_base(&self, g: PageId) -> usize {
-        assert!((g as usize) < self.n_granules, "granule id out of range");
-        let seg = self.seg_for_granule(g);
-        seg.start + (g - seg.first_id) as usize * seg.granule
-    }
 }
 
 #[cfg(test)]
@@ -345,13 +333,13 @@ mod tests {
     #[test]
     fn empty_regions_match_legacy_paging() {
         let m = GranuleMap::new(250, 100, &[]);
-        assert_eq!(m.n_granules(), 3); // div_ceil, like LrcConfig::n_pages.
+        assert_eq!(m.n_granules(), 3); // div_ceil: a partial last page.
         assert!(!m.hinted());
         assert_eq!(m.granule_of(0), 0);
         assert_eq!(m.granule_of(249), 2);
         assert_eq!(m.locate(205), (2, 5, 100));
         assert_eq!(m.granule_len(2), 100);
-        assert_eq!(m.granule_base(2), 200);
+        assert_eq!(m.locate(200), (2, 0, 100));
     }
 
     #[test]
@@ -387,8 +375,8 @@ mod tests {
         assert_eq!(m.granule_len(0), 64);
         assert_eq!(m.granule_len(1), 8192);
         assert_eq!(m.granule_len(4), 16384);
-        assert_eq!(m.granule_base(4), 32768);
-        assert_eq!(m.granule_base(5), 49152);
+        assert_eq!(m.locate(32768), (4, 0, 16384));
+        assert_eq!(m.locate(49152), (5, 0, 8192));
         assert_eq!(m.locate(32772), (4, 4, 16384));
     }
 

@@ -75,6 +75,20 @@ fn cluster(n: usize) -> Vec<LrcEngine> {
     (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone())).collect()
 }
 
+/// Two nodes configured with `regions`; with `keep` every engine keeps
+/// each fetched diff (the update strategy).
+fn cluster_with(regions: Vec<RegionSpec>, keep: bool) -> Vec<LrcEngine> {
+    let cfg = LrcConfig {
+        regions,
+        ..LrcConfig::small_test(2)
+    };
+    let mut e: Vec<LrcEngine> = (0..2).map(|i| LrcEngine::new(i, cfg.clone())).collect();
+    if keep {
+        e.iter_mut().for_each(LrcEngine::keep_fetched_diffs);
+    }
+    e
+}
+
 #[test]
 fn local_read_write_roundtrip() {
     let mut e = cluster(1);
@@ -409,25 +423,43 @@ fn only_the_changed_page_is_named() {
 
 #[test]
 fn an_owner_stores_no_diff_of_a_granule_it_never_served() {
-    let mut e = cluster(2);
-    resolve_write(&mut e, 0, 0, &[5]);
-    // The interval names the page and advances the clock, and the diff
-    // counts as created and as a record, but no node can ask for it.
-    assert_eq!(close(&mut e, 0).pages, vec![0]);
-    assert_eq!((e[0].vt().get(0), e[0].stats().diffs_created), (1, 1));
-    assert_eq!(e[0].record_count(), 2, "the interval and the elided diff");
-    assert!(e[0].stored_diff(0, 0, 1).is_none());
-    // Node 1's first copy comes from the owner and already holds the write.
-    let mut buf = [0u8; 1];
-    sync_release(&mut e, 0, 1);
-    assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 1, "the page alone");
-    assert_eq!(buf[0], 5);
-    // Served now: the next write's diff is stored, and node 1 fetches it.
-    resolve_write(&mut e, 0, 0, &[6]);
-    sync_release(&mut e, 0, 1);
-    assert!(e[0].stored_diff(0, 0, 2).is_some());
-    assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 1, "one diff demand");
-    assert_eq!((buf[0], e[1].stats().diffs_applied), (6, 1));
+    // Whatever the granule's kind: plain, eager, or any under the update
+    // strategy, whose diffs a release ships.
+    for (regions, keep) in [
+        (Vec::new(), false),
+        (vec![RegionSpec::new(0, 64, 64).eager()], false),
+        (Vec::new(), true),
+    ] {
+        let shippable = keep || !regions.is_empty();
+        let mut e = cluster_with(regions, keep);
+        resolve_write(&mut e, 0, 0, &[5]);
+        // The interval names the page and advances the clock, and the diff
+        // counts as created and as a record, but no node can ask for it,
+        // and no release carries it, not even one to the owner itself.
+        assert_eq!(close(&mut e, 0).pages, vec![0]);
+        assert_eq!((e[0].vt().get(0), e[0].stats().diffs_created), (1, 1));
+        assert_eq!(e[0].record_count(), 2, "the interval and the elided diff");
+        assert!(e[0].stored_diff(0, 0, 1).is_none());
+        let records = e[0].records_newer_than(&Vc::new(2));
+        assert!(e[0].release_diffs(&records, 0).is_empty());
+        // Node 1's first copy comes from the owner and already holds the
+        // write.
+        let mut buf = [0u8; 1];
+        sync_release(&mut e, 0, 1);
+        assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 1, "the page alone");
+        assert_eq!(buf[0], 5);
+        // Served now: the next write's diff is stored, a release to node 1
+        // carries it if the granule's diffs ship, and node 1 fetches it.
+        resolve_write(&mut e, 0, 0, &[6]);
+        sync_release(&mut e, 0, 1);
+        assert!(e[0].stored_diff(0, 0, 2).is_some());
+        let records = e[0].records_newer_than(&Vc::new(2));
+        let shipped = e[0].release_diffs(&records, 1);
+        assert_eq!(shipped.len(), usize::from(shippable));
+        assert!(shipped.iter().all(|d| (d.page, d.first) == (0, 2)));
+        assert_eq!(resolve_read(&mut e, 1, 0, &mut buf), 1, "one diff demand");
+        assert_eq!((buf[0], e[1].stats().diffs_applied), (6, 1));
+    }
 }
 
 #[test]
@@ -586,19 +618,12 @@ fn rebased_open_writes_leave_the_neighbour_word_to_the_replacement() {
 /// Node 1 writes four 9s at byte 64 and releases to node 0, the owner,
 /// whose copy of that granule the notice invalidates; node 0 then reads
 /// it, fetching and applying node 1's diff. `regions` configure both
-/// engines, and with `keep` node 0 keeps every fetched diff (the update
+/// engines, and with `keep` both keep every fetched diff (the update
 /// strategy). Returns the engines, the granule, and node 0's record count
 /// before the diff applied.
 fn fetch_one_diff(regions: Vec<RegionSpec>, keep: bool) -> (Vec<LrcEngine>, u32, usize) {
-    let cfg = LrcConfig {
-        regions,
-        ..LrcConfig::small_test(2)
-    };
-    let mut e: Vec<LrcEngine> = (0..2).map(|i| LrcEngine::new(i, cfg.clone())).collect();
-    if keep {
-        e[0].keep_fetched_diffs();
-    }
-    let g = e[0].page_of(64);
+    let mut e = cluster_with(regions, keep);
+    let g = e[0].granules().granule_of(64);
     let mut buf = [0u8; 4];
     resolve_read(&mut e, 1, 64, &mut buf);
     resolve_write(&mut e, 1, 64, &[9; 4]);
@@ -618,6 +643,30 @@ fn a_fetched_diff_no_release_can_ship_is_dropped_but_counted() {
     // It still counts as a stored record, as when every fetched diff was
     // kept, so a collection falls where it did.
     assert_eq!(e[0].record_count(), before + 1);
+}
+
+#[test]
+fn a_release_ships_a_kept_diff_only_to_a_node_that_may_hold_a_copy() {
+    for keep in [false, true] {
+        let cfg = LrcConfig::small_test(3);
+        let mut e: Vec<LrcEngine> = (0..3).map(|i| LrcEngine::new(i, cfg.clone())).collect();
+        if keep {
+            e.iter_mut().for_each(LrcEngine::keep_fetched_diffs);
+        }
+        // Node 1 writes page 0 and releases to its owner, node 0, which
+        // fetches the diff.
+        let mut buf = [0u8; 4];
+        resolve_write(&mut e, 1, 0, &[9; 4]);
+        sync_release(&mut e, 1, 0);
+        resolve_read(&mut e, 0, 0, &mut buf);
+        assert_eq!(buf, [9; 4]);
+        assert_eq!(e[0].stored_diff(1, 0, 1).is_some(), keep);
+        // Node 0 never served node 2 the page, so node 2 holds no copy and
+        // gets no diff; without `keep` nothing ships at all.
+        let records = e[0].records_newer_than(&Vc::new(3));
+        assert!(e[0].release_diffs(&records, 2).is_empty());
+        assert_eq!(e[0].release_diffs(&records, 1).len(), usize::from(keep));
+    }
 }
 
 #[test]

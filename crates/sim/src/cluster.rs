@@ -585,16 +585,6 @@ impl NodeCtx {
         }
     }
 
-    /// Whether a datagram is waiting in this node's mailbox (used by
-    /// transports to decide whether to poll). Consumes nothing and charges
-    /// no time.
-    #[must_use]
-    pub fn mailbox_nonempty(&self) -> bool {
-        !self.kernel.borrow().nodes[self.node as usize]
-            .mailbox
-            .is_empty()
-    }
-
     /// Advances time by `dt` charged to `bucket`. Fast-paths the common
     /// case where no other event intervenes. Like every parking method, it
     /// takes the kernel borrow and hands it back: a switch in between
@@ -683,13 +673,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Network utilization computed the paper's way (payload bits over the
-    /// ideal wire, headers excluded).
-    #[must_use]
-    pub fn net_utilization(&self) -> f64 {
-        self.net.utilization(self.elapsed, self.bandwidth_bps)
-    }
-
     /// Sum of a bucket across all nodes.
     #[must_use]
     pub fn bucket_total(&self, bucket: Bucket) -> Ns {

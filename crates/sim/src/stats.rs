@@ -191,19 +191,6 @@ impl FrameClasses {
         class.note(payload.len());
     }
 
-    /// Total frames across all classes (must equal [`NetStats::messages`]).
-    #[must_use]
-    pub fn total_sent(&self) -> u64 {
-        self.data.sent + self.ack.sent + self.ping.sent + self.pong.sent + self.other.sent
-    }
-
-    /// Total payload bytes across all classes (must equal
-    /// [`NetStats::payload_bytes`]).
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.data.bytes + self.ack.bytes + self.ping.bytes + self.pong.bytes + self.other.bytes
-    }
-
     /// Iterates `(class name, stats)` in display order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, ClassStats)> {
         [
@@ -368,8 +355,8 @@ mod tests {
         assert_eq!(c.pong.sent, 1);
         assert_eq!(c.other.sent, 2);
         assert_eq!(c.other.bytes, 8);
-        assert_eq!(c.total_sent(), 6);
-        assert_eq!(c.total_bytes(), 8 + 5 + 5 + 5 + 5 + 3);
+        assert_eq!(c.iter().map(|(_, s)| s.sent).sum::<u64>(), 6);
+        assert_eq!(c.iter().map(|(_, s)| s.bytes).sum::<u64>(), 8 + 5 + 5 + 5 + 5 + 3);
         assert_eq!(c.iter().count(), 5);
     }
 

@@ -387,10 +387,10 @@ fn netstats_conserve_every_datagram_under_chaos() {
     );
     // Per-class accounting partitions the same ledger: every datagram and
     // every payload byte lands in exactly one message class.
-    assert_eq!(n.messages, n.classes.total_sent(), "class send totals: {n:?}");
+    assert_eq!(n.messages, n.classes.iter().map(|(_, s)| s.sent).sum::<u64>(), "class send totals: {n:?}");
     assert_eq!(
         n.payload_bytes,
-        n.classes.total_bytes(),
+        n.classes.iter().map(|(_, s)| s.bytes).sum::<u64>(),
         "class byte totals: {n:?}"
     );
 }
@@ -417,8 +417,8 @@ fn netstats_conservation_without_faults() {
     // classifier files every one of them (and every byte) under `other`.
     assert_eq!(n.classes.other.sent, 20);
     assert_eq!(n.classes.other.bytes, 80);
-    assert_eq!(n.messages, n.classes.total_sent());
-    assert_eq!(n.payload_bytes, n.classes.total_bytes());
+    assert_eq!(n.messages, n.classes.iter().map(|(_, s)| s.sent).sum::<u64>());
+    assert_eq!(n.payload_bytes, n.classes.iter().map(|(_, s)| s.bytes).sum::<u64>());
 }
 
 /// Any loss regime short of a total blackout delivers every payload,

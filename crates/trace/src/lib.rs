@@ -234,35 +234,30 @@ fn cost_key(class: MsgClass, phase: CostPhase) -> &'static str {
         (M::None, P::Send) => "cost.NONE.send",
         (M::None, P::Recv) => "cost.NONE.recv",
         (M::None, P::Accept) => "cost.NONE.accept",
-        (M::None, P::DiffCreate) => "cost.NONE.diff_create",
         (M::None, P::DiffApply) => "cost.NONE.diff_apply",
         (M::None, P::PageCopy) => "cost.NONE.page_copy",
         (M::None, P::NoticeApply) => "cost.NONE.notice_apply",
         (M::Request, P::Send) => "cost.REQUEST.send",
         (M::Request, P::Recv) => "cost.REQUEST.recv",
         (M::Request, P::Accept) => "cost.REQUEST.accept",
-        (M::Request, P::DiffCreate) => "cost.REQUEST.diff_create",
         (M::Request, P::DiffApply) => "cost.REQUEST.diff_apply",
         (M::Request, P::PageCopy) => "cost.REQUEST.page_copy",
         (M::Request, P::NoticeApply) => "cost.REQUEST.notice_apply",
         (M::Release, P::Send) => "cost.RELEASE.send",
         (M::Release, P::Recv) => "cost.RELEASE.recv",
         (M::Release, P::Accept) => "cost.RELEASE.accept",
-        (M::Release, P::DiffCreate) => "cost.RELEASE.diff_create",
         (M::Release, P::DiffApply) => "cost.RELEASE.diff_apply",
         (M::Release, P::PageCopy) => "cost.RELEASE.page_copy",
         (M::Release, P::NoticeApply) => "cost.RELEASE.notice_apply",
         (M::ReleaseNt, P::Send) => "cost.RELEASE_NT.send",
         (M::ReleaseNt, P::Recv) => "cost.RELEASE_NT.recv",
         (M::ReleaseNt, P::Accept) => "cost.RELEASE_NT.accept",
-        (M::ReleaseNt, P::DiffCreate) => "cost.RELEASE_NT.diff_create",
         (M::ReleaseNt, P::DiffApply) => "cost.RELEASE_NT.diff_apply",
         (M::ReleaseNt, P::PageCopy) => "cost.RELEASE_NT.page_copy",
         (M::ReleaseNt, P::NoticeApply) => "cost.RELEASE_NT.notice_apply",
         (M::System, P::Send) => "cost.SYSTEM.send",
         (M::System, P::Recv) => "cost.SYSTEM.recv",
         (M::System, P::Accept) => "cost.SYSTEM.accept",
-        (M::System, P::DiffCreate) => "cost.SYSTEM.diff_create",
         (M::System, P::DiffApply) => "cost.SYSTEM.diff_apply",
         (M::System, P::PageCopy) => "cost.SYSTEM.page_copy",
         (M::System, P::NoticeApply) => "cost.SYSTEM.notice_apply",

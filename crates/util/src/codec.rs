@@ -112,12 +112,6 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    #[inline]
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends a `u32` length prefix followed by the raw bytes.
     #[inline]
     pub fn put_bytes(&mut self, v: &[u8]) {
@@ -137,14 +131,6 @@ impl Encoder {
     #[inline]
     pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a `u32` element count followed by each element via `f`.
-    pub fn put_seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.put_u32(items.len() as u32);
-        for item in items {
-            f(self, item);
-        }
     }
 
     /// Number of bytes encoded so far.
@@ -227,12 +213,6 @@ impl<'a> Decoder<'a> {
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
         self.take().map(u64::from_le_bytes)
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    #[inline]
-    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        self.get_u64().map(f64::from_bits)
     }
 
     /// Reads a `u32`-length-prefixed byte string without copying it.
@@ -348,16 +328,14 @@ mod tests {
         e.put_u16(0xCDEF);
         e.put_u32(0xDEAD_BEEF);
         e.put_u64(0x0123_4567_89AB_CDEF);
-        e.put_f64(-1.25e10);
         let buf = e.finish_vec();
-        assert_eq!(buf.len(), 1 + 2 + 4 + 8 + 8);
+        assert_eq!(buf.len(), 1 + 2 + 4 + 8);
 
         let mut d = Decoder::new(&buf);
         assert_eq!(d.get_u8().unwrap(), 0xAB);
         assert_eq!(d.get_u16().unwrap(), 0xCDEF);
         assert_eq!(d.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(d.get_f64().unwrap(), -1.25e10);
         d.expect_end().unwrap();
     }
 
@@ -408,7 +386,9 @@ mod tests {
     fn seq_roundtrip() {
         let items = vec![3u32, 1, 4, 1, 5, 9];
         let mut e = Encoder::new();
-        e.put_seq(&items, |e, &v| e.put_u32(v));
+        // A sequence is its `u32` count, then each element.
+        e.put_u32(items.len() as u32);
+        items.iter().for_each(|&v| e.put_u32(v));
         let buf = e.finish_vec();
         let mut d = Decoder::new(&buf);
         let back = d.get_seq(|d| d.get_u32()).unwrap();
@@ -503,10 +483,9 @@ mod props {
             1 => (dec.get_u16()?.to_le_bytes().to_vec(), 0),
             2 => (dec.get_u32()?.to_le_bytes().to_vec(), 0),
             3 => (dec.get_u64()?.to_le_bytes().to_vec(), 0),
-            4 => (dec.get_f64()?.to_bits().to_le_bytes().to_vec(), 0),
-            5 => (dec.get_byte_slice()?.to_vec(), 4),
-            6 => (dec.get_bytes()?, 4),
-            7 => (
+            4 => (dec.get_byte_slice()?.to_vec(), 4),
+            5 => (dec.get_bytes()?, 4),
+            6 => (
                 <[u8; 3]>::try_from(dec.get_raw_slice(3)?).unwrap().to_vec(),
                 0,
             ),
@@ -524,22 +503,20 @@ mod props {
         U16(u16),
         U32(u32),
         U64(u64),
-        F64(u64),
         Bytes(Vec<u8>),
         Zeros(usize),
         Seq(Vec<u16>),
     }
 
     fn field(g: &mut Gen) -> Field {
-        let (kind, v, bytes) = (g.range(0u8..8), g.u64(), g.vec(0..9, Gen::u8));
+        let (kind, v, bytes) = (g.range(0u8..7), g.u64(), g.vec(0..9, Gen::u8));
         match kind {
             0 => Field::U8(v as u8),
             1 => Field::U16(v as u16),
             2 => Field::U32(v as u32),
             3 => Field::U64(v),
-            4 => Field::F64(v),
-            5 => Field::Bytes(bytes),
-            6 => Field::Zeros(bytes.len()),
+            4 => Field::Bytes(bytes),
+            5 => Field::Zeros(bytes.len()),
             _ => Field::Seq(bytes.iter().map(|&b| u16::from(b) << 3).collect()),
         }
     }
@@ -550,10 +527,12 @@ mod props {
             Field::U16(v) => enc.put_u16(*v),
             Field::U32(v) => enc.put_u32(*v),
             Field::U64(v) => enc.put_u64(*v),
-            Field::F64(bits) => enc.put_f64(f64::from_bits(*bits)),
             Field::Bytes(b) => enc.put_bytes(b),
             Field::Zeros(n) => enc.put_zeros(*n),
-            Field::Seq(s) => enc.put_seq(s, |e, &v| e.put_u16(v)),
+            Field::Seq(s) => {
+                enc.put_u32(s.len() as u32);
+                s.iter().for_each(|&v| enc.put_u16(v));
+            }
         }
     }
 
@@ -563,7 +542,6 @@ mod props {
             Field::U16(_) => Field::U16(dec.get_u16()?),
             Field::U32(_) => Field::U32(dec.get_u32()?),
             Field::U64(_) => Field::U64(dec.get_u64()?),
-            Field::F64(_) => Field::F64(dec.get_f64()?.to_bits()),
             Field::Bytes(_) => Field::Bytes(dec.get_bytes()?),
             Field::Zeros(_) => {
                 let s = dec.get_byte_slice()?;
@@ -577,7 +555,7 @@ mod props {
     #[test]
     fn getters_never_panic_on_arbitrary_bytes() {
         cases("getters_never_panic_on_arbitrary_bytes", 512, |g| {
-            let (data, ops) = (g.vec(0..48, Gen::u8), g.vec(1..24, |g| g.range(0u8..9)));
+            let (data, ops) = (g.vec(0..48, Gen::u8), g.vec(1..24, |g| g.range(0u8..8)));
             let mut dec = Decoder::new(&data);
             for op in ops {
                 let pos = data.len() - dec.remaining();

@@ -64,14 +64,12 @@ impl MsgClass {
 /// cost breakdown, §5.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CostPhase {
-    /// Sender-side marshalling: timestamp, records, diff creation at send.
+    /// Sender-side marshalling: timestamp, records and carried diffs.
     Send,
     /// Receiver-side unmarshalling and timestamp bookkeeping.
     Recv,
     /// Acquire-side acceptance of a release (record application).
     Accept,
-    /// Creating a diff to serve a fetch.
-    DiffCreate,
     /// Applying a fetched or carried diff to a local page.
     DiffApply,
     /// Copying a whole page to serve (or install from) a page fetch.
@@ -88,7 +86,6 @@ impl CostPhase {
             CostPhase::Send => "send",
             CostPhase::Recv => "recv",
             CostPhase::Accept => "accept",
-            CostPhase::DiffCreate => "diff_create",
             CostPhase::DiffApply => "diff_apply",
             CostPhase::PageCopy => "page_copy",
             CostPhase::NoticeApply => "notice_apply",
