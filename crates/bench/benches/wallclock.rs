@@ -19,8 +19,8 @@
 //! batch of kept diffs a stored diff: `engine_bytes_per_stored_diff_*`,
 //! `engine_run_bytes_per_stored_diff_*` and
 //! `engine_allocs_per_stored_diff_*`. `calib_ms` (a fixed integer
-//! loop) is recorded beside them so `ci.sh` can gate the timing across
-//! hosts. End-to-end host time is `benchmark/`'s to measure.
+//! loop) is recorded beside them so `tests/hotpath.rs` can gate the
+//! timing across hosts. End-to-end host time is `benchmark/`'s to measure.
 //!
 //! Run with `cargo bench -p carlos-bench --bench wallclock`. Results are
 //! written to `BENCH_hotpath.json` at the repository root (override the

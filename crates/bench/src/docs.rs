@@ -5,8 +5,8 @@
 //! `<!-- generated: NAME -->` line and a `<!-- end generated -->` line.
 //! [`write`] decodes the report ([`report::decode`]), replaces every region
 //! with its table, rendered by the report's own Markdown section functions,
-//! and writes both documents into a directory; `ci.sh` diffs them against
-//! the committed ones. Text outside the regions is copied unchanged.
+//! and writes both documents into a directory; a unit test holds the
+//! committed ones equal to it. Text outside the regions is copied unchanged.
 
 use std::path::Path;
 
@@ -149,6 +149,33 @@ mod tests {
             format!("text\n{END}\n"),
         ] {
             assert!(splice(&bad, &report).is_err(), "{bad}");
+        }
+    }
+
+    /// The committed documents are exactly what [`write`] renders from the
+    /// committed report.
+    #[test]
+    fn committed_documents_are_their_own_rendering() {
+        let report = committed();
+        for (name, doc) in [
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+            ("README.md", include_str!("../../../README.md")),
+        ] {
+            let rendered = splice(doc, &report).expect("splices");
+            if rendered == doc {
+                continue;
+            }
+            let lines = |text| str::split_inclusive(text, '\n');
+            let (mut old, mut new) = (lines(doc), lines(&rendered));
+            let line = (1..).find(|_| old.next() != new.next()).expect("a line differs");
+            let show = |text| format!("{:?}", lines(text).nth(line - 1).unwrap_or(""));
+            panic!(
+                "{name} differs from its rendering at line {line}: {} against {}\n\
+                 cargo run --release -q --bin carlos-repro -- docs target/docs && \
+                 cp target/docs/{name} {name}",
+                show(doc),
+                show(&rendered),
+            );
         }
     }
 }
