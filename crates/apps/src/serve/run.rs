@@ -90,7 +90,8 @@ pub struct ServeConfig {
     pub ns_per_op: Ns,
     /// DSM page size.
     pub page_size: usize,
-    /// LRC record-count GC threshold (sized high so no GC runs mid-serve).
+    /// LRC record-count GC threshold: a node holding more consistency
+    /// records asks for a collection round, which runs mid-serve.
     pub gc_threshold_records: usize,
     /// Optional harvest probe.
     pub probe: Option<HarvestProbe>,
@@ -104,6 +105,21 @@ pub struct ServeConfig {
     pub trace: Option<carlos_trace::Tracer>,
 }
 
+/// The consistency records one paper-scale serving node may hold, in
+/// bytes: TreadMarks sized an arena for them and collected when it ran
+/// low (§5.2). 96 KiB keeps the interval logs of an 8-node run, which
+/// grow with run length without a collection, to about a tenth of the
+/// process.
+const RECORD_BUDGET_BYTES: usize = 96 << 10;
+
+/// Bytes one interval record takes in a node's log at cluster size `n`:
+/// its creator, its `n`-word vector time, its end offset and, for a
+/// serving write, a write notice or two (the bound the hot-path gate
+/// holds a logged record to).
+fn record_bytes(n_nodes: usize) -> usize {
+    4 * (n_nodes + 4)
+}
+
 /// Slot count giving a ≤ 50% load factor for `keyspace` keys over
 /// `n_shards` shards.
 fn slots_for(keyspace: u64, n_shards: usize) -> usize {
@@ -115,7 +131,9 @@ impl ServeConfig {
     /// The paper-scale serving row: 64 Ki keys, 128 B values, a cluster
     /// offered load of ~1000 ops/s split evenly over the clients (total
     /// 256 Ki operations regardless of cluster size, so rows at different
-    /// `n` serve the same traffic).
+    /// `n` serve the same traffic). Each node's consistency records are
+    /// held to a budget of 96 KiB: the GC threshold is the budget over the
+    /// bytes of one record at `n_nodes` (2 048 records at n = 8).
     ///
     /// # Panics
     ///
@@ -145,7 +163,7 @@ impl ServeConfig {
             slots_per_shard: slots_for(keyspace, n_servers * shards_per_server),
             ns_per_op: us(20),
             page_size: 8192,
-            gc_threshold_records: 1 << 26,
+            gc_threshold_records: RECORD_BUDGET_BYTES / record_bytes(n_nodes),
             sim: SimConfig::osdi94(),
             core: CoreConfig::osdi94(),
             ..Self::test(n_nodes)
@@ -266,7 +284,15 @@ pub struct ClientNodeStats {
 
 /// One node's contribution to the merged totals.
 #[derive(Debug, Clone)]
-enum NodeStats {
+struct NodeStats {
+    role: Role,
+    /// The most consistency records the node held at once.
+    peak_records: u64,
+}
+
+/// A node's role and its role's accounting.
+#[derive(Debug, Clone)]
+enum Role {
     Server(ServerStats),
     Client(Box<ClientNodeStats>),
 }
@@ -290,6 +316,8 @@ pub struct ServeTotals {
     pub mirror_keys: u64,
     /// Mirror/DSM version disagreements (always 0).
     pub mirror_mismatches: u64,
+    /// The most consistency records any node held at once.
+    pub peak_records: u64,
 }
 
 /// `part / whole`, or 1.0 when `whole` is 0.
@@ -627,13 +655,13 @@ fn serve_node(
         drop(zipf);
         let s = server_node(cfg, &mut rt, &lay);
         rt.ctx().count("serve.served", s.ops_served);
-        NodeStats::Server(s)
+        Role::Server(s)
     } else {
         let c = client_node(cfg, zipf, &mut rt, &lay);
         rt.ctx().count("serve.attempted", c.stats.attempted);
         rt.ctx().count("serve.completed", c.stats.completed);
         rt.ctx().count("serve.timed_out", c.stats.timed_out);
-        NodeStats::Client(Box::new(c))
+        Role::Client(Box::new(c))
     };
     sys.barrier(&mut rt, barrier, 101);
     rt.ctx().count("app.done_ns", rt.ctx().now());
@@ -645,6 +673,10 @@ fn serve_node(
             .collect()
     });
     sys.barrier(&mut rt, barrier, 102);
+    let out = NodeStats {
+        role: out,
+        peak_records: rt.peak_record_count() as u64,
+    };
     rt.shutdown();
     (out, counters)
 }
@@ -680,8 +712,9 @@ pub fn try_run_serve(cfg: &ServeConfig) -> Result<ServeResult, carlos_sim::SimEr
     let report = cluster.try_run()?;
     let mut totals = ServeTotals::default();
     for (_, s) in stats_c.take() {
-        match s {
-            NodeStats::Server(sv) => {
+        totals.peak_records = totals.peak_records.max(s.peak_records);
+        match s.role {
+            Role::Server(sv) => {
                 totals.ops_served += sv.ops_served;
                 for (a, b) in totals.server_status.iter_mut().zip(sv.status_counts) {
                     *a += b;
@@ -689,7 +722,7 @@ pub fn try_run_serve(cfg: &ServeConfig) -> Result<ServeResult, carlos_sim::SimEr
                 totals.mirror_keys += sv.mirror_keys;
                 totals.mirror_mismatches += sv.mirror_mismatches;
             }
-            NodeStats::Client(cl) => {
+            Role::Client(cl) => {
                 totals.client.merge(&cl.stats);
                 totals.cas_intents += cl.cas_intents;
                 totals.cas_done += cl.cas_done;
@@ -817,6 +850,56 @@ mod tests {
         let faults = |node: usize| r.app.report.node_counters[node].get("lrc.remote_faults");
         assert!((1..cfg.n_servers()).all(|s| faults(s) == 0));
         assert!(faults(0) <= 2 * cfg.counter_keys, "node 0 faulted {} times", faults(0));
+    }
+
+    /// A threshold this low makes the nodes ask for rounds while they
+    /// serve: without a collection, a `test(4)` node ends holding up to
+    /// 271 records.
+    const LOW_THRESHOLD: usize = 32;
+
+    #[test]
+    fn collection_rounds_run_mid_serve_and_keep_it_exact() {
+        let mut cfg = ServeConfig::test(4);
+        cfg.gc_threshold_records = LOW_THRESHOLD;
+        // Armed, every step of a round is a bounded wait.
+        cfg.core = cfg.core.with_stall_timeout(ms(20));
+        let check = carlos_check::Checker::new(cfg.n_nodes);
+        cfg.check = Some(check.clone());
+        let r = serve(&cfg);
+        let t = &r.totals;
+        let report = &r.app.report;
+        // Barriers 101 and 102 host at most one round each, and barrier
+        // 100 falls before any record exists: the rest ran mid-serve.
+        let rounds = report.counter_total("gc.rounds") / cfg.n_nodes as u64;
+        assert!(rounds >= 2 + 3, "{rounds} collection rounds");
+        assert_eq!((t.client.completed, t.client.timed_out), (t.client.attempted, 0));
+        assert_eq!(t.client.value_check_failures, 0);
+        assert_eq!(t.mirror_mismatches, 0);
+        let clients = cfg.n_clients() as u64;
+        assert_eq!((t.cas_done, t.cas_abandoned), (clients * cfg.cas_per_client, 0));
+        let per_counter = clients * cfg.cas_per_client / cfg.counter_keys;
+        assert_eq!(r.counters, vec![per_counter; cfg.counter_keys as usize]);
+        assert_eq!(report.counter_total("carlos.residue"), 0);
+        assert_eq!(check.violations(), Vec::new());
+    }
+
+    #[test]
+    fn peak_records_do_not_grow_with_run_length() {
+        let peak = |ops: u64| {
+            let mut cfg = ServeConfig::test(4);
+            cfg.gc_threshold_records = LOW_THRESHOLD;
+            cfg.ops_per_client = ops;
+            cfg.cas_per_client = ops / 16;
+            let r = serve(&cfg);
+            assert_eq!(r.totals.client.completed, r.totals.client.attempted);
+            r.totals.peak_records
+        };
+        let (short, long) = (peak(384), peak(768));
+        // A node over the threshold keeps taking records until its round
+        // discards them: the requests its ask overtakes and the
+        // departure. Without collection the peak doubles with the run.
+        let bound = 2 * LOW_THRESHOLD as u64;
+        assert!(short <= bound && long <= bound, "peaks {short} and {long} over {bound}");
     }
 
     #[test]

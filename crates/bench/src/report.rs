@@ -527,6 +527,11 @@ pub struct ServeRow {
     pub cas_done: u64,
     /// Server mirror/DSM disagreements (must be 0).
     pub mirror_mismatches: u64,
+    /// Collection rounds the run took (`gc.rounds`, which every node
+    /// counts, over the cluster size).
+    pub gcs: u64,
+    /// The most consistency records any node held at once.
+    pub peak_records: u64,
     /// Host wall-clock seconds the run took on the generating host (every
     /// other column is virtual and machine-independent).
     pub host_seconds: f64,
@@ -564,6 +569,8 @@ pub fn serve_row(spec: &Spec, r: &ServeResult, host_seconds: f64) -> ServeRow {
         harvest: t.harvest(),
         cas_done: t.cas_done,
         mirror_mismatches: t.mirror_mismatches,
+        gcs: r.app.report.counter_total("gc.rounds") / spec.n as u64,
+        peak_records: t.peak_records,
         host_seconds,
     }
 }
@@ -610,13 +617,13 @@ pub(crate) fn serve_specs(opts: &ReportOptions) -> Vec<Spec> {
 #[must_use]
 pub fn serve_markdown(rows: &[ServeRow]) -> String {
     let mut out = String::from(
-        "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest |\n\
-         |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
+        "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest | GCs | Peak records |\n\
+         |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
     );
     #[allow(clippy::cast_precision_loss)]
     for r in rows {
         out.push_str(&format!(
-            "| {} | {} | {:.2} | {:.1} | {:.3} | {:.3} | {:.3} | {} | {:.3} | {:.4} | {:.4} |\n",
+            "| {} | {} | {:.2} | {:.1} | {:.3} | {:.3} | {:.3} | {} | {:.3} | {:.4} | {:.4} | {} | {} |\n",
             r.variant,
             r.n,
             r.secs,
@@ -627,7 +634,9 @@ pub fn serve_markdown(rows: &[ServeRow]) -> String {
             r.bytes_per_op,
             r.msgs_per_op(),
             r.yield_fraction,
-            r.harvest
+            r.harvest,
+            r.gcs,
+            r.peak_records
         ));
     }
     out
@@ -719,8 +728,15 @@ pub fn to_json(
         ));
         out.push_str(&format!(
             "     \"yield\": {:.6}, \"harvest\": {:.6}, \"cas_done\": {}, \
-             \"mirror_mismatches\": {}, \"host_seconds\": {:.4}}}",
-            r.yield_fraction, r.harvest, r.cas_done, r.mirror_mismatches, r.host_seconds
+             \"mirror_mismatches\": {}, \"gcs\": {}, \"peak_records\": {}, \
+             \"host_seconds\": {:.4}}}",
+            r.yield_fraction,
+            r.harvest,
+            r.cas_done,
+            r.mirror_mismatches,
+            r.gcs,
+            r.peak_records,
+            r.host_seconds
         ));
         out.push_str(if i + 1 < serve.len() { ",\n" } else { "\n" });
     }
@@ -917,6 +933,8 @@ fn decode_serve_row((i, row): (usize, &JsonValue)) -> Result<ServeRow, String> {
         harvest: f.f64("harvest")?,
         cas_done: f.u64("cas_done")?,
         mirror_mismatches: f.u64("mirror_mismatches")?,
+        gcs: f.u64("gcs")?,
+        peak_records: f.u64("peak_records")?,
         host_seconds: f.f64("host_seconds")?,
     })
 }
@@ -1356,6 +1374,8 @@ mod tests {
                     r.messages,
                     r.cas_done,
                     r.mirror_mismatches,
+                    r.gcs,
+                    r.peak_records,
                 ]
             };
             assert_eq!(counts(a), counts(b), "{id}");
@@ -1529,6 +1549,8 @@ mod tests {
             harvest: 1.0,
             cas_done: 2,
             mirror_mismatches: 0,
+            gcs: 1,
+            peak_records: 40,
             host_seconds: 0.5,
         }
     }
@@ -1666,7 +1688,8 @@ mod tests {
     }
 
     /// Paper-scale KV at sixteen nodes under the consistency checker:
-    /// clean, and the exact counter verdict. 10–15 s in a release build
+    /// clean across its collection rounds, and the exact counter verdict.
+    /// 5–15 s in a release build
     /// and minutes in a debug one, so `ci.sh` runs it, in release.
     #[test]
     #[ignore = "paper scale; ci.sh runs it in a release build"]
@@ -1679,6 +1702,9 @@ mod tests {
         let check = run.check.as_ref().expect("checked");
         assert!(check.violations().is_empty(), "KV n=16: {:?}", check.violations());
         assert_eq!(run.verdict(&Reference::of(&spec)), Ok(()));
+        // Every node counts each round.
+        let rounds = run.app().report.counter_total("gc.rounds");
+        assert!(rounds > 0 && rounds.is_multiple_of(16), "KV n=16: {rounds} node rounds");
     }
 
     /// A serving shard's owner ships a client no slot-header diff: no

@@ -65,10 +65,10 @@ fn median_ns(doc: &JsonValue, group: &str, id: &str) -> Result<f64, String> {
 }
 
 /// `ns` within 3× of the committed `base`, each divided by its own run's
-/// `calib_ms`.
+/// `calib_ms`; a time of nothing is a broken measurement, not a fast one.
 fn scaled(fresh: &JsonValue, committed: &JsonValue, ns: f64, base: f64) -> Reading {
     let (c, bc) = (derived(fresh, "calib_ms")?, derived(committed, "calib_ms")?);
-    let ok = c > 0.0 && bc > 0.0 && base > 0.0 && ns / c <= 3.0 * base / bc;
+    let ok = c > 0.0 && bc > 0.0 && base > 0.0 && ns > 0.0 && ns / c <= 3.0 * base / bc;
     Ok((ok, format!("{ns} ns at calib {c} ms (at most 3x committed {base} at {bc} ms)")))
 }
 
@@ -306,6 +306,7 @@ fn each_timed_value_holds_at_three_times_and_fails_past_it() {
     // A row timed at nothing is a broken row, not a fast one.
     assert_eq!(failures_with("codec/decode", Some(0.0)).len(), 1);
     assert_eq!(failures_with("serial_ns_per_handoff", Some(0.0)).len(), 1);
+    assert_eq!(failures_with("engine_new_ns_per_granule_n8", Some(0.0)).len(), 1);
 }
 
 /// A key or row missing from either run fails and names itself.

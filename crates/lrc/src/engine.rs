@@ -122,6 +122,8 @@ pub struct LrcEngine {
     /// They count as stored records, so collections fall where they did
     /// when every diff was kept.
     dropped: usize,
+    /// The most records held at a collection ([`LrcEngine::peak_record_count`]).
+    peak_records: usize,
     keep_fetched: bool,
     /// Address→granule resolution. With no configured regions this is one
     /// segment at `page_size` and granule ids equal legacy page ids.
@@ -176,6 +178,7 @@ impl LrcEngine {
             own: DiffStore::default(),
             fetched: Vec::new(),
             dropped: 0,
+            peak_records: 0,
             keep_fetched: false,
             page_shift: granules.uniform_shift(),
             granules,
@@ -1059,6 +1062,14 @@ impl LrcEngine {
         self.intervals.len() + self.own.len() + fetched + self.dropped
     }
 
+    /// The most records this node has held at once: only a collection
+    /// lowers [`LrcEngine::record_count`], so the peak is the larger of the
+    /// count now and the count at each collection.
+    #[must_use]
+    pub fn peak_record_count(&self) -> usize {
+        self.peak_records.max(self.record_count())
+    }
+
     /// True when this node's stored records exceed the configured GC
     /// threshold and a global garbage collection should be initiated.
     #[must_use]
@@ -1089,6 +1100,7 @@ impl LrcEngine {
         for (q, seen) in self.vt.iter() {
             assert_eq!(self.intervals.next_index(q), seen + 1, "creator {q}'s log is not at vt");
         }
+        self.peak_records = self.peak_record_count();
         self.pages.collect(&self.vt);
         self.intervals.clear();
         self.own = DiffStore::default();

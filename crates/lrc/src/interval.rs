@@ -235,10 +235,11 @@ impl Records {
         self.words.extend_from_slice(&src.words[words]);
     }
 
-    /// Empties the batch, keeping its arrays.
+    /// Empties the batch and frees its arrays: a collected log gives its
+    /// memory back rather than keeping it at its longest.
     fn clear(&mut self) {
-        self.words.clear();
-        self.ends.clear();
+        self.words = Vec::new();
+        self.ends = Vec::new();
     }
 
     /// Checks and seals the record a decoder appended from word `start`

@@ -9,18 +9,18 @@
 //! accepts the departure message, it becomes consistent with the manager
 //! and, hence, with all of the other clients." (§3)
 //!
-//! Because a barrier leaves all nodes mutually consistent with equalized
-//! vector timestamps, it is the natural host for the global garbage
-//! collection of consistency records (§5.2): when any node's record
-//! storage exceeds its threshold, the fall of the barrier is followed by a
-//! validate-everything / confirm / discard round.
+//! A barrier also hosts the global garbage collection of consistency
+//! records (§5.2): when any node's record storage has crossed its
+//! threshold at its arrival, every node runs a collection round
+//! ([`Runtime::collect`]) after the fall. The round needs no barrier: a
+//! node over its threshold asks for one, and it runs at the next waits.
 
 use carlos_core::{Annotation, Runtime};
 use carlos_sim::NodeId;
 use carlos_util::codec::{Decoder, Encoder};
 
 use crate::{
-    ids::{H_BARRIER_ARRIVE, H_BARRIER_DEPART, H_GC_DONE, H_GC_GO},
+    ids::{H_BARRIER_ARRIVE, H_BARRIER_DEPART},
     system::SyncSystem,
 };
 
@@ -79,15 +79,15 @@ impl SyncSystem {
     ///
     /// `epoch` must increase by one per use of the same barrier id on every
     /// node (applications typically keep a loop counter). When any node's
-    /// consistency-record storage has crossed its GC threshold, the fall of
-    /// the barrier triggers a global garbage collection before returning.
+    /// consistency-record storage has crossed its GC threshold at its
+    /// arrival, every node runs a collection round ([`Runtime::collect`])
+    /// after the fall, before returning.
     ///
     /// With [`carlos_core::CoreConfig::stall_timeout`] armed, a stalled
     /// round probes exactly the stragglers (manager side) or the manager
     /// (client side), and a stalled barrier aborts the run through
-    /// [`carlos_sim::abort`]. The post-barrier GC round (when triggered)
-    /// still waits unboundedly: it only runs after every node already
-    /// checked in at this barrier.
+    /// [`carlos_sim::abort`]; the collection round's waits are bounded
+    /// the same way.
     pub fn barrier(&self, rt: &mut Runtime, barrier: BarrierSpec, epoch: u32) {
         let n = rt.num_nodes() as u32;
         rt.ctx().count("barrier.waits", 1);
@@ -128,7 +128,7 @@ impl SyncSystem {
                 }
             }
             if gc {
-                self.gc_round_manager(rt);
+                rt.collect();
             }
         } else {
             let annotation = if barrier.non_transitive {
@@ -152,36 +152,8 @@ impl SyncSystem {
                 "departure for a different barrier or epoch (overlapping use?)"
             );
             if parsed.is_some_and(|(_, _, gc)| gc) {
-                self.gc_round_client(rt, barrier.manager);
+                rt.collect();
             }
         }
-    }
-
-    /// Manager side of the GC round that follows a barrier fall: wait for
-    /// every client to finish validating, validate locally, then authorize
-    /// the discard.
-    fn gc_round_manager(&self, rt: &mut Runtime) {
-        let n = rt.num_nodes() as u32;
-        let me = rt.node_id();
-        rt.gc_validate_all();
-        for _ in 0..n - 1 {
-            let _ = rt.wait_accepted(H_GC_DONE);
-        }
-        for peer in 0..n {
-            if peer != me {
-                rt.send(peer, H_GC_GO, Vec::new(), Annotation::None);
-            }
-        }
-        rt.gc_discard();
-        rt.ctx().count("gc.rounds", 1);
-    }
-
-    /// Client side of the post-barrier GC round.
-    fn gc_round_client(&self, rt: &mut Runtime, manager: NodeId) {
-        rt.gc_validate_all();
-        rt.send(manager, H_GC_DONE, Vec::new(), Annotation::None);
-        let _ = rt.wait_accepted(H_GC_GO);
-        rt.gc_discard();
-        rt.ctx().count("gc.rounds", 1);
     }
 }

@@ -14,10 +14,6 @@ pub const H_LOCK_GRANT: u32 = 0x0102;
 pub const H_BARRIER_ARRIVE: u32 = 0x0110;
 /// Barrier departure (RELEASE), manager to clients.
 pub const H_BARRIER_DEPART: u32 = 0x0111;
-/// GC validation complete (NONE), client to manager.
-pub const H_GC_DONE: u32 = 0x0112;
-/// GC discard go-ahead (NONE), manager to clients.
-pub const H_GC_GO: u32 = 0x0113;
 
 /// Work-queue enqueue (typically RELEASE), producer to manager.
 pub const H_Q_ENQ: u32 = 0x0120;

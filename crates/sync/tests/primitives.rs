@@ -416,3 +416,39 @@ fn gc_triggers_at_barrier_and_preserves_correctness() {
         r.counter_total("gc.rounds")
     );
 }
+
+/// A collection asked for during the last barrier never starts: node 2's
+/// records cross the threshold as its final arrival closes an interval,
+/// so it asks the manager (node 0) from the barrier's wait. Node 0 is a
+/// client of that barrier, whose manager (node 1) leaves as soon as it has
+/// sent the departures; a round started there could never finish.
+#[test]
+fn a_collection_asked_during_the_last_barrier_ends_cleanly() {
+    const N: usize = 3;
+    let mut c = Cluster::new(SimConfig::fast_test(), N);
+    for node in 0..N as u32 {
+        c.spawn_node(node, move |ctx| {
+            let mut lrc = LrcConfig::small_test(N);
+            lrc.ownership = carlos_lrc::PageOwnership::Banded;
+            // Node 2 holds an interval and the diff it elides per write:
+            // 4 records after two barriers, 6 after the third.
+            lrc.gc_threshold_records = 5;
+            let mut rt = Runtime::new(ctx, lrc, CoreConfig::fast_test());
+            let sys = carlos_sync::install(&mut rt);
+            let b = BarrierSpec::global(9, 1);
+            for epoch in 0..3 {
+                if node == 2 {
+                    // The last page is node 2's own.
+                    rt.write_u32(64 * 63, epoch + 1);
+                    rt.compute(us(100));
+                }
+                sys.barrier(&mut rt, b, epoch);
+            }
+            rt.shutdown();
+        });
+    }
+    let r = c.run();
+    assert_eq!(r.node_counters[2].get("carlos.sent.system"), 1, "node 2 asked");
+    assert_eq!(r.counter_total("gc.rounds"), 0);
+    assert_eq!(r.counter_total("carlos.residue"), 0);
+}

@@ -166,7 +166,13 @@ const RULES: &[Rule] = &[
         keep: |path| !path.starts_with("crates/sim/src/"),
         hit: ack_field,
         reason: "set the ack mode on SimConfig::ack, not in a config of its own",
-        caught: &["    ack: AckMode,", "pub ack : AckMode,", "\tpub(crate)  ack: AckMode,"],
+        caught: &[
+            "    ack: AckMode,",
+            "pub ack : AckMode,",
+            "\tpub(crate)  ack: AckMode,",
+            "    pub(in crate::x) ack: AckMode,",
+            "    pub (crate) ack: AckMode,",
+        ],
         passed: &[
             "    acks: u64,",
             "    nack: bool,",
@@ -208,6 +214,30 @@ const RULES: &[Rule] = &[
         reason: "Env::accept is the acquire alone; no absorb beside it",
         caught: &["pub fn absorb(&mut self) -> bool {"],
         passed: &["fn absorber()", "fn absorb_all()"],
+    },
+    // One collection round: Runtime::collect in carlos-core runs it, with
+    // or without a barrier, so no sync-layer round with ids of its own
+    // comes back beside it.
+    Rule {
+        dirs: &["crates/*/src"],
+        keep: every_file,
+        hit: |l| {
+            let banned = ["H_GC_DONE", "H_GC_GO", "gc_round_manager", "gc_round_client"];
+            banned.iter().any(|b| word(l, b))
+        },
+        reason: "a collection round is Runtime::collect; a barrier calls it",
+        caught: &[
+            "pub const H_GC_DONE: u32 = 0x0112;",
+            "rt.send(peer, H_GC_GO, Vec::new(), Annotation::None);",
+            "fn gc_round_manager(&self, rt: &mut Runtime) {",
+            "self.gc_round_client(rt, barrier.manager);",
+        ],
+        passed: &[
+            "const SYS_GC_GO: u32 = SYS_HANDLER_BASE + 13;",
+            "const H_GC_DONE_2: u32 = 7;",
+            "fn gc_round_managers()",
+            "let my_gc_round_client = 1;",
+        ],
     },
     // One ship rule: which diffs an owner keeps and which a RELEASE carries
     // is decided in carlos-lrc (LrcEngine::release_diffs), so the messaging
@@ -264,21 +294,17 @@ fn observer_trait(line: &str) -> bool {
     })
 }
 
-/// `^\s*(pub(\([a-z]+\))?\s+)?ack\s*:`: a field named `ack`.
+/// `^\s*(pub\s*\([^)]*\)\s*|pub\s+)?ack\s*:`: a field named `ack`, of any
+/// visibility.
 fn ack_field(line: &str) -> bool {
     let mut rest = line.trim_start();
     if let Some(after) = rest.strip_prefix("pub") {
-        let scoped = after.strip_prefix('(').and_then(|s| {
-            let close = s.find(')')?;
-            let scope = &s[..close];
-            (!scope.is_empty() && scope.chars().all(|c| c.is_ascii_lowercase()))
-                .then(|| &s[close + 1..])
-        });
-        let after = scoped.unwrap_or(after);
-        if after.trim_start().len() == after.len() {
-            return false;
-        }
-        rest = after.trim_start();
+        let spaced = after.trim_start();
+        rest = match spaced.strip_prefix('(').and_then(|s| s.split_once(')')) {
+            Some((_, field)) => field.trim_start(),
+            None if spaced.len() < after.len() => spaced,
+            None => return false,
+        };
     }
     rest.strip_prefix("ack").is_some_and(|s| s.trim_start().starts_with(':'))
 }
