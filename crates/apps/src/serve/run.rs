@@ -881,6 +881,8 @@ mod tests {
         assert_eq!(r.counters, vec![per_counter; cfg.counter_keys as usize]);
         assert_eq!(report.counter_total("carlos.residue"), 0);
         assert_eq!(check.violations(), Vec::new());
+        // No record names a page a node other than its writer holds.
+        assert_eq!(report.counter_total("gc.records"), 0);
     }
 
     #[test]

@@ -34,6 +34,8 @@ pub struct Row {
     pub heap: Heap,
     /// Messages the run put on the wire.
     pub messages: u64,
+    /// Their payload bytes, so the ledger pins what messages carry too.
+    pub wire_bytes: u64,
     /// Simulator events it processed.
     pub events: u64,
 }
@@ -47,6 +49,7 @@ impl Row {
             label,
             heap,
             messages: app.messages,
+            wire_bytes: app.report.net.payload_bytes,
             events: app.report.events_processed,
         }
     }
@@ -116,12 +119,13 @@ pub fn to_json(rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"row\": \"{}\", \"allocs\": {}, \"alloc_bytes\": {}, \"peak_live_bytes\": {}, \
-             \"messages\": {}, \"allocs_per_msg\": {:.3}, \"events\": {}}}",
+             \"messages\": {}, \"wire_bytes\": {}, \"allocs_per_msg\": {:.3}, \"events\": {}}}",
             r.label,
             r.heap.allocs,
             r.heap.bytes,
             r.heap.peak_live,
             r.messages,
+            r.wire_bytes,
             r.heap.allocs as f64 / r.messages.max(1) as f64,
             r.events
         ));

@@ -530,6 +530,9 @@ pub struct ServeRow {
     /// Collection rounds the run took (`gc.rounds`, which every node
     /// counts, over the cluster size).
     pub gcs: u64,
+    /// Interval records the collection rounds' arrivals and departures
+    /// carried (`gc.records`).
+    pub gc_records: u64,
     /// The most consistency records any node held at once.
     pub peak_records: u64,
     /// Host wall-clock seconds the run took on the generating host (every
@@ -570,6 +573,7 @@ pub fn serve_row(spec: &Spec, r: &ServeResult, host_seconds: f64) -> ServeRow {
         cas_done: t.cas_done,
         mirror_mismatches: t.mirror_mismatches,
         gcs: r.app.report.counter_total("gc.rounds") / spec.n as u64,
+        gc_records: r.app.report.counter_total("gc.records"),
         peak_records: t.peak_records,
         host_seconds,
     }
@@ -617,13 +621,13 @@ pub(crate) fn serve_specs(opts: &ReportOptions) -> Vec<Spec> {
 #[must_use]
 pub fn serve_markdown(rows: &[ServeRow]) -> String {
     let mut out = String::from(
-        "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest | GCs | Peak records |\n\
-         |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
+        "| Variant | N | Time(s) | Ops/s | p50(ms) | p99(ms) | p999(ms) | B/op | Msg/op | Yield | Harvest | GCs | GC records | Peak records |\n\
+         |---|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|--:|\n",
     );
     #[allow(clippy::cast_precision_loss)]
     for r in rows {
         out.push_str(&format!(
-            "| {} | {} | {:.2} | {:.1} | {:.3} | {:.3} | {:.3} | {} | {:.3} | {:.4} | {:.4} | {} | {} |\n",
+            "| {} | {} | {:.2} | {:.1} | {:.3} | {:.3} | {:.3} | {} | {:.3} | {:.4} | {:.4} | {} | {} | {} |\n",
             r.variant,
             r.n,
             r.secs,
@@ -636,6 +640,7 @@ pub fn serve_markdown(rows: &[ServeRow]) -> String {
             r.yield_fraction,
             r.harvest,
             r.gcs,
+            r.gc_records,
             r.peak_records
         ));
     }
@@ -728,13 +733,14 @@ pub fn to_json(
         ));
         out.push_str(&format!(
             "     \"yield\": {:.6}, \"harvest\": {:.6}, \"cas_done\": {}, \
-             \"mirror_mismatches\": {}, \"gcs\": {}, \"peak_records\": {}, \
-             \"host_seconds\": {:.4}}}",
+             \"mirror_mismatches\": {}, \"gcs\": {}, \"gc_records\": {}, \
+             \"peak_records\": {}, \"host_seconds\": {:.4}}}",
             r.yield_fraction,
             r.harvest,
             r.cas_done,
             r.mirror_mismatches,
             r.gcs,
+            r.gc_records,
             r.peak_records,
             r.host_seconds
         ));
@@ -934,6 +940,7 @@ fn decode_serve_row((i, row): (usize, &JsonValue)) -> Result<ServeRow, String> {
         cas_done: f.u64("cas_done")?,
         mirror_mismatches: f.u64("mirror_mismatches")?,
         gcs: f.u64("gcs")?,
+        gc_records: f.u64("gc_records")?,
         peak_records: f.u64("peak_records")?,
         host_seconds: f.f64("host_seconds")?,
     })
@@ -1375,6 +1382,7 @@ mod tests {
                     r.cas_done,
                     r.mirror_mismatches,
                     r.gcs,
+                    r.gc_records,
                     r.peak_records,
                 ]
             };
@@ -1550,6 +1558,7 @@ mod tests {
             cas_done: 2,
             mirror_mismatches: 0,
             gcs: 1,
+            gc_records: 0,
             peak_records: 40,
             host_seconds: 0.5,
         }

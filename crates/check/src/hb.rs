@@ -1,11 +1,13 @@
 //! Ground-truth happens-before tracking.
 //!
 //! The tracker mirrors every node's vector timestamp from the observed
-//! interval closes and record applications, independently re-deriving the
-//! causal order the protocol claims to maintain. Divergence between an
-//! engine's behavior and the mirror — a non-monotone close, an out-of-order
-//! apply, a record whose timestamp disagrees with the creator's, a release
-//! whose completeness verdict contradicts the mirrored coverage — is
+//! interval closes, record applications and collection rounds' clock
+//! advances, independently re-deriving the causal order the protocol
+//! claims to maintain. Divergence between an engine's behavior and the
+//! mirror — a non-monotone close, an out-of-order apply, a clock advance
+//! that goes back or past what its creator closed, a record whose
+//! timestamp disagrees with the creator's, a release whose completeness
+//! verdict contradicts the mirrored coverage — is
 //! reported as an [`Violation`] of kind [`ViolationKind::HbOrder`].
 
 use std::collections::BTreeMap;
@@ -152,6 +154,33 @@ impl HbTracker {
         }
         self.node_vt[node as usize].set(rec.creator, rec.index.max(have));
         out
+    }
+
+    /// A collection round moved `node`'s clock for `creator` to `index`
+    /// past records it never applied: forward only, never its own, and no
+    /// further than the intervals `creator` has closed.
+    pub(crate) fn on_clock_advanced(
+        &mut self,
+        node: u32,
+        creator: u32,
+        index: u32,
+    ) -> Vec<(String, Violation)> {
+        let mirror = &self.node_vt[node as usize];
+        let (own, have) = (mirror.get(node), mirror.get(creator));
+        let closed = self.node_vt[creator as usize].get(creator);
+        let why = if creator == node {
+            Some(format!("advanced its own clock to {index}"))
+        } else if index <= have {
+            Some(format!("advanced node {creator}'s clock to {index}, not past {have}"))
+        } else if index > closed {
+            Some(format!("advanced node {creator}'s clock to {index}, which closed {closed}"))
+        } else {
+            None
+        };
+        if why.is_none() {
+            self.node_vt[node as usize].set(creator, index);
+        }
+        why.map(|detail| Self::hb_violation(node, own, detail)).into_iter().collect()
     }
 
     /// `node` sent a release with the given required timestamp.

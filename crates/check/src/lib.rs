@@ -228,6 +228,9 @@ impl Sink for Checker {
             }
             Event::IntervalClosed { node, rec } => (node, st.hb.on_interval_closed(node, rec)),
             Event::RecordApplied { node, rec } => (node, st.hb.on_record_applied(node, rec)),
+            Event::ClockAdvanced { node, creator, index } => {
+                (node, st.hb.on_clock_advanced(node, creator, index))
+            }
             Event::ReleaseSent { node, required, .. } => {
                 (node, st.hb.on_release_sent(node, required))
             }

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use carlos_check::{Checker, ViolationKind};
-use carlos_lrc::{Demand, Diffs, IntervalRecord, LrcConfig, LrcEngine, Vc};
+use carlos_lrc::{Demand, Diffs, IntervalRecord, LrcConfig, LrcEngine, Records, Vc};
 use carlos_util::event::{Event, Sink};
 
 fn engines(n: usize, check: &Checker) -> Vec<LrcEngine> {
@@ -375,5 +375,45 @@ fn concurrent_writers_of_one_word_race_even_on_different_bytes() {
             && v.addr == 8
             && v.detail.contains("node 1")),
         "missing write/write race on the shared word, got: {vs:?}"
+    );
+}
+
+/// A collection round's clock advance moves the mirror: node 2 jumps over
+/// node 0's two intervals, which name only node 0's unshared page, and
+/// after its discard applies node 0's third in order. An advance past what the
+/// creator closed, one that does not move forward and one of a node's own
+/// clock are flagged.
+#[test]
+fn a_rounds_clock_advance_moves_the_mirror_and_is_checked() {
+    let check = Checker::new(3);
+    let mut e = engines(3, &check);
+    for v in 1..=2u32 {
+        e[0].write(0, &v.to_le_bytes()).expect("owned page");
+        e[0].close_interval();
+    }
+    let mut vt = Vc::new(3);
+    vt.set(0, 2);
+    assert_eq!(e[2].advance(&Records::new(), &vt), 0);
+    assert_eq!(e[2].vt(), &vt);
+    e[2].gc_discard();
+    e[0].write(4, &3u32.to_le_bytes()).expect("owned page");
+    e[0].close_interval();
+    let records = e[0].records_newer_than(e[2].vt());
+    assert_eq!(e[2].apply_records(&records), 1);
+    check.assert_clean();
+    let advance = |node, creator, index| {
+        check.event(&Event::ClockAdvanced { node, creator, index });
+    };
+    advance(1, 0, 4);
+    advance(2, 0, 3);
+    advance(1, 1, 1);
+    let details: Vec<String> = check.violations().into_iter().map(|v| v.detail).collect();
+    assert_eq!(
+        details,
+        [
+            "advanced node 0's clock to 4, which closed 3",
+            "advanced node 0's clock to 3, not past 3",
+            "advanced its own clock to 1",
+        ]
     );
 }

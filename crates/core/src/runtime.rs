@@ -88,12 +88,16 @@ struct Collection {
     /// A client: rounds hosted by a barrier that it joined and that no
     /// [`Runtime::collect`] has claimed yet.
     hosted: u32,
-    /// The manager: each client's arrival, its vector time and the own
-    /// records the manager lacked at the start.
-    arrivals: Vec<(NodeId, Vc, Records)>,
-    /// A client: the departure, the manager's vector time and the records
-    /// this node lacked.
+    /// The manager: each client's arrival, its vector time, the pages it
+    /// holds a copy of but does not own, and its own records newer than the
+    /// start that name a page another node may hold.
+    arrivals: Vec<(NodeId, Vc, Vec<u32>, Records)>,
+    /// A client: the departure, the round's vector time and the records
+    /// this node lacked that name a page it holds a copy of.
     departure: Option<(Vc, Records)>,
+    /// From this node's arrival to its discard: the pages it holds a copy
+    /// of but does not own, which cannot change in that span.
+    copies: Vec<u32>,
     /// The manager: the clients whose pages are all valid.
     done: Vec<NodeId>,
     /// A client: the manager's go-ahead to discard.
@@ -405,17 +409,25 @@ impl Core {
     }
 
     /// Sends a collection round's system message that carries `records` and
-    /// the time `vt`: RELEASE-annotated, so they travel in the message's
-    /// own consistency encoding, which the receiver takes as it decodes,
-    /// and no body copies them once more. It is a system message still:
-    /// the receiver acquires nothing.
-    fn send_sys_records(&mut self, dst: NodeId, handler: u32, vt: Vc, records: Records) {
+    /// the time `vt` beside `body`: RELEASE-annotated, so they travel in
+    /// the message's own consistency encoding, which the receiver takes as
+    /// it decodes, and no body copies them once more. It is a system
+    /// message still: the receiver acquires nothing.
+    fn send_sys_records(
+        &mut self,
+        dst: NodeId,
+        handler: u32,
+        body: Vec<u8>,
+        vt: Vc,
+        records: Records,
+    ) {
+        self.ctx.count("gc.records", records.len() as u64);
         let consistency = Consistency::Release {
             required: vt,
             records,
             diffs: Vec::new(),
         };
-        self.post_sys(dst, handler, Annotation::Release, Vec::new(), consistency);
+        self.post_sys(dst, handler, Annotation::Release, body, consistency);
     }
 
     fn post_sys(
@@ -679,7 +691,9 @@ impl Core {
                     panic!("a round's arrival or departure carries records");
                 };
                 if msg.handler == SYS_GC_ARRIVE {
-                    self.gc.arrivals.push((msg.src, required, records));
+                    let copies = Decoder::new(&msg.body).get_seq(Decoder::get_u32);
+                    let copies = copies.expect("arrival copies");
+                    self.gc.arrivals.push((msg.src, required, copies, records));
                 } else {
                     self.gc.departure = Some((required, records));
                 }
@@ -692,10 +706,23 @@ impl Core {
 
     /// Applies records a system message carried, charging their notices.
     fn apply_system_records(&mut self, records: &Records) {
-        let apply_cost = self.cfg.per_notice * records.notice_count() as u64;
+        self.charge_notices(records.notice_count());
+        self.engine.apply_records(records);
+    }
+
+    /// A collection round's apply ([`LrcEngine::advance`]): the notices of
+    /// `records` that name a page this node holds, charged, then the clock
+    /// at `vt`.
+    fn advance_for_collection(&mut self, records: &Records, vt: &Vc) {
+        let notices = self.engine.advance(records, vt);
+        self.charge_notices(notices);
+        assert_eq!(self.engine.vt(), vt, "round left node {} behind", self.node());
+    }
+
+    fn charge_notices(&mut self, notices: usize) {
+        let apply_cost = self.cfg.per_notice * notices as u64;
         self.note_cost(MsgClass::System, CostPhase::NoticeApply, apply_cost);
         self.charge(apply_cost);
-        self.engine.apply_records(records);
     }
 
     /// Serves one demand fetch from `src`, of either kind.
@@ -1716,13 +1743,26 @@ impl Runtime {
     /// once, the manager starts the round at its next wait outside a
     /// synchronisation operation, and every node joins at its next wait
     /// outside a page-fault fetch. The steps:
-    /// 1. each node closes its interval and sends the manager its own
-    ///    records newer than the manager's start time and its vector time;
-    /// 2. the manager applies them and sends each node the records that
-    ///    node's vector time lacks, so every node ends at the same time;
+    /// 1. each node closes its interval and sends the manager its vector
+    ///    time, the pages it holds a copy of but does not own, and its own
+    ///    records newer than the manager's start time that name a page
+    ///    some other node may hold ([`LrcEngine::may_hold_copy`]);
+    /// 2. the manager sends each node the round's time `V`, the join of
+    ///    every arrival's, and the records newer than that node's time,
+    ///    from its log and the arrivals, that name a page the node owns or
+    ///    listed; it applies those that name a page it holds itself; each
+    ///    node advances to `V` ([`LrcEngine::advance`]);
     /// 3. every node fetches the diffs its invalid pages need;
     /// 4. each node reports done, the manager says go, and every node
     ///    discards its interval and diff records.
+    ///
+    /// A record a node does not get names no page it holds a copy of, so
+    /// it would change nothing there but the clock and a log entry, and
+    /// the discard erases the entry. The set of copies cannot change from
+    /// a node's arrival to its discard, as no node joins a round inside a
+    /// page-fault fetch; the discard asserts it. A copy that an owner
+    /// serves during the round reflects all of the owner's intervals, so
+    /// the owner's records it left out as unshared are covered there.
     ///
     /// From its arrival to its discard a node disposes only of system
     /// messages. Every step waits like a synchronisation operation, so an
@@ -1785,20 +1825,19 @@ impl Runtime {
             let arrived = |p: &NodeId| gc.arrivals.iter().any(|a| a.0 == *p);
             clients.clone().filter(|p| !arrived(p)).collect()
         });
-        // Each arrival's records go into the log and are freed at once.
-        let arrivals: Vec<(NodeId, Vc)> = std::mem::take(&mut self.core.gc.arrivals)
-            .into_iter()
-            .map(|(peer, vt, records)| {
-                self.core.apply_system_records(&records);
-                (peer, vt)
-            })
-            .collect();
-        for (peer, vt) in &arrivals {
-            assert!(self.core.engine.vt().dominates(vt), "arrival ahead of the manager");
-            let records = self.core.engine.records_newer_than(vt);
-            let now = self.core.engine.vt().clone();
-            self.core.send_sys_records(*peer, SYS_GC_DEPART, now, records);
+        let mut arrivals = std::mem::take(&mut self.core.gc.arrivals);
+        arrivals.sort_unstable_by_key(|a| a.0);
+        let fresh = Records::concat(n as usize, arrivals.iter().map(|a| &a.3));
+        let mut vt = self.core.engine.vt().clone();
+        for (_, have, ..) in &arrivals {
+            vt.join(have);
         }
+        for (peer, have, copies, _) in arrivals {
+            let records = self.core.engine.round_records_for(peer, &have, &copies, &fresh);
+            self.core.send_sys_records(peer, SYS_GC_DEPART, Vec::new(), vt.clone(), records);
+        }
+        self.core.advance_for_collection(&fresh, &vt);
+        drop(fresh); // Freed now, not after the round's remaining waits.
         self.validate_for_collection();
         self.round_wait("validation", |gc| {
             clients.clone().filter(|p| !gc.done.contains(p)).collect()
@@ -1815,14 +1854,17 @@ impl Runtime {
         let (start, hosted) = self.core.gc.start.take().expect("a round to join");
         self.core.gc.hosted += u32::from(hosted);
         self.enter_collection();
-        let records = self.core.engine.own_records_newer_than(&start);
+        let records = self.core.engine.shared_records_newer_than(&start);
         let vt = self.core.engine.vt().clone();
-        self.core.send_sys_records(GC_MANAGER, SYS_GC_ARRIVE, vt, records);
+        let copies = &self.core.gc.copies;
+        let mut body = Encoder::with_capacity(4 + 4 * copies.len());
+        body.put_u32(copies.len() as u32);
+        copies.iter().for_each(|&p| body.put_u32(p));
+        self.core.send_sys_records(GC_MANAGER, SYS_GC_ARRIVE, body.finish_vec(), vt, records);
         self.round_wait("departure", |gc| awaited(gc.departure.is_none()));
         let (vt, records) = self.core.gc.departure.take().expect("a departure");
-        self.core.apply_system_records(&records);
+        self.core.advance_for_collection(&records, &vt);
         drop(records); // Freed now, not after the round's remaining waits.
-        assert_eq!(self.core.engine.vt(), &vt, "departure left node {} behind", self.node_id());
         self.validate_for_collection();
         self.core.send_sys(GC_MANAGER, SYS_GC_DONE, Vec::new());
         self.round_wait("go", |gc| awaited(!gc.go));
@@ -1831,12 +1873,14 @@ impl Runtime {
     }
 
     /// Step 1 of a round on every node: the round is under way, user
-    /// messages wait, and the open interval closes.
+    /// messages wait, the open interval closes, and the copies this node
+    /// holds are noted.
     fn enter_collection(&mut self) {
         let gc = &mut self.core.gc;
         gc.wanted = false;
         gc.rounds += 1;
         gc.held = Some(VecDeque::new());
+        gc.copies = self.core.engine.copies();
         self.core.engine.close_interval();
     }
 
@@ -1869,6 +1913,8 @@ impl Runtime {
     /// has the same vector time and only valid pages — and then disposes
     /// of the held user messages in arrival order.
     fn finish_collection(&mut self) {
+        let copies = std::mem::take(&mut self.core.gc.copies);
+        assert_eq!(copies, self.core.engine.copies(), "copies changed in a round");
         self.core.engine.gc_discard();
         // Everyone is mutually consistent now; knowledge reflects that.
         let vt = self.core.engine.vt().clone();
@@ -1975,10 +2021,12 @@ mod tests {
         Dispatched(NodeId, NodeId, u32),
         /// `(node, creator)` of an applied interval record.
         Applied(NodeId, NodeId),
+        /// `(node, creator, index)` of a round's clock advance.
+        Advanced(NodeId, NodeId, u32),
     }
 
-    #[derive(Default)]
-    struct Log(RefCell<Vec<Seen>>);
+    #[derive(Default, Clone)]
+    struct Log(Rc<RefCell<Vec<Seen>>>);
 
     impl Sink for Log {
         fn event(&self, ev: &Event<'_>) {
@@ -1989,6 +2037,9 @@ mod tests {
                     Seen::Dispatched(node, src, handler)
                 }
                 Event::RecordApplied { node, rec } => Seen::Applied(node, rec.creator),
+                Event::ClockAdvanced { node, creator, index } => {
+                    Seen::Advanced(node, creator, index)
+                }
                 _ => return,
             };
             self.0.borrow_mut().push(seen);
@@ -2000,9 +2051,9 @@ mod tests {
     /// naming it, while `plan` may hold up the manager's go-ahead to
     /// node 2. Node 2 then reads the page.
     fn discarded_node_releases_to_one_in_the_round(plan: SchedulePlan) -> Vec<Seen> {
-        let log = Rc::new(Log::default());
+        let log = Log::default();
         let mut c = Cluster::new(SimConfig::fast_test().with_schedule(plan), 3);
-        c.observe(Rc::clone(&log) as Rc<dyn Sink>);
+        c.observe(Rc::new(log.clone()));
         let runtime = |ctx| Runtime::new(ctx, LrcConfig::small_test(3), CoreConfig::fast_test());
         c.spawn_node(0, move |ctx| {
             let mut rt = runtime(ctx);
@@ -2053,6 +2104,76 @@ mod tests {
         let go = at(Seen::Dispatched(2, 0, SYS_GC_GO));
         assert!(at(Seen::Dispatched(2, 1, H_NOTE)) < go, "the note overtakes the go");
         assert!(at(Seen::Applied(2, 1)) > go, "node 1's record applies after the discard");
+    }
+
+    /// A round that no barrier hosts carries a record only to a node whose
+    /// copy it names. Node 1 writes page 30, which it owns and node 2 holds
+    /// a stale copy of, and its records cross the threshold; node 0, the
+    /// manager, holds no copy of the page and gets the clock only. The
+    /// checker follows both.
+    #[test]
+    fn a_round_carries_a_record_only_to_a_holder_of_its_page() {
+        const ADDR: usize = 30 * 64;
+        let log = Log::default();
+        let check = carlos_check::Checker::new(3);
+        let mut c = Cluster::new(SimConfig::fast_test(), 3);
+        c.observe(Rc::new((check.clone(), log.clone())));
+        let runtime = |ctx| {
+            let lrc = LrcConfig {
+                ownership: carlos_lrc::PageOwnership::Banded,
+                gc_threshold_records: 1,
+                ..LrcConfig::small_test(3)
+            };
+            Runtime::new(ctx, lrc, CoreConfig::fast_test())
+        };
+        c.spawn_node(0, move |ctx| {
+            let mut rt = runtime(ctx);
+            let _ = rt.wait_accepted(H_GO);
+            rt.send(2, H_NOTE, Vec::new(), Annotation::None);
+            let _ = rt.wait_accepted(H_BYE);
+            assert_eq!(rt.vt().get(1), 1, "node 1's interval is covered");
+            rt.shutdown();
+        });
+        c.spawn_node(1, move |ctx| {
+            let mut rt = runtime(ctx);
+            assert_eq!(rt.engine().owner_of(30), 1);
+            let _ = rt.wait_accepted(H_GO);
+            rt.write_u32(ADDR, 7);
+            // A RELEASE to itself closes the interval; waiting for it, the
+            // node asks for a round.
+            rt.send(1, H_NOTE, Vec::new(), Annotation::Release);
+            let _ = rt.wait_accepted(H_NOTE);
+            rt.send(0, H_GO, Vec::new(), Annotation::None);
+            let _ = rt.wait_accepted(H_BYE);
+            rt.shutdown();
+        });
+        let read = Rc::new(std::cell::Cell::new(0));
+        let after = Rc::clone(&read);
+        c.spawn_node(2, move |ctx| {
+            let mut rt = runtime(ctx);
+            assert_eq!(rt.read_u32(ADDR), 0);
+            rt.send(1, H_GO, Vec::new(), Annotation::None);
+            // Node 0 sends the note after its discard; it is held here until
+            // this node's own.
+            let _ = rt.wait_accepted(H_NOTE);
+            after.set(rt.read_u32(ADDR));
+            for peer in [0, 1] {
+                rt.send(peer, H_BYE, Vec::new(), Annotation::None);
+            }
+            rt.shutdown();
+        });
+        let report = c.run();
+        check.assert_clean();
+        assert_eq!(read.get(), 7, "node 1's write after the round");
+        assert_eq!(report.counter_total("gc.rounds"), 3);
+        let records = |node: usize| report.node_counters[node].get("gc.records");
+        assert_eq!([records(0), records(1), records(2)], [1, 1, 0], "departure, arrival, none");
+        let seen = log.0.borrow();
+        let applied =
+            |node| seen.iter().filter(move |s| matches!(s, Seen::Applied(n, _) if *n == node));
+        assert_eq!(applied(2).collect::<Vec<_>>(), [&Seen::Applied(2, 1)]);
+        assert_eq!(applied(0).count(), 0);
+        assert!(seen.contains(&Seen::Advanced(0, 1, 1)), "the manager's clock only");
     }
 
     /// A diff demand from a node the owner never served the granule to is

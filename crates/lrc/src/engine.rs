@@ -117,11 +117,12 @@ pub struct LrcEngine {
     /// ([`LrcEngine::keep_fetched_diffs`]). Nothing reads another fetched
     /// diff again, so it is applied and dropped.
     fetched: Vec<DiffStore>,
-    /// Diffs not stored since the last collection: fetched ones applied
-    /// and dropped, and own ones elided because no node can ask for them.
-    /// They count as stored records, so collections fall where they did
-    /// when every diff was kept.
-    dropped: usize,
+    /// Consistency records since the last collection
+    /// ([`LrcEngine::record_count`]): logged intervals and every diff this
+    /// node captured or applied. Diffs not stored (fetched ones applied and
+    /// dropped, own ones elided because no node can ask for them) count
+    /// too, so collections fall where they did when every diff was kept.
+    records: usize,
     /// The most records held at a collection ([`LrcEngine::peak_record_count`]).
     peak_records: usize,
     keep_fetched: bool,
@@ -177,7 +178,7 @@ impl LrcEngine {
             intervals: IntervalStore::new(),
             own: DiffStore::default(),
             fetched: Vec::new(),
-            dropped: 0,
+            records: 0,
             peak_records: 0,
             keep_fetched: false,
             page_shift: granules.uniform_shift(),
@@ -216,6 +217,13 @@ impl LrcEngine {
     #[must_use]
     pub fn may_hold_copy(&self, page: PageId, node: u32) -> bool {
         node == self.node || self.owner_of(page) != self.node || self.served.contains(&(page, node))
+    }
+
+    /// True when this node owns `page` and never served a copy of it: no
+    /// other node can hold one.
+    fn unshared(&self, page: PageId) -> bool {
+        self.owner_of(page) == self.node
+            && self.served.range((page, 0)..=(page, u32::MAX)).next().is_none()
     }
 
     /// This engine's node id.
@@ -513,6 +521,7 @@ impl LrcEngine {
             vt: self.vt.as_slice(),
             pages: &pages,
         });
+        self.records += 1;
         self.stats.intervals_created += 1;
         let rec = IntervalRecord {
             node: self.node,
@@ -572,6 +581,12 @@ impl LrcEngine {
     }
 
     fn apply_one(&mut self, rec: Interval<'_>) {
+        self.apply_notices(rec);
+        self.records += usize::from(self.intervals.insert(rec));
+    }
+
+    /// Applies `rec`'s write notices and moves the clock to cover it.
+    fn apply_notices(&mut self, rec: Interval<'_>) {
         self.vt.set(rec.creator, rec.index);
         for &p in rec.pages {
             self.stats.notices_applied += 1;
@@ -606,7 +621,6 @@ impl LrcEngine {
             node: self.node,
             rec,
         });
-        self.intervals.insert(rec);
     }
 
     /// Drains the granules of *eager* regions that incoming write notices
@@ -641,7 +655,7 @@ impl LrcEngine {
     /// record.
     ///
     /// A changed granule this node owns and has served to no other node
-    /// gets no record either, only a count in `dropped`, whatever its kind:
+    /// gets no record either, only a count in `records`, whatever its kind:
     /// no other node holds a copy, and a copy served later already
     /// reflects this interval, so no node will ask for the diff and no
     /// release to a holder can carry it (TreadMarks never made a diff
@@ -653,8 +667,7 @@ impl LrcEngine {
     /// Panics if the page has no twin (an internal invariant).
     fn capture_own_diff(&mut self, page: PageId) -> bool {
         let idx = self.vt.get(self.node);
-        let unserved = self.owner_of(page) == self.node
-            && self.served.range((page, 0)..=(page, u32::MAX)).next().is_none();
+        let unserved = self.unshared(page);
         let meta = self.pages.get_mut(page).expect("written page is resident");
         let twin = meta.twin.take().expect("capture_own_diff without twin");
         // The close moves this node's `applied` and `max_notice` entries
@@ -668,9 +681,8 @@ impl LrcEngine {
             return false;
         }
         self.stats.diffs_created += 1;
-        if unserved {
-            self.dropped += 1;
-        } else {
+        self.records += 1;
+        if !unserved {
             self.own.capture((self.node, page, idx, meta.own_covered), &twin, &meta.data);
             meta.own_covered = idx;
         }
@@ -922,10 +934,9 @@ impl LrcEngine {
             let cur = meta.max_notice.get(rec.node);
             meta.max_notice.set(rec.node, cur.max(rec.last));
             self.stats.diffs_applied += 1;
+            self.records += 1;
             if keep {
                 self.fetched[rec.node as usize].push(rec);
-            } else {
-                self.dropped += 1;
             }
         }
         Self::prune_outstanding(&mut self.outstanding, page, &meta.applied);
@@ -1054,12 +1065,12 @@ impl LrcEngine {
     // Garbage collection of consistency records.
     // ------------------------------------------------------------------
 
-    /// Number of stored consistency records (intervals + diffs); the GC
-    /// pressure metric.
+    /// Consistency records since the last collection, intervals logged and
+    /// diffs made or applied, stored or not; the GC pressure metric, kept
+    /// as a count, so each wait's threshold test costs nothing.
     #[must_use]
     pub fn record_count(&self) -> usize {
-        let fetched: usize = self.fetched.iter().map(DiffStore::len).sum();
-        self.intervals.len() + self.own.len() + fetched + self.dropped
+        self.records
     }
 
     /// The most records this node has held at once: only a collection
@@ -1075,6 +1086,101 @@ impl LrcEngine {
     #[must_use]
     pub fn gc_needed(&self) -> bool {
         self.record_count() > self.cfg.gc_threshold_records
+    }
+
+    /// The pages this node holds a copy of and does not own, ascending: what
+    /// its arrival at a collection round lists. With the pages it owns,
+    /// whose copies it pins, they are every copy it holds.
+    #[must_use]
+    pub fn copies(&self) -> Vec<PageId> {
+        self.pages.copies()
+    }
+
+    /// This node's records newer than `have` that name a page some other
+    /// node may hold ([`LrcEngine::may_hold_copy`]): what its arrival at a
+    /// collection round carries. No other node needs the rest.
+    #[must_use]
+    pub fn shared_records_newer_than(&self, have: &Vc) -> Records {
+        let mut out = Records::new();
+        let own = self.intervals.range(self.node, have.get(self.node) + 1, u32::MAX);
+        for rec in own.filter(|rec| rec.pages.iter().any(|&p| !self.unshared(p))) {
+            out.push(rec);
+        }
+        out
+    }
+
+    /// The records a collection round's departure carries to `dst`, whose
+    /// vector time is `have` and whose arrival listed `copies`: those newer
+    /// than `have`, from this node's log and then from `fresh` (the round's
+    /// arrivals), that name a page `dst` owns or listed. Every other record
+    /// names only pages `dst` holds no copy of.
+    #[must_use]
+    pub fn round_records_for(
+        &self,
+        dst: u32,
+        have: &Vc,
+        copies: &[PageId],
+        fresh: &Records,
+    ) -> Records {
+        let concerns = |rec: &Interval<'_>| {
+            rec.pages
+                .iter()
+                .any(|&p| self.owner_of(p) == dst || copies.binary_search(&p).is_ok())
+        };
+        let mut out = Records::new();
+        let mut fresh = fresh.iter().peekable();
+        for (q, seen) in have.iter() {
+            let logged = self.intervals.range(q, seen + 1, u32::MAX);
+            let above = seen.max(self.intervals.next_index(q) - 1);
+            let arrived = std::iter::from_fn(|| fresh.next_if(|rec| rec.creator == q))
+                .filter(|rec| rec.index > above);
+            for rec in logged.chain(arrived).filter(concerns) {
+                out.push(rec);
+            }
+        }
+        out
+    }
+
+    /// A collection round's apply: applies the write notices of each of
+    /// `records` (node-major, index-ascending) that is newer than this
+    /// node's time and names a page it holds a copy of, then advances its
+    /// time to `to`. None of them enters the log, and the clock jumps over
+    /// the records it skips: each names only pages this node holds no copy
+    /// of, and the round's [`LrcEngine::gc_discard`] erases them
+    /// everywhere. Returns the write notices applied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is ahead of this node's own clock.
+    pub fn advance(&mut self, records: &Records, to: &Vc) -> usize {
+        let mut notices = 0;
+        for rec in records.iter() {
+            let holds = |p: &PageId| self.pages.state(*p) != PageState::Missing;
+            let (q, index) = (rec.creator, rec.index);
+            if q != self.node && index > self.vt.get(q) && rec.pages.iter().any(holds) {
+                self.jump(q, index - 1);
+                self.apply_notices(rec);
+                notices += rec.pages.len();
+            }
+        }
+        for (q, index) in to.iter() {
+            self.jump(q, index);
+        }
+        notices
+    }
+
+    /// Moves the clock for `creator` up to `index`, applying nothing.
+    fn jump(&mut self, creator: u32, index: u32) {
+        if index <= self.vt.get(creator) {
+            return;
+        }
+        assert_ne!(creator, self.node, "a round advanced node {creator}'s own clock");
+        self.vt.set(creator, index);
+        emit(&self.sink, || Event::ClockAdvanced {
+            node: self.node,
+            creator,
+            index,
+        });
     }
 
     /// Demands required to validate every invalid page — phase two of a
@@ -1095,17 +1201,14 @@ impl LrcEngine {
     /// # Panics
     ///
     /// Panics if an invalid page remains (the caller skipped validation),
-    /// or if a creator's interval log does not end at its `vt` component.
+    /// or if a creator's interval log holds a record `vt` does not cover.
     pub fn gc_discard(&mut self) {
-        for (q, seen) in self.vt.iter() {
-            assert_eq!(self.intervals.next_index(q), seen + 1, "creator {q}'s log is not at vt");
-        }
         self.peak_records = self.peak_record_count();
         self.pages.collect(&self.vt);
-        self.intervals.clear();
+        self.intervals.discard_through(&self.vt);
         self.own = DiffStore::default();
         self.fetched.clear();
-        self.dropped = 0;
+        self.records = 0;
         // Every page is valid, so nothing was outstanding.
         self.outstanding.clear();
     }
@@ -1139,10 +1242,11 @@ mod tests {
 
     const PAGES: u32 = 6;
 
-    /// A small cluster driven by hand, every fetch answered at once, and
-    /// per `(owner, page)` the owner's own clock when it first served a
-    /// copy of the page.
-    struct Cluster(Vec<LrcEngine>, BTreeMap<(u32, PageId), u32>);
+    /// A small cluster driven by hand, every fetch answered at once; per
+    /// `(owner, page)` the owner's own clock when it first served a copy of
+    /// the page; and per node its diffs created and applied at the last
+    /// collection.
+    struct Cluster(Vec<LrcEngine>, BTreeMap<(u32, PageId), u32>, Vec<(u64, u64)>);
 
     impl Cluster {
         /// `variant` 1 makes pages 1 and 2 eager; `variant` 2 keeps every
@@ -1164,7 +1268,7 @@ mod tests {
                 ..LrcConfig::small_test(n)
             };
             let engines = (0..n as u32).map(|i| LrcEngine::new(i, cfg.clone()));
-            let mut c = Self(engines.collect(), BTreeMap::new());
+            let mut c = Self(engines.collect(), BTreeMap::new(), vec![(0, 0); n]);
             if variant == 2 {
                 c.0.iter_mut().for_each(LrcEngine::keep_fetched_diffs);
             }
@@ -1209,23 +1313,66 @@ mod tests {
             self.0[to].apply_records(&recs);
         }
 
-        /// The runtime's collection: close, equalise clocks, validate, discard.
+        /// The runtime's collection round, node 0 its manager: close, the
+        /// arrivals, the departures, validate, discard. Each node's pages
+        /// end as they do when every node gets every record.
         fn gc(&mut self) {
             let n = self.0.len();
             for e in &mut self.0 {
                 e.close_interval();
             }
+            let mut full = Self(self.0.clone(), self.1.clone(), Vec::new());
             for _round in 0..2 {
                 for a in 0..n {
-                    (0..n).filter(|&b| b != a).for_each(|b| self.sync(a, b));
+                    (0..n).filter(|&b| b != a).for_each(|b| full.sync(a, b));
                 }
             }
-            for i in 0..n {
-                for p in self.0[i].pages.invalid_pages() {
-                    self.fetch(i, p);
+            let start = self.0[0].vt().clone();
+            let copies: Vec<Vec<PageId>> = self.0.iter().map(LrcEngine::copies).collect();
+            let arrivals = self.0[1..].iter().map(|e| e.shared_records_newer_than(&start));
+            let fresh = Records::concat(n, arrivals.collect::<Vec<_>>().iter());
+            let vt = self.0.iter().fold(start, |mut vt, e| {
+                vt.join(e.vt());
+                vt
+            });
+            let departures: Vec<Records> = (1..n)
+                .map(|i| self.0[0].round_records_for(i as u32, self.0[i].vt(), &copies[i], &fresh))
+                .collect();
+            self.0[0].advance(&fresh, &vt);
+            for (e, records) in self.0[1..].iter_mut().zip(&departures) {
+                e.advance(records, &vt);
+            }
+            for c in [&mut *self, &mut full] {
+                for i in 0..n {
+                    for p in c.0[i].pages.invalid_pages() {
+                        c.fetch(i, p);
+                    }
+                }
+            }
+            for (node, (e, f)) in self.0.iter().zip(&full.0).enumerate() {
+                assert_eq!((e.vt(), &e.copies()), (f.vt(), &copies[node]), "node {node}");
+                for page in 0..PAGES {
+                    let data =
+                        |e: &LrcEngine| e.pages.get(page).map(|m| (m.state, m.data.clone()));
+                    assert_eq!(data(e), data(f), "node {node} page {page}");
                 }
             }
             self.0.iter_mut().for_each(LrcEngine::gc_discard);
+            let stats = |e: &LrcEngine| (e.stats.diffs_created, e.stats.diffs_applied);
+            self.2 = self.0.iter().map(stats).collect();
+        }
+
+        /// The kept record count is the sum it stands for: the logged
+        /// intervals, and every diff created or applied since the last
+        /// collection, stored or not.
+        fn check_record_count(&mut self, _mask: u32) {
+            for (e, &(created, applied)) in self.0.iter().zip(&self.2) {
+                let diffs = e.stats.diffs_created - created + e.stats.diffs_applied - applied;
+                let (logged, diffs) = (e.intervals.len(), diffs as usize);
+                assert_eq!(e.record_count(), logged + diffs, "node {}", e.node);
+                let fetched: usize = e.fetched.iter().map(DiffStore::len).sum();
+                assert!(e.own.len() + fetched <= diffs, "node {}", e.node);
+            }
         }
 
         /// The list and the store walk agree on every page of every node,
@@ -1378,5 +1525,41 @@ mod tests {
     #[test]
     fn every_copy_holder_is_in_its_owners_served_set() {
         random_script("every_copy_holder_is_in_its_owners_served_set", Cluster::check_copysets);
+    }
+
+    #[test]
+    fn the_record_count_is_the_sum_it_stands_for() {
+        random_script("the_record_count_is_the_sum_it_stands_for", Cluster::check_record_count);
+    }
+
+    /// The record count after each step that moves it: an interval logged
+    /// with its own diff elided, then with own diffs captured, intervals
+    /// logged by an acquire, a fetched diff kept (eager page 1) and one
+    /// dropped (page 3), and the discard.
+    #[test]
+    fn each_step_keeps_the_record_count_exact() {
+        let mut c = Cluster::new(2, false, 1);
+        let step = |c: &mut Cluster, want: [usize; 2]| {
+            c.check_record_count(0);
+            assert_eq!([c.0[0].record_count(), c.0[1].record_count()], want);
+        };
+        c.0[0].write(3 * 64, &[1]).expect("owned");
+        c.0[0].close_interval();
+        step(&mut c, [2, 0]);
+        assert_eq!(c.0[0].own.len(), 0, "elided");
+        c.install(1, 1);
+        c.install(1, 3);
+        c.0[0].write(64, &[2]).expect("owned");
+        c.0[0].write(3 * 64, &[3]).expect("owned");
+        c.0[0].close_interval();
+        step(&mut c, [5, 0]);
+        c.sync(0, 1);
+        step(&mut c, [5, 2]);
+        c.fetch(1, 1);
+        c.fetch(1, 3);
+        step(&mut c, [5, 4]);
+        assert_eq!(c.0[1].fetched.iter().map(DiffStore::len).sum::<usize>(), 1, "page 1 kept");
+        c.gc();
+        step(&mut c, [0, 0]);
     }
 }

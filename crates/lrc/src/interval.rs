@@ -199,7 +199,7 @@ impl Records {
     /// Panics if `rec` does not sort after the last record, names a
     /// creator outside its vector time, has an index other than its own
     /// clock component, or its width differs from the batch's.
-    fn push(&mut self, rec: Interval<'_>) {
+    pub(crate) fn push(&mut self, rec: Interval<'_>) {
         let (creator, index) = (rec.creator, rec.index);
         let clock = rec.vt;
         assert!(
@@ -215,6 +215,18 @@ impl Records {
         self.words.extend_from_slice(clock);
         self.words.extend_from_slice(rec.pages);
         self.ends.push(self.words.len() as u32);
+    }
+
+    /// The records of `batches` of width `n`, one batch after another,
+    /// copied into one sized for them first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch's first record does not sort after the one
+    /// before it.
+    #[must_use]
+    pub fn concat<'a>(n: usize, batches: impl Iterator<Item = &'a Records> + Clone) -> Records {
+        gather(n, batches.map(|b| (b, 0..b.len())))
     }
 
     /// Appends records `range` of `src`, one copy per array.
@@ -510,12 +522,13 @@ impl IntervalStore {
     }
 
     /// Appends a record; an index already held (or collected) is a no-op.
+    /// Returns whether the record was appended.
     ///
     /// # Panics
     ///
     /// Panics if the index skips past [`IntervalStore::next_index`]: a
     /// gapped log would ship records no receiver can apply.
-    pub fn insert(&mut self, rec: Interval<'_>) {
+    pub fn insert(&mut self, rec: Interval<'_>) -> bool {
         let (node, index, next) = (rec.creator, rec.index, self.next_index(rec.creator));
         assert!(
             index <= next,
@@ -524,6 +537,7 @@ impl IntervalStore {
         if index == next {
             self.log_mut(node).push(rec);
         }
+        index == next
     }
 
     /// Makes room in each creator's log for the records of `batch` above
@@ -562,7 +576,7 @@ impl IntervalStore {
         positions.map(|i| log.get(i))
     }
 
-    /// Number of stored records (GC pressure metric).
+    /// Number of stored records.
     #[must_use]
     pub fn len(&self) -> usize {
         self.logs.iter().map(|(_, log)| log.len()).sum()
@@ -609,10 +623,18 @@ impl IntervalStore {
         gather(have.len(), std::iter::once(span))
     }
 
-    /// Discards every record (global garbage collection); next indices stay.
-    pub fn clear(&mut self) {
-        for (base, log) in &mut self.logs {
-            *base += log.len() as u32;
+    /// Discards every record (global garbage collection at vector time
+    /// `vt`): each creator's next index becomes the one after `vt`'s
+    /// component, past any records a collection round skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a creator's log holds a record `vt` does not cover.
+    pub fn discard_through(&mut self, vt: &Vc) {
+        self.logs.resize_with(vt.len(), Default::default);
+        for ((base, log), (q, seen)) in self.logs.iter_mut().zip(vt.iter()) {
+            assert!(*base + log.len() as u32 <= seen, "creator {q}'s log is ahead of {seen}");
+            *base = seen;
             log.clear();
         }
     }
@@ -692,7 +714,10 @@ mod tests {
         assert_eq!(indices(&s, 0, 3, 2), Vec::<u32>::new());
         assert_eq!(indices(&s, 2, 0, u32::MAX), Vec::<u32>::new());
         // After a collection each log resumes at its creator's next index.
-        s.clear();
+        let mut vt = Vc::new(2);
+        vt.set(0, 4);
+        vt.set(1, 3);
+        s.discard_through(&vt);
         assert_eq!(
             (s.next_index(0), s.next_index(1), s.next_index(2)),
             (5, 4, 1)
@@ -767,10 +792,14 @@ mod tests {
     #[test]
     fn clear_empties_store() {
         let mut s = IntervalStore::new();
-        s.insert(rec(0, 1, vec![], 1).as_interval());
+        s.insert(rec(0, 1, vec![], 2).as_interval());
         assert!(!s.is_empty());
-        s.clear();
+        let mut vt = Vc::new(2);
+        vt.set(0, 3);
+        vt.set(1, 2);
+        s.discard_through(&vt);
         assert!(s.is_empty());
+        assert_eq!((s.next_index(0), s.next_index(1)), (4, 3));
     }
 
     #[test]

@@ -255,6 +255,21 @@ impl PageTable {
         &mut self.resident[i].1
     }
 
+    /// The granules this node holds a copy of and does not own, ascending
+    /// (a first copy makes its granule resident).
+    #[must_use]
+    pub(crate) fn copies(&self) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = self.resident[1..]
+            .iter()
+            .filter(|&&(page, ref meta)| {
+                meta.state != PageState::Missing && self.owner_of(page) != self.node
+            })
+            .map(|&(page, _)| page)
+            .collect();
+        pages.sort_unstable();
+        pages
+    }
+
     /// The `Invalid` pages, ascending (only a resident page can be invalid).
     #[must_use]
     pub(crate) fn invalid_pages(&self) -> Vec<PageId> {

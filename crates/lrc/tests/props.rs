@@ -658,7 +658,7 @@ mod interval_scan_equivalence {
                         }
                     }
                     2 => {
-                        store.clear();
+                        store.discard_through(&Vc::from_slice(&next.map(|i| i - 1)));
                         map.clear();
                     }
                     _ => {
@@ -1019,7 +1019,7 @@ mod sparse_table_equivalence {
                 meta.applied = clocks.clone();
                 meta.max_notice = clocks;
             }
-            self.intervals.clear();
+            self.intervals.discard_through(&self.vt);
             self.diffs.clear();
         }
     }

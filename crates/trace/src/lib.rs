@@ -459,7 +459,7 @@ impl State {
             }
             Event::RecordApplied { .. } => self.metrics.count("lrc.records_applied", 1),
             Event::PageInstalled { .. } => self.metrics.count("lrc.pages_installed", 1),
-            Event::MemRead { .. } | Event::MemWrite { .. } => {}
+            Event::MemRead { .. } | Event::MemWrite { .. } | Event::ClockAdvanced { .. } => {}
         }
     }
 }

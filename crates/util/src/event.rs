@@ -171,6 +171,11 @@ pub enum Event<'a> {
     /// LRC engine: the node applied the remote record `rec` (the acquire
     /// side), advancing its vector time to cover it.
     RecordApplied { node: u32, rec: Interval<'a> },
+    /// LRC engine: a collection round moved the node's clock for `creator`
+    /// to `index` without applying that creator's records in between: each
+    /// names only pages the node holds no copy of, and the round's discard
+    /// erases them everywhere.
+    ClockAdvanced { node: u32, creator: u32, index: u32 },
     /// LRC engine: the node installed a full copy of `page` reflecting the
     /// modifications in `applied`.
     PageInstalled { node: u32, page: u32, applied: &'a [u32] },
